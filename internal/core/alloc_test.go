@@ -1,0 +1,122 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+
+	"frfc/internal/noc"
+	"frfc/internal/sim"
+	"frfc/internal/topology"
+)
+
+// warmedMesh4 returns a 4×4 FR network of the given configuration that has
+// carried uniform traffic at the given packet rate for 3000 cycles — long enough that every pipe, queue,
+// free list and schedule has reached its working size — the source that fed
+// it, and the next cycle to tick.
+func warmedMesh4(cfg Config, rate float64) (*Network, *uniformSource, sim.Cycle) {
+	mesh := topology.NewMesh(4)
+	net := New(mesh, cfg, 5, &noc.Hooks{})
+	src := &uniformSource{rng: sim.NewRNG(11), mesh: mesh, rate: rate}
+	now := sim.Cycle(0)
+	for ; now < 3000; now++ {
+		src.offer(net, now)
+		net.Tick(now)
+	}
+	return net, src, now
+}
+
+// TestSteadyStateTickAllocatesNothing is the allocation gate of the FR hot
+// path: with the sources switched off mid-flight, the cycles that carry the
+// remaining control and data flits hop by hop to their sinks allocate nothing
+// at all.
+func TestSteadyStateTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run without -race")
+	}
+	wide := fastControl()
+	wide.LeadsPerCtrl, wide.AllOrNothing = 4, true
+	for name, cfg := range map[string]Config{"d1-per-flit": fastControl(), "d4-all-or-nothing": wide} {
+		t.Run(name, func(t *testing.T) {
+			net, _, now := warmedMesh4(cfg, 0.08)
+			inFlight := net.InFlightPackets()
+			if inFlight < 8 {
+				t.Fatalf("only %d packets in flight when the sources stop; the gate would measure an idle network", inFlight)
+			}
+			allocs := testing.AllocsPerRun(40, func() {
+				net.Tick(now)
+				now++
+			})
+			if delivered := inFlight - net.InFlightPackets(); delivered < 8 {
+				t.Fatalf("the measured window delivered %d packets; it did not carry traffic", delivered)
+			}
+			if allocs != 0 {
+				t.Fatalf("Network.Tick allocated %.0f objects a cycle with flits in flight, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestLoadedTickAllocatesPerPacketOnly: under load, what a cycle allocates is
+// per offered packet, not per hop — the generator's Packet, the control-flit
+// slice and its one lead array, and amortised growth — so it stays within six
+// objects a packet however far the packet travels.
+func TestLoadedTickAllocatesPerPacketOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run without -race")
+	}
+	net, src, now := warmedMesh4(fastControl(), 0.08)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	offered := 0
+	for end := now + 2000; now < end; now++ {
+		offered += src.offer(net, now)
+		net.Tick(now)
+	}
+	runtime.ReadMemStats(&after)
+	perPacket := float64(after.Mallocs-before.Mallocs) / float64(offered)
+	t.Logf("%d packets offered, %.2f mallocs a packet", offered, perPacket)
+	if offered < 1000 {
+		t.Fatalf("only %d packets offered; the window is not loaded", offered)
+	}
+	if perPacket > 6 {
+		t.Fatalf("%.2f mallocs per offered packet, want at most 6", perPacket)
+	}
+}
+
+// TestSinkStateStaysBounded is the long-run memory soak for the ejection
+// side: with retry disabled a packet's reassembly entry goes the moment its
+// last flit is counted, so after 50 000 deliveries every sink holds entries
+// only for packets still in flight.
+func TestSinkStateStaysBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50k-packet soak")
+	}
+	mesh := topology.NewMesh(4)
+	delivered := 0
+	net := New(mesh, fastControl(), 9, &noc.Hooks{
+		PacketDelivered: func(*noc.Packet, sim.Cycle) { delivered++ },
+	})
+	src := &uniformSource{rng: sim.NewRNG(21), mesh: mesh, rate: 0.1}
+	held := func() (total int) {
+		for _, s := range net.sinks {
+			total += len(s.state)
+		}
+		return total
+	}
+	now := sim.Cycle(0)
+	for ; delivered < 50000; now++ {
+		src.offer(net, now)
+		net.Tick(now)
+		if now%1000 == 0 {
+			if h, f := held(), net.InFlightPackets(); h > f {
+				t.Fatalf("cycle %d: sinks hold %d reassembly entries with %d packets in flight", now, h, f)
+			}
+		}
+	}
+	for ; net.InFlightPackets() > 0; now++ {
+		net.Tick(now)
+	}
+	if h := held(); h != 0 {
+		t.Fatalf("drained network still holds %d reassembly entries after %d deliveries", h, delivered)
+	}
+}

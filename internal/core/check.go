@@ -115,8 +115,9 @@ func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
 			n.fail(now, "node %d input %s: occupied counter %d but %d slots in use",
 				id, topology.Port(p), in.occupied, occ)
 		}
-		for ta, slot := range in.parked {
-			s := &in.pool[slot]
+		for _, pk := range in.parked {
+			ta := pk.arrival
+			s := &in.pool[pk.slot]
 			if !s.occupied || s.departAt != sim.Never {
 				n.fail(now, "node %d input %s: schedule-list entry for arrival %d points at a non-parked slot",
 					id, topology.Port(p), ta)
@@ -133,12 +134,12 @@ func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
 		// Expected arrivals are installed at most one control-flit journey
 		// ahead of their data and expire the cycle they fall due, so every
 		// surviving entry — phantom ones included — must lie in the future.
-		for ta := range in.expected {
+		in.expected.each(func(ta sim.Cycle, _ reservation) {
 			if ta < now {
 				n.fail(now, "node %d input %s: expected-arrival entry for past cycle %d survived its expiry",
 					id, topology.Port(p), ta)
 			}
-		}
+		})
 	}
 }
 
@@ -151,7 +152,7 @@ func (n *Network) checkTable(now sim.Cycle, what string, t *outResTable) {
 		n.fail(now, "%s: steady free count %d outside [0,%d]", what, t.steady, t.cap)
 	}
 	for i, f := range t.free {
-		if f < 0 || f > t.cap {
+		if f < 0 || int(f) > t.cap {
 			n.fail(now, "%s: free-buffer cell %d holds %d, outside [0,%d]", what, i, f, t.cap)
 		}
 	}

@@ -28,9 +28,9 @@ func TestControlFlitsStayOrderedPerPacket(t *testing.T) {
 	for i := range net.routers {
 		inner := net.sinks[i].Expect
 		i := i
-		net.routers[i].sinkNotify = func(at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
+		net.routers[i].sinkNotify = func(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
 			perPacket[pkt.ID] = append(perPacket[pkt.ID], sched{seq: seq, at: at})
-			inner(at, pkt, seq, attempt)
+			inner(now, at, pkt, seq, attempt)
 		}
 	}
 	rng := sim.NewRNG(12)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
@@ -20,18 +19,26 @@ type poolSlot struct {
 	outPort  topology.Port
 }
 
-// reservation is one pending entry of the input reservation table: a data
-// flit will arrive at a known cycle and must leave at departAt through
-// outPort.
+// reservation is one pending entry of the input reservation table: the data
+// flit arriving at the cycle the entry is filed under leaves stay cycles
+// later through outPort (stay 0 is the bypass). Fields are narrow because
+// every input holds a horizon's worth of these cells.
 type reservation struct {
-	departAt sim.Cycle
-	outPort  topology.Port
+	stay    int32
+	outPort uint8
 	// phantom marks a reservation installed by a corrupted control flit
 	// that escaped the hop CRC: its schedule is garbage the real traffic
 	// must never act on. The arriving data flit is not claimed by it — the
 	// flit parks until timeout reclamation collects it — and the entry
 	// itself dissolves unclaimed through the ordinary expiry path.
 	phantom bool
+}
+
+// parkedFlit is one schedule-list entry: the arrival cycle that identifies an
+// already-arrived, unscheduled flit, and the pool slot holding it.
+type parkedFlit struct {
+	arrival sim.Cycle
+	slot    int
 }
 
 // inputPort is the data-network side of one router input: the buffer pool,
@@ -42,11 +49,16 @@ type reservation struct {
 type inputPort struct {
 	pool     []poolSlot
 	occupied int
-	// expected maps a future arrival cycle to its reservation.
-	expected map[sim.Cycle]reservation
-	// parked maps the arrival cycle of an already-arrived, unscheduled
-	// flit to the pool slot holding it (the logical schedule list).
-	parked map[sim.Cycle]int
+	// expected holds the reservation for each future arrival cycle. A
+	// reservation is installed only once its departure is found, and a
+	// departure is never earlier than the arrival nor later than
+	// now+Horizon, so the keys stay inside [now, now+Horizon].
+	expected cycleRing[reservation]
+	// parked is the schedule list in arrival order. Its keys are past
+	// cycles with no bound on their age, so it is not a ring: at most
+	// len(pool) flits can wait, and a scan of that few entries is cheaper
+	// than hashing.
+	parked []parkedFlit
 	// parkedTotal counts every flit that ever passed through the
 	// schedule list, a measure of how often data overtakes its control
 	// flit.
@@ -60,7 +72,8 @@ type inputPort struct {
 	reclaimed int64
 	// condemned marks arrival cycles whose control stream a hard fault
 	// destroyed: the data flit, if it still arrives, is dropped on sight
-	// instead of parking forever on the schedule list.
+	// instead of parking forever on the schedule list. Only fault paths
+	// write it; it stays nil, and unread, in a fault-free run.
 	condemned map[sim.Cycle]bool
 
 	dataIn    *sim.Pipe[noc.DataFlit]
@@ -81,15 +94,34 @@ type inputPort struct {
 	faultTolerant bool
 }
 
-func newInputPort(buffers int, ledger *eagerLedger, faultTolerant bool) *inputPort {
+// newInputPort builds an input with the given pool size whose reservation
+// table covers arrivals up to horizon cycles ahead.
+func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
 	return &inputPort{
 		pool:          make([]poolSlot, buffers),
-		expected:      make(map[sim.Cycle]reservation),
-		parked:        make(map[sim.Cycle]int),
-		condemned:     make(map[sim.Cycle]bool),
+		expected:      newCycleRing[reservation](horizon + 1),
 		ledger:        ledger,
 		faultTolerant: faultTolerant,
 	}
+}
+
+// parkedIndex returns the schedule-list position of the flit that arrived at
+// cycle ta, or -1.
+func (p *inputPort) parkedIndex(ta sim.Cycle) int {
+	for i := range p.parked {
+		if p.parked[i].arrival == ta {
+			return i
+		}
+	}
+	return -1
+}
+
+// unpark removes schedule-list entry i, keeping arrival order, and returns
+// the pool slot it named.
+func (p *inputPort) unpark(i int) int {
+	slot := p.parked[i].slot
+	p.parked = append(p.parked[:i], p.parked[i+1:]...)
+	return slot
 }
 
 // reserve records a reservation signal from the output scheduler: the data
@@ -103,21 +135,18 @@ func newInputPort(buffers int, ledger *eagerLedger, faultTolerant bool) *inputPo
 // collects it), and a future arrival gets a phantom table entry that
 // dissolves unclaimed — the arriving flit parks beside it instead.
 func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, phantom bool) {
+	p.expected.advance(now)
 	if phantom {
 		p.phantoms++
-		if _, parked := p.parked[ta]; parked || ta < now {
+		if p.parkedIndex(ta) >= 0 || ta < now {
 			return
 		}
-		if _, dup := p.expected[ta]; dup {
-			// Never overwrite a real reservation with a phantom one.
-			return
-		}
-		p.expected[ta] = reservation{departAt: departAt, outPort: outPort, phantom: true}
+		// put never overwrites a real reservation with a phantom one.
+		p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort), phantom: true})
 		return
 	}
-	if slot, ok := p.parked[ta]; ok {
-		delete(p.parked, ta)
-		s := &p.pool[slot]
+	if i := p.parkedIndex(ta); i >= 0 {
+		s := &p.pool[p.unpark(i)]
 		if !s.occupied || s.departAt != sim.Never {
 			panic("core: schedule list pointed at a slot that is not parked")
 		}
@@ -137,10 +166,9 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 		}
 		panic(fmt.Sprintf("core: reservation for past arrival %d at cycle %d with no parked flit", ta, now))
 	}
-	if _, dup := p.expected[ta]; dup {
+	if !p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort)}) {
 		panic(fmt.Sprintf("core: duplicate reservation for arrival cycle %d", ta))
 	}
-	p.expected[ta] = reservation{departAt: departAt, outPort: outPort}
 	p.ledger.onReserve(ta, departAt)
 }
 
@@ -156,9 +184,12 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 // and the caller drops it into the loss path. A phantom reservation for this
 // cycle is ignored: the flit parks beside it as if unannounced.
 func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.DataFlit, out topology.Port)) bool {
-	if r, ok := p.expected[now]; ok && !r.phantom && r.departAt == now {
-		delete(p.expected, now)
-		bypass(f, r.outPort)
+	p.expected.advance(now)
+	r, reserved := p.expected.get(now)
+	reserved = reserved && !r.phantom
+	if reserved && r.stay == 0 {
+		p.expected.take(now)
+		bypass(f, topology.Port(r.outPort))
 		return true
 	}
 	slot := -1
@@ -178,20 +209,23 @@ func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.Data
 	s.occupied = true
 	s.flit = f
 	p.occupied++
-	if r, ok := p.expected[now]; ok && !r.phantom {
-		delete(p.expected, now)
-		s.departAt = r.departAt
-		s.outPort = r.outPort
+	if reserved {
+		p.expected.take(now)
+		s.departAt = now + sim.Cycle(r.stay)
+		s.outPort = topology.Port(r.outPort)
 		return true
 	}
 	// Arrived before its control flit finished scheduling: park it on the
 	// schedule list.
 	s.departAt = sim.Never
 	s.outPort = 0
-	if _, dup := p.parked[now]; dup {
+	if p.parkedIndex(now) >= 0 {
 		panic("core: two flits parked with the same arrival cycle on one input")
 	}
-	p.parked[now] = slot
+	if p.parked == nil {
+		p.parked = make([]parkedFlit, 0, len(p.pool))
+	}
+	p.parked = append(p.parked, parkedFlit{arrival: now, slot: slot})
 	p.parkedTotal++
 	p.probe.Late(now, p.node, p.portIndex, uint64(f.Packet.ID), f.Seq)
 	p.ledger.onParkedArrival(now)
@@ -202,6 +236,9 @@ func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.Data
 // frees its buffer. The one-reservation-per-output-cycle rule upstream
 // guarantees distinct flits never contend for a channel here.
 func (p *inputPort) departures(now sim.Cycle, fn func(f noc.DataFlit, out topology.Port)) {
+	if p.occupied == 0 {
+		return
+	}
 	for i := range p.pool {
 		s := &p.pool[i]
 		if !s.occupied || s.departAt != now {
@@ -221,35 +258,41 @@ func (p *inputPort) departures(now sim.Cycle, fn func(f noc.DataFlit, out topolo
 // accounting stays consistent. It must run after the cycle's arrivals. A
 // condemned cycle whose flit never showed up expires the same way.
 func (p *inputPort) expireExpected(now sim.Cycle) {
-	delete(p.expected, now)
-	delete(p.condemned, now)
+	p.expected.advance(now + 1)
+	if len(p.condemned) > 0 {
+		delete(p.condemned, now)
+	}
 }
 
 // condemn marks a future arrival cycle as orphaned: the control flit that
 // was to schedule the arriving data flit has been destroyed by a hard fault,
 // so the flit must be dropped on arrival rather than parked forever.
-func (p *inputPort) condemn(ta sim.Cycle) { p.condemned[ta] = true }
+func (p *inputPort) condemn(ta sim.Cycle) {
+	if p.condemned == nil {
+		p.condemned = make(map[sim.Cycle]bool)
+	}
+	p.condemned[ta] = true
+}
 
 // condemnedArrival reports (and consumes) whether the flit arriving at now
 // belongs to a destroyed control stream.
 func (p *inputPort) condemnedArrival(now sim.Cycle) bool {
-	if p.condemned[now] {
-		delete(p.condemned, now)
-		return true
+	if len(p.condemned) == 0 || !p.condemned[now] {
+		return false
 	}
-	return false
+	delete(p.condemned, now)
+	return true
 }
 
 // dropParked removes and returns the flit parked under arrival cycle ta, if
 // any: its control flit has been destroyed by a hard fault, so it can never
 // be scheduled out of the pool.
 func (p *inputPort) dropParked(ta sim.Cycle) (noc.DataFlit, bool) {
-	slot, ok := p.parked[ta]
-	if !ok {
+	i := p.parkedIndex(ta)
+	if i < 0 {
 		return noc.DataFlit{}, false
 	}
-	delete(p.parked, ta)
-	s := &p.pool[slot]
+	s := &p.pool[p.unpark(i)]
 	f := s.flit
 	s.occupied = false
 	p.occupied--
@@ -262,24 +305,12 @@ func (p *inputPort) dropParked(ta sim.Cycle) (noc.DataFlit, bool) {
 // parked longer than timeout cycles is dropped into the loss path. In a
 // corruption-free run nothing waits that long — a healthy flit's schedule-
 // list residency is bounded by the control network's worst queueing delay —
-// so only phantom-orphaned flits are ever collected. Stale slots are
-// processed in arrival order so a run replays bit-identically.
+// so only phantom-orphaned flits are ever collected. The schedule list is in
+// arrival order, so the stale flits are its front, and a run replays
+// bit-identically.
 func (p *inputPort) reclaim(now, timeout sim.Cycle, drop func(noc.DataFlit)) {
-	if len(p.parked) == 0 {
-		return
-	}
-	var stale []sim.Cycle
-	for ta := range p.parked {
-		if now-ta >= timeout {
-			stale = append(stale, ta)
-		}
-	}
-	if len(stale) == 0 {
-		return
-	}
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-	for _, ta := range stale {
-		f, _ := p.dropParked(ta)
+	for len(p.parked) > 0 && now-p.parked[0].arrival >= timeout {
+		f, _ := p.dropParked(p.parked[0].arrival)
 		p.reclaimed++
 		drop(f)
 	}
@@ -293,12 +324,12 @@ func (p *inputPort) reclaim(now, timeout sim.Cycle, drop func(noc.DataFlit)) {
 // condemned. Parked flits stay — their control flit will schedule them on
 // the fresh table.
 func (p *inputPort) purgeOutput(out topology.Port, drop func(noc.DataFlit)) {
-	for ta, r := range p.expected {
-		if r.outPort == out {
-			delete(p.expected, ta)
-			p.condemned[ta] = true
+	p.expected.each(func(ta sim.Cycle, r reservation) {
+		if topology.Port(r.outPort) == out {
+			p.expected.take(ta)
+			p.condemn(ta)
 		}
-	}
+	})
 	for i := range p.pool {
 		s := &p.pool[i]
 		if s.occupied && s.departAt != sim.Never && s.outPort == out {
@@ -325,19 +356,13 @@ func (p *inputPort) reset(drop func(noc.DataFlit)) {
 		*s = poolSlot{departAt: sim.Never}
 	}
 	p.occupied = 0
-	for ta := range p.expected {
-		delete(p.expected, ta)
-	}
-	for ta := range p.parked {
-		delete(p.parked, ta)
-	}
-	for ta := range p.condemned {
-		delete(p.condemned, ta)
-	}
+	p.expected.clear()
+	p.parked = p.parked[:0]
+	p.condemned = nil
 }
 
 // pending reports buffered flits plus outstanding expectations, used by the
 // drain check at the end of a run.
 func (p *inputPort) pending() int {
-	return p.occupied + len(p.expected)
+	return p.occupied + p.expected.len()
 }

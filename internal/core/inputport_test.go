@@ -21,7 +21,7 @@ func noBypass(t *testing.T) func(noc.DataFlit, topology.Port) {
 }
 
 func TestInputPortReserveThenArriveThenDepart(t *testing.T) {
-	p := newInputPort(3, nil, false)
+	p := newInputPort(3, 32, nil, false)
 	p.reserve(0, 5, 9, topology.East, false)
 	p.arrive(5, testFlit(1, 0), noBypass(t))
 	if p.occupied != 1 {
@@ -44,7 +44,7 @@ func TestInputPortReserveThenArriveThenDepart(t *testing.T) {
 }
 
 func TestInputPortBypass(t *testing.T) {
-	p := newInputPort(1, nil, false)
+	p := newInputPort(1, 32, nil, false)
 	p.reserve(0, 7, 7, topology.South, false) // depart the same cycle it arrives
 	hit := false
 	p.arrive(7, testFlit(2, 0), func(f noc.DataFlit, out topology.Port) {
@@ -62,7 +62,7 @@ func TestInputPortBypass(t *testing.T) {
 }
 
 func TestInputPortParkThenSchedule(t *testing.T) {
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, 32, nil, false)
 	// Flit arrives before any reservation: parked on the schedule list.
 	p.arrive(4, testFlit(3, 1), noBypass(t))
 	if len(p.parked) != 1 || p.occupied != 1 {
@@ -91,7 +91,7 @@ func TestInputPortPoolExhaustionPanics(t *testing.T) {
 			t.Fatal("arrival into a full pool did not panic")
 		}
 	}()
-	p := newInputPort(1, nil, false)
+	p := newInputPort(1, 32, nil, false)
 	p.arrive(1, testFlit(1, 0), noBypass(t))
 	p.arrive(2, testFlit(2, 0), noBypass(t))
 }
@@ -102,7 +102,7 @@ func TestInputPortDuplicateReservationPanics(t *testing.T) {
 			t.Fatal("duplicate reservation did not panic")
 		}
 	}()
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, 32, nil, false)
 	p.reserve(0, 5, 9, topology.East, false)
 	p.reserve(0, 5, 10, topology.West, false)
 }
@@ -113,12 +113,12 @@ func TestInputPortPastReservationWithoutFlitPanics(t *testing.T) {
 			t.Fatal("reservation for a past arrival with no parked flit did not panic")
 		}
 	}()
-	p := newInputPort(2, nil, false)
+	p := newInputPort(2, 32, nil, false)
 	p.reserve(10, 4, 13, topology.East, false)
 }
 
 func TestInputPortPending(t *testing.T) {
-	p := newInputPort(4, nil, false)
+	p := newInputPort(4, 32, nil, false)
 	p.reserve(0, 6, 9, topology.East, false)
 	if p.pending() != 1 {
 		t.Fatalf("pending = %d with one expectation, want 1", p.pending())
@@ -142,7 +142,9 @@ func TestDeferredAllocationNeverFragments(t *testing.T) {
 	rng := sim.NewRNG(77)
 	const buffers = 6
 	for trial := 0; trial < 200; trial++ {
-		p := newInputPort(buffers, nil, false)
+		// The replay reserves every arrival of the trial up front, up to
+		// 120 cycles out, so the table's reach is widened to match.
+		p := newInputPort(buffers, 160, nil, false)
 		// Build random arrivals with random residencies, admitting an
 		// arrival only if current+future overlap stays within bounds;
 		// this mirrors what the reservation accounting enforces.
@@ -203,7 +205,7 @@ func TestDeferredAllocationNeverFragments(t *testing.T) {
 func TestInputPortFaultTolerantLateReservation(t *testing.T) {
 	// In fault-tolerant mode a reservation for a past arrival with no
 	// parked flit (the flit was destroyed upstream) dissolves quietly.
-	p := newInputPort(2, nil, true)
+	p := newInputPort(2, 32, nil, true)
 	p.reserve(10, 4, 13, topology.East, false)
 	if p.pending() != 0 {
 		t.Fatalf("dissolved reservation left pending state: %d", p.pending())

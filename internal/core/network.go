@@ -235,7 +235,7 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	for id := 0; id < mesh.N(); id++ {
 		n.nis[id] = newNI(topology.NodeID(id), cfg, root.Split(), n.hooks)
 		n.nis[id].progress = n.progress
-		n.sinks[id] = newSink(topology.NodeID(id), n.hooks)
+		n.sinks[id] = newSink(topology.NodeID(id), cfg.Horizon+cfg.LocalLatency, n.hooks)
 		n.sinks[id].e2eCheck = cfg.E2ECheck
 		if cfg.RetryLimit > 0 {
 			n.sinks[id].notifyLoss = n.noteLoss
@@ -623,7 +623,7 @@ func (n *Network) pendingRecovery() int {
 		if n.isDead(topology.NodeID(id)) {
 			continue
 		}
-		total += len(s.expect)
+		total += s.expect.len()
 	}
 	return total
 }
@@ -777,7 +777,7 @@ func (n *Network) DumpState() string {
 				continue
 			}
 			fmt.Fprintf(&b, "  input %s: occupied=%d parked=%d expected=%d\n",
-				topology.Port(p), in.occupied, len(in.parked), len(in.expected))
+				topology.Port(p), in.occupied, len(in.parked), in.expected.len())
 		}
 		for p := range r.outTables {
 			tb := r.outTables[p]
@@ -791,7 +791,7 @@ func (n *Network) DumpState() string {
 	for id, ni := range n.nis {
 		if ni.pendingWork() > 0 || len(ni.awaiting) > 0 {
 			fmt.Fprintf(&b, "NI %d: queue=%d active=%d sendAt=%d ctrlCredits=%v awaitingAck=%d pendingRetry=%d\n",
-				id, len(ni.queue), ni.activeCount(), len(ni.sendAt), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
+				id, len(ni.queue), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
 		}
 	}
 	return b.String()

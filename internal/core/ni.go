@@ -46,8 +46,14 @@ type NI struct {
 	resvCreditIn *sim.Pipe[noc.ReservationCredit]
 
 	// sendAt holds scheduled data-flit injections keyed by departure
-	// cycle; the injection channel's busy bits make the key unique.
-	sendAt map[sim.Cycle]noc.DataFlit
+	// cycle; the injection channel's busy bits make the key unique. The
+	// injection table only grants departures in [now+1, now+Horizon] and the
+	// entry for now is launched after the cycle's scheduling, so the keys
+	// stay inside [now, now+Horizon].
+	sendAt cycleRing[flitRef]
+	// tds is tryInject's scratch: the departures committed so far for the
+	// control flit being scheduled.
+	tds []sim.Cycle
 
 	// End-to-end retry state (cfg.RetryLimit > 0). awaiting tracks every
 	// offered packet until the destination's acknowledgment arrives;
@@ -94,9 +100,18 @@ type niTimeout struct {
 type niPacket struct {
 	active   bool
 	pkt      *noc.Packet
-	data     []noc.DataFlit
 	ctrl     []noc.ControlFlit
 	nextCtrl int
+}
+
+// flitRef names one data flit of one transmission attempt in the two
+// per-node schedules keyed by cycle: the interface's pending injections and
+// the sink's reassembly schedule. Fields are narrow because every node holds
+// a horizon's worth of these cells.
+type flitRef struct {
+	pkt     *noc.Packet
+	seq     int32
+	attempt int32
 }
 
 func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *NI {
@@ -109,7 +124,8 @@ func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *NI
 		active:      make([]niPacket, cfg.CtrlVCs),
 		ctrlCredits: make([]int, cfg.CtrlVCs),
 		ctrlOwned:   make([]bool, cfg.CtrlVCs),
-		sendAt:      make(map[sim.Cycle]noc.DataFlit),
+		sendAt:      newCycleRing[flitRef](cfg.Horizon + 1),
+		tds:         make([]sim.Cycle, 0, cfg.LeadsPerCtrl),
 		progress:    new(int64),
 	}
 	if cfg.RetryLimit > 0 {
@@ -250,6 +266,7 @@ func (n *NI) Tick(now sim.Cycle) {
 	// control flits injected, data flits launched.
 	work := 0
 	n.injTable.advance(now)
+	n.sendAt.advance(now)
 	work += n.resvCreditIn.RecvEach(now, func(c noc.ReservationCredit) {
 		n.injTable.creditFrom(c.FreeFrom, c.VC)
 	})
@@ -283,7 +300,7 @@ func (n *NI) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), uint8(p.Attempts), p.CreatedAt, now)
 		}
-		n.active[v] = niPacket{active: true, pkt: p, data: noc.DataFlits(p), ctrl: noc.ControlFlits(p, n.cfg.LeadsPerCtrl)}
+		n.active[v] = niPacket{active: true, pkt: p, ctrl: noc.ControlFlits(p, n.cfg.LeadsPerCtrl)}
 		work++
 	}
 
@@ -295,15 +312,18 @@ func (n *NI) Tick(now sim.Cycle) {
 		start = n.rng.Intn(len(n.active))
 	}
 	for i := 0; i < len(n.active) && injected < n.cfg.CtrlFlitsPerCycle; i++ {
-		v := (start + i) % len(n.active)
+		v := start + i
+		if v >= len(n.active) {
+			v -= len(n.active)
+		}
 		for injected < n.cfg.CtrlFlitsPerCycle && n.tryInject(now, v) {
 			injected++
 		}
 	}
 
 	// Launch data flits whose scheduled injection cycle has come.
-	if f, ok := n.sendAt[now]; ok {
-		delete(n.sendAt, now)
+	if sf, ok := n.sendAt.take(now); ok {
+		f := noc.DataFlit{Packet: sf.pkt, Seq: int(sf.seq), Attempt: int(sf.attempt), Type: noc.TypeFor(int(sf.seq), sf.pkt.Len)}
 		n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
@@ -331,45 +351,40 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		n.probe.CreditStall(int(n.node), int(topology.Local))
 		return false
 	}
-	cf := ap.ctrl[ap.nextCtrl]
+	cf := &ap.ctrl[ap.nextCtrl]
 
 	// Schedule all data flits this control flit leads; all-or-nothing so
 	// the control flit can carry final injection times. Data injection is
 	// deferred at least LeadCycles behind this control flit (leading
 	// control); findDeparture never returns earlier than now+1.
 	minTA := now + n.cfg.LeadCycles
-	type tentative struct {
-		lead int
-		td   sim.Cycle
-	}
-	committed := make([]tentative, 0, len(cf.Leads))
-	for i := range cf.Leads {
+	tds := n.tds[:0]
+	for range cf.Leads {
 		td, ok := n.injTable.findDeparture(now, minTA, n.cfg.LocalLatency, v)
 		if !ok {
-			for _, t := range committed {
-				n.injTable.uncommit(t.td, n.cfg.LocalLatency, v)
+			for _, td := range tds {
+				n.injTable.uncommit(td, n.cfg.LocalLatency, v)
 			}
 			n.probe.ReserveMiss(int(n.node), int(topology.Local))
 			return false
 		}
 		n.injTable.commit(td, n.cfg.LocalLatency, v)
-		committed = append(committed, tentative{lead: i, td: td})
+		tds = append(tds, td)
 	}
-	for _, t := range committed {
-		n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), t.td)
+	for _, td := range tds {
+		n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), td)
 	}
-	leads := make([]noc.LeadEntry, len(cf.Leads))
-	for _, t := range committed {
-		seq := cf.Leads[t.lead].Seq
-		leads[t.lead] = noc.LeadEntry{Seq: seq, Arrival: t.td + n.cfg.LocalLatency}
-		if _, dup := n.sendAt[t.td]; dup {
+	// The control flit is sent exactly once, so its lead list (built for
+	// this attempt by ControlFlits) takes the final arrival times in place.
+	for i, td := range tds {
+		ld := &cf.Leads[i]
+		ld.Arrival = td + n.cfg.LocalLatency
+		if !n.sendAt.put(td, flitRef{pkt: ap.pkt, seq: int32(ld.Seq), attempt: int32(cf.Attempt)}) {
 			panic("core: NI scheduled two data flits on one injection cycle")
 		}
-		n.sendAt[t.td] = ap.data[seq]
 	}
-	cf.Leads = leads
 	cf.VC = v
-	n.ctrlOut.Send(now, cf)
+	n.ctrlOut.Send(now, *cf)
 	*n.progress++
 	n.ctrlCredits[v]--
 	ap.nextCtrl++
@@ -384,14 +399,14 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		}
 		n.ctrlOwned[v] = false
 		ap.active = false
-		ap.pkt, ap.data, ap.ctrl = nil, nil, nil
+		ap.pkt, ap.ctrl = nil, nil
 	}
 	return true
 }
 
 // pendingWork reports queued packets plus unsent control and data flits.
 func (n *NI) pendingWork() int {
-	w := len(n.queue) + len(n.sendAt)
+	w := len(n.queue) + n.sendAt.len()
 	for v := range n.active {
 		if n.active[v].active {
 			w += len(n.active[v].ctrl) - n.active[v].nextCtrl
@@ -411,10 +426,19 @@ func (n *NI) pendingWork() int {
 type Sink struct {
 	node   topology.NodeID
 	dataIn *sim.Pipe[noc.DataFlit]
-	expect map[sim.Cycle]expectEntry
-	state  map[noc.PacketID]*sinkPkt
-	hooks  *noc.Hooks
-	probe  *metrics.Probe
+	// expect is the reassembly schedule keyed by ejection cycle. The
+	// router's ejection table grants departures in [now+1, now+Horizon] and
+	// the ejection link adds its latency, so the keys stay inside
+	// [now, now+Horizon+LocalLatency].
+	expect cycleRing[flitRef]
+	// state is the reassembly progress of every packet that may still see a
+	// flit. With retry disabled a packet's entry is deleted once all of its
+	// flits are counted, so the map is bounded by the packets in flight;
+	// under retry the entries stay, because telling a straggler of an old
+	// attempt from a fresh one needs them.
+	state map[noc.PacketID]sinkPkt
+	hooks *noc.Hooks
+	probe *metrics.Probe
 	// prof is the self-profiling registry cached off the probe at attach
 	// time; nil when profiling is disabled.
 	prof *profile.Registry
@@ -431,12 +455,6 @@ type Sink struct {
 	notifyLoss func(p *noc.Packet, attempt int, now sim.Cycle)
 }
 
-type expectEntry struct {
-	pkt     *noc.Packet
-	seq     int
-	attempt int
-}
-
 // sinkPkt is one packet's reassembly state: the newest transmission attempt
 // seen, its progress, and whether the packet's fate is already resolved.
 type sinkPkt struct {
@@ -450,29 +468,31 @@ type sinkPkt struct {
 	corrupt bool
 }
 
-func newSink(node topology.NodeID, hooks *noc.Hooks) *Sink {
+// newSink builds a sink whose reassembly schedule reaches span cycles ahead.
+func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
 	return &Sink{
 		node:   node,
-		expect: make(map[sim.Cycle]expectEntry),
-		state:  make(map[noc.PacketID]*sinkPkt),
+		expect: newCycleRing[flitRef](span + 1),
+		state:  make(map[noc.PacketID]sinkPkt),
 		hooks:  hooks,
 	}
 }
 
-// Expect records that the flit identified by (pkt, seq, attempt) will arrive
-// on the ejection link at cycle at.
-func (s *Sink) Expect(at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
-	if _, dup := s.expect[at]; dup {
+// Expect records, at cycle now, that the flit identified by (pkt, seq,
+// attempt) will arrive on the ejection link at cycle at.
+func (s *Sink) Expect(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
+	s.expect.advance(now)
+	if !s.expect.put(at, flitRef{pkt: pkt, seq: int32(seq), attempt: int32(attempt)}) {
 		panic("core: two flits scheduled to eject in the same cycle")
 	}
-	s.expect[at] = expectEntry{pkt: pkt, seq: seq, attempt: attempt}
 }
 
-func (s *Sink) stateFor(id noc.PacketID, attempt int) *sinkPkt {
-	st := s.state[id]
-	if st == nil {
-		st = &sinkPkt{attempt: attempt}
-		s.state[id] = st
+// stateFor returns a packet's reassembly state, fresh at the given attempt
+// when the sink holds none; the caller stores what it changes.
+func (s *Sink) stateFor(id noc.PacketID, attempt int) sinkPkt {
+	st, ok := s.state[id]
+	if !ok {
+		st.attempt = attempt
 	}
 	return st
 }
@@ -483,74 +503,88 @@ func (s *Sink) stateFor(id noc.PacketID, attempt int) *sinkPkt {
 // current attempt is reported lost, once, and stragglers of lost or superseded
 // attempts are ignored.
 func (s *Sink) Tick(now sim.Cycle) {
-	work := s.dataIn.RecvEach(now, func(f noc.DataFlit) {
-		e, ok := s.expect[now]
-		if !ok {
-			panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", f, now))
-		}
-		delete(s.expect, now)
-		if e.pkt.ID != f.Packet.ID || e.seq != f.Seq || e.attempt != f.Attempt {
-			panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, f, f.Attempt))
-		}
-		s.hooks.Ejected(now)
-		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
-		if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-			s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
-		}
-		st := s.stateFor(f.Packet.ID, f.Attempt)
-		if st.done || f.Attempt < st.attempt {
-			return // straggler of a resolved packet or superseded attempt
-		}
-		if f.Attempt > st.attempt {
-			st.attempt, st.got, st.lost, st.corrupt = f.Attempt, 0, false, false
-		}
-		if st.lost {
-			return
-		}
-		if f.Corrupted {
-			// Damage that escaped every hop CRC has reached the
-			// destination — the silent-corruption event. With the
-			// end-to-end check off this packet is delivered as-is.
-			st.corrupt = true
-			s.hooks.CorruptEscape(f.Packet, now)
-		}
-		st.got++
-		if st.got == f.Packet.Len {
-			if st.corrupt && s.e2eCheck {
-				// The payload checksum rejects the reassembled packet;
-				// the established loss path takes over.
-				st.lost = true
-				s.probe.Nack(int(s.node))
-				s.hooks.Lost(f.Packet, now)
-				if s.notifyLoss != nil {
-					s.notifyLoss(f.Packet, f.Attempt, now)
-				}
-				return
-			}
-			st.done = true
-			s.hooks.Delivered(f.Packet, now)
-		}
-	})
-	if e, ok := s.expect[now]; ok {
-		delete(s.expect, now)
+	work := s.dataIn.RecvEach(now, func(f noc.DataFlit) { s.eject(now, f) })
+	if e, ok := s.expect.take(now); ok {
 		work++
-		st := s.stateFor(e.pkt.ID, e.attempt)
+		attempt := int(e.attempt)
+		st := s.stateFor(e.pkt.ID, attempt)
 		// A stale entry — the packet's fate no longer depends on this
 		// attempt — is dropped without a loss report.
-		if !(st.done || e.attempt < st.attempt || (e.attempt == st.attempt && st.lost)) {
-			if e.attempt > st.attempt {
-				st.attempt, st.got, st.corrupt = e.attempt, 0, false
+		if !(st.done || attempt < st.attempt || (attempt == st.attempt && st.lost)) {
+			if attempt > st.attempt {
+				st.attempt, st.got, st.corrupt = attempt, 0, false
 			}
 			st.lost = true
+			s.state[e.pkt.ID] = st
 			s.probe.Nack(int(s.node))
 			s.hooks.Lost(e.pkt, now)
 			if s.notifyLoss != nil {
-				s.notifyLoss(e.pkt, e.attempt, now)
+				s.notifyLoss(e.pkt, attempt, now)
 			}
 		}
 	}
 	s.prof.ComponentTick(profile.CompSink, int(s.node), work > 0)
 }
 
+// eject checks one arriving flit against the reassembly schedule and counts
+// it toward its packet.
+func (s *Sink) eject(now sim.Cycle, f noc.DataFlit) {
+	e, ok := s.expect.take(now)
+	if !ok {
+		panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", f, now))
+	}
+	if e.pkt.ID != f.Packet.ID || int(e.seq) != f.Seq || int(e.attempt) != f.Attempt {
+		panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, f, f.Attempt))
+	}
+	s.hooks.Ejected(now)
+	s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
+	if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
+		s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
+	}
+	id := f.Packet.ID
+	st := s.stateFor(id, f.Attempt)
+	if st.done || f.Attempt < st.attempt {
+		return // straggler of a resolved packet or superseded attempt
+	}
+	if f.Attempt > st.attempt {
+		st.attempt, st.got, st.lost, st.corrupt = f.Attempt, 0, false, false
+	}
+	if st.lost {
+		return
+	}
+	if f.Corrupted {
+		// Damage that escaped every hop CRC has reached the
+		// destination — the silent-corruption event. With the
+		// end-to-end check off this packet is delivered as-is.
+		st.corrupt = true
+		s.hooks.CorruptEscape(f.Packet, now)
+	}
+	st.got++
+	complete := st.got == f.Packet.Len
+	if complete {
+		// The payload checksum rejects a reassembled packet that carries
+		// damage; the established loss path takes over.
+		st.lost = st.corrupt && s.e2eCheck
+		st.done = !st.lost
+	}
+	if complete && s.notifyLoss == nil {
+		// Every flit is counted and, with retry disabled, this attempt is
+		// the only one: nothing can follow, so the entry goes.
+		delete(s.state, id)
+	} else {
+		s.state[id] = st
+	}
+	switch {
+	case st.lost:
+		s.probe.Nack(int(s.node))
+		s.hooks.Lost(f.Packet, now)
+		if s.notifyLoss != nil {
+			s.notifyLoss(f.Packet, f.Attempt, now)
+		}
+	case st.done:
+		s.hooks.Delivered(f.Packet, now)
+	}
+}
+
 // pendingWork reports flits expected but not yet ejected.
-func (s *Sink) pendingWork() int { return len(s.expect) }
+func (s *Sink) pendingWork() int { return s.expect.len() }

@@ -191,10 +191,10 @@ func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 }
 
 func TestSinkExpectAndVerify(t *testing.T) {
-	s := newSink(0, &noc.Hooks{})
+	s := newSink(0, 33, &noc.Hooks{})
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 1}
-	s.Expect(5, p, 0, 0)
+	s.Expect(0, 5, p, 0, 0)
 	s.dataIn.Send(4, noc.DataFlit{Packet: p, Seq: 0})
 	delivered := false
 	s.hooks = &noc.Hooks{PacketDelivered: func(q *noc.Packet, now sim.Cycle) {
@@ -212,11 +212,11 @@ func TestSinkPanicsOnReassemblyMismatch(t *testing.T) {
 			t.Fatal("mismatched flit did not panic")
 		}
 	}()
-	s := newSink(0, &noc.Hooks{})
+	s := newSink(0, 33, &noc.Hooks{})
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 2}
 	q := &noc.Packet{ID: 8, Len: 2}
-	s.Expect(5, p, 0, 0)
+	s.Expect(0, 5, p, 0, 0)
 	s.dataIn.Send(4, noc.DataFlit{Packet: q, Seq: 0})
 	s.Tick(5)
 }
@@ -227,7 +227,7 @@ func TestSinkPanicsOnUnscheduledFlit(t *testing.T) {
 			t.Fatal("unscheduled flit did not panic")
 		}
 	}()
-	s := newSink(0, &noc.Hooks{})
+	s := newSink(0, 33, &noc.Hooks{})
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	s.dataIn.Send(4, noc.DataFlit{Packet: &noc.Packet{ID: 1, Len: 1}})
 	s.Tick(5)
@@ -235,11 +235,11 @@ func TestSinkPanicsOnUnscheduledFlit(t *testing.T) {
 
 func TestSinkDetectsLoss(t *testing.T) {
 	lost := false
-	s := newSink(0, &noc.Hooks{})
+	s := newSink(0, 33, &noc.Hooks{})
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 2}
 	s.hooks = &noc.Hooks{PacketLost: func(q *noc.Packet, now sim.Cycle) { lost = q == p }}
-	s.Expect(5, p, 0, 0)
+	s.Expect(0, 5, p, 0, 0)
 	// Nothing arrives at cycle 5.
 	s.Tick(5)
 	if !lost {

@@ -169,13 +169,13 @@ func (n *Network) killRouter(now sim.Cycle, v topology.NodeID) {
 	ni.queue = nil
 	ni.timeouts = nil
 	ni.retryAt = make(map[sim.Cycle][]*noc.Packet)
-	ni.sendAt = make(map[sim.Cycle]noc.DataFlit)
+	ni.sendAt.clear()
 	for i := range ni.active {
 		ni.active[i] = niPacket{}
 	}
 	// Flits already scheduled into the dead sink will never eject; the
 	// senders' retry machinery resolves them through the unreachable path.
-	n.sinks[v].expect = make(map[sim.Cycle]expectEntry)
+	n.sinks[v].expect.clear()
 }
 
 // topoChanged recomputes routes over the surviving topology and fails fast

@@ -86,6 +86,13 @@ type portVC struct {
 	vc   int
 }
 
+// tentative is one departure committed by all-or-nothing scheduling before
+// the control flit's whole lead set is known to fit.
+type tentative struct {
+	lead int
+	td   sim.Cycle
+}
+
 // Router is one flit-reservation router (Figure 3). It is assembled and
 // ticked by Network.
 type Router struct {
@@ -114,7 +121,7 @@ type Router struct {
 	// solely by time, so this is the reassembly schedule the destination
 	// control flits set up. attempt carries the end-to-end transmission
 	// attempt so the sink can tell retries from stragglers.
-	sinkNotify func(at sim.Cycle, pkt *noc.Packet, seq, attempt int)
+	sinkNotify func(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int)
 
 	hooks *noc.Hooks
 
@@ -137,7 +144,12 @@ type Router struct {
 	// watchdog monitors; the router bumps it whenever a flit moves.
 	progress *int64
 
-	cands []portVC // scratch
+	cands     []portVC    // scratch
+	committed []tentative // scratch of all-or-nothing scheduling
+
+	// freeLeads recycles the lead-state lists of dequeued control flits
+	// (popCtrl) into the flits received next, so steady state allocates none.
+	freeLeads [][]leadState
 }
 
 func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG) *Router {
@@ -151,7 +163,7 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 		if cfg.TrackEagerTransfers {
 			ledger = newEagerLedger(cfg.DataBuffers)
 		}
-		r.inputs[p] = newInputPort(cfg.DataBuffers, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
+		r.inputs[p] = newInputPort(cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
 		r.inputs[p].node = int(id)
 		r.inputs[p].portIndex = int(p)
 		r.outTables[p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, p == topology.Local)
@@ -233,11 +245,12 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		arb += ci.in.RecvEach(now, func(cf noc.ControlFlit) {
 			vc := &ci.vcs[cf.VC]
-			leads := make([]leadState, len(cf.Leads))
-			for i, le := range cf.Leads {
-				leads[i] = leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never}
+			if vc.q == nil {
+				// A VC's queue is built at its full depth the first time a
+				// flit reaches it; most of a short run's VCs never see one.
+				vc.q = make([]queuedCtrl, 0, r.cfg.CtrlBufPerVC)
 			}
-			qc := queuedCtrl{flit: cf, leads: leads, arrivedAt: now}
+			qc := queuedCtrl{flit: cf, leads: r.newLeads(cf.Leads), arrivedAt: now}
 			if cf.Corrupted {
 				r.probe.Corrupt(int(r.id))
 				// The detection draw happens at receive so RNG order is
@@ -315,6 +328,21 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 	}
 	r.prof.RouterTick(int(r.id), sched, arb, sw, cred)
+}
+
+// newLeads returns the scheduling state for a received control flit's leads,
+// reusing a list popCtrl retired when one is free.
+func (r *Router) newLeads(entries []noc.LeadEntry) []leadState {
+	var leads []leadState
+	if n := len(r.freeLeads); n > 0 {
+		leads, r.freeLeads = r.freeLeads[n-1][:0], r.freeLeads[:n-1]
+	} else {
+		leads = make([]leadState, 0, r.cfg.LeadsPerCtrl)
+	}
+	for _, le := range entries {
+		leads = append(leads, leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never})
+	}
+	return leads
 }
 
 // crcDetect draws whether the modeled c-bit hop CRC catches a corrupted
@@ -505,27 +533,23 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 		attrVC = 0
 	}
 	if r.cfg.AllOrNothing {
-		type tentative struct {
-			lead int
-			td   sim.Cycle
-		}
-		var committed []tentative
+		r.committed = r.committed[:0]
 		for i := range qc.leads {
 			if qc.leads[i].scheduled {
 				continue
 			}
 			td, ok := table.findDeparture(now, qc.leads[i].arrival, tp, attrVC)
 			if !ok {
-				for _, t := range committed {
+				for _, t := range r.committed {
 					table.uncommit(t.td, tp, attrVC)
 				}
 				r.probe.ReserveMiss(int(r.id), int(out))
 				return false
 			}
 			table.commit(td, tp, attrVC)
-			committed = append(committed, tentative{lead: i, td: td})
+			r.committed = append(r.committed, tentative{lead: i, td: td})
 		}
-		for _, t := range committed {
+		for _, t := range r.committed {
 			r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), t.td)
 			r.finalizeLead(now, qc, &qc.leads[t.lead], t.td, out, inPort)
 		}
@@ -589,7 +613,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 	ld.scheduled = true
 	ld.departAt = td
 	if out == topology.Local {
-		r.sinkNotify(td+r.cfg.LocalLatency, qc.flit.Packet, ld.seq, qc.flit.Attempt)
+		r.sinkNotify(now, td+r.cfg.LocalLatency, qc.flit.Packet, ld.seq, qc.flit.Attempt)
 	}
 }
 
@@ -598,9 +622,9 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // done. Its buffer is freed (credit upstream) and on a tail the control VC's
 // routing entry is released.
 func (r *Router) consume(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
-	qc := vc.q[0]
+	isTail := vc.q[0].flit.Type.IsTail()
 	r.popCtrl(now, ci, vc, vcIdx)
-	if qc.flit.Type.IsTail() {
+	if isTail {
 		vc.routed = false
 		vc.allocated = false
 	}
@@ -622,9 +646,12 @@ func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, ou
 		return
 	}
 	r.probe.CtrlForward(int(r.id), int(out))
+	// The flit's lead list is this router's to rewrite (see
+	// noc.ControlFlit.Leads), and leads only ever drop out, so the rewritten
+	// list fits the array it arrived in.
 	nf := qc.flit
 	nf.VC = vc.outVC
-	nf.Leads = make([]noc.LeadEntry, 0, len(qc.leads))
+	nf.Leads = nf.Leads[:0]
 	for _, ld := range qc.leads {
 		if ld.dead {
 			continue // scheduled into a severed wire; the flit dies there
@@ -722,9 +749,11 @@ func (r *Router) severOutput(p topology.Port) {
 }
 
 // popCtrl dequeues the front control flit of a VC and returns its buffer
-// credit upstream.
+// credit upstream. The flit's lead-state list goes back to the free list, so
+// callers must be done with vc.q[0] before they pop.
 func (r *Router) popCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
 	*r.progress++
+	r.freeLeads = append(r.freeLeads, vc.q[0].leads)
 	copy(vc.q, vc.q[1:])
 	vc.q[len(vc.q)-1] = queuedCtrl{}
 	vc.q = vc.q[:len(vc.q)-1]

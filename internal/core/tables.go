@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"frfc/internal/sim"
 )
@@ -20,12 +21,16 @@ import (
 // lands past the window's end is carried in the future list and applied as
 // the window reveals those cycles.
 type outResTable struct {
-	size   int // Horizon+1 cells: departures reservable in [now+1, now+Horizon]
-	base   sim.Cycle
-	busy   []bool
-	free   []int
-	cap    int // downstream pool capacity, for overflow checks
-	steady int
+	size int // Horizon+1 cells: departures reservable in [now+1, now+Horizon]
+	base sim.Cycle
+	// baseIdx is the cell holding cycle base; cycle base+k lives k cells on,
+	// wrapping at size, so a sweep from any cycle to the window's end is at
+	// most two contiguous runs over the cells (see runs) and never divides.
+	baseIdx int
+	busy    []bool
+	free    []int32
+	cap     int // downstream pool capacity, for overflow checks
+	steady  int
 	// infinite marks the ejection channel, whose downstream (reassembly
 	// buffers) never fills; only the busy bits are meaningful.
 	infinite bool
@@ -55,9 +60,6 @@ type outResTable struct {
 	// future holds at-infinity deltas already folded into steady whose
 	// effect must be excluded from cells revealed before their cycle.
 	future []futureDelta
-
-	// sufMin is scratch for departure searches.
-	sufMin []int
 }
 
 type futureDelta struct {
@@ -66,29 +68,48 @@ type futureDelta struct {
 }
 
 func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *outResTable {
+	if buffers > math.MaxInt32 {
+		panic("core: downstream pool too large for the reservation table's free counts")
+	}
 	size := int(horizon) + 1
+	perVC := make([]int, 2*ctrlVCs)
 	t := &outResTable{
 		size:        size,
 		busy:        make([]bool, size),
-		free:        make([]int, size),
+		free:        make([]int32, size),
 		cap:         buffers,
 		steady:      buffers,
 		infinite:    infinite,
-		outstanding: make([]int, ctrlVCs),
-		claims:      make([]int, ctrlVCs),
-		sufMin:      make([]int, size+1),
+		outstanding: perVC[:ctrlVCs:ctrlVCs],
+		claims:      perVC[ctrlVCs:],
 	}
 	for i := range t.free {
-		t.free[i] = buffers
+		t.free[i] = int32(buffers)
 	}
 	return t
 }
 
+// idx returns the cell holding cycle c, which must lie inside the window.
 func (t *outResTable) idx(c sim.Cycle) int {
-	if c < 0 {
-		panic("core: negative cycle in reservation table")
+	if c < t.base || c >= t.end() {
+		panic(fmt.Sprintf("core: cycle %d outside window [%d,%d)", c, t.base, t.end()))
 	}
-	return int(c % sim.Cycle(t.size))
+	i := t.baseIdx + int(c-t.base)
+	if i >= t.size {
+		i -= t.size
+	}
+	return i
+}
+
+// runs returns the cells holding cycles [from, end()) as two contiguous
+// index ranges, [a0,a1) then [b0,b1), in cycle order; either may be empty.
+// from must lie in [base, end()].
+func (t *outResTable) runs(from sim.Cycle) (a0, a1, b0, b1 int) {
+	i := t.baseIdx + int(from-t.base)
+	if i < t.size {
+		return i, t.size, 0, t.baseIdx
+	}
+	return i - t.size, t.baseIdx, 0, 0
 }
 
 // end returns one past the last cycle in the window.
@@ -102,12 +123,10 @@ func (t *outResTable) advance(now sim.Cycle) {
 	if now-t.base >= sim.Cycle(t.size) {
 		// The whole window expired (only possible in tests that jump
 		// time); reset every cell.
-		t.base = now
+		t.base, t.baseIdx = now, 0
 		for i := range t.busy {
 			t.busy[i] = false
-		}
-		for c := t.base; c < t.end(); c++ {
-			t.free[t.idx(c)] = t.revealValue(c)
+			t.free[i] = int32(t.revealValue(now + sim.Cycle(i)))
 		}
 		t.pruneFuture()
 		return
@@ -115,11 +134,12 @@ func (t *outResTable) advance(now sim.Cycle) {
 	for t.base < now {
 		// The cell for cycle t.base expires and is recycled as the
 		// cell for cycle t.base+size.
-		revealed := t.base + sim.Cycle(t.size)
-		i := t.idx(t.base)
-		t.busy[i] = false
-		t.free[i] = t.revealValue(revealed)
+		t.busy[t.baseIdx] = false
+		t.free[t.baseIdx] = int32(t.revealValue(t.end()))
 		t.base++
+		if t.baseIdx++; t.baseIdx == t.size {
+			t.baseIdx = 0
+		}
 	}
 	t.pruneFuture()
 }
@@ -176,36 +196,50 @@ func (t *outResTable) findDeparture(now, ta, tp sim.Cycle, vc int) (td sim.Cycle
 	if start >= t.end() {
 		return 0, false
 	}
-	if t.infinite {
-		for c := start; c < t.end(); c++ {
-			if !t.busy[t.idx(c)] {
-				return c, true
+	if !t.infinite {
+		need := 1 + t.reserve(vc)
+		if t.steady < need {
+			return 0, false
+		}
+		// A departure at c needs `need` free buffers in every cell from
+		// c+tp to the window's end, so the latest cell short of that rules
+		// out every departure up to tp cycles before it. Find it sweeping
+		// backwards from the end; cells before start+tp bind no candidate.
+		if lo := start + tp; lo < t.end() {
+			if short, found := t.lastShort(lo, int32(need)); found {
+				if start = short + 1 - tp; start >= t.end() {
+					return 0, false
+				}
 			}
 		}
-		return 0, false
 	}
-	need := 1 + t.reserve(vc)
-	// Suffix minimum of the free counts lets each candidate departure be
-	// checked in O(1): sufMin[i] = min over window cells [base+i, end).
-	t.sufMin[t.size] = t.steady
-	for i := t.size - 1; i >= 0; i-- {
-		v := t.free[t.idx(t.base+sim.Cycle(i))]
-		if t.sufMin[i+1] < v {
-			v = t.sufMin[i+1]
+	// The earliest unreserved channel cycle from start on.
+	a0, a1, b0, b1 := t.runs(start)
+	for i := a0; i < a1; i++ {
+		if !t.busy[i] {
+			return start + sim.Cycle(i-a0), true
 		}
-		t.sufMin[i] = v
 	}
-	for c := start; c < t.end(); c++ {
-		if t.busy[t.idx(c)] {
-			continue
+	for i := b0; i < b1; i++ {
+		if !t.busy[i] {
+			return start + sim.Cycle(a1-a0+i-b0), true
 		}
-		arr := c + tp
-		minFree := t.steady
-		if arr < t.end() {
-			minFree = t.sufMin[arr-t.base]
+	}
+	return 0, false
+}
+
+// lastShort returns the latest cycle in [from, end()) whose cell holds fewer
+// than need free buffers.
+func (t *outResTable) lastShort(from sim.Cycle, need int32) (sim.Cycle, bool) {
+	a0, a1, b0, b1 := t.runs(from)
+	for i := b1 - 1; i >= b0; i-- {
+		if t.free[i] < need {
+			return from + sim.Cycle(a1-a0+i-b0), true
 		}
-		if minFree >= need && t.steady >= need {
-			return c, true
+	}
+	for i := a1 - 1; i >= a0; i-- {
+		if t.free[i] < need {
+			return from + sim.Cycle(i-a0), true
 		}
 	}
 	return 0, false
@@ -268,9 +302,6 @@ func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
 	if t.busy[i] {
 		panic("core: committing a departure on a busy channel cycle")
 	}
-	if td < t.base || td >= t.end() {
-		panic(fmt.Sprintf("core: departure %d outside window [%d,%d)", td, t.base, t.end()))
-	}
 	t.busy[i] = true
 	if t.infinite {
 		return
@@ -278,17 +309,13 @@ func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
 	t.outstanding[vc]++
 	arr := td + tp
 	t.steady--
-	for c := arr; c < t.end(); c++ {
-		t.free[t.idx(c)]--
-		if t.free[t.idx(c)] < 0 {
-			panic("core: downstream free-buffer count went negative")
-		}
-	}
 	if arr >= t.end() {
 		// The decrement is folded into steady; cells revealed before
 		// arr must not see it.
 		t.future = append(t.future, futureDelta{at: arr, delta: -1})
+		return
 	}
+	t.shift(arr, -1)
 }
 
 // uncommit rolls back a commit made earlier in the same cycle, used by
@@ -308,9 +335,6 @@ func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
 	}
 	arr := td + tp
 	t.steady++
-	for c := arr; c < t.end(); c++ {
-		t.free[t.idx(c)]++
-	}
 	if arr >= t.end() {
 		for j := len(t.future) - 1; j >= 0; j-- {
 			if t.future[j].at == arr && t.future[j].delta == -1 {
@@ -320,6 +344,7 @@ func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
 		}
 		panic("core: uncommit found no matching future delta")
 	}
+	t.shift(arr, +1)
 }
 
 // creditFrom processes a downstream credit: one more buffer is free from
@@ -349,27 +374,28 @@ func (t *outResTable) creditFrom(from sim.Cycle, vc int) {
 	if t.steady > t.cap {
 		panic("core: free-buffer count exceeded downstream capacity")
 	}
-	for c := from; c < t.end(); c++ {
-		j := t.idx(c)
-		t.free[j]++
-		if t.free[j] > t.cap {
-			panic("core: free-buffer cell exceeded downstream capacity")
+	t.shift(from, +1)
+}
+
+// shift adds delta to the free count of every cycle in [from, end()), which
+// must stay within [0, cap] throughout.
+func (t *outResTable) shift(from sim.Cycle, delta int32) {
+	a0, a1, b0, b1 := t.runs(from)
+	for _, run := range [2][]int32{t.free[a0:a1], t.free[b0:b1]} {
+		for j := range run {
+			run[j] += delta
+			if run[j] < 0 {
+				panic("core: downstream free-buffer count went negative")
+			}
+			if int(run[j]) > t.cap {
+				panic("core: free-buffer cell exceeded downstream capacity")
+			}
 		}
 	}
 }
 
 // freeAt reports the free-buffer count recorded for cycle c (tests only).
-func (t *outResTable) freeAt(c sim.Cycle) int {
-	if c < t.base || c >= t.end() {
-		panic("core: freeAt outside window")
-	}
-	return t.free[t.idx(c)]
-}
+func (t *outResTable) freeAt(c sim.Cycle) int { return int(t.free[t.idx(c)]) }
 
 // busyAt reports whether the channel is reserved at cycle c (tests only).
-func (t *outResTable) busyAt(c sim.Cycle) bool {
-	if c < t.base || c >= t.end() {
-		panic("core: busyAt outside window")
-	}
-	return t.busy[t.idx(c)]
-}
+func (t *outResTable) busyAt(c sim.Cycle) bool { return t.busy[t.idx(c)] }

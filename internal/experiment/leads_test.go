@@ -1,0 +1,81 @@
+package experiment
+
+import (
+	"encoding/json"
+	"testing"
+
+	"frfc/internal/core"
+)
+
+// TestLeadsOwnershipPinned pins whole Results of runs that stress the
+// ControlFlit.Leads ownership rule (noc/flit.go): wide control flits whose
+// lead lists are rewritten in place hop by hop, a LinkDown scenario whose
+// re-routed streams compact dead leads out of the list, and bit errors whose
+// discarded control flits return lead lists mid-stream. The strings were
+// recorded from the commit before the in-place rewrite (per-hop copies), so
+// any aliasing between a forwarded flit and the router it left shows up as a
+// changed digit.
+func TestLeadsOwnershipPinned(t *testing.T) {
+	wide := func(allOrNothing bool) Spec {
+		s := FR6(FastControl, 8).Scaled(400, 300)
+		s.FR.LeadsPerCtrl = 4
+		s.FR.AllOrNothing = allOrNothing
+		s.Check = true
+		return s
+	}
+	// One control buffer per VC on a one-flit-per-cycle control channel keeps
+	// scheduled heads waiting for a credit, so the four links that die catch
+	// streams whose leads are already committed to the dead outputs: the
+	// re-routed flits forward with those leads compacted out (four of them in
+	// this run — the only scenario in the suite that reaches that branch).
+	linkDown := FR6(FastControl, 8).Scaled(300, 300)
+	linkDown.FR.LeadsPerCtrl = 2
+	linkDown.FR.CtrlBufPerVC = 1
+	linkDown.FR.CtrlFlitsPerCycle = 1
+	linkDown.FR.RetryLimit = 8
+	linkDown.Check = true
+	faults, err := core.ParseScenario("down 27-28 @334; down 35-36 @334; down 27-35 @335; down 20-28 @335")
+	if err != nil {
+		t.Fatal(err)
+	}
+	linkDown.Faults = faults
+
+	ber := FR6(FastControl, 5).Scaled(400, 300)
+	ber.FR.LeadsPerCtrl = 2
+	ber.FR.BER = 2e-3
+	ber.FR.CrcBits = 4
+	ber.FR.RetryLimit = 6
+	ber.FR.E2ECheck = true
+	ber.Check = true
+
+	cases := []struct {
+		name string
+		spec Spec
+		load float64
+		want string
+	}{
+		{"d4-per-flit", wide(false), 0.40, pinD4PerFlit},
+		{"d4-all-or-nothing", wide(true), 0.40, pinD4AllOrNothing},
+		{"d2-link-down", linkDown, 0.40, pinD2LinkDown},
+		{"d2-ber", ber, 0.35, pinD2BER},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			b, err := json.Marshal(Run(c.spec, c.load))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(b); got != c.want {
+				t.Fatalf("Result changed:\n got: %s\nwant: %s", got, c.want)
+			}
+		})
+	}
+}
+
+const (
+	pinD4PerFlit      = `{"Spec":"FR6","Load":0.4,"EffectiveLoad":0.3921875,"AvgLatency":37.92250000000001,"AvgQueueDelay":0,"CI95":1.1540229844316323,"BatchCI95":1.3414659109268765,"Batches":30,"Lag1Autocorr":0.04346986192357395,"CISuspect":false,"MinLatency":15,"MaxLatency":66,"P50":38,"P95":57,"P99":63,"AcceptedLoad":0.4002016129032258,"Saturated":false,"WarmupUnstable":false,"SampledDelivered":400,"SampleSize":400,"Cycles":610,"PoolFullFraction":0,"EagerTransfers":0,"EagerResidencies":0,"DroppedFlits":0,"LostPackets":0,"RetriedPackets":0,"AbandonedPackets":0,"DeliveredAfterRetry":0,"CtrlCorrupted":0,"UnreachablePackets":0,"DeliveredFraction":1,"AvgRetryLatency":0,"CorruptedFlits":0,"CrcDetected":0,"CorruptEscapes":0,"PhantomReservations":0,"ReclaimedSlots":0,"ProfTicks":0,"ProfActiveTicks":0,"ProfIdleFraction":0,"ProfSchedWork":0,"ProfArbWork":0,"ProfSwitchWork":0,"ProfCreditWork":0,"WaterfallPackets":0,"WaterfallTotal":0,"WaterfallQueue":0,"WaterfallReserve":0,"WaterfallArb":0,"WaterfallStall":0,"WaterfallSched":0,"WaterfallLink":0,"WaterfallDrain":0}`
+	pinD4AllOrNothing = `{"Spec":"FR6","Load":0.4,"EffectiveLoad":0.3921875,"AvgLatency":37.91499999999999,"AvgQueueDelay":0,"CI95":1.1395035154638118,"BatchCI95":1.2898146578044554,"Batches":30,"Lag1Autocorr":0.002921354224692479,"CISuspect":false,"MinLatency":15,"MaxLatency":67,"P50":38,"P95":57,"P99":63,"AcceptedLoad":0.40141129032258066,"Saturated":false,"WarmupUnstable":false,"SampledDelivered":400,"SampleSize":400,"Cycles":610,"PoolFullFraction":0,"EagerTransfers":0,"EagerResidencies":0,"DroppedFlits":0,"LostPackets":0,"RetriedPackets":0,"AbandonedPackets":0,"DeliveredAfterRetry":0,"CtrlCorrupted":0,"UnreachablePackets":0,"DeliveredFraction":1,"AvgRetryLatency":0,"CorruptedFlits":0,"CrcDetected":0,"CorruptEscapes":0,"PhantomReservations":0,"ReclaimedSlots":0,"ProfTicks":0,"ProfActiveTicks":0,"ProfIdleFraction":0,"ProfSchedWork":0,"ProfArbWork":0,"ProfSwitchWork":0,"ProfCreditWork":0,"WaterfallPackets":0,"WaterfallTotal":0,"WaterfallQueue":0,"WaterfallReserve":0,"WaterfallArb":0,"WaterfallStall":0,"WaterfallSched":0,"WaterfallLink":0,"WaterfallDrain":0}`
+	pinD2LinkDown     = `{"Spec":"FR6","Load":0.4,"EffectiveLoad":0.3921875,"AvgLatency":1647.1891891891894,"AvgQueueDelay":1461.7567567567576,"CI95":169.412245723572,"BatchCI95":410.52208960802676,"Batches":30,"Lag1Autocorr":0.9750739822278611,"CISuspect":true,"MinLatency":32,"MaxLatency":4551,"P50":1370,"P95":3491,"P99":4511,"AcceptedLoad":0.12391896220371557,"Saturated":true,"WarmupUnstable":true,"SampledDelivered":185,"SampleSize":300,"Cycles":5883,"PoolFullFraction":0,"EagerTransfers":0,"EagerResidencies":0,"DroppedFlits":34,"LostPackets":7,"RetriedPackets":17,"AbandonedPackets":0,"DeliveredAfterRetry":15,"CtrlCorrupted":0,"UnreachablePackets":0,"DeliveredFraction":1,"AvgRetryLatency":2772,"CorruptedFlits":0,"CrcDetected":0,"CorruptEscapes":0,"PhantomReservations":0,"ReclaimedSlots":0,"ProfTicks":0,"ProfActiveTicks":0,"ProfIdleFraction":0,"ProfSchedWork":0,"ProfArbWork":0,"ProfSwitchWork":0,"ProfCreditWork":0,"WaterfallPackets":0,"WaterfallTotal":0,"WaterfallQueue":0,"WaterfallReserve":0,"WaterfallArb":0,"WaterfallStall":0,"WaterfallSched":0,"WaterfallLink":0,"WaterfallDrain":0}`
+	pinD2BER          = `{"Spec":"FR6","Load":0.35,"EffectiveLoad":0.3431640625,"AvgLatency":70.41499999999996,"AvgQueueDelay":37.46249999999999,"CI95":17.976704861160268,"BatchCI95":14.27932881763915,"Batches":30,"Lag1Autocorr":0.8970235216941569,"CISuspect":true,"MinLatency":12,"MaxLatency":1305,"P50":34,"P95":155,"P99":1134,"AcceptedLoad":0.36024687958883994,"Saturated":false,"WarmupUnstable":false,"SampledDelivered":400,"SampleSize":400,"Cycles":1662,"PoolFullFraction":0,"EagerTransfers":0,"EagerResidencies":0,"DroppedFlits":514,"LostPackets":160,"RetriedPackets":196,"AbandonedPackets":0,"DeliveredAfterRetry":176,"CtrlCorrupted":0,"UnreachablePackets":0,"DeliveredFraction":1,"AvgRetryLatency":453.0555555555555,"CorruptedFlits":288,"CrcDetected":282,"CorruptEscapes":3,"PhantomReservations":6,"ReclaimedSlots":4,"ProfTicks":0,"ProfActiveTicks":0,"ProfIdleFraction":0,"ProfSchedWork":0,"ProfArbWork":0,"ProfSwitchWork":0,"ProfCreditWork":0,"WaterfallPackets":0,"WaterfallTotal":0,"WaterfallQueue":0,"WaterfallReserve":0,"WaterfallArb":0,"WaterfallStall":0,"WaterfallSched":0,"WaterfallLink":0,"WaterfallDrain":0}`
+)

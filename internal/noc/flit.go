@@ -131,7 +131,13 @@ type ControlFlit struct {
 	Type   FlitType
 	VC     int             // control virtual channel id
 	Dst    topology.NodeID // valid on head flits
-	Leads  []LeadEntry     // up to d entries; d=1 in the paper's experiments
+	// Leads holds up to d entries; d=1 in the paper's experiments. The list
+	// travels with the flit and belongs to whoever holds the flit: once a
+	// Send returns, the sender neither reads nor writes it again, and the
+	// receiver may rewrite the entries in place or shorten the list — but
+	// never grow it past the capacity it arrived with, which may border
+	// another flit's leads (ControlFlits carves one array per packet).
+	Leads []LeadEntry
 	// Attempt is the packet's end-to-end transmission attempt this control
 	// flit announces (0 = first try); it flows into the destination's
 	// reassembly schedule so retries are never confused with stragglers.

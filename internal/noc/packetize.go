@@ -43,17 +43,19 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 	}
 	n := (p.Len + d - 1) / d // number of control flits
 	flits := make([]ControlFlit, 0, n)
+	// One array holds every flit's leads; each flit gets its own stretch,
+	// capped so that whoever rewrites one flit's list cannot reach the next.
+	leads := make([]LeadEntry, p.Len)
+	for seq := range leads {
+		leads[seq].Seq = seq
+	}
 	for i := 0; i < n; i++ {
 		lo := i * d
 		hi := lo + d
 		if hi > p.Len {
 			hi = p.Len
 		}
-		leads := make([]LeadEntry, 0, hi-lo)
-		for seq := lo; seq < hi; seq++ {
-			leads = append(leads, LeadEntry{Seq: seq})
-		}
-		cf := ControlFlit{Packet: p, Type: TypeFor(i, n), Attempt: p.Attempts, Leads: leads}
+		cf := ControlFlit{Packet: p, Type: TypeFor(i, n), Attempt: p.Attempts, Leads: leads[lo:hi:hi]}
 		if cf.Type.IsHead() {
 			cf.Dst = p.Dst
 		}

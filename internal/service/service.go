@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"frfc/internal/harness"
@@ -65,6 +66,15 @@ type Service struct {
 	nextID    int
 	closing   bool
 	rejected  map[string]int64 // submissions rejected, by reason
+
+	// Workers, the watchdog and submitters all push status, and a snapshot
+	// taken earlier must not be handed to the status server later, or the
+	// stale counters stay on /metrics for as long as the daemon then sits
+	// idle. statusSeq numbers the snapshots in the order they start; publish
+	// serialises the handover, which goes ahead only while no newer snapshot
+	// has started (see pushStatus).
+	statusSeq atomic.Int64
+	publish   sync.Mutex
 }
 
 // New starts a service over the given database and spawns its worker pool.
@@ -392,14 +402,23 @@ func (s *Service) campaignDone(c *Campaign) {
 	}
 }
 
-// pushStatus feeds the status server a fresh service snapshot.
+// pushStatus feeds the status server a fresh service snapshot. Snapshots are
+// taken concurrently (each walks every campaign the daemon has served), and
+// one is published only if no newer one has started by then: the newest
+// always lands, and whatever is published next started — so read every
+// counter — after this one was handed over, which keeps /metrics monotonic.
 func (s *Service) pushStatus() {
 	st := s.opts.Status
 	if st == nil {
 		return
 	}
+	seq := s.statusSeq.Add(1)
 	view, campaigns := s.snapshot()
-	st.OnService(view, campaigns)
+	s.publish.Lock()
+	defer s.publish.Unlock()
+	if s.statusSeq.Load() == seq {
+		st.OnService(view, campaigns)
+	}
 }
 
 // snapshot assembles the service-wide view and per-campaign rows for
