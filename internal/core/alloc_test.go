@@ -83,6 +83,70 @@ func TestLoadedTickAllocatesPerPacketOnly(t *testing.T) {
 	}
 }
 
+// TestDrainedMeshSleepsAndWakes is the leak gate of the dormancy bookkeeping.
+// Once a loaded mesh has drained with its sources off, every router,
+// interface and sink must be dormant with an empty inbox — a component stuck
+// awake is a silent performance leak, one stuck asleep with work inside is a
+// wedge — and a dormant cycle must allocate nothing. Offering again from that
+// state must wake what the packets touch, deliver every one of them, allocate
+// no more per packet than a mesh that never slept, and let it all go back to
+// sleep.
+func TestDrainedMeshSleepsAndWakes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run without -race")
+	}
+	net, src, now := warmedMesh4(fastControl(), 0.08)
+	drain := func() {
+		t.Helper()
+		for end := now + 2000; net.InFlightPackets() > 0; now++ {
+			if now == end {
+				t.Fatalf("%d packets still in flight 2000 cycles after the sources stopped:\n%s", net.InFlightPackets(), net.DumpState())
+			}
+			net.Tick(now)
+		}
+		// The last delivery leaves credits on the wires; give them the few
+		// cycles they need to land and their receivers one idle tick to see
+		// that nothing is left.
+		for end := now + 20; now < end; now++ {
+			net.Tick(now)
+		}
+		for id, r := range net.routers {
+			if !r.dormant || !r.inboxEmpty() || r.pendingWork() != 0 {
+				t.Errorf("router %d: dormant=%v inbox=%v pending=%d on a drained mesh", id, r.dormant, r.inbox, r.pendingWork())
+			}
+			if ni := net.nis[id]; !ni.dormant || ni.inbox != 0 || ni.pendingWork() != 0 {
+				t.Errorf("NI %d: dormant=%v inbox=%d pending=%d on a drained mesh", id, ni.dormant, ni.inbox, ni.pendingWork())
+			}
+			if !net.sinks[id].dormant() {
+				t.Errorf("sink %d awake on a drained mesh", id)
+			}
+		}
+	}
+	drain()
+	if allocs := testing.AllocsPerRun(40, func() {
+		net.Tick(now)
+		now++
+	}); allocs != 0 {
+		t.Fatalf("a cycle of a sleeping mesh allocated %.0f objects, want 0", allocs)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	offered := 0
+	for end := now + 2000; now < end; now++ {
+		offered += src.offer(net, now)
+		net.Tick(now)
+	}
+	runtime.ReadMemStats(&after)
+	if offered < 1000 {
+		t.Fatalf("only %d packets offered after the wake; the window is not loaded", offered)
+	}
+	if perPacket := float64(after.Mallocs-before.Mallocs) / float64(offered); perPacket > 6 {
+		t.Fatalf("%.2f mallocs per packet offered to a mesh that had slept, want at most 6", perPacket)
+	}
+	drain()
+}
+
 // TestSinkStateStaysBounded is the long-run memory soak for the ejection
 // side: with retry disabled a packet's reassembly entry goes the moment its
 // last flit is counted, so after 50 000 deliveries every sink holds entries

@@ -13,6 +13,8 @@ import (
 // unexported. Run with
 //
 //	go test ./internal/core -run '^$' -bench . -benchmem -count 5
+//
+// (scripts/bench.sh -ladder does exactly that.)
 
 // uniformSource offers Bernoulli uniform-random 5-flit packets, the shape of
 // the fr-mid workload: rate 0.05 packets per node per cycle is load 0.50 on
@@ -62,8 +64,26 @@ func BenchmarkOutResTableFindCommitCredit(b *testing.B) {
 	}
 }
 
-// BenchmarkRouterTickIdle ticks the routers of an empty 8×8 network: the
-// floor every idle router pays each cycle (80 % of fr-sparse's ticks).
+// BenchmarkRouterTickDormant ticks the routers of an empty 8×8 network: once
+// asleep a router pays only the guard at the top of Tick, the floor under
+// most of fr-sparse's ticks.
+func BenchmarkRouterTickDormant(b *testing.B) {
+	mesh := topology.NewMesh(8)
+	net := New(mesh, fastControl(), 1, &noc.Hooks{})
+	net.Tick(0) // nothing queued, nothing inbound: every router goes dormant
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range net.routers {
+			r.Tick(sim.Cycle(i + 1))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
+}
+
+// BenchmarkRouterTickIdle ticks the same routers held awake: the whole tick
+// runs and finds every port silent and nothing due — what a router pays on a
+// cycle in which its neighbours' traffic keeps it from sleeping.
 func BenchmarkRouterTickIdle(b *testing.B) {
 	mesh := topology.NewMesh(8)
 	net := New(mesh, fastControl(), 1, &noc.Hooks{})
@@ -71,20 +91,21 @@ func BenchmarkRouterTickIdle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, r := range net.routers {
+			r.dormant = false
 			r.Tick(sim.Cycle(i))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
 }
 
-// BenchmarkRouterTickLoaded ticks a warmed 8×8 network under the fr-mid
-// load. One op is one Network.Tick plus that cycle's offers; ns/router-tick
-// divides it by the 64 routers, so it carries each router's share of the
-// interface and sink ticks as well.
-func BenchmarkRouterTickLoaded(b *testing.B) {
-	mesh := topology.NewMesh(8)
+// benchNetworkTick is the full-network rung: one op is one cycle of a warmed
+// radix×radix mesh — that cycle's offers and Network.Tick over every
+// interface, router and sink — under uniform 5-flit traffic at the given
+// packet rate per node.
+func benchNetworkTick(b *testing.B, radix int, rate float64) {
+	mesh := topology.NewMesh(radix)
 	net := New(mesh, fastControl(), 1, &noc.Hooks{})
-	src := &uniformSource{rng: sim.NewRNG(7), mesh: mesh, rate: 0.05}
+	src := &uniformSource{rng: sim.NewRNG(7), mesh: mesh, rate: rate}
 	now := sim.Cycle(0)
 	for ; now < 2000; now++ {
 		src.offer(net, now)
@@ -97,8 +118,23 @@ func BenchmarkRouterTickLoaded(b *testing.B) {
 		net.Tick(now)
 		now++
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
 }
+
+// BenchmarkRouterTickLoaded is the fr-mid cycle read per router, beside the
+// dormant and idle rungs: ns/router-tick divides the cycle by the 64 routers,
+// so it carries each router's share of the interface and sink ticks as well.
+func BenchmarkRouterTickLoaded(b *testing.B) { benchNetworkTick(b, 8, 0.05) }
+
+// BenchmarkNetworkTick16x16Sparse is the fr-sparse shape: load 0.10 on 256
+// nodes, most of them asleep on any one cycle.
+func BenchmarkNetworkTick16x16Sparse(b *testing.B) { benchNetworkTick(b, 16, 0.005) }
+
+// BenchmarkNetworkTick8x8Mid is the fr-mid shape: load 0.50 on 64 nodes,
+// nearly every router awake.
+func BenchmarkNetworkTick8x8Mid(b *testing.B) { benchNetworkTick(b, 8, 0.05) }
 
 // BenchmarkNetworkNew8x8 is the construction cost a 158-cycle campaign job
 // mostly consists of; -benchmem gives the bytes and mallocs per network that

@@ -22,6 +22,62 @@ func (n *Network) check(now sim.Cycle) {
 		}
 		n.checkLocal(now, topology.NodeID(id))
 		n.checkRouter(now, topology.NodeID(id))
+		n.checkSleep(now, topology.NodeID(id))
+	}
+}
+
+// inbound reports how many items are in flight on the wires into port p.
+func (r *Router) inbound(p topology.Port) int {
+	total := 0
+	if in := r.inputs[p]; in != nil && in.dataIn != nil {
+		total += in.dataIn.Len()
+	}
+	if in := r.ctrlIn[p].in; in != nil {
+		total += in.Len()
+	}
+	if in := r.dataCreditIn[p]; in != nil {
+		total += in.Len()
+	}
+	if in := r.ctrlOut[p].creditIn; in != nil {
+		total += in.Len()
+	}
+	return total
+}
+
+// inbound reports how many credits are in flight on the wires into the
+// interface.
+func (n *NI) inbound() int { return n.resvCreditIn.Len() + n.ctrlCreditIn.Len() }
+
+// checkSleep audits the bookkeeping that lets a node's router and interface
+// skip ticks. Every inbox cell must equal what its wires actually carry — a
+// cell that reads low hides a flit from its receiver, one that reads high
+// keeps it awake for nothing — and a component marked dormant must hold no
+// work of its own, so that an empty inbox really means nothing to do.
+func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
+	r, ni := n.routers[id], n.nis[id]
+	for p := range r.inbox {
+		if want := r.inbound(topology.Port(p)); int(r.inbox[p]) != want {
+			n.fail(now, "node %d port %s: inbox counts %d in flight, the wires carry %d",
+				id, topology.Port(p), r.inbox[p], want)
+		}
+	}
+	queued := 0
+	for p := range r.ctrlIn {
+		for v := range r.ctrlIn[p].vcs {
+			queued += len(r.ctrlIn[p].vcs[v].q)
+		}
+	}
+	if r.queued != queued {
+		n.fail(now, "node %d: router counts %d control flits queued, its VCs hold %d", id, r.queued, queued)
+	}
+	if r.dormant && !r.quiet() {
+		n.fail(now, "node %d: router dormant with %d items of pending work", id, r.pendingWork())
+	}
+	if want := ni.inbound(); int(ni.inbox) != want {
+		n.fail(now, "NI %d: inbox counts %d credits in flight, the wires carry %d", id, ni.inbox, want)
+	}
+	if ni.dormant && !ni.idle() {
+		n.fail(now, "NI %d: interface dormant with %d items of pending work", id, ni.pendingWork())
 	}
 }
 

@@ -228,12 +228,12 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	n.nis = make([]*NI, mesh.N())
 	n.sinks = make([]*Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split())
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, root.Split())
 		n.routers[id].hooks = n.hooks
 		n.routers[id].progress = n.progress
 	}
 	for id := 0; id < mesh.N(); id++ {
-		n.nis[id] = newNI(topology.NodeID(id), cfg, root.Split(), n.hooks)
+		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, root.Split(), n.hooks)
 		n.nis[id].progress = n.progress
 		n.sinks[id] = newSink(topology.NodeID(id), cfg.Horizon+cfg.LocalLatency, n.hooks)
 		n.sinks[id].e2eCheck = cfg.E2ECheck
@@ -364,7 +364,8 @@ func (n *Network) corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 // wire connects routers, NIs and sinks: data links (one flit/cycle,
 // DataLinkLatency), control links (CtrlFlitsPerCycle flits/cycle,
 // CtrlLinkLatency), reservation-credit and control-credit wires
-// (CreditLatency).
+// (CreditLatency). Each sender is also pointed at the inbox cell of the
+// component its wires reach.
 func (n *Network) wire() {
 	cfg := n.cfg
 	for id := 0; id < n.mesh.N(); id++ {
@@ -376,6 +377,7 @@ func (n *Network) wire() {
 			}
 			far := n.routers[nb]
 			op := p.Opposite()
+			r.peer[p] = &far.inbox[op]
 
 			data := n.newDataLink()
 			r.dataOut[p] = data
@@ -406,6 +408,8 @@ func (n *Network) wire() {
 
 		ni := n.nis[id]
 		sink := n.sinks[id]
+		ni.peer = &r.inbox[topology.Local]
+		r.peer[topology.Local] = &ni.inbox
 
 		// Injection: NI data -> router Local input; reservation
 		// credits flow back from the router's input scheduler.

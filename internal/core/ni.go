@@ -20,7 +20,7 @@ import (
 // additionally deferred at least LeadCycles behind its control flit.
 type NI struct {
 	node  topology.NodeID
-	cfg   Config
+	cfg   *Config // the Network's one copy
 	rng   *sim.RNG
 	hooks *noc.Hooks
 	probe *metrics.Probe
@@ -44,6 +44,16 @@ type NI struct {
 	ctrlCreditIn *sim.Pipe[noc.VCCredit]
 	dataOut      *sim.Pipe[noc.DataFlit]
 	resvCreditIn *sim.Pipe[noc.ReservationCredit]
+
+	// inbox counts the credits in flight on the two wires into the
+	// interface; the router counts them in as it sends, Tick counts them out.
+	// dormant records that the last tick left the interface idle (see idle),
+	// so until a credit, an offer or a retry wakes it a tick only makes its
+	// random draw. peer is the router's Local inbox cell, into which the
+	// interface's own sends are counted.
+	inbox   int32
+	dormant bool
+	peer    *int32
 
 	// sendAt holds scheduled data-flit injections keyed by departure
 	// cycle; the injection channel's busy bits make the key unique. The
@@ -114,7 +124,7 @@ type flitRef struct {
 	attempt int32
 }
 
-func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *NI {
+func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *NI {
 	n := &NI{
 		node:        node,
 		cfg:         cfg,
@@ -143,6 +153,7 @@ func (n *NI) offer(p *noc.Packet) {
 		n.awaiting[p.ID] = &retryState{pkt: p}
 	}
 	n.queue = append(n.queue, p)
+	n.dormant = false
 }
 
 // ack releases a packet's retry state: the destination acknowledged
@@ -174,6 +185,7 @@ func (n *NI) loss(pid noc.PacketID, attempt int, now sim.Cycle) {
 	st.retryPending = true
 	at := now + n.cfg.RetryBackoffBase<<st.attempt
 	n.retryAt[at] = append(n.retryAt[at], st.pkt)
+	n.dormant = false
 }
 
 // tickRetries requeues packets whose retry backoff has elapsed and fires
@@ -260,22 +272,47 @@ func (n *NI) activeCount() int {
 
 func (n *NI) queueLen() int { return len(n.queue) }
 
-// Tick advances the injection interface one cycle.
+// idle reports whether the interface holds nothing a tick could act on
+// without new input: no packet queued or mid-injection, no data flit
+// scheduled, no retry timer or backoff running.
+func (n *NI) idle() bool {
+	return len(n.queue) == 0 && n.sendAt.len() == 0 && len(n.timeouts) == 0 &&
+		len(n.retryAt) == 0 && n.activeCount() == 0
+}
+
+// Tick advances the injection interface one cycle. A dormant interface with
+// an empty inbox only makes the arbitration draw an idle tick would make, so
+// the node's random stream is the same whether or not it slept; its tables
+// catch up over the gap when it wakes.
 func (n *NI) Tick(now sim.Cycle) {
+	if n.dormant {
+		if n.inbox == 0 {
+			if len(n.active) > 1 {
+				n.rng.Uint64() // the Intn below, minus the division
+			}
+			n.prof.ComponentTick(profile.CompNI, int(n.node), false)
+			return
+		}
+		n.dormant = false
+	}
 	// Self-profiling work counter: credits absorbed, packets started,
 	// control flits injected, data flits launched.
 	work := 0
 	n.injTable.advance(now)
 	n.sendAt.advance(now)
-	work += n.resvCreditIn.RecvEach(now, func(c noc.ReservationCredit) {
-		n.injTable.creditFrom(c.FreeFrom, c.VC)
-	})
-	work += n.ctrlCreditIn.RecvEach(now, func(c noc.VCCredit) {
-		n.ctrlCredits[c.VC]++
-		if n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
-			panic("core: NI control credit overflow")
-		}
-	})
+	if n.inbox > 0 {
+		got := n.resvCreditIn.RecvEach(now, func(c noc.ReservationCredit) {
+			n.injTable.creditFrom(c.FreeFrom, c.VC)
+		})
+		got += n.ctrlCreditIn.RecvEach(now, func(c noc.VCCredit) {
+			n.ctrlCredits[c.VC]++
+			if n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
+				panic("core: NI control credit overflow")
+			}
+		})
+		n.inbox -= int32(got)
+		work += got
+	}
 
 	if n.cfg.RetryLimit > 0 {
 		n.tickRetries(now)
@@ -329,11 +366,13 @@ func (n *NI) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
 		}
 		n.dataOut.Send(now, f)
+		posted(n.peer, n.dataOut.Severed())
 		*n.progress++
 		n.hooks.Injected(now)
 		work++
 	}
 	n.prof.ComponentTick(profile.CompNI, int(n.node), work+injected > 0)
+	n.dormant = n.inbox == 0 && n.idle()
 }
 
 // tryInject attempts to schedule and inject the next control flit of the
@@ -385,6 +424,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	}
 	cf.VC = v
 	n.ctrlOut.Send(now, *cf)
+	posted(n.peer, n.ctrlOut.Severed())
 	*n.progress++
 	n.ctrlCredits[v]--
 	ap.nextCtrl++
@@ -503,6 +543,10 @@ func (s *Sink) stateFor(id noc.PacketID, attempt int) sinkPkt {
 // current attempt is reported lost, once, and stragglers of lost or superseded
 // attempts are ignored.
 func (s *Sink) Tick(now sim.Cycle) {
+	if s.dormant() {
+		s.prof.ComponentTick(profile.CompSink, int(s.node), false)
+		return
+	}
 	work := s.dataIn.RecvEach(now, func(f noc.DataFlit) { s.eject(now, f) })
 	if e, ok := s.expect.take(now); ok {
 		work++
@@ -585,6 +629,11 @@ func (s *Sink) eject(now sim.Cycle, f noc.DataFlit) {
 		s.hooks.Delivered(f.Packet, now)
 	}
 }
+
+// dormant reports whether a tick has nothing to do: no flit is scheduled to
+// eject and none is on the ejection link. Only the router's Expect and its
+// ejected data end that, and both show here, so the sink keeps no flag.
+func (s *Sink) dormant() bool { return s.expect.len() == 0 && s.dataIn.Empty() }
 
 // pendingWork reports flits expected but not yet ejected.
 func (s *Sink) pendingWork() int { return s.expect.len() }

@@ -7,10 +7,12 @@ import (
 	"frfc/internal/sim"
 )
 
-// testNI builds an NI with test-owned pipes on both ends.
+// testNI builds an NI with test-owned pipes on both ends. A test that plays
+// the router's side follows each credit it sends with posted(&n.inbox, …),
+// as the router does, so the interface knows to look at its wires.
 func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.ReservationCredit], *sim.Pipe[noc.VCCredit]) {
 	cfg = cfg.withDefaults()
-	n := newNI(0, cfg, sim.NewRNG(1), &noc.Hooks{})
+	n := newNI(0, &cfg, sim.NewRNG(1), &noc.Hooks{})
 	ctrl := sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
 	data := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 	resv := sim.NewPipe[noc.ReservationCredit](cfg.CreditLatency, cfg.resvCreditWidth())
@@ -19,6 +21,7 @@ func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit
 	n.dataOut = data
 	n.resvCreditIn = resv
 	n.ctrlCreditIn = ctrlCredit
+	n.peer = new(int32) // the absent router's inbox cell
 	return n, ctrl, data, resv, ctrlCredit
 }
 
@@ -108,9 +111,11 @@ func TestNIRespectsControlCredits(t *testing.T) {
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
+				posted(&n.inbox, resv.Severed())
 			}
 			if returnCtrl {
 				ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
+				posted(&n.inbox, ctrlCredit.Severed())
 			}
 		})
 		now++
@@ -125,6 +130,7 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	// resumes injection all the way.
 	for i := 0; i < 3; i++ {
 		ctrlCredit.Send(now, noc.VCCredit{VC: 0})
+		posted(&n.inbox, ctrlCredit.Severed())
 		step(true)
 	}
 	for end := now + 25; now < end; {
@@ -147,8 +153,10 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
+			posted(&n.inbox, ctrlCredit.Severed())
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
+				posted(&n.inbox, resv.Severed())
 			}
 		})
 	}

@@ -20,6 +20,7 @@ import (
 // topology cut off. It runs at the top of Tick, before any component moves.
 func (n *Network) applyFaults(now sim.Cycle) {
 	changed := false
+	first := n.nextFault
 	for n.nextFault < len(n.cfg.Faults) && n.cfg.Faults[n.nextFault].At <= now {
 		e := n.cfg.Faults[n.nextFault]
 		n.nextFault++
@@ -43,6 +44,27 @@ func (n *Network) applyFaults(now sim.Cycle) {
 	}
 	if changed {
 		n.topoChanged(now)
+	}
+	if n.nextFault > first {
+		n.resync()
+	}
+}
+
+// resync squares the components' sleep bookkeeping with what the fault engine
+// just did behind their backs: severed wires lost their contents without the
+// receivers counting anything out, and queues, tables and buffers were
+// rewritten from outside. Every inbox is recounted from its wires and every
+// router and interface is woken to look at its state afresh. Events are rare,
+// so waking the whole mesh costs nothing that matters.
+func (n *Network) resync() {
+	for id, r := range n.routers {
+		for p := range r.inbox {
+			r.inbox[p] = int32(r.inbound(topology.Port(p)))
+		}
+		r.dormant = false
+		ni := n.nis[id]
+		ni.inbox = int32(ni.inbound())
+		ni.dormant = false
 	}
 }
 

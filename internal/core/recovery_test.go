@@ -230,7 +230,7 @@ func TestNIRetryStateMachine(t *testing.T) {
 		PacketRetried:   func(p *noc.Packet, now sim.Cycle) { retried++ },
 		PacketAbandoned: func(p *noc.Packet, now sim.Cycle) { abandoned++ },
 	}
-	ni := newNI(0, cfg, sim.NewRNG(1), hooks)
+	ni := newNI(0, &cfg, sim.NewRNG(1), hooks)
 	p := &noc.Packet{ID: 7, Len: 1}
 	ni.offer(p)
 	ni.queue = nil // the packet is "in the network" for this unit test

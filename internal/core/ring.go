@@ -10,8 +10,9 @@ import (
 // [base, base+span): the host-side form of the paper's small fixed tables
 // indexed by cycle within the scheduling horizon. The span is fixed at
 // construction from the configuration (exactly as many cells as the window
-// has cycles, wrapped with a compare), and the owner slides the window one
-// cycle per tick with advance.
+// has cycles, wrapped with a compare), and the owner slides the window with
+// advance before it files or looks up an entry; an owner with nothing filed
+// may leave the window behind and catch up over the gap later.
 //
 // Every cell carries the cycle it holds. A lookup for a cycle outside the
 // window — which would alias some other cycle's cell — therefore reads as

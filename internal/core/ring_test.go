@@ -175,3 +175,44 @@ func TestCycleRingMatchesMap(t *testing.T) {
 		}
 	}
 }
+
+// TestCycleRingLateSlideMatchesEveryCycleSlide: a ring holding live entries
+// slid through k cycles one at a time and over all of them at once keeps the
+// same entries under the same cycles, for k from one cycle to past the span.
+func TestCycleRingLateSlideMatchesEveryCycleSlide(t *testing.T) {
+	const span = 10
+	rng := sim.NewRNG(78)
+	for round := 0; round < 300; round++ {
+		start := sim.Cycle(rng.Intn(40))
+		for _, k := range []sim.Cycle{1, span - 1, span, span + 3} {
+			fill := sim.NewRNG(uint64(round) + 1)
+			var rings [2]cycleRing[int]
+			for i := range rings {
+				rings[i] = newCycleRing[int](span)
+				rings[i].advance(start)
+			}
+			for c := start; c < start+span; c++ {
+				if fill.Bool(0.5) {
+					rings[0].put(c, int(c))
+					rings[1].put(c, int(c))
+				}
+			}
+			step, jump := &rings[0], &rings[1]
+			for c := start + 1; c <= start+k; c++ {
+				step.advance(c)
+			}
+			jump.advance(start + k)
+			if step.base != jump.base || step.live != jump.live || (k < span && step.baseIdx != jump.baseIdx) {
+				t.Fatalf("round %d slide %d: base/baseIdx/live %d/%d/%d stepwise, %d/%d/%d in one jump",
+					round, k, step.base, step.baseIdx, step.live, jump.base, jump.baseIdx, jump.live)
+			}
+			for c := step.base; c < step.base+span; c++ {
+				sv, sok := step.get(c)
+				jv, jok := jump.get(c)
+				if sv != jv || sok != jok {
+					t.Fatalf("round %d slide %d: cycle %d holds %d,%v stepwise, %d,%v in one jump", round, k, c, sv, sok, jv, jok)
+				}
+			}
+		}
+	}
+}

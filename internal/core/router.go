@@ -98,11 +98,30 @@ type tentative struct {
 type Router struct {
 	id   topology.NodeID
 	mesh topology.Mesh
-	cfg  Config
+	cfg  *Config // the Network's one copy
 	rng  *sim.RNG
+
+	// inbox[p] counts the items in flight on the wires into port p: its data
+	// and control links and the two credit wires returning to it. Senders
+	// count an item in when they put it on a wire (posted) and Tick counts out
+	// what it receives, so a port whose cell is zero has nothing to poll.
+	// dormant records that the last tick also left nothing queued, buffered
+	// or expected: until the inbox fills, a tick can change nothing, and
+	// Tick returns at its guard. The fault engine, which cuts wires and
+	// rewrites router state from outside, recounts and wakes (resync).
+	inbox   [topology.NumPorts]int32
+	dormant bool
+	// peer[p] is the inbox cell of whatever faces port p — the neighbour's
+	// opposite port, or the node's interface for Local — into which every
+	// send out of p is counted. Ejected data is the exception: the sink polls
+	// its one wire.
+	peer [topology.NumPorts]*int32
 
 	ctrlIn  [topology.NumPorts]ctrlInput
 	ctrlOut [topology.NumPorts]ctrlOutput
+	// queued counts the control flits held across all control VC queues;
+	// with none, there is nothing to arbitrate or schedule this cycle.
+	queued int
 
 	// outTables[p] is the output reservation table for output port p;
 	// the Local entry governs the ejection channel and treats the
@@ -152,7 +171,7 @@ type Router struct {
 	freeLeads [][]leadState
 }
 
-func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG) *Router {
+func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
 	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		hasLink := p == topology.Local || mesh.HasLink(id, p)
@@ -203,72 +222,105 @@ func (r *Router) dataLatencyFor(p topology.Port) sim.Cycle {
 	return r.cfg.DataLinkLatency
 }
 
+// posted counts an item just put on a wire into the receiver's inbox cell —
+// unless the wire is severed, which destroys whatever it is given.
+func posted(box *int32, severed bool) {
+	if !severed {
+		*box++
+	}
+}
+
+// inboxEmpty reports whether no wire into the router carries anything.
+func (r *Router) inboxEmpty() bool {
+	var inFlight int32
+	for p := range r.inbox {
+		inFlight |= r.inbox[p]
+	}
+	return inFlight == 0
+}
+
 // Tick advances the router one cycle, in the order that makes the
-// intra-cycle dataflow of Section 3 work out: reservation state is brought
-// current, control flits are processed (possibly reserving an arrival
+// intra-cycle dataflow of Section 3 work out: credits bring the reservation
+// state current, control flits are processed (possibly reserving an arrival
 // happening this very cycle), then data flits depart and finally arrive.
+//
+// A dormant router with an empty inbox has no flit, credit, reservation or
+// buffered data to act on, draws no random number and so returns at once,
+// still reporting the (idle) tick to the profile. An awake one polls only
+// the ports whose inbox says something is in flight. The output tables are
+// not slid here but where they are next used (below for credits, in
+// scheduleLeads for reservations): advance catches up over any gap and what
+// it reveals depends only on state those same uses change, so a late slide
+// writes the cells an every-cycle slide would have.
 func (r *Router) Tick(now sim.Cycle) {
+	if r.dormant {
+		if r.inboxEmpty() {
+			r.prof.RouterTick(int(r.id), 0, 0, 0, 0)
+			return
+		}
+		r.dormant = false
+	}
 	// Self-profiling work counters: credit messages absorbed, arbitration
 	// work units, data flits through the crossbar. Plain integer adds, so
 	// the disabled-profiling cost is negligible.
 	var arb, sw, cred int
-	for p := range r.outTables {
-		if r.outTables[p] != nil {
-			r.outTables[p].advance(now)
-		}
-	}
-	for p := range r.dataCreditIn {
-		if r.dataCreditIn[p] == nil {
+	for p := range r.inbox {
+		if r.inbox[p] == 0 {
 			continue
 		}
-		table := r.outTables[p]
-		cred += r.dataCreditIn[p].RecvEach(now, func(c noc.ReservationCredit) {
-			table.creditFrom(c.FreeFrom, c.VC)
-		})
-	}
-	for p := range r.ctrlOut {
-		co := &r.ctrlOut[p]
-		if !co.exists || co.creditIn == nil {
-			continue
+		got := 0
+		if creditIn := r.dataCreditIn[p]; creditIn != nil {
+			table := r.outTables[p]
+			table.advance(now)
+			got += creditIn.RecvEach(now, func(c noc.ReservationCredit) {
+				table.creditFrom(c.FreeFrom, c.VC)
+			})
 		}
-		cred += co.creditIn.RecvEach(now, func(c noc.VCCredit) {
-			co.credits[c.VC]++
-			if co.credits[c.VC] > r.cfg.CtrlBufPerVC {
-				panic("core: control credit overflow")
-			}
-		})
-	}
-	for p := range r.ctrlIn {
-		ci := &r.ctrlIn[p]
-		if !ci.exists || ci.in == nil {
-			continue
-		}
-		arb += ci.in.RecvEach(now, func(cf noc.ControlFlit) {
-			vc := &ci.vcs[cf.VC]
-			if vc.q == nil {
-				// A VC's queue is built at its full depth the first time a
-				// flit reaches it; most of a short run's VCs never see one.
-				vc.q = make([]queuedCtrl, 0, r.cfg.CtrlBufPerVC)
-			}
-			qc := queuedCtrl{flit: cf, leads: r.newLeads(cf.Leads), arrivedAt: now}
-			if cf.Corrupted {
-				r.probe.Corrupt(int(r.id))
-				// The detection draw happens at receive so RNG order is
-				// a function of link traffic alone, not of queueing.
-				if r.crcDetect() {
-					qc.detectedCorrupt = true
-					r.hooks.CrcDetected(now)
+		if co := &r.ctrlOut[p]; co.creditIn != nil {
+			got += co.creditIn.RecvEach(now, func(c noc.VCCredit) {
+				co.credits[c.VC]++
+				if co.credits[c.VC] > r.cfg.CtrlBufPerVC {
+					panic("core: control credit overflow")
 				}
-			}
-			vc.q = append(vc.q, qc)
-			if len(vc.q) > r.cfg.CtrlBufPerVC {
-				panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, topology.Port(p), cf.VC))
-			}
-		})
+			})
+		}
+		cred += got
+		if ci := &r.ctrlIn[p]; ci.in != nil {
+			n := ci.in.RecvEach(now, func(cf noc.ControlFlit) {
+				vc := &ci.vcs[cf.VC]
+				if vc.q == nil {
+					// A VC's queue is built at its full depth the first time a
+					// flit reaches it; most of a short run's VCs never see one.
+					vc.q = make([]queuedCtrl, 0, r.cfg.CtrlBufPerVC)
+				}
+				qc := queuedCtrl{flit: cf, leads: r.newLeads(cf.Leads), arrivedAt: now}
+				if cf.Corrupted {
+					r.probe.Corrupt(int(r.id))
+					// The detection draw happens at receive so RNG order is
+					// a function of link traffic alone, not of queueing.
+					if r.crcDetect() {
+						qc.detectedCorrupt = true
+						r.hooks.CrcDetected(now)
+					}
+				}
+				vc.q = append(vc.q, qc)
+				r.queued++
+				if len(vc.q) > r.cfg.CtrlBufPerVC {
+					panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, topology.Port(p), cf.VC))
+				}
+			})
+			arb += n
+			got += n
+		}
+		r.inbox[p] -= int32(got)
 	}
 
-	walked, sched := r.processControl(now)
-	arb += walked
+	var sched int
+	if r.queued > 0 {
+		var walked int
+		walked, sched = r.processControl(now)
+		arb += walked
+	}
 
 	for p := range r.inputs {
 		in := r.inputs[p]
@@ -282,45 +334,52 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 	for p := range r.inputs {
 		in := r.inputs[p]
-		if in == nil || in.dataIn == nil {
+		if in == nil {
 			continue
 		}
-		sw += in.dataIn.RecvEach(now, func(f noc.DataFlit) {
-			if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-				r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
-			}
-			if f.Corrupted {
-				r.probe.Corrupt(int(r.id))
-				if r.crcDetect() {
-					// The hop CRC caught the damage: the flit is
-					// discarded into the established loss path — its
-					// reservation expires unclaimed and the destination's
-					// no-show detection triggers the end-to-end retry.
-					r.hooks.CrcDetected(now)
+		if r.inbox[p] > 0 && in.dataIn != nil {
+			n := in.dataIn.RecvEach(now, func(f noc.DataFlit) {
+				if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
+					r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
+				}
+				if f.Corrupted {
+					r.probe.Corrupt(int(r.id))
+					if r.crcDetect() {
+						// The hop CRC caught the damage: the flit is
+						// discarded into the established loss path — its
+						// reservation expires unclaimed and the destination's
+						// no-show detection triggers the end-to-end retry.
+						r.hooks.CrcDetected(now)
+						r.hooks.Dropped(f.Packet, now)
+						return
+					}
+				}
+				if in.condemnedArrival(now) {
+					// The control flit that was to schedule this data flit
+					// was destroyed by a hard fault; the flit has nowhere to
+					// go and would park forever.
 					r.hooks.Dropped(f.Packet, now)
 					return
 				}
-			}
-			if in.condemnedArrival(now) {
-				// The control flit that was to schedule this data flit
-				// was destroyed by a hard fault; the flit has nowhere to
-				// go and would park forever.
-				r.hooks.Dropped(f.Packet, now)
-				return
-			}
-			if !in.arrive(now, f, func(f noc.DataFlit, out topology.Port) {
-				r.sendData(now, f, out)
-			}) {
-				// Phantom-orphaned flits overcommitted the pool; the
-				// refused flit is destroyed and recovered end to end.
-				r.hooks.Dropped(f.Packet, now)
-			}
-		})
+				if !in.arrive(now, f, func(f noc.DataFlit, out topology.Port) {
+					r.sendData(now, f, out)
+				}) {
+					// Phantom-orphaned flits overcommitted the pool; the
+					// refused flit is destroyed and recovered end to end.
+					r.hooks.Dropped(f.Packet, now)
+				}
+			})
+			r.inbox[p] -= int32(n)
+			sw += n
+		}
 		// Any reservation for this cycle still unclaimed means the
 		// flit was destroyed en route — an idle pattern arrived in its
 		// place. Drop the reservation; every later table the control
-		// flit touched cleans itself up the same way.
-		in.expireExpected(now)
+		// flit touched cleans itself up the same way. An empty table is
+		// left where it stands: whoever files the next entry slides it.
+		if in.expected.len() > 0 || len(in.condemned) > 0 {
+			in.expireExpected(now)
+		}
 		if r.cfg.ReclaimCycles > 0 {
 			in.reclaim(now, r.cfg.ReclaimCycles, func(f noc.DataFlit) {
 				r.hooks.Dropped(f.Packet, now)
@@ -328,6 +387,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 	}
 	r.prof.RouterTick(int(r.id), sched, arb, sw, cred)
+	r.dormant = r.inboxEmpty() && r.quiet()
 }
 
 // newLeads returns the scheduling state for a received control flit's leads,
@@ -379,6 +439,9 @@ func (r *Router) sendData(now sim.Cycle, f noc.DataFlit, out topology.Port) {
 		r.wf.Depart(uint64(f.Packet.ID), uint8(f.Attempt), now, true)
 	}
 	r.dataOut[out].Send(now, f)
+	if out != topology.Local { // the sink polls its one wire instead
+		posted(r.peer[out], r.dataOut[out].Severed())
+	}
 }
 
 // processControl walks the control flits at the front of every control VC in
@@ -412,8 +475,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 	}
 	arb = len(r.cands)
 	for _, cand := range r.cands {
-		ci := &r.ctrlIn[cand.port]
-		vc := &ci.vcs[cand.vc]
+		vc := &r.ctrlIn[cand.port].vcs[cand.vc]
 		qc := &vc.q[0]
 		if vc.drain {
 			if qc.flit.Type.IsHead() {
@@ -421,7 +483,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 				// tail was itself destroyed; the new stream is intact.
 				vc.drain = false
 			} else {
-				r.discardCtrl(now, ci, vc, cand.vc, cand.port)
+				r.discardCtrl(now, vc, cand.vc, cand.port)
 				continue
 			}
 		}
@@ -430,7 +492,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			// remainder exactly as a hard fault would — the leads'
 			// no-shows surface at the destination as losses and the
 			// end-to-end retry recovers the packet.
-			r.discardCtrl(now, ci, vc, cand.vc, cand.port)
+			r.discardCtrl(now, vc, cand.vc, cand.port)
 			continue
 		}
 		if vc.routed && !qc.routedHere && qc.flit.Type.IsHead() && r.ctrlLossy() {
@@ -448,7 +510,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 					// Mid-stream loss (a severed wire or a CRC-discarded
 					// flit) broke the wormhole framing; discard to the
 					// tail.
-					r.discardCtrl(now, ci, vc, cand.vc, cand.port)
+					r.discardCtrl(now, vc, cand.vc, cand.port)
 					continue
 				}
 				panic(fmt.Sprintf("core: node %d: %s at front of unrouted control VC", r.id, qc.flit))
@@ -458,7 +520,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 				// No surviving route to the destination. Destroy the
 				// stream here; the source resolves the packet through
 				// the unreachable fast path or its retry budget.
-				r.discardCtrl(now, ci, vc, cand.vc, cand.port)
+				r.discardCtrl(now, vc, cand.vc, cand.port)
 				continue
 			}
 			vc.route = route
@@ -486,9 +548,9 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			continue
 		}
 		if out == topology.Local {
-			r.consume(now, ci, vc, cand.vc)
+			r.consume(now, cand.port, vc, cand.vc)
 		} else {
-			r.forward(now, ci, vc, cand.vc, out)
+			r.forward(now, cand.port, vc, cand.vc, out)
 		}
 	}
 	return arb, sched
@@ -527,6 +589,7 @@ func (r *Router) allocateCtrlVC(vc *ctrlVC, out topology.Port) bool {
 // destination, where no control VC is consumed).
 func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, inPort topology.Port) bool {
 	table := r.outTables[out]
+	table.advance(now)
 	tp := r.dataLatencyFor(out)
 	attrVC := vc.outVC // meaningful only when out != Local; ejection ignores it
 	if out == topology.Local {
@@ -609,6 +672,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// flit arrived on, which is the upstream scheduler's VC for
 		// this link.
 		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: qc.flit.VC})
+		posted(r.peer[inPort], in.creditOut.Severed())
 	}
 	ld.scheduled = true
 	ld.departAt = td
@@ -621,9 +685,9 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // has been scheduled into the ejection channel, so the control flit's work is
 // done. Its buffer is freed (credit upstream) and on a tail the control VC's
 // routing entry is released.
-func (r *Router) consume(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
+func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
 	isTail := vc.q[0].flit.Type.IsTail()
-	r.popCtrl(now, ci, vc, vcIdx)
+	r.popCtrl(now, inPort, vc, vcIdx)
 	if isTail {
 		vc.routed = false
 		vc.allocated = false
@@ -635,7 +699,7 @@ func (r *Router) consume(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
 // (t_d + t_p). The downstream control VC was allocated before scheduling;
 // credits and link bandwidth gate the send, and a blocked flit simply
 // retries next cycle.
-func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, out topology.Port) {
+func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int, out topology.Port) {
 	co := &r.ctrlOut[out]
 	qc := &vc.q[0]
 	if !vc.allocated {
@@ -659,9 +723,10 @@ func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, ou
 		nf.Leads = append(nf.Leads, noc.LeadEntry{Seq: ld.seq, Arrival: ld.departAt + r.cfg.DataLinkLatency})
 	}
 	co.out.Send(now, nf)
+	posted(r.peer[out], co.out.Severed())
 	co.credits[vc.outVC]--
 	isTail := qc.flit.Type.IsTail()
-	r.popCtrl(now, ci, vc, vcIdx)
+	r.popCtrl(now, inPort, vc, vcIdx)
 	if isTail {
 		co.owned[vc.outVC] = false
 		vc.allocated = false
@@ -682,7 +747,7 @@ func (r *Router) forward(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, ou
 // finalizeLead's credit). The lead will never be finalized, so the residency
 // is released here — otherwise every discarded stream would leak upstream
 // buffers until its source wedges.
-func (r *Router) discardCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int, inPort topology.Port) {
+func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topology.Port) {
 	qc := &vc.q[0]
 	in := r.inputs[inPort]
 	for i := range qc.leads {
@@ -701,10 +766,11 @@ func (r *Router) discardCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int
 				freeFrom = ld.arrival
 			}
 			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: qc.flit.VC})
+			posted(r.peer[inPort], in.creditOut.Severed())
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
-	r.popCtrl(now, ci, vc, vcIdx)
+	r.popCtrl(now, inPort, vc, vcIdx)
 	vc.drain = !isTail
 }
 
@@ -751,14 +817,16 @@ func (r *Router) severOutput(p topology.Port) {
 // popCtrl dequeues the front control flit of a VC and returns its buffer
 // credit upstream. The flit's lead-state list goes back to the free list, so
 // callers must be done with vc.q[0] before they pop.
-func (r *Router) popCtrl(now sim.Cycle, ci *ctrlInput, vc *ctrlVC, vcIdx int) {
+func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
 	*r.progress++
 	r.freeLeads = append(r.freeLeads, vc.q[0].leads)
 	copy(vc.q, vc.q[1:])
 	vc.q[len(vc.q)-1] = queuedCtrl{}
 	vc.q = vc.q[:len(vc.q)-1]
-	if ci.creditOut != nil {
-		ci.creditOut.Send(now, noc.VCCredit{VC: vcIdx})
+	r.queued--
+	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
+		creditOut.Send(now, noc.VCCredit{VC: vcIdx})
+		posted(r.peer[inPort], creditOut.Severed())
 	}
 }
 
@@ -774,18 +842,25 @@ func (r *Router) bufferUsage() (used, capacity int) {
 	return used, capacity
 }
 
+// quiet reports whether the router holds nothing a tick could act on without
+// new input: no control flit queued, no data flit buffered, no arrival
+// expected, and no condemned cycle whose mark a tick would still clear.
+func (r *Router) quiet() bool {
+	if r.queued > 0 {
+		return false
+	}
+	for p := range r.inputs {
+		if in := r.inputs[p]; in != nil && (in.pending() > 0 || len(in.condemned) > 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // pendingWork reports whether any control or data state is still in flight
 // inside the router, used by drain checks.
 func (r *Router) pendingWork() int {
-	n := 0
-	for p := range r.ctrlIn {
-		if !r.ctrlIn[p].exists {
-			continue
-		}
-		for v := range r.ctrlIn[p].vcs {
-			n += len(r.ctrlIn[p].vcs[v].q)
-		}
-	}
+	n := r.queued
 	for p := range r.inputs {
 		if r.inputs[p] != nil {
 			n += r.inputs[p].pending()

@@ -116,13 +116,20 @@ func (t *outResTable) runs(from sim.Cycle) (a0, a1, b0, b1 int) {
 func (t *outResTable) end() sim.Cycle { return t.base + sim.Cycle(t.size) }
 
 // advance slides the window so it starts at now, recycling expired cells.
+// Owners call it before each use rather than once a cycle: every revealed
+// cell is computed from steady and the future list, which only commits and
+// credits — made on a current window — change, so sliding over a gap of idle
+// cycles at once leaves exactly what sliding through them one by one would.
 func (t *outResTable) advance(now sim.Cycle) {
+	if now == t.base {
+		return
+	}
 	if now < t.base {
 		panic("core: reservation table advanced backwards")
 	}
 	if now-t.base >= sim.Cycle(t.size) {
-		// The whole window expired (only possible in tests that jump
-		// time); reset every cell.
+		// The whole window expired while its owner had no use for it;
+		// reset every cell.
 		t.base, t.baseIdx = now, 0
 		for i := range t.busy {
 			t.busy[i] = false

@@ -283,3 +283,87 @@ func TestOutResTablePanicsSurviveTheSweeps(t *testing.T) {
 		tb.creditFrom(13, 0)
 	})
 }
+
+// cloneTable deep-copies a table so two slides can start from one state.
+func cloneTable(t *outResTable) *outResTable {
+	c := *t
+	c.busy = append([]bool(nil), t.busy...)
+	c.free = append([]int32(nil), t.free...)
+	c.outstanding = append([]int(nil), t.outstanding...)
+	c.claims = append([]int(nil), t.claims...)
+	c.future = append([]futureDelta(nil), t.future...)
+	return &c
+}
+
+// TestLateSlideMatchesEveryCycleSlide is what lets a table's owner sleep: a
+// table with reservations on its channel, residencies outstanding downstream
+// and arrivals pending beyond its window ends up the same whether it is slid
+// through k idle cycles one at a time or over all of them at once — every
+// cell, the counts behind them and the future list. k runs from one cycle to
+// past the whole window, where the jump resets the cells instead of walking
+// them.
+func TestLateSlideMatchesEveryCycleSlide(t *testing.T) {
+	const horizon, buffers, vcs, tp = 9, 6, 2, 4
+	size := sim.Cycle(horizon + 1)
+	rng := sim.NewRNG(77)
+	tb := newOutResTable(horizon, buffers, vcs, false)
+	now := sim.Cycle(0)
+	type resident struct {
+		freeFrom sim.Cycle
+		vc       int
+	}
+	var residents []resident
+	sawFuture := 0
+	for round := 0; round < 400; round++ {
+		// A few busy cycles of ordinary life: reservations toward the end of
+		// the window (whose arrivals land beyond it) and the odd credit.
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			now += sim.Cycle(rng.Intn(2))
+			tb.advance(now)
+			kept := residents[:0]
+			for _, res := range residents {
+				if res.freeFrom < tb.end() && rng.Bool(0.4) {
+					tb.creditFrom(res.freeFrom, res.vc)
+				} else {
+					kept = append(kept, res)
+				}
+			}
+			residents = kept
+			vc := rng.Intn(vcs)
+			if td, ok := tb.findDeparture(now, now+sim.Cycle(rng.Intn(horizon+1)), tp, vc); ok {
+				tb.commit(td, tp, vc)
+				residents = append(residents, resident{freeFrom: td + tp + sim.Cycle(rng.Intn(4)), vc: vc})
+			}
+		}
+		if len(tb.future) > 0 {
+			sawFuture++
+		}
+		for _, k := range []sim.Cycle{1, size - 1, size, size + 3} {
+			step, jump := cloneTable(tb), cloneTable(tb)
+			for c := now + 1; c <= now+k; c++ {
+				step.advance(c)
+			}
+			jump.advance(now + k)
+			where := fmt.Sprintf("round %d cycle %d slide %d", round, now, k)
+			if step.base != jump.base || step.steady != jump.steady {
+				t.Fatalf("%s: base/steady %d/%d stepwise, %d/%d in one jump", where, step.base, step.steady, jump.base, jump.steady)
+			}
+			if k < size && step.baseIdx != jump.baseIdx {
+				t.Fatalf("%s: baseIdx %d stepwise, %d in one jump", where, step.baseIdx, jump.baseIdx)
+			}
+			for c := step.base; c < step.end(); c++ {
+				if step.freeAt(c) != jump.freeAt(c) || step.busyAt(c) != jump.busyAt(c) {
+					t.Fatalf("%s: cycle %d free/busy %d/%v stepwise, %d/%v in one jump",
+						where, c, step.freeAt(c), step.busyAt(c), jump.freeAt(c), jump.busyAt(c))
+				}
+			}
+			if fmt.Sprint(step.future) != fmt.Sprint(jump.future) || fmt.Sprint(step.outstanding) != fmt.Sprint(jump.outstanding) {
+				t.Fatalf("%s: future/outstanding %v/%v stepwise, %v/%v in one jump",
+					where, step.future, step.outstanding, jump.future, jump.outstanding)
+			}
+		}
+	}
+	if sawFuture < 50 {
+		t.Fatalf("only %d of 400 rounds slid a table with a non-empty future list", sawFuture)
+	}
+}

@@ -13,6 +13,11 @@
 #   scripts/bench.sh             run every benchmark (paper-scale; slow)
 #   scripts/bench.sh -short      analytic + reduced-scale subset (CI smoke)
 #   scripts/bench.sh -baseline   promote the latest run to the baseline
+#   scripts/bench.sh -ladder     the in-package rungs of the FR hot path
+#                                (internal/core: OutResTableFindCommitCredit,
+#                                RouterTickDormant/Idle/Loaded,
+#                                NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8),
+#                                five runs each; prints only, records nothing
 #   scripts/bench.sh -profile    also collect pprof profiles into benchmarks/
 #                                (cpu.pprof, mem.pprof; inspect with
 #                                `go tool pprof benchmarks/cpu.pprof`)
@@ -33,6 +38,10 @@ if [ "${1:-}" = "-baseline" ]; then
     cp benchmarks/latest.txt benchmarks/baseline.txt
     echo "baseline updated from latest.txt"
     exit 0
+fi
+
+if [ "${1:-}" = "-ladder" ]; then
+    exec go test ./internal/core -run '^$' -bench . -benchmem -count 5
 fi
 
 pattern='.'
