@@ -37,6 +37,26 @@ type Job struct {
 	// Seed, when nonzero, overrides the spec's RNG seed for this job —
 	// the way a campaign decorrelates replicas of one configuration.
 	Seed uint64
+
+	// rendered, when set, is the %#v rendering of the normalized Spec that
+	// Hash digests, shared by the jobs AppendJobs built over that spec. A
+	// bare literal leaves it empty and Hash renders on demand.
+	rendered string
+}
+
+// AppendJobs appends one job per load over spec to jobs, in load order. The
+// appended jobs share a single rendering of the normalized spec, so hashing
+// all of them formats the spec once rather than once per job; the hashes are
+// those of the bare literals Job{Spec: spec, Load: l}. The sharing holds only
+// while a job is used as built: one whose Spec is changed afterwards must be
+// rebuilt as a literal (a Seed override is safe, Hash renders such a job
+// afresh).
+func AppendJobs(jobs []Job, spec experiment.Spec, loads []float64) []Job {
+	rendered := fmt.Sprintf("%#v", spec.Normalized())
+	for _, l := range loads {
+		jobs = append(jobs, Job{Spec: spec, Load: l, rendered: rendered})
+	}
+	return jobs
 }
 
 // EffectiveSpec is the spec the job actually executes: normalized (defaults
@@ -71,7 +91,11 @@ const hashVersion = "frfc-job-v6"
 // makes the hash a safe result-cache key and a safe per-job RNG root.
 func (j Job) Hash() string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%#v|%.12g", hashVersion, j.EffectiveSpec(), j.Load)
+	if j.rendered != "" && j.Seed == 0 {
+		fmt.Fprintf(h, "%s|%s|%.12g", hashVersion, j.rendered, j.Load)
+	} else {
+		fmt.Fprintf(h, "%s|%#v|%.12g", hashVersion, j.EffectiveSpec(), j.Load)
+	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

@@ -29,9 +29,7 @@ func SweepSpecs(ctx context.Context, specs []experiment.Spec, loads []float64, o
 	}
 	jobs := make([]Job, 0, len(specs)*len(loads))
 	for _, s := range specs {
-		for _, l := range loads {
-			jobs = append(jobs, Job{Spec: s, Load: l})
-		}
+		jobs = AppendJobs(jobs, s, loads)
 	}
 	flat, err := RunJobs(ctx, jobs, o.Options)
 	rows := make([][]JobResult, len(specs))

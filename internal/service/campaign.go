@@ -20,7 +20,19 @@ const (
 	StateCancelled State = "cancelled"
 )
 
-// Campaign is one submitted sweep: its expanded job list, per-job results in
+// outcome is what a campaign keeps of one recorded job: enough to count it,
+// show it in the detail rows and find its stored line. The Result itself
+// lives in the database, under hash.
+type outcome struct {
+	done    bool
+	cached  bool   // served from the result database
+	skipped bool   // never ran: retired by a cancel
+	hash    string // the job's content hash; empty when skipped
+	err     string // non-empty when the job failed or was cut short
+	latency float64
+}
+
+// Campaign is one submitted sweep: its expanded job list, per-job outcomes in
 // job order, scheduling parameters, and lifecycle state. All mutable fields
 // are guarded by mu; the scheduler additionally owns wrr under its own lock.
 type Campaign struct {
@@ -37,9 +49,8 @@ type Campaign struct {
 
 	mu       sync.Mutex
 	state    State
-	results  []harness.JobResult // indexed like jobs; zero until recorded
-	done     []bool
-	queue    []int // job indices not yet dispatched, FIFO
+	outcomes []outcome // indexed like jobs; zero until recorded
+	queue    []int     // job indices not yet dispatched, FIFO
 	inflight int
 	recorded int
 	// counters, split the way /status reports them
@@ -47,9 +58,10 @@ type Campaign struct {
 	cached    int
 	failed    int
 	cancelled int
-	// marshalErrors counts results the stream endpoint could not encode —
-	// surfaced in the view instead of silently truncating the stream.
-	marshalErrors int
+	// omitted counts finished results whose line the database did not hold
+	// when the stream endpoint asked — surfaced in the view (as
+	// marshalErrors) instead of silently truncating the stream.
+	omitted int
 	// lastProgress is when an outcome last recorded (submission time until
 	// then); stuck is the watchdog's verdict, cleared by any progress.
 	lastProgress time.Time
@@ -77,39 +89,43 @@ func (c *Campaign) State() State {
 	return c.state
 }
 
-// Results returns a copy of the per-job results, in job order. Jobs not yet
-// finished have a zero JobResult (empty Hash).
-func (c *Campaign) Results() []harness.JobResult {
+// storedHashes lists the hashes of the jobs that have finished with a stored
+// result — not failed, not cancelled — in job order: the lines of the results
+// stream.
+func (c *Campaign) storedHashes() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]harness.JobResult, len(c.results))
-	copy(out, c.results)
-	return out
+	hashes := make([]string, 0, c.simulated+c.cached)
+	for _, o := range c.outcomes {
+		if o.done && o.err == "" && !o.skipped {
+			hashes = append(hashes, o.hash)
+		}
+	}
+	return hashes
 }
 
 // record stores one job's outcome and advances the campaign's lifecycle.
 // Returns true when this record completed the campaign.
-func (c *Campaign) record(idx int, jr harness.JobResult) (completed bool) {
+func (c *Campaign) record(idx int, o outcome) (completed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.done[idx] {
+	if c.outcomes[idx].done {
 		return false
 	}
-	c.done[idx] = true
-	c.results[idx] = jr
+	c.outcomes[idx] = o
 	c.recorded++
 	c.lastProgress = time.Now()
 	c.stuck = false
 	switch {
-	case jr.Cached:
+	case o.cached:
 		c.cached++
-	case jr.Skipped:
+	case o.skipped:
 		c.cancelled++
-	case jr.Err != "" && c.state == StateCancelled:
+	case o.err != "" && c.state == StateCancelled:
 		// An in-flight job cut short by the campaign's cancel, not a
 		// failure of the job itself.
 		c.cancelled++
-	case jr.Err != "":
+	case o.err != "":
 		c.failed++
 	default:
 		c.simulated++
@@ -151,9 +167,9 @@ type CampaignView struct {
 	// Stuck is the no-progress watchdog's verdict: work outstanding but
 	// nothing recorded for longer than the service's StuckAfter.
 	Stuck bool `json:"stuck,omitempty"`
-	// MarshalErrors counts completed results the results stream failed to
-	// encode (and therefore omitted) — zero unless something is deeply
-	// wrong with a stored result.
+	// MarshalErrors counts finished results the results stream had to omit
+	// because the database no longer held their line — zero unless
+	// something is deeply wrong with the store.
 	MarshalErrors int `json:"marshalErrors,omitempty"`
 }
 
@@ -169,20 +185,20 @@ func (c *Campaign) view(now time.Time) CampaignView {
 		QueueDepth: len(c.queue), InFlight: c.inflight,
 		Weight: c.weight, MaxInFlight: c.maxInflight,
 		AgeSeconds: now.Sub(c.created).Seconds(),
-		Stuck:      c.stuck, MarshalErrors: c.marshalErrors,
+		Stuck:      c.stuck, MarshalErrors: c.omitted,
 	}
 }
 
-// noteMarshalErrors raises the campaign's marshal-error count (the results
-// stream recounts on every request; the maximum observed stands). Returns
-// true the first time the count becomes nonzero, so the caller logs once
-// per campaign, not once per poll.
-func (c *Campaign) noteMarshalErrors(n int) (first bool) {
+// noteOmitted raises the campaign's omitted-line count (the results stream
+// recounts on every request; the maximum observed stands). Returns true the
+// first time the count becomes nonzero, so the caller logs once per
+// campaign, not once per poll.
+func (c *Campaign) noteOmitted(n int) (first bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n > c.marshalErrors {
-		first = c.marshalErrors == 0
-		c.marshalErrors = n
+	if n > c.omitted {
+		first = c.omitted == 0
+		c.omitted = n
 	}
 	return first
 }
@@ -211,26 +227,27 @@ func (c *Campaign) jobViews() []JobView {
 	}
 	out := make([]JobView, len(c.jobs))
 	for i, j := range c.jobs {
+		o := c.outcomes[i]
 		jv := JobView{
 			Spec: j.EffectiveSpec().Name, Load: j.Load, Seed: j.Seed,
 			Hash: j.Hash(),
 		}
 		switch {
-		case !c.done[i] && queued[i]:
+		case !o.done && queued[i]:
 			jv.State = "queued"
-		case !c.done[i]:
+		case !o.done:
 			jv.State = "running"
-		case c.results[i].Cached:
+		case o.cached:
 			jv.State = "cached"
-			jv.Latency = c.results[i].Result.AvgLatency
-		case c.results[i].Skipped:
+			jv.Latency = o.latency
+		case o.skipped:
 			jv.State = "cancelled"
-		case c.results[i].Err != "":
+		case o.err != "":
 			jv.State = "failed"
-			jv.Err = c.results[i].Err
+			jv.Err = o.err
 		default:
 			jv.State = "done"
-			jv.Latency = c.results[i].Result.AvgLatency
+			jv.Latency = o.latency
 		}
 		out[i] = jv
 	}

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"time"
 
-	"frfc/internal/harness"
 	"frfc/internal/status"
 )
 
@@ -153,11 +153,12 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleResults streams the campaign's completed results as canonical JSONL
-// store lines in job order — byte-identical to the store a one-shot
-// single-worker campaign writes, which is what the CI smoke test diffs.
-// With ?wait=1 the response is delayed until the campaign reaches a
-// terminal state (or the client goes away).
+// handleResults streams the campaign's finished results in job order, each
+// line the bytes DB.Put stored for that job's hash — which is what makes the
+// stream byte-identical to the store a one-shot single-worker campaign
+// writes (the CI smoke test diffs the two). With ?wait=1 the response is
+// delayed until the campaign reaches a terminal state (or the client goes
+// away); without it the stream lists whatever has finished so far.
 func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.Get(r.PathValue("id"))
 	if !ok {
@@ -172,31 +173,28 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/jsonl")
-	marshalFailed := 0
-	for _, jr := range c.Results() {
-		if jr.Hash == "" || jr.Err != "" || jr.Skipped {
-			continue // not finished, failed, or cancelled: nothing stored
-		}
-		line, err := marshalEntry(jr.Job, jr.Hash, jr.Result)
-		if err != nil {
-			// The stream omits the line but the truncation is not silent:
-			// counted into the campaign view, logged once per campaign.
-			marshalFailed++
+	omitted := 0
+	for _, hash := range c.storedHashes() {
+		line, ok := s.db.GetLine(hash)
+		if !ok {
+			// The job finished but the database does not hold its line.
+			// The stream omits it, not silently: counted into the campaign
+			// view, logged once per campaign.
+			omitted++
 			continue
 		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
+		if _, err := w.Write(line); err != nil {
+			return
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
 			return
 		}
 	}
-	if marshalFailed > 0 && c.noteMarshalErrors(marshalFailed) {
-		log.Printf("service: campaign %s: %d result(s) failed to marshal; results stream is incomplete",
-			c.ID(), marshalFailed)
+	if omitted > 0 && c.noteOmitted(omitted) {
+		log.Printf("service: campaign %s: %d finished result(s) missing from the database; results stream is incomplete",
+			c.ID(), omitted)
 	}
 }
-
-// marshalEntry is harness.MarshalEntry, indirect so tests can force encode
-// failures on the results stream.
-var marshalEntry = harness.MarshalEntry
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	c, ok := s.Cancel(r.PathValue("id"))

@@ -12,9 +12,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"frfc/internal/experiment"
-	"frfc/internal/harness"
 )
 
 // slowReq is a sweep request big and slow enough to still be active when
@@ -138,6 +135,37 @@ func TestSubmitCampaignAndQueueCaps(t *testing.T) {
 	}
 	q.Cancel(c3.ID())
 	waitDone(t, c3)
+}
+
+// TestCapsIgnoreFinishedCampaigns: admission measures load over the campaigns
+// that still have work, so a few hundred finished ones behind the cap neither
+// count against it nor are walked to enforce it.
+func TestCapsIgnoreFinishedCampaigns(t *testing.T) {
+	s := newLimitedService(t, Limits{MaxCampaigns: 1, MaxQueuedJobs: 20})
+	const finished = 300
+	one := SweepRequest{Configs: []string{"FR6"}, Loads: []float64{0.2}, Sample: 150, Warmup: 300}
+	for i := 0; i < finished; i++ {
+		c, err := s.Submit(one) // simulated once, a dedup hit ever after
+		if err != nil {
+			t.Fatalf("submission %d behind a cap of one active campaign: %v", i, err)
+		}
+		waitDone(t, c)
+	}
+	if n := len(s.sched.active()); n != 0 {
+		t.Fatalf("%d campaigns still listed as active after all finished", n)
+	}
+	c, err := s.Submit(slowReq("live", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(slowReq("over", 12)); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("second live campaign: got %v, want ErrCapacity (MaxCampaigns)", err)
+	}
+	if active, all := len(s.sched.active()), len(s.List()); active != 1 || all != finished+1 {
+		t.Fatalf("admission walks %d campaigns of %d served, want 1 of %d", active, all, finished+1)
+	}
+	s.Cancel(c.ID())
+	waitDone(t, c)
 }
 
 // TestRateLimiter: the token bucket under explicit time — burst, exhaustion,
@@ -291,6 +319,7 @@ func TestWatchdogFlagsStuckCampaigns(t *testing.T) {
 	s := &Service{
 		db:        db,
 		opts:      Options{Workers: 1, StuckAfter: time.Minute},
+		sched:     newScheduler(),
 		campaigns: map[string]*Campaign{},
 		rejected:  map[string]int64{},
 	}
@@ -299,20 +328,20 @@ func TestWatchdogFlagsStuckCampaigns(t *testing.T) {
 	c := &Campaign{
 		id: "c1", jobs: jobs, created: now,
 		finished: make(chan struct{}), state: StateRunning,
-		results: make([]harness.JobResult, 2), done: make([]bool, 2),
-		queue: []int{0, 1}, weight: 1, lastProgress: now,
+		outcomes: make([]outcome, 2),
+		queue:    []int{0, 1}, weight: 1, lastProgress: now,
 	}
 	s.campaigns["c1"] = c
 	s.order = []string{"c1"}
+	s.sched.add(c)
 
-	if s.sweepStuck(now.Add(30 * time.Second)) {
+	s.sweepStuck(now.Add(30 * time.Second))
+	if c.view(now).Stuck {
 		t.Fatal("flagged stuck before StuckAfter elapsed")
 	}
-	if !s.sweepStuck(now.Add(2 * time.Minute)) {
-		t.Fatal("not flagged stuck after StuckAfter")
-	}
+	s.sweepStuck(now.Add(2 * time.Minute))
 	if !c.view(now).Stuck {
-		t.Fatal("view does not show stuck")
+		t.Fatal("not flagged stuck after StuckAfter")
 	}
 	sv, _ := s.snapshot()
 	if sv.StuckCampaigns != 1 {
@@ -322,18 +351,19 @@ func TestWatchdogFlagsStuckCampaigns(t *testing.T) {
 	c.mu.Lock()
 	c.queue = []int{1}
 	c.mu.Unlock()
-	c.record(0, harness.JobResult{Job: jobs[0], Hash: jobs[0].Hash(), Result: experiment.Result{}})
+	c.record(0, outcome{done: true, hash: jobs[0].Hash()})
 	if c.view(now).Stuck {
 		t.Fatal("stuck not cleared by progress")
 	}
-	if s.sweepStuck(time.Now()) {
+	s.sweepStuck(time.Now())
+	if c.view(now).Stuck {
 		t.Fatal("re-flagged immediately after progress")
 	}
 }
 
-// TestResultsMarshalErrorsSurfaced (satellite fix): a result the stream
-// cannot encode is counted into the campaign view instead of silently
-// truncating the stream.
+// TestResultsMarshalErrorsSurfaced: a finished result whose line the database
+// does not hold is counted into the campaign view (as marshalErrors) instead
+// of silently truncating the stream.
 func TestResultsMarshalErrorsSurfaced(t *testing.T) {
 	s := newLimitedService(t, Limits{})
 	c, err := s.Submit(SweepRequest{
@@ -345,16 +375,10 @@ func TestResultsMarshalErrorsSurfaced(t *testing.T) {
 	}
 	waitDone(t, c)
 
-	// Fail encoding for exactly the first job's hash.
-	victim := c.jobs[0].Hash()
-	orig := marshalEntry
-	marshalEntry = func(j harness.Job, hash string, r experiment.Result) ([]byte, error) {
-		if hash == victim {
-			return nil, fmt.Errorf("forced marshal failure")
-		}
-		return orig(j, hash, r)
-	}
-	defer func() { marshalEntry = orig }()
+	// Lose exactly the first job's entry from the index.
+	s.db.mu.Lock()
+	delete(s.db.entries, c.jobs[0].Hash())
+	s.db.mu.Unlock()
 
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -34,6 +34,15 @@ func (s *scheduler) add(c *Campaign) {
 	s.cond.Broadcast()
 }
 
+// active returns the campaigns that still have queued or in-flight work, in
+// submission order — what admission control and the watchdog walk instead of
+// everything the daemon has ever served.
+func (s *scheduler) active() []*Campaign {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*Campaign(nil), s.campaigns...)
+}
+
 // next blocks until a job is available (returning the campaign and the job's
 // index, with the campaign's in-flight count already incremented) or the
 // scheduler is closed (ok=false). Eligibility: the campaign has queued jobs
@@ -89,6 +98,17 @@ func (s *scheduler) pick() (*Campaign, int, bool) {
 	return best, idx, true
 }
 
+// retire drops a campaign with no work left from the rotation. Caller holds
+// s.mu.
+func (s *scheduler) retire(c *Campaign) {
+	for i, cc := range s.campaigns {
+		if cc == c {
+			s.campaigns = append(s.campaigns[:i], s.campaigns[i+1:]...)
+			return
+		}
+	}
+}
+
 // release returns a worker's slot after it records a job outcome, retiring
 // the campaign from the rotation once it has neither queued nor in-flight
 // work, and wakes workers that may now be under a freed in-flight cap.
@@ -99,12 +119,7 @@ func (s *scheduler) release(c *Campaign) {
 	drained := len(c.queue) == 0 && c.inflight == 0
 	c.mu.Unlock()
 	if drained {
-		for i, cc := range s.campaigns {
-			if cc == c {
-				s.campaigns = append(s.campaigns[:i], s.campaigns[i+1:]...)
-				break
-			}
-		}
+		s.retire(c)
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
@@ -121,12 +136,7 @@ func (s *scheduler) drain(c *Campaign) []int {
 	stillListed := c.inflight > 0
 	c.mu.Unlock()
 	if !stillListed {
-		for i, cc := range s.campaigns {
-			if cc == c {
-				s.campaigns = append(s.campaigns[:i], s.campaigns[i+1:]...)
-				break
-			}
-		}
+		s.retire(c)
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()

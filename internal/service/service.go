@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"frfc/internal/harness"
@@ -21,9 +19,10 @@ type Options struct {
 	Workers int
 	// Timeout, when nonzero, bounds each job's execution.
 	Timeout time.Duration
-	// Status, when non-nil, receives per-campaign progress, queue depth
-	// and dedup accounting for /status and /metrics, plus the in-flight
-	// job set and merged per-router counters. Observation-only.
+	// Status, when non-nil, serves per-campaign progress, queue depth and
+	// dedup accounting on /status and /metrics — computed from the service
+	// when one of them is requested — and receives the in-flight job set
+	// and merged per-router counters. Observation-only.
 	Status *status.Server
 	// OnCampaignDone, when non-nil, is called (from a worker goroutine)
 	// each time a campaign reaches a terminal state — the hook the
@@ -66,15 +65,6 @@ type Service struct {
 	nextID    int
 	closing   bool
 	rejected  map[string]int64 // submissions rejected, by reason
-
-	// Workers, the watchdog and submitters all push status, and a snapshot
-	// taken earlier must not be handed to the status server later, or the
-	// stale counters stay on /metrics for as long as the daemon then sits
-	// idle. statusSeq numbers the snapshots in the order they start; publish
-	// serialises the handover, which goes ahead only while no newer snapshot
-	// has started (see pushStatus).
-	statusSeq atomic.Int64
-	publish   sync.Mutex
 }
 
 // New starts a service over the given database and spawns its worker pool.
@@ -91,6 +81,9 @@ func New(db *DB, o Options) *Service {
 	}
 	if o.Limits.RatePerSec > 0 {
 		s.rate = newRateLimiter(o.Limits.RatePerSec, o.Limits.Burst)
+	}
+	if o.Status != nil {
+		o.Status.ServiceSource(s.snapshot)
 	}
 	for i := 0; i < o.Workers; i++ {
 		s.wg.Add(1)
@@ -191,8 +184,7 @@ func (s *Service) SubmitFrom(req SweepRequest, client string) (*Campaign, error)
 		ctx: ctx, cancel: cancel,
 		finished:     make(chan struct{}),
 		state:        StateQueued,
-		results:      make([]harness.JobResult, len(jobs)),
-		done:         make([]bool, len(jobs)),
+		outcomes:     make([]outcome, len(jobs)),
 		queue:        make([]int, len(jobs)),
 		weight:       req.Weight,
 		maxInflight:  req.MaxInFlight,
@@ -206,7 +198,6 @@ func (s *Service) SubmitFrom(req SweepRequest, client string) (*Campaign, error)
 	s.mu.Unlock()
 
 	s.sched.add(c)
-	s.pushStatus()
 	return c, nil
 }
 
@@ -221,13 +212,7 @@ func (s *Service) noteRejected(reason string) {
 // undispatched jobs. Caller holds s.admit, so no admission races this; the
 // workers only ever shrink it.
 func (s *Service) loadLocked() (active, queued int) {
-	s.mu.Lock()
-	cs := make([]*Campaign, 0, len(s.campaigns))
-	for _, c := range s.campaigns {
-		cs = append(cs, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cs {
+	for _, c := range s.sched.active() {
 		c.mu.Lock()
 		if c.state == StateQueued || c.state == StateRunning {
 			active++
@@ -261,32 +246,22 @@ func (s *Service) watchdog() {
 		case <-s.baseCtx.Done():
 			return
 		case now := <-t.C:
-			if s.sweepStuck(now) {
-				s.pushStatus()
-			}
+			s.sweepStuck(now)
 		}
 	}
 }
 
-// sweepStuck marks newly stuck campaigns, reporting whether anything changed.
-func (s *Service) sweepStuck(now time.Time) (changed bool) {
-	s.mu.Lock()
-	cs := make([]*Campaign, 0, len(s.campaigns))
-	for _, c := range s.campaigns {
-		cs = append(cs, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cs {
+// sweepStuck marks newly stuck campaigns.
+func (s *Service) sweepStuck(now time.Time) {
+	for _, c := range s.sched.active() {
 		c.mu.Lock()
 		active := c.state == StateQueued || c.state == StateRunning
 		working := c.inflight > 0 || len(c.queue) > 0
 		if active && working && !c.stuck && now.Sub(c.lastProgress) > s.opts.StuckAfter {
 			c.stuck = true
-			changed = true
 		}
 		c.mu.Unlock()
 	}
-	return changed
 }
 
 // StartDrain flips the service to not-ready: /readyz starts failing and new
@@ -297,7 +272,6 @@ func (s *Service) StartDrain() {
 	s.mu.Lock()
 	s.closing = true
 	s.mu.Unlock()
-	s.pushStatus()
 }
 
 // Ready reports whether the service is accepting submissions — the /readyz
@@ -351,14 +325,10 @@ func (s *Service) Cancel(id string) (*Campaign, bool) {
 	idxs := s.sched.drain(c)
 	completed := false
 	for _, idx := range idxs {
-		j := c.jobs[idx]
-		if c.record(idx, harness.JobResult{
-			Job: j, Hash: j.Hash(), Skipped: true, Err: "campaign cancelled",
-		}) {
+		if c.record(idx, outcome{done: true, skipped: true, err: "campaign cancelled"}) {
 			completed = true
 		}
 	}
-	s.pushStatus()
 	if completed {
 		s.campaignDone(c)
 	}
@@ -386,9 +356,10 @@ func (s *Service) worker() {
 			}
 		}
 		jr := harness.ExecOne(c.ctx, j, ho)
-		completed := c.record(idx, jr)
+		completed := c.record(idx, outcome{
+			done: true, cached: jr.Cached, hash: jr.Hash, err: jr.Err, latency: jr.Result.AvgLatency,
+		})
 		s.sched.release(c)
-		s.pushStatus()
 		if completed {
 			s.campaignDone(c)
 		}
@@ -402,27 +373,9 @@ func (s *Service) campaignDone(c *Campaign) {
 	}
 }
 
-// pushStatus feeds the status server a fresh service snapshot. Snapshots are
-// taken concurrently (each walks every campaign the daemon has served), and
-// one is published only if no newer one has started by then: the newest
-// always lands, and whatever is published next started — so read every
-// counter — after this one was handed over, which keeps /metrics monotonic.
-func (s *Service) pushStatus() {
-	st := s.opts.Status
-	if st == nil {
-		return
-	}
-	seq := s.statusSeq.Add(1)
-	view, campaigns := s.snapshot()
-	s.publish.Lock()
-	defer s.publish.Unlock()
-	if s.statusSeq.Load() == seq {
-		st.OnService(view, campaigns)
-	}
-}
-
-// snapshot assembles the service-wide view and per-campaign rows for
-// /status and /metrics.
+// snapshot assembles the service-wide view and per-campaign rows, in
+// submission order, for /status and /metrics. The status server calls it
+// when one of those is requested; nothing is computed per job completion.
 func (s *Service) snapshot() (status.ServiceView, []status.ServiceCampaign) {
 	views := s.List()
 	dbs := s.db.Stats()
@@ -466,7 +419,6 @@ func (s *Service) snapshot() (status.ServiceView, []status.ServiceCampaign) {
 			QueueDepth: v.QueueDepth, InFlight: v.InFlight, Weight: v.Weight,
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
 	return sv, rows
 }
 

@@ -24,22 +24,16 @@ func waitDone(t *testing.T, c *Campaign) {
 	}
 }
 
-// resultsBytes renders a finished campaign's result stream the way the HTTP
-// handler does: canonical store lines in job order.
-func resultsBytes(t *testing.T, c *Campaign) []byte {
+// resultsBytes fetches a campaign's result stream from the REST handler,
+// without waiting: the lines of whatever has finished, in job order.
+func resultsBytes(t *testing.T, s *Service, c *Campaign) []byte {
 	t.Helper()
-	var b bytes.Buffer
-	for _, jr := range c.Results() {
-		if jr.Hash == "" || jr.Err != "" || jr.Skipped {
-			continue
-		}
-		line, err := harness.MarshalEntry(jr.Job, jr.Hash, jr.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b.Write(append(line, '\n'))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/campaigns/"+c.ID()+"/results", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET results of %s = %d: %s", c.ID(), rec.Code, rec.Body)
 	}
-	return b.Bytes()
+	return rec.Body.Bytes()
 }
 
 // directStore runs the jobs one-shot through the harness with a single worker
@@ -134,10 +128,10 @@ func TestConcurrentCampaignsByteIdentical(t *testing.T) {
 	}
 	waitDone(t, big)
 
-	if got := resultsBytes(t, big); !bytes.Equal(got, wantBig) {
+	if got := resultsBytes(t, s, big); !bytes.Equal(got, wantBig) {
 		t.Fatalf("big campaign not byte-identical to serial run:\ngot:\n%s\nwant:\n%s", got, wantBig)
 	}
-	if got := resultsBytes(t, small); !bytes.Equal(got, wantSmall) {
+	if got := resultsBytes(t, s, small); !bytes.Equal(got, wantSmall) {
 		t.Fatalf("small campaign not byte-identical to serial run:\ngot:\n%s\nwant:\n%s", got, wantSmall)
 	}
 	if v := big.view(time.Now()); v.State != StateDone || v.Simulated != 12 || v.Failed != 0 {
@@ -165,7 +159,7 @@ func TestResubmitDedupsInstantly(t *testing.T) {
 	if v.Simulated != 0 || v.Cached != 2 {
 		t.Fatalf("resubmission executed jobs: %+v", v)
 	}
-	if !bytes.Equal(resultsBytes(t, first), resultsBytes(t, second)) {
+	if !bytes.Equal(resultsBytes(t, s, first), resultsBytes(t, s, second)) {
 		t.Fatal("dedup-served results differ from originals")
 	}
 	if st := db.Stats(); st.Hits < 2 {
@@ -249,7 +243,7 @@ func TestCancelKeepsCompletedResults(t *testing.T) {
 	if v.Cancelled == 0 {
 		t.Fatalf("no jobs recorded as cancelled: %+v", v)
 	}
-	if got := resultsBytes(t, c); v.Simulated > 0 && len(got) == 0 {
+	if got := resultsBytes(t, s, c); v.Simulated > 0 && len(got) == 0 {
 		t.Fatal("completed results discarded by cancel")
 	}
 	// Cancelling again is a no-op, not an error.
@@ -269,9 +263,11 @@ func TestCancelKeepsCompletedResults(t *testing.T) {
 }
 
 // TestHTTPResultsStream drives the REST surface end to end in-process:
-// submit over HTTP, wait via ?wait=1, and check the streamed bytes match the
-// campaign's canonical lines.
+// submit over HTTP, wait via ?wait=1, and check the streamed bytes are those
+// of a one-shot store over the same jobs.
 func TestHTTPResultsStream(t *testing.T) {
+	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 300)
+	want := directStore(t, []harness.Job{{Spec: spec, Load: 0.2}, {Spec: spec, Load: 0.3}})
 	s, _ := newTestService(t, 2)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -295,12 +291,8 @@ func TestHTTPResultsStream(t *testing.T) {
 	if _, err := got.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	c, ok := s.Get("c1")
-	if !ok {
-		t.Fatal("campaign c1 missing")
-	}
-	if want := resultsBytes(t, c); !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("HTTP stream differs from canonical lines:\ngot:\n%s\nwant:\n%s", got.String(), want)
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("HTTP stream differs from the one-shot store:\ngot:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
@@ -310,8 +302,8 @@ func TestSchedulerWeightedShares(t *testing.T) {
 	mk := func(id string, jobs, weight int) *Campaign {
 		c := &Campaign{
 			id: id, finished: make(chan struct{}), state: StateQueued,
-			results: make([]harness.JobResult, jobs), done: make([]bool, jobs),
-			queue: make([]int, jobs), weight: weight,
+			outcomes: make([]outcome, jobs),
+			queue:    make([]int, jobs), weight: weight,
 		}
 		for i := range c.queue {
 			c.queue[i] = i
@@ -364,8 +356,8 @@ func TestSchedulerWeightedShares(t *testing.T) {
 func TestSchedulerInFlightCap(t *testing.T) {
 	c := &Campaign{
 		id: "capped", finished: make(chan struct{}), state: StateQueued,
-		results: make([]harness.JobResult, 4), done: make([]bool, 4),
-		queue: []int{0, 1, 2, 3}, weight: 1, maxInflight: 2,
+		outcomes: make([]outcome, 4),
+		queue:    []int{0, 1, 2, 3}, weight: 1, maxInflight: 2,
 	}
 	sched := newScheduler()
 	sched.add(c)
@@ -437,18 +429,21 @@ func TestWaterfallCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, c)
-	for _, jr := range c.Results() {
-		r := jr.Result
+	for _, j := range c.jobs {
+		r, ok := db.Get(j.Hash())
+		if !ok {
+			t.Fatalf("job %v finished but is not in the database", j.Load)
+		}
 		if r.WaterfallPackets == 0 || r.WaterfallTotal == 0 {
-			t.Fatalf("job %v undecomposed: %+v", jr.Job.Load, r)
+			t.Fatalf("job %v undecomposed: %+v", j.Load, r)
 		}
 		sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
 			r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
 		if sum != r.WaterfallTotal {
-			t.Fatalf("job %v stage sum %d != total %d", jr.Job.Load, sum, r.WaterfallTotal)
+			t.Fatalf("job %v stage sum %d != total %d", j.Load, sum, r.WaterfallTotal)
 		}
 	}
-	if got := resultsBytes(t, c); !bytes.Equal(got, want) {
+	if got := resultsBytes(t, s, c); !bytes.Equal(got, want) {
 		t.Fatalf("waterfall campaign not byte-identical to one-shot run:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 

@@ -184,9 +184,7 @@ func (r SweepRequest) jobs() ([]harness.Job, error) {
 		if r.Check {
 			spec.Check = true
 		}
-		for _, l := range r.Loads {
-			jobs = append(jobs, harness.Job{Spec: spec, Load: l})
-		}
+		jobs = harness.AppendJobs(jobs, spec, r.Loads)
 	}
 	return jobs, nil
 }

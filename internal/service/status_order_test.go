@@ -4,8 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -15,13 +18,12 @@ import (
 	"frfc/internal/status"
 )
 
-// TestPushStatusPublishesTheLatestSnapshot: status pushes race each other
-// from every worker, and the one that lands last must carry the counters of
-// the database as it then stands — otherwise /metrics trails the store for as
-// long as the daemon stays idle. Each goroutine pushes after every store
-// operation, so once all have returned the published dedup ledger has to
-// equal the database's.
-func TestPushStatusPublishesTheLatestSnapshot(t *testing.T) {
+// TestStatusReadsTheLatestLedger: /status is computed from the service when
+// it is requested, so while goroutines hammer the store a watcher never sees
+// the dedup ledger go backwards, and once they have all returned what is
+// published equals the database's counters — nothing trails the store while
+// the daemon then sits idle.
+func TestStatusReadsTheLatestLedger(t *testing.T) {
 	st, err := status.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +56,7 @@ func TestPushStatusPublishesTheLatestSnapshot(t *testing.T) {
 		return snap.Service
 	}
 	// The ledger only grows, so what is published may never go backwards
-	// either; a watcher polls for a stale snapshot overtaking a fresh one.
+	// either; a watcher polls for an older reading served after a newer one.
 	stop := make(chan struct{})
 	watched := make(chan struct{})
 	go func() {
@@ -72,7 +74,7 @@ func TestPushStatusPublishesTheLatestSnapshot(t *testing.T) {
 			}
 			n := v.DedupHits + v.DedupMisses
 			if n < last {
-				t.Errorf("published ledger went backwards, %d lookups after %d: a stale snapshot landed last", n, last)
+				t.Errorf("published ledger went backwards, %d lookups after %d", n, last)
 				return
 			}
 			last = n
@@ -80,22 +82,20 @@ func TestPushStatusPublishesTheLatestSnapshot(t *testing.T) {
 	}()
 
 	job := harness.Job{Spec: experiment.FR6(experiment.FastControl, 5), Load: 0.1}
-	const pushers, rounds = 8, 100
+	const writers, rounds = 8, 100
 	var wg sync.WaitGroup
-	for g := 0; g < pushers; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				hash := fmt.Sprintf("g%d-%d", g, i)
 				db.Get(hash) // a miss
-				s.pushStatus()
 				if err := db.Put(job, hash, experiment.Result{Spec: "FR6"}); err != nil {
 					t.Error(err)
 					return
 				}
 				db.Get(hash) // a hit
-				s.pushStatus()
 			}
 		}(g)
 	}
@@ -108,11 +108,86 @@ func TestPushStatusPublishesTheLatestSnapshot(t *testing.T) {
 		t.Fatal("/status carries no service view")
 	}
 	want := db.Stats()
-	if want.Hits != pushers*rounds || want.Misses != pushers*rounds {
-		t.Fatalf("database ledger %d hits / %d misses, want %d of each", want.Hits, want.Misses, pushers*rounds)
+	if want.Hits != writers*rounds || want.Misses != writers*rounds {
+		t.Fatalf("database ledger %d hits / %d misses, want %d of each", want.Hits, want.Misses, writers*rounds)
 	}
 	if got.DedupHits != want.Hits || got.DedupMisses != want.Misses || got.DBEntries != want.Entries {
-		t.Fatalf("published %d hits / %d misses / %d entries, database has %d / %d / %d: a stale snapshot landed last",
+		t.Fatalf("published %d hits / %d misses / %d entries, database has %d / %d / %d",
 			got.DedupHits, got.DedupMisses, got.DBEntries, want.Hits, want.Misses, want.Entries)
+	}
+}
+
+// TestStatusRowsInSubmissionOrder: /status, the frfc_campaign_* series of
+// /metrics and GET /campaigns list campaigns in the order they were
+// submitted — c2 before c10 — not by ID as a string.
+func TestStatusRowsInSubmissionOrder(t *testing.T) {
+	st, err := status.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db, err := OpenDB(filepath.Join(t.TempDir(), "db"), DBOptions{Fsync: FsyncPolicy{Mode: FsyncOff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := New(db, Options{Workers: 1, Status: st})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Close(ctx) //nolint:errcheck // best-effort teardown
+	}()
+	s.Mount(st)
+
+	var want []string
+	for i := 0; i < 11; i++ {
+		c, err := s.Submit(SweepRequest{Configs: []string{"FR6"}, Loads: []float64{0.2}, Sample: 150, Warmup: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, c)
+		want = append(want, c.ID())
+	}
+	if want[1] != "c2" || want[10] != "c11" {
+		t.Fatalf("campaign IDs = %v, want c1..c11", want)
+	}
+	fetch := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + st.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	var snap status.Snapshot
+	if err := json.Unmarshal(fetch("/status"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, c := range snap.Campaigns {
+		rows = append(rows, c.ID)
+	}
+	var listed []CampaignView
+	if err := json.Unmarshal(fetch("/campaigns"), &listed); err != nil {
+		t.Fatal(err)
+	}
+	var list []string
+	for _, v := range listed {
+		list = append(list, v.ID)
+	}
+	var series []string
+	for _, m := range regexp.MustCompile(`frfc_campaign_jobs\{campaign="(c\d+)"`).FindAllSubmatch(fetch("/metrics"), -1) {
+		series = append(series, string(m[1]))
+	}
+	for name, got := range map[string][]string{"/status": rows, "GET /campaigns": list, "/metrics": series} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s lists %v, want submission order %v", name, got, want)
+		}
 	}
 }

@@ -8,7 +8,9 @@
 // experiment.Instruments (OnLive). Every feed method and every request
 // handler synchronizes on one mutex and touches only the server's own copies
 // of the data, so serving never perturbs the simulation: the bit-identical
-// result contract holds with the server enabled.
+// result contract holds with the server enabled. The campaign-service view is
+// the one thing not fed: the daemon registers a function (ServiceSource) and
+// the handlers call it when a request arrives.
 package status
 
 import (
@@ -139,7 +141,7 @@ type Snapshot struct {
 	// published (single run).
 	Waterfall *waterfall.View `json:"waterfall,omitempty"`
 	// Service and Campaigns carry the campaign-service view when a
-	// daemon (frserve) feeds the server via OnService.
+	// daemon (frserve) has registered a ServiceSource.
 	Service   *ServiceView      `json:"service,omitempty"`
 	Campaigns []ServiceCampaign `json:"serviceCampaigns,omitempty"`
 }
@@ -165,8 +167,9 @@ type Server struct {
 	wfTotal   int64
 	wfTotals  [waterfall.NumStages]int64
 	wfLive    *waterfall.View
-	service   *ServiceView
-	campaigns []ServiceCampaign
+	// service, when set, computes the campaign-service view; it is called
+	// per request, outside mu.
+	service func() (ServiceView, []ServiceCampaign)
 }
 
 // ServerOptions tunes the HTTP server's protective timeouts. Zero fields
@@ -282,8 +285,12 @@ func (s *Server) OnJobStarted(j harness.Job) {
 }
 
 // OnJobFinished retires a job from the in-flight set; plug into
-// Options.JobFinished.
+// Options.JobFinished. A cached job never started, so it has nothing to
+// retire.
 func (s *Server) OnJobFinished(jr harness.JobResult) {
+	if jr.Cached {
+		return
+	}
 	k := jobKey(jr.Job)
 	s.mu.Lock()
 	delete(s.running, k)
@@ -339,15 +346,26 @@ func (s *Server) OnCollectWaterfall(_ harness.Job, l *waterfall.Ledger) {
 	s.mu.Unlock()
 }
 
-// OnService replaces the campaign-service view; the service pushes a fresh
-// snapshot after every job completion and lifecycle change. The rows are
-// handed over (not shared), so the server needs no further synchronization
-// with the scheduler.
-func (s *Server) OnService(v ServiceView, campaigns []ServiceCampaign) {
+// ServiceSource registers the function that computes the campaign-service
+// view. The server calls it once per /status or /metrics request and keeps no
+// copy, so what it serves is never older than the service's own state; the
+// function must be safe to call from any goroutine.
+func (s *Server) ServiceSource(src func() (ServiceView, []ServiceCampaign)) {
 	s.mu.Lock()
-	s.service = &v
-	s.campaigns = campaigns
+	s.service = src
 	s.mu.Unlock()
+}
+
+// serviceView asks the registered source, if any, for the current view.
+func (s *Server) serviceView() (*ServiceView, []ServiceCampaign) {
+	s.mu.Lock()
+	src := s.service
+	s.mu.Unlock()
+	if src == nil {
+		return nil, nil
+	}
+	v, campaigns := src()
+	return &v, campaigns
 }
 
 // OnLive replaces the single-run view and registry snapshot; plug into
@@ -376,8 +394,9 @@ func (s *Server) OnLive(lv experiment.Live) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
 	snap := Snapshot{UptimeSeconds: time.Since(s.start).Seconds()}
+	snap.Service, snap.Campaigns = s.serviceView()
+	s.mu.Lock()
 	if s.campaign != nil {
 		c := *s.campaign
 		snap.Campaign = &c
@@ -404,11 +423,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	}
 	if wv, ok := s.waterfallViewLocked(); ok {
 		snap.Waterfall = &wv
-	}
-	if s.service != nil {
-		sv := *s.service
-		snap.Service = &sv
-		snap.Campaigns = append([]ServiceCampaign(nil), s.campaigns...)
 	}
 	now := time.Now()
 	for k, started := range s.running {
@@ -441,14 +455,15 @@ func less(a, b JobView) bool {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	service, campaigns := s.serviceView()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// With no registry yet the exposition is just frfc_up — still valid
 	// scrape output.
 	fmt.Fprintf(w, "# HELP frfc_up Status server is running.\n# TYPE frfc_up gauge\nfrfc_up 1\n")
-	if s.service != nil {
-		writeServiceMetrics(w, s.service, s.campaigns)
+	if service != nil {
+		writeServiceMetrics(w, service, campaigns)
 	}
 	if s.reg != nil {
 		s.reg.WritePrometheus(w) //nolint:errcheck // client gone is not our problem

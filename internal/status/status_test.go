@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,9 +337,10 @@ func TestConcurrentFeedsAndScrapes(t *testing.T) {
 	}
 }
 
-// TestServiceViewAndMetrics: the campaign-service feed appears in /status
+// TestServiceViewAndMetrics: the campaign-service view appears in /status
 // under "service"/"serviceCampaigns" and in /metrics as the frfc_service_*
-// and frfc_campaign_* gauges, with label values escaped.
+// and frfc_campaign_* gauges, with label values escaped — absent until a
+// source is registered, then computed by the source on every request.
 func TestServiceViewAndMetrics(t *testing.T) {
 	s, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -346,16 +348,22 @@ func TestServiceViewAndMetrics(t *testing.T) {
 	}
 	defer s.Close()
 
-	s.OnService(ServiceView{
-		Workers: 4, Campaigns: 2, Active: 1, QueueDepth: 7, InFlight: 2,
-		DedupHits: 5, DedupMisses: 9, DBEntries: 9, DBSegments: 2, DBHealed: 1,
-		DBQuarantined: 3, StoreErrors: 2, Rejected: 11,
-		RejectedBy:     map[string]int64{"rate": 6, "jobs": 5},
-		StuckCampaigns: 1, Ready: false,
-	}, []ServiceCampaign{
-		{ID: "c1", Name: `probe "q\` + "\n", State: "running", Jobs: 10, Done: 3,
-			Simulated: 2, Cached: 1, QueueDepth: 7, InFlight: 2, Weight: 3},
-		{ID: "c2", Name: "done-one", State: "done", Jobs: 4, Done: 4, Simulated: 4},
+	if _, body := get(t, "http://"+s.Addr()+"/status"); strings.Contains(body, `"service"`) {
+		t.Fatalf("service view served with no source registered: %s", body)
+	}
+	var reads atomic.Int64
+	s.ServiceSource(func() (ServiceView, []ServiceCampaign) {
+		return ServiceView{
+				Workers: 4, Campaigns: 2, Active: 1, QueueDepth: 7, InFlight: 2,
+				DedupHits: 4 + reads.Add(1), DedupMisses: 9, DBEntries: 9, DBSegments: 2, DBHealed: 1,
+				DBQuarantined: 3, StoreErrors: 2, Rejected: 11,
+				RejectedBy:     map[string]int64{"rate": 6, "jobs": 5},
+				StuckCampaigns: 1, Ready: false,
+			}, []ServiceCampaign{
+				{ID: "c1", Name: `probe "q\` + "\n", State: "running", Jobs: 10, Done: 3,
+					Simulated: 2, Cached: 1, QueueDepth: 7, InFlight: 2, Weight: 3},
+				{ID: "c2", Name: "done-one", State: "done", Jobs: 4, Done: 4, Simulated: 4},
+			}
 	})
 
 	_, body := get(t, "http://"+s.Addr()+"/status")
@@ -390,7 +398,7 @@ func TestServiceViewAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"frfc_service_workers 4",
 		"frfc_service_queue_depth 7",
-		"frfc_service_dedup_hits_total 5",
+		"frfc_service_dedup_hits_total 6", // the second read, not a kept copy of the first
 		"frfc_service_dedup_misses_total 9",
 		"frfc_service_db_entries 9",
 		"frfc_service_rejected_total 11",

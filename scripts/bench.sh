@@ -13,11 +13,14 @@
 #   scripts/bench.sh             run every benchmark (paper-scale; slow)
 #   scripts/bench.sh -short      analytic + reduced-scale subset (CI smoke)
 #   scripts/bench.sh -baseline   promote the latest run to the baseline
-#   scripts/bench.sh -ladder     the in-package rungs of the FR hot path
+#   scripts/bench.sh -ladder     the in-package rungs: the FR hot path
 #                                (internal/core: OutResTableFindCommitCredit,
 #                                RouterTickDormant/Idle/Loaded,
 #                                NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8),
-#                                five runs each; prints only, records nothing
+#                                then the daemon's warm path (internal/harness
+#                                JobHash bare/shared, internal/service
+#                                WarmCampaign), five runs each; prints only,
+#                                records nothing
 #   scripts/bench.sh -profile    also collect pprof profiles into benchmarks/
 #                                (cpu.pprof, mem.pprof; inspect with
 #                                `go tool pprof benchmarks/cpu.pprof`)
@@ -41,7 +44,8 @@ if [ "${1:-}" = "-baseline" ]; then
 fi
 
 if [ "${1:-}" = "-ladder" ]; then
-    exec go test ./internal/core -run '^$' -bench . -benchmem -count 5
+    go test ./internal/core -run '^$' -bench . -benchmem -count 5
+    exec go test ./internal/harness ./internal/service -run '^$' -bench 'JobHash|WarmCampaign' -benchmem -count 5
 fi
 
 pattern='.'
