@@ -11,12 +11,18 @@ package sim
 // the simulation is single-threaded by design.
 type Pipe[T any] struct {
 	latency Cycle
-	width   int
 
-	q []pipeEntry[T]
+	// The items in flight, oldest first, in a ring: n cells starting at head,
+	// wrapping by mask (cell). len(ring) is a power of two — nothing until
+	// the first Send, then 2 cells, doubled whenever a Send finds it full —
+	// so a wire that never holds more than two items never pays for more,
+	// and a dequeue moves no other item. The counters are 32-bit to keep the
+	// struct, of which a mesh holds thousands, the size it had as a slice.
+	ring    []pipeEntry[T]
+	head, n uint32
 
-	lastSendCycle Cycle
-	sentThisCycle int
+	width, sentThisCycle int32
+	lastSendCycle        Cycle
 
 	// Fault-injection state (NewFaultyPipe). Each item sent is corrupted
 	// in flight with probability faultRate; the receiver detects the
@@ -64,7 +70,7 @@ func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	return &Pipe[T]{latency: latency, width: width, lastSendCycle: Never}
+	return &Pipe[T]{latency: latency, width: int32(width), lastSendCycle: Never}
 }
 
 // NewFaultyPipe returns a pipe that corrupts each item in flight with the
@@ -136,7 +142,12 @@ func (p *Pipe[T]) Corrupted() int64 { return p.corrupted }
 func (p *Pipe[T]) Latency() Cycle { return p.latency }
 
 // Width reports the pipe's bandwidth in items per cycle.
-func (p *Pipe[T]) Width() int { return p.width }
+func (p *Pipe[T]) Width() int { return int(p.width) }
+
+// cell is the ring cell i places behind the oldest item in flight.
+func (p *Pipe[T]) cell(i uint32) *pipeEntry[T] {
+	return &p.ring[(p.head+i)&uint32(len(p.ring)-1)]
+}
 
 // CanSend reports whether another item may be sent during cycle now without
 // exceeding the pipe's bandwidth.
@@ -184,10 +195,25 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 	// Go-back-N: an item sent behind a retransmitting predecessor is held in
 	// the sender's retransmit buffer and replayed after it, so delivery stays
 	// FIFO.
-	if n := len(p.q); n > 0 && p.q[n-1].readyAt > readyAt {
-		readyAt = p.q[n-1].readyAt
+	if p.n > 0 {
+		if last := p.cell(p.n - 1).readyAt; last > readyAt {
+			readyAt = last
+		}
 	}
-	p.q = append(p.q, pipeEntry[T]{readyAt: readyAt, item: item})
+	if int(p.n) == len(p.ring) {
+		p.grow()
+	}
+	*p.cell(p.n) = pipeEntry[T]{readyAt: readyAt, item: item}
+	p.n++
+}
+
+// grow doubles the ring (from nothing to 2 cells), unwrapping the items in
+// flight to the front of the new one.
+func (p *Pipe[T]) grow() {
+	ring := make([]pipeEntry[T], max(2, 2*len(p.ring)))
+	k := copy(ring, p.ring[p.head:])
+	copy(ring[k:], p.ring[:p.head])
+	p.ring, p.head = ring, 0
 }
 
 // TrySend sends item if bandwidth allows and reports whether it did.
@@ -201,17 +227,18 @@ func (p *Pipe[T]) TrySend(now Cycle, item T) bool {
 
 // Recv pops the oldest item whose delivery time has arrived (readyAt <= now).
 // The second result is false when nothing is ready.
-func (p *Pipe[T]) Recv(now Cycle) (T, bool) {
-	var zero T
-	if len(p.q) == 0 || p.q[0].readyAt > now {
-		return zero, false
+func (p *Pipe[T]) Recv(now Cycle) (item T, ok bool) {
+	if p.n == 0 {
+		return item, false
 	}
-	item := p.q[0].item
-	// Shift rather than reslice so the backing array does not grow without
-	// bound over long simulations.
-	copy(p.q, p.q[1:])
-	p.q[len(p.q)-1] = pipeEntry[T]{}
-	p.q = p.q[:len(p.q)-1]
+	e := &p.ring[p.head]
+	if e.readyAt > now {
+		return item, false
+	}
+	item = e.item
+	*e = pipeEntry[T]{} // drop the cell's references
+	p.head = (p.head + 1) & uint32(len(p.ring)-1)
+	p.n--
 	return item, true
 }
 
@@ -231,16 +258,16 @@ func (p *Pipe[T]) RecvEach(now Cycle, fn func(T)) int {
 }
 
 // Len reports how many items are in flight (sent but not yet received).
-func (p *Pipe[T]) Len() int { return len(p.q) }
+func (p *Pipe[T]) Len() int { return int(p.n) }
 
 // Empty reports whether nothing is in flight.
-func (p *Pipe[T]) Empty() bool { return len(p.q) == 0 }
+func (p *Pipe[T]) Empty() bool { return p.n == 0 }
 
 // Each visits every in-flight item in FIFO order without consuming it; it
 // exists for invariant checkers that audit conservation across a link.
 func (p *Pipe[T]) Each(fn func(T)) {
-	for i := range p.q {
-		fn(p.q[i].item)
+	for i := uint32(0); i < p.n; i++ {
+		fn(p.cell(i).item)
 	}
 }
 
@@ -254,13 +281,14 @@ func (p *Pipe[T]) Sever(onDrop func(T)) {
 		return
 	}
 	p.severed = true
-	for i := range p.q {
+	for i := uint32(0); i < p.n; i++ {
+		e := p.cell(i)
 		if onDrop != nil {
-			onDrop(p.q[i].item)
+			onDrop(e.item)
 		}
-		p.q[i] = pipeEntry[T]{}
+		*e = pipeEntry[T]{}
 	}
-	p.q = p.q[:0]
+	p.head, p.n = 0, 0
 }
 
 // Restore repairs a severed wire; the pipe resumes carrying items. Items

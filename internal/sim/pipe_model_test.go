@@ -1,0 +1,185 @@
+package sim
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
+
+// slicePipe is the pipe as it was before it became a ring: a slice shifted
+// down on every dequeue. It is the reference the ring is held to; it skips
+// the bandwidth and clock checks because the script below never trips them.
+type slicePipe struct {
+	latency              Cycle
+	q                    []pipeEntry[int]
+	faultRate, ber       float64
+	rng, berRNG          *RNG
+	severed              bool
+	onDrop               func(int)
+	retransmits, corrupt int64
+}
+
+func (p *slicePipe) Send(now Cycle, item int) {
+	if p.severed {
+		if p.onDrop != nil {
+			p.onDrop(item)
+		}
+		return
+	}
+	if p.ber > 0 && p.berRNG.Bool(p.ber) {
+		item, p.corrupt = -item, p.corrupt+1
+	}
+	readyAt := now + p.latency
+	for p.faultRate > 0 && p.rng.Bool(p.faultRate) {
+		readyAt, p.retransmits = readyAt+2*p.latency, p.retransmits+1
+	}
+	if n := len(p.q); n > 0 && p.q[n-1].readyAt > readyAt {
+		readyAt = p.q[n-1].readyAt
+	}
+	p.q = append(p.q, pipeEntry[int]{readyAt, item})
+}
+
+func (p *slicePipe) Recv(now Cycle) (int, bool) {
+	if len(p.q) == 0 || p.q[0].readyAt > now {
+		return 0, false
+	}
+	item := p.q[0].item
+	p.q = p.q[:copy(p.q, p.q[1:])]
+	return item, true
+}
+
+func (p *slicePipe) Sever(onDrop func(int)) {
+	p.onDrop = onDrop
+	if !p.severed {
+		p.severed = true
+		for _, e := range p.q {
+			if onDrop != nil {
+				onDrop(e.item)
+			}
+		}
+		p.q = nil
+	}
+}
+
+// TestRingPipeMatchesSliceModel drives the ring pipe and the slice reference
+// with one random script of sends, receives (single and RecvEach), Each
+// walks, severs and restores — widths 1–4, latencies 1–8, clean, faulty and
+// bit-error wires, with receiver stalls long enough that the ring wraps and
+// doubles at least twice — and requires the same items in the same order at
+// the same cycles, and the same Len, Retransmits, Corrupted and drops.
+func TestRingPipeMatchesSliceModel(t *testing.T) {
+	for trial := 0; trial < 96; trial++ {
+		script := NewRNG(uint64(1000 + trial))
+		width, latency := 1+trial%4, Cycle(1+trial/4%8)
+		faulty, bitErrors := trial%3 == 1, trial%3 == 2
+		t.Run(fmt.Sprintf("w%d-l%d-faulty=%v-ber=%v", width, latency, faulty, bitErrors), func(t *testing.T) {
+			ring := NewPipe[int](latency, width)
+			ref := &slicePipe{latency: latency}
+			if faulty {
+				ring = NewFaultyPipe[int](latency, width, 0.15, NewRNG(7), nil)
+				ref.faultRate, ref.rng = 0.15, NewRNG(7)
+			}
+			if bitErrors {
+				ring.WithBitErrors(0.2, NewRNG(9), func(v int) int { return -v })
+				ref.ber, ref.berRNG = 0.2, NewRNG(9)
+			}
+			var ringDrops, refDrops []int
+			same := func(what string, now Cycle, got, want []int) {
+				t.Helper()
+				if !slices.Equal(got, want) {
+					t.Fatalf("cycle %d %s: ring %v, slice model %v", now, what, got, want)
+				}
+			}
+			next, wrapped, widest := 1, false, 0
+			stalledUntil := Cycle(0)
+			for now := Cycle(0); now < 1500; now++ {
+				if script.Intn(30) == 0 { // the receiver stalls: a burst piles up
+					stalledUntil = now + Cycle(8+script.Intn(40))
+				}
+				if script.Intn(90) == 0 {
+					if ring.Severed() {
+						ring.Restore()
+						ref.severed, ref.onDrop = false, nil
+					} else {
+						ring.Sever(func(v int) { ringDrops = append(ringDrops, v) })
+						ref.Sever(func(v int) { refDrops = append(refDrops, v) })
+					}
+				}
+				for s := script.Intn(width + 1); s > 0; s-- {
+					ring.Send(now, next)
+					ref.Send(now, next)
+					next++
+				}
+				wrapped = wrapped || int(ring.head+ring.n) > len(ring.ring)
+				widest = max(widest, len(ring.ring))
+
+				var got, want []int
+				ring.Each(func(v int) { got = append(got, v) })
+				for _, e := range ref.q {
+					want = append(want, e.item)
+				}
+				same("in flight", now, got, want)
+
+				got, want = got[:0], want[:0]
+				if now >= stalledUntil {
+					if script.Intn(2) == 0 {
+						ring.RecvEach(now, func(v int) { got = append(got, v) })
+					} else if v, ok := ring.Recv(now); ok {
+						got = append(got, v)
+					}
+					for v, ok := ref.Recv(now); ok; v, ok = ref.Recv(now) {
+						want = append(want, v)
+						if len(want) == len(got) {
+							break
+						}
+					}
+				}
+				same("received", now, got, want)
+				same("dropped", now, ringDrops, refDrops)
+				if ring.Len() != len(ref.q) || ring.Empty() != (len(ref.q) == 0) {
+					t.Fatalf("cycle %d: Len %d Empty %v, slice model holds %d", now, ring.Len(), ring.Empty(), len(ref.q))
+				}
+				if ring.Retransmits() != ref.retransmits || ring.Corrupted() != ref.corrupt {
+					t.Fatalf("cycle %d: retransmits %d corrupted %d, slice model %d and %d",
+						now, ring.Retransmits(), ring.Corrupted(), ref.retransmits, ref.corrupt)
+				}
+			}
+			if !wrapped || widest < 8 {
+				t.Fatalf("script too gentle: wrapped=%v, ring reached %d cells (want a wrap and two doublings)", wrapped, widest)
+			}
+		})
+	}
+}
+
+// TestPipeGrowsFromTwoCells: a wire that never holds more than two items
+// never has more than two cells, and an idle one has none.
+func TestPipeGrowsFromTwoCells(t *testing.T) {
+	p := NewPipe[int](1, 1)
+	if p.ring != nil {
+		t.Fatal("a pipe that has carried nothing owns a ring")
+	}
+	for now := Cycle(0); now < 100; now++ {
+		p.Send(now, int(now))
+		p.Recv(now)
+	}
+	if len(p.ring) != 2 {
+		t.Fatalf("latency-1 width-1 wire grew to %d cells, want 2", len(p.ring))
+	}
+}
+
+// BenchmarkPipeSendRecv is the wire's rung of the ladder: one send and one
+// receive a cycle on a latency-4 link, the steady state of a busy data wire.
+func BenchmarkPipeSendRecv(b *testing.B) {
+	type flit struct {
+		pkt      *int
+		seq, typ int
+		vc       int
+		bad      bool
+	}
+	p := NewPipe[flit](4, 1)
+	b.ReportAllocs()
+	for now := Cycle(0); now < Cycle(b.N); now++ {
+		p.Send(now, flit{seq: int(now)})
+		p.Recv(now)
+	}
+}

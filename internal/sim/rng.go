@@ -40,6 +40,19 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
+// Discard advances the stream past its next n draws without computing their
+// values. A component whose draws would be dead this cycle uses it to skip
+// the computing and still leave the stream where making them would have.
+func (r *RNG) Discard(n int) {
+	x := r.state
+	for ; n > 0; n-- {
+		x ^= x >> 12
+		x ^= x << 25
+		x ^= x >> 27
+	}
+	r.state = x
+}
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

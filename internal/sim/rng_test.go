@@ -131,3 +131,27 @@ func TestSplitIndependence(t *testing.T) {
 		t.Fatalf("split streams produced %d/100 identical draws", same)
 	}
 }
+
+// TestDiscardEqualsDrawing: skipping over n draws leaves the stream exactly
+// where making them would — for the draws Perm makes in particular, which is
+// what lets a router not compute a permutation nobody will read.
+func TestDiscardEqualsDrawing(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		drawn, skipped := NewRNG(21), NewRNG(21)
+		for i := 0; i < n; i++ {
+			drawn.Uint64()
+		}
+		skipped.Discard(n)
+		if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+			t.Fatalf("after %d draws the stream reads %x, after Discard(%d) %x", n, a, n, b)
+		}
+	}
+	for size := 1; size <= 7; size++ {
+		permuted, skipped := NewRNG(5), NewRNG(5)
+		permuted.Perm(make([]int, size))
+		skipped.Discard(size - 1)
+		if a, b := permuted.Uint64(), skipped.Uint64(); a != b {
+			t.Fatalf("Perm of %d does not make %d draws", size, size-1)
+		}
+	}
+}

@@ -1,0 +1,133 @@
+package vcrouter
+
+import (
+	"fmt"
+	"testing"
+
+	"frfc/internal/noc"
+	"frfc/internal/sim"
+	"frfc/internal/topology"
+)
+
+// audit recomputes everything the data path maintains incrementally instead
+// of scanning — the occupancy and allocation words from the channels they
+// summarise, every in-flight count from the Len of the pipe it shadows, the
+// interfaces' active-slot counts from their slots — and reports the first
+// difference. It stands in for a Config.Check the package does not have yet.
+func (n *Network) audit() error {
+	for id, r := range n.routers {
+		occ, alloc := make([]uint64, len(r.occ)), make([]uint64, len(r.alloc))
+		for p := range r.in {
+			in, o := &r.in[p], &r.out[p]
+			buffered := 0
+			for v := range in.vcs {
+				vc := &in.vcs[v]
+				w, bit := r.chanBit(topology.Port(p), v)
+				if vc.n > 0 {
+					occ[w] |= bit
+				}
+				if vc.allocated {
+					alloc[w] |= bit
+				}
+				if vc.n < 0 || int(vc.n) > len(vc.q) || (vc.q != nil && int(vc.head) >= len(vc.q)) {
+					return fmt.Errorf("router %d in %s vc %d: ring head %d n %d of %d", id, topology.Port(p), v, vc.head, vc.n, len(vc.q))
+				}
+				buffered += int(vc.n)
+			}
+			if buffered != in.poolUsed {
+				return fmt.Errorf("router %d in %s: channels hold %d flits, poolUsed says %d", id, topology.Port(p), buffered, in.poolUsed)
+			}
+			flits, credits := 0, 0
+			if in.data != nil {
+				flits = in.data.Len()
+			}
+			if o.creditIn != nil {
+				credits = o.creditIn.Len()
+			}
+			if int(r.flitsIn[p]) != flits || int(r.creditsIn[p]) != credits {
+				return fmt.Errorf("router %d port %s: counts say %d flits and %d credits in flight, the wires hold %d and %d",
+					id, topology.Port(p), r.flitsIn[p], r.creditsIn[p], flits, credits)
+			}
+		}
+		for w := range occ {
+			if occ[w] != r.occ[w] || alloc[w] != r.alloc[w] {
+				return fmt.Errorf("router %d word %d: occ %b alloc %b, the channels say %b and %b", id, w, r.occ[w], r.alloc[w], occ[w], alloc[w])
+			}
+		}
+		ni, sink := n.nis[id], n.sinks[id]
+		active := 0
+		for s := range ni.slots {
+			if ni.slots[s].active {
+				active++
+			}
+		}
+		if ni.active != active || int(ni.creditsIn) != ni.creditIn.Len() {
+			return fmt.Errorf("NI %d: active %d creditsIn %d, slots say %d and the wire holds %d", id, ni.active, ni.creditsIn, active, ni.creditIn.Len())
+		}
+		if ni.qhead < 0 || ni.qhead > len(ni.queue) || (ni.qhead > 0 && ni.qhead == len(ni.queue)) {
+			return fmt.Errorf("NI %d: queue head %d of %d", id, ni.qhead, len(ni.queue))
+		}
+		if int(sink.flitsIn) != sink.data.Len() {
+			return fmt.Errorf("sink %d: flitsIn %d, the wire holds %d", id, sink.flitsIn, sink.data.Len())
+		}
+	}
+	return nil
+}
+
+// TestAuditWalk checks the masks and counts after every cycle of a loaded
+// run, through warm-up, saturation-level bursts and the drain, for each way
+// the package is used: VC8, pooled channels with interleaved sources,
+// wormhole (one deep channel), and more channels than one mask word holds.
+// It runs under the race detector too; nothing in it counts allocations.
+func TestAuditWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		radix int
+		cfg   Config
+		rate  float64
+	}{
+		{"vc8", 4, vc8(), 0.07},
+		{"vc16-pooled-interleaved", 4, Config{NumVCs: 4, BufPerVC: 4, SharedPool: true, SourceInterleave: true}, 0.07},
+		{"wormhole", 4, Config{NumVCs: 1, BufPerVC: 8}, 0.04},
+		{"vc70-two-words", 3, Config{NumVCs: 70, BufPerVC: 1, SourceInterleave: true, LinkLatency: 1}, 0.12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mesh := topology.NewMesh(tc.radix)
+			net := New(mesh, tc.cfg, 3, &noc.Hooks{})
+			src := &uniformSource{rng: sim.NewRNG(17), mesh: mesh, rate: tc.rate}
+			now, offered := sim.Cycle(0), 0
+			for ; now < 2500; now++ {
+				offered += src.offer(net, now)
+				net.Tick(now)
+				if err := net.audit(); err != nil {
+					t.Fatalf("cycle %d: %v", now, err)
+				}
+			}
+			for end := now + 20000; net.InFlightPackets() > 0; now++ {
+				if now == end {
+					t.Fatalf("%d of %d packets still in flight 20000 cycles after the sources stopped:\n%s", net.InFlightPackets(), offered, net.DumpState())
+				}
+				net.Tick(now)
+				if err := net.audit(); err != nil {
+					t.Fatalf("cycle %d (draining): %v", now, err)
+				}
+			}
+			if offered < 500 {
+				t.Fatalf("only %d packets offered; the walk saw little", offered)
+			}
+			if tc.cfg.NumVCs > 64 {
+				high := false
+				for _, r := range net.routers {
+					for p := range r.in {
+						for v := 64; v < len(r.in[p].vcs); v++ {
+							high = high || r.in[p].vcs[v].q != nil
+						}
+					}
+				}
+				if !high {
+					t.Fatal("no channel above 63 ever held a flit; the second mask word went unexercised")
+				}
+			}
+		})
+	}
+}

@@ -93,10 +93,10 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split(), n.hooks)
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, root.Split(), n.hooks)
 	}
 	for id := 0; id < mesh.N(); id++ {
-		n.nis[id] = newNI(topology.NodeID(id), cfg, root.Split(), n.hooks)
+		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, root.Split(), n.hooks)
 		n.sinks[id] = newSink(topology.NodeID(id), n.hooks)
 	}
 	n.wire()
@@ -144,23 +144,24 @@ func (n *Network) wire() {
 				data.WithBitErrors(cfg.BER, n.linkRNG, n.corruptFlit)
 			}
 			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
-			r.out[p].data = data
-			r.out[p].creditIn = credit
 			far := n.routers[nb]
 			farIn := &far.in[p.Opposite()]
+			r.out[p].data, r.out[p].dataPeer = data, &far.flitsIn[p.Opposite()]
+			r.out[p].creditIn = credit
 			farIn.data = data
-			farIn.creditOut = credit
+			farIn.creditOut, farIn.creditPeer = credit, &r.creditsIn[p]
 		}
 		// Injection: NI -> router Local input.
 		inj := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		injCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
-		n.nis[id].data = inj
-		n.nis[id].creditIn = injCredit
-		r.in[topology.Local].data = inj
-		r.in[topology.Local].creditOut = injCredit
+		ni, local := n.nis[id], &r.in[topology.Local]
+		ni.data, ni.dataPeer = inj, &r.flitsIn[topology.Local]
+		ni.creditIn = injCredit
+		local.data = inj
+		local.creditOut, local.creditPeer = injCredit, &ni.creditsIn
 		// Ejection: router Local output -> sink.
 		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data = ej
+		r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &n.sinks[id].flitsIn
 		n.sinks[id].data = ej
 	}
 }
@@ -261,11 +262,11 @@ func (n *Network) DumpState() string {
 			}
 			for v := range in.vcs {
 				vc := &in.vcs[v]
-				if len(vc.q) == 0 {
+				if vc.n == 0 {
 					continue
 				}
 				fmt.Fprintf(&b, "  in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v outVC=%d\n",
-					topology.Port(p), v, len(vc.q), vc.q[0].flit, vc.routed, vc.route, vc.allocated, vc.outVC)
+					topology.Port(p), v, vc.n, vc.q[vc.head].flit, vc.routed, vc.route, vc.allocated, vc.outVC)
 			}
 		}
 		for p := range r.out {
@@ -277,8 +278,8 @@ func (n *Network) DumpState() string {
 		}
 	}
 	for id, ni := range n.nis {
-		if len(ni.queue) > 0 || ni.activeCount() > 0 {
-			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, len(ni.queue), ni.activeCount(), ni.credits)
+		if ni.queueLen() > 0 || ni.active > 0 {
+			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, ni.queueLen(), ni.active, ni.credits)
 		}
 	}
 	return b.String()

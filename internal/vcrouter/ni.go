@@ -1,6 +1,8 @@
 package vcrouter
 
 import (
+	"fmt"
+
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
 	"frfc/internal/profile"
@@ -18,23 +20,29 @@ import (
 // when channels allow.
 type ni struct {
 	node  topology.NodeID
-	cfg   Config
+	cfg   *Config // the Network's one copy
 	rng   *sim.RNG
 	hooks *noc.Hooks
 	probe *metrics.Probe
 	prof  *profile.Registry
 	wf    *waterfall.Ledger
 
-	queue []*noc.Packet
-	slots []niSlot
+	// queue[qhead:] is the source queue, oldest first; offer reclaims the
+	// consumed front once it is half the slice, so a dequeue moves nothing.
+	queue  []*noc.Packet
+	qhead  int
+	slots  []niSlot
+	active int // slots mid-injection
 
 	credits []int // per local-input VC
 	pool    int   // pooled credits (SharedPool mode)
 	occ     []int // pooled buffers held per VC (SharedPool mode)
 	owned   []bool
 
-	data     *sim.Pipe[noc.DataFlit] // to the router's Local input
-	creditIn *sim.Pipe[noc.VCCredit] // credits back from the router
+	data      *sim.Pipe[noc.DataFlit] // to the router's Local input
+	dataPeer  *int32                  // the router's count of flits in flight on it
+	creditIn  *sim.Pipe[noc.VCCredit] // credits back from the router
+	creditsIn int32                   // credits in flight on it, posted by the router
 
 	ready []int // scratch
 }
@@ -47,7 +55,7 @@ type niSlot struct {
 	next   int
 }
 
-func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *ni {
+func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *ni {
 	n := &ni{node: node, cfg: cfg, rng: rng, hooks: hooks,
 		slots:   make([]niSlot, cfg.NumVCs),
 		credits: make([]int, cfg.NumVCs),
@@ -61,19 +69,26 @@ func newNI(node topology.NodeID, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *ni
 	return n
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
-
-func (n *ni) activeCount() int {
-	c := 0
-	for s := range n.slots {
-		if n.slots[s].active {
-			c++
-		}
+func (n *ni) offer(p *noc.Packet) {
+	if n.qhead > 0 && 2*n.qhead >= len(n.queue) {
+		live := copy(n.queue, n.queue[n.qhead:])
+		clear(n.queue[live:])
+		n.queue, n.qhead = n.queue[:live], 0
 	}
-	return c
+	n.queue = append(n.queue, p)
 }
 
-func (n *ni) queueLen() int { return len(n.queue) }
+// dequeue removes and returns the oldest queued packet.
+func (n *ni) dequeue() *noc.Packet {
+	p := n.queue[n.qhead]
+	n.queue[n.qhead] = nil
+	if n.qhead++; n.qhead == len(n.queue) {
+		n.queue, n.qhead = n.queue[:0], 0
+	}
+	return p
+}
+
+func (n *ni) queueLen() int { return len(n.queue) - n.qhead }
 
 func (n *ni) hasCredit(vc int) bool {
 	if n.cfg.SharedPool {
@@ -95,48 +110,66 @@ func (n *ni) hasCredit(vc int) bool {
 func (n *ni) Tick(now sim.Cycle) {
 	// Self-profiling work counter: credits absorbed, packets started,
 	// flits injected.
-	work := n.creditIn.RecvEach(now, func(c noc.VCCredit) {
+	work := 0
+	for n.creditsIn > 0 {
+		c, ok := n.creditIn.Recv(now)
+		if !ok {
+			break
+		}
+		n.creditsIn--
+		work++
+		// The same checks a router makes on its outputs: a credit the
+		// interface never spent is a leak in the model.
 		if n.cfg.SharedPool {
 			n.pool++
 			n.occ[c.VC]--
-		} else {
-			n.credits[c.VC]++
+			if n.pool > n.cfg.BuffersPerInput() || n.occ[c.VC] < 0 {
+				panic(fmt.Sprintf("vcrouter: node %d ni pooled credit overflow", n.node))
+			}
+			continue
 		}
-	})
+		n.credits[c.VC]++
+		if n.credits[c.VC] > n.cfg.BufPerVC {
+			panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
+		}
+	}
 
 	// Assign queued packets to free VC slots. By default the source is a
 	// FIFO injecting one packet at a time; SourceInterleave lifts that to
 	// one packet per local virtual channel.
 	for s := range n.slots {
-		if n.slots[s].active || len(n.queue) == 0 {
+		if n.queueLen() == 0 {
+			break
+		}
+		if n.slots[s].active {
 			continue
 		}
-		if !n.cfg.SourceInterleave && n.activeCount() > 0 {
+		if !n.cfg.SourceInterleave && n.active > 0 {
 			break
 		}
 		// Slot index doubles as VC index: each slot drives one VC.
 		if n.owned[s] {
 			continue
 		}
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+		p := n.dequeue()
 		n.owned[s] = true
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
 		n.slots[s] = niSlot{active: true, vc: s, flits: noc.DataFlits(p)}
+		n.active++
 		work++
 	}
 
 	// Inject one flit among ready slots, chosen at random.
 	n.ready = n.ready[:0]
-	for s := range n.slots {
-		sl := &n.slots[s]
-		if sl.active && sl.next < len(sl.flits) && n.hasCredit(sl.vc) {
-			n.ready = append(n.ready, s)
+	if n.active > 0 {
+		for s := range n.slots {
+			sl := &n.slots[s]
+			if sl.active && sl.next < len(sl.flits) && n.hasCredit(sl.vc) {
+				n.ready = append(n.ready, s)
+			}
 		}
 	}
 	if len(n.ready) > 0 {
@@ -155,12 +188,13 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
-		n.data.Send(now, f)
+		post(n.data, n.dataPeer, now, f)
 		n.hooks.Injected(now)
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false
 			sl.flits = nil
+			n.active--
 		}
 		work++
 	}
@@ -172,13 +206,14 @@ func (n *ni) Tick(now sim.Cycle) {
 // arrived. Reassembly space is unbounded, matching the paper's immediate-
 // ejection assumption.
 type sink struct {
-	node  topology.NodeID
-	data  *sim.Pipe[noc.DataFlit]
-	got   map[noc.PacketID]int
-	hooks *noc.Hooks
-	probe *metrics.Probe
-	prof  *profile.Registry
-	wf    *waterfall.Ledger
+	node    topology.NodeID
+	data    *sim.Pipe[noc.DataFlit]
+	flitsIn int32 // flits in flight on data, posted by the router
+	got     map[noc.PacketID]int
+	hooks   *noc.Hooks
+	probe   *metrics.Probe
+	prof    *profile.Registry
+	wf      *waterfall.Ledger
 	// delivered counts fully reassembled packets, used by the network's
 	// in-flight accounting.
 	delivered int64
@@ -189,7 +224,14 @@ func newSink(node topology.NodeID, hooks *noc.Hooks) *sink {
 }
 
 func (s *sink) Tick(now sim.Cycle) {
-	received := s.data.RecvEach(now, func(f noc.DataFlit) {
+	received := 0
+	for s.flitsIn > 0 {
+		f, ok := s.data.Recv(now)
+		if !ok {
+			break
+		}
+		s.flitsIn--
+		received++
 		if f.Corrupted {
 			// The baseline has no end-to-end recovery: an escaped
 			// corruption is delivered as if it were good data, and only
@@ -207,6 +249,6 @@ func (s *sink) Tick(now sim.Cycle) {
 			s.delivered++
 			s.hooks.Delivered(f.Packet, now)
 		}
-	})
+	}
 	s.prof.ComponentTick(profile.CompSink, int(s.node), received > 0)
 }

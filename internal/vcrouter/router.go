@@ -3,6 +3,7 @@ package vcrouter
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
@@ -22,23 +23,27 @@ type queuedFlit struct {
 
 // vcState is the per-virtual-channel bookkeeping of one input port: the flit
 // queue plus the route and output-VC allocation of the packet currently
-// occupying the channel.
+// occupying the channel. The queue is a ring of exactly the channel's
+// capacity — n flits starting at head — made when the first flit arrives, so
+// a channel no packet ever crosses costs nothing and a dequeue moves nothing.
 type vcState struct {
 	q         []queuedFlit
-	routed    bool
+	head, n   int32
 	route     topology.Port
-	allocated bool
 	outVC     int
+	routed    bool
+	allocated bool
 }
 
 // inputState is one input port: NumVCs virtual channels plus the wires to the
 // upstream node (incoming flits, outgoing credits).
 type inputState struct {
-	exists    bool
-	vcs       []vcState
-	poolUsed  int // total buffered flits (enforced in SharedPool mode)
-	data      *sim.Pipe[noc.DataFlit]
-	creditOut *sim.Pipe[noc.VCCredit]
+	exists     bool
+	vcs        []vcState
+	poolUsed   int // total buffered flits (enforced in SharedPool mode)
+	data       *sim.Pipe[noc.DataFlit]
+	creditOut  *sim.Pipe[noc.VCCredit]
+	creditPeer *int32 // the upstream node's count of credits in flight to it
 }
 
 // outputState is one output port: per-downstream-VC credit counters and
@@ -56,6 +61,7 @@ type outputState struct {
 	occ      []int
 	owned    []bool
 	data     *sim.Pipe[noc.DataFlit]
+	dataPeer *int32 // the downstream node's count of flits in flight to it
 	creditIn *sim.Pipe[noc.VCCredit]
 }
 
@@ -65,12 +71,27 @@ type outputState struct {
 type Router struct {
 	id    topology.NodeID
 	mesh  topology.Mesh
-	cfg   Config
+	cfg   *Config // the Network's one copy
 	rng   *sim.RNG
 	hooks *noc.Hooks
 
 	in  [topology.NumPorts]inputState
 	out [topology.NumPorts]outputState
+
+	// occ and alloc hold one bit per input channel, words 64-channel words to
+	// a port, port p's at [p*words, (p+1)*words): occ is set while the
+	// channel holds a flit, alloc while it holds an output VC. The allocators
+	// walk the set bits of occ&^alloc and occ&alloc — ascending, the order a
+	// scan of the ports and their channels visits them — and never look at
+	// the rest.
+	occ, alloc []uint64
+	words      int
+
+	// flitsIn[p] counts the flits in flight on the data wire into input p,
+	// creditsIn[p] the credits in flight on the credit wire into output p.
+	// Whoever sends counts the item in (post) and Tick counts it out, so a
+	// wire whose cell is zero is not read.
+	flitsIn, creditsIn [topology.NumPorts]int32
 
 	// probe is the observability sink; nil when disabled, and every call
 	// on a nil probe is a no-op.
@@ -90,7 +111,7 @@ type Router struct {
 
 	// Scratch buffers reused every cycle to keep the hot loop
 	// allocation-free.
-	outOrder []int
+	outOrder [topology.NumPorts]int
 	vcReqs   []portVC
 	saCand   [topology.NumPorts][]portVC
 	freeVCs  []int
@@ -102,9 +123,23 @@ type portVC struct {
 	vc   int
 }
 
-func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG, hooks *noc.Hooks) *Router {
+// chanBit locates input channel (p, v) in occ and alloc: the word and the bit.
+func (r *Router) chanBit(p topology.Port, v int) (word int, bit uint64) {
+	return int(p)*r.words + v>>6, 1 << (v & 63)
+}
+
+// post puts an item on a wire and counts it into the receiver's in-flight
+// cell; every send in the package goes through it.
+func post[T any](wire *sim.Pipe[T], inFlight *int32, now sim.Cycle, item T) {
+	wire.Send(now, item)
+	*inFlight++
+}
+
+func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *Router {
 	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng, hooks: hooks,
-		outOrder: make([]int, topology.NumPorts)}
+		words: (cfg.NumVCs + 63) / 64}
+	masks := make([]uint64, 2*r.words*int(topology.NumPorts))
+	r.occ, r.alloc = masks[:len(masks)/2], masks[len(masks)/2:]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if p != topology.Local && !mesh.HasLink(id, p) {
 			continue
@@ -139,37 +174,49 @@ func (r *Router) Tick(now sim.Cycle) {
 
 func (r *Router) recvCredits(now sim.Cycle) int {
 	received := 0
-	for p := range r.out {
-		o := &r.out[p]
-		if !o.exists || o.creditIn == nil {
+	for p := range r.creditsIn {
+		if r.creditsIn[p] == 0 {
 			continue
 		}
-		received += o.creditIn.RecvEach(now, func(c noc.VCCredit) {
+		o := &r.out[p]
+		for {
+			c, ok := o.creditIn.Recv(now)
+			if !ok {
+				break
+			}
+			r.creditsIn[p]--
+			received++
 			if r.cfg.SharedPool {
 				o.pool++
 				o.occ[c.VC]--
 				if o.pool > r.cfg.BuffersPerInput() || o.occ[c.VC] < 0 {
 					panic(fmt.Sprintf("vcrouter: node %d out %s pooled credit overflow", r.id, topology.Port(p)))
 				}
-				return
+				continue
 			}
 			o.credits[c.VC]++
 			if o.credits[c.VC] > r.cfg.BufPerVC {
 				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, topology.Port(p), c.VC))
 			}
-		})
+		}
 	}
 	return received
 }
 
 func (r *Router) recvFlits(now sim.Cycle) int {
 	received := 0
-	for p := range r.in {
-		in := &r.in[p]
-		if !in.exists || in.data == nil {
+	for p := range r.flitsIn {
+		if r.flitsIn[p] == 0 {
 			continue
 		}
-		received += in.data.RecvEach(now, func(f noc.DataFlit) {
+		in := &r.in[p]
+		for {
+			f, ok := in.data.Recv(now)
+			if !ok {
+				break
+			}
+			r.flitsIn[p]--
+			received++
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -186,16 +233,31 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 				}
 			}
 			vc := &in.vcs[f.VC]
-			vc.q = append(vc.q, queuedFlit{flit: f, arrivedAt: now})
-			in.poolUsed++
 			if r.cfg.SharedPool {
-				if in.poolUsed > r.cfg.BuffersPerInput() {
+				if in.poolUsed >= r.cfg.BuffersPerInput() {
 					panic(fmt.Sprintf("vcrouter: node %d in %s pooled buffer overflow", r.id, topology.Port(p)))
 				}
-			} else if len(vc.q) > r.cfg.BufPerVC {
+			} else if int(vc.n) >= r.cfg.BufPerVC {
 				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d buffer overflow", r.id, topology.Port(p), f.VC))
 			}
-		})
+			if vc.q == nil {
+				// A pooled channel may come to hold the whole pool.
+				depth := r.cfg.BufPerVC
+				if r.cfg.SharedPool {
+					depth = r.cfg.BuffersPerInput()
+				}
+				vc.q = make([]queuedFlit, depth)
+			}
+			tail := int(vc.head + vc.n)
+			if tail >= len(vc.q) {
+				tail -= len(vc.q)
+			}
+			vc.q[tail] = queuedFlit{flit: f, arrivedAt: now}
+			vc.n++
+			in.poolUsed++
+			w, bit := r.chanBit(topology.Port(p), f.VC)
+			r.occ[w] |= bit
+		}
 	}
 	return received
 }
@@ -220,29 +282,27 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 	r.vcReqs = r.vcReqs[:0]
 	for p := range r.in {
 		in := &r.in[p]
-		if !in.exists {
-			continue
-		}
-		for v := range in.vcs {
-			vc := &in.vcs[v]
-			if len(vc.q) == 0 || vc.allocated {
-				continue
-			}
-			head := vc.q[0].flit
-			if !head.Type.IsHead() {
-				// A body flit can only be at the front of an
-				// unallocated VC if the model leaked state.
-				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d: %s at front of unallocated channel", r.id, topology.Port(p), v, head))
-			}
-			if !vc.routed {
-				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, head.Packet.Dst)
-				if !ok {
-					panic(fmt.Sprintf("vcrouter: node %d: destination %d unreachable", r.id, head.Packet.Dst))
+		for w := 0; w < r.words; w++ {
+			// Occupied and not yet allocated: a head flit wants a channel.
+			for m := r.occ[p*r.words+w] &^ r.alloc[p*r.words+w]; m != 0; m &= m - 1 {
+				v := w<<6 + bits.TrailingZeros64(m)
+				vc := &in.vcs[v]
+				head := &vc.q[vc.head].flit
+				if !head.Type.IsHead() {
+					// A body flit can only be at the front of an
+					// unallocated VC if the model leaked state.
+					panic(fmt.Sprintf("vcrouter: node %d in %s vc %d: %s at front of unallocated channel", r.id, topology.Port(p), v, *head))
 				}
-				vc.route = route
-				vc.routed = true
+				if !vc.routed {
+					route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, head.Packet.Dst)
+					if !ok {
+						panic(fmt.Sprintf("vcrouter: node %d: destination %d unreachable", r.id, head.Packet.Dst))
+					}
+					vc.route = route
+					vc.routed = true
+				}
+				r.vcReqs = append(r.vcReqs, portVC{topology.Port(p), v})
 			}
-			r.vcReqs = append(r.vcReqs, portVC{topology.Port(p), v})
 		}
 	}
 	// Random arbitration: shuffle request order, then give each request a
@@ -270,6 +330,8 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 		o.owned[dv] = true
 		vc.outVC = dv
 		vc.allocated = true
+		w, bit := r.chanBit(req.port, req.vc)
+		r.alloc[w] |= bit
 	}
 	return len(r.vcReqs)
 }
@@ -282,32 +344,38 @@ func (r *Router) switchAllocate(now sim.Cycle) int {
 	for p := range r.saCand {
 		r.saCand[p] = r.saCand[p][:0]
 	}
+	bidders := 0
 	for p := range r.in {
 		in := &r.in[p]
-		if !in.exists {
-			continue
-		}
-		for v := range in.vcs {
-			vc := &in.vcs[v]
-			if !vc.allocated || len(vc.q) == 0 {
-				continue
-			}
-			if vc.q[0].arrivedAt >= now {
-				if r.wf != nil {
-					r.blockedHead(topology.Port(p), v, waterfall.StageArb, now)
+		for w := 0; w < r.words; w++ {
+			// Occupied and allocated: the front flit may bid for the switch.
+			for m := r.occ[p*r.words+w] & r.alloc[p*r.words+w]; m != 0; m &= m - 1 {
+				v := w<<6 + bits.TrailingZeros64(m)
+				vc := &in.vcs[v]
+				if vc.q[vc.head].arrivedAt >= now {
+					if r.wf != nil {
+						r.blockedHead(topology.Port(p), v, waterfall.StageArb, now)
+					}
+					continue // one-cycle routing/scheduling latency
 				}
-				continue // one-cycle routing/scheduling latency
-			}
-			if !r.hasCredit(&r.out[vc.route], vc.outVC) {
-				if r.wf != nil {
-					r.blockedHead(topology.Port(p), v, waterfall.StageStall, now)
+				if !r.hasCredit(&r.out[vc.route], vc.outVC) {
+					if r.wf != nil {
+						r.blockedHead(topology.Port(p), v, waterfall.StageStall, now)
+					}
+					continue
 				}
-				continue
+				r.saCand[vc.route] = append(r.saCand[vc.route], portVC{topology.Port(p), v})
+				bidders++
 			}
-			r.saCand[vc.route] = append(r.saCand[vc.route], portVC{topology.Port(p), v})
 		}
 	}
-	r.rng.Perm(r.outOrder)
+	if bidders == 0 {
+		// Nobody bids, so the order the outputs would be served in is never
+		// read: skip computing the permutation, not the draws it makes.
+		r.rng.Discard(len(r.outOrder) - 1)
+		return 0
+	}
+	r.rng.Perm(r.outOrder[:])
 	var inputGranted [topology.NumPorts]bool
 	for _, oi := range r.outOrder {
 		cands := r.saCand[oi]
@@ -366,23 +434,27 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 	vc := &in.vcs[v]
 	o := &r.out[vc.route]
 
-	qf := vc.q[0]
-	copy(vc.q, vc.q[1:])
-	vc.q[len(vc.q)-1] = queuedFlit{}
-	vc.q = vc.q[:len(vc.q)-1]
+	f := vc.q[vc.head].flit
+	vc.q[vc.head].flit.Packet = nil // the ring outlives the packet
+	if vc.head++; int(vc.head) == len(vc.q) {
+		vc.head = 0
+	}
+	w, bit := r.chanBit(p, v)
+	if vc.n--; vc.n == 0 {
+		r.occ[w] &^= bit
+	}
 	in.poolUsed--
 
 	if in.creditOut != nil {
-		in.creditOut.Send(now, noc.VCCredit{VC: v})
+		post(in.creditOut, in.creditPeer, now, noc.VCCredit{VC: v})
 	}
 
-	f := qf.flit
 	f.VC = vc.outVC
 	r.probe.Traverse(now, int(r.id), int(vc.route), uint64(f.Packet.ID), f.Seq)
 	if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 	}
-	o.data.Send(now, f)
+	post(o.data, o.dataPeer, now, f)
 	if !o.infinite {
 		if r.cfg.SharedPool {
 			o.pool--
@@ -401,6 +473,7 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 		o.owned[vc.outVC] = false
 		vc.allocated = false
 		vc.routed = false
+		r.alloc[w] &^= bit
 	}
 }
 
@@ -409,10 +482,10 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 // packets are skipped; the ledger deduplicates to one mark per cycle.
 func (r *Router) blockedHead(p topology.Port, v int, stage waterfall.Stage, now sim.Cycle) {
 	vc := &r.in[p].vcs[v]
-	if len(vc.q) == 0 {
+	if vc.n == 0 {
 		return
 	}
-	f := vc.q[0].flit
+	f := &vc.q[vc.head].flit
 	if f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Blocked(uint64(f.Packet.ID), stage, now)
 	}

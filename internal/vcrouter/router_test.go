@@ -8,26 +8,37 @@ import (
 	"frfc/internal/topology"
 )
 
-// twoNode wires a single pair of routers (node 0 east of... node 0 and 1 of
-// a 2x2 mesh) directly, with test-owned pipes on the unconnected ends.
-func testRouter(cfg Config) (*Router, *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.VCCredit], *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.VCCredit]) {
+// testRouter builds node 0 of a 2x2 mesh with test-owned pipes on its East
+// input, East output and ejection port: the test plays the neighbor and the
+// sink. What the router sends is counted into cells nobody reads; what the
+// test sends must go through feedFlit and feedCredit, which post it the way a
+// wired sender does — a router does not read a wire its count says is empty.
+func testRouter(cfg Config) (r *Router, inCredit *sim.Pipe[noc.VCCredit], ej *sim.Pipe[noc.DataFlit]) {
 	cfg = cfg.withDefaults()
 	mesh := topology.NewMesh(2)
-	r := newRouter(0, mesh, cfg, sim.NewRNG(1), &noc.Hooks{})
+	r = newRouter(0, mesh, &cfg, sim.NewRNG(1), &noc.Hooks{})
+	var sent [3]int32
 	// Feed the East input (from node 1 westward — we play the neighbor).
-	inData := sim.NewPipe[noc.DataFlit](1, 1)
-	inCredit := sim.NewPipe[noc.VCCredit](1, 4)
-	r.in[topology.East].data = inData
-	r.in[topology.East].creditOut = inCredit
+	inCredit = sim.NewPipe[noc.VCCredit](1, 4)
+	r.in[topology.East].data = sim.NewPipe[noc.DataFlit](1, 1)
+	r.in[topology.East].creditOut, r.in[topology.East].creditPeer = inCredit, &sent[0]
 	// Capture the East output.
-	outData := sim.NewPipe[noc.DataFlit](1, 1)
-	outCredit := sim.NewPipe[noc.VCCredit](1, 4)
-	r.out[topology.East].data = outData
-	r.out[topology.East].creditIn = outCredit
+	r.out[topology.East].data, r.out[topology.East].dataPeer = sim.NewPipe[noc.DataFlit](1, 1), &sent[1]
+	r.out[topology.East].creditIn = sim.NewPipe[noc.VCCredit](1, 4)
 	// Local ejection path.
-	ej := sim.NewPipe[noc.DataFlit](1, 1)
-	r.out[topology.Local].data = ej
-	return r, inData, inCredit, ej, outCredit
+	ej = sim.NewPipe[noc.DataFlit](1, 1)
+	r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &sent[2]
+	return r, inCredit, ej
+}
+
+// feedFlit sends f into the rig's East input at cycle now.
+func feedFlit(r *Router, now sim.Cycle, f noc.DataFlit) {
+	post(r.in[topology.East].data, &r.flitsIn[topology.East], now, f)
+}
+
+// feedCredit returns one credit for vc to the rig's East output at cycle now.
+func feedCredit(r *Router, now sim.Cycle, vc int) {
+	post(r.out[topology.East].creditIn, &r.creditsIn[topology.East], now, noc.VCCredit{VC: vc})
 }
 
 func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {
@@ -35,12 +46,12 @@ func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {
 }
 
 func TestRouterEjectsLocalTraffic(t *testing.T) {
-	r, inData, inCredit, ej, _ := testRouter(Config{NumVCs: 2, BufPerVC: 4, LinkLatency: 1})
+	r, inCredit, ej := testRouter(Config{NumVCs: 2, BufPerVC: 4, LinkLatency: 1})
 	flits := mkPacket(1, 0, 3) // destination == router id: ejects
 	now := sim.Cycle(0)
 	for _, f := range flits {
 		f.VC = 0
-		inData.Send(now, f)
+		feedFlit(r, now, f)
 		r.Tick(now)
 		now++
 	}
@@ -70,7 +81,7 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	// many flits may leave. The test sender obeys the upstream credit
 	// protocol itself (that is the contract recvFlits enforces).
 	cfg := Config{NumVCs: 1, BufPerVC: 2, LinkLatency: 1}
-	r, inData, inCredit, _, _ := testRouter(cfg)
+	r, inCredit, _ := testRouter(cfg)
 	outData := r.out[topology.East].data
 	// Destination node 1 is east of node 0 on a 2x2 mesh.
 	flits := mkPacket(1, 1, 5)
@@ -82,7 +93,7 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 		if i < len(flits) && myCredits > 0 {
 			f := flits[i]
 			f.VC = 0
-			inData.Send(now, f)
+			feedFlit(r, now, f)
 			myCredits--
 			i++
 		}
@@ -97,13 +108,13 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 
 func TestRouterResumesOnCredit(t *testing.T) {
 	cfg := Config{NumVCs: 1, BufPerVC: 2, LinkLatency: 1}
-	r, inData, _, _, outCredit := testRouter(cfg)
+	r, _, _ := testRouter(cfg)
 	outData := r.out[topology.East].data
 	flits := mkPacket(1, 1, 4)
 	now := sim.Cycle(0)
 	for _, f := range flits {
 		f.VC = 0
-		inData.Send(now, f)
+		feedFlit(r, now, f)
 		r.Tick(now)
 		now++
 	}
@@ -116,8 +127,8 @@ func TestRouterResumesOnCredit(t *testing.T) {
 		t.Fatalf("pre-credit drain = %d, want 2", drain)
 	}
 	// Return two credits; the remaining two flits flow.
-	outCredit.Send(now, noc.VCCredit{VC: 0})
-	outCredit.Send(now, noc.VCCredit{VC: 0})
+	feedCredit(r, now, 0)
+	feedCredit(r, now, 0)
 	for end := now + 8; now < end; now++ {
 		r.Tick(now)
 	}
@@ -129,7 +140,7 @@ func TestRouterResumesOnCredit(t *testing.T) {
 
 func TestVCAllocationReleasedByTail(t *testing.T) {
 	cfg := Config{NumVCs: 1, BufPerVC: 4, LinkLatency: 1}
-	r, inData, _, _, outCredit := testRouter(cfg)
+	r, _, _ := testRouter(cfg)
 	outData := r.out[topology.East].data
 	now := sim.Cycle(0)
 	sent := 0
@@ -140,12 +151,12 @@ func TestVCAllocationReleasedByTail(t *testing.T) {
 		now++
 		outData.RecvEach(now, func(noc.DataFlit) {
 			sent++
-			outCredit.Send(now, noc.VCCredit{VC: 0})
+			feedCredit(r, now, 0)
 		})
 	}
 	for _, f := range mkPacket(1, 1, 2) {
 		f.VC = 0
-		inData.Send(now, f)
+		feedFlit(r, now, f)
 		step()
 	}
 	for i := 0; i < 6; i++ {
@@ -157,7 +168,7 @@ func TestVCAllocationReleasedByTail(t *testing.T) {
 	// A second packet reuses the VC.
 	for _, f := range mkPacket(2, 1, 2) {
 		f.VC = 0
-		inData.Send(now, f)
+		feedFlit(r, now, f)
 		step()
 	}
 	for i := 0; i < 6; i++ {
@@ -175,18 +186,18 @@ func TestBufferOverflowPanics(t *testing.T) {
 		}
 	}()
 	cfg := Config{NumVCs: 1, BufPerVC: 1, LinkLatency: 1}
-	r, inData, _, _, _ := testRouter(cfg)
+	r, _, _ := testRouter(cfg)
 	// Two flits into a 1-deep queue with no drain possible in time.
 	f := mkPacket(1, 1, 3)
 	f[0].VC = 0
 	f[1].VC = 0
-	inData.Send(0, f[0])
+	feedFlit(r, 0, f[0])
 	r.Tick(0) // receives flit 0
-	inData.Send(1, f[1])
+	feedFlit(r, 1, f[1])
 	r.Tick(1) // flit 0 can't have left (arrivedAt==0 eligible at 1; it MAY leave)
-	inData.Send(2, f[2])
+	feedFlit(r, 2, f[2])
 	r.Tick(2)
-	inData.Send(3, noc.DataFlit{Packet: f[0].Packet, Seq: 9, Type: noc.BodyFlit})
+	feedFlit(r, 3, noc.DataFlit{Packet: f[0].Packet, Seq: 9, Type: noc.BodyFlit})
 	r.Tick(3)
 }
 

@@ -17,10 +17,13 @@
 #                                (internal/core: OutResTableFindCommitCredit,
 #                                RouterTickDormant/Idle/Loaded,
 #                                NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8),
-#                                then the daemon's warm path (internal/harness
-#                                JobHash bare/shared, internal/service
-#                                WarmCampaign), five runs each; prints only,
-#                                records nothing
+#                                the wire and the VC lineage (internal/sim
+#                                PipeSendRecv; internal/vcrouter
+#                                VCRouterTickIdle, VCNetworkTick8x8Mid,
+#                                VCNetworkNew8x8), then the daemon's warm path
+#                                (internal/harness JobHash bare/shared,
+#                                internal/service WarmCampaign), five runs
+#                                each; prints only, records nothing
 #   scripts/bench.sh -profile    also collect pprof profiles into benchmarks/
 #                                (cpu.pprof, mem.pprof; inspect with
 #                                `go tool pprof benchmarks/cpu.pprof`)
@@ -45,6 +48,7 @@ fi
 
 if [ "${1:-}" = "-ladder" ]; then
     go test ./internal/core -run '^$' -bench . -benchmem -count 5
+    go test ./internal/sim ./internal/vcrouter -run '^$' -bench . -benchmem -count 5
     exec go test ./internal/harness ./internal/service -run '^$' -bench 'JobHash|WarmCampaign' -benchmem -count 5
 fi
 
