@@ -1,56 +1,23 @@
 package frfc
 
 import (
-	"context"
 	"fmt"
 
 	"frfc/internal/experiment"
-	"frfc/internal/harness"
 	"frfc/internal/sim"
 )
 
 // ChaosPoint is one row of a ChaosSweep: a flit-reservation network run under
 // a deterministically generated chaos campaign — composed soft loss, bit
 // errors, link flaps, mid-run corruption spikes and (at high intensity)
-// router kills — until every offered packet's fate is resolved.
+// router kills — until every offered packet's fate is resolved. Of the
+// ledger, Unreachable counts packets a router kill disconnected.
 type ChaosPoint struct {
 	Intensity float64
 	Seed      uint64
 	// Events is how many scheduled fault events the campaign expanded to.
 	Events int
-
-	Offered   int64
-	Delivered int64
-	// Abandoned counts packets given up on after the retry budget ran out;
-	// Unreachable counts packets failed fast because a router kill
-	// disconnected their destination.
-	Abandoned   int64
-	Unreachable int64
-
-	DroppedFlits        int64
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// The corruption ledger under chaos: see IntegrityPoint.
-	Corrupted           int64
-	CrcDetected         int64
-	CorruptEscapes      int64
-	PhantomReservations int64
-	ReclaimedSlots      int64
-
-	AvgLatency float64
-	Cycles     int64
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Wedged bool
-}
-
-// DeliveredFraction is the end-to-end delivery probability of the row,
-// counting fast-failed unreachable packets against the campaign.
-func (p ChaosPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
+	Resolved
 }
 
 // String renders the point as one sweep row.
@@ -60,31 +27,23 @@ func (p ChaosPoint) String() string {
 		p.DroppedFlits, p.Corrupted, p.CorruptEscapes, p.Retried)
 }
 
-// ChaosSweepOptions parameterizes a ChaosSweep. Zero fields take defaults: a
-// 4×4 mesh, 600 packets of 5 flits per row, intensities {0.25, 0.5, 1.0},
-// a horizon scaled to the offering window, and the end-to-end check on.
+// ChaosSweepOptions parameterizes a ChaosSweep. Zero fields take defaults:
+// the ResolveOptions defaults (600 packets per row), intensities
+// {0.25, 0.5, 1.0}, a horizon scaled to the offering window, and the
+// end-to-end check on.
 type ChaosSweepOptions struct {
-	Radix     int
-	Packets   int
-	PacketLen int
+	ResolveOptions
 	// Intensities are the chaos intensities swept, each in (0, 1]; router
 	// kills only appear at intensity >= 0.75.
 	Intensities []float64
 	// Horizon is the cycle window campaigns schedule events in.
 	Horizon int
-	// ChaosSeed drives the plan generator; Seed the network and workload.
+	// ChaosSeed drives the plan generator (Seed the network and workload);
+	// each campaign's plan is a pure function of the options.
 	ChaosSeed uint64
-	Seed      uint64
 	// DisableE2E turns the end-to-end payload check off, so escaped
 	// corruption is silently accepted instead of retried.
 	DisableE2E bool
-	// Check runs every row under the per-cycle invariant checker.
-	Check bool
-	// Workers sizes the pool the sweep's campaigns fan out over; 0 means
-	// runtime.NumCPU(). Each campaign owns its own network and RNG and its
-	// plan is a pure function of the options, so any worker count produces
-	// identical points in identical order.
-	Workers int
 }
 
 // ChaosSweep runs one deterministic chaos campaign per intensity against the
@@ -96,29 +55,11 @@ type ChaosSweepOptions struct {
 // concurrently on the harness worker pool; the points are identical to a
 // serial sweep.
 func ChaosSweep(o ChaosSweepOptions) ([]ChaosPoint, error) {
-	co := experiment.ChaosSweepOptions{
-		Radix: o.Radix, Packets: o.Packets, PacketLen: o.PacketLen,
-		Intensities: o.Intensities, Horizon: sim.Cycle(o.Horizon),
-		ChaosSeed: o.ChaosSeed, Seed: o.Seed,
-		DisableE2E: o.DisableE2E, Check: o.Check,
-	}
-	pts, err := harness.ChaosSweep(context.Background(), co, harness.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ChaosPoint, len(pts))
-	for i, p := range pts {
-		out[i] = ChaosPoint{
-			Intensity: p.Intensity, Seed: p.Seed, Events: p.Events,
-			Offered: p.Offered, Delivered: p.Delivered, Abandoned: p.Abandoned,
-			Unreachable: p.Unreachable, DroppedFlits: p.DroppedFlits,
-			Retried: p.Retried, DeliveredAfterRetry: p.DeliveredAfterRetry,
-			Corrupted: p.Corrupted, CrcDetected: p.CrcDetected,
-			CorruptEscapes:      p.CorruptEscapes,
-			PhantomReservations: p.PhantomReservations,
-			ReclaimedSlots:      p.ReclaimedSlots,
-			AvgLatency:          p.AvgLatency, Cycles: int64(p.Cycles), Wedged: p.Wedged,
-		}
-	}
-	return out, nil
+	cells := experiment.ChaosSweepOptions{
+		ResolveOptions: o.internal(), Intensities: o.Intensities, Horizon: sim.Cycle(o.Horizon),
+		ChaosSeed: o.ChaosSeed, DisableE2E: o.DisableE2E,
+	}.Cells()
+	return sweepCells(o.ResolveOptions, cells, func(p experiment.ChaosPoint) ChaosPoint {
+		return ChaosPoint{Intensity: p.Intensity, Seed: p.Seed, Events: p.Events, Resolved: resolvedOf(p.Resolved)}
+	})
 }

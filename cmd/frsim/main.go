@@ -55,16 +55,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("frsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		config  = fs.String("config", "FR6", "named configuration: FR6, FR13, VC8, VC16, VC32")
+		config  = fs.String("config", "FR6", "named configuration: "+frfc.ConfigNames)
 		wiring  = fs.String("wiring", "fast", "physical wiring: fast (4x control wires) or leading (1-cycle wires, control lead)")
-		lead    = fs.Int("lead", 1, "control lead in cycles (leading wiring only)")
+		lead    = fs.Int("lead", 1, "control lead in cycles (leading wiring only; -config FR6 -lead N is FR6-leadN)")
 		load    = fs.Float64("load", 0.5, "offered traffic as a fraction of capacity")
 		pktLen  = fs.Int("pktlen", 5, "packet length in data flits")
 		radix   = fs.Int("radix", 8, "mesh radix k (k x k nodes)")
 		sample  = fs.Int("sample", 5000, "packets to sample")
 		warmup  = fs.Int("warmup", 3000, "minimum warm-up cycles")
 		seed    = fs.Uint64("seed", 0, "random seed (0 = default)")
-		pattern = fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, tornado")
+		pattern = fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, tornado, neighbor, bitrev, shuffle")
 
 		custom  = fs.Bool("custom", false, "build a custom configuration from the knobs below instead of -config")
 		fr      = fs.Bool("fr", true, "custom: use flit-reservation flow control (false = virtual channels)")
@@ -138,12 +138,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-warmup must be > 0 (got %d)", *warmup)
 	}
 
-	w, err := wiringOf(*wiring)
+	w, err := frfc.ParseWiring(*wiring)
 	if err != nil {
 		return fail("%v", err)
 	}
 	var spec frfc.Spec
 	if *custom {
+		leadCycles := 0
+		if w == frfc.LeadingControl {
+			leadCycles = *lead
+		}
 		spec, err = frfc.Custom("custom", frfc.Options{
 			FlitReservation: *fr,
 			MeshRadix:       *radix,
@@ -152,21 +156,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 			CtrlVCs:         *ctrlVCs,
 			Horizon:         *horizon,
 			LeadsPerCtrl:    *leads,
-			LeadCycles:      leadFor(w, *lead),
+			LeadCycles:      leadCycles,
 			VCs:             *vcs,
 			BufPerVC:        *bufVC,
 			Wiring:          w,
 			Pattern:         *pattern,
+			Routing:         *routing,
 		})
 		if err != nil {
 			return fail("%v", err)
 		}
 	} else {
-		spec, err = named(*config, w, *lead, *pktLen)
+		// A named config is a one-point grid, resolved and validated where
+		// sweep's and the campaign service's are; FR6 under leading control
+		// with a lead of N is that vocabulary's FR6-leadN.
+		name := *config
+		if name == "FR6" && w == frfc.LeadingControl {
+			name = fmt.Sprintf("FR6-lead%d", *lead)
+		}
+		specs, _, err := frfc.Grid{
+			Configs: []string{name}, Wiring: *wiring, PacketLen: *pktLen,
+			Loads: []float64{*load}, Routing: *routing,
+		}.Expand()
 		if err != nil {
 			return fail("%v", err)
 		}
-		spec = spec.WithMeshRadix(*radix)
+		spec = specs[0].WithMeshRadix(*radix)
 		if p := *pattern; p != "uniform" {
 			// Named presets keep uniform traffic, matching the paper;
 			// use -custom for other patterns.
@@ -182,9 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-	}
-	if *routing != "" {
-		spec = spec.WithRouting(*routing)
 	}
 	if *retry > 0 {
 		spec = spec.WithRetry(*retry)
@@ -285,20 +297,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	writeTo := func(path string, write func(io.Writer) error) (ok bool) {
 		f, err := os.Create(path)
+		if err == nil {
+			if err = write(f); err != nil {
+				f.Close()
+			} else {
+				err = f.Close()
+			}
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "frsim:", err)
-			return false
 		}
-		if err := write(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "frsim:", err)
-			return false
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, "frsim:", err)
-			return false
-		}
-		return true
+		return err == nil
 	}
 	if *metricsOut != "" {
 		if !writeTo(*metricsOut, obs.WriteMetricsJSON) {
@@ -493,42 +502,4 @@ func scenarioOf(scenario, failLink string, failRouter int, failAt, recoverAt int
 		parts = append(parts, fmt.Sprintf("kill %d @%d", failRouter, failAt))
 	}
 	return strings.Join(parts, "; "), nil
-}
-
-func wiringOf(s string) (frfc.Wiring, error) {
-	switch s {
-	case "fast":
-		return frfc.FastControl, nil
-	case "leading":
-		return frfc.LeadingControl, nil
-	default:
-		return "", fmt.Errorf("unknown wiring %q (want fast or leading)", s)
-	}
-}
-
-func leadFor(w frfc.Wiring, lead int) int {
-	if w == frfc.LeadingControl {
-		return lead
-	}
-	return 0
-}
-
-func named(name string, w frfc.Wiring, lead, pktLen int) (frfc.Spec, error) {
-	switch name {
-	case "FR6":
-		if w == frfc.LeadingControl {
-			return frfc.FRLead(lead, pktLen), nil
-		}
-		return frfc.FR6(w, pktLen), nil
-	case "FR13":
-		return frfc.FR13(w, pktLen), nil
-	case "VC8":
-		return frfc.VC8(w, pktLen), nil
-	case "VC16":
-		return frfc.VC16(w, pktLen), nil
-	case "VC32":
-		return frfc.VC32(w, pktLen), nil
-	default:
-		return frfc.Spec{}, fmt.Errorf("unknown config %q (want FR6, FR13, VC8, VC16, VC32)", name)
-	}
 }

@@ -37,17 +37,58 @@ func TestRejectsBadObservabilityFlags(t *testing.T) {
 	}
 }
 
+// TestRejectsUnknownConfigAndWiring: what the one resolver refuses, frsim
+// refuses as sweep and the campaign service do — exit 2 and one line, where a
+// bad routing name or a negative lead used to be a goroutine dump.
 func TestRejectsUnknownConfigAndWiring(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-config", "XYZ"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown config exit = %d", code)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-config", "XYZ"}, `unknown config "XYZ" (FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, CS, FR6-leadN)`},
+		{[]string{"-wiring", "bogus"}, `unknown wiring "bogus"`},
+		{[]string{"-routing", "zz"}, `unknown routing "zz" (want xy, yx or table)`},
+		{[]string{"-custom", "-routing", "zz"}, `unknown routing "zz"`},
+		{[]string{"-config", "VC8", "-routing", "table"}, `routing "table" is implemented for flit-reservation configs only, not VC8`},
+		{[]string{"-custom", "-fr=false", "-routing", "yx"}, `routing "yx" is implemented for flit-reservation configs only`},
+		{[]string{"-wiring", "leading", "-lead", "-3"}, `bad lead in "FR6-lead-3"`},
+		{[]string{"-config", "FR6-lead2x"}, `bad lead in "FR6-lead2x"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit = %d, want 2; stderr:\n%s", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("%v: stderr = %q, want one line containing %q", tc.args, stderr.String(), tc.want)
+		}
 	}
-	if !strings.Contains(stderr.String(), "unknown config") {
-		t.Fatalf("stderr = %q", stderr.String())
-	}
-	stderr.Reset()
-	if code := run([]string{"-wiring", "bogus"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("unknown wiring exit = %d", code)
+}
+
+// TestNamedConfigsResolveThroughTheGrid: frsim takes the whole sweep
+// vocabulary — the baselines of the lineage and FR6-leadN by name — and -lead
+// is FR6-leadN under leading control.
+func TestNamedConfigsResolveThroughTheGrid(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-config", "WH"}, "WH8"},
+		{[]string{"-config", "CS"}, "CS"},
+		{[]string{"-config", "FR6-lead2"}, "FR6-lead2"},
+		{[]string{"-config", "FR6", "-wiring", "leading", "-lead", "4"}, "FR6-lead4"},
+		{[]string{"-config", "FR6", "-wiring", "leading"}, "FR6-lead1"},
+	} {
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-radix", "4", "-load", "0.2", "-sample", "60", "-warmup", "100", "-json"}, tc.args...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit = %d; stderr:\n%s", tc.args, code, stderr.String())
+		}
+		var sum struct {
+			Config string `json:"config"`
+		}
+		if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil || sum.Config != tc.want {
+			t.Errorf("%v: config = %q (%v), want %q", tc.args, sum.Config, err, tc.want)
+		}
 	}
 }
 
@@ -209,5 +250,38 @@ func TestWaterfallArtifacts(t *testing.T) {
 	}
 	if lines := strings.Split(strings.TrimSpace(string(csv)), "\n"); len(lines) != 8 {
 		t.Fatalf("waterfall CSV shape (%d lines):\n%s", len(lines), csv)
+	}
+}
+
+// TestScenarioRunDeliversWholeSample: a link severed mid-run and repaired
+// later, under fault-aware table routing, end-to-end retry and the per-cycle
+// invariant checker — the sample is fully delivered, nothing abandoned or
+// unreachable. (The CI reliability smoke used to check this from a shell step.)
+func TestScenarioRunDeliversWholeSample(t *testing.T) {
+	const scenario = "down 5-6 @1200; up 5-6 @2400"
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-config", "FR6", "-radix", "4", "-load", "0.3",
+		"-sample", "500", "-warmup", "1000", "-seed", "7",
+		"-retry", "8", "-check", "-scenario", scenario, "-json",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
+	}
+	var sum struct {
+		Scenario string `json:"scenario"`
+		Result   struct {
+			SampledDelivered, SampleSize         int
+			DeliveredFraction                    float64
+			AbandonedPackets, UnreachablePackets int64
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
+		t.Fatalf("summary JSON: %v\n%s", err, stdout.String())
+	}
+	r := sum.Result
+	if sum.Scenario != scenario || r.SampleSize == 0 || r.SampledDelivered != r.SampleSize ||
+		r.DeliveredFraction != 1 || r.AbandonedPackets != 0 || r.UnreachablePackets != 0 {
+		t.Fatalf("scenario run degraded: %+v", sum)
 	}
 }

@@ -70,45 +70,19 @@ func main() {
 	flag.Parse()
 
 	ran := false
-	if *all || *table == 1 {
-		table1()
-		ran = true
-	}
-	if *all || *table == 2 {
-		table2()
-		ran = true
-	}
-	if *all || *fig == 5 {
-		figure5()
-		ran = true
-	}
-	if *all || *fig == 6 {
-		figure6()
-		ran = true
-	}
-	if *all || *fig == 7 {
-		figure7()
-		ran = true
-	}
-	if *all || *fig == 8 {
-		figure8()
-		ran = true
-	}
-	if *all || *fig == 9 {
-		figure9()
-		ran = true
-	}
-	if *all || *table == 3 {
-		table3()
-		ran = true
-	}
-	if *all || *extra == "occupancy" {
-		occupancy()
-		ran = true
-	}
-	if *all || *extra == "ablations" {
-		ablations()
-		ran = true
+	for _, part := range []struct {
+		selected bool
+		run      func()
+	}{
+		{*table == 1, table1}, {*table == 2, table2},
+		{*fig == 5, figure5}, {*fig == 6, figure6}, {*fig == 7, figure7}, {*fig == 8, figure8}, {*fig == 9, figure9},
+		{*table == 3, table3},
+		{*extra == "occupancy", occupancy}, {*extra == "ablations", ablations},
+	} {
+		if *all || part.selected {
+			part.run()
+			ran = true
+		}
 	}
 	if !ran {
 		flag.Usage()
@@ -182,32 +156,31 @@ func sweepFig(title string, specs []experiment.Spec, loads []float64) {
 	fmt.Println()
 }
 
+// loadsTo is the figures' load axis: 10% of capacity to hi in steps of 5%.
 func loadsTo(hi float64) []float64 {
-	var out []float64
-	for l := 0.10; l <= hi+1e-9; l += 0.05 {
-		out = append(out, l)
+	loads, err := experiment.Grid{From: 0.10, To: hi, Step: 0.05}.LoadPoints()
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return loads
+}
+
+// configs resolves the rows of a figure or table that the shared vocabulary
+// names, through the grid cmd/sweep and the campaign service expand.
+func configs(wiring string, pktLen int, names ...string) []experiment.Spec {
+	specs, err := experiment.Grid{Configs: names, Wiring: wiring, PacketLen: pktLen}.Specs()
+	if err != nil {
+		panic(err)
+	}
+	return specs
 }
 
 func figure5() {
-	sweepFig("Figure 5: 5-flit packets, fast control",
-		[]experiment.Spec{
-			experiment.VC8(experiment.FastControl, 5),
-			experiment.VC16(experiment.FastControl, 5),
-			experiment.FR6(experiment.FastControl, 5),
-			experiment.FR13(experiment.FastControl, 5),
-		}, loadsTo(0.90))
+	sweepFig("Figure 5: 5-flit packets, fast control", configs("fast", 5, "VC8", "VC16", "FR6", "FR13"), loadsTo(0.90))
 }
 
 func figure6() {
-	sweepFig("Figure 6: 21-flit packets, fast control",
-		[]experiment.Spec{
-			experiment.VC16(experiment.FastControl, 21),
-			experiment.VC32(experiment.FastControl, 21),
-			experiment.FR6(experiment.FastControl, 21),
-			experiment.FR13(experiment.FastControl, 21),
-		}, loadsTo(0.80))
+	sweepFig("Figure 6: 21-flit packets, fast control", configs("fast", 21, "VC16", "VC32", "FR6", "FR13"), loadsTo(0.80))
 }
 
 func figure7() {
@@ -223,11 +196,7 @@ func figure7() {
 
 func figure8() {
 	sweepFig("Figure 8: FR6 leading control, leads of 1, 2, 4 cycles",
-		[]experiment.Spec{
-			experiment.FRLead(1, 5),
-			experiment.FRLead(2, 5),
-			experiment.FRLead(4, 5),
-		}, loadsTo(0.85))
+		configs("leading", 5, "FR6-lead1", "FR6-lead2", "FR6-lead4"), loadsTo(0.85))
 }
 
 func figure9() {
@@ -247,20 +216,8 @@ func table3() {
 		title string
 		specs []experiment.Spec
 	}{
-		{"fast control, 5-flit packets", []experiment.Spec{
-			experiment.FR6(experiment.FastControl, 5),
-			experiment.FR13(experiment.FastControl, 5),
-			experiment.VC8(experiment.FastControl, 5),
-			experiment.VC16(experiment.FastControl, 5),
-			experiment.VC32(experiment.FastControl, 5),
-		}},
-		{"fast control, 21-flit packets", []experiment.Spec{
-			experiment.FR6(experiment.FastControl, 21),
-			experiment.FR13(experiment.FastControl, 21),
-			experiment.VC8(experiment.FastControl, 21),
-			experiment.VC16(experiment.FastControl, 21),
-			experiment.VC32(experiment.FastControl, 21),
-		}},
+		{"fast control, 5-flit packets", configs("fast", 5, "FR6", "FR13", "VC8", "VC16", "VC32")},
+		{"fast control, 21-flit packets", configs("fast", 21, "FR6", "FR13", "VC8", "VC16", "VC32")},
 		{"leading control, 5-flit packets", []experiment.Spec{
 			experiment.FRLead(1, 5),
 			experiment.FRSpec("FR13-lead1", experiment.LeadingControl, 13, 4, 1, 5),

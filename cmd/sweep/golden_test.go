@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"frfc"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current output")
@@ -55,6 +57,52 @@ func TestFaultModesGolden(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestWedgedRowExitsOneInEveryMode: the no-progress watchdog cannot be tripped
+// from a command line, so the one printer is driven with a hand-built wedged
+// point per mode. Text or CSV, the row is named on stderr and the exit code is
+// 1 (-faults used to print WEDGED and exit 0); the text form marks the row.
+func TestWedgedRowExitsOneInEveryMode(t *testing.T) {
+	ledger := func(wedged bool) frfc.Resolved { return frfc.Resolved{Offered: 10, Delivered: 9, Wedged: wedged} }
+	for _, tc := range []struct {
+		mode  string
+		table func(wedged bool) table
+		name  string
+	}{
+		{"faults", func(w bool) table {
+			return faultTable([]frfc.FaultPoint{{DataFaultRate: 0.05, RetryLimit: 8, Resolved: ledger(w)}}, 5)
+		}, "fault cell loss=0.05 retry=8"},
+		{"reliability", func(w bool) table {
+			return reliabilityTable([]frfc.ReliabilityPoint{{Scenario: "link-flap", RetryLimit: 8, Resolved: ledger(w)}})
+		}, "scenario link-flap"},
+		{"integrity", func(w bool) table {
+			return integrityTable([]frfc.IntegrityPoint{{BER: 0.001, CrcBits: 4, E2ECheck: true, Resolved: ledger(w)}})
+		}, "integrity cell ber=0.001 e2e=true"},
+		{"chaos", func(w bool) table {
+			return chaosTable([]frfc.ChaosPoint{{Intensity: 0.5, Seed: 7, Events: 3, Resolved: ledger(w)}})
+		}, "chaos campaign intensity=0.5"},
+	} {
+		for _, csv := range []bool{false, true} {
+			var healthy, healthyErr, stdout, stderr bytes.Buffer
+			if code := printTable(&healthy, &healthyErr, tc.table(false), csv); code != 0 || healthyErr.Len() != 0 {
+				t.Errorf("%s csv=%v: healthy row exit %d, stderr %q", tc.mode, csv, code, healthyErr.String())
+			}
+			if code := printTable(&stdout, &stderr, tc.table(true), csv); code != 1 {
+				t.Errorf("%s csv=%v: wedged row exit %d, want 1", tc.mode, csv, code)
+			}
+			if want := "sweep: " + tc.name + " wedged (no-progress watchdog fired)\n"; stderr.String() != want {
+				t.Errorf("%s csv=%v: stderr %q, want %q", tc.mode, csv, stderr.String(), want)
+			}
+			want := healthy.String()
+			if !csv {
+				want = strings.TrimSuffix(want, "\n") + "  WEDGED\n"
+			}
+			if stdout.String() != want {
+				t.Errorf("%s csv=%v: stdout\n%s\nwant\n%s", tc.mode, csv, stdout.String(), want)
+			}
 		}
 	}
 }

@@ -70,6 +70,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"frfc"
@@ -85,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		configs = fs.String("configs", "FR6,VC8", "comma-separated configs: FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, FR6-leadN")
+		configs = fs.String("configs", "FR6,VC8", "comma-separated configs: "+frfc.ConfigNames)
 		wiring  = fs.String("wiring", "fast", "fast or leading")
 		pktLen  = fs.Int("pktlen", 5, "packet length in data flits")
 		from    = fs.Float64("from", 0.10, "first offered load (fraction of capacity)")
@@ -123,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reliability = fs.Bool("reliability", false, "sweep hard-fault scenarios on FR6 (healthy, link-down, link-flap, router-down) and report graceful degradation")
 		scenario    = fs.String("scenario", "", `custom hard-fault schedule for the reliability sweep, e.g. "down 5-6 @400; up 5-6 @900" (implies -reliability)`)
 		routing     = fs.String("routing", "", "routing algorithm for FR configs: xy (default), yx, or table (fault-aware lookup tables)")
-		check       = fs.Bool("check", false, "run FR points under the per-cycle invariant checker")
+		check       = fs.Bool("check", false, "run FR points, and every row of the fault modes, under the per-cycle invariant checker")
 
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile after the sweep to this file")
@@ -136,24 +137,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
 		return 2
 	}
-	if !*faults && !*reliability && !*integrity && !*chaos && *scenario == "" {
-		// Flag validation: a non-positive -step would loop the load
-		// grid forever, and the measurement protocol needs a positive
-		// load window and sample.
-		if *step <= 0 {
-			return fail("-step must be > 0 (got %g)", *step)
-		}
-		if *from <= 0 {
-			return fail("-from must be > 0 (got %g)", *from)
-		}
-		if !*adaptive && *from > *to {
-			return fail("-from (%g) must not exceed -to (%g)", *from, *to)
-		}
+	// Everything a grid sweep (or -adaptive) can be refused for is refused
+	// here, by name, before the store is touched or a job exists: the
+	// measurement protocol needs a positive sample, and the grid validates
+	// its own shape, loads, config names, wiring and routing.
+	names := strings.Split(*configs, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	var specs []frfc.Spec
+	var loads []float64
+	resolved := *faults || *reliability || *integrity || *chaos || *scenario != ""
+	if !resolved {
 		if *sample <= 0 {
 			return fail("-sample must be > 0 (got %d)", *sample)
 		}
 		if *warmup <= 0 {
 			return fail("-warmup must be > 0 (got %d)", *warmup)
+		}
+		var err error
+		specs, loads, err = frfc.Grid{
+			Configs: names, Wiring: *wiring, PacketLen: *pktLen,
+			From: *from, To: *to, Step: *step,
+			Sample: *sample, Warmup: *warmup, Seed: *seed, Routing: *routing, Check: *check,
+		}.Expand()
+		if err != nil {
+			return fail("%v", err)
 		}
 	}
 	if *workers < 0 {
@@ -162,10 +171,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *resume && *out == "" {
 		return fail("-resume needs -out to name the store to resume from")
 	}
-	if *profileOut != "" && (*adaptive || *faults || *reliability || *integrity || *chaos || *scenario != "") {
+	if *profileOut != "" && (*adaptive || resolved) {
 		return fail("-profile applies to grid sweeps only (not -adaptive or the fault/integrity/chaos modes)")
 	}
-	if *wfOut != "" && (*adaptive || *faults || *reliability || *integrity || *chaos || *scenario != "") {
+	if *wfOut != "" && (*adaptive || resolved) {
 		return fail("-waterfall applies to grid sweeps only (not -adaptive or the fault/integrity/chaos modes)")
 	}
 	if *out != "" && !*resume {
@@ -201,78 +210,45 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *faults {
-		return runFaultSweep(stdout, stderr, *retryLimit, *packets, *pktLen, *rates, *seed, *workers, *csv)
-	}
-	if *integrity {
-		o := frfc.IntegritySweepOptions{
-			RetryLimit: *retryLimit, Packets: *packets, PacketLen: *pktLen,
-			CrcBits: *crcBits, Check: *check, Seed: *seed, Workers: *workers,
-		}
-		if *bers != "" {
-			for _, s := range strings.Split(*bers, ",") {
-				var b float64
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &b); err != nil || b != b || b < 0 || b >= 1 {
-					return fail("bad bit-error rate %q (want a probability in [0,1))", s)
-				}
-				o.BERs = append(o.BERs, b)
-			}
-		}
-		return runIntegritySweep(stdout, stderr, o, *csv)
-	}
-	if *chaos {
-		o := frfc.ChaosSweepOptions{
-			Packets: *packets, PacketLen: *pktLen, ChaosSeed: *chaosSeed,
-			Seed: *seed, DisableE2E: *noE2E, Check: *check, Workers: *workers,
-		}
-		if *intensities != "" {
-			for _, s := range strings.Split(*intensities, ",") {
-				var in float64
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &in); err != nil || in != in || in <= 0 || in > 1 {
-					return fail("bad chaos intensity %q (want a value in (0,1])", s)
-				}
-				o.Intensities = append(o.Intensities, in)
-			}
-		}
-		return runChaosSweep(stdout, stderr, o, *csv)
-	}
-	if *reliability || *scenario != "" {
-		o := frfc.ReliabilitySweepOptions{
-			RetryLimit: *retryLimit, Packets: *packets, PacketLen: *pktLen,
-			Routing: *routing, Check: *check, Seed: *seed, Workers: *workers,
-		}
-		if *scenario != "" {
-			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Scenario: *scenario}}
-		}
-		return runReliabilitySweep(stdout, stderr, o, *csv)
-	}
-
-	w := frfc.FastControl
-	if *wiring == "leading" {
-		w = frfc.LeadingControl
-	} else if *wiring != "fast" {
-		return fail("unknown wiring %q", *wiring)
-	}
-
-	names := strings.Split(*configs, ",")
-	specs := make([]frfc.Spec, 0, len(names))
-	for i, name := range names {
-		names[i] = strings.TrimSpace(name)
-		spec, err := specFor(names[i], w, *pktLen)
+	ro := frfc.ResolveOptions{Packets: *packets, PacketLen: *pktLen, Check: *check, Seed: *seed, Workers: *workers}
+	switch {
+	case *faults:
+		list, err := parseList(*rates, "loss rate", "a probability in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		spec = spec.WithSampling(*sample, *warmup)
-		if *seed != 0 {
-			spec = spec.WithSeed(*seed)
+		points := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list})
+		return printTable(stdout, stderr, faultTable(points, *pktLen), *csv)
+	case *integrity:
+		list, err := parseList(*bers, "bit-error rate", "a probability in [0,1)", func(v float64) bool { return v >= 0 && v < 1 })
+		if err != nil {
+			return fail("%v", err)
 		}
-		if *routing != "" {
-			spec = spec.WithRouting(*routing)
+		points, err := frfc.IntegritySweep(frfc.IntegritySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, CrcBits: *crcBits, BERs: list})
+		if err != nil {
+			return fail("%v", err)
 		}
-		if *check {
-			spec = spec.WithCheck(true)
+		return printTable(stdout, stderr, integrityTable(points), *csv)
+	case *chaos:
+		list, err := parseList(*intensities, "chaos intensity", "a value in (0,1]", func(v float64) bool { return v > 0 && v <= 1 })
+		if err != nil {
+			return fail("%v", err)
 		}
-		specs = append(specs, spec)
+		points, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: *chaosSeed, DisableE2E: *noE2E})
+		if err != nil {
+			return fail("%v", err)
+		}
+		return printTable(stdout, stderr, chaosTable(points), *csv)
+	case *reliability || *scenario != "":
+		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Routing: *routing}
+		if *scenario != "" {
+			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Scenario: *scenario}}
+		}
+		points, err := frfc.ReliabilitySweep(o)
+		if err != nil {
+			return fail("%v", err)
+		}
+		return printTable(stdout, stderr, reliabilityTable(points), *csv)
 	}
 
 	popts := frfc.ParallelOptions{
@@ -297,11 +273,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *adaptive {
 		return runAdaptive(stdout, stderr, names, specs, *step, *wiring, *pktLen, popts, *csv)
-	}
-
-	var loads []float64
-	for l := *from; l <= *to+1e-9; l += *step {
-		loads = append(loads, l)
 	}
 
 	jobs := make([]frfc.Job, 0, len(specs)*len(loads))
@@ -338,55 +309,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// One row per load and one column per config, as CSV (an empty cell where
+	// a point failed or saturated) or as aligned text (a word there).
+	first, col, failed, saturated := "%-8s", " %14s", "failed", "saturated"
 	if *csv {
-		fmt.Fprintf(stdout, "load")
-		for _, name := range names {
-			fmt.Fprintf(stdout, ",%s", name)
-		}
-		fmt.Fprintln(stdout)
-		for i, l := range loads {
-			fmt.Fprintf(stdout, "%.1f", l*100)
-			for _, name := range names {
-				jr := series[name][i]
-				if jr.Err != "" || jr.Result.Saturated {
-					fmt.Fprintf(stdout, ",")
-				} else {
-					fmt.Fprintf(stdout, ",%.2f", jr.Result.AvgLatency)
-				}
-			}
-			fmt.Fprintln(stdout)
-		}
-		return exit
+		first, col, failed, saturated = "%s", ",%s", "", ""
+		fmt.Fprint(stdout, "load")
+	} else {
+		fmt.Fprintf(stdout, "# latency (cycles) vs offered traffic (%% capacity); %s wiring, %d-flit packets\n", *wiring, *pktLen)
+		fmt.Fprintf(stdout, first, "load%")
 	}
-
-	fmt.Fprintf(stdout, "# latency (cycles) vs offered traffic (%% capacity); %s wiring, %d-flit packets\n", *wiring, *pktLen)
-	fmt.Fprintf(stdout, "%-8s", "load%")
 	for _, name := range names {
-		fmt.Fprintf(stdout, " %14s", name)
+		fmt.Fprintf(stdout, col, name)
 	}
 	fmt.Fprintln(stdout)
 	for i, l := range loads {
-		fmt.Fprintf(stdout, "%-8.1f", l*100)
+		fmt.Fprintf(stdout, first, fmt.Sprintf("%.1f", l*100))
 		for _, name := range names {
-			jr := series[name][i]
-			switch {
+			cell := fmt.Sprintf("%.2f", series[name][i].Result.AvgLatency)
+			switch jr := series[name][i]; {
 			case jr.Err != "":
-				fmt.Fprintf(stdout, " %14s", "failed")
+				cell = failed
 			case jr.Result.Saturated:
-				fmt.Fprintf(stdout, " %14s", "saturated")
-			default:
-				fmt.Fprintf(stdout, " %14.2f", jr.Result.AvgLatency)
+				cell = saturated
 			}
+			fmt.Fprintf(stdout, col, cell)
 		}
 		fmt.Fprintln(stdout)
 	}
 	return exit
 }
 
-// profilePoint is one point's row in the -profile campaign summary.
-type profilePoint struct {
-	Spec         string  `json:"spec"`
-	Load         float64 `json:"load"`
+// activity is the deterministic Prof* accounting of one point or, summed, of a
+// campaign.
+type activity struct {
 	Ticks        int64   `json:"ticks"`
 	ActiveTicks  int64   `json:"activeTicks"`
 	IdleFraction float64 `json:"idleFraction"`
@@ -396,31 +352,29 @@ type profilePoint struct {
 	CreditWork   int64   `json:"creditWork"`
 }
 
+// profilePoint is one point's row in the -profile campaign summary.
+type profilePoint struct {
+	Spec string  `json:"spec"`
+	Load float64 `json:"load"`
+	activity
+}
+
 // campaignProfile is the -profile output: the aggregate activity accounting
 // over every simulated point, plus one row per point in job order. Every value
 // comes from the deterministic Prof* result fields, so the file is
 // byte-identical for any worker count.
 type campaignProfile struct {
-	Points       int            `json:"points"`
-	Simulated    int            `json:"simulated"`
-	Ticks        int64          `json:"ticks"`
-	ActiveTicks  int64          `json:"activeTicks"`
-	IdleFraction float64        `json:"idleFraction"`
-	SchedWork    int64          `json:"schedWork"`
-	ArbWork      int64          `json:"arbWork"`
-	SwitchWork   int64          `json:"switchWork"`
-	CreditWork   int64          `json:"creditWork"`
-	PerPoint     []profilePoint `json:"perPoint"`
+	Points    int `json:"points"`
+	Simulated int `json:"simulated"`
+	activity
+	PerPoint []profilePoint `json:"perPoint"`
 }
 
 func writeCampaignProfile(path string, results []frfc.JobResult) error {
 	cp := campaignProfile{Points: len(results)}
 	for _, jr := range results {
-		if jr.Err != "" {
-			continue
-		}
 		r := jr.Result
-		if r.ProfTicks == 0 {
+		if jr.Err != "" || r.ProfTicks == 0 {
 			// Cached points predate profiling (or were skipped); they
 			// carry no activity accounting.
 			continue
@@ -432,43 +386,60 @@ func writeCampaignProfile(path string, results []frfc.JobResult) error {
 		cp.ArbWork += r.ProfArbWork
 		cp.SwitchWork += r.ProfSwitchWork
 		cp.CreditWork += r.ProfCreditWork
-		cp.PerPoint = append(cp.PerPoint, profilePoint{
-			Spec: jr.Job.Spec.Name(), Load: jr.Job.Load,
-			Ticks: r.ProfTicks, ActiveTicks: r.ProfActiveTicks,
-			IdleFraction: r.ProfIdleFraction,
-			SchedWork:    r.ProfSchedWork, ArbWork: r.ProfArbWork,
-			SwitchWork: r.ProfSwitchWork, CreditWork: r.ProfCreditWork,
-		})
+		cp.PerPoint = append(cp.PerPoint, profilePoint{jr.Job.Spec.Name(), jr.Job.Load, activity{
+			r.ProfTicks, r.ProfActiveTicks, r.ProfIdleFraction,
+			r.ProfSchedWork, r.ProfArbWork, r.ProfSwitchWork, r.ProfCreditWork,
+		}})
 	}
 	if cp.Ticks > 0 {
 		cp.IdleFraction = 1 - float64(cp.ActiveTicks)/float64(cp.Ticks)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	return writeJSON(path, cp)
+}
+
+// stages is the deterministic Waterfall* decomposition of one point or,
+// summed, of a series or a campaign.
+type stages struct {
+	Packets int64 `json:"packets"`
+	Total   int64 `json:"total"`
+	Queue   int64 `json:"queue"`
+	Reserve int64 `json:"reserve"`
+	Arb     int64 `json:"arb"`
+	Stall   int64 `json:"stall"`
+	Sched   int64 `json:"sched"`
+	Link    int64 `json:"link"`
+	Drain   int64 `json:"drain"`
+}
+
+// add accumulates a result's decomposition and reports whether it had one:
+// failed points, cached points that predate latency provenance and points
+// that saturated with nothing delivered carry none.
+func (s *stages) add(jr frfc.JobResult) (stages, bool) {
+	r := jr.Result
+	if jr.Err != "" || r.WaterfallPackets == 0 {
+		return stages{}, false
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(cp); err != nil {
-		f.Close()
-		return err
+	p := stages{
+		r.WaterfallPackets, r.WaterfallTotal, r.WaterfallQueue, r.WaterfallReserve, r.WaterfallArb,
+		r.WaterfallStall, r.WaterfallSched, r.WaterfallLink, r.WaterfallDrain,
 	}
-	return f.Close()
+	s.Packets += p.Packets
+	s.Total += p.Total
+	s.Queue += p.Queue
+	s.Reserve += p.Reserve
+	s.Arb += p.Arb
+	s.Stall += p.Stall
+	s.Sched += p.Sched
+	s.Link += p.Link
+	s.Drain += p.Drain
+	return p, true
 }
 
 // waterfallPoint is one point's row in the -waterfall campaign summary.
 type waterfallPoint struct {
-	Spec    string  `json:"spec"`
-	Load    float64 `json:"load"`
-	Packets int64   `json:"packets"`
-	Total   int64   `json:"total"`
-	Queue   int64   `json:"queue"`
-	Reserve int64   `json:"reserve"`
-	Arb     int64   `json:"arb"`
-	Stall   int64   `json:"stall"`
-	Sched   int64   `json:"sched"`
-	Link    int64   `json:"link"`
-	Drain   int64   `json:"drain"`
+	Spec string  `json:"spec"`
+	Load float64 `json:"load"`
+	stages
 }
 
 // campaignWaterfall is the -waterfall output: the aggregate stage totals over
@@ -476,58 +447,32 @@ type waterfallPoint struct {
 // comes from the deterministic Waterfall* result fields, so the file is
 // byte-identical for any worker count.
 type campaignWaterfall struct {
-	Points    int              `json:"points"`
-	Simulated int              `json:"simulated"`
-	Packets   int64            `json:"packets"`
-	Total     int64            `json:"total"`
-	Queue     int64            `json:"queue"`
-	Reserve   int64            `json:"reserve"`
-	Arb       int64            `json:"arb"`
-	Stall     int64            `json:"stall"`
-	Sched     int64            `json:"sched"`
-	Link      int64            `json:"link"`
-	Drain     int64            `json:"drain"`
-	PerPoint  []waterfallPoint `json:"perPoint"`
+	Points    int `json:"points"`
+	Simulated int `json:"simulated"`
+	stages
+	PerPoint []waterfallPoint `json:"perPoint"`
 }
 
 func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
 	cw := campaignWaterfall{Points: len(results)}
 	for _, jr := range results {
-		if jr.Err != "" {
-			continue
+		if p, ok := cw.add(jr); ok {
+			cw.Simulated++
+			cw.PerPoint = append(cw.PerPoint, waterfallPoint{jr.Job.Spec.Name(), jr.Job.Load, p})
 		}
-		r := jr.Result
-		if r.WaterfallPackets == 0 {
-			// Cached points predate latency provenance (or saturated with
-			// nothing delivered); they carry no decomposition.
-			continue
-		}
-		cw.Simulated++
-		cw.Packets += r.WaterfallPackets
-		cw.Total += r.WaterfallTotal
-		cw.Queue += r.WaterfallQueue
-		cw.Reserve += r.WaterfallReserve
-		cw.Arb += r.WaterfallArb
-		cw.Stall += r.WaterfallStall
-		cw.Sched += r.WaterfallSched
-		cw.Link += r.WaterfallLink
-		cw.Drain += r.WaterfallDrain
-		cw.PerPoint = append(cw.PerPoint, waterfallPoint{
-			Spec: jr.Job.Spec.Name(), Load: jr.Job.Load,
-			Packets: r.WaterfallPackets, Total: r.WaterfallTotal,
-			Queue: r.WaterfallQueue, Reserve: r.WaterfallReserve,
-			Arb: r.WaterfallArb, Stall: r.WaterfallStall,
-			Sched: r.WaterfallSched, Link: r.WaterfallLink,
-			Drain: r.WaterfallDrain,
-		})
 	}
+	return writeJSON(path, cw)
+}
+
+// writeJSON writes v to path as indented JSON.
+func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(cw); err != nil {
+	if err := enc.Encode(v); err != nil {
 		f.Close()
 		return err
 	}
@@ -540,30 +485,19 @@ func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
 func printWaterfallBreakdown(stdout io.Writer, names []string, series map[string][]frfc.JobResult) {
 	fmt.Fprintln(stdout, "# latency waterfall: mean cycles per stage (queue + reserve + arb + stall + sched + link + drain)")
 	for _, name := range names {
-		var pkts, q, re, a, st, sc, li, dr int64
+		var s stages
 		for _, jr := range series[name] {
-			if jr.Err != "" || jr.Result.WaterfallPackets == 0 {
-				continue
-			}
-			r := jr.Result
-			pkts += r.WaterfallPackets
-			q += r.WaterfallQueue
-			re += r.WaterfallReserve
-			a += r.WaterfallArb
-			st += r.WaterfallStall
-			sc += r.WaterfallSched
-			li += r.WaterfallLink
-			dr += r.WaterfallDrain
+			s.add(jr)
 		}
-		if pkts == 0 {
+		if s.Packets == 0 {
 			fmt.Fprintf(stdout, "# waterfall %-10s no decomposed packets\n", name)
 			continue
 		}
-		n := float64(pkts)
+		n := float64(s.Packets)
+		mean := func(cycles int64) float64 { return float64(cycles) / n }
 		fmt.Fprintf(stdout, "# waterfall %-10s %.2f + %.2f + %.2f + %.2f + %.2f + %.2f + %.2f = %.2f cycles over %d packets\n",
-			name, float64(q)/n, float64(re)/n, float64(a)/n, float64(st)/n,
-			float64(sc)/n, float64(li)/n, float64(dr)/n,
-			float64(q+re+a+st+sc+li+dr)/n, pkts)
+			name, mean(s.Queue), mean(s.Reserve), mean(s.Arb), mean(s.Stall), mean(s.Sched), mean(s.Link), mean(s.Drain),
+			mean(s.Queue+s.Reserve+s.Arb+s.Stall+s.Sched+s.Link+s.Drain), s.Packets)
 	}
 }
 
@@ -616,211 +550,153 @@ func runAdaptive(stdout, stderr io.Writer, names []string, specs []frfc.Spec, re
 	}
 	fmt.Fprintf(stderr, "sweep: %d configs: %d runs simulated\n", len(pts), simulated)
 
+	// One row per config; the CSV and text forms differ only in their formats.
+	head := fmt.Sprintf("# saturation throughput by bisection (resolution %.1f%% capacity); %s wiring, %d-flit packets\n%-14s %10s %10s %12s %6s %10s\n",
+		resolution*100, wiring, pktLen, "config", "sat%cap", "eff%cap", "base(cyc)", "evals", "simulated")
+	failed, row := "%-14s     failed\n", "%-14s %10.1f %10.1f %12.2f %6d %10d\n"
 	if csv {
-		fmt.Fprintln(stdout, "config,saturation,effective,base_latency,evals,simulated")
-		for i, p := range pts {
-			if p.Err != "" {
-				fmt.Fprintf(stdout, "%s,,,,,\n", names[i])
-				continue
-			}
-			fmt.Fprintf(stdout, "%s,%.1f,%.1f,%.2f,%d,%d\n",
-				names[i], p.Saturation*100, p.Effective*100, p.BaseLatency, p.Evals, p.Simulated)
-		}
-		return exit
+		head, failed, row = "config,saturation,effective,base_latency,evals,simulated\n", "%s,,,,,\n", "%s,%.1f,%.1f,%.2f,%d,%d\n"
 	}
-	fmt.Fprintf(stdout, "# saturation throughput by bisection (resolution %.1f%% capacity); %s wiring, %d-flit packets\n",
-		resolution*100, wiring, pktLen)
-	fmt.Fprintf(stdout, "%-14s %10s %10s %12s %6s %10s\n",
-		"config", "sat%cap", "eff%cap", "base(cyc)", "evals", "simulated")
+	fmt.Fprint(stdout, head)
 	for i, p := range pts {
 		if p.Err != "" {
-			fmt.Fprintf(stdout, "%-14s %10s\n", names[i], "failed")
+			fmt.Fprintf(stdout, failed, names[i])
 			continue
 		}
-		fmt.Fprintf(stdout, "%-14s %10.1f %10.1f %12.2f %6d %10d\n",
-			names[i], p.Saturation*100, p.Effective*100, p.BaseLatency, p.Evals, p.Simulated)
+		fmt.Fprintf(stdout, row, names[i], p.Saturation*100, p.Effective*100, p.BaseLatency, p.Evals, p.Simulated)
 	}
 	return exit
 }
 
-// runFaultSweep is the -faults mode: delivery probability versus loss rate,
-// detection-only versus end-to-end retry, cells fanned over the worker pool.
-func runFaultSweep(stdout, stderr io.Writer, retryLimit, packets, pktLen int, rates string, seed uint64, workers int, csv bool) int {
-	o := frfc.FaultSweepOptions{RetryLimit: retryLimit, Packets: packets, PacketLen: pktLen, Seed: seed, Workers: workers}
-	if rates != "" {
-		for _, s := range strings.Split(rates, ",") {
-			var r float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &r); err != nil || r != r || r < 0 || r > 1 {
-				fmt.Fprintf(stderr, "sweep: bad loss rate %q (want a probability in [0,1])\n", s)
-				return 2
-			}
-			o.Rates = append(o.Rates, r)
-		}
+// parseList parses one of the fault modes' comma-separated number lists; what
+// names the kind of value and want its accepted range for the error message.
+// An empty list is nil, which selects the mode's default.
+func parseList(list, what, want string, ok func(float64) bool) ([]float64, error) {
+	if list == "" {
+		return nil, nil
 	}
-	points := frfc.FaultSweep(o)
-	if csv {
-		fmt.Fprintln(stdout, "loss,retrylimit,offered,delivered,abandoned,retried,avglatency")
-		for _, p := range points {
-			fmt.Fprintf(stdout, "%.3f,%d,%d,%d,%d,%d,%.2f\n",
-				p.DataFaultRate, p.RetryLimit, p.Offered, p.Delivered, p.Abandoned, p.Retried, p.AvgLatency)
+	var out []float64
+	for _, s := range strings.Split(list, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || !ok(v) {
+			return nil, fmt.Errorf("bad %s %q (want %s)", what, s, want)
 		}
-		return 0
+		out = append(out, v)
 	}
-	fmt.Fprintf(stdout, "# end-to-end delivery vs data-flit loss; FR6, %d-flit packets, %d packets per row\n", pktLen, points[0].Offered)
-	for _, p := range points {
-		wedged := ""
-		if p.Wedged {
-			wedged = "  WEDGED"
-		}
-		fmt.Fprintf(stdout, "%s%s\n", p, wedged)
-	}
-	return 0
+	return out, nil
 }
 
-// runReliabilitySweep is the -reliability / -scenario mode: graceful
-// degradation under scheduled hard faults, rows fanned over the worker pool.
-func runReliabilitySweep(stdout, stderr io.Writer, o frfc.ReliabilitySweepOptions, csv bool) int {
-	points, err := frfc.ReliabilitySweep(o)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
-	}
+// table is one fault mode's output: the text title, the CSV header, and per
+// point its text and CSV rows plus the name a wedged row is reported under.
+type table struct {
+	title, header string
+	rows          []tableRow
+}
+
+type tableRow struct {
+	text, csv, name string
+	wedged          bool
+}
+
+func (t *table) add(p fmt.Stringer, wedged bool, name, csv string) {
+	t.rows = append(t.rows, tableRow{text: p.String(), csv: csv, name: name, wedged: wedged})
+}
+
+// printTable prints a fault mode's table as text or CSV. A row whose
+// no-progress watchdog fired is named on stderr, marked WEDGED in the text
+// form, and makes the exit code 1.
+func printTable(stdout, stderr io.Writer, t table, csv bool) int {
 	exit := 0
-	for _, p := range points {
-		if p.Wedged {
-			fmt.Fprintf(stderr, "sweep: scenario %s wedged (no-progress watchdog fired)\n", p.Scenario)
+	for _, r := range t.rows {
+		if r.wedged {
+			fmt.Fprintf(stderr, "sweep: %s wedged (no-progress watchdog fired)\n", r.name)
 			exit = 1
 		}
 	}
 	if csv {
-		fmt.Fprintln(stdout, "scenario,retrylimit,offered,delivered,unreachable,abandoned,dropped,retried,avglatency,prefault,outage,postrecovery,recovery")
-		for _, p := range points {
-			fmt.Fprintf(stdout, "%s,%d,%d,%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.3f\n",
+		fmt.Fprintln(stdout, t.header)
+		for _, r := range t.rows {
+			fmt.Fprintln(stdout, r.csv)
+		}
+		return exit
+	}
+	fmt.Fprintln(stdout, t.title)
+	for _, r := range t.rows {
+		wedged := ""
+		if r.wedged {
+			wedged = "  WEDGED"
+		}
+		fmt.Fprintf(stdout, "%s%s\n", r.text, wedged)
+	}
+	return exit
+}
+
+// faultTable is the -faults mode: delivery probability versus loss rate,
+// detection-only versus end-to-end retry.
+func faultTable(points []frfc.FaultPoint, pktLen int) table {
+	t := table{
+		title:  fmt.Sprintf("# end-to-end delivery vs data-flit loss; FR6, %d-flit packets, %d packets per row", pktLen, points[0].Offered),
+		header: "loss,retrylimit,offered,delivered,abandoned,retried,avglatency",
+	}
+	for _, p := range points {
+		t.add(p, p.Wedged, fmt.Sprintf("fault cell loss=%g retry=%d", p.DataFaultRate, p.RetryLimit),
+			fmt.Sprintf("%.3f,%d,%d,%d,%d,%d,%.2f",
+				p.DataFaultRate, p.RetryLimit, p.Offered, p.Delivered, p.Abandoned, p.Retried, p.AvgLatency))
+	}
+	return t
+}
+
+// reliabilityTable is the -reliability / -scenario mode: graceful degradation
+// under scheduled hard faults.
+func reliabilityTable(points []frfc.ReliabilityPoint) table {
+	t := table{
+		title: fmt.Sprintf("# graceful degradation under hard faults; FR6, table routing, retry<=%d, %d packets per row",
+			points[0].RetryLimit, points[0].Offered),
+		header: "scenario,retrylimit,offered,delivered,unreachable,abandoned,dropped,retried,avglatency,prefault,outage,postrecovery,recovery",
+	}
+	for _, p := range points {
+		t.add(p, p.Wedged, "scenario "+p.Scenario,
+			fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.3f",
 				p.Scenario, p.RetryLimit, p.Offered, p.Delivered, p.Unreachable, p.Abandoned,
 				p.DroppedFlits, p.Retried, p.AvgLatency,
-				p.PreFaultLatency, p.OutageLatency, p.PostRecoveryLatency, p.LatencyRecovery)
-		}
-		return exit
+				p.PreFaultLatency, p.OutageLatency, p.PostRecoveryLatency, p.LatencyRecovery))
 	}
-	fmt.Fprintf(stdout, "# graceful degradation under hard faults; FR6, table routing, retry<=%d, %d packets per row\n",
-		points[0].RetryLimit, points[0].Offered)
-	for _, p := range points {
-		wedged := ""
-		if p.Wedged {
-			wedged = "  WEDGED"
-		}
-		fmt.Fprintf(stdout, "%s%s\n", p, wedged)
-	}
-	return exit
+	return t
 }
 
-// runIntegritySweep is the -integrity mode: silent-corruption tolerance
-// versus link bit-error rate, end-to-end check on versus off, cells fanned
-// over the worker pool.
-func runIntegritySweep(stdout, stderr io.Writer, o frfc.IntegritySweepOptions, csv bool) int {
-	points, err := frfc.IntegritySweep(o)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
+// integrityTable is the -integrity mode: silent-corruption tolerance versus
+// link bit-error rate, end-to-end check on versus off.
+func integrityTable(points []frfc.IntegrityPoint) table {
+	t := table{
+		title: fmt.Sprintf("# silent-corruption tolerance vs link bit-error rate; FR6, %d-bit hop CRC, %d packets per row",
+			points[0].CrcBits, points[0].Offered),
+		header: "ber,crcbits,e2e,offered,delivered,abandoned,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency",
 	}
-	exit := 0
 	for _, p := range points {
-		if p.Wedged {
-			fmt.Fprintf(stderr, "sweep: integrity cell ber=%g e2e=%v wedged (no-progress watchdog fired)\n", p.BER, p.E2ECheck)
-			exit = 1
-		}
-	}
-	if csv {
-		fmt.Fprintln(stdout, "ber,crcbits,e2e,offered,delivered,abandoned,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency")
-		for _, p := range points {
-			fmt.Fprintf(stdout, "%g,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f\n",
+		t.add(p, p.Wedged, fmt.Sprintf("integrity cell ber=%g e2e=%v", p.BER, p.E2ECheck),
+			fmt.Sprintf("%g,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
 				p.BER, p.CrcBits, p.E2ECheck, p.Offered, p.Delivered, p.Abandoned,
 				p.Corrupted, p.CrcDetected, p.CorruptEscapes,
-				p.PhantomReservations, p.ReclaimedSlots, p.Retried, p.AvgLatency)
-		}
-		return exit
+				p.PhantomReservations, p.ReclaimedSlots, p.Retried, p.AvgLatency))
 	}
-	fmt.Fprintf(stdout, "# silent-corruption tolerance vs link bit-error rate; FR6, %d-bit hop CRC, %d packets per row\n",
-		points[0].CrcBits, points[0].Offered)
-	for _, p := range points {
-		wedged := ""
-		if p.Wedged {
-			wedged = "  WEDGED"
-		}
-		fmt.Fprintf(stdout, "%s%s\n", p, wedged)
-	}
-	return exit
+	return t
 }
 
-// runChaosSweep is the -chaos mode: one deterministic chaos campaign per
-// intensity, rows fanned over the worker pool.
-func runChaosSweep(stdout, stderr io.Writer, o frfc.ChaosSweepOptions, csv bool) int {
-	points, err := frfc.ChaosSweep(o)
-	if err != nil {
-		fmt.Fprintf(stderr, "sweep: %v\n", err)
-		return 2
+// chaosTable is the -chaos mode: one deterministic chaos campaign per
+// intensity.
+func chaosTable(points []frfc.ChaosPoint) table {
+	t := table{
+		title: fmt.Sprintf("# surviving traffic under deterministic chaos campaigns; FR6, seed %d, %d packets per row",
+			points[0].Seed, points[0].Offered),
+		header: "intensity,seed,events,offered,delivered,abandoned,unreachable,dropped,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency",
 	}
-	exit := 0
 	for _, p := range points {
-		if p.Wedged {
-			fmt.Fprintf(stderr, "sweep: chaos campaign intensity=%g wedged (no-progress watchdog fired)\n", p.Intensity)
-			exit = 1
-		}
-	}
-	if csv {
-		fmt.Fprintln(stdout, "intensity,seed,events,offered,delivered,abandoned,unreachable,dropped,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency")
-		for _, p := range points {
-			fmt.Fprintf(stdout, "%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f\n",
+		t.add(p, p.Wedged, fmt.Sprintf("chaos campaign intensity=%g", p.Intensity),
+			fmt.Sprintf("%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
 				p.Intensity, p.Seed, p.Events, p.Offered, p.Delivered, p.Abandoned,
 				p.Unreachable, p.DroppedFlits, p.Corrupted, p.CrcDetected,
 				p.CorruptEscapes, p.PhantomReservations, p.ReclaimedSlots,
-				p.Retried, p.AvgLatency)
-		}
-		return exit
+				p.Retried, p.AvgLatency))
 	}
-	fmt.Fprintf(stdout, "# surviving traffic under deterministic chaos campaigns; FR6, seed %d, %d packets per row\n",
-		points[0].Seed, points[0].Offered)
-	for _, p := range points {
-		wedged := ""
-		if p.Wedged {
-			wedged = "  WEDGED"
-		}
-		fmt.Fprintf(stdout, "%s%s\n", p, wedged)
-	}
-	return exit
-}
-
-func specFor(name string, w frfc.Wiring, pktLen int) (frfc.Spec, error) {
-	if lead, ok := strings.CutPrefix(name, "FR6-lead"); ok {
-		var n int
-		if _, err := fmt.Sscanf(lead, "%d", &n); err != nil {
-			return frfc.Spec{}, fmt.Errorf("bad lead suffix in %q", name)
-		}
-		return frfc.FRLead(n, pktLen), nil
-	}
-	switch name {
-	case "FR6":
-		if w == frfc.LeadingControl {
-			return frfc.FRLead(1, pktLen), nil
-		}
-		return frfc.FR6(w, pktLen), nil
-	case "FR13":
-		return frfc.FR13(w, pktLen), nil
-	case "VC8":
-		return frfc.VC8(w, pktLen), nil
-	case "VC16":
-		return frfc.VC16(w, pktLen), nil
-	case "VC32":
-		return frfc.VC32(w, pktLen), nil
-	case "WH":
-		return frfc.WormholeSpec(w, 8, pktLen), nil
-	case "SAF":
-		return frfc.StoreAndForwardSpec(w, 2, pktLen), nil
-	case "VCT":
-		return frfc.CutThroughSpec(w, 2, pktLen), nil
-	case "CS":
-		return frfc.CircuitSpec(w, pktLen), nil
-	default:
-		return frfc.Spec{}, fmt.Errorf("unknown config %q (FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, CS, FR6-leadN)", name)
-	}
+	return t
 }

@@ -200,7 +200,10 @@ func TestFreshRunTruncatesStore(t *testing.T) {
 }
 
 // TestFlagValidation: bad measurement flags must fail fast with a clear
-// message and exit code 2 — a non-positive -step used to loop forever.
+// one-line message and exit code 2, before any job exists — a non-positive
+// -step used to loop forever, and an unknown routing name, a routing
+// algorithm the flow lacks, a load above 2 or a negative lead used to build
+// and run every job into a captured panic.
 func TestFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -209,12 +212,21 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"zero step", []string{"-step", "0"}, "-step must be > 0"},
 		{"negative step", []string{"-step", "-0.1"}, "-step must be > 0"},
-		{"from > to", []string{"-from", "0.8", "-to", "0.2"}, "must not exceed -to"},
+		{"from > to", []string{"-from", "0.8", "-to", "0.2"}, "-from (0.8) must not exceed to (0.2)"},
 		{"non-positive from", []string{"-from", "0"}, "-from must be > 0"},
 		{"non-positive sample", []string{"-sample", "0"}, "-sample must be > 0"},
 		{"non-positive warmup", []string{"-warmup", "-5"}, "-warmup must be > 0"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers must be >= 0"},
 		{"resume without out", []string{"-resume"}, "-resume needs -out"},
+		{"unknown config", []string{"-configs", "FR6,NOPE"}, `unknown config "NOPE" (FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, CS, FR6-leadN)`},
+		{"unknown wiring", []string{"-wiring", "bogus"}, `unknown wiring "bogus"`},
+		{"unknown routing", []string{"-routing", "zz"}, `unknown routing "zz" (want xy, yx or table)`},
+		{"routing off FR", []string{"-configs", "FR6,VC8", "-routing", "table"}, `routing "table" is implemented for flit-reservation configs only, not VC8`},
+		{"load above 2", []string{"-to", "2.5"}, "-to must be <= 2 (got 2.5)"},
+		{"step that never advances", []string{"-from", "2", "-to", "2", "-step", "1e-300"}, "-step (1e-300) expands to"},
+		{"lead with a suffix", []string{"-configs", "FR6-lead2x"}, `bad lead in "FR6-lead2x"`},
+		{"negative lead", []string{"-configs", "FR6-lead-3"}, `bad lead in "FR6-lead-3"`},
+		{"adaptive bad routing", []string{"-adaptive", "-routing", "zz"}, `unknown routing "zz"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -225,6 +237,9 @@ func TestFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(stderr.String(), tc.want) {
 				t.Errorf("stderr %q does not explain %q", stderr.String(), tc.want)
+			}
+			if n := strings.Count(stderr.String(), "\n"); n != 1 {
+				t.Errorf("rejection is %d lines, want one:\n%s", n, stderr.String())
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("rejected invocation still wrote output: %s", stdout.String())

@@ -29,7 +29,7 @@ import (
 func main() {
 	fmt.Println("FR6, 4x4 mesh, 5-flit packets, 4-bit hop CRC, retry budget 8")
 	fmt.Println()
-	pts, err := frfc.IntegritySweep(frfc.IntegritySweepOptions{Check: true})
+	pts, err := frfc.IntegritySweep(frfc.IntegritySweepOptions{ResolveOptions: frfc.ResolveOptions{Check: true}})
 	if err != nil {
 		panic(err)
 	}
@@ -54,7 +54,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("Chaos campaigns (deterministic in the seed; kills only at intensity >= 0.75):")
 	fmt.Println()
-	cpts, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{Check: true})
+	cpts, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{ResolveOptions: frfc.ResolveOptions{Check: true}})
 	if err != nil {
 		panic(err)
 	}

@@ -77,7 +77,7 @@ func main() {
 	fmt.Println()
 	fmt.Println("The reliability claim, measured to full resolution per row:")
 	fmt.Println()
-	for _, p := range frfc.FaultSweep(frfc.FaultSweepOptions{Packets: 200}) {
+	for _, p := range frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 200}}) {
 		fmt.Println(p)
 	}
 }

@@ -1,11 +1,9 @@
 package frfc
 
 import (
-	"context"
 	"fmt"
 
 	"frfc/internal/experiment"
-	"frfc/internal/harness"
 )
 
 // FaultPoint is one row of a FaultSweep: a flit-reservation network run at
@@ -17,37 +15,7 @@ type FaultPoint struct {
 	// RetryLimit is the retry budget the row ran with; 0 is the
 	// detection-only arm, where a lost packet stays lost.
 	RetryLimit int
-
-	Offered   int64
-	Delivered int64
-	// Abandoned counts packets given up on after exhausting the budget.
-	Abandoned int64
-	// LostDetected counts loss events at destinations — per transmission
-	// attempt under retry, per packet without.
-	LostDetected int64
-	DroppedFlits int64
-
-	// Retried counts end-to-end retransmissions issued;
-	// DeliveredAfterRetry counts packets whose delivering attempt was a
-	// retry.
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency of the packets
-	// that made it, in cycles; retries inflate it.
-	AvgLatency float64
-	// Cycles is how long the row took to resolve everything.
-	Cycles int64
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Wedged bool
-}
-
-// DeliveredFraction is the end-to-end delivery probability of the row.
-func (p FaultPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
+	Resolved
 }
 
 // String renders the point as one sweep row.
@@ -61,19 +29,12 @@ func (p FaultPoint) String() string {
 }
 
 // FaultSweepOptions parameterizes a FaultSweep. Zero fields take defaults:
-// a 4×4 mesh, 400 packets of 5 flits per row, retry budget 8, and loss rates
-// 0–20%.
+// the ResolveOptions defaults (400 packets per row), retry budget 8, and loss
+// rates 0–20%.
 type FaultSweepOptions struct {
-	Radix      int
-	Packets    int
-	PacketLen  int
+	ResolveOptions
 	RetryLimit int
 	Rates      []float64
-	Seed       uint64
-	// Workers sizes the pool the sweep's cells fan out over; 0 means
-	// runtime.NumCPU(). Each cell owns its own network and RNG, so any
-	// worker count produces identical points in identical order.
-	Workers int
 }
 
 // FaultSweep measures end-to-end delivery under data-flit loss: each loss
@@ -83,19 +44,11 @@ type FaultSweepOptions struct {
 // column exposes. The cells execute concurrently on the harness worker pool
 // (Options.Workers); the points are identical to a serial sweep.
 func FaultSweep(o FaultSweepOptions) []FaultPoint {
-	pts, _ := harness.FaultSweep(context.Background(), experiment.FaultSweepOptions{
-		Radix: o.Radix, Packets: o.Packets, PacketLen: o.PacketLen,
-		RetryLimit: o.RetryLimit, Rates: o.Rates, Seed: o.Seed,
-	}, harness.Options{Workers: o.Workers})
-	out := make([]FaultPoint, len(pts))
-	for i, p := range pts {
-		out[i] = FaultPoint{
-			DataFaultRate: p.DataFaultRate, RetryLimit: p.RetryLimit,
-			Offered: p.Offered, Delivered: p.Delivered, Abandoned: p.Abandoned,
-			LostDetected: p.LostDetected, DroppedFlits: p.DroppedFlits,
-			Retried: p.Retried, DeliveredAfterRetry: p.DeliveredAfterRetry,
-			AvgLatency: p.AvgLatency, Cycles: int64(p.Cycles), Wedged: p.Wedged,
-		}
-	}
-	return out
+	cells := experiment.FaultSweepOptions{
+		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Rates: o.Rates,
+	}.Cells()
+	pts, _ := sweepCells(o.ResolveOptions, cells, func(p experiment.FaultPoint) FaultPoint {
+		return FaultPoint{DataFaultRate: p.DataFaultRate, RetryLimit: p.RetryLimit, Resolved: resolvedOf(p.Resolved)}
+	})
+	return pts
 }

@@ -21,6 +21,7 @@
 package frfc
 
 import (
+	"errors"
 	"fmt"
 
 	"frfc/internal/core"
@@ -114,6 +115,52 @@ func CutThroughSpec(w Wiring, packetBuffers, packetLen int) Spec {
 // amortize.
 func CircuitSpec(w Wiring, packetLen int) Spec {
 	return Spec{inner: experiment.CircuitSpec("CS", experiment.Wiring(w), packetLen)}
+}
+
+// ConfigNames lists the named configurations a Grid resolves, as flag help
+// prints them.
+var ConfigNames = experiment.ConfigNames
+
+// ParseWiring resolves the wiring vocabulary of the command lines and the
+// campaign service: "fast" (or empty) and "leading".
+func ParseWiring(name string) (Wiring, error) {
+	w, err := experiment.ParseWiring(name)
+	return Wiring(w), err
+}
+
+// Grid is a load grid over named configurations — what one cmd/sweep
+// invocation, one campaign request or one cmd/frsim run describes: Configs
+// from the ConfigNames vocabulary under a Wiring ("fast", "leading") and
+// PacketLen; offered Loads, or the From/To/Step that expand to them; and the
+// Sample/Warmup/Seed/Routing/Check refinements every spec receives. It is the
+// one place names become specs and from/to/step becomes loads, so whichever
+// front end built a grid, it expands to the same job hashes.
+type Grid experiment.Grid
+
+// Expand validates the grid and returns one refined spec per config, in
+// Configs order, and the offered loads. Every rejection — an unknown name, a
+// malformed FR6-leadN, a load outside (0,2], a routing algorithm the flow does
+// not implement — is found by name, before anything is built. The fields are
+// named as the command lines' flags, so a rejection that names one reads as
+// that flag: "-step must be > 0 (got 0)".
+func (g Grid) Expand() ([]Spec, []float64, error) {
+	loads, err := experiment.Grid(g).LoadPoints()
+	var inner []experiment.Spec
+	if err == nil {
+		inner, err = experiment.Grid(g).Specs()
+	}
+	if err != nil {
+		var ge *experiment.GridError
+		if errors.As(err, &ge) && ge.Field != "" {
+			err = fmt.Errorf("-%w", err)
+		}
+		return nil, nil, err
+	}
+	specs := make([]Spec, len(inner))
+	for i, s := range inner {
+		specs[i] = Spec{inner: s}
+	}
+	return specs, loads, nil
 }
 
 // Options describes a custom configuration for Custom. Zero fields take the
@@ -236,26 +283,21 @@ type Options struct {
 }
 
 // Custom builds a Spec from explicit options. It returns an error for
-// unknown pattern names; structural misconfiguration (e.g. zero buffers)
-// panics inside Run, as it indicates a programming error.
+// unknown pattern and routing names, a routing algorithm the flow does not
+// implement and a malformed scenario; structural misconfiguration (e.g. zero
+// buffers) panics inside Run, as it indicates a programming error.
 func Custom(name string, o Options) (Spec, error) {
-	w := o.Wiring
+	w := experiment.Wiring(o.Wiring)
 	if w == "" {
-		w = FastControl
+		w = experiment.FastControl
 	}
 	var inner experiment.Spec
 	if o.FlitReservation {
-		base := experiment.FR6(experiment.Wiring(w), orDefault(o.PacketLen, 5))
-		cfg := base.FR
-		cfg = applyFR(cfg, o)
-		inner = base
-		inner.FR = cfg
+		inner = experiment.FR6(w, orDefault(o.PacketLen, 5))
+		inner.FR = applyFR(inner.FR, o)
 	} else {
-		base := experiment.VC8(experiment.Wiring(w), orDefault(o.PacketLen, 5))
-		cfg := base.VC
-		cfg = applyVC(cfg, o)
-		inner = base
-		inner.VC = cfg
+		inner = experiment.VC8(w, orDefault(o.PacketLen, 5))
+		inner.VC = applyVC(inner.VC, o)
 	}
 	inner.Name = name
 	if o.MeshRadix != 0 {
@@ -268,6 +310,9 @@ func Custom(name string, o Options) (Spec, error) {
 			return Spec{}, err
 		}
 		inner.Pattern = p
+	}
+	if err := experiment.CheckRouting(o.Routing, inner); err != nil {
+		return Spec{}, err
 	}
 	inner.Routing = o.Routing
 	inner.Check = o.Check

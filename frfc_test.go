@@ -250,7 +250,7 @@ func TestCustomRejectsBadFaultRates(t *testing.T) {
 }
 
 func TestPublicFaultSweep(t *testing.T) {
-	pts := frfc.FaultSweep(frfc.FaultSweepOptions{Packets: 80, Rates: []float64{0.02}, RetryLimit: 10})
+	pts := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 80}, Rates: []float64{0.02}, RetryLimit: 10})
 	if len(pts) != 2 {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}

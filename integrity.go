@@ -1,11 +1,9 @@
 package frfc
 
 import (
-	"context"
 	"fmt"
 
 	"frfc/internal/experiment"
-	"frfc/internal/harness"
 	"frfc/internal/stats"
 )
 
@@ -16,42 +14,7 @@ type IntegrityPoint struct {
 	BER      float64
 	CrcBits  int
 	E2ECheck bool
-
-	Offered   int64
-	Delivered int64
-	// Abandoned counts packets given up on after exhausting the retry
-	// budget; it should stay zero — corruption either recovers through the
-	// hop CRC's loss path or the end-to-end retry.
-	Abandoned int64
-
-	// The corruption ledger: flits delivered corrupted, corrupted flits the
-	// hop CRC caught, corrupted payload that escaped every hop CRC to its
-	// destination, phantom reservations installed by escaped-corrupt
-	// control flits, and orphaned parked flits the reclamation timeout
-	// freed.
-	Corrupted           int64
-	CrcDetected         int64
-	CorruptEscapes      int64
-	PhantomReservations int64
-	ReclaimedSlots      int64
-
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency over every
-	// delivered packet; Cycles is how long the row took to resolve them.
-	AvgLatency float64
-	Cycles     int64
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Wedged bool
-}
-
-// DeliveredFraction is the end-to-end delivery probability of the row.
-func (p IntegrityPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
+	Resolved
 }
 
 // EscapeRate is corrupted-payload escapes per offered packet — the silent-
@@ -84,13 +47,11 @@ func (p IntegrityPoint) String() string {
 }
 
 // IntegritySweepOptions parameterizes an IntegritySweep. Zero fields take
-// defaults: a 4×4 mesh, 400 packets of 5 flits per row, retry budget 8, a
-// deliberately weak 4-bit hop CRC (so escapes actually occur), and bit-error
+// defaults: the ResolveOptions defaults (400 packets per row), retry budget 8,
+// a deliberately weak 4-bit hop CRC (so escapes actually occur), and bit-error
 // rates {0, 1e-4, 1e-3, 5e-3, 1e-2}.
 type IntegritySweepOptions struct {
-	Radix      int
-	Packets    int
-	PacketLen  int
+	ResolveOptions
 	RetryLimit int
 	// CrcBits is the modeled hop CRC width (negative disables hop
 	// detection entirely).
@@ -98,13 +59,6 @@ type IntegritySweepOptions struct {
 	// BERs are the bit-error rates swept; each runs once with the
 	// end-to-end check on and once with it off.
 	BERs []float64
-	// Check runs every row under the per-cycle invariant checker.
-	Check bool
-	Seed  uint64
-	// Workers sizes the pool the sweep's cells fan out over; 0 means
-	// runtime.NumCPU(). Each cell owns its own network and RNG, so any
-	// worker count produces identical points in identical order.
-	Workers int
 }
 
 // IntegritySweep measures silent-corruption tolerance: for each bit-error
@@ -116,27 +70,10 @@ type IntegritySweepOptions struct {
 // silently accepted corruption. The cells execute concurrently on the
 // harness worker pool; the points are identical to a serial sweep.
 func IntegritySweep(o IntegritySweepOptions) ([]IntegrityPoint, error) {
-	io := experiment.IntegritySweepOptions{
-		Radix: o.Radix, Packets: o.Packets, PacketLen: o.PacketLen,
-		RetryLimit: o.RetryLimit, CrcBits: o.CrcBits, BERs: o.BERs,
-		Check: o.Check, Seed: o.Seed,
-	}
-	pts, err := harness.IntegritySweep(context.Background(), io, harness.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IntegrityPoint, len(pts))
-	for i, p := range pts {
-		out[i] = IntegrityPoint{
-			BER: p.BER, CrcBits: p.CrcBits, E2ECheck: p.E2ECheck,
-			Offered: p.Offered, Delivered: p.Delivered, Abandoned: p.Abandoned,
-			Corrupted: p.Corrupted, CrcDetected: p.CrcDetected,
-			CorruptEscapes:      p.CorruptEscapes,
-			PhantomReservations: p.PhantomReservations,
-			ReclaimedSlots:      p.ReclaimedSlots,
-			Retried:             p.Retried, DeliveredAfterRetry: p.DeliveredAfterRetry,
-			AvgLatency: p.AvgLatency, Cycles: int64(p.Cycles), Wedged: p.Wedged,
-		}
-	}
-	return out, nil
+	cells := experiment.IntegritySweepOptions{
+		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, CrcBits: o.CrcBits, BERs: o.BERs,
+	}.Cells()
+	return sweepCells(o.ResolveOptions, cells, func(p experiment.IntegrityPoint) IntegrityPoint {
+		return IntegrityPoint{BER: p.BER, CrcBits: p.CrcBits, E2ECheck: p.E2ECheck, Resolved: resolvedOf(p.Resolved)}
+	})
 }

@@ -11,7 +11,7 @@ import (
 // criterion — 100% delivery with the end-to-end check on at BER 1e-3 and
 // above — and is bit-identical at any worker count.
 func TestPublicIntegritySweep(t *testing.T) {
-	o := frfc.IntegritySweepOptions{Packets: 120, BERs: []float64{1e-3, 5e-3}, Check: true}
+	o := frfc.IntegritySweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 120, Check: true}, BERs: []float64{1e-3, 5e-3}}
 	ref, err := frfc.IntegritySweep(o)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestPublicIntegritySweep(t *testing.T) {
 // delivers at least 99% — in practice 100% — and the sweep is bit-identical
 // at any worker count.
 func TestPublicChaosSweep(t *testing.T) {
-	o := frfc.ChaosSweepOptions{Packets: 200, Intensities: []float64{0.5}, Check: true}
+	o := frfc.ChaosSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 200, Check: true}, Intensities: []float64{0.5}}
 	ref, err := frfc.ChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)

@@ -5,68 +5,27 @@ import (
 	"fmt"
 
 	"frfc/internal/core"
-	"frfc/internal/noc"
 	"frfc/internal/sim"
-	"frfc/internal/stats"
 	"frfc/internal/topology"
 )
 
-// ChaosPoint is one row of a ChaosSweep: a flit-reservation network run under
+// ChaosPoint is one row of a chaos sweep: a flit-reservation network run under
 // a deterministically generated chaos campaign — composed soft loss, bit
 // errors, link flaps, corruption spikes and (at high intensity) router kills
-// — until every offered packet's fate is resolved.
+// — until every offered packet's fate is resolved. The ledger carries the
+// corruption activity too: see IntegrityPoint.
 type ChaosPoint struct {
 	Intensity float64
 	Seed      uint64
 	// Events is how many scheduled fault events the plan expanded to.
 	Events int
-
-	Offered     int64
-	Delivered   int64
-	Abandoned   int64
-	Unreachable int64
-
-	DroppedFlits        int64
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// The corruption ledger under chaos: see IntegrityPoint.
-	Corrupted           int64
-	CrcDetected         int64
-	CorruptEscapes      int64
-	PhantomReservations int64
-	ReclaimedSlots      int64
-
-	AvgLatency float64
-	Cycles     sim.Cycle
-	Wedged     bool
+	Resolved
 }
 
-// DeliveredFraction is the end-to-end delivery probability of the row,
-// counting fast-failed unreachable packets against the campaign.
-func (p ChaosPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
-}
-
-// String renders the point as one sweep row.
-func (p ChaosPoint) String() string {
-	return fmt.Sprintf("intensity=%.2f events=%2d delivered=%6.2f%%  unreachable=%3d  dropped=%4d  corrupted=%5d  escapes=%3d  phantom=%3d  retried=%4d  latency=%8.2f",
-		p.Intensity, p.Events, p.DeliveredFraction()*100, p.Unreachable,
-		p.DroppedFlits, p.Corrupted, p.CorruptEscapes, p.PhantomReservations,
-		p.Retried, p.AvgLatency)
-}
-
-// ChaosSweepOptions parameterizes a ChaosSweep.
+// ChaosSweepOptions parameterizes a chaos sweep (600 packets per row by
+// default, so traffic spans the campaign's events).
 type ChaosSweepOptions struct {
-	// Radix is the mesh radix (default 4).
-	Radix int
-	// Packets per row (default 600) of PacketLen flits (default 5), offered
-	// one every three cycles so traffic spans the campaign's events.
-	Packets   int
-	PacketLen int
+	ResolveOptions
 	// Intensities are the chaos intensities swept, each in (0, 1]. Nil
 	// selects the defaults {0.25, 0.5, 1.0}; router kills only appear at
 	// intensity >= 0.75.
@@ -75,32 +34,16 @@ type ChaosSweepOptions struct {
 	// to the offering window (3 cycles per packet plus settle margin) so
 	// every campaign bites live traffic.
 	Horizon sim.Cycle
-	// ChaosSeed drives the plan generator; Seed the network and workload.
-	// Both default fixed.
+	// ChaosSeed drives the plan generator (ResolveOptions.Seed the network
+	// and workload). Both default fixed.
 	ChaosSeed uint64
-	Seed      uint64
 	// E2ECheck arms the end-to-end payload check (default on via
 	// DisableE2E=false); chaos without it silently accepts escapes.
 	DisableE2E bool
-	// Check enables the runtime invariant checker for every row.
-	Check bool
 }
 
-// WithDefaults returns the options with every zero field filled in, so
-// orchestration layers can enumerate the sweep's cells exactly as ChaosSweep
-// would.
-func (o ChaosSweepOptions) WithDefaults() ChaosSweepOptions { return o.withDefaults() }
-
 func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
-	if o.Radix == 0 {
-		o.Radix = 4
-	}
-	if o.Packets == 0 {
-		o.Packets = 600
-	}
-	if o.PacketLen == 0 {
-		o.PacketLen = 5
-	}
+	o.ResolveOptions = o.ResolveOptions.withDefaults(600, 0x1D7E9)
 	if o.Intensities == nil {
 		o.Intensities = []float64{0.25, 0.5, 1.0}
 	}
@@ -110,95 +53,36 @@ func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
 	if o.ChaosSeed == 0 {
 		o.ChaosSeed = 0xCA05
 	}
-	if o.Seed == 0 {
-		o.Seed = 0x1D7E9
-	}
 	return o
 }
 
-// ChaosSweep runs one deterministic chaos campaign per intensity against the
-// FR6 network with end-to-end retry and reports how much traffic survived.
-// It is the experiment behind the robustness claim: at moderate intensity
-// (no router kills) delivery stays total — every loss, flap and corruption is
-// absorbed by hop CRCs, reclamation and retries — and at full intensity only
-// traffic stranded by dead routers is written off, fast, as unreachable.
-func ChaosSweep(o ChaosSweepOptions) []ChaosPoint {
+// Cells enumerates the chaos sweep, which runs one deterministic chaos
+// campaign per intensity against the FR6 network with end-to-end retry and
+// reports how much traffic survived. It is the experiment behind the
+// robustness claim: at moderate intensity (no router kills) delivery stays
+// total — every loss, flap and corruption is absorbed by hop CRCs, reclamation
+// and retries — and at full intensity only traffic stranded by dead routers is
+// written off, fast, as unreachable.
+func (o ChaosSweepOptions) Cells() []Cell[ChaosPoint] {
 	o = o.withDefaults()
-	points := make([]ChaosPoint, 0, len(o.Intensities))
+	cells := make([]Cell[ChaosPoint], 0, len(o.Intensities))
 	for _, intensity := range o.Intensities {
-		pt, _ := ChaosCell(context.Background(), o, intensity)
-		points = append(points, pt)
+		cells = append(cells, Cell[ChaosPoint]{
+			Name: fmt.Sprintf("chaos cell (intensity=%g)", intensity),
+			Run: func(ctx context.Context) (ChaosPoint, error) {
+				plan := core.NewChaosPlan(topology.NewMesh(o.Radix), core.ChaosOptions{
+					Intensity: intensity, Horizon: o.Horizon, Seed: o.ChaosSeed,
+				})
+				res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
+					*cfg = plan.Apply(*cfg)
+					cfg.E2ECheck = !o.DisableE2E
+				}, nil)
+				if err != nil {
+					return ChaosPoint{}, err
+				}
+				return ChaosPoint{Intensity: intensity, Seed: o.ChaosSeed, Events: len(plan.Events), Resolved: res}, nil
+			},
+		})
 	}
-	return points
-}
-
-// ChaosCell runs one intensity of a ChaosSweep to full resolution. Each cell
-// owns its own network and RNG seeded only from the options, so cells are
-// independent and may execute concurrently; ctx is polled every 1024 cycles,
-// and a cancelled cell returns ctx.Err() with a zero point.
-func ChaosCell(ctx context.Context, o ChaosSweepOptions, intensity float64) (ChaosPoint, error) {
-	o = o.withDefaults()
-	mesh := topology.NewMesh(o.Radix)
-	plan := core.NewChaosPlan(mesh, core.ChaosOptions{
-		Intensity: intensity, Horizon: o.Horizon, Seed: o.ChaosSeed,
-	})
-	cfg := frConfig(FastControl, 6, 2, 0)
-	cfg = plan.Apply(cfg)
-	cfg.E2ECheck = !o.DisableE2E
-	cfg.WatchdogCycles = 50000
-	cfg.Check = o.Check
-
-	pt := ChaosPoint{Intensity: intensity, Seed: o.ChaosSeed, Events: len(plan.Events)}
-	lat := stats.NewLatencyStats()
-	hooks := &noc.Hooks{
-		PacketDelivered: func(p *noc.Packet, now sim.Cycle) { lat.Record(now - p.CreatedAt) },
-		Wedged:          func(now sim.Cycle, snapshot string) { pt.Wedged = true },
-	}
-	net := core.New(mesh, cfg, o.Seed, hooks)
-
-	rng := sim.NewRNG(o.Seed ^ 0x5DEECE66D)
-	now := sim.Cycle(0)
-	cancelled := func() bool {
-		return now&1023 == 0 && ctx.Err() != nil
-	}
-	for i := 0; i < o.Packets; i++ {
-		if cancelled() {
-			return ChaosPoint{}, ctx.Err()
-		}
-		src := topology.NodeID(rng.Intn(mesh.N()))
-		dst := topology.NodeID(rng.Intn(mesh.N() - 1))
-		if dst >= src {
-			dst++
-		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: o.PacketLen, CreatedAt: now})
-		for j := 0; j < 3; j++ {
-			net.Tick(now)
-			now++
-		}
-	}
-	limit := now + 5000000
-	for net.InFlightPackets() > 0 && now < limit {
-		if cancelled() {
-			return ChaosPoint{}, ctx.Err()
-		}
-		net.Tick(now)
-		now++
-	}
-
-	rec := net.Recovery()
-	pt.Offered = rec.Offered
-	pt.Delivered = rec.Delivered
-	pt.Abandoned = rec.Abandoned
-	pt.Unreachable = rec.Unreachable
-	pt.DroppedFlits = rec.DroppedFlits
-	pt.Retried = rec.Retried
-	pt.DeliveredAfterRetry = rec.DeliveredAfterRetry
-	pt.Corrupted = rec.CorruptedFlits
-	pt.CrcDetected = rec.CrcDetected
-	pt.CorruptEscapes = rec.CorruptEscapes
-	pt.PhantomReservations = rec.PhantomReservations
-	pt.ReclaimedSlots = rec.ReclaimedSlots
-	pt.AvgLatency = lat.Mean()
-	pt.Cycles = now
-	return pt, nil
+	return cells
 }

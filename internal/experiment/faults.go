@@ -5,178 +5,66 @@ import (
 	"fmt"
 
 	"frfc/internal/core"
-	"frfc/internal/noc"
-	"frfc/internal/sim"
-	"frfc/internal/stats"
-	"frfc/internal/topology"
 )
 
-// FaultPoint is one row of a FaultSweep: a flit-reservation network run at
+// FaultPoint is one row of a fault sweep: a flit-reservation network run at
 // one data-flit loss rate with one retry policy, until every offered packet's
-// fate was resolved.
+// fate was resolved. Of the ledger, LostDetected counts loss events at
+// destinations (per attempt under retry).
 type FaultPoint struct {
 	DataFaultRate float64
 	// RetryLimit is the retry budget the row ran with; 0 is the
 	// detection-only arm, where a lost packet stays lost.
 	RetryLimit int
-
-	Offered      int64
-	Delivered    int64
-	Abandoned    int64
-	LostDetected int64 // loss events at destinations (per attempt under retry)
-	DroppedFlits int64
-
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency of the packets
-	// that made it, in cycles; retries inflate it.
-	AvgLatency float64
-	// Cycles is how long the run took to resolve everything.
-	Cycles sim.Cycle
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Wedged bool
+	Resolved
 }
 
-// DeliveredFraction is the end-to-end delivery probability of the row.
-func (p FaultPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
-}
-
-// String renders the point as one sweep row.
-func (p FaultPoint) String() string {
-	policy := "detect-only"
-	if p.RetryLimit > 0 {
-		policy = fmt.Sprintf("retry<=%d", p.RetryLimit)
-	}
-	return fmt.Sprintf("loss=%5.1f%%  %-11s delivered=%5.1f%%  retried=%4d  abandoned=%3d  latency=%8.2f",
-		p.DataFaultRate*100, policy, p.DeliveredFraction()*100, p.Retried, p.Abandoned, p.AvgLatency)
-}
-
-// FaultSweepOptions parameterizes a FaultSweep.
+// FaultSweepOptions parameterizes a fault sweep (400 packets per row by
+// default).
 type FaultSweepOptions struct {
-	// Radix is the mesh radix (default 4).
-	Radix int
-	// Packets per row (default 400) of PacketLen flits (default 5).
-	Packets   int
-	PacketLen int
+	ResolveOptions
 	// RetryLimit is the budget of the retry arm (default 8).
 	RetryLimit int
 	// Rates are the data-flit loss probabilities swept (default 0–20%).
 	Rates []float64
-	// Seed drives the network and workload RNGs (default fixed).
-	Seed uint64
 }
 
-// WithDefaults returns the options with every zero field filled in, so
-// orchestration layers can enumerate the sweep's cells exactly as FaultSweep
-// would.
-func (o FaultSweepOptions) WithDefaults() FaultSweepOptions { return o.withDefaults() }
-
 func (o FaultSweepOptions) withDefaults() FaultSweepOptions {
-	if o.Radix == 0 {
-		o.Radix = 4
-	}
-	if o.Packets == 0 {
-		o.Packets = 400
-	}
-	if o.PacketLen == 0 {
-		o.PacketLen = 5
-	}
+	o.ResolveOptions = o.ResolveOptions.withDefaults(400, 0xFA017)
 	if o.RetryLimit == 0 {
 		o.RetryLimit = 8
 	}
 	if o.Rates == nil {
 		o.Rates = []float64{0, 0.01, 0.02, 0.05, 0.10, 0.20}
 	}
-	if o.Seed == 0 {
-		o.Seed = 0xFA017
-	}
 	return o
 }
 
-// FaultSweep measures end-to-end delivery under data-flit loss: for each loss
-// rate it runs the FR6 network twice — detection only, and with the
-// end-to-end retry layer — resolving every offered packet. It is the
-// experiment behind the recovery layer's reliability claim: with retries, the
-// delivered fraction stays at 100% through percent-level loss rates, at a
+// Cells enumerates the fault sweep, which measures end-to-end delivery under
+// data-flit loss: each loss rate runs the FR6 network twice — detection only,
+// and with the end-to-end retry layer — resolving every offered packet. It is
+// the experiment behind the recovery layer's reliability claim: with retries,
+// the delivered fraction stays at 100% through percent-level loss rates, at a
 // latency cost the AvgLatency column exposes.
-func FaultSweep(o FaultSweepOptions) []FaultPoint {
+func (o FaultSweepOptions) Cells() []Cell[FaultPoint] {
 	o = o.withDefaults()
-	points := make([]FaultPoint, 0, 2*len(o.Rates))
+	cells := make([]Cell[FaultPoint], 0, 2*len(o.Rates))
 	for _, rate := range o.Rates {
 		for _, retryLimit := range []int{0, o.RetryLimit} {
-			pt, _ := FaultCell(context.Background(), o, rate, retryLimit)
-			points = append(points, pt)
+			cells = append(cells, Cell[FaultPoint]{
+				Name: fmt.Sprintf("fault cell (rate=%g, retry=%d)", rate, retryLimit),
+				Run: func(ctx context.Context) (FaultPoint, error) {
+					res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
+						cfg.DataFaultRate = rate
+						cfg.RetryLimit = retryLimit
+					}, nil)
+					if err != nil {
+						return FaultPoint{}, err
+					}
+					return FaultPoint{DataFaultRate: rate, RetryLimit: retryLimit, Resolved: res}, nil
+				},
+			})
 		}
 	}
-	return points
-}
-
-// FaultCell runs one (loss rate, retry policy) cell of a FaultSweep to full
-// resolution. Each cell owns its own network and RNG seeded only from the
-// options, so cells are independent and may execute concurrently; ctx is
-// polled every 1024 cycles, and a cancelled cell returns ctx.Err() with a
-// zero point.
-func FaultCell(ctx context.Context, o FaultSweepOptions, rate float64, retryLimit int) (FaultPoint, error) {
-	o = o.withDefaults()
-	cfg := frConfig(FastControl, 6, 2, 0)
-	cfg.DataFaultRate = rate
-	cfg.RetryLimit = retryLimit
-	cfg.WatchdogCycles = 50000
-
-	mesh := topology.NewMesh(o.Radix)
-	pt := FaultPoint{DataFaultRate: rate, RetryLimit: retryLimit}
-	lat := stats.NewLatencyStats()
-	hooks := &noc.Hooks{
-		PacketDelivered: func(p *noc.Packet, now sim.Cycle) { lat.Record(now - p.CreatedAt) },
-		Wedged:          func(now sim.Cycle, snapshot string) { pt.Wedged = true },
-	}
-	net := core.New(mesh, cfg, o.Seed, hooks)
-
-	rng := sim.NewRNG(o.Seed ^ 0x5DEECE66D)
-	now := sim.Cycle(0)
-	cancelled := func() bool {
-		return now&1023 == 0 && ctx.Err() != nil
-	}
-	for i := 0; i < o.Packets; i++ {
-		if cancelled() {
-			return FaultPoint{}, ctx.Err()
-		}
-		src := topology.NodeID(rng.Intn(mesh.N()))
-		dst := topology.NodeID(rng.Intn(mesh.N() - 1))
-		if dst >= src {
-			dst++
-		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: o.PacketLen, CreatedAt: now})
-		for j := 0; j < 3; j++ {
-			net.Tick(now)
-			now++
-		}
-	}
-	// Resolve every packet; the bound is generous because exponential
-	// backoff at high loss rates can stretch the tail.
-	limit := now + 5000000
-	for net.InFlightPackets() > 0 && now < limit {
-		if cancelled() {
-			return FaultPoint{}, ctx.Err()
-		}
-		net.Tick(now)
-		now++
-	}
-
-	rec := net.Recovery()
-	pt.Offered = rec.Offered
-	pt.Delivered = rec.Delivered
-	pt.Abandoned = rec.Abandoned
-	pt.LostDetected = rec.LostDetected
-	pt.DroppedFlits = rec.DroppedFlits
-	pt.Retried = rec.Retried
-	pt.DeliveredAfterRetry = rec.DeliveredAfterRetry
-	pt.AvgLatency = lat.Mean()
-	pt.Cycles = now
-	return pt, nil
+	return cells
 }

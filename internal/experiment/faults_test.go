@@ -1,8 +1,26 @@
 package experiment
 
 import (
+	"context"
 	"testing"
+
+	"frfc/internal/core"
 )
+
+// runSerial runs a sweep's cells one after another — the reference the
+// harness's pooled RunCells must reproduce.
+func runSerial[P any](t *testing.T, cells []Cell[P]) []P {
+	t.Helper()
+	points := make([]P, 0, len(cells))
+	for _, c := range cells {
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		points = append(points, p)
+	}
+	return points
+}
 
 // TestFaultSweepRetryDeliversEverything is the recovery layer's headline
 // claim: with the end-to-end retry arm enabled, every offered packet is
@@ -14,13 +32,13 @@ func TestFaultSweepRetryDeliversEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is a full-resolution experiment; skipped in -short")
 	}
-	o := FaultSweepOptions{Packets: 250, RetryLimit: 12}
-	points := FaultSweep(o)
+	o := FaultSweepOptions{ResolveOptions: ResolveOptions{Packets: 250}, RetryLimit: 12}
+	points := runSerial(t, o.Cells())
 	if len(points) != 12 {
 		t.Fatalf("expected 12 points (6 rates x 2 policies), got %d", len(points))
 	}
 	for _, p := range points {
-		t.Logf("%s", p)
+		t.Logf("%+v", p)
 		if p.Wedged {
 			t.Errorf("watchdog fired at loss=%.2f retry=%d", p.DataFaultRate, p.RetryLimit)
 		}
@@ -66,9 +84,9 @@ func TestFaultSweepIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep is a full-resolution experiment; skipped in -short")
 	}
-	o := FaultSweepOptions{Packets: 120, Rates: []float64{0.03}, RetryLimit: 8}
-	a := FaultSweep(o)
-	b := FaultSweep(o)
+	o := FaultSweepOptions{ResolveOptions: ResolveOptions{Packets: 120}, Rates: []float64{0.03}, RetryLimit: 8}
+	a := runSerial(t, o.Cells())
+	b := runSerial(t, o.Cells())
 	if len(a) != len(b) {
 		t.Fatalf("point counts differ: %d vs %d", len(a), len(b))
 	}
@@ -76,5 +94,19 @@ func TestFaultSweepIsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("point %d differs between runs:\n  %+v\n  %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestResolveArmsCheckerAndWatchdog: Check is declared once, in
+// ResolveOptions, so it reaches the fabric's configuration from every resolved
+// sweep — the fault sweep used to have no such field and dropped the flag.
+func TestResolveArmsCheckerAndWatchdog(t *testing.T) {
+	var cfg core.Config
+	o := ResolveOptions{Packets: 1, Check: true}.withDefaults(400, 1)
+	if _, err := resolve(context.Background(), o, func(c *core.Config) { cfg = *c }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.Check || cfg.WatchdogCycles == 0 {
+		t.Fatalf("kernel config: Check=%v WatchdogCycles=%d, want the checker and the watchdog armed", cfg.Check, cfg.WatchdogCycles)
 	}
 }

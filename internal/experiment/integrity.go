@@ -5,92 +5,27 @@ import (
 	"fmt"
 
 	"frfc/internal/core"
-	"frfc/internal/noc"
-	"frfc/internal/sim"
-	"frfc/internal/stats"
-	"frfc/internal/topology"
 )
 
-// IntegrityPoint is one row of an IntegritySweep: a flit-reservation network
+// IntegrityPoint is one row of an integrity sweep: a flit-reservation network
 // run under a given link bit-error rate, with or without the end-to-end
-// payload check, until every offered packet's fate is resolved.
+// payload check, until every offered packet's fate is resolved. The ledger's
+// bit-error-model activity is what the row is about: flits delivered
+// corrupted, corrupted flits the hop CRC caught, corrupted payload that
+// escaped every hop CRC to its destination, phantom reservations installed by
+// escaped-corrupt control flits, and orphaned parked flits the reclamation
+// timeout freed.
 type IntegrityPoint struct {
 	BER      float64
 	CrcBits  int
 	E2ECheck bool
-
-	Offered   int64
-	Delivered int64
-	Abandoned int64
-
-	// Bit-error-model activity: flits delivered corrupted, corrupted flits
-	// the hop CRC caught, corrupted payload that escaped every hop CRC to
-	// its destination, phantom reservations installed by escaped-corrupt
-	// control flits, and orphaned parked flits the reclamation timeout
-	// freed.
-	Corrupted           int64
-	CrcDetected         int64
-	CorruptEscapes      int64
-	PhantomReservations int64
-	ReclaimedSlots      int64
-
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency over every
-	// delivered packet; Cycles is how long the run took to resolve them.
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	AvgLatency float64
-	Cycles     sim.Cycle
-	Wedged     bool
+	Resolved
 }
 
-// DeliveredFraction is the end-to-end delivery probability of the row.
-func (p IntegrityPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
-}
-
-// EscapeRate is corrupted-payload escapes per offered packet: the silent-
-// corruption exposure of the configuration. With the end-to-end check on an
-// escape still triggers a retry, so exposure does not imply wrong data was
-// accepted; with it off every escape is accepted as-is.
-func (p IntegrityPoint) EscapeRate() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.CorruptEscapes) / float64(p.Offered)
-}
-
-// EscapeRateCI is the 95% Wilson interval around EscapeRate. Escape counts
-// are single digits out of a few hundred offered packets, so the interval —
-// not the point estimate — is the honest statement of exposure; at zero
-// observed escapes it still has positive width (the rule of three).
-func (p IntegrityPoint) EscapeRateCI() (lo, hi float64) {
-	return stats.WilsonCI95(p.CorruptEscapes, p.Offered)
-}
-
-// String renders the point as one sweep row.
-func (p IntegrityPoint) String() string {
-	e2e := "off"
-	if p.E2ECheck {
-		e2e = "on"
-	}
-	return fmt.Sprintf("ber=%-7.0e e2e=%-3s delivered=%6.2f%%  corrupted=%5d  crc=%5d  escapes=%4d  phantom=%3d  reclaimed=%3d  retried=%4d  latency=%8.2f",
-		p.BER, e2e, p.DeliveredFraction()*100, p.Corrupted, p.CrcDetected,
-		p.CorruptEscapes, p.PhantomReservations, p.ReclaimedSlots, p.Retried, p.AvgLatency)
-}
-
-// IntegritySweepOptions parameterizes an IntegritySweep.
+// IntegritySweepOptions parameterizes an integrity sweep (400 packets per row
+// by default).
 type IntegritySweepOptions struct {
-	// Radix is the mesh radix (default 4).
-	Radix int
-	// Packets per row (default 400) of PacketLen flits (default 5), offered
-	// one every three cycles.
-	Packets   int
-	PacketLen int
+	ResolveOptions
 	// RetryLimit is the end-to-end retry budget (default 8). Corruption
 	// recovery leans on it: detected-corrupt data takes the loss path, and
 	// the end-to-end check turns escapes into retries.
@@ -104,27 +39,10 @@ type IntegritySweepOptions struct {
 	// end-to-end check on and once with it off. Nil selects the defaults
 	// {0, 1e-4, 1e-3, 5e-3, 1e-2}.
 	BERs []float64
-	// Check enables the runtime invariant checker for every row.
-	Check bool
-	// Seed drives the network and workload RNGs (default fixed).
-	Seed uint64
 }
 
-// WithDefaults returns the options with every zero field filled in, so
-// orchestration layers can enumerate the sweep's cells exactly as
-// IntegritySweep would.
-func (o IntegritySweepOptions) WithDefaults() IntegritySweepOptions { return o.withDefaults() }
-
 func (o IntegritySweepOptions) withDefaults() IntegritySweepOptions {
-	if o.Radix == 0 {
-		o.Radix = 4
-	}
-	if o.Packets == 0 {
-		o.Packets = 400
-	}
-	if o.PacketLen == 0 {
-		o.PacketLen = 5
-	}
+	o.ResolveOptions = o.ResolveOptions.withDefaults(400, 0x1D7E9)
 	if o.RetryLimit == 0 {
 		o.RetryLimit = 8
 	}
@@ -134,95 +52,37 @@ func (o IntegritySweepOptions) withDefaults() IntegritySweepOptions {
 	if o.BERs == nil {
 		o.BERs = []float64{0, 1e-4, 1e-3, 5e-3, 1e-2}
 	}
-	if o.Seed == 0 {
-		o.Seed = 0x1D7E9
-	}
 	return o
 }
 
-// IntegritySweep measures silent-corruption tolerance: for each bit-error
-// rate it runs the FR6 network twice — end-to-end check on and off — until
-// every offered packet resolves, and reports delivered fraction alongside the
-// corruption ledger. It is the experiment behind the integrity claim: with
-// the check on, every escape is caught and retried so delivery stays total;
-// with it off, the escape rate is exactly the silently accepted corruption.
-func IntegritySweep(o IntegritySweepOptions) []IntegrityPoint {
+// Cells enumerates the integrity sweep, which measures silent-corruption
+// tolerance: each bit-error rate runs the FR6 network twice — end-to-end check
+// on, then off — until every offered packet resolves, and reports delivered
+// fraction alongside the corruption ledger. It is the experiment behind the
+// integrity claim: with the check on, every escape is caught and retried so
+// delivery stays total; with it off, the escape rate is exactly the silently
+// accepted corruption.
+func (o IntegritySweepOptions) Cells() []Cell[IntegrityPoint] {
 	o = o.withDefaults()
-	points := make([]IntegrityPoint, 0, 2*len(o.BERs))
+	cells := make([]Cell[IntegrityPoint], 0, 2*len(o.BERs))
 	for _, ber := range o.BERs {
 		for _, e2e := range []bool{true, false} {
-			pt, _ := IntegrityCell(context.Background(), o, ber, e2e)
-			points = append(points, pt)
+			cells = append(cells, Cell[IntegrityPoint]{
+				Name: fmt.Sprintf("integrity cell (ber=%g, e2e=%v)", ber, e2e),
+				Run: func(ctx context.Context) (IntegrityPoint, error) {
+					res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
+						cfg.BER = ber
+						cfg.CrcBits = o.CrcBits
+						cfg.E2ECheck = e2e
+						cfg.RetryLimit = o.RetryLimit
+					}, nil)
+					if err != nil {
+						return IntegrityPoint{}, err
+					}
+					return IntegrityPoint{BER: ber, CrcBits: o.CrcBits, E2ECheck: e2e, Resolved: res}, nil
+				},
+			})
 		}
 	}
-	return points
-}
-
-// IntegrityCell runs one (BER, end-to-end check) cell of an IntegritySweep to
-// full resolution. Each cell owns its own network and RNG seeded only from
-// the options, so cells are independent and may execute concurrently; ctx is
-// polled every 1024 cycles, and a cancelled cell returns ctx.Err() with a
-// zero point.
-func IntegrityCell(ctx context.Context, o IntegritySweepOptions, ber float64, e2e bool) (IntegrityPoint, error) {
-	o = o.withDefaults()
-	mesh := topology.NewMesh(o.Radix)
-	cfg := frConfig(FastControl, 6, 2, 0)
-	cfg.BER = ber
-	cfg.CrcBits = o.CrcBits
-	cfg.E2ECheck = e2e
-	cfg.RetryLimit = o.RetryLimit
-	cfg.WatchdogCycles = 50000
-	cfg.Check = o.Check
-
-	pt := IntegrityPoint{BER: ber, CrcBits: o.CrcBits, E2ECheck: e2e}
-	lat := stats.NewLatencyStats()
-	hooks := &noc.Hooks{
-		PacketDelivered: func(p *noc.Packet, now sim.Cycle) { lat.Record(now - p.CreatedAt) },
-		Wedged:          func(now sim.Cycle, snapshot string) { pt.Wedged = true },
-	}
-	net := core.New(mesh, cfg, o.Seed, hooks)
-
-	rng := sim.NewRNG(o.Seed ^ 0x5DEECE66D)
-	now := sim.Cycle(0)
-	cancelled := func() bool {
-		return now&1023 == 0 && ctx.Err() != nil
-	}
-	for i := 0; i < o.Packets; i++ {
-		if cancelled() {
-			return IntegrityPoint{}, ctx.Err()
-		}
-		src := topology.NodeID(rng.Intn(mesh.N()))
-		dst := topology.NodeID(rng.Intn(mesh.N() - 1))
-		if dst >= src {
-			dst++
-		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: o.PacketLen, CreatedAt: now})
-		for j := 0; j < 3; j++ {
-			net.Tick(now)
-			now++
-		}
-	}
-	limit := now + 5000000
-	for net.InFlightPackets() > 0 && now < limit {
-		if cancelled() {
-			return IntegrityPoint{}, ctx.Err()
-		}
-		net.Tick(now)
-		now++
-	}
-
-	rec := net.Recovery()
-	pt.Offered = rec.Offered
-	pt.Delivered = rec.Delivered
-	pt.Abandoned = rec.Abandoned
-	pt.Corrupted = rec.CorruptedFlits
-	pt.CrcDetected = rec.CrcDetected
-	pt.CorruptEscapes = rec.CorruptEscapes
-	pt.PhantomReservations = rec.PhantomReservations
-	pt.ReclaimedSlots = rec.ReclaimedSlots
-	pt.Retried = rec.Retried
-	pt.DeliveredAfterRetry = rec.DeliveredAfterRetry
-	pt.AvgLatency = lat.Mean()
-	pt.Cycles = now
-	return pt, nil
+	return cells
 }

@@ -14,14 +14,14 @@ import (
 // retry instead of an accepted corruption. The per-cycle invariant checker
 // is armed, so a leaked reservation slot panics the run.
 func TestIntegritySweepDeliversEverythingWithE2E(t *testing.T) {
-	o := IntegritySweepOptions{Packets: 200, BERs: []float64{1e-3, 5e-3, 1e-2}, Check: true}
-	points := IntegritySweep(o)
+	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 200, Check: true}, BERs: []float64{1e-3, 5e-3, 1e-2}}
+	points := runSerial(t, o.Cells())
 	sawEscape := false
 	for _, p := range points {
 		if p.Wedged {
 			t.Fatalf("ber=%g e2e=%v wedged", p.BER, p.E2ECheck)
 		}
-		if p.Corrupted == 0 {
+		if p.CorruptedFlits == 0 {
 			t.Fatalf("ber=%g e2e=%v corrupted nothing", p.BER, p.E2ECheck)
 		}
 		if p.CorruptEscapes > 0 {
@@ -43,9 +43,9 @@ func TestIntegritySweepDeliversEverythingWithE2E(t *testing.T) {
 // TestIntegritySweepDeterministic: the sweep is a pure function of its
 // options — two serial runs agree on every field of every point.
 func TestIntegritySweepDeterministic(t *testing.T) {
-	o := IntegritySweepOptions{Packets: 80, BERs: []float64{0, 5e-3}}
-	a := IntegritySweep(o)
-	b := IntegritySweep(o)
+	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 80}, BERs: []float64{0, 5e-3}}
+	a := runSerial(t, o.Cells())
+	b := runSerial(t, o.Cells())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical options diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
@@ -55,8 +55,8 @@ func TestIntegritySweepDeterministic(t *testing.T) {
 // campaign resolves as delivered, abandoned or unreachable, the watchdog
 // stays quiet, and moderate intensity (no router kills) loses nothing.
 func TestChaosSweepResolvesEverything(t *testing.T) {
-	o := ChaosSweepOptions{Packets: 200, Intensities: []float64{0.3, 1.0}, Check: true}
-	points := ChaosSweep(o)
+	o := ChaosSweepOptions{ResolveOptions: ResolveOptions{Packets: 200, Check: true}, Intensities: []float64{0.3, 1.0}}
+	points := runSerial(t, o.Cells())
 	for _, p := range points {
 		if p.Wedged {
 			t.Fatalf("intensity=%g wedged", p.Intensity)
@@ -64,11 +64,11 @@ func TestChaosSweepResolvesEverything(t *testing.T) {
 		if p.Delivered+p.Abandoned+p.Unreachable != p.Offered {
 			t.Fatalf("intensity=%g conservation broken: %+v", p.Intensity, p)
 		}
-		if p.Events == 0 || p.DroppedFlits == 0 || p.Corrupted == 0 {
+		if p.Events == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
 			t.Fatalf("intensity=%g campaign exercised nothing: %+v", p.Intensity, p)
 		}
 	}
-	if points[0].DeliveredFraction() != 1.0 {
+	if points[0].Delivered != points[0].Offered {
 		t.Fatalf("moderate intensity lost traffic: %+v", points[0])
 	}
 	if points[1].Unreachable == 0 {
@@ -115,8 +115,8 @@ func TestChaosRejectedOffFR(t *testing.T) {
 // pin the cell grid shape: one point per (BER, e2e) pair in declaration
 // order, e2e-on first.
 func TestIntegritySweepGridShape(t *testing.T) {
-	o := IntegritySweepOptions{Packets: 40, BERs: []float64{0, 1e-3}}
-	points := IntegritySweep(o)
+	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 40}, BERs: []float64{0, 1e-3}}
+	points := runSerial(t, o.Cells())
 	if len(points) != 4 {
 		t.Fatalf("got %d points, want 4", len(points))
 	}

@@ -5,13 +5,12 @@ import (
 	"fmt"
 
 	"frfc/internal/core"
-	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/stats"
 	"frfc/internal/topology"
 )
 
-// ReliabilityScenario is one named hard-fault schedule a ReliabilitySweep
+// ReliabilityScenario is one named hard-fault schedule a reliability sweep
 // runs: scheduled link and router outages applied to a flit-reservation
 // network mid-run.
 type ReliabilityScenario struct {
@@ -19,27 +18,17 @@ type ReliabilityScenario struct {
 	Events []core.FaultEvent
 }
 
-// ReliabilityPoint is one row of a ReliabilitySweep: one scenario run to full
+// ReliabilityPoint is one row of a reliability sweep: one scenario run to full
 // resolution, with graceful-degradation measurements split around the outage.
 type ReliabilityPoint struct {
 	Scenario   string
 	RetryLimit int
+	Resolved
 
-	Offered     int64
-	Delivered   int64
-	Abandoned   int64
-	Unreachable int64
-
-	DroppedFlits        int64
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency over every
-	// delivered packet. The phase means split the run at the first fault
-	// and at the settle point after the last scheduled event: PreFault is
-	// healthy operation, Outage covers the degraded window, PostRecovery is
-	// after the topology healed (0 when a phase delivered nothing).
-	AvgLatency          float64
+	// The phase means split AvgLatency at the first fault and at the settle
+	// point after the last scheduled event: PreFault is healthy operation,
+	// Outage covers the degraded window, PostRecovery is after the topology
+	// healed (0 when a phase delivered nothing).
 	PreFaultLatency     float64
 	OutageLatency       float64
 	PostRecoveryLatency float64
@@ -47,41 +36,12 @@ type ReliabilityPoint struct {
 	// full recovery, above 1 residual degradation, 0 when either phase is
 	// empty.
 	LatencyRecovery float64
-
-	// Cycles is how long the run took to resolve every offered packet;
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Cycles sim.Cycle
-	Wedged bool
 }
 
-// DeliveredFraction is the end-to-end delivery probability of the row —
-// delivered over offered, counting fast-failed unreachable packets against
-// the scenario.
-func (p ReliabilityPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
-}
-
-// String renders the point as one sweep row.
-func (p ReliabilityPoint) String() string {
-	rec := "-"
-	if p.LatencyRecovery > 0 {
-		rec = fmt.Sprintf("%.2f", p.LatencyRecovery)
-	}
-	return fmt.Sprintf("%-12s delivered=%5.1f%%  unreachable=%3d  dropped=%4d  retried=%4d  latency=%8.2f  recovery=%s",
-		p.Scenario, p.DeliveredFraction()*100, p.Unreachable, p.DroppedFlits, p.Retried, p.AvgLatency, rec)
-}
-
-// ReliabilitySweepOptions parameterizes a ReliabilitySweep.
+// ReliabilitySweepOptions parameterizes a reliability sweep (600 packets per
+// row by default, so traffic spans the scenario's events).
 type ReliabilitySweepOptions struct {
-	// Radix is the mesh radix (default 4).
-	Radix int
-	// Packets per row (default 600) of PacketLen flits (default 5), offered
-	// one every three cycles so traffic spans the scenario's events.
-	Packets   int
-	PacketLen int
+	ResolveOptions
 	// RetryLimit is the end-to-end retry budget (default 8; router outages
 	// require retry, so 0 is rejected by scenario validation).
 	RetryLimit int
@@ -96,27 +56,10 @@ type ReliabilitySweepOptions struct {
 	// Scenarios are the rows (default: healthy baseline, single link down,
 	// link down with repair, router down). Nil selects the defaults.
 	Scenarios []ReliabilityScenario
-	// Check enables the runtime invariant checker for every row.
-	Check bool
-	// Seed drives the network and workload RNGs (default fixed).
-	Seed uint64
 }
 
-// WithDefaults returns the options with every zero field filled in, so
-// orchestration layers can enumerate the sweep's cells exactly as
-// ReliabilitySweep would.
-func (o ReliabilitySweepOptions) WithDefaults() ReliabilitySweepOptions { return o.withDefaults() }
-
 func (o ReliabilitySweepOptions) withDefaults() ReliabilitySweepOptions {
-	if o.Radix == 0 {
-		o.Radix = 4
-	}
-	if o.Packets == 0 {
-		o.Packets = 600
-	}
-	if o.PacketLen == 0 {
-		o.PacketLen = 5
-	}
+	o.ResolveOptions = o.ResolveOptions.withDefaults(600, 0x0F417)
 	if o.RetryLimit == 0 {
 		o.RetryLimit = 8
 	}
@@ -128,9 +71,6 @@ func (o ReliabilitySweepOptions) withDefaults() ReliabilitySweepOptions {
 	}
 	if o.Scenarios == nil {
 		o.Scenarios = DefaultReliabilityScenarios(o.Radix)
-	}
-	if o.Seed == 0 {
-		o.Seed = 0x0F417
 	}
 	return o
 }
@@ -161,107 +101,58 @@ func DefaultReliabilityScenarios(radix int) []ReliabilityScenario {
 	}
 }
 
-// ReliabilitySweep measures graceful degradation under hard faults: each
-// scenario runs the FR6 network with fault-aware table routing and end-to-end
-// retry until every offered packet's fate is resolved. It is the experiment
-// behind the hard-fault tolerance claim: still-connected traffic keeps being
-// delivered (retries absorb the destroyed in-flight flits), disconnected
-// traffic fails fast as unreachable instead of burning the retry budget, and
-// after a repair the latency returns to its pre-fault level.
-func ReliabilitySweep(o ReliabilitySweepOptions) []ReliabilityPoint {
+// Cells enumerates the reliability sweep, which measures graceful degradation
+// under hard faults: each scenario runs the FR6 network with fault-aware table
+// routing and end-to-end retry until every offered packet's fate is resolved.
+// It is the experiment behind the hard-fault tolerance claim: still-connected
+// traffic keeps being delivered (retries absorb the destroyed in-flight
+// flits), disconnected traffic fails fast as unreachable instead of burning
+// the retry budget, and after a repair the latency returns to its pre-fault
+// level. A cell whose scenario does not validate against the mesh fails with
+// an error naming it.
+func (o ReliabilitySweepOptions) Cells() []Cell[ReliabilityPoint] {
 	o = o.withDefaults()
-	points := make([]ReliabilityPoint, 0, len(o.Scenarios))
+	cells := make([]Cell[ReliabilityPoint], 0, len(o.Scenarios))
 	for _, sc := range o.Scenarios {
-		pt, _ := ReliabilityCell(context.Background(), o, sc)
-		points = append(points, pt)
+		cells = append(cells, Cell[ReliabilityPoint]{
+			Name: fmt.Sprintf("reliability scenario %q", sc.Name),
+			Run:  func(ctx context.Context) (ReliabilityPoint, error) { return o.run(ctx, sc) },
+		})
 	}
-	return points
+	return cells
 }
 
-// ReliabilityCell runs one scenario of a ReliabilitySweep to full resolution.
-// Each cell owns its own network and RNG seeded only from the options, so
-// cells are independent and may execute concurrently; ctx is polled every
-// 1024 cycles, and a cancelled cell returns ctx.Err() with a zero point.
-func ReliabilityCell(ctx context.Context, o ReliabilitySweepOptions, sc ReliabilityScenario) (ReliabilityPoint, error) {
-	o = o.withDefaults()
+func (o ReliabilitySweepOptions) run(ctx context.Context, sc ReliabilityScenario) (ReliabilityPoint, error) {
 	mesh := topology.NewMesh(o.Radix)
 	if err := core.ValidateFaults(mesh, sc.Events, o.RetryLimit > 0); err != nil {
 		return ReliabilityPoint{}, fmt.Errorf("experiment: scenario %q: %w", sc.Name, err)
 	}
-	cfg := frConfig(FastControl, 6, 2, 0)
-	cfg.RetryLimit = o.RetryLimit
-	cfg.WatchdogCycles = 50000
-	cfg.Check = o.Check
-	cfg.Faults = sc.Events
-	if alg := ResolveRouting(o.Routing, mesh); alg != nil {
-		cfg.Routing = alg
-	}
-
 	// Phase boundaries: healthy operation ends at the first scheduled event;
 	// the post-recovery phase begins a settle margin after the last one.
-	pt := ReliabilityPoint{Scenario: sc.Name, RetryLimit: o.RetryLimit}
 	var phases *stats.PhaseLatency
+	var delivered func(now, latency sim.Cycle)
 	if len(sc.Events) > 0 {
 		first := sc.Events[0].At
 		last := sc.Events[len(sc.Events)-1].At
 		phases = stats.NewPhaseLatency(first, last+o.SettleCycles)
+		delivered = phases.Record
 	}
-	lat := stats.NewLatencyStats()
-	hooks := &noc.Hooks{
-		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
-			lat.Record(now - p.CreatedAt)
-			if phases != nil {
-				phases.Record(now, now-p.CreatedAt)
-			}
-		},
-		Wedged: func(now sim.Cycle, snapshot string) { pt.Wedged = true },
-	}
-	net := core.New(mesh, cfg, o.Seed, hooks)
-
-	rng := sim.NewRNG(o.Seed ^ 0x5DEECE66D)
-	now := sim.Cycle(0)
-	cancelled := func() bool {
-		return now&1023 == 0 && ctx.Err() != nil
-	}
-	for i := 0; i < o.Packets; i++ {
-		if cancelled() {
-			return ReliabilityPoint{}, ctx.Err()
+	res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
+		cfg.RetryLimit = o.RetryLimit
+		cfg.Faults = sc.Events
+		if alg := ResolveRouting(o.Routing, mesh); alg != nil {
+			cfg.Routing = alg
 		}
-		src := topology.NodeID(rng.Intn(mesh.N()))
-		dst := topology.NodeID(rng.Intn(mesh.N() - 1))
-		if dst >= src {
-			dst++
-		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: o.PacketLen, CreatedAt: now})
-		for j := 0; j < 3; j++ {
-			net.Tick(now)
-			now++
-		}
+	}, delivered)
+	if err != nil {
+		return ReliabilityPoint{}, err
 	}
-	limit := now + 5000000
-	for net.InFlightPackets() > 0 && now < limit {
-		if cancelled() {
-			return ReliabilityPoint{}, ctx.Err()
-		}
-		net.Tick(now)
-		now++
-	}
-
-	rec := net.Recovery()
-	pt.Offered = rec.Offered
-	pt.Delivered = rec.Delivered
-	pt.Abandoned = rec.Abandoned
-	pt.Unreachable = rec.Unreachable
-	pt.DroppedFlits = rec.DroppedFlits
-	pt.Retried = rec.Retried
-	pt.DeliveredAfterRetry = rec.DeliveredAfterRetry
-	pt.AvgLatency = lat.Mean()
+	pt := ReliabilityPoint{Scenario: sc.Name, RetryLimit: o.RetryLimit, Resolved: res}
 	if phases != nil {
 		pt.PreFaultLatency = phases.Mean(0)
 		pt.OutageLatency = phases.Mean(1)
 		pt.PostRecoveryLatency = phases.Mean(2)
 		pt.LatencyRecovery = phases.RecoveryRatio()
 	}
-	pt.Cycles = now
 	return pt, nil
 }

@@ -19,13 +19,13 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reliability sweep is a full-resolution experiment; skipped in -short")
 	}
-	points := ReliabilitySweep(ReliabilitySweepOptions{Check: true})
+	points := runSerial(t, ReliabilitySweepOptions{ResolveOptions: ResolveOptions{Check: true}}.Cells())
 	if len(points) != 4 {
 		t.Fatalf("expected 4 default scenarios, got %d", len(points))
 	}
 	byName := map[string]ReliabilityPoint{}
 	for _, p := range points {
-		t.Logf("%s", p)
+		t.Logf("%+v", p)
 		byName[p.Scenario] = p
 		if p.Wedged {
 			t.Errorf("%s: watchdog fired", p.Scenario)
@@ -42,7 +42,7 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 	}
 
 	healthy := byName["healthy"]
-	if healthy.DeliveredFraction() != 1 || healthy.Unreachable != 0 || healthy.DroppedFlits != 0 {
+	if healthy.Delivered != healthy.Offered || healthy.Unreachable != 0 || healthy.DroppedFlits != 0 {
 		t.Errorf("healthy baseline degraded: %+v", healthy)
 	}
 
@@ -80,11 +80,11 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 // TestReliabilityCellRejectsInvalidScenario checks that a malformed schedule
 // is refused up front instead of corrupting a run.
 func TestReliabilityCellRejectsInvalidScenario(t *testing.T) {
-	o := ReliabilitySweepOptions{}
 	bad := ReliabilityScenario{Name: "bad", Events: []core.FaultEvent{
 		{At: 100, Kind: core.LinkDown, A: 3, B: 9}, // not neighbors on a 4x4 mesh
 	}}
-	if _, err := ReliabilityCell(context.Background(), o, bad); err == nil {
+	cells := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{bad}}.Cells()
+	if _, err := cells[0].Run(context.Background()); err == nil {
 		t.Fatal("expected an error for a non-adjacent link fault")
 	} else if !strings.Contains(err.Error(), `"bad"`) {
 		t.Errorf("error does not name the scenario: %v", err)
@@ -95,9 +95,8 @@ func TestReliabilityCellRejectsInvalidScenario(t *testing.T) {
 func TestReliabilityCellCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := ReliabilitySweepOptions{}
-	_, err := ReliabilityCell(ctx, o, ReliabilityScenario{Name: "healthy"})
-	if err == nil {
+	cells := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{{Name: "healthy"}}}.Cells()
+	if _, err := cells[0].Run(ctx); err == nil {
 		t.Fatal("expected ctx.Err() from a cancelled cell")
 	}
 }

@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 
 	"frfc/internal/core"
 	"frfc/internal/metrics"
@@ -172,31 +174,11 @@ func (r Result) String() string {
 // Run simulates one spec at one offered load (fraction of capacity) through
 // the paper's protocol: warm up until source queues stabilize, tag
 // SamplePackets packets, and run until all of them are delivered or the
-// drain bound trips.
+// drain bound trips. It is RunInstrumented with nothing attached and no
+// cancellation.
 func Run(s Spec, load float64) Result {
-	return RunObserved(s, load, nil)
-}
-
-// RunCtx is Run with cooperative cancellation: the simulation polls ctx every
-// 1024 cycles and returns ctx.Err() if it fired. Cancellation never perturbs
-// a completed run — a nil error means the Result is bit-identical to what
-// Run would have produced.
-func RunCtx(ctx context.Context, s Spec, load float64) (Result, error) {
-	return RunObservedCtx(ctx, s, load, nil)
-}
-
-// RunObserved is Run with an observability probe attached to the network for
-// the whole run: counters, occupancy gauges and flit traces accumulate in the
-// probe, whose registry is stamped with the run length at the end. A nil or
-// empty probe makes it identical to Run.
-func RunObserved(s Spec, load float64, probe *metrics.Probe) Result {
-	r, _ := RunObservedCtx(context.Background(), s, load, probe)
+	r, _ := RunInstrumented(context.Background(), s, load, Instruments{})
 	return r
-}
-
-// RunObservedCtx is RunObserved with cooperative cancellation (see RunCtx).
-func RunObservedCtx(ctx context.Context, s Spec, load float64, probe *metrics.Probe) (Result, error) {
-	return RunInstrumented(ctx, s, load, Instruments{Probe: probe})
 }
 
 // Live is a point-in-time view of a run in flight, delivered to an
@@ -245,9 +227,15 @@ type Instruments struct {
 	PublishEvery sim.Cycle
 }
 
-// RunInstrumented is the fully instrumented run: RunObservedCtx plus a
-// per-epoch time-series recorder and a periodic live-snapshot hook. Zero
-// Instruments make it identical to Run.
+// RunInstrumented is the one implementation of the measurement protocol Run
+// describes, with the optional observers of ins attached to the network for
+// the whole run: the probe's counters, occupancy gauges and flit traces
+// accumulate (its registry is stamped with the run length at the end), the
+// series records one point per epoch, and Publish receives live snapshots.
+// Zero Instruments make it identical to Run. Cancellation is cooperative: the
+// simulation polls ctx every 1024 cycles and returns ctx.Err() if it fired,
+// and never perturbs a completed run — a nil error means the Result is
+// bit-identical to what Run would have produced.
 func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments) (Result, error) {
 	s = s.withDefaults()
 	if load < 0 || load > 2 {
@@ -591,9 +579,7 @@ func Sweep(s Spec, loads []float64) []Result {
 // BaseLatency measures the zero-load (contention-free) latency of a spec by
 // running it at a very light load with a reduced sample.
 func BaseLatency(s Spec) float64 {
-	s = s.withDefaults()
-	s.SamplePackets = min(s.SamplePackets, 500)
-	return Run(s, 0.02).AvgLatency
+	return Run(baseSpec(s.withDefaults()), baseLoad).AvgLatency
 }
 
 // SaturationOptions tunes the saturation-throughput search.
@@ -625,35 +611,80 @@ func (o SaturationOptions) withDefaults() SaturationOptions {
 	return o
 }
 
-// SaturationThroughput locates, by bisection, the highest offered load the
-// configuration sustains — the "saturates at X% capacity" numbers of the
-// paper. It returns the raw load fraction; callers comparing flow-control
-// methods apply the spec's BandwidthPenalty as the paper does.
-func SaturationThroughput(s Spec, o SaturationOptions) float64 {
+// MaxEvals bounds the runs one Bisect makes: the base-latency point, the two
+// endpoints, and the bisection chain.
+func (o SaturationOptions) MaxEvals() int {
+	o = o.withDefaults()
+	return 3 + int(math.Ceil(math.Log2((o.Hi-o.Lo)/o.Resolution)))
+}
+
+// baseSpec is the spec BaseLatency and Bisect measure contention-free latency
+// with: s (defaults filled) at a reduced sample, run at baseLoad.
+func baseSpec(s Spec) Spec {
+	s.SamplePackets = min(s.SamplePackets, 500)
+	return s
+}
+
+const baseLoad = 0.02
+
+// Bisect locates, by bisection, the highest offered load the configuration
+// sustains — the "saturates at X% capacity" numbers of the paper —
+// executing every point through run: Run itself for a plain search, the
+// harness's cached, panic-isolated executor for a campaign. It returns the
+// raw load fraction (callers comparing flow-control methods apply the spec's
+// BandwidthPenalty as the paper does) and the base latency the sustainability
+// threshold was calibrated against. An error from run ends the search.
+func Bisect(s Spec, o SaturationOptions, run func(Spec, float64) (Result, error)) (sat, base float64, err error) {
 	s = s.withDefaults()
 	o = o.withDefaults()
-	base := BaseLatency(s)
-	if base <= 0 {
-		panic("experiment: zero base latency — spec cannot deliver packets")
+	r, err := run(baseSpec(s), baseLoad)
+	if err != nil {
+		return 0, 0, err
 	}
-	sustainable := func(load float64) bool {
-		r := Run(s, load)
-		return !r.Saturated && r.AvgLatency <= o.LatencyFactor*base
+	if base = r.AvgLatency; base <= 0 {
+		return 0, base, errors.New("zero base latency — spec cannot deliver packets")
+	}
+	sustainable := func(load float64) (bool, error) {
+		r, err := run(s, load)
+		return err == nil && !r.Saturated && r.AvgLatency <= o.LatencyFactor*base, err
 	}
 	lo, hi := o.Lo, o.Hi
-	if !sustainable(lo) {
-		return lo
+	if ok, err := sustainable(lo); err != nil || !ok {
+		return lo, base, err
 	}
-	if sustainable(hi) {
-		return hi
+	if ok, err := sustainable(hi); err != nil || ok {
+		return hi, base, err
 	}
 	for hi-lo > o.Resolution {
 		mid := (lo + hi) / 2
-		if sustainable(mid) {
+		ok, err := sustainable(mid)
+		if err != nil {
+			return lo, base, err
+		}
+		if ok {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return lo
+	return lo, base, nil
+}
+
+// saturation is Bisect over plain Runs; it panics when the spec delivers
+// nothing at base load.
+func saturation(s Spec, o SaturationOptions) (sat, base float64) {
+	sat, base, err := Bisect(s, o, func(s Spec, load float64) (Result, error) { return Run(s, load), nil })
+	if err != nil {
+		panic("experiment: " + err.Error())
+	}
+	return sat, base
+}
+
+// SaturationThroughput locates the highest offered load the configuration
+// sustains (see Bisect) by running each point directly. It returns the raw
+// load fraction; callers comparing flow-control methods apply the spec's
+// BandwidthPenalty as the paper does.
+func SaturationThroughput(s Spec, o SaturationOptions) float64 {
+	sat, _ := saturation(s, o)
+	return sat
 }

@@ -196,40 +196,38 @@ func frConfig(w Wiring, dataBuffers, ctrlVCs int, lead sim.Cycle) core.Config {
 		CreditLatency:     1,
 		LocalLatency:      1,
 	}
-	switch w {
-	case FastControl:
-		c.DataLinkLatency = 4
-		c.LeadCycles = 0
-	case LeadingControl:
-		c.DataLinkLatency = 1
+	c.DataLinkLatency = dataLinkLatency(w)
+	if w == LeadingControl {
 		if lead == 0 {
 			lead = 1
 		}
 		c.LeadCycles = lead
-	default:
-		panic(fmt.Sprintf("experiment: unknown wiring %q", w))
 	}
 	return c
+}
+
+// dataLinkLatency is a wiring's data-wire latency in cycles: 4 under fast
+// control, whose control and credit wires take 1, and 1 under leading control.
+func dataLinkLatency(w Wiring) sim.Cycle {
+	switch w {
+	case FastControl:
+		return 4
+	case LeadingControl:
+		return 1
+	}
+	panic(fmt.Sprintf("experiment: unknown wiring %q", w))
 }
 
 // vcConfig builds the paper's VC router parameters (4 flits per virtual
 // channel, the depth the paper found best) under the given wiring.
 func vcConfig(w Wiring, vcs int) vcrouter.Config {
-	c := vcrouter.Config{
+	return vcrouter.Config{
 		NumVCs:        vcs,
 		BufPerVC:      4,
+		LinkLatency:   dataLinkLatency(w),
 		CreditLatency: 1,
 		LocalLatency:  1,
 	}
-	switch w {
-	case FastControl:
-		c.LinkLatency = 4
-	case LeadingControl:
-		c.LinkLatency = 1
-	default:
-		panic(fmt.Sprintf("experiment: unknown wiring %q", w))
-	}
-	return c
 }
 
 // FR6 is the paper's 6-buffer flit-reservation configuration
@@ -289,12 +287,7 @@ func vcSpec(name string, w Wiring, vcs, pktLen int) Spec {
 // WormholeSpec builds a wormhole baseline spec ([DalSei86], Section 2 of the
 // paper) with the given per-input buffer depth under the given wiring.
 func WormholeSpec(name string, w Wiring, depth, pktLen int) Spec {
-	c := wormhole.Config{BufferDepth: depth, CreditLatency: 1, LocalLatency: 1}
-	if w == FastControl {
-		c.LinkLatency = 4
-	} else {
-		c.LinkLatency = 1
-	}
+	c := wormhole.Config{BufferDepth: depth, LinkLatency: dataLinkLatency(w), CreditLatency: 1, LocalLatency: 1}
 	s := Spec{Name: name, Flow: Wormhole, WH: c, PacketLen: pktLen}
 	return s.withDefaults()
 }
@@ -306,12 +299,7 @@ func PacketSwitchSpec(name string, flow Flow, w Wiring, buffers, pktLen int) Spe
 	if flow == CutThrough {
 		mode = packetswitch.CutThrough
 	}
-	c := packetswitch.Config{Mode: mode, PacketBuffers: buffers, MaxPacketLen: pktLen, CreditLatency: 1, LocalLatency: 1}
-	if w == FastControl {
-		c.LinkLatency = 4
-	} else {
-		c.LinkLatency = 1
-	}
+	c := packetswitch.Config{Mode: mode, PacketBuffers: buffers, MaxPacketLen: pktLen, LinkLatency: dataLinkLatency(w), CreditLatency: 1, LocalLatency: 1}
 	s := Spec{Name: name, Flow: flow, PS: c, PacketLen: pktLen}
 	return s.withDefaults()
 }
@@ -320,12 +308,7 @@ func PacketSwitchSpec(name string, flow Flow, w Wiring, buffers, pktLen int) Spe
 // wave-switching hybrid of Section 2): probes on fast control wires reserve
 // an exclusive path, then the message streams unbuffered.
 func CircuitSpec(name string, w Wiring, pktLen int) Spec {
-	c := circuit.Config{ProbeBuffers: 4, CtrlLinkLatency: 1, LocalLatency: 1}
-	if w == FastControl {
-		c.LinkLatency = 4
-	} else {
-		c.LinkLatency = 1
-	}
+	c := circuit.Config{ProbeBuffers: 4, LinkLatency: dataLinkLatency(w), CtrlLinkLatency: 1, LocalLatency: 1}
 	s := Spec{Name: name, Flow: CircuitSwitch, CS: c, PacketLen: pktLen}
 	return s.withDefaults()
 }

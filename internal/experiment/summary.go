@@ -15,26 +15,18 @@ type SummaryRow struct {
 	EffectiveThroughput float64 // debited by the bandwidth penalty
 }
 
-// Summarize measures one spec's Table 3 row.
+// Summarize measures one spec's Table 3 row; the base latency is the one the
+// saturation search calibrated against.
 func Summarize(s Spec, o SaturationOptions) SummaryRow {
 	s = s.withDefaults()
-	sat := SaturationThroughput(s, o)
+	sat, base := saturation(s, o)
 	return SummaryRow{
 		Spec:                s.Name,
-		BaseLatency:         BaseLatency(s),
+		BaseLatency:         base,
 		LatencyAt50:         Run(s, 0.50).AvgLatency,
 		Throughput:          sat,
 		EffectiveThroughput: sat * (1 - s.BandwidthPenalty),
 	}
-}
-
-// SummarizeAll measures a Table 3 row for every spec.
-func SummarizeAll(specs []Spec, o SaturationOptions) []SummaryRow {
-	rows := make([]SummaryRow, 0, len(specs))
-	for _, s := range specs {
-		rows = append(rows, Summarize(s, o))
-	}
-	return rows
 }
 
 // FormatSummary renders rows as a text table in Table 3's layout.

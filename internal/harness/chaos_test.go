@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"frfc/internal/experiment"
@@ -15,19 +13,10 @@ import (
 // leaked reservation slot cannot hide. The parallel sweep must reproduce the
 // serial one bit for bit, and moderate intensity must lose nothing.
 func TestChaosSoakSerialVsParallel(t *testing.T) {
-	o := experiment.ChaosSweepOptions{
-		Packets:     250,
-		Intensities: []float64{0.25, 0.6, 1.0},
-		Check:       true,
-	}
-	serial := experiment.ChaosSweep(o)
-	parallel, err := ChaosSweep(context.Background(), o, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel chaos sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
+	serial := serialVsParallel(t, experiment.ChaosSweepOptions{
+		ResolveOptions: experiment.ResolveOptions{Packets: 250, Check: true},
+		Intensities:    []float64{0.25, 0.6, 1.0},
+	}.Cells())
 	for _, p := range serial {
 		if p.Wedged {
 			t.Errorf("intensity=%g: watchdog fired", p.Intensity)
@@ -39,12 +28,12 @@ func TestChaosSoakSerialVsParallel(t *testing.T) {
 			t.Errorf("intensity=%g: %d packets abandoned under the default retry budget", p.Intensity, p.Abandoned)
 		}
 		if p.Intensity < 0.75 {
-			if p.DeliveredFraction() != 1.0 {
+			if p.Delivered != p.Offered {
 				t.Errorf("intensity=%g (no router kills) lost traffic: delivered %d of %d",
 					p.Intensity, p.Delivered, p.Offered)
 			}
-		} else if p.DeliveredFraction() < 0.95 {
-			t.Errorf("intensity=%g delivered only %.1f%%", p.Intensity, p.DeliveredFraction()*100)
+		} else if float64(p.Delivered) < 0.95*float64(p.Offered) {
+			t.Errorf("intensity=%g delivered only %d of %d", p.Intensity, p.Delivered, p.Offered)
 		}
 	}
 }
@@ -52,15 +41,10 @@ func TestChaosSoakSerialVsParallel(t *testing.T) {
 // TestIntegritySweepParallelMatchesSerial: the bit-error grid fanned over
 // workers must reproduce the serial sweep exactly, in the same cell order.
 func TestIntegritySweepParallelMatchesSerial(t *testing.T) {
-	o := experiment.IntegritySweepOptions{Packets: 80, BERs: []float64{0, 5e-3}, Check: true}
-	serial := experiment.IntegritySweep(o)
-	parallel, err := IntegritySweep(context.Background(), o, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel integrity sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
+	serialVsParallel(t, experiment.IntegritySweepOptions{
+		ResolveOptions: experiment.ResolveOptions{Packets: 80, Check: true},
+		BERs:           []float64{0, 5e-3},
+	}.Cells())
 }
 
 // TestChaosJobsHashStably: chaos fields ride the spec, so identical chaos

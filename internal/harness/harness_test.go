@@ -3,7 +3,9 @@ package harness
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -55,6 +57,22 @@ func TestParallelEqualsSerial(t *testing.T) {
 			if !reflect.DeepEqual(jr.Result, serial[i]) {
 				t.Errorf("workers=%d job %d (spec=%s load=%.2f) diverged from serial:\nparallel: %+v\nserial:   %+v",
 					workers, i, serial[i].Spec, serial[i].Load, jr.Result, serial[i])
+			}
+		}
+	}
+}
+
+// TestDocsNameTheCurrentHashVersion: every frfc-job-vN the prose mentions is
+// the hashVersion jobs are actually keyed with.
+func TestDocsNameTheCurrentHashVersion(t *testing.T) {
+	for _, doc := range []string{"../../docs/harness.md", "../../DESIGN.md", "../../EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`frfc-job-v\d+`).FindAllString(string(raw), -1) {
+			if m != hashVersion {
+				t.Errorf("%s mentions %s, jobs hash under %s", doc, m, hashVersion)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 )
@@ -93,22 +92,4 @@ func (t *tracker) finish(jr *JobResult) {
 		t.report(t.p)
 	}
 	t.mu.Unlock()
-}
-
-// NewProgressWriter returns a Progress callback that streams status lines to
-// w (typically stderr), throttled to one line per interval plus the final
-// line. interval <= 0 means every update.
-func NewProgressWriter(w io.Writer, interval time.Duration) func(Progress) {
-	var mu sync.Mutex
-	var last time.Time
-	return func(p Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		now := time.Now()
-		if p.Done < p.Total && interval > 0 && now.Sub(last) < interval {
-			return
-		}
-		last = now
-		fmt.Fprintf(w, "harness: %s\n", p)
-	}
 }

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 	"time"
 
 	"frfc/internal/experiment"
@@ -81,19 +79,21 @@ func execJob(ctx context.Context, j Job, o Options, tr *tracker) JobResult {
 		o.JobStarted(j)
 	}
 	start := time.Now()
-	res, panicked, stack, err := runJobIsolated(runCtx, j, o)
+	out := runIsolated(runCtx, 0, j, func(ctx context.Context, _ int, j Job) (experiment.Result, error) {
+		return runJob(ctx, j, o)
+	})
 	jr.Elapsed = time.Since(start)
-	if err != nil {
-		jr.Err = err.Error()
-		jr.Panicked = panicked
-		if panicked {
-			jr.Err += "\n" + stack
+	if out.Err != nil {
+		jr.Err = out.Err.Error()
+		jr.Panicked = out.Panicked
+		if out.Panicked {
+			jr.Err += "\n" + out.Stack
 		}
 		return jr
 	}
-	jr.Result = res
+	jr.Result = out.Value
 	if o.Store != nil {
-		if perr := o.Store.Put(j, jr.Hash, res); perr != nil {
+		if perr := o.Store.Put(j, jr.Hash, out.Value); perr != nil {
 			// The result is still good; surface the store failure
 			// without discarding it.
 			jr.Err = perr.Error()
@@ -102,36 +102,29 @@ func execJob(ctx context.Context, j Job, o Options, tr *tracker) JobResult {
 	return jr
 }
 
-// runJobIsolated runs the simulation with panic capture, so a bug tripped by
-// one parameter point becomes that point's failure rather than a crashed
-// campaign. When a collector or the self-profiler is armed the run is probed
-// and the registries handed over on success — observation only, results
-// unchanged (profiling adds only the deterministic Prof* summary fields).
-func runJobIsolated(ctx context.Context, j Job, o Options) (res experiment.Result, panicked bool, stack string, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			panicked = true
-			stack = string(debug.Stack())
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
+// runJob runs the simulation; execJob calls it under the pool's panic capture,
+// so a bug tripped by one parameter point becomes that point's failure rather
+// than a crashed campaign. When a collector or the self-profiler is armed the
+// run carries a probe and the registries are handed over on success —
+// observation only, results unchanged (profiling adds only the deterministic
+// Prof* summary fields); with nothing armed the probe stays nil.
+func runJob(ctx context.Context, j Job, o Options) (experiment.Result, error) {
 	profiled := o.Profile || o.CollectProfile != nil
 	waterfalled := o.Waterfall || o.CollectWaterfall != nil
-	if o.Collect == nil && !profiled && !waterfalled {
-		res, err = experiment.RunCtx(ctx, j.EffectiveSpec(), j.Load)
-		return res, panicked, stack, err
+	var probe *metrics.Probe
+	if o.Collect != nil || profiled || waterfalled {
+		probe = &metrics.Probe{}
+		if o.Collect != nil {
+			probe.Reg = metrics.NewRegistry(0)
+		}
+		if profiled {
+			probe.Prof = profile.NewRegistry(0)
+		}
+		if waterfalled {
+			probe.WF = waterfall.New()
+		}
 	}
-	probe := &metrics.Probe{}
-	if o.Collect != nil {
-		probe.Reg = metrics.NewRegistry(0)
-	}
-	if profiled {
-		probe.Prof = profile.NewRegistry(0)
-	}
-	if waterfalled {
-		probe.WF = waterfall.New()
-	}
-	res, err = experiment.RunObservedCtx(ctx, j.EffectiveSpec(), j.Load, probe)
+	res, err := experiment.RunInstrumented(ctx, j.EffectiveSpec(), j.Load, experiment.Instruments{Probe: probe})
 	if err == nil {
 		if o.Collect != nil {
 			o.Collect(j, probe.Reg)
@@ -143,5 +136,5 @@ func runJobIsolated(ctx context.Context, j Job, o Options) (res experiment.Resul
 			o.CollectWaterfall(j, probe.WF)
 		}
 	}
-	return res, panicked, stack, err
+	return res, err
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"frfc/internal/experiment"
 )
@@ -33,14 +32,11 @@ type SatResult struct {
 // grid. Specs search in parallel (each bisection chain is inherently
 // sequential); every individual run flows through the job executor, so the
 // result store caches and resumes searches exactly like grid sweeps. The
-// search mirrors experiment.SaturationThroughput and returns identical
-// saturation points for identical options.
+// search is experiment.Bisect — the one experiment.SaturationThroughput walks
+// — and returns identical saturation points for identical options.
 func SaturationSearch(ctx context.Context, specs []experiment.Spec, so experiment.SaturationOptions, o Options) ([]SatResult, error) {
-	so = saturationDefaults(so)
-	// Worst-case evals per spec: base latency + the two endpoints + the
-	// bisection chain. Display-only estimate for progress.
-	perSpec := 3 + int(math.Ceil(math.Log2((so.Hi-so.Lo)/so.Resolution)))
-	tr := newTracker(len(specs)*perSpec, o.workers(), o.Progress)
+	// The worst-case evals per spec is a display-only estimate for progress.
+	tr := newTracker(len(specs)*so.MaxEvals(), o.workers(), o.Progress)
 
 	outs := mapPool(ctx, o.workers(), specs, func(ctx context.Context, _ int, s experiment.Spec) (SatResult, error) {
 		return searchOne(ctx, s, so, o, tr), nil
@@ -56,31 +52,12 @@ func SaturationSearch(ctx context.Context, specs []experiment.Spec, so experimen
 	return results, ctx.Err()
 }
 
-// saturationDefaults mirrors experiment.SaturationOptions.withDefaults so the
-// two searches bisect identical load sequences.
-func saturationDefaults(o experiment.SaturationOptions) experiment.SaturationOptions {
-	if o.LatencyFactor == 0 {
-		o.LatencyFactor = 6
-	}
-	if o.Resolution == 0 {
-		o.Resolution = 0.01
-	}
-	if o.Hi == 0 {
-		o.Hi = 1.0
-	}
-	if o.Lo == 0 {
-		o.Lo = 0.10
-	}
-	return o
-}
-
 // searchOne bisects one spec's saturation load, routing every run through the
 // cached, panic-isolated job executor.
 func searchOne(ctx context.Context, s experiment.Spec, so experiment.SaturationOptions, o Options, tr *tracker) SatResult {
 	s = s.Normalized()
 	sr := SatResult{Spec: s.Name}
-
-	run := func(spec experiment.Spec, load float64) (experiment.Result, error) {
+	sat, base, err := experiment.Bisect(s, so, func(spec experiment.Spec, load float64) (experiment.Result, error) {
 		jr := execJob(ctx, Job{Spec: spec, Load: load}, o, tr)
 		sr.Evals++
 		if !jr.Cached {
@@ -90,65 +67,14 @@ func searchOne(ctx context.Context, s experiment.Spec, so experiment.SaturationO
 			return experiment.Result{}, fmt.Errorf("%s at load %.4f: %s", spec.Name, load, jr.Err)
 		}
 		return jr.Result, nil
-	}
-
-	// Base latency, as experiment.BaseLatency measures it: a light load
-	// with a reduced sample.
-	baseSpec := s
-	baseSpec.SamplePackets = min(baseSpec.SamplePackets, 500)
-	baseRes, err := run(baseSpec, 0.02)
+	})
+	sr.BaseLatency = base
 	if err != nil {
 		sr.Err = err.Error()
 		return sr
 	}
-	sr.BaseLatency = baseRes.AvgLatency
-	if sr.BaseLatency <= 0 {
-		sr.Err = "zero base latency — spec cannot deliver packets"
-		return sr
-	}
-
-	sustainable := func(load float64) (bool, error) {
-		r, err := run(s, load)
-		if err != nil {
-			return false, err
-		}
-		return !r.Saturated && r.AvgLatency <= so.LatencyFactor*sr.BaseLatency, nil
-	}
-
-	lo, hi := so.Lo, so.Hi
-	ok, err := sustainable(lo)
-	if err != nil {
-		sr.Err = err.Error()
-		return sr
-	}
-	if !ok {
-		sr.Saturation = lo
-		sr.Effective = lo * (1 - s.BandwidthPenalty)
-		return sr
-	}
-	if ok, err = sustainable(hi); err != nil {
-		sr.Err = err.Error()
-		return sr
-	} else if ok {
-		sr.Saturation = hi
-		sr.Effective = hi * (1 - s.BandwidthPenalty)
-		return sr
-	}
-	for hi-lo > so.Resolution {
-		mid := (lo + hi) / 2
-		ok, err := sustainable(mid)
-		if err != nil {
-			sr.Err = err.Error()
-			return sr
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	sr.Saturation = lo
-	sr.Effective = lo * (1 - s.BandwidthPenalty)
+	sr.Saturation = sat
+	sr.Effective = sat * (1 - s.BandwidthPenalty)
 	return sr
 }
 
@@ -156,20 +82,14 @@ func searchOne(ctx context.Context, s experiment.Spec, so experiment.SaturationO
 // 50% capacity, and saturation throughput — with the specs fanned over the
 // worker pool. Row values equal experiment.Summarize's for the same options.
 func SummarizeAll(ctx context.Context, specs []experiment.Spec, so experiment.SaturationOptions, o Options) ([]experiment.SummaryRow, error) {
-	outs := mapPool(ctx, o.workers(), specs, func(ctx context.Context, _ int, s experiment.Spec) (experiment.SummaryRow, error) {
-		return experiment.Summarize(s, so), nil
-	})
-	rows := make([]experiment.SummaryRow, len(specs))
-	var err error
-	for i, out := range outs {
-		if out.Err != nil {
-			if err == nil {
-				err = fmt.Errorf("summarize %s: %w", specs[i].Normalized().Name, out.Err)
-			}
-			rows[i] = experiment.SummaryRow{Spec: specs[i].Normalized().Name}
-			continue
+	cells := make([]experiment.Cell[experiment.SummaryRow], len(specs))
+	for i, s := range specs {
+		cells[i] = experiment.Cell[experiment.SummaryRow]{
+			Name: "summarize " + s.Normalized().Name,
+			Run: func(context.Context) (experiment.SummaryRow, error) {
+				return experiment.Summarize(s, so), nil
+			},
 		}
-		rows[i] = out.Value
 	}
-	return rows, err
+	return RunCells(ctx, cells, o)
 }

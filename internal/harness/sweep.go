@@ -87,25 +87,15 @@ func sweepLanes(ctx context.Context, specs []experiment.Spec, loads []float64, o
 	return rows, err
 }
 
-// FaultSweep is experiment.FaultSweep fanned over the worker pool: each
-// (loss rate, retry policy) cell owns its own network and RNG, so the points
-// come back bit-identical to the serial sweep, in the same order. The first
-// cell failure (cancellation or a panic, captured per-cell) is returned as
-// the error alongside whatever completed.
-func FaultSweep(ctx context.Context, fo experiment.FaultSweepOptions, o Options) ([]experiment.FaultPoint, error) {
-	fo = fo.WithDefaults()
-	type cell struct {
-		rate  float64
-		retry int
-	}
-	cells := make([]cell, 0, 2*len(fo.Rates))
-	for _, rate := range fo.Rates {
-		for _, retry := range []int{0, fo.RetryLimit} {
-			cells = append(cells, cell{rate, retry})
-		}
-	}
+// RunCells fans the cells of a resolved sweep (or any other enumeration of
+// independent rows) over the worker pool and returns their points in cell
+// order. Each cell owns its own network and RNG, so the points are
+// bit-identical to running the cells one after another. The first cell failure
+// — a cell's own error, cancellation, or a panic, captured per cell — is
+// returned, wrapped in that cell's name, alongside whatever completed.
+func RunCells[P any](ctx context.Context, cells []experiment.Cell[P], o Options) ([]P, error) {
 	tr := newTracker(len(cells), o.workers(), o.Progress)
-	outs := mapPool(ctx, o.workers(), cells, func(ctx context.Context, _ int, c cell) (pt experiment.FaultPoint, err error) {
+	outs := mapPool(ctx, o.workers(), cells, func(ctx context.Context, _ int, c experiment.Cell[P]) (pt P, err error) {
 		defer func() {
 			jr := JobResult{}
 			if err != nil {
@@ -113,115 +103,14 @@ func FaultSweep(ctx context.Context, fo experiment.FaultSweepOptions, o Options)
 			}
 			tr.finish(&jr)
 		}()
-		pt, err = experiment.FaultCell(ctx, fo, c.rate, c.retry)
-		return pt, err
+		return c.Run(ctx)
 	})
-	points := make([]experiment.FaultPoint, len(cells))
+	points := make([]P, len(cells))
 	var err error
 	for i, out := range outs {
 		points[i] = out.Value
 		if out.Err != nil && err == nil {
-			err = fmt.Errorf("fault cell (rate=%g, retry=%d): %w", cells[i].rate, cells[i].retry, out.Err)
-		}
-	}
-	return points, err
-}
-
-// IntegritySweep is experiment.IntegritySweep fanned over the worker pool:
-// each (BER, end-to-end check) cell owns its own network and RNG, so the
-// points come back bit-identical to the serial sweep, in the same order. The
-// first cell failure (cancellation or a captured panic) is returned as the
-// error alongside whatever completed.
-func IntegritySweep(ctx context.Context, io experiment.IntegritySweepOptions, o Options) ([]experiment.IntegrityPoint, error) {
-	io = io.WithDefaults()
-	type cell struct {
-		ber float64
-		e2e bool
-	}
-	cells := make([]cell, 0, 2*len(io.BERs))
-	for _, ber := range io.BERs {
-		for _, e2e := range []bool{true, false} {
-			cells = append(cells, cell{ber, e2e})
-		}
-	}
-	tr := newTracker(len(cells), o.workers(), o.Progress)
-	outs := mapPool(ctx, o.workers(), cells, func(ctx context.Context, _ int, c cell) (pt experiment.IntegrityPoint, err error) {
-		defer func() {
-			jr := JobResult{}
-			if err != nil {
-				jr.Err = err.Error()
-			}
-			tr.finish(&jr)
-		}()
-		pt, err = experiment.IntegrityCell(ctx, io, c.ber, c.e2e)
-		return pt, err
-	})
-	points := make([]experiment.IntegrityPoint, len(cells))
-	var err error
-	for i, out := range outs {
-		points[i] = out.Value
-		if out.Err != nil && err == nil {
-			err = fmt.Errorf("integrity cell (ber=%g, e2e=%v): %w", cells[i].ber, cells[i].e2e, out.Err)
-		}
-	}
-	return points, err
-}
-
-// ChaosSweep is experiment.ChaosSweep fanned over the worker pool: each
-// intensity's campaign owns its own network and RNG (and the chaos plan is a
-// pure function of the options), so the points come back bit-identical to the
-// serial sweep, in intensity order. The first cell failure (cancellation or a
-// captured panic) is returned as the error alongside whatever completed.
-func ChaosSweep(ctx context.Context, co experiment.ChaosSweepOptions, o Options) ([]experiment.ChaosPoint, error) {
-	co = co.WithDefaults()
-	tr := newTracker(len(co.Intensities), o.workers(), o.Progress)
-	outs := mapPool(ctx, o.workers(), co.Intensities, func(ctx context.Context, _ int, intensity float64) (pt experiment.ChaosPoint, err error) {
-		defer func() {
-			jr := JobResult{}
-			if err != nil {
-				jr.Err = err.Error()
-			}
-			tr.finish(&jr)
-		}()
-		pt, err = experiment.ChaosCell(ctx, co, intensity)
-		return pt, err
-	})
-	points := make([]experiment.ChaosPoint, len(co.Intensities))
-	var err error
-	for i, out := range outs {
-		points[i] = out.Value
-		if out.Err != nil && err == nil {
-			err = fmt.Errorf("chaos cell (intensity=%g): %w", co.Intensities[i], out.Err)
-		}
-	}
-	return points, err
-}
-
-// ReliabilitySweep is experiment.ReliabilitySweep fanned over the worker
-// pool: each hard-fault scenario owns its own network and RNG, so the points
-// come back bit-identical to the serial sweep, in scenario order. The first
-// cell failure (an invalid scenario, cancellation, or a captured panic) is
-// returned as the error alongside whatever completed.
-func ReliabilitySweep(ctx context.Context, ro experiment.ReliabilitySweepOptions, o Options) ([]experiment.ReliabilityPoint, error) {
-	ro = ro.WithDefaults()
-	tr := newTracker(len(ro.Scenarios), o.workers(), o.Progress)
-	outs := mapPool(ctx, o.workers(), ro.Scenarios, func(ctx context.Context, _ int, sc experiment.ReliabilityScenario) (pt experiment.ReliabilityPoint, err error) {
-		defer func() {
-			jr := JobResult{}
-			if err != nil {
-				jr.Err = err.Error()
-			}
-			tr.finish(&jr)
-		}()
-		pt, err = experiment.ReliabilityCell(ctx, ro, sc)
-		return pt, err
-	})
-	points := make([]experiment.ReliabilityPoint, len(ro.Scenarios))
-	var err error
-	for i, out := range outs {
-		points[i] = out.Value
-		if out.Err != nil && err == nil {
-			err = fmt.Errorf("reliability scenario %q: %w", ro.Scenarios[i].Name, out.Err)
+			err = fmt.Errorf("%s: %w", cells[i].Name, out.Err)
 		}
 	}
 	return points, err

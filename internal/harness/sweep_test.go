@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"frfc/internal/core"
@@ -93,32 +94,63 @@ func TestStopAtSaturationDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultSweepParallelMatchesSerial: the fault sweep fanned over workers
-// must reproduce the serial sweep exactly, in the same cell order.
-func TestFaultSweepParallelMatchesSerial(t *testing.T) {
-	o := experiment.FaultSweepOptions{Radix: 4, Packets: 60, RetryLimit: 4, Rates: []float64{0, 0.05}}
-	serial := experiment.FaultSweep(o)
-	parallel, err := FaultSweep(context.Background(), o, Options{Workers: 4})
+// serialVsParallel runs a sweep's cells one after another — the reference —
+// and fanned over four workers, and requires the same points in the same cell
+// order.
+func serialVsParallel[P any](t *testing.T, cells []experiment.Cell[P]) []P {
+	t.Helper()
+	serial := make([]P, 0, len(cells))
+	for _, c := range cells {
+		p, err := c.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		serial = append(serial, p)
+	}
+	parallel, err := RunCells(context.Background(), cells, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel fault sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
+		t.Fatalf("parallel sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
+	return serial
+}
+
+// TestFaultSweepParallelMatchesSerial: the fault sweep fanned over workers
+// must reproduce the serial sweep exactly, in the same cell order.
+func TestFaultSweepParallelMatchesSerial(t *testing.T) {
+	serialVsParallel(t, experiment.FaultSweepOptions{
+		ResolveOptions: experiment.ResolveOptions{Radix: 4, Packets: 60},
+		RetryLimit:     4, Rates: []float64{0, 0.05},
+	}.Cells())
 }
 
 // TestReliabilitySweepParallelMatchesSerial: the hard-fault scenario sweep
 // fanned over workers must reproduce the serial sweep exactly, in scenario
 // order.
 func TestReliabilitySweepParallelMatchesSerial(t *testing.T) {
-	o := experiment.ReliabilitySweepOptions{Packets: 200, Check: true}
-	serial := experiment.ReliabilitySweep(o)
-	parallel, err := ReliabilitySweep(context.Background(), o, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	serialVsParallel(t, experiment.ReliabilitySweepOptions{
+		ResolveOptions: experiment.ResolveOptions{Packets: 200, Check: true},
+	}.Cells())
+}
+
+// TestRunCellsNamesTheFailedCell: a cell's own error comes back wrapped in the
+// cell's name, alongside the points of the cells that completed.
+func TestRunCellsNamesTheFailedCell(t *testing.T) {
+	o := experiment.ReliabilitySweepOptions{
+		ResolveOptions: experiment.ResolveOptions{Packets: 30},
+		Scenarios: []experiment.ReliabilityScenario{
+			{Name: "healthy"},
+			{Name: "bad", Events: []core.FaultEvent{{At: 100, Kind: core.LinkDown, A: 3, B: 9}}},
+		},
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("parallel reliability sweep diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	points, err := RunCells(context.Background(), o.Cells(), Options{Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), `reliability scenario "bad"`) {
+		t.Fatalf("err = %v, want it to name the failed cell", err)
+	}
+	if len(points) != 2 || points[0].Offered != 30 || points[1].Offered != 0 {
+		t.Fatalf("points = %+v, want the healthy row complete and the bad row zero", points)
 	}
 }
 

@@ -42,8 +42,8 @@ func newLimitedService(t *testing.T, lim Limits) *Service {
 }
 
 // TestEstimateJobsMatchesExpansion: the arithmetic pre-estimate that
-// authorizes admission must agree with what normalized() actually expands —
-// for explicit load lists and for every grid shape the CLI supports.
+// authorizes admission must agree with what jobs() actually expands — for
+// explicit load lists and for every grid shape the CLI supports.
 func TestEstimateJobsMatchesExpansion(t *testing.T) {
 	reqs := []SweepRequest{
 		{Configs: []string{"FR6"}, Loads: []float64{0.1, 0.2, 0.3}},
@@ -53,12 +53,9 @@ func TestEstimateJobsMatchesExpansion(t *testing.T) {
 		{Configs: []string{"FR6"}, From: 0.1, To: 0.9999, Step: 0.1},
 	}
 	for i, r := range reqs {
-		est, err := r.estimateJobs()
+		est, err := r.grid().Count()
 		if err != nil {
 			t.Fatalf("req %d: estimate: %v", i, err)
-		}
-		if err := (&r).normalized(); err != nil {
-			t.Fatalf("req %d: normalized: %v", i, err)
 		}
 		jobs, err := r.jobs()
 		if err != nil {
@@ -70,7 +67,7 @@ func TestEstimateJobsMatchesExpansion(t *testing.T) {
 	}
 	// Absurd grids estimate huge without allocating anything.
 	huge := SweepRequest{Configs: []string{"FR6"}, From: 1e-9, To: 1, Step: 1e-12}
-	if est, err := huge.estimateJobs(); err != nil || est < 1<<30 {
+	if est, err := huge.grid().Count(); err != nil || est < 1<<30 {
 		t.Fatalf("huge grid estimate = %d, %v", est, err)
 	}
 }
@@ -242,8 +239,16 @@ func TestSubmitHTTPStatusCodes(t *testing.T) {
 		return resp
 	}
 
-	if resp := post(`{"configs":["NOPE"],"loads":[0.2]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("validation error: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"configs":["NOPE"],"loads":[0.2]}`,
+		// Accepted with 201 before the grid validated by name and flow: every
+		// job then failed with a captured panic.
+		`{"configs":["VC8"],"loads":[0.2],"routing":"table"}`,
+		`{"configs":["FR6-lead-3"],"loads":[0.2]}`,
+	} {
+		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("validation error %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 	if resp := post(`{"configs":["FR6"],"from":0.05,"to":0.9,"step":0.05}`); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("capacity: status %d, want 429", resp.StatusCode)

@@ -128,7 +128,7 @@ func (s *Service) SubmitFrom(req SweepRequest, client string) (*Campaign, error)
 		s.noteRejected(rejectClosed)
 		return nil, ErrClosed
 	}
-	est, err := req.estimateJobs()
+	est, err := req.grid().Count()
 	if err != nil {
 		s.noteRejected(rejectValidation)
 		return nil, fmt.Errorf("invalid campaign: %w", err)

@@ -385,6 +385,12 @@ func TestSubmitValidation(t *testing.T) {
 		{Configs: []string{"FR6"}, Loads: []float64{-1}},
 		{Configs: []string{"FR6"}, Loads: []float64{0.2}, Sample: 100},
 		{Configs: []string{"FR6"}, Loads: []float64{0.2}, Routing: "zigzag"},
+		{Configs: []string{"VC8"}, Loads: []float64{0.2}, Routing: "table"},
+		{Configs: []string{"FR6"}, From: 0.1, To: 2.5, Step: 0.1},
+		{Configs: []string{"FR6"}, Loads: []float64{0.2, 2.5}},
+		{Configs: []string{"FR6-lead2x"}, Loads: []float64{0.2}},
+		{Configs: []string{"FR6-lead-3"}, Loads: []float64{0.2}},
+		{Configs: []string{"FR6"}, Loads: []float64{0.2}, Wiring: "bogus"},
 		{Configs: []string{"FR6"}, Loads: []float64{0.2}, Weight: -1},
 	} {
 		if _, err := s.Submit(req); err == nil {
@@ -393,6 +399,18 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if len(s.List()) != 0 {
 		t.Fatalf("rejected submissions registered campaigns: %v", s.List())
+	}
+}
+
+// TestDocsPrintTheConfigVocabulary: docs/service.md lists the names the one
+// resolver accepts, in the words its own error text uses.
+func TestDocsPrintTheConfigVocabulary(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/service.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(raw, []byte(experiment.ConfigNames)) {
+		t.Errorf("docs/service.md does not list the config vocabulary %q", experiment.ConfigNames)
 	}
 }
 

@@ -180,11 +180,9 @@ func (o *Observer) ProfileSummary() string {
 	return o.probe.Prof.Summary()
 }
 
-// HotRouter is one router's activity ranking from HottestRouters.
-type HotRouter struct {
-	Node, X, Y     int
-	ActiveFraction float64
-}
+// HotRouter is one router's activity ranking from HottestRouters: the node id,
+// its mesh coordinates, and its active router ticks over total router ticks.
+type HotRouter = profile.HotNode
 
 // HottestRouters returns the n routers with the highest active-tick fraction,
 // most active first — the hot-path attribution view. Nil when the observer
@@ -193,12 +191,7 @@ func (o *Observer) HottestRouters(n int) []HotRouter {
 	if o.needProfile() != nil {
 		return nil
 	}
-	hot := o.probe.Prof.Hottest(n)
-	out := make([]HotRouter, len(hot))
-	for i, h := range hot {
-		out[i] = HotRouter{Node: h.Node, X: h.X, Y: h.Y, ActiveFraction: h.ActiveFraction}
-	}
-	return out
+	return o.probe.Prof.Hottest(n)
 }
 
 func (o *Observer) needProfile() error {

@@ -2,7 +2,6 @@ package frfc
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"frfc/internal/experiment"
@@ -48,34 +47,11 @@ type JobResult struct {
 }
 
 // Progress is a campaign snapshot streamed to ParallelOptions.Progress after
-// every job completion.
-type Progress struct {
-	Total, Done     int
-	Cached, Skipped int
-	Failed          int
-	Elapsed         time.Duration
-	// ETA is a naive projection from mean job execution time; display
-	// only, zero until the first job finishes.
-	ETA time.Duration
-}
-
-// String renders the snapshot as one status line.
-func (p Progress) String() string {
-	s := fmt.Sprintf("%d/%d done", p.Done, p.Total)
-	if p.Cached > 0 {
-		s += fmt.Sprintf(", %d cached", p.Cached)
-	}
-	if p.Skipped > 0 {
-		s += fmt.Sprintf(", %d skipped", p.Skipped)
-	}
-	if p.Failed > 0 {
-		s += fmt.Sprintf(", %d failed", p.Failed)
-	}
-	if p.ETA > 0 {
-		s += fmt.Sprintf(", ~%s left", p.ETA.Round(time.Second))
-	}
-	return s
-}
+// every job completion: Done of Total jobs, of which Cached, Skipped and
+// Failed, after Elapsed; ETA is a naive projection from mean job execution
+// time — display only, zero until the first job finishes. Its String renders
+// the snapshot as one status line.
+type Progress = harness.Progress
 
 // ParallelOptions tunes RunJobs, SweepParallel and SaturationSearch. The zero
 // value runs on runtime.NumCPU() workers with no timeout, no cache and no
@@ -121,26 +97,16 @@ type ParallelOptions struct {
 
 func (o ParallelOptions) internal() (harness.Options, *harness.Store, error) {
 	ho := harness.Options{Workers: o.Workers, Timeout: o.Timeout}
-	if o.Progress != nil || o.Status != nil {
-		cb := o.Progress
-		var st func(harness.Progress)
-		if o.Status != nil {
-			st = o.Status.srv.OnProgress
-		}
-		ho.Progress = func(p harness.Progress) {
-			if st != nil {
-				st(p)
-			}
-			if cb != nil {
-				cb(Progress{
-					Total: p.Total, Done: p.Done, Cached: p.Cached,
-					Skipped: p.Skipped, Failed: p.Failed,
-					Elapsed: p.Elapsed, ETA: p.ETA,
-				})
-			}
-		}
-	}
+	ho.Progress = o.Progress
 	if o.Status != nil {
+		if cb := o.Progress; cb != nil {
+			ho.Progress = func(p Progress) {
+				o.Status.srv.OnProgress(p)
+				cb(p)
+			}
+		} else {
+			ho.Progress = o.Status.srv.OnProgress
+		}
 		ho.JobStarted = o.Status.srv.OnJobStarted
 		ho.JobFinished = o.Status.srv.OnJobFinished
 		ho.Collect = o.Status.srv.OnCollect
@@ -213,24 +179,14 @@ func SweepParallel(ctx context.Context, s Spec, loads []float64, o ParallelOptio
 	return out, nil
 }
 
-// SatPoint is one configuration's result from SaturationSearch.
-type SatPoint struct {
-	Spec string
-	// Saturation is the highest sustainable offered load (fraction of
-	// capacity); Effective is debited by the configuration's bandwidth
-	// penalty, the paper's comparison basis.
-	Saturation float64
-	Effective  float64
-	// BaseLatency is the contention-free latency the search calibrated
-	// its sustainability threshold against.
-	BaseLatency float64
-	// Evals counts bisection evaluations; Simulated counts those actually
-	// run rather than served from the result store.
-	Evals     int
-	Simulated int
-	// Err is non-empty when the search could not complete.
-	Err string
-}
+// SatPoint is one configuration's result from SaturationSearch: Saturation is
+// the highest sustainable offered load (fraction of capacity) and Effective
+// the same debited by the configuration's bandwidth penalty, the paper's
+// comparison basis; BaseLatency is the contention-free latency the search
+// calibrated its sustainability threshold against; Evals counts bisection
+// evaluations and Simulated those actually run rather than served from the
+// result store; Err is non-empty when the search could not complete.
+type SatPoint = harness.SatResult
 
 // SaturationSearch locates each spec's saturation throughput adaptively by
 // bisection — O(log(1/resolution)) runs per configuration instead of a fixed
@@ -250,14 +206,5 @@ func SaturationSearch(ctx context.Context, specs []Spec, resolution float64, o P
 	for i, s := range specs {
 		inner[i] = s.inner
 	}
-	srs, err := harness.SaturationSearch(ctx, inner, experiment.SaturationOptions{Resolution: resolution}, ho)
-	out := make([]SatPoint, len(srs))
-	for i, sr := range srs {
-		out[i] = SatPoint{
-			Spec: sr.Spec, Saturation: sr.Saturation, Effective: sr.Effective,
-			BaseLatency: sr.BaseLatency, Evals: sr.Evals, Simulated: sr.Simulated,
-			Err: sr.Err,
-		}
-	}
-	return out, err
+	return harness.SaturationSearch(ctx, inner, experiment.SaturationOptions{Resolution: resolution}, ho)
 }

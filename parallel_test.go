@@ -70,7 +70,7 @@ func TestPublicSaturationSearch(t *testing.T) {
 // TestFaultSweepWorkers: the fault sweep produces identical points serial and
 // parallel.
 func TestFaultSweepWorkers(t *testing.T) {
-	base := frfc.FaultSweepOptions{Packets: 60, Rates: []float64{0, 0.05}, RetryLimit: 4}
+	base := frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 60}, Rates: []float64{0, 0.05}, RetryLimit: 4}
 	serialOpts := base
 	serialOpts.Workers = 1
 	parallelOpts := base

@@ -1,12 +1,10 @@
 package frfc
 
 import (
-	"context"
 	"fmt"
 
 	"frfc/internal/core"
 	"frfc/internal/experiment"
-	"frfc/internal/harness"
 )
 
 // ReliabilityScenario names one hard-fault schedule of a ReliabilitySweep,
@@ -24,46 +22,16 @@ type ReliabilityScenario struct {
 type ReliabilityPoint struct {
 	Scenario   string
 	RetryLimit int
+	Resolved
 
-	Offered   int64
-	Delivered int64
-	// Abandoned counts packets given up on after exhausting the retry
-	// budget; under hard faults it should stay zero — losses either
-	// recover through retry or fail fast as Unreachable.
-	Abandoned int64
-	// Unreachable counts packets failed fast at the source because a fault
-	// disconnected their destination.
-	Unreachable int64
-
-	DroppedFlits        int64
-	Retried             int64
-	DeliveredAfterRetry int64
-
-	// AvgLatency is the mean creation-to-delivery latency over every
-	// delivered packet; the phase means split the run at the first fault
-	// and after the last scheduled event settles. LatencyRecovery is
-	// PostRecoveryLatency over PreFaultLatency — 1.0 is full recovery, 0
-	// means a phase delivered nothing.
-	AvgLatency          float64
+	// The phase means split AvgLatency at the first fault and after the
+	// last scheduled event settles. LatencyRecovery is PostRecoveryLatency
+	// over PreFaultLatency — 1.0 is full recovery, 0 means a phase
+	// delivered nothing.
 	PreFaultLatency     float64
 	OutageLatency       float64
 	PostRecoveryLatency float64
 	LatencyRecovery     float64
-
-	// Cycles is how long the row took to resolve everything.
-	Cycles int64
-	// Wedged is set if the no-progress watchdog fired — it never should.
-	Wedged bool
-}
-
-// DeliveredFraction is the end-to-end delivery probability of the row —
-// delivered over offered, counting fast-failed unreachable packets against
-// the scenario.
-func (p ReliabilityPoint) DeliveredFraction() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.Delivered) / float64(p.Offered)
 }
 
 // String renders the point as one sweep row.
@@ -77,13 +45,11 @@ func (p ReliabilityPoint) String() string {
 }
 
 // ReliabilitySweepOptions parameterizes a ReliabilitySweep. Zero fields take
-// defaults: a 4×4 mesh, 600 packets of 5 flits per row, retry budget 8,
+// defaults: the ResolveOptions defaults (600 packets per row), retry budget 8,
 // fault-aware table routing, and the standard scenario set (healthy
 // baseline, permanent link outage, repaired link outage, router killed).
 type ReliabilitySweepOptions struct {
-	Radix      int
-	Packets    int
-	PacketLen  int
+	ResolveOptions
 	RetryLimit int
 	// Routing names the routing algorithm every row runs ("table" by
 	// default, so the healthy baseline is comparable to the fault rows).
@@ -91,13 +57,6 @@ type ReliabilitySweepOptions struct {
 	// Scenarios overrides the default rows; each entry's Scenario string
 	// is parsed with the scenario grammar.
 	Scenarios []ReliabilityScenario
-	// Check runs every row under the per-cycle invariant checker.
-	Check bool
-	Seed  uint64
-	// Workers sizes the pool the sweep's scenarios fan out over; 0 means
-	// runtime.NumCPU(). Each row owns its own network and RNG, so any
-	// worker count produces identical points in identical order.
-	Workers int
 }
 
 // ReliabilitySweep measures graceful degradation under scheduled hard
@@ -110,8 +69,7 @@ type ReliabilitySweepOptions struct {
 // identical to a serial sweep. A malformed scenario string is an error.
 func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
 	ro := experiment.ReliabilitySweepOptions{
-		Radix: o.Radix, Packets: o.Packets, PacketLen: o.PacketLen,
-		RetryLimit: o.RetryLimit, Routing: o.Routing, Check: o.Check, Seed: o.Seed,
+		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Routing: o.Routing,
 	}
 	if o.Scenarios != nil {
 		ro.Scenarios = make([]experiment.ReliabilityScenario, len(o.Scenarios))
@@ -123,22 +81,11 @@ func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
 			ro.Scenarios[i] = experiment.ReliabilityScenario{Name: sc.Name, Events: events}
 		}
 	}
-	pts, err := harness.ReliabilitySweep(context.Background(), ro, harness.Options{Workers: o.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ReliabilityPoint, len(pts))
-	for i, p := range pts {
-		out[i] = ReliabilityPoint{
-			Scenario: p.Scenario, RetryLimit: p.RetryLimit,
-			Offered: p.Offered, Delivered: p.Delivered, Abandoned: p.Abandoned,
-			Unreachable: p.Unreachable, DroppedFlits: p.DroppedFlits,
-			Retried: p.Retried, DeliveredAfterRetry: p.DeliveredAfterRetry,
-			AvgLatency: p.AvgLatency, PreFaultLatency: p.PreFaultLatency,
-			OutageLatency: p.OutageLatency, PostRecoveryLatency: p.PostRecoveryLatency,
-			LatencyRecovery: p.LatencyRecovery,
-			Cycles:          int64(p.Cycles), Wedged: p.Wedged,
+	return sweepCells(o.ResolveOptions, ro.Cells(), func(p experiment.ReliabilityPoint) ReliabilityPoint {
+		return ReliabilityPoint{
+			Scenario: p.Scenario, RetryLimit: p.RetryLimit, Resolved: resolvedOf(p.Resolved),
+			PreFaultLatency: p.PreFaultLatency, OutageLatency: p.OutageLatency,
+			PostRecoveryLatency: p.PostRecoveryLatency, LatencyRecovery: p.LatencyRecovery,
 		}
-	}
-	return out, nil
+	})
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPublicReliabilitySweep(t *testing.T) {
-	pts, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{Packets: 200, Check: true})
+	pts, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 200, Check: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPublicReliabilitySweep(t *testing.T) {
 
 func TestPublicReliabilitySweepCustomScenario(t *testing.T) {
 	pts, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{
-		Packets: 150,
+		ResolveOptions: frfc.ResolveOptions{Packets: 150},
 		Scenarios: []frfc.ReliabilityScenario{
 			{Name: "flap", Scenario: "down 5-6 @300; up 5-6 @700"},
 		},

@@ -214,24 +214,13 @@ func SaturationThroughput(s Spec, resolution float64) float64 {
 	return experiment.SaturationThroughput(s.inner, experiment.SaturationOptions{Resolution: resolution})
 }
 
-// SummaryRow is one configuration's row of the paper's Table 3.
-type SummaryRow struct {
-	Spec                string
-	BaseLatency         float64
-	LatencyAt50         float64
-	Throughput          float64
-	EffectiveThroughput float64
-}
+// SummaryRow is one configuration's row of the paper's Table 3: base latency,
+// latency at 50% capacity, and the saturation Throughput as a raw load
+// fraction and, as EffectiveThroughput, debited by the bandwidth penalty.
+type SummaryRow = experiment.SummaryRow
 
 // Summarize measures a spec's Table 3 row: base latency, latency at 50%
 // capacity, and saturation throughput (raw and bandwidth-debited).
 func Summarize(s Spec) SummaryRow {
-	r := experiment.Summarize(s.inner, experiment.SaturationOptions{})
-	return SummaryRow{
-		Spec:                r.Spec,
-		BaseLatency:         r.BaseLatency,
-		LatencyAt50:         r.LatencyAt50,
-		Throughput:          r.Throughput,
-		EffectiveThroughput: r.EffectiveThroughput,
-	}
+	return experiment.Summarize(s.inner, experiment.SaturationOptions{})
 }
