@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"frfc"
 )
 
 // TestRejectsBadObservabilityFlags: negative epochs and capacities used to
@@ -93,7 +95,7 @@ func TestNamedConfigsResolveThroughTheGrid(t *testing.T) {
 }
 
 // TestProfileArtifacts drives a tiny profiled run end to end: the JSON
-// summary carries the Prof* result fields and artifact paths, and the
+// summary carries the result's Observed.Activity and artifact paths, and the
 // written profile JSON and idle-fraction CSV parse.
 func TestProfileArtifacts(t *testing.T) {
 	dir := t.TempDir()
@@ -109,20 +111,19 @@ func TestProfileArtifacts(t *testing.T) {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
 	}
 	var sum struct {
-		Result struct {
-			ProfTicks        int64   `json:"ProfTicks"`
-			ProfIdleFraction float64 `json:"ProfIdleFraction"`
-			ProfSchedWork    int64   `json:"ProfSchedWork"`
-		} `json:"result"`
-		ProfilePath    string `json:"profilePath"`
-		IdleCSVPath    string `json:"idleCsvPath"`
-		ProfileSummary string `json:"profileSummary"`
+		Result         frfc.Result `json:"result"`
+		ProfilePath    string      `json:"profilePath"`
+		IdleCSVPath    string      `json:"idleCsvPath"`
+		ProfileSummary string      `json:"profileSummary"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
 		t.Fatalf("summary JSON: %v\n%s", err, stdout.String())
 	}
-	if sum.Result.ProfTicks == 0 || sum.Result.ProfSchedWork == 0 {
-		t.Fatalf("profile summary empty: %+v", sum.Result)
+	if o := sum.Result.Observed; o == nil || o.Activity == nil || o.Waterfall != nil {
+		t.Fatalf("sidecar of a profiled-only run: %+v\n%s", o, stdout.String())
+	}
+	if a := sum.Result.Observed.Activity; a.Ticks == 0 || a.SchedWork == 0 {
+		t.Fatalf("profile summary empty: %+v", *a)
 	}
 	if sum.ProfilePath != profPath || sum.IdleCSVPath != idlePath {
 		t.Fatalf("artifact paths wrong: %+v", sum)
@@ -169,7 +170,7 @@ func TestProfileArtifacts(t *testing.T) {
 	}
 }
 
-// TestWaterfallArtifacts: -waterfall populates the Waterfall* summary with an
+// TestWaterfallArtifacts: -waterfall populates Observed.Waterfall with an
 // exact stage partition, writes the JSON artifact, and the text renderer
 // prints the breakdown line.
 func TestWaterfallArtifacts(t *testing.T) {
@@ -185,30 +186,22 @@ func TestWaterfallArtifacts(t *testing.T) {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
 	}
 	var sum struct {
-		Result struct {
-			WaterfallPackets int64 `json:"WaterfallPackets"`
-			WaterfallTotal   int64 `json:"WaterfallTotal"`
-			WaterfallQueue   int64 `json:"WaterfallQueue"`
-			WaterfallReserve int64 `json:"WaterfallReserve"`
-			WaterfallArb     int64 `json:"WaterfallArb"`
-			WaterfallStall   int64 `json:"WaterfallStall"`
-			WaterfallSched   int64 `json:"WaterfallSched"`
-			WaterfallLink    int64 `json:"WaterfallLink"`
-			WaterfallDrain   int64 `json:"WaterfallDrain"`
-		} `json:"result"`
-		WaterfallPath    string `json:"waterfallPath"`
-		WaterfallSummary string `json:"waterfallSummary"`
+		Result           frfc.Result `json:"result"`
+		WaterfallPath    string      `json:"waterfallPath"`
+		WaterfallSummary string      `json:"waterfallSummary"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
 		t.Fatalf("summary JSON: %v\n%s", err, stdout.String())
 	}
-	r := sum.Result
-	if r.WaterfallPackets == 0 || r.WaterfallTotal == 0 {
-		t.Fatalf("waterfall summary empty: %+v", r)
+	if o := sum.Result.Observed; o == nil || o.Waterfall == nil || o.Activity != nil {
+		t.Fatalf("sidecar of a waterfall-only run: %+v\n%s", o, stdout.String())
 	}
-	if s := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb + r.WaterfallStall +
-		r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain; s != r.WaterfallTotal {
-		t.Fatalf("stage sum %d != total %d", s, r.WaterfallTotal)
+	w := sum.Result.Observed.Waterfall
+	if w.Packets == 0 || w.Total == 0 {
+		t.Fatalf("waterfall summary empty: %+v", *w)
+	}
+	if s := w.Queue + w.Reserve + w.Arb + w.Stall + w.Sched + w.Link + w.Drain; s != w.Total {
+		t.Fatalf("stage sum %d != total %d", s, w.Total)
 	}
 	if sum.WaterfallPath != wfPath || !strings.Contains(sum.WaterfallSummary, "queue") {
 		t.Fatalf("artifact fields wrong: path=%q summary=%q", sum.WaterfallPath, sum.WaterfallSummary)
@@ -225,7 +218,7 @@ func TestWaterfallArtifacts(t *testing.T) {
 	if err := json.Unmarshal(raw, &wf); err != nil {
 		t.Fatalf("waterfall JSON: %v", err)
 	}
-	if wf.Packets != r.WaterfallPackets || len(wf.Stages) != 7 {
+	if wf.Packets != w.Packets || len(wf.Stages) != 7 {
 		t.Fatalf("waterfall artifact: packets=%d stages=%d", wf.Packets, len(wf.Stages))
 	}
 

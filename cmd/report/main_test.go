@@ -10,7 +10,8 @@ import (
 )
 
 // storeLine builds one JSONL store row the way internal/harness writes them:
-// lowercase envelope keys, result object with Go field names.
+// lowercase envelope keys, result object with Go field names, the observer
+// summaries in its Observed sidecar under their own lowercase keys.
 func storeLine(hash, spec string, load float64, result string) string {
 	return fmt.Sprintf(`{"hash":%q,"spec":%q,"load":%g,"result":%s}`, hash, spec, load, result)
 }
@@ -21,15 +22,15 @@ func writeFixtures(t *testing.T, dir string) (store, bench, baseline, benchJSON 
 	lines := []string{
 		// Deliberately out of order: the report must sort by (spec, load).
 		storeLine("h3", "VC8", 0.4,
-			`{"AvgLatency":31.25,"CI95":1.2,"BatchCI95":0.8,"Batches":10,"P99":74,"AcceptedLoad":0.39,"SampledDelivered":900,"SampleSize":900,"ProfTicks":4000,"ProfActiveTicks":1000,"ProfIdleFraction":0.75}`),
+			`{"AvgLatency":31.25,"CI95":1.2,"BatchCI95":0.8,"Batches":10,"P99":74,"AcceptedLoad":0.39,"SampledDelivered":900,"SampleSize":900,"Observed":{"Activity":{"ticks":4000,"activeTicks":1000,"idleFraction":0.75}}}`),
 		storeLine("h1", "FR6", 0.2,
-			`{"AvgLatency":22.5,"CI95":0.9,"BatchCI95":0.5,"Batches":12,"P99":41,"AcceptedLoad":0.2,"SampledDelivered":800,"SampleSize":800,"ProfTicks":5000,"ProfActiveTicks":2000,"ProfIdleFraction":0.6,"ProfSchedWork":100,"ProfArbWork":300,"ProfSwitchWork":500,"ProfCreditWork":100}`),
+			`{"AvgLatency":22.5,"CI95":0.9,"BatchCI95":0.5,"Batches":12,"P99":41,"AcceptedLoad":0.2,"SampledDelivered":800,"SampleSize":800,"Observed":{"Activity":{"ticks":5000,"activeTicks":2000,"idleFraction":0.6,"schedWork":100,"arbWork":300,"switchWork":500,"creditWork":100}}}`),
 		storeLine("h2", "FR6", 0.6,
 			`{"AvgLatency":48.75,"CI95":2.1,"Batches":0,"P99":120,"AcceptedLoad":0.55,"Saturated":true,"SampledDelivered":700,"SampleSize":800,"DroppedFlits":12,"RetriedPackets":3,"DeliveredFraction":0.875}`),
 		`not json at all`,
 		// A later line for an existing hash supersedes the earlier one.
 		storeLine("h1", "FR6", 0.2,
-			`{"AvgLatency":22.51,"CI95":0.9,"BatchCI95":0.51,"Batches":12,"P99":42,"AcceptedLoad":0.2,"SampledDelivered":800,"SampleSize":800,"ProfTicks":5000,"ProfActiveTicks":2000,"ProfIdleFraction":0.6,"ProfSchedWork":100,"ProfArbWork":300,"ProfSwitchWork":500,"ProfCreditWork":100,"WaterfallPackets":800,"WaterfallTotal":18000,"WaterfallQueue":400,"WaterfallReserve":800,"WaterfallArb":1600,"WaterfallStall":1200,"WaterfallSched":2000,"WaterfallLink":10000,"WaterfallDrain":2000}`),
+			`{"AvgLatency":22.51,"CI95":0.9,"BatchCI95":0.51,"Batches":12,"P99":42,"AcceptedLoad":0.2,"SampledDelivered":800,"SampleSize":800,"Observed":{"Activity":{"ticks":5000,"activeTicks":2000,"idleFraction":0.6,"schedWork":100,"arbWork":300,"switchWork":500,"creditWork":100},"Waterfall":{"packets":800,"total":18000,"queue":400,"reserve":800,"arb":1600,"stall":1200,"sched":2000,"link":10000,"drain":2000}}}`),
 	}
 	if err := os.WriteFile(store, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)

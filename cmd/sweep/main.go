@@ -297,6 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "sweep: campaign profile written to %s\n", *profileOut)
+		warnUnobserved(stderr, "-profile", results, func(o frfc.Observed) bool { return o.Activity != nil })
 	}
 
 	if *wfOut != "" {
@@ -304,6 +305,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "sweep: campaign waterfall written to %s\n", *wfOut)
+		warnUnobserved(stderr, "-waterfall", results, func(o frfc.Observed) bool { return o.Waterfall != nil })
 		if !*csv {
 			printWaterfallBreakdown(stdout, names, series)
 		}
@@ -340,126 +342,96 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// activity is the deterministic Prof* accounting of one point or, summed, of a
-// campaign.
-type activity struct {
-	Ticks        int64   `json:"ticks"`
-	ActiveTicks  int64   `json:"activeTicks"`
-	IdleFraction float64 `json:"idleFraction"`
-	SchedWork    int64   `json:"schedWork"`
-	ArbWork      int64   `json:"arbWork"`
-	SwitchWork   int64   `json:"switchWork"`
-	CreditWork   int64   `json:"creditWork"`
+// observed is the point's sidecar: empty for a failed point and for a cached
+// one whose stored row was written by a run that armed no observer.
+func observed(jr frfc.JobResult) frfc.Observed {
+	if jr.Err != "" || jr.Result.Observed == nil {
+		return frfc.Observed{}
+	}
+	return *jr.Result.Observed
+}
+
+// warnUnobserved names, in one stderr line, the cached points an armed observer
+// has nothing for: -resume served their stored rows, and the run that stored
+// them had not armed it. They are left out of the artefact, as a failed point
+// is; without the line an all-cached campaign wrote an empty one in silence.
+func warnUnobserved(stderr io.Writer, flag string, results []frfc.JobResult, has func(frfc.Observed) bool) {
+	n := 0
+	for _, jr := range results {
+		if jr.Cached && jr.Err == "" && !has(observed(jr)) {
+			n++
+		}
+	}
+	if n > 0 {
+		fmt.Fprintf(stderr, "sweep: %s: %d of %d points were served from the store, which holds them as a run without %s stored them; they are not in the artefact — drop -resume (or those rows) to observe them\n",
+			flag, n, len(results), flag)
+	}
 }
 
 // profilePoint is one point's row in the -profile campaign summary.
 type profilePoint struct {
 	Spec string  `json:"spec"`
 	Load float64 `json:"load"`
-	activity
+	frfc.Activity
 }
 
 // campaignProfile is the -profile output: the aggregate activity accounting
-// over every simulated point, plus one row per point in job order. Every value
-// comes from the deterministic Prof* result fields, so the file is
-// byte-identical for any worker count.
+// over every point that has one, plus one row per such point in job order.
+// Every value comes from the deterministic Observed.Activity of a result, so
+// the file is byte-identical for any worker count.
 type campaignProfile struct {
 	Points    int `json:"points"`
 	Simulated int `json:"simulated"`
-	activity
+	frfc.Activity
 	PerPoint []profilePoint `json:"perPoint"`
 }
 
 func writeCampaignProfile(path string, results []frfc.JobResult) error {
 	cp := campaignProfile{Points: len(results)}
 	for _, jr := range results {
-		r := jr.Result
-		if jr.Err != "" || r.ProfTicks == 0 {
-			// Cached points predate profiling (or were skipped); they
-			// carry no activity accounting.
+		a := observed(jr).Activity
+		if a == nil || a.Ticks == 0 {
+			// Not profiled, or profiled on a fabric that accounts no
+			// ticks (SAF, VCT, CS).
 			continue
 		}
 		cp.Simulated++
-		cp.Ticks += r.ProfTicks
-		cp.ActiveTicks += r.ProfActiveTicks
-		cp.SchedWork += r.ProfSchedWork
-		cp.ArbWork += r.ProfArbWork
-		cp.SwitchWork += r.ProfSwitchWork
-		cp.CreditWork += r.ProfCreditWork
-		cp.PerPoint = append(cp.PerPoint, profilePoint{jr.Job.Spec.Name(), jr.Job.Load, activity{
-			r.ProfTicks, r.ProfActiveTicks, r.ProfIdleFraction,
-			r.ProfSchedWork, r.ProfArbWork, r.ProfSwitchWork, r.ProfCreditWork,
-		}})
-	}
-	if cp.Ticks > 0 {
-		cp.IdleFraction = 1 - float64(cp.ActiveTicks)/float64(cp.Ticks)
+		cp.Add(*a)
+		cp.PerPoint = append(cp.PerPoint, profilePoint{jr.Job.Spec.Name(), jr.Job.Load, *a})
 	}
 	return writeJSON(path, cp)
-}
-
-// stages is the deterministic Waterfall* decomposition of one point or,
-// summed, of a series or a campaign.
-type stages struct {
-	Packets int64 `json:"packets"`
-	Total   int64 `json:"total"`
-	Queue   int64 `json:"queue"`
-	Reserve int64 `json:"reserve"`
-	Arb     int64 `json:"arb"`
-	Stall   int64 `json:"stall"`
-	Sched   int64 `json:"sched"`
-	Link    int64 `json:"link"`
-	Drain   int64 `json:"drain"`
-}
-
-// add accumulates a result's decomposition and reports whether it had one:
-// failed points, cached points that predate latency provenance and points
-// that saturated with nothing delivered carry none.
-func (s *stages) add(jr frfc.JobResult) (stages, bool) {
-	r := jr.Result
-	if jr.Err != "" || r.WaterfallPackets == 0 {
-		return stages{}, false
-	}
-	p := stages{
-		r.WaterfallPackets, r.WaterfallTotal, r.WaterfallQueue, r.WaterfallReserve, r.WaterfallArb,
-		r.WaterfallStall, r.WaterfallSched, r.WaterfallLink, r.WaterfallDrain,
-	}
-	s.Packets += p.Packets
-	s.Total += p.Total
-	s.Queue += p.Queue
-	s.Reserve += p.Reserve
-	s.Arb += p.Arb
-	s.Stall += p.Stall
-	s.Sched += p.Sched
-	s.Link += p.Link
-	s.Drain += p.Drain
-	return p, true
 }
 
 // waterfallPoint is one point's row in the -waterfall campaign summary.
 type waterfallPoint struct {
 	Spec string  `json:"spec"`
 	Load float64 `json:"load"`
-	stages
+	frfc.StageTotals
 }
 
 // campaignWaterfall is the -waterfall output: the aggregate stage totals over
-// every simulated point, plus one row per point in job order. Every value
-// comes from the deterministic Waterfall* result fields, so the file is
-// byte-identical for any worker count.
+// every point that decomposed a packet, plus one row per such point in job
+// order. Every value comes from the deterministic Observed.Waterfall of a
+// result, so the file is byte-identical for any worker count.
 type campaignWaterfall struct {
 	Points    int `json:"points"`
 	Simulated int `json:"simulated"`
-	stages
+	frfc.StageTotals
 	PerPoint []waterfallPoint `json:"perPoint"`
 }
 
 func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
 	cw := campaignWaterfall{Points: len(results)}
 	for _, jr := range results {
-		if p, ok := cw.add(jr); ok {
-			cw.Simulated++
-			cw.PerPoint = append(cw.PerPoint, waterfallPoint{jr.Job.Spec.Name(), jr.Job.Load, p})
+		t := observed(jr).Waterfall
+		if t == nil || t.Packets == 0 {
+			// No ledger, or one that saw nothing delivered (a point that
+			// saturated outright).
+			continue
 		}
+		cw.Simulated++
+		cw.Add(*t)
+		cw.PerPoint = append(cw.PerPoint, waterfallPoint{jr.Job.Spec.Name(), jr.Job.Load, *t})
 	}
 	return writeJSON(path, cw)
 }
@@ -485,9 +457,11 @@ func writeJSON(path string, v any) error {
 func printWaterfallBreakdown(stdout io.Writer, names []string, series map[string][]frfc.JobResult) {
 	fmt.Fprintln(stdout, "# latency waterfall: mean cycles per stage (queue + reserve + arb + stall + sched + link + drain)")
 	for _, name := range names {
-		var s stages
+		var s frfc.StageTotals
 		for _, jr := range series[name] {
-			s.add(jr)
+			if t := observed(jr).Waterfall; t != nil {
+				s.Add(*t)
+			}
 		}
 		if s.Packets == 0 {
 			fmt.Fprintf(stdout, "# waterfall %-10s no decomposed packets\n", name)

@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"frfc/internal/report"
 )
 
 // sweepArgs is a small, fast grid shared by the tests.
@@ -355,9 +359,23 @@ func TestProfileCampaignOutput(t *testing.T) {
 	var profiles [][]byte
 	for _, workers := range []string{"1", "4"} {
 		path := filepath.Join(dir, "profile-"+workers+".json")
+		store := filepath.Join(dir, "store-"+workers+".jsonl")
 		var stdout, stderr bytes.Buffer
-		if code := run(sweepArgs("-workers", workers, "-profile", path), &stdout, &stderr); code != 0 {
+		if code := run(sweepArgs("-workers", workers, "-profile", path, "-out", store), &stdout, &stderr); code != 0 {
 			t.Fatalf("workers=%s exit %d: %s", workers, code, stderr.String())
+		}
+		src, err := report.ReadStoreFile(store, false)
+		if err != nil || len(src.Rows) != 4 {
+			t.Fatalf("workers=%s: store holds %d rows (%v), want 4", workers, len(src.Rows), err)
+		}
+		for _, e := range src.Rows {
+			o := e.Result.Observed
+			if o == nil || o.Activity == nil || o.Waterfall != nil {
+				t.Fatalf("%s@%g: sidecar of a -profile row: %+v", e.Spec, e.Load, o)
+			}
+			if a := o.Activity; !(a.Ticks > a.ActiveTicks && a.ActiveTicks > 0) {
+				t.Errorf("%s@%g: want ticks > activeTicks > 0, got %+v", e.Spec, e.Load, *a)
+			}
 		}
 		if !bytes.Equal(stdout.Bytes(), bare.Bytes()) {
 			t.Errorf("-profile changed the sweep table:\n--- bare\n%s--- profiled\n%s", bare.Bytes(), stdout.Bytes())
@@ -434,7 +452,7 @@ func TestWaterfallCampaignOutput(t *testing.T) {
 	for _, workers := range []string{"1", "4"} {
 		path := filepath.Join(dir, "waterfall-"+workers+".json")
 		var stdout, stderr bytes.Buffer
-		if code := run(sweepArgs("-workers", workers, "-waterfall", path), &stdout, &stderr); code != 0 {
+		if code := run(sweepArgs("-workers", workers, "-waterfall", path, "-out", filepath.Join(dir, "on-"+workers+".jsonl")), &stdout, &stderr); code != 0 {
 			t.Fatalf("workers=%s exit %d: %s", workers, code, stderr.String())
 		}
 		raw, err := os.ReadFile(path)
@@ -472,12 +490,129 @@ func TestWaterfallCampaignOutput(t *testing.T) {
 		}
 	}
 
-	// -waterfall applies to grid sweeps only.
+	// The same grid with provenance off: a store line differs from its
+	// provenance-on twin by the one Observed key and nothing else.
 	var stdout, stderr bytes.Buffer
+	if code := run(sweepArgs("-workers", "4", "-out", filepath.Join(dir, "off.jsonl")), &stdout, &stderr); code != 0 {
+		t.Fatalf("provenance-off exit %d: %s", code, stderr.String())
+	}
+	off := storeLines(t, filepath.Join(dir, "off.jsonl"))
+	for _, workers := range []string{"1", "4"} {
+		on := storeLines(t, filepath.Join(dir, "on-"+workers+".jsonl"))
+		if len(on) != 4 || len(off) != 4 {
+			t.Fatalf("stores hold %d and %d rows, want 4 each", len(on), len(off))
+		}
+		for key, line := range on {
+			result := line["result"].(map[string]any)
+			if _, ok := result["Observed"]; !ok {
+				t.Errorf("%s: provenance-on line has no Observed key", key)
+			}
+			delete(result, "Observed")
+			if _, ok := off[key]["result"].(map[string]any)["Observed"]; ok {
+				t.Errorf("%s: provenance-off line has an Observed key", key)
+			}
+			if !reflect.DeepEqual(line, off[key]) {
+				t.Errorf("%s: -waterfall disturbed the stored measurement:\n on: %v\noff: %v", key, line, off[key])
+			}
+		}
+	}
+
+	// -waterfall applies to grid sweeps only.
+	stdout.Reset()
+	stderr.Reset()
 	if code := run([]string{"-adaptive", "-waterfall", filepath.Join(dir, "x.json")}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-adaptive -waterfall exit %d, want 2", code)
 	}
 	if !strings.Contains(stderr.String(), "grid sweeps only") {
 		t.Errorf("stderr = %q", stderr.String())
+	}
+}
+
+// storeLines reads a -out store as untyped JSON, keyed by spec and load, so a
+// comparison sees every key a line holds and not only those a struct declares.
+func storeLines(t *testing.T, path string) map[string]map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]map[string]any{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var m map[string]any
+		if err := json.Unmarshal(line, &m); err != nil {
+			t.Fatalf("%s: %v in %s", path, err, line)
+		}
+		lines[fmt.Sprintf("%v@%v", m["spec"], m["load"])] = m
+	}
+	return lines
+}
+
+// TestResumeOverUnobservedRowsSaysSo: -resume serves a stored row as the run
+// that stored it left it, so an observer armed only on the resuming run has
+// nothing to read. The artefact is written as before (empty) and the exit code
+// is 0, but stderr names, once per armed observer, how many points that is and
+// what observes them. Resuming over rows that were observed says nothing and
+// reproduces the first run's artefacts.
+func TestResumeOverUnobservedRowsSaysSo(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.jsonl")
+	prof, wf := filepath.Join(dir, "p.json"), filepath.Join(dir, "w.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(sweepArgs("-out", store), &stdout, &stderr); code != 0 {
+		t.Fatalf("bare run exit %d: %s", code, stderr.String())
+	}
+	stdout.Reset()
+	stderr.Reset()
+	if code := run(sweepArgs("-out", store, "-resume", "-profile", prof, "-waterfall", wf), &stdout, &stderr); code != 0 {
+		t.Fatalf("resumed run exit %d: %s", code, stderr.String())
+	}
+	for _, flag := range []string{"-profile", "-waterfall"} {
+		want := "sweep: " + flag + ": 4 of 4 points were served from the store"
+		if n := strings.Count(stderr.String(), want); n != 1 {
+			t.Errorf("stderr names the unobserved %s points %d times, want once:\n%s", flag, n, stderr.String())
+		}
+	}
+	if !strings.Contains(stderr.String(), "drop -resume") {
+		t.Errorf("stderr does not say what observes the points:\n%s", stderr.String())
+	}
+	var cp campaignProfile
+	var cw campaignWaterfall
+	for path, v := range map[string]any{prof: &cp, wf: &cw} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !bytes.Contains(raw, []byte(`"perPoint": null`)) {
+			t.Errorf("%s lists points nothing observed:\n%s", path, raw)
+		}
+	}
+	if cp.Points != 4 || cp.Simulated != 0 || cw.Points != 4 || cw.Simulated != 0 {
+		t.Errorf("artefacts over unobserved rows: profile %+v, waterfall %+v", cp, cw)
+	}
+	if n := strings.Count(stdout.String(), "no decomposed packets"); n != 2 {
+		t.Errorf("stdout has %d empty breakdown lines, want one per config:\n%s", n, stdout.String())
+	}
+
+	// Observed rows resume in silence, to the artefacts the observing run wrote.
+	obsStore := filepath.Join(dir, "observed.jsonl")
+	if code := run(sweepArgs("-out", obsStore, "-profile", prof, "-waterfall", wf), &stdout, &stderr); code != 0 {
+		t.Fatalf("observed run exit %d: %s", code, stderr.String())
+	}
+	wantProf, _ := os.ReadFile(prof)
+	wantWF, _ := os.ReadFile(wf)
+	stderr.Reset()
+	if code := run(sweepArgs("-out", obsStore, "-resume", "-profile", prof, "-waterfall", wf), &stdout, &stderr); code != 0 {
+		t.Fatalf("resumed observed run exit %d: %s", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "served from the store") || !strings.Contains(stderr.String(), "0 simulated, 4 cached") {
+		t.Errorf("resume over observed rows: stderr\n%s", stderr.String())
+	}
+	gotProf, _ := os.ReadFile(prof)
+	gotWF, _ := os.ReadFile(wf)
+	if !bytes.Equal(gotProf, wantProf) || !bytes.Equal(gotWF, wantWF) {
+		t.Errorf("resumed artefacts differ from the observing run's")
 	}
 }

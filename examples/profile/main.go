@@ -10,9 +10,9 @@
 // routes concentrate), and the flit-reservation router's per-phase work
 // split (scheduling, arbitration, switch traversal, credit handling).
 //
-// Profiling is observation-only: the run's Result is bit-identical with it
-// on or off, and the accounting itself is exported on the Result's Prof*
-// fields, as JSON/CSV artifacts (frsim -profile/-idle-csv), and as
+// Profiling is observation-only: the run's measurement is bit-identical with
+// it on or off, and the accounting itself is exported in the Result's
+// Observed.Activity, as JSON/CSV artifacts (frsim -profile/-idle-csv), and as
 // Prometheus gauges when a sweep runs with -status-addr.
 package main
 
@@ -51,13 +51,14 @@ func main() {
 			i+1, h.Node, h.X, h.Y, h.ActiveFraction*100)
 	}
 
-	work := res.ProfSchedWork + res.ProfArbWork + res.ProfSwitchWork + res.ProfCreditWork
+	a := res.Observed.Activity
+	work := a.SchedWork + a.ArbWork + a.SwitchWork + a.CreditWork
 	fmt.Printf("\nFR router phase work (%d items): sched %.1f%%, arb %.1f%%, switch %.1f%%, credit %.1f%%\n",
 		work,
-		100*float64(res.ProfSchedWork)/float64(work),
-		100*float64(res.ProfArbWork)/float64(work),
-		100*float64(res.ProfSwitchWork)/float64(work),
-		100*float64(res.ProfCreditWork)/float64(work))
+		100*float64(a.SchedWork)/float64(work),
+		100*float64(a.ArbWork)/float64(work),
+		100*float64(a.SwitchWork)/float64(work),
+		100*float64(a.CreditWork)/float64(work))
 }
 
 // idleGrid reads the k×k idle fractions back out of the observer's CSV

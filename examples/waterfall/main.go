@@ -12,10 +12,10 @@
 // arbitration), while VC's congestion shows up as Arb plus Stall —
 // backpressure the reservation protocol was designed to pre-pay.
 //
-// The waterfall is observation-only: the run's Result is bit-identical with
-// it on or off, and the decomposition is exported on the Result's Waterfall*
-// fields, as JSON/CSV artifacts (frsim -waterfall, sweep -waterfall), and as
-// Prometheus metrics when a sweep runs with -status-addr.
+// The waterfall is observation-only: the run's measurement is bit-identical
+// with it on or off, and the decomposition is exported in the Result's
+// Observed.Waterfall, as JSON/CSV artifacts (frsim -waterfall, sweep
+// -waterfall), and as Prometheus metrics when a sweep runs with -status-addr.
 package main
 
 import (
@@ -25,18 +25,6 @@ import (
 )
 
 var stages = []string{"queue", "reserve", "arb", "stall", "sched", "link", "drain"}
-
-// perStage returns the seven per-packet stage means in waterfall order.
-func perStage(r frfc.Result) []float64 {
-	n := float64(r.WaterfallPackets)
-	out := []float64{
-		float64(r.WaterfallQueue) / n, float64(r.WaterfallReserve) / n,
-		float64(r.WaterfallArb) / n, float64(r.WaterfallStall) / n,
-		float64(r.WaterfallSched) / n, float64(r.WaterfallLink) / n,
-		float64(r.WaterfallDrain) / n,
-	}
-	return out
-}
 
 func main() {
 	specs := []frfc.Spec{
@@ -53,16 +41,17 @@ func main() {
 		for _, load := range loads {
 			obs := frfc.NewObserver(frfc.ObserverOptions{Waterfall: true})
 			r := frfc.RunObserved(spec.WithCheck(true), load, obs)
-			if r.WaterfallPackets == 0 {
+			wf := r.Observed.Waterfall
+			if wf.Packets == 0 {
 				fmt.Printf("%-6s %4.0f%%  no decomposed packets (saturated)\n",
 					spec.Name(), load*100)
 				continue
 			}
 			fmt.Printf("%-6s %4.0f%% ", spec.Name(), load*100)
 			total := 0.0
-			for _, v := range perStage(r) {
-				fmt.Printf(" %7.2f", v)
-				total += v
+			for _, st := range wf.View().Stages {
+				fmt.Printf(" %7.2f", st.Mean)
+				total += st.Mean
 			}
 			fmt.Printf("  %8.2f\n", total)
 		}

@@ -35,7 +35,7 @@ func runOne(t *testing.T, src, dst topology.NodeID, pktLen int) [waterfall.NumSt
 	if !delivered {
 		t.Fatalf("packet %d->%d not delivered", src, dst)
 	}
-	return wf.StageTotals()
+	return wf.Totals().Stages()
 }
 
 // TestSingleCircuitStageTiming pins the exact uncontended decomposition on

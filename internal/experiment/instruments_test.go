@@ -123,7 +123,7 @@ func TestPublishSnapshots(t *testing.T) {
 		}
 	}
 	last := snaps[len(snaps)-1]
-	if last.Phase != "done" || last.Cycle != res.Cycles || last.Delivered != res.SampledDelivered {
+	if last.Phase != "done" || int64(last.Cycle) != res.Cycles || last.Delivered != res.SampledDelivered {
 		t.Fatalf("final snapshot wrong: %+v vs result cycles=%d delivered=%d", last, res.Cycles, res.SampledDelivered)
 	}
 	if last.Reg == nil {

@@ -55,8 +55,8 @@ type Result struct {
 	CISuspect    bool
 	// MinLatency and MaxLatency bound the sampled latencies; P50, P95 and
 	// P99 are exact quantiles of the sample.
-	MinLatency, MaxLatency sim.Cycle
-	P50, P95, P99          sim.Cycle
+	MinLatency, MaxLatency int64
+	P50, P95, P99          int64
 
 	// AcceptedLoad is the delivered throughput during the measurement
 	// window as a fraction of capacity.
@@ -75,7 +75,7 @@ type Result struct {
 	// SampledDelivered / SampleSize report sample completion.
 	SampledDelivered, SampleSize int
 	// Cycles is the total simulated length of the run.
-	Cycles sim.Cycle
+	Cycles int64
 
 	// PoolFullFraction is the fraction of measured cycles the central
 	// router's buffer pools were completely full (Section 4.2's
@@ -101,6 +101,11 @@ type Result struct {
 	// retransmission).
 	RetriedPackets, AbandonedPackets   int64
 	DeliveredAfterRetry, CtrlCorrupted int64
+	// AvgRetryLatency is the mean creation-to-delivery latency of sampled
+	// packets that needed at least one retry (0 when none did); their
+	// latency includes the loss detection, notification round-trip and
+	// backoff, so it is reported apart from AvgLatency.
+	AvgRetryLatency float64
 	// UnreachablePackets counts packets failed fast because a hard-fault
 	// scenario disconnected their destination; DeliveredFraction is
 	// delivered over resolved (delivered, abandoned or unreachable —
@@ -109,11 +114,6 @@ type Result struct {
 	// a healthy network.
 	UnreachablePackets int64
 	DeliveredFraction  float64
-	// AvgRetryLatency is the mean creation-to-delivery latency of sampled
-	// packets that needed at least one retry (0 when none did); their
-	// latency includes the loss detection, notification round-trip and
-	// backoff, so it is reported apart from AvgLatency.
-	AvgRetryLatency float64
 
 	// Bit-error-model activity, populated for flit-reservation and
 	// virtual-channel configurations with a BER: flits delivered corrupted,
@@ -124,32 +124,25 @@ type Result struct {
 	CorruptedFlits, CrcDetected, CorruptEscapes int64
 	PhantomReservations, ReclaimedSlots         int64
 
-	// Self-profiling summary, populated only when the run carried a
-	// profile registry (Instruments.Probe.Prof). ProfTicks and
-	// ProfActiveTicks total component ticks executed vs. ticks that did
-	// work; ProfIdleFraction is their gap as a fraction. The ProfXxxWork
-	// fields are the FR router's per-phase work-unit attribution (zero for
-	// other substrates). Every value is a deterministic function of the
-	// simulation — host memory samples stay in the profile registry and
-	// never enter a Result — so profiled results remain byte-identical
-	// across worker counts.
-	ProfTicks, ProfActiveTicks                                 int64
-	ProfIdleFraction                                           float64
-	ProfSchedWork, ProfArbWork, ProfSwitchWork, ProfCreditWork int64
+	// Observed is what the run's observers saw, nil when none was armed. It
+	// rides inside the Result so that stores and caches keep one value per
+	// job, but it is not part of the measurement: every field above is
+	// bit-identical whether or not anything observed the run.
+	Observed *Observed `json:",omitempty"`
+}
 
-	// Latency-waterfall summary, populated only when the run carried a
-	// stage ledger (Instruments.Probe.WF). WaterfallPackets counts sampled
-	// packets whose latency was decomposed; WaterfallTotal is their summed
-	// creation-to-delivery latency in cycles, and the per-stage fields
-	// partition it exactly: Queue + Reserve + Arb + Stall + Sched + Link +
-	// Drain == Total for every packet (enforced under Spec.Check). Like the
-	// profile summary, every value is a deterministic function of the
-	// simulation, so waterfall results stay byte-identical across worker
-	// counts and on/off.
-	WaterfallPackets, WaterfallTotal               int64
-	WaterfallQueue, WaterfallReserve, WaterfallArb int64
-	WaterfallStall, WaterfallSched, WaterfallLink  int64
-	WaterfallDrain                                 int64
+// Observed is the sidecar of deterministic observer summaries a Result carries,
+// one optional member per observer: Activity when the run carried a profile
+// registry (Instruments.Probe.Prof), Waterfall when it carried a stage ledger
+// (Instruments.Probe.WF). A nil member means that observer was not armed,
+// which a zero summary could not say: a saturated point that delivered
+// nothing has a Waterfall of zeros. Each summary is declared by the package
+// that computes it and is a function of the simulation alone, so observed
+// results stay byte-identical across worker counts. A new observer adds a
+// member here; the fields of Result, and so the job hash, do not change.
+type Observed struct {
+	Activity  *profile.Activity `json:",omitempty"`
+	Waterfall *waterfall.Totals `json:",omitempty"`
 }
 
 // String renders the result as one sweep row. The reported ± half-width is
@@ -200,9 +193,9 @@ type Live struct {
 	// Prof is a deep clone of the self-profiling registry (nil when the run
 	// is not profiled), its Cycles stamped with the snapshot time.
 	Prof *profile.Registry
-	// Waterfall is a snapshot of the latency-stage decomposition over
-	// packets delivered so far (nil when latency provenance is off).
-	Waterfall *waterfall.View
+	// Waterfall is the latency-stage decomposition over packets delivered so
+	// far (nil when latency provenance is off).
+	Waterfall *waterfall.Totals
 }
 
 // DefaultPublishEvery is the cycle period between Publish snapshots when
@@ -388,8 +381,8 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 			lv.Prof.Cycles = now
 		}
 		if wf != nil {
-			v := wf.View()
-			lv.Waterfall = &v
+			t := wf.Totals()
+			lv.Waterfall = &t
 		}
 		return lv
 	}
@@ -496,15 +489,15 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		CI95:             lat.CI95(),
 		Lag1Autocorr:     bm.Lag1(),
 		WarmupUnstable:   warmupUnstable,
-		MinLatency:       lat.Min(),
-		MaxLatency:       lat.Max(),
-		P50:              lat.Quantile(0.50),
-		P95:              lat.Quantile(0.95),
-		P99:              lat.Quantile(0.99),
+		MinLatency:       int64(lat.Min()),
+		MaxLatency:       int64(lat.Max()),
+		P50:              int64(lat.Quantile(0.50)),
+		P95:              int64(lat.Quantile(0.95)),
+		P99:              int64(lat.Quantile(0.99)),
 		Saturated:        sampledDelivered < tagged,
 		SampledDelivered: sampledDelivered,
 		SampleSize:       tagged,
-		Cycles:           now,
+		Cycles:           int64(now),
 		PoolFullFraction: occ.FullFraction(),
 	}
 	res.BatchCI95, res.Batches = bm.CI95(0)
@@ -535,26 +528,16 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 	if vcNet, ok := net.(*vcrouter.Network); ok {
 		res.CorruptedFlits, res.CrcDetected, res.CorruptEscapes = vcNet.IntegrityCounts()
 	}
-	if prof != nil {
-		res.ProfTicks, res.ProfActiveTicks = prof.Totals()
-		res.ProfIdleFraction = prof.IdleFraction()
-		ph := prof.PhaseTotals()
-		res.ProfSchedWork = ph[profile.PhaseSched]
-		res.ProfArbWork = ph[profile.PhaseArb]
-		res.ProfSwitchWork = ph[profile.PhaseSwitch]
-		res.ProfCreditWork = ph[profile.PhaseCredit]
-	}
-	if wf != nil {
-		res.WaterfallPackets = wf.Packets()
-		res.WaterfallTotal = wf.TotalCycles()
-		st := wf.StageTotals()
-		res.WaterfallQueue = st[waterfall.StageQueue]
-		res.WaterfallReserve = st[waterfall.StageReserve]
-		res.WaterfallArb = st[waterfall.StageArb]
-		res.WaterfallStall = st[waterfall.StageStall]
-		res.WaterfallSched = st[waterfall.StageSched]
-		res.WaterfallLink = st[waterfall.StageLink]
-		res.WaterfallDrain = st[waterfall.StageDrain]
+	if prof != nil || wf != nil {
+		res.Observed = &Observed{}
+		if prof != nil {
+			a := prof.Activity()
+			res.Observed.Activity = &a
+		}
+		if wf != nil {
+			t := wf.Totals()
+			res.Observed.Waterfall = &t
+		}
 	}
 	return res, nil
 }

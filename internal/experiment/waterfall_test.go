@@ -40,6 +40,10 @@ func runWaterfall(t *testing.T, s Spec, load float64) (Result, *waterfall.Ledger
 	return r, wf
 }
 
+func stageSum(w *waterfall.Totals) int64 {
+	return w.Queue + w.Reserve + w.Arb + w.Stall + w.Sched + w.Link + w.Drain
+}
+
 // TestWaterfallConservationAllSubstrates drives every substrate at a
 // moderate load under Check and verifies the ledger's books: the per-stage
 // totals partition the summed latency exactly, and the ledger's mean agrees
@@ -59,19 +63,18 @@ func TestWaterfallConservationAllSubstrates(t *testing.T) {
 			if r.Saturated {
 				t.Fatalf("run saturated at load %.2f; pick a sustainable load", load)
 			}
-			if r.WaterfallPackets == 0 {
+			w := r.Observed.Waterfall
+			if w.Packets == 0 {
 				t.Fatal("no packets in the ledger")
 			}
-			if r.WaterfallPackets != int64(r.SampledDelivered) {
+			if w.Packets != int64(r.SampledDelivered) {
 				t.Errorf("ledger holds %d packets, %d sampled delivered",
-					r.WaterfallPackets, r.SampledDelivered)
+					w.Packets, r.SampledDelivered)
 			}
-			sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
-				r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
-			if sum != r.WaterfallTotal {
-				t.Errorf("stage sum %d != total %d", sum, r.WaterfallTotal)
+			if sum := stageSum(w); sum != w.Total {
+				t.Errorf("stage sum %d != total %d", sum, w.Total)
 			}
-			mean := float64(r.WaterfallTotal) / float64(r.WaterfallPackets)
+			mean := float64(w.Total) / float64(w.Packets)
 			if math.Abs(mean-r.AvgLatency) > 1e-9 {
 				t.Errorf("ledger mean %.4f != AvgLatency %.4f", mean, r.AvgLatency)
 			}
@@ -132,18 +135,19 @@ func TestWaterfallZeroLoadMatchesModel(t *testing.T) {
 		t.Run(c.spec.Name, func(t *testing.T) {
 			t.Parallel()
 			r, _ := runWaterfall(t, c.spec.Scaled(600, 800), c.load)
-			if r.WaterfallPackets == 0 {
+			w := r.Observed.Waterfall
+			if w.Packets == 0 {
 				t.Fatal("no packets in the ledger")
 			}
-			n := float64(r.WaterfallPackets)
+			n := float64(w.Packets)
 			got := map[string]float64{
-				"queue":   float64(r.WaterfallQueue) / n,
-				"reserve": float64(r.WaterfallReserve) / n,
-				"arb":     float64(r.WaterfallArb) / n,
-				"stall":   float64(r.WaterfallStall) / n,
-				"sched":   float64(r.WaterfallSched) / n,
-				"link":    float64(r.WaterfallLink) / n,
-				"drain":   float64(r.WaterfallDrain) / n,
+				"queue":   float64(w.Queue) / n,
+				"reserve": float64(w.Reserve) / n,
+				"arb":     float64(w.Arb) / n,
+				"stall":   float64(w.Stall) / n,
+				"sched":   float64(w.Sched) / n,
+				"link":    float64(w.Link) / n,
+				"drain":   float64(w.Drain) / n,
 			}
 			want := map[string]float64{
 				"queue": c.want.Queue, "reserve": c.want.Reserve,
@@ -176,8 +180,8 @@ func TestWaterfallZeroLoadMatchesModel(t *testing.T) {
 }
 
 // TestWaterfallDoesNotPerturbResults runs one spec per substrate with and
-// without the ledger and requires every non-waterfall Result field to be
-// bit-identical — enabling latency provenance is pure observation.
+// without the ledger and requires the whole measurement — every Result field
+// but the Observed sidecar — to be bit-identical — enabling latency provenance is pure observation.
 func TestWaterfallDoesNotPerturbResults(t *testing.T) {
 	for _, s := range allSubstrateSpecs(t) {
 		s := s
@@ -186,10 +190,7 @@ func TestWaterfallDoesNotPerturbResults(t *testing.T) {
 			sc := s.Scaled(200, 600)
 			plain := Run(sc, 0.25)
 			instr, _ := runWaterfall(t, sc, 0.25)
-			instr.WaterfallPackets, instr.WaterfallTotal = 0, 0
-			instr.WaterfallQueue, instr.WaterfallReserve, instr.WaterfallArb = 0, 0, 0
-			instr.WaterfallStall, instr.WaterfallSched, instr.WaterfallLink = 0, 0, 0
-			instr.WaterfallDrain = 0
+			instr.Observed = nil
 			if plain != instr {
 				t.Errorf("results diverge with the ledger attached:\nplain: %+v\nwf:    %+v", plain, instr)
 			}
@@ -207,13 +208,12 @@ func TestWaterfallWithRetryConserves(t *testing.T) {
 	s.FR.DataFaultRate = 0.002
 	s.FR.RetryLimit = 4
 	r, wf := runWaterfall(t, s.Scaled(300, 800), 0.20)
-	if r.WaterfallPackets == 0 {
+	w := r.Observed.Waterfall
+	if w.Packets == 0 {
 		t.Fatal("no packets in the ledger")
 	}
-	sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
-		r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
-	if sum != r.WaterfallTotal {
-		t.Errorf("stage sum %d != total %d under retry", sum, r.WaterfallTotal)
+	if sum := stageSum(w); sum != w.Total {
+		t.Errorf("stage sum %d != total %d under retry", sum, w.Total)
 	}
 	if r.RetriedPackets == 0 {
 		t.Log("note: no retries triggered at this fault rate; path untested this run")
@@ -230,20 +230,20 @@ func TestWaterfallStageStatsExposed(t *testing.T) {
 	s := VC8(FastControl, 5)
 	s.Check = true
 	r, wf := runWaterfall(t, s.Scaled(300, 600), 0.30)
-	totals := wf.StageTotals()
+	totals := wf.Totals().Stages()
 	for st := waterfall.Stage(0); st < waterfall.NumStages; st++ {
 		ls := wf.StageStats(st)
-		if ls.N() != r.WaterfallPackets {
-			t.Fatalf("stage %s histogram holds %d samples, want %d", st, ls.N(), r.WaterfallPackets)
+		if ls.N() != r.Observed.Waterfall.Packets {
+			t.Fatalf("stage %s histogram holds %d samples, want %d", st, ls.N(), r.Observed.Waterfall.Packets)
 		}
-		wantMean := float64(totals[st]) / float64(r.WaterfallPackets)
+		wantMean := float64(totals[st]) / float64(r.Observed.Waterfall.Packets)
 		if math.Abs(ls.Mean()-wantMean) > 1e-9 {
 			t.Errorf("stage %s mean %.4f != totals mean %.4f", st, ls.Mean(), wantMean)
 		}
 	}
 	v := wf.View()
-	if v.Packets != r.WaterfallPackets {
-		t.Errorf("view packets %d != %d", v.Packets, r.WaterfallPackets)
+	if v.Packets != r.Observed.Waterfall.Packets {
+		t.Errorf("view packets %d != %d", v.Packets, r.Observed.Waterfall.Packets)
 	}
 	var share float64
 	for _, sv := range v.Stages {

@@ -38,16 +38,17 @@ func TestCallbacksAndCollect(t *testing.T) {
 				t.Errorf("job failed: %s", jr.Err)
 			}
 		},
-		Collect: func(j Job, reg *metrics.Registry) {
+		Probe: func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) },
+		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
 			defer mu.Unlock()
 			collected++
-			if reg == nil {
-				t.Error("collector handed a nil registry")
+			if p == nil || p.Reg == nil {
+				t.Error("collector handed no registry")
 				return
 			}
-			for i := range reg.Nodes {
-				ejected += reg.Nodes[i].Ejected
+			for i := range p.Reg.Nodes {
+				ejected += p.Reg.Nodes[i].Ejected
 			}
 		},
 	})
@@ -70,7 +71,7 @@ func TestCallbacksAndCollect(t *testing.T) {
 }
 
 // TestCachedJobsSkipStartAndCollect: store hits resolve without simulating, so
-// they must not fire JobStarted or Collect — but JobFinished still reports
+// they must not fire JobStarted, Probe or Collect — but JobFinished still reports
 // them, flagged Cached, so status displays count them.
 func TestCachedJobsSkipStartAndCollect(t *testing.T) {
 	store, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
@@ -88,7 +89,8 @@ func TestCachedJobsSkipStartAndCollect(t *testing.T) {
 		Workers:    1,
 		Store:      store,
 		JobStarted: func(Job) { started++ },
-		Collect:    func(Job, *metrics.Registry) { collected++ },
+		Probe:      func() *metrics.Probe { collected++; return nil },
+		Collect:    func(Job, *metrics.Probe) { collected++ },
 		JobFinished: func(jr JobResult) {
 			if jr.Cached {
 				cachedFinished++

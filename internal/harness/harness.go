@@ -25,8 +25,6 @@ import (
 
 	"frfc/internal/experiment"
 	"frfc/internal/metrics"
-	"frfc/internal/profile"
-	"frfc/internal/waterfall"
 )
 
 // Job is one unit of work: a configuration simulated at one offered load.
@@ -78,11 +76,12 @@ func (j Job) EffectiveSpec() experiment.Spec {
 // v4: the bit-error model (Config BER/CrcBits/E2ECheck/ReclaimCycles, Spec
 // chaos fields) changes simulator semantics, and Result gained the
 // corruption ledger.
-// v5: Result gained the self-profiling summary fields (ProfTicks,
-// ProfIdleFraction, per-phase work attribution).
-// v6: Result gained the latency-waterfall stage summary fields
-// (WaterfallPackets/Total and the seven per-stage cycle totals).
-const hashVersion = "frfc-job-v6"
+// v5, v6: Result gained the self-profiling and the latency-waterfall summary
+// as flat fields, one bump each.
+// v7: those fields left Result for the optional Observed sidecar. This is the
+// last bump an observer causes: a new one adds a member to experiment.Observed
+// and changes neither the measurement's shape nor what a stored line means.
+const hashVersion = "frfc-job-v7"
 
 // Hash is the job's stable content hash: a digest of the normalized spec
 // (every field, including nested router configs and the traffic pattern's
@@ -146,34 +145,19 @@ type Options struct {
 	// live status displays and never influence results.
 	JobStarted  func(Job)
 	JobFinished func(JobResult)
-	// Collect, when non-nil, receives each simulated job's metrics registry
-	// immediately after its run, from the worker goroutine. Attaching the
-	// collector probes every run; the probe is observation-only, so results
-	// stay bit-identical to an uninstrumented campaign (the contract
-	// TestRunObservedMatchesRun enforces). Cached and skipped jobs carry no
-	// registry and are not reported.
-	Collect func(Job, *metrics.Registry)
-	// Profile arms self-profiling on every simulated job: each run carries
-	// a profile registry whose deterministic activity summary lands in the
-	// Result's Prof* fields. Observation-only like Collect — the shared
-	// fields of a profiled Result are bit-identical to an unprofiled run,
-	// and profiled campaigns are bit-identical across worker counts.
-	Profile bool
-	// CollectProfile, when non-nil, receives each simulated job's profile
-	// registry immediately after its run, from the worker goroutine
-	// (implies Profile). Cached and skipped jobs are not reported.
-	CollectProfile func(Job, *profile.Registry)
-	// Waterfall arms latency provenance on every simulated job: each run
-	// carries a stage ledger decomposing every sampled packet's latency
-	// into queue/reserve/arb/stall/sched/link/drain, summarized in the
-	// Result's Waterfall* fields. Observation-only like Profile: the
-	// shared fields of a waterfall Result are bit-identical to a plain
-	// run, and waterfall campaigns are bit-identical across worker counts.
-	Waterfall bool
-	// CollectWaterfall, when non-nil, receives each simulated job's stage
-	// ledger immediately after its run, from the worker goroutine (implies
-	// Waterfall). Cached and skipped jobs are not reported.
-	CollectWaterfall func(Job, *waterfall.Ledger)
+	// Probe and Collect are the two ends of observing a campaign, and the
+	// only observer fields: Probe, when non-nil, builds the probe each
+	// simulated job carries (metrics.NewProbe chooses its collectors), and
+	// Collect, when non-nil, is handed that probe from the worker goroutine
+	// once the run has succeeded. What a probe's profile registry and stage
+	// ledger saw lands in the Result's Observed sidecar whether or not
+	// anything collects. Observation only: the measurement fields of an
+	// observed Result are bit-identical to a bare run's (the contract
+	// TestRunObservedMatchesRun enforces), and observed campaigns are
+	// bit-identical across worker counts. Cached and skipped jobs simulate
+	// nothing, so they build no probe and are not collected.
+	Probe   func() *metrics.Probe
+	Collect func(Job, *metrics.Probe)
 }
 
 func (o Options) workers() int {

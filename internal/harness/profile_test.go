@@ -7,13 +7,19 @@ import (
 	"testing"
 
 	"frfc/internal/experiment"
-	"frfc/internal/profile"
+	"frfc/internal/metrics"
 )
 
+// observing is the Options.Probe of a campaign that arms the self-profiler,
+// the stage ledger or both on every job.
+func observing(prof, wf bool) func() *metrics.Probe {
+	return func() *metrics.Probe { return metrics.NewProbe(0, false, prof, wf) }
+}
+
 // TestProfiledParallelEqualsSerial extends the determinism contract to
-// profiled campaigns: with Options.Profile set, every worker count must
-// produce bit-identical Results — including the Prof* summary fields — and
-// the shared fields must match an unprofiled run exactly.
+// profiled campaigns: with a profiling Options.Probe, every worker count must
+// produce bit-identical Results — including the Observed.Activity summary —
+// and the measurement must match an unprofiled run exactly.
 func TestProfiledParallelEqualsSerial(t *testing.T) {
 	specs := []experiment.Spec{tinySpec(), tinyVC()}
 	loads := []float64{0.2, 0.4}
@@ -24,7 +30,7 @@ func TestProfiledParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Profile: true})
+	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Probe: observing(true, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,16 +38,17 @@ func TestProfiledParallelEqualsSerial(t *testing.T) {
 		if jr.Err != "" {
 			t.Fatalf("serial job %d failed: %s", i, jr.Err)
 		}
-		if jr.Result.ProfTicks == 0 || jr.Result.ProfActiveTicks == 0 {
+		a := jr.Result.Observed.Activity
+		if a.Ticks == 0 || a.ActiveTicks == 0 {
 			t.Errorf("job %d: profiled run reported no activity: ticks=%d active=%d",
-				i, jr.Result.ProfTicks, jr.Result.ProfActiveTicks)
+				i, a.Ticks, a.ActiveTicks)
 		}
-		if f := jr.Result.ProfIdleFraction; f <= 0 || f >= 1 {
+		if f := a.IdleFraction; f <= 0 || f >= 1 {
 			t.Errorf("job %d: idle fraction %v out of (0,1)", i, f)
 		}
 	}
 
-	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Profile: true})
+	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Probe: observing(true, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,37 +62,35 @@ func TestProfiledParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	// Profiling is observation-only: strip the Prof* fields and the rest of
-	// the Result must be bit-identical to an unprofiled campaign.
+	// Profiling is observation-only: drop the sidecar and the Result must be
+	// bit-identical to an unprofiled campaign's.
 	plain, err := RunJobs(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {
 		stripped := serial[i].Result
-		stripped.ProfTicks, stripped.ProfActiveTicks = 0, 0
-		stripped.ProfIdleFraction = 0
-		stripped.ProfSchedWork, stripped.ProfArbWork = 0, 0
-		stripped.ProfSwitchWork, stripped.ProfCreditWork = 0, 0
-		if !reflect.DeepEqual(stripped, plain[i].Result) {
-			t.Errorf("job %d: profiled result (Prof* stripped) diverged from unprofiled:\nprofiled:   %+v\nunprofiled: %+v",
+		stripped.Observed = nil
+		if stripped != plain[i].Result {
+			t.Errorf("job %d: profiled result (sidecar dropped) diverged from unprofiled:\nprofiled:   %+v\nunprofiled: %+v",
 				i, stripped, plain[i].Result)
 		}
 	}
 }
 
-// TestCollectProfileHandover: CollectProfile must receive one registry per
-// simulated job, each consistent with that job's Result summary.
+// TestCollectProfileHandover: Collect must receive one probe per simulated
+// job, its profile registry consistent with that job's Result summary.
 func TestCollectProfileHandover(t *testing.T) {
 	jobs := []Job{
 		{Spec: tinySpec(), Load: 0.3},
 		{Spec: tinyVC(), Load: 0.3},
 	}
 	var mu sync.Mutex
-	got := map[string]*profile.Registry{}
+	got := map[string]*metrics.Probe{}
 	o := Options{
 		Workers: 2,
-		CollectProfile: func(j Job, p *profile.Registry) {
+		Probe:   observing(true, false),
+		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
 			got[j.Hash()] = p
 			mu.Unlock()
@@ -102,14 +107,13 @@ func TestCollectProfileHandover(t *testing.T) {
 		if jr.Err != "" {
 			t.Fatalf("job %d failed: %s", i, jr.Err)
 		}
-		p := got[jr.Hash]
+		p := got[jr.Hash].Profile()
 		if p == nil {
 			t.Fatalf("job %d: no profile registry handed over", i)
 		}
-		ticks, active := p.Totals()
-		if ticks != jr.Result.ProfTicks || active != jr.Result.ProfActiveTicks {
-			t.Errorf("job %d: registry totals (%d, %d) disagree with Result summary (%d, %d)",
-				i, ticks, active, jr.Result.ProfTicks, jr.Result.ProfActiveTicks)
+		if a := p.Activity(); a != *jr.Result.Observed.Activity {
+			t.Errorf("job %d: registry summary %+v disagrees with Result summary %+v",
+				i, a, *jr.Result.Observed.Activity)
 		}
 		if p.Cycles == 0 {
 			t.Errorf("job %d: registry Cycles not stamped", i)

@@ -6,8 +6,6 @@ import (
 
 	"frfc/internal/experiment"
 	"frfc/internal/metrics"
-	"frfc/internal/profile"
-	"frfc/internal/waterfall"
 )
 
 // RunJobs executes the jobs on the worker pool and returns one JobResult per
@@ -104,37 +102,16 @@ func execJob(ctx context.Context, j Job, o Options, tr *tracker) JobResult {
 
 // runJob runs the simulation; execJob calls it under the pool's panic capture,
 // so a bug tripped by one parameter point becomes that point's failure rather
-// than a crashed campaign. When a collector or the self-profiler is armed the
-// run carries a probe and the registries are handed over on success —
-// observation only, results unchanged (profiling adds only the deterministic
-// Prof* summary fields); with nothing armed the probe stays nil.
+// than a crashed campaign. The run carries the probe o.Probe builds (none when
+// it is nil) and hands it to o.Collect on success.
 func runJob(ctx context.Context, j Job, o Options) (experiment.Result, error) {
-	profiled := o.Profile || o.CollectProfile != nil
-	waterfalled := o.Waterfall || o.CollectWaterfall != nil
 	var probe *metrics.Probe
-	if o.Collect != nil || profiled || waterfalled {
-		probe = &metrics.Probe{}
-		if o.Collect != nil {
-			probe.Reg = metrics.NewRegistry(0)
-		}
-		if profiled {
-			probe.Prof = profile.NewRegistry(0)
-		}
-		if waterfalled {
-			probe.WF = waterfall.New()
-		}
+	if o.Probe != nil {
+		probe = o.Probe()
 	}
 	res, err := experiment.RunInstrumented(ctx, j.EffectiveSpec(), j.Load, experiment.Instruments{Probe: probe})
-	if err == nil {
-		if o.Collect != nil {
-			o.Collect(j, probe.Reg)
-		}
-		if o.CollectProfile != nil {
-			o.CollectProfile(j, probe.Prof)
-		}
-		if o.CollectWaterfall != nil {
-			o.CollectWaterfall(j, probe.WF)
-		}
+	if err == nil && o.Collect != nil {
+		o.Collect(j, probe)
 	}
 	return res, err
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -20,15 +21,17 @@ type ResultStore interface {
 	Put(j Job, hash string, r experiment.Result) error
 }
 
-// storeEntry is one JSONL line of the result store. Spec, Load and Seed are
-// recorded for human inspection and downstream tooling; only Hash keys
-// lookups.
-type storeEntry struct {
-	Hash string            `json:"hash"`
-	Spec string            `json:"spec"`
-	Load float64           `json:"load"`
-	Seed uint64            `json:"seed,omitempty"`
-	Res  experiment.Result `json:"result"`
+// Entry is one JSONL line of a result store — the JSONL store's, a segment of
+// the service database's, a results stream's. Spec, Load and Seed are recorded
+// for human inspection and downstream tooling; only Hash keys lookups. Result
+// is the simulator's Result under its Go field names, its Observed sidecar
+// present only on lines whose run was observed.
+type Entry struct {
+	Hash   string            `json:"hash"`
+	Spec   string            `json:"spec"`
+	Load   float64           `json:"load"`
+	Seed   uint64            `json:"seed,omitempty"`
+	Result experiment.Result `json:"result"`
 }
 
 // MarshalEntry renders the canonical JSONL store line (no trailing newline)
@@ -37,13 +40,32 @@ type storeEntry struct {
 // same result serialized by a one-shot campaign store — the property the
 // byte-identity smoke tests compare across layers.
 func MarshalEntry(j Job, hash string, r experiment.Result) ([]byte, error) {
-	line, err := json.Marshal(storeEntry{
-		Hash: hash, Spec: j.EffectiveSpec().Name, Load: j.Load, Seed: j.Seed, Res: r,
+	line, err := json.Marshal(Entry{
+		Hash: hash, Spec: j.EffectiveSpec().Name, Load: j.Load, Seed: j.Seed, Result: r,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("harness: encode result: %w", err)
 	}
 	return line, nil
+}
+
+// DecodeEntry is MarshalEntry's inverse and the one decoder of store lines:
+// OpenStore, the service database's replay and the report reader all go
+// through it. A line that is not a JSON entry, or that names no hash, is an
+// error — what each reader then does with such a line (skip, heal, quarantine,
+// refuse the file) is its own policy. Keys the Entry does not declare are
+// ignored, so a line an older version wrote (flat observer fields inside
+// result, hash v6 and earlier) decodes to its measurement with a nil sidecar;
+// it is never served, because no current job hashes to its key.
+func DecodeEntry(line []byte) (Entry, error) {
+	var e Entry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return Entry{}, err
+	}
+	if e.Hash == "" {
+		return Entry{}, errors.New("missing hash")
+	}
+	return e, nil
 }
 
 // Store is an append-only JSONL result cache keyed by job content hash. It is
@@ -74,12 +96,12 @@ func OpenStore(path string) (*Store, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e storeEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.Hash == "" {
+		e, err := DecodeEntry(line)
+		if err != nil {
 			s.skipped++
 			continue
 		}
-		s.entries[e.Hash] = e.Res
+		s.entries[e.Hash] = e.Result
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()

@@ -13,31 +13,57 @@ import (
 )
 
 // TestStoreRoundTrip: results written by Put come back from a reopened store
-// bit-identical.
+// bit-identical, unobserved and observed alike. An unobserved run's line has no
+// Observed key and its Result is comparable with == to a second run's; an
+// observed run's sidecar survives the trip by value.
 func TestStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
 	st, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := Job{Spec: tinySpec(), Load: 0.25}
-	res := experiment.Run(job.Spec, job.Load)
-	if err := st.Put(job, job.Hash(), res); err != nil {
+	bare := Job{Spec: tinySpec(), Load: 0.25}
+	res := experiment.Run(bare.Spec, bare.Load)
+	if res.Observed != nil || res != experiment.Run(bare.Spec, bare.Load) {
+		t.Fatalf("an unobserved run is not == to its rerun: %+v", res)
+	}
+	if err := st.Put(bare, bare.Hash(), res); err != nil {
+		t.Fatal(err)
+	}
+	observed := Job{Spec: tinyVC(), Load: 0.25}
+	obs, err := experiment.RunInstrumented(context.Background(), observed.Spec, observed.Load,
+		experiment.Instruments{Probe: observing(true, true)()})
+	if err != nil || obs.Observed == nil || obs.Observed.Activity == nil || obs.Observed.Waterfall == nil {
+		t.Fatalf("observed run: %v, sidecar %+v", err, obs.Observed)
+	}
+	if err := st.Put(observed, observed.Hash(), obs); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
 
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.SplitN(string(raw), "\n", 2); strings.Contains(lines[0], "Observed") || !strings.Contains(lines[1], `"Observed":{"Activity":{"ticks":`) {
+		t.Fatalf("want the sidecar on the observed line only:\n%s", raw)
+	}
 	st2, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, ok := st2.Get(job.Hash())
-	if !ok {
-		t.Fatal("entry lost across reopen")
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("result changed across the store round trip:\ngot:  %+v\nwant: %+v", got, res)
+	for _, want := range []struct {
+		job Job
+		res experiment.Result
+	}{{bare, res}, {observed, obs}} {
+		got, ok := st2.Get(want.job.Hash())
+		if !ok {
+			t.Fatal("entry lost across reopen")
+		}
+		if !reflect.DeepEqual(got, want.res) {
+			t.Fatalf("result changed across the store round trip:\ngot:  %+v\nwant: %+v", got, want.res)
+		}
 	}
 }
 

@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"frfc/internal/experiment"
-	"frfc/internal/waterfall"
+	"frfc/internal/metrics"
 )
 
 // TestWaterfallParallelEqualsSerial extends the determinism contract to
-// latency-provenance campaigns: with Options.Waterfall set, every worker
-// count must produce bit-identical Results — including the Waterfall* stage
-// summary — and the shared fields must match a plain run exactly.
+// latency-provenance campaigns: with a ledger-carrying Options.Probe, every
+// worker count must produce bit-identical Results — including the
+// Observed.Waterfall stage summary — and the measurement must match a plain
+// run exactly.
 func TestWaterfallParallelEqualsSerial(t *testing.T) {
 	specs := []experiment.Spec{tinySpec(), tinyVC()}
 	loads := []float64{0.2, 0.4}
@@ -24,7 +25,7 @@ func TestWaterfallParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Waterfall: true})
+	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Probe: observing(false, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,19 +33,17 @@ func TestWaterfallParallelEqualsSerial(t *testing.T) {
 		if jr.Err != "" {
 			t.Fatalf("serial job %d failed: %s", i, jr.Err)
 		}
-		r := jr.Result
-		if r.WaterfallPackets == 0 || r.WaterfallTotal == 0 {
+		w := jr.Result.Observed.Waterfall
+		if w.Packets == 0 || w.Total == 0 {
 			t.Errorf("job %d: waterfall run decomposed nothing: packets=%d total=%d",
-				i, r.WaterfallPackets, r.WaterfallTotal)
+				i, w.Packets, w.Total)
 		}
-		sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
-			r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
-		if sum != r.WaterfallTotal {
-			t.Errorf("job %d: stage sum %d != total %d", i, sum, r.WaterfallTotal)
+		if sum := w.Queue + w.Reserve + w.Arb + w.Stall + w.Sched + w.Link + w.Drain; sum != w.Total {
+			t.Errorf("job %d: stage sum %d != total %d", i, sum, w.Total)
 		}
 	}
 
-	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Waterfall: true})
+	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Probe: observing(false, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,39 +57,37 @@ func TestWaterfallParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	// Latency provenance is observation-only: strip the Waterfall* fields
-	// and the rest of the Result must be bit-identical to a plain campaign.
+	// Latency provenance is observation-only: drop the sidecar and the
+	// Result must be bit-identical to a plain campaign's.
 	plain, err := RunJobs(context.Background(), jobs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {
 		stripped := serial[i].Result
-		stripped.WaterfallPackets, stripped.WaterfallTotal = 0, 0
-		stripped.WaterfallQueue, stripped.WaterfallReserve, stripped.WaterfallArb = 0, 0, 0
-		stripped.WaterfallStall, stripped.WaterfallSched, stripped.WaterfallLink = 0, 0, 0
-		stripped.WaterfallDrain = 0
-		if !reflect.DeepEqual(stripped, plain[i].Result) {
-			t.Errorf("job %d: waterfall result (Waterfall* stripped) diverged from plain:\nwaterfall: %+v\nplain:     %+v",
+		stripped.Observed = nil
+		if stripped != plain[i].Result {
+			t.Errorf("job %d: waterfall result (sidecar dropped) diverged from plain:\nwaterfall: %+v\nplain:     %+v",
 				i, stripped, plain[i].Result)
 		}
 	}
 }
 
-// TestCollectWaterfallHandover: CollectWaterfall must receive one ledger per
-// simulated job, each consistent with that job's Result summary.
+// TestCollectWaterfallHandover: Collect must receive one probe per simulated
+// job, its stage ledger consistent with that job's Result summary.
 func TestCollectWaterfallHandover(t *testing.T) {
 	jobs := []Job{
 		{Spec: tinySpec(), Load: 0.3},
 		{Spec: tinyVC(), Load: 0.3},
 	}
 	var mu sync.Mutex
-	got := map[string]*waterfall.Ledger{}
+	got := map[string]*metrics.Probe{}
 	o := Options{
 		Workers: 2,
-		CollectWaterfall: func(j Job, l *waterfall.Ledger) {
+		Probe:   observing(false, true),
+		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
-			got[j.Hash()] = l
+			got[j.Hash()] = p
 			mu.Unlock()
 		},
 	}
@@ -105,13 +102,12 @@ func TestCollectWaterfallHandover(t *testing.T) {
 		if jr.Err != "" {
 			t.Fatalf("job %d failed: %s", i, jr.Err)
 		}
-		l := got[jr.Hash]
+		l := got[jr.Hash].Waterfall()
 		if l == nil {
 			t.Fatalf("job %d: no ledger handed over", i)
 		}
-		if l.Packets() != jr.Result.WaterfallPackets || l.TotalCycles() != jr.Result.WaterfallTotal {
-			t.Errorf("job %d: ledger (%d pkts, %d cycles) disagrees with Result (%d, %d)",
-				i, l.Packets(), l.TotalCycles(), jr.Result.WaterfallPackets, jr.Result.WaterfallTotal)
+		if got := l.Totals(); got != *jr.Result.Observed.Waterfall {
+			t.Errorf("job %d: ledger %+v disagrees with Result %+v", i, got, *jr.Result.Observed.Waterfall)
 		}
 	}
 }

@@ -22,6 +22,26 @@ type Probe struct {
 	WF     *waterfall.Ledger
 }
 
+// NewProbe builds the probe one run carries: a counter registry when counters
+// is set, a self-profiling registry when prof, a stage ledger when wf, the two
+// registries sampling every epoch cycles (non-positive = their default). It is
+// the one place a run's collectors are assembled from the switches callers
+// hold; a tracer, which only a single observed run wants, is the caller's to
+// attach. With every switch off the probe is empty and costs a run nothing.
+func NewProbe(epoch sim.Cycle, counters, prof, wf bool) *Probe {
+	p := &Probe{}
+	if counters {
+		p.Reg = NewRegistry(epoch)
+	}
+	if prof {
+		p.Prof = profile.NewRegistry(epoch)
+	}
+	if wf {
+		p.WF = waterfall.New()
+	}
+	return p
+}
+
 // Enabled reports whether the probe collects anything at all.
 func (p *Probe) Enabled() bool {
 	return p != nil && (p.Reg != nil || p.Tracer != nil || p.Prof != nil || p.WF != nil)

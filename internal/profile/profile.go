@@ -347,13 +347,7 @@ func (r *Registry) Totals() (ticks, active int64) {
 
 // IdleFraction is the fraction of all component ticks that performed no
 // work, in [0,1]; 0 when nothing was recorded.
-func (r *Registry) IdleFraction() float64 {
-	ticks, active := r.Totals()
-	if ticks == 0 {
-		return 0
-	}
-	return 1 - float64(active)/float64(ticks)
-}
+func (r *Registry) IdleFraction() float64 { return r.Activity().IdleFraction }
 
 // PhaseTotals sums the FR router's per-phase work units across all nodes.
 func (r *Registry) PhaseTotals() [NumPhases]int64 {
@@ -367,6 +361,49 @@ func (r *Registry) PhaseTotals() [NumPhases]int64 {
 		}
 	}
 	return t
+}
+
+// Activity is a registry's deterministic summary, the part of a profile that
+// may enter an experiment result: component ticks executed against ticks that
+// did work, their gap as a fraction, and the FR router's work units per phase
+// (zero on the other fabrics). Every value is a function of the simulation
+// alone — host memory samples stay in the registry — so it is identical for
+// any worker count.
+type Activity struct {
+	Ticks        int64   `json:"ticks"`
+	ActiveTicks  int64   `json:"activeTicks"`
+	IdleFraction float64 `json:"idleFraction"`
+	SchedWork    int64   `json:"schedWork"`
+	ArbWork      int64   `json:"arbWork"`
+	SwitchWork   int64   `json:"switchWork"`
+	CreditWork   int64   `json:"creditWork"`
+}
+
+// Activity summarizes the registry; the zero Activity on a nil one.
+func (r *Registry) Activity() Activity {
+	ticks, active := r.Totals()
+	ph := r.PhaseTotals()
+	var a Activity
+	a.Add(Activity{
+		Ticks: ticks, ActiveTicks: active,
+		SchedWork: ph[PhaseSched], ArbWork: ph[PhaseArb], SwitchWork: ph[PhaseSwitch], CreditWork: ph[PhaseCredit],
+	})
+	return a
+}
+
+// Add folds another summary into this one — the counts sum and the idle
+// fraction is taken again over the sums — which is how a campaign aggregates
+// its points.
+func (a *Activity) Add(o Activity) {
+	a.Ticks += o.Ticks
+	a.ActiveTicks += o.ActiveTicks
+	a.SchedWork += o.SchedWork
+	a.ArbWork += o.ArbWork
+	a.SwitchWork += o.SwitchWork
+	a.CreditWork += o.CreditWork
+	if a.Ticks > 0 {
+		a.IdleFraction = 1 - float64(a.ActiveTicks)/float64(a.Ticks)
+	}
 }
 
 // HotNode describes one router's activity for Hottest.

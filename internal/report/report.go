@@ -18,65 +18,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"frfc/internal/harness"
+	"frfc/internal/profile"
 )
-
-// Row mirrors the fields of a result-store line the report uses. The store's
-// result object is the simulator's Result with Go field names.
-type Row struct {
-	Hash   string  `json:"hash"`
-	Spec   string  `json:"spec"`
-	Load   float64 `json:"load"`
-	Seed   uint64  `json:"seed"`
-	Result struct {
-		AvgLatency       float64
-		CI95             float64
-		BatchCI95        float64
-		Batches          int
-		P50, P95, P99    int64
-		AcceptedLoad     float64
-		Saturated        bool
-		SampledDelivered int
-		SampleSize       int
-		Cycles           int64
-
-		DroppedFlits        int64
-		LostPackets         int64
-		RetriedPackets      int64
-		AbandonedPackets    int64
-		UnreachablePackets  int64
-		DeliveredFraction   float64
-		CorruptedFlits      int64
-		CrcDetected         int64
-		CorruptEscapes      int64
-		PhantomReservations int64
-		ReclaimedSlots      int64
-
-		ProfTicks        int64
-		ProfActiveTicks  int64
-		ProfIdleFraction float64
-		ProfSchedWork    int64
-		ProfArbWork      int64
-		ProfSwitchWork   int64
-		ProfCreditWork   int64
-
-		WaterfallPackets int64
-		WaterfallTotal   int64
-		WaterfallQueue   int64
-		WaterfallReserve int64
-		WaterfallArb     int64
-		WaterfallStall   int64
-		WaterfallSched   int64
-		WaterfallLink    int64
-		WaterfallDrain   int64
-	} `json:"result"`
-}
 
 // Source is one result store's rows, ready to render as a report section.
 type Source struct {
 	// Name labels the section header (a file path for cmd/report, the
 	// database directory for the service reporter).
 	Name string
-	Rows []Row
+	Rows []harness.Entry
 	// Skipped counts undecodable lines tolerated in lenient mode.
 	Skipped int
 }
@@ -86,14 +38,11 @@ type Source struct {
 type MalformedError struct {
 	Name string // store name (usually the file path)
 	Line int    // 1-based line number
-	Err  error  // underlying decode error, nil when the line merely lacked a hash
+	Err  error  // why harness.DecodeEntry refused the line
 }
 
 func (e *MalformedError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("%s:%d: malformed record: %v", e.Name, e.Line, e.Err)
-	}
-	return fmt.Sprintf("%s:%d: malformed record: missing hash", e.Name, e.Line)
+	return fmt.Sprintf("%s:%d: malformed record: %v", e.Name, e.Line, e.Err)
 }
 
 func (e *MalformedError) Unwrap() error { return e.Err }
@@ -105,7 +54,7 @@ func (e *MalformedError) Unwrap() error { return e.Err }
 // lines are counted in the returned Source's Skipped field instead.
 func ReadStore(r io.Reader, name string, lenient bool) (Source, error) {
 	src := Source{Name: name}
-	byHash := map[string]Row{}
+	byHash := map[string]harness.Entry{}
 	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -116,17 +65,10 @@ func ReadStore(r io.Reader, name string, lenient bool) (Source, error) {
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var row Row
-		if err := json.Unmarshal(line, &row); err != nil {
+		row, err := harness.DecodeEntry(line)
+		if err != nil {
 			if !lenient {
 				return src, &MalformedError{Name: name, Line: lineNo, Err: err}
-			}
-			src.Skipped++
-			continue
-		}
-		if row.Hash == "" {
-			if !lenient {
-				return src, &MalformedError{Name: name, Line: lineNo}
 			}
 			src.Skipped++
 			continue
@@ -139,7 +81,7 @@ func ReadStore(r io.Reader, name string, lenient bool) (Source, error) {
 	if err := sc.Err(); err != nil {
 		return src, fmt.Errorf("read %s: %w", name, err)
 	}
-	src.Rows = make([]Row, 0, len(order))
+	src.Rows = make([]harness.Entry, 0, len(order))
 	for _, h := range order {
 		src.Rows = append(src.Rows, byHash[h])
 	}
@@ -289,7 +231,7 @@ func writeStoreSection(b *bytes.Buffer, src Source) {
 // writeFaultSubsection adds the fault/chaos delivery table when any row
 // carried fault, retry or corruption activity. A healthy campaign — full
 // delivery, nothing dropped or retried — keeps the report clean.
-func writeFaultSubsection(b *bytes.Buffer, rows []Row) {
+func writeFaultSubsection(b *bytes.Buffer, rows []harness.Entry) {
 	any := false
 	for _, r := range rows {
 		res := r.Result
@@ -317,67 +259,54 @@ func writeFaultSubsection(b *bytes.Buffer, rows []Row) {
 }
 
 // writeProfileSubsection summarizes the self-profiling activity accounting of
-// rows that carried it (campaigns run with profiling armed).
-func writeProfileSubsection(b *bytes.Buffer, rows []Row) {
-	var ticks, active, sched, arb, sw, cred int64
+// rows that carried it (campaigns run with profiling armed, on a fabric that
+// accounts its ticks).
+func writeProfileSubsection(b *bytes.Buffer, rows []harness.Entry) {
+	var sum profile.Activity
 	profiled := 0
 	for _, r := range rows {
-		if r.Result.ProfTicks == 0 {
-			continue
+		if o := r.Result.Observed; o != nil && o.Activity != nil && o.Activity.Ticks > 0 {
+			profiled++
+			sum.Add(*o.Activity)
 		}
-		profiled++
-		ticks += r.Result.ProfTicks
-		active += r.Result.ProfActiveTicks
-		sched += r.Result.ProfSchedWork
-		arb += r.Result.ProfArbWork
-		sw += r.Result.ProfSwitchWork
-		cred += r.Result.ProfCreditWork
 	}
 	if profiled == 0 {
 		return
 	}
 	b.WriteString("\n### Self-profiling (simulator activity accounting)\n\n")
 	fmt.Fprintf(b, "%d of %d points carried activity accounting.\n\n", profiled, len(rows))
-	idle := 1 - float64(active)/float64(ticks)
 	fmt.Fprintf(b, "- Idle component ticks: %.1f%% (%d active of %d total).\n",
-		idle*100, active, ticks)
-	if work := sched + arb + sw + cred; work > 0 {
+		sum.IdleFraction*100, sum.ActiveTicks, sum.Ticks)
+	if work := sum.SchedWork + sum.ArbWork + sum.SwitchWork + sum.CreditWork; work > 0 {
 		fmt.Fprintf(b, "- FR-router phase work: sched %.1f%%, arb %.1f%%, switch %.1f%%, credit %.1f%% of %d attributed work items.\n",
-			pct(sched, work), pct(arb, work), pct(sw, work), pct(cred, work), work)
+			pct(sum.SchedWork, work), pct(sum.ArbWork, work), pct(sum.SwitchWork, work), pct(sum.CreditWork, work), work)
 	}
 }
 
 // writeWaterfallSubsection renders the "where the cycles go" table: one row
-// per point that carried latency provenance, mean cycles per stage, exactly
-// partitioning the decomposed mean latency.
-func writeWaterfallSubsection(b *bytes.Buffer, rows []Row) {
-	any := false
+// per point that decomposed at least one packet, mean cycles per stage,
+// exactly partitioning the decomposed mean latency.
+func writeWaterfallSubsection(b *bytes.Buffer, rows []harness.Entry) {
+	header := false
 	for _, r := range rows {
-		if r.Result.WaterfallPackets > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	b.WriteString("\n### Where the cycles go (latency waterfall)\n\n")
-	b.WriteString("Mean cycles per packet attributed to each lifecycle stage; the stages sum\n")
-	b.WriteString("exactly to the decomposed mean latency.\n\n")
-	b.WriteString("| Config | Load %cap | Queue | Reserve | Arb | Stall | Sched | Link | Drain | Total |\n")
-	b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-	for _, r := range rows {
-		res := r.Result
-		if res.WaterfallPackets == 0 {
+		o := r.Result.Observed
+		if o == nil || o.Waterfall == nil || o.Waterfall.Packets == 0 {
 			continue
 		}
-		n := float64(res.WaterfallPackets)
-		fmt.Fprintf(b, "| %s | %.1f | %.2f | %.2f | %.2f | %.2f | %.2f | %.2f | %.2f | %.2f |\n",
-			r.Spec, r.Load*100,
-			float64(res.WaterfallQueue)/n, float64(res.WaterfallReserve)/n,
-			float64(res.WaterfallArb)/n, float64(res.WaterfallStall)/n,
-			float64(res.WaterfallSched)/n, float64(res.WaterfallLink)/n,
-			float64(res.WaterfallDrain)/n, float64(res.WaterfallTotal)/n)
+		if !header {
+			header = true
+			b.WriteString("\n### Where the cycles go (latency waterfall)\n\n")
+			b.WriteString("Mean cycles per packet attributed to each lifecycle stage; the stages sum\n")
+			b.WriteString("exactly to the decomposed mean latency.\n\n")
+			b.WriteString("| Config | Load %cap | Queue | Reserve | Arb | Stall | Sched | Link | Drain | Total |\n")
+			b.WriteString("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
+		}
+		v := o.Waterfall.View()
+		fmt.Fprintf(b, "| %s | %.1f |", r.Spec, r.Load*100)
+		for _, st := range v.Stages {
+			fmt.Fprintf(b, " %.2f |", st.Mean)
+		}
+		fmt.Fprintf(b, " %.2f |\n", v.MeanLatency)
 	}
 }
 

@@ -13,7 +13,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -365,14 +364,8 @@ func (db *DB) replaySegment(path string, seq int) (segReplay, error) {
 			continue
 		}
 		line := bytes.TrimSpace(raw)
-		var e struct {
-			Hash string            `json:"hash"`
-			Spec string            `json:"spec"`
-			Load float64           `json:"load"`
-			Seed uint64            `json:"seed"`
-			Res  experiment.Result `json:"result"`
-		}
-		if err := json.Unmarshal(line, &e); err != nil || e.Hash == "" {
+		e, err := harness.DecodeEntry(line)
+		if err != nil {
 			if covered {
 				// The checksum vouches for these bytes, yet they don't
 				// decode: recorded-then-corrupted beyond what CRC sees,
@@ -385,7 +378,7 @@ func (db *DB) replaySegment(path string, seq int) (segReplay, error) {
 			continue
 		}
 		db.entries[e.Hash] = dbEntry{
-			spec: e.Spec, load: e.Load, seed: e.Seed, res: e.Res,
+			spec: e.Spec, load: e.Load, seed: e.Seed, res: e.Result,
 			line: append([]byte(nil), line...),
 		}
 	}

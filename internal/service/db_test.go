@@ -2,12 +2,16 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
@@ -75,6 +79,73 @@ func TestDBRotationAndReplay(t *testing.T) {
 	}
 	if !bytes.Equal(snap1.Bytes(), snap2.Bytes()) {
 		t.Fatalf("snapshot not byte-identical across reopen:\n%s\nvs\n%s", snap1.String(), snap2.String())
+	}
+}
+
+// TestDBOpensV6Segments is the upgrade path of the service database: a
+// directory whose segments hold the parent's hash-v6 lines (flat observer keys
+// inside result, harness/testdata/store-v6.jsonl) — one legacy segment with no
+// checksum sidecar, one with — opens with nothing healed and nothing
+// quarantined, decodes every line to its measurement with a nil sidecar, keeps
+// the stored bytes as they are, and serves none of them to a current job: the
+// same point submitted again is simulated, not deduplicated.
+func TestDBOpensV6Segments(t *testing.T) {
+	raw, err := os.ReadFile("../harness/testdata/store-v6.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	dir := t.TempDir()
+	var sums bytes.Buffer
+	for i, seg := range [][][]byte{lines[:10], lines[10:]} {
+		data := append(bytes.Join(seg, []byte("\n")), '\n')
+		if err := os.WriteFile(filepath.Join(dir, segmentName(i)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, line := range lines[10:] {
+		fmt.Fprintf(&sums, "%08x\n", crc32.Checksum(line, castagnoli))
+	}
+	if err := os.WriteFile(filepath.Join(dir, sumName(1)), sums.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := OpenDB(dir, DBOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats(); st.Entries != len(lines) || st.Healed != 0 || st.Quarantined != 0 {
+		t.Fatalf("v6 database opened as %+v, want %d entries and nothing healed or quarantined", st, len(lines))
+	}
+	for _, line := range lines {
+		e, err := harness.DecodeEntry(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := db.Get(e.Hash)
+		if !ok || got.Observed != nil || got != e.Result || got.Cycles == 0 {
+			t.Errorf("%s@%g: v6 line replayed as %+v (found %v)", e.Spec, e.Load, got, ok)
+		}
+		if stored, _ := db.GetLine(e.Hash); !bytes.Equal(stored, line) {
+			t.Errorf("%s@%g: stored bytes changed across replay", e.Spec, e.Load)
+		}
+	}
+
+	s := New(db, Options{Workers: 1})
+	defer func() {
+		s.Close(context.Background()) //nolint:errcheck // best-effort teardown
+		db.Close()
+	}()
+	c, err := s.Submit(SweepRequest{Configs: []string{"FR6"}, Loads: []float64{0.2}, Sample: 400, Warmup: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, c)
+	if v := c.view(time.Now()); v.Simulated != 1 || v.Cached != 0 || v.Failed != 0 {
+		t.Fatalf("the v6 row for FR6@0.2 answered a v7 job: %+v", v)
+	}
+	if db.Len() != len(lines)+1 {
+		t.Fatalf("database holds %d entries after the rerun, want the %d v6 lines and the new one", db.Len(), len(lines))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"frfc/internal/harness"
+	"frfc/internal/metrics"
 	"frfc/internal/status"
 )
 
@@ -340,20 +341,27 @@ func (s *Service) Cancel(id string) (*Campaign, bool) {
 // single-job path, with the persistent database as the dedup store.
 func (s *Service) worker() {
 	defer s.wg.Done()
+	// What a simulated job carries: counters when a status server collects
+	// them, the stage ledger when the job's campaign asked for one. Built
+	// here, once, so the per-job path — warm jobs above all — makes nothing.
+	st := s.opts.Status
+	counting := func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) }
+	decomposing := func() *metrics.Probe { return metrics.NewProbe(0, st != nil, false, true) }
 	for {
 		c, idx, ok := s.sched.next()
 		if !ok {
 			return
 		}
 		j := c.jobs[idx]
-		ho := harness.Options{Store: s.db, Timeout: s.opts.Timeout, Waterfall: c.req.Waterfall}
-		if st := s.opts.Status; st != nil {
+		ho := harness.Options{Store: s.db, Timeout: s.opts.Timeout}
+		if st != nil {
 			ho.JobStarted = st.OnJobStarted
 			ho.JobFinished = st.OnJobFinished
 			ho.Collect = st.OnCollect
-			if c.req.Waterfall {
-				ho.CollectWaterfall = st.OnCollectWaterfall
-			}
+			ho.Probe = counting
+		}
+		if c.req.Waterfall {
+			ho.Probe = decomposing
 		}
 		jr := harness.ExecOne(c.ctx, j, ho)
 		completed := c.record(idx, outcome{

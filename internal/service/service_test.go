@@ -12,6 +12,7 @@ import (
 
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
+	"frfc/internal/metrics"
 )
 
 // waitDone blocks until the campaign finishes or the test times out.
@@ -428,7 +429,8 @@ func TestWaterfallCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := harness.RunJobs(context.Background(), jobs, harness.Options{
-		Workers: 1, Store: st, Waterfall: true,
+		Workers: 1, Store: st,
+		Probe: func() *metrics.Probe { return metrics.NewProbe(0, false, false, true) },
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -452,13 +454,15 @@ func TestWaterfallCampaign(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %v finished but is not in the database", j.Load)
 		}
-		if r.WaterfallPackets == 0 || r.WaterfallTotal == 0 {
-			t.Fatalf("job %v undecomposed: %+v", j.Load, r)
+		if r.Observed == nil || r.Observed.Waterfall == nil {
+			t.Fatalf("job %v stored without a waterfall sidecar: %+v", j.Load, r)
 		}
-		sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
-			r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
-		if sum != r.WaterfallTotal {
-			t.Fatalf("job %v stage sum %d != total %d", j.Load, sum, r.WaterfallTotal)
+		w := r.Observed.Waterfall
+		if w.Packets == 0 || w.Total == 0 {
+			t.Fatalf("job %v undecomposed: %+v", j.Load, *w)
+		}
+		if sum := w.Queue + w.Reserve + w.Arb + w.Stall + w.Sched + w.Link + w.Drain; sum != w.Total {
+			t.Fatalf("job %v stage sum %d != total %d", j.Load, sum, w.Total)
 		}
 	}
 	if got := resultsBytes(t, s, c); !bytes.Equal(got, want) {

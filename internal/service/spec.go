@@ -41,11 +41,11 @@ type SweepRequest struct {
 	Check   bool   `json:"check,omitempty"`
 
 	// Waterfall arms latency provenance on every simulated job: stored
-	// results carry the Waterfall* stage decomposition (the seven lifecycle
-	// stages summing exactly to the measured latency), exactly as cmd/sweep
-	// -waterfall does. Observation-only: every other result field and the
-	// job hashes are unchanged, so provenance-on and provenance-off
-	// campaigns dedup against each other.
+	// results carry the stage decomposition in their Observed.Waterfall
+	// sidecar (the seven lifecycle stages summing exactly to the measured
+	// latency), exactly as cmd/sweep -waterfall does. Observation-only: the
+	// measurement and the job hashes are unchanged, so provenance-on and
+	// provenance-off campaigns dedup against each other.
 	Waterfall bool `json:"waterfall,omitempty"`
 
 	// Weight is the campaign's share of the shared worker pool under

@@ -66,16 +66,10 @@ type RunView struct {
 // ProfileView is the self-profiling portion of the /status snapshot: the
 // activity accounting merged (campaign) or last published (single run).
 type ProfileView struct {
-	Ticks         int64   `json:"ticks"`
-	ActiveTicks   int64   `json:"activeTicks"`
-	IdleFraction  float64 `json:"idleFraction"`
-	SchedWork     int64   `json:"schedWork"`
-	ArbWork       int64   `json:"arbWork"`
-	SwitchWork    int64   `json:"switchWork"`
-	CreditWork    int64   `json:"creditWork"`
-	MemAllocBytes int64   `json:"memAllocBytes"`
-	MemEpochs     int64   `json:"memEpochs"`
-	Summary       string  `json:"summary"`
+	profile.Activity
+	MemAllocBytes int64  `json:"memAllocBytes"`
+	MemEpochs     int64  `json:"memEpochs"`
+	Summary       string `json:"summary"`
 }
 
 // ServiceCampaign is one campaign's row in the /status snapshot when the
@@ -161,12 +155,7 @@ type Server struct {
 	jobs     map[string]JobView
 	reg      *metrics.Registry // merged (campaign) or latest (single run)
 	prof     *profile.Registry // merged (campaign) or latest (single run)
-	// Waterfall aggregates are summed integers (campaign) or the last
-	// published live view (single run); wfLive wins while set.
-	wfPackets int64
-	wfTotal   int64
-	wfTotals  [waterfall.NumStages]int64
-	wfLive    *waterfall.View
+	wf       *waterfall.Totals // summed (campaign) or latest (single run); nil until fed
 	// service, when set, computes the campaign-service view; it is called
 	// per request, outside mu.
 	service func() (ServiceView, []ServiceCampaign)
@@ -298,52 +287,34 @@ func (s *Server) OnJobFinished(jr harness.JobResult) {
 	s.mu.Unlock()
 }
 
-// OnCollect merges one finished job's registry into the server's aggregate;
-// plug into Options.Collect. The registry is handed over by the worker after
-// its run completes, so the merge races with nothing.
-func (s *Server) OnCollect(_ harness.Job, reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.reg == nil {
-		s.reg = metrics.NewRegistry(reg.Epoch)
-	}
-	s.reg.Merge(reg)
-	s.mu.Unlock()
-}
-
-// OnCollectProfile merges one finished job's self-profiling registry into the
-// server's aggregate; plug into Options.CollectProfile. Like OnCollect, the
-// registry is handed over after the run completes, so the merge races with
-// nothing.
-func (s *Server) OnCollectProfile(_ harness.Job, p *profile.Registry) {
+// OnCollect merges whatever one finished job's probe carries — counter
+// registry, self-profiling registry, stage ledger — into the server's
+// aggregates; plug into Options.Collect. The probe is handed over by the worker
+// after its run completes, so the merge races with nothing.
+func (s *Server) OnCollect(_ harness.Job, p *metrics.Probe) {
 	if p == nil {
 		return
 	}
 	s.mu.Lock()
-	if s.prof == nil {
-		s.prof = profile.NewRegistry(p.Epoch)
+	defer s.mu.Unlock()
+	if p.Reg != nil {
+		if s.reg == nil {
+			s.reg = metrics.NewRegistry(p.Reg.Epoch)
+		}
+		s.reg.Merge(p.Reg)
 	}
-	s.prof.Merge(p)
-	s.mu.Unlock()
-}
-
-// OnCollectWaterfall folds one finished job's stage ledger into the server's
-// aggregate waterfall; plug into Options.CollectWaterfall. The ledger is
-// handed over after the run completes, so the integer sums race with nothing.
-func (s *Server) OnCollectWaterfall(_ harness.Job, l *waterfall.Ledger) {
-	if l == nil || l.Packets() == 0 {
-		return
+	if p.Prof != nil {
+		if s.prof == nil {
+			s.prof = profile.NewRegistry(p.Prof.Epoch)
+		}
+		s.prof.Merge(p.Prof)
 	}
-	st := l.StageTotals()
-	s.mu.Lock()
-	s.wfPackets += l.Packets()
-	s.wfTotal += l.TotalCycles()
-	for i := range st {
-		s.wfTotals[i] += st[i]
+	if t := p.WF.Totals(); t.Packets > 0 {
+		if s.wf == nil {
+			s.wf = &waterfall.Totals{}
+		}
+		s.wf.Add(t)
 	}
-	s.mu.Unlock()
 }
 
 // ServiceSource registers the function that computes the campaign-service
@@ -388,7 +359,7 @@ func (s *Server) OnLive(lv experiment.Live) {
 		s.prof = lv.Prof
 	}
 	if lv.Waterfall != nil {
-		s.wfLive = lv.Waterfall
+		s.wf = lv.Waterfall
 	}
 	s.mu.Unlock()
 }
@@ -406,22 +377,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		snap.Run = &r
 	}
 	if s.prof != nil {
-		ticks, active := s.prof.Totals()
-		ph := s.prof.PhaseTotals()
 		snap.Profile = &ProfileView{
-			Ticks:         ticks,
-			ActiveTicks:   active,
-			IdleFraction:  s.prof.IdleFraction(),
-			SchedWork:     ph[profile.PhaseSched],
-			ArbWork:       ph[profile.PhaseArb],
-			SwitchWork:    ph[profile.PhaseSwitch],
-			CreditWork:    ph[profile.PhaseCredit],
+			Activity:      s.prof.Activity(),
 			MemAllocBytes: s.prof.Mem.AllocBytes,
 			MemEpochs:     s.prof.Mem.Epochs,
 			Summary:       s.prof.Summary(),
 		}
 	}
-	if wv, ok := s.waterfallViewLocked(); ok {
+	if s.wf != nil {
+		wv := s.wf.View()
 		snap.Waterfall = &wv
 	}
 	now := time.Now()
@@ -471,22 +435,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.prof != nil {
 		s.prof.WritePrometheus(w) //nolint:errcheck // client gone is not our problem
 	}
-	if wv, ok := s.waterfallViewLocked(); ok {
-		wv.WritePrometheus(w) //nolint:errcheck // client gone is not our problem
+	if s.wf != nil {
+		s.wf.View().WritePrometheus(w) //nolint:errcheck // client gone is not our problem
 	}
-}
-
-// waterfallViewLocked assembles the waterfall snapshot under s.mu: a live
-// published view wins; otherwise the campaign's summed integers are folded
-// into a fresh view. ok is false when no waterfall data has been fed.
-func (s *Server) waterfallViewLocked() (waterfall.View, bool) {
-	if s.wfLive != nil {
-		return *s.wfLive, true
-	}
-	if s.wfPackets == 0 {
-		return waterfall.View{}, false
-	}
-	return waterfall.ViewFromTotals(s.wfPackets, s.wfTotal, s.wfTotals), true
 }
 
 // writeServiceMetrics renders the campaign-service gauges in Prometheus

@@ -90,12 +90,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	reg.Init(2)
 	reg.Nodes[1].Ejected = 10
 	reg.Cycles = 100
-	s.OnCollect(harness.Job{}, reg)
+	s.OnCollect(harness.Job{}, &metrics.Probe{Reg: reg})
 	reg2 := metrics.NewRegistry(0)
 	reg2.Init(2)
 	reg2.Nodes[1].Ejected = 5
 	reg2.Cycles = 50
-	s.OnCollect(harness.Job{}, reg2)
+	s.OnCollect(harness.Job{}, &metrics.Probe{Reg: reg2})
 
 	_, body = get(t, "http://"+s.Addr()+"/metrics")
 	if !strings.Contains(body, `frfc_ejected_flits_total{node="1",x="1",y="0"} 15`) {
@@ -171,12 +171,12 @@ func TestMetricsContentTypeAndEscaping(t *testing.T) {
 		reg.Nodes[i].Ejected = int64(i)
 	}
 	reg.Cycles = 256
-	s.OnCollect(harness.Job{}, reg)
+	s.OnCollect(harness.Job{}, &metrics.Probe{Reg: reg})
 	p := profile.NewRegistry(0)
 	p.Init(3)
 	p.RouterTick(4, 1, 2, 3, 4)
 	p.Cycles = 256
-	s.OnCollectProfile(harness.Job{}, p)
+	s.OnCollect(harness.Job{}, &metrics.Probe{Prof: p})
 
 	resp, err := http.Get("http://" + s.Addr() + "/metrics")
 	if err != nil {
@@ -227,8 +227,8 @@ func TestProfileBlock(t *testing.T) {
 		p.Cycles = 100
 		return p
 	}
-	s.OnCollectProfile(harness.Job{}, mk(1))
-	s.OnCollectProfile(harness.Job{}, mk(2))
+	s.OnCollect(harness.Job{}, &metrics.Probe{Prof: mk(1)})
+	s.OnCollect(harness.Job{}, &metrics.Probe{Prof: mk(2)})
 
 	_, body := get(t, "http://"+s.Addr()+"/status")
 	var snap Snapshot
@@ -295,11 +295,11 @@ func TestConcurrentFeedsAndScrapes(t *testing.T) {
 				reg := metrics.NewRegistry(0)
 				reg.Init(2)
 				reg.Nodes[0].Injected = 1
-				s.OnCollect(j, reg)
+				s.OnCollect(j, &metrics.Probe{Reg: reg})
 				p := profile.NewRegistry(0)
 				p.Init(2)
 				p.RouterTick(0, 1, 0, 1, 0)
-				s.OnCollectProfile(j, p)
+				s.OnCollect(j, &metrics.Probe{Prof: p})
 				s.OnJobFinished(harness.JobResult{Job: j})
 			}
 		}(g)
@@ -512,8 +512,8 @@ func TestWaterfallBlock(t *testing.T) {
 		l.Delivered(pid, 12)
 		return l
 	}
-	s.OnCollectWaterfall(harness.Job{}, mk(1))
-	s.OnCollectWaterfall(harness.Job{}, mk(2))
+	s.OnCollect(harness.Job{}, &metrics.Probe{WF: mk(1)})
+	s.OnCollect(harness.Job{}, &metrics.Probe{WF: mk(2)})
 
 	_, body := get(t, "http://"+s.Addr()+"/status")
 	var snap Snapshot
@@ -542,8 +542,7 @@ func TestWaterfallBlock(t *testing.T) {
 	}
 
 	// A live publish replaces the campaign aggregate.
-	lv := waterfall.ViewFromTotals(1, 9, [waterfall.NumStages]int64{waterfall.StageLink: 9})
-	s.OnLive(experiment.Live{Cycle: 7, Phase: "measure", Waterfall: &lv})
+	s.OnLive(experiment.Live{Cycle: 7, Phase: "measure", Waterfall: &waterfall.Totals{Packets: 1, Total: 9, Link: 9}})
 	_, body = get(t, "http://"+s.Addr()+"/status")
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)

@@ -312,29 +312,54 @@ func (l *Ledger) InFlight() int {
 	return len(l.pkts)
 }
 
-// Packets reports how many delivered packets were folded in.
-func (l *Ledger) Packets() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.packets
+// Totals is a ledger's deterministic summary, the part of a waterfall that may
+// enter an experiment result: Packets delivered packets decomposed, their
+// summed creation-to-delivery latency Total, and the cycles attributed to each
+// stage, which partition Total exactly (asserted per packet under Strict).
+// Every value is a function of the simulation alone, so it is identical for
+// any worker count, and summaries merge by summing.
+type Totals struct {
+	Packets int64 `json:"packets"`
+	Total   int64 `json:"total"`
+	Queue   int64 `json:"queue"`
+	Reserve int64 `json:"reserve"`
+	Arb     int64 `json:"arb"`
+	Stall   int64 `json:"stall"`
+	Sched   int64 `json:"sched"`
+	Link    int64 `json:"link"`
+	Drain   int64 `json:"drain"`
 }
 
-// TotalCycles reports the summed measured latency of folded packets; it
-// equals the sum of StageTotals exactly.
-func (l *Ledger) TotalCycles() int64 {
+// Totals summarizes the packets folded in so far; the zero Totals on a nil
+// ledger.
+func (l *Ledger) Totals() Totals {
 	if l == nil {
-		return 0
+		return Totals{}
 	}
-	return l.total
+	t := &l.totals
+	return Totals{
+		Packets: l.packets, Total: l.total,
+		Queue: t[StageQueue], Reserve: t[StageReserve], Arb: t[StageArb], Stall: t[StageStall],
+		Sched: t[StageSched], Link: t[StageLink], Drain: t[StageDrain],
+	}
 }
 
-// StageTotals reports the summed cycles per stage over folded packets.
-func (l *Ledger) StageTotals() [NumStages]int64 {
-	if l == nil {
-		return [NumStages]int64{}
-	}
-	return l.totals
+// Stages lists the per-stage cycle sums in timeline order, indexable by Stage.
+func (t Totals) Stages() [NumStages]int64 {
+	return [NumStages]int64{t.Queue, t.Reserve, t.Arb, t.Stall, t.Sched, t.Link, t.Drain}
+}
+
+// Add folds another summary into this one.
+func (t *Totals) Add(o Totals) {
+	t.Packets += o.Packets
+	t.Total += o.Total
+	t.Queue += o.Queue
+	t.Reserve += o.Reserve
+	t.Arb += o.Arb
+	t.Stall += o.Stall
+	t.Sched += o.Sched
+	t.Link += o.Link
+	t.Drain += o.Drain
 }
 
 // StageStats returns the per-stage latency accumulator (histogram, mean,
@@ -364,8 +389,8 @@ type StageView struct {
 	Share  float64 `json:"share"`
 }
 
-// View is a plain snapshot of a waterfall's aggregates, safe to serialize
-// and to merge across runs by summing the integer fields.
+// View is a Totals rendered for display: what /status serves and Summary
+// prints. Totals is the form that is stored and merged.
 type View struct {
 	Packets     int64       `json:"packets"`
 	TotalCycles int64       `json:"total_cycles"`
@@ -373,20 +398,20 @@ type View struct {
 	Stages      []StageView `json:"stages"`
 }
 
-// ViewFromTotals builds a View from raw integer aggregates (e.g. summed
-// across the jobs of a campaign).
-func ViewFromTotals(packets, totalCycles int64, totals [NumStages]int64) View {
-	v := View{Packets: packets, TotalCycles: totalCycles, Stages: make([]StageView, 0, NumStages)}
-	if packets > 0 {
-		v.MeanLatency = float64(totalCycles) / float64(packets)
+// View renders the summary — one ledger's, or the sum over the jobs of a
+// campaign — with per-packet means and shares.
+func (t Totals) View() View {
+	v := View{Packets: t.Packets, TotalCycles: t.Total, Stages: make([]StageView, 0, NumStages)}
+	if t.Packets > 0 {
+		v.MeanLatency = float64(t.Total) / float64(t.Packets)
 	}
-	for i, c := range totals {
+	for i, c := range t.Stages() {
 		sv := StageView{Stage: stageNames[i], Cycles: c}
-		if packets > 0 {
-			sv.Mean = float64(c) / float64(packets)
+		if t.Packets > 0 {
+			sv.Mean = float64(c) / float64(t.Packets)
 		}
-		if totalCycles > 0 {
-			sv.Share = float64(c) / float64(totalCycles)
+		if t.Total > 0 {
+			sv.Share = float64(c) / float64(t.Total)
 		}
 		v.Stages = append(v.Stages, sv)
 	}
@@ -394,12 +419,7 @@ func ViewFromTotals(packets, totalCycles int64, totals [NumStages]int64) View {
 }
 
 // View snapshots the ledger's aggregates.
-func (l *Ledger) View() View {
-	if l == nil {
-		return ViewFromTotals(0, 0, [NumStages]int64{})
-	}
-	return ViewFromTotals(l.packets, l.total, l.totals)
-}
+func (l *Ledger) View() View { return l.Totals().View() }
 
 // Summary renders a one-line breakdown: per-stage mean cycles with shares,
 // summing to the mean measured latency.

@@ -31,7 +31,7 @@ func TestNilLedgerIsSafe(t *testing.T) {
 	l.Eject(1, 0, 12)
 	l.Delivered(1, 14)
 	l.Drop(1)
-	if l.Packets() != 0 || l.TotalCycles() != 0 || l.InFlight() != 0 {
+	if l.Totals().Packets != 0 || l.Totals().Total != 0 || l.InFlight() != 0 {
 		t.Error("nil ledger accumulated state")
 	}
 }
@@ -55,8 +55,8 @@ func TestLifecycleDecomposition(t *testing.T) {
 		t.Fatalf("in flight = %d, want 1", l.InFlight())
 	}
 	l.Delivered(7, 19)
-	if l.Packets() != 1 {
-		t.Fatalf("packets = %d, want 1", l.Packets())
+	if l.Totals().Packets != 1 {
+		t.Fatalf("packets = %d, want 1", l.Totals().Packets)
 	}
 	want := [NumStages]int64{
 		StageQueue:   3,
@@ -66,11 +66,11 @@ func TestLifecycleDecomposition(t *testing.T) {
 		StageLink:    7,
 		StageDrain:   3,
 	}
-	if got := l.StageTotals(); got != want {
+	if got := l.Totals().Stages(); got != want {
 		t.Fatalf("stage totals %v, want %v", got, want)
 	}
-	if l.TotalCycles() != 19 {
-		t.Fatalf("total = %d, want 19", l.TotalCycles())
+	if l.Totals().Total != 19 {
+		t.Fatalf("total = %d, want 19", l.Totals().Total)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestSchedResidence(t *testing.T) {
 	l.Depart(1, 0, 11, true) // scheduled: 2 cycles wholesale
 	l.Eject(1, 0, 14)
 	l.Delivered(1, 14)
-	st := l.StageTotals()
+	st := l.Totals().Stages()
 	if st[StageSched] != 2 {
 		t.Errorf("sched = %d, want 2", st[StageSched])
 	}
@@ -121,7 +121,7 @@ func TestRetryResetFoldsIntoQueue(t *testing.T) {
 		StageLink:    6, // 41->44 and 45->48
 		StageDrain:   2,
 	}
-	if got := l.StageTotals(); got != want {
+	if got := l.Totals().Stages(); got != want {
 		t.Fatalf("stage totals %v, want %v", got, want)
 	}
 	// Re-delivery of the same attempt must be idempotent via deletion.
@@ -137,7 +137,7 @@ func TestInjectStartIdempotentPerAttempt(t *testing.T) {
 	l.HeadWire(3, 0, 6)
 	l.Eject(3, 0, 10)
 	l.Delivered(3, 12)
-	st := l.StageTotals()
+	st := l.Totals().Stages()
 	if st[StageQueue] != 5 || st[StageReserve] != 1 {
 		t.Fatalf("queue=%d reserve=%d, want 5 and 1", st[StageQueue], st[StageReserve])
 	}
@@ -147,7 +147,7 @@ func TestDropForgetsPacket(t *testing.T) {
 	l := New()
 	l.InjectStart(4, 0, 0, 1)
 	l.Drop(4)
-	if l.InFlight() != 0 || l.Packets() != 0 {
+	if l.InFlight() != 0 || l.Totals().Packets != 0 {
 		t.Error("dropped packet still on the books")
 	}
 }
@@ -210,10 +210,7 @@ func TestViewAndWriters(t *testing.T) {
 }
 
 func TestViewFromTotals(t *testing.T) {
-	var totals [NumStages]int64
-	totals[StageLink] = 30
-	totals[StageDrain] = 10
-	v := ViewFromTotals(4, 40, totals)
+	v := Totals{Packets: 4, Total: 40, Link: 30, Drain: 10}.View()
 	if v.MeanLatency != 10 {
 		t.Errorf("mean %v, want 10", v.MeanLatency)
 	}

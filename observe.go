@@ -10,7 +10,6 @@ import (
 	"frfc/internal/sim"
 	"frfc/internal/timeseries"
 	"frfc/internal/trace"
-	"frfc/internal/waterfall"
 )
 
 // ObserverOptions selects what an Observer collects.
@@ -38,17 +37,17 @@ type ObserverOptions struct {
 	// per-phase work attribution inside the flit-reservation router
 	// (reservation scheduling, arbitration, switch traversal, credit
 	// handling), and per-epoch host allocation/GC deltas sampled every
-	// MetricsEpoch cycles. Observation-only: the Result's shared fields are
-	// bit-identical with profiling on or off, and only the deterministic
-	// Prof* summary fields are populated from it.
+	// MetricsEpoch cycles. Observation-only: the Result's measurement is
+	// bit-identical with profiling on or off; the deterministic summary
+	// lands in Result.Observed.Activity.
 	Profile bool
 	// Waterfall enables latency provenance: a per-packet stage ledger
 	// decomposes every sampled packet's latency into source queueing,
 	// reservation/setup, arbitration, stalls, scheduled residence, wire
 	// time and drain, with the components summing exactly to the measured
-	// latency. Observation-only: the Result's shared fields are
-	// bit-identical with the ledger on or off, and only the deterministic
-	// Waterfall* summary fields are populated from it.
+	// latency. Observation-only: the Result's measurement is bit-identical
+	// with the ledger on or off; the deterministic summary lands in
+	// Result.Observed.Waterfall.
 	Waterfall bool
 }
 
@@ -65,18 +64,9 @@ type Observer struct {
 // NewObserver builds an observer per the options. With every option off it
 // returns a valid observer that collects nothing.
 func NewObserver(o ObserverOptions) *Observer {
-	p := &metrics.Probe{}
-	if o.Metrics || o.TimeSeries {
-		p.Reg = metrics.NewRegistry(sim.Cycle(o.MetricsEpoch))
-	}
+	p := metrics.NewProbe(sim.Cycle(o.MetricsEpoch), o.Metrics || o.TimeSeries, o.Profile, o.Waterfall)
 	if o.Trace {
 		p.Tracer = trace.New(o.TraceCapacity)
-	}
-	if o.Profile {
-		p.Prof = profile.NewRegistry(sim.Cycle(o.MetricsEpoch))
-	}
-	if o.Waterfall {
-		p.WF = waterfall.New()
 	}
 	obs := &Observer{probe: p}
 	if o.TimeSeries {
@@ -113,7 +103,7 @@ func RunObserved(s Spec, load float64, obs *Observer) Result {
 // simulation: the Result stays bit-identical to Run.
 func RunLive(s Spec, load float64, obs *Observer, st *StatusServer) Result {
 	r, _ := experiment.RunInstrumented(context.Background(), s.inner, load, obs.instruments(st))
-	return fromInternal(r)
+	return r
 }
 
 // WriteMetricsJSON exports the collected registry as indented JSON. It

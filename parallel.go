@@ -6,6 +6,7 @@ import (
 
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
+	"frfc/internal/metrics"
 )
 
 // Job is one unit of parallel experiment work: a configuration simulated at
@@ -78,20 +79,20 @@ type ParallelOptions struct {
 	// with or without it.
 	Status *StatusServer
 	// Profile arms self-profiling on every simulated job: each Result
-	// carries the deterministic Prof* activity summary, and when Status is
-	// also set the per-job profile registries are merged into the server's
-	// /status profile block and /metrics exposition. Observation-only: the
-	// shared Result fields are bit-identical with profiling off, and
-	// profiled campaigns are bit-identical across worker counts.
+	// carries the deterministic activity summary in Observed.Activity, and
+	// when Status is also set the per-job profile registries are merged
+	// into the server's /status profile block and /metrics exposition.
+	// Observation-only: the measurement is bit-identical with profiling
+	// off, and profiled campaigns are bit-identical across worker counts.
 	Profile bool
 	// Waterfall arms latency provenance on every simulated job: each Result
-	// carries the deterministic Waterfall* stage summary (queue, reserve,
-	// arb, stall, sched, link, drain — summing exactly to the decomposed
-	// latency), and when Status is also set the per-job ledgers are merged
-	// into the server's /status waterfall block and /metrics exposition.
-	// Observation-only: the shared Result fields are bit-identical with the
-	// ledger off, and waterfall campaigns are bit-identical across worker
-	// counts.
+	// carries the deterministic stage summary in Observed.Waterfall (queue,
+	// reserve, arb, stall, sched, link, drain — summing exactly to the
+	// decomposed latency), and when Status is also set the per-job ledgers
+	// are merged into the server's /status waterfall block and /metrics
+	// exposition. Observation-only: the measurement is bit-identical with
+	// the ledger off, and waterfall campaigns are bit-identical across
+	// worker counts.
 	Waterfall bool
 }
 
@@ -110,15 +111,12 @@ func (o ParallelOptions) internal() (harness.Options, *harness.Store, error) {
 		ho.JobStarted = o.Status.srv.OnJobStarted
 		ho.JobFinished = o.Status.srv.OnJobFinished
 		ho.Collect = o.Status.srv.OnCollect
-		if o.Profile {
-			ho.CollectProfile = o.Status.srv.OnCollectProfile
-		}
-		if o.Waterfall {
-			ho.CollectWaterfall = o.Status.srv.OnCollectWaterfall
+	}
+	if o.Status != nil || o.Profile || o.Waterfall {
+		ho.Probe = func() *metrics.Probe {
+			return metrics.NewProbe(0, o.Status != nil, o.Profile, o.Waterfall)
 		}
 	}
-	ho.Profile = o.Profile
-	ho.Waterfall = o.Waterfall
 	if o.ResultPath == "" {
 		return ho, nil, nil
 	}
@@ -151,7 +149,7 @@ func RunJobs(ctx context.Context, jobs []Job, o ParallelOptions) ([]JobResult, e
 	out := make([]JobResult, len(results))
 	for i, jr := range results {
 		out[i] = JobResult{
-			Job: jobs[i], Result: fromInternal(jr.Result), Hash: jr.Hash,
+			Job: jobs[i], Result: jr.Result, Hash: jr.Hash,
 			Err: jr.Err, Panicked: jr.Panicked, Cached: jr.Cached,
 			Elapsed: jr.Elapsed,
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestProfiledRunObserved covers the public self-profiling surface: enabling
-// ObserverOptions.Profile populates the Result's Prof* summary, the exports
+// ObserverOptions.Profile populates the Result's Observed.Activity, the exports
 // render, and the hot-router ranking is ordered.
 func TestProfiledRunObserved(t *testing.T) {
 	for _, tc := range []struct {
@@ -25,29 +25,30 @@ func TestProfiledRunObserved(t *testing.T) {
 			spec := smallSpec(t, tc.spec)
 			obs := NewObserver(ObserverOptions{Profile: true, MetricsEpoch: 16})
 			r := RunObserved(spec, 0.3, obs)
-			if r.ProfTicks == 0 || r.ProfActiveTicks == 0 {
-				t.Fatalf("no profile activity: ticks=%d active=%d", r.ProfTicks, r.ProfActiveTicks)
+			if r.Observed == nil || r.Observed.Activity == nil || r.Observed.Waterfall != nil {
+				t.Fatalf("sidecar of a profiled-only run: %+v", r.Observed)
 			}
-			if r.ProfIdleFraction <= 0 || r.ProfIdleFraction >= 1 {
-				t.Fatalf("idle fraction %v out of (0,1) at light load", r.ProfIdleFraction)
+			a := r.Observed.Activity
+			if a.Ticks == 0 || a.ActiveTicks == 0 {
+				t.Fatalf("no profile activity: ticks=%d active=%d", a.Ticks, a.ActiveTicks)
+			}
+			if a.IdleFraction <= 0 || a.IdleFraction >= 1 {
+				t.Fatalf("idle fraction %v out of (0,1) at light load", a.IdleFraction)
 			}
 			// Phase attribution lives inside the flit-reservation router;
 			// the VC-lineage fabrics report component activity only.
-			if tc.name == "FR6" && (r.ProfSchedWork == 0 || r.ProfArbWork == 0 ||
-				r.ProfSwitchWork == 0 || r.ProfCreditWork == 0) {
+			if tc.name == "FR6" && (a.SchedWork == 0 || a.ArbWork == 0 ||
+				a.SwitchWork == 0 || a.CreditWork == 0) {
 				t.Fatalf("phase attribution empty: sched=%d arb=%d switch=%d credit=%d",
-					r.ProfSchedWork, r.ProfArbWork, r.ProfSwitchWork, r.ProfCreditWork)
+					a.SchedWork, a.ArbWork, a.SwitchWork, a.CreditWork)
 			}
 
-			// Profiling is observation-only: the shared fields must match
+			// Profiling is observation-only: the measurement must match
 			// an unobserved Run bit-for-bit.
 			plain := Run(spec, 0.3)
 			stripped := r
-			stripped.ProfTicks, stripped.ProfActiveTicks = 0, 0
-			stripped.ProfIdleFraction = 0
-			stripped.ProfSchedWork, stripped.ProfArbWork = 0, 0
-			stripped.ProfSwitchWork, stripped.ProfCreditWork = 0, 0
-			if !reflect.DeepEqual(stripped, plain) {
+			stripped.Observed = nil
+			if stripped != plain {
 				t.Errorf("profiled result diverged from plain Run:\nprofiled: %+v\nplain:    %+v", stripped, plain)
 			}
 
@@ -144,7 +145,7 @@ func TestProfiledCampaignBitIdentical(t *testing.T) {
 		if serial[i].Err != "" || parallel[i].Err != "" {
 			t.Fatalf("job %d failed: serial=%q parallel=%q", i, serial[i].Err, parallel[i].Err)
 		}
-		if serial[i].Result.ProfTicks == 0 {
+		if o := serial[i].Result.Observed; o == nil || o.Activity == nil || o.Activity.Ticks == 0 {
 			t.Errorf("job %d: no profile summary in campaign result", i)
 		}
 		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {

@@ -9,17 +9,9 @@ import (
 	"testing"
 )
 
-func stripWaterfall(r Result) Result {
-	r.WaterfallPackets, r.WaterfallTotal = 0, 0
-	r.WaterfallQueue, r.WaterfallReserve, r.WaterfallArb = 0, 0, 0
-	r.WaterfallStall, r.WaterfallSched, r.WaterfallLink = 0, 0, 0
-	r.WaterfallDrain = 0
-	return r
-}
-
 // TestWaterfallRunObserved covers the public latency-provenance surface:
-// enabling ObserverOptions.Waterfall populates the Result's Waterfall*
-// summary with an exact stage partition, the exports render, and the shared
+// enabling ObserverOptions.Waterfall populates the Result's
+// Observed.Waterfall with an exact stage partition, the exports render, and the shared
 // fields stay bit-identical to an unobserved Run.
 func TestWaterfallRunObserved(t *testing.T) {
 	for _, tc := range []struct {
@@ -34,20 +26,24 @@ func TestWaterfallRunObserved(t *testing.T) {
 			spec := smallSpec(t, tc.spec).WithCheck(true)
 			obs := NewObserver(ObserverOptions{Waterfall: true})
 			r := RunObserved(spec, 0.3, obs)
-			if r.WaterfallPackets == 0 || r.WaterfallTotal == 0 {
-				t.Fatalf("no waterfall data: packets=%d total=%d", r.WaterfallPackets, r.WaterfallTotal)
+			if r.Observed == nil || r.Observed.Waterfall == nil || r.Observed.Activity != nil {
+				t.Fatalf("sidecar of a waterfall-only run: %+v", r.Observed)
 			}
-			sum := r.WaterfallQueue + r.WaterfallReserve + r.WaterfallArb +
-				r.WaterfallStall + r.WaterfallSched + r.WaterfallLink + r.WaterfallDrain
-			if sum != r.WaterfallTotal {
-				t.Fatalf("stage sum %d != total %d", sum, r.WaterfallTotal)
+			w := r.Observed.Waterfall
+			if w.Packets == 0 || w.Total == 0 {
+				t.Fatalf("no waterfall data: packets=%d total=%d", w.Packets, w.Total)
+			}
+			if sum := w.Queue + w.Reserve + w.Arb + w.Stall + w.Sched + w.Link + w.Drain; sum != w.Total {
+				t.Fatalf("stage sum %d != total %d", sum, w.Total)
 			}
 
-			// Latency provenance is observation-only: the shared fields
+			// Latency provenance is observation-only: the measurement
 			// must match an unobserved Run bit-for-bit.
 			plain := Run(spec, 0.3)
-			if !reflect.DeepEqual(stripWaterfall(r), plain) {
-				t.Errorf("waterfall result diverged from plain Run:\nwf:    %+v\nplain: %+v", stripWaterfall(r), plain)
+			stripped := r
+			stripped.Observed = nil
+			if stripped != plain {
+				t.Errorf("waterfall result diverged from plain Run:\nwf:    %+v\nplain: %+v", stripped, plain)
 			}
 
 			var wj bytes.Buffer
@@ -64,7 +60,7 @@ func TestWaterfallRunObserved(t *testing.T) {
 			if err := json.Unmarshal(wj.Bytes(), &wf); err != nil {
 				t.Fatalf("waterfall JSON invalid: %v", err)
 			}
-			if wf.Packets != r.WaterfallPackets || len(wf.Stages) != 7 {
+			if wf.Packets != w.Packets || len(wf.Stages) != 7 {
 				t.Fatalf("waterfall JSON header wrong: packets=%d stages=%d", wf.Packets, len(wf.Stages))
 			}
 
@@ -125,7 +121,7 @@ func TestWaterfallCampaignBitIdentical(t *testing.T) {
 		if serial[i].Err != "" || parallel[i].Err != "" {
 			t.Fatalf("job %d failed: serial=%q parallel=%q", i, serial[i].Err, parallel[i].Err)
 		}
-		if serial[i].Result.WaterfallPackets == 0 {
+		if o := serial[i].Result.Observed; o == nil || o.Waterfall == nil || o.Waterfall.Packets == 0 {
 			t.Errorf("job %d: no waterfall summary in campaign result", i)
 		}
 		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
