@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -73,5 +77,101 @@ func TestArtifactsGolden(t *testing.T) {
 				t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", name, golden, got, want)
 			}
 		})
+	}
+}
+
+// TestSmokeArtifactsAgree checks what the CI smoke steps used to check in
+// inline Python, over the same run: the flit trace is well-formed Chrome
+// trace-event JSON, the registry describes the mesh that ran and saw traffic,
+// the -json summary names the files it wrote, and the time series accounts for
+// every ejected flit of the registry, one row per point it reports.
+func TestSmokeArtifactsAgree(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, metricsPath, seriesPath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "metrics.json"), filepath.Join(dir, "series.csv")
+	stdout := smokeRun(t, "-trace", tracePath, "-metrics", metricsPath, "-timeseries", seriesPath, "-json")
+	load := func(path string, v any) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+
+	var trace struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Pid  *int   `json:"pid"`
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	load(tracePath, &trace)
+	if len(trace.TraceEvents) == 0 {
+		t.Fatal("trace has no events")
+	}
+	for i, ev := range trace.TraceEvents {
+		if (ev.Ph != "M" && ev.Ph != "i" && ev.Ph != "X") || ev.Pid == nil || ev.Name == "" {
+			t.Fatalf("trace event %d malformed: ph %q, pid %v, name %q", i, ev.Ph, ev.Pid, ev.Name)
+		}
+	}
+
+	var reg struct {
+		Radix int `json:"radix"`
+		Nodes []struct {
+			Injected int64 `json:"injected"`
+			Ejected  int64 `json:"ejected"`
+		} `json:"nodes"`
+	}
+	load(metricsPath, &reg)
+	var injected, ejected int64
+	for _, n := range reg.Nodes {
+		injected += n.Injected
+		ejected += n.Ejected
+	}
+	if reg.Radix != 4 || len(reg.Nodes) != 16 || injected == 0 {
+		t.Fatalf("registry: radix %d, %d nodes, %d flits injected", reg.Radix, len(reg.Nodes), injected)
+	}
+
+	var sum struct {
+		TracePath        string `json:"tracePath"`
+		MetricsPath      string `json:"metricsPath"`
+		TimeSeriesPath   string `json:"timeSeriesPath"`
+		TimeSeriesPoints int    `json:"timeSeriesPoints"`
+	}
+	if err := json.Unmarshal(stdout, &sum); err != nil {
+		t.Fatalf("summary JSON: %v\n%s", err, stdout)
+	}
+	if sum.TracePath != tracePath || sum.MetricsPath != metricsPath || sum.TimeSeriesPath != seriesPath {
+		t.Fatalf("summary does not name the files it wrote: %+v", sum)
+	}
+
+	f, err := os.Open(seriesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := csv.NewReader(f).ReadAll()
+	if err != nil || len(rows) < 2 {
+		t.Fatalf("time series: %d rows, %v", len(rows), err)
+	}
+	col := slices.Index(rows[0], "ejected")
+	if col < 0 {
+		t.Fatalf("time series has no ejected column: %v", rows[0])
+	}
+	var seriesEjected int64
+	for _, row := range rows[1:] {
+		n, err := strconv.ParseInt(row[col], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seriesEjected += n
+	}
+	if seriesEjected != ejected || ejected == 0 {
+		t.Fatalf("series ejected sums to %d, registry total %d", seriesEjected, ejected)
+	}
+	if sum.TimeSeriesPoints != len(rows)-1 {
+		t.Fatalf("summary reports %d points, the file holds %d rows", sum.TimeSeriesPoints, len(rows)-1)
 	}
 }

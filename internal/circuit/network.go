@@ -22,7 +22,7 @@ type ni struct {
 	// telescopes into Link with no router sites at all.
 	wf *waterfall.Ledger
 
-	queue   []*noc.Packet
+	queue   noc.SourceQueue
 	current *noc.Packet
 	flits   []noc.DataFlit
 	next    int
@@ -40,10 +40,6 @@ func newNI(cfg Config, hooks *noc.Hooks) *ni {
 	return &ni{cfg: cfg, hooks: hooks, probeCredits: cfg.ProbeBuffers}
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
-
-func (n *ni) queueLen() int { return len(n.queue) }
-
 func (n *ni) Tick(now sim.Cycle) {
 	n.probeCreditIn.RecvEach(now, func(noc.VCCredit) {
 		n.probeCredits++
@@ -57,11 +53,8 @@ func (n *ni) Tick(now sim.Cycle) {
 		}
 		n.acked = true
 	})
-	if n.current == nil && len(n.queue) > 0 && n.probeCredits > 0 {
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
+		p := n.queue.Pop()
 		n.current = p
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
@@ -88,37 +81,11 @@ func (n *ni) Tick(now sim.Cycle) {
 }
 
 func (n *ni) pendingWork() int {
-	w := len(n.queue)
+	w := n.queue.Len()
 	if n.current != nil {
 		w++
 	}
 	return w
-}
-
-// sink reassembles ejected packets.
-type sink struct {
-	data  *sim.Pipe[noc.DataFlit]
-	got   map[noc.PacketID]int
-	hooks *noc.Hooks
-	wf    *waterfall.Ledger
-}
-
-func newSink(hooks *noc.Hooks) *sink {
-	return &sink{got: make(map[noc.PacketID]int), hooks: hooks}
-}
-
-func (s *sink) Tick(now sim.Cycle) {
-	s.data.RecvEach(now, func(f noc.DataFlit) {
-		s.hooks.Ejected(now)
-		if s.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
-			s.wf.Eject(uint64(f.Packet.ID), 0, now)
-		}
-		s.got[f.Packet.ID]++
-		if s.got[f.Packet.ID] == f.Packet.Len {
-			delete(s.got, f.Packet.ID)
-			s.hooks.Delivered(f.Packet, now)
-		}
-	})
 }
 
 // Network is a mesh of circuit-switched routers.
@@ -129,7 +96,7 @@ type Network struct {
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*sink
+	sinks   []*noc.Sink
 
 	offered   int64
 	delivered int64
@@ -148,7 +115,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 		x.wf = wf
 	}
 	for _, s := range n.sinks {
-		s.wf = wf
+		s.Ledger = wf
 	}
 }
 
@@ -174,13 +141,13 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	root := sim.NewRNG(seed)
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*sink, mesh.N())
+	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split())
 	}
 	for id := 0; id < mesh.N(); id++ {
 		n.nis[id] = newNI(cfg, n.hooks)
-		n.sinks[id] = newSink(n.hooks)
+		n.sinks[id] = noc.NewSink(n.hooks)
 	}
 	n.wire()
 	return n
@@ -236,14 +203,14 @@ func (n *Network) wire() {
 
 		ejData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		r.out[topology.Local].data = ejData
-		sink.data = ejData
+		sink.Data = ejData
 	}
 }
 
 // Offer implements noc.Network.
 func (n *Network) Offer(p *noc.Packet) {
 	n.offered++
-	n.nis[p.Src].offer(p)
+	n.nis[p.Src].queue.Push(p)
 }
 
 // Tick implements noc.Network.
@@ -263,7 +230,7 @@ func (n *Network) Tick(now sim.Cycle) {
 func (n *Network) SourceQueueLen() int {
 	total := 0
 	for _, x := range n.nis {
-		total += x.queueLen()
+		total += x.queue.Len()
 	}
 	return total
 }

@@ -520,7 +520,7 @@ func (n *Network) Tick(now sim.Cycle) {
 func (n *Network) SourceQueueLen() int {
 	total := 0
 	for _, ni := range n.nis {
-		total += ni.queueLen()
+		total += ni.queue.Len()
 	}
 	return total
 }
@@ -795,7 +795,7 @@ func (n *Network) DumpState() string {
 	for id, ni := range n.nis {
 		if ni.pendingWork() > 0 || len(ni.awaiting) > 0 {
 			fmt.Fprintf(&b, "NI %d: queue=%d active=%d sendAt=%d ctrlCredits=%v awaitingAck=%d pendingRetry=%d\n",
-				id, len(ni.queue), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
+				id, ni.queue.Len(), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
 		}
 	}
 	return b.String()

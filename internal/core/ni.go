@@ -31,7 +31,7 @@ type NI struct {
 	// nil when latency provenance is disabled.
 	wf *waterfall.Ledger
 
-	queue []*noc.Packet
+	queue noc.SourceQueue
 
 	injTable *outResTable
 
@@ -152,7 +152,7 @@ func (n *NI) offer(p *noc.Packet) {
 	if n.cfg.RetryLimit > 0 {
 		n.awaiting[p.ID] = &retryState{pkt: p}
 	}
-	n.queue = append(n.queue, p)
+	n.queue.Push(p)
 	n.dormant = false
 }
 
@@ -208,7 +208,7 @@ func (n *NI) tickRetries(now sim.Cycle) {
 			p.Attempts = st.attempt
 			n.probe.Retry(now, int(n.node), uint64(p.ID), st.attempt)
 			n.hooks.Retried(p, now)
-			n.queue = append(n.queue, p)
+			n.queue.Push(p)
 		}
 	}
 	fired := 0
@@ -243,21 +243,16 @@ func (n *NI) failUnreachable(now sim.Cycle) {
 	if n.unreachable == nil {
 		return
 	}
-	kept := n.queue[:0]
-	for _, p := range n.queue {
-		if n.unreachable(p.Dst) {
-			if n.awaiting != nil {
-				delete(n.awaiting, p.ID)
-			}
-			n.hooks.Unreachable(p, now)
-			continue
+	n.queue.Filter(func(p *noc.Packet) bool {
+		if !n.unreachable(p.Dst) {
+			return true
 		}
-		kept = append(kept, p)
-	}
-	for i := len(kept); i < len(n.queue); i++ {
-		n.queue[i] = nil
-	}
-	n.queue = kept
+		if n.awaiting != nil {
+			delete(n.awaiting, p.ID)
+		}
+		n.hooks.Unreachable(p, now)
+		return false
+	})
 }
 
 func (n *NI) activeCount() int {
@@ -270,13 +265,11 @@ func (n *NI) activeCount() int {
 	return c
 }
 
-func (n *NI) queueLen() int { return len(n.queue) }
-
 // idle reports whether the interface holds nothing a tick could act on
 // without new input: no packet queued or mid-injection, no data flit
 // scheduled, no retry timer or backoff running.
 func (n *NI) idle() bool {
-	return len(n.queue) == 0 && n.sendAt.len() == 0 && len(n.timeouts) == 0 &&
+	return n.queue.Len() == 0 && n.sendAt.len() == 0 && len(n.timeouts) == 0 &&
 		len(n.retryAt) == 0 && n.activeCount() == 0
 }
 
@@ -322,16 +315,13 @@ func (n *NI) Tick(now sim.Cycle) {
 	// starts packets strictly one at a time; SourceInterleave lifts that
 	// to one packet per control VC.
 	for v := range n.active {
-		if n.active[v].active || n.ctrlOwned[v] || len(n.queue) == 0 {
+		if n.active[v].active || n.ctrlOwned[v] || n.queue.Len() == 0 {
 			continue
 		}
 		if !n.cfg.SourceInterleave && n.activeCount() > 0 {
 			break
 		}
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+		p := n.queue.Pop()
 		n.ctrlOwned[v] = true
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
@@ -446,7 +436,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 
 // pendingWork reports queued packets plus unsent control and data flits.
 func (n *NI) pendingWork() int {
-	w := len(n.queue) + n.sendAt.len()
+	w := n.queue.Len() + n.sendAt.len()
 	for v := range n.active {
 		if n.active[v].active {
 			w += len(n.active[v].ctrl) - n.active[v].nextCtrl

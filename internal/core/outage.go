@@ -188,7 +188,7 @@ func (n *Network) killRouter(now sim.Cycle, v topology.NodeID) {
 		n.hooks.Unreachable(p, now)
 	}
 	ni.awaiting = make(map[noc.PacketID]*retryState)
-	ni.queue = nil
+	ni.queue = noc.SourceQueue{}
 	ni.timeouts = nil
 	ni.retryAt = make(map[sim.Cycle][]*noc.Packet)
 	ni.sendAt.clear()

@@ -233,7 +233,7 @@ func TestNIRetryStateMachine(t *testing.T) {
 	ni := newNI(0, &cfg, sim.NewRNG(1), hooks)
 	p := &noc.Packet{ID: 7, Len: 1}
 	ni.offer(p)
-	ni.queue = nil // the packet is "in the network" for this unit test
+	ni.queue = noc.SourceQueue{} // the packet is "in the network" for this unit test
 
 	ni.loss(7, 0, 100)
 	ni.loss(7, 0, 101) // duplicate (timeout after NACK): must not double-schedule
@@ -241,10 +241,10 @@ func TestNIRetryStateMachine(t *testing.T) {
 		t.Fatalf("pendingRecovery = %d after duplicate loss, want 1", got)
 	}
 	ni.tickRetries(100 + 64)
-	if retried != 1 || len(ni.queue) != 1 || p.Attempts != 1 {
-		t.Fatalf("first retry: retried=%d queue=%d attempts=%d", retried, len(ni.queue), p.Attempts)
+	if retried != 1 || ni.queue.Len() != 1 || p.Attempts != 1 {
+		t.Fatalf("first retry: retried=%d queue=%d attempts=%d", retried, ni.queue.Len(), p.Attempts)
 	}
-	ni.queue = nil
+	ni.queue = noc.SourceQueue{}
 
 	ni.loss(7, 0, 200) // stale: attempt 0 was superseded
 	if got := ni.pendingRecovery(); got != 0 {
@@ -255,7 +255,7 @@ func TestNIRetryStateMachine(t *testing.T) {
 	if retried != 2 || p.Attempts != 2 {
 		t.Fatalf("second retry: retried=%d attempts=%d", retried, p.Attempts)
 	}
-	ni.queue = nil
+	ni.queue = noc.SourceQueue{}
 
 	ni.loss(7, 2, 400) // budget (RetryLimit=2) exhausted
 	if abandoned != 1 {
@@ -271,7 +271,7 @@ func TestNIRetryStateMachine(t *testing.T) {
 
 	q := &noc.Packet{ID: 8, Len: 1}
 	ni.offer(q)
-	ni.queue = nil
+	ni.queue = noc.SourceQueue{}
 	ni.ack(8)
 	ni.loss(8, 0, 600) // loss after ack: stale, no retry
 	if got := ni.pendingRecovery(); got != 0 {

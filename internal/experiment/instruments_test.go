@@ -104,7 +104,7 @@ func TestWarmupUnstableFlag(t *testing.T) {
 
 func TestPublishSnapshots(t *testing.T) {
 	s := tiny(FR6(FastControl, 5))
-	probe := &metrics.Probe{Reg: metrics.NewRegistry(0)}
+	probe := metrics.NewProbe(0, true, true, false)
 	var snaps []Live
 	res, err := RunInstrumented(context.Background(), s, 0.30, Instruments{
 		Probe:        probe,
@@ -117,21 +117,32 @@ func TestPublishSnapshots(t *testing.T) {
 	if len(snaps) < 2 {
 		t.Fatalf("got %d snapshots, want several", len(snaps))
 	}
-	for i := 1; i < len(snaps); i++ {
-		if snaps[i].Cycle <= snaps[i-1].Cycle {
-			t.Fatalf("snapshot cycles not increasing: %d then %d", snaps[i-1].Cycle, snaps[i].Cycle)
+	for i, lv := range snaps {
+		if i > 0 && lv.Cycle <= snaps[i-1].Cycle {
+			t.Fatalf("snapshot cycles not increasing: %d then %d", snaps[i-1].Cycle, lv.Cycle)
+		}
+		// One stamp covers every registry of the snapshot: a mid-run scrape
+		// reads the cycle it was taken at from both (the counter registry
+		// used to read 0 until the run was done).
+		if lv.Snapshot.Reg == nil || lv.Snapshot.Prof == nil {
+			t.Fatalf("snapshot %d lacks a registry the probe carries: %+v", i, lv.Snapshot)
+		}
+		if lv.Snapshot.Reg.Cycles != lv.Cycle || lv.Snapshot.Prof.Cycles != lv.Cycle {
+			t.Fatalf("snapshot %d at cycle %d stamped registry %d, profile %d",
+				i, lv.Cycle, lv.Snapshot.Reg.Cycles, lv.Snapshot.Prof.Cycles)
 		}
 	}
 	last := snaps[len(snaps)-1]
 	if last.Phase != "done" || int64(last.Cycle) != res.Cycles || last.Delivered != res.SampledDelivered {
 		t.Fatalf("final snapshot wrong: %+v vs result cycles=%d delivered=%d", last, res.Cycles, res.SampledDelivered)
 	}
-	if last.Reg == nil {
-		t.Fatal("snapshot registry missing")
-	}
-	// Snapshots are clones: the earliest must hold fewer ejections than the
+	// Snapshots are copies: the earliest must hold fewer ejections than the
 	// final registry, not alias it.
-	if last.Reg == probe.Reg {
+	if last.Snapshot.Reg == probe.Reg || &last.Snapshot.Reg.Nodes[0] == &probe.Reg.Nodes[0] {
 		t.Fatal("snapshot aliases the live registry")
+	}
+	if first := snaps[0].Snapshot.Reg; first.Nodes[0].Ejected >= probe.Reg.Nodes[0].Ejected {
+		t.Fatalf("first snapshot holds %d ejections at node 0, the finished run %d",
+			first.Nodes[0].Ejected, probe.Reg.Nodes[0].Ejected)
 	}
 }

@@ -9,14 +9,12 @@ import (
 	"frfc/internal/core"
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
-	"frfc/internal/profile"
 	"frfc/internal/sim"
 	"frfc/internal/stats"
 	"frfc/internal/timeseries"
 	"frfc/internal/topology"
 	"frfc/internal/traffic"
 	"frfc/internal/vcrouter"
-	"frfc/internal/waterfall"
 )
 
 // Result reports one simulated (configuration, load) point.
@@ -131,19 +129,9 @@ type Result struct {
 	Observed *Observed `json:",omitempty"`
 }
 
-// Observed is the sidecar of deterministic observer summaries a Result carries,
-// one optional member per observer: Activity when the run carried a profile
-// registry (Instruments.Probe.Prof), Waterfall when it carried a stage ledger
-// (Instruments.Probe.WF). A nil member means that observer was not armed,
-// which a zero summary could not say: a saturated point that delivered
-// nothing has a Waterfall of zeros. Each summary is declared by the package
-// that computes it and is a function of the simulation alone, so observed
-// results stay byte-identical across worker counts. A new observer adds a
-// member here; the fields of Result, and so the job hash, do not change.
-type Observed struct {
-	Activity  *profile.Activity `json:",omitempty"`
-	Waterfall *waterfall.Totals `json:",omitempty"`
-}
+// Observed is the sidecar of deterministic observer summaries a Result
+// carries, declared beside the probe whose members it summarizes.
+type Observed = metrics.Observed
 
 // String renders the result as one sweep row. The reported ± half-width is
 // the batch-means interval when one exists (the i.i.d. CI95 stays available
@@ -175,27 +163,23 @@ func Run(s Spec, load float64) Result {
 }
 
 // Live is a point-in-time view of a run in flight, delivered to an
-// Instruments.Publish hook. The registry is a deep clone, safe to retain or
-// serve from another goroutine.
+// Instruments.Publish hook. Its JSON form is the "run" block /status serves.
 type Live struct {
 	// Cycle is the simulation time of the snapshot; Phase names the run
 	// phase it was taken in: "warmup", "measure", "drain" or "done".
-	Cycle sim.Cycle
-	Phase string
+	Cycle sim.Cycle `json:"cycle"`
+	Phase string    `json:"phase"`
 	// Tagged and Delivered report sample progress; Packets and MeanLatency
 	// the running latency measurement over delivered sampled packets.
-	Tagged, Delivered int
-	Packets           int64
-	MeanLatency       float64
-	// Reg is a deep clone of the probe's registry at the snapshot (nil when
-	// the probe has none).
-	Reg *metrics.Registry
-	// Prof is a deep clone of the self-profiling registry (nil when the run
-	// is not profiled), its Cycles stamped with the snapshot time.
-	Prof *profile.Registry
-	// Waterfall is the latency-stage decomposition over packets delivered so
-	// far (nil when latency provenance is off).
-	Waterfall *waterfall.Totals
+	Tagged      int     `json:"tagged"`
+	Delivered   int     `json:"delivered"`
+	Packets     int64   `json:"packets"`
+	MeanLatency float64 `json:"meanLatency"`
+	// Snapshot is a copy of whatever the run's probe has collected so far,
+	// stamped with Cycle (empty when the run carries no probe). It shares
+	// nothing with the run, so the receiver may retain it or serve it from
+	// another goroutine.
+	Snapshot metrics.Snapshot `json:"-"`
 }
 
 // DefaultPublishEvery is the cycle period between Publish snapshots when
@@ -237,17 +221,19 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 
 	probe := ins.Probe
 	series := ins.Series
-	if series != nil && (probe == nil || probe.Reg == nil) {
-		// The recorder reads counter totals out of a registry; give it one
-		// when the caller did not.
-		reg := metrics.NewRegistry(series.Epoch())
+	// The recorder reads counter totals out of a registry: the probe's, or one
+	// made for the duration of the run when the caller gave none.
+	var reg *metrics.Registry
+	if series != nil {
 		if probe == nil {
-			probe = &metrics.Probe{Reg: reg}
-		} else {
-			p := *probe
-			p.Reg = reg
+			probe = &metrics.Probe{}
+		}
+		if probe.Reg == nil {
+			p := *probe // the caller's probe is not ours to change
+			p.Reg = metrics.NewRegistry(series.Epoch())
 			probe = &p
 		}
+		reg = probe.Reg
 	}
 	pub := ins.Publish
 	pubEvery := ins.PublishEvery
@@ -365,26 +351,15 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		return now&1023 == 0 && ctx.Err() != nil
 	}
 	snapshot := func() Live {
-		lv := Live{
+		return Live{
 			Cycle:       now,
 			Phase:       phase,
 			Tagged:      tagged,
 			Delivered:   sampledDelivered,
 			Packets:     lat.N(),
 			MeanLatency: lat.Mean(),
+			Snapshot:    probe.Snapshot(now),
 		}
-		if probe != nil {
-			lv.Reg = probe.Reg.Clone()
-		}
-		if prof != nil {
-			lv.Prof = prof.Clone()
-			lv.Prof.Cycles = now
-		}
-		if wf != nil {
-			t := wf.Totals()
-			lv.Waterfall = &t
-		}
-		return lv
 	}
 	step := func(tagging, observe bool) {
 		for _, g := range gens {
@@ -408,7 +383,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		// already landed in the registry, so the closing window covers
 		// exactly one occupancy sample.
 		if series.Due(now) {
-			series.Observe(now, probe.Reg, lat.N(), lat.Mean())
+			series.Observe(now, reg, lat.N(), lat.Mean())
 		}
 		if prof.Due(now) {
 			prof.SampleMem()
@@ -466,15 +441,10 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		step(false, true)
 	}
 	tput.Close(now)
-	if probe != nil && probe.Reg != nil {
-		probe.Reg.Cycles = now
-	}
-	if prof != nil {
-		prof.Cycles = now
-	}
+	probe.Stamp(now)
 	// The final window is usually partial; flush it so the series' ejected
 	// counts sum to the run's total ejected flits.
-	series.Flush(now, regOf(probe), lat.N(), lat.Mean())
+	series.Flush(now, reg, lat.N(), lat.Mean())
 	phase = "done"
 	if pub != nil {
 		pub(snapshot())
@@ -499,6 +469,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		SampleSize:       tagged,
 		Cycles:           int64(now),
 		PoolFullFraction: occ.FullFraction(),
+		Observed:         probe.Observed(),
 	}
 	res.BatchCI95, res.Batches = bm.CI95(0)
 	res.CISuspect = res.Lag1Autocorr > 0 && bm.Lag1Significant()
@@ -528,26 +499,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 	if vcNet, ok := net.(*vcrouter.Network); ok {
 		res.CorruptedFlits, res.CrcDetected, res.CorruptEscapes = vcNet.IntegrityCounts()
 	}
-	if prof != nil || wf != nil {
-		res.Observed = &Observed{}
-		if prof != nil {
-			a := prof.Activity()
-			res.Observed.Activity = &a
-		}
-		if wf != nil {
-			t := wf.Totals()
-			res.Observed.Waterfall = &t
-		}
-	}
 	return res, nil
-}
-
-// regOf reads a probe's registry without dereferencing a nil probe.
-func regOf(p *metrics.Probe) *metrics.Registry {
-	if p == nil {
-		return nil
-	}
-	return p.Reg
 }
 
 // Sweep runs the spec at each offered load and returns one result per point.

@@ -12,7 +12,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -103,13 +102,36 @@ type NodeMetrics struct {
 	Occ   [topology.NumPorts]Gauge     `json:"occ"`
 }
 
+// counters lists the scalar counters of a NodeMetrics once: the family each
+// is exposed as, its help text, and the field that holds it. Everything that
+// treats the counters alike — active, add, the exposition — walks this list,
+// so a counter added to the struct and to the list is merged and exposed;
+// TestCounterListCoversEveryField holds the list to the struct.
+var counters = [...]struct {
+	name, help string
+	at         func(*NodeMetrics) *int64
+}{
+	{"frfc_res_hits_total", "Reservation-table hits at this router.", func(n *NodeMetrics) *int64 { return &n.ResHits }},
+	{"frfc_res_misses_total", "Reservation-table misses at this router.", func(n *NodeMetrics) *int64 { return &n.ResMisses }},
+	{"frfc_late_reservations_total", "Data flits that arrived before their reservation.", func(n *NodeMetrics) *int64 { return &n.LateReservations }},
+	{"frfc_arb_conflicts_total", "Arbitration losses at this router.", func(n *NodeMetrics) *int64 { return &n.ArbConflicts }},
+	{"frfc_credit_stalls_total", "Cycles an arbitration winner stalled on credit or link bandwidth.", func(n *NodeMetrics) *int64 { return &n.CreditStalls }},
+	{"frfc_retries_total", "End-to-end packet retries issued by this node's NI.", func(n *NodeMetrics) *int64 { return &n.Retries }},
+	{"frfc_nacks_total", "Loss detections (NACK path) at this node's NI.", func(n *NodeMetrics) *int64 { return &n.Nacks }},
+	{"frfc_unreachable_total", "Packets failed fast at this node's NI because a hard fault disconnected their destination.", func(n *NodeMetrics) *int64 { return &n.Unreachable }},
+	{"frfc_corrupt_flits_total", "Corrupted flit receptions (data or control) observed at this router's inputs.", func(n *NodeMetrics) *int64 { return &n.Corrupt }},
+	{"frfc_injected_flits_total", "Data flits injected into the network at this node.", func(n *NodeMetrics) *int64 { return &n.Injected }},
+	{"frfc_ejected_flits_total", "Data flits ejected from the network at this node.", func(n *NodeMetrics) *int64 { return &n.Ejected }},
+}
+
 // active reports whether the node recorded anything at all.
 func (n *NodeMetrics) active() bool {
-	if n.ResHits|n.ResMisses|n.LateReservations|n.ArbConflicts|n.CreditStalls|
-		n.Retries|n.Nacks|n.Unreachable|n.Corrupt|n.Injected|n.Ejected != 0 {
-		return true
+	for _, c := range counters {
+		if *c.at(n) != 0 {
+			return true
+		}
 	}
-	for p := 0; p < int(topology.NumPorts); p++ {
+	for p := range n.Links {
 		if n.Links[p].Flits|n.Links[p].Ctrl != 0 {
 			return true
 		}
@@ -117,160 +139,53 @@ func (n *NodeMetrics) active() bool {
 	return false
 }
 
+// Add folds another node's counts into this one: counters and gauge
+// accumulators add, gauge maxima and capacities take the larger.
+func (n *NodeMetrics) Add(o *NodeMetrics) {
+	for _, c := range counters {
+		*c.at(n) += *c.at(o)
+	}
+	for p := range n.Links {
+		n.Links[p].Flits += o.Links[p].Flits
+		n.Links[p].Ctrl += o.Links[p].Ctrl
+		dg, sg := &n.Occ[p], &o.Occ[p]
+		dg.Samples += sg.Samples
+		dg.Sum += sg.Sum
+		dg.Max = max(dg.Max, sg.Max)
+		dg.Cap = max(dg.Cap, sg.Cap)
+	}
+}
+
 // DefaultEpoch is the sampling period, in cycles, used when a registry is
 // created with a non-positive one.
-const DefaultEpoch = 64
+const DefaultEpoch = topology.DefaultEpoch
 
-// Registry holds every router's metrics for one simulated network.
+// Registry holds every router's metrics for one simulated network, laid out
+// as a topology.Grid: Epoch is the gauge sampling period.
 type Registry struct {
-	// Epoch is the gauge sampling period in cycles.
-	Epoch sim.Cycle `json:"epoch"`
-	// Radix is the mesh radix k (k×k nodes); Cycles is the simulated run
-	// length recorded at export time.
-	Radix  int           `json:"radix"`
-	Cycles sim.Cycle     `json:"cycles"`
-	Nodes  []NodeMetrics `json:"nodes"`
-	// Cols and Rows, when both positive, describe a rectangular cols×rows
-	// layout (node id = y*cols + x) and take precedence over the square
-	// Radix in grid exports. Set by InitRect; zero for square meshes.
-	Cols int `json:"cols,omitempty"`
-	Rows int `json:"rows,omitempty"`
+	topology.Grid[NodeMetrics]
 }
 
 // NewRegistry returns an empty registry sampling gauges every epoch cycles
 // (non-positive = DefaultEpoch). Node storage is sized on Init.
 func NewRegistry(epoch sim.Cycle) *Registry {
-	if epoch <= 0 {
-		epoch = DefaultEpoch
-	}
-	return &Registry{Epoch: epoch}
+	return &Registry{Grid: topology.NewGrid[NodeMetrics](epoch)}
 }
 
-// Init sizes the registry for a k×k mesh. It is idempotent and keeps
-// existing counts when already sized.
-func (r *Registry) Init(radix int) {
-	if r == nil || radix <= 0 {
-		return
-	}
-	if len(r.Nodes) < radix*radix {
-		nodes := make([]NodeMetrics, radix*radix)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	r.Radix = radix
-}
-
-// InitRect sizes the registry for a rectangular cols×rows layout with nodes
-// numbered row-major (id = y*cols + x). Like Init it is idempotent and keeps
-// existing counts; grid exports then emit rows lines of cols cells.
-func (r *Registry) InitRect(cols, rows int) {
-	if r == nil || cols <= 0 || rows <= 0 {
-		return
-	}
-	if len(r.Nodes) < cols*rows {
-		nodes := make([]NodeMetrics, cols*rows)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	r.Cols, r.Rows = cols, rows
-}
-
-// dims reports the grid layout: the rectangular one when set, else the square
-// radix on both axes.
-func (r *Registry) dims() (cols, rows int) {
-	if r.Cols > 0 && r.Rows > 0 {
-		return r.Cols, r.Rows
-	}
-	return r.Radix, r.Radix
-}
-
-// Clone returns a deep copy of the registry, safe to hand to another
-// goroutine while the original keeps accumulating. A nil registry clones to
-// nil.
-func (r *Registry) Clone() *Registry {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.Nodes = append([]NodeMetrics(nil), r.Nodes...)
-	return &c
-}
-
-// Merge folds another registry's counts into this one: counters and gauge
-// accumulators add, gauge maxima and layout dimensions take the larger, and
-// Cycles accumulates (the merged registry describes the union of simulated
-// work). Merging nil is a no-op.
+// Merge folds another registry's counts into this one, node for node (see
+// NodeMetrics.Add) under the grid's layout merge. Merging nil is a no-op.
 func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
-	if o.Radix > r.Radix {
-		r.Radix = o.Radix
-	}
-	if o.Cols > r.Cols {
-		r.Cols = o.Cols
-	}
-	if o.Rows > r.Rows {
-		r.Rows = o.Rows
-	}
-	r.Cycles += o.Cycles
-	if len(o.Nodes) > len(r.Nodes) {
-		nodes := make([]NodeMetrics, len(o.Nodes))
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	for i := range o.Nodes {
-		dst, src := &r.Nodes[i], &o.Nodes[i]
-		dst.ResHits += src.ResHits
-		dst.ResMisses += src.ResMisses
-		dst.LateReservations += src.LateReservations
-		dst.ArbConflicts += src.ArbConflicts
-		dst.CreditStalls += src.CreditStalls
-		dst.Retries += src.Retries
-		dst.Nacks += src.Nacks
-		dst.Unreachable += src.Unreachable
-		dst.Corrupt += src.Corrupt
-		dst.Injected += src.Injected
-		dst.Ejected += src.Ejected
-		for p := 0; p < int(topology.NumPorts); p++ {
-			dst.Links[p].Flits += src.Links[p].Flits
-			dst.Links[p].Ctrl += src.Links[p].Ctrl
-			dg, sg := &dst.Occ[p], &src.Occ[p]
-			dg.Samples += sg.Samples
-			dg.Sum += sg.Sum
-			if sg.Max > dg.Max {
-				dg.Max = sg.Max
-			}
-			if sg.Cap > dg.Cap {
-				dg.Cap = sg.Cap
-			}
-		}
-	}
-}
-
-// at returns the node's metrics, growing the registry if an ID beyond the
-// initialised size appears (defensive; normal paths Init first).
-func (r *Registry) at(node int) *NodeMetrics {
-	if node >= len(r.Nodes) {
-		nodes := make([]NodeMetrics, node+1)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	return &r.Nodes[node]
-}
-
-// WriteJSON exports the registry as one indented JSON object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	r.Grid.Merge(&o.Grid, (*NodeMetrics).Add)
 }
 
 // WriteOccupancyCSV writes a k×k grid of mean input-buffer occupancy
 // fractions (0..1), one row per mesh row, matching the physical layout so
 // the file reads as a heatmap. A leading comment line documents the field.
 func (r *Registry) WriteOccupancyCSV(w io.Writer) error {
-	return r.writeGrid(w, "# mean input-buffer occupancy fraction per router (rows = mesh rows, y increasing downward)",
+	return r.WriteCSV(w, "# mean input-buffer occupancy fraction per router (rows = mesh rows, y increasing downward)",
 		func(n *NodeMetrics) float64 {
 			var sum float64
 			var ports int
@@ -292,7 +207,7 @@ func (r *Registry) WriteOccupancyCSV(w io.Writer) error {
 // cycles × direction-port count. Local-port (ejection) traffic is excluded
 // so the number reads as fabric-link load.
 func (r *Registry) WriteUtilizationCSV(w io.Writer) error {
-	return r.writeGrid(w, "# mean outbound link utilization per router (data flits / cycle / direction link)",
+	return r.WriteCSV(w, "# mean outbound link utilization per router (data flits / cycle / direction link)",
 		func(n *NodeMetrics) float64 {
 			if r.Cycles <= 0 {
 				return 0
@@ -303,36 +218,6 @@ func (r *Registry) WriteUtilizationCSV(w io.Writer) error {
 			}
 			return float64(flits) / (float64(r.Cycles) * float64(topology.DirectionPorts))
 		})
-}
-
-func (r *Registry) writeGrid(w io.Writer, header string, cell func(*NodeMetrics) float64) error {
-	cols, rows := r.dims()
-	if cols <= 0 || rows <= 0 {
-		return fmt.Errorf("metrics: registry not initialised (cols %d, rows %d)", cols, rows)
-	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	for y := 0; y < rows; y++ {
-		for x := 0; x < cols; x++ {
-			if x > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			var v float64
-			if id := y*cols + x; id < len(r.Nodes) {
-				v = cell(&r.Nodes[id])
-			}
-			if _, err := fmt.Fprintf(w, "%.4f", v); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WedgeSummary renders the per-router counter lines of a watchdog snapshot:

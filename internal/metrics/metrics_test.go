@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestRegistryDefaultEpoch(t *testing.T) {
 func TestRegistryInitIdempotent(t *testing.T) {
 	r := NewRegistry(0)
 	r.Init(4)
-	r.at(3).ResHits = 9
+	r.At(3).ResHits = 9
 	r.Init(4)
 	if r.Nodes[3].ResHits != 9 {
 		t.Fatal("re-Init dropped existing counts")
@@ -128,7 +129,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	p.Reg.Cycles = 100
 
 	var buf bytes.Buffer
-	if err := p.Reg.WriteJSON(&buf); err != nil {
+	if err := topology.WriteJSON(&buf, p.Reg); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	var back Registry
@@ -148,8 +149,8 @@ func TestHeatmapCSVs(t *testing.T) {
 	r.Init(2)
 	r.Cycles = 100
 	// Node 3 sends 40 data flits east; node 0's Local pool half full.
-	r.at(3).Links[topology.East].Flits = 40
-	r.at(0).Occ[topology.Local].Sample(4, 8)
+	r.At(3).Links[topology.East].Flits = 40
+	r.At(0).Occ[topology.Local].Sample(4, 8)
 
 	var occ bytes.Buffer
 	if err := r.WriteOccupancyCSV(&occ); err != nil {
@@ -185,10 +186,10 @@ func TestHeatmapCSVRequiresInit(t *testing.T) {
 func TestWedgeSummary(t *testing.T) {
 	r := NewRegistry(0)
 	r.Init(2)
-	r.at(0).ResHits = 3
-	r.at(0).CreditStalls = 7
-	r.at(2).ResMisses = 5
-	r.at(2).Occ[topology.East].Sample(8, 8)
+	r.At(0).ResHits = 3
+	r.At(0).CreditStalls = 7
+	r.At(2).ResMisses = 5
+	r.At(2).Occ[topology.East].Sample(8, 8)
 
 	s := r.WedgeSummary([]int{2})
 	lines := strings.Split(strings.TrimSpace(s), "\n")
@@ -245,77 +246,25 @@ func TestProbeTracesThroughTracer(t *testing.T) {
 	}
 }
 
-func TestHeatmapCSVNonSquare(t *testing.T) {
-	// 8 columns x 4 rows, row-major ids: node id = y*8 + x.
-	r := NewRegistry(0)
-	r.InitRect(8, 4)
-	r.Cycles = 100
-	// Distinct cells: (x=5,y=0) id 5, (x=2,y=3) id 26.
-	r.at(5).Occ[topology.Local].Sample(4, 8)
-	r.at(26).Occ[topology.Local].Sample(8, 8)
-	r.at(26).Links[topology.East].Flits = 40
-
-	var occ bytes.Buffer
-	if err := r.WriteOccupancyCSV(&occ); err != nil {
-		t.Fatalf("WriteOccupancyCSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(occ.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("4x8 heatmap has %d lines, want 5 (header + 4 rows):\n%s", len(lines), occ.String())
-	}
-	for i, row := range lines[1:] {
-		if cells := strings.Split(row, ","); len(cells) != 8 {
-			t.Fatalf("row %d has %d cells, want 8: %q", i, len(cells), row)
-		}
-	}
-	if lines[1] != "0.0000,0.0000,0.0000,0.0000,0.0000,0.5000,0.0000,0.0000" {
-		t.Fatalf("row y=0 = %q, want 0.5 in column x=5", lines[1])
-	}
-	if lines[4] != "0.0000,0.0000,1.0000,0.0000,0.0000,0.0000,0.0000,0.0000" {
-		t.Fatalf("row y=3 = %q, want 1.0 in column x=2", lines[4])
-	}
-
-	var util bytes.Buffer
-	if err := r.WriteUtilizationCSV(&util); err != nil {
-		t.Fatalf("WriteUtilizationCSV: %v", err)
-	}
-	lines = strings.Split(strings.TrimSpace(util.String()), "\n")
-	// 40 flits / (100 cycles * 4 direction links) = 0.1 at (x=2, y=3).
-	if lines[4] != "0.0000,0.0000,0.1000,0.0000,0.0000,0.0000,0.0000,0.0000" {
-		t.Fatalf("utilization row y=3 = %q, want 0.1 in column x=2", lines[4])
-	}
-}
-
-func TestInitRectIdempotent(t *testing.T) {
-	r := NewRegistry(0)
-	r.InitRect(8, 4)
-	r.at(26).ResHits = 9
-	r.InitRect(8, 4)
-	if r.Nodes[26].ResHits != 9 {
-		t.Fatal("re-InitRect dropped existing counts")
-	}
-}
-
 func TestRegistryClone(t *testing.T) {
 	r := NewRegistry(32)
 	r.Init(2)
 	r.Cycles = 50
-	r.at(1).ResHits = 7
-	r.at(1).Occ[topology.East].Sample(2, 8)
+	r.At(1).ResHits = 7
+	r.At(1).Occ[topology.East].Sample(2, 8)
 
-	c := r.Clone()
+	c := (&Probe{Reg: r}).Snapshot(50).Reg
 	if c.Epoch != 32 || c.Cycles != 50 || c.Nodes[1].ResHits != 7 {
 		t.Fatalf("clone lost state: %+v", c)
 	}
 	// Mutating the original must not reach the clone.
-	r.at(1).ResHits = 99
-	r.at(1).Occ[topology.East].Sample(8, 8)
+	r.At(1).ResHits = 99
+	r.At(1).Occ[topology.East].Sample(8, 8)
 	if c.Nodes[1].ResHits != 7 || c.Nodes[1].Occ[topology.East].Samples != 1 {
 		t.Fatal("clone shares node storage with the original")
 	}
-	var nilReg *Registry
-	if nilReg.Clone() != nil {
-		t.Fatal("nil registry cloned to non-nil")
+	if s := (*Probe)(nil).Snapshot(50); s != (Snapshot{}) {
+		t.Fatalf("nil probe snapshot = %+v, want empty", s)
 	}
 }
 
@@ -323,16 +272,16 @@ func TestRegistryMerge(t *testing.T) {
 	a := NewRegistry(0)
 	a.Init(2)
 	a.Cycles = 100
-	a.at(1).ResHits = 3
-	a.at(1).Occ[topology.East].Sample(2, 8)
+	a.At(1).ResHits = 3
+	a.At(1).Occ[topology.East].Sample(2, 8)
 
 	b := NewRegistry(0)
 	b.Init(2)
 	b.Cycles = 60
-	b.at(1).ResHits = 4
-	b.at(1).Injected = 10
-	b.at(1).Occ[topology.East].Sample(6, 8)
-	b.at(1).Occ[topology.East].Sample(4, 8)
+	b.At(1).ResHits = 4
+	b.At(1).Injected = 10
+	b.At(1).Occ[topology.East].Sample(6, 8)
+	b.At(1).Occ[topology.East].Sample(4, 8)
 
 	a.Merge(b)
 	if a.Cycles != 160 {
@@ -349,7 +298,7 @@ func TestRegistryMerge(t *testing.T) {
 	// Merging a larger registry grows the destination.
 	big := NewRegistry(0)
 	big.Init(4)
-	big.at(15).Ejected = 5
+	big.At(15).Ejected = 5
 	a.Merge(big)
 	if len(a.Nodes) != 16 || a.Nodes[15].Ejected != 5 || a.Nodes[1].ResHits != 7 {
 		t.Fatalf("merge with larger registry lost state: len=%d", len(a.Nodes))
@@ -360,42 +309,31 @@ func TestRegistryMerge(t *testing.T) {
 	nilReg.Merge(a)
 }
 
-func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry(32)
-	r.InitRect(4, 2)
-	r.Cycles = 500
-	r.at(6).ResHits = 11 // x=2, y=1
-	r.at(6).Links[topology.East].Flits = 40
-	r.at(6).Occ[topology.East].Sample(4, 8)
-
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE frfc_res_hits_total counter",
-		`frfc_res_hits_total{node="6",x="2",y="1"} 11`,
-		`frfc_link_flits_total{node="6",x="2",y="1",port="E"} 40`,
-		`frfc_occupancy_mean_fraction{node="6",x="2",y="1",port="E"} 0.5`,
-		"frfc_cycles 500",
-		"frfc_epoch 32",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Prometheus output missing %q", want)
-		}
-	}
-	// Unsampled gauges are omitted; node 0's occupancy must not appear.
-	if strings.Contains(out, `frfc_occupancy_mean_fraction{node="0"`) {
-		t.Error("unsampled occupancy gauge exported")
-	}
-	// Text exposition: every non-comment line is "name{labels} value".
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		if strings.HasPrefix(line, "#") {
+// TestCounterListCoversEveryField holds the one counter list to the struct:
+// every int64 field of NodeMetrics is reached by exactly one entry, so a
+// counter cannot be counted and then missing from the merge or the exposition
+// (as Corrupt was from /metrics).
+func TestCounterListCoversEveryField(t *testing.T) {
+	var n NodeMetrics
+	v := reflect.ValueOf(&n).Elem()
+	fields := 0
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int64 {
 			continue
 		}
-		if fields := strings.Fields(line); len(fields) != 2 {
-			t.Fatalf("malformed exposition line: %q", line)
+		fields++
+		entries := 0
+		for _, c := range counters {
+			if c.at(&n) == f.Addr().Interface().(*int64) {
+				entries++
+			}
 		}
+		if entries != 1 {
+			t.Errorf("NodeMetrics.%s is reached by %d entries of the counter list, want 1", v.Type().Field(i).Name, entries)
+		}
+	}
+	if fields != len(counters) {
+		t.Errorf("counter list has %d entries for %d int64 fields", len(counters), fields)
 	}
 }

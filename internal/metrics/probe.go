@@ -52,8 +52,12 @@ func (p *Probe) Init(radix int) {
 	if p == nil {
 		return
 	}
-	p.Reg.Init(radix)
-	p.Prof.Init(radix)
+	if p.Reg != nil {
+		p.Reg.Init(radix)
+	}
+	if p.Prof != nil {
+		p.Prof.Init(radix)
+	}
 }
 
 // Profile returns the self-profiling registry, nil when profiling is off.
@@ -86,7 +90,7 @@ func (p *Probe) Occupancy(node int, port int, used, capacity int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).Occ[port].Sample(used, capacity)
+	p.Reg.At(node).Occ[port].Sample(used, capacity)
 }
 
 // ReserveHit records a successful reservation at node's output port: the
@@ -97,7 +101,7 @@ func (p *Probe) ReserveHit(now sim.Cycle, node, port int, pkt uint64, depart sim
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).ResHits++
+		p.Reg.At(node).ResHits++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindReserve, Node: int32(node), Port: int8(port),
@@ -110,7 +114,7 @@ func (p *Probe) ReserveMiss(node, port int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).ResMisses++
+	p.Reg.At(node).ResMisses++
 }
 
 // Late records a data flit arriving ahead of its reservation and parking.
@@ -119,7 +123,7 @@ func (p *Probe) Late(now sim.Cycle, node, port int, pkt uint64, seq int) {
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).LateReservations++
+		p.Reg.At(node).LateReservations++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindPark, Node: int32(node), Port: int8(port),
@@ -132,7 +136,7 @@ func (p *Probe) ArbConflict(node, port int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).ArbConflicts++
+	p.Reg.At(node).ArbConflicts++
 }
 
 // CreditStall records a cycle in which a ready flit could not advance for
@@ -141,7 +145,7 @@ func (p *Probe) CreditStall(node, port int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).CreditStalls++
+	p.Reg.At(node).CreditStalls++
 }
 
 // Route records a routing decision: pkt at node was steered to output out.
@@ -160,7 +164,7 @@ func (p *Probe) Inject(now sim.Cycle, node int, pkt uint64, seq int) {
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).Injected++
+		p.Reg.At(node).Injected++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindInject, Node: int32(node), Port: int8(topology.Local),
@@ -174,7 +178,7 @@ func (p *Probe) Eject(now sim.Cycle, node int, pkt uint64, seq int) {
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).Ejected++
+		p.Reg.At(node).Ejected++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindEject, Node: int32(node), Port: int8(topology.Local),
@@ -188,7 +192,7 @@ func (p *Probe) Traverse(now sim.Cycle, node, out int, pkt uint64, seq int) {
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).Links[out].Flits++
+		p.Reg.At(node).Links[out].Flits++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindTraverse, Node: int32(node), Port: int8(out),
@@ -201,7 +205,7 @@ func (p *Probe) CtrlForward(node, out int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).Links[out].Ctrl++
+	p.Reg.At(node).Links[out].Ctrl++
 }
 
 // Retry records node's NI issuing an end-to-end retransmission of pkt.
@@ -210,7 +214,7 @@ func (p *Probe) Retry(now sim.Cycle, node int, pkt uint64, attempt int) {
 		return
 	}
 	if p.Reg != nil {
-		p.Reg.at(node).Retries++
+		p.Reg.At(node).Retries++
 	}
 	p.Tracer.Record(trace.Event{
 		Cycle: now, Kind: trace.KindRetry, Node: int32(node), Port: -1,
@@ -223,7 +227,7 @@ func (p *Probe) Nack(node int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).Nacks++
+	p.Reg.At(node).Nacks++
 }
 
 // Corrupt records a corrupted flit (data or control) arriving at node — a
@@ -232,7 +236,7 @@ func (p *Probe) Corrupt(node int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).Corrupt++
+	p.Reg.At(node).Corrupt++
 }
 
 // Unreachable records node's NI failing a packet fast because a hard fault
@@ -241,7 +245,7 @@ func (p *Probe) Unreachable(node int) {
 	if p == nil || p.Reg == nil {
 		return
 	}
-	p.Reg.at(node).Unreachable++
+	p.Reg.At(node).Unreachable++
 }
 
 // Wedge records the watchdog declaring the network wedged.

@@ -1,114 +1,44 @@
 package metrics
 
 import (
-	"fmt"
 	"io"
 
 	"frfc/internal/topology"
 )
 
-// counterCol names one per-node counter column for Prometheus export.
-type counterCol struct {
-	name string
-	help string
-	get  func(*NodeMetrics) int64
-}
-
-var promCounters = []counterCol{
-	{"frfc_res_hits_total", "Reservation-table hits at this router.", func(n *NodeMetrics) int64 { return n.ResHits }},
-	{"frfc_res_misses_total", "Reservation-table misses at this router.", func(n *NodeMetrics) int64 { return n.ResMisses }},
-	{"frfc_late_reservations_total", "Data flits that arrived before their reservation.", func(n *NodeMetrics) int64 { return n.LateReservations }},
-	{"frfc_arb_conflicts_total", "Arbitration losses at this router.", func(n *NodeMetrics) int64 { return n.ArbConflicts }},
-	{"frfc_credit_stalls_total", "Cycles an arbitration winner stalled on credit or link bandwidth.", func(n *NodeMetrics) int64 { return n.CreditStalls }},
-	{"frfc_retries_total", "End-to-end packet retries issued by this node's NI.", func(n *NodeMetrics) int64 { return n.Retries }},
-	{"frfc_nacks_total", "Loss detections (NACK path) at this node's NI.", func(n *NodeMetrics) int64 { return n.Nacks }},
-	{"frfc_unreachable_total", "Packets failed fast at this node's NI because a hard fault disconnected their destination.", func(n *NodeMetrics) int64 { return n.Unreachable }},
-	{"frfc_injected_flits_total", "Data flits injected into the network at this node.", func(n *NodeMetrics) int64 { return n.Injected }},
-	{"frfc_ejected_flits_total", "Data flits ejected from the network at this node.", func(n *NodeMetrics) int64 { return n.Ejected }},
-}
-
 // WritePrometheus exports the registry in Prometheus text exposition format
 // (version 0.0.4): per-router counters labelled by node id and mesh
 // coordinates, per-output-port link traffic, mean input-buffer occupancy
 // fractions for sampled ports, and the run-level cycle count and sampling
-// epoch. The receiver must not be mutated concurrently — export a Clone of a
-// live registry instead.
+// epoch. The receiver must not be mutated concurrently — export a live
+// registry through its probe's Snapshot.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("metrics: nil registry")
-	}
-	cols, _ := r.dims()
-	coord := func(id int) (x, y int) {
-		if cols <= 0 {
-			return id, 0
-		}
-		return id % cols, id / cols
-	}
-	for _, c := range promCounters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name); err != nil {
-			return err
-		}
+	e := topology.NewExposition(w)
+	for _, c := range counters {
+		e.Family(c.name, "counter", c.help)
 		for id := range r.Nodes {
-			x, y := coord(id)
-			if _, err := fmt.Fprintf(w, "%s{node=\"%d\",x=\"%d\",y=\"%d\"} %d\n",
-				c.name, id, x, y, c.get(&r.Nodes[id])); err != nil {
-				return err
+			e.Sample(r.Labels(id), *c.at(&r.Nodes[id]))
+		}
+	}
+	// perPort writes one family with a sample per node and port.
+	perPort := func(sample func(n *NodeMetrics, p topology.Port, labels string)) {
+		for id := range r.Nodes {
+			for p := topology.Port(0); p < topology.NumPorts; p++ {
+				sample(&r.Nodes[id], p, r.Labels(id, "port", p.String()))
 			}
 		}
 	}
-
-	if _, err := io.WriteString(w,
-		"# HELP frfc_link_flits_total Data flits sent on this output port.\n"+
-			"# TYPE frfc_link_flits_total counter\n"); err != nil {
-		return err
-	}
-	for id := range r.Nodes {
-		x, y := coord(id)
-		for p := 0; p < int(topology.NumPorts); p++ {
-			if _, err := fmt.Fprintf(w, "frfc_link_flits_total{node=\"%d\",x=\"%d\",y=\"%d\",port=\"%s\"} %d\n",
-				id, x, y, topology.Port(p), r.Nodes[id].Links[p].Flits); err != nil {
-				return err
-			}
+	e.Family("frfc_link_flits_total", "counter", "Data flits sent on this output port.")
+	perPort(func(n *NodeMetrics, p topology.Port, labels string) { e.Sample(labels, n.Links[p].Flits) })
+	e.Family("frfc_link_ctrl_total", "counter", "Control flits sent on this output port.")
+	perPort(func(n *NodeMetrics, p topology.Port, labels string) { e.Sample(labels, n.Links[p].Ctrl) })
+	e.Family("frfc_occupancy_mean_fraction", "gauge", "Mean input-buffer occupancy fraction (0..1) for sampled ports.")
+	perPort(func(n *NodeMetrics, p topology.Port, labels string) {
+		if g := &n.Occ[p]; g.Samples > 0 {
+			e.Sample(labels, g.MeanFraction())
 		}
-	}
-	if _, err := io.WriteString(w,
-		"# HELP frfc_link_ctrl_total Control flits sent on this output port.\n"+
-			"# TYPE frfc_link_ctrl_total counter\n"); err != nil {
-		return err
-	}
-	for id := range r.Nodes {
-		x, y := coord(id)
-		for p := 0; p < int(topology.NumPorts); p++ {
-			if _, err := fmt.Fprintf(w, "frfc_link_ctrl_total{node=\"%d\",x=\"%d\",y=\"%d\",port=\"%s\"} %d\n",
-				id, x, y, topology.Port(p), r.Nodes[id].Links[p].Ctrl); err != nil {
-				return err
-			}
-		}
-	}
-
-	if _, err := io.WriteString(w,
-		"# HELP frfc_occupancy_mean_fraction Mean input-buffer occupancy fraction (0..1) for sampled ports.\n"+
-			"# TYPE frfc_occupancy_mean_fraction gauge\n"); err != nil {
-		return err
-	}
-	for id := range r.Nodes {
-		x, y := coord(id)
-		for p := 0; p < int(topology.NumPorts); p++ {
-			g := &r.Nodes[id].Occ[p]
-			if g.Samples == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "frfc_occupancy_mean_fraction{node=\"%d\",x=\"%d\",y=\"%d\",port=\"%s\"} %g\n",
-				id, x, y, topology.Port(p), g.MeanFraction()); err != nil {
-				return err
-			}
-		}
-	}
-
-	_, err := fmt.Fprintf(w,
-		"# HELP frfc_cycles Simulated cycles covered by this registry.\n"+
-			"# TYPE frfc_cycles gauge\nfrfc_cycles %d\n"+
-			"# HELP frfc_epoch Gauge sampling period in cycles.\n"+
-			"# TYPE frfc_epoch gauge\nfrfc_epoch %d\n", r.Cycles, r.Epoch)
-	return err
+	})
+	e.Scalar("frfc_cycles", "gauge", "Simulated cycles covered by this registry.", r.Cycles)
+	e.Scalar("frfc_epoch", "gauge", "Gauge sampling period in cycles.", r.Epoch)
+	return e.Err()
 }

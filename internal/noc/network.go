@@ -157,9 +157,11 @@ func (h *Hooks) Wedge(now sim.Cycle, snapshot string) {
 	}
 }
 
-// Network is the common surface the experiment harness drives. Both the
-// flit-reservation network (internal/core) and the baseline networks
-// (internal/vcrouter, internal/wormhole) implement it.
+// Network is the common surface the experiment harness drives. All six
+// fabrics implement it: flit reservation (internal/core), virtual channels
+// (internal/vcrouter) and wormhole (internal/wormhole, a vcrouter
+// configuration), store-and-forward and virtual cut-through (the two modes of
+// internal/packetswitch), and circuit switching (internal/circuit).
 type Network interface {
 	// Offer places a freshly generated packet in its source's injection
 	// queue. The packet's Src field selects the queue.

@@ -1,0 +1,85 @@
+package noc
+
+import (
+	"frfc/internal/sim"
+	"frfc/internal/waterfall"
+)
+
+// SourceQueue is the FIFO of whole packets waiting at a network interface for
+// injection to begin, the queue every fabric's interface keeps and
+// Network.SourceQueueLen sums. pkts[head:] holds the packets, oldest first:
+// Pop advances head instead of shifting and Push reclaims the consumed front
+// once it is half the slice, so a source thousands of packets deep beyond
+// saturation still dequeues in constant time. The zero value is empty.
+type SourceQueue struct {
+	pkts []*Packet
+	head int
+}
+
+// Push appends a packet behind every packet already waiting.
+func (q *SourceQueue) Push(p *Packet) {
+	if q.head > 0 && 2*q.head >= len(q.pkts) {
+		live := copy(q.pkts, q.pkts[q.head:])
+		clear(q.pkts[live:])
+		q.pkts, q.head = q.pkts[:live], 0
+	}
+	q.pkts = append(q.pkts, p)
+}
+
+// Pop removes and returns the oldest packet. The queue must not be empty.
+func (q *SourceQueue) Pop() *Packet {
+	p := q.pkts[q.head]
+	q.pkts[q.head] = nil
+	if q.head++; q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0
+	}
+	return p
+}
+
+// Len reports how many packets are waiting.
+func (q *SourceQueue) Len() int { return len(q.pkts) - q.head }
+
+// Filter removes every waiting packet keep rejects, asking in queue order and
+// preserving the order of the rest.
+func (q *SourceQueue) Filter(keep func(*Packet) bool) {
+	kept := q.pkts[:0]
+	for _, p := range q.pkts[q.head:] {
+		if keep(p) {
+			kept = append(kept, p)
+		}
+	}
+	clear(q.pkts[len(kept):])
+	q.pkts, q.head = kept, 0
+}
+
+// Sink is a terminal's ejection side on the fabrics whose flits identify
+// themselves (head/tail framing on the wire: the packet-switched and circuit
+// baselines): it counts each packet's flits off the ejection wire and reports
+// the packet delivered when the last one arrives.
+type Sink struct {
+	Data   *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
+	Ledger *waterfall.Ledger   // nil when latency provenance is off
+
+	got   map[PacketID]int
+	hooks *Hooks
+}
+
+// NewSink returns a sink reporting through hooks.
+func NewSink(hooks *Hooks) *Sink {
+	return &Sink{got: make(map[PacketID]int), hooks: hooks}
+}
+
+// Tick receives the flits that arrived this cycle.
+func (s *Sink) Tick(now sim.Cycle) {
+	s.Data.RecvEach(now, func(f DataFlit) {
+		s.hooks.Ejected(now)
+		if s.Ledger != nil && f.Type.IsHead() && f.Packet.Sampled {
+			s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
+		}
+		s.got[f.Packet.ID]++
+		if s.got[f.Packet.ID] == f.Packet.Len {
+			delete(s.got, f.Packet.ID)
+			s.hooks.Delivered(f.Packet, now)
+		}
+	})
+}

@@ -16,7 +16,7 @@ type ni struct {
 	hooks *noc.Hooks
 	wf    *waterfall.Ledger
 
-	queue   []*noc.Packet
+	queue   noc.SourceQueue
 	current []noc.DataFlit
 	next    int
 	credits int
@@ -29,10 +29,6 @@ func newNI(cfg Config, hooks *noc.Hooks) *ni {
 	return &ni{cfg: cfg, hooks: hooks, credits: cfg.PacketBuffers}
 }
 
-func (n *ni) offer(p *noc.Packet) { n.queue = append(n.queue, p) }
-
-func (n *ni) queueLen() int { return len(n.queue) }
-
 func (n *ni) Tick(now sim.Cycle) {
 	n.creditIn.RecvEach(now, func(noc.VCCredit) {
 		n.credits++
@@ -40,11 +36,8 @@ func (n *ni) Tick(now sim.Cycle) {
 			panic("packetswitch: NI credit overflow")
 		}
 	})
-	if n.current == nil && len(n.queue) > 0 && n.credits > 0 {
-		p := n.queue[0]
-		copy(n.queue, n.queue[1:])
-		n.queue[len(n.queue)-1] = nil
-		n.queue = n.queue[:len(n.queue)-1]
+	if n.current == nil && n.queue.Len() > 0 && n.credits > 0 {
+		p := n.queue.Pop()
 		n.credits--
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
@@ -66,33 +59,6 @@ func (n *ni) Tick(now sim.Cycle) {
 	}
 }
 
-// sink reassembles ejected packets; flits identify themselves (head/tail
-// framing on the wire, as in the wormhole and VC baselines).
-type sink struct {
-	data  *sim.Pipe[noc.DataFlit]
-	got   map[noc.PacketID]int
-	hooks *noc.Hooks
-	wf    *waterfall.Ledger
-}
-
-func newSink(hooks *noc.Hooks) *sink {
-	return &sink{got: make(map[noc.PacketID]int), hooks: hooks}
-}
-
-func (s *sink) Tick(now sim.Cycle) {
-	s.data.RecvEach(now, func(f noc.DataFlit) {
-		s.hooks.Ejected(now)
-		if s.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
-			s.wf.Eject(uint64(f.Packet.ID), 0, now)
-		}
-		s.got[f.Packet.ID]++
-		if s.got[f.Packet.ID] == f.Packet.Len {
-			delete(s.got, f.Packet.ID)
-			s.hooks.Delivered(f.Packet, now)
-		}
-	})
-}
-
 // Network is a mesh of store-and-forward or cut-through routers.
 type Network struct {
 	mesh  topology.Mesh
@@ -101,7 +67,7 @@ type Network struct {
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*sink
+	sinks   []*noc.Sink
 
 	offered   int64
 	delivered int64
@@ -123,7 +89,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 		x.wf = wf
 	}
 	for _, s := range n.sinks {
-		s.wf = wf
+		s.Ledger = wf
 	}
 }
 
@@ -149,13 +115,13 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	root := sim.NewRNG(seed)
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*sink, mesh.N())
+	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split())
 	}
 	for id := 0; id < mesh.N(); id++ {
 		n.nis[id] = newNI(cfg, n.hooks)
-		n.sinks[id] = newSink(n.hooks)
+		n.sinks[id] = noc.NewSink(n.hooks)
 	}
 	n.wire()
 	return n
@@ -190,14 +156,14 @@ func (n *Network) wire() {
 		r.in[topology.Local].creditOut = injCredit
 		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		r.out[topology.Local].data = ej
-		n.sinks[id].data = ej
+		n.sinks[id].Data = ej
 	}
 }
 
 // Offer implements noc.Network.
 func (n *Network) Offer(p *noc.Packet) {
 	n.offered++
-	n.nis[p.Src].offer(p)
+	n.nis[p.Src].queue.Push(p)
 }
 
 // Tick implements noc.Network.
@@ -217,7 +183,7 @@ func (n *Network) Tick(now sim.Cycle) {
 func (n *Network) SourceQueueLen() int {
 	total := 0
 	for _, x := range n.nis {
-		total += x.queueLen()
+		total += x.queue.Len()
 	}
 	return total
 }

@@ -15,13 +15,13 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"sort"
 
 	"frfc/internal/sim"
+	"frfc/internal/topology"
 )
 
 // Component identifies which simulator object a tick belongs to.
@@ -96,14 +96,13 @@ type NodeProfile struct {
 	Phases [NumPhases]int64 `json:"phases"`
 }
 
-// active reports whether the node recorded any ticks at all.
-func (n *NodeProfile) active() bool {
-	for c := 0; c < int(NumComponents); c++ {
-		if n.Ticks[c] != 0 {
-			return true
-		}
+// idleFraction is the fraction of the node's router ticks that performed no
+// work, 0 for a router that never ticked.
+func (n *NodeProfile) idleFraction() float64 {
+	if n.Ticks[CompRouter] == 0 {
+		return 0
 	}
-	return false
+	return 1 - float64(n.Active[CompRouter])/float64(n.Ticks[CompRouter])
 }
 
 // MemStats aggregates per-epoch allocation and GC deltas sampled with
@@ -126,28 +125,12 @@ type MemStats struct {
 	MaxEpochAllocBytes int64 `json:"maxEpochAllocBytes"`
 }
 
-// DefaultEpoch is the sampling period, in cycles, used when a registry is
-// created with a non-positive one. It matches metrics.DefaultEpoch so the
-// two registries sample on the same tick.
-const DefaultEpoch = 64
-
 // Registry holds every node's self-profiling counters for one simulated
-// network.
+// network, laid out as a topology.Grid: Epoch is the memory-sampling period.
 type Registry struct {
-	// Epoch is the memory-sampling period in cycles.
-	Epoch sim.Cycle `json:"epoch"`
-	// Radix is the mesh radix k (k×k nodes); Cycles is the simulated run
-	// length recorded at export time.
-	Radix  int           `json:"radix"`
-	Cycles sim.Cycle     `json:"cycles"`
-	Nodes  []NodeProfile `json:"nodes"`
+	topology.Grid[NodeProfile]
 	// Mem is the aggregated allocation/GC sample set.
 	Mem MemStats `json:"mem"`
-	// Cols and Rows, when both positive, describe a rectangular cols×rows
-	// layout (node id = y*cols + x) and take precedence over the square
-	// Radix in grid exports. Zero for square meshes.
-	Cols int `json:"cols,omitempty"`
-	Rows int `json:"rows,omitempty"`
 
 	// lastMem is the previous runtime snapshot; primed once the first
 	// sample has been taken so the initial absolute values don't count as
@@ -157,60 +140,10 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry sampling memory every epoch cycles
-// (non-positive = DefaultEpoch). Node storage is sized on Init.
+// (non-positive = topology.DefaultEpoch, the tick the metrics registry
+// samples on too). Node storage is sized on Init.
 func NewRegistry(epoch sim.Cycle) *Registry {
-	if epoch <= 0 {
-		epoch = DefaultEpoch
-	}
-	return &Registry{Epoch: epoch}
-}
-
-// Init sizes the registry for a k×k mesh. It is idempotent and keeps
-// existing counts when already sized.
-func (r *Registry) Init(radix int) {
-	if r == nil || radix <= 0 {
-		return
-	}
-	if len(r.Nodes) < radix*radix {
-		nodes := make([]NodeProfile, radix*radix)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	r.Radix = radix
-}
-
-// InitRect sizes the registry for a rectangular cols×rows layout with nodes
-// numbered row-major (id = y*cols + x).
-func (r *Registry) InitRect(cols, rows int) {
-	if r == nil || cols <= 0 || rows <= 0 {
-		return
-	}
-	if len(r.Nodes) < cols*rows {
-		nodes := make([]NodeProfile, cols*rows)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	r.Cols, r.Rows = cols, rows
-}
-
-// dims reports the grid layout: the rectangular one when set, else the square
-// radix on both axes.
-func (r *Registry) dims() (cols, rows int) {
-	if r.Cols > 0 && r.Rows > 0 {
-		return r.Cols, r.Rows
-	}
-	return r.Radix, r.Radix
-}
-
-// at returns the node's profile, growing the registry if an ID beyond the
-// initialised size appears (defensive; normal paths Init first).
-func (r *Registry) at(node int) *NodeProfile {
-	if node >= len(r.Nodes) {
-		nodes := make([]NodeProfile, node+1)
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	return &r.Nodes[node]
+	return &Registry{Grid: topology.NewGrid[NodeProfile](epoch)}
 }
 
 // RouterTick records one router tick at node with its per-phase work counts:
@@ -221,7 +154,7 @@ func (r *Registry) RouterTick(node, sched, arb, sw, cred int) {
 	if r == nil {
 		return
 	}
-	n := r.at(node)
+	n := r.At(node)
 	n.Ticks[CompRouter]++
 	if sched|arb|sw|cred != 0 {
 		n.Active[CompRouter]++
@@ -239,7 +172,7 @@ func (r *Registry) ComponentTick(c Component, node int, active bool) {
 	if r == nil {
 		return
 	}
-	n := r.at(node)
+	n := r.At(node)
 	n.Ticks[c]++
 	if active {
 		n.Active[c]++
@@ -276,59 +209,29 @@ func (r *Registry) SampleMem() {
 	r.primed = true
 }
 
-// Clone returns a deep copy of the registry, safe to hand to another
-// goroutine while the original keeps accumulating. A nil registry clones to
-// nil.
-func (r *Registry) Clone() *Registry {
-	if r == nil {
-		return nil
-	}
-	c := *r
-	c.Nodes = append([]NodeProfile(nil), r.Nodes...)
-	return &c
-}
-
 // Merge folds another registry's counts into this one: tick and phase
-// counters add, memory deltas add (epoch maxima take the larger), layout
-// dimensions take the larger, and Cycles accumulate. Merging nil is a no-op.
+// counters add node for node under the grid's layout merge, and memory deltas
+// add (epoch maxima take the larger). Merging nil is a no-op.
 func (r *Registry) Merge(o *Registry) {
 	if r == nil || o == nil {
 		return
 	}
-	if o.Radix > r.Radix {
-		r.Radix = o.Radix
-	}
-	if o.Cols > r.Cols {
-		r.Cols = o.Cols
-	}
-	if o.Rows > r.Rows {
-		r.Rows = o.Rows
-	}
-	r.Cycles += o.Cycles
-	if len(o.Nodes) > len(r.Nodes) {
-		nodes := make([]NodeProfile, len(o.Nodes))
-		copy(nodes, r.Nodes)
-		r.Nodes = nodes
-	}
-	for i := range o.Nodes {
-		dst, src := &r.Nodes[i], &o.Nodes[i]
-		for c := 0; c < int(NumComponents); c++ {
+	r.Grid.Merge(&o.Grid, func(dst, src *NodeProfile) {
+		for c := range dst.Ticks {
 			dst.Ticks[c] += src.Ticks[c]
 			dst.Active[c] += src.Active[c]
 		}
-		for p := 0; p < int(NumPhases); p++ {
+		for p := range dst.Phases {
 			dst.Phases[p] += src.Phases[p]
 		}
-	}
+	})
 	r.Mem.Epochs += o.Mem.Epochs
 	r.Mem.AllocBytes += o.Mem.AllocBytes
 	r.Mem.Mallocs += o.Mem.Mallocs
 	r.Mem.Frees += o.Mem.Frees
 	r.Mem.NumGC += o.Mem.NumGC
 	r.Mem.PauseNs += o.Mem.PauseNs
-	if o.Mem.MaxEpochAllocBytes > r.Mem.MaxEpochAllocBytes {
-		r.Mem.MaxEpochAllocBytes = o.Mem.MaxEpochAllocBytes
-	}
+	r.Mem.MaxEpochAllocBytes = max(r.Mem.MaxEpochAllocBytes, o.Mem.MaxEpochAllocBytes)
 }
 
 // Totals sums ticks and active ticks across every node and component.
@@ -406,6 +309,23 @@ func (a *Activity) Add(o Activity) {
 	}
 }
 
+// View is a registry rendered for display, what /status serves: the
+// deterministic Activity, and beside it the host's allocation total over the
+// sampled epochs and the one-line Summary. Activity is the form that is stored
+// and merged.
+type View struct {
+	Activity
+	MemAllocBytes int64  `json:"memAllocBytes"`
+	MemEpochs     int64  `json:"memEpochs"`
+	Summary       string `json:"summary"`
+}
+
+// View renders the registry — one run's, or the merge over the jobs of a
+// campaign.
+func (r *Registry) View() View {
+	return View{Activity: r.Activity(), MemAllocBytes: r.Mem.AllocBytes, MemEpochs: r.Mem.Epochs, Summary: r.Summary()}
+}
+
 // HotNode describes one router's activity for Hottest.
 type HotNode struct {
 	// Node is the node id; X and Y its mesh coordinates.
@@ -423,18 +343,14 @@ func (r *Registry) Hottest(n int) []HotNode {
 	if r == nil || n <= 0 {
 		return nil
 	}
-	cols, _ := r.dims()
 	var hot []HotNode
 	for id := range r.Nodes {
 		ticks := r.Nodes[id].Ticks[CompRouter]
 		if ticks == 0 {
 			continue
 		}
-		x, y := id, 0
-		if cols > 0 {
-			x, y = id%cols, id/cols
-		}
-		hot = append(hot, HotNode{Node: id, X: x, Y: y,
+		c := r.Coord(id)
+		hot = append(hot, HotNode{Node: id, X: c.X, Y: c.Y,
 			ActiveFraction: float64(r.Nodes[id].Active[CompRouter]) / float64(ticks)})
 	}
 	sort.Slice(hot, func(i, j int) bool {
@@ -449,57 +365,12 @@ func (r *Registry) Hottest(n int) []HotNode {
 	return hot
 }
 
-// WriteJSON exports the registry as one indented JSON object.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteIdleCSV writes a k×k grid of per-router idle-tick fractions (0..1),
 // one row per mesh row, matching the physical layout so the file reads as a
 // heatmap of where the cycle-stepped kernel wastes its wakeups.
 func (r *Registry) WriteIdleCSV(w io.Writer) error {
-	return r.writeGrid(w, "# idle router-tick fraction per node (rows = mesh rows, y increasing downward)",
-		func(n *NodeProfile) float64 {
-			if n.Ticks[CompRouter] == 0 {
-				return 0
-			}
-			return 1 - float64(n.Active[CompRouter])/float64(n.Ticks[CompRouter])
-		})
-}
-
-func (r *Registry) writeGrid(w io.Writer, header string, cell func(*NodeProfile) float64) error {
-	if r == nil {
-		return fmt.Errorf("profile: nil registry")
-	}
-	cols, rows := r.dims()
-	if cols <= 0 || rows <= 0 {
-		return fmt.Errorf("profile: registry not initialised (cols %d, rows %d)", cols, rows)
-	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	for y := 0; y < rows; y++ {
-		for x := 0; x < cols; x++ {
-			if x > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			var v float64
-			if id := y*cols + x; id < len(r.Nodes) {
-				v = cell(&r.Nodes[id])
-			}
-			if _, err := fmt.Fprintf(w, "%.4f", v); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.WriteCSV(w, "# idle router-tick fraction per node (rows = mesh rows, y increasing downward)",
+		(*NodeProfile).idleFraction)
 }
 
 // Summary renders a short human-readable digest: overall idle fraction,
@@ -508,8 +379,8 @@ func (r *Registry) Summary() string {
 	if r == nil {
 		return ""
 	}
-	ticks, _ := r.Totals()
-	if ticks == 0 {
+	a := r.Activity()
+	if a.Ticks == 0 {
 		return "profile: no ticks recorded"
 	}
 	var comp [NumComponents][2]int64
@@ -519,21 +390,16 @@ func (r *Registry) Summary() string {
 			comp[c][1] += r.Nodes[i].Active[c]
 		}
 	}
-	s := fmt.Sprintf("profile: %.1f%% of %d component ticks idle", 100*r.IdleFraction(), ticks)
+	s := fmt.Sprintf("profile: %.1f%% of %d component ticks idle", 100*a.IdleFraction, a.Ticks)
 	for c := Component(0); c < NumComponents; c++ {
 		if comp[c][0] == 0 {
 			continue
 		}
 		s += fmt.Sprintf("; %s %.1f%%", c, 100*(1-float64(comp[c][1])/float64(comp[c][0])))
 	}
-	ph := r.PhaseTotals()
-	var phSum int64
-	for p := 0; p < int(NumPhases); p++ {
-		phSum += ph[p]
-	}
-	if phSum > 0 {
+	if a.SchedWork+a.ArbWork+a.SwitchWork+a.CreditWork > 0 {
 		s += fmt.Sprintf("; phases sched %d / arb %d / switch %d / credit %d",
-			ph[PhaseSched], ph[PhaseArb], ph[PhaseSwitch], ph[PhaseCredit])
+			a.SchedWork, a.ArbWork, a.SwitchWork, a.CreditWork)
 	}
 	if r.Mem.Epochs > 0 {
 		s += fmt.Sprintf("; mem %d B/epoch over %d epochs (%d GCs)",

@@ -8,22 +8,19 @@ import (
 	"testing"
 
 	"frfc/internal/sim"
+	"frfc/internal/topology"
 )
 
-// A nil registry must absorb every call without panicking or allocating.
+// A nil registry must absorb every recording call without panicking or
+// allocating.
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	r.Init(4)
-	r.InitRect(3, 2)
 	r.RouterTick(0, 1, 2, 3, 4)
 	r.ComponentTick(CompNI, 1, true)
 	r.SampleMem()
 	r.Merge(NewRegistry(0))
 	if r.Due(64) {
 		t.Fatal("nil registry reported a due epoch")
-	}
-	if c := r.Clone(); c != nil {
-		t.Fatalf("nil clone = %v", c)
 	}
 	if ticks, active := r.Totals(); ticks != 0 || active != 0 {
 		t.Fatalf("nil totals = %d/%d", ticks, active)
@@ -47,7 +44,7 @@ func TestNilRegistrySafe(t *testing.T) {
 
 func TestAccountingAndIdleFraction(t *testing.T) {
 	r := NewRegistry(0)
-	if r.Epoch != DefaultEpoch {
+	if r.Epoch != topology.DefaultEpoch {
 		t.Fatalf("default epoch = %d", r.Epoch)
 	}
 	r.Init(2)
@@ -89,7 +86,7 @@ func TestCloneMerge(t *testing.T) {
 	a.Cycles = 100
 	a.Mem = MemStats{Epochs: 2, AllocBytes: 10, Mallocs: 3, Frees: 1, NumGC: 1, PauseNs: 7, MaxEpochAllocBytes: 8}
 
-	b := a.Clone()
+	b := &Registry{Grid: a.Clone()}
 	b.RouterTick(0, 0, 0, 0, 0)
 	if a.Nodes[0].Ticks[CompRouter] != 1 || b.Nodes[0].Ticks[CompRouter] != 2 {
 		t.Fatal("clone shares node storage")
@@ -169,7 +166,7 @@ func TestWriteIdleCSVAndJSON(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := r.WriteJSON(&js); err != nil {
+	if err := topology.WriteJSON(&js, r); err != nil {
 		t.Fatal(err)
 	}
 	var decoded map[string]any
@@ -191,7 +188,7 @@ func TestWriteIdleCSVAndJSON(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry(0)
-	r.InitRect(3, 2)
+	r.Init(3)
 	r.RouterTick(4, 1, 1, 1, 1)
 	r.RouterTick(4, 0, 0, 0, 0)
 	r.Cycles = 256

@@ -1,104 +1,48 @@
 package profile
 
 import (
-	"fmt"
 	"io"
+
+	"frfc/internal/topology"
 )
 
 // WritePrometheus exports the registry in Prometheus text exposition format
 // (version 0.0.4): per-node tick/active-tick counters labelled by component,
 // per-node FR phase attribution, per-router idle-fraction gauges, and the
 // run-level memory sample aggregates. The receiver must not be mutated
-// concurrently — export a Clone of a live registry instead.
+// concurrently — export a live registry through its probe's Snapshot.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return fmt.Errorf("profile: nil registry")
-	}
-	cols, _ := r.dims()
-	coord := func(id int) (x, y int) {
-		if cols <= 0 {
-			return id, 0
-		}
-		return id % cols, id / cols
-	}
-
-	if _, err := io.WriteString(w,
-		"# HELP frfc_profile_ticks_total Simulator ticks executed for this component at this node.\n"+
-			"# TYPE frfc_profile_ticks_total counter\n"); err != nil {
-		return err
-	}
+	e := topology.NewExposition(w)
+	e.Family("frfc_profile_ticks_total", "counter", "Simulator ticks executed for this component at this node.")
 	for id := range r.Nodes {
-		x, y := coord(id)
 		for c := Component(0); c < NumComponents; c++ {
-			if _, err := fmt.Fprintf(w, "frfc_profile_ticks_total{node=\"%d\",x=\"%d\",y=\"%d\",component=\"%s\"} %d\n",
-				id, x, y, c, r.Nodes[id].Ticks[c]); err != nil {
-				return err
-			}
+			e.Sample(r.Labels(id, "component", c.String()), r.Nodes[id].Ticks[c])
 		}
 	}
-	if _, err := io.WriteString(w,
-		"# HELP frfc_profile_active_ticks_total Ticks that performed any work for this component at this node.\n"+
-			"# TYPE frfc_profile_active_ticks_total counter\n"); err != nil {
-		return err
-	}
+	e.Family("frfc_profile_active_ticks_total", "counter", "Ticks that performed any work for this component at this node.")
 	for id := range r.Nodes {
-		x, y := coord(id)
 		for c := Component(0); c < NumComponents; c++ {
-			if _, err := fmt.Fprintf(w, "frfc_profile_active_ticks_total{node=\"%d\",x=\"%d\",y=\"%d\",component=\"%s\"} %d\n",
-				id, x, y, c, r.Nodes[id].Active[c]); err != nil {
-				return err
-			}
+			e.Sample(r.Labels(id, "component", c.String()), r.Nodes[id].Active[c])
 		}
 	}
-
-	if _, err := io.WriteString(w,
-		"# HELP frfc_profile_phase_work_total FR router work units attributed to this pipeline phase at this node.\n"+
-			"# TYPE frfc_profile_phase_work_total counter\n"); err != nil {
-		return err
-	}
+	e.Family("frfc_profile_phase_work_total", "counter", "FR router work units attributed to this pipeline phase at this node.")
 	for id := range r.Nodes {
-		x, y := coord(id)
 		for p := Phase(0); p < NumPhases; p++ {
-			if _, err := fmt.Fprintf(w, "frfc_profile_phase_work_total{node=\"%d\",x=\"%d\",y=\"%d\",phase=\"%s\"} %d\n",
-				id, x, y, p, r.Nodes[id].Phases[p]); err != nil {
-				return err
-			}
+			e.Sample(r.Labels(id, "phase", p.String()), r.Nodes[id].Phases[p])
 		}
 	}
-
-	if _, err := io.WriteString(w,
-		"# HELP frfc_profile_idle_fraction Fraction of this node's router ticks that performed no work.\n"+
-			"# TYPE frfc_profile_idle_fraction gauge\n"); err != nil {
-		return err
-	}
+	e.Family("frfc_profile_idle_fraction", "gauge", "Fraction of this node's router ticks that performed no work.")
 	for id := range r.Nodes {
-		n := &r.Nodes[id]
-		if n.Ticks[CompRouter] == 0 {
-			continue
-		}
-		x, y := coord(id)
-		if _, err := fmt.Fprintf(w, "frfc_profile_idle_fraction{node=\"%d\",x=\"%d\",y=\"%d\"} %g\n",
-			id, x, y, 1-float64(n.Active[CompRouter])/float64(n.Ticks[CompRouter])); err != nil {
-			return err
+		if n := &r.Nodes[id]; n.Ticks[CompRouter] != 0 {
+			e.Sample(r.Labels(id), n.idleFraction())
 		}
 	}
-
-	_, err := fmt.Fprintf(w,
-		"# HELP frfc_profile_mem_alloc_bytes_total Heap bytes allocated over the sampled epochs.\n"+
-			"# TYPE frfc_profile_mem_alloc_bytes_total counter\nfrfc_profile_mem_alloc_bytes_total %d\n"+
-			"# HELP frfc_profile_mem_mallocs_total Heap objects allocated over the sampled epochs.\n"+
-			"# TYPE frfc_profile_mem_mallocs_total counter\nfrfc_profile_mem_mallocs_total %d\n"+
-			"# HELP frfc_profile_mem_gc_total Garbage collections completed over the sampled epochs.\n"+
-			"# TYPE frfc_profile_mem_gc_total counter\nfrfc_profile_mem_gc_total %d\n"+
-			"# HELP frfc_profile_mem_pause_ns_total GC stop-the-world nanoseconds over the sampled epochs.\n"+
-			"# TYPE frfc_profile_mem_pause_ns_total counter\nfrfc_profile_mem_pause_ns_total %d\n"+
-			"# HELP frfc_profile_mem_epochs Memory samples folded into this registry.\n"+
-			"# TYPE frfc_profile_mem_epochs gauge\nfrfc_profile_mem_epochs %d\n"+
-			"# HELP frfc_profile_mem_max_epoch_alloc_bytes Largest single-epoch allocation delta.\n"+
-			"# TYPE frfc_profile_mem_max_epoch_alloc_bytes gauge\nfrfc_profile_mem_max_epoch_alloc_bytes %d\n"+
-			"# HELP frfc_profile_cycles Simulated cycles covered by this profile registry.\n"+
-			"# TYPE frfc_profile_cycles gauge\nfrfc_profile_cycles %d\n",
-		r.Mem.AllocBytes, r.Mem.Mallocs, r.Mem.NumGC, r.Mem.PauseNs,
-		r.Mem.Epochs, r.Mem.MaxEpochAllocBytes, r.Cycles)
-	return err
+	e.Scalar("frfc_profile_mem_alloc_bytes_total", "counter", "Heap bytes allocated over the sampled epochs.", r.Mem.AllocBytes)
+	e.Scalar("frfc_profile_mem_mallocs_total", "counter", "Heap objects allocated over the sampled epochs.", r.Mem.Mallocs)
+	e.Scalar("frfc_profile_mem_gc_total", "counter", "Garbage collections completed over the sampled epochs.", r.Mem.NumGC)
+	e.Scalar("frfc_profile_mem_pause_ns_total", "counter", "GC stop-the-world nanoseconds over the sampled epochs.", r.Mem.PauseNs)
+	e.Scalar("frfc_profile_mem_epochs", "gauge", "Memory samples folded into this registry.", r.Mem.Epochs)
+	e.Scalar("frfc_profile_mem_max_epoch_alloc_bytes", "gauge", "Largest single-epoch allocation delta.", r.Mem.MaxEpochAllocBytes)
+	e.Scalar("frfc_profile_cycles", "gauge", "Simulated cycles covered by this profile registry.", r.Cycles)
+	return e.Err()
 }

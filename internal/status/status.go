@@ -17,7 +17,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -26,8 +25,7 @@ import (
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
 	"frfc/internal/metrics"
-	"frfc/internal/profile"
-	"frfc/internal/waterfall"
+	"frfc/internal/topology"
 )
 
 // JobView describes one in-flight job in the /status snapshot.
@@ -50,26 +48,6 @@ type CampaignView struct {
 	// projection, display only.
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
 	ETASeconds     float64 `json:"etaSeconds"`
-}
-
-// RunView is the single-run portion of the /status snapshot, fed from
-// experiment.Live snapshots (cmd/frsim).
-type RunView struct {
-	Cycle       int64   `json:"cycle"`
-	Phase       string  `json:"phase"`
-	Tagged      int     `json:"tagged"`
-	Delivered   int     `json:"delivered"`
-	Packets     int64   `json:"packets"`
-	MeanLatency float64 `json:"meanLatency"`
-}
-
-// ProfileView is the self-profiling portion of the /status snapshot: the
-// activity accounting merged (campaign) or last published (single run).
-type ProfileView struct {
-	profile.Activity
-	MemAllocBytes int64  `json:"memAllocBytes"`
-	MemEpochs     int64  `json:"memEpochs"`
-	Summary       string `json:"summary"`
 }
 
 // ServiceCampaign is one campaign's row in the /status snapshot when the
@@ -127,13 +105,15 @@ type ServiceView struct {
 type Snapshot struct {
 	UptimeSeconds float64       `json:"uptimeSeconds"`
 	Campaign      *CampaignView `json:"campaign,omitempty"`
-	Run           *RunView      `json:"run,omitempty"`
-	Running       []JobView     `json:"running,omitempty"`
-	Profile       *ProfileView  `json:"profile,omitempty"`
-	// Waterfall is the latency-provenance block: per-stage cycle totals,
-	// means and shares, merged across finished jobs (campaign) or last
-	// published (single run).
-	Waterfall *waterfall.View `json:"waterfall,omitempty"`
+	// Run is the single-run portion: the latest experiment.Live a run
+	// published (cmd/frsim).
+	Run     *experiment.Live `json:"run,omitempty"`
+	Running []JobView        `json:"running,omitempty"`
+	// View holds one block per collector that renders one — "profile", the
+	// activity accounting, and "waterfall", per-stage cycle totals, means and
+	// shares — merged across finished jobs (campaign) or last published
+	// (single run).
+	metrics.View
 	// Service and Campaigns carry the campaign-service view when a
 	// daemon (frserve) has registered a ServiceSource.
 	Service   *ServiceView      `json:"service,omitempty"`
@@ -150,12 +130,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	campaign *CampaignView
-	run      *RunView
+	run      *experiment.Live
 	running  map[string]time.Time // job key -> start time
 	jobs     map[string]JobView
-	reg      *metrics.Registry // merged (campaign) or latest (single run)
-	prof     *profile.Registry // merged (campaign) or latest (single run)
-	wf       *waterfall.Totals // summed (campaign) or latest (single run); nil until fed
+	// collected is what the probes fed so far add up to: every finished
+	// job's merged (campaign) or the latest published (single run).
+	collected metrics.Snapshot
 	// service, when set, computes the campaign-service view; it is called
 	// per request, outside mu.
 	service func() (ServiceView, []ServiceCampaign)
@@ -289,32 +269,12 @@ func (s *Server) OnJobFinished(jr harness.JobResult) {
 
 // OnCollect merges whatever one finished job's probe carries — counter
 // registry, self-profiling registry, stage ledger — into the server's
-// aggregates; plug into Options.Collect. The probe is handed over by the worker
+// aggregate; plug into Options.Collect. The probe is handed over by the worker
 // after its run completes, so the merge races with nothing.
 func (s *Server) OnCollect(_ harness.Job, p *metrics.Probe) {
-	if p == nil {
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p.Reg != nil {
-		if s.reg == nil {
-			s.reg = metrics.NewRegistry(p.Reg.Epoch)
-		}
-		s.reg.Merge(p.Reg)
-	}
-	if p.Prof != nil {
-		if s.prof == nil {
-			s.prof = profile.NewRegistry(p.Prof.Epoch)
-		}
-		s.prof.Merge(p.Prof)
-	}
-	if t := p.WF.Totals(); t.Packets > 0 {
-		if s.wf == nil {
-			s.wf = &waterfall.Totals{}
-		}
-		s.wf.Add(t)
-	}
+	s.collected.Merge(p)
+	s.mu.Unlock()
 }
 
 // ServiceSource registers the function that computes the campaign-service
@@ -339,28 +299,13 @@ func (s *Server) serviceView() (*ServiceView, []ServiceCampaign) {
 	return &v, campaigns
 }
 
-// OnLive replaces the single-run view and registry snapshot; plug into
-// experiment's Instruments.Publish. The Live registry is already a clone
-// owned by the receiver.
+// OnLive replaces the single-run view and the collected snapshot; plug into
+// experiment's Instruments.Publish. The Live snapshot is already a copy owned
+// by the receiver.
 func (s *Server) OnLive(lv experiment.Live) {
 	s.mu.Lock()
-	s.run = &RunView{
-		Cycle:       int64(lv.Cycle),
-		Phase:       lv.Phase,
-		Tagged:      lv.Tagged,
-		Delivered:   lv.Delivered,
-		Packets:     lv.Packets,
-		MeanLatency: lv.MeanLatency,
-	}
-	if lv.Reg != nil {
-		s.reg = lv.Reg
-	}
-	if lv.Prof != nil {
-		s.prof = lv.Prof
-	}
-	if lv.Waterfall != nil {
-		s.wf = lv.Waterfall
-	}
+	s.run = &lv
+	s.collected = lv.Snapshot
 	s.mu.Unlock()
 }
 
@@ -372,22 +317,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		c := *s.campaign
 		snap.Campaign = &c
 	}
-	if s.run != nil {
-		r := *s.run
-		snap.Run = &r
-	}
-	if s.prof != nil {
-		snap.Profile = &ProfileView{
-			Activity:      s.prof.Activity(),
-			MemAllocBytes: s.prof.Mem.AllocBytes,
-			MemEpochs:     s.prof.Mem.Epochs,
-			Summary:       s.prof.Summary(),
-		}
-	}
-	if s.wf != nil {
-		wv := s.wf.View()
-		snap.Waterfall = &wv
-	}
+	snap.Run = s.run
+	snap.View = s.collected.View()
 	now := time.Now()
 	for k, started := range s.running {
 		jv := s.jobs[k]
@@ -423,87 +354,51 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// With no registry yet the exposition is just frfc_up — still valid
+	// With nothing collected yet the exposition is just frfc_up — still valid
 	// scrape output.
-	fmt.Fprintf(w, "# HELP frfc_up Status server is running.\n# TYPE frfc_up gauge\nfrfc_up 1\n")
+	e := topology.NewExposition(w)
+	e.Scalar("frfc_up", "gauge", "Status server is running.", 1)
 	if service != nil {
-		writeServiceMetrics(w, service, campaigns)
+		writeServiceMetrics(e, service, campaigns)
 	}
-	if s.reg != nil {
-		s.reg.WritePrometheus(w) //nolint:errcheck // client gone is not our problem
-	}
-	if s.prof != nil {
-		s.prof.WritePrometheus(w) //nolint:errcheck // client gone is not our problem
-	}
-	if s.wf != nil {
-		s.wf.View().WritePrometheus(w) //nolint:errcheck // client gone is not our problem
-	}
+	s.collected.WritePrometheus(w) //nolint:errcheck // client gone is not our problem
 }
 
-// writeServiceMetrics renders the campaign-service gauges in Prometheus
-// 0.0.4 text exposition: service-wide pool/queue/dedup accounting plus one
-// labelled series per campaign.
-func writeServiceMetrics(w io.Writer, v *ServiceView, campaigns []ServiceCampaign) {
-	g := func(name, help string, value int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, value)
-	}
-	g("frfc_service_workers", "Shared worker pool size.", int64(v.Workers))
-	g("frfc_service_campaigns", "Campaigns known to the daemon.", int64(v.Campaigns))
-	g("frfc_service_campaigns_active", "Campaigns queued or running.", int64(v.Active))
-	g("frfc_service_queue_depth", "Jobs queued across all campaigns.", int64(v.QueueDepth))
-	g("frfc_service_inflight", "Jobs executing right now.", int64(v.InFlight))
+// writeServiceMetrics renders the campaign-service gauges: service-wide
+// pool/queue/dedup accounting plus one labelled series per campaign.
+func writeServiceMetrics(e *topology.Exposition, v *ServiceView, campaigns []ServiceCampaign) {
+	g := func(name, help string, value any) { e.Scalar(name, "gauge", help, value) }
+	g("frfc_service_workers", "Shared worker pool size.", v.Workers)
+	g("frfc_service_campaigns", "Campaigns known to the daemon.", v.Campaigns)
+	g("frfc_service_campaigns_active", "Campaigns queued or running.", v.Active)
+	g("frfc_service_queue_depth", "Jobs queued across all campaigns.", v.QueueDepth)
+	g("frfc_service_inflight", "Jobs executing right now.", v.InFlight)
 	g("frfc_service_dedup_hits_total", "Result-database lookups served from cache.", v.DedupHits)
 	g("frfc_service_dedup_misses_total", "Result-database lookups that required simulation.", v.DedupMisses)
-	g("frfc_service_db_entries", "Distinct job hashes in the result database.", int64(v.DBEntries))
-	g("frfc_service_db_segments", "Segment files in the result database.", int64(v.DBSegments))
+	g("frfc_service_db_entries", "Distinct job hashes in the result database.", v.DBEntries)
+	g("frfc_service_db_segments", "Segment files in the result database.", v.DBSegments)
 	g("frfc_service_rejected_total", "Submissions refused by admission control.", v.Rejected)
-	g("frfc_service_quarantined_total", "Corrupt result lines isolated during recovery.", int64(v.DBQuarantined))
+	g("frfc_service_quarantined_total", "Corrupt result lines isolated during recovery.", v.DBQuarantined)
 	g("frfc_service_store_errors_total", "Result-database writes that failed.", v.StoreErrors)
-	g("frfc_service_stuck_campaigns", "Campaigns with work but no recent progress.", int64(v.StuckCampaigns))
-	ready := int64(0)
+	g("frfc_service_stuck_campaigns", "Campaigns with work but no recent progress.", v.StuckCampaigns)
+	ready := 0
 	if v.Ready {
 		ready = 1
 	}
 	g("frfc_service_ready", "1 while accepting submissions, 0 once draining.", ready)
-	for _, name := range []struct{ metric, help string }{
-		{"frfc_campaign_jobs", "Jobs in the campaign."},
-		{"frfc_campaign_done", "Jobs recorded (any outcome)."},
-		{"frfc_campaign_cached", "Jobs served from the result database."},
-		{"frfc_campaign_queue_depth", "Jobs still queued."},
+	for _, f := range []struct {
+		name, help string
+		of         func(*ServiceCampaign) int
+	}{
+		{"frfc_campaign_jobs", "Jobs in the campaign.", func(c *ServiceCampaign) int { return c.Jobs }},
+		{"frfc_campaign_done", "Jobs recorded (any outcome).", func(c *ServiceCampaign) int { return c.Done }},
+		{"frfc_campaign_cached", "Jobs served from the result database.", func(c *ServiceCampaign) int { return c.Cached }},
+		{"frfc_campaign_queue_depth", "Jobs still queued.", func(c *ServiceCampaign) int { return c.QueueDepth }},
 	} {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name.metric, name.help, name.metric)
-		for _, c := range campaigns {
-			var val int
-			switch name.metric {
-			case "frfc_campaign_jobs":
-				val = c.Jobs
-			case "frfc_campaign_done":
-				val = c.Done
-			case "frfc_campaign_cached":
-				val = c.Cached
-			case "frfc_campaign_queue_depth":
-				val = c.QueueDepth
-			}
-			fmt.Fprintf(w, "%s{campaign=\"%s\",name=\"%s\",state=\"%s\"} %d\n",
-				name.metric, escapeLabel(c.ID), escapeLabel(c.Name), escapeLabel(c.State), val)
+		e.Family(f.name, "gauge", f.help)
+		for i := range campaigns {
+			c := &campaigns[i]
+			e.Sample(topology.Labels("campaign", c.ID, "name", c.Name, "state", c.State), f.of(c))
 		}
 	}
-}
-
-// escapeLabel escapes a Prometheus label value (backslash, quote, newline).
-func escapeLabel(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
 }

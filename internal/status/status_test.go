@@ -126,7 +126,7 @@ func TestLiveRunView(t *testing.T) {
 	reg.Init(2)
 	reg.Nodes[0].Injected = 7
 	s.OnLive(experiment.Live{Cycle: 4096, Phase: "measure", Tagged: 50, Delivered: 20,
-		Packets: 20, MeanLatency: 31.5, Reg: reg})
+		Packets: 20, MeanLatency: 31.5, Snapshot: metrics.Snapshot{Reg: reg}})
 
 	_, body := get(t, "http://"+s.Addr()+"/status")
 	var snap Snapshot
@@ -135,6 +135,21 @@ func TestLiveRunView(t *testing.T) {
 	}
 	if snap.Run == nil || snap.Run.Phase != "measure" || snap.Run.Cycle != 4096 {
 		t.Fatalf("run view wrong: %+v", snap.Run)
+	}
+	// The block is the published Live as it marshals: these keys, this order,
+	// and nothing of the snapshot it carries.
+	if want := `
+  "run": {
+    "cycle": 4096,
+    "phase": "measure",
+    "tagged": 50,
+    "delivered": 20,
+    "packets": 20,
+    "meanLatency": 31.5
+  }
+}
+`; !strings.HasSuffix(body, want) {
+		t.Fatalf("/status does not end with the run block %s:\n%s", want, body)
 	}
 	_, body = get(t, "http://"+s.Addr()+"/metrics")
 	if !strings.Contains(body, `frfc_injected_flits_total{node="0",x="0",y="0"} 7`) {
@@ -145,6 +160,29 @@ func TestLiveRunView(t *testing.T) {
 	code, _ := get(t, "http://"+s.Addr()+"/")
 	if code != http.StatusOK { // after following the redirect
 		t.Fatalf("/ = %d", code)
+	}
+
+	// A scrape in the middle of a real run reads the cycle of the snapshot it
+	// is served from, on the counter registry as on the profile (frfc_cycles
+	// used to read 0 until the run was done).
+	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 300)
+	spec.MeshRadix = 4
+	var mid string
+	_, err = experiment.RunInstrumented(context.Background(), spec, 0.3, experiment.Instruments{
+		Probe:        metrics.NewProbe(0, true, true, false),
+		PublishEvery: 256,
+		Publish: func(lv experiment.Live) {
+			s.OnLive(lv)
+			if mid == "" && lv.Phase != "done" {
+				_, mid = get(t, "http://"+s.Addr()+"/metrics")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(mid, "\nfrfc_cycles 256\n") || !strings.Contains(mid, "\nfrfc_profile_cycles 256\n") {
+		t.Fatalf("mid-run /metrics does not read cycle 256 on both registries:\n%s", mid)
 	}
 }
 
@@ -261,7 +299,7 @@ func TestProfileBlock(t *testing.T) {
 	lp.Init(2)
 	lp.RouterTick(0, 0, 0, 1, 0)
 	lp.Cycles = 7
-	s.OnLive(experiment.Live{Cycle: 7, Phase: "warmup", Prof: lp})
+	s.OnLive(experiment.Live{Cycle: 7, Phase: "warmup", Snapshot: metrics.Snapshot{Prof: lp}})
 	_, body = get(t, "http://"+s.Addr()+"/status")
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)
@@ -542,7 +580,8 @@ func TestWaterfallBlock(t *testing.T) {
 	}
 
 	// A live publish replaces the campaign aggregate.
-	s.OnLive(experiment.Live{Cycle: 7, Phase: "measure", Waterfall: &waterfall.Totals{Packets: 1, Total: 9, Link: 9}})
+	s.OnLive(experiment.Live{Cycle: 7, Phase: "measure",
+		Snapshot: metrics.Snapshot{Waterfall: &waterfall.Totals{Packets: 1, Total: 9, Link: 9}}})
 	_, body = get(t, "http://"+s.Addr()+"/status")
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)

@@ -80,10 +80,7 @@ func (p *Point) HitRate() float64 {
 // totals is a snapshot of the registry's cumulative counters, used to turn
 // running totals into per-window deltas.
 type totals struct {
-	injected, ejected    int64
-	resHits, resMisses   int64
-	retries, unreachable int64
-	corrupt              int64
+	metrics.NodeMetrics        // every node's counters, summed
 	occSum, occCapCycles int64 // Σ gauge sums; Σ samples×capacity (bounded pools)
 }
 
@@ -91,13 +88,7 @@ func snapshot(reg *metrics.Registry) totals {
 	var t totals
 	for i := range reg.Nodes {
 		n := &reg.Nodes[i]
-		t.injected += n.Injected
-		t.ejected += n.Ejected
-		t.resHits += n.ResHits
-		t.resMisses += n.ResMisses
-		t.retries += n.Retries
-		t.unreachable += n.Unreachable
-		t.corrupt += n.Corrupt
+		t.Add(n)
 		for p := range n.Occ {
 			if g := &n.Occ[p]; g.Cap > 0 {
 				t.occSum += g.Sum
@@ -173,13 +164,13 @@ func (r *Recorder) record(now sim.Cycle, t totals, packets int64, meanLatency fl
 		Epoch:       r.idx,
 		Start:       r.lastCycle,
 		Cycles:      now - r.lastCycle,
-		Injected:    t.injected - r.last.injected,
-		Ejected:     t.ejected - r.last.ejected,
-		ResHits:     t.resHits - r.last.resHits,
-		ResMisses:   t.resMisses - r.last.resMisses,
-		Retries:     t.retries - r.last.retries,
-		Unreachable: t.unreachable - r.last.unreachable,
-		Corrupt:     t.corrupt - r.last.corrupt,
+		Injected:    t.Injected - r.last.Injected,
+		Ejected:     t.Ejected - r.last.Ejected,
+		ResHits:     t.ResHits - r.last.ResHits,
+		ResMisses:   t.ResMisses - r.last.ResMisses,
+		Retries:     t.Retries - r.last.Retries,
+		Unreachable: t.Unreachable - r.last.Unreachable,
+		Corrupt:     t.Corrupt - r.last.Corrupt,
 		Packets:     packets,
 		MeanLatency: meanLatency,
 	}

@@ -2,6 +2,11 @@
 // The paper evaluates an 8×8 two-dimensional mesh; the implementation is a
 // general k-ary 2-mesh so that tests can use smaller instances and users can
 // scale up.
+//
+// It also holds what every collector over a mesh shares, because both start
+// from the node id ↔ (x, y) mapping this package owns: Grid, the per-node
+// layout a collector embeds, and Exposition, the one writer of the
+// Prometheus text format with its node/x/y labels.
 package topology
 
 import "fmt"
@@ -95,7 +100,18 @@ func (m Mesh) Coord(id NodeID) Coord {
 	if int(id) < 0 || int(id) >= m.N() {
 		panic(fmt.Sprintf("topology: node %d out of range for %d-node mesh", id, m.N()))
 	}
-	return Coord{X: int(id) % m.k, Y: int(id) / m.k}
+	return CoordOf(int(id), m.k)
+}
+
+// CoordOf is the (column, row) of node id in a row-major layout radix nodes
+// wide: Coord for a holder that knows a radix but has no Mesh, such as a
+// collector labelling its nodes. A non-positive radix — a layout never sized —
+// puts every node on row 0.
+func CoordOf(id, radix int) Coord {
+	if radix <= 0 {
+		return Coord{X: id}
+	}
+	return Coord{X: id % radix, Y: id / radix}
 }
 
 // ID converts mesh coordinates to a NodeID. It panics on out-of-range

@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"frfc/internal/sim"
+	"frfc/internal/topology"
 )
 
 // Kind classifies one traced event.
@@ -285,7 +286,8 @@ func (t *Tracer) WriteChrome(w io.Writer, radix int, f Filter) error {
 	for _, id := range ids {
 		name := fmt.Sprintf("router %d", id)
 		if radix > 0 {
-			name = fmt.Sprintf("router %d (%d,%d)", id, int(id)%radix, int(id)/radix)
+			c := topology.CoordOf(int(id), radix)
+			name = fmt.Sprintf("router %d (%d,%d)", id, c.X, c.Y)
 		}
 		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":"%s"}}`, id, name)
 	}

@@ -64,9 +64,6 @@ func (n *Network) audit() error {
 		if ni.active != active || int(ni.creditsIn) != ni.creditIn.Len() {
 			return fmt.Errorf("NI %d: active %d creditsIn %d, slots say %d and the wire holds %d", id, ni.active, ni.creditsIn, active, ni.creditIn.Len())
 		}
-		if ni.qhead < 0 || ni.qhead > len(ni.queue) || (ni.qhead > 0 && ni.qhead == len(ni.queue)) {
-			return fmt.Errorf("NI %d: queue head %d of %d", id, ni.qhead, len(ni.queue))
-		}
 		if int(sink.flitsIn) != sink.data.Len() {
 			return fmt.Errorf("sink %d: flitsIn %d, the wire holds %d", id, sink.flitsIn, sink.data.Len())
 		}

@@ -185,7 +185,7 @@ func (n *Network) IntegrityCounts() (corrupted, crcRepaired, escaped int64) {
 // Offer implements noc.Network.
 func (n *Network) Offer(p *noc.Packet) {
 	n.offered++
-	n.nis[p.Src].offer(p)
+	n.nis[p.Src].queue.Push(p)
 }
 
 // Tick implements noc.Network: one cycle for every NI, router, and sink.
@@ -215,7 +215,7 @@ func (n *Network) Tick(now sim.Cycle) {
 func (n *Network) SourceQueueLen() int {
 	total := 0
 	for _, x := range n.nis {
-		total += x.queueLen()
+		total += x.queue.Len()
 	}
 	return total
 }
@@ -278,8 +278,8 @@ func (n *Network) DumpState() string {
 		}
 	}
 	for id, ni := range n.nis {
-		if ni.queueLen() > 0 || ni.active > 0 {
-			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, ni.queueLen(), ni.active, ni.credits)
+		if ni.queue.Len() > 0 || ni.active > 0 {
+			fmt.Fprintf(&b, "NI %d queue=%d active=%d credits=%v\n", id, ni.queue.Len(), ni.active, ni.credits)
 		}
 	}
 	return b.String()

@@ -165,32 +165,3 @@ func TestBufferUsageWithinCapacity(t *testing.T) {
 		}
 	}
 }
-
-// TestSourceQueueStaysFIFOAndBounded: the interface's source queue hands
-// packets back in offer order however offers and dequeues interleave, and a
-// queue that hovers around a few packets for a long time keeps a backing
-// array of that order, not one that grows with everything ever offered.
-func TestSourceQueueStaysFIFOAndBounded(t *testing.T) {
-	cfg := vc8()
-	x := newNI(0, &cfg, sim.NewRNG(1), &noc.Hooks{})
-	rng := sim.NewRNG(3)
-	next, want := noc.PacketID(0), noc.PacketID(0)
-	for step := 0; step < 20000; step++ {
-		// Hover between 1 and 12 queued, never empty for long.
-		if x.queueLen() < 12 && (x.queueLen() < 2 || rng.Bool(0.5)) {
-			x.offer(&noc.Packet{ID: next})
-			next++
-		} else {
-			if got := x.dequeue().ID; got != want {
-				t.Fatalf("step %d: dequeued packet %d, want %d", step, got, want)
-			}
-			want++
-		}
-		if x.queueLen() != int(next-want) {
-			t.Fatalf("step %d: queueLen %d with %d offered and %d taken", step, x.queueLen(), next, want)
-		}
-	}
-	if cap(x.queue) > 64 {
-		t.Fatalf("a queue that never held more than 12 packets owns %d cells", cap(x.queue))
-	}
-}

@@ -27,10 +27,7 @@ type ni struct {
 	prof  *profile.Registry
 	wf    *waterfall.Ledger
 
-	// queue[qhead:] is the source queue, oldest first; offer reclaims the
-	// consumed front once it is half the slice, so a dequeue moves nothing.
-	queue  []*noc.Packet
-	qhead  int
+	queue  noc.SourceQueue
 	slots  []niSlot
 	active int // slots mid-injection
 
@@ -68,27 +65,6 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *n
 	}
 	return n
 }
-
-func (n *ni) offer(p *noc.Packet) {
-	if n.qhead > 0 && 2*n.qhead >= len(n.queue) {
-		live := copy(n.queue, n.queue[n.qhead:])
-		clear(n.queue[live:])
-		n.queue, n.qhead = n.queue[:live], 0
-	}
-	n.queue = append(n.queue, p)
-}
-
-// dequeue removes and returns the oldest queued packet.
-func (n *ni) dequeue() *noc.Packet {
-	p := n.queue[n.qhead]
-	n.queue[n.qhead] = nil
-	if n.qhead++; n.qhead == len(n.queue) {
-		n.queue, n.qhead = n.queue[:0], 0
-	}
-	return p
-}
-
-func (n *ni) queueLen() int { return len(n.queue) - n.qhead }
 
 func (n *ni) hasCredit(vc int) bool {
 	if n.cfg.SharedPool {
@@ -138,7 +114,7 @@ func (n *ni) Tick(now sim.Cycle) {
 	// FIFO injecting one packet at a time; SourceInterleave lifts that to
 	// one packet per local virtual channel.
 	for s := range n.slots {
-		if n.queueLen() == 0 {
+		if n.queue.Len() == 0 {
 			break
 		}
 		if n.slots[s].active {
@@ -151,7 +127,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.owned[s] {
 			continue
 		}
-		p := n.dequeue()
+		p := n.queue.Pop()
 		n.owned[s] = true
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {

@@ -32,6 +32,7 @@ import (
 
 	"frfc/internal/sim"
 	"frfc/internal/stats"
+	"frfc/internal/topology"
 	"frfc/internal/trace"
 )
 
@@ -83,9 +84,6 @@ func (s Stage) String() string {
 	}
 	return fmt.Sprintf("Stage(%d)", uint8(s))
 }
-
-// StageNames lists the stage names in timeline order, indexable by Stage.
-func StageNames() [NumStages]string { return stageNames }
 
 // state is the in-flight ledger entry for one sampled packet's head flit.
 type state struct {
@@ -507,22 +505,19 @@ func (l *Ledger) WriteCSV(w io.Writer) error {
 // WritePrometheus writes the view in Prometheus text exposition format under
 // the frfc_latency_stage_* namespace.
 func (v View) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("# HELP frfc_waterfall_packets Delivered packets folded into the latency waterfall.\n# TYPE frfc_waterfall_packets gauge\n")
-	fmt.Fprintf(bw, "frfc_waterfall_packets %d\n", v.Packets)
-	bw.WriteString("# HELP frfc_latency_stage_cycles_total Summed cycles attributed to each latency stage.\n# TYPE frfc_latency_stage_cycles_total gauge\n")
+	e := topology.NewExposition(w)
+	e.Scalar("frfc_waterfall_packets", "gauge", "Delivered packets folded into the latency waterfall.", v.Packets)
+	e.Family("frfc_latency_stage_cycles_total", "gauge", "Summed cycles attributed to each latency stage.")
 	for _, sv := range v.Stages {
-		fmt.Fprintf(bw, "frfc_latency_stage_cycles_total{stage=%q} %d\n", sv.Stage, sv.Cycles)
+		e.Sample(topology.Labels("stage", sv.Stage), sv.Cycles)
 	}
-	bw.WriteString("# HELP frfc_latency_stage_mean Mean cycles per packet attributed to each latency stage.\n# TYPE frfc_latency_stage_mean gauge\n")
+	e.Family("frfc_latency_stage_mean", "gauge", "Mean cycles per packet attributed to each latency stage.")
 	for _, sv := range v.Stages {
-		fmt.Fprintf(bw, "frfc_latency_stage_mean{stage=%q} %s\n", sv.Stage, promFloat(sv.Mean))
+		e.Sample(topology.Labels("stage", sv.Stage), sv.Mean)
 	}
-	return bw.Flush()
+	return e.Err()
 }
 
 // jsonFloat renders a float for JSON without exponent surprises for the
 // common small values.
 func jsonFloat(f float64) string { return strconv.FormatFloat(f, 'g', 8, 64) }
-
-func promFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

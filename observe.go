@@ -9,6 +9,7 @@ import (
 	"frfc/internal/profile"
 	"frfc/internal/sim"
 	"frfc/internal/timeseries"
+	"frfc/internal/topology"
 	"frfc/internal/trace"
 )
 
@@ -112,7 +113,7 @@ func (o *Observer) WriteMetricsJSON(w io.Writer) error {
 	if err := o.needMetrics(); err != nil {
 		return err
 	}
-	return o.probe.Reg.WriteJSON(w)
+	return topology.WriteJSON(w, o.probe.Reg)
 }
 
 // WriteOccupancyCSV exports the k×k mean-buffer-occupancy heatmap (one row
@@ -148,7 +149,7 @@ func (o *Observer) WriteProfileJSON(w io.Writer) error {
 	if err := o.needProfile(); err != nil {
 		return err
 	}
-	return o.probe.Prof.WriteJSON(w)
+	return topology.WriteJSON(w, o.probe.Prof)
 }
 
 // WriteIdleCSV exports the k×k idle-fraction heatmap: per node, the fraction
