@@ -1,8 +1,6 @@
 package frfc
 
 import (
-	"fmt"
-
 	"frfc/internal/experiment"
 	"frfc/internal/sim"
 )
@@ -10,22 +8,10 @@ import (
 // ChaosPoint is one row of a ChaosSweep: a flit-reservation network run under
 // a deterministically generated chaos campaign — composed soft loss, bit
 // errors, link flaps, mid-run corruption spikes and (at high intensity)
-// router kills — until every offered packet's fate is resolved. Of the
-// ledger, Unreachable counts packets a router kill disconnected.
-type ChaosPoint struct {
-	Intensity float64
-	Seed      uint64
-	// Events is how many scheduled fault events the campaign expanded to.
-	Events int
-	Resolved
-}
-
-// String renders the point as one sweep row.
-func (p ChaosPoint) String() string {
-	return fmt.Sprintf("intensity=%.2f events=%2d delivered=%6.2f%%  unreachable=%3d  dropped=%4d  corrupted=%5d  escapes=%3d  retried=%4d",
-		p.Intensity, p.Events, p.DeliveredFraction()*100, p.Unreachable,
-		p.DroppedFlits, p.Corrupted, p.CorruptEscapes, p.Retried)
-}
+// router kills — until every offered packet's fate is resolved. Events is how
+// many scheduled fault events the campaign expanded to; of the ledger,
+// Unreachable counts packets a router kill disconnected.
+type ChaosPoint = experiment.ChaosPoint
 
 // ChaosSweepOptions parameterizes a ChaosSweep. Zero fields take defaults:
 // the ResolveOptions defaults (600 packets per row), intensities
@@ -59,7 +45,5 @@ func ChaosSweep(o ChaosSweepOptions) ([]ChaosPoint, error) {
 		ResolveOptions: o.internal(), Intensities: o.Intensities, Horizon: sim.Cycle(o.Horizon),
 		ChaosSeed: o.ChaosSeed, DisableE2E: o.DisableE2E,
 	}.Cells()
-	return sweepCells(o.ResolveOptions, cells, func(p experiment.ChaosPoint) ChaosPoint {
-		return ChaosPoint{Intensity: p.Intensity, Seed: p.Seed, Events: p.Events, Resolved: resolvedOf(p.Resolved)}
-	})
+	return sweepCells(o.ResolveOptions, cells)
 }

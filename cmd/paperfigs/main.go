@@ -13,7 +13,7 @@
 //
 // plus the Section 4.2 buffer-occupancy statistic and the Section 5
 // ablations (all-or-nothing scheduling, VC shared pool, eager buffer
-// allocation).
+// allocation, wide control flits).
 //
 // Usage:
 //
@@ -30,130 +30,143 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"frfc"
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
-	"frfc/internal/overhead"
 	"frfc/internal/sim"
 )
 
-var (
-	scaleFlag   = flag.String("scale", "quick", "measurement effort: quick, standard, or full (paper protocol)")
-	workersFlag = flag.Int("workers", 0, "worker pool size for the sweeps (0 = NumCPU); any count yields identical output")
-)
+// scales maps -scale to the measurement effort every simulated part runs at.
+var scales = map[string]func(experiment.Spec) experiment.Spec{
+	"quick":    func(s experiment.Spec) experiment.Spec { return s.Scaled(3000, 2000) },
+	"standard": func(s experiment.Spec) experiment.Spec { return s.Scaled(10000, 5000) },
+	"full":     experiment.Spec.PaperScale,
+}
 
-func pool() harness.Options { return harness.Options{Workers: *workersFlag} }
-
-func scaled(s experiment.Spec) experiment.Spec {
-	switch *scaleFlag {
-	case "quick":
-		return s.Scaled(3000, 2000)
-	case "standard":
-		return s.Scaled(10000, 5000)
-	case "full":
-		return s.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "paperfigs: unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
-		return s
-	}
+// figs is one invocation: where the parts print, the scale they measure at
+// and the pool the sweeps and Table 3 fan out over.
+type figs struct {
+	w      io.Writer
+	scaled func(experiment.Spec) experiment.Spec
+	pool   harness.Options
 }
 
 func main() {
-	var (
-		fig   = flag.Int("fig", 0, "regenerate one figure (5-9)")
-		table = flag.Int("table", 0, "regenerate one table (1-3)")
-		extra = flag.String("extra", "", "extra experiment: occupancy, ablations")
-		all   = flag.Bool("all", false, "regenerate everything")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	ran := false
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paperfigs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		scale   = fs.String("scale", "quick", "measurement effort: quick, standard, or full (paper protocol)")
+		workers = fs.Int("workers", 0, "worker pool size for the sweeps (0 = NumCPU); any count yields identical output")
+		fig     = fs.Int("fig", 0, "regenerate one figure (5-9)")
+		table   = fs.Int("table", 0, "regenerate one table (1-3)")
+		extra   = fs.String("extra", "", "extra experiment: occupancy, ablations")
+		all     = fs.Bool("all", false, "regenerate everything")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "paperfigs: "+format+"\n", a...)
+		return 2
+	}
+	f := figs{w: stdout, scaled: scales[*scale], pool: harness.Options{Workers: *workers}}
+	switch {
+	case f.scaled == nil:
+		return fail("-scale %q: want quick, standard or full", *scale)
+	case *fig != 0 && (*fig < 5 || *fig > 9):
+		return fail("-fig %d: want 5-9", *fig)
+	case *table != 0 && (*table < 1 || *table > 3):
+		return fail("-table %d: want 1-3", *table)
+	case *extra != "" && *extra != "occupancy" && *extra != "ablations":
+		return fail("-extra %q: want occupancy or ablations", *extra)
+	case !*all && *fig == 0 && *table == 0 && *extra == "":
+		fs.Usage()
+		return 2
+	}
+
 	for _, part := range []struct {
 		selected bool
-		run      func()
+		run      func(figs) error
 	}{
-		{*table == 1, table1}, {*table == 2, table2},
-		{*fig == 5, figure5}, {*fig == 6, figure6}, {*fig == 7, figure7}, {*fig == 8, figure8}, {*fig == 9, figure9},
-		{*table == 3, table3},
-		{*extra == "occupancy", occupancy}, {*extra == "ablations", ablations},
+		{*table == 1, figs.table1}, {*table == 2, figs.table2},
+		{*fig == 5, figs.figure5}, {*fig == 6, figs.figure6}, {*fig == 7, figs.figure7}, {*fig == 8, figs.figure8}, {*fig == 9, figs.figure9},
+		{*table == 3, figs.table3},
+		{*extra == "occupancy", figs.occupancy}, {*extra == "ablations", figs.ablations},
 	} {
-		if *all || part.selected {
-			part.run()
-			ran = true
+		if !*all && !part.selected {
+			continue
+		}
+		if err := part.run(f); err != nil {
+			fmt.Fprintf(stderr, "paperfigs: %v\n", err)
+			return 1
 		}
 	}
-	if !ran {
-		flag.Usage()
-		os.Exit(2)
-	}
+	return 0
 }
 
-func table1() {
-	fmt.Println("== Table 1: storage overhead (bits per node) ==")
-	type cfg struct {
-		name string
-		b    overhead.StorageBreakdown
-	}
-	cfgs := []cfg{
-		{"VC8", overhead.VCStorage(overhead.VCParams{FlitBits: 256, TypeBits: 2, DataBuffers: 8, VCs: 2, Ports: 5})},
-		{"VC16", overhead.VCStorage(overhead.VCParams{FlitBits: 256, TypeBits: 2, DataBuffers: 16, VCs: 4, Ports: 5})},
-		{"VC32", overhead.VCStorage(overhead.VCParams{FlitBits: 256, TypeBits: 2, DataBuffers: 32, VCs: 8, Ports: 5})},
-		{"FR6", overhead.FRStorage(overhead.FRParams{FlitBits: 256, TypeBits: 2, DataBuffers: 6, CtrlBuffers: 6, CtrlVCs: 2, Leads: 1, Horizon: 32, Ports: 5})},
-		{"FR13", overhead.FRStorage(overhead.FRParams{FlitBits: 256, TypeBits: 2, DataBuffers: 13, CtrlBuffers: 12, CtrlVCs: 4, Leads: 1, Horizon: 32, Ports: 5})},
-	}
-	fmt.Printf("%-8s %10s %8s %8s %8s %8s %10s %8s\n",
+func (f figs) table1() error {
+	fmt.Fprintln(f.w, "== Table 1: storage overhead (bits per node) ==")
+	fmt.Fprintf(f.w, "%-8s %10s %8s %8s %8s %8s %10s %8s\n",
 		"config", "data", "ctrl", "queueptr", "out-res", "in-res", "bits/node", "flits/ch")
-	for _, c := range cfgs {
-		fmt.Printf("%-8s %10d %8d %8d %8d %8d %10d %8.2f\n",
-			c.name, c.b.DataBuffers, c.b.CtrlBuffers, c.b.QueuePointers,
-			c.b.OutputResTable, c.b.InputResTable, c.b.BitsPerNode(), c.b.FlitsPerInput(256, 5))
+	for _, r := range frfc.StorageTable() {
+		fmt.Fprintf(f.w, "%-8s %10d %8d %8d %8d %8d %10d %8.2f\n",
+			r.Name, r.DataBuffers, r.CtrlBuffers, r.QueuePointers,
+			r.OutputResTable, r.InputResTable, r.BitsPerNode, r.FlitsPerChannel)
 	}
-	fmt.Println()
+	fmt.Fprintln(f.w)
+	return nil
 }
 
-func table2() {
-	fmt.Println("== Table 2: bandwidth overhead per data flit (bits) ==")
-	vcp := overhead.BandwidthParams{DestBits: 6, PacketLen: 5, VCs: 2}
-	frp := overhead.BandwidthParams{DestBits: 6, PacketLen: 5, VCs: 2, Leads: 1, Horizon: 32}
-	fmt.Printf("virtual channel : %.2f\n", overhead.VCBandwidthPerFlit(vcp))
-	fmt.Printf("flit reservation: %.2f\n", overhead.FRBandwidthPerFlit(frp))
-	fmt.Printf("FR penalty      : %.2f%% of a 256-bit flit\n\n", overhead.FRBandwidthPenalty(frp, vcp, 256)*100)
+func (f figs) table2() error {
+	fmt.Fprintln(f.w, "== Table 2: bandwidth overhead per data flit (bits) ==")
+	rows, penalty := frfc.BandwidthTable()
+	labels := map[string]string{"VC": "virtual channel", "FR": "flit reservation"}
+	for _, r := range rows {
+		fmt.Fprintf(f.w, "%-16s: %.2f\n", labels[r.Name], r.BitsPerFlit)
+	}
+	fmt.Fprintf(f.w, "%-16s: %.2f%% of a 256-bit flit\n\n", "FR penalty", penalty*100)
+	return nil
 }
 
-func sweepFig(title string, specs []experiment.Spec, loads []float64) {
-	fmt.Printf("== %s ==\n", title)
-	fmt.Printf("%-8s", "load%")
+func (f figs) sweepFig(title string, specs []experiment.Spec, loads []float64) error {
+	fmt.Fprintf(f.w, "== %s ==\n", title)
+	fmt.Fprintf(f.w, "%-8s", "load%")
 	for _, s := range specs {
-		fmt.Printf(" %14s", s.Name)
+		fmt.Fprintf(f.w, " %14s", s.Name)
 	}
-	fmt.Println()
+	fmt.Fprintln(f.w)
 	toRun := make([]experiment.Spec, len(specs))
 	for i, s := range specs {
-		toRun[i] = scaled(s)
+		toRun[i] = f.scaled(s)
 	}
-	rows, err := harness.SweepSpecs(context.Background(), toRun, loads, harness.SweepOptions{Options: pool()})
+	rows, err := harness.SweepSpecs(context.Background(), toRun, loads, harness.SweepOptions{Options: f.pool})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "paperfigs: %s: %v\n", title, err)
-		os.Exit(1)
+		return fmt.Errorf("%s: %w", title, err)
 	}
 	for j, l := range loads {
-		fmt.Printf("%-8.1f", l*100)
+		fmt.Fprintf(f.w, "%-8.1f", l*100)
 		for i := range specs {
 			jr := rows[i][j]
 			switch {
 			case jr.Err != "":
-				fmt.Printf(" %14s", "failed")
+				fmt.Fprintf(f.w, " %14s", "failed")
 			case jr.Result.Saturated:
-				fmt.Printf(" %14s", "saturated")
+				fmt.Fprintf(f.w, " %14s", "saturated")
 			default:
-				fmt.Printf(" %14.2f", jr.Result.AvgLatency)
+				fmt.Fprintf(f.w, " %14.2f", jr.Result.AvgLatency)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(f.w)
 	}
-	fmt.Println()
+	fmt.Fprintln(f.w)
+	return nil
 }
 
 // loadsTo is the figures' load axis: 10% of capacity to hi in steps of 5%.
@@ -175,15 +188,15 @@ func configs(wiring string, pktLen int, names ...string) []experiment.Spec {
 	return specs
 }
 
-func figure5() {
-	sweepFig("Figure 5: 5-flit packets, fast control", configs("fast", 5, "VC8", "VC16", "FR6", "FR13"), loadsTo(0.90))
+func (f figs) figure5() error {
+	return f.sweepFig("Figure 5: 5-flit packets, fast control", configs("fast", 5, "VC8", "VC16", "FR6", "FR13"), loadsTo(0.90))
 }
 
-func figure6() {
-	sweepFig("Figure 6: 21-flit packets, fast control", configs("fast", 21, "VC16", "VC32", "FR6", "FR13"), loadsTo(0.80))
+func (f figs) figure6() error {
+	return f.sweepFig("Figure 6: 21-flit packets, fast control", configs("fast", 21, "VC16", "VC32", "FR6", "FR13"), loadsTo(0.80))
 }
 
-func figure7() {
+func (f figs) figure7() error {
 	var specs []experiment.Spec
 	for _, h := range []sim.Cycle{16, 32, 64, 128} {
 		s := experiment.FR6(experiment.FastControl, 5)
@@ -191,26 +204,28 @@ func figure7() {
 		s.FR.Horizon = h
 		specs = append(specs, s)
 	}
-	sweepFig("Figure 7: FR6 scheduling horizon 16-128 cycles", specs, loadsTo(0.85))
+	return f.sweepFig("Figure 7: FR6 scheduling horizon 16-128 cycles", specs, loadsTo(0.85))
 }
 
-func figure8() {
-	sweepFig("Figure 8: FR6 leading control, leads of 1, 2, 4 cycles",
+func (f figs) figure8() error {
+	return f.sweepFig("Figure 8: FR6 leading control, leads of 1, 2, 4 cycles",
 		configs("leading", 5, "FR6-lead1", "FR6-lead2", "FR6-lead4"), loadsTo(0.85))
 }
 
-func figure9() {
-	fr13 := experiment.FRSpec("FR13-lead1", experiment.LeadingControl, 13, 4, 1, 5)
-	sweepFig("Figure 9: 1-cycle leading control vs virtual channels (1-cycle wires)",
-		[]experiment.Spec{
-			experiment.FRLead(1, 5),
-			fr13,
-			experiment.VC8(experiment.LeadingControl, 5),
-			experiment.VC16(experiment.LeadingControl, 5),
-		}, loadsTo(0.85))
+// leading is the 1-cycle-wire group Figure 9 and Table 3 share: FR with a
+// 1-cycle control lead against the three VC configurations.
+func leading() []experiment.Spec {
+	return append([]experiment.Spec{
+		experiment.FRLead(1, 5),
+		experiment.FRSpec("FR13-lead1", experiment.LeadingControl, 13, 4, 1, 5),
+	}, configs("leading", 5, "VC8", "VC16", "VC32")...)
 }
 
-func table3() {
+func (f figs) figure9() error {
+	return f.sweepFig("Figure 9: 1-cycle leading control vs virtual channels (1-cycle wires)", leading()[:4], loadsTo(0.85))
+}
+
+func (f figs) table3() error {
 	o := experiment.SaturationOptions{Resolution: 0.02}
 	groups := []struct {
 		title string
@@ -218,52 +233,48 @@ func table3() {
 	}{
 		{"fast control, 5-flit packets", configs("fast", 5, "FR6", "FR13", "VC8", "VC16", "VC32")},
 		{"fast control, 21-flit packets", configs("fast", 21, "FR6", "FR13", "VC8", "VC16", "VC32")},
-		{"leading control, 5-flit packets", []experiment.Spec{
-			experiment.FRLead(1, 5),
-			experiment.FRSpec("FR13-lead1", experiment.LeadingControl, 13, 4, 1, 5),
-			experiment.VC8(experiment.LeadingControl, 5),
-			experiment.VC16(experiment.LeadingControl, 5),
-			experiment.VC32(experiment.LeadingControl, 5),
-		}},
+		{"leading control, 5-flit packets", leading()},
 	}
-	fmt.Println("== Table 3: summary ==")
+	fmt.Fprintln(f.w, "== Table 3: summary ==")
 	for _, g := range groups {
 		specs := make([]experiment.Spec, len(g.specs))
 		for i, s := range g.specs {
-			specs[i] = scaled(s)
+			specs[i] = f.scaled(s)
 		}
-		rows, err := harness.SummarizeAll(context.Background(), specs, o, pool())
+		rows, err := harness.SummarizeAll(context.Background(), specs, o, f.pool)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: table 3: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("table 3: %w", err)
 		}
-		fmt.Print(experiment.FormatSummary(g.title, rows))
-		fmt.Println()
+		fmt.Fprint(f.w, experiment.FormatSummary(g.title, rows))
+		fmt.Fprintln(f.w)
 	}
+	return nil
 }
 
-func occupancy() {
-	fmt.Println("== Section 4.2: buffer-pool occupancy near saturation ==")
-	fr := experiment.Run(scaled(experiment.FR6(experiment.FastControl, 21)), 0.60)
-	vc := experiment.Run(scaled(experiment.VC8(experiment.FastControl, 21)), 0.52)
-	fmt.Printf("FR6 central pool full %.1f%% of cycles at 60%% load, its saturation edge (paper: ~40%%)\n", fr.PoolFullFraction*100)
-	fmt.Printf("VC8 central pool full %.1f%% of cycles at 52%% load, its saturation edge (paper: <5%%)\n\n", vc.PoolFullFraction*100)
+func (f figs) occupancy() error {
+	fmt.Fprintln(f.w, "== Section 4.2: buffer-pool occupancy near saturation ==")
+	fr := experiment.Run(f.scaled(experiment.FR6(experiment.FastControl, 21)), 0.60)
+	vc := experiment.Run(f.scaled(experiment.VC8(experiment.FastControl, 21)), 0.52)
+	fmt.Fprintf(f.w, "FR6 central pool full %.1f%% of cycles at 60%% load, its saturation edge (paper: ~40%%)\n", fr.PoolFullFraction*100)
+	fmt.Fprintf(f.w, "VC8 central pool full %.1f%% of cycles at 52%% load, its saturation edge (paper: <5%%)\n\n", vc.PoolFullFraction*100)
+	return nil
 }
 
-func ablations() {
-	fmt.Println("== Section 5 ablations ==")
+func (f figs) ablations() error {
+	fmt.Fprintln(f.w, "== Section 5 ablations ==")
+	fr6 := experiment.FR6(experiment.FastControl, 5)
 
 	// Per-flit vs all-or-nothing scheduling, with wide control flits
 	// (d=4) where the policies actually differ.
-	perFlit := experiment.FR6(experiment.FastControl, 5)
+	perFlit := fr6
 	perFlit.Name = "FR6-d4"
 	perFlit.FR.LeadsPerCtrl = 4
 	aon := perFlit
 	aon.Name = "FR6-d4-AoN"
 	aon.FR.AllOrNothing = true
 	for _, s := range []experiment.Spec{perFlit, aon} {
-		r := experiment.Run(scaled(s), 0.65)
-		fmt.Printf("%-12s latency at 65%% load: %8.2f cycles (saturated=%v)\n", s.Name, r.AvgLatency, r.Saturated)
+		r := experiment.Run(f.scaled(s), 0.65)
+		fmt.Fprintf(f.w, "%-12s latency at 65%% load: %8.2f cycles (saturated=%v)\n", s.Name, r.AvgLatency, r.Saturated)
 	}
 
 	// Virtual channels with a shared buffer pool [TamFra92]: the paper
@@ -272,8 +283,27 @@ func ablations() {
 	vp := vq
 	vp.Name = "VC8-pooled"
 	vp.VC.SharedPool = true
-	o := experiment.SaturationOptions{Resolution: 0.02}
-	fmt.Printf("%-12s saturation: %4.0f%% of capacity\n", vq.Name, experiment.SaturationThroughput(scaled(vq), o)*100)
-	fmt.Printf("%-12s saturation: %4.0f%% of capacity (paper: no improvement)\n", vp.Name, experiment.SaturationThroughput(scaled(vp), o)*100)
-	fmt.Println()
+	sat := func(s experiment.Spec) float64 {
+		return experiment.SaturationThroughput(f.scaled(s), experiment.SaturationOptions{Resolution: 0.02}) * 100
+	}
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity\n", vq.Name, sat(vq))
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (paper: no improvement)\n", vp.Name, sat(vp))
+
+	// Eager vs deferred buffer allocation (Figure 10): a shadow ledger
+	// replays the executed schedule under allocate-at-reservation-time and
+	// counts the buffer-to-buffer transfers that policy would force; the
+	// executed deferred policy never needs one.
+	eager := fr6
+	eager.Name = "FR6-eager"
+	eager.FR.TrackEagerTransfers = true
+	r := experiment.Run(f.scaled(eager), 0.70)
+	fmt.Fprintf(f.w, "%-12s transfers at 70%% load: %.2f per 1000 residencies (%d of %d; deferred: 0)\n",
+		eager.Name, 1000*float64(r.EagerTransfers)/float64(r.EagerResidencies), r.EagerTransfers, r.EagerResidencies)
+
+	// Wide control flits: one control flit leading d=4 data flits saves
+	// control bandwidth at the cost of coarser admission.
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=1)\n", fr6.Name, sat(fr6))
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=4)\n", perFlit.Name, sat(perFlit))
+	fmt.Fprintln(f.w)
+	return nil
 }

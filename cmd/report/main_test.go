@@ -16,7 +16,7 @@ func storeLine(hash, spec string, load float64, result string) string {
 	return fmt.Sprintf(`{"hash":%q,"spec":%q,"load":%g,"result":%s}`, hash, spec, load, result)
 }
 
-func writeFixtures(t *testing.T, dir string) (store, bench, baseline, benchJSON string) {
+func writeFixtures(t *testing.T, dir string) (store string) {
 	t.Helper()
 	store = filepath.Join(dir, "campaign.jsonl")
 	lines := []string{
@@ -35,41 +35,21 @@ func writeFixtures(t *testing.T, dir string) (store, bench, baseline, benchJSON 
 	if err := os.WriteFile(store, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	bench = filepath.Join(dir, "latest.txt")
-	os.WriteFile(bench, []byte(`goos: linux
-goarch: amd64
-pkg: frfc
-BenchmarkTable1StorageOverhead   	       1	     20000 ns/op	         1.020 ratio
-BenchmarkProfileDisabledOverhead 	       1	      9000 ns/op	         0.400 overhead-pct
-PASS
-`), 0o644)
-
-	baseline = filepath.Join(dir, "baseline.txt")
-	os.WriteFile(baseline, []byte(`goos: linux
-BenchmarkTable1StorageOverhead   	       1	     25000 ns/op
-PASS
-`), 0o644)
-
-	benchJSON = filepath.Join(dir, "latest.json")
-	os.WriteFile(benchJSON, []byte(`{
-  "BenchmarkTable1StorageOverhead": {"nsPerOp": 20000, "bytesPerOp": 512, "allocsPerOp": 7}
-}`), 0o644)
-	return store, bench, baseline, benchJSON
+	return store
 }
 
 // TestReportDeterministicAndComplete regenerates the report twice and checks
 // it is byte-identical, with the cross-substrate table, fault columns,
-// profiling summary and bench deltas all present.
+// waterfall and profiling summary all present.
 func TestReportDeterministicAndComplete(t *testing.T) {
 	dir := t.TempDir()
-	store, bench, baseline, benchJSON := writeFixtures(t, dir)
+	store := writeFixtures(t, dir)
 	out1 := filepath.Join(dir, "BENCHMARK.md")
 	out2 := filepath.Join(dir, "BENCHMARK2.md")
 
 	// The fixture carries a deliberately undecodable line, so these runs
 	// need -lenient; strict mode is covered by TestReportStrictMalformed.
-	args := []string{"-lenient", "-bench", bench, "-baseline", baseline, "-bench-json", benchJSON}
+	args := []string{"-lenient"}
 	var stdout, stderr bytes.Buffer
 	if code := run(append(args, "-out", out1, store), &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
@@ -109,9 +89,6 @@ func TestReportDeterministicAndComplete(t *testing.T) {
 		"2 of 3 points carried activity accounting",
 		"Idle component ticks: 66.7% (3000 active of 9000 total)",
 		"sched 10.0%, arb 30.0%, switch 50.0%, credit 10.0%",
-		"## Benchmarks",
-		"| BenchmarkTable1StorageOverhead | 25000 | 20000 | -20.0% | 512 | 7 |",
-		"| BenchmarkProfileDisabledOverhead | — | 9000 | — | — | — |",
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("report missing %q:\n%s", want, got)
@@ -124,7 +101,7 @@ func TestReportDeterministicAndComplete(t *testing.T) {
 
 func TestReportStdoutAndErrors(t *testing.T) {
 	dir := t.TempDir()
-	store, _, _, _ := writeFixtures(t, dir)
+	store := writeFixtures(t, dir)
 
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-lenient", store}, &stdout, &stderr); code != 0 {
@@ -146,6 +123,14 @@ func TestReportStdoutAndErrors(t *testing.T) {
 	if code := run([]string{filepath.Join(dir, "missing.jsonl")}, &stdout, &stderr); code != 2 {
 		t.Fatalf("missing-store exit = %d", code)
 	}
+
+	// The benchmark-log section and its three flags are gone: bench/ is the
+	// one benchmark system.
+	for _, flag := range []string{"-bench", "-baseline", "-bench-json"} {
+		if code := run([]string{flag, "x", store}, &stdout, &stderr); code != 2 {
+			t.Fatalf("%s exit = %d, want 2", flag, code)
+		}
+	}
 }
 
 // TestReportStrictMalformed checks the default strict mode: a store with an
@@ -153,7 +138,7 @@ func TestReportStdoutAndErrors(t *testing.T) {
 // 1-based line number, and no report is written.
 func TestReportStrictMalformed(t *testing.T) {
 	dir := t.TempDir()
-	store, _, _, _ := writeFixtures(t, dir) // bad line is physical line 4
+	store := writeFixtures(t, dir) // bad line is physical line 4
 	out := filepath.Join(dir, "BENCHMARK.md")
 
 	var stdout, stderr bytes.Buffer

@@ -66,7 +66,11 @@ func TestFaultModesGolden(t *testing.T) {
 // point per mode. Text or CSV, the row is named on stderr and the exit code is
 // 1 (-faults used to print WEDGED and exit 0); the text form marks the row.
 func TestWedgedRowExitsOneInEveryMode(t *testing.T) {
-	ledger := func(wedged bool) frfc.Resolved { return frfc.Resolved{Offered: 10, Delivered: 9, Wedged: wedged} }
+	ledger := func(wedged bool) frfc.Resolved {
+		l := frfc.Resolved{Wedged: wedged}
+		l.Offered, l.Delivered = 10, 9
+		return l
+	}
 	for _, tc := range []struct {
 		mode  string
 		table func(wedged bool) table

@@ -650,7 +650,7 @@ func integrityTable(points []frfc.IntegrityPoint) table {
 		t.add(p, p.Wedged, fmt.Sprintf("integrity cell ber=%g e2e=%v", p.BER, p.E2ECheck),
 			fmt.Sprintf("%g,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
 				p.BER, p.CrcBits, p.E2ECheck, p.Offered, p.Delivered, p.Abandoned,
-				p.Corrupted, p.CrcDetected, p.CorruptEscapes,
+				p.CorruptedFlits, p.CrcDetected, p.CorruptEscapes,
 				p.PhantomReservations, p.ReclaimedSlots, p.Retried, p.AvgLatency))
 	}
 	return t
@@ -668,7 +668,7 @@ func chaosTable(points []frfc.ChaosPoint) table {
 		t.add(p, p.Wedged, fmt.Sprintf("chaos campaign intensity=%g", p.Intensity),
 			fmt.Sprintf("%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
 				p.Intensity, p.Seed, p.Events, p.Offered, p.Delivered, p.Abandoned,
-				p.Unreachable, p.DroppedFlits, p.Corrupted, p.CrcDetected,
+				p.Unreachable, p.DroppedFlits, p.CorruptedFlits, p.CrcDetected,
 				p.CorruptEscapes, p.PhantomReservations, p.ReclaimedSlots,
 				p.Retried, p.AvgLatency))
 	}

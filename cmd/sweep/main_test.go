@@ -71,13 +71,15 @@ func (s *syncBuffer) String() string {
 }
 
 // TestStatusServerByteIdenticalOutput is the acceptance criterion: a sweep run
-// with -status-addr must print byte-identical results to one without, and its
-// /status and /metrics endpoints must answer while the campaign runs.
+// with -status-addr must print byte-identical results and write a
+// byte-identical store to one without, and its /status and /metrics endpoints
+// must answer while the campaign runs.
 func TestStatusServerByteIdenticalOutput(t *testing.T) {
-	args := sweepArgs("-workers", "1")
+	dir := t.TempDir()
+	bareStore, servedStore := filepath.Join(dir, "bare.jsonl"), filepath.Join(dir, "served.jsonl")
 
 	var bare, bareErr bytes.Buffer
-	if code := run(args, &bare, &bareErr); code != 0 {
+	if code := run(sweepArgs("-workers", "1", "-out", bareStore), &bare, &bareErr); code != 0 {
 		t.Fatalf("bare run exit %d: %s", code, bareErr.String())
 	}
 
@@ -85,7 +87,7 @@ func TestStatusServerByteIdenticalOutput(t *testing.T) {
 	stderr := &syncBuffer{}
 	done := make(chan int, 1)
 	go func() {
-		done <- run(append(append([]string(nil), args...), "-status-addr", "127.0.0.1:0"), &served, stderr)
+		done <- run(sweepArgs("-workers", "1", "-out", servedStore, "-status-addr", "127.0.0.1:0"), &served, stderr)
 	}()
 
 	// The command announces the bound address on stderr before the campaign
@@ -158,6 +160,17 @@ func TestStatusServerByteIdenticalOutput(t *testing.T) {
 
 	if !bytes.Equal(bare.Bytes(), served.Bytes()) {
 		t.Errorf("-status-addr changed sweep output:\n--- bare\n%s--- served\n%s", bare.Bytes(), served.Bytes())
+	}
+	bareLines, err := os.ReadFile(bareStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedLines, err := os.ReadFile(servedStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bareLines) == 0 || !bytes.Equal(bareLines, servedLines) {
+		t.Errorf("-status-addr changed the store:\n--- bare\n%s--- served\n%s", bareLines, servedLines)
 	}
 }
 

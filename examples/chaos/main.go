@@ -42,7 +42,7 @@ func main() {
 		}
 		lo, hi := p.EscapeRateCI()
 		fmt.Printf("%-8.0e %-4s %9.2f%% %10d %9d %8d   [%.4f, %.4f]\n",
-			p.BER, e2e, p.DeliveredFraction()*100, p.Corrupted, p.CrcDetected,
+			p.BER, e2e, p.DeliveredFraction()*100, p.CorruptedFlits, p.CrcDetected,
 			p.CorruptEscapes, lo, hi)
 	}
 	fmt.Println()

@@ -10,7 +10,11 @@
 //
 // This example runs all five on the same 8x8 mesh with the same 5-flit
 // packets and fast-wire-era link timing, and prints base latency and
-// saturation throughput for each.
+// saturation throughput for each — then the paper's remark on circuit
+// switching (the substrate of wave switching), whose gains are "only
+// realizable if the circuit setup time can be amortized over many message
+// deliveries": its base latency against flit reservation's at 5 and at 64
+// flits a message.
 package main
 
 import (
@@ -44,6 +48,13 @@ func main() {
 		base := frfc.BaseLatency(s)
 		sat := frfc.SaturationThroughput(s, 0.02)
 		fmt.Printf("%-34s %9.1f cy %13.0f%%\n", labels[i], base, sat*100)
+	}
+	fmt.Println()
+	fmt.Println("Circuit setup against message length (base latency, circuit vs FR6):")
+	for _, flits := range []int{5, 64} {
+		cs := frfc.BaseLatency(frfc.CircuitSpec(frfc.FastControl, flits).WithSampling(300, 600))
+		fr := frfc.BaseLatency(frfc.FR6(frfc.FastControl, flits).WithSampling(300, 600))
+		fmt.Printf("%3d-flit messages %9.1f cy vs %6.1f cy (%+.0f%%)\n", flits, cs, fr, (cs-fr)/fr*100)
 	}
 	fmt.Println()
 	fmt.Println("Two trends, fifty years apart: finer-grained allocation cuts the")

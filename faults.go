@@ -1,32 +1,12 @@
 package frfc
 
-import (
-	"fmt"
-
-	"frfc/internal/experiment"
-)
+import "frfc/internal/experiment"
 
 // FaultPoint is one row of a FaultSweep: a flit-reservation network run at
-// one data-flit loss rate under one retry policy until every offered packet's
-// fate was resolved.
-type FaultPoint struct {
-	// DataFaultRate is the per-flit per-link loss probability of the row.
-	DataFaultRate float64
-	// RetryLimit is the retry budget the row ran with; 0 is the
-	// detection-only arm, where a lost packet stays lost.
-	RetryLimit int
-	Resolved
-}
-
-// String renders the point as one sweep row.
-func (p FaultPoint) String() string {
-	policy := "detect-only"
-	if p.RetryLimit > 0 {
-		policy = fmt.Sprintf("retry<=%d", p.RetryLimit)
-	}
-	return fmt.Sprintf("loss=%5.1f%%  %-11s delivered=%5.1f%%  retried=%4d  abandoned=%3d  latency=%8.2f",
-		p.DataFaultRate*100, policy, p.DeliveredFraction()*100, p.Retried, p.Abandoned, p.AvgLatency)
-}
+// one data-flit loss rate (DataFaultRate, per flit per link) under one retry
+// policy (RetryLimit; 0 is the detection-only arm) until every offered
+// packet's fate was resolved.
+type FaultPoint = experiment.FaultPoint
 
 // FaultSweepOptions parameterizes a FaultSweep. Zero fields take defaults:
 // the ResolveOptions defaults (400 packets per row), retry budget 8, and loss
@@ -47,8 +27,6 @@ func FaultSweep(o FaultSweepOptions) []FaultPoint {
 	cells := experiment.FaultSweepOptions{
 		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Rates: o.Rates,
 	}.Cells()
-	pts, _ := sweepCells(o.ResolveOptions, cells, func(p experiment.FaultPoint) FaultPoint {
-		return FaultPoint{DataFaultRate: p.DataFaultRate, RetryLimit: p.RetryLimit, Resolved: resolvedOf(p.Resolved)}
-	})
+	pts, _ := sweepCells(o.ResolveOptions, cells)
 	return pts
 }

@@ -23,7 +23,7 @@ func TestPublicIntegritySweep(t *testing.T) {
 		if p.E2ECheck && (p.Delivered != p.Offered || p.Abandoned != 0) {
 			t.Fatalf("ber=%g with e2e check delivered %d of %d", p.BER, p.Delivered, p.Offered)
 		}
-		if p.Corrupted == 0 {
+		if p.CorruptedFlits == 0 {
 			t.Fatalf("ber=%g corrupted nothing", p.BER)
 		}
 	}
@@ -53,7 +53,7 @@ func TestPublicChaosSweep(t *testing.T) {
 	if p.DeliveredFraction() < 0.99 {
 		t.Fatalf("moderate chaos delivered only %.2f%%", p.DeliveredFraction()*100)
 	}
-	if p.Events == 0 || p.DroppedFlits == 0 || p.Corrupted == 0 {
+	if p.Events == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
 		t.Fatalf("campaign exercised nothing: %+v", p)
 	}
 	o.Workers = 4

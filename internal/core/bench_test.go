@@ -14,7 +14,7 @@ import (
 //
 //	go test ./internal/core -run '^$' -bench . -benchmem -count 5
 //
-// (scripts/bench.sh -ladder does exactly that.)
+// (scripts/bench.sh does exactly that.)
 
 // uniformSource offers Bernoulli uniform-random 5-flit packets, the shape of
 // the fr-mid workload: rate 0.05 packets per node per cycle is load 0.50 on

@@ -22,6 +22,13 @@ type ChaosPoint struct {
 	Resolved
 }
 
+// String renders the point as one sweep row.
+func (p ChaosPoint) String() string {
+	return fmt.Sprintf("intensity=%.2f events=%2d delivered=%6.2f%%  unreachable=%3d  dropped=%4d  corrupted=%5d  escapes=%3d  retried=%4d",
+		p.Intensity, p.Events, p.DeliveredFraction()*100, p.Unreachable,
+		p.DroppedFlits, p.CorruptedFlits, p.CorruptEscapes, p.Retried)
+}
+
 // ChaosSweepOptions parameterizes a chaos sweep (600 packets per row by
 // default, so traffic spans the campaign's events).
 type ChaosSweepOptions struct {

@@ -12,11 +12,22 @@ import (
 // fate was resolved. Of the ledger, LostDetected counts loss events at
 // destinations (per attempt under retry).
 type FaultPoint struct {
+	// DataFaultRate is the per-flit per-link loss probability of the row.
 	DataFaultRate float64
 	// RetryLimit is the retry budget the row ran with; 0 is the
 	// detection-only arm, where a lost packet stays lost.
 	RetryLimit int
 	Resolved
+}
+
+// String renders the point as one sweep row.
+func (p FaultPoint) String() string {
+	policy := "detect-only"
+	if p.RetryLimit > 0 {
+		policy = fmt.Sprintf("retry<=%d", p.RetryLimit)
+	}
+	return fmt.Sprintf("loss=%5.1f%%  %-11s delivered=%5.1f%%  retried=%4d  abandoned=%3d  latency=%8.2f",
+		p.DataFaultRate*100, policy, p.DeliveredFraction()*100, p.Retried, p.Abandoned, p.AvgLatency)
 }
 
 // FaultSweepOptions parameterizes a fault sweep (400 packets per row by

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"frfc/internal/core"
+	"frfc/internal/stats"
 )
 
 // IntegrityPoint is one row of an integrity sweep: a flit-reservation network
@@ -20,6 +21,35 @@ type IntegrityPoint struct {
 	CrcBits  int
 	E2ECheck bool
 	Resolved
+}
+
+// EscapeRate is corrupted-payload escapes per offered packet — the silent-
+// corruption exposure. With the end-to-end check on, an escape is caught and
+// retried, so exposure does not imply wrong data was accepted; with it off,
+// every escape is accepted as-is.
+func (p IntegrityPoint) EscapeRate() float64 {
+	if p.Offered == 0 {
+		return 0
+	}
+	return float64(p.CorruptEscapes) / float64(p.Offered)
+}
+
+// EscapeRateCI is the 95% Wilson interval around EscapeRate. Escape counts
+// are single digits out of a few hundred offered packets, so the interval —
+// not the point estimate — is the honest statement of exposure; at zero
+// observed escapes it still has positive width (the rule of three).
+func (p IntegrityPoint) EscapeRateCI() (lo, hi float64) {
+	return stats.WilsonCI95(p.CorruptEscapes, p.Offered)
+}
+
+// String renders the point as one sweep row.
+func (p IntegrityPoint) String() string {
+	e2e := "off"
+	if p.E2ECheck {
+		e2e = "on"
+	}
+	return fmt.Sprintf("ber=%-7.0e e2e=%-3s delivered=%6.2f%%  corrupted=%5d  crc=%5d  escapes=%4d  retried=%4d",
+		p.BER, e2e, p.DeliveredFraction()*100, p.CorruptedFlits, p.CrcDetected, p.CorruptEscapes, p.Retried)
 }
 
 // IntegritySweepOptions parameterizes an integrity sweep (400 packets per row

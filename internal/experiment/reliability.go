@@ -38,6 +38,16 @@ type ReliabilityPoint struct {
 	LatencyRecovery float64
 }
 
+// String renders the point as one sweep row.
+func (p ReliabilityPoint) String() string {
+	rec := "-"
+	if p.LatencyRecovery > 0 {
+		rec = fmt.Sprintf("%.2f", p.LatencyRecovery)
+	}
+	return fmt.Sprintf("%-12s delivered=%5.1f%%  unreachable=%3d  dropped=%4d  retried=%4d  latency=%8.2f  recovery=%s",
+		p.Scenario, p.DeliveredFraction()*100, p.Unreachable, p.DroppedFlits, p.Retried, p.AvgLatency, rec)
+}
+
 // ReliabilitySweepOptions parameterizes a reliability sweep (600 packets per
 // row by default, so traffic spans the scenario's events).
 type ReliabilitySweepOptions struct {

@@ -47,15 +47,29 @@ func (o ResolveOptions) withDefaults(packets int, seed uint64) ResolveOptions {
 
 // Resolved is what one row of a resolved sweep reports once every offered
 // packet's fate is known: the recovery layer's ledger plus how the run went.
+// Of the ledger, Abandoned (packets given up on after exhausting the retry
+// budget) should stay zero under hard faults and under corruption: losses
+// either recover through retry or the hop CRC's loss path, or fail fast as
+// Unreachable.
 type Resolved struct {
 	core.RecoveryStats
 	// AvgLatency is the mean creation-to-delivery latency of the packets
 	// that made it, in cycles; retries inflate it.
 	AvgLatency float64
 	// Cycles is how long the run took to resolve everything.
-	Cycles sim.Cycle
+	Cycles int64
 	// Wedged is set if the no-progress watchdog fired — it never should.
 	Wedged bool
+}
+
+// DeliveredFraction is the end-to-end delivery probability of the row —
+// delivered over offered, counting fast-failed unreachable packets against
+// it.
+func (r Resolved) DeliveredFraction() float64 {
+	if r.Offered == 0 {
+		return 0
+	}
+	return float64(r.Delivered) / float64(r.Offered)
 }
 
 // Cell is one row of a resolved sweep, runnable on its own. Each cell owns its
@@ -127,6 +141,6 @@ func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), del
 
 	res.RecoveryStats = net.Recovery()
 	res.AvgLatency = lat.Mean()
-	res.Cycles = now
+	res.Cycles = int64(now)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"frfc/internal/sim"
 	"frfc/internal/traffic"
 )
 
@@ -191,5 +192,63 @@ func TestComparisonHoldsAcrossTrafficPatterns(t *testing.T) {
 			t.Errorf("%s: FR latency %.1f >= VC %.1f — the advantage should survive the pattern",
 				pattern.Name(), rf.AvgLatency, rv.AvgLatency)
 		}
+	}
+}
+
+// TestPaperShapesAtReducedScale holds the comparative structure of the paper's
+// results that no other tier-1 test asserts, on the tiny 4x4 scale: the
+// numbers cmd/paperfigs prints at 8x8 differ, the orderings and flatnesses do
+// not. (Figure 5, Table 3, the lineage, the eager ledger and Tables 1-2 have
+// tests of their own; DESIGN.md §4 indexes them.)
+func TestPaperShapesAtReducedScale(t *testing.T) {
+	sat := func(s Spec) float64 { return SaturationThroughput(tiny(s), SaturationOptions{Resolution: 0.05}) }
+	for _, shape := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		// Figure 7: a 16-cycle horizon lands within 15% of a 128-cycle one.
+		{"Figure7Horizon", func(t *testing.T) {
+			horizon := func(h sim.Cycle) float64 {
+				s := FR6(FastControl, 5)
+				s.FR.Horizon = h
+				return sat(s)
+			}
+			if s16, s128 := horizon(16), horizon(128); s16 < 0.85*s128 {
+				t.Errorf("saturation %.3f at horizon 16, %.3f at horizon 128", s16, s128)
+			}
+		}},
+		// Figure 8: saturation is independent of the control lead.
+		{"Figure8Lead", func(t *testing.T) {
+			lo, hi := 1.0, 0.0
+			for _, lead := range []sim.Cycle{1, 2, 4} {
+				s := sat(FRLead(lead, 5))
+				lo, hi = min(lo, s), max(hi, s)
+			}
+			if hi-lo > 0.10 {
+				t.Errorf("saturation spans %.3f to %.3f across leads 1, 2, 4; want within 10 points", lo, hi)
+			}
+		}},
+		// Figure 9: on 1-cycle wires FR6 with a 1-cycle lead beats VC8 under load.
+		{"Figure9LeadingVsVC", func(t *testing.T) {
+			fr := Run(tiny(FRLead(1, 5)), 0.50).AvgLatency
+			vc := Run(tiny(VC8(LeadingControl, 5)), 0.50).AvgLatency
+			if fr >= vc {
+				t.Errorf("latency at 50%% load: FR6-lead1 %.1f, VC8 %.1f", fr, vc)
+			}
+		}},
+		// Section 2: circuit setup only amortises over long messages.
+		{"CircuitAmortisation", func(t *testing.T) {
+			gap := func(pktLen int) float64 {
+				cs := BaseLatency(tiny(CircuitSpec("CS", FastControl, pktLen)))
+				fr := BaseLatency(tiny(FR6(FastControl, pktLen)))
+				return (cs - fr) / fr
+			}
+			if short, long := gap(5), gap(64); short <= 0 || long >= short {
+				t.Errorf("CS base latency over FR6's: %+.0f%% at 5 flits, %+.0f%% at 64; want slower at 5 and a smaller gap at 64",
+					short*100, long*100)
+			}
+		}},
+	} {
+		t.Run(shape.name, shape.check)
 	}
 }

@@ -40,13 +40,3 @@ func FormatSummary(title string, rows []SummaryRow) string {
 	}
 	return b.String()
 }
-
-// FormatSweep renders a latency-versus-offered-traffic series as text, one
-// line per load point — the textual analog of Figures 5 through 9.
-func FormatSweep(results []Result) string {
-	var b strings.Builder
-	for _, r := range results {
-		fmt.Fprintf(&b, "%s\n", r)
-	}
-	return b.String()
-}

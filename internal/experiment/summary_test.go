@@ -34,17 +34,6 @@ func TestFormatSummary(t *testing.T) {
 	}
 }
 
-func TestFormatSweep(t *testing.T) {
-	rs := []Result{
-		{Spec: "FR6", Load: 0.5, AvgLatency: 33.2, CI95: 0.4, AcceptedLoad: 0.5},
-		{Spec: "FR6", Load: 0.9, Saturated: true},
-	}
-	out := FormatSweep(rs)
-	if !strings.Contains(out, "SATURATED") || !strings.Contains(out, "33.2") {
-		t.Errorf("formatted sweep wrong:\n%s", out)
-	}
-}
-
 func TestResultString(t *testing.T) {
 	r := Result{Spec: "VC8", Load: 0.63, AvgLatency: 41.5, CI95: 0.3, AcceptedLoad: 0.62}
 	s := r.String()

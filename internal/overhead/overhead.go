@@ -1,9 +1,10 @@
 // Package overhead implements the analytic storage and bandwidth cost models
 // of Tables 1 and 2 of the paper. They matter twice: once as reproducible
-// artifacts (cmd/overhead regenerates both tables), and once inside the
-// experiment harness, which uses them to pick storage-matched configurations
-// and to debit flit-reservation throughput by its extra bandwidth, exactly as
-// the paper does when it reports "biased by the 2% additional bandwidth".
+// artifacts (`paperfigs -table 1` and `-table 2` regenerate them), and once
+// inside the experiment harness, which uses them to pick storage-matched
+// configurations and to debit flit-reservation throughput by its extra
+// bandwidth, exactly as the paper does when it reports "biased by the 2%
+// additional bandwidth".
 package overhead
 
 import "fmt"

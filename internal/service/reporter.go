@@ -89,7 +89,7 @@ func (r *Reporter) render() error {
 	if err != nil {
 		return err
 	}
-	out := report.Render([]report.Source{src}, nil)
+	out := report.Render([]report.Source{src})
 	tmp, err := os.CreateTemp(filepath.Dir(r.path), ".report-*")
 	if err != nil {
 		return err

@@ -1,7 +1,8 @@
-// Package sim provides the cycle-stepped simulation kernel used by every
-// network model in this repository: a deterministic clock, a component
-// registry ticked in fixed order, a seeded pseudo-random number generator,
-// and bandwidth-limited delay lines (pipes) that model pipelined wires.
+// Package sim provides the primitives every cycle-stepped network model in
+// this repository is built from: the cycle type, a seeded pseudo-random number
+// generator, and bandwidth-limited delay lines (pipes) that model pipelined
+// wires. Each Network ticks its own routers, interfaces and sinks, in a fixed
+// order, once per cycle.
 //
 // All inter-component communication travels through pipes with a latency of
 // at least one cycle, so the order in which components tick within a cycle
@@ -17,63 +18,3 @@ type Cycle int64
 // Never is a sentinel cycle value meaning "no time scheduled". It is far in
 // the past so comparisons such as departAt == now can never match it.
 const Never Cycle = -1 << 62
-
-// Component is anything advanced by the kernel once per cycle.
-type Component interface {
-	// Tick advances the component through cycle now. Implementations may
-	// read items that became ready at or before now from their input pipes
-	// and send items that will become visible no earlier than now+1.
-	Tick(now Cycle)
-}
-
-// Kernel steps a fixed set of components through simulated time. The zero
-// value is ready to use.
-type Kernel struct {
-	now        Cycle
-	components []Component
-}
-
-// Now reports the cycle the kernel will execute on its next Step. After a
-// Step, Now has advanced by one.
-func (k *Kernel) Now() Cycle { return k.now }
-
-// Register adds a component to the kernel. Components tick in registration
-// order, which is fixed for the lifetime of the kernel, keeping runs
-// reproducible.
-func (k *Kernel) Register(c Component) {
-	if c == nil {
-		panic("sim: Register called with nil component")
-	}
-	k.components = append(k.components, c)
-}
-
-// Step executes one cycle: every registered component ticks once at the
-// current time, then the clock advances.
-func (k *Kernel) Step() {
-	for _, c := range k.components {
-		c.Tick(k.now)
-	}
-	k.now++
-}
-
-// Run executes n cycles. It panics if n is negative.
-func (k *Kernel) Run(n Cycle) {
-	if n < 0 {
-		panic("sim: Run called with negative cycle count")
-	}
-	for i := Cycle(0); i < n; i++ {
-		k.Step()
-	}
-}
-
-// RunUntil steps the kernel until done reports true (checked before each
-// cycle) or limit cycles have elapsed, and reports whether done was reached.
-func (k *Kernel) RunUntil(done func() bool, limit Cycle) bool {
-	for i := Cycle(0); i < limit; i++ {
-		if done() {
-			return true
-		}
-		k.Step()
-	}
-	return done()
-}

@@ -216,15 +216,6 @@ func (p *Pipe[T]) grow() {
 	p.ring, p.head = ring, 0
 }
 
-// TrySend sends item if bandwidth allows and reports whether it did.
-func (p *Pipe[T]) TrySend(now Cycle, item T) bool {
-	if !p.CanSend(now) {
-		return false
-	}
-	p.Send(now, item)
-	return true
-}
-
 // Recv pops the oldest item whose delivery time has arrived (readyAt <= now).
 // The second result is false when nothing is ready.
 func (p *Pipe[T]) Recv(now Cycle) (item T, ok bool) {

@@ -42,14 +42,14 @@ func TestPipeFIFOWithinAndAcrossCycles(t *testing.T) {
 
 func TestPipeBandwidthLimit(t *testing.T) {
 	p := NewPipe[int](1, 2)
-	if !p.TrySend(5, 1) || !p.TrySend(5, 2) {
-		t.Fatal("pipe refused sends within its width")
+	for v := 1; v <= 2; v++ {
+		if !p.CanSend(5) {
+			t.Fatal("pipe refused sends within its width")
+		}
+		p.Send(5, v)
 	}
 	if p.CanSend(5) {
 		t.Fatal("CanSend true beyond width")
-	}
-	if p.TrySend(5, 3) {
-		t.Fatal("TrySend succeeded beyond width")
 	}
 	if !p.CanSend(6) {
 		t.Fatal("bandwidth not replenished on the next cycle")

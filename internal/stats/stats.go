@@ -161,12 +161,11 @@ func (r *RetryLatency) FirstTry() *LatencyStats { return r.firstTry }
 // Retried reports the accumulator for packets delivered after >= 1 retry.
 func (r *RetryLatency) Retried() *LatencyStats { return r.retried }
 
-// Throughput tracks flit injection and ejection counts over a measurement
-// window to compute accepted throughput.
+// Throughput tracks the flit ejection count over a measurement window to
+// compute accepted throughput.
 type Throughput struct {
 	startCycle sim.Cycle
 	endCycle   sim.Cycle
-	injected   int64
 	ejected    int64
 	open       bool
 }
@@ -183,22 +182,12 @@ func (t *Throughput) Close(now sim.Cycle) {
 	t.open = false
 }
 
-// CountInjected adds n injected flits if the window is open.
-func (t *Throughput) CountInjected(n int) {
-	if t.open {
-		t.injected += int64(n)
-	}
-}
-
 // CountEjected adds n ejected flits if the window is open.
 func (t *Throughput) CountEjected(n int) {
 	if t.open {
 		t.ejected += int64(n)
 	}
 }
-
-// Injected reports total injected flits in the window.
-func (t *Throughput) Injected() int64 { return t.injected }
 
 // Ejected reports total ejected flits in the window.
 func (t *Throughput) Ejected() int64 { return t.ejected }

@@ -13,7 +13,7 @@ import (
 //
 //	go test ./internal/vcrouter -run '^$' -bench . -benchmem -count 5
 //
-// (scripts/bench.sh -ladder does exactly that.)
+// (scripts/bench.sh does exactly that.)
 
 // vc8 is the paper's VC8 point under fast control, the vc-mid workload's
 // configuration.

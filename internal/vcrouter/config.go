@@ -8,7 +8,7 @@
 // The package also implements the shared-buffer-pool variant of [TamFra92]
 // (buffers of one input shared across its virtual channels), which Section 5
 // reports gives no throughput improvement — an ablation reproduced by
-// BenchmarkAblationVCSharedPool.
+// `paperfigs -extra ablations`.
 package vcrouter
 
 import (

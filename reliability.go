@@ -18,31 +18,10 @@ type ReliabilityScenario struct {
 
 // ReliabilityPoint is one row of a ReliabilitySweep: one scenario run to
 // full resolution, with graceful-degradation measurements split around the
-// outage.
-type ReliabilityPoint struct {
-	Scenario   string
-	RetryLimit int
-	Resolved
-
-	// The phase means split AvgLatency at the first fault and after the
-	// last scheduled event settles. LatencyRecovery is PostRecoveryLatency
-	// over PreFaultLatency — 1.0 is full recovery, 0 means a phase
-	// delivered nothing.
-	PreFaultLatency     float64
-	OutageLatency       float64
-	PostRecoveryLatency float64
-	LatencyRecovery     float64
-}
-
-// String renders the point as one sweep row.
-func (p ReliabilityPoint) String() string {
-	rec := "-"
-	if p.LatencyRecovery > 0 {
-		rec = fmt.Sprintf("%.2f", p.LatencyRecovery)
-	}
-	return fmt.Sprintf("%-12s delivered=%5.1f%%  unreachable=%3d  dropped=%4d  retried=%4d  latency=%8.2f  recovery=%s",
-		p.Scenario, p.DeliveredFraction()*100, p.Unreachable, p.DroppedFlits, p.Retried, p.AvgLatency, rec)
-}
+// outage. The phase means split AvgLatency at the first fault and after the
+// last scheduled event settles; LatencyRecovery is PostRecoveryLatency over
+// PreFaultLatency — 1.0 is full recovery, 0 means a phase delivered nothing.
+type ReliabilityPoint = experiment.ReliabilityPoint
 
 // ReliabilitySweepOptions parameterizes a ReliabilitySweep. Zero fields take
 // defaults: the ResolveOptions defaults (600 packets per row), retry budget 8,
@@ -81,11 +60,5 @@ func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
 			ro.Scenarios[i] = experiment.ReliabilityScenario{Name: sc.Name, Events: events}
 		}
 	}
-	return sweepCells(o.ResolveOptions, ro.Cells(), func(p experiment.ReliabilityPoint) ReliabilityPoint {
-		return ReliabilityPoint{
-			Scenario: p.Scenario, RetryLimit: p.RetryLimit, Resolved: resolvedOf(p.Resolved),
-			PreFaultLatency: p.PreFaultLatency, OutageLatency: p.OutageLatency,
-			PostRecoveryLatency: p.PostRecoveryLatency, LatencyRecovery: p.LatencyRecovery,
-		}
-	})
+	return sweepCells(o.ResolveOptions, ro.Cells())
 }
