@@ -175,3 +175,41 @@ func TestSmokeArtifactsAgree(t *testing.T) {
 		t.Fatalf("summary reports %d points, the file holds %d rows", sum.TimeSeriesPoints, len(rows)-1)
 	}
 }
+
+// summaryMem matches the host-dependent tail of the one-line profile summary
+// (bytes allocated per epoch, GC count), which both reports quote.
+var summaryMem = regexp.MustCompile(`mem \d+ B/epoch over \d+ epochs \(\d+ GCs\)`)
+
+// TestReportsGolden pins what frsim prints about the traced-smoke run with
+// every artefact flag set, in both forms: the text report and the -json
+// summary, paths relative to the directory written to (the two capacities are
+// small enough to overflow, so the dropped counts are pinned too). Together with
+// TestArtifactsGolden this is everything a run emits, so a change to how flags
+// are bound, artefacts written or the report assembled that moves a byte of
+// either fails here.
+func TestReportsGolden(t *testing.T) {
+	for name, form := range map[string][]string{"report.txt": nil, "summary.json": {"-json"}} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			in := func(name string) string { return filepath.Join(dir, name) }
+			got := smokeRun(t, append(form, "-metrics", in("metrics.json"), "-heatmap", in("heat"),
+				"-profile", in("profile.json"), "-idle-csv", in("idle.csv"), "-waterfall", in("waterfall.json"),
+				"-timeseries", in("timeseries.csv"), "-timeseries-cap", "4", "-trace", in("trace.json"), "-trace-cap", "1000")...)
+			got = bytes.ReplaceAll(got, []byte(dir+string(filepath.Separator)), nil)
+			got = summaryMem.ReplaceAll(got, []byte("mem (host)"))
+			golden := filepath.Join("testdata", name)
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", name, golden, got, want)
+			}
+		})
+	}
+}

@@ -278,3 +278,36 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 		t.Fatalf("scenario run degraded: %+v", sum)
 	}
 }
+
+// TestRejectsByName: the values sweep refuses by name frsim refuses the same
+// way — exit 2, nothing on stdout, one stderr line naming the flag and the
+// value — where an out-of-range -chaos, -ber or -radix used to die with a
+// goroutine dump, a negative -ber or -retry and a -lead nothing reads were
+// ignored, and -pktlen 0 ran 5-flit packets under a banner that said 0.
+func TestRejectsByName(t *testing.T) {
+	for _, args := range [][]string{
+		{"-chaos", "1.5"}, {"-chaos", "-0.5"},
+		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"},
+		{"-radix", "1"}, {"-radix", "-4"},
+		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-custom", "-pktlen", "0"},
+		{"-retry", "-1"},
+		{"-lead", "3"}, {"-config", "VC8", "-wiring", "leading", "-lead", "3"},
+		{"-config", "FR6-lead2", "-wiring", "leading", "-lead", "3"}, {"-custom", "-fr=false", "-wiring", "leading", "-lead", "3"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			small := []string{"-load", "0.2", "-sample", "60", "-warmup", "100"}
+			if code := run(append(small, args...), &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed before refusing:\n%s", stdout.String())
+			}
+			msg, flag, value := stderr.String(), args[len(args)-2], args[len(args)-1]
+			if !strings.HasPrefix(msg, "frsim: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
+				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, value) {
+				t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)
+			}
+		})
+	}
+}

@@ -629,3 +629,35 @@ func TestResumeOverUnobservedRowsSaysSo(t *testing.T) {
 		t.Errorf("resumed artefacts differ from the observing run's")
 	}
 }
+
+// TestRejectsByName: what a fault mode cannot run it refuses exactly as the
+// grid mode refuses a bad grid — exit 2, nothing on stdout, one stderr line
+// naming the flag and the value — where a negative -packets, -retrylimit or
+// -pktlen used to print a table of zeros (or of detect-only rows) and exit 0,
+// and -pktlen 0 ran 5-flit packets under a title that said 0.
+func TestRejectsByName(t *testing.T) {
+	var cases [][]string
+	for _, mode := range []string{"-faults", "-reliability", "-integrity", "-chaos"} {
+		cases = append(cases,
+			[]string{mode, "-packets", "-5"}, []string{mode, "-retrylimit", "-1"},
+			[]string{mode, "-pktlen", "-2"}, []string{mode, "-pktlen", "0"})
+	}
+	cases = append(cases, []string{"-pktlen", "0"}, []string{"-pktlen", "-2"},
+		[]string{"-scenario", "down 5-6 @400", "-packets", "-5"}, []string{"-adaptive", "-pktlen", "0"})
+	for _, args := range cases {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed before refusing:\n%s", stdout.String())
+			}
+			msg, flag, value := stderr.String(), args[len(args)-2], args[len(args)-1]
+			if !strings.HasPrefix(msg, "sweep: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
+				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, "(got "+value+")") {
+				t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)
+			}
+		})
+	}
+}
