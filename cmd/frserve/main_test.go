@@ -87,7 +87,9 @@ func results(t *testing.T, base, id string) []byte {
 // TestDaemonEndToEnd drives the full lifecycle over HTTP: submit a small
 // sweep, wait for completion, fetch the result stream, resubmit and observe
 // 100% dedup, restart the daemon over the same database and observe the
-// results survive, and check /status and the regenerated report along the way.
+// results survive, and check /status, /metrics (the dedup ledger exactly, the
+// waterfall exposition of an observed campaign) and the regenerated report
+// along the way — what CI's service smoke step asserted in curl and Python.
 func TestDaemonEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	dbDir := filepath.Join(dir, "db")
@@ -147,11 +149,11 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatalf("/status not JSON: %v\n%s", err, b)
 	}
-	if snap.Service == nil || snap.Service.Campaigns != 2 || snap.Service.DedupHits < 4 || snap.Service.DBEntries != 4 {
+	if snap.Service == nil || snap.Service.Campaigns != 2 || snap.Service.DedupHits != 4 || snap.Service.DBEntries != 4 {
 		t.Fatalf("service status wrong: %s", b)
 	}
 	_, b = doJSON(t, "GET", base+"/metrics", "")
-	if !strings.Contains(string(b), "frfc_service_dedup_hits_total") ||
+	if !strings.Contains(string(b), "\nfrfc_service_dedup_hits_total 4\n") ||
 		!strings.Contains(string(b), `frfc_campaign_jobs{campaign="c1"`) {
 		t.Fatalf("/metrics missing service gauges:\n%s", b)
 	}
@@ -166,7 +168,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("report not written: %v", err)
 	}
-	if !strings.Contains(string(rep), "# Benchmark Report") || !strings.Contains(string(rep), "4 points") {
+	if !strings.Contains(string(rep), "# Benchmark Report") || !strings.Contains(string(rep), "\n## Campaign results") || !strings.Contains(string(rep), "4 points") {
 		t.Fatalf("report content wrong:\n%s", rep)
 	}
 
@@ -183,6 +185,19 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if detail.Simulated != 0 || detail.Cached != 4 {
 		t.Fatalf("restart re-executed jobs: %+v", detail)
+	}
+
+	// Latency provenance through the daemon: a waterfall campaign over a
+	// point the database does not hold is simulated under the stage ledger,
+	// and the merged decomposition reaches the Prometheus exposition.
+	wf := submit(t, base2, `{"configs":["FR6"],"loads":[0.3],"sample":150,"warmup":300,"waterfall":true}`)
+	if line := results(t, base2, wf.ID); !bytes.Contains(line, []byte(`"Waterfall":{"packets":150,`)) {
+		t.Fatalf("waterfall campaign streamed no stage sidecar:\n%s", line)
+	}
+	_, b = doJSON(t, "GET", base2+"/metrics", "")
+	if !strings.Contains(string(b), "\nfrfc_waterfall_packets 150\n") ||
+		!strings.Contains(string(b), `frfc_latency_stage_cycles_total{stage="link"}`) {
+		t.Fatalf("/metrics missing the waterfall exposition:\n%s", b)
 	}
 	if err := d2.shutdown(10 * time.Second); err != nil {
 		t.Fatalf("second shutdown: %v", err)

@@ -38,15 +38,109 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"reflect"
+	"slices"
 	"strings"
 
 	"frfc"
+	"frfc/internal/cli"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// artefact is one thing an observed run reports beyond its measurement — the
+// file (or pair of files) a flag asks for, or a collector's one-line digest —
+// declared once: the flag and its help (a digest has none: it is reported
+// whenever its collector was armed), the collector the flag arms, the files it
+// writes, what the collector held, and the label and position of its line in
+// the text report. run walks the table to bind the flags, arm the observer,
+// write the files and assemble both reports; the -json summary lists the
+// table's fields in table order.
+type artefact struct {
+	flag, help string
+	value      *string // the flag's, once bound
+	arm        func(*frfc.ObserverOptions)
+	outs       []out
+	// held, when set, reports what the collector held: more -json fields,
+	// and what follows the paths on the text line.
+	held  func(*frfc.Observer) ([]field, string)
+	label string
+	line  int
+}
+
+// out is one file of an artefact: the -json key its path is reported under,
+// what the path adds to the flag's value, and the writer — alt instead, for a
+// path ending in ext, where the collector exports two formats.
+type out struct {
+	key, suffix string
+	write       func(*frfc.Observer, io.Writer) error
+	ext         string
+	alt         func(*frfc.Observer, io.Writer) error
+}
+
+// field is one key of the -json summary after its fixed head; a zero value is
+// left out.
+type field struct {
+	key string
+	val any
+}
+
+// artefacts is the table; filter narrows the trace export.
+func artefacts(filter *frfc.TraceFilter) []artefact {
+	metrics := func(o *frfc.ObserverOptions) { o.Metrics = true }
+	profile := func(o *frfc.ObserverOptions) { o.Profile = true }
+	return []artefact{
+		{flag: "metrics", help: "write the per-router metrics registry as JSON to this file",
+			arm: metrics, label: "metrics", line: 3,
+			outs: []out{{key: "metricsPath", write: (*frfc.Observer).WriteMetricsJSON}}},
+		{flag: "heatmap", help: "write PREFIX-occupancy.csv and PREFIX-utilization.csv heatmaps (implies metrics)",
+			arm: metrics, label: "heatmaps", line: 4,
+			outs: []out{
+				{key: "occupancyCsvPath", suffix: "-occupancy.csv", write: (*frfc.Observer).WriteOccupancyCSV},
+				{key: "utilizationCsvPath", suffix: "-utilization.csv", write: (*frfc.Observer).WriteUtilizationCSV},
+			}},
+		{flag: "trace", help: "write a Perfetto-loadable Chrome trace-event JSON flit trace to this file",
+			arm: func(o *frfc.ObserverOptions) { o.Trace = true }, label: "trace", line: 7,
+			outs: []out{{key: "tracePath", write: func(o *frfc.Observer, w io.Writer) error { return o.WriteTrace(w, *filter) }}},
+			held: func(o *frfc.Observer) ([]field, string) {
+				n, dropped := o.TraceEventCount()
+				return []field{{"traceEvents", n}, {"traceDropped", dropped}},
+					fmt.Sprintf(" (%d events buffered, %d overwritten)", n, dropped)
+			}},
+		{flag: "timeseries", help: "write the per-epoch telemetry series to this file, one row per metrics epoch (.json extension = JSON, anything else = CSV; implies metrics)",
+			arm: func(o *frfc.ObserverOptions) { o.TimeSeries = true }, label: "timeseries", line: 8,
+			outs: []out{{key: "timeSeriesPath", write: (*frfc.Observer).WriteTimeSeriesCSV, ext: ".json", alt: (*frfc.Observer).WriteTimeSeriesJSON}},
+			held: func(o *frfc.Observer) ([]field, string) {
+				n, dropped := o.TimeSeriesLen()
+				return []field{{"timeSeriesPoints", n}, {"timeSeriesDropped", dropped}},
+					fmt.Sprintf(" (%d points, %d dropped)", n, dropped)
+			}},
+		{flag: "profile", help: "write the simulator self-profile (per-node activity accounting, phase attribution, memory epochs) as JSON to this file",
+			arm: profile, label: "profile json", line: 5,
+			outs: []out{{key: "profilePath", write: (*frfc.Observer).WriteProfileJSON}}},
+		{flag: "idle-csv", help: "write the k x k idle-router-tick-fraction heatmap as CSV to this file (implies -profile collection)",
+			arm: profile, label: "idle heatmap", line: 6,
+			outs: []out{{key: "idleCsvPath", write: (*frfc.Observer).WriteIdleCSV}}},
+		{label: "profile", line: 0,
+			held: func(o *frfc.Observer) ([]field, string) {
+				sum := o.ProfileSummary()
+				text := sum
+				for _, h := range o.HottestRouters(3) {
+					text += fmt.Sprintf("\nprofile hot   router %d at (%d,%d): %.1f%% of ticks active", h.Node, h.X, h.Y, h.ActiveFraction*100)
+				}
+				return []field{{"profileSummary", sum}}, text
+			}},
+		{flag: "waterfall", help: "collect per-packet latency provenance and write the stage waterfall to this file (.csv extension = CSV, anything else = JSON); also prints the per-stage breakdown",
+			arm: func(o *frfc.ObserverOptions) { o.Waterfall = true }, label: "waterfall out", line: 2,
+			outs: []out{{key: "waterfallPath", write: (*frfc.Observer).WriteWaterfallJSON, ext: ".csv", alt: (*frfc.Observer).WriteWaterfallCSV}}},
+		{label: "waterfall", line: 1,
+			held: func(o *frfc.Observer) ([]field, string) {
+				sum := o.WaterfallSummary()
+				return []field{{"waterfallSummary", sum}}, sum
+			}},
+	}
 }
 
 // run is main with its environment made explicit, so tests can drive the
@@ -56,14 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		config  = fs.String("config", "FR6", "named configuration: "+frfc.ConfigNames)
-		wiring  = fs.String("wiring", "fast", "physical wiring: fast (4x control wires) or leading (1-cycle wires, control lead)")
 		lead    = fs.Int("lead", 1, "control lead in cycles (leading wiring only; -config FR6 -lead N is FR6-leadN)")
 		load    = fs.Float64("load", 0.5, "offered traffic as a fraction of capacity")
-		pktLen  = fs.Int("pktlen", 5, "packet length in data flits")
 		radix   = fs.Int("radix", 8, "mesh radix k (k x k nodes)")
-		sample  = fs.Int("sample", 5000, "packets to sample")
-		warmup  = fs.Int("warmup", 3000, "minimum warm-up cycles")
-		seed    = fs.Uint64("seed", 0, "random seed (0 = default)")
 		pattern = fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, tornado, neighbor, bitrev, shuffle")
 
 		custom  = fs.Bool("custom", false, "build a custom configuration from the knobs below instead of -config")
@@ -75,73 +164,72 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vcs     = fs.Int("vcs", 2, "custom VC: virtual channels")
 		bufVC   = fs.Int("bufpervc", 4, "custom VC: buffers per virtual channel")
 
-		routing    = fs.String("routing", "", "routing algorithm: xy (default), yx, or table (fault-aware lookup tables); FR configs only")
 		scenario   = fs.String("scenario", "", `hard-fault schedule, e.g. "down 5-6 @2000; up 5-6 @6000; kill 9 @8000"; FR configs only`)
 		failLink   = fs.String("fail-link", "", "shorthand: sever the link between these neighbor nodes (A-B) at -fail-at")
 		failRouter = fs.Int("fail-router", -1, "shorthand: permanently fail this node's router at -fail-at")
 		failAt     = fs.Int64("fail-at", 2000, "cycle at which -fail-link/-fail-router strikes")
 		recoverAt  = fs.Int64("recover-at", 0, "cycle at which the -fail-link link is restored (0 = never)")
 		retry      = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses)")
-		check      = fs.Bool("check", false, "run the per-cycle invariant checker (credit conservation, table accounting); FR configs only")
 		ber        = fs.Float64("ber", 0, "per-flit bit-error probability on inter-router links (delivered corrupted, not lost)")
 		crcBits    = fs.Int("crc-bits", 0, "modeled per-hop CRC width: corruption detected with probability 1-2^-bits (0 = default 16 under -ber, negative = no hop detection)")
 		e2eCheck   = fs.Bool("e2e-check", false, "arm the end-to-end payload checksum: corrupted packets are retried instead of delivered; FR configs only")
 		chaos      = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
-		chaosSeed  = fs.Uint64("chaos-seed", 0, "chaos plan generator seed (0 = default)")
 
-		traceOut     = fs.String("trace", "", "write a Perfetto-loadable Chrome trace-event JSON flit trace to this file")
-		traceCap     = fs.Int("trace-cap", 0, "trace ring capacity in events, newest kept on overflow (0 = default)")
-		traceNode    = fs.Int("trace-node", -1, "export only trace events at this router (-1 = all)")
-		tracePkt     = fs.Uint64("trace-packet", 0, "export only this packet's trace events (0 = all)")
-		traceFrom    = fs.Int64("trace-from", 0, "export only trace events at or after this cycle")
-		traceTo      = fs.Int64("trace-to", 0, "export only trace events at or before this cycle (0 = unbounded)")
-		metricsOut   = fs.String("metrics", "", "write the per-router metrics registry as JSON to this file")
-		metricsEpoch = fs.Int("metrics-epoch", 0, "gauge and memory sampling period in cycles (0 = default)")
-		heatmap      = fs.String("heatmap", "", "write PREFIX-occupancy.csv and PREFIX-utilization.csv heatmaps (implies metrics)")
-		seriesOut    = fs.String("timeseries", "", "write the per-epoch telemetry series to this file, one row per metrics epoch (.json extension = JSON, anything else = CSV; implies metrics)")
-		seriesCap    = fs.Int("timeseries-cap", 0, "retained time-series points, oldest dropped on overflow (0 = keep every epoch)")
-		profileOut   = fs.String("profile", "", "write the simulator self-profile (per-node activity accounting, phase attribution, memory epochs) as JSON to this file")
-		wfOut        = fs.String("waterfall", "", "collect per-packet latency provenance and write the stage waterfall to this file (.csv extension = CSV, anything else = JSON); also prints the per-stage breakdown")
-		idleCSV      = fs.String("idle-csv", "", "write the k x k idle-router-tick-fraction heatmap as CSV to this file (implies -profile collection)")
-		statusAddr   = fs.String("status-addr", "", "serve live run status over HTTP on this host:port (/status JSON snapshot, /metrics Prometheus exposition); the result stays bit-identical")
-		jsonOut      = fs.Bool("json", false, "print one machine-readable JSON summary object instead of text")
-		cpuprofile   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprofile   = fs.String("memprofile", "", "write a pprof heap profile after the run to this file")
+		jsonOut = fs.Bool("json", false, "print one machine-readable JSON summary object instead of text")
+		opts    frfc.ObserverOptions
+		filter  frfc.TraceFilter
 	)
+	shared := cli.Bind(fs)
+	fs.IntVar(&opts.MetricsEpoch, "metrics-epoch", 0, "gauge and memory sampling period in cycles (0 = default)")
+	fs.IntVar(&opts.TraceCapacity, "trace-cap", 0, "trace ring capacity in events, newest kept on overflow (0 = default)")
+	fs.IntVar(&opts.TimeSeriesCapacity, "timeseries-cap", 0, "retained time-series points, oldest dropped on overflow (0 = keep every epoch)")
+	fs.IntVar(&filter.Node, "trace-node", -1, "export only trace events at this router (-1 = all)")
+	fs.Uint64Var(&filter.Packet, "trace-packet", 0, "export only this packet's trace events (0 = all)")
+	fs.Int64Var(&filter.From, "trace-from", 0, "export only trace events at or after this cycle")
+	fs.Int64Var(&filter.To, "trace-to", 0, "export only trace events at or before this cycle (0 = unbounded)")
+	table := artefacts(&filter)
+	for i, a := range table {
+		if a.flag != "" {
+			table[i].value = fs.String(a.flag, "", a.help)
+		}
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "frsim: "+format+"\n", a...)
-		return 2
-	}
+	fail := cli.Refusal("frsim", stderr)
 
-	// Flag validation: a negative capacity or epoch would silently fall back
-	// to a default (or misbehave) deep inside the observer; reject it loudly
-	// instead.
-	if *metricsEpoch < 0 {
-		return fail("-metrics-epoch must be >= 0 (got %d; 0 means the default epoch)", *metricsEpoch)
-	}
-	if *traceCap < 0 {
-		return fail("-trace-cap must be >= 0 (got %d; 0 means the default capacity)", *traceCap)
-	}
-	if *seriesCap < 0 {
-		return fail("-timeseries-cap must be >= 0 (got %d; 0 keeps every epoch)", *seriesCap)
-	}
-	if *load <= 0 || *load > 2 {
-		return fail("-load must be in (0,2] (got %g)", *load)
-	}
-	if *sample <= 0 {
-		return fail("-sample must be > 0 (got %d)", *sample)
-	}
-	if *warmup <= 0 {
-		return fail("-warmup must be > 0 (got %d)", *warmup)
-	}
-
-	w, err := frfc.ParseWiring(*wiring)
+	// Everything the run can be refused for is refused here, by name, before
+	// a network exists: a value out of range would otherwise fall back to a
+	// default in silence, be ignored, or panic deep inside the simulator.
+	w, err := frfc.ParseWiring(shared.Wiring)
 	if err != nil {
 		return fail("%v", err)
 	}
+	leadApplies := w == frfc.LeadingControl && (*custom && *fr || !*custom && *config == "FR6")
+	switch {
+	case opts.MetricsEpoch < 0:
+		return fail("-metrics-epoch must be >= 0 (got %d; 0 means the default epoch)", opts.MetricsEpoch)
+	case opts.TraceCapacity < 0:
+		return fail("-trace-cap must be >= 0 (got %d; 0 means the default capacity)", opts.TraceCapacity)
+	case opts.TimeSeriesCapacity < 0:
+		return fail("-timeseries-cap must be >= 0 (got %d; 0 keeps every epoch)", opts.TimeSeriesCapacity)
+	case *load <= 0 || *load > 2:
+		return fail("-load must be in (0,2] (got %g)", *load)
+	case *radix < 2:
+		return fail("-radix must be >= 2 (got %d)", *radix)
+	case *retry < 0:
+		return fail("-retry must be >= 0 (got %d; 0 means no retry)", *retry)
+	case *ber < 0 || *ber >= 1:
+		return fail("-ber must be a probability in [0,1) (got %g)", *ber)
+	case *chaos < 0 || *chaos > 1:
+		return fail("-chaos must be an intensity in (0,1] (got %g; 0 means no chaos)", *chaos)
+	case *lead != 1 && !leadApplies:
+		return fail("-lead %d applies to -config FR6 (or -custom -fr) under -wiring leading only", *lead)
+	}
+	if err := shared.Validate(); err != nil {
+		return fail("%v", err)
+	}
+
 	var spec frfc.Spec
 	if *custom {
 		leadCycles := 0
@@ -151,7 +239,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spec, err = frfc.Custom("custom", frfc.Options{
 			FlitReservation: *fr,
 			MeshRadix:       *radix,
-			PacketLen:       *pktLen,
+			PacketLen:       shared.PktLen,
 			DataBuffers:     *buffers,
 			CtrlVCs:         *ctrlVCs,
 			Horizon:         *horizon,
@@ -161,7 +249,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			BufPerVC:        *bufVC,
 			Wiring:          w,
 			Pattern:         *pattern,
-			Routing:         *routing,
+			Routing:         shared.Routing,
 		})
 		if err != nil {
 			return fail("%v", err)
@@ -171,12 +259,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// sweep's and the campaign service's are; FR6 under leading control
 		// with a lead of N is that vocabulary's FR6-leadN.
 		name := *config
-		if name == "FR6" && w == frfc.LeadingControl {
+		if leadApplies {
 			name = fmt.Sprintf("FR6-lead%d", *lead)
 		}
 		specs, _, err := frfc.Grid{
-			Configs: []string{name}, Wiring: *wiring, PacketLen: *pktLen,
-			Loads: []float64{*load}, Routing: *routing,
+			Configs: []string{name}, Wiring: shared.Wiring, PacketLen: shared.PktLen,
+			Loads: []float64{*load}, Routing: shared.Routing,
 		}.Expand()
 		if err != nil {
 			return fail("%v", err)
@@ -198,182 +286,77 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 	}
-	if *retry > 0 {
-		spec = spec.WithRetry(*retry)
-	}
-	if *check {
-		spec = spec.WithCheck(true)
-	}
-	if *ber > 0 {
-		spec = spec.WithBER(*ber)
-	}
-	if *crcBits != 0 {
-		spec = spec.WithCRC(*crcBits)
-	}
-	if *e2eCheck {
-		spec = spec.WithE2ECheck(true)
-	}
+	// Every refinement at its flag's default is the identity on a spec.
+	spec = spec.WithRetry(*retry).WithCheck(shared.Check).WithBER(*ber).WithCRC(*crcBits).WithE2ECheck(*e2eCheck).
+		WithSampling(shared.Sample, shared.Warmup).WithSeed(shared.Seed)
 	if *chaos > 0 {
 		if scn != "" {
 			return fail("-chaos and -scenario/-fail-* are mutually exclusive: the chaos plan generates its own fault schedule")
 		}
-		spec = spec.WithChaos(*chaos, *chaosSeed)
-	}
-	spec = spec.WithSampling(*sample, *warmup)
-	if *seed != 0 {
-		spec = spec.WithSeed(*seed)
+		spec = spec.WithChaos(*chaos, shared.ChaosSeed)
 	}
 
-	wantMetrics := *metricsOut != "" || *heatmap != ""
-	wantTrace := *traceOut != ""
-	wantSeries := *seriesOut != ""
-	wantProfile := *profileOut != "" || *idleCSV != ""
-	wantWaterfall := *wfOut != ""
-	var obs *frfc.Observer
-	if wantMetrics || wantTrace || wantSeries || wantProfile || wantWaterfall || *statusAddr != "" {
-		obs = frfc.NewObserver(frfc.ObserverOptions{
-			Metrics:            wantMetrics || *statusAddr != "",
-			MetricsEpoch:       *metricsEpoch,
-			Trace:              wantTrace,
-			TraceCapacity:      *traceCap,
-			TimeSeries:         wantSeries,
-			TimeSeriesCapacity: *seriesCap,
-			Profile:            wantProfile,
-			Waterfall:          wantWaterfall,
-		})
+	st, stop, err := shared.Start("frsim", stderr)
+	if err != nil {
+		return fail("%v", err)
 	}
-	var st *frfc.StatusServer
-	if *statusAddr != "" {
-		var err error
-		var bound string
-		st, bound, err = frfc.ServeStatus(*statusAddr)
-		if err != nil {
-			return fail("%v", err)
-		}
-		defer st.Close()
-		fmt.Fprintf(stderr, "frsim: status on http://%s/status, metrics on http://%s/metrics\n", bound, bound)
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail("%v", err)
+	defer stop()
+	// The live status server reads the counter registry; otherwise the run
+	// is observed only as far as an artefact flag asks (an observer with
+	// nothing armed collects nothing).
+	opts.Metrics = st != nil
+	for _, a := range table {
+		if a.flag != "" && *a.value != "" {
+			a.arm(&opts)
 		}
 	}
+	obs := frfc.NewObserver(opts)
 	r := frfc.RunLive(spec, *load, obs, st)
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		runtime.GC()
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return fail("%v", err)
-		}
-		if err := f.Close(); err != nil {
-			return fail("%v", err)
-		}
-	}
 
 	sum := summary{
 		Config:    spec.Name(),
-		Wiring:    *wiring,
-		PktLen:    *pktLen,
+		Wiring:    shared.Wiring,
+		PktLen:    shared.PktLen,
 		Radix:     *radix,
-		Seed:      *seed,
+		Seed:      shared.Seed,
 		Pattern:   *pattern,
-		Routing:   *routing,
+		Routing:   shared.Routing,
 		Scenario:  scn,
 		BER:       *ber,
 		Chaos:     *chaos,
-		ChaosSeed: *chaosSeed,
+		ChaosSeed: shared.ChaosSeed,
 		Result:    r,
 	}
-	writeTo := func(path string, write func(io.Writer) error) (ok bool) {
-		f, err := os.Create(path)
-		if err == nil {
-			if err = write(f); err != nil {
-				f.Close()
-			} else {
-				err = f.Close()
+	// One pass over the table writes the files and gathers both reports: the
+	// -json fields in table order, the text lines by their position.
+	lines := make([]string, len(table))
+	for _, a := range table {
+		var paths []string
+		if a.flag != "" {
+			if *a.value == "" {
+				continue
+			}
+			for _, f := range a.outs {
+				path, write := *a.value+f.suffix, f.write
+				if f.ext != "" && strings.HasSuffix(path, f.ext) {
+					write = f.alt
+				}
+				if err := cli.WriteFile(path, func(w io.Writer) error { return write(obs, w) }); err != nil {
+					return fail("%v", err)
+				}
+				paths = append(paths, path)
+				sum.artefacts = append(sum.artefacts, field{f.key, path})
 			}
 		}
-		if err != nil {
-			fmt.Fprintln(stderr, "frsim:", err)
+		note := ""
+		if a.held != nil {
+			var fields []field
+			if fields, note = a.held(obs); a.flag == "" && note == "" {
+				continue
+			}
+			sum.artefacts = append(sum.artefacts, fields...)
 		}
-		return err == nil
-	}
-	if *metricsOut != "" {
-		if !writeTo(*metricsOut, obs.WriteMetricsJSON) {
-			return 2
-		}
-		sum.MetricsPath = *metricsOut
-	}
-	if *heatmap != "" {
-		sum.OccupancyCSVPath = *heatmap + "-occupancy.csv"
-		sum.UtilizationCSVPath = *heatmap + "-utilization.csv"
-		if !writeTo(sum.OccupancyCSVPath, obs.WriteOccupancyCSV) ||
-			!writeTo(sum.UtilizationCSVPath, obs.WriteUtilizationCSV) {
-			return 2
-		}
-	}
-	if *seriesOut != "" {
-		write := obs.WriteTimeSeriesCSV
-		if strings.HasSuffix(*seriesOut, ".json") {
-			write = obs.WriteTimeSeriesJSON
-		}
-		if !writeTo(*seriesOut, write) {
-			return 2
-		}
-		sum.TimeSeriesPath = *seriesOut
-		sum.TimeSeriesPoints, sum.TimeSeriesDropped = obs.TimeSeriesLen()
-	}
-	if *profileOut != "" {
-		if !writeTo(*profileOut, obs.WriteProfileJSON) {
-			return 2
-		}
-		sum.ProfilePath = *profileOut
-	}
-	if *idleCSV != "" {
-		if !writeTo(*idleCSV, obs.WriteIdleCSV) {
-			return 2
-		}
-		sum.IdleCSVPath = *idleCSV
-	}
-	if wantProfile {
-		sum.ProfileSummary = obs.ProfileSummary()
-	}
-	if wantWaterfall {
-		write := obs.WriteWaterfallJSON
-		if strings.HasSuffix(*wfOut, ".csv") {
-			write = obs.WriteWaterfallCSV
-		}
-		if !writeTo(*wfOut, write) {
-			return 2
-		}
-		sum.WaterfallPath = *wfOut
-		sum.WaterfallSummary = obs.WaterfallSummary()
-	}
-	if *traceOut != "" {
-		ok := writeTo(*traceOut, func(w io.Writer) error {
-			return obs.WriteTrace(w, frfc.TraceFilter{
-				Node:   *traceNode,
-				Packet: *tracePkt,
-				From:   *traceFrom,
-				To:     *traceTo,
-			})
-		})
-		if !ok {
-			return 2
-		}
-		sum.TracePath = *traceOut
-		sum.TraceEvents, sum.TraceDropped = obs.TraceEventCount()
+		lines[a.line] = fmt.Sprintf("%-14s%s%s", a.label, strings.Join(paths, ", "), note)
 	}
 
 	if *jsonOut {
@@ -385,7 +368,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fmt.Fprintf(stdout, "config        %s (%s wiring, %d-flit packets, %dx%d mesh)\n", spec.Name(), *wiring, *pktLen, *radix, *radix)
+	fmt.Fprintf(stdout, "config        %s (%s wiring, %d-flit packets, %dx%d mesh)\n", spec.Name(), shared.Wiring, shared.PktLen, *radix, *radix)
 	fmt.Fprintf(stdout, "offered load  %.1f%% of capacity (effective %.1f%% after bandwidth overhead)\n", r.Load*100, r.EffectiveLoad*100)
 	if r.Batches > 0 {
 		fmt.Fprintf(stdout, "avg latency   %.2f cycles (95%% CI ±%.2f batch-means over %d batches, ±%.2f i.i.d.; min %d, max %d)\n",
@@ -408,7 +391,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *chaos > 0 {
 		fmt.Fprintf(stdout, "chaos         intensity %.2f (seed %d): %.1f%% of resolved packets delivered, %d unreachable, %d retried, %d abandoned\n",
-			*chaos, *chaosSeed, r.DeliveredFraction*100, r.UnreachablePackets, r.RetriedPackets, r.AbandonedPackets)
+			*chaos, shared.ChaosSeed, r.DeliveredFraction*100, r.UnreachablePackets, r.RetriedPackets, r.AbandonedPackets)
 	}
 	if *ber > 0 || *chaos > 0 {
 		fmt.Fprintf(stdout, "integrity     %d flits corrupted, %d caught by hop CRC, %d escaped to destination, %d phantom reservations, %d slots reclaimed\n",
@@ -420,67 +403,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if r.WarmupUnstable {
 		fmt.Fprintln(stdout, "status        WARMUP-UNSTABLE — warm-up hit its cycle cap before queues settled; treat measurements with care")
 	}
-	if wantProfile {
-		fmt.Fprintf(stdout, "profile       %s\n", sum.ProfileSummary)
-		for _, h := range obs.HottestRouters(3) {
-			fmt.Fprintf(stdout, "profile hot   router %d at (%d,%d): %.1f%% of ticks active\n",
-				h.Node, h.X, h.Y, h.ActiveFraction*100)
+	for _, line := range lines {
+		if line != "" {
+			fmt.Fprintln(stdout, line)
 		}
-	}
-	if wantWaterfall {
-		fmt.Fprintf(stdout, "waterfall     %s\n", sum.WaterfallSummary)
-		fmt.Fprintf(stdout, "waterfall out %s\n", sum.WaterfallPath)
-	}
-	if sum.MetricsPath != "" {
-		fmt.Fprintf(stdout, "metrics       %s\n", sum.MetricsPath)
-	}
-	if sum.OccupancyCSVPath != "" {
-		fmt.Fprintf(stdout, "heatmaps      %s, %s\n", sum.OccupancyCSVPath, sum.UtilizationCSVPath)
-	}
-	if sum.ProfilePath != "" {
-		fmt.Fprintf(stdout, "profile json  %s\n", sum.ProfilePath)
-	}
-	if sum.IdleCSVPath != "" {
-		fmt.Fprintf(stdout, "idle heatmap  %s\n", sum.IdleCSVPath)
-	}
-	if sum.TracePath != "" {
-		fmt.Fprintf(stdout, "trace         %s (%d events buffered, %d overwritten)\n", sum.TracePath, sum.TraceEvents, sum.TraceDropped)
-	}
-	if sum.TimeSeriesPath != "" {
-		fmt.Fprintf(stdout, "timeseries    %s (%d points, %d dropped)\n", sum.TimeSeriesPath, sum.TimeSeriesPoints, sum.TimeSeriesDropped)
 	}
 	return 0
 }
 
 // summary is the -json output: one machine-readable object per run, carrying
-// the result plus the paths of every artifact the run wrote.
+// the result and then, in the artefact table's order, the path of every file
+// the run wrote and what its collectors held.
 type summary struct {
-	Config             string      `json:"config"`
-	Wiring             string      `json:"wiring"`
-	PktLen             int         `json:"pktLen"`
-	Radix              int         `json:"radix"`
-	Seed               uint64      `json:"seed,omitempty"`
-	Pattern            string      `json:"pattern"`
-	Routing            string      `json:"routing,omitempty"`
-	Scenario           string      `json:"scenario,omitempty"`
-	BER                float64     `json:"ber,omitempty"`
-	Chaos              float64     `json:"chaos,omitempty"`
-	ChaosSeed          uint64      `json:"chaosSeed,omitempty"`
-	Result             frfc.Result `json:"result"`
-	MetricsPath        string      `json:"metricsPath,omitempty"`
-	OccupancyCSVPath   string      `json:"occupancyCsvPath,omitempty"`
-	UtilizationCSVPath string      `json:"utilizationCsvPath,omitempty"`
-	TracePath          string      `json:"tracePath,omitempty"`
-	TraceEvents        int         `json:"traceEvents,omitempty"`
-	TraceDropped       uint64      `json:"traceDropped,omitempty"`
-	TimeSeriesPath     string      `json:"timeSeriesPath,omitempty"`
-	TimeSeriesPoints   int         `json:"timeSeriesPoints,omitempty"`
-	TimeSeriesDropped  int64       `json:"timeSeriesDropped,omitempty"`
-	ProfilePath        string      `json:"profilePath,omitempty"`
-	IdleCSVPath        string      `json:"idleCsvPath,omitempty"`
-	ProfileSummary     string      `json:"profileSummary,omitempty"`
-	WaterfallPath      string      `json:"waterfallPath,omitempty"`
-	WaterfallSummary   string      `json:"waterfallSummary,omitempty"`
+	Config    string      `json:"config"`
+	Wiring    string      `json:"wiring"`
+	PktLen    int         `json:"pktLen"`
+	Radix     int         `json:"radix"`
+	Seed      uint64      `json:"seed,omitempty"`
+	Pattern   string      `json:"pattern"`
+	Routing   string      `json:"routing,omitempty"`
+	Scenario  string      `json:"scenario,omitempty"`
+	BER       float64     `json:"ber,omitempty"`
+	Chaos     float64     `json:"chaos,omitempty"`
+	ChaosSeed uint64      `json:"chaosSeed,omitempty"`
+	Result    frfc.Result `json:"result"`
+	artefacts []field
+}
+
+// MarshalJSON appends the artefact fields to the fixed head, in order.
+func (s summary) MarshalJSON() ([]byte, error) {
+	type head summary // the fields without this method
+	b, err := json.Marshal(head(s))
+	for _, f := range s.artefacts {
+		if err != nil {
+			break
+		}
+		if reflect.ValueOf(f.val).IsZero() {
+			continue
+		}
+		var v []byte
+		v, err = json.Marshal(f.val)
+		b = slices.Concat(b[:len(b)-1], []byte(fmt.Sprintf(",%q:", f.key)), v, []byte("}"))
+	}
+	return b, err
 }
 
 // scenarioOf merges the -scenario grammar with the -fail-link/-fail-router

@@ -11,9 +11,11 @@
 //	Table 3  summary: base latency, latency at 50% capacity, saturation
 //	         throughput for every configuration
 //
-// plus the Section 4.2 buffer-occupancy statistic and the Section 5
-// ablations (all-or-nothing scheduling, VC shared pool, eager buffer
-// allocation, wide control flits).
+// plus the Section 4.2 buffer-occupancy statistic, the Section 5 ablations
+// (all-or-nothing scheduling, VC shared pool, eager buffer allocation, wide
+// control flits), the Section 2 lineage measured on one workload, and the two
+// observer tables EXPERIMENTS.md quotes: where a packet's cycles go, and what
+// the simulator's own ticks do.
 //
 // Usage:
 //
@@ -32,10 +34,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"frfc"
+	"frfc/internal/cli"
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
+	"frfc/internal/metrics"
+	"frfc/internal/profile"
 	"frfc/internal/sim"
 )
 
@@ -54,6 +61,9 @@ type figs struct {
 	pool   harness.Options
 }
 
+// extras are the values of -extra, in the order -all prints them.
+var extras = []string{"occupancy", "ablations", "lineage", "waterfall", "activity"}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -66,16 +76,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "worker pool size for the sweeps (0 = NumCPU); any count yields identical output")
 		fig     = fs.Int("fig", 0, "regenerate one figure (5-9)")
 		table   = fs.Int("table", 0, "regenerate one table (1-3)")
-		extra   = fs.String("extra", "", "extra experiment: occupancy, ablations")
+		extra   = fs.String("extra", "", "extra experiment: "+strings.Join(extras, ", "))
 		all     = fs.Bool("all", false, "regenerate everything")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "paperfigs: "+format+"\n", a...)
-		return 2
-	}
+	fail := cli.Refusal("paperfigs", stderr)
 	f := figs{w: stdout, scaled: scales[*scale], pool: harness.Options{Workers: *workers}}
 	switch {
 	case f.scaled == nil:
@@ -84,8 +91,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-fig %d: want 5-9", *fig)
 	case *table != 0 && (*table < 1 || *table > 3):
 		return fail("-table %d: want 1-3", *table)
-	case *extra != "" && *extra != "occupancy" && *extra != "ablations":
-		return fail("-extra %q: want occupancy or ablations", *extra)
+	case *extra != "" && !slices.Contains(extras, *extra):
+		return fail("-extra %q: want one of %s", *extra, strings.Join(extras, ", "))
 	case !*all && *fig == 0 && *table == 0 && *extra == "":
 		fs.Usage()
 		return 2
@@ -99,6 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*fig == 5, figs.figure5}, {*fig == 6, figs.figure6}, {*fig == 7, figs.figure7}, {*fig == 8, figs.figure8}, {*fig == 9, figs.figure9},
 		{*table == 3, figs.table3},
 		{*extra == "occupancy", figs.occupancy}, {*extra == "ablations", figs.ablations},
+		{*extra == "lineage", figs.lineage}, {*extra == "waterfall", figs.waterfall}, {*extra == "activity", figs.activity},
 	} {
 		if !*all && !part.selected {
 			continue
@@ -146,7 +154,7 @@ func (f figs) sweepFig(title string, specs []experiment.Spec, loads []float64) e
 	for i, s := range specs {
 		toRun[i] = f.scaled(s)
 	}
-	rows, err := harness.SweepSpecs(context.Background(), toRun, loads, harness.SweepOptions{Options: f.pool})
+	rows, err := harness.SweepSpecs(context.Background(), toRun, loads, f.pool)
 	if err != nil {
 		return fmt.Errorf("%s: %w", title, err)
 	}
@@ -304,6 +312,107 @@ func (f figs) ablations() error {
 	// control bandwidth at the cost of coarser admission.
 	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=1)\n", fr6.Name, sat(fr6))
 	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=4)\n", perFlit.Name, sat(perFlit))
+	fmt.Fprintln(f.w)
+	return nil
+}
+
+// lineage measures every flow-control method of the paper's Section 2 on one
+// workload — each generation allocates buffers and bandwidth at a finer grain
+// or further in advance — and then the paper's remark on circuit switching,
+// whose set-up "must be amortized over many message deliveries": its base
+// latency against flit reservation's at 5 and at 64 flits a message.
+func (f figs) lineage() error {
+	fmt.Fprintln(f.w, "== Section 2 lineage: 5-flit packets, fast control ==")
+	labels := []string{
+		"store-and-forward (2 pkt bufs)", "virtual cut-through (2 pkt bufs)", "wormhole (8 flit bufs)",
+		"virtual channels (2x4 flit bufs)", "circuit switching (no bufs)", "flit reservation (6 flit bufs)",
+	}
+	specs := configs("fast", 5, "SAF", "VCT", "WH", "VC8", "CS", "FR6")
+	for i, s := range specs {
+		specs[i] = f.scaled(s)
+	}
+	rows, err := harness.SaturationSearch(context.Background(), specs, experiment.SaturationOptions{Resolution: 0.02}, f.pool)
+	if err != nil {
+		return fmt.Errorf("lineage: %w", err)
+	}
+	fmt.Fprintf(f.w, "%-34s %12s %14s\n", "flow control", "base lat.", "saturation")
+	for i, r := range rows {
+		if r.Err != "" {
+			return fmt.Errorf("lineage: %s: %s", r.Spec, r.Err)
+		}
+		fmt.Fprintf(f.w, "%-34s %9.1f cy %13.0f%%\n", labels[i], r.BaseLatency, r.Saturation*100)
+	}
+	fmt.Fprintln(f.w, "circuit set-up against message length (base latency, circuit vs FR6):")
+	for _, flits := range []int{5, 64} {
+		pair := configs("fast", flits, "CS", "FR6")
+		cs, fr := experiment.BaseLatency(f.scaled(pair[0])), experiment.BaseLatency(f.scaled(pair[1]))
+		fmt.Fprintf(f.w, "%3d-flit messages %9.1f cy vs %6.1f cy (%+.0f%%)\n", flits, cs, fr, (cs-fr)/fr*100)
+	}
+	fmt.Fprintln(f.w)
+	return nil
+}
+
+// observedLoads is the load axis of the two observer tables.
+var observedLoads = []float64{0.20, 0.40, 0.60}
+
+// waterfall prints where a packet's cycles go: mean cycles per lifecycle
+// stage, which sum exactly to the mean latency (asserted per packet, the runs
+// being under Check), for flit reservation against virtual channels.
+func (f figs) waterfall() error {
+	fmt.Fprintln(f.w, "== Latency provenance: mean cycles per packet by lifecycle stage, 5-flit packets, fast control ==")
+	specs := configs("fast", 5, "FR6", "VC8")
+	for i, s := range specs {
+		s.Check = true
+		specs[i] = f.scaled(s)
+	}
+	o := f.pool
+	o.Probe = func() *metrics.Probe { return metrics.NewProbe(0, false, false, true) }
+	rows, err := harness.SweepSpecs(context.Background(), specs, observedLoads, o)
+	if err != nil {
+		return fmt.Errorf("waterfall: %w", err)
+	}
+	fmt.Fprintf(f.w, "%-6s %5s  %7s %7s %7s %7s %7s %7s %7s  %8s\n",
+		"config", "load", "queue", "reserve", "arb", "stall", "sched", "link", "drain", "total")
+	for _, row := range rows {
+		for _, jr := range row {
+			if jr.Err != "" {
+				return fmt.Errorf("waterfall: %s at load %.2f: %s", jr.Job.Spec.Name, jr.Job.Load, jr.Err)
+			}
+			v := jr.Result.Observed.Waterfall.View()
+			fmt.Fprintf(f.w, "%-6s %4.0f%% ", jr.Result.Spec, jr.Result.Load*100)
+			for _, st := range v.Stages {
+				fmt.Fprintf(f.w, " %7.2f", st.Mean)
+			}
+			fmt.Fprintf(f.w, "  %8.2f\n", v.MeanLatency)
+		}
+	}
+	fmt.Fprintln(f.w)
+	return nil
+}
+
+// activity prints what the cycle-stepped kernel's ticks do on FR6: how many
+// component ticks a run executes, the share of them that found no work —
+// overall and per component class — and the flit-reservation router's work
+// split by pipeline phase. Every value is a function of the simulation alone;
+// the host's allocation deltas the same registry samples are left out.
+func (f figs) activity() error {
+	fmt.Fprintln(f.w, "== Simulator self-profile: FR6 component ticks and the share that did no work, 5-flit packets, fast control ==")
+	fmt.Fprintf(f.w, "%-5s %10s %6s %7s %6s %6s  %6s %6s %7s %7s\n",
+		"load", "ticks", "idle%", "router%", "ni%", "sink%", "sched%", "arb%", "switch%", "credit%")
+	for _, load := range observedLoads {
+		probe := metrics.NewProbe(0, false, true, false)
+		r, err := experiment.RunInstrumented(context.Background(), f.scaled(experiment.FR6(experiment.FastControl, 5)), load, experiment.Instruments{Probe: probe})
+		if err != nil {
+			return fmt.Errorf("activity: %w", err)
+		}
+		ticks, active := probe.Prof.ComponentTotals()
+		idle := func(c profile.Component) float64 { return 100 * (1 - float64(active[c])/float64(ticks[c])) }
+		a := r.Observed.Activity
+		work := float64(a.SchedWork+a.ArbWork+a.SwitchWork+a.CreditWork) / 100
+		fmt.Fprintf(f.w, "%4.0f%% %10d %6.1f %7.1f %6.1f %6.1f  %6.1f %6.1f %7.1f %7.1f\n",
+			load*100, a.Ticks, 100*a.IdleFraction, idle(profile.CompRouter), idle(profile.CompNI), idle(profile.CompSink),
+			float64(a.SchedWork)/work, float64(a.ArbWork)/work, float64(a.SwitchWork)/work, float64(a.CreditWork)/work)
+	}
 	fmt.Fprintln(f.w)
 	return nil
 }

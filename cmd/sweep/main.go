@@ -68,12 +68,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"frfc"
+	"frfc/internal/cli"
 )
 
 func main() {
@@ -87,14 +86,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		configs = fs.String("configs", "FR6,VC8", "comma-separated configs: "+frfc.ConfigNames)
-		wiring  = fs.String("wiring", "fast", "fast or leading")
-		pktLen  = fs.Int("pktlen", 5, "packet length in data flits")
 		from    = fs.Float64("from", 0.10, "first offered load (fraction of capacity)")
 		to      = fs.Float64("to", 0.90, "last offered load")
 		step    = fs.Float64("step", 0.10, "load step (with -adaptive: bisection resolution)")
-		sample  = fs.Int("sample", 5000, "packets sampled per point")
-		warmup  = fs.Int("warmup", 3000, "minimum warm-up cycles")
-		seed    = fs.Uint64("seed", 0, "random seed (0 = default)")
 		csv     = fs.Bool("csv", false, "emit comma-separated values (load%, then avg latency per config; empty cell = saturated)")
 
 		workers    = fs.Int("workers", 0, "worker pool size (0 = NumCPU); results are identical for any value")
@@ -105,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout    = fs.Duration("timeout", 0, "per-point wall-clock budget (0 = none); a point over budget fails alone")
 		adaptive   = fs.Bool("adaptive", false, "bisect each config's saturation throughput instead of sweeping the load grid")
 		progress   = fs.Bool("progress", false, "stream progress (done/total, ETA) to stderr")
-		statusAddr = fs.String("status-addr", "", "serve live campaign status over HTTP on this host:port (/status JSON snapshot, /metrics Prometheus exposition); results stay byte-identical")
 
 		faults     = fs.Bool("faults", false, "sweep data-flit loss rates on FR6 instead of offered loads, comparing detection-only vs end-to-end retry")
 		retryLimit = fs.Int("retrylimit", 8, "retry budget of the -faults retry arm and of -reliability rows")
@@ -118,29 +111,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		chaos       = fs.Bool("chaos", false, "run one deterministic chaos campaign per intensity on FR6 and report surviving traffic")
 		intensities = fs.String("intensities", "", "comma-separated chaos intensities in (0,1] for -chaos (default 0.25,0.5,1)")
-		chaosSeed   = fs.Uint64("chaos-seed", 0, "chaos plan seed for -chaos (0 = default); the campaign is a pure function of it")
 		noE2E       = fs.Bool("no-e2e", false, "disable the end-to-end payload check in -chaos rows, so escaped corruption is silently accepted")
 
 		reliability = fs.Bool("reliability", false, "sweep hard-fault scenarios on FR6 (healthy, link-down, link-flap, router-down) and report graceful degradation")
 		scenario    = fs.String("scenario", "", `custom hard-fault schedule for the reliability sweep, e.g. "down 5-6 @400; up 5-6 @900" (implies -reliability)`)
-		routing     = fs.String("routing", "", "routing algorithm for FR configs: xy (default), yx, or table (fault-aware lookup tables)")
-		check       = fs.Bool("check", false, "run FR points, and every row of the fault modes, under the per-cycle invariant checker")
-
-		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprofile = fs.String("memprofile", "", "write a pprof heap profile after the sweep to this file")
 	)
+	shared := cli.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	fail := cli.Refusal("sweep", stderr)
 
-	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "sweep: "+format+"\n", a...)
-		return 2
+	// Everything a sweep can be refused for is refused here, by name, before
+	// the store is touched or a job exists: the shared flags and the fault
+	// modes' budgets by range, and a grid (or -adaptive) by the grid itself —
+	// its shape, loads, config names, wiring and routing.
+	switch err := shared.Validate(); {
+	case err != nil:
+		return fail("%v", err)
+	case *packets < 0:
+		return fail("-packets must be >= 0 (got %d; 0 means the mode's default)", *packets)
+	case *retryLimit < 0:
+		return fail("-retrylimit must be >= 0 (got %d; 0 means the default of 8)", *retryLimit)
 	}
-	// Everything a grid sweep (or -adaptive) can be refused for is refused
-	// here, by name, before the store is touched or a job exists: the
-	// measurement protocol needs a positive sample, and the grid validates
-	// its own shape, loads, config names, wiring and routing.
 	names := strings.Split(*configs, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
@@ -149,17 +142,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var loads []float64
 	resolved := *faults || *reliability || *integrity || *chaos || *scenario != ""
 	if !resolved {
-		if *sample <= 0 {
-			return fail("-sample must be > 0 (got %d)", *sample)
-		}
-		if *warmup <= 0 {
-			return fail("-warmup must be > 0 (got %d)", *warmup)
-		}
 		var err error
 		specs, loads, err = frfc.Grid{
-			Configs: names, Wiring: *wiring, PacketLen: *pktLen,
+			Configs: names, Wiring: shared.Wiring, PacketLen: shared.PktLen,
 			From: *from, To: *to, Step: *step,
-			Sample: *sample, Warmup: *warmup, Seed: *seed, Routing: *routing, Check: *check,
+			Sample: shared.Sample, Warmup: shared.Warmup, Seed: shared.Seed, Routing: shared.Routing, Check: shared.Check,
 		}.Expand()
 		if err != nil {
 			return fail("%v", err)
@@ -185,40 +172,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fail("%v", err)
-		}
-		defer pprof.StopCPUProfile()
+	st, stop, err := shared.Start("sweep", stderr)
+	if err != nil {
+		return fail("%v", err)
 	}
-	if *memprofile != "" {
-		defer func() {
-			runtime.GC()
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-				return
-			}
-			defer f.Close()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "sweep:", err)
-			}
-		}()
-	}
+	defer stop()
 
-	ro := frfc.ResolveOptions{Packets: *packets, PacketLen: *pktLen, Check: *check, Seed: *seed, Workers: *workers}
+	ro := frfc.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed, Workers: *workers}
 	switch {
 	case *faults:
 		list, err := parseList(*rates, "loss rate", "a probability in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		points := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list})
-		return printTable(stdout, stderr, faultTable(points, *pktLen), *csv)
+		points, err := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list})
+		if err != nil {
+			// No flag value reaches here unrefused, so a cell that
+			// failed did so running: name it, and print no row of zeros.
+			fmt.Fprintf(stderr, "sweep: %v\n", err)
+			return 1
+		}
+		return printTable(stdout, stderr, faultTable(points, shared.PktLen), *csv)
 	case *integrity:
 		list, err := parseList(*bers, "bit-error rate", "a probability in [0,1)", func(v float64) bool { return v >= 0 && v < 1 })
 		if err != nil {
@@ -234,13 +208,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: *chaosSeed, DisableE2E: *noE2E})
+		points, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: shared.ChaosSeed, DisableE2E: *noE2E})
 		if err != nil {
 			return fail("%v", err)
 		}
 		return printTable(stdout, stderr, chaosTable(points), *csv)
 	case *reliability || *scenario != "":
-		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Routing: *routing}
+		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Routing: shared.Routing}
 		if *scenario != "" {
 			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Scenario: *scenario}}
 		}
@@ -257,22 +231,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ResultPath: *out,
 		Profile:    *profileOut != "",
 		Waterfall:  *wfOut != "",
+		Status:     st,
 	}
 	if *progress {
 		popts.Progress = func(p frfc.Progress) { fmt.Fprintf(stderr, "sweep: %s\n", p) }
 	}
-	if *statusAddr != "" {
-		st, bound, err := frfc.ServeStatus(*statusAddr)
-		if err != nil {
-			return fail("status server: %v", err)
-		}
-		defer st.Close()
-		fmt.Fprintf(stderr, "sweep: status on http://%s/status, metrics on http://%s/metrics\n", bound, bound)
-		popts.Status = st
-	}
 
 	if *adaptive {
-		return runAdaptive(stdout, stderr, names, specs, *step, *wiring, *pktLen, popts, *csv)
+		return runAdaptive(stdout, stderr, names, specs, *step, shared.Wiring, shared.PktLen, popts, *csv)
 	}
 
 	jobs := make([]frfc.Job, 0, len(specs)*len(loads))
@@ -318,7 +284,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		first, col, failed, saturated = "%s", ",%s", "", ""
 		fmt.Fprint(stdout, "load")
 	} else {
-		fmt.Fprintf(stdout, "# latency (cycles) vs offered traffic (%% capacity); %s wiring, %d-flit packets\n", *wiring, *pktLen)
+		fmt.Fprintf(stdout, "# latency (cycles) vs offered traffic (%% capacity); %s wiring, %d-flit packets\n", shared.Wiring, shared.PktLen)
 		fmt.Fprintf(stdout, first, "load%")
 	}
 	for _, name := range names {
@@ -438,17 +404,11 @@ func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
 
 // writeJSON writes v to path as indented JSON.
 func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 }
 
 // printWaterfallBreakdown renders one "where the cycles go" comment line per

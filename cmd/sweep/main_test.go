@@ -655,7 +655,7 @@ func TestRejectsByName(t *testing.T) {
 			}
 			msg, flag, value := stderr.String(), args[len(args)-2], args[len(args)-1]
 			if !strings.HasPrefix(msg, "sweep: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
-				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, "(got "+value+")") {
+				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, "(got "+value) {
 				t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)
 			}
 		})

@@ -1,7 +1,10 @@
 package frfc_test
 
 import (
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"frfc"
 )
@@ -81,4 +84,62 @@ func ExampleSweep() {
 	// Output:
 	// load 20%: saturated=false
 	// load 90%: saturated=true
+}
+
+// An Observer arms collectors on one run without changing its measurement;
+// what they saw rides in Result.Observed and exports through the Write methods.
+// Here the latency waterfall: seven stages that sum to each packet's latency.
+func ExampleObserver() {
+	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(300, 600).WithCheck(true)
+	obs := frfc.NewObserver(frfc.ObserverOptions{Waterfall: true})
+	r := frfc.RunObserved(spec, 0.30, obs)
+	wf := r.Observed.Waterfall
+	fmt.Printf("same measurement as a bare run: %v\n", r.AvgLatency == frfc.Run(spec, 0.30).AvgLatency)
+	fmt.Printf("stages sum to the latency of all %d packets: %v\n", wf.Packets,
+		wf.Queue+wf.Reserve+wf.Arb+wf.Stall+wf.Sched+wf.Link+wf.Drain == wf.Total)
+	// Output:
+	// same measurement as a bare run: true
+	// stages sum to the latency of all 300 packets: true
+}
+
+// RunJobs fans a campaign over a worker pool, the same results in job order at
+// any worker count; a ResultPath caches them by content hash across runs.
+func ExampleRunJobs() {
+	dir, err := os.MkdirTemp("", "frfc-example")
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	defer os.RemoveAll(dir)
+	spec := frfc.VC8(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(200, 300)
+	jobs := []frfc.Job{{Spec: spec, Load: 0.2}, {Spec: spec, Load: 0.4}}
+	o := frfc.ParallelOptions{Workers: 2, ResultPath: filepath.Join(dir, "results.jsonl")}
+	for pass := 1; pass <= 2; pass++ {
+		results, err := frfc.RunJobs(context.Background(), jobs, o)
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Printf("pass %d: served from the store: %v, %v\n", pass, results[0].Cached, results[1].Cached)
+	}
+	// Output:
+	// pass 1: served from the store: false, false
+	// pass 2: served from the store: true, true
+}
+
+// The resolved sweeps offer a fixed number of packets and run until the fate of
+// each is known. FaultSweep loses data flits at random: detection alone leaves
+// lost packets lost, the end-to-end retry layer delivers every one.
+func ExampleFaultSweep() {
+	pts, err := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 100}, Rates: []float64{0.02}})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	for _, p := range pts {
+		fmt.Printf("retry budget %d: every packet delivered: %v\n", p.RetryLimit, p.DeliveredFraction() == 1)
+	}
+	// Output:
+	// retry budget 0: every packet delivered: false
+	// retry budget 8: every packet delivered: true
 }

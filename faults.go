@@ -22,11 +22,11 @@ type FaultSweepOptions struct {
 // resolving every offered packet. With retries the delivered fraction stays
 // at 100% through percent-level loss rates, at a latency cost the AvgLatency
 // column exposes. The cells execute concurrently on the harness worker pool
-// (Options.Workers); the points are identical to a serial sweep.
-func FaultSweep(o FaultSweepOptions) []FaultPoint {
-	cells := experiment.FaultSweepOptions{
+// (Options.Workers); the points are identical to a serial sweep. A cell that
+// cannot run (a negative RetryLimit, say) is the returned error, which names
+// it.
+func FaultSweep(o FaultSweepOptions) ([]FaultPoint, error) {
+	return sweepCells(o.ResolveOptions, experiment.FaultSweepOptions{
 		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Rates: o.Rates,
-	}.Cells()
-	pts, _ := sweepCells(o.ResolveOptions, cells)
-	return pts
+	}.Cells())
 }

@@ -250,9 +250,9 @@ func TestCustomRejectsBadFaultRates(t *testing.T) {
 }
 
 func TestPublicFaultSweep(t *testing.T) {
-	pts := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 80}, Rates: []float64{0.02}, RetryLimit: 10})
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
+	pts, err := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 80}, Rates: []float64{0.02}, RetryLimit: 10})
+	if err != nil || len(pts) != 2 {
+		t.Fatalf("got %d points (%v), want 2", len(pts), err)
 	}
 	detect, retry := pts[0], pts[1]
 	if detect.RetryLimit != 0 || retry.RetryLimit != 10 {
@@ -269,5 +269,12 @@ func TestPublicFaultSweep(t *testing.T) {
 	}
 	if detect.Wedged || retry.Wedged {
 		t.Errorf("watchdog fired during sweep")
+	}
+
+	// A cell that cannot run is an error naming it, as in the three sibling
+	// sweeps; it used to be a row of zeros.
+	_, err = frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 10}, Rates: []float64{0.02}, RetryLimit: -1})
+	if err == nil || !strings.Contains(err.Error(), "fault cell (rate=0.02, retry=-1)") {
+		t.Errorf("negative retry budget: err = %v, want the failed cell named", err)
 	}
 }

@@ -4,9 +4,9 @@ import "frfc/internal/experiment"
 
 // IntegrityPoint is one row of an IntegritySweep: a flit-reservation network
 // run under a given link bit-error rate, with or without the end-to-end
-// payload check, until every offered packet's fate is resolved. EscapeRate()
-// is its silent-corruption exposure, EscapeRateCI() the 95% Wilson interval
-// around it.
+// payload check, until every offered packet's fate is resolved.
+// CorruptEscapes over Offered is its silent-corruption exposure,
+// EscapeRateCI() the 95% Wilson interval around it.
 type IntegrityPoint = experiment.IntegrityPoint
 
 // IntegritySweepOptions parameterizes an IntegritySweep. Zero fields take
@@ -29,8 +29,8 @@ type IntegritySweepOptions struct {
 // off — until every offered packet resolves, and reports delivered fraction
 // alongside the corruption ledger. With the check on, every escaped
 // corruption is caught and retried, so delivery stays total even at bit-error
-// rates far above realistic links; with it off, EscapeRate is exactly the
-// silently accepted corruption. The cells execute concurrently on the
+// rates far above realistic links; with it off, the escape rate is exactly
+// the silently accepted corruption. The cells execute concurrently on the
 // harness worker pool; the points are identical to a serial sweep.
 func IntegritySweep(o IntegritySweepOptions) ([]IntegrityPoint, error) {
 	cells := experiment.IntegritySweepOptions{

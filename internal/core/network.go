@@ -222,6 +222,12 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	}
 	n.hooks = &wrapped
 
+	// Construction order is the seed: every Split below draws from root, so
+	// the link stream, then the routers' in id order, then the interfaces' each
+	// get the stream their position gives them. Moving this line (or either
+	// loop) reseeds every stream after it and with them every FR cell of the
+	// paper's evaluation — a mechanism-free change that TestFRResultsPinned is
+	// what notices (EXPERIMENTS.md, "construction order is the seed").
 	root := sim.NewRNG(seed)
 	n.linkRNG = root.Split()
 	n.routers = make([]*Router, mesh.N())

@@ -23,21 +23,14 @@ type IntegrityPoint struct {
 	Resolved
 }
 
-// EscapeRate is corrupted-payload escapes per offered packet — the silent-
-// corruption exposure. With the end-to-end check on, an escape is caught and
-// retried, so exposure does not imply wrong data was accepted; with it off,
-// every escape is accepted as-is.
-func (p IntegrityPoint) EscapeRate() float64 {
-	if p.Offered == 0 {
-		return 0
-	}
-	return float64(p.CorruptEscapes) / float64(p.Offered)
-}
-
-// EscapeRateCI is the 95% Wilson interval around EscapeRate. Escape counts
-// are single digits out of a few hundred offered packets, so the interval —
-// not the point estimate — is the honest statement of exposure; at zero
-// observed escapes it still has positive width (the rule of three).
+// EscapeRateCI is the 95% Wilson interval around the escape rate —
+// corrupted-payload escapes per offered packet, the silent-corruption
+// exposure. With the end-to-end check on, an escape is caught and retried, so
+// exposure does not imply wrong data was accepted; with it off, every escape
+// is accepted as-is. Escape counts are single digits out of a few hundred
+// offered packets, so the interval — not the point estimate — is the honest
+// statement of exposure; at zero observed escapes it still has positive width
+// (the rule of three).
 func (p IntegrityPoint) EscapeRateCI() (lo, hi float64) {
 	return stats.WilsonCI95(p.CorruptEscapes, p.Offered)
 }

@@ -99,12 +99,12 @@ func (j Job) Hash() string {
 }
 
 // JobResult is one job's outcome. Exactly one of Result (Err == "") or Err is
-// meaningful; Cached and Skipped qualify how the result was obtained.
+// meaningful; Cached qualifies how the result was obtained.
 type JobResult struct {
 	Job  Job
 	Hash string
 	// Result is the simulation's report when the job succeeded (or was
-	// served from the store, or synthesized by a saturation short-circuit).
+	// served from the store).
 	Result experiment.Result
 	// Err is non-empty when the job failed: a captured panic (with
 	// Panicked set and the stack appended), a per-job timeout, or a
@@ -113,10 +113,7 @@ type JobResult struct {
 	Panicked bool
 	// Cached is set when the result came from the store without running.
 	Cached bool
-	// Skipped is set when a saturation short-circuit synthesized the
-	// result (Saturated=true) without running the simulation.
-	Skipped bool
-	// Elapsed is the wall-clock execution time (zero for cached/skipped).
+	// Elapsed is the wall-clock execution time (zero for cached).
 	Elapsed time.Duration
 }
 
@@ -139,8 +136,8 @@ type Options struct {
 	Progress func(Progress)
 	// JobStarted, when non-nil, is called from the worker about to simulate
 	// a job — after the store lookup misses, before the run. JobFinished,
-	// when non-nil, is called with every job's outcome (simulated, cached,
-	// skipped or failed). Both fire concurrently from worker goroutines and
+	// when non-nil, is called with every job's outcome (simulated, cached
+	// or failed). Both fire concurrently from worker goroutines and
 	// must be safe for that; neither may mutate the job. They exist to feed
 	// live status displays and never influence results.
 	JobStarted  func(Job)
@@ -154,8 +151,8 @@ type Options struct {
 	// anything collects. Observation only: the measurement fields of an
 	// observed Result are bit-identical to a bare run's (the contract
 	// TestRunObservedMatchesRun enforces), and observed campaigns are
-	// bit-identical across worker counts. Cached and skipped jobs simulate
-	// nothing, so they build no probe and are not collected.
+	// bit-identical across worker counts. Cached jobs simulate nothing, so they
+	// build no probe and are not collected.
 	Probe   func() *metrics.Probe
 	Collect func(Job, *metrics.Probe)
 }

@@ -7,18 +7,16 @@ import (
 )
 
 // Progress is a campaign snapshot, delivered to Options.Progress after every
-// job completion. Counters are cumulative; Done includes cached, skipped and
-// failed jobs.
+// job completion. Counters are cumulative; Done includes cached and failed
+// jobs.
 type Progress struct {
 	// Total is the number of jobs in the campaign. Adaptive searches,
 	// whose run count is data-dependent, report their worst-case estimate.
 	Total int
 	Done  int
-	// Cached jobs were served from the store; Skipped were synthesized by
-	// a saturation short-circuit; Failed carry a non-empty Err.
-	Cached  int
-	Skipped int
-	Failed  int
+	// Cached jobs were served from the store; Failed carry a non-empty Err.
+	Cached int
+	Failed int
 	// Elapsed is wall-clock time since the campaign started. ETA is a
 	// naive projection from the mean execution time of the jobs actually
 	// simulated so far (zero until one finishes); display only.
@@ -31,9 +29,6 @@ func (p Progress) String() string {
 	s := fmt.Sprintf("%d/%d done", p.Done, p.Total)
 	if p.Cached > 0 {
 		s += fmt.Sprintf(", %d cached", p.Cached)
-	}
-	if p.Skipped > 0 {
-		s += fmt.Sprintf(", %d skipped", p.Skipped)
 	}
 	if p.Failed > 0 {
 		s += fmt.Sprintf(", %d failed", p.Failed)
@@ -71,8 +66,6 @@ func (t *tracker) finish(jr *JobResult) {
 	switch {
 	case jr.Cached:
 		t.p.Cached++
-	case jr.Skipped:
-		t.p.Skipped++
 	case jr.Err != "":
 		t.p.Failed++
 		t.simTime += jr.Elapsed

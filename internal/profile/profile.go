@@ -234,16 +234,27 @@ func (r *Registry) Merge(o *Registry) {
 	r.Mem.MaxEpochAllocBytes = max(r.Mem.MaxEpochAllocBytes, o.Mem.MaxEpochAllocBytes)
 }
 
-// Totals sums ticks and active ticks across every node and component.
-func (r *Registry) Totals() (ticks, active int64) {
+// ComponentTotals sums ticks and active ticks per component class across
+// every node.
+func (r *Registry) ComponentTotals() (ticks, active [NumComponents]int64) {
 	if r == nil {
-		return 0, 0
+		return ticks, active
 	}
 	for i := range r.Nodes {
-		for c := 0; c < int(NumComponents); c++ {
-			ticks += r.Nodes[i].Ticks[c]
-			active += r.Nodes[i].Active[c]
+		for c := range ticks {
+			ticks[c] += r.Nodes[i].Ticks[c]
+			active[c] += r.Nodes[i].Active[c]
 		}
+	}
+	return ticks, active
+}
+
+// Totals sums ticks and active ticks across every node and component.
+func (r *Registry) Totals() (ticks, active int64) {
+	t, a := r.ComponentTotals()
+	for c := range t {
+		ticks += t[c]
+		active += a[c]
 	}
 	return ticks, active
 }
@@ -383,19 +394,13 @@ func (r *Registry) Summary() string {
 	if a.Ticks == 0 {
 		return "profile: no ticks recorded"
 	}
-	var comp [NumComponents][2]int64
-	for i := range r.Nodes {
-		for c := 0; c < int(NumComponents); c++ {
-			comp[c][0] += r.Nodes[i].Ticks[c]
-			comp[c][1] += r.Nodes[i].Active[c]
-		}
-	}
+	ticks, active := r.ComponentTotals()
 	s := fmt.Sprintf("profile: %.1f%% of %d component ticks idle", 100*a.IdleFraction, a.Ticks)
 	for c := Component(0); c < NumComponents; c++ {
-		if comp[c][0] == 0 {
+		if ticks[c] == 0 {
 			continue
 		}
-		s += fmt.Sprintf("; %s %.1f%%", c, 100*(1-float64(comp[c][1])/float64(comp[c][0])))
+		s += fmt.Sprintf("; %s %.1f%%", c, 100*(1-float64(active[c])/float64(ticks[c])))
 	}
 	if a.SchedWork+a.ArbWork+a.SwitchWork+a.CreditWork > 0 {
 		s += fmt.Sprintf("; phases sched %d / arb %d / switch %d / credit %d",

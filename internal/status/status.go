@@ -39,11 +39,10 @@ type JobView struct {
 
 // CampaignView is the harness progress portion of the /status snapshot.
 type CampaignView struct {
-	Total   int `json:"total"`
-	Done    int `json:"done"`
-	Cached  int `json:"cached"`
-	Skipped int `json:"skipped"`
-	Failed  int `json:"failed"`
+	Total  int `json:"total"`
+	Done   int `json:"done"`
+	Cached int `json:"cached"`
+	Failed int `json:"failed"`
 	// ElapsedSeconds and ETASeconds mirror harness.Progress; ETA is a naive
 	// projection, display only.
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
@@ -236,7 +235,6 @@ func (s *Server) OnProgress(p harness.Progress) {
 		Total:          p.Total,
 		Done:           p.Done,
 		Cached:         p.Cached,
-		Skipped:        p.Skipped,
 		Failed:         p.Failed,
 		ElapsedSeconds: p.Elapsed.Seconds(),
 		ETASeconds:     p.ETA.Seconds(),

@@ -48,8 +48,8 @@ type JobResult struct {
 }
 
 // Progress is a campaign snapshot streamed to ParallelOptions.Progress after
-// every job completion: Done of Total jobs, of which Cached, Skipped and
-// Failed, after Elapsed; ETA is a naive projection from mean job execution
+// every job completion: Done of Total jobs, of which Cached and Failed,
+// after Elapsed; ETA is a naive projection from mean job execution
 // time — display only, zero until the first job finishes. Its String renders
 // the snapshot as one status line.
 type Progress = harness.Progress

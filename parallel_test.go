@@ -75,9 +75,12 @@ func TestFaultSweepWorkers(t *testing.T) {
 	serialOpts.Workers = 1
 	parallelOpts := base
 	parallelOpts.Workers = 4
-	serial := frfc.FaultSweep(serialOpts)
-	parallel := frfc.FaultSweep(parallelOpts)
-	if !reflect.DeepEqual(serial, parallel) {
+	serial, err := frfc.FaultSweep(serialOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := frfc.FaultSweep(parallelOpts)
+	if err != nil || !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("fault sweep diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }
