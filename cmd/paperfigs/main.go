@@ -25,7 +25,8 @@
 //
 // The sweeps and Table 3 run on the internal/harness worker pool; -workers
 // sizes it (0 = NumCPU) and never changes the printed numbers — every point
-// owns its own network and RNG, and rows print in spec/load order.
+// has a network to itself for the run, reset from the point's seed to its
+// constructed state, and rows print in spec/load order.
 package main
 
 import (

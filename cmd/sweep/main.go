@@ -3,8 +3,9 @@
 // configurations, as aligned text columns suitable for plotting.
 //
 // Points execute concurrently on a worker pool (-workers, default NumCPU);
-// any worker count produces byte-identical tables because every point owns
-// its own network and RNG. With -out the results stream to an append-only
+// any worker count produces byte-identical tables because every point has a
+// network to itself for the run, reset from the point's seed to its
+// constructed state. With -out the results stream to an append-only
 // JSONL store keyed by each point's content hash, and -resume reloads that
 // store first so an interrupted campaign re-runs only what is missing —
 // re-invoking an identical, completed sweep executes zero new simulations.

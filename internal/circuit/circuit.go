@@ -138,9 +138,28 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 			continue
 		}
 		r.in[p] = probeQueue{exists: true}
-		r.out[p] = outputPort{exists: true, probeCredits: cfg.ProbeBuffers}
+		r.out[p] = outputPort{exists: true}
 	}
+	r.reset()
 	return r
+}
+
+// reset returns the router to its just-built state: no probe queued, no
+// circuit through it, every downstream probe buffer credited. The random
+// stream and the wires are the network's to restart and reset.
+func (r *Router) reset() {
+	clear(r.fwd)
+	for p := range r.in {
+		in := &r.in[p]
+		if !in.exists {
+			continue
+		}
+		clear(in.q)
+		in.q, in.arrivedAt = in.q[:0], in.arrivedAt[:0]
+		o := &r.out[p]
+		o.owner, o.owned, o.inPort = 0, false, 0
+		o.probeCredits = r.cfg.ProbeBuffers
+	}
 }
 
 // Tick advances the router one cycle: absorb acks and probe credits, route

@@ -24,9 +24,11 @@ type ni struct {
 
 	queue   noc.SourceQueue
 	current *noc.Packet
-	flits   []noc.DataFlit
-	next    int
-	acked   bool
+	// flits is the interface's own scratch, cut afresh for each packet: flits
+	// go on the wire by value.
+	flits []noc.DataFlit
+	next  int
+	acked bool
 
 	probeCredits int
 
@@ -37,7 +39,18 @@ type ni struct {
 }
 
 func newNI(cfg Config, hooks *noc.Hooks) *ni {
-	return &ni{cfg: cfg, hooks: hooks, probeCredits: cfg.ProbeBuffers}
+	n := &ni{cfg: cfg, hooks: hooks}
+	n.reset()
+	return n
+}
+
+// reset returns the interface to its just-built state: nothing queued, no
+// circuit requested or open, every probe buffer of the router credited.
+func (n *ni) reset() {
+	n.queue.Reset()
+	clear(n.flits[:cap(n.flits)])
+	n.current, n.flits, n.next, n.acked = nil, n.flits[:0], 0, false
+	n.probeCredits = n.cfg.ProbeBuffers
 }
 
 func (n *ni) Tick(now sim.Cycle) {
@@ -60,7 +73,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.flits = noc.DataFlits(p)
+		n.flits = noc.AppendDataFlits(n.flits[:0], p)
 		n.next = 0
 		n.acked = false
 		n.probeCredits--
@@ -75,7 +88,6 @@ func (n *ni) Tick(now sim.Cycle) {
 		n.next++
 		if n.next == len(n.flits) {
 			n.current = nil
-			n.flits = nil
 		}
 	}
 }
@@ -90,9 +102,14 @@ func (n *ni) pendingWork() int {
 
 // Network is a mesh of circuit-switched routers.
 type Network struct {
-	mesh  topology.Mesh
-	cfg   Config
-	hooks *noc.Hooks
+	mesh topology.Mesh
+	cfg  Config
+	// hooks is what the components report through, one value for the
+	// network's life: the current run's (inner) with PacketDelivered replaced
+	// by the network's counting onDelivered.
+	hooks       *noc.Hooks
+	inner       noc.Hooks
+	onDelivered func(*noc.Packet, sim.Cycle)
 
 	routers []*Router
 	nis     []*ni
@@ -119,38 +136,65 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 	}
 }
 
-// New assembles a circuit-switched network over the given mesh.
+// New assembles a circuit-switched network over the given mesh. It allocates
+// and wires the components and leaves every initial value to Reset.
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	if hooks == nil {
-		hooks = &noc.Hooks{}
-	}
-	n := &Network{mesh: mesh, cfg: cfg}
-
-	inner := *hooks
-	wrapped := inner
-	wrapped.PacketDelivered = func(p *noc.Packet, now sim.Cycle) {
+	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
+	n.onDelivered = func(p *noc.Packet, now sim.Cycle) {
 		n.delivered++
-		if inner.PacketDelivered != nil {
-			inner.PacketDelivered(p, now)
-		}
+		n.inner.Delivered(p, now)
 	}
-	n.hooks = &wrapped
-
-	root := sim.NewRNG(seed)
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split())
-	}
-	for id := 0; id < mesh.N(); id++ {
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg, n.hooks)
 		n.sinks[id] = noc.NewSink(n.hooks)
 	}
 	n.wire()
+	n.Reset(seed, hooks)
 	return n
+}
+
+// Reset implements noc.Network.
+func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
+	// The caller's hooks pass straight through, except PacketDelivered, which
+	// the network counts on the way.
+	n.inner = noc.Hooks{}
+	if hooks != nil {
+		n.inner = *hooks
+	}
+	*n.hooks = n.inner
+	n.hooks.PacketDelivered = n.onDelivered
+	n.AttachProbe(nil)
+	n.offered, n.delivered = 0, 0
+
+	var root sim.RNG
+	root.Seed(seed)
+	for id, r := range n.routers {
+		root.SplitInto(r.rng)
+		r.reset()
+		for p := range r.out {
+			if o := &r.out[p]; o.exists {
+				o.data.Reset()
+				if o.probeOut != nil { // an inter-router port: the Local one ejects data only
+					o.probeOut.Reset()
+					o.probeCreditIn.Reset()
+					o.ackIn.Reset()
+				}
+			}
+		}
+		x := n.nis[id]
+		x.reset()
+		x.probeOut.Reset()
+		x.probeCreditIn.Reset()
+		x.ackIn.Reset()
+		x.dataOut.Reset()
+		n.sinks[id].Reset()
+	}
 }
 
 func (n *Network) wire() {

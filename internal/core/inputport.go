@@ -97,12 +97,14 @@ type inputPort struct {
 // newInputPort builds an input with the given pool size whose reservation
 // table covers arrivals up to horizon cycles ahead.
 func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
-	return &inputPort{
+	p := &inputPort{
 		pool:          make([]poolSlot, buffers),
 		expected:      newCycleRing[reservation](horizon + 1),
 		ledger:        ledger,
 		faultTolerant: faultTolerant,
 	}
+	p.reset()
+	return p
 }
 
 // parkedIndex returns the schedule-list position of the flit that arrived at
@@ -342,15 +344,15 @@ func (p *inputPort) purgeOutput(out topology.Port, drop func(noc.DataFlit)) {
 	}
 }
 
-// reset returns the input port to its just-built state, destroying every
-// buffered flit (reported through drop) and every reservation. It runs when
+// flush empties the input port mid-run, destroying every buffered flit
+// (reported through drop when non-nil) and every reservation. It runs when
 // the link feeding this input is repaired: the upstream router restarts with
 // a fresh reservation table that believes every buffer here is free, so the
 // port must actually be empty or its pool would be overcommitted.
-func (p *inputPort) reset(drop func(noc.DataFlit)) {
+func (p *inputPort) flush(drop func(noc.DataFlit)) {
 	for i := range p.pool {
 		s := &p.pool[i]
-		if s.occupied {
+		if s.occupied && drop != nil {
 			drop(s.flit)
 		}
 		*s = poolSlot{departAt: sim.Never}
@@ -359,6 +361,16 @@ func (p *inputPort) reset(drop func(noc.DataFlit)) {
 	p.expected.clear()
 	p.parked = p.parked[:0]
 	p.condemned = nil
+}
+
+// reset returns the input port to its just-built state: flushed, its
+// reservation window back at cycle 0, its lifetime counters and the shadow
+// ledger at zero.
+func (p *inputPort) reset() {
+	p.flush(nil)
+	p.expected.reset()
+	p.parkedTotal, p.phantoms, p.reclaimed = 0, 0, 0
+	p.ledger.reset()
 }
 
 // pending reports buffered flits plus outstanding expectations, used by the

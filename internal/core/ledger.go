@@ -35,6 +35,18 @@ func newEagerLedger(buffers int) *eagerLedger {
 	}
 }
 
+// reset forgets every replayed residency.
+func (l *eagerLedger) reset() {
+	if l == nil {
+		return
+	}
+	for i := range l.slots {
+		l.slots[i] = l.slots[i][:0]
+	}
+	clear(l.open)
+	l.assignments, l.transfers = 0, 0
+}
+
 // Transfers reports the number of buffer-to-buffer moves eager allocation
 // would have required, and the number of residencies replayed.
 func (l *eagerLedger) Transfers() (transfers, assignments int64) {

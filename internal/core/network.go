@@ -37,9 +37,21 @@ type linkPipes struct {
 // Network is a complete mesh of flit-reservation routers with per-node
 // network interfaces. It implements noc.Network.
 type Network struct {
-	mesh  topology.Mesh
-	cfg   Config
-	hooks *noc.Hooks
+	mesh topology.Mesh
+	cfg  Config
+	// hooks is what the components report through, one value for the
+	// network's life: own — the hooks the network counts on the way, built
+	// once — laid over inner, the current run's.
+	hooks      *noc.Hooks
+	own, inner noc.Hooks
+
+	// leadArrays is the free list the interfaces' control flits take their
+	// lead arrays from. Within a run it is fed only where a control flit is
+	// retired at its destination (Router.consume) — a flit destroyed on the
+	// way, discarded or severed, leaves its array to the garbage collector —
+	// and Reset, which retires every flit the network still holds, returns
+	// theirs.
+	leadArrays noc.LeadArrays
 
 	routers []*Router
 	nis     []*NI
@@ -104,7 +116,8 @@ type Network struct {
 var _ noc.Network = (*Network)(nil)
 
 // New assembles a flit-reservation network over the given mesh. The seed
-// drives every arbitration and injection decision; hooks may be nil.
+// drives every arbitration and injection decision; hooks may be nil. It
+// allocates and wires the components and leaves every initial value to Reset.
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
@@ -123,10 +136,7 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 			}
 		}
 	}
-	if hooks == nil {
-		hooks = &noc.Hooks{}
-	}
-	n := &Network{mesh: mesh, cfg: cfg, progress: new(int64)}
+	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks), linkRNG: new(sim.RNG), progress: new(int64)}
 	if t, ok := cfg.Routing.(*routing.Table); ok {
 		n.table = t
 	}
@@ -138,109 +148,19 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 		n.notifs = make(map[sim.Cycle][]notif)
 		n.resolved = make(map[noc.PacketID]bool)
 	}
+	n.own = n.countingHooks()
 
-	inner := *hooks
-	wrapped := inner
-	wrapped.PacketDelivered = func(p *noc.Packet, now sim.Cycle) {
-		if n.resolved != nil {
-			if n.resolved[p.ID] {
-				return // late delivery of a packet already written off
-			}
-			n.resolved[p.ID] = true
-			at := now + n.cfg.NackLatency
-			n.notifs[at] = append(n.notifs[at], notif{ack: true, pkt: p})
-		}
-		n.delivered++
-		if p.Attempts > 0 {
-			n.afterRetry++
-		}
-		if inner.PacketDelivered != nil {
-			inner.PacketDelivered(p, now)
-		}
-	}
-	wrapped.PacketLost = func(p *noc.Packet, now sim.Cycle) {
-		n.lostDetected++
-		if n.cfg.RetryLimit == 0 {
-			n.lostResolved++
-		}
-		if inner.PacketLost != nil {
-			inner.PacketLost(p, now)
-		}
-	}
-	wrapped.PacketRetried = func(p *noc.Packet, now sim.Cycle) {
-		n.retried++
-		if inner.PacketRetried != nil {
-			inner.PacketRetried(p, now)
-		}
-	}
-	wrapped.PacketAbandoned = func(p *noc.Packet, now sim.Cycle) {
-		if n.resolved[p.ID] {
-			return // the delivery beat the retry timer; its ACK is in flight
-		}
-		n.resolved[p.ID] = true
-		n.abandoned++
-		if inner.PacketAbandoned != nil {
-			inner.PacketAbandoned(p, now)
-		}
-	}
-	wrapped.FlitDropped = func(p *noc.Packet, now sim.Cycle) {
-		n.dropped++
-		if inner.FlitDropped != nil {
-			inner.FlitDropped(p, now)
-		}
-	}
-	wrapped.FlitCorrupted = func(now sim.Cycle) {
-		n.corruptedFlits++
-		if inner.FlitCorrupted != nil {
-			inner.FlitCorrupted(now)
-		}
-	}
-	wrapped.CorruptionDetected = func(now sim.Cycle) {
-		n.crcDetected++
-		if inner.CorruptionDetected != nil {
-			inner.CorruptionDetected(now)
-		}
-	}
-	wrapped.CorruptionEscaped = func(p *noc.Packet, now sim.Cycle) {
-		n.corruptEscapes++
-		if inner.CorruptionEscaped != nil {
-			inner.CorruptionEscaped(p, now)
-		}
-	}
-	wrapped.PacketUnreachable = func(p *noc.Packet, now sim.Cycle) {
-		if n.resolved != nil {
-			if n.resolved[p.ID] {
-				return // a delivery or abandonment already settled this packet
-			}
-			n.resolved[p.ID] = true
-		}
-		n.unreachable++
-		n.probe.Unreachable(int(p.Src))
-		if inner.PacketUnreachable != nil {
-			inner.PacketUnreachable(p, now)
-		}
-	}
-	n.hooks = &wrapped
-
-	// Construction order is the seed: every Split below draws from root, so
-	// the link stream, then the routers' in id order, then the interfaces' each
-	// get the stream their position gives them. Moving this line (or either
-	// loop) reseeds every stream after it and with them every FR cell of the
-	// paper's evaluation — a mechanism-free change that TestFRResultsPinned is
-	// what notices (EXPERIMENTS.md, "construction order is the seed").
-	root := sim.NewRNG(seed)
-	n.linkRNG = root.Split()
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*NI, mesh.N())
 	n.sinks = make([]*Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, root.Split())
-		n.routers[id].hooks = n.hooks
-		n.routers[id].progress = n.progress
-	}
-	for id := 0; id < mesh.N(); id++ {
-		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, root.Split(), n.hooks)
-		n.nis[id].progress = n.progress
+		r := newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG))
+		r.hooks, r.progress, r.leadArrays = n.hooks, n.progress, &n.leadArrays
+		n.routers[id] = r
+
+		ni := newNI(topology.NodeID(id), &n.cfg, new(sim.RNG), n.hooks)
+		ni.progress, ni.leads = n.progress, &n.leadArrays
+		n.nis[id] = ni
 		n.sinks[id] = newSink(topology.NodeID(id), cfg.Horizon+cfg.LocalLatency, n.hooks)
 		n.sinks[id].e2eCheck = cfg.E2ECheck
 		if cfg.RetryLimit > 0 {
@@ -248,13 +168,158 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 		}
 		if topoFaults {
 			src := topology.NodeID(id)
-			n.nis[id].unreachable = func(dst topology.NodeID) bool {
+			ni.unreachable = func(dst topology.NodeID) bool {
 				return !n.pairConnected(src, dst)
 			}
 		}
 	}
 	n.wire()
+	n.Reset(seed, hooks)
 	return n
+}
+
+// Reset implements noc.Network. The lead-array free list and every
+// component's grown capacity survive; nothing else of an earlier run does.
+func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
+	// The caller's hooks pass straight through, except the ones the network
+	// counts on the way (own), which find the caller's in n.inner.
+	n.inner = noc.Hooks{}
+	if hooks != nil {
+		n.inner = *hooks
+	}
+	h := n.inner
+	h.PacketDelivered, h.PacketLost, h.PacketRetried = n.own.PacketDelivered, n.own.PacketLost, n.own.PacketRetried
+	h.PacketAbandoned, h.PacketUnreachable, h.FlitDropped = n.own.PacketAbandoned, n.own.PacketUnreachable, n.own.FlitDropped
+	h.FlitCorrupted, h.CorruptionDetected, h.CorruptionEscaped = n.own.FlitCorrupted, n.own.CorruptionDetected, n.own.CorruptionEscaped
+	*n.hooks = h
+	n.AttachProbe(nil)
+
+	n.offered, n.delivered, n.lostDetected, n.lostResolved = 0, 0, 0, 0
+	n.abandoned, n.retried, n.afterRetry, n.dropped, n.ctrlCorrupted = 0, 0, 0, 0, 0
+	n.unreachable, n.corruptedFlits, n.crcDetected, n.corruptEscapes = 0, 0, 0, 0
+	clear(n.notifs)
+	clear(n.resolved)
+	*n.progress, n.lastProgress, n.lastProgressAt, n.wedgeFired, n.now = 0, 0, 0, false, 0
+
+	// A scenario that got as far as changing the topology left outages and
+	// routes computed around them; the healthy mesh is where a run starts.
+	if n.nextFault > 0 && n.linkDown != nil {
+		clear(n.linkDown)
+		clear(n.deadNode)
+		n.table.Reset(n.mesh)
+	}
+	n.nextFault = 0
+
+	// Construction order is the seed: every split below draws from root, so
+	// the link stream, then the routers' in id order, then the interfaces' each
+	// get the stream their position gives them. Moving the first line (or
+	// either loop) reseeds every stream after it and with them every FR cell of
+	// the paper's evaluation — a mechanism-free change that TestFRResultsPinned
+	// is what notices (EXPERIMENTS.md, "construction order is the seed").
+	var root sim.RNG
+	root.Seed(seed)
+	root.SplitInto(n.linkRNG)
+	for _, r := range n.routers {
+		root.SplitInto(r.rng)
+		r.reset()
+	}
+	// Every control flit still on a wire is retired here, as the ones queued
+	// in routers and unsent in interfaces are by their resets.
+	retire := func(cf noc.ControlFlit) { n.leadArrays.Put(cf.Leads) }
+	for id, ni := range n.nis {
+		root.SplitInto(ni.rng)
+		ni.reset()
+		n.sinks[id].reset()
+		ni.dataOut.Reset()
+		ni.resvCreditIn.Reset()
+		ni.ctrlOut.Each(retire)
+		ni.ctrlOut.Reset()
+		ni.ctrlCreditIn.Reset()
+		n.sinks[id].dataIn.Reset()
+	}
+	for i := range n.links {
+		l := &n.links[i]
+		l.data.Reset()
+		l.resvCredit.Reset()
+		l.ctrl.Each(retire)
+		l.ctrl.Reset()
+		l.ctrlCredit.Reset()
+		if n.berArmed() {
+			// The configured rate, which a scenario's "corrupt" events
+			// retune mid-run.
+			l.data.SetBitErrorRate(n.cfg.BER)
+			l.ctrl.SetBitErrorRate(n.cfg.BER)
+		}
+	}
+}
+
+// countingHooks builds, once, the hooks the network intercepts to keep its
+// own ledger; each passes the event on to the current run's hook of the same
+// name, if it set one.
+func (n *Network) countingHooks() noc.Hooks {
+	return noc.Hooks{
+		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
+			if n.resolved != nil {
+				if n.resolved[p.ID] {
+					return // late delivery of a packet already written off
+				}
+				n.resolved[p.ID] = true
+				at := now + n.cfg.NackLatency
+				n.notifs[at] = append(n.notifs[at], notif{ack: true, pkt: p})
+			}
+			n.delivered++
+			if p.Attempts > 0 {
+				n.afterRetry++
+			}
+			n.inner.Delivered(p, now)
+		},
+		PacketLost: func(p *noc.Packet, now sim.Cycle) {
+			n.lostDetected++
+			if n.cfg.RetryLimit == 0 {
+				n.lostResolved++
+			}
+			n.inner.Lost(p, now)
+		},
+		PacketRetried: func(p *noc.Packet, now sim.Cycle) {
+			n.retried++
+			n.inner.Retried(p, now)
+		},
+		PacketAbandoned: func(p *noc.Packet, now sim.Cycle) {
+			if n.resolved[p.ID] {
+				return // the delivery beat the retry timer; its ACK is in flight
+			}
+			n.resolved[p.ID] = true
+			n.abandoned++
+			n.inner.Abandoned(p, now)
+		},
+		FlitDropped: func(p *noc.Packet, now sim.Cycle) {
+			n.dropped++
+			n.inner.Dropped(p, now)
+		},
+		FlitCorrupted: func(now sim.Cycle) {
+			n.corruptedFlits++
+			n.inner.Corrupted(now)
+		},
+		CorruptionDetected: func(now sim.Cycle) {
+			n.crcDetected++
+			n.inner.CrcDetected(now)
+		},
+		CorruptionEscaped: func(p *noc.Packet, now sim.Cycle) {
+			n.corruptEscapes++
+			n.inner.CorruptEscape(p, now)
+		},
+		PacketUnreachable: func(p *noc.Packet, now sim.Cycle) {
+			if n.resolved != nil {
+				if n.resolved[p.ID] {
+					return // a delivery or abandonment already settled this packet
+				}
+				n.resolved[p.ID] = true
+			}
+			n.unreachable++
+			n.probe.Unreachable(int(p.Src))
+			n.inner.Unreachable(p, now)
+		},
+	}
 }
 
 // AttachProbe points the whole network — routers, interfaces, sinks — at an
@@ -328,7 +393,7 @@ func (n *Network) newCtrlLink() *sim.Pipe[noc.ControlFlit] {
 		p = sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
 	}
 	if n.berArmed() {
-		p.WithBitErrors(cfg.BER, n.linkRNG, n.corruptCtrl)
+		p.WithBitErrors(0, n.linkRNG, n.corruptCtrl) // Reset sets the rate
 	}
 	return p
 }
@@ -339,7 +404,7 @@ func (n *Network) newCtrlLink() *sim.Pipe[noc.ControlFlit] {
 func (n *Network) newDataLink() *sim.Pipe[noc.DataFlit] {
 	p := sim.NewPipe[noc.DataFlit](n.cfg.DataLinkLatency, 1)
 	if n.berArmed() {
-		p.WithBitErrors(n.cfg.BER, n.linkRNG, n.corruptData)
+		p.WithBitErrors(0, n.linkRNG, n.corruptData) // Reset sets the rate
 	}
 	return p
 }

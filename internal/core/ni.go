@@ -36,6 +36,10 @@ type NI struct {
 	injTable *outResTable
 
 	active []niPacket // one slot per control VC of the injection link
+	// leads is the network's free list of lead arrays, from which a started
+	// packet's control flits take theirs; nil (an interface on its own, in a
+	// test) makes each packet cut its own.
+	leads *noc.LeadArrays
 
 	ctrlCredits []int
 	ctrlOwned   []bool
@@ -106,7 +110,9 @@ type niTimeout struct {
 }
 
 // niPacket is one packet whose control flits are being scheduled and
-// injected on one control VC.
+// injected on one control VC. ctrl is the slot's own scratch, rebuilt for each
+// packet it carries: a control flit is sent by value, so once it is on the
+// wire the copy here is dead.
 type niPacket struct {
 	active   bool
 	pkt      *noc.Packet
@@ -142,10 +148,36 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *N
 		n.awaiting = make(map[noc.PacketID]*retryState)
 		n.retryAt = make(map[sim.Cycle][]*noc.Packet)
 	}
-	for v := range n.ctrlCredits {
-		n.ctrlCredits[v] = cfg.CtrlBufPerVC
-	}
+	n.reset()
 	return n
+}
+
+// reset returns the interface to its just-built state: nothing queued,
+// mid-injection, scheduled or awaiting an outcome, the injection table as
+// built, every control buffer of the router credited and unowned, awake. The
+// source queue, the per-VC scratch and the timer queue keep their room; the
+// random stream, the wires and the probe are the network's to restart, reset
+// and detach.
+func (n *NI) reset() {
+	n.queue.Reset()
+	n.injTable.reset()
+	for v := range n.active {
+		ap := &n.active[v]
+		if ap.active {
+			for _, cf := range ap.ctrl[ap.nextCtrl:] { // built, never sent
+				n.leads.Put(cf.Leads)
+			}
+		}
+		clear(ap.ctrl[:cap(ap.ctrl)])
+		*ap = niPacket{ctrl: ap.ctrl[:0]}
+		n.ctrlCredits[v] = n.cfg.CtrlBufPerVC
+		n.ctrlOwned[v] = false
+	}
+	n.inbox, n.dormant = 0, false
+	n.sendAt.reset()
+	clear(n.awaiting)
+	clear(n.retryAt)
+	n.timeouts = n.timeouts[:0]
 }
 
 func (n *NI) offer(p *noc.Packet) {
@@ -327,7 +359,8 @@ func (n *NI) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), uint8(p.Attempts), p.CreatedAt, now)
 		}
-		n.active[v] = niPacket{active: true, pkt: p, ctrl: noc.ControlFlits(p, n.cfg.LeadsPerCtrl)}
+		n.active[v] = niPacket{active: true, pkt: p,
+			ctrl: noc.AppendControlFlits(n.active[v].ctrl[:0], p, n.cfg.LeadsPerCtrl, n.leads)}
 		work++
 	}
 
@@ -404,7 +437,8 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), td)
 	}
 	// The control flit is sent exactly once, so its lead list (built for
-	// this attempt by ControlFlits) takes the final arrival times in place.
+	// this attempt when the packet started) takes the final arrival times in
+	// place.
 	for i, td := range tds {
 		ld := &cf.Leads[i]
 		ld.Arrival = td + n.cfg.LocalLatency
@@ -429,7 +463,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		}
 		n.ctrlOwned[v] = false
 		ap.active = false
-		ap.pkt, ap.ctrl = nil, nil
+		ap.pkt = nil
 	}
 	return true
 }
@@ -506,6 +540,13 @@ func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
 		state:  make(map[noc.PacketID]sinkPkt),
 		hooks:  hooks,
 	}
+}
+
+// reset empties the reassembly schedule, its window back at cycle 0, and
+// forgets every packet's progress.
+func (s *Sink) reset() {
+	s.expect.reset()
+	clear(s.state)
 }
 
 // Expect records, at cycle now, that the flit identified by (pkt, seq,

@@ -132,7 +132,7 @@ func (n *Network) repairLink(a, b topology.NodeID) {
 
 		x, y := n.routers[l.a], n.routers[l.b]
 		q := l.p.Opposite()
-		x.outTables[l.p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, false)
+		x.outTables[l.p].reset()
 		co := &x.ctrlOut[l.p]
 		for v := range co.credits {
 			co.credits[v] = cfg.CtrlBufPerVC - len(y.ctrlIn[q].vcs[v].q)
@@ -144,7 +144,7 @@ func (n *Network) repairLink(a, b topology.NodeID) {
 				x.inputs[p].purgeOutput(l.p, drop)
 			}
 		}
-		y.inputs[q].reset(drop)
+		y.inputs[q].flush(drop)
 	}
 }
 

@@ -33,9 +33,7 @@ type ringCell[T any] struct {
 
 func newCycleRing[T any](span sim.Cycle) cycleRing[T] {
 	r := cycleRing[T]{cells: make([]ringCell[T], span)}
-	for i := range r.cells {
-		r.cells[i].at = sim.Never
-	}
+	r.wipe()
 	return r
 }
 
@@ -106,15 +104,26 @@ func (r *cycleRing[T]) advance(now sim.Cycle) {
 	}
 }
 
-// clear empties the ring without moving its window.
-func (r *cycleRing[T]) clear() {
-	if r.live == 0 {
-		return
-	}
+// wipe marks every cell empty, whatever it held.
+func (r *cycleRing[T]) wipe() {
 	for i := range r.cells {
 		r.cells[i] = ringCell[T]{at: sim.Never}
 	}
 	r.live = 0
+}
+
+// clear empties the ring without moving its window.
+func (r *cycleRing[T]) clear() {
+	if r.live != 0 {
+		r.wipe()
+	}
+}
+
+// reset empties the ring and returns its window to cycle 0, where a new ring
+// starts.
+func (r *cycleRing[T]) reset() {
+	r.clear()
+	r.base, r.baseIdx = 0, 0
 }
 
 // len reports how many cycles hold an entry.

@@ -169,6 +169,9 @@ type Router struct {
 	// freeLeads recycles the lead-state lists of dequeued control flits
 	// (popCtrl) into the flits received next, so steady state allocates none.
 	freeLeads [][]leadState
+	// leadArrays is the network's free list of control-flit lead arrays, to
+	// which consume returns the array of each flit it retires.
+	leadArrays *noc.LeadArrays
 }
 
 func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
@@ -186,19 +189,47 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG
 		r.inputs[p].node = int(id)
 		r.inputs[p].portIndex = int(p)
 		r.outTables[p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, p == topology.Local)
-		ci := ctrlInput{exists: true, vcs: make([]ctrlVC, cfg.CtrlVCs)}
-		r.ctrlIn[p] = ci
+		r.ctrlIn[p] = ctrlInput{exists: true, vcs: make([]ctrlVC, cfg.CtrlVCs)}
 		if p != topology.Local {
-			co := ctrlOutput{exists: true,
+			r.ctrlOut[p] = ctrlOutput{exists: true,
 				credits: make([]int, cfg.CtrlVCs),
 				owned:   make([]bool, cfg.CtrlVCs)}
-			for v := range co.credits {
-				co.credits[v] = cfg.CtrlBufPerVC
-			}
-			r.ctrlOut[p] = co
 		}
 	}
+	r.reset()
 	return r
+}
+
+// reset returns the router to its just-built state: nothing in flight toward
+// it, awake, every control queue empty and unrouted, every downstream control
+// buffer credited and unowned, tables and input ports as built. The control
+// queues keep the depth they were made at, and the lead-state lists and lead
+// arrays of the flits they held go to their free lists; the random stream,
+// the wires and the probe are the network's to restart, reset and detach.
+func (r *Router) reset() {
+	r.inbox = [topology.NumPorts]int32{}
+	r.dormant = false
+	r.queued = 0
+	for p := range r.ctrlIn {
+		for v := range r.ctrlIn[p].vcs {
+			vc := &r.ctrlIn[p].vcs[v]
+			for i := range vc.q {
+				r.freeLeads = append(r.freeLeads, vc.q[i].leads)
+				r.leadArrays.Put(vc.q[i].flit.Leads)
+			}
+			clear(vc.q)
+			*vc = ctrlVC{q: vc.q[:0]}
+		}
+		co := &r.ctrlOut[p]
+		for v := range co.credits {
+			co.credits[v] = r.cfg.CtrlBufPerVC
+			co.owned[v] = false
+		}
+		if r.outTables[p] != nil {
+			r.outTables[p].reset()
+			r.inputs[p].reset()
+		}
+	}
 }
 
 // attachProbe points the router and its input ports at the observability
@@ -687,6 +718,9 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // routing entry is released.
 func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
 	isTail := vc.q[0].flit.Type.IsTail()
+	// Nothing downstream will read the flit's lead list: this router holds the
+	// only reference to it (noc.ControlFlit.Leads), and drops it here.
+	r.leadArrays.Put(vc.q[0].flit.Leads)
 	r.popCtrl(now, inPort, vc, vcIdx)
 	if isTail {
 		vc.routed = false

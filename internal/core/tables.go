@@ -78,15 +78,27 @@ func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *out
 		busy:        make([]bool, size),
 		free:        make([]int32, size),
 		cap:         buffers,
-		steady:      buffers,
 		infinite:    infinite,
 		outstanding: perVC[:ctrlVCs:ctrlVCs],
 		claims:      perVC[ctrlVCs:],
 	}
-	for i := range t.free {
-		t.free[i] = int32(buffers)
-	}
+	t.reset()
 	return t
+}
+
+// reset returns the table to its just-built state: the window at cycle 0, no
+// channel cycle reserved, every downstream buffer free now and for good, and
+// no residency, claim or future delta outstanding.
+func (t *outResTable) reset() {
+	t.base, t.baseIdx = 0, 0
+	clear(t.busy)
+	for i := range t.free {
+		t.free[i] = int32(t.cap)
+	}
+	t.steady = t.cap
+	clear(t.outstanding)
+	clear(t.claims)
+	t.future = t.future[:0]
 }
 
 // idx returns the cell holding cycle c, which must lie inside the window.

@@ -1,0 +1,93 @@
+package experiment
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+
+	"frfc/internal/noc"
+)
+
+// idleNetworksPerProc sizes the network cache: it holds at most this many
+// idle networks per processor the Go scheduler may use. A worker alternating
+// between a few configurations keeps them all; a campaign walking through
+// dozens keeps the most recently used.
+//
+// maxIdleNodes is the largest mesh whose network is kept at all: the paper's
+// 8×8. What an idle network costs is its size twice over — a
+// garbage-collected heap lets everything else the process allocates pile up
+// in proportion to what is live — and a flit-reservation network is about
+// 1 MiB at 64 nodes and 6 MiB at 256, where it is also a smaller share of the
+// longer runs such a mesh is given. (bench/'s fr-sparse, 16×16: peak RSS
+// 18 MiB building a network per run, 28 MiB holding one.)
+const (
+	idleNetworksPerProc = 4
+	maxIdleNodes        = 64
+)
+
+// networkCache holds the networks finished runs left behind, so that the next
+// run of the same configuration resets one instead of building its own. A
+// network is in the cache only while idle: take removes it, and it belongs to
+// the taking run alone until put returns it. Eviction is least recently
+// returned first and depends on nothing but the order of takes and puts, so a
+// fixed sequence of runs allocates the same every time.
+type networkCache struct {
+	mu     sync.Mutex
+	idle   []idleNetwork // least recently returned first
+	hits   int           // takes that found a network; for tests
+	misses int           // takes that did not
+}
+
+type idleNetwork struct {
+	key string
+	net noc.Network
+}
+
+var networks networkCache
+
+// networkKey renders everything NewNetwork reads of a normalized spec except
+// the seed, which Reset takes: two specs with equal keys build
+// interchangeable networks. Fields are struck out rather than picked, so a
+// field added to Spec is part of the key until someone decides otherwise.
+func networkKey(s Spec) string {
+	s.Name, s.Seed = "", 0
+	s.PacketLen, s.Pattern, s.Bernoulli = 0, nil, false
+	s.WarmupCycles, s.MaxWarmupCycles, s.SamplePackets, s.DrainFactor = 0, 0, 0, 0
+	s.BandwidthPenalty = 0
+	return fmt.Sprintf("%#v", s)
+}
+
+// take removes and returns the most recently returned idle network built for
+// key, or nil when there is none.
+func (c *networkCache) take(key string) noc.Network {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := len(c.idle) - 1; i >= 0; i-- {
+		if c.idle[i].key == key {
+			net := c.idle[i].net
+			c.idle = slices.Delete(c.idle, i, i+1)
+			c.hits++
+			return net
+		}
+	}
+	c.misses++
+	return nil
+}
+
+// put returns a network whose run completed, evicting the least recently
+// returned one when the cache is full. The network is reset first, so that an
+// idle one holds nothing of the run that used it — its packets, its hooks and
+// through them its statistics — only its own structures.
+func (c *networkCache) put(key string, net noc.Network, nodes int) {
+	if nodes > maxIdleNodes {
+		return
+	}
+	net.Reset(0, nil)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.idle = append(c.idle, idleNetwork{key, net})
+	if over := len(c.idle) - idleNetworksPerProc*runtime.GOMAXPROCS(0); over > 0 {
+		c.idle = slices.Delete(c.idle, 0, over)
+	}
+}

@@ -311,27 +311,46 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 			}
 		},
 	}
-	net, mesh := NewNetwork(s, hooks)
+	// The run has a network to itself: one an earlier run of this
+	// configuration left behind, reset from this run's seed to its
+	// constructed state, or — the first time, and always on a mesh too large
+	// to keep — one built here. It goes back only from the normal return
+	// below, so a cancelled or panicking run leaves nothing for the next to
+	// find.
+	key := networkKey(s)
+	mesh := topology.NewMesh(s.MeshRadix)
+	net := networks.take(key)
+	if net != nil {
+		net.Reset(s.Seed, hooks)
+	} else {
+		net, _ = NewNetwork(s, hooks)
+	}
 	if probe.Enabled() {
 		if a, ok := net.(metrics.Attachable); ok {
 			a.AttachProbe(probe)
 		}
 	}
 
-	// Per-node generators with independent RNG streams.
+	// Per-node generators with independent RNG streams, the streams and the
+	// constant-rate sources' accumulators each in one array.
 	genRoot := sim.NewRNG(s.Seed ^ 0x9E3779B97F4A7C15)
 	rate := traffic.PacketRateFor(mesh, load, s.PacketLen)
 	gens := make([]*traffic.Generator, mesh.N())
+	streams := make([]sim.RNG, mesh.N())
+	var proc traffic.Process = traffic.Bernoulli{Rate: rate} // stateless: one serves every node
+	var constant []traffic.ConstantRate
+	if !s.Bernoulli {
+		constant = make([]traffic.ConstantRate, mesh.N())
+	}
 	var nextID noc.PacketID
 	idGen := func() noc.PacketID { nextID++; return nextID }
 	for id := range gens {
-		var proc traffic.Process
-		if s.Bernoulli {
-			proc = traffic.Bernoulli{Rate: rate}
-		} else {
-			proc = &traffic.ConstantRate{Rate: rate}
+		if constant != nil {
+			constant[id].Rate = rate
+			proc = &constant[id]
 		}
-		gens[id] = traffic.NewGenerator(mesh, topology.NodeID(id), s.Pattern, proc, genRoot.Split(), s.PacketLen, idGen)
+		genRoot.SplitInto(&streams[id])
+		gens[id] = traffic.NewGenerator(mesh, topology.NodeID(id), s.Pattern, proc, &streams[id], s.PacketLen, idGen)
 	}
 
 	// Track one specific input pool of a central router, as Section 4.2
@@ -499,6 +518,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 	if vcNet, ok := net.(*vcrouter.Network); ok {
 		res.CorruptedFlits, res.CrcDetected, res.CorruptEscapes = vcNet.IntegrityCounts()
 	}
+	networks.put(key, net, mesh.N())
 	return res, nil
 }
 

@@ -4,8 +4,10 @@
 // campaigns resume where they stopped, streams progress, and locates
 // saturation throughput adaptively by bisection instead of a fixed load grid.
 //
-// The determinism contract: every job owns its own network and RNG (seeded
-// only from the job's spec), jobs never share mutable state, and results are
+// The determinism contract: every job has a network to itself for the run,
+// reset from the job's seed to its constructed state (experiment.RunInstrumented
+// hands one run at a time a network an earlier job of the configuration
+// returned, or builds one), jobs never share mutable state, and results are
 // returned in job order regardless of completion order — so a campaign run on
 // N workers is bit-identical to the same campaign run serially. The contract
 // is enforced by TestParallelEqualsSerial across worker counts.

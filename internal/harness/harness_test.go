@@ -32,8 +32,8 @@ func tinyVC() experiment.Spec {
 
 // TestParallelEqualsSerial is the determinism contract: RunJobs must produce
 // bit-identical Results to serial experiment.Run for every worker count,
-// because each job owns its own network and RNG and results are returned in
-// job order.
+// because each job has a network to itself for the run, reset from the job's
+// seed to its constructed state, and results are returned in job order.
 func TestParallelEqualsSerial(t *testing.T) {
 	specs := []experiment.Spec{tinySpec(), tinyVC()}
 	loads := []float64{0.2, 0.4}

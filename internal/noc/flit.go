@@ -135,8 +135,9 @@ type ControlFlit struct {
 	// travels with the flit and belongs to whoever holds the flit: once a
 	// Send returns, the sender neither reads nor writes it again, and the
 	// receiver may rewrite the entries in place or shorten the list — but
-	// never grow it past the capacity it arrived with, which may border
-	// another flit's leads (ControlFlits carves one array per packet).
+	// never grow it past the capacity it arrived with. Whoever retires the
+	// flit for good may hand the array to a LeadArrays free list; nobody else
+	// may keep a reference to it past its own Send.
 	Leads []LeadEntry
 	// Attempt is the packet's end-to-end transmission attempt this control
 	// flit announces (0 = first try); it flows into the destination's

@@ -163,6 +163,14 @@ func (h *Hooks) Wedge(now sim.Cycle, snapshot string) {
 // configuration), store-and-forward and virtual cut-through (the two modes of
 // internal/packetswitch), and circuit switching (internal/circuit).
 type Network interface {
+	// Reset returns the network to exactly the state its constructor left
+	// it in for the given seed and hooks (nil for none): every queue, ring,
+	// table, counter and fault left by an earlier run is cleared, every
+	// random stream restarts where that seed puts it, and no probe is
+	// attached. Constructors are "allocate, then Reset", so a reset network
+	// and a new one run cycle for cycle alike; what a reset keeps is the
+	// capacity its lazily grown structures had reached.
+	Reset(seed uint64, hooks *Hooks)
 	// Offer places a freshly generated packet in its source's injection
 	// queue. The packet's Src field selects the queue.
 	Offer(p *Packet)

@@ -1,5 +1,7 @@
 package noc
 
+import "slices"
+
 // TypeFor returns the flit type for position seq within a packet of length n.
 func TypeFor(seq, n int) FlitType {
 	switch {
@@ -14,19 +16,42 @@ func TypeFor(seq, n int) FlitType {
 	}
 }
 
-// DataFlits decomposes a packet into its data flits in sequence order. The
-// virtual-channel and wormhole baselines use the Type field on the wire;
-// the flit-reservation network ignores it.
-func DataFlits(p *Packet) []DataFlit {
+// DataFlits decomposes a packet into its data flits in sequence order, in a
+// slice of their own. The virtual-channel and wormhole baselines use the Type
+// field on the wire; the flit-reservation network ignores it.
+func DataFlits(p *Packet) []DataFlit { return AppendDataFlits(nil, p) }
+
+// AppendDataFlits is DataFlits appended to dst, the form an interface that
+// sends its flits by value packetises into its own scratch with.
+func AppendDataFlits(dst []DataFlit, p *Packet) []DataFlit {
 	if p.Len < 1 {
 		panic("noc: packet must contain at least one data flit")
 	}
-	flits := make([]DataFlit, p.Len)
-	for i := range flits {
-		flits[i] = DataFlit{Packet: p, Seq: i, Attempt: p.Attempts, Type: TypeFor(i, p.Len)}
+	dst = slices.Grow(dst, p.Len)
+	for i := 0; i < p.Len; i++ {
+		dst = append(dst, DataFlit{Packet: p, Seq: i, Attempt: p.Attempts, Type: TypeFor(i, p.Len)})
 	}
-	return flits
+	return dst
 }
+
+// LeadArrays is a free list of lead arrays, each of the capacity one control
+// flit needs (LeadsPerCtrl). An array is in at most one place: on the list, or
+// with the one holder of the control flit whose Leads it backs. Only whoever
+// retires a flit for good puts its array back.
+type LeadArrays [][]LeadEntry
+
+// take returns an empty lead list of capacity d, off the list when it has one.
+func (f *LeadArrays) take(d int) []LeadEntry {
+	if n := len(*f); n > 0 {
+		a := (*f)[n-1]
+		*f = (*f)[:n-1]
+		return a
+	}
+	return make([]LeadEntry, 0, d)
+}
+
+// Put returns a retired control flit's lead array to the list.
+func (f *LeadArrays) Put(leads []LeadEntry) { *f = append(*f, leads[:0]) }
 
 // ControlFlits builds the control-flit sequence for a packet under
 // flit-reservation flow control, with each control flit leading up to d data
@@ -34,7 +59,13 @@ func DataFlits(p *Packet) []DataFlit {
 // wider control flits). The head flit carries the destination and leads the
 // first min(d, Len) data flits; each subsequent body flit leads the next d.
 // Arrival times are left zero; the source's injection scheduler fills them.
-func ControlFlits(p *Packet, d int) []ControlFlit {
+func ControlFlits(p *Packet, d int) []ControlFlit { return AppendControlFlits(nil, p, d, nil) }
+
+// AppendControlFlits is ControlFlits appended to dst. Each flit's lead list
+// is an array of its own, of capacity d, so that whoever rewrites one flit's
+// list cannot reach the next: taken from free, or — with no free list — cut
+// from one array made for the packet.
+func AppendControlFlits(dst []ControlFlit, p *Packet, d int, free *LeadArrays) []ControlFlit {
 	if d < 1 {
 		panic("noc: control flit must lead at least one data flit")
 	}
@@ -42,24 +73,26 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 		panic("noc: packet must contain at least one data flit")
 	}
 	n := (p.Len + d - 1) / d // number of control flits
-	flits := make([]ControlFlit, 0, n)
-	// One array holds every flit's leads; each flit gets its own stretch,
-	// capped so that whoever rewrites one flit's list cannot reach the next.
-	leads := make([]LeadEntry, p.Len)
-	for seq := range leads {
-		leads[seq].Seq = seq
+	dst = slices.Grow(dst, n)
+	var cut []LeadEntry
+	if free == nil {
+		cut = make([]LeadEntry, n*d)
 	}
 	for i := 0; i < n; i++ {
-		lo := i * d
-		hi := lo + d
-		if hi > p.Len {
-			hi = p.Len
+		var leads []LeadEntry
+		if free != nil {
+			leads = free.take(d)
+		} else {
+			leads = cut[i*d : i*d : (i+1)*d]
 		}
-		cf := ControlFlit{Packet: p, Type: TypeFor(i, n), Attempt: p.Attempts, Leads: leads[lo:hi:hi]}
+		for seq := i * d; seq < min(i*d+d, p.Len); seq++ {
+			leads = append(leads, LeadEntry{Seq: seq})
+		}
+		cf := ControlFlit{Packet: p, Type: TypeFor(i, n), Attempt: p.Attempts, Leads: leads}
 		if cf.Type.IsHead() {
 			cf.Dst = p.Dst
 		}
-		flits = append(flits, cf)
+		dst = append(dst, cf)
 	}
-	return flits
+	return dst
 }

@@ -36,6 +36,12 @@ func (q *SourceQueue) Pop() *Packet {
 	return p
 }
 
+// Reset empties the queue, keeping the room it had grown to.
+func (q *SourceQueue) Reset() {
+	clear(q.pkts)
+	q.pkts, q.head = q.pkts[:0], 0
+}
+
 // Len reports how many packets are waiting.
 func (q *SourceQueue) Len() int { return len(q.pkts) - q.head }
 
@@ -68,6 +74,10 @@ type Sink struct {
 func NewSink(hooks *Hooks) *Sink {
 	return &Sink{got: make(map[PacketID]int), hooks: hooks}
 }
+
+// Reset forgets every partly ejected packet; the wire and the ledger are the
+// network's to reset and detach.
+func (s *Sink) Reset() { clear(s.got) }
 
 // Tick receives the flits that arrived this cycle.
 func (s *Sink) Tick(now sim.Cycle) {

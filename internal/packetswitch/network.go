@@ -16,7 +16,10 @@ type ni struct {
 	hooks *noc.Hooks
 	wf    *waterfall.Ledger
 
-	queue   noc.SourceQueue
+	queue noc.SourceQueue
+	// current is the interface's own scratch, cut afresh for each packet:
+	// flits go on the wire by value. current[next:] are the flits of the
+	// packet under injection still to send; none, and the interface is free.
 	current []noc.DataFlit
 	next    int
 	credits int
@@ -26,7 +29,18 @@ type ni struct {
 }
 
 func newNI(cfg Config, hooks *noc.Hooks) *ni {
-	return &ni{cfg: cfg, hooks: hooks, credits: cfg.PacketBuffers}
+	n := &ni{cfg: cfg, hooks: hooks}
+	n.reset()
+	return n
+}
+
+// reset returns the interface to its just-built state: nothing queued or under
+// injection, every packet buffer of the router's Local input credited.
+func (n *ni) reset() {
+	n.queue.Reset()
+	clear(n.current[:cap(n.current)])
+	n.current, n.next = n.current[:0], 0
+	n.credits = n.cfg.PacketBuffers
 }
 
 func (n *ni) Tick(now sim.Cycle) {
@@ -36,34 +50,35 @@ func (n *ni) Tick(now sim.Cycle) {
 			panic("packetswitch: NI credit overflow")
 		}
 	})
-	if n.current == nil && n.queue.Len() > 0 && n.credits > 0 {
+	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
 		p := n.queue.Pop()
 		n.credits--
 		p.InjectedAt = now
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.current = noc.DataFlits(p)
-		n.next = 0
+		n.current, n.next = noc.AppendDataFlits(n.current[:0], p), 0
 	}
-	if n.current != nil {
+	if n.next < len(n.current) {
 		if f := n.current[n.next]; n.wf != nil && n.next == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
 		n.data.Send(now, n.current[n.next])
 		n.hooks.Injected(now)
 		n.next++
-		if n.next == len(n.current) {
-			n.current = nil
-		}
 	}
 }
 
 // Network is a mesh of store-and-forward or cut-through routers.
 type Network struct {
-	mesh  topology.Mesh
-	cfg   Config
-	hooks *noc.Hooks
+	mesh topology.Mesh
+	cfg  Config
+	// hooks is what the components report through, one value for the
+	// network's life: the current run's (inner) with PacketDelivered replaced
+	// by the network's counting onDelivered.
+	hooks       *noc.Hooks
+	inner       noc.Hooks
+	onDelivered func(*noc.Packet, sim.Cycle)
 
 	routers []*Router
 	nis     []*ni
@@ -93,38 +108,61 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 	}
 }
 
-// New assembles a packet-switched network over the given mesh.
+// New assembles a packet-switched network over the given mesh. It allocates
+// and wires the components and leaves every initial value to Reset.
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	if hooks == nil {
-		hooks = &noc.Hooks{}
-	}
-	n := &Network{mesh: mesh, cfg: cfg}
-
-	inner := *hooks
-	wrapped := inner
-	wrapped.PacketDelivered = func(p *noc.Packet, now sim.Cycle) {
+	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
+	n.onDelivered = func(p *noc.Packet, now sim.Cycle) {
 		n.delivered++
-		if inner.PacketDelivered != nil {
-			inner.PacketDelivered(p, now)
-		}
+		n.inner.Delivered(p, now)
 	}
-	n.hooks = &wrapped
-
-	root := sim.NewRNG(seed)
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, root.Split())
-	}
-	for id := 0; id < mesh.N(); id++ {
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg, n.hooks)
 		n.sinks[id] = noc.NewSink(n.hooks)
 	}
 	n.wire()
+	n.Reset(seed, hooks)
 	return n
+}
+
+// Reset implements noc.Network.
+func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
+	// The caller's hooks pass straight through, except PacketDelivered, which
+	// the network counts on the way.
+	n.inner = noc.Hooks{}
+	if hooks != nil {
+		n.inner = *hooks
+	}
+	*n.hooks = n.inner
+	n.hooks.PacketDelivered = n.onDelivered
+	n.AttachProbe(nil)
+	n.offered, n.delivered = 0, 0
+
+	var root sim.RNG
+	root.Seed(seed)
+	for id, r := range n.routers {
+		root.SplitInto(r.rng)
+		r.reset()
+		for p := range r.out {
+			if o := &r.out[p]; o.exists {
+				o.data.Reset()
+				if o.creditIn != nil {
+					o.creditIn.Reset()
+				}
+			}
+		}
+		x := n.nis[id]
+		x.reset()
+		x.data.Reset()
+		x.creditIn.Reset()
+		n.sinks[id].Reset()
+	}
 }
 
 func (n *Network) wire() {

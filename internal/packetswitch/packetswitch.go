@@ -166,15 +166,32 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 		for s := range slots {
 			slots[s].flits = make([]noc.DataFlit, 0, cfg.MaxPacketLen)
 		}
-		r.in[p] = inputState{exists: true, slots: slots, assembly: -1}
-		r.out[p] = outputState{
-			exists:   true,
-			infinite: p == topology.Local,
-			credits:  cfg.PacketBuffers,
-			busyWith: -1,
-		}
+		r.in[p] = inputState{exists: true, slots: slots}
+		r.out[p] = outputState{exists: true, infinite: p == topology.Local}
 	}
+	r.reset()
 	return r
+}
+
+// reset returns the router to its just-built state: every packet buffer
+// empty, nothing under assembly, every output channel free with all of the
+// downstream buffers credited. The random stream, the wires and the ledger
+// are the network's to restart, reset and detach.
+func (r *Router) reset() {
+	for p := range r.in {
+		in := &r.in[p]
+		if !in.exists {
+			continue
+		}
+		for s := range in.slots {
+			flits := in.slots[s].flits
+			clear(flits[:cap(flits)])
+			in.slots[s] = packetSlot{flits: flits[:0]}
+		}
+		in.assembly = -1
+		r.out[p].credits = r.cfg.PacketBuffers
+		r.out[p].busyWith = -1
+	}
 }
 
 // Tick advances the router one cycle.

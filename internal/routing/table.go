@@ -28,10 +28,17 @@ func NewTable(m topology.Mesh) *Table {
 		next: make([]topology.Port, m.N()*m.N()),
 		ok:   make([]bool, m.N()*m.N()),
 	}
+	t.Reset(m)
+	return t
+}
+
+// Reset returns the table to the one NewTable builds: routes over the healthy
+// mesh, at topology epoch zero.
+func (t *Table) Reset(m topology.Mesh) {
 	all := func(topology.NodeID, topology.NodeID) bool { return true }
 	up := func(topology.NodeID) bool { return true }
 	t.rebuild(m, all, up)
-	return t
+	t.version = 0
 }
 
 // Rebuild recomputes every route over the surviving topology described by the

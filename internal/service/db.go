@@ -4,7 +4,8 @@
 // concurrent campaigns over one shared worker pool.
 //
 // The determinism contract of the harness carries through unchanged: every
-// job owns its own network and RNG, so scheduling order — which campaign a
+// job has a network to itself for the run, reset from the job's seed to its
+// constructed state, so scheduling order — which campaign a
 // worker serves next — can never affect any job's result, only when it
 // lands. A campaign run through the service is bit-identical to the same
 // campaign run one-shot through harness.RunJobs.

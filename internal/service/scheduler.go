@@ -10,8 +10,9 @@ import "sync"
 // 6-job probe, because the probe keeps winning its share of picks and
 // drains first.
 //
-// Fairness is purely about *when* jobs run. Every job owns its own network
-// and RNG, so dispatch order can never change any job's result — the
+// Fairness is purely about *when* jobs run. Every job has a network to itself
+// for the run, reset from the job's seed to its constructed state, so
+// dispatch order can never change any job's result — the
 // harness's bit-identical guarantee holds under any interleaving.
 type scheduler struct {
 	mu        sync.Mutex

@@ -70,7 +70,21 @@ func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	return &Pipe[T]{latency: latency, width: int32(width), lastSendCycle: Never}
+	p := &Pipe[T]{latency: latency, width: int32(width)}
+	p.Reset()
+	return p
+}
+
+// Reset returns the pipe to its just-built state: nothing in flight, no send
+// recorded this cycle or any other, the wire whole, and the fault counters at
+// zero. What the pipe was built and armed with — latency, width, fault and
+// bit-error rates with their generators and callbacks — stays, and so does
+// the ring at whatever size the traffic grew it to.
+func (p *Pipe[T]) Reset() {
+	p.destroy(nil)
+	p.sentThisCycle, p.lastSendCycle = 0, Never
+	p.severed, p.onDrop = false, nil
+	p.retransmits, p.corrupted = 0, 0
 }
 
 // NewFaultyPipe returns a pipe that corrupts each item in flight with the
@@ -272,6 +286,12 @@ func (p *Pipe[T]) Sever(onDrop func(T)) {
 		return
 	}
 	p.severed = true
+	p.destroy(onDrop)
+}
+
+// destroy empties the pipe, reporting each item that was in flight to onDrop
+// when non-nil.
+func (p *Pipe[T]) destroy(onDrop func(T)) {
 	for i := uint32(0); i < p.n; i++ {
 		e := p.cell(i)
 		if onDrop != nil {

@@ -88,5 +88,13 @@ func (r *RNG) Perm(dst []int) {
 // each node its own stream so adding components does not perturb the draws
 // seen by others.
 func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() | 1)
+	child := &RNG{}
+	r.SplitInto(child)
+	return child
+}
+
+// SplitInto is Split into a generator the caller already holds: child restarts
+// as the stream Split would have returned, whatever it had drawn before.
+func (r *RNG) SplitInto(child *RNG) {
+	child.Seed(r.Uint64() | 1)
 }

@@ -240,7 +240,20 @@ type Generator struct {
 	rng     *sim.RNG
 	pktLen  int
 	nextID  func() noc.PacketID
+	// chunk is the unused rest of the array the next packets are carved from,
+	// and carved how many packets the generator has handed out of all of them.
+	chunk  []noc.Packet
+	carved int
 }
+
+// Packets are carved from arrays rather than allocated one by one. An array
+// is as long as everything carved before it — so a node that sends three
+// packets pays for a handful and one that sends thousands for a few arrays —
+// within these bounds.
+const (
+	firstChunk = 8
+	maxChunk   = 256
+)
 
 // NewGenerator returns a per-node packet generator. nextID must hand out
 // globally unique packet IDs (the network assembly shares one counter across
@@ -256,18 +269,26 @@ func NewGenerator(m topology.Mesh, src topology.NodeID, pat Pattern, proc Proces
 }
 
 // Generate returns a new packet if the injection process fires at cycle now,
-// or nil.
+// or nil. The packet stays valid, and the caller's, for as long as anything
+// refers to it: nothing the generator hands out is ever reused.
 func (g *Generator) Generate(now sim.Cycle) *noc.Packet {
 	if !g.process.Inject(g.rng, now) {
 		return nil
 	}
-	return &noc.Packet{
+	if len(g.chunk) == 0 {
+		g.chunk = make([]noc.Packet, min(max(g.carved, firstChunk), maxChunk))
+	}
+	p := &g.chunk[0]
+	g.chunk = g.chunk[1:]
+	g.carved++
+	*p = noc.Packet{
 		ID:        g.nextID(),
 		Src:       g.src,
 		Dst:       g.pattern.Dest(g.rng, g.mesh, g.src),
 		Len:       g.pktLen,
 		CreatedAt: now,
 	}
+	return p
 }
 
 // PacketRateFor converts an offered load expressed as a fraction of network

@@ -75,7 +75,10 @@ func (n *Network) audit() error {
 // run, through warm-up, saturation-level bursts and the drain, for each way
 // the package is used: VC8, pooled channels with interleaved sources,
 // wormhole (one deep channel), and more channels than one mask word holds.
-// It runs under the race detector too; nothing in it counts allocations.
+// The first loaded stretch ends in a Reset with the mesh full of flits: the
+// audit must hold of what Reset leaves, which must read as an empty network,
+// and the walk starts over on it. It runs under the race detector too;
+// nothing in it counts allocations.
 func TestAuditWalk(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -93,11 +96,23 @@ func TestAuditWalk(t *testing.T) {
 			net := New(mesh, tc.cfg, 3, &noc.Hooks{})
 			src := &uniformSource{rng: sim.NewRNG(17), mesh: mesh, rate: tc.rate}
 			now, offered := sim.Cycle(0), 0
-			for ; now < 2500; now++ {
-				offered += src.offer(net, now)
-				net.Tick(now)
+			for reused := false; ; reused = true {
+				for now = 0; now < 2500; now++ {
+					offered += src.offer(net, now)
+					net.Tick(now)
+					if err := net.audit(); err != nil {
+						t.Fatalf("cycle %d (reused %v): %v", now, reused, err)
+					}
+				}
+				if reused {
+					break
+				}
+				net.Reset(4, nil)
 				if err := net.audit(); err != nil {
-					t.Fatalf("cycle %d: %v", now, err)
+					t.Fatalf("after Reset: %v", err)
+				}
+				if net.InFlightPackets() != 0 || net.SourceQueueLen() != 0 || net.DumpState() != "" {
+					t.Fatalf("Reset left %d packets in flight, %d queued:\n%s", net.InFlightPackets(), net.SourceQueueLen(), net.DumpState())
 				}
 			}
 			for end := now + 20000; net.InFlightPackets() > 0; now++ {

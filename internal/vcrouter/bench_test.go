@@ -29,6 +29,10 @@ type uniformSource struct {
 	mesh topology.Mesh
 	rate float64
 	id   noc.PacketID
+	// chunk is what is left of the array packets are carved from, as
+	// traffic.Generator carves them: the source's own allocations are a
+	// 256th of an object a packet.
+	chunk []noc.Packet
 }
 
 func (s *uniformSource) offer(net *Network, now sim.Cycle) (offered int) {
@@ -41,7 +45,13 @@ func (s *uniformSource) offer(net *Network, now sim.Cycle) (offered int) {
 			dst++
 		}
 		s.id++
-		net.Offer(&noc.Packet{ID: s.id, Src: topology.NodeID(n), Dst: dst, Len: 5, CreatedAt: now})
+		if len(s.chunk) == 0 {
+			s.chunk = make([]noc.Packet, 256)
+		}
+		p := &s.chunk[0]
+		s.chunk = s.chunk[1:]
+		*p = noc.Packet{ID: s.id, Src: topology.NodeID(n), Dst: dst, Len: 5, CreatedAt: now}
+		net.Offer(p)
 		offered++
 	}
 	return offered
@@ -108,5 +118,18 @@ func BenchmarkVCNetworkNew8x8(b *testing.B) {
 		if New(mesh, cfg, uint64(i), nil) == nil {
 			b.Fatal("no network")
 		}
+	}
+}
+
+// BenchmarkVCNetworkReset8x8 is what a campaign job pays instead of
+// VCNetworkNew8x8 once a network of its configuration exists: the warmed 8×8
+// mesh, flits in flight, returned to its constructed state. It allocates
+// nothing.
+func BenchmarkVCNetworkReset8x8(b *testing.B) {
+	net, _, _ := warmedMesh(8, vc8(), 0.05)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Reset(uint64(i), nil)
 	}
 }

@@ -13,9 +13,13 @@ import (
 // Network is a complete mesh of virtual-channel routers with per-node
 // network interfaces. It implements noc.Network.
 type Network struct {
-	mesh  topology.Mesh
-	cfg   Config
-	hooks *noc.Hooks
+	mesh topology.Mesh
+	cfg  Config
+	// hooks is what the components report through, one value for the
+	// network's life: own — the hooks the network counts on the way, built
+	// once — laid over inner, the current run's.
+	hooks      *noc.Hooks
+	own, inner noc.Hooks
 
 	routers []*Router
 	nis     []*ni
@@ -25,9 +29,7 @@ type Network struct {
 	probe *metrics.Probe
 
 	// linkRNG drives the bit-error draws on every inter-router data link;
-	// it is split off the root seed only when BER > 0 so a zero-BER
-	// configuration keeps the exact RNG split order (and therefore the
-	// bit-identical behavior) of builds that predate the error model.
+	// nil unless BER > 0.
 	linkRNG *sim.RNG
 	// now mirrors the current tick so the link transform can timestamp
 	// corruption hooks.
@@ -46,61 +48,92 @@ var _ noc.Network = (*Network)(nil)
 
 // New assembles a virtual-channel network over the given mesh. The seed
 // drives every random-arbitration and injection decision, making runs
-// reproducible. hooks may be nil.
+// reproducible. hooks may be nil. It allocates and wires the components and
+// leaves every initial value to Reset.
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	if hooks == nil {
-		hooks = &noc.Hooks{}
-	}
-	n := &Network{mesh: mesh, cfg: cfg, hooks: hooks}
-
-	// Chain the delivered hook so the network can track in-flight counts
-	// while still reporting to the caller.
-	inner := *hooks
-	wrapped := inner
-	wrapped.PacketDelivered = func(p *noc.Packet, now sim.Cycle) {
-		n.delivered++
-		if inner.PacketDelivered != nil {
-			inner.PacketDelivered(p, now)
-		}
-	}
-	wrapped.FlitCorrupted = func(now sim.Cycle) {
-		n.corrupted++
-		if inner.FlitCorrupted != nil {
-			inner.FlitCorrupted(now)
-		}
-	}
-	wrapped.CorruptionDetected = func(now sim.Cycle) {
-		n.crcRepaired++
-		if inner.CorruptionDetected != nil {
-			inner.CorruptionDetected(now)
-		}
-	}
-	wrapped.CorruptionEscaped = func(p *noc.Packet, now sim.Cycle) {
-		n.escapes++
-		if inner.CorruptionEscaped != nil {
-			inner.CorruptionEscaped(p, now)
-		}
-	}
-	n.hooks = &wrapped
-
-	root := sim.NewRNG(seed)
+	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
 	if cfg.BER > 0 {
-		n.linkRNG = root.Split()
+		n.linkRNG = new(sim.RNG)
+	}
+	// Chain the delivered and corruption hooks so the network can track
+	// in-flight and integrity counts while still reporting to the caller.
+	n.own = noc.Hooks{
+		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
+			n.delivered++
+			n.inner.Delivered(p, now)
+		},
+		FlitCorrupted: func(now sim.Cycle) {
+			n.corrupted++
+			n.inner.Corrupted(now)
+		},
+		CorruptionDetected: func(now sim.Cycle) {
+			n.crcRepaired++
+			n.inner.CrcDetected(now)
+		},
+		CorruptionEscaped: func(p *noc.Packet, now sim.Cycle) {
+			n.escapes++
+			n.inner.CorruptEscape(p, now)
+		},
 	}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, root.Split(), n.hooks)
-	}
-	for id := 0; id < mesh.N(); id++ {
-		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, root.Split(), n.hooks)
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG), n.hooks)
+		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, new(sim.RNG), n.hooks)
 		n.sinks[id] = newSink(topology.NodeID(id), n.hooks)
 	}
 	n.wire()
+	n.Reset(seed, hooks)
 	return n
+}
+
+// Reset implements noc.Network. Channel rings, wires and scratch keep the
+// size they had grown to; nothing else of an earlier run survives.
+func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
+	// The caller's hooks pass straight through, except the ones the network
+	// counts on the way (own), which find the caller's in n.inner.
+	n.inner = noc.Hooks{}
+	if hooks != nil {
+		n.inner = *hooks
+	}
+	h := n.inner
+	h.PacketDelivered, h.FlitCorrupted = n.own.PacketDelivered, n.own.FlitCorrupted
+	h.CorruptionDetected, h.CorruptionEscaped = n.own.CorruptionDetected, n.own.CorruptionEscaped
+	*n.hooks = h
+	n.AttachProbe(nil)
+	n.now, n.offered, n.delivered = 0, 0, 0
+	n.corrupted, n.crcRepaired, n.escapes = 0, 0, 0
+
+	// The link stream is split off the root seed only when BER > 0, so a
+	// zero-BER configuration keeps the split order — and the bit-identical
+	// behavior — of builds that predate the error model.
+	var root sim.RNG
+	root.Seed(seed)
+	if n.linkRNG != nil {
+		root.SplitInto(n.linkRNG)
+	}
+	for _, r := range n.routers {
+		root.SplitInto(r.rng)
+		r.reset()
+		for p := range r.out {
+			if o := &r.out[p]; o.exists {
+				o.data.Reset()
+				if o.creditIn != nil {
+					o.creditIn.Reset()
+				}
+			}
+		}
+	}
+	for id, x := range n.nis {
+		root.SplitInto(x.rng)
+		x.reset()
+		x.data.Reset()
+		x.creditIn.Reset()
+		n.sinks[id].reset()
+	}
 }
 
 // AttachProbe points the whole network — routers, interfaces, sinks — at an

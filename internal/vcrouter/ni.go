@@ -44,7 +44,9 @@ type ni struct {
 	ready []int // scratch
 }
 
-// niSlot is one packet mid-injection on one local-input VC.
+// niSlot is one packet mid-injection on one local-input VC. flits is the
+// slot's own scratch, cut afresh for each packet it carries: flits go on the
+// wire by value.
 type niSlot struct {
 	active bool
 	vc     int
@@ -58,12 +60,26 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *n
 		credits: make([]int, cfg.NumVCs),
 		occ:     make([]int, cfg.NumVCs),
 		owned:   make([]bool, cfg.NumVCs),
-		pool:    cfg.BuffersPerInput(),
 	}
-	for v := range n.credits {
-		n.credits[v] = cfg.BufPerVC
-	}
+	n.reset()
 	return n
+}
+
+// reset returns the interface to its just-built state: nothing queued or
+// mid-injection, every buffer of the router's Local input credited and
+// unowned, no credit in flight. The source queue and the slots' scratch keep
+// their room; the random stream, the wires and the probe are the network's.
+func (n *ni) reset() {
+	n.queue.Reset()
+	for s := range n.slots {
+		scratch := n.slots[s].flits
+		clear(scratch[:cap(scratch)])
+		n.slots[s] = niSlot{flits: scratch[:0]}
+		n.credits[s], n.occ[s], n.owned[s] = n.cfg.BufPerVC, 0, false
+	}
+	n.active = 0
+	n.pool = n.cfg.BuffersPerInput()
+	n.creditsIn = 0
 }
 
 func (n *ni) hasCredit(vc int) bool {
@@ -133,7 +149,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), 0, p.CreatedAt, now)
 		}
-		n.slots[s] = niSlot{active: true, vc: s, flits: noc.DataFlits(p)}
+		n.slots[s] = niSlot{active: true, vc: s, flits: noc.AppendDataFlits(n.slots[s].flits[:0], p)}
 		n.active++
 		work++
 	}
@@ -169,7 +185,6 @@ func (n *ni) Tick(now sim.Cycle) {
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false
-			sl.flits = nil
 			n.active--
 		}
 		work++
@@ -197,6 +212,12 @@ type sink struct {
 
 func newSink(node topology.NodeID, hooks *noc.Hooks) *sink {
 	return &sink{node: node, got: make(map[noc.PacketID]int), hooks: hooks}
+}
+
+// reset forgets every partly ejected packet and the flits counted in flight.
+func (s *sink) reset() {
+	s.flitsIn, s.delivered = 0, 0
+	clear(s.got)
 }
 
 func (s *sink) Tick(now sim.Cycle) {

@@ -149,15 +149,40 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG
 			exists:   true,
 			infinite: p == topology.Local,
 			credits:  make([]int, cfg.NumVCs),
-			pool:     cfg.BuffersPerInput(),
 			occ:      make([]int, cfg.NumVCs),
 			owned:    make([]bool, cfg.NumVCs),
 		}
-		for v := range r.out[p].credits {
-			r.out[p].credits[v] = cfg.BufPerVC
+	}
+	r.reset()
+	return r
+}
+
+// reset returns the router to its just-built state: every channel empty,
+// unrouted and unallocated, every downstream buffer credited and unowned,
+// nothing in flight toward it. The channel rings keep the depth they were
+// made at; the random stream, the wires and the probe are the network's to
+// restart, reset and detach.
+func (r *Router) reset() {
+	clear(r.occ)
+	clear(r.alloc)
+	r.flitsIn, r.creditsIn = [topology.NumPorts]int32{}, [topology.NumPorts]int32{}
+	for p := range r.in {
+		in := &r.in[p]
+		for v := range in.vcs {
+			q := in.vcs[v].q
+			clear(q)
+			in.vcs[v] = vcState{q: q}
+		}
+		in.poolUsed = 0
+		o := &r.out[p]
+		if !o.exists {
+			continue
+		}
+		o.pool = r.cfg.BuffersPerInput()
+		for v := range o.credits {
+			o.credits[v], o.occ[v], o.owned[v] = r.cfg.BufPerVC, 0, false
 		}
 	}
-	return r
 }
 
 // Tick advances the router one cycle: absorb credits and flits, route and

@@ -59,8 +59,9 @@ type Progress = harness.Progress
 // progress reporting.
 type ParallelOptions struct {
 	// Workers is the pool size; 0 means runtime.NumCPU(). Any worker
-	// count yields bit-identical results: each job owns its own network
-	// and RNG, and results always come back in job order.
+	// count yields bit-identical results: each job has a network to itself
+	// for the run, reset from the job's seed to its constructed state, and
+	// results always come back in job order.
 	Workers int
 	// Timeout, when nonzero, bounds each job's execution; the simulator
 	// polls cancellation every 1024 cycles.

@@ -4,9 +4,12 @@
 # runs each; prints only, records nothing:
 #
 #   internal/core      OutResTableFindCommitCredit, RouterTickDormant/Idle/
-#                      Loaded, NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8
+#                      Loaded, NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8,
+#                      NetworkReset8x8 (what a job pays instead of New once
+#                      its configuration's network exists; 0 allocs/op)
 #   internal/sim       PipeSendRecv
-#   internal/vcrouter  VCRouterTickIdle, VCNetworkTick8x8Mid, VCNetworkNew8x8
+#   internal/vcrouter  VCRouterTickIdle, VCNetworkTick8x8Mid, VCNetworkNew8x8,
+#                      VCNetworkReset8x8
 #   internal/harness   JobHash bare/shared
 #   internal/service   WarmCampaign (the daemon's warm path)
 #
