@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"frfc/internal/noc"
@@ -162,12 +163,7 @@ func TestSinkStateStaysBounded(t *testing.T) {
 		PacketDelivered: func(*noc.Packet, sim.Cycle) { delivered++ },
 	})
 	src := &uniformSource{rng: sim.NewRNG(21), mesh: mesh, rate: 0.1}
-	held := func() (total int) {
-		for _, s := range net.sinks {
-			total += len(s.state)
-		}
-		return total
-	}
+	held := func() int { return len(net.reassembly) }
 	now := sim.Cycle(0)
 	for ; delivered < 50000; now++ {
 		src.offer(net, now)
@@ -183,5 +179,68 @@ func TestSinkStateStaysBounded(t *testing.T) {
 	}
 	if h := held(); h != 0 {
 		t.Fatalf("drained network still holds %d reassembly entries after %d deliveries", h, delivered)
+	}
+}
+
+// mallocsOf counts the objects fn allocates, on one processor and with the
+// collector off — as testing.AllocsPerRun arranges — so that the count is the
+// program's own.
+func mallocsOf(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestNewAllocationsIndependentOfRadix: a network is a few dozen arrays
+// whatever its size — every table, ring, pool, queue, list and pipe is cut
+// from one backing array per element type (arena.go) — so New makes the same
+// number of allocations on 16 nodes as on 256.
+func TestNewAllocationsIndependentOfRadix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run without -race")
+	}
+	var counts []uint64
+	for _, radix := range []int{4, 8, 16} {
+		mesh := topology.NewMesh(radix)
+		n := mallocsOf(func() { New(mesh, fastControl(), 1, nil) })
+		t.Logf("%dx%d: New makes %d allocations", radix, radix, n)
+		counts = append(counts, n)
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Fatalf("New allocates %v objects on 4x4, 8x8 and 16x16, want one count", counts)
+	}
+	if counts[0] > 64 {
+		t.Fatalf("New makes %d allocations, want at most 64", counts[0])
+	}
+}
+
+// TestFreshNetworkTickAllocatesNothing: nothing on the fault-free path waits
+// for its first use to be built. A 16×16 network straight out of New, offered
+// the fr-sparse rate (load 0.10) for 3000 cycles, allocates nothing in Offer
+// or Tick.
+func TestFreshNetworkTickAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; run without -race")
+	}
+	mesh := topology.NewMesh(16)
+	delivered := 0
+	net := New(mesh, fastControl(), 3, &noc.Hooks{PacketDelivered: func(*noc.Packet, sim.Cycle) { delivered++ }})
+	src := &uniformSource{rng: sim.NewRNG(17), mesh: mesh, rate: 0.005, chunk: make([]noc.Packet, 8192)}
+	offered := 0
+	mallocs := mallocsOf(func() {
+		for now := sim.Cycle(0); now < 3000; now++ {
+			offered += src.offer(net, now)
+			net.Tick(now)
+		}
+	})
+	if offered < 3000 || delivered < offered*9/10 {
+		t.Fatalf("%d packets offered, %d delivered: the window did not carry the sparse load", offered, delivered)
+	}
+	if mallocs != 0 {
+		t.Fatalf("a fresh network's first 3000 cycles allocated %d objects for %d packets, want 0", mallocs, offered)
 	}
 }

@@ -84,8 +84,8 @@ func BenchmarkRouterTickDormant(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range net.routers {
-			r.Tick(sim.Cycle(i + 1))
+		for r := range net.routers {
+			net.routers[r].Tick(sim.Cycle(i + 1))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
@@ -100,9 +100,9 @@ func BenchmarkRouterTickIdle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range net.routers {
-			r.dormant = false
-			r.Tick(sim.Cycle(i))
+		for r := range net.routers {
+			net.routers[r].dormant = false
+			net.routers[r].Tick(sim.Cycle(i))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
@@ -133,24 +133,21 @@ func benchNetworkTick(b *testing.B, radix int, rate float64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
 }
 
-// BenchmarkRouterTickLoaded is the fr-mid cycle read per router, beside the
-// dormant and idle rungs: ns/router-tick divides the cycle by the 64 routers,
-// so it carries each router's share of the interface and sink ticks as well.
-func BenchmarkRouterTickLoaded(b *testing.B) { benchNetworkTick(b, 8, 0.05) }
-
 // BenchmarkNetworkTick16x16Sparse is the fr-sparse shape: load 0.10 on 256
 // nodes, most of them asleep on any one cycle.
 func BenchmarkNetworkTick16x16Sparse(b *testing.B) { benchNetworkTick(b, 16, 0.005) }
 
 // BenchmarkNetworkTick8x8Mid is the fr-mid shape: load 0.50 on 64 nodes,
-// nearly every router awake.
+// nearly every router awake. Its ns/router-tick, beside the dormant and idle
+// rungs, carries each router's share of the interface and sink ticks as well.
 func BenchmarkNetworkTick8x8Mid(b *testing.B) { benchNetworkTick(b, 8, 0.05) }
 
-// BenchmarkNetworkNew8x8 is the construction cost a 158-cycle campaign job
-// mostly consists of; -benchmem gives the bytes and mallocs per network that
-// the cycle rings and reservation tables must not inflate.
-func BenchmarkNetworkNew8x8(b *testing.B) {
-	mesh := topology.NewMesh(8)
+// benchNetworkNew is construction: what the first job of a configuration
+// pays on a mesh small enough to be kept (experiment/netcache.go) and every
+// job on a larger one. -benchmem gives the bytes per network, which the arena
+// fixes, and the mallocs, which must not depend on the radix.
+func benchNetworkNew(b *testing.B, radix int) {
+	mesh := topology.NewMesh(radix)
 	cfg := fastControl()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -159,6 +156,9 @@ func BenchmarkNetworkNew8x8(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkNetworkNew8x8(b *testing.B)   { benchNetworkNew(b, 8) }
+func BenchmarkNetworkNew16x16(b *testing.B) { benchNetworkNew(b, 16) }
 
 // BenchmarkNetworkReset8x8 is what a campaign job pays instead of
 // NetworkNew8x8 once a network of its configuration exists: the same 8×8

@@ -29,8 +29,8 @@ func (n *Network) check(now sim.Cycle) {
 // inbound reports how many items are in flight on the wires into port p.
 func (r *Router) inbound(p topology.Port) int {
 	total := 0
-	if in := r.inputs[p]; in != nil && in.dataIn != nil {
-		total += in.dataIn.Len()
+	if in := r.inputs[p].dataIn; in != nil {
+		total += in.Len()
 	}
 	if in := r.ctrlIn[p].in; in != nil {
 		total += in.Len()
@@ -54,7 +54,7 @@ func (n *NI) inbound() int { return n.resvCreditIn.Len() + n.ctrlCreditIn.Len() 
 // keeps it awake for nothing — and a component marked dormant must hold no
 // work of its own, so that an empty inbox really means nothing to do.
 func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
-	r, ni := n.routers[id], n.nis[id]
+	r, ni := &n.routers[id], &n.nis[id]
 	for p := range r.inbox {
 		if want := r.inbound(topology.Port(p)); int(r.inbox[p]) != want {
 			n.fail(now, "node %d port %s: inbox counts %d in flight, the wires carry %d",
@@ -64,7 +64,11 @@ func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	queued := 0
 	for p := range r.ctrlIn {
 		for v := range r.ctrlIn[p].vcs {
-			queued += len(r.ctrlIn[p].vcs[v].q)
+			queued += r.ctrlIn[p].vcs[v].n
+			if has := r.ctrlIn[p].occ.next(v) == v; has != (r.ctrlIn[p].vcs[v].n > 0) {
+				n.fail(now, "node %d port %s vc %d: occupancy bit %v with %d control flits queued",
+					id, topology.Port(p), v, has, r.ctrlIn[p].vcs[v].n)
+			}
 		}
 	}
 	if r.queued != queued {
@@ -105,7 +109,7 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 	co := &n.routers[l.a].ctrlOut[l.p]
 	ci := &n.routers[l.b].ctrlIn[l.p.Opposite()]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := co.credits[v] + len(ci.vcs[v].q)
+		total := co.credits[v] + ci.vcs[v].n
 		l.ctrlCredit.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++
@@ -126,10 +130,10 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 // checkLocal audits the injection control link between a node's interface and
 // its router, which conserves credits the same way as an inter-router link.
 func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
-	ni := n.nis[id]
+	ni := &n.nis[id]
 	ci := &n.routers[id].ctrlIn[topology.Local]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := ni.ctrlCredits[v] + len(ci.vcs[v].q)
+		total := ni.ctrlCredits[v] + ci.vcs[v].n
 		ni.ctrlCreditIn.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++
@@ -145,26 +149,27 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 				id, v, total, n.cfg.CtrlBufPerVC)
 		}
 	}
-	n.checkTable(now, fmt.Sprintf("NI %d injection table", id), ni.injTable)
+	n.checkTable(now, fmt.Sprintf("NI %d injection table", id), &ni.injTable)
 }
 
 // checkRouter audits one router's reservation tables and buffer pools.
 func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
-	r := n.routers[id]
-	for p := range r.outTables {
-		if t := r.outTables[p]; t != nil {
-			n.checkTable(now, fmt.Sprintf("node %d out %s", id, topology.Port(p)), t)
-		}
-	}
+	r := &n.routers[id]
 	for p := range r.inputs {
-		in := r.inputs[p]
-		if in == nil {
+		if !r.ctrlIn[p].exists {
 			continue
 		}
+		n.checkTable(now, fmt.Sprintf("node %d out %s", id, topology.Port(p)), &r.outTables[p])
+		in := &r.inputs[p]
 		occ := 0
 		for i := range in.pool {
-			if in.pool[i].occupied {
+			held := in.pool[i].flit.Packet != nil
+			if held {
 				occ++
+			}
+			if held != (in.occ.next(i) == i) {
+				n.fail(now, "node %d input %s: slot %d holds a flit: %v, its occupancy bit says otherwise",
+					id, topology.Port(p), i, held)
 			}
 		}
 		if occ != in.occupied {
@@ -174,7 +179,7 @@ func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
 		for _, pk := range in.parked {
 			ta := pk.arrival
 			s := &in.pool[pk.slot]
-			if !s.occupied || s.departAt != sim.Never {
+			if s.flit.Packet == nil || s.departAt != sim.Never {
 				n.fail(now, "node %d input %s: schedule-list entry for arrival %d points at a non-parked slot",
 					id, topology.Port(p), ta)
 			}

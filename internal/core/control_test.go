@@ -23,14 +23,18 @@ func TestControlFlitsStayOrderedPerPacket(t *testing.T) {
 	}
 	perPacket := map[noc.PacketID][]sched{}
 	net := New(mesh, fastControl(), 31, &noc.Hooks{})
-	// Wrap every sink's Expect to observe the reassembly schedule in the
-	// order destination control flits build it.
-	for i := range net.routers {
-		inner := net.sinks[i].Expect
-		i := i
-		net.routers[i].sinkNotify = func(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
-			perPacket[pkt.ID] = append(perPacket[pkt.ID], sched{seq: seq, at: at})
-			inner(now, at, pkt, seq, attempt)
+	// Read every sink's reassembly schedule after each cycle to observe it in
+	// the order destination control flits build it: an entry is filed at
+	// least two cycles ahead of its ejection, so none comes and goes unseen.
+	seen := map[flitRef]bool{}
+	observe := func() {
+		for i := range net.sinks {
+			net.sinks[i].expect.each(func(at sim.Cycle, e flitRef) {
+				if !seen[e] {
+					seen[e] = true
+					perPacket[e.pkt.ID] = append(perPacket[e.pkt.ID], sched{seq: int(e.seq), at: at})
+				}
+			})
 		}
 	}
 	rng := sim.NewRNG(12)
@@ -45,10 +49,17 @@ func TestControlFlitsStayOrderedPerPacket(t *testing.T) {
 		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 5, CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
+			observe()
 			now++
 		}
 	}
-	drainOrFail(t, net, now, 500000)
+	for ; net.InFlightPackets() > 0; now++ {
+		if now > 500000 {
+			t.Fatalf("%d packets still in flight", net.InFlightPackets())
+		}
+		net.Tick(now)
+		observe()
+	}
 	for id, ss := range perPacket {
 		if len(ss) != 5 {
 			t.Fatalf("packet %d scheduled %d ejections, want 5", id, len(ss))

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"frfc/internal/metrics"
 	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/topology"
@@ -13,9 +12,8 @@ import (
 // concrete flit only at arrival time (deferred allocation); its departure
 // time and output port come from the reservation.
 type poolSlot struct {
-	occupied bool
-	flit     noc.DataFlit
-	departAt sim.Cycle // sim.Never while the flit is parked unscheduled
+	flit     noc.DataFlit // zero while the slot is free, when nothing else of it is read
+	departAt sim.Cycle    // sim.Never while the flit is parked unscheduled
 	outPort  topology.Port
 }
 
@@ -47,17 +45,20 @@ type parkedFlit struct {
 // Section 3). Data flits are identified solely by their arrival cycle; the
 // one-flit-per-cycle channel makes that identification unambiguous.
 type inputPort struct {
-	pool     []poolSlot
+	pool []poolSlot
+	// occ has a bit set for every pool slot that holds a flit, and occupied
+	// counts them.
+	occ      occupancy
 	occupied int
 	// expected holds the reservation for each future arrival cycle. A
 	// reservation is installed only once its departure is found, and a
 	// departure is never earlier than the arrival nor later than
 	// now+Horizon, so the keys stay inside [now, now+Horizon].
 	expected cycleRing[reservation]
-	// parked is the schedule list in arrival order. Its keys are past
-	// cycles with no bound on their age, so it is not a ring: at most
-	// len(pool) flits can wait, and a scan of that few entries is cheaper
-	// than hashing.
+	// parked is the schedule list in arrival order, with room for the whole
+	// pool. Its keys are past cycles with no bound on their age, so it is
+	// not a ring: at most len(pool) flits can wait, and a scan of that few
+	// entries is cheaper than hashing.
 	parked []parkedFlit
 	// parkedTotal counts every flit that ever passed through the
 	// schedule list, a measure of how often data overtakes its control
@@ -81,12 +82,6 @@ type inputPort struct {
 
 	ledger *eagerLedger // non-nil when counting hypothetical eager-allocation transfers
 
-	// probe, with the port's identity, reports late reservations (flits
-	// parked ahead of their control flit); nil when observability is off.
-	probe     *metrics.Probe
-	node      int
-	portIndex int
-
 	// faultTolerant permits a reservation for a past arrival with no
 	// parked flit — the flit was destroyed upstream and its late control
 	// flit doesn't know. Without fault injection that situation is a
@@ -94,17 +89,18 @@ type inputPort struct {
 	faultTolerant bool
 }
 
-// newInputPort builds an input with the given pool size whose reservation
-// table covers arrivals up to horizon cycles ahead.
-func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
-	p := &inputPort{
-		pool:          make([]poolSlot, buffers),
-		expected:      newCycleRing[reservation](horizon + 1),
+// init lays out, in place on the arena's memory, an input with the given pool
+// size whose reservation table covers arrivals up to horizon cycles ahead;
+// reset makes it usable.
+func (p *inputPort) init(a *arena, buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) {
+	*p = inputPort{
+		pool:          carve(&a.pool, buffers),
+		occ:           carve(&a.words, occupancyWords(buffers)),
+		parked:        carve(&a.parked, buffers)[:0],
 		ledger:        ledger,
 		faultTolerant: faultTolerant,
 	}
-	p.reset()
-	return p
+	p.expected.init(carve(&a.expected, int(horizon)+1))
 }
 
 // parkedIndex returns the schedule-list position of the flit that arrived at
@@ -149,7 +145,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 	}
 	if i := p.parkedIndex(ta); i >= 0 {
 		s := &p.pool[p.unpark(i)]
-		if !s.occupied || s.departAt != sim.Never {
+		if s.flit.Packet == nil || s.departAt != sim.Never {
 			panic("core: schedule list pointed at a slot that is not parked")
 		}
 		s.departAt = departAt
@@ -174,48 +170,52 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 	p.ledger.onReserve(ta, departAt)
 }
 
+// arrival is what became of a data flit that reached an input.
+type arrival uint8
+
+const (
+	refused  arrival = iota // no buffer free: the caller drops the flit
+	bypassed                // reserved to depart this cycle: the caller sends it on
+	buffered                // bound to a pool buffer with its departure known
+	parked                  // bound to one ahead of its control flit
+)
+
 // arrive handles a data flit that reached this input at cycle now. A flit
-// reserved to depart this same cycle bypasses the buffer pool entirely and is
-// handed straight to fn (the paper's bypass path — zero buffer residency);
-// otherwise it is bound to a free pool buffer. Reservation accounting
-// guarantees a buffer is free in a corruption-free run; running out then
-// indicates a scheduling bug and panics. Under fault injection the pool can
-// be transiently overcommitted — a phantom-orphaned flit occupies its slot
-// until reclamation while the credit its control flit sent upstream already
-// promised the slot free — so the arriving flit is refused (return false)
-// and the caller drops it into the loss path. A phantom reservation for this
-// cycle is ignored: the flit parks beside it as if unannounced.
-func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.DataFlit, out topology.Port)) bool {
+// reserved to depart this same cycle bypasses the buffer pool entirely, and
+// arrive returns the output to send it through (the paper's bypass path — zero
+// buffer residency). Otherwise the flit is bound to the lowest free pool
+// buffer. Reservation accounting guarantees a buffer is free in a
+// corruption-free run; running out then indicates a scheduling bug and
+// panics. Under fault injection the pool can be transiently overcommitted — a
+// phantom-orphaned flit occupies its slot until reclamation while the credit
+// its control flit sent upstream already promised the slot free — so the
+// arriving flit is refused and the caller drops it into the loss path. A
+// phantom reservation for this cycle is ignored: the flit parks beside it as
+// if unannounced.
+func (p *inputPort) arrive(now sim.Cycle, f *noc.DataFlit) (arrival, topology.Port) {
 	p.expected.advance(now)
 	r, reserved := p.expected.get(now)
 	reserved = reserved && !r.phantom
 	if reserved && r.stay == 0 {
 		p.expected.take(now)
-		bypass(f, topology.Port(r.outPort))
-		return true
+		return bypassed, topology.Port(r.outPort)
 	}
-	slot := -1
-	for i := range p.pool {
-		if !p.pool[i].occupied {
-			slot = i
-			break
-		}
-	}
+	slot := p.occ.firstFree(len(p.pool))
 	if slot == -1 {
 		if p.faultTolerant {
-			return false
+			return refused, 0
 		}
-		panic(fmt.Sprintf("core: data flit %s arrived at cycle %d with no free buffer — reservation accounting violated", f, now))
+		panic(fmt.Sprintf("core: data flit %s arrived at cycle %d with no free buffer — reservation accounting violated", *f, now))
 	}
 	s := &p.pool[slot]
-	s.occupied = true
-	s.flit = f
+	p.occ.set(slot)
+	s.flit = *f
 	p.occupied++
 	if reserved {
 		p.expected.take(now)
 		s.departAt = now + sim.Cycle(r.stay)
 		s.outPort = topology.Port(r.outPort)
-		return true
+		return buffered, 0
 	}
 	// Arrived before its control flit finished scheduling: park it on the
 	// schedule list.
@@ -224,34 +224,34 @@ func (p *inputPort) arrive(now sim.Cycle, f noc.DataFlit, bypass func(f noc.Data
 	if p.parkedIndex(now) >= 0 {
 		panic("core: two flits parked with the same arrival cycle on one input")
 	}
-	if p.parked == nil {
-		p.parked = make([]parkedFlit, 0, len(p.pool))
-	}
 	p.parked = append(p.parked, parkedFlit{arrival: now, slot: slot})
 	p.parkedTotal++
-	p.probe.Late(now, p.node, p.portIndex, uint64(f.Packet.ID), f.Seq)
 	p.ledger.onParkedArrival(now)
-	return true
+	return parked, 0
 }
 
-// departures invokes fn for every flit scheduled to leave at cycle now and
-// frees its buffer. The one-reservation-per-output-cycle rule upstream
-// guarantees distinct flits never contend for a channel here.
-func (p *inputPort) departures(now sim.Cycle, fn func(f noc.DataFlit, out topology.Port)) {
-	if p.occupied == 0 {
-		return
-	}
-	for i := range p.pool {
-		s := &p.pool[i]
-		if !s.occupied || s.departAt != now {
-			continue
+// departing returns the lowest pool slot at or above from whose flit is
+// scheduled to leave at cycle now, or -1; the caller releases it. The
+// one-reservation-per-output-cycle rule upstream guarantees distinct flits
+// never contend for a channel here.
+func (p *inputPort) departing(now sim.Cycle, from int) int {
+	for i := p.occ.next(from); i >= 0; i = p.occ.next(i + 1) {
+		if p.pool[i].departAt == now {
+			return i
 		}
-		s.occupied = false
-		p.occupied--
-		fn(s.flit, s.outPort)
-		s.flit = noc.DataFlit{}
-		s.departAt = sim.Never
 	}
+	return -1
+}
+
+// release frees a pool slot and returns the flit it held and the output the
+// flit was scheduled through.
+func (p *inputPort) release(slot int) (noc.DataFlit, topology.Port) {
+	s := &p.pool[slot]
+	f, out := s.flit, s.outPort
+	*s = poolSlot{}
+	p.occ.clear(slot)
+	p.occupied--
+	return f, out
 }
 
 // expireExpected discards a reservation whose data flit failed to arrive at
@@ -294,12 +294,7 @@ func (p *inputPort) dropParked(ta sim.Cycle) (noc.DataFlit, bool) {
 	if i < 0 {
 		return noc.DataFlit{}, false
 	}
-	s := &p.pool[p.unpark(i)]
-	f := s.flit
-	s.occupied = false
-	p.occupied--
-	s.flit = noc.DataFlit{}
-	s.departAt = sim.Never
+	f, _ := p.release(p.unpark(i))
 	return f, true
 }
 
@@ -332,14 +327,10 @@ func (p *inputPort) purgeOutput(out topology.Port, drop func(noc.DataFlit)) {
 			p.condemn(ta)
 		}
 	})
-	for i := range p.pool {
-		s := &p.pool[i]
-		if s.occupied && s.departAt != sim.Never && s.outPort == out {
-			s.occupied = false
-			p.occupied--
-			drop(s.flit)
-			s.flit = noc.DataFlit{}
-			s.departAt = sim.Never
+	for i := p.occ.next(0); i >= 0; i = p.occ.next(i + 1) {
+		if s := &p.pool[i]; s.departAt != sim.Never && s.outPort == out {
+			f, _ := p.release(i)
+			drop(f)
 		}
 	}
 }
@@ -350,14 +341,16 @@ func (p *inputPort) purgeOutput(out topology.Port, drop func(noc.DataFlit)) {
 // a fresh reservation table that believes every buffer here is free, so the
 // port must actually be empty or its pool would be overcommitted.
 func (p *inputPort) flush(drop func(noc.DataFlit)) {
-	for i := range p.pool {
-		s := &p.pool[i]
-		if s.occupied && drop != nil {
-			drop(s.flit)
+	if p.occupied > 0 {
+		if drop != nil {
+			for i := p.occ.next(0); i >= 0; i = p.occ.next(i + 1) {
+				drop(p.pool[i].flit)
+			}
 		}
-		*s = poolSlot{departAt: sim.Never}
+		clear(p.pool)
+		clear(p.occ)
+		p.occupied = 0
 	}
-	p.occupied = 0
 	p.expected.clear()
 	p.parked = p.parked[:0]
 	p.condemned = nil

@@ -23,7 +23,7 @@ func noBypass(t *testing.T) func(noc.DataFlit, topology.Port) {
 func TestInputPortReserveThenArriveThenDepart(t *testing.T) {
 	p := newInputPort(3, 32, nil, false)
 	p.reserve(0, 5, 9, topology.East, false)
-	p.arrive(5, testFlit(1, 0), noBypass(t))
+	p.arriveFn(5, testFlit(1, 0), noBypass(t))
 	if p.occupied != 1 {
 		t.Fatalf("occupied = %d, want 1", p.occupied)
 	}
@@ -47,7 +47,7 @@ func TestInputPortBypass(t *testing.T) {
 	p := newInputPort(1, 32, nil, false)
 	p.reserve(0, 7, 7, topology.South, false) // depart the same cycle it arrives
 	hit := false
-	p.arrive(7, testFlit(2, 0), func(f noc.DataFlit, out topology.Port) {
+	p.arriveFn(7, testFlit(2, 0), func(f noc.DataFlit, out topology.Port) {
 		hit = true
 		if out != topology.South {
 			t.Fatalf("bypass toward %s, want S", out)
@@ -64,7 +64,7 @@ func TestInputPortBypass(t *testing.T) {
 func TestInputPortParkThenSchedule(t *testing.T) {
 	p := newInputPort(2, 32, nil, false)
 	// Flit arrives before any reservation: parked on the schedule list.
-	p.arrive(4, testFlit(3, 1), noBypass(t))
+	p.arriveFn(4, testFlit(3, 1), noBypass(t))
 	if len(p.parked) != 1 || p.occupied != 1 {
 		t.Fatal("flit not parked")
 	}
@@ -92,8 +92,8 @@ func TestInputPortPoolExhaustionPanics(t *testing.T) {
 		}
 	}()
 	p := newInputPort(1, 32, nil, false)
-	p.arrive(1, testFlit(1, 0), noBypass(t))
-	p.arrive(2, testFlit(2, 0), noBypass(t))
+	p.arriveFn(1, testFlit(1, 0), noBypass(t))
+	p.arriveFn(2, testFlit(2, 0), noBypass(t))
 }
 
 func TestInputPortDuplicateReservationPanics(t *testing.T) {
@@ -123,7 +123,7 @@ func TestInputPortPending(t *testing.T) {
 	if p.pending() != 1 {
 		t.Fatalf("pending = %d with one expectation, want 1", p.pending())
 	}
-	p.arrive(6, testFlit(1, 0), noBypass(t))
+	p.arriveFn(6, testFlit(1, 0), noBypass(t))
 	if p.pending() != 1 {
 		t.Fatalf("pending = %d with one resident, want 1", p.pending())
 	}
@@ -192,7 +192,7 @@ func TestDeferredAllocationNeverFragments(t *testing.T) {
 			p.departures(c, func(noc.DataFlit, topology.Port) {})
 			for _, r := range rs {
 				if r.ta == c {
-					p.arrive(c, testFlit(noc.PacketID(c), 0), func(noc.DataFlit, topology.Port) {})
+					p.arriveFn(c, testFlit(noc.PacketID(c), 0), func(noc.DataFlit, topology.Port) {})
 				}
 			}
 		}

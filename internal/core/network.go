@@ -46,16 +46,24 @@ type Network struct {
 	own, inner noc.Hooks
 
 	// leadArrays is the free list the interfaces' control flits take their
-	// lead arrays from. Within a run it is fed only where a control flit is
+	// lead arrays from. New stocks it, from one array, with as many as there
+	// are control buffers — a flit holds one from the interface that sends it
+	// to the router that retires it, and credits keep the flits on any control
+	// link and in the queues behind it to that link's buffers — so a fault-free
+	// run never makes one. Within a run it is fed only where a control flit is
 	// retired at its destination (Router.consume) — a flit destroyed on the
 	// way, discarded or severed, leaves its array to the garbage collector —
 	// and Reset, which retires every flit the network still holds, returns
 	// theirs.
 	leadArrays noc.LeadArrays
 
-	routers []*Router
-	nis     []*NI
-	sinks   []*Sink
+	// The components, each kind in one array; everything they point at was cut
+	// from the arena New made (arena.go).
+	routers []Router
+	nis     []NI
+	sinks   []Sink
+	// reassembly is the sinks' one map of packets mid-reassembly (Sink.state).
+	reassembly map[noc.PacketID]sinkPkt
 
 	// probe is the attached observability sink; nil when disabled.
 	probe *metrics.Probe
@@ -79,10 +87,9 @@ type Network struct {
 	corruptEscapes int64 // corrupted payload that reached its destination uncaught
 
 	// links is the directed inter-router link registry built by wire, the
-	// handle the hard-fault engine severs through and the invariant checker
-	// audits; linkIdx maps an unordered node pair to its two entries.
-	links   []linkPipes
-	linkIdx map[[2]topology.NodeID][]int
+	// handle the hard-fault engine severs through (linksBetween) and the
+	// invariant checker audits.
+	links []linkPipes
 
 	// Hard-fault scenario state, live when cfg.Faults is non-empty.
 	// nextFault indexes the first unapplied event; table is the shared
@@ -106,7 +113,7 @@ type Network struct {
 	// Watchdog state: progress counts every flit movement network-wide;
 	// the watchdog trips when it stands still too long with packets in
 	// flight and no recovery action pending.
-	progress       *int64
+	progress       int64
 	lastProgress   int64
 	lastProgressAt sim.Cycle
 	wedgeFired     bool
@@ -136,7 +143,7 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 			}
 		}
 	}
-	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks), linkRNG: new(sim.RNG), progress: new(int64)}
+	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks), linkRNG: new(sim.RNG)}
 	if t, ok := cfg.Routing.(*routing.Table); ok {
 		n.table = t
 	}
@@ -150,30 +157,41 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	}
 	n.own = n.countingHooks()
 
-	n.routers = make([]*Router, mesh.N())
-	n.nis = make([]*NI, mesh.N())
-	n.sinks = make([]*Sink, mesh.N())
-	for id := 0; id < mesh.N(); id++ {
-		r := newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG))
-		r.hooks, r.progress, r.leadArrays = n.hooks, n.progress, &n.leadArrays
-		n.routers[id] = r
+	a := newArena(mesh, &n.cfg)
+	n.routers = make([]Router, mesh.N())
+	n.nis = make([]NI, mesh.N())
+	n.sinks = make([]Sink, mesh.N())
+	// Two packets mid-reassembly a node is more than a run below saturation
+	// shows; past that the map grows as any map does.
+	n.reassembly = make(map[noc.PacketID]sinkPkt, 2*mesh.N())
+	noteLoss := n.noteLoss
+	for id := range n.routers {
+		node := topology.NodeID(id)
+		r, ni, sink := &n.routers[id], &n.nis[id], &n.sinks[id]
+		r.init(a, node, mesh, &n.cfg)
+		r.hooks, r.progress, r.leadArrays, r.sink = n.hooks, &n.progress, &n.leadArrays, sink
 
-		ni := newNI(topology.NodeID(id), &n.cfg, new(sim.RNG), n.hooks)
-		ni.progress, ni.leads = n.progress, &n.leadArrays
-		n.nis[id] = ni
-		n.sinks[id] = newSink(topology.NodeID(id), cfg.Horizon+cfg.LocalLatency, n.hooks)
-		n.sinks[id].e2eCheck = cfg.E2ECheck
+		ni.init(a, node, &n.cfg, n.hooks)
+		ni.progress, ni.leads = &n.progress, &n.leadArrays
+		sink.init(a, node, cfg.Horizon+cfg.LocalLatency, n.reassembly, n.hooks)
+		sink.e2eCheck = cfg.E2ECheck
 		if cfg.RetryLimit > 0 {
-			n.sinks[id].notifyLoss = n.noteLoss
+			sink.notifyLoss = noteLoss
 		}
 		if topoFaults {
-			src := topology.NodeID(id)
 			ni.unreachable = func(dst topology.NodeID) bool {
-				return !n.pairConnected(src, dst)
+				return !n.pairConnected(node, dst)
 			}
 		}
 	}
-	n.wire()
+	n.wire(a)
+	n.leadArrays = make(noc.LeadArrays, 0, len(a.entries)/cfg.LeadsPerCtrl)
+	for len(a.entries) > 0 {
+		n.leadArrays = append(n.leadArrays, carve(&a.entries, cfg.LeadsPerCtrl)[:0])
+	}
+	if a.left() != 0 {
+		panic("core: the arena was sized for a different network than was built")
+	}
 	n.Reset(seed, hooks)
 	return n
 }
@@ -199,7 +217,8 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	n.unreachable, n.corruptedFlits, n.crcDetected, n.corruptEscapes = 0, 0, 0, 0
 	clear(n.notifs)
 	clear(n.resolved)
-	*n.progress, n.lastProgress, n.lastProgressAt, n.wedgeFired, n.now = 0, 0, 0, false, 0
+	clear(n.reassembly)
+	n.progress, n.lastProgress, n.lastProgressAt, n.wedgeFired, n.now = 0, 0, 0, false, 0
 
 	// A scenario that got as far as changing the topology left outages and
 	// routes computed around them; the healthy mesh is where a run starts.
@@ -219,15 +238,16 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	var root sim.RNG
 	root.Seed(seed)
 	root.SplitInto(n.linkRNG)
-	for _, r := range n.routers {
-		root.SplitInto(r.rng)
-		r.reset()
+	for id := range n.routers {
+		root.SplitInto(&n.routers[id].rng)
+		n.routers[id].reset()
 	}
 	// Every control flit still on a wire is retired here, as the ones queued
-	// in routers and unsent in interfaces are by their resets.
+	// in routers are by their reset.
 	retire := func(cf noc.ControlFlit) { n.leadArrays.Put(cf.Leads) }
-	for id, ni := range n.nis {
-		root.SplitInto(ni.rng)
+	for id := range n.nis {
+		ni := &n.nis[id]
+		root.SplitInto(&ni.rng)
 		ni.reset()
 		n.sinks[id].reset()
 		ni.dataOut.Reset()
@@ -327,28 +347,22 @@ func (n *Network) countingHooks() noc.Hooks {
 func (n *Network) AttachProbe(p *metrics.Probe) {
 	n.probe = p
 	p.Init(n.mesh.Radix())
-	for _, r := range n.routers {
-		r.attachProbe(p)
-	}
-	for _, ni := range n.nis {
-		ni.probe = p
-		ni.prof = p.Profile()
-		ni.wf = p.Waterfall()
-	}
-	for _, s := range n.sinks {
-		s.probe = p
-		s.prof = p.Profile()
-		s.wf = p.Waterfall()
+	for id := range n.routers {
+		n.routers[id].attachProbe(p)
+		ni, s := &n.nis[id], &n.sinks[id]
+		ni.probe, ni.prof, ni.wf = p, p.Profile(), p.Waterfall()
+		s.probe, s.prof, s.wf = p, p.Profile(), p.Waterfall()
 	}
 }
 
 // sampleOccupancy records one sample of every input pool's occupancy into
 // the given probe.
 func (n *Network) sampleOccupancy(probe *metrics.Probe) {
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		for p := range r.inputs {
-			if in := r.inputs[p]; in != nil {
-				probe.Occupancy(id, p, in.occupied, n.cfg.DataBuffers)
+			if r.ctrlIn[p].exists {
+				probe.Occupancy(id, p, r.inputs[p].occupied, n.cfg.DataBuffers)
 			}
 		}
 	}
@@ -371,26 +385,21 @@ func (n *Network) onCtrlCorrupt() {
 }
 
 // resvCreditWidth bounds the reservation credits one input port can emit in
-// a cycle: every output scheduler may process CtrlFlitsPerCycle control flits
-// each leading up to LeadsPerCtrl data flits, all potentially from the same
-// input. Under hard faults, each of the input's control VCs may additionally
-// discard a destroyed stream's flit in the same cycle, releasing its leads'
-// upstream residencies.
-func (c Config) resvCreditWidth() int {
-	return (int(topology.NumPorts)*c.CtrlFlitsPerCycle + c.CtrlVCs) * c.LeadsPerCtrl
-}
+// a cycle. A credit goes out for a lead of the control flit at the front of
+// one of the input's control VCs, when the lead is scheduled or — under hard
+// faults — discarded; arbitration visits each VC's front flit once a cycle,
+// and the flit behind it only the next, so the bound is the input's VCs times
+// the leads a flit carries.
+func (c Config) resvCreditWidth() int { return c.CtrlVCs * c.LeadsPerCtrl }
 
 // newCtrlLink builds one inter-router control link: a plain pipe, or — under
 // CtrlFaultRate — a fault-injecting pipe whose corrupted flits are delayed by
 // the link-level retransmission round trip. Under the bit-error model the
 // pipe additionally delivers flits with their Corrupted flag set at rate BER.
-func (n *Network) newCtrlLink() *sim.Pipe[noc.ControlFlit] {
-	cfg := n.cfg
-	var p *sim.Pipe[noc.ControlFlit]
-	if cfg.CtrlFaultRate > 0 {
-		p = sim.NewFaultyPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle, cfg.CtrlFaultRate, n.linkRNG, n.onCtrlCorrupt)
-	} else {
-		p = sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
+func (n *Network) newCtrlLink(a *arena) *sim.Pipe[noc.ControlFlit] {
+	p := a.ctrl.New(n.cfg.CtrlLinkLatency, n.cfg.CtrlFlitsPerCycle)
+	if n.cfg.CtrlFaultRate > 0 {
+		p.WithFaults(n.cfg.CtrlFaultRate, n.linkRNG, n.onCtrlCorrupt)
 	}
 	if n.berArmed() {
 		p.WithBitErrors(0, n.linkRNG, n.corruptCtrl) // Reset sets the rate
@@ -401,8 +410,8 @@ func (n *Network) newCtrlLink() *sim.Pipe[noc.ControlFlit] {
 // newDataLink builds one inter-router data link, armed with the bit-error
 // model when the configuration or a scenario "corrupt" event needs it.
 // (DataFaultRate loss is injected at the sending router, not in the pipe.)
-func (n *Network) newDataLink() *sim.Pipe[noc.DataFlit] {
-	p := sim.NewPipe[noc.DataFlit](n.cfg.DataLinkLatency, 1)
+func (n *Network) newDataLink(a *arena) *sim.Pipe[noc.DataFlit] {
+	p := a.data.New(n.cfg.DataLinkLatency, 1)
 	if n.berArmed() {
 		p.WithBitErrors(0, n.linkRNG, n.corruptData) // Reset sets the rate
 	}
@@ -435,78 +444,81 @@ func (n *Network) corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 // wire connects routers, NIs and sinks: data links (one flit/cycle,
 // DataLinkLatency), control links (CtrlFlitsPerCycle flits/cycle,
 // CtrlLinkLatency), reservation-credit and control-credit wires
-// (CreditLatency). Each sender is also pointed at the inbox cell of the
-// component its wires reach.
-func (n *Network) wire() {
+// (CreditLatency), every pipe and its ring cut from the arena. Each sender is
+// also pointed at the inbox cell of the component its wires reach.
+func (n *Network) wire(a *arena) {
 	cfg := n.cfg
-	for id := 0; id < n.mesh.N(); id++ {
-		r := n.routers[id]
+	n.links = a.links
+	for id := range n.routers {
+		r := &n.routers[id]
 		for p := topology.Port(0); p < topology.Local; p++ {
 			nb, ok := n.mesh.Neighbor(topology.NodeID(id), p)
 			if !ok {
 				continue
 			}
-			far := n.routers[nb]
+			far := &n.routers[nb]
 			op := p.Opposite()
 			r.peer[p] = &far.inbox[op]
 
-			data := n.newDataLink()
+			data := n.newDataLink(a)
 			r.dataOut[p] = data
 			far.inputs[op].dataIn = data
 
-			resvCredit := sim.NewPipe[noc.ReservationCredit](cfg.CreditLatency, cfg.resvCreditWidth())
+			resvCredit := a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth())
 			r.dataCreditIn[p] = resvCredit
 			far.inputs[op].creditOut = resvCredit
 
-			ctrl := n.newCtrlLink()
+			ctrl := n.newCtrlLink(a)
 			r.ctrlOut[p].out = ctrl
 			far.ctrlIn[op].in = ctrl
 
-			ctrlCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.CtrlVCs)
+			ctrlCredit := a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs)
 			r.ctrlOut[p].creditIn = ctrlCredit
 			far.ctrlIn[op].creditOut = ctrlCredit
 
-			if n.linkIdx == nil {
-				n.linkIdx = make(map[[2]topology.NodeID][]int)
-			}
-			key := normLink(topology.NodeID(id), nb)
-			n.linkIdx[key] = append(n.linkIdx[key], len(n.links))
 			n.links = append(n.links, linkPipes{
 				a: topology.NodeID(id), b: nb, p: p,
 				data: data, resvCredit: resvCredit, ctrl: ctrl, ctrlCredit: ctrlCredit,
 			})
 		}
 
-		ni := n.nis[id]
-		sink := n.sinks[id]
+		ni, sink := &n.nis[id], &n.sinks[id]
 		ni.peer = &r.inbox[topology.Local]
 		r.peer[topology.Local] = &ni.inbox
 
 		// Injection: NI data -> router Local input; reservation
 		// credits flow back from the router's input scheduler.
-		injData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		ni.dataOut = injData
-		r.inputs[topology.Local].dataIn = injData
+		ni.dataOut = a.data.New(cfg.LocalLatency, 1)
+		r.inputs[topology.Local].dataIn = ni.dataOut
 
-		injResvCredit := sim.NewPipe[noc.ReservationCredit](cfg.CreditLatency, cfg.resvCreditWidth())
-		ni.resvCreditIn = injResvCredit
-		r.inputs[topology.Local].creditOut = injResvCredit
+		ni.resvCreditIn = a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth())
+		r.inputs[topology.Local].creditOut = ni.resvCreditIn
 
-		injCtrl := sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
-		ni.ctrlOut = injCtrl
-		r.ctrlIn[topology.Local].in = injCtrl
+		ni.ctrlOut = a.ctrl.New(cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
+		r.ctrlIn[topology.Local].in = ni.ctrlOut
 
-		injCtrlCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.CtrlVCs)
-		ni.ctrlCreditIn = injCtrlCredit
-		r.ctrlIn[topology.Local].creditOut = injCtrlCredit
+		ni.ctrlCreditIn = a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs)
+		r.ctrlIn[topology.Local].creditOut = ni.ctrlCreditIn
 
 		// Ejection: router Local output -> sink, schedule set by
 		// destination control flits.
-		ejData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.dataOut[topology.Local] = ejData
-		sink.dataIn = ejData
-		r.sinkNotify = sink.Expect
+		sink.dataIn = a.data.New(cfg.LocalLatency, 1)
+		r.dataOut[topology.Local] = sink.dataIn
 	}
+}
+
+// linksBetween returns the two directed links of the undirected link a—b, the
+// lower-numbered node's first. Outages are rare, so the registry is searched,
+// not indexed.
+func (n *Network) linksBetween(a, b topology.NodeID) (pair [2]*linkPipes) {
+	k := 0
+	for i := range n.links {
+		if l := &n.links[i]; l.a == a && l.b == b || l.a == b && l.b == a {
+			pair[k] = l
+			k++
+		}
+	}
+	return pair
 }
 
 // Offer implements noc.Network. A packet whose destination has no surviving
@@ -551,7 +563,7 @@ func (n *Network) Tick(now sim.Cycle) {
 				if n.isDead(nt.pkt.Src) {
 					continue
 				}
-				ni := n.nis[nt.pkt.Src]
+				ni := &n.nis[nt.pkt.Src]
 				if nt.ack {
 					ni.ack(nt.pkt.ID)
 				} else {
@@ -560,23 +572,23 @@ func (n *Network) Tick(now sim.Cycle) {
 			}
 		}
 	}
-	for id, ni := range n.nis {
+	for id := range n.nis {
 		if n.isDead(topology.NodeID(id)) {
 			continue
 		}
-		ni.Tick(now)
+		n.nis[id].Tick(now)
 	}
-	for id, r := range n.routers {
+	for id := range n.routers {
 		if n.isDead(topology.NodeID(id)) {
 			continue
 		}
-		r.Tick(now)
+		n.routers[id].Tick(now)
 	}
-	for id, s := range n.sinks {
+	for id := range n.sinks {
 		if n.isDead(topology.NodeID(id)) {
 			continue
 		}
-		s.Tick(now)
+		n.sinks[id].Tick(now)
 	}
 	if n.probe.SampleDue(now) {
 		n.sampleOccupancy(n.probe)
@@ -590,8 +602,8 @@ func (n *Network) Tick(now sim.Cycle) {
 // SourceQueueLen implements noc.Network.
 func (n *Network) SourceQueueLen() int {
 	total := 0
-	for _, ni := range n.nis {
-		total += ni.queue.Len()
+	for id := range n.nis {
+		total += n.nis[id].queue.Len()
 	}
 	return total
 }
@@ -667,12 +679,11 @@ func (n *Network) Recovery() RecoveryStats {
 		CrcDetected:         n.crcDetected,
 		CorruptEscapes:      n.corruptEscapes,
 	}
-	for _, r := range n.routers {
-		for p := range r.inputs {
-			if in := r.inputs[p]; in != nil {
-				st.PhantomReservations += in.phantoms
-				st.ReclaimedSlots += in.reclaimed
-			}
+	for id := range n.routers {
+		for p := range n.routers[id].inputs {
+			in := &n.routers[id].inputs[p]
+			st.PhantomReservations += in.phantoms
+			st.ReclaimedSlots += in.reclaimed
 		}
 	}
 	return st
@@ -688,17 +699,11 @@ func (n *Network) pendingRecovery() int {
 	for _, nts := range n.notifs {
 		total += len(nts)
 	}
-	for id, ni := range n.nis {
+	for id := range n.nis {
 		if n.isDead(topology.NodeID(id)) {
 			continue
 		}
-		total += ni.pendingRecovery()
-	}
-	for id, s := range n.sinks {
-		if n.isDead(topology.NodeID(id)) {
-			continue
-		}
-		total += s.expect.len()
+		total += n.nis[id].pendingRecovery() + n.sinks[id].expect.len()
 	}
 	return total
 }
@@ -711,8 +716,8 @@ func (n *Network) watch(now sim.Cycle) {
 	if n.cfg.WatchdogCycles <= 0 {
 		return
 	}
-	if *n.progress != n.lastProgress {
-		n.lastProgress = *n.progress
+	if n.progress != n.lastProgress {
+		n.lastProgress = n.progress
 		n.lastProgressAt = now
 		n.wedgeFired = false
 		return
@@ -735,15 +740,12 @@ func (n *Network) watch(now sim.Cycle) {
 // filled from the network's live state so the counter lines still carry the
 // occupancy picture.
 func (n *Network) snapshot(now sim.Cycle) string {
-	var stalled []int
-	for id, r := range n.routers {
-		if r.pendingWork() > 0 {
+	var stalled, idle []int
+	for id := range n.routers {
+		if n.routers[id].pendingWork() > 0 {
 			stalled = append(stalled, id)
 		}
-	}
-	var idle []int
-	for id, ni := range n.nis {
-		if ni.pendingWork() > 0 {
+		if n.nis[id].pendingWork() > 0 {
 			idle = append(idle, id)
 		}
 	}
@@ -778,11 +780,9 @@ func (n *Network) snapshotRegistry() *metrics.Registry {
 // the data-overtakes-control situation of Section 3.
 func (n *Network) ParkedFlits() int64 {
 	var total int64
-	for _, r := range n.routers {
-		for p := range r.inputs {
-			if r.inputs[p] != nil {
-				total += r.inputs[p].parkedTotal
-			}
+	for id := range n.routers {
+		for p := range n.routers[id].inputs {
+			total += n.routers[id].inputs[p].parkedTotal
 		}
 	}
 	return total
@@ -795,11 +795,8 @@ func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
 
 // PoolUsage implements noc.Network.
 func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int) {
-	in := n.routers[id].inputs[port]
-	if in == nil {
-		return 0, 0
-	}
-	return in.occupied, n.cfg.DataBuffers
+	in := &n.routers[id].inputs[port]
+	return in.occupied, len(in.pool)
 }
 
 // EagerTransfers reports, across the whole network, how many buffer-to-buffer
@@ -807,12 +804,9 @@ func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capac
 // required, and how many buffer residencies were replayed. Zero unless the
 // configuration set TrackEagerTransfers.
 func (n *Network) EagerTransfers() (transfers, residencies int64) {
-	for _, r := range n.routers {
-		for p := range r.inputs {
-			if r.inputs[p] == nil {
-				continue
-			}
-			t, a := r.inputs[p].ledger.Transfers()
+	for id := range n.routers {
+		for p := range n.routers[id].inputs {
+			t, a := n.routers[id].inputs[p].ledger.Transfers()
 			transfers += t
 			residencies += a
 		}
@@ -826,7 +820,8 @@ func (n *Network) EagerTransfers() (transfers, residencies int64) {
 // output table, the steady free count and per-VC outstanding/claims.
 func (n *Network) DumpState() string {
 	var b strings.Builder
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r := &n.routers[id]
 		if r.pendingWork() == 0 {
 			continue
 		}
@@ -838,33 +833,33 @@ func (n *Network) DumpState() string {
 			}
 			for v := range ci.vcs {
 				vc := &ci.vcs[v]
-				if len(vc.q) == 0 {
+				if vc.n == 0 {
 					continue
 				}
-				qc := &vc.q[0]
+				qc := vc.front()
 				fmt.Fprintf(&b, "  ctrl in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v admitted=%v leads=%+v\n",
-					topology.Port(p), v, len(vc.q), qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, qc.leads)
+					topology.Port(p), v, vc.n, qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, qc.leads)
 			}
 		}
 		for p := range r.inputs {
-			in := r.inputs[p]
-			if in == nil || in.pending() == 0 {
+			in := &r.inputs[p]
+			if in.pending() == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "  input %s: occupied=%d parked=%d expected=%d\n",
 				topology.Port(p), in.occupied, len(in.parked), in.expected.len())
 		}
 		for p := range r.outTables {
-			tb := r.outTables[p]
-			if tb == nil || tb.infinite {
+			tb := &r.outTables[p]
+			if tb.size == 0 || tb.infinite {
 				continue
 			}
 			fmt.Fprintf(&b, "  out %s: steady=%d outstanding=%v claims=%v\n",
 				topology.Port(p), tb.steady, tb.outstanding, tb.claims)
 		}
 	}
-	for id, ni := range n.nis {
-		if ni.pendingWork() > 0 || len(ni.awaiting) > 0 {
+	for id := range n.nis {
+		if ni := &n.nis[id]; ni.pendingWork() > 0 || len(ni.awaiting) > 0 {
 			fmt.Fprintf(&b, "NI %d: queue=%d active=%d sendAt=%d ctrlCredits=%v awaitingAck=%d pendingRetry=%d\n",
 				id, ni.queue.Len(), ni.activeCount(), ni.sendAt.len(), ni.ctrlCredits, len(ni.awaiting), ni.pendingRecovery())
 		}

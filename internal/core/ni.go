@@ -21,7 +21,7 @@ import (
 type NI struct {
 	node  topology.NodeID
 	cfg   *Config // the Network's one copy
-	rng   *sim.RNG
+	rng   sim.RNG
 	hooks *noc.Hooks
 	probe *metrics.Probe
 	// prof is the self-profiling registry cached off the probe at attach
@@ -33,12 +33,12 @@ type NI struct {
 
 	queue noc.SourceQueue
 
-	injTable *outResTable
+	injTable outResTable
 
 	active []niPacket // one slot per control VC of the injection link
-	// leads is the network's free list of lead arrays, from which a started
-	// packet's control flits take theirs; nil (an interface on its own, in a
-	// test) makes each packet cut its own.
+	// leads is the network's free list of lead arrays, from which each control
+	// flit takes its own as it is sent; nil (an interface on its own, in a
+	// test) makes one for each.
 	leads *noc.LeadArrays
 
 	ctrlCredits []int
@@ -110,14 +110,15 @@ type niTimeout struct {
 }
 
 // niPacket is one packet whose control flits are being scheduled and
-// injected on one control VC. ctrl is the slot's own scratch, rebuilt for each
-// packet it carries: a control flit is sent by value, so once it is on the
-// wire the copy here is dead.
+// injected on one control VC: nextCtrl of its ctrls control flits have gone,
+// and each is made (noc.ControlFlitAt) in the cycle it is sent. attempt is the
+// transmission attempt the packet started injection as, which a retry
+// scheduled before the last flit is out must not change.
 type niPacket struct {
-	active   bool
-	pkt      *noc.Packet
-	ctrl     []noc.ControlFlit
-	nextCtrl int
+	active          bool
+	pkt             *noc.Packet
+	attempt         int
+	nextCtrl, ctrls int
 }
 
 // flitRef names one data flit of one transmission attempt in the two
@@ -130,46 +131,37 @@ type flitRef struct {
 	attempt int32
 }
 
-func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *NI {
-	n := &NI{
+// init lays the interface out in place on the arena's memory, for reset to
+// fill.
+func (n *NI) init(a *arena, node topology.NodeID, cfg *Config, hooks *noc.Hooks) {
+	*n = NI{
 		node:        node,
 		cfg:         cfg,
-		rng:         rng,
 		hooks:       hooks,
-		injTable:    newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, false),
-		active:      make([]niPacket, cfg.CtrlVCs),
-		ctrlCredits: make([]int, cfg.CtrlVCs),
-		ctrlOwned:   make([]bool, cfg.CtrlVCs),
-		sendAt:      newCycleRing[flitRef](cfg.Horizon + 1),
-		tds:         make([]sim.Cycle, 0, cfg.LeadsPerCtrl),
-		progress:    new(int64),
+		active:      carve(&a.active, cfg.CtrlVCs),
+		ctrlCredits: carve(&a.counts, cfg.CtrlVCs),
+		ctrlOwned:   carve(&a.flags, cfg.CtrlVCs),
+		tds:         carve(&a.cycles, cfg.LeadsPerCtrl)[:0],
 	}
+	n.injTable.init(a, cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, cfg.LocalLatency, false)
+	n.sendAt.init(carve(&a.refs, int(cfg.Horizon)+1))
+	n.queue.Room(carve(&a.source, sourceRoom))
 	if cfg.RetryLimit > 0 {
 		n.awaiting = make(map[noc.PacketID]*retryState)
 		n.retryAt = make(map[sim.Cycle][]*noc.Packet)
 	}
-	n.reset()
-	return n
 }
 
 // reset returns the interface to its just-built state: nothing queued,
 // mid-injection, scheduled or awaiting an outcome, the injection table as
 // built, every control buffer of the router credited and unowned, awake. The
-// source queue, the per-VC scratch and the timer queue keep their room; the
-// random stream, the wires and the probe are the network's to restart, reset
-// and detach.
+// source queue and the timer queue keep their room; the random stream, the
+// wires and the probe are the network's to restart, reset and detach.
 func (n *NI) reset() {
 	n.queue.Reset()
 	n.injTable.reset()
 	for v := range n.active {
-		ap := &n.active[v]
-		if ap.active {
-			for _, cf := range ap.ctrl[ap.nextCtrl:] { // built, never sent
-				n.leads.Put(cf.Leads)
-			}
-		}
-		clear(ap.ctrl[:cap(ap.ctrl)])
-		*ap = niPacket{ctrl: ap.ctrl[:0]}
+		n.active[v] = niPacket{}
 		n.ctrlCredits[v] = n.cfg.CtrlBufPerVC
 		n.ctrlOwned[v] = false
 	}
@@ -326,15 +318,17 @@ func (n *NI) Tick(now sim.Cycle) {
 	n.injTable.advance(now)
 	n.sendAt.advance(now)
 	if n.inbox > 0 {
-		got := n.resvCreditIn.RecvEach(now, func(c noc.ReservationCredit) {
+		got := 0
+		for c, ok := n.resvCreditIn.Recv(now); ok; c, ok = n.resvCreditIn.Recv(now) {
 			n.injTable.creditFrom(c.FreeFrom, c.VC)
-		})
-		got += n.ctrlCreditIn.RecvEach(now, func(c noc.VCCredit) {
-			n.ctrlCredits[c.VC]++
-			if n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
+			got++
+		}
+		for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
+			if n.ctrlCredits[c.VC]++; n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
 				panic("core: NI control credit overflow")
 			}
-		})
+			got++
+		}
 		n.inbox -= int32(got)
 		work += got
 	}
@@ -359,8 +353,8 @@ func (n *NI) Tick(now sim.Cycle) {
 		if n.wf != nil && p.Sampled {
 			n.wf.InjectStart(uint64(p.ID), uint8(p.Attempts), p.CreatedAt, now)
 		}
-		n.active[v] = niPacket{active: true, pkt: p,
-			ctrl: noc.AppendControlFlits(n.active[v].ctrl[:0], p, n.cfg.LeadsPerCtrl, n.leads)}
+		n.active[v] = niPacket{active: true, pkt: p, attempt: p.Attempts,
+			ctrls: (p.Len + n.cfg.LeadsPerCtrl - 1) / n.cfg.LeadsPerCtrl}
 		work++
 	}
 
@@ -384,7 +378,9 @@ func (n *NI) Tick(now sim.Cycle) {
 	// Launch data flits whose scheduled injection cycle has come.
 	if sf, ok := n.sendAt.take(now); ok {
 		f := noc.DataFlit{Packet: sf.pkt, Seq: int(sf.seq), Attempt: int(sf.attempt), Type: noc.TypeFor(int(sf.seq), sf.pkt.Len)}
-		n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
+		if n.probe != nil {
+			n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
+		}
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
 		}
@@ -406,22 +402,23 @@ func (n *NI) Tick(now sim.Cycle) {
 // injection cycle.
 func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	ap := &n.active[v]
-	if !ap.active || ap.nextCtrl >= len(ap.ctrl) {
+	if !ap.active {
 		return false
 	}
 	if n.ctrlCredits[v] <= 0 || !n.ctrlOut.CanSend(now) {
 		n.probe.CreditStall(int(n.node), int(topology.Local))
 		return false
 	}
-	cf := &ap.ctrl[ap.nextCtrl]
 
-	// Schedule all data flits this control flit leads; all-or-nothing so
-	// the control flit can carry final injection times. Data injection is
-	// deferred at least LeadCycles behind this control flit (leading
-	// control); findDeparture never returns earlier than now+1.
+	// Schedule all data flits this control flit leads — the next LeadsPerCtrl
+	// of the packet, or what is left of it; all-or-nothing so the control flit
+	// can carry final injection times. Data injection is deferred at least
+	// LeadCycles behind this control flit (leading control); findDeparture
+	// never returns earlier than now+1.
+	d := n.cfg.LeadsPerCtrl
 	minTA := now + n.cfg.LeadCycles
 	tds := n.tds[:0]
-	for range cf.Leads {
+	for seq := ap.nextCtrl * d; seq < min(ap.nextCtrl*d+d, ap.pkt.Len); seq++ {
 		td, ok := n.injTable.findDeparture(now, minTA, n.cfg.LocalLatency, v)
 		if !ok {
 			for _, td := range tds {
@@ -433,26 +430,27 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		n.injTable.commit(td, n.cfg.LocalLatency, v)
 		tds = append(tds, td)
 	}
-	for _, td := range tds {
-		n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), td)
-	}
-	// The control flit is sent exactly once, so its lead list (built for
-	// this attempt when the packet started) takes the final arrival times in
-	// place.
+	// The control flit is made now that it can go, its lead list — an array
+	// off the network's free list, which travels with it — carrying the final
+	// arrival times.
+	cf := noc.ControlFlitAt(ap.pkt, ap.nextCtrl, d, n.leads.Take(d))
+	cf.VC, cf.Attempt = v, ap.attempt
 	for i, td := range tds {
+		if n.probe != nil {
+			n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), td)
+		}
 		ld := &cf.Leads[i]
 		ld.Arrival = td + n.cfg.LocalLatency
 		if !n.sendAt.put(td, flitRef{pkt: ap.pkt, seq: int32(ld.Seq), attempt: int32(cf.Attempt)}) {
 			panic("core: NI scheduled two data flits on one injection cycle")
 		}
 	}
-	cf.VC = v
-	n.ctrlOut.Send(now, *cf)
+	n.ctrlOut.Send(now, cf)
 	posted(n.peer, n.ctrlOut.Severed())
 	*n.progress++
 	n.ctrlCredits[v]--
 	ap.nextCtrl++
-	if ap.nextCtrl == len(ap.ctrl) {
+	if ap.nextCtrl == ap.ctrls {
 		// The packet is fully committed to the network; arm its retry
 		// timer. Deadlines are armed in injection order with a constant
 		// offset, keeping the timeout queue FIFO.
@@ -473,7 +471,7 @@ func (n *NI) pendingWork() int {
 	w := n.queue.Len() + n.sendAt.len()
 	for v := range n.active {
 		if n.active[v].active {
-			w += len(n.active[v].ctrl) - n.active[v].nextCtrl
+			w += n.active[v].ctrls - n.active[v].nextCtrl
 		}
 	}
 	return w
@@ -496,10 +494,12 @@ type Sink struct {
 	// [now, now+Horizon+LocalLatency].
 	expect cycleRing[flitRef]
 	// state is the reassembly progress of every packet that may still see a
-	// flit. With retry disabled a packet's entry is deleted once all of its
-	// flits are counted, so the map is bounded by the packets in flight;
-	// under retry the entries stay, because telling a straggler of an old
-	// attempt from a fresh one needs them.
+	// flit: one map for the whole network (packet ids are unique across it,
+	// and a packet has one destination), which the network makes and clears.
+	// With retry disabled a packet's entry is deleted once all of its flits
+	// are counted, so the map is bounded by the packets in flight; under retry
+	// the entries stay, because telling a straggler of an old attempt from a
+	// fresh one needs them.
 	state map[noc.PacketID]sinkPkt
 	hooks *noc.Hooks
 	probe *metrics.Probe
@@ -532,22 +532,17 @@ type sinkPkt struct {
 	corrupt bool
 }
 
-// newSink builds a sink whose reassembly schedule reaches span cycles ahead.
-func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
-	return &Sink{
-		node:   node,
-		expect: newCycleRing[flitRef](span + 1),
-		state:  make(map[noc.PacketID]sinkPkt),
-		hooks:  hooks,
-	}
+// init builds the sink in place: its reassembly schedule, on the arena's
+// memory, reaches span cycles ahead, and its packets' progress is kept in
+// state.
+func (s *Sink) init(a *arena, node topology.NodeID, span sim.Cycle, state map[noc.PacketID]sinkPkt, hooks *noc.Hooks) {
+	*s = Sink{node: node, state: state, hooks: hooks}
+	s.expect.init(carve(&a.refs, int(span)+1))
 }
 
-// reset empties the reassembly schedule, its window back at cycle 0, and
-// forgets every packet's progress.
-func (s *Sink) reset() {
-	s.expect.reset()
-	clear(s.state)
-}
+// reset empties the reassembly schedule, its window back at cycle 0; the
+// packets' progress is the network's to forget.
+func (s *Sink) reset() { s.expect.reset() }
 
 // Expect records, at cycle now, that the flit identified by (pkt, seq,
 // attempt) will arrive on the ejection link at cycle at.
@@ -578,7 +573,15 @@ func (s *Sink) Tick(now sim.Cycle) {
 		s.prof.ComponentTick(profile.CompSink, int(s.node), false)
 		return
 	}
-	work := s.dataIn.RecvEach(now, func(f noc.DataFlit) { s.eject(now, f) })
+	work := 0
+	for {
+		f, ok := s.dataIn.Recv(now)
+		if !ok {
+			break
+		}
+		s.eject(now, &f)
+		work++
+	}
 	if e, ok := s.expect.take(now); ok {
 		work++
 		attempt := int(e.attempt)
@@ -603,16 +606,18 @@ func (s *Sink) Tick(now sim.Cycle) {
 
 // eject checks one arriving flit against the reassembly schedule and counts
 // it toward its packet.
-func (s *Sink) eject(now sim.Cycle, f noc.DataFlit) {
+func (s *Sink) eject(now sim.Cycle, f *noc.DataFlit) {
 	e, ok := s.expect.take(now)
 	if !ok {
-		panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", f, now))
+		panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", *f, now))
 	}
 	if e.pkt.ID != f.Packet.ID || int(e.seq) != f.Seq || int(e.attempt) != f.Attempt {
-		panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, f, f.Attempt))
+		panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, *f, f.Attempt))
 	}
 	s.hooks.Ejected(now)
-	s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
+	if s.probe != nil {
+		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
+	}
 	if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
 	}

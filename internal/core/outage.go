@@ -57,12 +57,12 @@ func (n *Network) applyFaults(now sim.Cycle) {
 // router and interface is woken to look at its state afresh. Events are rare,
 // so waking the whole mesh costs nothing that matters.
 func (n *Network) resync() {
-	for id, r := range n.routers {
+	for id := range n.routers {
+		r, ni := &n.routers[id], &n.nis[id]
 		for p := range r.inbox {
 			r.inbox[p] = int32(r.inbound(topology.Port(p)))
 		}
 		r.dormant = false
-		ni := n.nis[id]
 		ni.inbox = int32(ni.inbound())
 		ni.dormant = false
 	}
@@ -73,8 +73,7 @@ func (n *Network) resync() {
 // given probability. The pipes were armed at wire time (berArmed), so the
 // retune never perturbs RNG draw order.
 func (n *Network) corruptLink(a, b topology.NodeID, rate float64) {
-	for _, i := range n.linkIdx[normLink(a, b)] {
-		l := &n.links[i]
+	for _, l := range n.linksBetween(a, b) {
 		l.data.SetBitErrorRate(rate)
 		l.ctrl.SetBitErrorRate(rate)
 	}
@@ -95,8 +94,7 @@ func (n *Network) severDirected(l *linkPipes) {
 // wires are severed and every control stream routed into them is cut loose.
 func (n *Network) failLink(a, b topology.NodeID) {
 	n.linkDown[normLink(a, b)] = true
-	for _, i := range n.linkIdx[normLink(a, b)] {
-		l := &n.links[i]
+	for _, l := range n.linksBetween(a, b) {
 		n.severDirected(l)
 		n.routers[l.a].severOutput(l.p)
 	}
@@ -123,26 +121,23 @@ func (n *Network) failLink(a, b topology.NodeID) {
 func (n *Network) repairLink(a, b topology.NodeID) {
 	delete(n.linkDown, normLink(a, b))
 	cfg := n.cfg
-	for _, i := range n.linkIdx[normLink(a, b)] {
-		l := &n.links[i]
+	for _, l := range n.linksBetween(a, b) {
 		l.data.Restore()
 		l.resvCredit.Restore()
 		l.ctrl.Restore()
 		l.ctrlCredit.Restore()
 
-		x, y := n.routers[l.a], n.routers[l.b]
+		x, y := &n.routers[l.a], &n.routers[l.b]
 		q := l.p.Opposite()
 		x.outTables[l.p].reset()
 		co := &x.ctrlOut[l.p]
 		for v := range co.credits {
-			co.credits[v] = cfg.CtrlBufPerVC - len(y.ctrlIn[q].vcs[v].q)
+			co.credits[v] = cfg.CtrlBufPerVC - y.ctrlIn[q].vcs[v].n
 			co.owned[v] = false
 		}
 		drop := func(f noc.DataFlit) { n.hooks.Dropped(f.Packet, n.now) }
 		for p := range x.inputs {
-			if x.inputs[p] != nil {
-				x.inputs[p].purgeOutput(l.p, drop)
-			}
+			x.inputs[p].purgeOutput(l.p, drop)
 		}
 		y.inputs[q].flush(drop)
 	}
@@ -159,8 +154,7 @@ func (n *Network) killRouter(now sim.Cycle, v topology.NodeID) {
 		if !ok {
 			continue
 		}
-		for _, i := range n.linkIdx[normLink(v, nb)] {
-			l := &n.links[i]
+		for _, l := range n.linksBetween(v, nb) {
 			if l.data.Severed() {
 				continue // already down, or shared with another dead router
 			}
@@ -170,7 +164,7 @@ func (n *Network) killRouter(now sim.Cycle, v topology.NodeID) {
 	}
 
 	drop := func(f noc.DataFlit) { n.hooks.Dropped(f.Packet, n.now) }
-	ni := n.nis[v]
+	ni := &n.nis[v]
 	ni.dataOut.Sever(drop)
 	ni.resvCreditIn.Sever(nil)
 	ni.ctrlOut.Sever(nil)

@@ -18,7 +18,8 @@ import (
 // window — which would alias some other cycle's cell — therefore reads as
 // absent, and an insert outside the window panics instead of overwriting a
 // live entry: a key beyond the span means the bound the ring was sized from
-// is wrong, which is a model bug.
+// is wrong, which is a model bug. The cycle is kept plus one, so that zeroed
+// memory is an empty ring and building one writes nothing.
 type cycleRing[T any] struct {
 	cells   []ringCell[T]
 	base    sim.Cycle // earliest cycle the window admits
@@ -27,15 +28,13 @@ type cycleRing[T any] struct {
 }
 
 type ringCell[T any] struct {
-	at sim.Cycle // the cycle this cell holds; sim.Never when empty
-	v  T
+	key sim.Cycle // one more than the cycle this cell holds; 0 when empty
+	v   T
 }
 
-func newCycleRing[T any](span sim.Cycle) cycleRing[T] {
-	r := cycleRing[T]{cells: make([]ringCell[T], span)}
-	r.wipe()
-	return r
-}
+// init builds the ring in place over cells, one per cycle of its span and all
+// zero.
+func (r *cycleRing[T]) init(cells []ringCell[T]) { *r = cycleRing[T]{cells: cells} }
 
 // cell returns the cell cycle c maps to, or nil when c is outside the window.
 func (r *cycleRing[T]) cell(c sim.Cycle) *ringCell[T] {
@@ -52,7 +51,7 @@ func (r *cycleRing[T]) cell(c sim.Cycle) *ringCell[T] {
 
 // get returns the entry for cycle c.
 func (r *cycleRing[T]) get(c sim.Cycle) (v T, ok bool) {
-	if cl := r.cell(c); cl != nil && cl.at == c {
+	if cl := r.cell(c); cl != nil && cl.key == c+1 {
 		return cl.v, true
 	}
 	return v, false
@@ -65,19 +64,19 @@ func (r *cycleRing[T]) put(c sim.Cycle, v T) bool {
 	if cl == nil {
 		panic(fmt.Sprintf("core: cycle %d outside the ring window [%d,%d)", c, r.base, r.base+sim.Cycle(len(r.cells))))
 	}
-	if cl.at != sim.Never {
+	if cl.key != 0 {
 		return false
 	}
-	cl.at, cl.v = c, v
+	cl.key, cl.v = c+1, v
 	r.live++
 	return true
 }
 
 // take removes and returns the entry for cycle c.
 func (r *cycleRing[T]) take(c sim.Cycle) (v T, ok bool) {
-	if cl := r.cell(c); cl != nil && cl.at == c {
+	if cl := r.cell(c); cl != nil && cl.key == c+1 {
 		v = cl.v
-		*cl = ringCell[T]{at: sim.Never}
+		*cl = ringCell[T]{}
 		r.live--
 		return v, true
 	}
@@ -93,8 +92,8 @@ func (r *cycleRing[T]) advance(now sim.Cycle) {
 		return
 	}
 	for r.base < now {
-		if cl := &r.cells[r.baseIdx]; cl.at != sim.Never {
-			*cl = ringCell[T]{at: sim.Never}
+		if cl := &r.cells[r.baseIdx]; cl.key != 0 {
+			*cl = ringCell[T]{}
 			r.live--
 		}
 		r.base++
@@ -104,18 +103,11 @@ func (r *cycleRing[T]) advance(now sim.Cycle) {
 	}
 }
 
-// wipe marks every cell empty, whatever it held.
-func (r *cycleRing[T]) wipe() {
-	for i := range r.cells {
-		r.cells[i] = ringCell[T]{at: sim.Never}
-	}
-	r.live = 0
-}
-
 // clear empties the ring without moving its window.
 func (r *cycleRing[T]) clear() {
 	if r.live != 0 {
-		r.wipe()
+		clear(r.cells)
+		r.live = 0
 	}
 }
 
@@ -133,8 +125,8 @@ func (r *cycleRing[T]) len() int { return r.live }
 // is shown.
 func (r *cycleRing[T]) each(fn func(c sim.Cycle, v T)) {
 	for off := 0; off < len(r.cells) && r.live > 0; off++ {
-		if cl := r.cell(r.base + sim.Cycle(off)); cl.at != sim.Never {
-			fn(cl.at, cl.v)
+		if cl := r.cell(r.base + sim.Cycle(off)); cl.key != 0 {
+			fn(cl.key-1, cl.v)
 		}
 	}
 }

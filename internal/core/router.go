@@ -50,11 +50,15 @@ type queuedCtrl struct {
 
 // ctrlVC is one control virtual channel of one control input: a small FIFO
 // plus the routing-table entry (output port) and downstream-VC allocation of
-// the packet currently holding the channel. drain marks a stream a hard
-// fault destroyed mid-flight: followers are discarded until the tail passes
-// (or a fresh head shows the tail itself was destroyed).
+// the packet currently holding the channel. The FIFO is a ring of
+// CtrlBufPerVC cells, the n from head holding flits; a cell keeps its
+// lead-state list (capacity LeadsPerCtrl) for the network's life, so queueing
+// a flit allocates nothing and dequeueing one moves nothing. drain marks a
+// stream a hard fault destroyed mid-flight: followers are discarded until the
+// tail passes (or a fresh head shows the tail itself was destroyed).
 type ctrlVC struct {
 	q         []queuedCtrl
+	head, n   int
 	routed    bool
 	route     topology.Port
 	allocated bool
@@ -62,10 +66,32 @@ type ctrlVC struct {
 	drain     bool
 }
 
-// ctrlInput is the control-network side of one router input.
+// at returns the queued flit i places behind the front; front is at(0).
+func (vc *ctrlVC) at(i int) *queuedCtrl {
+	if i += vc.head; i >= len(vc.q) {
+		i -= len(vc.q)
+	}
+	return &vc.q[i]
+}
+
+func (vc *ctrlVC) front() *queuedCtrl { return &vc.q[vc.head] }
+
+// pop drops the front flit; its cell keeps the lead-state list.
+func (vc *ctrlVC) pop() {
+	qc := vc.front()
+	*qc = queuedCtrl{leads: qc.leads[:0]}
+	if vc.head++; vc.head == len(vc.q) {
+		vc.head = 0
+	}
+	vc.n--
+}
+
+// ctrlInput is the control-network side of one router input. occ has a bit
+// set for every VC whose queue holds a flit.
 type ctrlInput struct {
 	exists    bool
 	vcs       []ctrlVC
+	occ       occupancy
 	in        *sim.Pipe[noc.ControlFlit]
 	creditOut *sim.Pipe[noc.VCCredit]
 }
@@ -99,7 +125,7 @@ type Router struct {
 	id   topology.NodeID
 	mesh topology.Mesh
 	cfg  *Config // the Network's one copy
-	rng  *sim.RNG
+	rng  sim.RNG
 
 	// inbox[p] counts the items in flight on the wires into port p: its data
 	// and control links and the two credit wires returning to it. Senders
@@ -126,21 +152,20 @@ type Router struct {
 	// outTables[p] is the output reservation table for output port p;
 	// the Local entry governs the ejection channel and treats the
 	// downstream (reassembly buffers) as unbounded.
-	outTables [topology.NumPorts]*outResTable
+	outTables [topology.NumPorts]outResTable
 	// inputs[p] is the data-side input reservation table and buffer pool
 	// for input port p; the Local entry is the injection port fed by the
 	// node's network interface.
-	inputs [topology.NumPorts]*inputPort
+	inputs [topology.NumPorts]inputPort
 
 	dataOut      [topology.NumPorts]*sim.Pipe[noc.DataFlit]
 	dataCreditIn [topology.NumPorts]*sim.Pipe[noc.ReservationCredit]
 
-	// sinkNotify tells the local sink which packet's flit will arrive on
-	// the ejection link at a given cycle; data flits are identified
-	// solely by time, so this is the reassembly schedule the destination
-	// control flits set up. attempt carries the end-to-end transmission
-	// attempt so the sink can tell retries from stragglers.
-	sinkNotify func(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int)
+	// sink is the node's ejection interface, told (Expect) which packet's
+	// flit will arrive on the ejection link at a given cycle; data flits are
+	// identified solely by time, so this is the reassembly schedule the
+	// destination control flits set up.
+	sink *Sink
 
 	hooks *noc.Hooks
 
@@ -163,86 +188,87 @@ type Router struct {
 	// watchdog monitors; the router bumps it whenever a flit moves.
 	progress *int64
 
-	cands     []portVC    // scratch
-	committed []tentative // scratch of all-or-nothing scheduling
+	cands     []portVC    // scratch, room for every VC of every port
+	committed []tentative // scratch of all-or-nothing scheduling, room for a flit's leads
 
-	// freeLeads recycles the lead-state lists of dequeued control flits
-	// (popCtrl) into the flits received next, so steady state allocates none.
-	freeLeads [][]leadState
 	// leadArrays is the network's free list of control-flit lead arrays, to
 	// which consume returns the array of each flit it retires.
 	leadArrays *noc.LeadArrays
 }
 
-func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
-	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng}
+// init lays the router out in place on the arena's memory — its tables, pools
+// and control queues, every one at its full size — for reset to fill.
+func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Config) {
+	*r = Router{id: id, mesh: mesh, cfg: cfg,
+		cands:     carve(&a.cands, int(topology.NumPorts)*cfg.CtrlVCs)[:0],
+		committed: carve(&a.undo, cfg.LeadsPerCtrl)[:0],
+	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
-		hasLink := p == topology.Local || mesh.HasLink(id, p)
-		if !hasLink {
+		if p != topology.Local && !mesh.HasLink(id, p) {
 			continue
 		}
 		var ledger *eagerLedger
 		if cfg.TrackEagerTransfers {
 			ledger = newEagerLedger(cfg.DataBuffers)
 		}
-		r.inputs[p] = newInputPort(cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
-		r.inputs[p].node = int(id)
-		r.inputs[p].portIndex = int(p)
-		r.outTables[p] = newOutResTable(cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, p == topology.Local)
-		r.ctrlIn[p] = ctrlInput{exists: true, vcs: make([]ctrlVC, cfg.CtrlVCs)}
+		r.inputs[p].init(a, cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
+		r.outTables[p].init(a, cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, r.dataLatencyFor(p), p == topology.Local)
+		ci := &r.ctrlIn[p]
+		*ci = ctrlInput{exists: true, vcs: carve(&a.vcs, cfg.CtrlVCs), occ: carve(&a.words, occupancyWords(cfg.CtrlVCs))}
+		for v := range ci.vcs {
+			q := carve(&a.queued, cfg.CtrlBufPerVC)
+			for i := range q {
+				q[i].leads = carve(&a.leads, cfg.LeadsPerCtrl)[:0]
+			}
+			ci.vcs[v].q = q
+		}
 		if p != topology.Local {
 			r.ctrlOut[p] = ctrlOutput{exists: true,
-				credits: make([]int, cfg.CtrlVCs),
-				owned:   make([]bool, cfg.CtrlVCs)}
+				credits: carve(&a.counts, cfg.CtrlVCs),
+				owned:   carve(&a.flags, cfg.CtrlVCs)}
 		}
 	}
-	r.reset()
-	return r
 }
 
 // reset returns the router to its just-built state: nothing in flight toward
 // it, awake, every control queue empty and unrouted, every downstream control
-// buffer credited and unowned, tables and input ports as built. The control
-// queues keep the depth they were made at, and the lead-state lists and lead
-// arrays of the flits they held go to their free lists; the random stream,
-// the wires and the probe are the network's to restart, reset and detach.
+// buffer credited and unowned, tables and input ports as built. The lead
+// arrays of the flits the control queues held go back to the network's free
+// list; the random stream, the wires and the probe are the network's to
+// restart, reset and detach.
 func (r *Router) reset() {
 	r.inbox = [topology.NumPorts]int32{}
 	r.dormant = false
 	r.queued = 0
 	for p := range r.ctrlIn {
-		for v := range r.ctrlIn[p].vcs {
-			vc := &r.ctrlIn[p].vcs[v]
-			for i := range vc.q {
-				r.freeLeads = append(r.freeLeads, vc.q[i].leads)
-				r.leadArrays.Put(vc.q[i].flit.Leads)
+		ci := &r.ctrlIn[p]
+		if !ci.exists {
+			continue
+		}
+		clear(ci.occ)
+		for v := range ci.vcs {
+			vc := &ci.vcs[v]
+			for vc.n > 0 {
+				r.leadArrays.Put(vc.front().flit.Leads)
+				vc.pop()
 			}
-			clear(vc.q)
-			*vc = ctrlVC{q: vc.q[:0]}
+			*vc = ctrlVC{q: vc.q}
 		}
 		co := &r.ctrlOut[p]
 		for v := range co.credits {
 			co.credits[v] = r.cfg.CtrlBufPerVC
 			co.owned[v] = false
 		}
-		if r.outTables[p] != nil {
-			r.outTables[p].reset()
-			r.inputs[p].reset()
-		}
+		r.outTables[p].reset()
+		r.inputs[p].reset()
 	}
 }
 
-// attachProbe points the router and its input ports at the observability
-// probe; nil detaches.
+// attachProbe points the router at the observability probe; nil detaches.
 func (r *Router) attachProbe(p *metrics.Probe) {
 	r.probe = p
 	r.prof = p.Profile()
 	r.wf = p.Waterfall()
-	for i := range r.inputs {
-		if r.inputs[i] != nil {
-			r.inputs[i].probe = p
-		}
-	}
 }
 
 // dataLatencyFor is the data propagation delay out of the given output port.
@@ -301,47 +327,32 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		got := 0
 		if creditIn := r.dataCreditIn[p]; creditIn != nil {
-			table := r.outTables[p]
+			table := &r.outTables[p]
 			table.advance(now)
-			got += creditIn.RecvEach(now, func(c noc.ReservationCredit) {
+			for c, ok := creditIn.Recv(now); ok; c, ok = creditIn.Recv(now) {
 				table.creditFrom(c.FreeFrom, c.VC)
-			})
+				got++
+			}
 		}
 		if co := &r.ctrlOut[p]; co.creditIn != nil {
-			got += co.creditIn.RecvEach(now, func(c noc.VCCredit) {
-				co.credits[c.VC]++
-				if co.credits[c.VC] > r.cfg.CtrlBufPerVC {
+			for c, ok := co.creditIn.Recv(now); ok; c, ok = co.creditIn.Recv(now) {
+				if co.credits[c.VC]++; co.credits[c.VC] > r.cfg.CtrlBufPerVC {
 					panic("core: control credit overflow")
 				}
-			})
+				got++
+			}
 		}
 		cred += got
-		if ci := &r.ctrlIn[p]; ci.in != nil {
-			n := ci.in.RecvEach(now, func(cf noc.ControlFlit) {
-				vc := &ci.vcs[cf.VC]
-				if vc.q == nil {
-					// A VC's queue is built at its full depth the first time a
-					// flit reaches it; most of a short run's VCs never see one.
-					vc.q = make([]queuedCtrl, 0, r.cfg.CtrlBufPerVC)
+		if in := r.ctrlIn[p].in; in != nil {
+			for {
+				cf, ok := in.Recv(now)
+				if !ok {
+					break
 				}
-				qc := queuedCtrl{flit: cf, leads: r.newLeads(cf.Leads), arrivedAt: now}
-				if cf.Corrupted {
-					r.probe.Corrupt(int(r.id))
-					// The detection draw happens at receive so RNG order is
-					// a function of link traffic alone, not of queueing.
-					if r.crcDetect() {
-						qc.detectedCorrupt = true
-						r.hooks.CrcDetected(now)
-					}
-				}
-				vc.q = append(vc.q, qc)
-				r.queued++
-				if len(vc.q) > r.cfg.CtrlBufPerVC {
-					panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, topology.Port(p), cf.VC))
-				}
-			})
-			arb += n
-			got += n
+				r.enqueue(now, topology.Port(p), &cf)
+				arb++
+				got++
+			}
 		}
 		r.inbox[p] -= int32(got)
 	}
@@ -354,54 +365,28 @@ func (r *Router) Tick(now sim.Cycle) {
 	}
 
 	for p := range r.inputs {
-		in := r.inputs[p]
-		if in == nil {
+		in := &r.inputs[p]
+		if in.occupied == 0 {
 			continue
 		}
-		in.departures(now, func(f noc.DataFlit, out topology.Port) {
+		for slot := in.departing(now, 0); slot >= 0; slot = in.departing(now, slot+1) {
+			f, out := in.release(slot)
 			sw++
-			r.sendData(now, f, out)
-		})
+			r.sendData(now, &f, out)
+		}
 	}
 	for p := range r.inputs {
-		in := r.inputs[p]
-		if in == nil {
-			continue
-		}
+		in := &r.inputs[p]
 		if r.inbox[p] > 0 && in.dataIn != nil {
-			n := in.dataIn.RecvEach(now, func(f noc.DataFlit) {
-				if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-					r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
+			for {
+				f, ok := in.dataIn.Recv(now)
+				if !ok {
+					break
 				}
-				if f.Corrupted {
-					r.probe.Corrupt(int(r.id))
-					if r.crcDetect() {
-						// The hop CRC caught the damage: the flit is
-						// discarded into the established loss path — its
-						// reservation expires unclaimed and the destination's
-						// no-show detection triggers the end-to-end retry.
-						r.hooks.CrcDetected(now)
-						r.hooks.Dropped(f.Packet, now)
-						return
-					}
-				}
-				if in.condemnedArrival(now) {
-					// The control flit that was to schedule this data flit
-					// was destroyed by a hard fault; the flit has nowhere to
-					// go and would park forever.
-					r.hooks.Dropped(f.Packet, now)
-					return
-				}
-				if !in.arrive(now, f, func(f noc.DataFlit, out topology.Port) {
-					r.sendData(now, f, out)
-				}) {
-					// Phantom-orphaned flits overcommitted the pool; the
-					// refused flit is destroyed and recovered end to end.
-					r.hooks.Dropped(f.Packet, now)
-				}
-			})
-			r.inbox[p] -= int32(n)
-			sw += n
+				r.inbox[p]--
+				sw++
+				r.arrive(now, topology.Port(p), &f)
+			}
 		}
 		// Any reservation for this cycle still unclaimed means the
 		// flit was destroyed en route — an idle pattern arrived in its
@@ -421,19 +406,72 @@ func (r *Router) Tick(now sim.Cycle) {
 	r.dormant = r.inboxEmpty() && r.quiet()
 }
 
-// newLeads returns the scheduling state for a received control flit's leads,
-// reusing a list popCtrl retired when one is free.
-func (r *Router) newLeads(entries []noc.LeadEntry) []leadState {
-	var leads []leadState
-	if n := len(r.freeLeads); n > 0 {
-		leads, r.freeLeads = r.freeLeads[n-1][:0], r.freeLeads[:n-1]
-	} else {
-		leads = make([]leadState, 0, r.cfg.LeadsPerCtrl)
+// enqueue files a control flit just received on port p at the back of its
+// VC's queue, the flit's leads copied into the cell's own scheduling state.
+func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
+	ci := &r.ctrlIn[p]
+	vc := &ci.vcs[cf.VC]
+	if vc.n == len(vc.q) {
+		panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, p, cf.VC))
 	}
-	for _, le := range entries {
+	qc := vc.at(vc.n)
+	leads := qc.leads[:0]
+	for _, le := range cf.Leads {
 		leads = append(leads, leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never})
 	}
-	return leads
+	*qc = queuedCtrl{flit: *cf, leads: leads, arrivedAt: now}
+	if cf.Corrupted {
+		r.probe.Corrupt(int(r.id))
+		// The detection draw happens at receive so RNG order is
+		// a function of link traffic alone, not of queueing.
+		if r.crcDetect() {
+			qc.detectedCorrupt = true
+			r.hooks.CrcDetected(now)
+		}
+	}
+	vc.n++
+	ci.occ.set(cf.VC)
+	r.queued++
+}
+
+// arrive takes a data flit off input p's wire: into the pool, straight out
+// again on the bypass path, or — damaged, orphaned or refused — into the loss
+// path.
+func (r *Router) arrive(now sim.Cycle, p topology.Port, f *noc.DataFlit) {
+	in := &r.inputs[p]
+	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
+		r.wf.Arrive(uint64(f.Packet.ID), uint8(f.Attempt), now)
+	}
+	if f.Corrupted {
+		r.probe.Corrupt(int(r.id))
+		if r.crcDetect() {
+			// The hop CRC caught the damage: the flit is discarded into the
+			// established loss path — its reservation expires unclaimed and
+			// the destination's no-show detection triggers the end-to-end
+			// retry.
+			r.hooks.CrcDetected(now)
+			r.hooks.Dropped(f.Packet, now)
+			return
+		}
+	}
+	if in.condemnedArrival(now) {
+		// The control flit that was to schedule this data flit was destroyed
+		// by a hard fault; the flit has nowhere to go and would park forever.
+		r.hooks.Dropped(f.Packet, now)
+		return
+	}
+	switch how, out := in.arrive(now, f); how {
+	case bypassed:
+		r.sendData(now, f, out)
+	case parked:
+		if r.probe != nil { // a late reservation: data ahead of its control flit
+			r.probe.Late(now, int(r.id), int(p), uint64(f.Packet.ID), f.Seq)
+		}
+	case refused:
+		// Phantom-orphaned flits overcommitted the pool; the refused flit is
+		// destroyed and recovered end to end.
+		r.hooks.Dropped(f.Packet, now)
+	}
 }
 
 // crcDetect draws whether the modeled c-bit hop CRC catches a corrupted
@@ -459,17 +497,19 @@ func (r *Router) ctrlLossy() bool {
 
 // sendData launches a data flit onto an output link, subject to fault
 // injection on inter-router links.
-func (r *Router) sendData(now sim.Cycle, f noc.DataFlit, out topology.Port) {
+func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 	*r.progress++
 	if out != topology.Local && r.cfg.DataFaultRate > 0 && r.rng.Bool(r.cfg.DataFaultRate) {
 		r.hooks.Dropped(f.Packet, now)
 		return
 	}
-	r.probe.Traverse(now, int(r.id), int(out), uint64(f.Packet.ID), f.Seq)
+	if r.probe != nil {
+		r.probe.Traverse(now, int(r.id), int(out), uint64(f.Packet.ID), f.Seq)
+	}
 	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), uint8(f.Attempt), now, true)
 	}
-	r.dataOut[out].Send(now, f)
+	r.dataOut[out].Send(now, *f)
 	if out != topology.Local { // the sink polls its one wire instead
 		posted(r.peer[out], r.dataOut[out].Severed())
 	}
@@ -483,19 +523,7 @@ func (r *Router) sendData(now sim.Cycle, f noc.DataFlit, out topology.Port) {
 // arb candidates walked by the arbiter and sched output-scheduler
 // invocations.
 func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
-	r.cands = r.cands[:0]
-	for p := range r.ctrlIn {
-		ci := &r.ctrlIn[p]
-		if !ci.exists {
-			continue
-		}
-		for v := range ci.vcs {
-			vc := &ci.vcs[v]
-			if len(vc.q) > 0 && vc.q[0].arrivedAt < now {
-				r.cands = append(r.cands, portVC{topology.Port(p), v})
-			}
-		}
-	}
+	r.candidates(now)
 	for i := len(r.cands) - 1; i > 0; i-- {
 		j := r.rng.Intn(i + 1)
 		r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
@@ -507,7 +535,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 	arb = len(r.cands)
 	for _, cand := range r.cands {
 		vc := &r.ctrlIn[cand.port].vcs[cand.vc]
-		qc := &vc.q[0]
+		qc := vc.front()
 		if vc.drain {
 			if qc.flit.Type.IsHead() {
 				// A fresh head while draining means the old stream's
@@ -557,7 +585,9 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			vc.route = route
 			vc.routed = true
 			qc.routedHere = true
-			r.probe.Route(now, int(r.id), int(vc.route), uint64(qc.flit.Packet.ID))
+			if r.probe != nil {
+				r.probe.Route(now, int(r.id), int(vc.route), uint64(qc.flit.Packet.ID))
+			}
 		}
 		out := vc.route
 		if budget[out] <= 0 {
@@ -585,6 +615,20 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 		}
 	}
 	return arb, sched
+}
+
+// candidates gathers into r.cands the control VCs whose front flit arrived
+// before this cycle, port-major and VC-minor, off each input's occupancy word.
+func (r *Router) candidates(now sim.Cycle) {
+	r.cands = r.cands[:0]
+	for p := range r.ctrlIn {
+		ci := &r.ctrlIn[p]
+		for v := ci.occ.next(0); v >= 0; v = ci.occ.next(v + 1) {
+			if ci.vcs[v].front().arrivedAt < now {
+				r.cands = append(r.cands, portVC{topology.Port(p), v})
+			}
+		}
+	}
 }
 
 // allocateCtrlVC gives the packet at the head of vc a downstream control VC
@@ -619,7 +663,7 @@ func (r *Router) allocateCtrlVC(vc *ctrlVC, out topology.Port) bool {
 // attributed to the packet's downstream control VC (its input VC at the
 // destination, where no control VC is consumed).
 func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, inPort topology.Port) bool {
-	table := r.outTables[out]
+	table := &r.outTables[out]
 	table.advance(now)
 	tp := r.dataLatencyFor(out)
 	attrVC := vc.outVC // meaningful only when out != Local; ejection ignores it
@@ -644,7 +688,9 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 			r.committed = append(r.committed, tentative{lead: i, td: td})
 		}
 		for _, t := range r.committed {
-			r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), t.td)
+			if r.probe != nil {
+				r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), t.td)
+			}
 			r.finalizeLead(now, qc, &qc.leads[t.lead], t.td, out, inPort)
 		}
 		return true
@@ -680,7 +726,9 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 		}
 		table.releaseClaim(attrVC)
 		table.commit(td, tp, attrVC)
-		r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), td)
+		if r.probe != nil {
+			r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), td)
+		}
 		r.finalizeLead(now, qc, ld, td, out, inPort)
 	}
 	return allDone
@@ -691,7 +739,7 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 // upstream, and — at the destination — the sink learns which packet's flit
 // the ejection channel will deliver and when.
 func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td sim.Cycle, out, inPort topology.Port) {
-	in := r.inputs[inPort]
+	in := &r.inputs[inPort]
 	// A corrupted control flit that escaped the hop CRC installs phantom
 	// reservations: table state the real data flit must never be claimed
 	// by, because the announced schedule is garbage. Everything else about
@@ -708,7 +756,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 	ld.scheduled = true
 	ld.departAt = td
 	if out == topology.Local {
-		r.sinkNotify(now, td+r.cfg.LocalLatency, qc.flit.Packet, ld.seq, qc.flit.Attempt)
+		r.sink.Expect(now, td+r.cfg.LocalLatency, qc.flit.Packet, ld.seq, qc.flit.Attempt)
 	}
 }
 
@@ -717,10 +765,10 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // done. Its buffer is freed (credit upstream) and on a tail the control VC's
 // routing entry is released.
 func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
-	isTail := vc.q[0].flit.Type.IsTail()
+	isTail := vc.front().flit.Type.IsTail()
 	// Nothing downstream will read the flit's lead list: this router holds the
 	// only reference to it (noc.ControlFlit.Leads), and drops it here.
-	r.leadArrays.Put(vc.q[0].flit.Leads)
+	r.leadArrays.Put(vc.front().flit.Leads)
 	r.popCtrl(now, inPort, vc, vcIdx)
 	if isTail {
 		vc.routed = false
@@ -735,7 +783,7 @@ func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // retries next cycle.
 func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int, out topology.Port) {
 	co := &r.ctrlOut[out]
-	qc := &vc.q[0]
+	qc := vc.front()
 	if !vc.allocated {
 		panic("core: forwarding a control flit with no allocated downstream VC")
 	}
@@ -782,8 +830,8 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // is released here — otherwise every discarded stream would leak upstream
 // buffers until its source wedges.
 func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topology.Port) {
-	qc := &vc.q[0]
-	in := r.inputs[inPort]
+	qc := vc.front()
+	in := &r.inputs[inPort]
 	for i := range qc.leads {
 		ld := &qc.leads[i]
 		if ld.scheduled {
@@ -836,11 +884,12 @@ func (r *Router) severOutput(p topology.Port) {
 			// already scheduled into the dying output die with it too —
 			// their data is destroyed on the wire, so the re-routed stream
 			// must not announce them downstream.
-			for i := range vc.q {
-				vc.q[i].admitted = false
-				for j := range vc.q[i].leads {
-					if vc.q[i].leads[j].scheduled {
-						vc.q[i].leads[j].dead = true
+			for i := 0; i < vc.n; i++ {
+				qc := vc.at(i)
+				qc.admitted = false
+				for j := range qc.leads {
+					if qc.leads[j].scheduled {
+						qc.leads[j].dead = true
 					}
 				}
 			}
@@ -849,14 +898,14 @@ func (r *Router) severOutput(p topology.Port) {
 }
 
 // popCtrl dequeues the front control flit of a VC and returns its buffer
-// credit upstream. The flit's lead-state list goes back to the free list, so
-// callers must be done with vc.q[0] before they pop.
+// credit upstream. The cell is cleared for the next flit to arrive, so callers
+// must be done with the front before they pop.
 func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
 	*r.progress++
-	r.freeLeads = append(r.freeLeads, vc.q[0].leads)
-	copy(vc.q, vc.q[1:])
-	vc.q[len(vc.q)-1] = queuedCtrl{}
-	vc.q = vc.q[:len(vc.q)-1]
+	vc.pop()
+	if vc.n == 0 {
+		r.ctrlIn[inPort].occ.clear(vcIdx)
+	}
 	r.queued--
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
 		creditOut.Send(now, noc.VCCredit{VC: vcIdx})
@@ -867,11 +916,8 @@ func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // bufferUsage reports occupied and total data buffers across input ports.
 func (r *Router) bufferUsage() (used, capacity int) {
 	for p := range r.inputs {
-		if r.inputs[p] == nil {
-			continue
-		}
 		used += r.inputs[p].occupied
-		capacity += r.cfg.DataBuffers
+		capacity += len(r.inputs[p].pool)
 	}
 	return used, capacity
 }
@@ -884,7 +930,7 @@ func (r *Router) quiet() bool {
 		return false
 	}
 	for p := range r.inputs {
-		if in := r.inputs[p]; in != nil && (in.pending() > 0 || len(in.condemned) > 0) {
+		if in := &r.inputs[p]; in.pending() > 0 || len(in.condemned) > 0 {
 			return false
 		}
 	}
@@ -896,9 +942,7 @@ func (r *Router) quiet() bool {
 func (r *Router) pendingWork() int {
 	n := r.queued
 	for p := range r.inputs {
-		if r.inputs[p] != nil {
-			n += r.inputs[p].pending()
-		}
+		n += r.inputs[p].pending()
 	}
 	return n
 }

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"frfc/internal/noc"
+	"frfc/internal/sim"
+	"frfc/internal/topology"
+)
+
+// The unit tests build components on their own, outside any network. Each
+// constructor here is the component's init over the zero arena, whose carve
+// makes every array at exactly the size asked, then its reset — the path New
+// takes (lay out, then Reset), minus the shared backing.
+
+func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *outResTable {
+	t := new(outResTable)
+	t.init(&arena{}, horizon, buffers, ctrlVCs, 0, infinite)
+	t.reset()
+	return t
+}
+
+func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
+	p := new(inputPort)
+	p.init(&arena{}, buffers, horizon, ledger, faultTolerant)
+	p.reset()
+	return p
+}
+
+func newCycleRing[T any](span sim.Cycle) cycleRing[T] {
+	var r cycleRing[T]
+	r.init(make([]ringCell[T], span))
+	return r
+}
+
+func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *NI {
+	n := new(NI)
+	n.init(&arena{}, node, cfg, hooks)
+	n.rng, n.progress = *rng, new(int64)
+	n.reset()
+	return n
+}
+
+func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
+	s := new(Sink)
+	s.init(&arena{}, node, span, make(map[noc.PacketID]sinkPkt), hooks)
+	return s
+}
+
+// arriveFn and departures are the callback forms the input port's two entry
+// points had before the router looped over arrive, departing and release
+// itself; the port tests still read best with them.
+func (p *inputPort) arriveFn(now sim.Cycle, f noc.DataFlit, bypass func(noc.DataFlit, topology.Port)) bool {
+	how, out := p.arrive(now, &f)
+	if how == bypassed {
+		bypass(f, out)
+	}
+	return how != refused
+}
+
+func (p *inputPort) departures(now sim.Cycle, fn func(noc.DataFlit, topology.Port)) {
+	for slot := p.departing(now, 0); slot >= 0; slot = p.departing(now, slot+1) {
+		fn(p.release(slot))
+	}
+}
+
+// freeAt reports the free-buffer count recorded for cycle c, and busyAt
+// whether the channel is reserved then.
+func (t *outResTable) freeAt(c sim.Cycle) int  { return int(t.free[t.idx(c)]) }
+func (t *outResTable) busyAt(c sim.Cycle) bool { return t.busy[t.idx(c)] }

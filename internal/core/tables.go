@@ -67,23 +67,30 @@ type futureDelta struct {
 	delta int
 }
 
-func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *outResTable {
+// init lays the table out in place on the arena's memory, for reset to fill.
+// tp is the propagation
+// delay of the channel the table schedules: a commit lands on the future list
+// only while its arrival td+tp lies past the window, which at most tp distinct
+// departures can, so that is the list's room.
+func (t *outResTable) init(a *arena, horizon sim.Cycle, buffers, ctrlVCs int, tp sim.Cycle, infinite bool) {
 	if buffers > math.MaxInt32 {
 		panic("core: downstream pool too large for the reservation table's free counts")
 	}
+	if infinite {
+		tp = 0 // counts no buffers, so commits nothing to the future
+	}
 	size := int(horizon) + 1
-	perVC := make([]int, 2*ctrlVCs)
-	t := &outResTable{
+	perVC := carve(&a.counts, 2*ctrlVCs)
+	*t = outResTable{
 		size:        size,
-		busy:        make([]bool, size),
-		free:        make([]int32, size),
+		busy:        carve(&a.flags, size),
+		free:        carve(&a.free, size),
 		cap:         buffers,
 		infinite:    infinite,
 		outstanding: perVC[:ctrlVCs:ctrlVCs],
 		claims:      perVC[ctrlVCs:],
+		future:      carve(&a.future, int(tp))[:0],
 	}
-	t.reset()
-	return t
 }
 
 // reset returns the table to its just-built state: the window at cycle 0, no
@@ -412,9 +419,3 @@ func (t *outResTable) shift(from sim.Cycle, delta int32) {
 		}
 	}
 }
-
-// freeAt reports the free-buffer count recorded for cycle c (tests only).
-func (t *outResTable) freeAt(c sim.Cycle) int { return int(t.free[t.idx(c)]) }
-
-// busyAt reports whether the channel is reserved at cycle c (tests only).
-func (t *outResTable) busyAt(c sim.Cycle) bool { return t.busy[t.idx(c)] }

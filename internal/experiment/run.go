@@ -331,27 +331,27 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		}
 	}
 
-	// Per-node generators with independent RNG streams, the streams and the
-	// constant-rate sources' accumulators each in one array.
+	// Per-node generators with independent RNG streams: the generators, the
+	// streams and the constant-rate sources' accumulators each in one array.
 	genRoot := sim.NewRNG(s.Seed ^ 0x9E3779B97F4A7C15)
 	rate := traffic.PacketRateFor(mesh, load, s.PacketLen)
-	gens := make([]*traffic.Generator, mesh.N())
 	streams := make([]sim.RNG, mesh.N())
-	var proc traffic.Process = traffic.Bernoulli{Rate: rate} // stateless: one serves every node
+	for id := range streams {
+		genRoot.SplitInto(&streams[id])
+	}
 	var constant []traffic.ConstantRate
 	if !s.Bernoulli {
 		constant = make([]traffic.ConstantRate, mesh.N())
 	}
+	var bernoulli traffic.Process = traffic.Bernoulli{Rate: rate} // stateless: one serves every node
 	var nextID noc.PacketID
-	idGen := func() noc.PacketID { nextID++; return nextID }
-	for id := range gens {
-		if constant != nil {
-			constant[id].Rate = rate
-			proc = &constant[id]
+	gens := traffic.NewGenerators(mesh, s.Pattern, func(id topology.NodeID) traffic.Process {
+		if constant == nil {
+			return bernoulli
 		}
-		genRoot.SplitInto(&streams[id])
-		gens[id] = traffic.NewGenerator(mesh, topology.NodeID(id), s.Pattern, proc, &streams[id], s.PacketLen, idGen)
-	}
+		constant[id].Rate = rate
+		return &constant[id]
+	}, streams, s.PacketLen, func() noc.PacketID { nextID++; return nextID })
 
 	// Track one specific input pool of a central router, as Section 4.2
 	// does; under dimension-ordered routing on uniform traffic the West
@@ -381,8 +381,8 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		}
 	}
 	step := func(tagging, observe bool) {
-		for _, g := range gens {
-			p := g.Generate(now)
+		for id := range gens {
+			p := gens[id].Generate(now)
 			if p == nil {
 				continue
 			}

@@ -135,9 +135,12 @@ type ControlFlit struct {
 	// travels with the flit and belongs to whoever holds the flit: once a
 	// Send returns, the sender neither reads nor writes it again, and the
 	// receiver may rewrite the entries in place or shorten the list — but
-	// never grow it past the capacity it arrived with. Whoever retires the
-	// flit for good may hand the array to a LeadArrays free list; nobody else
-	// may keep a reference to it past its own Send.
+	// never grow it past the capacity it arrived with. A holder that wants
+	// per-lead state of its own copies the entries into storage it owns (a
+	// flit-reservation router's queue cell keeps such a list for the
+	// network's life). Whoever retires the flit for good may hand the array to
+	// a LeadArrays free list; nobody else may keep a reference to it past its
+	// own Send.
 	Leads []LeadEntry
 	// Attempt is the packet's end-to-end transmission attempt this control
 	// flit announces (0 = first try); it flows into the destination's

@@ -40,14 +40,15 @@ func AppendDataFlits(dst []DataFlit, p *Packet) []DataFlit {
 // retires a flit for good puts its array back.
 type LeadArrays [][]LeadEntry
 
-// take returns an empty lead list of capacity d, off the list when it has one.
-func (f *LeadArrays) take(d int) []LeadEntry {
-	if n := len(*f); n > 0 {
-		a := (*f)[n-1]
-		*f = (*f)[:n-1]
-		return a
+// Take returns an empty lead list of capacity d: off the list when it has
+// one, made otherwise (always, by a nil list).
+func (f *LeadArrays) Take(d int) []LeadEntry {
+	if f == nil || len(*f) == 0 {
+		return make([]LeadEntry, 0, d)
 	}
-	return make([]LeadEntry, 0, d)
+	a := (*f)[len(*f)-1]
+	*f = (*f)[:len(*f)-1]
+	return a
 }
 
 // Put returns a retired control flit's lead array to the list.
@@ -56,16 +57,10 @@ func (f *LeadArrays) Put(leads []LeadEntry) { *f = append(*f, leads[:0]) }
 // ControlFlits builds the control-flit sequence for a packet under
 // flit-reservation flow control, with each control flit leading up to d data
 // flits (d=1 in the paper's measured configurations; Section 5 discusses
-// wider control flits). The head flit carries the destination and leads the
-// first min(d, Len) data flits; each subsequent body flit leads the next d.
-// Arrival times are left zero; the source's injection scheduler fills them.
-func ControlFlits(p *Packet, d int) []ControlFlit { return AppendControlFlits(nil, p, d, nil) }
-
-// AppendControlFlits is ControlFlits appended to dst. Each flit's lead list
-// is an array of its own, of capacity d, so that whoever rewrites one flit's
-// list cannot reach the next: taken from free, or — with no free list — cut
-// from one array made for the packet.
-func AppendControlFlits(dst []ControlFlit, p *Packet, d int, free *LeadArrays) []ControlFlit {
+// wider control flits). Each flit's lead list is an array of its own, cut from
+// one made for the packet, so that whoever rewrites one flit's list cannot
+// reach the next.
+func ControlFlits(p *Packet, d int) []ControlFlit {
 	if d < 1 {
 		panic("noc: control flit must lead at least one data flit")
 	}
@@ -73,26 +68,26 @@ func AppendControlFlits(dst []ControlFlit, p *Packet, d int, free *LeadArrays) [
 		panic("noc: packet must contain at least one data flit")
 	}
 	n := (p.Len + d - 1) / d // number of control flits
-	dst = slices.Grow(dst, n)
-	var cut []LeadEntry
-	if free == nil {
-		cut = make([]LeadEntry, n*d)
+	cfs := make([]ControlFlit, n)
+	cut := make([]LeadEntry, n*d)
+	for i := range cfs {
+		cfs[i] = ControlFlitAt(p, i, d, cut[i*d:i*d:(i+1)*d])
 	}
-	for i := 0; i < n; i++ {
-		var leads []LeadEntry
-		if free != nil {
-			leads = free.take(d)
-		} else {
-			leads = cut[i*d : i*d : (i+1)*d]
-		}
-		for seq := i * d; seq < min(i*d+d, p.Len); seq++ {
-			leads = append(leads, LeadEntry{Seq: seq})
-		}
-		cf := ControlFlit{Packet: p, Type: TypeFor(i, n), Attempt: p.Attempts, Leads: leads}
-		if cf.Type.IsHead() {
-			cf.Dst = p.Dst
-		}
-		dst = append(dst, cf)
+	return cfs
+}
+
+// ControlFlitAt builds control flit i of the sequence ControlFlits describes,
+// its lead list in the empty array leads (capacity d), so that an interface can
+// make each flit when it sends it. The head flit carries the destination and
+// leads the first min(d, Len) data flits; each subsequent flit leads the next
+// d. Arrival times are left zero; the source's injection scheduler fills them.
+func ControlFlitAt(p *Packet, i, d int, leads []LeadEntry) ControlFlit {
+	for seq := i * d; seq < min(i*d+d, p.Len); seq++ {
+		leads = append(leads, LeadEntry{Seq: seq})
 	}
-	return dst
+	cf := ControlFlit{Packet: p, Type: TypeFor(i, (p.Len+d-1)/d), Attempt: p.Attempts, Leads: leads}
+	if cf.Type.IsHead() {
+		cf.Dst = p.Dst
+	}
+	return cf
 }

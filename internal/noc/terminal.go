@@ -16,6 +16,10 @@ type SourceQueue struct {
 	head int
 }
 
+// Room gives an empty queue the array it keeps its packets in for as long as
+// no more than cap(buf) wait at once; a queue never given one makes its own.
+func (q *SourceQueue) Room(buf []*Packet) { q.pkts, q.head = buf[:0], 0 }
+
 // Push appends a packet behind every packet already waiting.
 func (q *SourceQueue) Push(p *Packet) {
 	if q.head > 0 && 2*q.head >= len(q.pkts) {

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // Pipe is a bandwidth-limited delay line modeling a pipelined wire between
 // two components. Items sent at cycle t become receivable at cycle t+latency.
 // At most width items may be sent per cycle, which models the per-cycle
@@ -13,11 +15,13 @@ type Pipe[T any] struct {
 	latency Cycle
 
 	// The items in flight, oldest first, in a ring: n cells starting at head,
-	// wrapping by mask (cell). len(ring) is a power of two — nothing until
-	// the first Send, then 2 cells, doubled whenever a Send finds it full —
-	// so a wire that never holds more than two items never pays for more,
-	// and a dequeue moves no other item. The counters are 32-bit to keep the
-	// struct, of which a mesh holds thousands, the size it had as a slice.
+	// wrapping by mask (cell). len(ring) is a power of two — for NewPipe's
+	// pipe nothing until the first Send, then 2 cells, doubled whenever a
+	// Send finds it full, so a wire that never holds more than two items
+	// never pays for more; for one cut from a PipeSlab what its wire can
+	// hold, from the start — and a dequeue moves no other item. The counters
+	// are 32-bit to keep the struct, of which a mesh holds thousands, the
+	// size it had as a slice.
 	ring    []pipeEntry[T]
 	head, n uint32
 
@@ -64,16 +68,56 @@ type pipeEntry[T any] struct {
 // that same-cycle delivery — which would make component tick order matter —
 // is impossible) and width (items per cycle, must be >= 1).
 func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
+	p := new(Pipe[T])
+	p.init(latency, width, nil)
+	return p
+}
+
+// init builds a pipe in place around the ring its caller found for it.
+func (p *Pipe[T]) init(latency Cycle, width int, ring []pipeEntry[T]) {
 	if latency < 1 {
 		panic("sim: pipe latency must be at least 1 cycle")
 	}
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	p := &Pipe[T]{latency: latency, width: int32(width)}
+	*p = Pipe[T]{latency: latency, width: int32(width), ring: ring}
 	p.Reset()
+}
+
+// PipeSlab is the memory of every pipe of one item type that a network
+// holds: the structs in one array and their rings in another, so that wiring
+// a mesh allocates twice per item type, not twice per wire. Pipes are cut off
+// it in the order they are asked for.
+type PipeSlab[T any] struct {
+	pipes []Pipe[T]
+	cells []pipeEntry[T]
+}
+
+// NewPipeSlab returns room for the given number of pipes whose rings, each
+// RingCells long, come to cells cells in all.
+func NewPipeSlab[T any](pipes, cells int) PipeSlab[T] {
+	return PipeSlab[T]{pipes: make([]Pipe[T], pipes), cells: make([]pipeEntry[T], cells)}
+}
+
+// RingCells is the ring a slab's pipe starts with: room for what its wire can
+// hold at once — a sender that ticks before its receiver has put a cycle's
+// width on the wire before the items sent latency cycles ago come off it —
+// rounded up to the power of two the ring's mask needs.
+func RingCells(latency Cycle, width int) int {
+	return 1 << bits.Len(uint((int(latency)+1)*width-1))
+}
+
+// New is NewPipe on the slab's memory, the ring at RingCells from the start.
+func (s *PipeSlab[T]) New(latency Cycle, width int) *Pipe[T] {
+	p, n := &s.pipes[0], RingCells(latency, width)
+	p.init(latency, width, s.cells[:n:n])
+	s.pipes, s.cells = s.pipes[1:], s.cells[n:]
 	return p
 }
+
+// Left counts the pipes and cells not yet cut.
+func (s *PipeSlab[T]) Left() int { return len(s.pipes) + len(s.cells) }
 
 // Reset returns the pipe to its just-built state: nothing in flight, no send
 // recorded this cycle or any other, the wire whole, and the fault counters at
@@ -98,16 +142,19 @@ func (p *Pipe[T]) Reset() {
 // corruption event; rate must lie in [0,1) and rng must be non-nil when
 // rate > 0.
 func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG, onCorrupt func()) *Pipe[T] {
+	return NewPipe[T](latency, width).WithFaults(rate, rng, onCorrupt)
+}
+
+// WithFaults arms the corruption-and-replay model NewFaultyPipe describes on a
+// pipe already built, and returns it.
+func (p *Pipe[T]) WithFaults(rate float64, rng *RNG, onCorrupt func()) *Pipe[T] {
 	if rate < 0 || rate >= 1 || rate != rate {
 		panic("sim: fault rate must lie in [0, 1)")
 	}
 	if rate > 0 && rng == nil {
 		panic("sim: faulty pipe needs an RNG")
 	}
-	p := NewPipe[T](latency, width)
-	p.faultRate = rate
-	p.rng = rng
-	p.onCorrupt = onCorrupt
+	p.faultRate, p.rng, p.onCorrupt = rate, rng, onCorrupt
 	return p
 }
 

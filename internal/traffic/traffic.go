@@ -240,32 +240,63 @@ type Generator struct {
 	rng     *sim.RNG
 	pktLen  int
 	nextID  func() noc.PacketID
-	// chunk is the unused rest of the array the next packets are carved from,
-	// and carved how many packets the generator has handed out of all of them.
-	chunk  []noc.Packet
-	carved int
+	packets *packets
 }
 
-// Packets are carved from arrays rather than allocated one by one. An array
-// is as long as everything carved before it — so a node that sends three
-// packets pays for a handful and one that sends thousands for a few arrays —
-// within these bounds.
+// packets is where generators get their packets: carved from arrays rather
+// than allocated one by one. An array is as long as everything carved before
+// it — so a run that sends three packets pays for a handful and one that
+// sends thousands for a few arrays — within these bounds. The generators of
+// one run (NewGenerators) share one, so what the run allocates follows the
+// packets it sends and not the nodes it has.
+type packets struct {
+	chunk  []noc.Packet // the unused rest of the newest array
+	carved int          // packets handed out of all of them
+}
+
 const (
 	firstChunk = 8
 	maxChunk   = 256
 )
 
+func (a *packets) next() *noc.Packet {
+	if len(a.chunk) == 0 {
+		a.chunk = make([]noc.Packet, min(max(a.carved, firstChunk), maxChunk))
+	}
+	p := &a.chunk[0]
+	a.chunk = a.chunk[1:]
+	a.carved++
+	return p
+}
+
 // NewGenerator returns a per-node packet generator. nextID must hand out
 // globally unique packet IDs (the network assembly shares one counter across
 // all generators).
 func NewGenerator(m topology.Mesh, src topology.NodeID, pat Pattern, proc Process, rng *sim.RNG, pktLen int, nextID func() noc.PacketID) *Generator {
+	g := newGenerator(m, src, pat, proc, rng, pktLen, nextID, new(packets))
+	return &g
+}
+
+// NewGenerators returns the generators of every node of the mesh in one
+// array, carving their packets from the same arrays. Node id injects by
+// proc(id) and draws from rngs[id].
+func NewGenerators(m topology.Mesh, pat Pattern, proc func(topology.NodeID) Process, rngs []sim.RNG, pktLen int, nextID func() noc.PacketID) []Generator {
+	gens := make([]Generator, m.N())
+	shared := new(packets)
+	for id := range gens {
+		gens[id] = newGenerator(m, topology.NodeID(id), pat, proc(topology.NodeID(id)), &rngs[id], pktLen, nextID, shared)
+	}
+	return gens
+}
+
+func newGenerator(m topology.Mesh, src topology.NodeID, pat Pattern, proc Process, rng *sim.RNG, pktLen int, nextID func() noc.PacketID, from *packets) Generator {
 	if pktLen < 1 {
 		panic("traffic: packet length must be at least 1 flit")
 	}
 	if nextID == nil {
 		panic("traffic: nextID must not be nil")
 	}
-	return &Generator{mesh: m, src: src, pattern: pat, process: proc, rng: rng, pktLen: pktLen, nextID: nextID}
+	return Generator{mesh: m, src: src, pattern: pat, process: proc, rng: rng, pktLen: pktLen, nextID: nextID, packets: from}
 }
 
 // Generate returns a new packet if the injection process fires at cycle now,
@@ -275,12 +306,7 @@ func (g *Generator) Generate(now sim.Cycle) *noc.Packet {
 	if !g.process.Inject(g.rng, now) {
 		return nil
 	}
-	if len(g.chunk) == 0 {
-		g.chunk = make([]noc.Packet, min(max(g.carved, firstChunk), maxChunk))
-	}
-	p := &g.chunk[0]
-	g.chunk = g.chunk[1:]
-	g.carved++
+	p := g.packets.next()
 	*p = noc.Packet{
 		ID:        g.nextID(),
 		Src:       g.src,

@@ -3,10 +3,12 @@
 # BENCHMARK.json, which is what measures speed end to end: bench/run.sh), five
 # runs each; prints only, records nothing:
 #
-#   internal/core      OutResTableFindCommitCredit, RouterTickDormant/Idle/
-#                      Loaded, NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8,
-#                      NetworkReset8x8 (what a job pays instead of New once
-#                      its configuration's network exists; 0 allocs/op)
+#   internal/core      OutResTableFindCommitCredit, RouterTickDormant/Idle,
+#                      NetworkTick16x16Sparse/8x8Mid (the loaded router tick
+#                      is 8x8Mid's ns/router-tick), NetworkNew8x8/16x16 (49
+#                      allocs/op at either radix), NetworkReset8x8 (what a job
+#                      pays instead of New once its configuration's network
+#                      exists; 0 allocs/op)
 #   internal/sim       PipeSendRecv
 #   internal/vcrouter  VCRouterTickIdle, VCNetworkTick8x8Mid, VCNetworkNew8x8,
 #                      VCNetworkReset8x8
