@@ -1,9 +1,6 @@
 package frfc
 
-import (
-	"frfc/internal/experiment"
-	"frfc/internal/sim"
-)
+import "frfc/internal/experiment"
 
 // ChaosPoint is one row of a ChaosSweep: a flit-reservation network run under
 // a deterministically generated chaos campaign — composed soft loss, bit
@@ -13,24 +10,16 @@ import (
 // Unreachable counts packets a router kill disconnected.
 type ChaosPoint = experiment.ChaosPoint
 
-// ChaosSweepOptions parameterizes a ChaosSweep. Zero fields take defaults:
-// the ResolveOptions defaults (600 packets per row), intensities
-// {0.25, 0.5, 1.0}, a horizon scaled to the offering window, and the
-// end-to-end check on.
-type ChaosSweepOptions struct {
-	ResolveOptions
-	// Intensities are the chaos intensities swept, each in (0, 1]; router
-	// kills only appear at intensity >= 0.75.
-	Intensities []float64
-	// Horizon is the cycle window campaigns schedule events in.
-	Horizon int
-	// ChaosSeed drives the plan generator (Seed the network and workload);
-	// each campaign's plan is a pure function of the options.
-	ChaosSeed uint64
-	// DisableE2E turns the end-to-end payload check off, so escaped
-	// corruption is silently accepted instead of retried.
-	DisableE2E bool
-}
+// ChaosSweepOptions parameterizes a ChaosSweep: the ResolveOptions, the
+// Intensities swept (each in (0, 1]; router kills only appear at intensity
+// >= 0.75), the cycle Horizon campaigns schedule events in, the ChaosSeed
+// that drives the plan generator (Seed drives the network and workload; each
+// campaign's plan is a pure function of the options), and DisableE2E, which
+// turns the end-to-end payload check off so escaped corruption is silently
+// accepted instead of retried. Zero fields take defaults: the ResolveOptions
+// defaults (600 packets per row), intensities {0.25, 0.5, 1.0}, a horizon
+// scaled to the offering window, and the end-to-end check on.
+type ChaosSweepOptions = experiment.ChaosSweepOptions
 
 // ChaosSweep runs one deterministic chaos campaign per intensity against the
 // flit-reservation network with end-to-end retry and reports how much traffic
@@ -41,9 +30,5 @@ type ChaosSweepOptions struct {
 // concurrently on the harness worker pool; the points are identical to a
 // serial sweep.
 func ChaosSweep(o ChaosSweepOptions) ([]ChaosPoint, error) {
-	cells := experiment.ChaosSweepOptions{
-		ResolveOptions: o.internal(), Intensities: o.Intensities, Horizon: sim.Cycle(o.Horizon),
-		ChaosSeed: o.ChaosSeed, DisableE2E: o.DisableE2E,
-	}.Cells()
-	return sweepCells(o.ResolveOptions, cells)
+	return sweepCells(o.Workers, o.Cells())
 }

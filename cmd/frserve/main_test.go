@@ -16,12 +16,19 @@ import (
 // directory and tears it down with the test.
 func testDaemon(t *testing.T, dbDir, reportPath string) *daemon {
 	t.Helper()
-	d, err := start(config{
+	return startDaemon(t, config{
 		addr:    "127.0.0.1:0",
 		dbDir:   dbDir,
 		workers: 2,
 		report:  reportPath,
 	}, io.Discard)
+}
+
+// startDaemon starts a daemon as cfg describes, logging to stderr, and tears
+// it down with the test.
+func startDaemon(t *testing.T, cfg config, stderr io.Writer) *daemon {
+	t.Helper()
+	d, err := start(cfg, stderr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,24 +51,32 @@ func soakBody() string {
 		strings.Join(parts, ","), soakSeed)
 }
 
-// soakReference computes, in-process, the exact store lines the campaign
-// produces — the byte-level truth every surviving segment line is checked
-// against. Mirrors SweepRequest.jobs() for this request shape.
-func soakReference(t *testing.T) (lines map[string]bool, ordered []byte) {
+// oneShot computes, in-process, the exact store lines a campaign over the grid
+// produces, in the order its results stream — the byte-level truth the soak
+// checks every surviving segment line against and the drills check streams
+// against. It expands the grid as SweepRequest.jobs() does.
+func oneShot(t *testing.T, g experiment.Grid) (lines map[string]bool, ordered []byte) {
 	t.Helper()
-	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 300)
-	spec.Seed = soakSeed
-	lines = make(map[string]bool, len(soakLoads))
+	loads, err := g.LoadPoints()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := g.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = make(map[string]bool, len(specs)*len(loads))
 	var buf bytes.Buffer
-	for _, l := range soakLoads {
-		j := harness.Job{Spec: spec, Load: l}
-		res := experiment.Run(spec, l)
-		line, err := harness.MarshalEntry(j, j.Hash(), res)
-		if err != nil {
-			t.Fatal(err)
+	for _, spec := range specs {
+		for _, l := range loads {
+			j := harness.Job{Spec: spec, Load: l}
+			line, err := harness.MarshalEntry(j, j.Hash(), experiment.Run(spec, l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines[string(line)] = true
+			buf.Write(append(line, '\n'))
 		}
-		lines[string(line)] = true
-		buf.Write(append(line, '\n'))
 	}
 	return lines, buf.Bytes()
 }
@@ -141,7 +149,7 @@ func TestKillNineRecoverySoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak is not short")
 	}
-	refLines, refStream := soakReference(t)
+	refLines, refStream := oneShot(t, experiment.Grid{Configs: []string{"FR6"}, Loads: soakLoads, Sample: 150, Warmup: 300, Seed: soakSeed})
 	dbDir := filepath.Join(t.TempDir(), "db")
 	client := &http.Client{Timeout: 60 * time.Second}
 
@@ -254,5 +262,103 @@ func TestKillNineRecoverySoak(t *testing.T) {
 	st := db.Stats()
 	if st.Entries != len(soakLoads) || st.Segments != 1 || st.Quarantined != 0 || st.Healed != 0 {
 		t.Fatalf("post-compact stats: %+v, want %d entries in 1 clean segment", st, len(soakLoads))
+	}
+}
+
+// drillBody is the campaign the corruption drill stores, corrupts and
+// resubmits: FR6 and VC8 at two loads, four results.
+const drillBody = `{"configs":["FR6","VC8"],"from":0.2,"to":0.4,"step":0.2,"sample":150,"warmup":300}`
+
+// TestCorruptionDrill flips one byte in the middle of a stored result — bytes
+// that were once whole and now lie — and holds replay to the quarantine
+// contract: the line is quarantined, not served and not fatal; the daemon logs
+// it and exports it on /metrics; the quarantine file holds the corrupt bytes;
+// a resubmission re-executes exactly that job and streams the one-shot
+// reference byte for byte; and offline compaction leaves one clean segment.
+func TestCorruptionDrill(t *testing.T) {
+	_, ref := oneShot(t, experiment.Grid{Configs: []string{"FR6", "VC8"}, From: 0.2, To: 0.4, Step: 0.2, Sample: 150, Warmup: 300})
+	dbDir := filepath.Join(t.TempDir(), "db")
+	d := testDaemon(t, dbDir, "")
+	base := "http://" + d.addr()
+	if stream := results(t, base, submit(t, base, drillBody).ID); !bytes.Equal(stream, ref) {
+		t.Fatalf("first stream differs from the one-shot reference:\ngot:\n%s\nwant:\n%s", stream, ref)
+	}
+	if err := d.shutdown(10 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	seg := filepath.Join(dbDir, "seg-000000.jsonl")
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[50] ^= 0xFF // mid-way through the first line
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupt, _, _ := bytes.Cut(raw, []byte("\n"))
+
+	var log bytes.Buffer
+	d = startDaemon(t, config{addr: "127.0.0.1:0", dbDir: dbDir, workers: 2}, &log)
+	base = "http://" + d.addr()
+	if !strings.Contains(log.String(), "quarantined 1 corrupt line") {
+		t.Errorf("replay log does not report the quarantined line:\n%s", log.String())
+	}
+	if _, m := doJSON(t, "GET", base+"/metrics", ""); !strings.Contains(string(m), "\nfrfc_service_quarantined_total 1\n") {
+		t.Errorf("/metrics does not export the quarantined line:\n%s", m)
+	}
+	if q, err := os.ReadFile(filepath.Join(dbDir, "seg-000000.quarantine")); err != nil || !bytes.Equal(q, append(corrupt, '\n')) {
+		t.Errorf("quarantine file holds %q (%v), want the corrupt line", q, err)
+	}
+
+	c := submit(t, base, drillBody)
+	if stream := results(t, base, c.ID); !bytes.Equal(stream, ref) {
+		t.Fatalf("resubmitted stream differs from the one-shot reference:\ngot:\n%s\nwant:\n%s", stream, ref)
+	}
+	_, b := doJSON(t, "GET", base+"/campaigns/"+c.ID, "")
+	var detail campaignJSON
+	if err := json.Unmarshal(b, &detail); err != nil {
+		t.Fatal(err)
+	}
+	if detail.State != "done" || detail.Cached != 3 || detail.Simulated != 1 {
+		t.Fatalf("resubmission: %+v, want done with 3 cached and the quarantined job simulated", detail)
+	}
+	if err := d.shutdown(10 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	var cerr bytes.Buffer
+	if code := run([]string{"-db", dbDir, "-compact"}, &cerr); code != 0 {
+		t.Fatalf("frserve -compact exited %d:\n%s", code, cerr.String())
+	}
+	if segs, err := filepath.Glob(filepath.Join(dbDir, "seg-*.jsonl")); err != nil || len(segs) != 1 {
+		t.Fatalf("after compaction: segments %v (%v), want one", segs, err)
+	}
+}
+
+var storeErrors = regexp.MustCompile(`(?m)^frfc_service_store_errors_total (\d+)$`)
+
+// TestEIODrill runs a daemon whose database fails its first data write with
+// EIO: it keeps serving, the campaign finishes with the job that hit the bad
+// disk failed, the store error is counted on /metrics, and liveness holds.
+func TestEIODrill(t *testing.T) {
+	d := startDaemon(t, config{addr: "127.0.0.1:0", dbDir: filepath.Join(t.TempDir(), "db"), workers: 1, iofaultPlan: "eio write @0"}, io.Discard)
+	base := "http://" + d.addr()
+	c := submit(t, base, `{"configs":["FR6"],"loads":[0.2,0.25],"sample":150,"warmup":300}`)
+	results(t, base, c.ID)
+	_, b := doJSON(t, "GET", base+"/campaigns/"+c.ID, "")
+	var detail campaignJSON
+	if err := json.Unmarshal(b, &detail); err != nil {
+		t.Fatal(err)
+	}
+	if detail.State != "done" || detail.Failed < 1 {
+		t.Errorf("campaign over the bad disk: %+v, want done with a job failed", detail)
+	}
+	_, m := doJSON(t, "GET", base+"/metrics", "")
+	if n := storeErrors.FindSubmatch(m); n == nil || string(n[1]) == "0" {
+		t.Errorf("/metrics does not count the store error:\n%s", m)
+	}
+	if code, b := doJSON(t, "GET", base+"/healthz", ""); code != http.StatusOK {
+		t.Errorf("/healthz = %d %s, want 200", code, b)
 	}
 }

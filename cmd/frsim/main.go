@@ -44,6 +44,8 @@ import (
 
 	"frfc"
 	"frfc/internal/cli"
+	"frfc/internal/experiment"
+	"frfc/internal/sim"
 )
 
 func main() {
@@ -232,28 +234,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var spec frfc.Spec
 	if *custom {
-		leadCycles := 0
-		if w == frfc.LeadingControl {
-			leadCycles = *lead
+		// A custom configuration is FR6 (FR6-leadN under leading control)
+		// or VC8 with the knobs' values set on its fields; at the knobs'
+		// defaults it is that preset.
+		if *fr {
+			spec = frfc.FR6(w, shared.PktLen)
+			if leadApplies {
+				spec = frfc.FRLead(*lead, shared.PktLen)
+			}
+			spec.FR.DataBuffers = *buffers
+			spec.FR.CtrlVCs = *ctrlVCs
+			spec.FR.Horizon = sim.Cycle(*horizon)
+			spec.FR.LeadsPerCtrl = *leads
+		} else {
+			spec = frfc.VC8(w, shared.PktLen)
+			spec.VC.NumVCs = *vcs
+			spec.VC.BufPerVC = *bufVC
 		}
-		spec, err = frfc.Custom("custom", frfc.Options{
-			FlitReservation: *fr,
-			MeshRadix:       *radix,
-			PacketLen:       shared.PktLen,
-			DataBuffers:     *buffers,
-			CtrlVCs:         *ctrlVCs,
-			Horizon:         *horizon,
-			LeadsPerCtrl:    *leads,
-			LeadCycles:      leadCycles,
-			VCs:             *vcs,
-			BufPerVC:        *bufVC,
-			Wiring:          w,
-			Pattern:         *pattern,
-			Routing:         shared.Routing,
-		})
-		if err != nil {
+		spec.Name = "custom"
+		spec.MeshRadix = *radix
+		if spec.Pattern, err = frfc.ParsePattern(*pattern); err != nil {
 			return fail("%v", err)
 		}
+		if err := experiment.CheckRouting(shared.Routing, spec); err != nil {
+			return fail("%v", err)
+		}
+		spec.Routing = shared.Routing
 	} else {
 		// A named config is a one-point grid, resolved and validated where
 		// sweep's and the campaign service's are; FR6 under leading control
@@ -269,7 +275,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		spec = specs[0].WithMeshRadix(*radix)
+		spec = specs[0]
+		spec.MeshRadix = *radix
 		if p := *pattern; p != "uniform" {
 			// Named presets keep uniform traffic, matching the paper;
 			// use -custom for other patterns.
@@ -281,19 +288,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	if scn != "" {
-		spec, err = spec.WithScenario(scn)
-		if err != nil {
+		if spec.Faults, err = frfc.ParseScenario(scn); err != nil {
 			return fail("%v", err)
 		}
 	}
-	// Every refinement at its flag's default is the identity on a spec.
-	spec = spec.WithRetry(*retry).WithCheck(shared.Check).WithBER(*ber).WithCRC(*crcBits).WithE2ECheck(*e2eCheck).
-		WithSampling(shared.Sample, shared.Warmup).WithSeed(shared.Seed)
+	// Every refinement at its flag's default is the identity on a spec. The
+	// bit-error knobs reach both flow-control families; retry and the
+	// end-to-end check exist under flit reservation only.
+	spec.FR.RetryLimit = *retry
+	spec.Check = shared.Check
+	spec.FR.BER, spec.VC.BER = *ber, *ber
+	spec.FR.CrcBits, spec.VC.CrcBits = *crcBits, *crcBits
+	spec.FR.E2ECheck = *e2eCheck
+	spec = spec.WithSampling(shared.Sample, shared.Warmup)
+	spec.Seed = shared.Seed
 	if *chaos > 0 {
 		if scn != "" {
 			return fail("-chaos and -scenario/-fail-* are mutually exclusive: the chaos plan generates its own fault schedule")
 		}
-		spec = spec.WithChaos(*chaos, shared.ChaosSeed)
+		spec.ChaosIntensity, spec.ChaosSeed = *chaos, shared.ChaosSeed
 	}
 
 	st, stop, err := shared.Start("frsim", stderr)
@@ -314,7 +327,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	r := frfc.RunLive(spec, *load, obs, st)
 
 	sum := summary{
-		Config:    spec.Name(),
+		Config:    spec.Name,
 		Wiring:    shared.Wiring,
 		PktLen:    shared.PktLen,
 		Radix:     *radix,
@@ -368,7 +381,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	fmt.Fprintf(stdout, "config        %s (%s wiring, %d-flit packets, %dx%d mesh)\n", spec.Name(), shared.Wiring, shared.PktLen, *radix, *radix)
+	fmt.Fprintf(stdout, "config        %s (%s wiring, %d-flit packets, %dx%d mesh)\n", spec.Name, shared.Wiring, shared.PktLen, *radix, *radix)
 	fmt.Fprintf(stdout, "offered load  %.1f%% of capacity (effective %.1f%% after bandwidth overhead)\n", r.Load*100, r.EffectiveLoad*100)
 	if r.Batches > 0 {
 		fmt.Fprintf(stdout, "avg latency   %.2f cycles (95%% CI ±%.2f batch-means over %d batches, ±%.2f i.i.d.; min %d, max %d)\n",

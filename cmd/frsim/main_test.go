@@ -311,3 +311,55 @@ func TestRejectsByName(t *testing.T) {
 		})
 	}
 }
+
+// textReport runs frsim and returns its text report split after the config
+// line.
+func textReport(t *testing.T, args ...string) (config, rest string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("frsim %v: exit %d\n%s", args, code, stderr.String())
+	}
+	config, rest, _ = strings.Cut(stdout.String(), "\n")
+	return config, rest
+}
+
+// TestCustomIsAPresetWithFields: -custom is FR6 (FR6-leadN under leading
+// control) or VC8 with the knobs' values set on its fields, so at the knobs'
+// defaults it prints the preset's text report byte for byte; only the config
+// line, which names it, differs.
+func TestCustomIsAPresetWithFields(t *testing.T) {
+	small := []string{"-radix", "4", "-load", "0.3", "-sample", "200", "-warmup", "300", "-seed", "7"}
+	for _, tc := range []struct {
+		name          string
+		named, custom []string
+	}{
+		{"FR6", []string{"-config", "FR6"}, []string{"-custom", "-fr"}},
+		{"VC8", []string{"-config", "VC8"}, []string{"-custom", "-fr=false"}},
+		{"FR6-lead2", []string{"-config", "FR6", "-wiring", "leading", "-lead", "2"}, []string{"-custom", "-wiring", "leading", "-lead", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			namedConfig, named := textReport(t, append(tc.named, small...)...)
+			customConfig, custom := textReport(t, append(tc.custom, small...)...)
+			if !strings.HasPrefix(namedConfig, "config        "+tc.name+" (") || !strings.HasPrefix(customConfig, "config        custom (") {
+				t.Errorf("config lines %q and %q", namedConfig, customConfig)
+			}
+			if custom != named {
+				t.Errorf("-custom at the knobs' defaults differs from -config %s:\n--- custom\n%s--- named\n%s", tc.name, custom, named)
+			}
+		})
+	}
+}
+
+// TestCustomDebitsItsOwnHorizon: the effective load -custom reports is debited
+// by Table 2's penalty for the configuration that ran — 7 extra bits a flit at
+// a 128-cycle horizon (2.73 %), 3 at 8 (1.17 %) — not by FR6's 5 (1.95 %).
+func TestCustomDebitsItsOwnHorizon(t *testing.T) {
+	for _, tc := range []struct{ horizon, effective string }{{"128", "77.8"}, {"32", "78.4"}, {"8", "79.1"}} {
+		_, rest := textReport(t, "-custom", "-fr", "-horizon", tc.horizon, "-radix", "4", "-load", "0.8", "-sample", "200", "-warmup", "300")
+		want := "offered load  80.0% of capacity (effective " + tc.effective + "% after bandwidth overhead)\n"
+		if !strings.HasPrefix(rest, want) {
+			t.Errorf("-horizon %s: report starts %q, want %q", tc.horizon, rest[:min(len(rest), len(want))], want)
+		}
+	}
+}

@@ -364,7 +364,7 @@ func writeCampaignProfile(path string, results []frfc.JobResult) error {
 		}
 		cp.Simulated++
 		cp.Add(*a)
-		cp.PerPoint = append(cp.PerPoint, profilePoint{jr.Job.Spec.Name(), jr.Job.Load, *a})
+		cp.PerPoint = append(cp.PerPoint, profilePoint{jr.Job.Spec.Name, jr.Job.Load, *a})
 	}
 	return writeJSON(path, cp)
 }
@@ -398,7 +398,7 @@ func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
 		}
 		cw.Simulated++
 		cw.Add(*t)
-		cw.PerPoint = append(cw.PerPoint, waterfallPoint{jr.Job.Spec.Name(), jr.Job.Load, *t})
+		cw.PerPoint = append(cw.PerPoint, waterfallPoint{jr.Job.Spec.Name, jr.Job.Load, *t})
 	}
 	return writeJSON(path, cw)
 }
@@ -457,7 +457,7 @@ func summarize(stderr io.Writer, results []frfc.JobResult) int {
 			if jr.Err != "" {
 				first, _, _ := strings.Cut(jr.Err, "\n")
 				fmt.Fprintf(stderr, "sweep: point %s load=%.1f%% failed: %s\n",
-					jr.Job.Spec.Name(), jr.Job.Load*100, first)
+					jr.Job.Spec.Name, jr.Job.Load*100, first)
 			}
 		}
 		return 1

@@ -53,21 +53,21 @@ func ExampleBandwidthTable() {
 	// penalty: 1.95%
 }
 
-// Custom builds configurations beyond the paper's presets — here a
-// flit-reservation network with a longer scheduling horizon under transpose
-// traffic.
-func ExampleCustom() {
-	spec, err := frfc.Custom("my-network", frfc.Options{
-		FlitReservation: true,
-		MeshRadix:       4,
-		DataBuffers:     8,
-		Horizon:         64,
-		Pattern:         "transpose",
-	})
+// A configuration beyond the paper's presets is a preset with some fields
+// changed — here a flit-reservation network with more buffers and a longer
+// scheduling horizon, under transpose traffic.
+func Example_custom() {
+	spec := frfc.FR6(frfc.FastControl, 5)
+	spec.Name = "my-network"
+	spec.MeshRadix = 4
+	spec.FR.DataBuffers = 8
+	spec.FR.Horizon = 64
+	pattern, err := frfc.ParsePattern("transpose")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
+	spec.Pattern = pattern
 	r := frfc.Run(spec.WithSampling(300, 600), 0.30)
 	fmt.Printf("delivered %d/%d\n", r.SampledDelivered, r.SampleSize)
 	// Output:
@@ -90,7 +90,8 @@ func ExampleSweep() {
 // what they saw rides in Result.Observed and exports through the Write methods.
 // Here the latency waterfall: seven stages that sum to each packet's latency.
 func ExampleObserver() {
-	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(300, 600).WithCheck(true)
+	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(300, 600)
+	spec.Check = true
 	obs := frfc.NewObserver(frfc.ObserverOptions{Waterfall: true})
 	r := frfc.RunObserved(spec, 0.30, obs)
 	wf := r.Observed.Waterfall

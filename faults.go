@@ -8,14 +8,11 @@ import "frfc/internal/experiment"
 // packet's fate was resolved.
 type FaultPoint = experiment.FaultPoint
 
-// FaultSweepOptions parameterizes a FaultSweep. Zero fields take defaults:
-// the ResolveOptions defaults (400 packets per row), retry budget 8, and loss
-// rates 0–20%.
-type FaultSweepOptions struct {
-	ResolveOptions
-	RetryLimit int
-	Rates      []float64
-}
+// FaultSweepOptions parameterizes a FaultSweep: the ResolveOptions, the
+// RetryLimit of the retry arm and the loss Rates swept. Zero fields take
+// defaults: the ResolveOptions defaults (400 packets per row), retry budget 8,
+// and loss rates 0–20%.
+type FaultSweepOptions = experiment.FaultSweepOptions
 
 // FaultSweep measures end-to-end delivery under data-flit loss: each loss
 // rate is run twice — detection only, and with the end-to-end retry layer —
@@ -26,7 +23,5 @@ type FaultSweepOptions struct {
 // cannot run (a negative RetryLimit, say) is the returned error, which names
 // it.
 func FaultSweep(o FaultSweepOptions) ([]FaultPoint, error) {
-	return sweepCells(o.ResolveOptions, experiment.FaultSweepOptions{
-		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Rates: o.Rates,
-	}.Cells())
+	return sweepCells(o.Workers, o.Cells())
 }

@@ -9,20 +9,14 @@ import "frfc/internal/experiment"
 // EscapeRateCI() the 95% Wilson interval around it.
 type IntegrityPoint = experiment.IntegrityPoint
 
-// IntegritySweepOptions parameterizes an IntegritySweep. Zero fields take
-// defaults: the ResolveOptions defaults (400 packets per row), retry budget 8,
-// a deliberately weak 4-bit hop CRC (so escapes actually occur), and bit-error
+// IntegritySweepOptions parameterizes an IntegritySweep: the ResolveOptions,
+// the RetryLimit, the modeled hop CRC width CrcBits (negative disables hop
+// detection entirely), and the BERs swept, each run once with the end-to-end
+// check on and once with it off. Zero fields take defaults: the
+// ResolveOptions defaults (400 packets per row), retry budget 8, a
+// deliberately weak 4-bit hop CRC (so escapes actually occur), and bit-error
 // rates {0, 1e-4, 1e-3, 5e-3, 1e-2}.
-type IntegritySweepOptions struct {
-	ResolveOptions
-	RetryLimit int
-	// CrcBits is the modeled hop CRC width (negative disables hop
-	// detection entirely).
-	CrcBits int
-	// BERs are the bit-error rates swept; each runs once with the
-	// end-to-end check on and once with it off.
-	BERs []float64
-}
+type IntegritySweepOptions = experiment.IntegritySweepOptions
 
 // IntegritySweep measures silent-corruption tolerance: for each bit-error
 // rate it runs the flit-reservation network twice — end-to-end check on and
@@ -33,8 +27,5 @@ type IntegritySweepOptions struct {
 // the silently accepted corruption. The cells execute concurrently on the
 // harness worker pool; the points are identical to a serial sweep.
 func IntegritySweep(o IntegritySweepOptions) ([]IntegrityPoint, error) {
-	cells := experiment.IntegritySweepOptions{
-		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, CrcBits: o.CrcBits, BERs: o.BERs,
-	}.Cells()
-	return sweepCells(o.ResolveOptions, cells)
+	return sweepCells(o.Workers, o.Cells())
 }

@@ -66,14 +66,12 @@ func TestPublicChaosSweep(t *testing.T) {
 	}
 }
 
-// TestSpecBitErrorRun: the builder chain threads the corruption knobs through
-// a measured run for both network families — the FR run reports the full
-// corruption ledger, the VC baseline reports detection counters only.
+// TestSpecBitErrorRun: the corruption fields of a spec reach a measured run
+// for both network families — the FR run reports the full corruption ledger,
+// the VC baseline reports detection counters only.
 func TestSpecBitErrorRun(t *testing.T) {
-	fr := frfc.FR6(frfc.FastControl, 5).
-		WithSampling(200, 300).
-		WithBER(5e-3).WithCRC(4).WithE2ECheck(true).
-		WithRetry(8)
+	fr := frfc.FR6(frfc.FastControl, 5).WithSampling(200, 300)
+	fr.FR.BER, fr.FR.CrcBits, fr.FR.E2ECheck, fr.FR.RetryLimit = 5e-3, 4, true, 8
 	r := frfc.Run(fr, 0.3)
 	if r.SampledDelivered != r.SampleSize {
 		t.Fatalf("FR run under BER lost sampled packets: %d of %d", r.SampledDelivered, r.SampleSize)
@@ -82,7 +80,8 @@ func TestSpecBitErrorRun(t *testing.T) {
 		t.Fatalf("FR corruption ledger empty: %+v", r)
 	}
 
-	vc := frfc.VC8(frfc.FastControl, 5).WithSampling(200, 300).WithBER(5e-3)
+	vc := frfc.VC8(frfc.FastControl, 5).WithSampling(200, 300)
+	vc.VC.BER = 5e-3
 	rv := frfc.Run(vc, 0.3)
 	if rv.SampledDelivered != rv.SampleSize {
 		t.Fatalf("VC run under BER lost sampled packets: %d of %d", rv.SampledDelivered, rv.SampleSize)
@@ -92,10 +91,12 @@ func TestSpecBitErrorRun(t *testing.T) {
 	}
 }
 
-// TestSpecChaosRun: WithChaos expands deterministically — two runs of the
-// same spec agree exactly, and the campaign actually injects faults.
+// TestSpecChaosRun: a chaos campaign set on a spec expands deterministically —
+// two runs of the same spec agree exactly, and the campaign actually injects
+// faults.
 func TestSpecChaosRun(t *testing.T) {
-	s := frfc.FR6(frfc.FastControl, 5).WithSampling(150, 300).WithChaos(0.4, 11)
+	s := frfc.FR6(frfc.FastControl, 5).WithSampling(150, 300)
+	s.ChaosIntensity, s.ChaosSeed = 0.4, 11
 	a := frfc.Run(s, 0.3)
 	b := frfc.Run(s, 0.3)
 	if !reflect.DeepEqual(a, b) {

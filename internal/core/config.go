@@ -193,8 +193,8 @@ type Config struct {
 	Check bool
 }
 
-// withDefaults fills unset fields with the paper's FR6 values.
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset fields with the paper's FR6 values, as New does.
+func (c Config) WithDefaults() Config {
 	if c.DataBuffers == 0 {
 		c.DataBuffers = 6
 	}

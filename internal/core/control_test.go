@@ -157,7 +157,7 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			cfg := base
 			tc.mutate(&cfg)
-			cfg = cfg.withDefaults()
+			cfg = cfg.WithDefaults()
 			cfg.validate()
 		})
 	}

@@ -126,7 +126,7 @@ var _ noc.Network = (*Network)(nil)
 // drives every arbitration and injection decision; hooks may be nil. It
 // allocates and wires the components and leaves every initial value to Reset.
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	cfg.validate()
 	topoFaults := hasTopologyFaults(cfg.Faults)
 	if len(cfg.Faults) > 0 {

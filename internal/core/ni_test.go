@@ -11,7 +11,7 @@ import (
 // the router's side follows each credit it sends with posted(&n.inbox, …),
 // as the router does, so the interface knows to look at its wires.
 func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.ReservationCredit], *sim.Pipe[noc.VCCredit]) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	n := newNI(0, &cfg, sim.NewRNG(1), &noc.Hooks{})
 	ctrl := sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
 	data := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)

@@ -23,7 +23,7 @@ func TestCandidateWordMatchesQueueScan(t *testing.T) {
 	for _, vcs := range []int{1, 2, 4, 13, 70} {
 		cfg := fastControl()
 		cfg.CtrlVCs, cfg.DataBuffers = vcs, max(vcs, 6)
-		cfg = cfg.withDefaults()
+		cfg = cfg.WithDefaults()
 		r := new(Router)
 		r.init(&arena{}, 5, topology.NewMesh(4), &cfg) // an interior node: all five ports
 		r.progress, r.leadArrays = new(int64), new(noc.LeadArrays)

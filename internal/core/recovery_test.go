@@ -224,7 +224,7 @@ func TestSpuriousTimeoutIsCancelled(t *testing.T) {
 func TestNIRetryStateMachine(t *testing.T) {
 	cfg := fastControl()
 	cfg.RetryLimit = 2
-	cfg = cfg.withDefaults() // fills RetryBackoffBase=64, NackLatency=16
+	cfg = cfg.WithDefaults() // fills RetryBackoffBase=64, NackLatency=16
 	var retried, abandoned int
 	hooks := &noc.Hooks{
 		PacketRetried:   func(p *noc.Packet, now sim.Cycle) { retried++ },

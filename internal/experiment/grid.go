@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"frfc/internal/sim"
+	"frfc/internal/traffic"
 )
 
 // presets is the named-configuration vocabulary every front end shares: the
@@ -72,6 +73,29 @@ func ParseWiring(name string) (Wiring, error) {
 		return LeadingControl, nil
 	}
 	return "", gridErr("", "unknown wiring %q (want fast or leading)", name)
+}
+
+// ParsePattern resolves the traffic-pattern vocabulary of Spec.Pattern:
+// "uniform" (or empty), "transpose", "bitcomp", "tornado", "neighbor",
+// "bitrev" and "shuffle".
+func ParsePattern(name string) (traffic.Pattern, error) {
+	switch name {
+	case "uniform", "":
+		return traffic.Uniform{}, nil
+	case "transpose":
+		return traffic.Transpose{}, nil
+	case "bitcomp":
+		return traffic.BitComplement{}, nil
+	case "tornado":
+		return traffic.Tornado{}, nil
+	case "neighbor":
+		return traffic.Neighbor{}, nil
+	case "bitrev":
+		return traffic.BitReverse{}, nil
+	case "shuffle":
+		return traffic.Shuffle{}, nil
+	}
+	return nil, fmt.Errorf("frfc: unknown traffic pattern %q", name)
 }
 
 // Named resolves one name of the ConfigNames vocabulary to its spec under the

@@ -118,7 +118,9 @@ type Spec struct {
 }
 
 // withDefaults fills unset measurement parameters with values scaled for
-// interactive use. The paper-scale protocol (10,000-cycle warm-up, 100,000
+// interactive use and derives a flit-reservation spec's BandwidthPenalty from
+// its own configuration, so a field set after the preset was built is debited
+// at its own value. The paper-scale protocol (10,000-cycle warm-up, 100,000
 // sampled packets) is selected by cmd/paperfigs via PaperScale.
 func (s Spec) withDefaults() Spec {
 	if s.MeshRadix == 0 {
@@ -144,6 +146,9 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.DrainFactor == 0 {
 		s.DrainFactor = 8
+	}
+	if s.Flow == FlitReservation {
+		s.BandwidthPenalty = frBandwidthPenalty(s.MeshRadix, s.PacketLen, s.FR)
 	}
 	return s
 }
@@ -173,10 +178,34 @@ func (s Spec) Scaled(samplePackets int, warmup sim.Cycle) Spec {
 	return s
 }
 
-// frBandwidthPenalty computes the Table 2 debit for an FR configuration
-// against the storage-matched VC baseline with v_d = v_c.
-func frBandwidthPenalty(mesh topology.Mesh, pktLen int, fr core.Config) float64 {
-	n := overhead.Log2Ceil(mesh.N())
+// WithSampling returns the spec with the given measurement sample size and
+// minimum warm-up length (cycles).
+func (s Spec) WithSampling(samplePackets, warmupCycles int) Spec {
+	return s.Scaled(samplePackets, sim.Cycle(warmupCycles))
+}
+
+// WithSeed returns the spec with a different random seed.
+func (s Spec) WithSeed(seed uint64) Spec {
+	s.Seed = seed
+	return s
+}
+
+// WithMeshRadix returns the spec on a k×k mesh.
+func (s Spec) WithMeshRadix(k int) Spec {
+	s.MeshRadix = k
+	return s
+}
+
+// frBandwidthPenalty computes the Table 2 debit for an FR configuration on a
+// k×k mesh against the storage-matched VC baseline with v_d = v_c. Unset
+// router fields count at the values core.New gives them; a configuration
+// core.New refuses (a count below one) is debited nothing here.
+func frBandwidthPenalty(k, pktLen int, fr core.Config) float64 {
+	fr = fr.WithDefaults()
+	if fr.CtrlVCs < 1 || fr.LeadsPerCtrl < 1 || fr.Horizon < 1 {
+		return 0
+	}
+	n := overhead.Log2Ceil(k * k)
 	frBW := overhead.BandwidthParams{DestBits: n, PacketLen: pktLen, VCs: fr.CtrlVCs, Leads: fr.LeadsPerCtrl, Horizon: int(fr.Horizon)}
 	vcBW := overhead.BandwidthParams{DestBits: n, PacketLen: pktLen, VCs: fr.CtrlVCs}
 	return overhead.FRBandwidthPenalty(frBW, vcBW, 256)
@@ -260,9 +289,7 @@ func FRSpec(name string, w Wiring, buffers, ctrlVCs int, lead sim.Cycle, pktLen 
 		FR:        frConfig(w, buffers, ctrlVCs, lead),
 		PacketLen: pktLen,
 	}
-	s = s.withDefaults()
-	s.BandwidthPenalty = frBandwidthPenalty(topology.NewMesh(s.MeshRadix), pktLen, s.FR)
-	return s
+	return s.withDefaults()
 }
 
 // VC8 is virtual-channel flow control with 8 buffers per input (2 VCs × 4).

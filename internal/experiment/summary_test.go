@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"frfc/internal/sim"
 )
 
 func TestSummarizeProducesSaneRow(t *testing.T) {
@@ -55,16 +57,21 @@ func TestNewNetworkRejectsUnknownFlow(t *testing.T) {
 	NewNetwork(s, nil)
 }
 
+// TestFRSpecBandwidthPenaltyScalesWithHorizon: wider time stamps (a larger
+// horizon) cost more bandwidth, and the debit a normalized spec carries is
+// that of its own horizon, set after the preset was built, while the preset
+// keeps Table 2's.
 func TestFRSpecBandwidthPenaltyScalesWithHorizon(t *testing.T) {
-	// Wider time stamps (larger horizon) cost more bandwidth.
-	s32 := FR6(FastControl, 5)
-	s128 := FRSpec("FR6-s128", FastControl, 6, 2, 0, 5)
-	s128.FR.Horizon = 128
-	p32 := frBandwidthPenaltyForTest(s32)
-	if p32 <= 0 {
-		t.Fatalf("penalty for horizon 32 = %v, want > 0", p32)
+	penalty := func(h sim.Cycle) float64 {
+		s := FR6(FastControl, 5)
+		s.FR.Horizon = h
+		return s.Normalized().BandwidthPenalty
+	}
+	p8, p32, p128 := penalty(8), penalty(32), penalty(128)
+	if !(p128 > p32 && p32 > p8 && p8 > 0) {
+		t.Fatalf("penalty at horizon 8/32/128 = %v/%v/%v, want strictly increasing and positive", p8, p32, p128)
+	}
+	if preset := FR6(FastControl, 5).BandwidthPenalty; p32 != preset || preset != 5.0/256 {
+		t.Fatalf("FR6's penalty = %v (normalized %v), want Table 2's 5/256", preset, p32)
 	}
 }
-
-// frBandwidthPenaltyForTest exposes the precomputed penalty.
-func frBandwidthPenaltyForTest(s Spec) float64 { return s.BandwidthPenalty }

@@ -103,7 +103,7 @@ func RunObserved(s Spec, load float64, obs *Observer) Result {
 // executes. Either obs or st may be nil. Publishing never perturbs the
 // simulation: the Result stays bit-identical to Run.
 func RunLive(s Spec, load float64, obs *Observer, st *StatusServer) Result {
-	r, _ := experiment.RunInstrumented(context.Background(), s.inner, load, obs.instruments(st))
+	r, _ := experiment.RunInstrumented(context.Background(), s, load, obs.instruments(st))
 	return r
 }
 

@@ -11,41 +11,20 @@ import (
 
 // Job is one unit of parallel experiment work: a configuration simulated at
 // one offered load. Seed, when nonzero, overrides the spec's RNG seed — the
-// way a campaign decorrelates replicas of one configuration.
-type Job struct {
-	Spec Spec
-	Load float64
-	Seed uint64
-}
+// way a campaign decorrelates replicas of one configuration. Its Hash is the
+// job's stable content hash: a digest of the normalized spec, load and seed
+// that keys the JSONL result cache. Two jobs hash equal exactly when they
+// would execute identical simulations.
+type Job = harness.Job
 
-// Hash is the job's stable content hash: a digest of the normalized spec,
-// load and seed that keys the JSONL result cache. Two jobs hash equal exactly
-// when they would execute identical simulations.
-func (j Job) Hash() string { return j.internal().Hash() }
-
-func (j Job) internal() harness.Job {
-	return harness.Job{Spec: j.Spec.inner, Load: j.Load, Seed: j.Seed}
-}
-
-// JobResult is one job's outcome from RunJobs.
-type JobResult struct {
-	// Job is the work this result describes, echoed back so failures can
-	// be attributed even when Result is zero.
-	Job Job
-	// Result is meaningful when Err is empty.
-	Result Result
-	Hash   string
-	// Err reports a failed job: a captured panic (stack included, with
-	// Panicked set), a per-job timeout, or a campaign cancellation.
-	// Failures never disturb sibling jobs.
-	Err      string
-	Panicked bool
-	// Cached marks results served from the ResultPath store without
-	// simulating.
-	Cached bool
-	// Elapsed is the job's wall-clock execution time (zero when cached).
-	Elapsed time.Duration
-}
+// JobResult is one job's outcome from RunJobs: the Job echoed back, so
+// failures can be attributed even when Result is zero, its Hash, and the
+// Result, meaningful when Err is empty. Err reports a failed job — a captured
+// panic (stack included, with Panicked set), a per-job timeout, or a campaign
+// cancellation; failures never disturb sibling jobs. Cached marks results
+// served from the ResultPath store without simulating, and Elapsed is the
+// job's wall-clock execution time (zero when cached).
+type JobResult = harness.JobResult
 
 // Progress is a campaign snapshot streamed to ParallelOptions.Progress after
 // every job completion: Done of Total jobs, of which Cached and Failed,
@@ -142,20 +121,7 @@ func RunJobs(ctx context.Context, jobs []Job, o ParallelOptions) ([]JobResult, e
 	if st != nil {
 		defer st.Close()
 	}
-	hjobs := make([]harness.Job, len(jobs))
-	for i, j := range jobs {
-		hjobs[i] = j.internal()
-	}
-	results, err := harness.RunJobs(ctx, hjobs, ho)
-	out := make([]JobResult, len(results))
-	for i, jr := range results {
-		out[i] = JobResult{
-			Job: jobs[i], Result: jr.Result, Hash: jr.Hash,
-			Err: jr.Err, Panicked: jr.Panicked, Cached: jr.Cached,
-			Elapsed: jr.Elapsed,
-		}
-	}
-	return out, err
+	return harness.RunJobs(ctx, jobs, ho)
 }
 
 // SweepParallel is Sweep fanned over a worker pool: it runs the spec at each
@@ -163,11 +129,7 @@ func RunJobs(ctx context.Context, jobs []Job, o ParallelOptions) ([]JobResult, e
 // to Sweep. A failed point returns its zero Result; inspect per-point detail
 // with RunJobs when that matters.
 func SweepParallel(ctx context.Context, s Spec, loads []float64, o ParallelOptions) ([]Result, error) {
-	jobs := make([]Job, len(loads))
-	for i, l := range loads {
-		jobs[i] = Job{Spec: s, Load: l}
-	}
-	jrs, err := RunJobs(ctx, jobs, o)
+	jrs, err := RunJobs(ctx, harness.AppendJobs(nil, s, loads), o)
 	if err != nil {
 		return nil, err
 	}
@@ -201,9 +163,5 @@ func SaturationSearch(ctx context.Context, specs []Spec, resolution float64, o P
 	if st != nil {
 		defer st.Close()
 	}
-	inner := make([]experiment.Spec, len(specs))
-	for i, s := range specs {
-		inner[i] = s.inner
-	}
-	return harness.SaturationSearch(ctx, inner, experiment.SaturationOptions{Resolution: resolution}, ho)
+	return harness.SaturationSearch(ctx, specs, experiment.SaturationOptions{Resolution: resolution}, ho)
 }

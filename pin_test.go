@@ -59,10 +59,14 @@ const (
 // and every component tick's work flag is in the string; the bit-error point
 // adds the link stream, whose draw order rides Pipe.Send.
 func TestVCLineageResultsPinned(t *testing.T) {
-	pooled := VC16(FastControl, 5).WithName("VC16-pooled")
-	pooled.inner.VC.SharedPool = true
-	interleaved := VC8(FastControl, 5).WithName("VC8-interleave")
-	interleaved.inner.VC.SourceInterleave = true
+	pooled := VC16(FastControl, 5)
+	pooled.Name = "VC16-pooled"
+	pooled.VC.SharedPool = true
+	interleaved := VC8(FastControl, 5)
+	interleaved.Name = "VC8-interleave"
+	interleaved.VC.SourceInterleave = true
+	ber := VC8(FastControl, 5)
+	ber.VC.BER, ber.VC.CrcBits = 2e-3, 3
 	for _, tc := range []struct {
 		name string
 		spec Spec
@@ -75,7 +79,7 @@ func TestVCLineageResultsPinned(t *testing.T) {
 		{"wormhole-load0.30", WormholeSpec(FastControl, 8, 5), 0.30, pinnedWormhole},
 		{"saf-load0.20", StoreAndForwardSpec(FastControl, 2, 5), 0.20, pinnedSAF},
 		{"vct-load0.30", CutThroughSpec(FastControl, 2, 5), 0.30, pinnedVCT},
-		{"vc8-ber-load0.40", VC8(FastControl, 5).WithBER(2e-3).WithCRC(3), 0.40, pinnedVC8BER},
+		{"vc8-ber-load0.40", ber, 0.40, pinnedVC8BER},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tc.spec.WithMeshRadix(8).WithSampling(1500, 800).WithSeed(1)

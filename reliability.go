@@ -48,7 +48,7 @@ type ReliabilitySweepOptions struct {
 // identical to a serial sweep. A malformed scenario string is an error.
 func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
 	ro := experiment.ReliabilitySweepOptions{
-		ResolveOptions: o.internal(), RetryLimit: o.RetryLimit, Routing: o.Routing,
+		ResolveOptions: o.ResolveOptions, RetryLimit: o.RetryLimit, Routing: o.Routing,
 	}
 	if o.Scenarios != nil {
 		ro.Scenarios = make([]experiment.ReliabilityScenario, len(o.Scenarios))
@@ -60,5 +60,5 @@ func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
 			ro.Scenarios[i] = experiment.ReliabilityScenario{Name: sc.Name, Events: events}
 		}
 	}
-	return sweepCells(o.ResolveOptions, ro.Cells())
+	return sweepCells(o.Workers, ro.Cells())
 }

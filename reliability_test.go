@@ -58,22 +58,21 @@ func TestPublicReliabilitySweepCustomScenario(t *testing.T) {
 	}
 }
 
-// TestSpecScenarioRun drives a hard-fault scenario through the public
-// Run path: Custom options and the With* chain must agree, the checker-on
-// run must deliver its sample, and the scenario columns must be populated.
+// TestSpecScenarioRun drives a hard-fault scenario through the public Run
+// path: a schedule parsed onto Spec.Faults under table routing and retry, the
+// checker-on run must deliver its sample, and the scenario columns must be
+// populated.
 func TestSpecScenarioRun(t *testing.T) {
-	spec, err := frfc.Custom("FR6-outage", frfc.Options{
-		FlitReservation: true,
-		MeshRadix:       4,
-		RetryLimit:      8,
-		Routing:         "table",
-		Scenario:        "down 5-6 @2500; up 5-6 @4000",
-		Check:           true,
-	})
+	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(300, 2000)
+	spec.Name = "FR6-outage"
+	spec.FR.RetryLimit = 8
+	spec.Routing = "table"
+	spec.Check = true
+	faults, err := frfc.ParseScenario("down 5-6 @2500; up 5-6 @4000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec = spec.WithSampling(300, 2000)
+	spec.Faults = faults
 	res := frfc.Run(spec, 0.3)
 	if res.SampledDelivered != res.SampleSize {
 		t.Fatalf("sample not fully delivered across the outage: %d/%d", res.SampledDelivered, res.SampleSize)
@@ -82,13 +81,7 @@ func TestSpecScenarioRun(t *testing.T) {
 		t.Errorf("DeliveredFraction = %v, want 1 (mesh stays connected)", res.DeliveredFraction)
 	}
 
-	if _, err := frfc.FR6(frfc.FastControl, 5).
-		WithRouting("table").
-		WithCheck(true).
-		WithScenario("down 5-6 @2500; up 5-6 @4000"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := frfc.FR6(frfc.FastControl, 5).WithScenario("down 5 @2500"); err == nil {
+	if _, err := frfc.ParseScenario("down 5 @2500"); err == nil {
 		t.Error("expected a parse error for a scenario without a link pair")
 	}
 }

@@ -8,27 +8,13 @@ import (
 )
 
 // ResolveOptions are the options the four resolved sweeps — FaultSweep,
-// ReliabilitySweep, IntegritySweep and ChaosSweep — share. Zero fields take
-// defaults: a 4×4 mesh and 5-flit packets, 400 of them per row in the fault
-// and integrity sweeps and 600 in the reliability and chaos sweeps.
-type ResolveOptions struct {
-	Radix     int
-	Packets   int
-	PacketLen int
-	// Check runs every row under the per-cycle invariant checker.
-	Check bool
-	Seed  uint64
-	// Workers sizes the pool the sweep's rows fan out over; 0 means
-	// runtime.NumCPU(). Each row owns its own network and RNG, so any
-	// worker count produces identical points in identical order.
-	Workers int
-}
-
-func (o ResolveOptions) internal() experiment.ResolveOptions {
-	return experiment.ResolveOptions{
-		Radix: o.Radix, Packets: o.Packets, PacketLen: o.PacketLen, Check: o.Check, Seed: o.Seed,
-	}
-}
+// ReliabilitySweep, IntegritySweep and ChaosSweep — share: Radix, Packets,
+// PacketLen, Check (every row under the per-cycle invariant checker), Seed,
+// and Workers, the pool the rows fan out over (0 means runtime.NumCPU(); any
+// worker count produces identical points in identical order). Zero fields
+// take defaults: a 4×4 mesh and 5-flit packets, 400 of them per row in the
+// fault and integrity sweeps and 600 in the reliability and chaos sweeps.
+type ResolveOptions = experiment.ResolveOptions
 
 // Resolved is the ledger every row of a resolved sweep reports once the fate
 // of each offered packet is known: the recovery layer's counters (Offered,
@@ -40,9 +26,8 @@ func (o ResolveOptions) internal() experiment.ResolveOptions {
 // DeliveredFraction().
 type Resolved = experiment.Resolved
 
-// sweepCells runs a resolved sweep's cells on the harness worker pool; the
-// error is the first failed cell's, returned alongside the rows that
-// completed.
-func sweepCells[P any](o ResolveOptions, cells []experiment.Cell[P]) ([]P, error) {
-	return harness.RunCells(context.Background(), cells, harness.Options{Workers: o.Workers})
+// sweepCells runs a resolved sweep's cells on a pool of workers; the error is
+// the first failed cell's, returned alongside the rows that completed.
+func sweepCells[P any](workers int, cells []experiment.Cell[P]) ([]P, error) {
+	return harness.RunCells(context.Background(), cells, harness.Options{Workers: workers})
 }

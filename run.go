@@ -38,25 +38,25 @@ type StageTotals = waterfall.Totals
 // protocol: warm up until source queues stabilize, tag a packet sample, and
 // run until the whole sample is delivered or saturation is detected.
 func Run(s Spec, load float64) Result {
-	return experiment.Run(s.inner, load)
+	return experiment.Run(s, load)
 }
 
 // Sweep runs the spec at each offered load — the raw material of the paper's
 // latency-versus-offered-traffic figures.
 func Sweep(s Spec, loads []float64) []Result {
-	return experiment.Sweep(s.inner, loads)
+	return experiment.Sweep(s, loads)
 }
 
 // BaseLatency measures the spec's contention-free latency in cycles.
 func BaseLatency(s Spec) float64 {
-	return experiment.BaseLatency(s.inner)
+	return experiment.BaseLatency(s)
 }
 
 // SaturationThroughput locates the highest sustainable offered load by
 // bisection, as a fraction of capacity. resolution is the search step; 0
 // means 1% of capacity.
 func SaturationThroughput(s Spec, resolution float64) float64 {
-	return experiment.SaturationThroughput(s.inner, experiment.SaturationOptions{Resolution: resolution})
+	return experiment.SaturationThroughput(s, experiment.SaturationOptions{Resolution: resolution})
 }
 
 // SummaryRow is one configuration's row of the paper's Table 3: base latency,
@@ -67,5 +67,5 @@ type SummaryRow = experiment.SummaryRow
 // Summarize measures a spec's Table 3 row: base latency, latency at 50%
 // capacity, and saturation throughput (raw and bandwidth-debited).
 func Summarize(s Spec) SummaryRow {
-	return experiment.Summarize(s.inner, experiment.SaturationOptions{})
+	return experiment.Summarize(s, experiment.SaturationOptions{})
 }

@@ -23,7 +23,8 @@ func TestWaterfallRunObserved(t *testing.T) {
 		{"WH", WormholeSpec(FastControl, 8, 5)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := smallSpec(t, tc.spec).WithCheck(true)
+			spec := smallSpec(t, tc.spec)
+			spec.Check = true
 			obs := NewObserver(ObserverOptions{Waterfall: true})
 			r := RunObserved(spec, 0.3, obs)
 			if r.Observed == nil || r.Observed.Waterfall == nil || r.Observed.Activity != nil {
