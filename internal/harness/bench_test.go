@@ -9,8 +9,8 @@ import (
 var hashSink string
 
 // BenchmarkJobHash is the hashing rung of the ladder: a bare Job literal
-// renders its whole spec on every Hash, a job built by AppendJobs digests the
-// rendering its config's jobs share.
+// renders and digests its whole spec on every Hash, a job built by AppendJobs
+// restores the digest its config's jobs share and writes only the load.
 func BenchmarkJobHash(b *testing.B) {
 	spec := experiment.FR6(experiment.FastControl, 5).Scaled(40, 100)
 	loads := make([]float64, 30)

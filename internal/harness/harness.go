@@ -20,9 +20,11 @@ package harness
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"strconv"
 	"time"
 
 	"frfc/internal/experiment"
@@ -38,23 +40,35 @@ type Job struct {
 	// the way a campaign decorrelates replicas of one configuration.
 	Seed uint64
 
-	// rendered, when set, is the %#v rendering of the normalized Spec that
-	// Hash digests, shared by the jobs AppendJobs built over that spec. A
-	// bare literal leaves it empty and Hash renders on demand.
-	rendered string
+	// digest, when set, is the marshalled SHA-256 state after everything Hash
+	// writes ahead of the load, shared by the jobs SpecJob built over that
+	// spec. A bare literal leaves it nil and Hash renders on demand.
+	digest []byte
 }
 
-// AppendJobs appends one job per load over spec to jobs, in load order. The
-// appended jobs share a single rendering of the normalized spec, so hashing
-// all of them formats the spec once rather than once per job; the hashes are
-// those of the bare literals Job{Spec: spec, Load: l}. The sharing holds only
-// while a job is used as built: one whose Spec is changed afterwards must be
-// rebuilt as a literal (a Seed override is safe, Hash renders such a job
-// afresh).
+// SpecJob returns the job over spec at load 0 with the spec digested once:
+// a copy with Load set is the job at that load, and hashes like the bare
+// literal Job{Spec: spec, Load: l} while digesting only the load. The sharing
+// holds only while a job is used as built: one whose Spec is changed
+// afterwards must be rebuilt as a literal (a Seed override is safe, Hash
+// renders such a job afresh).
+func SpecJob(spec experiment.Spec) Job {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|%#v|", hashVersion, spec.Normalized())
+	digest, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 always marshals its state
+	}
+	return Job{Spec: spec, digest: digest}
+}
+
+// AppendJobs appends one job per load over spec to jobs, in load order, all
+// sharing one SpecJob digest.
 func AppendJobs(jobs []Job, spec experiment.Spec, loads []float64) []Job {
-	rendered := fmt.Sprintf("%#v", spec.Normalized())
+	j := SpecJob(spec)
 	for _, l := range loads {
-		jobs = append(jobs, Job{Spec: spec, Load: l, rendered: rendered})
+		j.Load = l
+		jobs = append(jobs, j)
 	}
 	return jobs
 }
@@ -92,12 +106,20 @@ const hashVersion = "frfc-job-v7"
 // makes the hash a safe result-cache key and a safe per-job RNG root.
 func (j Job) Hash() string {
 	h := sha256.New()
-	if j.rendered != "" && j.Seed == 0 {
-		fmt.Fprintf(h, "%s|%s|%.12g", hashVersion, j.rendered, j.Load)
+	if j.digest != nil && j.Seed == 0 {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(j.digest); err != nil {
+			panic(err) // the state came from MarshalBinary in this process
+		}
+		// strconv's 'g' at precision 12 is the bytes fmt's %.12g prints.
+		var load [32]byte
+		h.Write(strconv.AppendFloat(load[:0], j.Load, 'g', 12, 64))
 	} else {
 		fmt.Fprintf(h, "%s|%#v|%.12g", hashVersion, j.EffectiveSpec(), j.Load)
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	var sum [sha256.Size]byte
+	var out [16]byte
+	hex.Encode(out[:], h.Sum(sum[:0])[:len(out)/2])
+	return string(out[:])
 }
 
 // JobResult is one job's outcome. Exactly one of Result (Err == "") or Err is

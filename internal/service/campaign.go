@@ -4,8 +4,6 @@ import (
 	"context"
 	"sync"
 	"time"
-
-	"frfc/internal/harness"
 )
 
 // State is a campaign's lifecycle phase.
@@ -32,13 +30,13 @@ type outcome struct {
 	latency float64
 }
 
-// Campaign is one submitted sweep: its expanded job list, per-job outcomes in
-// job order, scheduling parameters, and lifecycle state. All mutable fields
-// are guarded by mu; the scheduler additionally owns wrr under its own lock.
+// Campaign is one submitted sweep: its job grid, per-job outcomes in job
+// order, scheduling parameters, and lifecycle state. All mutable fields are
+// guarded by mu; the scheduler additionally owns wrr under its own lock.
 type Campaign struct {
 	id      string
 	req     SweepRequest
-	jobs    []harness.Job
+	jobs    jobGrid // immutable; a job is built when a worker or a view needs it
 	created time.Time
 
 	ctx    context.Context
@@ -130,7 +128,7 @@ func (c *Campaign) record(idx int, o outcome) (completed bool) {
 	default:
 		c.simulated++
 	}
-	if c.recorded == len(c.jobs) {
+	if c.recorded == c.jobs.len() {
 		if c.state != StateCancelled {
 			c.state = StateDone
 		}
@@ -179,7 +177,7 @@ func (c *Campaign) view(now time.Time) CampaignView {
 	defer c.mu.Unlock()
 	return CampaignView{
 		ID: c.id, Name: c.req.Name, State: c.state,
-		Jobs: len(c.jobs), Done: c.recorded,
+		Jobs: c.jobs.len(), Done: c.recorded,
 		Simulated: c.simulated, Cached: c.cached,
 		Failed: c.failed, Cancelled: c.cancelled,
 		QueueDepth: len(c.queue), InFlight: c.inflight,
@@ -225,9 +223,9 @@ func (c *Campaign) jobViews() []JobView {
 	for _, i := range c.queue {
 		queued[i] = true
 	}
-	out := make([]JobView, len(c.jobs))
-	for i, j := range c.jobs {
-		o := c.outcomes[i]
+	out := make([]JobView, c.jobs.len())
+	for i := range out {
+		j, o := c.jobs.at(i), c.outcomes[i]
 		jv := JobView{
 			Spec: j.EffectiveSpec().Name, Load: j.Load, Seed: j.Seed,
 			Hash: j.Hash(),

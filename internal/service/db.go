@@ -406,6 +406,19 @@ func (db *DB) Get(hash string) (experiment.Result, bool) {
 	return e.res, ok
 }
 
+// peek is Get for admission: it counts a hit, but not a miss, because a job
+// the database does not hold goes to a worker whose Get counts it. Either way
+// the ledger counts each job once.
+func (db *DB) peek(hash string) (experiment.Result, bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	e, ok := db.entries[hash]
+	if ok {
+		db.hits++
+	}
+	return e.res, ok
+}
+
 // GetLine returns the stored canonical JSONL line for a job hash.
 func (db *DB) GetLine(hash string) ([]byte, bool) {
 	db.mu.Lock()

@@ -55,10 +55,11 @@ func TestSharedRenderingHashesArePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != len(stored) {
-		t.Fatalf("grid has %d jobs, the committed store %d lines", len(jobs), len(stored))
+	if jobs.len() != len(stored) {
+		t.Fatalf("grid has %d jobs, the committed store %d lines", jobs.len(), len(stored))
 	}
-	for _, j := range jobs {
+	for i := 0; i < jobs.len(); i++ {
+		j := jobs.at(i)
 		name := j.EffectiveSpec().Name
 		bare := harness.Job{Spec: j.Spec, Load: j.Load}.Hash()
 		if got, want := j.Hash(), stored[key{name, j.Load}]; got != bare || got != want {

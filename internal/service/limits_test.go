@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"frfc/internal/harness"
 )
 
 // slowReq is a sweep request big and slow enough to still be active when
@@ -61,8 +63,8 @@ func TestEstimateJobsMatchesExpansion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("req %d: jobs: %v", i, err)
 		}
-		if est != len(jobs) {
-			t.Errorf("req %d: estimate %d != expansion %d", i, est, len(jobs))
+		if est != jobs.len() {
+			t.Errorf("req %d: estimate %d != expansion %d", i, est, jobs.len())
 		}
 	}
 	// Absurd grids estimate huge without allocating anything.
@@ -328,7 +330,7 @@ func TestWatchdogFlagsStuckCampaigns(t *testing.T) {
 		campaigns: map[string]*Campaign{},
 		rejected:  map[string]int64{},
 	}
-	jobs := tinyJobs(2, 60)
+	jobs := jobGrid{specs: []harness.Job{{Spec: tinySpec(), Seed: 60}}, loads: []float64{0.2, 0.21}}
 	now := time.Now()
 	c := &Campaign{
 		id: "c1", jobs: jobs, created: now,
@@ -356,7 +358,7 @@ func TestWatchdogFlagsStuckCampaigns(t *testing.T) {
 	c.mu.Lock()
 	c.queue = []int{1}
 	c.mu.Unlock()
-	c.record(0, outcome{done: true, hash: jobs[0].Hash()})
+	c.record(0, outcome{done: true, hash: jobs.at(0).Hash()})
 	if c.view(now).Stuck {
 		t.Fatal("stuck not cleared by progress")
 	}
@@ -382,7 +384,7 @@ func TestResultsMarshalErrorsSurfaced(t *testing.T) {
 
 	// Lose exactly the first job's entry from the index.
 	s.db.mu.Lock()
-	delete(s.db.entries, c.jobs[0].Hash())
+	delete(s.db.entries, c.jobs.at(0).Hash())
 	s.db.mu.Unlock()
 
 	srv := httptest.NewServer(s.Handler())

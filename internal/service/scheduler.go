@@ -18,6 +18,7 @@ type scheduler struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
 	campaigns []*Campaign // submission order; drained campaigns removed
+	eligible  []*Campaign // pick's scratch list, reused under mu
 	closed    bool
 }
 
@@ -65,7 +66,7 @@ func (s *scheduler) next() (c *Campaign, idx int, ok bool) {
 // pick runs one round of smooth WRR over the eligible campaigns. Caller
 // holds s.mu.
 func (s *scheduler) pick() (*Campaign, int, bool) {
-	var eligible []*Campaign
+	eligible := s.eligible[:0]
 	total := 0
 	for _, c := range s.campaigns {
 		c.mu.Lock()
@@ -76,6 +77,7 @@ func (s *scheduler) pick() (*Campaign, int, bool) {
 			total += c.weight
 		}
 	}
+	s.eligible = eligible
 	if len(eligible) == 0 {
 		return nil, 0, false
 	}
@@ -91,6 +93,9 @@ func (s *scheduler) pick() (*Campaign, int, bool) {
 	best.mu.Lock()
 	idx := best.queue[0]
 	best.queue = best.queue[1:]
+	if len(best.queue) == 0 {
+		best.queue = nil // a drained campaign keeps no queue array
+	}
 	best.inflight++
 	if best.state == StateQueued {
 		best.state = StateRunning

@@ -25,9 +25,10 @@ type Options struct {
 	// when one of them is requested — and receives the in-flight job set
 	// and merged per-router counters. Observation-only.
 	Status *status.Server
-	// OnCampaignDone, when non-nil, is called (from a worker goroutine)
-	// each time a campaign reaches a terminal state — the hook the
-	// background reporter regenerates BENCHMARK.md from.
+	// OnCampaignDone, when non-nil, is called each time a campaign reaches a
+	// terminal state — the hook the background reporter regenerates
+	// BENCHMARK.md from. It runs on a worker goroutine, or on the submitting
+	// one when every job was already stored, and never under a service lock.
 	OnCampaignDone func(CampaignView)
 	// Limits is the admission-control envelope; the zero value admits
 	// everything (the pre-hardening behavior).
@@ -100,12 +101,12 @@ func New(db *DB, o Options) *Service {
 // Workers reports the shared pool size.
 func (s *Service) Workers() int { return s.opts.Workers }
 
-// Submit validates a sweep request, expands it into jobs, registers the
-// campaign with the fair scheduler and returns it. Jobs already present in
-// the result database will resolve as dedup hits without executing.
-// Equivalent to SubmitFrom with no client identity (rate limits don't
-// apply); errors wrap ErrCapacity or ErrClosed when the rejection is about
-// the service rather than the request.
+// Submit validates a sweep request, resolves every job the result database
+// already holds as a dedup hit, registers the campaign's remaining jobs with
+// the fair scheduler and returns it. A campaign whose every job is stored is
+// done when Submit returns. Equivalent to SubmitFrom with no client identity
+// (rate limits don't apply); errors wrap ErrCapacity or ErrClosed when the
+// rejection is about the service rather than the request.
 func (s *Service) Submit(req SweepRequest) (*Campaign, error) {
 	return s.SubmitFrom(req, "")
 }
@@ -120,6 +121,17 @@ func (s *Service) SubmitFrom(req SweepRequest, client string) (*Campaign, error)
 		s.noteRejected(rejectRate)
 		return nil, fmt.Errorf("client %s over submission rate: %w", client, ErrCapacity)
 	}
+	c, completed, err := s.admitCampaign(req)
+	if completed {
+		s.campaignDone(c)
+	}
+	return c, err
+}
+
+// admitCampaign is SubmitFrom's admission under the admit lock. Stored jobs
+// are recorded as cached before the campaign reaches the scheduler, so only
+// misses take a worker and a WRR pick; completed reports that none was left.
+func (s *Service) admitCampaign(req SweepRequest) (c *Campaign, completed bool, err error) {
 	s.admit.Lock()
 	defer s.admit.Unlock()
 	s.mu.Lock()
@@ -127,79 +139,86 @@ func (s *Service) SubmitFrom(req SweepRequest, client string) (*Campaign, error)
 	s.mu.Unlock()
 	if closing {
 		s.noteRejected(rejectClosed)
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	est, err := req.grid().Count()
 	if err != nil {
 		s.noteRejected(rejectValidation)
-		return nil, fmt.Errorf("invalid campaign: %w", err)
+		return nil, false, fmt.Errorf("invalid campaign: %w", err)
 	}
 	lim := s.opts.Limits
 	if lim.MaxJobsPerCampaign > 0 && est > lim.MaxJobsPerCampaign {
 		s.noteRejected(rejectJobs)
-		return nil, fmt.Errorf("campaign expands to ~%d jobs, per-campaign cap is %d: %w",
+		return nil, false, fmt.Errorf("campaign expands to ~%d jobs, per-campaign cap is %d: %w",
 			est, lim.MaxJobsPerCampaign, ErrCapacity)
 	}
 	if lim.MaxCampaigns > 0 || lim.MaxQueuedJobs > 0 {
 		active, queued := s.loadLocked()
 		if lim.MaxCampaigns > 0 && active >= lim.MaxCampaigns {
 			s.noteRejected(rejectCampaigns)
-			return nil, fmt.Errorf("%d campaigns active, cap is %d: %w",
+			return nil, false, fmt.Errorf("%d campaigns active, cap is %d: %w",
 				active, lim.MaxCampaigns, ErrCapacity)
 		}
 		if lim.MaxQueuedJobs > 0 && queued+est > lim.MaxQueuedJobs {
 			s.noteRejected(rejectJobs)
-			return nil, fmt.Errorf("%d jobs queued and this campaign adds ~%d, cap is %d: %w",
+			return nil, false, fmt.Errorf("%d jobs queued and this campaign adds ~%d, cap is %d: %w",
 				queued, est, lim.MaxQueuedJobs, ErrCapacity)
 		}
 	}
 	if err := (&req).normalized(); err != nil {
 		s.noteRejected(rejectValidation)
-		return nil, fmt.Errorf("invalid campaign: %w", err)
+		return nil, false, fmt.Errorf("invalid campaign: %w", err)
 	}
 	jobs, err := req.jobs()
 	if err != nil {
 		s.noteRejected(rejectValidation)
-		return nil, fmt.Errorf("invalid campaign: %w", err)
+		return nil, false, fmt.Errorf("invalid campaign: %w", err)
 	}
+	n := jobs.len()
 	// The estimate authorized the admission; hold the expansion to it in
 	// case the two ever disagree at a float boundary.
-	if lim.MaxJobsPerCampaign > 0 && len(jobs) > lim.MaxJobsPerCampaign {
+	if lim.MaxJobsPerCampaign > 0 && n > lim.MaxJobsPerCampaign {
 		s.noteRejected(rejectJobs)
-		return nil, fmt.Errorf("campaign expands to %d jobs, per-campaign cap is %d: %w",
-			len(jobs), lim.MaxJobsPerCampaign, ErrCapacity)
+		return nil, false, fmt.Errorf("campaign expands to %d jobs, per-campaign cap is %d: %w",
+			n, lim.MaxJobsPerCampaign, ErrCapacity)
+	}
+
+	now := time.Now()
+	c = &Campaign{
+		req: req, jobs: jobs, created: now,
+		finished:     make(chan struct{}),
+		state:        StateQueued,
+		outcomes:     make([]outcome, n),
+		weight:       req.Weight,
+		maxInflight:  req.MaxInFlight,
+		lastProgress: now,
+	}
+	for i := 0; i < n; i++ {
+		hash := jobs.at(i).Hash()
+		if r, ok := s.db.peek(hash); ok {
+			completed = c.record(i, outcome{done: true, cached: true, hash: hash, latency: r.AvgLatency})
+		} else {
+			c.queue = append(c.queue, i)
+		}
 	}
 
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
 		s.noteRejected(rejectClosed)
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	s.nextID++
-	id := fmt.Sprintf("c%d", s.nextID)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	now := time.Now()
-	c := &Campaign{
-		id: id, req: req, jobs: jobs, created: now,
-		ctx: ctx, cancel: cancel,
-		finished:     make(chan struct{}),
-		state:        StateQueued,
-		outcomes:     make([]outcome, len(jobs)),
-		queue:        make([]int, len(jobs)),
-		weight:       req.Weight,
-		maxInflight:  req.MaxInFlight,
-		lastProgress: now,
-	}
-	for i := range jobs {
-		c.queue[i] = i
-	}
-	s.campaigns[id] = c
-	s.order = append(s.order, id)
+	c.id = fmt.Sprintf("c%d", s.nextID)
+	c.ctx, c.cancel = context.WithCancel(s.baseCtx)
+	s.campaigns[c.id] = c
+	s.order = append(s.order, c.id)
 	s.mu.Unlock()
 
-	s.sched.add(c)
-	return c, nil
+	if !completed {
+		s.sched.add(c)
+	}
+	return c, completed, nil
 }
 
 // noteRejected counts one rejected submission by reason.
@@ -352,7 +371,7 @@ func (s *Service) worker() {
 		if !ok {
 			return
 		}
-		j := c.jobs[idx]
+		j := c.jobs.at(idx)
 		ho := harness.Options{Store: s.db, Timeout: s.opts.Timeout}
 		if st != nil {
 			ho.JobStarted = st.OnJobStarted
@@ -374,8 +393,10 @@ func (s *Service) worker() {
 	}
 }
 
-// campaignDone fires the completion callback.
+// campaignDone releases a finished campaign's context, which nothing runs
+// under any more, and fires the completion callback.
 func (s *Service) campaignDone(c *Campaign) {
+	c.cancel()
 	if s.opts.OnCampaignDone != nil {
 		s.opts.OnCampaignDone(c.view(time.Now()))
 	}

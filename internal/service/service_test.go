@@ -3,16 +3,20 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
 	"frfc/internal/metrics"
+	"frfc/internal/status"
 )
 
 // waitDone blocks until the campaign finishes or the test times out.
@@ -165,6 +169,88 @@ func TestResubmitDedupsInstantly(t *testing.T) {
 	}
 	if st := db.Stats(); st.Hits < 2 {
 		t.Fatalf("dedup ledger hits = %d, want >= 2", st.Hits)
+	}
+}
+
+// TestDedupLedgerCountsEachJobOnce: admission resolves the stored jobs and the
+// workers the rest, and between them each job is exactly one hit or one miss,
+// in DB.Stats and on /metrics, over a cold, a warm and a half-warm campaign.
+// A fully stored campaign is done when Submit returns: its completion callback
+// has fired and it never reached the scheduler.
+func TestDedupLedgerCountsEachJobOnce(t *testing.T) {
+	st, err := status.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	db, err := OpenDB(filepath.Join(t.TempDir(), "db"), DBOptions{Fsync: FsyncPolicy{Mode: FsyncOff}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var finished []string
+	s := New(db, Options{Workers: 2, Status: st, OnCampaignDone: func(v CampaignView) {
+		mu.Lock()
+		finished = append(finished, v.ID)
+		mu.Unlock()
+	}})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Close(ctx) //nolint:errcheck // best-effort teardown
+		db.Close()
+	})
+	scrape := func() string {
+		resp, err := http.Get("http://" + st.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		if _, err := b.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	for _, step := range []struct {
+		name                 string
+		loads                []float64
+		cached, hits, misses int
+	}{
+		{"cold", []float64{0.2, 0.3}, 0, 0, 2},
+		{"warm", []float64{0.2, 0.3}, 2, 2, 2},
+		{"half-warm", []float64{0.2, 0.3, 0.4, 0.5}, 2, 4, 4},
+	} {
+		c, err := s.Submit(SweepRequest{Configs: []string{"FR6"}, Loads: step.loads, Sample: 150, Warmup: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		called := len(finished) > 0 && finished[len(finished)-1] == c.ID()
+		mu.Unlock()
+		if v := c.view(time.Now()); v.Cached != step.cached {
+			t.Fatalf("%s: Submit returned %+v, want %d cached at admission", step.name, v, step.cached)
+		}
+		if step.cached == len(step.loads) {
+			if v := c.view(time.Now()); v.State != StateDone || !called || len(s.sched.active()) != 0 {
+				t.Fatalf("%s: Submit returned %+v (callback fired: %v, scheduled: %d), want done and never scheduled",
+					step.name, v, called, len(s.sched.active()))
+			}
+		}
+		waitDone(t, c)
+		if v := c.view(time.Now()); v.Cached != step.cached || v.Simulated != len(step.loads)-step.cached {
+			t.Fatalf("%s: %+v, want %d cached", step.name, v, step.cached)
+		}
+		if dbs := db.Stats(); dbs.Hits != int64(step.hits) || dbs.Misses != int64(step.misses) {
+			t.Fatalf("%s: DB.Stats hits %d misses %d, want %d and %d", step.name, dbs.Hits, dbs.Misses, step.hits, step.misses)
+		}
+		body := scrape()
+		for name, want := range map[string]int{"hits": step.hits, "misses": step.misses} {
+			if line := fmt.Sprintf("\nfrfc_service_dedup_%s_total %d\n", name, want); !strings.Contains(body, line) {
+				t.Fatalf("%s: /metrics lacks %q", step.name, strings.TrimSpace(line))
+			}
+		}
 	}
 }
 
@@ -449,7 +535,8 @@ func TestWaterfallCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitDone(t, c)
-	for _, j := range c.jobs {
+	for i := 0; i < c.jobs.len(); i++ {
+		j := c.jobs.at(i)
 		r, ok := db.Get(j.Hash())
 		if !ok {
 			t.Fatalf("job %v finished but is not in the database", j.Load)

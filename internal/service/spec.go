@@ -83,24 +83,42 @@ func (r *SweepRequest) normalized() error {
 	return nil
 }
 
-// jobs validates the request's grid and expands it into harness jobs, specs
-// outermost — the same order a cmd/sweep grid builds, so result streams line
-// up with a one-shot store written by a single worker. Admission control
-// checks grid().Count() against MaxJobsPerCampaign first, so nothing is
-// materialized for a grid it rejects.
-func (r SweepRequest) jobs() ([]harness.Job, error) {
+// jobs validates the request's grid and returns its jobs as a jobGrid.
+// Admission control checks grid().Count() against MaxJobsPerCampaign first,
+// so nothing is materialized for a grid it rejects.
+func (r SweepRequest) jobs() (jobGrid, error) {
 	g := r.grid()
 	loads, err := g.LoadPoints()
 	if err != nil {
-		return nil, err
+		return jobGrid{}, err
 	}
 	specs, err := g.Specs()
 	if err != nil {
-		return nil, err
+		return jobGrid{}, err
 	}
-	jobs := make([]harness.Job, 0, len(specs)*len(loads))
-	for _, spec := range specs {
-		jobs = harness.AppendJobs(jobs, spec, loads)
+	jobs := jobGrid{specs: make([]harness.Job, len(specs)), loads: loads}
+	for i, spec := range specs {
+		jobs.specs[i] = harness.SpecJob(spec)
 	}
 	return jobs, nil
+}
+
+// jobGrid is a campaign's jobs held as its grid: one harness.SpecJob per spec
+// and the load points, so a campaign costs its specs, not specs × loads jobs.
+// Job i is spec i/len(loads) at load i%len(loads) — specs outermost, the
+// order a cmd/sweep grid builds, so result streams line up with a one-shot
+// store written by a single worker.
+type jobGrid struct {
+	specs []harness.Job
+	loads []float64
+}
+
+// len is the number of jobs.
+func (g jobGrid) len() int { return len(g.specs) * len(g.loads) }
+
+// at builds job i.
+func (g jobGrid) at(i int) harness.Job {
+	j := g.specs[i/len(g.loads)]
+	j.Load = g.loads[i%len(g.loads)]
+	return j
 }

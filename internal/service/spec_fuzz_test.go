@@ -75,10 +75,11 @@ func FuzzSweepRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: jobs() expanded but LoadPoints fails: %v", body, err)
 		}
-		if n != len(req.Configs)*len(loads) || n != len(jobs) {
-			t.Fatalf("%s: count %d, %d configs x %d loads, %d jobs", body, n, len(req.Configs), len(loads), len(jobs))
+		if n != len(req.Configs)*len(loads) || n != jobs.len() {
+			t.Fatalf("%s: count %d, %d configs x %d loads, %d jobs", body, n, len(req.Configs), len(loads), jobs.len())
 		}
-		for i, j := range jobs {
+		for i := 0; i < n; i++ {
+			j := jobs.at(i)
 			if l := loads[i%len(loads)]; j.Load != l || !(l > 0 && l <= 2) {
 				t.Fatalf("%s: job %d load %g, grid load %g, want equal and in (0,2]", body, i, j.Load, l)
 			}

@@ -38,8 +38,8 @@ func TestPartialAndCancelledStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	var inOrder []string
-	for _, j := range c.jobs {
-		inOrder = append(inOrder, j.Hash())
+	for i := 0; i < c.jobs.len(); i++ {
+		inOrder = append(inOrder, c.jobs.at(i).Hash())
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for c.view(time.Now()).Done < 2 && time.Now().Before(deadline) {
@@ -52,8 +52,8 @@ func TestPartialAndCancelledStreams(t *testing.T) {
 	before := c.view(time.Now()).Done
 	got := streamHashes(t, s, c)
 	after := c.view(time.Now()).Done
-	if before < 2 || after == len(c.jobs) {
-		t.Fatalf("campaign not mid-run around the request: %d then %d of %d jobs done", before, after, len(c.jobs))
+	if before < 2 || after == c.jobs.len() {
+		t.Fatalf("campaign not mid-run around the request: %d then %d of %d jobs done", before, after, c.jobs.len())
 	}
 	if len(got) < before || len(got) > after || !reflect.DeepEqual(got, inOrder[:len(got)]) {
 		t.Fatalf("partial stream lists %v with %d..%d jobs done, want that prefix of %v", got, before, after, inOrder)

@@ -74,8 +74,10 @@ func newWarmRig(tb testing.TB) *warmRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res := experiment.Run(jobs[0].EffectiveSpec(), jobs[0].Load)
-	for _, j := range jobs {
+	j0 := jobs.at(0)
+	res := experiment.Run(j0.EffectiveSpec(), j0.Load)
+	for i := 0; i < jobs.len(); i++ {
+		j := jobs.at(i)
 		if err := db.Put(j, j.Hash(), res); err != nil {
 			tb.Fatal(err)
 		}
@@ -142,6 +144,39 @@ func TestWarmCampaignCostIndependentOfHistory(t *testing.T) {
 	}
 	if b500 > b5*1.05 {
 		t.Errorf("bytes allocated per warm campaign grew with history: %.0f behind 5 campaigns, %.0f behind 500", b5, b500)
+	}
+}
+
+// TestFinishedCampaignRetainsLittle: a finished campaign keeps its grid, its
+// outcomes and its summary, not a harness.Job per job. Over 200 warm 60-job
+// campaigns the live heap after a GC grows by at most 12 KiB per campaign; it
+// grew 58.8 KiB when a campaign held its jobs.
+func TestFinishedCampaignRetainsLittle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	r := newWarmRig(t)
+	for i := 0; i < 20; i++ {
+		r.roundTrip(t)
+	}
+	live := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := live()
+	const campaigns = 200
+	for i := 0; i < campaigns; i++ {
+		if n := r.roundTrip(t); n != 60 {
+			t.Fatalf("warm stream has %d lines, want 60", n)
+		}
+	}
+	per := float64(live()-before) / campaigns
+	t.Logf("a finished warm campaign retains %.1f KiB", per/1024)
+	if per > 12<<10 {
+		t.Errorf("a finished warm campaign retains %.1f KiB, want <= 12", per/1024)
 	}
 }
 

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Count the non-test Go lines outside bench/ — the number ROADMAP item 6 and
+# Count the non-test Go lines outside bench/ — the number ROADMAP aim 2 and
 # every CHANGES.md entry quote — in total and per top-level package: the root
 # package, then each directory under cmd/ and internal/. A test
 # file is *_test.go; blank lines and comments count, as `wc -l` counts them.
