@@ -27,7 +27,7 @@
 //
 // Usage:
 //
-//	frserve -addr 127.0.0.1:8080 -db ./frdb -workers 8 -report out/BENCHMARK.md
+//	frserve -addr 127.0.0.1:8080 -db ./frdb -workers 8
 //	frserve -db ./frdb -compact        # offline: merge segments, drop stale duplicates
 package main
 
@@ -57,7 +57,6 @@ type config struct {
 	dbDir           string
 	workers         int
 	timeout         time.Duration
-	report          string
 	segmentBytes    int64
 	shutdownTimeout time.Duration
 
@@ -116,15 +115,13 @@ type daemon struct {
 	db  *service.DB
 	st  *status.Server
 	svc *service.Service
-	rep *service.Reporter
 
 	stop    sync.Once
 	stopErr error
 }
 
 // start opens the database, spawns the service's worker pool, mounts the
-// REST API next to /status and /metrics on one listener, and (when
-// configured) arms the background reporter.
+// REST API next to /status and /metrics on one listener.
 func start(cfg config, stderr io.Writer) (*daemon, error) {
 	dbo, err := cfg.dbOptions()
 	if err != nil {
@@ -145,18 +142,13 @@ func start(cfg config, stderr io.Writer) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{cfg: cfg, db: db, st: st}
-	opts := service.Options{
+	d.svc = service.New(db, service.Options{
 		Workers:    cfg.workers,
 		Timeout:    cfg.timeout,
 		Status:     st,
 		Limits:     cfg.limits,
 		StuckAfter: cfg.stuckAfter,
-	}
-	if cfg.report != "" {
-		d.rep = service.NewReporter(db, cfg.report)
-		opts.OnCampaignDone = d.rep.Kick
-	}
-	d.svc = service.New(db, opts)
+	})
 	d.svc.Mount(st)
 	logRecovery(stderr, db.Stats(), cfg.dbDir)
 	return d, nil
@@ -184,10 +176,10 @@ func (d *daemon) addr() string { return d.st.Addr() }
 // shutdown stops the daemon gracefully, in load-balancer-friendly order:
 // readiness flips first (/readyz fails, new submissions get 503) while the
 // listener still answers, then in-flight requests finish, campaigns are
-// cancelled cooperatively and the worker pool drains, any pending report
-// render completes, and the database closes. All completed results are
-// already durable on disk — resubmitting a campaign after restart resolves
-// them as dedup hits. Idempotent; later calls return the first call's error.
+// cancelled cooperatively and the worker pool drains, and the database
+// closes. All completed results are already durable on disk — resubmitting a
+// campaign after restart resolves them as dedup hits. Idempotent; later calls
+// return the first call's error.
 func (d *daemon) shutdown(timeout time.Duration) error {
 	d.stop.Do(func() {
 		d.svc.StartDrain()
@@ -199,9 +191,6 @@ func (d *daemon) shutdown(timeout time.Duration) error {
 		}
 		if err := d.svc.Close(ctx); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("drain workers: %w", err)
-		}
-		if d.rep != nil {
-			d.rep.Close()
 		}
 		if err := d.db.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("close db: %w", err)
@@ -249,7 +238,6 @@ func run(args []string, stderr io.Writer) int {
 	fs.StringVar(&cfg.dbDir, "db", "frdb", "result database directory (created if absent; survives restarts)")
 	fs.IntVar(&cfg.workers, "workers", 0, "shared worker pool size (0 = NumCPU)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "per-job execution timeout (0 = none)")
-	fs.StringVar(&cfg.report, "report", "", "regenerate this BENCHMARK.md-style report from the database on every campaign completion")
 	fs.Int64Var(&cfg.segmentBytes, "segment-bytes", 0, "database segment rotation threshold in bytes (0 = default)")
 	fs.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 30*time.Second, "grace period for draining on SIGINT/SIGTERM")
 

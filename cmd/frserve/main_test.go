@@ -14,14 +14,9 @@ import (
 
 // testDaemon starts a daemon on an ephemeral port over a fresh database
 // directory and tears it down with the test.
-func testDaemon(t *testing.T, dbDir, reportPath string) *daemon {
+func testDaemon(t *testing.T, dbDir string) *daemon {
 	t.Helper()
-	return startDaemon(t, config{
-		addr:    "127.0.0.1:0",
-		dbDir:   dbDir,
-		workers: 2,
-		report:  reportPath,
-	}, io.Discard)
+	return startDaemon(t, config{addr: "127.0.0.1:0", dbDir: dbDir, workers: 2}, io.Discard)
 }
 
 // startDaemon starts a daemon as cfg describes, logging to stderr, and tears
@@ -95,13 +90,11 @@ func results(t *testing.T, base, id string) []byte {
 // sweep, wait for completion, fetch the result stream, resubmit and observe
 // 100% dedup, restart the daemon over the same database and observe the
 // results survive, and check /status, /metrics (the dedup ledger exactly, the
-// waterfall exposition of an observed campaign) and the regenerated report
-// along the way — what CI's service smoke step asserted in curl and Python.
+// waterfall exposition of an observed campaign) along the way — what CI's
+// service smoke step asserted in curl and Python.
 func TestDaemonEndToEnd(t *testing.T) {
-	dir := t.TempDir()
-	dbDir := filepath.Join(dir, "db")
-	reportPath := filepath.Join(dir, "BENCHMARK.md")
-	d := testDaemon(t, dbDir, reportPath)
+	dbDir := filepath.Join(t.TempDir(), "db")
+	d := testDaemon(t, dbDir)
 	base := "http://" + d.addr()
 
 	body := `{"name":"e2e","configs":["FR6","VC8"],"from":0.2,"to":0.4,"step":0.2,"sample":150,"warmup":300}`
@@ -170,16 +163,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err := d.shutdown(10 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	// The reporter ran at least once before shutdown drained it.
-	rep, err := os.ReadFile(reportPath)
-	if err != nil {
-		t.Fatalf("report not written: %v", err)
-	}
-	if !strings.Contains(string(rep), "# Benchmark Report") || !strings.Contains(string(rep), "\n## Campaign results") || !strings.Contains(string(rep), "4 points") {
-		t.Fatalf("report content wrong:\n%s", rep)
-	}
-
-	d2 := testDaemon(t, dbDir, "")
+	d2 := testDaemon(t, dbDir)
 	base2 := "http://" + d2.addr()
 	c3 := submit(t, base2, body)
 	third := results(t, base2, c3.ID)
@@ -213,7 +197,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 // TestDaemonValidation checks the API's error envelope.
 func TestDaemonValidation(t *testing.T) {
-	d := testDaemon(t, t.TempDir(), "")
+	d := testDaemon(t, t.TempDir())
 	base := "http://" + d.addr()
 
 	for _, bad := range []string{
@@ -248,5 +232,37 @@ func TestDaemonValidation(t *testing.T) {
 		if err := json.Unmarshal(b, &list); err != nil || len(list) != 0 {
 			t.Errorf("GET /campaigns = %d %s", code, b)
 		}
+	}
+}
+
+// TestRefusesBadCommandLine: a flag frserve does not define, a stray argument
+// and an unknown fsync mode each exit 2 with a message naming the fault, before
+// a database directory or a listener exists.
+func TestRefusesBadCommandLine(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-report", "x"}, "flag provided but not defined: -report"},
+		{[]string{"stray"}, "frserve: unexpected arguments: [stray]"},
+		{[]string{"-fsync", "sometimes"}, `frserve: service: unknown fsync mode "sometimes" (want always|batch|off)`},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			db := filepath.Join(t.TempDir(), "db")
+			var stderr bytes.Buffer
+			exit := make(chan int, 1)
+			go func() { exit <- run(append([]string{"-addr", "127.0.0.1:0", "-db", db}, tc.args...), &stderr) }()
+			select {
+			case code := <-exit:
+				if code != 2 || !strings.Contains(stderr.String(), tc.want) {
+					t.Errorf("exit %d, stderr %q; want 2 and %q", code, stderr.String(), tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("run did not refuse: the daemon is serving")
+			}
+			if _, err := os.Stat(db); !os.IsNotExist(err) {
+				t.Errorf("refused invocation created %s (stat: %v)", db, err)
+			}
+		})
 	}
 }

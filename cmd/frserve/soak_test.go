@@ -228,7 +228,7 @@ func TestKillNineRecoverySoak(t *testing.T) {
 	// Clean daemon over the battle-scarred database: the resubmission must
 	// resolve every survivor from dedup, execute only the remainder, and
 	// stream results byte-identical to the reference.
-	d := testDaemon(t, dbDir, "")
+	d := testDaemon(t, dbDir)
 	base := "http://" + d.addr()
 	c := submit(t, base, soakBody())
 	stream := results(t, base, c.ID)
@@ -278,7 +278,7 @@ const drillBody = `{"configs":["FR6","VC8"],"from":0.2,"to":0.4,"step":0.2,"samp
 func TestCorruptionDrill(t *testing.T) {
 	_, ref := oneShot(t, experiment.Grid{Configs: []string{"FR6", "VC8"}, From: 0.2, To: 0.4, Step: 0.2, Sample: 150, Warmup: 300})
 	dbDir := filepath.Join(t.TempDir(), "db")
-	d := testDaemon(t, dbDir, "")
+	d := testDaemon(t, dbDir)
 	base := "http://" + d.addr()
 	if stream := results(t, base, submit(t, base, drillBody).ID); !bytes.Equal(stream, ref) {
 		t.Fatalf("first stream differs from the one-shot reference:\ngot:\n%s\nwant:\n%s", stream, ref)

@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"frfc/internal/report"
+	"frfc/internal/harness"
 )
 
 // sweepArgs is a small, fast grid shared by the tests.
@@ -377,11 +377,19 @@ func TestProfileCampaignOutput(t *testing.T) {
 		if code := run(sweepArgs("-workers", workers, "-profile", path, "-out", store), &stdout, &stderr); code != 0 {
 			t.Fatalf("workers=%s exit %d: %s", workers, code, stderr.String())
 		}
-		src, err := report.ReadStoreFile(store, false)
-		if err != nil || len(src.Rows) != 4 {
-			t.Fatalf("workers=%s: store holds %d rows (%v), want 4", workers, len(src.Rows), err)
+		stored, err := os.ReadFile(store)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, e := range src.Rows {
+		lines := bytes.Split(bytes.TrimSpace(stored), []byte("\n"))
+		if len(lines) != 4 {
+			t.Fatalf("workers=%s: store holds %d rows, want 4", workers, len(lines))
+		}
+		for _, line := range lines {
+			e, err := harness.DecodeEntry(line)
+			if err != nil {
+				t.Fatalf("workers=%s: %v in %s", workers, err, line)
+			}
 			o := e.Result.Observed
 			if o == nil || o.Activity == nil || o.Waterfall != nil {
 				t.Fatalf("%s@%g: sidecar of a -profile row: %+v", e.Spec, e.Load, o)

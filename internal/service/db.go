@@ -139,8 +139,8 @@ type dbEntry struct {
 // tail (the footprint of a kill mid-write) is skipped and simply re-run.
 //
 // Segment lines use the identical schema the harness store writes
-// (harness.MarshalEntry), so segments are readable by cmd/report and by the
-// store's own tooling. Integrity lives out-of-band: each seg-NNNNNN.jsonl
+// (harness.MarshalEntry), so a segment decodes with harness.DecodeEntry like
+// any one-shot store. Integrity lives out-of-band: each seg-NNNNNN.jsonl
 // has a seg-NNNNNN.sum sidecar holding one CRC32C per line, positionally
 // aligned, so the data segments stay byte-identical to one-shot stores while
 // replay can tell a torn tail (healed, re-run) from a flipped byte in the
@@ -683,9 +683,6 @@ func (db *DB) sortedKeysLocked() []string {
 	return keys
 }
 
-// Dir reports the database directory.
-func (db *DB) Dir() string { return db.dir }
-
 // Len reports how many distinct job hashes the database resolves.
 func (db *DB) Len() int {
 	db.mu.Lock()
@@ -705,8 +702,8 @@ func (db *DB) Stats() DBStats {
 }
 
 // Snapshot writes every entry as canonical JSONL in a stable order (spec,
-// load, seed, then hash) — the deterministic input the background reporter
-// renders BENCHMARK.md from, byte-identical across regenerations.
+// load, seed, then hash), so two databases holding the same results
+// snapshot byte-identically whatever their segment layout.
 func (db *DB) Snapshot(w io.Writer) error {
 	db.mu.Lock()
 	keys := db.sortedKeysLocked()

@@ -13,7 +13,7 @@ import (
 )
 
 // Options tunes a Service. The zero value runs with NumCPU workers, no
-// per-job timeout, no status feed and no completion callback.
+// per-job timeout, no status feed and no admission limits.
 type Options struct {
 	// Workers is the shared pool size; 0 means runtime.NumCPU(). The pool
 	// is shared by every campaign; the scheduler divides it fairly.
@@ -25,11 +25,6 @@ type Options struct {
 	// when one of them is requested — and receives the in-flight job set
 	// and merged per-router counters. Observation-only.
 	Status *status.Server
-	// OnCampaignDone, when non-nil, is called each time a campaign reaches a
-	// terminal state — the hook the background reporter regenerates
-	// BENCHMARK.md from. It runs on a worker goroutine, or on the submitting
-	// one when every job was already stored, and never under a service lock.
-	OnCampaignDone func(CampaignView)
 	// Limits is the admission-control envelope; the zero value admits
 	// everything (the pre-hardening behavior).
 	Limits Limits
@@ -394,12 +389,9 @@ func (s *Service) worker() {
 }
 
 // campaignDone releases a finished campaign's context, which nothing runs
-// under any more, and fires the completion callback.
+// under any more.
 func (s *Service) campaignDone(c *Campaign) {
 	c.cancel()
-	if s.opts.OnCampaignDone != nil {
-		s.opts.OnCampaignDone(c.view(time.Now()))
-	}
 }
 
 // snapshot assembles the service-wide view and per-campaign rows, in

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -175,8 +174,8 @@ func TestResubmitDedupsInstantly(t *testing.T) {
 // TestDedupLedgerCountsEachJobOnce: admission resolves the stored jobs and the
 // workers the rest, and between them each job is exactly one hit or one miss,
 // in DB.Stats and on /metrics, over a cold, a warm and a half-warm campaign.
-// A fully stored campaign is done when Submit returns: its completion callback
-// has fired and it never reached the scheduler.
+// A fully stored campaign is done when Submit returns: its context is released
+// and it never reached the scheduler.
 func TestDedupLedgerCountsEachJobOnce(t *testing.T) {
 	st, err := status.Serve("127.0.0.1:0")
 	if err != nil {
@@ -187,13 +186,7 @@ func TestDedupLedgerCountsEachJobOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var finished []string
-	s := New(db, Options{Workers: 2, Status: st, OnCampaignDone: func(v CampaignView) {
-		mu.Lock()
-		finished = append(finished, v.ID)
-		mu.Unlock()
-	}})
+	s := New(db, Options{Workers: 2, Status: st})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -226,17 +219,13 @@ func TestDedupLedgerCountsEachJobOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu.Lock()
-		called := len(finished) > 0 && finished[len(finished)-1] == c.ID()
-		mu.Unlock()
-		if v := c.view(time.Now()); v.Cached != step.cached {
+		v := c.view(time.Now())
+		if v.Cached != step.cached {
 			t.Fatalf("%s: Submit returned %+v, want %d cached at admission", step.name, v, step.cached)
 		}
-		if step.cached == len(step.loads) {
-			if v := c.view(time.Now()); v.State != StateDone || !called || len(s.sched.active()) != 0 {
-				t.Fatalf("%s: Submit returned %+v (callback fired: %v, scheduled: %d), want done and never scheduled",
-					step.name, v, called, len(s.sched.active()))
-			}
+		if step.cached == len(step.loads) && (v.State != StateDone || c.ctx.Err() == nil || len(s.sched.active()) != 0) {
+			t.Fatalf("%s: Submit returned %+v (context released: %v, scheduled: %d), want done and never scheduled",
+				step.name, v, c.ctx.Err() != nil, len(s.sched.active()))
 		}
 		waitDone(t, c)
 		if v := c.view(time.Now()); v.Cached != step.cached || v.Simulated != len(step.loads)-step.cached {
