@@ -44,6 +44,7 @@ import (
 
 	"frfc"
 	"frfc/internal/cli"
+	"frfc/internal/core"
 	"frfc/internal/experiment"
 	"frfc/internal/sim"
 )
@@ -227,6 +228,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-chaos must be an intensity in (0,1] (got %g; 0 means no chaos)", *chaos)
 	case *lead != 1 && !leadApplies:
 		return fail("-lead %d applies to -config FR6 (or -custom -fr) under -wiring leading only", *lead)
+	case *buffers < 1 || *buffers > core.MaxDataBuffers:
+		return fail("-buffers must be in [1,%d] (got %d)", core.MaxDataBuffers, *buffers)
+	case *ctrlVCs < 1:
+		return fail("-ctrlvcs must be >= 1 (got %d)", *ctrlVCs)
+	case *horizon < 2:
+		return fail("-horizon must be >= 2 (got %d)", *horizon)
+	case *leads < 1:
+		return fail("-leads must be >= 1 (got %d)", *leads)
+	case *vcs < 1:
+		return fail("-vcs must be >= 1 (got %d)", *vcs)
+	case *bufVC < 1:
+		return fail("-bufpervc must be >= 1 (got %d)", *bufVC)
 	}
 	if err := shared.Validate(); err != nil {
 		return fail("%v", err)
@@ -246,6 +259,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			spec.FR.CtrlVCs = *ctrlVCs
 			spec.FR.Horizon = sim.Cycle(*horizon)
 			spec.FR.LeadsPerCtrl = *leads
+			if lat := spec.FR.DataLinkLatency; spec.FR.Horizon <= lat {
+				return fail("-horizon must exceed the %d-cycle data link latency of %s wiring (got %d)", lat, w, *horizon)
+			}
+			if need := *leads + *ctrlVCs - 1; *buffers < need {
+				return fail("-buffers %d cannot admit -leads %d beside -ctrlvcs %d: want at least leads + ctrlvcs - 1 = %d", *buffers, *leads, *ctrlVCs, need)
+			}
 		} else {
 			spec = frfc.VC8(w, shared.PktLen)
 			spec.VC.NumVCs = *vcs

@@ -283,7 +283,11 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 // way — exit 2, nothing on stdout, one stderr line naming the flag and the
 // value — where an out-of-range -chaos, -ber or -radix used to die with a
 // goroutine dump, a negative -ber or -retry and a -lead nothing reads were
-// ignored, and -pktlen 0 ran 5-flit packets under a banner that said 0.
+// ignored, and -pktlen 0 ran 5-flit packets under a banner that said 0. The
+// -custom knobs likewise: a zero ran the preset's value under the "custom"
+// label, a negative buffer count or a horizon the data link outruns died in
+// core.Config's checks, and a pool past what a reservation table's lanes count
+// is refused before it gets there.
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
 		{"-chaos", "1.5"}, {"-chaos", "-0.5"},
@@ -293,6 +297,11 @@ func TestRejectsByName(t *testing.T) {
 		{"-retry", "-1"},
 		{"-lead", "3"}, {"-config", "VC8", "-wiring", "leading", "-lead", "3"},
 		{"-config", "FR6-lead2", "-wiring", "leading", "-lead", "3"}, {"-custom", "-fr=false", "-wiring", "leading", "-lead", "3"},
+		{"-custom", "-buffers", "0"}, {"-custom", "-buffers", "-3"}, {"-custom", "-buffers", "127"},
+		{"-custom", "-ctrlvcs", "0"}, {"-custom", "-leads", "0"},
+		{"-custom", "-horizon", "0"}, {"-custom", "-horizon", "4"}, {"-custom", "-wiring", "leading", "-horizon", "1"},
+		{"-custom", "-buffers", "4", "-leads", "4"},
+		{"-custom", "-fr=false", "-vcs", "0"}, {"-custom", "-fr=false", "-bufpervc", "0"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

@@ -16,8 +16,8 @@ import (
 // from the first cycle, and Reset works on the memory New left. The zero
 // arena backs a component built on its own (the unit tests'): see carve.
 type arena struct {
-	flags    []bool                  // table busy bits; control-VC ownership
-	free     []int32                 // table free-buffer counts
+	flags    []bool                  // control-VC ownership
+	tables   []uint64                // reservation tables' free-count lanes and busy bits
 	counts   []int                   // per-VC residencies, claims and control credits
 	future   []futureDelta           // table at-infinity deltas
 	pool     []poolSlot              // data buffers
@@ -61,12 +61,13 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 	ports := links + nodes
 	tables := ports + nodes // an output table a port, an injection table a node
 	window := int(cfg.Horizon) + 1
+	laneWords, busyWords := tableWords(window)
 	v, d, b := cfg.CtrlVCs, cfg.LeadsPerCtrl, cfg.DataBuffers
 	cells := ports * v * cfg.CtrlBufPerVC // control-queue cells, as many as control credits
 	dataCells := links*sim.RingCells(cfg.DataLinkLatency, 1) + 2*nodes*sim.RingCells(cfg.LocalLatency, 1)
 	return &arena{
-		flags:    make([]bool, tables*window+ports*v),
-		free:     make([]int32, tables*window),
+		flags:    make([]bool, ports*v),
+		tables:   make([]uint64, tables*(laneWords+busyWords)),
 		counts:   make([]int, tables*2*v+ports*v),
 		future:   make([]futureDelta, links*int(cfg.DataLinkLatency)+nodes*int(cfg.LocalLatency)),
 		pool:     make([]poolSlot, ports*b),
@@ -95,7 +96,7 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 // left counts what construction has not cut yet; New wants none, which says
 // that what newArena counted is what the components took.
 func (a *arena) left() int {
-	return len(a.flags) + len(a.free) + len(a.counts) + len(a.future) + len(a.pool) + len(a.words) +
+	return len(a.flags) + len(a.tables) + len(a.counts) + len(a.future) + len(a.pool) + len(a.words) +
 		len(a.expected) + len(a.refs) + len(a.parked) + len(a.vcs) + len(a.queued) + len(a.leads) +
 		len(a.entries) + len(a.cands) + len(a.undo) + len(a.active) + len(a.cycles) + len(a.source) +
 		a.data.Left() + a.resvCredit.Left() + a.ctrl.Left() + a.ctrlCredit.Left()

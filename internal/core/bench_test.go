@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"frfc/internal/noc"
@@ -56,21 +57,26 @@ func (s *uniformSource) offer(net *Network, now sim.Cycle) (offered int) {
 // output table in steady state: advance a cycle, find a departure for a flit
 // arriving a few cycles out, commit it, and return the credit the downstream
 // router would send — the sequence scheduleLeads and Router.Tick run per
-// data flit per hop.
+// data flit per hop. h=32 is the paper's horizon; at h=128 every sweep spans
+// four times the cells.
 func BenchmarkOutResTableFindCommitCredit(b *testing.B) {
-	tb := newOutResTable(32, 6, 2, false)
-	const tp = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := sim.Cycle(i)
-		tb.advance(now)
-		td, ok := tb.findDeparture(now, now+3, tp, i&1)
-		if !ok {
-			b.Fatalf("cycle %d: no departure on a table that is credited every cycle", now)
-		}
-		tb.commit(td, tp, i&1)
-		tb.creditFrom(td+tp+2, i&1)
+	for _, horizon := range []sim.Cycle{32, 128} {
+		b.Run(fmt.Sprintf("h=%d", horizon), func(b *testing.B) {
+			tb := newOutResTable(horizon, 6, 2, false)
+			const tp = 4
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := sim.Cycle(i)
+				tb.advance(now)
+				td, ok := tb.findDeparture(now, now+3, tp, i&1)
+				if !ok {
+					b.Fatalf("cycle %d: no departure on a table that is credited every cycle", now)
+				}
+				tb.commit(td, tp, i&1)
+				tb.creditFrom(td+tp+2, i&1)
+			}
+		})
 	}
 }
 

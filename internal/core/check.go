@@ -212,9 +212,9 @@ func (n *Network) checkTable(now sim.Cycle, what string, t *outResTable) {
 	if t.steady < 0 || t.steady > t.cap {
 		n.fail(now, "%s: steady free count %d outside [0,%d]", what, t.steady, t.cap)
 	}
-	for i, f := range t.free {
-		if f < 0 || int(f) > t.cap {
-			n.fail(now, "%s: free-buffer cell %d holds %d, outside [0,%d]", what, i, f, t.cap)
+	for c := t.base; c < t.end(); c++ {
+		if f := t.freeAt(c); f > t.cap {
+			n.fail(now, "%s: free-buffer cell for cycle %d holds %d, outside [0,%d]", what, c, f, t.cap)
 		}
 	}
 	for v := range t.outstanding {

@@ -35,7 +35,7 @@ import (
 // buffers, 4 control VCs); see internal/experiment for the named presets.
 type Config struct {
 	// DataBuffers is b_d, the size of each input port's pooled data-flit
-	// buffer.
+	// buffer, at most MaxDataBuffers.
 	DataBuffers int
 	// CtrlVCs is v_c, the number of virtual channels per control channel.
 	CtrlVCs int
@@ -260,6 +260,9 @@ func (c Config) WithDefaults() Config {
 func (c Config) validate() {
 	if c.DataBuffers < 1 {
 		panic(fmt.Sprintf("core: DataBuffers must be >= 1, got %d", c.DataBuffers))
+	}
+	if c.DataBuffers > MaxDataBuffers {
+		panic(fmt.Sprintf("core: DataBuffers must be <= %d (a reservation table counts free buffers in byte lanes), got %d", MaxDataBuffers, c.DataBuffers))
 	}
 	if c.CtrlVCs < 1 || c.CtrlBufPerVC < 1 {
 		panic("core: control network needs at least one VC with one buffer")

@@ -128,6 +128,7 @@ func TestConfigValidation(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"no-buffers", func(c *Config) { c.DataBuffers = -1 }},
+		{"buffers-past-lanes", func(c *Config) { c.DataBuffers = MaxDataBuffers + 1 }},
 		{"no-ctrl-vcs", func(c *Config) { c.CtrlVCs = -1 }},
 		{"no-leads", func(c *Config) { c.LeadsPerCtrl = -1 }},
 		{"tiny-horizon", func(c *Config) { c.Horizon = 1 }},

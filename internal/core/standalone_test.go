@@ -62,7 +62,8 @@ func (p *inputPort) departures(now sim.Cycle, fn func(noc.DataFlit, topology.Por
 	}
 }
 
-// freeAt reports the free-buffer count recorded for cycle c, and busyAt
-// whether the channel is reserved then.
-func (t *outResTable) freeAt(c sim.Cycle) int  { return int(t.free[t.idx(c)]) }
-func (t *outResTable) busyAt(c sim.Cycle) bool { return t.busy[t.idx(c)] }
+// busyAt reports whether the channel is reserved at cycle c.
+func (t *outResTable) busyAt(c sim.Cycle) bool {
+	k := t.idx(c)
+	return t.busy[k>>6]>>(k&63)&1 != 0
+}

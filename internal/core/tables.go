@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 
 	"frfc/internal/sim"
 )
@@ -10,27 +10,32 @@ import (
 // outResTable is the output reservation table of Figure 4: for every cycle in
 // the window [base, base+size) it records whether the output channel is
 // reserved (busy) and how many buffers will be free at the downstream input
-// pool. The window slides forward with time, with circular reuse as cycles
-// expire; steady holds the free-buffer count at and beyond the window's end,
-// so newly revealed cells inherit the net effect of every reservation and
-// credit seen so far.
+// pool. The window slides forward with time; steady holds the free-buffer
+// count at and beyond the window's end, so newly revealed cells inherit the
+// net effect of every reservation and credit seen so far.
 //
 // Reservations decrement the free count from the flit's downstream arrival
 // (t_d + t_p) through the horizon; credits from the downstream node increment
 // it from the announced departure cycle onward. A reservation whose arrival
 // lands past the window's end is carried in the future list and applied as
 // the window reveals those cycles.
+//
+// The cells are packed as the hardware would hold them. Cycle base+k is lane
+// (byte) k%8 of lanes[k/8] and bit k%64 of busy[k/64], so a sweep from any
+// cycle to the window's end is one add, compare or bit scan per word, and
+// sliding the window is a shift of both vectors. A lane counts to 127 with its
+// top bit clear, which is what lets the compares borrow into it and no
+// further; hence MaxDataBuffers. The lanes and bits past the window's last
+// cycle stay zero.
 type outResTable struct {
-	size int // Horizon+1 cells: departures reservable in [now+1, now+Horizon]
-	base sim.Cycle
-	// baseIdx is the cell holding cycle base; cycle base+k lives k cells on,
-	// wrapping at size, so a sweep from any cycle to the window's end is at
-	// most two contiguous runs over the cells (see runs) and never divides.
-	baseIdx int
-	busy    []bool
-	free    []int32
-	cap     int // downstream pool capacity, for overflow checks
-	steady  int
+	size  int // Horizon+1 cells: departures reservable in [now+1, now+Horizon]
+	base  sim.Cycle
+	lanes []uint64 // free-buffer counts, eight cycles a word
+	busy  []uint64 // channel reserved, 64 cycles a word
+	// tail masks the lanes of lanes' last word that lie inside the window.
+	tail   uint64
+	cap    int // downstream pool capacity, for overflow checks
+	steady int
 	// infinite marks the ejection channel, whose downstream (reassembly
 	// buffers) never fills; only the busy bits are meaningful.
 	infinite bool
@@ -67,24 +72,39 @@ type futureDelta struct {
 	delta int
 }
 
+// Lane constants: one in every lane, and every lane's top bit.
+const (
+	laneOnes uint64 = 0x0101010101010101
+	laneTops uint64 = 0x8080808080808080
+)
+
+// MaxDataBuffers is the largest downstream pool a reservation table's byte
+// lanes can count: a lane holds up to 127 with its top bit clear, and a credit
+// that overflows the pool must still read as cap+1 to be caught.
+const MaxDataBuffers = 126
+
+// tableWords returns how many words a table of size cells takes: its lanes,
+// then its busy bits.
+func tableWords(size int) (lanes, busy int) { return (size + 7) / 8, (size + 63) / 64 }
+
 // init lays the table out in place on the arena's memory, for reset to fill.
 // tp is the propagation
 // delay of the channel the table schedules: a commit lands on the future list
 // only while its arrival td+tp lies past the window, which at most tp distinct
 // departures can, so that is the list's room.
 func (t *outResTable) init(a *arena, horizon sim.Cycle, buffers, ctrlVCs int, tp sim.Cycle, infinite bool) {
-	if buffers > math.MaxInt32 {
-		panic("core: downstream pool too large for the reservation table's free counts")
-	}
 	if infinite {
 		tp = 0 // counts no buffers, so commits nothing to the future
 	}
 	size := int(horizon) + 1
+	nl, nb := tableWords(size)
+	words := carve(&a.tables, nl+nb)
 	perVC := carve(&a.counts, 2*ctrlVCs)
 	*t = outResTable{
 		size:        size,
-		busy:        carve(&a.flags, size),
-		free:        carve(&a.free, size),
+		lanes:       words[:nl:nl],
+		busy:        words[nl:],
+		tail:        lanesBelow(size - (nl-1)*8),
 		cap:         buffers,
 		infinite:    infinite,
 		outstanding: perVC[:ctrlVCs:ctrlVCs],
@@ -93,48 +113,41 @@ func (t *outResTable) init(a *arena, horizon sim.Cycle, buffers, ctrlVCs int, tp
 	}
 }
 
+// lanesBelow returns a mask of a word's lanes below lane n, 0 <= n <= 8.
+func lanesBelow(n int) uint64 { return 1<<(8*n) - 1 }
+
 // reset returns the table to its just-built state: the window at cycle 0, no
 // channel cycle reserved, every downstream buffer free now and for good, and
 // no residency, claim or future delta outstanding.
 func (t *outResTable) reset() {
-	t.base, t.baseIdx = 0, 0
+	t.base = 0
 	clear(t.busy)
-	for i := range t.free {
-		t.free[i] = int32(t.cap)
-	}
+	clear(t.lanes)
 	t.steady = t.cap
 	clear(t.outstanding)
 	clear(t.claims)
 	t.future = t.future[:0]
+	t.reveal(0)
 }
 
-// idx returns the cell holding cycle c, which must lie inside the window.
+// idx returns the offset of cycle c in the window, which c must lie inside.
 func (t *outResTable) idx(c sim.Cycle) int {
 	if c < t.base || c >= t.end() {
 		panic(fmt.Sprintf("core: cycle %d outside window [%d,%d)", c, t.base, t.end()))
 	}
-	i := t.baseIdx + int(c-t.base)
-	if i >= t.size {
-		i -= t.size
-	}
-	return i
+	return int(c - t.base)
 }
 
-// runs returns the cells holding cycles [from, end()) as two contiguous
-// index ranges, [a0,a1) then [b0,b1), in cycle order; either may be empty.
-// from must lie in [base, end()].
-func (t *outResTable) runs(from sim.Cycle) (a0, a1, b0, b1 int) {
-	i := t.baseIdx + int(from-t.base)
-	if i < t.size {
-		return i, t.size, 0, t.baseIdx
-	}
-	return i - t.size, t.baseIdx, 0, 0
+// freeAt reports the free-buffer count recorded for cycle c.
+func (t *outResTable) freeAt(c sim.Cycle) int {
+	k := t.idx(c)
+	return int(t.lanes[k>>3] >> (k & 7 * 8) & 0xff)
 }
 
 // end returns one past the last cycle in the window.
 func (t *outResTable) end() sim.Cycle { return t.base + sim.Cycle(t.size) }
 
-// advance slides the window so it starts at now, recycling expired cells.
+// advance slides the window so it starts at now, dropping expired cells.
 // Owners call it before each use rather than once a cycle: every revealed
 // cell is computed from steady and the future list, which only commits and
 // credits — made on a current window — change, so sliding over a gap of idle
@@ -146,40 +159,60 @@ func (t *outResTable) advance(now sim.Cycle) {
 	if now < t.base {
 		panic("core: reservation table advanced backwards")
 	}
-	if now-t.base >= sim.Cycle(t.size) {
-		// The whole window expired while its owner had no use for it;
-		// reset every cell.
-		t.base, t.baseIdx = now, 0
-		for i := range t.busy {
-			t.busy[i] = false
-			t.free[i] = int32(t.revealValue(now + sim.Cycle(i)))
-		}
-		t.pruneFuture()
-		return
-	}
-	for t.base < now {
-		// The cell for cycle t.base expires and is recycled as the
-		// cell for cycle t.base+size.
-		t.busy[t.baseIdx] = false
-		t.free[t.baseIdx] = int32(t.revealValue(t.end()))
-		t.base++
-		if t.baseIdx++; t.baseIdx == t.size {
-			t.baseIdx = 0
-		}
+	s := now - t.base
+	t.base = now
+	if s >= sim.Cycle(t.size) {
+		// The whole window expired while its owner had no use for it.
+		clear(t.busy)
+		clear(t.lanes)
+		t.reveal(0)
+	} else {
+		slideDown(t.lanes, 8*int(s))
+		slideDown(t.busy, int(s))
+		t.reveal(t.size - int(s))
 	}
 	t.pruneFuture()
 }
 
-// revealValue computes the free count for a newly revealed cell at cycle c:
-// steady, excluding future events that take effect only after c.
-func (t *outResTable) revealValue(c sim.Cycle) int {
-	v := t.steady
-	for _, f := range t.future {
-		if f.at > c {
-			v -= f.delta
-		}
+// slideDown moves every bit of the vector w down by n < 64·len(w) places;
+// what comes in at the top is zero.
+func slideDown(w []uint64, n int) {
+	if q := n >> 6; q > 0 {
+		copy(w, w[q:])
+		clear(w[len(w)-q:])
 	}
-	return v
+	r, last := uint(n&63), len(w)-1
+	for i := 0; i < last; i++ {
+		w[i] = w[i]>>r | w[i+1]<<(64-r)
+	}
+	w[last] >>= r
+}
+
+// reveal fills the lanes of cycles base+k on, which must be zero, with the
+// free counts those newly revealed cycles start from: steady, excluding
+// future events that take effect only after the cycle.
+func (t *outResTable) reveal(k int) {
+	if len(t.future) == 0 {
+		v := uint64(t.steady) * laneOnes
+		m := ^uint64(0) << (k & 7 * 8)
+		for w := k >> 3; w < len(t.lanes); w++ {
+			if w == len(t.lanes)-1 {
+				m &= t.tail
+			}
+			t.lanes[w] |= v & m
+			m = ^uint64(0)
+		}
+		return
+	}
+	for ; k < t.size; k++ {
+		v := t.steady
+		for _, f := range t.future {
+			if f.at > t.base+sim.Cycle(k) {
+				v -= f.delta
+			}
+		}
+		t.lanes[k>>3] |= uint64(v) << (k & 7 * 8)
+	}
 }
 
 func (t *outResTable) pruneFuture() {
@@ -232,7 +265,7 @@ func (t *outResTable) findDeparture(now, ta, tp sim.Cycle, vc int) (td sim.Cycle
 		// out every departure up to tp cycles before it. Find it sweeping
 		// backwards from the end; cells before start+tp bind no candidate.
 		if lo := start + tp; lo < t.end() {
-			if short, found := t.lastShort(lo, int32(need)); found {
+			if short, found := t.lastShort(lo, need); found {
 				if start = short + 1 - tp; start >= t.end() {
 					return 0, false
 				}
@@ -240,33 +273,36 @@ func (t *outResTable) findDeparture(now, ta, tp sim.Cycle, vc int) (td sim.Cycle
 		}
 	}
 	// The earliest unreserved channel cycle from start on.
-	a0, a1, b0, b1 := t.runs(start)
-	for i := a0; i < a1; i++ {
-		if !t.busy[i] {
-			return start + sim.Cycle(i-a0), true
+	k := int(start - t.base)
+	m := ^uint64(0) << (k & 63)
+	for w := k >> 6; w < len(t.busy); w++ {
+		if free := ^t.busy[w] & m; free != 0 {
+			if k = w<<6 + bits.TrailingZeros64(free); k < t.size {
+				return t.base + sim.Cycle(k), true
+			}
+			break
 		}
-	}
-	for i := b0; i < b1; i++ {
-		if !t.busy[i] {
-			return start + sim.Cycle(a1-a0+i-b0), true
-		}
+		m = ^uint64(0)
 	}
 	return 0, false
 }
 
 // lastShort returns the latest cycle in [from, end()) whose cell holds fewer
-// than need free buffers.
-func (t *outResTable) lastShort(from sim.Cycle, need int32) (sim.Cycle, bool) {
-	a0, a1, b0, b1 := t.runs(from)
-	for i := b1 - 1; i >= b0; i-- {
-		if t.free[i] < need {
-			return from + sim.Cycle(a1-a0+i-b0), true
+// than need free buffers. need is at most steady, so at most MaxDataBuffers:
+// a lane ORed with its top bit then less need borrows into that bit, never
+// past it, and the bit survives exactly when the lane holds need or more.
+func (t *outResTable) lastShort(from sim.Cycle, need int) (sim.Cycle, bool) {
+	k := int(from - t.base)
+	n := uint64(need) * laneOnes
+	m := t.tail & laneTops
+	for w := len(t.lanes) - 1; w >= k>>3; w-- {
+		if w == k>>3 {
+			m &= ^uint64(0) << (k & 7 * 8)
 		}
-	}
-	for i := a1 - 1; i >= a0; i-- {
-		if t.free[i] < need {
-			return from + sim.Cycle(i-a0), true
+		if short := ^((t.lanes[w] | laneTops) - n) & m; short != 0 {
+			return t.base + sim.Cycle(w<<3+(63-bits.LeadingZeros64(short))>>3), true
 		}
+		m = laneTops
 	}
 	return 0, false
 }
@@ -324,11 +360,12 @@ func (t *outResTable) releaseClaim(vc int) {
 // findDeparture in the same cycle (no intervening commits invalidate it only
 // if re-checked; the router always pairs find+commit).
 func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
-	i := t.idx(td)
-	if t.busy[i] {
+	k := t.idx(td)
+	bit := uint64(1) << (k & 63)
+	if t.busy[k>>6]&bit != 0 {
 		panic("core: committing a departure on a busy channel cycle")
 	}
-	t.busy[i] = true
+	t.busy[k>>6] |= bit
 	if t.infinite {
 		return
 	}
@@ -347,11 +384,12 @@ func (t *outResTable) commit(td, tp sim.Cycle, vc int) {
 // uncommit rolls back a commit made earlier in the same cycle, used by
 // all-or-nothing scheduling when a later flit of the same control flit fails.
 func (t *outResTable) uncommit(td, tp sim.Cycle, vc int) {
-	i := t.idx(td)
-	if !t.busy[i] {
+	k := t.idx(td)
+	bit := uint64(1) << (k & 63)
+	if t.busy[k>>6]&bit == 0 {
 		panic("core: uncommit of a non-busy channel cycle")
 	}
-	t.busy[i] = false
+	t.busy[k>>6] &^= bit
 	if t.infinite {
 		return
 	}
@@ -403,19 +441,29 @@ func (t *outResTable) creditFrom(from sim.Cycle, vc int) {
 	t.shift(from, +1)
 }
 
-// shift adds delta to the free count of every cycle in [from, end()), which
-// must stay within [0, cap] throughout.
-func (t *outResTable) shift(from sim.Cycle, delta int32) {
-	a0, a1, b0, b1 := t.runs(from)
-	for _, run := range [2][]int32{t.free[a0:a1], t.free[b0:b1]} {
-		for j := range run {
-			run[j] += delta
-			if run[j] < 0 {
+// shift adds delta, -1 or +1, to the free count of every cycle in
+// [from, end()), which must stay within [0, cap] throughout. A lane about to
+// lose one is checked for zero first, and a lane that gained one is checked
+// against cap by adding 127-cap, which carries into its top bit only from
+// above cap.
+func (t *outResTable) shift(from sim.Cycle, delta int) {
+	k := int(from - t.base)
+	lanes := t.lanes[k>>3:]
+	over := uint64(127-t.cap) * laneOnes
+	m := ^uint64(0) << (k & 7 * 8)
+	for i, x := range lanes {
+		if i == len(lanes)-1 {
+			m &= t.tail
+		}
+		if delta < 0 {
+			if ^((x|laneTops)-laneOnes)&m&laneTops != 0 {
 				panic("core: downstream free-buffer count went negative")
 			}
-			if int(run[j]) > t.cap {
-				panic("core: free-buffer cell exceeded downstream capacity")
-			}
+			x -= m & laneOnes
+		} else if x += m & laneOnes; (x+over)&m&laneTops != 0 {
+			panic("core: free-buffer cell exceeded downstream capacity")
 		}
+		lanes[i] = x
+		m = ^uint64(0)
 	}
 }
