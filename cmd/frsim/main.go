@@ -172,9 +172,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		failRouter = fs.Int("fail-router", -1, "shorthand: permanently fail this node's router at -fail-at")
 		failAt     = fs.Int64("fail-at", 2000, "cycle at which -fail-link/-fail-router strikes")
 		recoverAt  = fs.Int64("recover-at", 0, "cycle at which the -fail-link link is restored (0 = never)")
-		retry      = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses)")
-		ber        = fs.Float64("ber", 0, "per-flit bit-error probability on inter-router links (delivered corrupted, not lost)")
-		crcBits    = fs.Int("crc-bits", 0, "modeled per-hop CRC width: corruption detected with probability 1-2^-bits (0 = default 16 under -ber, negative = no hop detection)")
+		retry      = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses); FR configs only")
+		ber        = fs.Float64("ber", 0, "per-flit bit-error probability on inter-router links (delivered corrupted, not lost); FR and VC configs only")
+		crcBits    = fs.Int("crc-bits", 0, "modeled per-hop CRC width: corruption detected with probability 1-2^-bits (0 = default 16 under -ber, negative = no hop detection); FR and VC configs only")
 		e2eCheck   = fs.Bool("e2e-check", false, "arm the end-to-end payload checksum: corrupted packets are retried instead of delivered; FR configs only")
 		chaos      = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
 
@@ -301,6 +301,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// use -custom for other patterns.
 			return fail("named configs use uniform traffic; use -custom for pattern %q", p)
 		}
+	}
+	// An option the spec's flow has no model of is refused by name, not run
+	// as if unset or left to panic in the simulator.
+	var stray error
+	fs.Visit(func(f *flag.Flag) {
+		if stray == nil {
+			stray = experiment.CheckOption(f.Name, f.Value.String(), spec)
+		}
+	})
+	if stray != nil {
+		return fail("-%v", stray)
 	}
 	scn, err := scenarioOf(*scenario, *failLink, *failRouter, *failAt, *recoverAt)
 	if err != nil {

@@ -287,7 +287,10 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 // -custom knobs likewise: a zero ran the preset's value under the "custom"
 // label, a negative buffer count or a horizon the data link outruns died in
 // core.Config's checks, and a pool past what a reservation table's lanes count
-// is refused before it gets there.
+// is refused before it gets there. So are the fault, chaos, retry and
+// end-to-end options on a fabric without them, and the bit-error options on
+// one with no bit-error model, which used to die in a goroutine dump or run as
+// if unset (a bit error on SAF2 reported "0 flits corrupted" as measured).
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
 		{"-chaos", "1.5"}, {"-chaos", "-0.5"},
@@ -302,6 +305,11 @@ func TestRejectsByName(t *testing.T) {
 		{"-custom", "-horizon", "0"}, {"-custom", "-horizon", "4"}, {"-custom", "-wiring", "leading", "-horizon", "1"},
 		{"-custom", "-buffers", "4", "-leads", "4"},
 		{"-custom", "-fr=false", "-vcs", "0"}, {"-custom", "-fr=false", "-bufpervc", "0"},
+		{"-config", "VC8", "-chaos", "0.5"}, {"-config", "VC8", "-scenario", "down 5-6 @100"},
+		{"-config", "VC8", "-fail-router", "5"}, {"-config", "WH", "-fail-link", "5-6"},
+		{"-config", "VC8", "-retry", "8"}, {"-custom", "-fr=false", "-retry", "2"}, {"-config", "VC8", "-e2e-check=true"},
+		{"-config", "SAF", "-ber", "0.001"}, {"-config", "VCT", "-ber", "0.001"}, {"-config", "CS", "-crc-bits", "8"},
+		{"-config", "WH", "-ber", "0.001"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -313,6 +321,9 @@ func TestRejectsByName(t *testing.T) {
 				t.Errorf("printed before refusing:\n%s", stdout.String())
 			}
 			msg, flag, value := stderr.String(), args[len(args)-2], args[len(args)-1]
+			if f, v, ok := strings.Cut(value, "="); ok && strings.HasPrefix(f, "-") {
+				flag, value = f, v // a boolean flag, set as -name=value
+			}
 			if !strings.HasPrefix(msg, "frsim: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
 				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, value) {
 				t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)

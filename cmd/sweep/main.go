@@ -69,6 +69,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -102,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress   = fs.Bool("progress", false, "stream progress (done/total, ETA) to stderr")
 
 		faults     = fs.Bool("faults", false, "sweep data-flit loss rates on FR6 instead of offered loads, comparing detection-only vs end-to-end retry")
-		retryLimit = fs.Int("retrylimit", 8, "retry budget of the -faults retry arm and of -reliability rows")
+		retryLimit = fs.Int("retrylimit", 8, "retry budget of the -faults retry arm and of -integrity and -reliability rows")
 		packets    = fs.Int("packets", 0, "packets offered per -faults, -reliability, -integrity or -chaos row (0 = mode default: 400 for -faults/-integrity, 600 for -reliability/-chaos)")
 		rates      = fs.String("rates", "", "comma-separated loss rates for -faults (default 0,0.01,0.02,0.05,0.10,0.20)")
 
@@ -135,13 +136,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *retryLimit < 0:
 		return fail("-retrylimit must be >= 0 (got %d; 0 means the default of 8)", *retryLimit)
 	}
+	// A flag the running mode does not read is refused by name, not ignored:
+	// the fault modes write no store and run no campaign, and each mode's own
+	// flags mean nothing to the others or to a grid.
+	mode := "a grid sweep"
+	switch {
+	case *faults:
+		mode = "-faults"
+	case *integrity:
+		mode = "-integrity"
+	case *chaos:
+		mode = "-chaos"
+	case *reliability || *scenario != "":
+		mode = "-reliability"
+	}
+	resolved := mode != "a grid sweep"
+	var stray string
+	fs.Visit(func(f *flag.Flag) {
+		if stray != "" {
+			return
+		}
+		if modes, ok := modeFlags[f.Name]; ok && !slices.Contains(modes, mode) {
+			stray = fmt.Sprintf("-%s applies to %s only, not %s", f.Name, strings.Join(modes, ", "), mode)
+		} else if resolved && slices.Contains(gridFlags, f.Name) {
+			stray = fmt.Sprintf("-%s applies to grid sweeps only, not %s", f.Name, mode)
+		}
+	})
+	if stray != "" {
+		return fail("%s", stray)
+	}
 	names := strings.Split(*configs, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
 	var specs []frfc.Spec
 	var loads []float64
-	resolved := *faults || *reliability || *integrity || *chaos || *scenario != ""
 	if !resolved {
 		var err error
 		specs, loads, err = frfc.Grid{
@@ -180,8 +209,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	ro := frfc.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed, Workers: *workers}
-	switch {
-	case *faults:
+	switch mode {
+	case "-faults":
 		list, err := parseList(*rates, "loss rate", "a probability in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
@@ -194,7 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		return printTable(stdout, stderr, faultTable(points, shared.PktLen), *csv)
-	case *integrity:
+	case "-integrity":
 		list, err := parseList(*bers, "bit-error rate", "a probability in [0,1)", func(v float64) bool { return v >= 0 && v < 1 })
 		if err != nil {
 			return fail("%v", err)
@@ -204,7 +233,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		return printTable(stdout, stderr, integrityTable(points), *csv)
-	case *chaos:
+	case "-chaos":
 		list, err := parseList(*intensities, "chaos intensity", "a value in (0,1]", func(v float64) bool { return v > 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
@@ -214,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		return printTable(stdout, stderr, chaosTable(points), *csv)
-	case *reliability || *scenario != "":
+	case "-reliability":
 		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Routing: shared.Routing}
 		if *scenario != "" {
 			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Scenario: *scenario}}
@@ -308,6 +337,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return exit
 }
+
+// modeFlags names, for each flag only the fault modes read, the modes that
+// read it; -scenario runs -reliability.
+var modeFlags = map[string][]string{
+	"rates":       {"-faults"},
+	"bers":        {"-integrity"},
+	"crc-bits":    {"-integrity"},
+	"intensities": {"-chaos"},
+	"no-e2e":      {"-chaos"},
+	"packets":     {"-faults", "-integrity", "-chaos", "-reliability"},
+	"retrylimit":  {"-faults", "-integrity", "-reliability"},
+}
+
+// gridFlags are the flags of the store and campaign a grid sweep (or its
+// -adaptive bisection) runs, which the fault modes have neither of.
+var gridFlags = []string{"out", "resume", "timeout", "progress", "adaptive"}
 
 // observed is the point's sidecar: empty for a failed point and for a cached
 // one whose stored row was written by a run that armed no observer.

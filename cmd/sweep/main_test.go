@@ -669,3 +669,50 @@ func TestRejectsByName(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusesFlagsOutsideTheirMode: a flag the running mode does not read is
+// refused by name — exit 2, nothing on stdout, one stderr line naming it —
+// where it used to be ignored. The fault modes write no store, so -out with
+// one used to truncate the named file, print the table and exit 0, leaving an
+// empty store behind; now the store is not touched.
+func TestRefusesFlagsOutsideTheirMode(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "s.jsonl")
+	line := []byte(`{"hash":"kept"}` + "\n")
+	if err := os.WriteFile(store, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cases [][]string
+	for _, mode := range [][]string{{"-faults"}, {"-integrity"}, {"-chaos"}, {"-reliability"}, {"-scenario", "down 5-6 @400"}} {
+		for _, grid := range [][]string{{"-out", store}, {"-resume", "-out", store}, {"-timeout", "1s"}, {"-progress"}, {"-adaptive"}} {
+			cases = append(cases, append(append([]string{}, mode...), grid...))
+		}
+	}
+	cases = append(cases,
+		[]string{"-rates", "0"}, []string{"-bers", "0"}, []string{"-crc-bits", "8"}, []string{"-intensities", "0.5"},
+		[]string{"-no-e2e"}, []string{"-packets", "20"}, []string{"-retrylimit", "3"},
+		[]string{"-integrity", "-rates", "0"}, []string{"-faults", "-bers", "0"}, []string{"-chaos", "-crc-bits", "8"},
+		[]string{"-faults", "-intensities", "0.5"}, []string{"-reliability", "-no-e2e"}, []string{"-chaos", "-retrylimit", "3"},
+		[]string{"-faults", "-packets", "20", "-rates", "0", "-out", store})
+	for _, args := range cases {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed before refusing:\n%s", stdout.String())
+			}
+			msg := stderr.String()
+			named := false
+			for _, a := range args {
+				named = named || strings.HasPrefix(a, "-") && strings.HasPrefix(msg, "sweep: "+a+" applies to ")
+			}
+			if !named || strings.Count(msg, "\n") != 1 {
+				t.Errorf("stderr = %q, want one line naming a flag of %v", msg, args)
+			}
+			if got, err := os.ReadFile(store); err != nil || !bytes.Equal(got, line) {
+				t.Fatalf("the store changed: %q, %v", got, err)
+			}
+		})
+	}
+}

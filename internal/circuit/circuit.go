@@ -102,6 +102,9 @@ type outputPort struct {
 	probeCreditIn *sim.Pipe[noc.VCCredit]
 	ackIn         *sim.Pipe[ack]
 	data          *sim.Pipe[noc.DataFlit]
+	// ejected is the sink's count of flits in flight on data; nil on the
+	// outputs that lead to another router.
+	ejected *int32
 	// probeCredits gates probe forwarding into the downstream queue.
 	probeCredits int
 }
@@ -286,6 +289,9 @@ func (r *Router) forwardData(now sim.Cycle) {
 				panic(fmt.Sprintf("circuit: node %d: flit %s on a channel owned by circuit %d", r.id, f, o.owner))
 			}
 			o.data.Send(now, f)
+			if o.ejected != nil {
+				*o.ejected++
+			}
 			if f.Type.IsTail() {
 				o.owned = false
 				delete(r.fwd, f.Packet.ID)

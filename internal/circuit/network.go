@@ -13,8 +13,7 @@ import (
 // streams the data flits, and moves on (the tail tears the circuit down as
 // it travels).
 type ni struct {
-	cfg   Config
-	hooks *noc.Hooks
+	cfg Config
 	// wf is the latency-stage ledger; for circuit switching the whole
 	// probe/ack round trip (circuit setup) lands in the Reserve stage,
 	// between InjectStart at probe launch and HeadWire at the first data
@@ -38,8 +37,8 @@ type ni struct {
 	dataOut       *sim.Pipe[noc.DataFlit]
 }
 
-func newNI(cfg Config, hooks *noc.Hooks) *ni {
-	n := &ni{cfg: cfg, hooks: hooks}
+func newNI(cfg Config) *ni {
+	n := &ni{cfg: cfg}
 	n.reset()
 	return n
 }
@@ -84,7 +83,6 @@ func (n *ni) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(n.current.ID), 0, now)
 		}
 		n.dataOut.Send(now, n.flits[n.next])
-		n.hooks.Injected(now)
 		n.next++
 		if n.next == len(n.flits) {
 			n.current = nil
@@ -104,19 +102,15 @@ func (n *ni) pendingWork() int {
 type Network struct {
 	mesh topology.Mesh
 	cfg  Config
-	// hooks is what the components report through, one value for the
-	// network's life: the current run's (inner) with PacketDelivered replaced
-	// by the network's counting onDelivered.
-	hooks       *noc.Hooks
-	inner       noc.Hooks
-	onDelivered func(*noc.Packet, sim.Cycle)
+	// hooks is what the sinks report through, one value for the network's
+	// life that Reset sets to the current run's.
+	hooks *noc.Hooks
 
 	routers []*Router
 	nis     []*ni
 	sinks   []*noc.Sink
 
-	offered   int64
-	delivered int64
+	offered int64
 }
 
 var _ noc.Network = (*Network)(nil)
@@ -142,17 +136,13 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	cfg = cfg.withDefaults()
 	cfg.validate()
 	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
-	n.onDelivered = func(p *noc.Packet, now sim.Cycle) {
-		n.delivered++
-		n.inner.Delivered(p, now)
-	}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
-		n.nis[id] = newNI(cfg, n.hooks)
-		n.sinks[id] = noc.NewSink(n.hooks)
+		n.nis[id] = newNI(cfg)
+		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -161,16 +151,12 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 
 // Reset implements noc.Network.
 func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
-	// The caller's hooks pass straight through, except PacketDelivered, which
-	// the network counts on the way.
-	n.inner = noc.Hooks{}
+	*n.hooks = noc.Hooks{}
 	if hooks != nil {
-		n.inner = *hooks
+		*n.hooks = *hooks
 	}
-	*n.hooks = n.inner
-	n.hooks.PacketDelivered = n.onDelivered
 	n.AttachProbe(nil)
-	n.offered, n.delivered = 0, 0
+	n.offered = 0
 
 	var root sim.RNG
 	root.Seed(seed)
@@ -246,7 +232,7 @@ func (n *Network) wire() {
 		r.dataIn[topology.Local] = injData
 
 		ejData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data = ejData
+		r.out[topology.Local].data, r.out[topology.Local].ejected = ejData, &sink.FlitsIn
 		sink.Data = ejData
 	}
 }
@@ -281,7 +267,17 @@ func (n *Network) SourceQueueLen() int {
 
 // InFlightPackets implements noc.Network.
 func (n *Network) InFlightPackets() int {
-	return int(n.offered - n.delivered)
+	return int(n.offered - n.Counts().Delivered)
+}
+
+// Counts implements noc.Network: the packets offered and what the sinks
+// delivered.
+func (n *Network) Counts() noc.Counts {
+	c := noc.Counts{Offered: n.offered}
+	for _, s := range n.sinks {
+		s.AddCounts(&c)
+	}
+	return c
 }
 
 // BufferUsage implements noc.Network. Circuit switching buffers no data

@@ -44,7 +44,7 @@ func TestBitErrorsRecoveredByHopCRC(t *testing.T) {
 			t.Errorf("packet %d delivered %d times", pid, times)
 		}
 	}
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.CorruptedFlits == 0 || rs.CrcDetected == 0 {
 		t.Fatalf("BER %g over %d packets corrupted nothing: %+v", cfg.BER, packets, rs)
 	}
@@ -81,7 +81,7 @@ func TestWeakCrcEscapesCaughtByE2ECheck(t *testing.T) {
 	now := offerRandom(net, mesh, rng, packets, 5, 0)
 	drainOrFail(t, net, now, 2000000)
 
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.CorruptEscapes == 0 {
 		t.Fatalf("1-bit CRC at BER %g produced no escapes: %+v", cfg.BER, rs)
 	}
@@ -114,7 +114,7 @@ func TestE2ECheckOffAcceptsEscapes(t *testing.T) {
 	now := offerRandom(net, mesh, rng, packets, 5, 0)
 	drainOrFail(t, net, now, 500000)
 
-	rs := net.Recovery()
+	rs := net.Counts()
 	if len(rec.delivered)+lost != packets {
 		t.Fatalf("conservation broken: delivered %d + lost %d != offered %d", len(rec.delivered), lost, packets)
 	}
@@ -136,7 +136,7 @@ func TestE2ECheckOffAcceptsEscapes(t *testing.T) {
 // must agree on every recovery counter, corruption included — the foundation
 // of the harness's bit-identical-across-workers guarantee.
 func TestBitErrorDeterminism(t *testing.T) {
-	run := func() RecoveryStats {
+	run := func() noc.Counts {
 		mesh := topology.NewMesh(4)
 		cfg := fastControl()
 		cfg.BER = 1e-2
@@ -149,7 +149,7 @@ func TestBitErrorDeterminism(t *testing.T) {
 		rng := sim.NewRNG(77)
 		now := offerRandom(net, mesh, rng, 150, 5, 0)
 		drainOrFail(t, net, now, 2000000)
-		return net.Recovery()
+		return net.Counts()
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {

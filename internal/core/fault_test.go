@@ -48,7 +48,8 @@ func TestFaultInjectionKeepsTablesConsistent(t *testing.T) {
 		}
 	}
 	drainOrFail(t, net, now, 500000)
-	droppedFlits, lostPackets := net.FaultStats()
+	c := net.Counts()
+	droppedFlits, lostPackets := c.DroppedFlits, c.LostDetected
 	if droppedFlits == 0 {
 		t.Fatal("fault injection at 1% dropped nothing over 3000 flits")
 	}
@@ -79,8 +80,8 @@ func TestFaultFreeRunReportsNoFaults(t *testing.T) {
 		net.Tick(now)
 		now++
 	}
-	if d, l := net.FaultStats(); d != 0 || l != 0 {
-		t.Fatalf("fault-free run reported %d drops, %d losses", d, l)
+	if c := net.Counts(); c.DroppedFlits != 0 || c.LostDetected != 0 {
+		t.Fatalf("fault-free run reported %d drops, %d losses", c.DroppedFlits, c.LostDetected)
 	}
 }
 
@@ -104,7 +105,7 @@ func TestHighFaultRateStillDrains(t *testing.T) {
 		now++
 	}
 	drainOrFail(t, net, now, 500000)
-	if _, lostPackets := net.FaultStats(); lostPackets == 0 {
+	if net.Counts().LostDetected == 0 {
 		t.Fatal("20% loss rate lost no packets")
 	}
 }
@@ -134,7 +135,8 @@ func TestFaultWithLateControlOn8x8(t *testing.T) {
 		net.Tick(now)
 	}
 	drainOrFail(t, net, now, 1000000)
-	dropped, lost := net.FaultStats()
+	c := net.Counts()
+	dropped, lost := c.DroppedFlits, c.LostDetected
 	if dropped == 0 || lost == 0 {
 		t.Fatalf("fault injection inactive: dropped=%d lost=%d", dropped, lost)
 	}

@@ -72,19 +72,16 @@ type Network struct {
 	// split off the root seed so fault patterns are reproducible.
 	linkRNG *sim.RNG
 
-	offered        int64
-	delivered      int64
-	lostDetected   int64 // loss events at destinations (per attempt under retry)
-	lostResolved   int64 // packets whose fate "lost" is final (retry disabled)
-	abandoned      int64 // packets that exhausted their retry budget
-	retried        int64 // re-injections
-	afterRetry     int64 // packets delivered on an attempt > 0
-	dropped        int64 // data flits destroyed on links
-	ctrlCorrupted  int64 // control flits corrupted (and retransmitted) on links
-	unreachable    int64 // packets failed fast: no surviving route to their destination
-	corruptedFlits int64 // flits delivered with bit errors (data + control)
-	crcDetected    int64 // corrupted flits caught by the hop-level CRC
-	corruptEscapes int64 // corrupted payload that reached its destination uncaught
+	// The ledger of the events the network intercepts (countingHooks); what
+	// else Counts reports its components and links tally.
+	offered      int64
+	delivered    int64
+	lostDetected int64 // loss events at destinations (per attempt under retry)
+	lostResolved int64 // packets whose fate "lost" is final (retry disabled)
+	abandoned    int64 // packets that exhausted their retry budget
+	afterRetry   int64 // packets delivered on an attempt > 0
+	dropped      int64 // data flits destroyed on links
+	unreachable  int64 // packets failed fast: no surviving route to their destination
 
 	// links is the directed inter-router link registry built by wire, the
 	// handle the hard-fault engine severs through (linksBetween) and the
@@ -206,15 +203,13 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 		n.inner = *hooks
 	}
 	h := n.inner
-	h.PacketDelivered, h.PacketLost, h.PacketRetried = n.own.PacketDelivered, n.own.PacketLost, n.own.PacketRetried
-	h.PacketAbandoned, h.PacketUnreachable, h.FlitDropped = n.own.PacketAbandoned, n.own.PacketUnreachable, n.own.FlitDropped
-	h.FlitCorrupted, h.CorruptionDetected, h.CorruptionEscaped = n.own.FlitCorrupted, n.own.CorruptionDetected, n.own.CorruptionEscaped
+	h.PacketDelivered, h.PacketLost, h.PacketAbandoned = n.own.PacketDelivered, n.own.PacketLost, n.own.PacketAbandoned
+	h.PacketUnreachable, h.FlitDropped = n.own.PacketUnreachable, n.own.FlitDropped
 	*n.hooks = h
 	n.AttachProbe(nil)
 
 	n.offered, n.delivered, n.lostDetected, n.lostResolved = 0, 0, 0, 0
-	n.abandoned, n.retried, n.afterRetry, n.dropped, n.ctrlCorrupted = 0, 0, 0, 0, 0
-	n.unreachable, n.corruptedFlits, n.crcDetected, n.corruptEscapes = 0, 0, 0, 0
+	n.abandoned, n.afterRetry, n.dropped, n.unreachable = 0, 0, 0, 0
 	clear(n.notifs)
 	clear(n.resolved)
 	clear(n.reassembly)
@@ -274,8 +269,9 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 }
 
 // countingHooks builds, once, the hooks the network intercepts to keep its
-// own ledger; each passes the event on to the current run's hook of the same
-// name, if it set one.
+// own ledger: the five events its caller reads too, which under retry must
+// first be told from a duplicate. Each then passes the event on to the current
+// run's hook of the same name, if it set one.
 func (n *Network) countingHooks() noc.Hooks {
 	return noc.Hooks{
 		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
@@ -300,10 +296,6 @@ func (n *Network) countingHooks() noc.Hooks {
 			}
 			n.inner.Lost(p, now)
 		},
-		PacketRetried: func(p *noc.Packet, now sim.Cycle) {
-			n.retried++
-			n.inner.Retried(p, now)
-		},
 		PacketAbandoned: func(p *noc.Packet, now sim.Cycle) {
 			if n.resolved[p.ID] {
 				return // the delivery beat the retry timer; its ACK is in flight
@@ -315,18 +307,6 @@ func (n *Network) countingHooks() noc.Hooks {
 		FlitDropped: func(p *noc.Packet, now sim.Cycle) {
 			n.dropped++
 			n.inner.Dropped(p, now)
-		},
-		FlitCorrupted: func(now sim.Cycle) {
-			n.corruptedFlits++
-			n.inner.Corrupted(now)
-		},
-		CorruptionDetected: func(now sim.Cycle) {
-			n.crcDetected++
-			n.inner.CrcDetected(now)
-		},
-		CorruptionEscaped: func(p *noc.Packet, now sim.Cycle) {
-			n.corruptEscapes++
-			n.inner.CorruptEscape(p, now)
 		},
 		PacketUnreachable: func(p *noc.Packet, now sim.Cycle) {
 			if n.resolved != nil {
@@ -376,14 +356,6 @@ func (n *Network) noteLoss(p *noc.Packet, attempt int, now sim.Cycle) {
 	n.notifs[at] = append(n.notifs[at], notif{pkt: p, attempt: attempt})
 }
 
-// onCtrlCorrupt is the fault-injection callback of the control links: each
-// corruption is recovered by link-level retransmission, so it only costs
-// latency, but the event is counted and surfaced.
-func (n *Network) onCtrlCorrupt() {
-	n.ctrlCorrupted++
-	n.hooks.CtrlCorrupted(n.now)
-}
-
 // resvCreditWidth bounds the reservation credits one input port can emit in
 // a cycle. A credit goes out for a lead of the control flit at the front of
 // one of the input's control VCs, when the lead is scheduled or — under hard
@@ -396,13 +368,14 @@ func (c Config) resvCreditWidth() int { return c.CtrlVCs * c.LeadsPerCtrl }
 // CtrlFaultRate — a fault-injecting pipe whose corrupted flits are delayed by
 // the link-level retransmission round trip. Under the bit-error model the
 // pipe additionally delivers flits with their Corrupted flag set at rate BER.
+// The pipe counts both (Counts reads them).
 func (n *Network) newCtrlLink(a *arena) *sim.Pipe[noc.ControlFlit] {
 	p := a.ctrl.New(n.cfg.CtrlLinkLatency, n.cfg.CtrlFlitsPerCycle)
 	if n.cfg.CtrlFaultRate > 0 {
-		p.WithFaults(n.cfg.CtrlFaultRate, n.linkRNG, n.onCtrlCorrupt)
+		p.WithFaults(n.cfg.CtrlFaultRate, n.linkRNG)
 	}
 	if n.berArmed() {
-		p.WithBitErrors(0, n.linkRNG, n.corruptCtrl) // Reset sets the rate
+		p.WithBitErrors(0, n.linkRNG, corruptCtrl) // Reset sets the rate
 	}
 	return p
 }
@@ -413,7 +386,7 @@ func (n *Network) newCtrlLink(a *arena) *sim.Pipe[noc.ControlFlit] {
 func (n *Network) newDataLink(a *arena) *sim.Pipe[noc.DataFlit] {
 	p := a.data.New(n.cfg.DataLinkLatency, 1)
 	if n.berArmed() {
-		p.WithBitErrors(0, n.linkRNG, n.corruptData) // Reset sets the rate
+		p.WithBitErrors(0, n.linkRNG, corruptData) // Reset sets the rate
 	}
 	return p
 }
@@ -429,15 +402,13 @@ func (n *Network) berArmed() bool {
 // corruptData and corruptCtrl are the links' bit-error transforms: the flit
 // is delivered, its payload is wrong, and only the flag — invisible to the
 // routers until a CRC check looks — records the damage.
-func (n *Network) corruptData(f noc.DataFlit) noc.DataFlit {
+func corruptData(f noc.DataFlit) noc.DataFlit {
 	f.Corrupted = true
-	n.hooks.Corrupted(n.now)
 	return f
 }
 
-func (n *Network) corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
+func corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 	f.Corrupted = true
-	n.hooks.Corrupted(n.now)
 	return f
 }
 
@@ -616,77 +587,41 @@ func (n *Network) InFlightPackets() int {
 	return int(n.offered - n.delivered - n.lostResolved - n.abandoned - n.unreachable)
 }
 
-// FaultStats reports fault-injection activity: data flits destroyed on links
-// and loss events detected at destinations (one per packet without retry, one
-// per lost transmission attempt with it).
-func (n *Network) FaultStats() (droppedFlits, lostPackets int64) {
-	return n.dropped, n.lostDetected
-}
-
-// RecoveryStats summarizes the end-to-end recovery layer's activity over a
-// run.
-type RecoveryStats struct {
-	// Offered, Delivered and Abandoned satisfy, once the network drains,
-	// Offered == Delivered + Abandoned + LostDetected·(retry disabled).
-	Offered   int64
-	Delivered int64
-	Abandoned int64
-	// LostDetected counts loss events at destinations — per packet without
-	// retry, per lost transmission attempt with it.
-	LostDetected int64
-	// Unreachable counts packets failed fast because a hard fault left no
-	// surviving route between their endpoints; with outages in the scenario,
-	// Offered == Delivered + Abandoned + Unreachable once the network drains.
-	Unreachable int64
-	// Retried counts re-injections; DeliveredAfterRetry counts packets
-	// whose delivering attempt was a retry.
-	Retried             int64
-	DeliveredAfterRetry int64
-	// DroppedFlits is data flits destroyed by link faults; CtrlCorrupted is
-	// control flits corrupted (each recovered by link-level
-	// retransmission).
-	DroppedFlits  int64
-	CtrlCorrupted int64
-	// CorruptedFlits counts flits (data and control) delivered with bit
-	// errors by the BER model; CrcDetected counts those caught by the
-	// hop-level CRC; CorruptEscapes counts corrupted payload that reached
-	// its destination past every hop CRC (and, when the end-to-end check is
-	// off, was delivered as-is).
-	CorruptedFlits int64
-	CrcDetected    int64
-	CorruptEscapes int64
-	// PhantomReservations counts reservations installed by escaped-corrupt
-	// control flits that failed to match their real data flit;
-	// ReclaimedSlots counts orphaned parked flits the reclamation timeout
-	// freed back into the loss path.
-	PhantomReservations int64
-	ReclaimedSlots      int64
-}
-
-// Recovery reports the recovery layer's counters.
-func (n *Network) Recovery() RecoveryStats {
-	st := RecoveryStats{
+// Counts implements noc.Network: the network's own ledger, plus what its
+// components tally where the events happen — re-injections at the interfaces,
+// hop-CRC catches, phantom reservations, reclaimed slots and the eager-transfer
+// shadow ledger at the routers, escapes at the sinks — and what the links'
+// pipes count of corruption.
+func (n *Network) Counts() noc.Counts {
+	c := noc.Counts{
 		Offered:             n.offered,
 		Delivered:           n.delivered,
 		Abandoned:           n.abandoned,
 		LostDetected:        n.lostDetected,
 		Unreachable:         n.unreachable,
-		Retried:             n.retried,
 		DeliveredAfterRetry: n.afterRetry,
 		DroppedFlits:        n.dropped,
-		CtrlCorrupted:       n.ctrlCorrupted,
-		CorruptedFlits:      n.corruptedFlits,
-		CrcDetected:         n.crcDetected,
-		CorruptEscapes:      n.corruptEscapes,
+	}
+	for i := range n.links {
+		l := &n.links[i]
+		c.CtrlCorrupted += l.ctrl.Retransmits()
+		c.CorruptedFlits += l.data.Corrupted() + l.ctrl.Corrupted()
 	}
 	for id := range n.routers {
-		for p := range n.routers[id].inputs {
-			in := &n.routers[id].inputs[p]
-			st.PhantomReservations += in.phantoms
-			st.ReclaimedSlots += in.reclaimed
+		r := &n.routers[id]
+		c.Retried += n.nis[id].retried
+		c.CrcDetected += r.crcDetected
+		c.CorruptEscapes += n.sinks[id].escapes
+		for p := range r.inputs {
+			in := &r.inputs[p]
+			c.PhantomReservations += in.phantoms
+			c.ReclaimedSlots += in.reclaimed
+			t, res := in.ledger.Transfers()
+			c.EagerTransfers += t
+			c.EagerResidencies += res
 		}
 	}
-	return st
+	return c
 }
 
 // pendingRecovery counts recovery actions that will fire on their own at a
@@ -797,21 +732,6 @@ func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
 func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int) {
 	in := &n.routers[id].inputs[port]
 	return in.occupied, len(in.pool)
-}
-
-// EagerTransfers reports, across the whole network, how many buffer-to-buffer
-// transfers the allocate-at-reservation-time policy of Figure 10 would have
-// required, and how many buffer residencies were replayed. Zero unless the
-// configuration set TrackEagerTransfers.
-func (n *Network) EagerTransfers() (transfers, residencies int64) {
-	for id := range n.routers {
-		for p := range n.routers[id].inputs {
-			t, a := n.routers[id].inputs[p].ledger.Transfers()
-			transfers += t
-			residencies += a
-		}
-	}
-	return transfers, residencies
 }
 
 // DumpState renders the routers' internal control and data state for

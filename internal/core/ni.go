@@ -81,6 +81,8 @@ type NI struct {
 	// progress points at the network-wide movement counter the watchdog
 	// monitors; the NI bumps it whenever it puts a flit on a wire.
 	progress *int64
+	// retried counts the packets the interface re-offered (tickRetries).
+	retried int64
 
 	// unreachable, when set, reports whether a destination is currently
 	// disconnected from this node over the surviving topology. The NI fails
@@ -165,7 +167,7 @@ func (n *NI) reset() {
 		n.ctrlCredits[v] = n.cfg.CtrlBufPerVC
 		n.ctrlOwned[v] = false
 	}
-	n.inbox, n.dormant = 0, false
+	n.inbox, n.dormant, n.retried = 0, false, 0
 	n.sendAt.reset()
 	clear(n.awaiting)
 	clear(n.retryAt)
@@ -231,7 +233,7 @@ func (n *NI) tickRetries(now sim.Cycle) {
 			st.attempt++
 			p.Attempts = st.attempt
 			n.probe.Retry(now, int(n.node), uint64(p.ID), st.attempt)
-			n.hooks.Retried(p, now)
+			n.retried++
 			n.queue.Push(p)
 		}
 	}
@@ -387,7 +389,6 @@ func (n *NI) Tick(now sim.Cycle) {
 		n.dataOut.Send(now, f)
 		posted(n.peer, n.dataOut.Severed())
 		*n.progress++
-		n.hooks.Injected(now)
 		work++
 	}
 	n.prof.ComponentTick(profile.CompNI, int(n.node), work+injected > 0)
@@ -517,6 +518,8 @@ type Sink struct {
 	// attempt to the notification plane (which relays it to the source NI
 	// after the configured control-plane latency).
 	notifyLoss func(p *noc.Packet, attempt int, now sim.Cycle)
+	// escapes counts flits that arrived with damage no hop CRC caught.
+	escapes int64
 }
 
 // sinkPkt is one packet's reassembly state: the newest transmission attempt
@@ -542,7 +545,10 @@ func (s *Sink) init(a *arena, node topology.NodeID, span sim.Cycle, state map[no
 
 // reset empties the reassembly schedule, its window back at cycle 0; the
 // packets' progress is the network's to forget.
-func (s *Sink) reset() { s.expect.reset() }
+func (s *Sink) reset() {
+	s.expect.reset()
+	s.escapes = 0
+}
 
 // Expect records, at cycle now, that the flit identified by (pkt, seq,
 // attempt) will arrive on the ejection link at cycle at.
@@ -637,7 +643,7 @@ func (s *Sink) eject(now sim.Cycle, f *noc.DataFlit) {
 		// destination — the silent-corruption event. With the
 		// end-to-end check off this packet is delivered as-is.
 		st.corrupt = true
-		s.hooks.CorruptEscape(f.Packet, now)
+		s.escapes++
 	}
 	st.got++
 	complete := st.got == f.Packet.Len

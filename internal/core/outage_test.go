@@ -156,7 +156,7 @@ func TestLinkOutageWithRecoveryDeliversEverything(t *testing.T) {
 	drainOrFail(t, net, now, 2000000)
 
 	const packets = crossers + background
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.Delivered != packets || rs.Abandoned != 0 || rs.Unreachable != 0 {
 		t.Fatalf("link outage with recovery must deliver everything: %+v", rs)
 	}
@@ -210,7 +210,7 @@ func TestPartitionReportsUnreachableNotAbandoned(t *testing.T) {
 	}
 	drainOrFail(t, net, now, 2000000)
 
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.Offered != rs.Delivered+rs.Abandoned+rs.Unreachable {
 		t.Fatalf("conservation violated: %+v", rs)
 	}
@@ -273,7 +273,7 @@ func TestRouterOutageResolvesEveryPacket(t *testing.T) {
 	}
 	drainOrFail(t, net, now, 2000000)
 
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.Offered != rs.Delivered+rs.Abandoned+rs.Unreachable {
 		t.Fatalf("conservation violated: %+v", rs)
 	}
@@ -296,7 +296,7 @@ func TestRouterOutageResolvesEveryPacket(t *testing.T) {
 // every fate, cycle count and counter must match exactly — scheduled faults
 // ride the configuration, not wall-clock or iteration order.
 func TestScenarioDeterminism(t *testing.T) {
-	run := func() (map[noc.PacketID]string, RecoveryStats) {
+	run := func() (map[noc.PacketID]string, noc.Counts) {
 		mesh := topology.NewMesh(4)
 		cfg := fastControl()
 		cfg.RetryLimit = 5
@@ -319,7 +319,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			net.Tick(now)
 			now++
 		}
-		return fates, net.Recovery()
+		return fates, net.Counts()
 	}
 	f1, r1 := run()
 	f2, r2 := run()
@@ -372,7 +372,7 @@ func TestConservationFuzz(t *testing.T) {
 			now := offerRandom(net, mesh, sim.NewRNG(seed+500), packets, 5, 0)
 			drainOrFail(t, net, now, 2000000)
 
-			rs := net.Recovery()
+			rs := net.Counts()
 			if rs.Offered != rs.Delivered+rs.Abandoned+rs.Unreachable {
 				t.Fatalf("conservation violated (link %d-%d @%d): %+v", a, b, at, rs)
 			}

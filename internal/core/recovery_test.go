@@ -66,10 +66,10 @@ func TestControlFaultRecovery(t *testing.T) {
 	if len(rec.delivered) != packets {
 		t.Fatalf("delivered %d of %d packets under control faults", len(rec.delivered), packets)
 	}
-	if dropped, lost := net.FaultStats(); dropped != 0 || lost != 0 {
-		t.Fatalf("control faults must not lose anything: dropped=%d lost=%d", dropped, lost)
+	if c := net.Counts(); c.DroppedFlits != 0 || c.LostDetected != 0 {
+		t.Fatalf("control faults must not lose anything: dropped=%d lost=%d", c.DroppedFlits, c.LostDetected)
 	}
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.CtrlCorrupted == 0 {
 		t.Fatal("5% control fault rate corrupted nothing over ~1500 control flits")
 	}
@@ -110,7 +110,7 @@ func TestRetryDeliversEverythingUnderDataLoss(t *testing.T) {
 			t.Errorf("packet %d delivered %d times", pid, times)
 		}
 	}
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.Retried == 0 || rs.DeliveredAfterRetry == 0 {
 		t.Fatalf("5%% loss over %d packets exercised no retries: %+v", packets, rs)
 	}
@@ -143,7 +143,7 @@ func TestRetryWithCombinedFaults(t *testing.T) {
 	if len(rec.delivered) != packets {
 		t.Fatalf("delivered %d of %d under combined faults", len(rec.delivered), packets)
 	}
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.CtrlCorrupted == 0 || rs.DroppedFlits == 0 {
 		t.Fatalf("both fault planes should have fired: %+v", rs)
 	}
@@ -176,7 +176,7 @@ func TestRetryBudgetAbandons(t *testing.T) {
 	now := offerRandom(net, mesh, rng, packets, 5, 0)
 	drainOrFail(t, net, now, 2000000)
 
-	rs := net.Recovery()
+	rs := net.Counts()
 	if rs.Offered != rs.Delivered+rs.Abandoned {
 		t.Fatalf("conservation violated: offered=%d delivered=%d abandoned=%d", rs.Offered, rs.Delivered, rs.Abandoned)
 	}
@@ -212,7 +212,7 @@ func TestSpuriousTimeoutIsCancelled(t *testing.T) {
 	if deliveries != 1 {
 		t.Fatalf("packet delivered %d times, want exactly 1", deliveries)
 	}
-	if rs := net.Recovery(); rs.Retried != 0 {
+	if rs := net.Counts(); rs.Retried != 0 {
 		t.Fatalf("acknowledged packet was still retried: %+v", rs)
 	}
 }
@@ -225,9 +225,8 @@ func TestNIRetryStateMachine(t *testing.T) {
 	cfg := fastControl()
 	cfg.RetryLimit = 2
 	cfg = cfg.WithDefaults() // fills RetryBackoffBase=64, NackLatency=16
-	var retried, abandoned int
+	var abandoned int
 	hooks := &noc.Hooks{
-		PacketRetried:   func(p *noc.Packet, now sim.Cycle) { retried++ },
 		PacketAbandoned: func(p *noc.Packet, now sim.Cycle) { abandoned++ },
 	}
 	ni := newNI(0, &cfg, sim.NewRNG(1), hooks)
@@ -241,8 +240,8 @@ func TestNIRetryStateMachine(t *testing.T) {
 		t.Fatalf("pendingRecovery = %d after duplicate loss, want 1", got)
 	}
 	ni.tickRetries(100 + 64)
-	if retried != 1 || ni.queue.Len() != 1 || p.Attempts != 1 {
-		t.Fatalf("first retry: retried=%d queue=%d attempts=%d", retried, ni.queue.Len(), p.Attempts)
+	if ni.retried != 1 || ni.queue.Len() != 1 || p.Attempts != 1 {
+		t.Fatalf("first retry: retried=%d queue=%d attempts=%d", ni.retried, ni.queue.Len(), p.Attempts)
 	}
 	ni.queue = noc.SourceQueue{}
 
@@ -252,8 +251,8 @@ func TestNIRetryStateMachine(t *testing.T) {
 	}
 	ni.loss(7, 1, 200)
 	ni.tickRetries(200 + 128) // backoff doubles per attempt
-	if retried != 2 || p.Attempts != 2 {
-		t.Fatalf("second retry: retried=%d attempts=%d", retried, p.Attempts)
+	if ni.retried != 2 || p.Attempts != 2 {
+		t.Fatalf("second retry: retried=%d attempts=%d", ni.retried, p.Attempts)
 	}
 	ni.queue = noc.SourceQueue{}
 
@@ -265,8 +264,8 @@ func TestNIRetryStateMachine(t *testing.T) {
 		t.Fatal("abandoned packet still awaiting acknowledgment")
 	}
 	ni.loss(7, 2, 500) // post-abandon signal must be a no-op
-	if abandoned != 1 || retried != 2 {
-		t.Fatalf("post-abandon signal changed state: abandoned=%d retried=%d", abandoned, retried)
+	if abandoned != 1 || ni.retried != 2 {
+		t.Fatalf("post-abandon signal changed state: abandoned=%d retried=%d", abandoned, ni.retried)
 	}
 
 	q := &noc.Packet{ID: 8, Len: 1}
@@ -283,7 +282,7 @@ func TestNIRetryStateMachine(t *testing.T) {
 // same workload must agree on every fault, retry and delivery event —
 // fault injection rides the seeded RNG tree, not global randomness.
 func TestFaultDeterminism(t *testing.T) {
-	run := func() (map[noc.PacketID]sim.Cycle, map[noc.PacketID]int, RecoveryStats) {
+	run := func() (map[noc.PacketID]sim.Cycle, map[noc.PacketID]int, noc.Counts) {
 		mesh := topology.NewMesh(4)
 		cfg := fastControl()
 		cfg.DataFaultRate = 0.03
@@ -302,7 +301,7 @@ func TestFaultDeterminism(t *testing.T) {
 			net.Tick(now)
 			now++
 		}
-		return delivered, lost, net.Recovery()
+		return delivered, lost, net.Counts()
 	}
 	d1, l1, r1 := run()
 	d2, l2, r2 := run()

@@ -43,7 +43,7 @@ func TestResetClearsRecoveryState(t *testing.T) {
 	if len(net.resolved) != 0 || len(net.notifs) != 0 {
 		t.Errorf("resolved holds %d packets, notifs %d cycles", len(net.resolved), len(net.notifs))
 	}
-	if got := net.Recovery(); got != (RecoveryStats{}) {
+	if got := net.Counts(); got != (noc.Counts{}) {
 		t.Errorf("ledger after Reset: %+v", got)
 	}
 	if net.InFlightPackets() != 0 || net.SourceQueueLen() != 0 || net.pendingRecovery() != 0 {

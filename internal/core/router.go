@@ -168,6 +168,9 @@ type Router struct {
 	sink *Sink
 
 	hooks *noc.Hooks
+	// crcDetected counts the corrupted flits, control and data, the hop CRC
+	// caught (crcDetect).
+	crcDetected int64
 
 	// probe is the observability sink; nil when disabled, and every call
 	// on a nil probe is a no-op.
@@ -240,6 +243,7 @@ func (r *Router) reset() {
 	r.inbox = [topology.NumPorts]int32{}
 	r.dormant = false
 	r.queued = 0
+	r.crcDetected = 0
 	for p := range r.ctrlIn {
 		ci := &r.ctrlIn[p]
 		if !ci.exists {
@@ -426,7 +430,6 @@ func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
 		// a function of link traffic alone, not of queueing.
 		if r.crcDetect() {
 			qc.detectedCorrupt = true
-			r.hooks.CrcDetected(now)
 		}
 	}
 	vc.n++
@@ -449,7 +452,6 @@ func (r *Router) arrive(now sim.Cycle, p topology.Port, f *noc.DataFlit) {
 			// established loss path — its reservation expires unclaimed and
 			// the destination's no-show detection triggers the end-to-end
 			// retry.
-			r.hooks.CrcDetected(now)
 			r.hooks.Dropped(f.Packet, now)
 			return
 		}
@@ -475,16 +477,20 @@ func (r *Router) arrive(now sim.Cycle, p topology.Port, f *noc.DataFlit) {
 }
 
 // crcDetect draws whether the modeled c-bit hop CRC catches a corrupted
-// flit: detection probability 1 − 2⁻ᶜ. CrcBits < 0 disables hop checking
-// entirely (every corruption escapes to the end-to-end layer). The draw
-// consumes the router's RNG only when a corrupted flit is actually
-// examined, so corruption-free traffic replays bit-identically whether or
-// not CRC modeling is configured.
+// flit, detection probability 1 − 2⁻ᶜ, and counts a catch. CrcBits < 0
+// disables hop checking entirely (every corruption escapes to the end-to-end
+// layer). The draw consumes the router's RNG only when a corrupted flit is
+// actually examined, so corruption-free traffic replays bit-identically
+// whether or not CRC modeling is configured.
 func (r *Router) crcDetect() bool {
 	if r.cfg.CrcBits < 0 {
 		return false
 	}
-	return r.rng.Bool(1 - math.Exp2(-float64(r.cfg.CrcBits)))
+	caught := r.rng.Bool(1 - math.Exp2(-float64(r.cfg.CrcBits)))
+	if caught {
+		r.crcDetected++
+	}
+	return caught
 }
 
 // ctrlLossy reports whether control flits can be destroyed in flight in

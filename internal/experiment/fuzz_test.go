@@ -9,16 +9,15 @@ import (
 	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/topology"
-	"frfc/internal/vcrouter"
 )
 
 // TestFuzzAllNetworksConserveFlits drives every flow-control implementation
 // with randomized shapes (mesh radix, packet length, load, and
 // method-specific knobs) and checks the conservation invariants that no
 // configuration may violate: every offered packet is eventually delivered
-// exactly once, every injected flit is ejected, and the network drains to
-// empty once offers stop. Internal reservation/credit violations panic on
-// their own.
+// exactly once, every flit of it is ejected, the network's own Counts agree
+// with what its hooks reported, and the network drains to empty once offers
+// stop. Internal reservation/credit violations panic on their own.
 func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 	rng := sim.NewRNG(20260704)
 	flows := []Flow{FlitReservation, VirtualChannel, Wormhole, StoreForward, CutThrough, CircuitSwitch}
@@ -73,7 +72,7 @@ func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 		name := fmt.Sprintf("trial%02d-%s-k%d-L%d%s", trial, flow, radix, pktLen, detail)
 		t.Run(name, func(t *testing.T) {
 			mesh := topology.NewMesh(radix)
-			var delivered, injectedFlits, ejectedFlits int64
+			var delivered, ejectedFlits int64
 			deliveredSet := map[noc.PacketID]bool{}
 			hooks := &noc.Hooks{
 				PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
@@ -83,8 +82,7 @@ func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 					deliveredSet[p.ID] = true
 					delivered++
 				},
-				FlitInjected: func(now sim.Cycle) { injectedFlits++ },
-				FlitEjected:  func(now sim.Cycle) { ejectedFlits++ },
+				FlitEjected: func(now sim.Cycle) { ejectedFlits++ },
 			}
 			net, _ := NewNetwork(spec, hooks)
 			load := 0.1 + rng.Float64()*0.5
@@ -110,17 +108,19 @@ func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 				now++
 			}
 			if got := net.InFlightPackets(); got != 0 {
-				if vcNet, ok := net.(*vcrouter.Network); ok {
-					t.Logf("state dump:\n%s", vcNet.DumpState())
+				if d, ok := net.(interface{ DumpState() string }); ok {
+					t.Logf("state dump:\n%s", d.DumpState())
 				}
 				t.Fatalf("failed to drain: %d packets in flight after %d cycles", got, now)
 			}
 			if delivered != offered {
 				t.Fatalf("delivered %d of %d offered packets", delivered, offered)
 			}
-			if injectedFlits != ejectedFlits || ejectedFlits != offered*int64(pktLen) {
-				t.Fatalf("flit conservation broken: offered %d flits, injected %d, ejected %d",
-					offered*int64(pktLen), injectedFlits, ejectedFlits)
+			if ejectedFlits != offered*int64(pktLen) {
+				t.Fatalf("flit conservation broken: offered %d flits, ejected %d", offered*int64(pktLen), ejectedFlits)
+			}
+			if c := net.Counts(); c.Offered != offered || c.Delivered != delivered {
+				t.Fatalf("Counts() disagrees with the hooks: offered %d delivered %d, counted %+v", offered, delivered, c)
 			}
 		})
 	}
@@ -202,7 +202,7 @@ func TestFuzzRecoveryConservesPackets(t *testing.T) {
 			if got := net.InFlightPackets(); got != 0 {
 				t.Fatalf("failed to resolve: %d packets in flight after %d cycles\n%s", got, now, net.DumpState())
 			}
-			rec := net.Recovery()
+			rec := net.Counts()
 			if retry {
 				if delivered+abandoned != offered {
 					t.Fatalf("conservation broken: offered=%d delivered=%d abandoned=%d", offered, delivered, abandoned)
@@ -236,7 +236,7 @@ func TestFuzzRecoveryConservesPackets(t *testing.T) {
 				}
 			}
 			if rec.Offered != offered || rec.Delivered != delivered || rec.Abandoned != abandoned {
-				t.Fatalf("Recovery() disagrees with hooks: %+v vs offered=%d delivered=%d abandoned=%d", rec, offered, delivered, abandoned)
+				t.Fatalf("Counts() disagrees with hooks: %+v vs offered=%d delivered=%d abandoned=%d", rec, offered, delivered, abandoned)
 			}
 		})
 	}

@@ -133,6 +133,30 @@ func CheckRouting(name string, s Spec) error {
 	return gridErr("", "unknown routing %q (want xy, yx or table)", name)
 }
 
+// CheckOption reports whether the spec's flow has a model of the command-line
+// option name set to value, where NewNetwork would otherwise panic or the flow
+// ignore it: the fault, chaos, retry and end-to-end options exist under flit
+// reservation only, and the bit-error options under flit reservation and
+// virtual channels. Any other option passes.
+func CheckOption(name, value string, s Spec) error {
+	var flows string
+	switch name {
+	case "ber", "crc-bits":
+		if s.Flow == FlitReservation || s.Flow == VirtualChannel {
+			return nil
+		}
+		flows = fmt.Sprintf("%s and %s", FlitReservation, VirtualChannel)
+	case "scenario", "fail-link", "fail-router", "fail-at", "recover-at", "chaos", "retry", "e2e-check":
+		if s.Flow == FlitReservation {
+			return nil
+		}
+		flows = string(FlitReservation)
+	default:
+		return nil
+	}
+	return gridErr(name, "%q is implemented for %s configs only, not %s (%s)", value, flows, s.Name, s.Flow)
+}
+
 // Grid is a load grid over named configurations — what one cmd/sweep
 // invocation, one campaign request or one cmd/frsim run describes. It is the
 // only place names become specs and from/to/step becomes loads, so a grid

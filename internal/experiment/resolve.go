@@ -56,7 +56,7 @@ func (o ResolveOptions) withDefaults(packets int, seed uint64) ResolveOptions {
 // either recover through retry or the hop CRC's loss path, or fail fast as
 // Unreachable.
 type Resolved struct {
-	core.RecoveryStats
+	noc.Counts
 	// AvgLatency is the mean creation-to-delivery latency of the packets
 	// that made it, in cycles; retries inflate it.
 	AvgLatency float64
@@ -143,7 +143,7 @@ func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), del
 		now++
 	}
 
-	res.RecoveryStats = net.Recovery()
+	res.Counts = net.Counts()
 	res.AvgLatency = lat.Mean()
 	res.Cycles = int64(now)
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"frfc/internal/core"
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
 	"frfc/internal/sim"
@@ -14,7 +13,6 @@ import (
 	"frfc/internal/timeseries"
 	"frfc/internal/topology"
 	"frfc/internal/traffic"
-	"frfc/internal/vcrouter"
 )
 
 // Result reports one simulated (configuration, load) point.
@@ -496,27 +494,19 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 	if res.AcceptedLoad < 0.90*load {
 		res.Saturated = true
 	}
-	if frNet, ok := net.(*core.Network); ok {
-		res.EagerTransfers, res.EagerResidencies = frNet.EagerTransfers()
-		res.DroppedFlits, res.LostPackets = frNet.FaultStats()
-		rec := frNet.Recovery()
-		res.RetriedPackets = rec.Retried
-		res.AbandonedPackets = rec.Abandoned
-		res.DeliveredAfterRetry = rec.DeliveredAfterRetry
-		res.CtrlCorrupted = rec.CtrlCorrupted
+	c := net.Counts()
+	res.EagerTransfers, res.EagerResidencies = c.EagerTransfers, c.EagerResidencies
+	res.DroppedFlits, res.LostPackets = c.DroppedFlits, c.LostDetected
+	res.RetriedPackets, res.AbandonedPackets = c.Retried, c.Abandoned
+	res.DeliveredAfterRetry, res.CtrlCorrupted = c.DeliveredAfterRetry, c.CtrlCorrupted
+	res.UnreachablePackets = c.Unreachable
+	res.CorruptedFlits, res.CrcDetected, res.CorruptEscapes = c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes
+	res.PhantomReservations, res.ReclaimedSlots = c.PhantomReservations, c.ReclaimedSlots
+	if s.Flow == FlitReservation {
 		res.AvgRetryLatency = retryLat.Retried().Mean()
-		res.UnreachablePackets = rec.Unreachable
-		if resolved := rec.Delivered + rec.Abandoned + rec.Unreachable; resolved > 0 {
-			res.DeliveredFraction = float64(rec.Delivered) / float64(resolved)
+		if resolved := c.Delivered + c.Abandoned + c.Unreachable; resolved > 0 {
+			res.DeliveredFraction = float64(c.Delivered) / float64(resolved)
 		}
-		res.CorruptedFlits = rec.CorruptedFlits
-		res.CrcDetected = rec.CrcDetected
-		res.CorruptEscapes = rec.CorruptEscapes
-		res.PhantomReservations = rec.PhantomReservations
-		res.ReclaimedSlots = rec.ReclaimedSlots
-	}
-	if vcNet, ok := net.(*vcrouter.Network); ok {
-		res.CorruptedFlits, res.CrcDetected, res.CorruptEscapes = vcNet.IntegrityCounts()
 	}
 	networks.put(key, net, mesh.N())
 	return res, nil

@@ -5,14 +5,14 @@ import (
 	"frfc/internal/topology"
 )
 
-// Hooks are the observation points a network reports through. Any field may
-// be nil; use the call helpers, which are nil-safe.
+// Hooks are the observation points a caller of a network reads: the events a
+// run's statistics, its sample's completion and its tests are made of. What a
+// network counts for itself it keeps in its components and reports through
+// Counts. Any field may be nil; use the call helpers, which are nil-safe.
 type Hooks struct {
 	// PacketDelivered fires once per packet when its last flit has been
 	// ejected at the destination.
 	PacketDelivered func(p *Packet, now sim.Cycle)
-	// FlitInjected fires when a data flit enters the network at a source.
-	FlitInjected func(now sim.Cycle)
 	// FlitEjected fires when a data flit leaves the network at its
 	// destination.
 	FlitEjected func(now sim.Cycle)
@@ -26,10 +26,6 @@ type Hooks struct {
 	// and resolves the packet's fate; with retry enabled it fires once per
 	// lost transmission attempt and triggers a retransmission instead.
 	PacketLost func(p *Packet, now sim.Cycle)
-	// PacketRetried fires when a source network interface re-offers a
-	// packet after a loss notification or retry timeout; p.Attempts has
-	// already been incremented to the new attempt number.
-	PacketRetried func(p *Packet, now sim.Cycle)
 	// PacketAbandoned fires when a source exhausts its retry budget for a
 	// packet; the packet's fate is resolved as undeliverable.
 	PacketAbandoned func(p *Packet, now sim.Cycle)
@@ -40,24 +36,6 @@ type Hooks struct {
 	// budget; if the topology later heals, subsequent packets between the
 	// pair flow again.
 	PacketUnreachable func(p *Packet, now sim.Cycle)
-	// CtrlFlitCorrupted fires when fault injection corrupts a control flit
-	// on an inter-router control link; the flit is recovered by link-level
-	// detection-and-retransmission, so the event costs latency but never
-	// loses information.
-	CtrlFlitCorrupted func(now sim.Cycle)
-	// FlitCorrupted fires when a link bit error delivers a flit (data or
-	// control) with damaged payload — corruption as delivery, not loss.
-	FlitCorrupted func(now sim.Cycle)
-	// CorruptionDetected fires when a receiver's modeled hop-level CRC
-	// catches a corrupted flit; the flit is then discarded into the loss
-	// path (flit reservation) or repaired by modeled link retransmission
-	// (the baselines, which have no loss tolerance).
-	CorruptionDetected func(now sim.Cycle)
-	// CorruptionEscaped fires when corrupted payload reaches its
-	// destination undetected by every hop CRC — the silent-corruption
-	// event the end-to-end check exists to catch. It fires whether or not
-	// the end-to-end check then rejects the packet.
-	CorruptionEscaped func(p *Packet, now sim.Cycle)
 	// Wedged fires when the network's no-progress watchdog trips: packets
 	// are in flight, no recovery action is pending, and no flit has moved
 	// for the configured number of cycles. The snapshot is a rendered
@@ -70,13 +48,6 @@ type Hooks struct {
 func (h *Hooks) Delivered(p *Packet, now sim.Cycle) {
 	if h != nil && h.PacketDelivered != nil {
 		h.PacketDelivered(p, now)
-	}
-}
-
-// Injected invokes FlitInjected if set.
-func (h *Hooks) Injected(now sim.Cycle) {
-	if h != nil && h.FlitInjected != nil {
-		h.FlitInjected(now)
 	}
 }
 
@@ -101,13 +72,6 @@ func (h *Hooks) Lost(p *Packet, now sim.Cycle) {
 	}
 }
 
-// Retried invokes PacketRetried if set.
-func (h *Hooks) Retried(p *Packet, now sim.Cycle) {
-	if h != nil && h.PacketRetried != nil {
-		h.PacketRetried(p, now)
-	}
-}
-
 // Abandoned invokes PacketAbandoned if set.
 func (h *Hooks) Abandoned(p *Packet, now sim.Cycle) {
 	if h != nil && h.PacketAbandoned != nil {
@@ -122,39 +86,59 @@ func (h *Hooks) Unreachable(p *Packet, now sim.Cycle) {
 	}
 }
 
-// CtrlCorrupted invokes CtrlFlitCorrupted if set.
-func (h *Hooks) CtrlCorrupted(now sim.Cycle) {
-	if h != nil && h.CtrlFlitCorrupted != nil {
-		h.CtrlFlitCorrupted(now)
-	}
-}
-
-// Corrupted invokes FlitCorrupted if set.
-func (h *Hooks) Corrupted(now sim.Cycle) {
-	if h != nil && h.FlitCorrupted != nil {
-		h.FlitCorrupted(now)
-	}
-}
-
-// CrcDetected invokes CorruptionDetected if set.
-func (h *Hooks) CrcDetected(now sim.Cycle) {
-	if h != nil && h.CorruptionDetected != nil {
-		h.CorruptionDetected(now)
-	}
-}
-
-// CorruptEscape invokes CorruptionEscaped if set.
-func (h *Hooks) CorruptEscape(p *Packet, now sim.Cycle) {
-	if h != nil && h.CorruptionEscaped != nil {
-		h.CorruptionEscaped(p, now)
-	}
-}
-
 // Wedge invokes Wedged if set.
 func (h *Hooks) Wedge(now sim.Cycle, snapshot string) {
 	if h != nil && h.Wedged != nil {
 		h.Wedged(now, snapshot)
 	}
+}
+
+// Counts is a network's accounting of its run so far, the same struct for
+// every fabric: each component tallies the events it sees and the network
+// sums them when asked. A fabric without a mechanism leaves its counts zero —
+// only flit reservation retries, loses or abandons packets, and only flit
+// reservation and virtual channels model bit errors.
+type Counts struct {
+	// Offered, Delivered and Abandoned satisfy, once the network drains,
+	// Offered == Delivered + Abandoned + LostDetected·(retry disabled).
+	Offered   int64
+	Delivered int64
+	Abandoned int64
+	// LostDetected counts loss events at destinations — per packet without
+	// retry, per lost transmission attempt with it.
+	LostDetected int64
+	// Unreachable counts packets failed fast because a hard fault left no
+	// surviving route between their endpoints; with outages in the scenario,
+	// Offered == Delivered + Abandoned + Unreachable once the network drains.
+	Unreachable int64
+	// Retried counts re-injections; DeliveredAfterRetry counts packets
+	// whose delivering attempt was a retry.
+	Retried             int64
+	DeliveredAfterRetry int64
+	// DroppedFlits is data flits destroyed by link faults; CtrlCorrupted is
+	// control flits corrupted (each recovered by link-level
+	// retransmission).
+	DroppedFlits  int64
+	CtrlCorrupted int64
+	// CorruptedFlits counts flits (data and control) delivered with bit
+	// errors by the BER model; CrcDetected counts those caught by the
+	// hop-level CRC; CorruptEscapes counts corrupted payload that reached
+	// its destination past every hop CRC (and, when the end-to-end check is
+	// off, was delivered as-is).
+	CorruptedFlits int64
+	CrcDetected    int64
+	CorruptEscapes int64
+	// PhantomReservations counts reservations installed by escaped-corrupt
+	// control flits that failed to match their real data flit;
+	// ReclaimedSlots counts orphaned parked flits the reclamation timeout
+	// freed back into the loss path.
+	PhantomReservations int64
+	ReclaimedSlots      int64
+	// EagerTransfers and EagerResidencies are the Figure 10 shadow ledger:
+	// how many buffer-to-buffer transfers the allocate-at-reservation-time
+	// policy would have required, over how many buffer residencies were
+	// replayed. Zero unless a flit-reservation configuration tracks them.
+	EagerTransfers, EagerResidencies int64
 }
 
 // Network is the common surface the experiment harness drives. All six
@@ -191,4 +175,6 @@ type Network interface {
 	// Section 4.2 of the paper tracks occupancy ("a specific buffer
 	// pool of a router in the middle of the mesh").
 	PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int)
+	// Counts reports the network's accounting of the run since Reset.
+	Counts() Counts
 }

@@ -116,11 +116,9 @@ func TestControlFlitsRejectBadArgs(t *testing.T) {
 func TestHooksNilSafe(t *testing.T) {
 	var h *Hooks
 	h.Delivered(&Packet{}, 0)
-	h.Injected(0)
 	h.Ejected(0)
 	empty := &Hooks{}
 	empty.Delivered(&Packet{}, 0)
-	empty.Injected(0)
 	empty.Ejected(0)
 }
 

@@ -1,7 +1,10 @@
 package noc
 
 import (
+	"frfc/internal/metrics"
+	"frfc/internal/profile"
 	"frfc/internal/sim"
+	"frfc/internal/topology"
 	"frfc/internal/waterfall"
 )
 
@@ -62,38 +65,79 @@ func (q *SourceQueue) Filter(keep func(*Packet) bool) {
 	q.pkts, q.head = kept, 0
 }
 
-// Sink is a terminal's ejection side on the fabrics whose flits identify
-// themselves (head/tail framing on the wire: the packet-switched and circuit
-// baselines): it counts each packet's flits off the ejection wire and reports
-// the packet delivered when the last one arrives.
+// Sink is a terminal's ejection side on every fabric whose flits identify
+// themselves on the wire (head/tail framing: virtual channels, wormhole, and
+// the packet-switched and circuit baselines): it counts each packet's flits
+// off the ejection wire and reports the packet delivered when the last one
+// arrives. Reassembly space is unbounded, matching the paper's
+// immediate-ejection assumption. It tallies what it delivered and the
+// corrupted flits that reached it, which its network sums into Counts.
 type Sink struct {
-	Data   *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
-	Ledger *waterfall.Ledger   // nil when latency provenance is off
+	Data *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
+	// FlitsIn counts the flits in flight on Data: the sender counts each in
+	// as it sends and Tick counts it out, so a sink whose count is zero does
+	// not read the wire.
+	FlitsIn int32
+
+	// What a fabric may leave nil: the probe the sink reports each ejected
+	// flit to, the self-profile it reports its ticks to, and the
+	// latency-stage ledger. Node is the sink's node in the first two.
+	Node   topology.NodeID
+	Probe  *metrics.Probe
+	Prof   *profile.Registry
+	Ledger *waterfall.Ledger
 
 	got   map[PacketID]int
 	hooks *Hooks
+	// delivered counts fully reassembled packets; escapes counts flits that
+	// arrived corrupted, past every hop CRC. These fabrics have no end-to-end
+	// check, so an escape is counted and then delivered as good data.
+	delivered, escapes int64
 }
 
-// NewSink returns a sink reporting through hooks.
-func NewSink(hooks *Hooks) *Sink {
-	return &Sink{got: make(map[PacketID]int), hooks: hooks}
+// NewSink returns node's sink, reporting through hooks.
+func NewSink(node topology.NodeID, hooks *Hooks) *Sink {
+	return &Sink{Node: node, got: make(map[PacketID]int), hooks: hooks}
 }
 
-// Reset forgets every partly ejected packet; the wire and the ledger are the
-// network's to reset and detach.
-func (s *Sink) Reset() { clear(s.got) }
+// Reset forgets every partly ejected packet, the flits counted in flight and
+// the tallies; the wire, the probe and the ledger are the network's to reset
+// and detach.
+func (s *Sink) Reset() {
+	clear(s.got)
+	s.FlitsIn, s.delivered, s.escapes = 0, 0, 0
+}
+
+// AddCounts adds the sink's tallies to c.
+func (s *Sink) AddCounts(c *Counts) {
+	c.Delivered += s.delivered
+	c.CorruptEscapes += s.escapes
+}
 
 // Tick receives the flits that arrived this cycle.
 func (s *Sink) Tick(now sim.Cycle) {
-	s.Data.RecvEach(now, func(f DataFlit) {
+	received := 0
+	for s.FlitsIn > 0 {
+		f, ok := s.Data.Recv(now)
+		if !ok {
+			break
+		}
+		s.FlitsIn--
+		received++
+		if f.Corrupted {
+			s.escapes++
+		}
 		s.hooks.Ejected(now)
-		if s.Ledger != nil && f.Type.IsHead() && f.Packet.Sampled {
+		s.Probe.Eject(now, int(s.Node), uint64(f.Packet.ID), f.Seq)
+		if s.Ledger != nil && f.Seq == 0 && f.Packet.Sampled {
 			s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
 		}
 		s.got[f.Packet.ID]++
 		if s.got[f.Packet.ID] == f.Packet.Len {
 			delete(s.got, f.Packet.ID)
+			s.delivered++
 			s.hooks.Delivered(f.Packet, now)
 		}
-	})
+	}
+	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)
 }

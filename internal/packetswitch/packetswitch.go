@@ -128,6 +128,9 @@ type outputState struct {
 	busyWith int // index of the (input*slots+slot) currently holding the channel, -1 if free
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
+	// ejected is the sink's count of flits in flight on data; nil on the
+	// outputs that lead to another router.
+	ejected *int32
 }
 
 // Router is one store-and-forward or cut-through router.
@@ -370,6 +373,9 @@ func (r *Router) stream(now sim.Cycle) {
 			r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 		}
 		o.data.Send(now, f)
+		if o.ejected != nil {
+			*o.ejected++
+		}
 		sl.sent++
 		if sl.sent == sl.total {
 			// Whole packet forwarded: free the buffer and channel,

@@ -37,7 +37,6 @@ type Pipe[T any] struct {
 	// preserved and the receiver never has to reorder.
 	faultRate   float64
 	rng         *RNG
-	onCorrupt   func()
 	retransmits int64
 
 	// Hard-fault state (Sever/Restore). A severed pipe models a dead wire:
@@ -138,23 +137,22 @@ func (p *Pipe[T]) Reset() {
 // round-trip (2×latency) per corruption. An item may be corrupted again on
 // replay, so its total delay is latency + 2·latency·k for a geometrically
 // distributed k. Delivery remains FIFO (go-back-N), so no item overtakes a
-// retransmitting predecessor. onCorrupt, if non-nil, is invoked once per
-// corruption event; rate must lie in [0,1) and rng must be non-nil when
-// rate > 0.
-func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG, onCorrupt func()) *Pipe[T] {
-	return NewPipe[T](latency, width).WithFaults(rate, rng, onCorrupt)
+// retransmitting predecessor; Retransmits counts the corruption events. rate
+// must lie in [0,1) and rng must be non-nil when rate > 0.
+func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG) *Pipe[T] {
+	return NewPipe[T](latency, width).WithFaults(rate, rng)
 }
 
 // WithFaults arms the corruption-and-replay model NewFaultyPipe describes on a
 // pipe already built, and returns it.
-func (p *Pipe[T]) WithFaults(rate float64, rng *RNG, onCorrupt func()) *Pipe[T] {
+func (p *Pipe[T]) WithFaults(rate float64, rng *RNG) *Pipe[T] {
 	if rate < 0 || rate >= 1 || rate != rate {
 		panic("sim: fault rate must lie in [0, 1)")
 	}
 	if rate > 0 && rng == nil {
 		panic("sim: faulty pipe needs an RNG")
 	}
-	p.faultRate, p.rng, p.onCorrupt = rate, rng, onCorrupt
+	p.faultRate, p.rng = rate, rng
 	return p
 }
 
@@ -199,12 +197,6 @@ func (p *Pipe[T]) SetBitErrorRate(ber float64) {
 // corrupted.
 func (p *Pipe[T]) Corrupted() int64 { return p.corrupted }
 
-// Latency reports the pipe's propagation delay in cycles.
-func (p *Pipe[T]) Latency() Cycle { return p.latency }
-
-// Width reports the pipe's bandwidth in items per cycle.
-func (p *Pipe[T]) Width() int { return int(p.width) }
-
 // cell is the ring cell i places behind the oldest item in flight.
 func (p *Pipe[T]) cell(i uint32) *pipeEntry[T] {
 	return &p.ring[(p.head+i)&uint32(len(p.ring)-1)]
@@ -248,9 +240,6 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 		for p.rng.Bool(p.faultRate) {
 			readyAt += 2 * p.latency
 			p.retransmits++
-			if p.onCorrupt != nil {
-				p.onCorrupt()
-			}
 		}
 	}
 	// Go-back-N: an item sent behind a retransmitting predecessor is held in

@@ -76,7 +76,7 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 			ring := NewPipe[int](latency, width)
 			ref := &slicePipe{latency: latency}
 			if faulty {
-				ring = NewFaultyPipe[int](latency, width, 0.15, NewRNG(7), nil)
+				ring = NewFaultyPipe[int](latency, width, 0.15, NewRNG(7))
 				ref.faultRate, ref.rng = 0.15, NewRNG(7)
 			}
 			if bitErrors {

@@ -153,7 +153,7 @@ func TestPipeOrderProperty(t *testing.T) {
 // adding one link round-trip to the item's delay.
 func TestFaultyPipeRecoversEveryItem(t *testing.T) {
 	const latency, n = 3, 500
-	p := NewFaultyPipe[int](latency, 1, 0.2, NewRNG(7), nil)
+	p := NewFaultyPipe[int](latency, 1, 0.2, NewRNG(7))
 	sentAt := make([]Cycle, n)
 	got := make([]int, 0, n)
 	now := Cycle(0)
@@ -193,7 +193,7 @@ func TestFaultyPipeRecoversEveryItem(t *testing.T) {
 func TestFaultyPipeDelayIsRoundTripMultiple(t *testing.T) {
 	const latency = 4
 	for seed := uint64(1); seed < 30; seed++ {
-		p := NewFaultyPipe[int](latency, 1, 0.5, NewRNG(seed), nil)
+		p := NewFaultyPipe[int](latency, 1, 0.5, NewRNG(seed))
 		before := p.Retransmits()
 		p.Send(0, 42)
 		k := p.Retransmits() - before
@@ -210,7 +210,7 @@ func TestFaultyPipeDelayIsRoundTripMultiple(t *testing.T) {
 // TestFaultyPipeZeroRateIsTransparent: a zero fault rate behaves exactly like
 // NewPipe and needs no RNG.
 func TestFaultyPipeZeroRateIsTransparent(t *testing.T) {
-	p := NewFaultyPipe[string](2, 1, 0, nil, nil)
+	p := NewFaultyPipe[string](2, 1, 0, nil)
 	p.Send(0, "x")
 	if _, ok := p.Recv(1); ok {
 		t.Fatal("item readable before latency elapsed")
@@ -232,7 +232,7 @@ func TestFaultyPipeRejectsBadRates(t *testing.T) {
 					t.Errorf("rate %v did not panic", rate)
 				}
 			}()
-			NewFaultyPipe[int](1, 1, rate, NewRNG(1), nil)
+			NewFaultyPipe[int](1, 1, rate, NewRNG(1))
 		}()
 	}
 }

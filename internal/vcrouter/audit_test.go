@@ -64,8 +64,8 @@ func (n *Network) audit() error {
 		if ni.active != active || int(ni.creditsIn) != ni.creditIn.Len() {
 			return fmt.Errorf("NI %d: active %d creditsIn %d, slots say %d and the wire holds %d", id, ni.active, ni.creditsIn, active, ni.creditIn.Len())
 		}
-		if int(sink.flitsIn) != sink.data.Len() {
-			return fmt.Errorf("sink %d: flitsIn %d, the wire holds %d", id, sink.flitsIn, sink.data.Len())
+		if int(sink.FlitsIn) != sink.Data.Len() {
+			return fmt.Errorf("sink %d: FlitsIn %d, the wire holds %d", id, sink.FlitsIn, sink.Data.Len())
 		}
 	}
 	return nil

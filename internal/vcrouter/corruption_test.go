@@ -50,7 +50,8 @@ func TestBitErrorsRepairedInPlace(t *testing.T) {
 	if got := net.InFlightPackets(); got != 0 {
 		t.Errorf("InFlightPackets = %d after drain, want 0", got)
 	}
-	corrupted, repaired, escaped := net.IntegrityCounts()
+	c := net.Counts()
+	corrupted, repaired, escaped := c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes
 	if corrupted == 0 {
 		t.Fatal("BER exercised nothing over ~1500 flits")
 	}
@@ -80,7 +81,8 @@ func TestBitErrorEscapesCounted(t *testing.T) {
 	if len(rec.delivered) != packets {
 		t.Fatalf("delivered %d of %d packets", len(rec.delivered), packets)
 	}
-	corrupted, repaired, escaped := net.IntegrityCounts()
+	c := net.Counts()
+	corrupted, repaired, escaped := c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes
 	if corrupted == 0 || escaped == 0 {
 		t.Fatalf("disabled CRC produced no escapes: corrupted=%d escaped=%d", corrupted, escaped)
 	}

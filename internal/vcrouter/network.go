@@ -15,15 +15,13 @@ import (
 type Network struct {
 	mesh topology.Mesh
 	cfg  Config
-	// hooks is what the components report through, one value for the
-	// network's life: own — the hooks the network counts on the way, built
-	// once — laid over inner, the current run's.
-	hooks      *noc.Hooks
-	own, inner noc.Hooks
+	// hooks is what the sinks report through, one value for the network's
+	// life that Reset sets to the current run's.
+	hooks *noc.Hooks
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*sink
+	sinks   []*noc.Sink
 
 	// probe is the attached observability sink; nil when disabled.
 	probe *metrics.Probe
@@ -31,17 +29,8 @@ type Network struct {
 	// linkRNG drives the bit-error draws on every inter-router data link;
 	// nil unless BER > 0.
 	linkRNG *sim.RNG
-	// now mirrors the current tick so the link transform can timestamp
-	// corruption hooks.
-	now sim.Cycle
 
-	offered   int64
-	delivered int64
-
-	// Integrity counters, maintained by chaining the corruption hooks.
-	corrupted   int64 // flits delivered corrupted by the bit-error model
-	crcRepaired int64 // corrupted flits the hop CRC caught and repaired
-	escapes     int64 // corrupted flits that reached their destination
+	offered int64
 }
 
 var _ noc.Network = (*Network)(nil)
@@ -57,33 +46,13 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	if cfg.BER > 0 {
 		n.linkRNG = new(sim.RNG)
 	}
-	// Chain the delivered and corruption hooks so the network can track
-	// in-flight and integrity counts while still reporting to the caller.
-	n.own = noc.Hooks{
-		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
-			n.delivered++
-			n.inner.Delivered(p, now)
-		},
-		FlitCorrupted: func(now sim.Cycle) {
-			n.corrupted++
-			n.inner.Corrupted(now)
-		},
-		CorruptionDetected: func(now sim.Cycle) {
-			n.crcRepaired++
-			n.inner.CrcDetected(now)
-		},
-		CorruptionEscaped: func(p *noc.Packet, now sim.Cycle) {
-			n.escapes++
-			n.inner.CorruptEscape(p, now)
-		},
-	}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*sink, mesh.N())
+	n.sinks = make([]*noc.Sink, mesh.N())
 	for id := 0; id < mesh.N(); id++ {
-		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG), n.hooks)
-		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, new(sim.RNG), n.hooks)
-		n.sinks[id] = newSink(topology.NodeID(id), n.hooks)
+		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG))
+		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, new(sim.RNG))
+		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -93,19 +62,12 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 // Reset implements noc.Network. Channel rings, wires and scratch keep the
 // size they had grown to; nothing else of an earlier run survives.
 func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
-	// The caller's hooks pass straight through, except the ones the network
-	// counts on the way (own), which find the caller's in n.inner.
-	n.inner = noc.Hooks{}
+	*n.hooks = noc.Hooks{}
 	if hooks != nil {
-		n.inner = *hooks
+		*n.hooks = *hooks
 	}
-	h := n.inner
-	h.PacketDelivered, h.FlitCorrupted = n.own.PacketDelivered, n.own.FlitCorrupted
-	h.CorruptionDetected, h.CorruptionEscaped = n.own.CorruptionDetected, n.own.CorruptionEscaped
-	*n.hooks = h
 	n.AttachProbe(nil)
-	n.now, n.offered, n.delivered = 0, 0, 0
-	n.corrupted, n.crcRepaired, n.escapes = 0, 0, 0
+	n.offered = 0
 
 	// The link stream is split off the root seed only when BER > 0, so a
 	// zero-BER configuration keeps the split order — and the bit-identical
@@ -132,7 +94,7 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 		x.reset()
 		x.data.Reset()
 		x.creditIn.Reset()
-		n.sinks[id].reset()
+		n.sinks[id].Reset()
 	}
 }
 
@@ -152,9 +114,9 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 		x.wf = p.Waterfall()
 	}
 	for _, s := range n.sinks {
-		s.probe = p
-		s.prof = p.Profile()
-		s.wf = p.Waterfall()
+		s.Probe = p
+		s.Prof = p.Profile()
+		s.Ledger = p.Waterfall()
 	}
 }
 
@@ -174,7 +136,7 @@ func (n *Network) wire() {
 			}
 			data := sim.NewPipe[noc.DataFlit](cfg.LinkLatency, 1)
 			if cfg.BER > 0 {
-				data.WithBitErrors(cfg.BER, n.linkRNG, n.corruptFlit)
+				data.WithBitErrors(cfg.BER, n.linkRNG, corruptFlit)
 			}
 			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
 			far := n.routers[nb]
@@ -194,25 +156,33 @@ func (n *Network) wire() {
 		local.creditOut, local.creditPeer = injCredit, &ni.creditsIn
 		// Ejection: router Local output -> sink.
 		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &n.sinks[id].flitsIn
-		n.sinks[id].data = ej
+		r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &n.sinks[id].FlitsIn
+		n.sinks[id].Data = ej
 	}
 }
 
 // corruptFlit is the data links' bit-error transform: the flit is delivered
 // on schedule with its Corrupted flag set; only a CRC check downstream can
-// tell the payload is wrong.
-func (n *Network) corruptFlit(f noc.DataFlit) noc.DataFlit {
+// tell the payload is wrong. The link's pipe counts it.
+func corruptFlit(f noc.DataFlit) noc.DataFlit {
 	f.Corrupted = true
-	n.hooks.Corrupted(n.now)
 	return f
 }
 
-// IntegrityCounts reports the bit-error model's tallies: flits delivered
-// corrupted, corrupted flits the hop CRC repaired, and corrupted flits that
-// escaped detection all the way to their destination.
-func (n *Network) IntegrityCounts() (corrupted, crcRepaired, escaped int64) {
-	return n.corrupted, n.crcRepaired, n.escapes
+// Counts implements noc.Network: the packets offered, and what the sinks, the
+// routers' hop CRCs and the links' bit-error model tallied.
+func (n *Network) Counts() noc.Counts {
+	c := noc.Counts{Offered: n.offered}
+	for id, r := range n.routers {
+		n.sinks[id].AddCounts(&c)
+		c.CrcDetected += r.crcRepaired
+		for p := range r.out {
+			if o := &r.out[p]; o.exists {
+				c.CorruptedFlits += o.data.Corrupted()
+			}
+		}
+	}
+	return c
 }
 
 // Offer implements noc.Network.
@@ -223,7 +193,6 @@ func (n *Network) Offer(p *noc.Packet) {
 
 // Tick implements noc.Network: one cycle for every NI, router, and sink.
 func (n *Network) Tick(now sim.Cycle) {
-	n.now = now
 	for _, x := range n.nis {
 		x.Tick(now)
 	}
@@ -255,7 +224,7 @@ func (n *Network) SourceQueueLen() int {
 
 // InFlightPackets implements noc.Network.
 func (n *Network) InFlightPackets() int {
-	return int(n.offered - n.delivered)
+	return int(n.offered - n.Counts().Delivered)
 }
 
 // BufferUsage implements noc.Network.

@@ -22,7 +22,6 @@ type ni struct {
 	node  topology.NodeID
 	cfg   *Config // the Network's one copy
 	rng   *sim.RNG
-	hooks *noc.Hooks
 	probe *metrics.Probe
 	prof  *profile.Registry
 	wf    *waterfall.Ledger
@@ -54,8 +53,8 @@ type niSlot struct {
 	next   int
 }
 
-func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *ni {
-	n := &ni{node: node, cfg: cfg, rng: rng, hooks: hooks,
+func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG) *ni {
+	n := &ni{node: node, cfg: cfg, rng: rng,
 		slots:   make([]niSlot, cfg.NumVCs),
 		credits: make([]int, cfg.NumVCs),
 		occ:     make([]int, cfg.NumVCs),
@@ -181,7 +180,6 @@ func (n *ni) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
 		post(n.data, n.dataPeer, now, f)
-		n.hooks.Injected(now)
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false
@@ -190,62 +188,4 @@ func (n *ni) Tick(now sim.Cycle) {
 		work++
 	}
 	n.prof.ComponentTick(profile.CompNI, int(n.node), work > 0)
-}
-
-// sink is the ejection side of a network interface: it receives flits from
-// the router's Local output and reports packets whose every flit has
-// arrived. Reassembly space is unbounded, matching the paper's immediate-
-// ejection assumption.
-type sink struct {
-	node    topology.NodeID
-	data    *sim.Pipe[noc.DataFlit]
-	flitsIn int32 // flits in flight on data, posted by the router
-	got     map[noc.PacketID]int
-	hooks   *noc.Hooks
-	probe   *metrics.Probe
-	prof    *profile.Registry
-	wf      *waterfall.Ledger
-	// delivered counts fully reassembled packets, used by the network's
-	// in-flight accounting.
-	delivered int64
-}
-
-func newSink(node topology.NodeID, hooks *noc.Hooks) *sink {
-	return &sink{node: node, got: make(map[noc.PacketID]int), hooks: hooks}
-}
-
-// reset forgets every partly ejected packet and the flits counted in flight.
-func (s *sink) reset() {
-	s.flitsIn, s.delivered = 0, 0
-	clear(s.got)
-}
-
-func (s *sink) Tick(now sim.Cycle) {
-	received := 0
-	for s.flitsIn > 0 {
-		f, ok := s.data.Recv(now)
-		if !ok {
-			break
-		}
-		s.flitsIn--
-		received++
-		if f.Corrupted {
-			// The baseline has no end-to-end recovery: an escaped
-			// corruption is delivered as if it were good data, and only
-			// the counter records the silent damage.
-			s.hooks.CorruptEscape(f.Packet, now)
-		}
-		s.hooks.Ejected(now)
-		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
-		if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
-			s.wf.Eject(uint64(f.Packet.ID), 0, now)
-		}
-		s.got[f.Packet.ID]++
-		if s.got[f.Packet.ID] == f.Packet.Len {
-			delete(s.got, f.Packet.ID)
-			s.delivered++
-			s.hooks.Delivered(f.Packet, now)
-		}
-	}
-	s.prof.ComponentTick(profile.CompSink, int(s.node), received > 0)
 }

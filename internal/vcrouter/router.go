@@ -69,11 +69,10 @@ type outputState struct {
 // Network; the type is exported only for white-box testing within the
 // package tree.
 type Router struct {
-	id    topology.NodeID
-	mesh  topology.Mesh
-	cfg   *Config // the Network's one copy
-	rng   *sim.RNG
-	hooks *noc.Hooks
+	id   topology.NodeID
+	mesh topology.Mesh
+	cfg  *Config // the Network's one copy
+	rng  *sim.RNG
 
 	in  [topology.NumPorts]inputState
 	out [topology.NumPorts]outputState
@@ -92,6 +91,9 @@ type Router struct {
 	// Whoever sends counts the item in (post) and Tick counts it out, so a
 	// wire whose cell is zero is not read.
 	flitsIn, creditsIn [topology.NumPorts]int32
+
+	// crcRepaired counts the corrupted flits the hop CRC caught (crcDetect).
+	crcRepaired int64
 
 	// probe is the observability sink; nil when disabled, and every call
 	// on a nil probe is a no-op.
@@ -135,9 +137,8 @@ func post[T any](wire *sim.Pipe[T], inFlight *int32, now sim.Cycle, item T) {
 	*inFlight++
 }
 
-func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *Router {
-	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng, hooks: hooks,
-		words: (cfg.NumVCs + 63) / 64}
+func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
+	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng, words: (cfg.NumVCs + 63) / 64}
 	masks := make([]uint64, 2*r.words*int(topology.NumPorts))
 	r.occ, r.alloc = masks[:len(masks)/2], masks[len(masks)/2:]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
@@ -166,6 +167,7 @@ func (r *Router) reset() {
 	clear(r.occ)
 	clear(r.alloc)
 	r.flitsIn, r.creditsIn = [topology.NumPorts]int32{}, [topology.NumPorts]int32{}
+	r.crcRepaired = 0
 	for p := range r.in {
 		in := &r.in[p]
 		for v := range in.vcs {
@@ -254,7 +256,6 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 					// detection models a zero-cost link-level retransmit
 					// that restores the payload in place.
 					f.Corrupted = false
-					r.hooks.CrcDetected(now)
 				}
 			}
 			vc := &in.vcs[f.VC]
@@ -288,15 +289,20 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 }
 
 // crcDetect reports whether the modeled c-bit hop CRC catches a corrupted
-// flit: probability 1 - 2^-c. It draws randomness only when a corrupted flit
-// is examined, so configurations without bit errors keep their RNG streams —
-// and their behavior — bit-identical to builds without the error model.
+// flit, probability 1 - 2^-c, and counts a catch. It draws randomness only
+// when a corrupted flit is examined, so configurations without bit errors keep
+// their RNG streams — and their behavior — bit-identical to builds without the
+// error model.
 func (r *Router) crcDetect() bool {
 	c := r.cfg.CrcBits
 	if c < 0 {
 		return false
 	}
-	return r.rng.Bool(1 - math.Exp2(-float64(c)))
+	caught := r.rng.Bool(1 - math.Exp2(-float64(c)))
+	if caught {
+		r.crcRepaired++
+	}
+	return caught
 }
 
 // allocateVCs routes head flits and assigns them a free virtual channel on

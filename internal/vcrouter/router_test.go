@@ -16,7 +16,7 @@ import (
 func testRouter(cfg Config) (r *Router, inCredit *sim.Pipe[noc.VCCredit], ej *sim.Pipe[noc.DataFlit]) {
 	cfg = cfg.withDefaults()
 	mesh := topology.NewMesh(2)
-	r = newRouter(0, mesh, &cfg, sim.NewRNG(1), &noc.Hooks{})
+	r = newRouter(0, mesh, &cfg, sim.NewRNG(1))
 	var sent [3]int32
 	// Feed the East input (from node 1 westward — we play the neighbor).
 	inCredit = sim.NewPipe[noc.VCCredit](1, 4)

@@ -17,7 +17,7 @@ import (
 type ResolveOptions = experiment.ResolveOptions
 
 // Resolved is the ledger every row of a resolved sweep reports once the fate
-// of each offered packet is known: the recovery layer's counters (Offered,
+// of each offered packet is known: the network's counts (Offered,
 // Delivered, Abandoned, LostDetected, Unreachable, Retried,
 // DeliveredAfterRetry, DroppedFlits, CtrlCorrupted, and the corruption ledger
 // CorruptedFlits, CrcDetected, CorruptEscapes, PhantomReservations,

@@ -1,18 +1,18 @@
 #!/bin/sh
-# The two fabrics' routers receive with loops over sim.Pipe.Recv, which pay
-# only while the compiler inlines it: kept out of line, every poll of every
-# wire is a call (a wrapper that was cost vc-mid 25 %; ROADMAP, "Settled").
-# Fail unless the compiler reports Recv inlined at every call of it — as many
-# times as the line makes the call — in the files that hold the two
-# Router.Ticks.
+# The two fabrics' routers, and the sink VC and wormhole eject through, receive
+# with loops over sim.Pipe.Recv, which pay only while the compiler inlines it:
+# kept out of line, every poll of every wire is a call (a wrapper that was cost
+# vc-mid 25 %; ROADMAP, "Settled"). Fail unless the compiler reports Recv
+# inlined at every call of it — as many times as the line makes the call — in
+# the files that hold the two Router.Ticks and noc.Sink.Tick.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
 cd "$(dirname "$0")/.."
 
-report=$(go build -gcflags=-m ./internal/core ./internal/vcrouter 2>&1) || { echo "$report" >&2; exit 1; }
+report=$(go build -gcflags=-m ./internal/core ./internal/vcrouter ./internal/noc 2>&1) || { echo "$report" >&2; exit 1; }
 status=0
-for f in internal/core/router.go internal/vcrouter/router.go; do
+for f in internal/core/router.go internal/vcrouter/router.go internal/noc/terminal.go; do
     sites=$(grep -n '\.Recv(now)' "$f" | cut -d: -f1)
     [ -n "$sites" ] || { echo "inlined.sh: $f calls Recv nowhere: the check is stale" >&2; exit 1; }
     for line in $sites; do
@@ -24,5 +24,5 @@ for f in internal/core/router.go internal/vcrouter/router.go; do
         fi
     done
 done
-[ $status -eq 0 ] && echo "inlined.sh: Recv is inlined at every receive site of core and vcrouter"
+[ $status -eq 0 ] && echo "inlined.sh: Recv is inlined at every receive site of core, vcrouter and the shared sink"
 exit $status
