@@ -28,6 +28,9 @@ func TestFaultModesGolden(t *testing.T) {
 		{"reliability", []string{"-reliability", "-check"}},
 		{"integrity", []string{"-integrity", "-check", "-packets", "200"}},
 		{"chaos", []string{"-chaos", "-check", "-packets", "300", "-intensities", "0.25,0.5,1"}},
+		{"scenario", []string{"-scenario", "down 5-6 @300; up 5-6 @700"}},
+		{"chaos-no-e2e", []string{"-chaos", "-no-e2e", "-chaos-seed", "7"}},
+		{"integrity-crc2", []string{"-integrity", "-crc-bits", "2"}},
 	}
 	for _, m := range modes {
 		for _, form := range []string{"txt", "csv"} {
