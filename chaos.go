@@ -12,13 +12,14 @@ type ChaosPoint = experiment.ChaosPoint
 
 // ChaosSweepOptions parameterizes a ChaosSweep: the ResolveOptions, the
 // Intensities swept (each in (0, 1]; router kills only appear at intensity
-// >= 0.75), the cycle Horizon campaigns schedule events in, the ChaosSeed
-// that drives the plan generator (Seed drives the network and workload; each
-// campaign's plan is a pure function of the options), and DisableE2E, which
-// turns the end-to-end payload check off so escaped corruption is silently
-// accepted instead of retried. Zero fields take defaults: the ResolveOptions
-// defaults (600 packets per row), intensities {0.25, 0.5, 1.0}, a horizon
-// scaled to the offering window, and the end-to-end check on.
+// >= 0.75), the ChaosSeed that drives the plan generator (Seed drives the
+// network and workload; each campaign's plan is a pure function of the
+// options), and DisableE2E, which turns the end-to-end payload check off so
+// escaped corruption is silently accepted instead of retried. Zero fields
+// take defaults: the ResolveOptions defaults (600 packets per row),
+// intensities {0.25, 0.5, 1.0}, and the end-to-end check on. Campaigns
+// schedule their events over the offering window, three cycles per packet,
+// plus 500 cycles.
 type ChaosSweepOptions = experiment.ChaosSweepOptions
 
 // ChaosSweep runs one deterministic chaos campaign per intensity against the

@@ -226,6 +226,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-ber must be a probability in [0,1) (got %g)", *ber)
 	case *chaos < 0 || *chaos > 1:
 		return fail("-chaos must be an intensity in (0,1] (got %g; 0 means no chaos)", *chaos)
+	case shared.ChaosSeed != 0 && *chaos == 0:
+		return fail("-chaos-seed %d applies to -chaos runs only", shared.ChaosSeed)
 	case *lead != 1 && !leadApplies:
 		return fail("-lead %d applies to -config FR6 (or -custom -fr) under -wiring leading only", *lead)
 	case *buffers < 1 || *buffers > core.MaxDataBuffers:

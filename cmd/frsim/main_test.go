@@ -293,7 +293,7 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 // if unset (a bit error on SAF2 reported "0 flits corrupted" as measured).
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
-		{"-chaos", "1.5"}, {"-chaos", "-0.5"},
+		{"-chaos", "1.5"}, {"-chaos", "-0.5"}, {"-chaos-seed", "9"}, {"-chaos", "0", "-chaos-seed", "9"},
 		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"},
 		{"-radix", "1"}, {"-radix", "-4"},
 		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-custom", "-pktlen", "0"},

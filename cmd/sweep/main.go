@@ -165,6 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if stray != "" {
 		return fail("%s", stray)
 	}
+	events, err := frfc.ParseScenario(*scenario)
+	if err != nil {
+		return fail("-%v", err)
+	}
 	names := strings.Split(*configs, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
@@ -172,7 +176,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var specs []frfc.Spec
 	var loads []float64
 	if !resolved {
-		var err error
 		specs, loads, err = frfc.Grid{
 			Configs: names, Wiring: shared.Wiring, PacketLen: shared.PktLen,
 			From: *from, To: *to, Step: *step,
@@ -244,9 +247,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return printTable(stdout, stderr, chaosTable(points), *csv)
 	case "-reliability":
-		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Routing: shared.Routing}
+		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit}
 		if *scenario != "" {
-			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Scenario: *scenario}}
+			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Events: events}}
 		}
 		points, err := frfc.ReliabilitySweep(o)
 		if err != nil {
@@ -346,13 +349,17 @@ var modeFlags = map[string][]string{
 	"crc-bits":    {"-integrity"},
 	"intensities": {"-chaos"},
 	"no-e2e":      {"-chaos"},
+	"chaos-seed":  {"-chaos"},
 	"packets":     {"-faults", "-integrity", "-chaos", "-reliability"},
 	"retrylimit":  {"-faults", "-integrity", "-reliability"},
 }
 
 // gridFlags are the flags of the store and campaign a grid sweep (or its
-// -adaptive bisection) runs, which the fault modes have neither of.
-var gridFlags = []string{"out", "resume", "timeout", "progress", "adaptive"}
+// -adaptive bisection) runs, which the fault modes have neither of, and of the
+// grid itself: every fault mode runs FR6 under fast control with its own
+// routing, to full resolution rather than a sample.
+var gridFlags = []string{"out", "resume", "timeout", "progress", "adaptive",
+	"configs", "from", "to", "step", "wiring", "sample", "warmup", "routing"}
 
 // observed is the point's sidecar: empty for a failed point and for a cached
 // one whose stored row was written by a run that armed no observer.

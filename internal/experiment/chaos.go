@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"frfc/internal/core"
 	"frfc/internal/sim"
-	"frfc/internal/topology"
 )
 
 // ChaosPoint is one row of a chaos sweep: a flit-reservation network run under
@@ -30,22 +28,20 @@ func (p ChaosPoint) String() string {
 }
 
 // ChaosSweepOptions parameterizes a chaos sweep (600 packets per row by
-// default, so traffic spans the campaign's events).
+// default, so traffic spans the campaign's events). Each row's campaign
+// schedules its events over the offering window — three cycles per packet —
+// plus a 500-cycle settle margin, so every campaign bites live traffic.
 type ChaosSweepOptions struct {
 	ResolveOptions
 	// Intensities are the chaos intensities swept, each in (0, 1]. Nil
 	// selects the defaults {0.25, 0.5, 1.0}; router kills only appear at
 	// intensity >= 0.75.
 	Intensities []float64
-	// Horizon is the cycle window the plans schedule events in; 0 scales it
-	// to the offering window (3 cycles per packet plus settle margin) so
-	// every campaign bites live traffic.
-	Horizon sim.Cycle
 	// ChaosSeed drives the plan generator (ResolveOptions.Seed the network
 	// and workload). Both default fixed.
 	ChaosSeed uint64
-	// E2ECheck arms the end-to-end payload check (default on via
-	// DisableE2E=false); chaos without it silently accepts escapes.
+	// DisableE2E turns the end-to-end payload check off (it is on by
+	// default); chaos without it silently accepts escapes.
 	DisableE2E bool
 }
 
@@ -53,9 +49,6 @@ func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
 	o.ResolveOptions = o.ResolveOptions.withDefaults(600, 0x1D7E9)
 	if o.Intensities == nil {
 		o.Intensities = []float64{0.25, 0.5, 1.0}
-	}
-	if o.Horizon == 0 {
-		o.Horizon = sim.Cycle(3*o.Packets) + 500
 	}
 	if o.ChaosSeed == 0 {
 		o.ChaosSeed = 0xCA05
@@ -74,20 +67,17 @@ func (o ChaosSweepOptions) Cells() []Cell[ChaosPoint] {
 	o = o.withDefaults()
 	cells := make([]Cell[ChaosPoint], 0, len(o.Intensities))
 	for _, intensity := range o.Intensities {
+		s := o.spec()
+		s.ChaosIntensity, s.ChaosHorizon, s.ChaosSeed = intensity, sim.Cycle(3*o.Packets)+500, o.ChaosSeed
+		s.FR.E2ECheck = !o.DisableE2E
 		cells = append(cells, Cell[ChaosPoint]{
 			Name: fmt.Sprintf("chaos cell (intensity=%g)", intensity),
 			Run: func(ctx context.Context) (ChaosPoint, error) {
-				plan := core.NewChaosPlan(topology.NewMesh(o.Radix), core.ChaosOptions{
-					Intensity: intensity, Horizon: o.Horizon, Seed: o.ChaosSeed,
-				})
-				res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
-					*cfg = plan.Apply(*cfg)
-					cfg.E2ECheck = !o.DisableE2E
-				}, nil)
+				res, err := resolve(ctx, o.ResolveOptions, s, nil)
 				if err != nil {
 					return ChaosPoint{}, err
 				}
-				return ChaosPoint{Intensity: intensity, Seed: o.ChaosSeed, Events: len(plan.Events), Resolved: res}, nil
+				return ChaosPoint{Intensity: intensity, Seed: o.ChaosSeed, Events: len(s.chaosPlan().Events), Resolved: res}, nil
 			},
 		})
 	}

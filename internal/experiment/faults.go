@@ -3,8 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-
-	"frfc/internal/core"
 )
 
 // FaultPoint is one row of a fault sweep: a flit-reservation network run at
@@ -62,13 +60,12 @@ func (o FaultSweepOptions) Cells() []Cell[FaultPoint] {
 	cells := make([]Cell[FaultPoint], 0, 2*len(o.Rates))
 	for _, rate := range o.Rates {
 		for _, retryLimit := range []int{0, o.RetryLimit} {
+			s := o.spec()
+			s.FR.DataFaultRate, s.FR.RetryLimit = rate, retryLimit
 			cells = append(cells, Cell[FaultPoint]{
 				Name: fmt.Sprintf("fault cell (rate=%g, retry=%d)", rate, retryLimit),
 				Run: func(ctx context.Context) (FaultPoint, error) {
-					res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
-						cfg.DataFaultRate = rate
-						cfg.RetryLimit = retryLimit
-					}, nil)
+					res, err := resolve(ctx, o.ResolveOptions, s, nil)
 					if err != nil {
 						return FaultPoint{}, err
 					}

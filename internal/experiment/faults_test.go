@@ -3,8 +3,6 @@ package experiment
 import (
 	"context"
 	"testing"
-
-	"frfc/internal/core"
 )
 
 // runSerial runs a sweep's cells one after another — the reference the
@@ -98,15 +96,20 @@ func TestFaultSweepIsDeterministic(t *testing.T) {
 }
 
 // TestResolveArmsCheckerAndWatchdog: Check is declared once, in
-// ResolveOptions, so it reaches the fabric's configuration from every resolved
-// sweep — the fault sweep used to have no such field and dropped the flag.
+// ResolveOptions, so it reaches the spec of every resolved sweep's rows — the
+// fault sweep used to have no such field and dropped the flag — and resolve
+// runs the network of exactly that spec.
 func TestResolveArmsCheckerAndWatchdog(t *testing.T) {
-	var cfg core.Config
 	o := ResolveOptions{Packets: 1, Check: true}.withDefaults(400, 1)
-	if _, err := resolve(context.Background(), o, func(c *core.Config) { cfg = *c }, nil); err != nil {
+	s := o.spec()
+	if !s.Check || s.FR.WatchdogCycles == 0 {
+		t.Fatalf("row spec: Check=%v WatchdogCycles=%d, want the checker and the watchdog armed", s.Check, s.FR.WatchdogCycles)
+	}
+	flushNetworks()
+	if _, err := resolve(context.Background(), o, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.Check || cfg.WatchdogCycles == 0 {
-		t.Fatalf("kernel config: Check=%v WatchdogCycles=%d, want the checker and the watchdog armed", cfg.Check, cfg.WatchdogCycles)
+	if networks.take(networkKey(s.withDefaults())) == nil {
+		t.Fatal("resolve left no network under its spec's key")
 	}
 }

@@ -145,7 +145,7 @@ func TestFuzzRecoveryConservesPackets(t *testing.T) {
 			ctrlRate = rng.Float64() * 0.04
 		}
 		retry := trial%2 == 1
-		cfg := frConfig(FastControl, 6, 2, 0)
+		cfg := FR6(FastControl, pktLen).FR
 		cfg.DataFaultRate = dataRate
 		cfg.CtrlFaultRate = ctrlRate
 		cfg.WatchdogCycles = 50000

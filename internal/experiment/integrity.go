@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"frfc/internal/core"
 	"frfc/internal/stats"
 )
 
@@ -90,15 +89,12 @@ func (o IntegritySweepOptions) Cells() []Cell[IntegrityPoint] {
 	cells := make([]Cell[IntegrityPoint], 0, 2*len(o.BERs))
 	for _, ber := range o.BERs {
 		for _, e2e := range []bool{true, false} {
+			s := o.spec()
+			s.FR.BER, s.FR.CrcBits, s.FR.E2ECheck, s.FR.RetryLimit = ber, o.CrcBits, e2e, o.RetryLimit
 			cells = append(cells, Cell[IntegrityPoint]{
 				Name: fmt.Sprintf("integrity cell (ber=%g, e2e=%v)", ber, e2e),
 				Run: func(ctx context.Context) (IntegrityPoint, error) {
-					res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
-						cfg.BER = ber
-						cfg.CrcBits = o.CrcBits
-						cfg.E2ECheck = e2e
-						cfg.RetryLimit = o.RetryLimit
-					}, nil)
+					res, err := resolve(ctx, o.ResolveOptions, s, nil)
 					if err != nil {
 						return IntegrityPoint{}, err
 					}

@@ -78,6 +78,23 @@ func (c *networkCache) take(key string) noc.Network {
 	return nil
 }
 
+// acquire gives a run of s, a normalized spec, a network to itself with the
+// given hooks: one an earlier run of the same configuration left behind, reset
+// from s's seed to its constructed state, or — the first time, and always on a
+// mesh too large to keep — one built here. The run hands it back with put
+// under the returned key, from its normal return only, so a cancelled or
+// panicking run leaves nothing for the next to find.
+func (c *networkCache) acquire(s Spec, hooks *noc.Hooks) (noc.Network, string) {
+	key := networkKey(s)
+	net := c.take(key)
+	if net != nil {
+		net.Reset(s.Seed, hooks)
+	} else {
+		net, _ = NewNetwork(s, hooks)
+	}
+	return net, key
+}
+
 // put returns a network whose run completed, evicting the least recently
 // returned one when the cache is full. The network is reset first, so that an
 // idle one holds nothing of the run that used it — its packets, its hooks and

@@ -121,6 +121,34 @@ func TestInterleavedConfigsBothHit(t *testing.T) {
 	}
 }
 
+// TestResolvedRowsReuseNetworks: a resolved sweep's row takes its network from
+// the cache like any run, and a reset network reports exactly what a new one
+// did — here for the reliability rows (router kill included) and a chaos
+// campaign at full intensity, each sweep run twice in a row.
+func TestResolvedRowsReuseNetworks(t *testing.T) {
+	o := ResolveOptions{Packets: 200, Check: true}
+	for name, sweep := range map[string]func() (any, int){
+		"reliability": func() (any, int) {
+			p := runSerial(t, ReliabilitySweepOptions{ResolveOptions: o}.Cells())
+			return p, len(p)
+		},
+		"chaos": func() (any, int) {
+			p := runSerial(t, ChaosSweepOptions{ResolveOptions: o, Intensities: []float64{1.0}}.Cells())
+			return p, len(p)
+		},
+	} {
+		flushNetworks()
+		first, rows := sweep()
+		second, _ := sweep()
+		if hits, misses, _ := cacheCounts(); hits != rows || misses != rows {
+			t.Errorf("%s: %d hits and %d misses over two passes of %d rows, want a miss per row and then a hit", name, hits, misses, rows)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: rows on reset networks differ:\n got: %+v\nwant: %+v", name, second, first)
+		}
+	}
+}
+
 // TestFailedRunLeavesNoNetwork: a run that panics or is cancelled does not
 // return its network — whatever state it died in is nobody's to find — so the
 // next run of the configuration builds its own, and completes.

@@ -49,35 +49,28 @@ func (p ReliabilityPoint) String() string {
 }
 
 // ReliabilitySweepOptions parameterizes a reliability sweep (600 packets per
-// row by default, so traffic spans the scenario's events).
+// row by default, so traffic spans the scenario's events). Every row runs
+// fault-aware table routing — the scenarios need it, and the healthy baseline
+// runs it too so that rows compare — and its post-recovery phase begins
+// settleCycles after the last scheduled event.
 type ReliabilitySweepOptions struct {
 	ResolveOptions
 	// RetryLimit is the end-to-end retry budget (default 8; router outages
 	// require retry, so 0 is rejected by scenario validation).
 	RetryLimit int
-	// Routing names the routing algorithm ("table" by default — scenarios
-	// need fault-aware routing, and the healthy baseline runs the same
-	// algorithm so rows are comparable).
-	Routing string
-	// SettleCycles pads the post-recovery phase boundary past the last
-	// scheduled event, so recovery transients are not measured as steady
-	// state (default 500).
-	SettleCycles sim.Cycle
 	// Scenarios are the rows (default: healthy baseline, single link down,
 	// link down with repair, router down). Nil selects the defaults.
 	Scenarios []ReliabilityScenario
 }
 
+// settleCycles pads the post-recovery phase boundary past the last scheduled
+// event, so recovery transients are not measured as steady state.
+const settleCycles = 500
+
 func (o ReliabilitySweepOptions) withDefaults() ReliabilitySweepOptions {
 	o.ResolveOptions = o.ResolveOptions.withDefaults(600, 0x0F417)
 	if o.RetryLimit == 0 {
 		o.RetryLimit = 8
-	}
-	if o.Routing == "" {
-		o.Routing = "table"
-	}
-	if o.SettleCycles == 0 {
-		o.SettleCycles = 500
 	}
 	if o.Scenarios == nil {
 		o.Scenarios = DefaultReliabilityScenarios(o.Radix)
@@ -133,8 +126,7 @@ func (o ReliabilitySweepOptions) Cells() []Cell[ReliabilityPoint] {
 }
 
 func (o ReliabilitySweepOptions) run(ctx context.Context, sc ReliabilityScenario) (ReliabilityPoint, error) {
-	mesh := topology.NewMesh(o.Radix)
-	if err := core.ValidateFaults(mesh, sc.Events, o.RetryLimit > 0); err != nil {
+	if err := core.ValidateFaults(topology.NewMesh(o.Radix), sc.Events, o.RetryLimit > 0); err != nil {
 		return ReliabilityPoint{}, fmt.Errorf("experiment: scenario %q: %w", sc.Name, err)
 	}
 	// Phase boundaries: healthy operation ends at the first scheduled event;
@@ -144,16 +136,12 @@ func (o ReliabilitySweepOptions) run(ctx context.Context, sc ReliabilityScenario
 	if len(sc.Events) > 0 {
 		first := sc.Events[0].At
 		last := sc.Events[len(sc.Events)-1].At
-		phases = stats.NewPhaseLatency(first, last+o.SettleCycles)
+		phases = stats.NewPhaseLatency(first, last+settleCycles)
 		delivered = phases.Record
 	}
-	res, err := resolve(ctx, o.ResolveOptions, func(cfg *core.Config) {
-		cfg.RetryLimit = o.RetryLimit
-		cfg.Faults = sc.Events
-		if alg := ResolveRouting(o.Routing, mesh); alg != nil {
-			cfg.Routing = alg
-		}
-	}, delivered)
+	s := o.spec()
+	s.Faults, s.FR.RetryLimit, s.Routing = sc.Events, o.RetryLimit, "table"
+	res, err := resolve(ctx, o.ResolveOptions, s, delivered)
 	if err != nil {
 		return ReliabilityPoint{}, err
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 
-	"frfc/internal/core"
 	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/stats"
@@ -49,6 +48,16 @@ func (o ResolveOptions) withDefaults(packets int, seed uint64) ResolveOptions {
 	return o
 }
 
+// spec is the row every resolved sweep sets its own fields on: FR6 under fast
+// control at the options' radix, seed, packet length and checker, with the
+// no-progress watchdog armed. o must have its defaults filled.
+func (o ResolveOptions) spec() Spec {
+	s := FR6(FastControl, o.PacketLen)
+	s.MeshRadix, s.Seed, s.Check = o.Radix, o.Seed, o.Check
+	s.FR.WatchdogCycles = 50000
+	return s
+}
+
 // Resolved is what one row of a resolved sweep reports once every offered
 // packet's fate is known: the recovery layer's ledger plus how the run went.
 // Of the ledger, Abandoned (packets given up on after exhausting the retry
@@ -86,19 +95,14 @@ type Cell[P any] struct {
 	Run  func(ctx context.Context) (P, error)
 }
 
-// resolve is the kernel behind every resolved sweep: the FR6 fast-control
-// network on an o.Radix mesh with the no-progress watchdog armed and the
-// sweep's tune applied, offered o.Packets uniform-random packets one every
-// three cycles, then ticked until every packet's fate is resolved. delivered,
-// when non-nil, additionally observes each delivery (cycle and latency). o
-// must have its defaults filled.
-func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), delivered func(now, latency sim.Cycle)) (Resolved, error) {
-	cfg := frConfig(FastControl, 6, 2, 0)
-	cfg.WatchdogCycles = 50000
-	cfg.Check = o.Check
-	tune(&cfg)
-
-	mesh := topology.NewMesh(o.Radix)
+// resolve is the kernel behind every resolved sweep: the network of s, one of
+// o.spec()'s rows, offered o.Packets uniform-random packets one every three
+// cycles, then ticked until every packet's fate is resolved. delivered, when
+// non-nil, additionally observes each delivery (cycle and latency). o must
+// have its defaults filled.
+func resolve(ctx context.Context, o ResolveOptions, s Spec, delivered func(now, latency sim.Cycle)) (Resolved, error) {
+	s = s.withDefaults()
+	mesh := topology.NewMesh(s.MeshRadix)
 	var res Resolved
 	lat := stats.NewLatencyStats()
 	hooks := &noc.Hooks{
@@ -110,9 +114,9 @@ func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), del
 		},
 		Wedged: func(now sim.Cycle, snapshot string) { res.Wedged = true },
 	}
-	net := core.New(mesh, cfg, o.Seed, hooks)
+	net, key := networks.acquire(s, hooks)
 
-	rng := sim.NewRNG(o.Seed ^ 0x5DEECE66D)
+	rng := sim.NewRNG(s.Seed ^ 0x5DEECE66D)
 	now := sim.Cycle(0)
 	cancelled := func() bool {
 		return now&1023 == 0 && ctx.Err() != nil
@@ -126,7 +130,7 @@ func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), del
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: o.PacketLen, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: s.PacketLen, CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			now++
@@ -146,5 +150,6 @@ func resolve(ctx context.Context, o ResolveOptions, tune func(*core.Config), del
 	res.Counts = net.Counts()
 	res.AvgLatency = lat.Mean()
 	res.Cycles = int64(now)
+	networks.put(key, net, mesh.N())
 	return res, nil
 }

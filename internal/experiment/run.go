@@ -309,20 +309,8 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 			}
 		},
 	}
-	// The run has a network to itself: one an earlier run of this
-	// configuration left behind, reset from this run's seed to its
-	// constructed state, or — the first time, and always on a mesh too large
-	// to keep — one built here. It goes back only from the normal return
-	// below, so a cancelled or panicking run leaves nothing for the next to
-	// find.
-	key := networkKey(s)
+	net, key := networks.acquire(s, hooks)
 	mesh := topology.NewMesh(s.MeshRadix)
-	net := networks.take(key)
-	if net != nil {
-		net.Reset(s.Seed, hooks)
-	} else {
-		net, _ = NewNetwork(s, hooks)
-	}
 	if probe.Enabled() {
 		if a, ok := net.(metrics.Attachable); ok {
 			a.AttachProbe(probe)

@@ -356,6 +356,14 @@ func ResolveRouting(name string, mesh topology.Mesh) routing.Algorithm {
 	}
 }
 
+// chaosPlan expands the spec's chaos campaign on its mesh: the plan NewNetwork
+// installs, a pure function of ChaosIntensity, ChaosHorizon and ChaosSeed.
+func (s Spec) chaosPlan() core.ChaosPlan {
+	return core.NewChaosPlan(topology.NewMesh(s.MeshRadix), core.ChaosOptions{
+		Intensity: s.ChaosIntensity, Horizon: s.ChaosHorizon, Seed: s.ChaosSeed,
+	})
+}
+
 // NewNetwork builds the network a spec describes, with the given hooks.
 func NewNetwork(s Spec, hooks *noc.Hooks) (noc.Network, topology.Mesh) {
 	s = s.withDefaults()
@@ -381,10 +389,7 @@ func NewNetwork(s Spec, hooks *noc.Hooks) (noc.Network, topology.Mesh) {
 			cfg.Faults = append([]core.FaultEvent(nil), s.Faults...)
 		}
 		if s.ChaosIntensity > 0 {
-			plan := core.NewChaosPlan(mesh, core.ChaosOptions{
-				Intensity: s.ChaosIntensity, Horizon: s.ChaosHorizon, Seed: s.ChaosSeed,
-			})
-			cfg = plan.Apply(cfg)
+			cfg = s.chaosPlan().Apply(cfg)
 		}
 		if s.Check {
 			cfg.Check = true

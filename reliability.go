@@ -1,20 +1,13 @@
 package frfc
 
-import (
-	"fmt"
+import "frfc/internal/experiment"
 
-	"frfc/internal/core"
-	"frfc/internal/experiment"
-)
-
-// ReliabilityScenario names one hard-fault schedule of a ReliabilitySweep,
-// written in the scenario grammar: semicolon-separated events "down A-B @C"
-// (sever the link between neighbor nodes A and B at cycle C), "up A-B @C"
+// ReliabilityScenario names one hard-fault schedule of a ReliabilitySweep:
+// Name labels the row and Events are the scheduled faults, as ParseScenario
+// reads them from the scenario grammar — semicolon-separated events "down A-B
+// @C" (sever the link between neighbor nodes A and B at cycle C), "up A-B @C"
 // (restore it), and "kill N @C" (permanently fail node N's router).
-type ReliabilityScenario struct {
-	Name     string
-	Scenario string
-}
+type ReliabilityScenario = experiment.ReliabilityScenario
 
 // ReliabilityPoint is one row of a ReliabilitySweep: one scenario run to
 // full resolution, with graceful-degradation measurements split around the
@@ -23,20 +16,14 @@ type ReliabilityScenario struct {
 // PreFaultLatency — 1.0 is full recovery, 0 means a phase delivered nothing.
 type ReliabilityPoint = experiment.ReliabilityPoint
 
-// ReliabilitySweepOptions parameterizes a ReliabilitySweep. Zero fields take
-// defaults: the ResolveOptions defaults (600 packets per row), retry budget 8,
-// fault-aware table routing, and the standard scenario set (healthy
-// baseline, permanent link outage, repaired link outage, router killed).
-type ReliabilitySweepOptions struct {
-	ResolveOptions
-	RetryLimit int
-	// Routing names the routing algorithm every row runs ("table" by
-	// default, so the healthy baseline is comparable to the fault rows).
-	Routing string
-	// Scenarios overrides the default rows; each entry's Scenario string
-	// is parsed with the scenario grammar.
-	Scenarios []ReliabilityScenario
-}
+// ReliabilitySweepOptions parameterizes a ReliabilitySweep: the
+// ResolveOptions, the RetryLimit every row runs with and the Scenarios swept.
+// Zero fields take defaults: the ResolveOptions defaults (600 packets per
+// row), retry budget 8, and the standard scenario set (healthy baseline,
+// permanent link outage, repaired link outage, router killed). Every row runs
+// fault-aware table routing, so the healthy baseline compares with the fault
+// rows.
+type ReliabilitySweepOptions = experiment.ReliabilitySweepOptions
 
 // ReliabilitySweep measures graceful degradation under scheduled hard
 // faults: each scenario severs links or kills routers mid-run while the
@@ -45,20 +32,8 @@ type ReliabilitySweepOptions struct {
 // disconnected traffic fails fast as unreachable, and after a repair the
 // latency returns to its pre-fault level — the LatencyRecovery column.
 // The rows execute concurrently on the harness worker pool; the points are
-// identical to a serial sweep. A malformed scenario string is an error.
+// identical to a serial sweep. A scenario that does not fit the mesh is the
+// returned error, which names it.
 func ReliabilitySweep(o ReliabilitySweepOptions) ([]ReliabilityPoint, error) {
-	ro := experiment.ReliabilitySweepOptions{
-		ResolveOptions: o.ResolveOptions, RetryLimit: o.RetryLimit, Routing: o.Routing,
-	}
-	if o.Scenarios != nil {
-		ro.Scenarios = make([]experiment.ReliabilityScenario, len(o.Scenarios))
-		for i, sc := range o.Scenarios {
-			events, err := core.ParseScenario(sc.Scenario)
-			if err != nil {
-				return nil, fmt.Errorf("frfc: scenario %q: %w", sc.Name, err)
-			}
-			ro.Scenarios[i] = experiment.ReliabilityScenario{Name: sc.Name, Events: events}
-		}
-	}
-	return sweepCells(o.Workers, ro.Cells())
+	return sweepCells(o.Workers, o.Cells())
 }

@@ -35,11 +35,13 @@ func TestPublicReliabilitySweep(t *testing.T) {
 }
 
 func TestPublicReliabilitySweepCustomScenario(t *testing.T) {
+	flap, err := frfc.ParseScenario("down 5-6 @300; up 5-6 @700")
+	if err != nil {
+		t.Fatal(err)
+	}
 	pts, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{
 		ResolveOptions: frfc.ResolveOptions{Packets: 150},
-		Scenarios: []frfc.ReliabilityScenario{
-			{Name: "flap", Scenario: "down 5-6 @300; up 5-6 @700"},
-		},
+		Scenarios:      []frfc.ReliabilityScenario{{Name: "flap", Events: flap}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +53,17 @@ func TestPublicReliabilitySweepCustomScenario(t *testing.T) {
 		t.Errorf("a single repaired link outage must not lose packets: %+v", pts[0])
 	}
 
-	if _, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{
-		Scenarios: []frfc.ReliabilityScenario{{Name: "bad", Scenario: "explode 5 @100"}},
-	}); err == nil {
+	if _, err := frfc.ParseScenario("explode 5 @100"); err == nil {
 		t.Fatal("expected a parse error for a malformed scenario")
+	}
+	apart, err := frfc.ParseScenario("down 0-15 @100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := frfc.ReliabilitySweep(frfc.ReliabilitySweepOptions{
+		Scenarios: []frfc.ReliabilityScenario{{Name: "bad", Events: apart}},
+	}); err == nil || !strings.Contains(err.Error(), `"bad"`) {
+		t.Fatalf("a link between non-neighbors: err = %v, want one naming the scenario", err)
 	}
 }
 
