@@ -17,13 +17,19 @@ import (
 // configuration may violate: every offered packet is eventually delivered
 // exactly once, every flit of it is ejected, the network's own Counts agree
 // with what its hooks reported, and the network drains to empty once offers
-// stop. Internal reservation/credit violations panic on their own.
+// stop. Internal reservation/credit violations panic on their own. The
+// trials after the first 80 are virtual-channel networks of 1 to 16
+// channels a port, so a router's channel bits (5 × NumVCs of them) often
+// cross a 64-bit word edge.
 func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 	rng := sim.NewRNG(20260704)
 	flows := []Flow{FlitReservation, VirtualChannel, Wormhole, StoreForward, CutThrough, CircuitSwitch}
-	const trials = 80
-	for trial := 0; trial < trials; trial++ {
+	const trials, wideVCTrials = 80, 16
+	for trial := 0; trial < trials+wideVCTrials; trial++ {
 		flow := flows[trial%len(flows)]
+		if trial >= trials {
+			flow = VirtualChannel
+		}
 		radix := 3 + rng.Intn(3)
 		pktLen := 1 + rng.Intn(8)
 		seed := rng.Uint64()
@@ -49,7 +55,11 @@ func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 			spec.FR.AllOrNothing = rng.Bool(0.3)
 			spec.FR.SourceInterleave = rng.Bool(0.3)
 		case VirtualChannel:
-			spec = vcSpec("fuzz-vc", FastControl, 1+rng.Intn(4), pktLen)
+			vcs := 1 + rng.Intn(4)
+			if trial >= trials {
+				vcs = 1 + rng.Intn(16)
+			}
+			spec = vcSpec("fuzz-vc", FastControl, vcs, pktLen)
 			spec.VC.BufPerVC = 1 + rng.Intn(6)
 			spec.VC.SharedPool = rng.Bool(0.3)
 			spec.VC.SourceInterleave = rng.Bool(0.3)

@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"fmt"
+
 	"frfc/internal/metrics"
 	"frfc/internal/profile"
 	"frfc/internal/sim"
@@ -67,11 +69,16 @@ func (q *SourceQueue) Filter(keep func(*Packet) bool) {
 
 // Sink is a terminal's ejection side on every fabric whose flits identify
 // themselves on the wire (head/tail framing: virtual channels, wormhole, and
-// the packet-switched and circuit baselines): it counts each packet's flits
+// the packet-switched and circuit baselines): it takes each packet's flits
 // off the ejection wire and reports the packet delivered when the last one
 // arrives. Reassembly space is unbounded, matching the paper's
 // immediate-ejection assumption. It tallies what it delivered and the
 // corrupted flits that reached it, which its network sums into Counts.
+//
+// An ejection virtual channel carries one packet at a time, its flits in
+// order, so the sink needs no table of packets: it keeps the Seq the next
+// flit on each channel must carry and panics, naming the node, the channel
+// and that Seq, on a flit that skips ahead or comes again.
 type Sink struct {
 	Data *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
 	// FlitsIn counts the flits in flight on Data: the sender counts each in
@@ -87,7 +94,10 @@ type Sink struct {
 	Prof   *profile.Registry
 	Ledger *waterfall.Ledger
 
-	got   map[PacketID]int
+	// next[vc] is the Seq the next flit on ejection channel vc must carry,
+	// 0 between packets; the slice grows to the highest channel seen and
+	// keeps that length across Reset.
+	next  []int
 	hooks *Hooks
 	// delivered counts fully reassembled packets; escapes counts flits that
 	// arrived corrupted, past every hop CRC. These fabrics have no end-to-end
@@ -97,14 +107,14 @@ type Sink struct {
 
 // NewSink returns node's sink, reporting through hooks.
 func NewSink(node topology.NodeID, hooks *Hooks) *Sink {
-	return &Sink{Node: node, got: make(map[PacketID]int), hooks: hooks}
+	return &Sink{Node: node, hooks: hooks}
 }
 
 // Reset forgets every partly ejected packet, the flits counted in flight and
 // the tallies; the wire, the probe and the ledger are the network's to reset
 // and detach.
 func (s *Sink) Reset() {
-	clear(s.got)
+	clear(s.next)
 	s.FlitsIn, s.delivered, s.escapes = 0, 0, 0
 }
 
@@ -132,9 +142,15 @@ func (s *Sink) Tick(now sim.Cycle) {
 		if s.Ledger != nil && f.Seq == 0 && f.Packet.Sampled {
 			s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
 		}
-		s.got[f.Packet.ID]++
-		if s.got[f.Packet.ID] == f.Packet.Len {
-			delete(s.got, f.Packet.ID)
+		if f.VC >= len(s.next) {
+			s.next = append(s.next, make([]int, f.VC+1-len(s.next))...)
+		}
+		if f.Seq != s.next[f.VC] {
+			panic(fmt.Sprintf("noc: node %d ejection vc %d: %s where seq %d was due", s.Node, f.VC, f, s.next[f.VC]))
+		}
+		s.next[f.VC]++
+		if f.Seq == f.Packet.Len-1 {
+			s.next[f.VC] = 0
 			s.delivered++
 			s.hooks.Delivered(f.Packet, now)
 		}

@@ -144,13 +144,16 @@ func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG) *Pip
 }
 
 // WithFaults arms the corruption-and-replay model NewFaultyPipe describes on a
-// pipe already built, and returns it.
+// pipe already built, before it carries anything, and returns it.
 func (p *Pipe[T]) WithFaults(rate float64, rng *RNG) *Pipe[T] {
 	if rate < 0 || rate >= 1 || rate != rate {
 		panic("sim: fault rate must lie in [0, 1)")
 	}
 	if rate > 0 && rng == nil {
 		panic("sim: faulty pipe needs an RNG")
+	}
+	if p.n > 0 {
+		panic("sim: fault model armed on a pipe with items in flight")
 	}
 	p.faultRate, p.rng = rate, rng
 	return p
@@ -213,6 +216,16 @@ func (p *Pipe[T]) CanSend(now Cycle) bool {
 // both of which indicate a bug in the calling model rather than a recoverable
 // condition.
 func (p *Pipe[T]) Send(now Cycle, item T) {
+	// The common case first: the first send this cycle on a whole wire with
+	// no fault or bit-error model armed and a free cell. With no replay
+	// delay ever added (faultRate is armed before the first send), every
+	// item in flight is due no later than this one.
+	if p.lastSendCycle < now && int(p.n) < len(p.ring) && p.faultRate == 0 && p.ber == 0 && !p.severed {
+		p.lastSendCycle, p.sentThisCycle = now, 1
+		*p.cell(p.n) = pipeEntry[T]{readyAt: now + p.latency, item: item}
+		p.n++
+		return
+	}
 	if p.lastSendCycle == now {
 		if p.sentThisCycle >= p.width {
 			panic("sim: pipe bandwidth exceeded")

@@ -22,7 +22,7 @@ func (n *Network) audit() error {
 			buffered := 0
 			for v := range in.vcs {
 				vc := &in.vcs[v]
-				w, bit := r.chanBit(topology.Port(p), v)
+				w, bit := chanBit(p*len(in.vcs) + v)
 				if vc.n > 0 {
 					occ[w] |= bit
 				}
@@ -74,7 +74,8 @@ func (n *Network) audit() error {
 // TestAuditWalk checks the masks and counts after every cycle of a loaded
 // run, through warm-up, saturation-level bursts and the drain, for each way
 // the package is used: VC8, pooled channels with interleaved sources,
-// wormhole (one deep channel), and more channels than one mask word holds.
+// wormhole (one deep channel), and more channels than one mask word holds —
+// 65, the Local input's last channel alone in the second word, and 350.
 // The first loaded stretch ends in a Reset with the mesh full of flits: the
 // audit must hold of what Reset leaves, which must read as an empty network,
 // and the walk starts over on it. It runs under the race detector too;
@@ -89,7 +90,8 @@ func TestAuditWalk(t *testing.T) {
 		{"vc8", 4, vc8(), 0.07},
 		{"vc16-pooled-interleaved", 4, Config{NumVCs: 4, BufPerVC: 4, SharedPool: true, SourceInterleave: true}, 0.07},
 		{"wormhole", 4, Config{NumVCs: 1, BufPerVC: 8}, 0.04},
-		{"vc70-two-words", 3, Config{NumVCs: 70, BufPerVC: 1, SourceInterleave: true, LinkLatency: 1}, 0.12},
+		{"vc13-one-channel-over", 3, Config{NumVCs: 13, BufPerVC: 1, SourceInterleave: true, LinkLatency: 1}, 0.2},
+		{"vc70-six-words", 3, Config{NumVCs: 70, BufPerVC: 1, SourceInterleave: true, LinkLatency: 1}, 0.12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mesh := topology.NewMesh(tc.radix)
@@ -127,18 +129,27 @@ func TestAuditWalk(t *testing.T) {
 			if offered < 500 {
 				t.Fatalf("only %d packets offered; the walk saw little", offered)
 			}
-			if tc.cfg.NumVCs > 64 {
-				high := false
+			// Some input whose channels straddle a word edge must have
+			// used channels on both sides of it.
+			nv, straddles, crossed := tc.cfg.NumVCs, false, false
+			for p := 0; p < int(topology.NumPorts); p++ {
+				edge := (p*nv/64 + 1) * 64
+				if edge >= (p+1)*nv {
+					continue
+				}
+				straddles = true
+				below, above := false, false
 				for _, r := range net.routers {
-					for p := range r.in {
-						for v := 64; v < len(r.in[p].vcs); v++ {
-							high = high || r.in[p].vcs[v].q != nil
-						}
+					for c := p * nv; c < (p+1)*nv; c++ {
+						used := r.chans[c].q != nil
+						below = below || (used && c < edge)
+						above = above || (used && c >= edge)
 					}
 				}
-				if !high {
-					t.Fatal("no channel above 63 ever held a flit; the second mask word went unexercised")
-				}
+				crossed = crossed || (below && above)
+			}
+			if straddles && !crossed {
+				t.Fatal("no router used an input's channels on both sides of a word edge; the edge went unexercised")
 			}
 		})
 	}

@@ -99,6 +99,11 @@ func (n *ni) hasCredit(vc int) bool {
 // Tick absorbs returned credits, starts queued packets on free virtual
 // channels, and injects at most one flit (the injection channel's bandwidth).
 func (n *ni) Tick(now sim.Cycle) {
+	if n.creditsIn == 0 && n.active == 0 && n.queue.Len() == 0 {
+		// No credit to absorb, no packet to start, no flit to inject.
+		n.prof.ComponentTick(profile.CompNI, int(n.node), false)
+		return
+	}
 	// Self-profiling work counter: credits absorbed, packets started,
 	// flits injected.
 	work := 0

@@ -107,12 +107,12 @@ func TestModelLeaksPanic(t *testing.T) {
 		{"credit underflow", "vcrouter: credit underflow", func() {
 			r := ready(Config{NumVCs: 1, BufPerVC: 4, LinkLatency: 1})
 			r.out[topology.East].credits[0] = 0
-			r.traverse(2, topology.East, 0)
+			r.traverse(2, r.chanOf(portVC{topology.East, 0}))
 		}},
 		{"pooled credit underflow", "vcrouter: pooled credit underflow", func() {
 			r := ready(Config{NumVCs: 1, BufPerVC: 4, SharedPool: true, LinkLatency: 1})
 			r.out[topology.East].pool = 0
-			r.traverse(2, topology.East, 0)
+			r.traverse(2, r.chanOf(portVC{topology.East, 0}))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { wantPanic(t, tc.want, tc.f) })

@@ -29,14 +29,16 @@ type queuedFlit struct {
 type vcState struct {
 	q         []queuedFlit
 	head, n   int32
+	input     topology.Port // the port the channel belongs to, for life
 	route     topology.Port
 	outVC     int
 	routed    bool
 	allocated bool
 }
 
-// inputState is one input port: NumVCs virtual channels plus the wires to the
-// upstream node (incoming flits, outgoing credits).
+// inputState is one input port: NumVCs virtual channels (its stretch of
+// Router.chans) plus the wires to the upstream node (incoming flits, outgoing
+// credits).
 type inputState struct {
 	exists     bool
 	vcs        []vcState
@@ -77,14 +79,25 @@ type Router struct {
 	in  [topology.NumPorts]inputState
 	out [topology.NumPorts]outputState
 
-	// occ and alloc hold one bit per input channel, words 64-channel words to
-	// a port, port p's at [p*words, (p+1)*words): occ is set while the
-	// channel holds a flit, alloc while it holds an output VC. The allocators
-	// walk the set bits of occ&^alloc and occ&alloc — ascending, the order a
+	// chans holds every input channel of the router: channel c = p·NumVCs + v
+	// is input p's virtual channel v, and in[p].vcs is input p's stretch.
+	chans []vcState
+
+	// occ and alloc hold one bit per input channel, channel c at bit c&63 of
+	// word c>>6: words = ⌈5·NumVCs/64⌉ of them, one for every configuration
+	// of at most 12 channels a port. occ is set while the channel holds a
+	// flit, alloc while it holds an output VC. The allocators walk the set
+	// bits of occ&^alloc and occ&alloc — ascending, the port-major order a
 	// scan of the ports and their channels visits them — and never look at
 	// the rest.
 	occ, alloc []uint64
 	words      int
+	// portBits[p*words:(p+1)*words] has the bits of input p's channels set.
+	// cand and granted are switchAllocate's: output o's bidders at
+	// cand[o*words:(o+1)*words], all zero between cycles, and — for a router
+	// of several words — the channels of the inputs the crossbar has already
+	// connected this cycle.
+	portBits, cand, granted []uint64
 
 	// flitsIn[p] counts the flits in flight on the data wire into input p,
 	// creditsIn[p] the credits in flight on the credit wire into output p.
@@ -114,20 +127,19 @@ type Router struct {
 	// Scratch buffers reused every cycle to keep the hot loop
 	// allocation-free.
 	outOrder [topology.NumPorts]int
-	vcReqs   []portVC
-	saCand   [topology.NumPorts][]portVC
+	vcReqs   []int // channels
 	freeVCs  []int
 }
 
-// portVC names one virtual channel of one input port.
-type portVC struct {
-	port topology.Port
-	vc   int
+// chanBit locates channel c in occ and alloc: the word and the bit.
+func chanBit(c int) (word int, bit uint64) {
+	return c >> 6, 1 << (c & 63)
 }
 
-// chanBit locates input channel (p, v) in occ and alloc: the word and the bit.
-func (r *Router) chanBit(p topology.Port, v int) (word int, bit uint64) {
-	return int(p)*r.words + v>>6, 1 << (v & 63)
+// chanPort names channel c's input port and virtual channel.
+func (r *Router) chanPort(c int) (topology.Port, int) {
+	p := r.chans[c].input
+	return p, c - int(p)*r.cfg.NumVCs
 }
 
 // post puts an item on a wire and counts it into the receiver's in-flight
@@ -138,14 +150,22 @@ func post[T any](wire *sim.Pipe[T], inFlight *int32, now sim.Cycle, item T) {
 }
 
 func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
-	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng, words: (cfg.NumVCs + 63) / 64}
-	masks := make([]uint64, 2*r.words*int(topology.NumPorts))
-	r.occ, r.alloc = masks[:len(masks)/2], masks[len(masks)/2:]
+	nv, ports := cfg.NumVCs, int(topology.NumPorts)
+	w := (ports*nv + 63) / 64
+	r := &Router{id: id, mesh: mesh, cfg: cfg, rng: rng, words: w, chans: make([]vcState, ports*nv)}
+	masks := make([]uint64, (3+2*ports)*w)
+	r.occ, r.alloc, r.granted = masks[:w:w], masks[w:2*w:2*w], masks[2*w:3*w:3*w]
+	r.cand, r.portBits = masks[3*w:(3+ports)*w:(3+ports)*w], masks[(3+ports)*w:]
+	for c := range r.chans {
+		word, bit := chanBit(c)
+		r.portBits[c/nv*w+word] |= bit
+		r.chans[c].input = topology.Port(c / nv)
+	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if p != topology.Local && !mesh.HasLink(id, p) {
 			continue
 		}
-		r.in[p] = inputState{exists: true, vcs: make([]vcState, cfg.NumVCs)}
+		r.in[p] = inputState{exists: true, vcs: r.chans[int(p)*nv : int(p+1)*nv]}
 		r.out[p] = outputState{
 			exists:   true,
 			infinite: p == topology.Local,
@@ -166,16 +186,16 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG
 func (r *Router) reset() {
 	clear(r.occ)
 	clear(r.alloc)
+	clear(r.cand)
 	r.flitsIn, r.creditsIn = [topology.NumPorts]int32{}, [topology.NumPorts]int32{}
 	r.crcRepaired = 0
+	for c := range r.chans {
+		ch := &r.chans[c]
+		clear(ch.q)
+		*ch = vcState{q: ch.q, input: ch.input}
+	}
 	for p := range r.in {
-		in := &r.in[p]
-		for v := range in.vcs {
-			q := in.vcs[v].q
-			clear(q)
-			in.vcs[v] = vcState{q: q}
-		}
-		in.poolUsed = 0
+		r.in[p].poolUsed = 0
 		o := &r.out[p]
 		if !o.exists {
 			continue
@@ -281,7 +301,7 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 			vc.q[tail] = queuedFlit{flit: f, arrivedAt: now}
 			vc.n++
 			in.poolUsed++
-			w, bit := r.chanBit(topology.Port(p), f.VC)
+			w, bit := chanBit(p*r.cfg.NumVCs + f.VC)
 			r.occ[w] |= bit
 		}
 	}
@@ -311,29 +331,27 @@ func (r *Router) crcDetect() bool {
 // arbitrated.
 func (r *Router) allocateVCs(now sim.Cycle) int {
 	r.vcReqs = r.vcReqs[:0]
-	for p := range r.in {
-		in := &r.in[p]
-		for w := 0; w < r.words; w++ {
-			// Occupied and not yet allocated: a head flit wants a channel.
-			for m := r.occ[p*r.words+w] &^ r.alloc[p*r.words+w]; m != 0; m &= m - 1 {
-				v := w<<6 + bits.TrailingZeros64(m)
-				vc := &in.vcs[v]
-				head := &vc.q[vc.head].flit
-				if !head.Type.IsHead() {
-					// A body flit can only be at the front of an
-					// unallocated VC if the model leaked state.
-					panic(fmt.Sprintf("vcrouter: node %d in %s vc %d: %s at front of unallocated channel", r.id, topology.Port(p), v, *head))
-				}
-				if !vc.routed {
-					route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, head.Packet.Dst)
-					if !ok {
-						panic(fmt.Sprintf("vcrouter: node %d: destination %d unreachable", r.id, head.Packet.Dst))
-					}
-					vc.route = route
-					vc.routed = true
-				}
-				r.vcReqs = append(r.vcReqs, portVC{topology.Port(p), v})
+	for w := range r.occ {
+		// Occupied and not yet allocated: a head flit wants a channel.
+		for m := r.occ[w] &^ r.alloc[w]; m != 0; m &= m - 1 {
+			c := w<<6 + bits.TrailingZeros64(m)
+			vc := &r.chans[c]
+			head := &vc.q[vc.head].flit
+			if !head.Type.IsHead() {
+				// A body flit can only be at the front of an
+				// unallocated VC if the model leaked state.
+				p, v := r.chanPort(c)
+				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d: %s at front of unallocated channel", r.id, p, v, *head))
 			}
+			if !vc.routed {
+				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, head.Packet.Dst)
+				if !ok {
+					panic(fmt.Sprintf("vcrouter: node %d: destination %d unreachable", r.id, head.Packet.Dst))
+				}
+				vc.route = route
+				vc.routed = true
+			}
+			r.vcReqs = append(r.vcReqs, c)
 		}
 	}
 	// Random arbitration: shuffle request order, then give each request a
@@ -342,8 +360,8 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 		j := r.rng.Intn(i + 1)
 		r.vcReqs[i], r.vcReqs[j] = r.vcReqs[j], r.vcReqs[i]
 	}
-	for _, req := range r.vcReqs {
-		vc := &r.in[req.port].vcs[req.vc]
+	for _, c := range r.vcReqs {
+		vc := &r.chans[c]
 		o := &r.out[vc.route]
 		r.freeVCs = r.freeVCs[:0]
 		for dv, owned := range o.owned {
@@ -353,7 +371,7 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 		}
 		if len(r.freeVCs) == 0 {
 			if r.wf != nil {
-				r.blockedHead(req.port, req.vc, waterfall.StageStall, now)
+				r.blockedHead(c, waterfall.StageStall, now)
 			}
 			continue
 		}
@@ -361,7 +379,7 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 		o.owned[dv] = true
 		vc.outVC = dv
 		vc.allocated = true
-		w, bit := r.chanBit(req.port, req.vc)
+		w, bit := chanBit(c)
 		r.alloc[w] |= bit
 	}
 	return len(r.vcReqs)
@@ -370,34 +388,33 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 // switchAllocate matches ready input VCs to output channels (one grant per
 // input port and one per output port, random arbitration) and performs the
 // traversal for each winner. It reports the number of traversals performed.
+//
+// Each output's bidders are a mask of channel bits. The outputs are served in
+// a random order; an output first drops the channels of inputs already
+// granted this cycle, then draws its winner as the Intn(bidders)-th set bit,
+// lowest first — the candidate a draw over the port-major list of bidders
+// picks, so draws, winners and waterfall marks are the list's.
 func (r *Router) switchAllocate(now sim.Cycle) int {
-	traversed := 0
-	for p := range r.saCand {
-		r.saCand[p] = r.saCand[p][:0]
-	}
-	bidders := 0
-	for p := range r.in {
-		in := &r.in[p]
-		for w := 0; w < r.words; w++ {
-			// Occupied and allocated: the front flit may bid for the switch.
-			for m := r.occ[p*r.words+w] & r.alloc[p*r.words+w]; m != 0; m &= m - 1 {
-				v := w<<6 + bits.TrailingZeros64(m)
-				vc := &in.vcs[v]
-				if vc.q[vc.head].arrivedAt >= now {
-					if r.wf != nil {
-						r.blockedHead(topology.Port(p), v, waterfall.StageArb, now)
-					}
-					continue // one-cycle routing/scheduling latency
+	nw, cand, bidders := r.words, r.cand, 0
+	for w := range r.occ {
+		// Occupied and allocated: the front flit may bid for the switch.
+		for m := r.occ[w] & r.alloc[w]; m != 0; m &= m - 1 {
+			c := w<<6 + bits.TrailingZeros64(m)
+			vc := &r.chans[c]
+			if vc.q[vc.head].arrivedAt >= now {
+				if r.wf != nil {
+					r.blockedHead(c, waterfall.StageArb, now)
 				}
-				if !r.hasCredit(&r.out[vc.route], vc.outVC) {
-					if r.wf != nil {
-						r.blockedHead(topology.Port(p), v, waterfall.StageStall, now)
-					}
-					continue
-				}
-				r.saCand[vc.route] = append(r.saCand[vc.route], portVC{topology.Port(p), v})
-				bidders++
+				continue // one-cycle routing/scheduling latency
 			}
+			if !r.hasCredit(&r.out[vc.route], vc.outVC) {
+				if r.wf != nil {
+					r.blockedHead(c, waterfall.StageStall, now)
+				}
+				continue
+			}
+			cand[int(vc.route)*nw+w] |= m & -m
+			bidders++
 		}
 	}
 	if bidders == 0 {
@@ -407,37 +424,89 @@ func (r *Router) switchAllocate(now sim.Cycle) int {
 		return 0
 	}
 	r.rng.Perm(r.outOrder[:])
-	var inputGranted [topology.NumPorts]bool
+	if nw > 1 {
+		return r.serveWords(now)
+	}
+	// Every channel in one word: the grants fit in a register. Each output's
+	// word is zeroed as it is read, so cand is clear for the next cycle.
+	// serveWords gives the same grants at one word but runs VC8 6 % slower
+	// (DESIGN.md, "The VC lineage").
+	var granted uint64 // the channels of the inputs already connected
+	traversed := 0
 	for _, oi := range r.outOrder {
-		cands := r.saCand[oi]
-		// Filter candidates whose input port was already granted this
-		// cycle (the crossbar connects each input once per cycle).
-		n := 0
-		for _, c := range cands {
-			if !inputGranted[c.port] {
-				cands[n] = c
-				n++
-			} else if r.wf != nil {
-				r.blockedHead(c.port, c.vc, waterfall.StageArb, now)
-			}
+		bid := cand[oi]
+		cand[oi] = 0
+		if r.wf != nil {
+			r.blockedHeads(bid&granted, 0, now)
 		}
-		cands = cands[:n]
-		if len(cands) == 0 {
+		if bid &^= granted; bid == 0 {
 			continue
 		}
-		win := cands[r.rng.Intn(len(cands))]
-		inputGranted[win.port] = true
+		win := nthBit(bid, r.rng.Intn(bits.OnesCount64(bid)))
+		granted |= r.portBits[r.chans[win].input]
 		if r.wf != nil {
-			for _, c := range cands {
-				if c != win {
-					r.blockedHead(c.port, c.vc, waterfall.StageArb, now)
-				}
-			}
+			r.blockedHeads(bid&^(1<<win), 0, now)
 		}
-		r.traverse(now, win.port, win.vc)
+		r.traverse(now, win)
 		traversed++
 	}
 	return traversed
+}
+
+// serveWords is switchAllocate's grant loop over channel bits in several
+// words.
+func (r *Router) serveWords(now sim.Cycle) int {
+	nw, granted := r.words, r.granted
+	clear(granted)
+	traversed := 0
+	for _, oi := range r.outOrder {
+		bid := r.cand[oi*nw : oi*nw+nw]
+		n := 0
+		for w := range bid {
+			if r.wf != nil {
+				r.blockedHeads(bid[w]&granted[w], w, now)
+			}
+			bid[w] &^= granted[w]
+			n += bits.OnesCount64(bid[w])
+		}
+		if n == 0 {
+			continue
+		}
+		win := -1
+		for w, k := 0, r.rng.Intn(n); win < 0; w++ {
+			if c := bits.OnesCount64(bid[w]); k >= c {
+				k -= c
+			} else {
+				win = w<<6 + nthBit(bid[w], k)
+			}
+		}
+		p := int(r.chans[win].input)
+		for w, ports := range r.portBits[p*nw : p*nw+nw] {
+			granted[w] |= ports
+		}
+		for w := range bid {
+			if r.wf != nil {
+				lost := bid[w]
+				if w == win>>6 {
+					lost &^= 1 << (win & 63)
+				}
+				r.blockedHeads(lost, w, now)
+			}
+			bid[w] = 0
+		}
+		r.traverse(now, win)
+		traversed++
+	}
+	return traversed
+}
+
+// nthBit returns the index of the k-th lowest set bit of m, which must have
+// more than k.
+func nthBit(m uint64, k int) int {
+	for ; k > 0; k-- {
+		m &= m - 1
+	}
+	return bits.TrailingZeros64(m)
 }
 
 func (r *Router) hasCredit(o *outputState, vc int) bool {
@@ -458,19 +527,20 @@ func (r *Router) hasCredit(o *outputState, vc int) bool {
 	return o.credits[vc] > 0
 }
 
-// traverse moves the head flit of the given input VC onto its output link,
+// traverse moves the head flit of input channel c onto its output link,
 // returns a credit upstream, and releases channel state on tail flits.
-func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
+func (r *Router) traverse(now sim.Cycle, c int) {
+	p, v := r.chanPort(c)
 	in := &r.in[p]
-	vc := &in.vcs[v]
+	vc := &r.chans[c]
 	o := &r.out[vc.route]
+	w, bit := chanBit(c)
 
 	f := vc.q[vc.head].flit
 	vc.q[vc.head].flit.Packet = nil // the ring outlives the packet
 	if vc.head++; int(vc.head) == len(vc.q) {
 		vc.head = 0
 	}
-	w, bit := r.chanBit(p, v)
 	if vc.n--; vc.n == 0 {
 		r.occ[w] &^= bit
 	}
@@ -508,11 +578,19 @@ func (r *Router) traverse(now sim.Cycle, p topology.Port, v int) {
 	}
 }
 
+// blockedHeads charges a lost switch arbitration to the head flit of every
+// channel whose bit is set in m, word w of the channel bits, lowest first.
+func (r *Router) blockedHeads(m uint64, w int, now sim.Cycle) {
+	for ; m != 0; m &= m - 1 {
+		r.blockedHead(w<<6+bits.TrailingZeros64(m), waterfall.StageArb, now)
+	}
+}
+
 // blockedHead charges one cycle of the head flit waiting at the front of
-// input (p, v) to the given waterfall stage. Non-head fronts and unsampled
+// channel c to the given waterfall stage. Non-head fronts and unsampled
 // packets are skipped; the ledger deduplicates to one mark per cycle.
-func (r *Router) blockedHead(p topology.Port, v int, stage waterfall.Stage, now sim.Cycle) {
-	vc := &r.in[p].vcs[v]
+func (r *Router) blockedHead(c int, stage waterfall.Stage, now sim.Cycle) {
+	vc := &r.chans[c]
 	if vc.n == 0 {
 		return
 	}
