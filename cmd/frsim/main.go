@@ -46,6 +46,7 @@ import (
 	"frfc/internal/cli"
 	"frfc/internal/core"
 	"frfc/internal/experiment"
+	"frfc/internal/noc"
 	"frfc/internal/sim"
 )
 
@@ -220,8 +221,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-load must be in (0,2] (got %g)", *load)
 	case *radix < 2:
 		return fail("-radix must be >= 2 (got %d)", *radix)
-	case *retry < 0:
-		return fail("-retry must be >= 0 (got %d; 0 means no retry)", *retry)
+	case *retry < 0 || *retry > noc.MaxLen:
+		return fail("-retry must be in [0,%d] (got %d; 0 means no retry)", noc.MaxLen, *retry)
 	case *ber < 0 || *ber >= 1:
 		return fail("-ber must be a probability in [0,1) (got %g)", *ber)
 	case *chaos < 0 || *chaos > 1:

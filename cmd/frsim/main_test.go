@@ -287,17 +287,20 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 // -custom knobs likewise: a zero ran the preset's value under the "custom"
 // label, a negative buffer count or a horizon the data link outruns died in
 // core.Config's checks, and a pool past what a reservation table's lanes count
-// is refused before it gets there. So are the fault, chaos, retry and
-// end-to-end options on a fabric without them, and the bit-error options on
-// one with no bit-error model, which used to die in a goroutine dump or run as
-// if unset (a bit error on SAF2 reported "0 flits corrupted" as measured).
+// is refused before it gets there, as are a packet length and a retry budget
+// past what a flit's 32-bit fields count, which would wrap. So are the fault,
+// chaos, retry and end-to-end options on a fabric without them, and the
+// bit-error options on one with no bit-error model, which used to die in a
+// goroutine dump or run as if unset (a bit error on SAF2 reported "0 flits
+// corrupted" as measured).
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
 		{"-chaos", "1.5"}, {"-chaos", "-0.5"}, {"-chaos-seed", "9"}, {"-chaos", "0", "-chaos-seed", "9"},
 		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"},
 		{"-radix", "1"}, {"-radix", "-4"},
 		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-custom", "-pktlen", "0"},
-		{"-retry", "-1"},
+		{"-pktlen", "3000000000"}, {"-custom", "-pktlen", "3000000000"},
+		{"-retry", "-1"}, {"-retry", "3000000000"},
 		{"-lead", "3"}, {"-config", "VC8", "-wiring", "leading", "-lead", "3"},
 		{"-config", "FR6-lead2", "-wiring", "leading", "-lead", "3"}, {"-custom", "-fr=false", "-wiring", "leading", "-lead", "3"},
 		{"-custom", "-buffers", "0"}, {"-custom", "-buffers", "-3"}, {"-custom", "-buffers", "127"},

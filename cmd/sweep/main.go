@@ -75,6 +75,7 @@ import (
 
 	"frfc"
 	"frfc/internal/cli"
+	"frfc/internal/noc"
 )
 
 func main() {
@@ -133,8 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	case *packets < 0:
 		return fail("-packets must be >= 0 (got %d; 0 means the mode's default)", *packets)
-	case *retryLimit < 0:
-		return fail("-retrylimit must be >= 0 (got %d; 0 means the default of 8)", *retryLimit)
+	case *retryLimit < 0 || *retryLimit > noc.MaxLen:
+		return fail("-retrylimit must be in [0,%d] (got %d; 0 means the default of 8)", noc.MaxLen, *retryLimit)
 	}
 	// A flag the running mode does not read is refused by name, not ignored:
 	// the fault modes write no store and run no campaign, and each mode's own

@@ -642,15 +642,17 @@ func TestResumeOverUnobservedRowsSaysSo(t *testing.T) {
 // grid mode refuses a bad grid — exit 2, nothing on stdout, one stderr line
 // naming the flag and the value — where a negative -packets, -retrylimit or
 // -pktlen used to print a table of zeros (or of detect-only rows) and exit 0,
-// and -pktlen 0 ran 5-flit packets under a title that said 0.
+// and -pktlen 0 ran 5-flit packets under a title that said 0. A length or a
+// retry budget past what a flit's 32-bit fields count is refused the same way.
 func TestRejectsByName(t *testing.T) {
 	var cases [][]string
 	for _, mode := range []string{"-faults", "-reliability", "-integrity", "-chaos"} {
 		cases = append(cases,
 			[]string{mode, "-packets", "-5"}, []string{mode, "-retrylimit", "-1"},
-			[]string{mode, "-pktlen", "-2"}, []string{mode, "-pktlen", "0"})
+			[]string{mode, "-pktlen", "-2"}, []string{mode, "-pktlen", "0"},
+			[]string{mode, "-pktlen", "3000000000"}, []string{mode, "-retrylimit", "3000000000"})
 	}
-	cases = append(cases, []string{"-pktlen", "0"}, []string{"-pktlen", "-2"},
+	cases = append(cases, []string{"-pktlen", "0"}, []string{"-pktlen", "-2"}, []string{"-pktlen", "3000000000"},
 		[]string{"-scenario", "down 5-6 @400", "-packets", "-5"}, []string{"-adaptive", "-pktlen", "0"})
 	for _, args := range cases {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {

@@ -176,13 +176,13 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !o.exists || o.ackIn == nil {
 			continue
 		}
-		o.ackIn.RecvEach(now, func(a ack) {
-			e, ok := r.fwd[a.id]
-			if !ok {
+		for a, ok := o.ackIn.Recv(now); ok; a, ok = o.ackIn.Recv(now) {
+			e, known := r.fwd[a.id]
+			if !known {
 				panic(fmt.Sprintf("circuit: node %d relaying ack for unknown circuit %d", r.id, a.id))
 			}
 			r.in[e.in].ackOut.Send(now, a)
-		})
+		}
 	}
 	// Probe credits.
 	for p := range r.out {
@@ -190,12 +190,12 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !o.exists || o.probeCreditIn == nil {
 			continue
 		}
-		o.probeCreditIn.RecvEach(now, func(noc.VCCredit) {
+		for _, ok := o.probeCreditIn.Recv(now); ok; _, ok = o.probeCreditIn.Recv(now) {
 			o.probeCredits++
 			if o.probeCredits > r.cfg.ProbeBuffers {
 				panic("circuit: probe credit overflow")
 			}
-		})
+		}
 	}
 	// Receive probes.
 	for p := range r.in {
@@ -203,13 +203,13 @@ func (r *Router) Tick(now sim.Cycle) {
 		if !in.exists || in.in == nil {
 			continue
 		}
-		in.in.RecvEach(now, func(pr probe) {
+		for pr, ok := in.in.Recv(now); ok; pr, ok = in.in.Recv(now) {
 			in.q = append(in.q, pr)
 			in.arrivedAt = append(in.arrivedAt, now)
 			if len(in.q) > r.cfg.ProbeBuffers {
 				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, topology.Port(p)))
 			}
-		})
+		}
 	}
 	r.grantProbes(now)
 	r.forwardData(now)
@@ -235,7 +235,7 @@ func (r *Router) grantProbes(now sim.Cycle) {
 	for _, p := range r.cands {
 		in := &r.in[p]
 		pr := in.q[0]
-		out, reachable := r.cfg.Routing.NextPort(r.mesh, r.id, pr.p.Dst)
+		out, reachable := r.cfg.Routing.NextPort(r.mesh, r.id, topology.NodeID(pr.p.Dst))
 		if !reachable {
 			panic(fmt.Sprintf("circuit: node %d: destination %d unreachable", r.id, pr.p.Dst))
 		}
@@ -279,9 +279,9 @@ func (r *Router) forwardData(now sim.Cycle) {
 		if pipe == nil {
 			continue
 		}
-		pipe.RecvEach(now, func(f noc.DataFlit) {
-			e, ok := r.fwd[f.Packet.ID]
-			if !ok || e.in != topology.Port(p) {
+		for f, ok := pipe.Recv(now); ok; f, ok = pipe.Recv(now) {
+			e, known := r.fwd[f.Packet.ID]
+			if !known || e.in != topology.Port(p) {
 				panic(fmt.Sprintf("circuit: node %d: data flit %s with no circuit", r.id, f))
 			}
 			o := &r.out[e.out]
@@ -296,7 +296,7 @@ func (r *Router) forwardData(now sim.Cycle) {
 				o.owned = false
 				delete(r.fwd, f.Packet.ID)
 			}
-		})
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func TestLongMessageAmortizesSetup(t *testing.T) {
 		var d sim.Cycle = -1
 		hooks := &noc.Hooks{PacketDelivered: func(p *noc.Packet, now sim.Cycle) { d = now }}
 		net := New(mesh, testConfig(), 1, hooks)
-		net.Offer(&noc.Packet{ID: 1, Src: 0, Dst: 15, Len: length, CreatedAt: 0})
+		net.Offer(&noc.Packet{ID: 1, Src: 0, Dst: 15, Len: int32(length), CreatedAt: 0})
 		for now := sim.Cycle(0); now < 5000 && d < 0; now++ {
 			net.Tick(now)
 		}
@@ -72,7 +72,7 @@ func TestManyMessagesAllDelivered(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 4; j++ {
 			net.Tick(now)
 			now++
@@ -102,7 +102,7 @@ func TestHeavyLoadSurvivesAndDrains(t *testing.T) {
 					dst++
 				}
 				offered++
-				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: 5, CreatedAt: now})
 			}
 		}
 		net.Tick(now)
@@ -130,7 +130,7 @@ func TestDeterminism(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 4, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: 4, CreatedAt: now})
 			net.Tick(now)
 			now++
 		}

@@ -53,18 +53,18 @@ func (n *ni) reset() {
 }
 
 func (n *ni) Tick(now sim.Cycle) {
-	n.probeCreditIn.RecvEach(now, func(noc.VCCredit) {
+	for _, ok := n.probeCreditIn.Recv(now); ok; _, ok = n.probeCreditIn.Recv(now) {
 		n.probeCredits++
 		if n.probeCredits > n.cfg.ProbeBuffers {
 			panic("circuit: NI probe credit overflow")
 		}
-	})
-	n.ackIn.RecvEach(now, func(a ack) {
+	}
+	for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
 		if n.current == nil || a.id != n.current.ID {
 			panic("circuit: ack for a packet the NI is not waiting on")
 		}
 		n.acked = true
-	})
+	}
 	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
 		p := n.queue.Pop()
 		n.current = p

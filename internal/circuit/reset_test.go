@@ -25,7 +25,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 					dst++
 				}
 				offered++
-				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: 5, CreatedAt: now})
 			}
 		}
 		net.Tick(now)

@@ -27,7 +27,7 @@ func runOne(t *testing.T, src, dst topology.NodeID, pktLen int) [waterfall.NumSt
 	}
 	net := New(mesh, Config{LinkLatency: 4, CtrlLinkLatency: 1, LocalLatency: 1}, 1, hooks)
 	net.AttachProbe(&metrics.Probe{WF: wf})
-	p := &noc.Packet{ID: 1, Src: src, Dst: dst, Len: pktLen, CreatedAt: 0, Sampled: true}
+	p := &noc.Packet{ID: 1, Src: int32(src), Dst: int32(dst), Len: int32(pktLen), CreatedAt: 0, Sampled: true}
 	net.Offer(p)
 	for now := sim.Cycle(0); now < 500 && !delivered; now++ {
 		net.Tick(now)

@@ -15,6 +15,7 @@ import (
 	"runtime/pprof"
 
 	"frfc"
+	"frfc/internal/noc"
 )
 
 // Flags holds the shared flags' values after Parse: the measurement group, as
@@ -46,12 +47,13 @@ func Bind(fs *flag.FlagSet) *Flags {
 }
 
 // Validate refuses, by name, what no measurement can run: the protocol needs a
-// positive sample and warm-up, and a packet at least one flit. (Wiring and
+// positive sample and warm-up, and a packet at least one flit and no longer
+// than a flit's 32-bit sequence number counts. (Wiring and
 // Routing are vocabulary; frfc.Grid refuses a word it does not know.)
 func (f *Flags) Validate() error {
 	switch {
-	case f.PktLen < 1:
-		return fmt.Errorf("-pktlen must be >= 1 (got %d)", f.PktLen)
+	case f.PktLen < 1 || f.PktLen > noc.MaxLen:
+		return fmt.Errorf("-pktlen must be in [1,%d] (got %d)", noc.MaxLen, f.PktLen)
 	case f.Sample <= 0:
 		return fmt.Errorf("-sample must be > 0 (got %d)", f.Sample)
 	case f.Warmup <= 0:

@@ -116,7 +116,7 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 			}
 		})
 		l.ctrl.Each(func(f noc.ControlFlit) {
-			if f.VC == v {
+			if int(f.VC) == v {
 				total++
 			}
 		})
@@ -140,7 +140,7 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 			}
 		})
 		ni.ctrlOut.Each(func(f noc.ControlFlit) {
-			if f.VC == v {
+			if int(f.VC) == v {
 				total++
 			}
 		})

@@ -26,6 +26,7 @@ package core
 import (
 	"fmt"
 
+	"frfc/internal/noc"
 	"frfc/internal/routing"
 	"frfc/internal/sim"
 )
@@ -306,8 +307,8 @@ func (c Config) validate() {
 	if c.ReclaimCycles < 0 {
 		panic("core: ReclaimCycles must be >= 0")
 	}
-	if c.RetryLimit < 0 {
-		panic(fmt.Sprintf("core: RetryLimit must be >= 0, got %d", c.RetryLimit))
+	if c.RetryLimit < 0 || c.RetryLimit > noc.MaxLen {
+		panic(fmt.Sprintf("core: RetryLimit must be in [0, %d] (a packet counts its attempts in 32 bits), got %d", noc.MaxLen, c.RetryLimit))
 	}
 	if c.RetryLimit > 0 && (c.RetryBackoffBase < 1 || c.NackLatency < 1) {
 		panic("core: retry needs RetryBackoffBase >= 1 and NackLatency >= 1")

@@ -46,7 +46,7 @@ func TestControlFlitsStayOrderedPerPacket(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			observe()
@@ -105,7 +105,7 @@ func TestYXRoutingWorksEndToEnd(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 4; j++ {
 			net.Tick(now)
 			now++

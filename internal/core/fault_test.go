@@ -41,7 +41,7 @@ func TestFaultInjectionKeepsTablesConsistent(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			now++
@@ -100,7 +100,7 @@ func TestHighFaultRateStillDrains(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		net.Tick(now)
 		now++
 	}
@@ -129,7 +129,7 @@ func TestFaultWithLateControlOn8x8(t *testing.T) {
 					dst++
 				}
 				id++
-				net.Offer(&noc.Packet{ID: id, Src: topology.NodeID(n), Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: id, Src: int32(n), Dst: int32(dst), Len: 5, CreatedAt: now})
 			}
 		}
 		net.Tick(now)

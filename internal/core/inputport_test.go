@@ -9,7 +9,7 @@ import (
 )
 
 func testFlit(id noc.PacketID, seq int) noc.DataFlit {
-	return noc.DataFlit{Packet: &noc.Packet{ID: id, Len: 8}, Seq: seq}
+	return noc.DataFlit{Packet: &noc.Packet{ID: id, Len: 8}, Seq: int32(seq)}
 }
 
 // noBypass fails the test if the bypass path fires.

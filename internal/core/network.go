@@ -496,7 +496,7 @@ func (n *Network) linksBetween(a, b topology.NodeID) (pair [2]*linkPipes) {
 // route is failed fast — counted offered, reported unreachable, never queued.
 func (n *Network) Offer(p *noc.Packet) {
 	n.offered++
-	if n.table != nil && !n.pairConnected(p.Src, p.Dst) {
+	if n.table != nil && !n.pairConnected(topology.NodeID(p.Src), topology.NodeID(p.Dst)) {
 		n.hooks.Unreachable(p, n.now)
 		return
 	}
@@ -531,7 +531,7 @@ func (n *Network) Tick(now sim.Cycle) {
 		if due, ok := n.notifs[now]; ok {
 			delete(n.notifs, now)
 			for _, nt := range due {
-				if n.isDead(nt.pkt.Src) {
+				if n.isDead(topology.NodeID(nt.pkt.Src)) {
 					continue
 				}
 				ni := &n.nis[nt.pkt.Src]
@@ -758,7 +758,7 @@ func (n *Network) DumpState() string {
 				}
 				qc := vc.front()
 				fmt.Fprintf(&b, "  ctrl in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v admitted=%v leads=%+v\n",
-					topology.Port(p), v, vc.n, qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, qc.leads)
+					topology.Port(p), v, vc.n, qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, vc.leadsAt(vc.head))
 			}
 		}
 		for p := range r.inputs {

@@ -114,7 +114,7 @@ func TestManyRandomPacketsAllDelivered(t *testing.T) {
 				if dst >= src {
 					dst++
 				}
-				net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 				for j := 0; j < 4; j++ {
 					net.Tick(now)
 					now++
@@ -147,7 +147,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 3, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 3, CreatedAt: now})
 			net.Tick(now)
 			now++
 		}
@@ -184,7 +184,7 @@ func TestHeavyLoadSurvivesAndDrains(t *testing.T) {
 				if dst >= topology.NodeID(id) {
 					dst++
 				}
-				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: 5, CreatedAt: now})
 				offered++
 			}
 		}
@@ -212,7 +212,7 @@ func TestBufferUsageWithinCapacity(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		net.Tick(now)
 		now++
 		for id := 0; id < mesh.N(); id++ {

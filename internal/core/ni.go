@@ -119,7 +119,7 @@ type niTimeout struct {
 type niPacket struct {
 	active          bool
 	pkt             *noc.Packet
-	attempt         int
+	attempt         int32
 	nextCtrl, ctrls int
 }
 
@@ -196,7 +196,7 @@ func (n *NI) loss(pid noc.PacketID, attempt int, now sim.Cycle) {
 	if st == nil || st.retryPending || attempt != st.attempt {
 		return
 	}
-	if n.unreachable != nil && n.unreachable(st.pkt.Dst) {
+	if n.unreachable != nil && n.unreachable(topology.NodeID(st.pkt.Dst)) {
 		// The loss was no accident: the destination is cut off. Resolve
 		// the packet now instead of retrying into a void.
 		delete(n.awaiting, pid)
@@ -224,14 +224,14 @@ func (n *NI) tickRetries(now sim.Cycle) {
 			if st == nil || !st.retryPending {
 				continue
 			}
-			if n.unreachable != nil && n.unreachable(p.Dst) {
+			if n.unreachable != nil && n.unreachable(topology.NodeID(p.Dst)) {
 				delete(n.awaiting, p.ID)
 				n.hooks.Unreachable(p, now)
 				continue
 			}
 			st.retryPending = false
 			st.attempt++
-			p.Attempts = st.attempt
+			p.Attempts = int32(st.attempt)
 			n.probe.Retry(now, int(n.node), uint64(p.ID), st.attempt)
 			n.retried++
 			n.queue.Push(p)
@@ -270,7 +270,7 @@ func (n *NI) failUnreachable(now sim.Cycle) {
 		return
 	}
 	n.queue.Filter(func(p *noc.Packet) bool {
-		if !n.unreachable(p.Dst) {
+		if !n.unreachable(topology.NodeID(p.Dst)) {
 			return true
 		}
 		if n.awaiting != nil {
@@ -356,7 +356,7 @@ func (n *NI) Tick(now sim.Cycle) {
 			n.wf.InjectStart(uint64(p.ID), uint8(p.Attempts), p.CreatedAt, now)
 		}
 		n.active[v] = niPacket{active: true, pkt: p, attempt: p.Attempts,
-			ctrls: (p.Len + n.cfg.LeadsPerCtrl - 1) / n.cfg.LeadsPerCtrl}
+			ctrls: (int(p.Len) + n.cfg.LeadsPerCtrl - 1) / n.cfg.LeadsPerCtrl}
 		work++
 	}
 
@@ -379,9 +379,9 @@ func (n *NI) Tick(now sim.Cycle) {
 
 	// Launch data flits whose scheduled injection cycle has come.
 	if sf, ok := n.sendAt.take(now); ok {
-		f := noc.DataFlit{Packet: sf.pkt, Seq: int(sf.seq), Attempt: int(sf.attempt), Type: noc.TypeFor(int(sf.seq), sf.pkt.Len)}
+		f := noc.DataFlit{Packet: sf.pkt, Seq: sf.seq, Attempt: sf.attempt, Type: noc.TypeFor(int(sf.seq), int(sf.pkt.Len))}
 		if n.probe != nil {
-			n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
+			n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), int(f.Seq))
 		}
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
@@ -419,7 +419,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	d := n.cfg.LeadsPerCtrl
 	minTA := now + n.cfg.LeadCycles
 	tds := n.tds[:0]
-	for seq := ap.nextCtrl * d; seq < min(ap.nextCtrl*d+d, ap.pkt.Len); seq++ {
+	for seq := ap.nextCtrl * d; seq < min(ap.nextCtrl*d+d, int(ap.pkt.Len)); seq++ {
 		td, ok := n.injTable.findDeparture(now, minTA, n.cfg.LocalLatency, v)
 		if !ok {
 			for _, td := range tds {
@@ -435,14 +435,14 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	// off the network's free list, which travels with it — carrying the final
 	// arrival times.
 	cf := noc.ControlFlitAt(ap.pkt, ap.nextCtrl, d, n.leads.Take(d))
-	cf.VC, cf.Attempt = v, ap.attempt
+	cf.VC, cf.Attempt = int32(v), ap.attempt
 	for i, td := range tds {
 		if n.probe != nil {
 			n.probe.ReserveHit(now, int(n.node), int(topology.Local), uint64(cf.Packet.ID), td)
 		}
 		ld := &cf.Leads[i]
 		ld.Arrival = td + n.cfg.LocalLatency
-		if !n.sendAt.put(td, flitRef{pkt: ap.pkt, seq: int32(ld.Seq), attempt: int32(cf.Attempt)}) {
+		if !n.sendAt.put(td, flitRef{pkt: ap.pkt, seq: ld.Seq, attempt: cf.Attempt}) {
 			panic("core: NI scheduled two data flits on one injection cycle")
 		}
 	}
@@ -456,7 +456,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		// timer. Deadlines are armed in injection order with a constant
 		// offset, keeping the timeout queue FIFO.
 		if n.cfg.RetryTimeout > 0 {
-			if st := n.awaiting[ap.pkt.ID]; st != nil && !st.retryPending && st.attempt == ap.pkt.Attempts {
+			if st := n.awaiting[ap.pkt.ID]; st != nil && !st.retryPending && st.attempt == int(ap.pkt.Attempts) {
 				n.timeouts = append(n.timeouts, niTimeout{pid: ap.pkt.ID, attempt: st.attempt, deadline: now + n.cfg.RetryTimeout})
 			}
 		}
@@ -525,8 +525,8 @@ type Sink struct {
 // sinkPkt is one packet's reassembly state: the newest transmission attempt
 // seen, its progress, and whether the packet's fate is already resolved.
 type sinkPkt struct {
-	attempt int
-	got     int
+	attempt int32
+	got     int32
 	lost    bool // current attempt had a detected hole
 	done    bool // delivered; every later signal for the packet is stale
 	// corrupt records that a flit of the current attempt arrived with
@@ -552,16 +552,16 @@ func (s *Sink) reset() {
 
 // Expect records, at cycle now, that the flit identified by (pkt, seq,
 // attempt) will arrive on the ejection link at cycle at.
-func (s *Sink) Expect(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int) {
+func (s *Sink) Expect(now, at sim.Cycle, pkt *noc.Packet, seq, attempt int32) {
 	s.expect.advance(now)
-	if !s.expect.put(at, flitRef{pkt: pkt, seq: int32(seq), attempt: int32(attempt)}) {
+	if !s.expect.put(at, flitRef{pkt: pkt, seq: seq, attempt: attempt}) {
 		panic("core: two flits scheduled to eject in the same cycle")
 	}
 }
 
 // stateFor returns a packet's reassembly state, fresh at the given attempt
 // when the sink holds none; the caller stores what it changes.
-func (s *Sink) stateFor(id noc.PacketID, attempt int) sinkPkt {
+func (s *Sink) stateFor(id noc.PacketID, attempt int32) sinkPkt {
 	st, ok := s.state[id]
 	if !ok {
 		st.attempt = attempt
@@ -590,7 +590,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 	}
 	if e, ok := s.expect.take(now); ok {
 		work++
-		attempt := int(e.attempt)
+		attempt := e.attempt
 		st := s.stateFor(e.pkt.ID, attempt)
 		// A stale entry — the packet's fate no longer depends on this
 		// attempt — is dropped without a loss report.
@@ -603,7 +603,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 			s.probe.Nack(int(s.node))
 			s.hooks.Lost(e.pkt, now)
 			if s.notifyLoss != nil {
-				s.notifyLoss(e.pkt, attempt, now)
+				s.notifyLoss(e.pkt, int(attempt), now)
 			}
 		}
 	}
@@ -617,12 +617,12 @@ func (s *Sink) eject(now sim.Cycle, f *noc.DataFlit) {
 	if !ok {
 		panic(fmt.Sprintf("core: %s ejected at cycle %d with no reassembly schedule entry", *f, now))
 	}
-	if e.pkt.ID != f.Packet.ID || int(e.seq) != f.Seq || int(e.attempt) != f.Attempt {
+	if e.pkt.ID != f.Packet.ID || e.seq != f.Seq || e.attempt != f.Attempt {
 		panic(fmt.Sprintf("core: reassembly mismatch at cycle %d: scheduled pkt=%d seq=%d attempt=%d, got %s attempt=%d", now, e.pkt.ID, e.seq, e.attempt, *f, f.Attempt))
 	}
 	s.hooks.Ejected(now)
 	if s.probe != nil {
-		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), f.Seq)
+		s.probe.Eject(now, int(s.node), uint64(f.Packet.ID), int(f.Seq))
 	}
 	if s.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		s.wf.Eject(uint64(f.Packet.ID), uint8(f.Attempt), now)
@@ -665,7 +665,7 @@ func (s *Sink) eject(now sim.Cycle, f *noc.DataFlit) {
 		s.probe.Nack(int(s.node))
 		s.hooks.Lost(f.Packet, now)
 		if s.notifyLoss != nil {
-			s.notifyLoss(f.Packet, f.Attempt, now)
+			s.notifyLoss(f.Packet, int(f.Attempt), now)
 		}
 	case st.done:
 		s.hooks.Delivered(f.Packet, now)

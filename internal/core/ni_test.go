@@ -54,10 +54,10 @@ func TestNILeadCyclesHonored(t *testing.T) {
 		n.Tick(now)
 		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
 			for _, le := range cf.Leads {
-				ctrlSent[le.Seq] = now
+				ctrlSent[int(le.Seq)] = now
 			}
 		})
-		data.RecvEach(now+1, func(f noc.DataFlit) { dataSent[f.Seq] = now })
+		data.RecvEach(now+1, func(f noc.DataFlit) { dataSent[int(f.Seq)] = now })
 	}
 	for seq, c := range ctrlSent {
 		d, ok := dataSent[seq]
@@ -80,10 +80,10 @@ func TestNIControlFlitCarriesAccurateArrivals(t *testing.T) {
 		n.Tick(now)
 		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
 			for _, le := range cf.Leads {
-				announced[le.Seq] = le.Arrival
+				announced[int(le.Seq)] = le.Arrival
 			}
 		})
-		data.RecvEach(now, func(f noc.DataFlit) { arrived[f.Seq] = now })
+		data.RecvEach(now, func(f noc.DataFlit) { arrived[int(f.Seq)] = now })
 	}
 	if len(announced) != 2 || len(arrived) != 2 {
 		t.Fatalf("announced %d, arrived %d; want 2 and 2", len(announced), len(arrived))
@@ -110,11 +110,11 @@ func TestNIRespectsControlCredits(t *testing.T) {
 		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
 			sent++
 			for _, le := range cf.Leads {
-				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
+				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
 				posted(&n.inbox, resv.Severed())
 			}
 			if returnCtrl {
-				ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
+				ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
 				posted(&n.inbox, ctrlCredit.Severed())
 			}
 		})
@@ -152,10 +152,10 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
-			ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
+			ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
 			posted(&n.inbox, ctrlCredit.Severed())
 			for _, le := range cf.Leads {
-				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
+				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
 				posted(&n.inbox, resv.Severed())
 			}
 		})

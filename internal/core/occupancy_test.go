@@ -33,7 +33,7 @@ func TestCandidateWordMatchesQueueScan(t *testing.T) {
 			p, v := topology.Port(rng.Intn(int(topology.NumPorts))), rng.Intn(vcs)
 			vc := &r.ctrlIn[p].vcs[v]
 			if rng.Bool(0.6) && vc.n < len(vc.q) {
-				r.enqueue(now, p, &noc.ControlFlit{Packet: &noc.Packet{}, VC: v})
+				r.enqueue(now, p, &noc.ControlFlit{Packet: &noc.Packet{}, VC: int32(v)})
 			} else if vc.n > 0 {
 				r.popCtrl(now, p, vc, v)
 			}

@@ -200,7 +200,7 @@ func TestPartitionReportsUnreachableNotAbandoned(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		p := &noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 5, CreatedAt: now}
+		p := &noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now}
 		pkts[p.ID] = p
 		net.Offer(p)
 		for j := 0; j < 3; j++ {
@@ -228,10 +228,10 @@ func TestPartitionReportsUnreachableNotAbandoned(t *testing.T) {
 	}
 	for id, fate := range rec.fate {
 		p := pkts[id]
-		if side(p.Src) == side(p.Dst) && fate != "delivered" {
+		if side(topology.NodeID(p.Src)) == side(topology.NodeID(p.Dst)) && fate != "delivered" {
 			t.Errorf("same-side packet %d (%d->%d) ended %s", id, p.Src, p.Dst, fate)
 		}
-		if side(p.Src) != side(p.Dst) && fate == "abandoned" {
+		if side(topology.NodeID(p.Src)) != side(topology.NodeID(p.Dst)) && fate == "abandoned" {
 			t.Errorf("cross-partition packet %d (%d->%d) was abandoned, want unreachable", id, p.Src, p.Dst)
 		}
 	}
@@ -263,7 +263,7 @@ func TestRouterOutageResolvesEveryPacket(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		p := &noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: 5, CreatedAt: now}
+		p := &noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now}
 		pkts[p.ID] = p
 		net.Offer(p)
 		for j := 0; j < 3; j++ {

@@ -37,7 +37,7 @@ func offerRandom(net *Network, mesh topology.Mesh, rng *sim.RNG, n, flits int, n
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: flits, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: int32(flits), CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			now++

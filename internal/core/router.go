@@ -19,25 +19,26 @@ import (
 // flit departs into the dead wire and is destroyed, so the lead must not be
 // announced downstream when the stream re-routes — the new output's table
 // never committed it, and the downstream router must not schedule (and
-// credit) a flit that can never arrive.
+// credit) a flit that can never arrive. The cycles come first and the narrow
+// fields after, in 24 bytes.
 type leadState struct {
-	seq       int
 	arrival   sim.Cycle
+	departAt  sim.Cycle
+	seq       int32
 	scheduled bool
 	dead      bool
-	departAt  sim.Cycle
 }
 
-// queuedCtrl is a control flit buffered in a control VC queue together with
-// its mutable per-lead scheduling state. admitted records that the output
-// reservation table has set aside buffers for all of its leads (per-flit
-// scheduling's strand-free admission). routedHere marks the head that
-// established the VC's current routing entry, distinguishing a head still
-// being scheduled from a fresh head following a stream whose tail a hard
-// fault destroyed.
+// queuedCtrl is a control flit buffered in a control VC queue. Its mutable
+// per-lead scheduling state is not in the cell but in the VC's lead-state
+// array (ctrlVC.leadsAt), one entry for each of flit.Leads, so that a cell is
+// 64 bytes. admitted records that the output reservation table has set aside
+// buffers for all of its leads (per-flit scheduling's strand-free admission).
+// routedHere marks the head that established the VC's current routing entry,
+// distinguishing a head still being scheduled from a fresh head following a
+// stream whose tail a hard fault destroyed.
 type queuedCtrl struct {
 	flit       noc.ControlFlit
-	leads      []leadState
 	arrivedAt  sim.Cycle
 	admitted   bool
 	routedHere bool
@@ -51,13 +52,16 @@ type queuedCtrl struct {
 // ctrlVC is one control virtual channel of one control input: a small FIFO
 // plus the routing-table entry (output port) and downstream-VC allocation of
 // the packet currently holding the channel. The FIFO is a ring of
-// CtrlBufPerVC cells, the n from head holding flits; a cell keeps its
-// lead-state list (capacity LeadsPerCtrl) for the network's life, so queueing
-// a flit allocates nothing and dequeueing one moves nothing. drain marks a
-// stream a hard fault destroyed mid-flight: followers are discarded until the
-// tail passes (or a fresh head shows the tail itself was destroyed).
+// CtrlBufPerVC cells, the n from head holding flits; leads holds d
+// (LeadsPerCtrl) lead states for each cell, for the network's life, so
+// queueing a flit allocates nothing and dequeueing one moves nothing. drain
+// marks a stream a hard fault destroyed mid-flight: followers are discarded
+// until the tail passes (or a fresh head shows the tail itself was
+// destroyed).
 type ctrlVC struct {
 	q         []queuedCtrl
+	leads     []leadState
+	d         int
 	head, n   int
 	routed    bool
 	route     topology.Port
@@ -66,20 +70,28 @@ type ctrlVC struct {
 	drain     bool
 }
 
-// at returns the queued flit i places behind the front; front is at(0).
-func (vc *ctrlVC) at(i int) *queuedCtrl {
+// cell is the ring cell of the queued flit i places behind the front, which
+// is in cell head.
+func (vc *ctrlVC) cell(i int) int {
 	if i += vc.head; i >= len(vc.q) {
 		i -= len(vc.q)
 	}
-	return &vc.q[i]
+	return i
 }
 
 func (vc *ctrlVC) front() *queuedCtrl { return &vc.q[vc.head] }
 
-// pop drops the front flit; its cell keeps the lead-state list.
+// leadsAt returns the lead states of the flit in ring cell c, one for each of
+// the leads it carries.
+func (vc *ctrlVC) leadsAt(c int) []leadState {
+	k := c * vc.d
+	return vc.leads[k : k+len(vc.q[c].flit.Leads)]
+}
+
+// pop drops the front flit; the lead states of its cell are rewritten by the
+// next flit queued there.
 func (vc *ctrlVC) pop() {
-	qc := vc.front()
-	*qc = queuedCtrl{leads: qc.leads[:0]}
+	vc.q[vc.head] = queuedCtrl{}
 	if vc.head++; vc.head == len(vc.q) {
 		vc.head = 0
 	}
@@ -219,11 +231,8 @@ func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Con
 		ci := &r.ctrlIn[p]
 		*ci = ctrlInput{exists: true, vcs: carve(&a.vcs, cfg.CtrlVCs), occ: carve(&a.words, occupancyWords(cfg.CtrlVCs))}
 		for v := range ci.vcs {
-			q := carve(&a.queued, cfg.CtrlBufPerVC)
-			for i := range q {
-				q[i].leads = carve(&a.leads, cfg.LeadsPerCtrl)[:0]
-			}
-			ci.vcs[v].q = q
+			ci.vcs[v] = ctrlVC{q: carve(&a.queued, cfg.CtrlBufPerVC),
+				leads: carve(&a.leads, cfg.CtrlBufPerVC*cfg.LeadsPerCtrl), d: cfg.LeadsPerCtrl}
 		}
 		if p != topology.Local {
 			r.ctrlOut[p] = ctrlOutput{exists: true,
@@ -256,7 +265,7 @@ func (r *Router) reset() {
 				r.leadArrays.Put(vc.front().flit.Leads)
 				vc.pop()
 			}
-			*vc = ctrlVC{q: vc.q}
+			*vc = ctrlVC{q: vc.q, leads: vc.leads, d: vc.d}
 		}
 		co := &r.ctrlOut[p]
 		for v := range co.credits {
@@ -418,12 +427,13 @@ func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
 	if vc.n == len(vc.q) {
 		panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, p, cf.VC))
 	}
-	qc := vc.at(vc.n)
-	leads := qc.leads[:0]
-	for _, le := range cf.Leads {
-		leads = append(leads, leadState{seq: le.Seq, arrival: le.Arrival, departAt: sim.Never})
+	c := vc.cell(vc.n)
+	qc := &vc.q[c]
+	*qc = queuedCtrl{flit: *cf, arrivedAt: now}
+	leads := vc.leadsAt(c)
+	for i, le := range cf.Leads {
+		leads[i] = leadState{arrival: le.Arrival, departAt: sim.Never, seq: le.Seq}
 	}
-	*qc = queuedCtrl{flit: *cf, leads: leads, arrivedAt: now}
 	if cf.Corrupted {
 		r.probe.Corrupt(int(r.id))
 		// The detection draw happens at receive so RNG order is
@@ -433,7 +443,7 @@ func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
 		}
 	}
 	vc.n++
-	ci.occ.set(cf.VC)
+	ci.occ.set(int(cf.VC))
 	r.queued++
 }
 
@@ -467,7 +477,7 @@ func (r *Router) arrive(now sim.Cycle, p topology.Port, f *noc.DataFlit) {
 		r.sendData(now, f, out)
 	case parked:
 		if r.probe != nil { // a late reservation: data ahead of its control flit
-			r.probe.Late(now, int(r.id), int(p), uint64(f.Packet.ID), f.Seq)
+			r.probe.Late(now, int(r.id), int(p), uint64(f.Packet.ID), int(f.Seq))
 		}
 	case refused:
 		// Phantom-orphaned flits overcommitted the pool; the refused flit is
@@ -510,7 +520,7 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 		return
 	}
 	if r.probe != nil {
-		r.probe.Traverse(now, int(r.id), int(out), uint64(f.Packet.ID), f.Seq)
+		r.probe.Traverse(now, int(r.id), int(out), uint64(f.Packet.ID), int(f.Seq))
 	}
 	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), uint8(f.Attempt), now, true)
@@ -580,7 +590,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 				}
 				panic(fmt.Sprintf("core: node %d: %s at front of unrouted control VC", r.id, qc.flit))
 			}
-			route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, qc.flit.Dst)
+			route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, topology.NodeID(qc.flit.Dst))
 			if !ok {
 				// No surviving route to the destination. Destroy the
 				// stream here; the source resolves the packet through
@@ -669,6 +679,7 @@ func (r *Router) allocateCtrlVC(vc *ctrlVC, out topology.Port) bool {
 // attributed to the packet's downstream control VC (its input VC at the
 // destination, where no control VC is consumed).
 func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, inPort topology.Port) bool {
+	leads := vc.leadsAt(vc.head)
 	table := &r.outTables[out]
 	table.advance(now)
 	tp := r.dataLatencyFor(out)
@@ -678,11 +689,11 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 	}
 	if r.cfg.AllOrNothing {
 		r.committed = r.committed[:0]
-		for i := range qc.leads {
-			if qc.leads[i].scheduled {
+		for i := range leads {
+			if leads[i].scheduled {
 				continue
 			}
-			td, ok := table.findDeparture(now, qc.leads[i].arrival, tp, attrVC)
+			td, ok := table.findDeparture(now, leads[i].arrival, tp, attrVC)
 			if !ok {
 				for _, t := range r.committed {
 					table.uncommit(t.td, tp, attrVC)
@@ -697,7 +708,7 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 			if r.probe != nil {
 				r.probe.ReserveHit(now, int(r.id), int(out), uint64(qc.flit.Packet.ID), t.td)
 			}
-			r.finalizeLead(now, qc, &qc.leads[t.lead], t.td, out, inPort)
+			r.finalizeLead(now, qc, &leads[t.lead], t.td, out, inPort)
 		}
 		return true
 	}
@@ -707,8 +718,8 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 	// finish scheduling (the wedge analyzed on outResTable.claims).
 	if !qc.admitted {
 		k := 0
-		for i := range qc.leads {
-			if !qc.leads[i].scheduled {
+		for i := range leads {
+			if !leads[i].scheduled {
 				k++
 			}
 		}
@@ -719,8 +730,8 @@ func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, i
 		qc.admitted = true
 	}
 	allDone := true
-	for i := range qc.leads {
-		ld := &qc.leads[i]
+	for i := range leads {
+		ld := &leads[i]
 		if ld.scheduled {
 			continue
 		}
@@ -756,7 +767,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// The freed residency is attributed to the control VC this
 		// flit arrived on, which is the upstream scheduler's VC for
 		// this link.
-		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: qc.flit.VC})
+		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: int(qc.flit.VC)})
 		posted(r.peer[inPort], in.creditOut.Severed())
 	}
 	ld.scheduled = true
@@ -801,10 +812,11 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	// The flit's lead list is this router's to rewrite (see
 	// noc.ControlFlit.Leads), and leads only ever drop out, so the rewritten
 	// list fits the array it arrived in.
+	leads := vc.leadsAt(vc.head)
 	nf := qc.flit
-	nf.VC = vc.outVC
+	nf.VC = int32(vc.outVC)
 	nf.Leads = nf.Leads[:0]
-	for _, ld := range qc.leads {
+	for _, ld := range leads {
 		if ld.dead {
 			continue // scheduled into a severed wire; the flit dies there
 		}
@@ -836,10 +848,10 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // is released here — otherwise every discarded stream would leak upstream
 // buffers until its source wedges.
 func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topology.Port) {
-	qc := vc.front()
+	qc, leads := vc.front(), vc.leadsAt(vc.head)
 	in := &r.inputs[inPort]
-	for i := range qc.leads {
-		ld := &qc.leads[i]
+	for i := range leads {
+		ld := &leads[i]
 		if ld.scheduled {
 			continue
 		}
@@ -853,7 +865,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topolo
 			if ld.arrival > freeFrom {
 				freeFrom = ld.arrival
 			}
-			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: qc.flit.VC})
+			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: int(qc.flit.VC)})
 			posted(r.peer[inPort], in.creditOut.Severed())
 		}
 	}
@@ -891,11 +903,12 @@ func (r *Router) severOutput(p topology.Port) {
 			// their data is destroyed on the wire, so the re-routed stream
 			// must not announce them downstream.
 			for i := 0; i < vc.n; i++ {
-				qc := vc.at(i)
-				qc.admitted = false
-				for j := range qc.leads {
-					if qc.leads[j].scheduled {
-						qc.leads[j].dead = true
+				c := vc.cell(i)
+				vc.q[c].admitted = false
+				leads := vc.leadsAt(c)
+				for j := range leads {
+					if leads[j].scheduled {
+						leads[j].dead = true
 					}
 				}
 			}

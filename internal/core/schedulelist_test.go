@@ -23,7 +23,7 @@ func loadNetwork(t *testing.T, net *Network, mesh topology.Mesh, rate float64, c
 					dst++
 				}
 				id++
-				net.Offer(&noc.Packet{ID: id, Src: topology.NodeID(n), Dst: dst, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: id, Src: int32(n), Dst: int32(dst), Len: 5, CreatedAt: now})
 			}
 		}
 		net.Tick(now)
@@ -80,7 +80,7 @@ func TestControlBudgetRespected(t *testing.T) {
 		for x := 0; x < 3; x++ {
 			if rng.Bool(0.25) {
 				id++
-				net.Offer(&noc.Packet{ID: id, Src: topology.NodeID(x), Dst: 3, Len: 5, CreatedAt: now})
+				net.Offer(&noc.Packet{ID: id, Src: int32(x), Dst: 3, Len: 5, CreatedAt: now})
 			}
 		}
 		net.Tick(now)

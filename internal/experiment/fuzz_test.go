@@ -108,7 +108,7 @@ func TestFuzzAllNetworksConserveFlits(t *testing.T) {
 							dst++
 						}
 						offered++
-						net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: pktLen, CreatedAt: now})
+						net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: int32(pktLen), CreatedAt: now})
 					}
 				}
 				net.Tick(now)
@@ -200,7 +200,7 @@ func TestFuzzRecoveryConservesPackets(t *testing.T) {
 							dst++
 						}
 						offered++
-						net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: pktLen, CreatedAt: now})
+						net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: int32(pktLen), CreatedAt: now})
 					}
 				}
 				net.Tick(now)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/traffic"
 )
@@ -272,8 +273,8 @@ func (g Grid) Specs() ([]Spec, error) {
 		pktLen = 5
 	}
 	switch {
-	case pktLen < 1:
-		return nil, gridErr("pktlen", "must be >= 1 (got %d)", pktLen)
+	case pktLen < 1 || pktLen > noc.MaxLen:
+		return nil, gridErr("pktlen", "must be in [1,%d] (got %d)", noc.MaxLen, pktLen)
 	case g.Sample < 0 || g.Warmup < 0:
 		return nil, gridErr("", "sample and warmup must be >= 0")
 	case (g.Sample == 0) != (g.Warmup == 0):

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"frfc/internal/noc"
 )
 
 // TestNamedResolvesTheWholeVocabulary: every name ConfigNames prints resolves,
@@ -67,6 +69,15 @@ func TestGridCountMatchesExpansion(t *testing.T) {
 		var ge *GridError
 		if _, err := g.Count(); !errors.As(err, &ge) || ge.Field != field {
 			t.Errorf("%+v: Count error %v, want a *GridError on %q", g, err, field)
+		}
+	}
+	// A packet longer than a flit's 32-bit sequence number counts is refused
+	// by name, not wrapped.
+	for _, n := range []int{-1, noc.MaxLen + 1} {
+		var ge *GridError
+		g := Grid{Configs: []string{"FR6"}, Loads: []float64{0.2}, PacketLen: n}
+		if _, err := g.Specs(); !errors.As(err, &ge) || ge.Field != "pktlen" {
+			t.Errorf("packet length %d: Specs error %v, want a *GridError on pktlen", n, err)
 		}
 	}
 	// A step that never advances the accumulation counts as huge and is

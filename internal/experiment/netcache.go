@@ -17,13 +17,13 @@ import (
 // maxIdleNodes is the largest mesh whose network is kept at all: the paper's
 // 8×8. What an idle network costs is its size twice over — a
 // garbage-collected heap lets everything else the process allocates pile up
-// in proportion to what is live — and a flit-reservation network is 1.5 MiB
-// at 64 nodes and 6.2 MiB at 256 (core.BenchmarkNetworkNew8x8, …16x16).
-// Building the larger one is cheap — the same 49 allocations, 2.5 ms of an
+// in proportion to what is live — and a flit-reservation network is 1.2 MiB
+// at 64 nodes and 4.9 MiB at 256 (core.BenchmarkNetworkNew8x8, …16x16).
+// Building the larger one is cheap — the same 45 allocations, 2.5 ms of an
 // 18 ms small job — so what keeps it out is what it would weigh, not what it
-// costs to make: bench/'s fr-sparse, 16×16, has a peak RSS of 16.5 MiB
-// building a network per run and 27.8 MiB holding one, +68 % against a bound
-// of 15 %.
+// costs to make: bench/'s fr-sparse, 16×16, had a peak RSS of 16.5 MiB
+// building a network per run and 27.8 MiB holding one (at 6.0 MiB a
+// network), +68 % against a bound of 15 %.
 const (
 	idleNetworksPerProc = 4
 	maxIdleNodes        = 64

@@ -49,7 +49,7 @@ func abandon(net noc.Network, s Spec, seed uint64, load float64, cycles sim.Cycl
 				dst++
 			}
 			id++
-			net.Offer(&noc.Packet{ID: id, Src: topology.NodeID(n), Dst: dst, Len: s.PacketLen, CreatedAt: now, Sampled: true})
+			net.Offer(&noc.Packet{ID: id, Src: int32(n), Dst: int32(dst), Len: int32(s.PacketLen), CreatedAt: now, Sampled: true})
 		}
 		net.Tick(now)
 	}

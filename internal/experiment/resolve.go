@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 
 	"frfc/internal/noc"
 	"frfc/internal/sim"
@@ -102,6 +103,9 @@ type Cell[P any] struct {
 // have its defaults filled.
 func resolve(ctx context.Context, o ResolveOptions, s Spec, delivered func(now, latency sim.Cycle)) (Resolved, error) {
 	s = s.withDefaults()
+	if s.PacketLen < 1 || s.PacketLen > noc.MaxLen {
+		panic(fmt.Sprintf("experiment: packet length %d outside [1, %d] flits", s.PacketLen, noc.MaxLen))
+	}
 	mesh := topology.NewMesh(s.MeshRadix)
 	var res Resolved
 	lat := stats.NewLatencyStats()
@@ -130,7 +134,7 @@ func resolve(ctx context.Context, o ResolveOptions, s Spec, delivered func(now, 
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: src, Dst: dst, Len: s.PacketLen, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i + 1), Src: int32(src), Dst: int32(dst), Len: int32(s.PacketLen), CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			now++

@@ -268,7 +268,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 			if p.Sampled {
 				lat.Record(now - p.CreatedAt)
 				bm.Add(float64(now - p.CreatedAt))
-				retryLat.Record(now-p.CreatedAt, p.Attempts)
+				retryLat.Record(now-p.CreatedAt, int(p.Attempts))
 				queueDelay.Add(float64(p.InjectedAt - p.CreatedAt))
 				sampledDelivered++
 				if wf != nil {

@@ -6,9 +6,9 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"frfc/internal/sim"
-	"frfc/internal/topology"
 )
 
 // FlitType distinguishes the position of a flit within its packet. Under
@@ -54,12 +54,22 @@ type PacketID uint64
 // Packet describes a packet to be delivered: the unit the traffic generator
 // produces and the statistics collector accounts. The network decomposes it
 // into flits.
+//
+// The node ids, the length and the attempt count are 32-bit, as in the flits
+// that carry them, so that the packet arrays a run fills are 48 bytes an
+// entry; a length or an attempt past math.MaxInt32 is refused where it is
+// configured (MaxLen).
 type Packet struct {
-	ID        PacketID
-	Src, Dst  topology.NodeID
-	Len       int       // number of data flits
+	ID       PacketID
+	Src, Dst int32 // topology.NodeIDs
+	Len      int32 // number of data flits
+
+	// Attempts counts end-to-end retransmissions: 0 on the first
+	// injection, incremented by the source network interface each time the
+	// packet is re-offered after a loss notification or retry timeout.
+	Attempts int32
+
 	CreatedAt sim.Cycle // when the source created it (start of latency span)
-	Sampled   bool      // whether this packet belongs to the measurement sample
 
 	// InjectedAt is stamped by the network interface when the packet's
 	// first flit (data, or control under flit reservation) enters the
@@ -67,11 +77,13 @@ type Packet struct {
 	// Under end-to-end retry it is re-stamped on each re-injection.
 	InjectedAt sim.Cycle
 
-	// Attempts counts end-to-end retransmissions: 0 on the first
-	// injection, incremented by the source network interface each time the
-	// packet is re-offered after a loss notification or retry timeout.
-	Attempts int
+	Sampled bool // whether this packet belongs to the measurement sample
 }
+
+// MaxLen is the longest packet, and the most end-to-end retries, the 32-bit
+// fields of Packet and the flits can count: configurations past it are
+// refused by name, never wrapped.
+const MaxLen = math.MaxInt32
 
 // DataFlit is one flit of packet payload on the data network.
 //
@@ -82,18 +94,22 @@ type Packet struct {
 // Under virtual-channel and wormhole flow control the Type and VC fields are
 // genuinely carried on the wire (and charged as storage overhead in Table 1),
 // and head flits carry the destination.
+//
+// Every field is as narrow as what it counts, the small ones last, so that a
+// flit is 24 bytes: every hop copies it, and every pool slot and wire cell
+// holds one.
 type DataFlit struct {
 	Packet *Packet
-	Seq    int // 0-based index within the packet
+	Seq    int32 // 0-based index within the packet
 	// Attempt is the packet's end-to-end transmission attempt this flit
 	// belongs to (0 = first try). It is stamped at packetization time so
 	// stragglers of an earlier, partially lost attempt remain
 	// distinguishable from a retry's flits at the destination.
-	Attempt int
+	Attempt int32
 
 	// Fields carried on the wire only by the VC/wormhole baselines.
+	VC   int32
 	Type FlitType
-	VC   int
 
 	// Corrupted marks payload damaged by a link bit error (sim.Pipe's
 	// bit-error model). The flag is simulator bookkeeping for damage the
@@ -116,7 +132,7 @@ func (f DataFlit) String() string {
 // the receiving router's input (the time stamp of Figure 2, rewritten hop by
 // hop as departures are scheduled).
 type LeadEntry struct {
-	Seq     int
+	Seq     int32
 	Arrival sim.Cycle
 }
 
@@ -126,11 +142,10 @@ type LeadEntry struct {
 // one entry; the final control flit is typed Tail (or HeadTail for packets
 // whose control fits in one flit) so the control virtual channel can be
 // released, exactly as in wormhole flow control.
+//
+// Like DataFlit it is laid out narrow, small fields last, in 48 bytes.
 type ControlFlit struct {
 	Packet *Packet
-	Type   FlitType
-	VC     int             // control virtual channel id
-	Dst    topology.NodeID // valid on head flits
 	// Leads holds up to d entries; d=1 in the paper's experiments. The list
 	// travels with the flit and belongs to whoever holds the flit: once a
 	// Send returns, the sender neither reads nor writes it again, and the
@@ -142,10 +157,13 @@ type ControlFlit struct {
 	// a LeadArrays free list; nobody else may keep a reference to it past its
 	// own Send.
 	Leads []LeadEntry
+	VC    int32 // control virtual channel id
+	Dst   int32 // topology.NodeID, valid on head flits
 	// Attempt is the packet's end-to-end transmission attempt this control
 	// flit announces (0 = first try); it flows into the destination's
 	// reassembly schedule so retries are never confused with stragglers.
-	Attempt int
+	Attempt int32
+	Type    FlitType
 
 	// Corrupted marks a control flit damaged by a link bit error. This is
 	// the uniquely dangerous corruption under flit reservation: the flit's

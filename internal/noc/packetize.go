@@ -27,9 +27,10 @@ func AppendDataFlits(dst []DataFlit, p *Packet) []DataFlit {
 	if p.Len < 1 {
 		panic("noc: packet must contain at least one data flit")
 	}
-	dst = slices.Grow(dst, p.Len)
-	for i := 0; i < p.Len; i++ {
-		dst = append(dst, DataFlit{Packet: p, Seq: i, Attempt: p.Attempts, Type: TypeFor(i, p.Len)})
+	n := int(p.Len)
+	dst = slices.Grow(dst, n)
+	for i := range n {
+		dst = append(dst, DataFlit{Packet: p, Seq: int32(i), Attempt: p.Attempts, Type: TypeFor(i, n)})
 	}
 	return dst
 }
@@ -67,7 +68,7 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 	if p.Len < 1 {
 		panic("noc: packet must contain at least one data flit")
 	}
-	n := (p.Len + d - 1) / d // number of control flits
+	n := (int(p.Len) + d - 1) / d // number of control flits
 	cfs := make([]ControlFlit, n)
 	cut := make([]LeadEntry, n*d)
 	for i := range cfs {
@@ -82,10 +83,11 @@ func ControlFlits(p *Packet, d int) []ControlFlit {
 // leads the first min(d, Len) data flits; each subsequent flit leads the next
 // d. Arrival times are left zero; the source's injection scheduler fills them.
 func ControlFlitAt(p *Packet, i, d int, leads []LeadEntry) ControlFlit {
-	for seq := i * d; seq < min(i*d+d, p.Len); seq++ {
-		leads = append(leads, LeadEntry{Seq: seq})
+	n := int(p.Len)
+	for seq := i * d; seq < min(i*d+d, n); seq++ {
+		leads = append(leads, LeadEntry{Seq: int32(seq)})
 	}
-	cf := ControlFlit{Packet: p, Type: TypeFor(i, (p.Len+d-1)/d), Attempt: p.Attempts, Leads: leads}
+	cf := ControlFlit{Packet: p, Type: TypeFor(i, (n+d-1)/d), Attempt: p.Attempts, Leads: leads}
 	if cf.Type.IsHead() {
 		cf.Dst = p.Dst
 	}

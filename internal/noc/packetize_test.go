@@ -46,7 +46,7 @@ func TestDataFlits(t *testing.T) {
 		t.Fatalf("got %d flits, want 5", len(flits))
 	}
 	for i, f := range flits {
-		if f.Seq != i || f.Packet != p || f.Type != TypeFor(i, 5) {
+		if int(f.Seq) != i || f.Packet != p || f.Type != TypeFor(i, 5) {
 			t.Fatalf("flit %d malformed: %+v", i, f)
 		}
 	}
@@ -72,7 +72,7 @@ func TestControlFlitsCoverEverySeqOnce(t *testing.T) {
 	f := func(lRaw, dRaw uint8) bool {
 		l := int(lRaw%40) + 1
 		d := int(dRaw%6) + 1
-		p := &Packet{Len: l}
+		p := &Packet{Len: int32(l)}
 		cfs := ControlFlits(p, d)
 		next := 0
 		for i, cf := range cfs {
@@ -83,7 +83,7 @@ func TestControlFlitsCoverEverySeqOnce(t *testing.T) {
 				return false
 			}
 			for _, le := range cf.Leads {
-				if le.Seq != next {
+				if int(le.Seq) != next {
 					return false
 				}
 				next++

@@ -97,7 +97,7 @@ type Sink struct {
 	// next[vc] is the Seq the next flit on ejection channel vc must carry,
 	// 0 between packets; the slice grows to the highest channel seen and
 	// keeps that length across Reset.
-	next  []int
+	next  []int32
 	hooks *Hooks
 	// delivered counts fully reassembled packets; escapes counts flits that
 	// arrived corrupted, past every hop CRC. These fabrics have no end-to-end
@@ -138,19 +138,20 @@ func (s *Sink) Tick(now sim.Cycle) {
 			s.escapes++
 		}
 		s.hooks.Ejected(now)
-		s.Probe.Eject(now, int(s.Node), uint64(f.Packet.ID), f.Seq)
+		s.Probe.Eject(now, int(s.Node), uint64(f.Packet.ID), int(f.Seq))
 		if s.Ledger != nil && f.Seq == 0 && f.Packet.Sampled {
 			s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
 		}
-		if f.VC >= len(s.next) {
-			s.next = append(s.next, make([]int, f.VC+1-len(s.next))...)
+		vc := int(f.VC)
+		if vc >= len(s.next) {
+			s.next = append(s.next, make([]int32, vc+1-len(s.next))...)
 		}
-		if f.Seq != s.next[f.VC] {
-			panic(fmt.Sprintf("noc: node %d ejection vc %d: %s where seq %d was due", s.Node, f.VC, f, s.next[f.VC]))
+		if f.Seq != s.next[vc] {
+			panic(fmt.Sprintf("noc: node %d ejection vc %d: %s where seq %d was due", s.Node, vc, f, s.next[vc]))
 		}
-		s.next[f.VC]++
+		s.next[vc]++
 		if f.Seq == f.Packet.Len-1 {
-			s.next[f.VC] = 0
+			s.next[vc] = 0
 			s.delivered++
 			s.hooks.Delivered(f.Packet, now)
 		}

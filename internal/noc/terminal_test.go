@@ -81,7 +81,7 @@ func newSinkRig() *sinkRig {
 
 // eject sends f on vc and ticks the sink the cycle it arrives.
 func (g *sinkRig) eject(f DataFlit, vc int) {
-	f.VC = vc
+	f.VC = int32(vc)
 	g.s.Data.Send(g.now, f)
 	g.s.FlitsIn++
 	g.now++

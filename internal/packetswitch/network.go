@@ -43,12 +43,12 @@ func (n *ni) reset() {
 }
 
 func (n *ni) Tick(now sim.Cycle) {
-	n.creditIn.RecvEach(now, func(noc.VCCredit) {
+	for _, ok := n.creditIn.Recv(now); ok; _, ok = n.creditIn.Recv(now) {
 		n.credits++
 		if n.credits > n.cfg.PacketBuffers {
 			panic("packetswitch: NI credit overflow")
 		}
-	})
+	}
 	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
 		p := n.queue.Pop()
 		n.credits--

@@ -211,12 +211,12 @@ func (r *Router) recvCredits(now sim.Cycle) {
 		if !o.exists || o.creditIn == nil {
 			continue
 		}
-		o.creditIn.RecvEach(now, func(noc.VCCredit) {
+		for _, ok := o.creditIn.Recv(now); ok; _, ok = o.creditIn.Recv(now) {
 			o.credits++
 			if o.credits > r.cfg.PacketBuffers {
 				panic("packetswitch: packet credit overflow")
 			}
-		})
+		}
 	}
 }
 
@@ -226,7 +226,7 @@ func (r *Router) recvFlits(now sim.Cycle) {
 		if !in.exists || in.data == nil {
 			continue
 		}
-		in.data.RecvEach(now, func(f noc.DataFlit) {
+		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -241,12 +241,12 @@ func (r *Router) recvFlits(now sim.Cycle) {
 				if slot == -1 {
 					panic(fmt.Sprintf("packetswitch: node %d in %s: head with no free packet buffer", r.id, topology.Port(p)))
 				}
-				if f.Packet.Len > r.cfg.MaxPacketLen {
+				if int(f.Packet.Len) > r.cfg.MaxPacketLen {
 					panic(fmt.Sprintf("packetswitch: packet of %d flits exceeds buffer capacity %d", f.Packet.Len, r.cfg.MaxPacketLen))
 				}
 				in.assembly = slot
 				sl := &in.slots[slot]
-				*sl = packetSlot{occupied: true, flits: sl.flits[:0], total: f.Packet.Len, headAt: now}
+				*sl = packetSlot{occupied: true, flits: sl.flits[:0], total: int(f.Packet.Len), headAt: now}
 			}
 			if in.assembly == -1 {
 				panic("packetswitch: body flit with no packet under assembly")
@@ -258,7 +258,7 @@ func (r *Router) recvFlits(now sim.Cycle) {
 			if f.Type.IsTail() {
 				in.assembly = -1
 			}
-		})
+		}
 	}
 }
 
@@ -303,7 +303,7 @@ func (r *Router) allocate(now sim.Cycle) {
 				continue
 			}
 			if !sl.routed {
-				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, sl.flits[0].Packet.Dst)
+				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, topology.NodeID(sl.flits[0].Packet.Dst))
 				if !ok {
 					panic(fmt.Sprintf("packetswitch: node %d: destination %d unreachable", r.id, sl.flits[0].Packet.Dst))
 				}

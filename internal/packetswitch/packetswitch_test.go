@@ -19,7 +19,7 @@ func runOne(t *testing.T, mode Mode, src, dst topology.NodeID, length int) sim.C
 	var deliveredAt sim.Cycle = -1
 	hooks := &noc.Hooks{PacketDelivered: func(p *noc.Packet, now sim.Cycle) { deliveredAt = now }}
 	net := New(mesh, testConfig(mode), 1, hooks)
-	net.Offer(&noc.Packet{ID: 1, Src: src, Dst: dst, Len: length, CreatedAt: 0})
+	net.Offer(&noc.Packet{ID: 1, Src: int32(src), Dst: int32(dst), Len: int32(length), CreatedAt: 0})
 	for now := sim.Cycle(0); now < 2000 && deliveredAt < 0; now++ {
 		net.Tick(now)
 	}
@@ -86,7 +86,7 @@ func TestManyPacketsAllDeliveredBothModes(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 			for j := 0; j < 4; j++ {
 				net.Tick(now)
 				now++
@@ -117,7 +117,7 @@ func TestHeavyLoadSurvivesAndDrains(t *testing.T) {
 					if dst >= topology.NodeID(id) {
 						dst++
 					}
-					net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: topology.NodeID(id), Dst: dst, Len: 5, CreatedAt: now})
+					net.Offer(&noc.Packet{ID: noc.PacketID(offered), Src: int32(id), Dst: int32(dst), Len: 5, CreatedAt: now})
 					offered++
 				}
 			}
@@ -161,7 +161,7 @@ func TestDeterminism(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 4, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 4, CreatedAt: now})
 			net.Tick(now)
 			now++
 		}
@@ -192,7 +192,7 @@ func TestBufferUsageAccounting(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		net.Tick(now)
 		now++
 		for id := 0; id < mesh.N(); id++ {

@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Pipe is a bandwidth-limited delay line modeling a pipelined wire between
 // two components. Items sent at cycle t become receivable at cycle t+latency.
@@ -11,23 +14,38 @@ import "math/bits"
 //
 // A Pipe is single-producer single-consumer and not safe for concurrent use;
 // the simulation is single-threaded by design.
+//
+// The header is one cache line (64 bytes): what every Send and Recv reads
+// comes first, and the state of the fault, sever-callback and bit-error
+// models — which a fault-free wire never touches — sits behind one pointer,
+// nil until a model is armed or the wire is first severed with a drop
+// callback.
 type Pipe[T any] struct {
-	latency Cycle
-
 	// The items in flight, oldest first, in a ring: n cells starting at head,
 	// wrapping by mask (cell). len(ring) is a power of two — for NewPipe's
 	// pipe nothing until the first Send, then 2 cells, doubled whenever a
 	// Send finds it full, so a wire that never holds more than two items
 	// never pays for more; for one cut from a PipeSlab what its wire can
-	// hold, from the start — and a dequeue moves no other item. The counters
-	// are 32-bit to keep the struct, of which a mesh holds thousands, the
-	// size it had as a slice.
-	ring    []pipeEntry[T]
-	head, n uint32
+	// hold, from the start — and a dequeue moves no other item.
+	ring          []pipeEntry[T]
+	lastSendCycle Cycle
+	head, n       uint32
 
-	width, sentThisCycle int32
-	lastSendCycle        Cycle
+	latency, width, sentThisCycle int32
 
+	// Hard-fault state (Sever/Restore). A severed pipe models a dead wire:
+	// items already in flight are destroyed at sever time and every
+	// subsequent Send is discarded (through the drop callback when set)
+	// instead of enqueued. Senders keep their normal bandwidth accounting so
+	// model bugs still surface while a link is down.
+	severed bool
+
+	x *pipeFaults[T]
+}
+
+// pipeFaults is the cold state of a pipe: the models a fault-free wire never
+// arms.
+type pipeFaults[T any] struct {
 	// Fault-injection state (NewFaultyPipe). Each item sent is corrupted
 	// in flight with probability faultRate; the receiver detects the
 	// corruption, NACKs, and the sender — which holds every unacknowledged
@@ -39,13 +57,8 @@ type Pipe[T any] struct {
 	rng         *RNG
 	retransmits int64
 
-	// Hard-fault state (Sever/Restore). A severed pipe models a dead wire:
-	// items already in flight are destroyed at sever time and every
-	// subsequent Send is discarded (through onDrop when set) instead of
-	// enqueued. Senders keep their normal bandwidth accounting so model
-	// bugs still surface while a link is down.
-	severed bool
-	onDrop  func(T)
+	// onDrop is told of every item a severed wire destroys.
+	onDrop func(T)
 
 	// Bit-error state (WithBitErrors). Distinct from faultRate above: a bit
 	// error does not delay or drop the item — it is delivered on time,
@@ -56,6 +69,14 @@ type Pipe[T any] struct {
 	berRNG    *RNG
 	corruptFn func(T) T
 	corrupted int64
+}
+
+// faults returns the pipe's cold block, made on first use.
+func (p *Pipe[T]) faults() *pipeFaults[T] {
+	if p.x == nil {
+		p.x = new(pipeFaults[T])
+	}
+	return p.x
 }
 
 type pipeEntry[T any] struct {
@@ -80,7 +101,10 @@ func (p *Pipe[T]) init(latency Cycle, width int, ring []pipeEntry[T]) {
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	*p = Pipe[T]{latency: latency, width: int32(width), ring: ring}
+	if latency > math.MaxInt32 || width > math.MaxInt32 {
+		panic("sim: pipe latency and width must fit in 32 bits")
+	}
+	*p = Pipe[T]{latency: int32(latency), width: int32(width), ring: ring}
 	p.Reset()
 }
 
@@ -126,8 +150,11 @@ func (s *PipeSlab[T]) Left() int { return len(s.pipes) + len(s.cells) }
 func (p *Pipe[T]) Reset() {
 	p.destroy(nil)
 	p.sentThisCycle, p.lastSendCycle = 0, Never
-	p.severed, p.onDrop = false, nil
-	p.retransmits, p.corrupted = 0, 0
+	p.severed = false
+	if x := p.x; x != nil {
+		x.onDrop = nil
+		x.retransmits, x.corrupted = 0, 0
+	}
 }
 
 // NewFaultyPipe returns a pipe that corrupts each item in flight with the
@@ -155,13 +182,19 @@ func (p *Pipe[T]) WithFaults(rate float64, rng *RNG) *Pipe[T] {
 	if p.n > 0 {
 		panic("sim: fault model armed on a pipe with items in flight")
 	}
-	p.faultRate, p.rng = rate, rng
+	x := p.faults()
+	x.faultRate, x.rng = rate, rng
 	return p
 }
 
 // Retransmits reports how many corruption-and-replay events the pipe's
 // link-level recovery has performed.
-func (p *Pipe[T]) Retransmits() int64 { return p.retransmits }
+func (p *Pipe[T]) Retransmits() int64 {
+	if p.x == nil {
+		return 0
+	}
+	return p.x.retransmits
+}
 
 // WithBitErrors arms the pipe's bit-error model: each item sent is delivered
 // on time but passed through corrupt — which should mark it corrupted — with
@@ -177,9 +210,8 @@ func (p *Pipe[T]) WithBitErrors(ber float64, rng *RNG, corrupt func(T) T) *Pipe[
 	if ber > 0 && (rng == nil || corrupt == nil) {
 		panic("sim: bit-error pipe needs an RNG and a corrupting transform")
 	}
-	p.ber = ber
-	p.berRNG = rng
-	p.corruptFn = corrupt
+	x := p.faults()
+	x.ber, x.berRNG, x.corruptFn = ber, rng, corrupt
 	return p
 }
 
@@ -190,15 +222,22 @@ func (p *Pipe[T]) SetBitErrorRate(ber float64) {
 	if ber < 0 || ber >= 1 || ber != ber {
 		panic("sim: bit-error rate must lie in [0, 1)")
 	}
-	if ber > 0 && (p.berRNG == nil || p.corruptFn == nil) {
+	if ber > 0 && (p.x == nil || p.x.berRNG == nil || p.x.corruptFn == nil) {
 		panic("sim: SetBitErrorRate on a pipe never armed with WithBitErrors")
 	}
-	p.ber = ber
+	if p.x != nil {
+		p.x.ber = ber
+	}
 }
 
 // Corrupted reports how many items the bit-error model has delivered
 // corrupted.
-func (p *Pipe[T]) Corrupted() int64 { return p.corrupted }
+func (p *Pipe[T]) Corrupted() int64 {
+	if p.x == nil {
+		return 0
+	}
+	return p.x.corrupted
+}
 
 // cell is the ring cell i places behind the oldest item in flight.
 func (p *Pipe[T]) cell(i uint32) *pipeEntry[T] {
@@ -217,12 +256,12 @@ func (p *Pipe[T]) CanSend(now Cycle) bool {
 // condition.
 func (p *Pipe[T]) Send(now Cycle, item T) {
 	// The common case first: the first send this cycle on a whole wire with
-	// no fault or bit-error model armed and a free cell. With no replay
+	// no fault or bit-error model ever armed and a free cell. With no replay
 	// delay ever added (faultRate is armed before the first send), every
 	// item in flight is due no later than this one.
-	if p.lastSendCycle < now && int(p.n) < len(p.ring) && p.faultRate == 0 && p.ber == 0 && !p.severed {
+	if p.lastSendCycle < now && int(p.n) < len(p.ring) && p.x == nil && !p.severed {
 		p.lastSendCycle, p.sentThisCycle = now, 1
-		*p.cell(p.n) = pipeEntry[T]{readyAt: now + p.latency, item: item}
+		*p.cell(p.n) = pipeEntry[T]{readyAt: now + Cycle(p.latency), item: item}
 		p.n++
 		return
 	}
@@ -238,21 +277,24 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 		p.lastSendCycle = now
 		p.sentThisCycle = 1
 	}
+	x := p.x
 	if p.severed {
-		if p.onDrop != nil {
-			p.onDrop(item)
+		if x != nil && x.onDrop != nil {
+			x.onDrop(item)
 		}
 		return
 	}
-	if p.ber > 0 && p.berRNG.Bool(p.ber) {
-		item = p.corruptFn(item)
-		p.corrupted++
-	}
-	readyAt := now + p.latency
-	if p.faultRate > 0 {
-		for p.rng.Bool(p.faultRate) {
-			readyAt += 2 * p.latency
-			p.retransmits++
+	readyAt := now + Cycle(p.latency)
+	if x != nil {
+		if x.ber > 0 && x.berRNG.Bool(x.ber) {
+			item = x.corruptFn(item)
+			x.corrupted++
+		}
+		if x.faultRate > 0 {
+			for x.rng.Bool(x.faultRate) {
+				readyAt += 2 * Cycle(p.latency)
+				x.retransmits++
+			}
 		}
 	}
 	// Go-back-N: an item sent behind a retransmitting predecessor is held in
@@ -330,7 +372,9 @@ func (p *Pipe[T]) Each(fn func(T)) {
 // likewise discarded. Severing an already-severed pipe only replaces the
 // drop callback.
 func (p *Pipe[T]) Sever(onDrop func(T)) {
-	p.onDrop = onDrop
+	if onDrop != nil || p.x != nil {
+		p.faults().onDrop = onDrop
+	}
 	if p.severed {
 		return
 	}
@@ -355,7 +399,9 @@ func (p *Pipe[T]) destroy(onDrop func(T)) {
 // destroyed while it was down stay destroyed.
 func (p *Pipe[T]) Restore() {
 	p.severed = false
-	p.onDrop = nil
+	if p.x != nil {
+		p.x.onDrop = nil
+	}
 }
 
 // Severed reports whether the pipe is currently cut.

@@ -61,18 +61,33 @@ func (p *slicePipe) Sever(onDrop func(int)) {
 	}
 }
 
+// reset is Pipe.Reset on the model: nothing in flight, the wire whole and
+// the counters zero, the rates and generators as they were.
+func (p *slicePipe) reset() {
+	p.q, p.severed, p.onDrop = nil, false, nil
+	p.retransmits, p.corrupt = 0, 0
+}
+
 // TestRingPipeMatchesSliceModel drives the ring pipe and the slice reference
 // with one random script of sends, receives (single and RecvEach), Each
-// walks, severs and restores — widths 1–4, latencies 1–8, clean, faulty and
-// bit-error wires, with receiver stalls long enough that the ring wraps and
-// doubles at least twice — and requires the same items in the same order at
-// the same cycles, and the same Len, Retransmits, Corrupted and drops.
+// walks, severs with and without a drop callback, restores and one Reset
+// two thirds through — widths 1–4, latencies 1–8, clean, faulty and bit-error wires, and
+// wires armed at bit-error rate 0 and retuned by SetBitErrorRate every 400
+// cycles (how a network arms its links for a scenario's "corrupt" events),
+// with receiver stalls long enough that the ring wraps and doubles
+// at least twice — and requires the same items in the same order at the same
+// cycles, and the same Len, Retransmits, Corrupted and drops.
 func TestRingPipeMatchesSliceModel(t *testing.T) {
-	for trial := 0; trial < 96; trial++ {
+	for trial := 0; trial < 128; trial++ {
 		script := NewRNG(uint64(1000 + trial))
 		width, latency := 1+trial%4, Cycle(1+trial/4%8)
-		faulty, bitErrors := trial%3 == 1, trial%3 == 2
-		t.Run(fmt.Sprintf("w%d-l%d-faulty=%v-ber=%v", width, latency, faulty, bitErrors), func(t *testing.T) {
+		retuned := trial >= 96
+		faulty, bitErrors := !retuned && trial%3 == 1, !retuned && trial%3 == 2
+		name := fmt.Sprintf("w%d-l%d-faulty=%v-ber=%v", width, latency, faulty, bitErrors)
+		if retuned {
+			name = fmt.Sprintf("w%d-l%d-ber-retuned", width, latency)
+		}
+		t.Run(name, func(t *testing.T) {
 			ring := NewPipe[int](latency, width)
 			ref := &slicePipe{latency: latency}
 			if faulty {
@@ -83,6 +98,10 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 				ring.WithBitErrors(0.2, NewRNG(9), func(v int) int { return -v })
 				ref.ber, ref.berRNG = 0.2, NewRNG(9)
 			}
+			if retuned {
+				ring.WithBitErrors(0, NewRNG(9), func(v int) int { return -v })
+				ref.berRNG = NewRNG(9)
+			}
 			var ringDrops, refDrops []int
 			same := func(what string, now Cycle, got, want []int) {
 				t.Helper()
@@ -90,17 +109,30 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 					t.Fatalf("cycle %d %s: ring %v, slice model %v", now, what, got, want)
 				}
 			}
-			next, wrapped, widest := 1, false, 0
+			next, wrapped, widest, corruptedAny := 1, false, 0, false
 			stalledUntil := Cycle(0)
 			for now := Cycle(0); now < 1500; now++ {
 				if script.Intn(30) == 0 { // the receiver stalls: a burst piles up
 					stalledUntil = now + Cycle(8+script.Intn(40))
 				}
+				if now == 1000 {
+					ring.Reset()
+					ref.reset()
+				}
+				if retuned && now%400 == 200 { // 0.3 from 200, 0 from 600, 0.3 from 1000...
+					ber := 0.3 - ref.ber
+					ring.SetBitErrorRate(ber)
+					ref.ber = ber
+				}
 				if script.Intn(90) == 0 {
-					if ring.Severed() {
+					switch {
+					case ring.Severed():
 						ring.Restore()
 						ref.severed, ref.onDrop = false, nil
-					} else {
+					case script.Intn(2) == 0:
+						ring.Sever(nil)
+						ref.Sever(nil)
+					default:
 						ring.Sever(func(v int) { ringDrops = append(ringDrops, v) })
 						ref.Sever(func(v int) { refDrops = append(refDrops, v) })
 					}
@@ -139,6 +171,7 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 				if ring.Len() != len(ref.q) || ring.Empty() != (len(ref.q) == 0) {
 					t.Fatalf("cycle %d: Len %d Empty %v, slice model holds %d", now, ring.Len(), ring.Empty(), len(ref.q))
 				}
+				corruptedAny = corruptedAny || ring.Corrupted() > 0
 				if ring.Retransmits() != ref.retransmits || ring.Corrupted() != ref.corrupt {
 					t.Fatalf("cycle %d: retransmits %d corrupted %d, slice model %d and %d",
 						now, ring.Retransmits(), ring.Corrupted(), ref.retransmits, ref.corrupt)
@@ -147,7 +180,36 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 			if !wrapped || widest < 8 {
 				t.Fatalf("script too gentle: wrapped=%v, ring reached %d cells (want a wrap and two doublings)", wrapped, widest)
 			}
+			if retuned && !corruptedAny {
+				t.Fatal("retuned wire never corrupted anything: the retune schedule is too gentle")
+			}
 		})
+	}
+}
+
+// TestFaultFreeWireHasNoColdBlock: the fault, drop-callback and bit-error
+// state is made only when a model is armed or the wire is severed with a
+// callback, so a fault-free wire keeps Send's one-line fast path through a
+// sever without one, a restore and a reset.
+func TestFaultFreeWireHasNoColdBlock(t *testing.T) {
+	p := NewPipe[int](2, 1)
+	p.Send(0, 1)
+	p.Sever(nil)
+	p.Restore()
+	p.Reset()
+	p.SetBitErrorRate(0)
+	if p.x != nil || p.Retransmits() != 0 || p.Corrupted() != 0 {
+		t.Fatal("a wire never armed made its fault state")
+	}
+	dropped := 0
+	p.Send(1, 2)
+	p.Sever(func(int) { dropped++ })
+	if p.x == nil || dropped != 1 {
+		t.Fatalf("sever with a callback: cold block %v, %d dropped, want one", p.x != nil, dropped)
+	}
+	armed := NewPipe[int](2, 1).WithBitErrors(0, NewRNG(1), func(v int) int { return -v })
+	if armed.x == nil {
+		t.Fatal("a wire armed at bit-error rate 0 has no generator to retune")
 	}
 }
 

@@ -290,8 +290,8 @@ func NewGenerators(m topology.Mesh, pat Pattern, proc func(topology.NodeID) Proc
 }
 
 func newGenerator(m topology.Mesh, src topology.NodeID, pat Pattern, proc Process, rng *sim.RNG, pktLen int, nextID func() noc.PacketID, from *packets) Generator {
-	if pktLen < 1 {
-		panic("traffic: packet length must be at least 1 flit")
+	if pktLen < 1 || pktLen > noc.MaxLen {
+		panic(fmt.Sprintf("traffic: packet length %d outside [1, %d] flits", pktLen, noc.MaxLen))
 	}
 	if nextID == nil {
 		panic("traffic: nextID must not be nil")
@@ -309,9 +309,9 @@ func (g *Generator) Generate(now sim.Cycle) *noc.Packet {
 	p := g.packets.next()
 	*p = noc.Packet{
 		ID:        g.nextID(),
-		Src:       g.src,
-		Dst:       g.pattern.Dest(g.rng, g.mesh, g.src),
-		Len:       g.pktLen,
+		Src:       int32(g.src),
+		Dst:       int32(g.pattern.Dest(g.rng, g.mesh, g.src)),
+		Len:       int32(g.pktLen),
 		CreatedAt: now,
 	}
 	return p

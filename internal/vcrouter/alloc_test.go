@@ -61,7 +61,7 @@ func TestVCSteadyStateTickAllocatesNothing(t *testing.T) {
 				dst++
 			}
 			src.id++
-			packets = append(packets, noc.Packet{ID: src.id, Src: topology.NodeID(n), Dst: dst, Len: 5})
+			packets = append(packets, noc.Packet{ID: src.id, Src: int32(n), Dst: int32(dst), Len: 5})
 		}
 	}
 	due = append(due, len(packets))

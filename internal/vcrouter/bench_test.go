@@ -50,7 +50,7 @@ func (s *uniformSource) offer(net *Network, now sim.Cycle) (offered int) {
 		}
 		p := &s.chunk[0]
 		s.chunk = s.chunk[1:]
-		*p = noc.Packet{ID: s.id, Src: topology.NodeID(n), Dst: dst, Len: 5, CreatedAt: now}
+		*p = noc.Packet{ID: s.id, Src: int32(n), Dst: int32(dst), Len: 5, CreatedAt: now}
 		net.Offer(p)
 		offered++
 	}

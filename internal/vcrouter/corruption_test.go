@@ -17,7 +17,7 @@ func offerMany(net *Network, mesh topology.Mesh, rng *sim.RNG, packets int) sim.
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 4; j++ {
 			net.Tick(now)
 			now++

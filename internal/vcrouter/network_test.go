@@ -61,7 +61,7 @@ func TestManyRandomPacketsAllDelivered(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		// Space offers out a little so the source queues drain.
 		for j := 0; j < 4; j++ {
 			net.Tick(now)
@@ -93,7 +93,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 3, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 3, CreatedAt: now})
 			net.Tick(now)
 			now++
 		}
@@ -127,7 +127,7 @@ func TestSharedPoolDeliversEverything(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		for j := 0; j < 3; j++ {
 			net.Tick(now)
 			now++
@@ -154,7 +154,7 @@ func TestBufferUsageWithinCapacity(t *testing.T) {
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 5, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 5, CreatedAt: now})
 		net.Tick(now)
 		now++
 		for id := 0; id < mesh.N(); id++ {

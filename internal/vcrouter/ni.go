@@ -172,7 +172,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		s := n.ready[n.rng.Intn(len(n.ready))]
 		sl := &n.slots[s]
 		f := sl.flits[sl.next]
-		f.VC = sl.vc
+		f.VC = int32(sl.vc)
 		sl.next++
 		if n.cfg.SharedPool {
 			n.pool--
@@ -180,7 +180,7 @@ func (n *ni) Tick(now sim.Cycle) {
 		} else {
 			n.credits[sl.vc]--
 		}
-		n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), f.Seq)
+		n.probe.Inject(now, int(n.node), uint64(f.Packet.ID), int(f.Seq))
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}

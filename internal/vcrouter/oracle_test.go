@@ -40,7 +40,7 @@ func refAllocateVCs(r *Router, now sim.Cycle) int {
 				continue
 			}
 			if !vc.routed {
-				route, _ := r.cfg.Routing.NextPort(r.mesh, r.id, vc.q[vc.head].flit.Packet.Dst)
+				route, _ := r.cfg.Routing.NextPort(r.mesh, r.id, topology.NodeID(vc.q[vc.head].flit.Packet.Dst))
 				vc.route, vc.routed = route, true
 			}
 			reqs = append(reqs, portVC{topology.Port(p), v})
@@ -188,8 +188,8 @@ func oracleRouter(nv int, seed uint64, observed bool, now sim.Cycle) *Router {
 				first = 1 + rng.Intn(3)
 			}
 			pid++
-			pkt := &noc.Packet{ID: pid, Dst: topology.NodeID(rng.Intn(mesh.N())), Sampled: rng.Bool(0.7)}
-			pkt.Len = first + n + rng.Intn(3)
+			pkt := &noc.Packet{ID: pid, Dst: int32(rng.Intn(mesh.N())), Sampled: rng.Bool(0.7)}
+			pkt.Len = int32(first + n + rng.Intn(3))
 			for i := 0; i < n; i++ {
 				seq, typ := first+i, noc.BodyFlit
 				switch {
@@ -197,11 +197,11 @@ func oracleRouter(nv int, seed uint64, observed bool, now sim.Cycle) *Router {
 					typ = noc.HeadTailFlit
 				case seq == 0:
 					typ = noc.HeadFlit
-				case seq == pkt.Len-1:
+				case seq == int(pkt.Len)-1:
 					typ = noc.TailFlit
 				}
 				vc.q[(int(vc.head)+i)%depth] = queuedFlit{
-					flit:      noc.DataFlit{Packet: pkt, Seq: seq, Type: typ, VC: v},
+					flit:      noc.DataFlit{Packet: pkt, Seq: int32(seq), Type: typ, VC: int32(v)},
 					arrivedAt: now - 2 + sim.Cycle(rng.Intn(3)),
 				}
 			}

@@ -301,7 +301,7 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 			vc.q[tail] = queuedFlit{flit: f, arrivedAt: now}
 			vc.n++
 			in.poolUsed++
-			w, bit := chanBit(p*r.cfg.NumVCs + f.VC)
+			w, bit := chanBit(p*r.cfg.NumVCs + int(f.VC))
 			r.occ[w] |= bit
 		}
 	}
@@ -344,7 +344,7 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d: %s at front of unallocated channel", r.id, p, v, *head))
 			}
 			if !vc.routed {
-				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, head.Packet.Dst)
+				route, ok := r.cfg.Routing.NextPort(r.mesh, r.id, topology.NodeID(head.Packet.Dst))
 				if !ok {
 					panic(fmt.Sprintf("vcrouter: node %d: destination %d unreachable", r.id, head.Packet.Dst))
 				}
@@ -550,8 +550,8 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 		post(in.creditOut, in.creditPeer, now, noc.VCCredit{VC: v})
 	}
 
-	f.VC = vc.outVC
-	r.probe.Traverse(now, int(r.id), int(vc.route), uint64(f.Packet.ID), f.Seq)
+	f.VC = int32(vc.outVC)
+	r.probe.Traverse(now, int(r.id), int(vc.route), uint64(f.Packet.ID), int(f.Seq))
 	if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 	}

@@ -42,7 +42,7 @@ func feedCredit(r *Router, now sim.Cycle, vc int) {
 }
 
 func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {
-	return noc.DataFlits(&noc.Packet{ID: id, Dst: dst, Len: n})
+	return noc.DataFlits(&noc.Packet{ID: id, Dst: int32(dst), Len: int32(n)})
 }
 
 func TestRouterEjectsLocalTraffic(t *testing.T) {
@@ -64,7 +64,7 @@ func TestRouterEjectsLocalTraffic(t *testing.T) {
 		t.Fatalf("ejected %d flits, want 3", len(got))
 	}
 	for i, f := range got {
-		if f.Seq != i {
+		if int(f.Seq) != i {
 			t.Fatalf("ejection order broken: flit %d has seq %d", i, f.Seq)
 		}
 	}

@@ -21,7 +21,7 @@ func drive(t *testing.T, net noc.Network, packets int, seed uint64) map[noc.Pack
 		if dst >= src {
 			dst++
 		}
-		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 4, CreatedAt: now})
+		net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 4, CreatedAt: now})
 		for j := 0; j < 5; j++ {
 			net.Tick(now)
 			now++
@@ -66,7 +66,7 @@ func TestWormholeEquivalence(t *testing.T) {
 			if dst >= src {
 				dst++
 			}
-			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: src, Dst: dst, Len: 4, CreatedAt: now})
+			net.Offer(&noc.Packet{ID: noc.PacketID(i), Src: int32(src), Dst: int32(dst), Len: 4, CreatedAt: now})
 			for j := 0; j < 5; j++ {
 				net.Tick(now)
 				now++
@@ -111,7 +111,7 @@ func TestWormholeLowerThroughputThanVC(t *testing.T) {
 					if dst >= topology.NodeID(id) {
 						dst++
 					}
-					net.Offer(&noc.Packet{ID: noc.PacketID(now*64 + sim.Cycle(id)), Src: topology.NodeID(id), Dst: dst, Len: 5, CreatedAt: now})
+					net.Offer(&noc.Packet{ID: noc.PacketID(now*64 + sim.Cycle(id)), Src: int32(id), Dst: int32(dst), Len: 5, CreatedAt: now})
 				}
 			}
 			net.Tick(now)
