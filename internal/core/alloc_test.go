@@ -87,7 +87,8 @@ func TestLoadedTickAllocatesPerPacketOnly(t *testing.T) {
 
 // TestDrainedMeshSleepsAndWakes is the leak gate of the dormancy bookkeeping.
 // Once a loaded mesh has drained with its sources off, every router,
-// interface and sink must be dormant with an empty inbox — a component stuck
+// interface and sink must be dormant with nothing on its node's calendar and
+// nothing on its wires — a component stuck
 // awake is a silent performance leak, one stuck asleep with work inside is a
 // wedge — and a dormant cycle must allocate nothing. Offering again from that
 // state must wake what the packets touch, deliver every one of them, allocate
@@ -113,11 +114,11 @@ func TestDrainedMeshSleepsAndWakes(t *testing.T) {
 			net.Tick(now)
 		}
 		for id, r := range net.routers {
-			if !r.dormant || !r.inboxEmpty() || r.pendingWork() != 0 {
-				t.Errorf("router %d: dormant=%v inbox=%v pending=%d on a drained mesh", id, r.dormant, r.inbox, r.pendingWork())
+			if !r.dormant || r.cal.armed() != 0 || r.inFlight() != 0 || r.pendingWork() != 0 {
+				t.Errorf("router %d: dormant=%v armed=%d in flight=%d pending=%d on a drained mesh", id, r.dormant, r.cal.armed(), r.inFlight(), r.pendingWork())
 			}
-			if ni := net.nis[id]; !ni.dormant || ni.inbox != 0 || ni.pendingWork() != 0 {
-				t.Errorf("NI %d: dormant=%v inbox=%d pending=%d on a drained mesh", id, ni.dormant, ni.inbox, ni.pendingWork())
+			if ni := net.nis[id]; !ni.dormant || ni.inFlight() != 0 || ni.pendingWork() != 0 {
+				t.Errorf("NI %d: dormant=%v in flight=%d pending=%d on a drained mesh", id, ni.dormant, ni.inFlight(), ni.pendingWork())
 			}
 			if !net.sinks[id].dormant() {
 				t.Errorf("sink %d awake on a drained mesh", id)

@@ -35,6 +35,7 @@ type arena struct {
 	cycles   []sim.Cycle   // interfaces' scheduling scratch
 	source   []*noc.Packet // source queues, sourceRoom packets each
 	links    []linkPipes   // the link registry: empty, with room for every link
+	cal      []uint32      // the nodes' due calendars
 
 	data       sim.PipeSlab[noc.DataFlit]
 	resvCredit sim.PipeSlab[noc.ReservationCredit]
@@ -85,6 +86,7 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 		cycles:   make([]sim.Cycle, nodes*d),
 		source:   make([]*noc.Packet, nodes*sourceRoom),
 		links:    make([]linkPipes, 0, links),
+		cal:      make([]uint32, nodes*calendarCells(cfg.calendarReach())),
 
 		data:       sim.NewPipeSlab[noc.DataFlit](links+2*nodes, dataCells),
 		resvCredit: sim.NewPipeSlab[noc.ReservationCredit](ports, ports*sim.RingCells(cfg.CreditLatency, cfg.resvCreditWidth())),
@@ -98,7 +100,7 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 func (a *arena) left() int {
 	return len(a.flags) + len(a.tables) + len(a.counts) + len(a.future) + len(a.pool) + len(a.words) +
 		len(a.expected) + len(a.refs) + len(a.parked) + len(a.vcs) + len(a.queued) + len(a.leads) +
-		len(a.entries) + len(a.cands) + len(a.undo) + len(a.active) + len(a.cycles) + len(a.source) +
+		len(a.entries) + len(a.cands) + len(a.undo) + len(a.active) + len(a.cycles) + len(a.source) + len(a.cal) +
 		a.data.Left() + a.resvCredit.Left() + a.ctrl.Left() + a.ctrlCredit.Left()
 }
 

@@ -82,7 +82,7 @@ func BenchmarkOutResTableFindCommitCredit(b *testing.B) {
 
 // BenchmarkRouterTickDormant ticks the routers of an empty 8×8 network: once
 // asleep a router pays only the guard at the top of Tick, the floor under
-// most of fr-sparse's ticks.
+// half of fr-sparse's ticks.
 func BenchmarkRouterTickDormant(b *testing.B) {
 	mesh := topology.NewMesh(8)
 	net := New(mesh, fastControl(), 1, &noc.Hooks{})
@@ -98,8 +98,9 @@ func BenchmarkRouterTickDormant(b *testing.B) {
 }
 
 // BenchmarkRouterTickIdle ticks the same routers held awake: the whole tick
-// runs and finds every port silent and nothing due — what a router pays on a
-// cycle in which its neighbours' traffic keeps it from sleeping.
+// runs and finds nothing due on its calendar — what a router pays on a cycle
+// it cannot return at the guard (with a control flit queued, say) beyond the
+// work itself.
 func BenchmarkRouterTickIdle(b *testing.B) {
 	mesh := topology.NewMesh(8)
 	net := New(mesh, fastControl(), 1, &noc.Hooks{})

@@ -1,0 +1,163 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"frfc/internal/noc"
+	"frfc/internal/sim"
+	"frfc/internal/topology"
+)
+
+// TestDueCalendarMatchesPolling holds the calendar-driven network to a
+// reference that polls every wire, pool and reservation table every cycle: a
+// twin network whose every live node has, before each tick, every bit of its
+// word for the cycle set, so each router reads each of its wires, searches
+// each pool for a departure and expires each input's cell, and each interface
+// reads both its credit wires, as the routers did before the calendar. (On a
+// cycle with a fault event the engine rebuilds the twin's calendar from the
+// wires themselves before anything ticks, which polls them too.) After every
+// cycle the two must hold the same wires, queues, pools, tables, random
+// streams and ledger, and by the end they must have reported the same events
+// on the same cycles: every item is taken on the same cycle and in the same
+// order.
+//
+// The script leaves the calendar no easy cycle: control links slow enough,
+// and faulty enough, that go-back-N replays push deliveries past the
+// calendar's reach; bit errors on every link, caught or not by a 4-bit hop
+// CRC; a link severed mid-flight and restored; and a Reset halfway that runs
+// it all again from a new seed.
+func TestDueCalendarMatchesPolling(t *testing.T) {
+	cfg := fastControl()
+	cfg.Horizon, cfg.CtrlLinkLatency, cfg.CtrlFaultRate = 16, 6, 0.3
+	cfg.BER, cfg.CrcBits, cfg.E2ECheck, cfg.RetryLimit = 2e-3, 4, true, 6
+	var err error
+	if cfg.Faults, err = ParseScenario("down 4-5 @250; up 4-5 @380"); err != nil {
+		t.Fatal(err)
+	}
+	mesh := topology.NewMesh(3)
+	start := func(check bool) *scriptedRun {
+		c := cfg
+		c.Check = check
+		r := &scriptedRun{}
+		r.net = New(mesh, c, 7, r.hooks())
+		return r
+	}
+	// The calendar-driven network runs under the checker, which audits its
+	// bits against its wires, pools and tables every cycle.
+	cal, ref := start(true), start(false)
+
+	beyondReach := 0
+	for phase, seed := range []uint64{7, 8} {
+		for _, r := range []*scriptedRun{cal, ref} {
+			if phase > 0 {
+				r.net.Reset(seed, r.hooks())
+			}
+			r.src = &uniformSource{rng: sim.NewRNG(seed), mesh: mesh, rate: 0.06}
+		}
+		for now := sim.Cycle(0); now < 600; now++ {
+			for id := range ref.net.routers {
+				r := &ref.net.routers[id]
+				*r.cal.cell(now) |= r.polled()
+			}
+			for _, r := range []*scriptedRun{cal, ref} {
+				r.src.offer(r.net, now)
+				r.net.Tick(now)
+			}
+			if a, b := fingerprint(cal.net), fingerprint(ref.net); a != b {
+				t.Fatalf("phase %d cycle %d: the calendar-driven network and the polling one differ:\n%s\n%s", phase, now, a, b)
+			}
+			for i := range cal.net.links {
+				if at, ok := cal.net.links[i].ctrl.HeadAt(); ok && at >= now+sim.Cycle(len(cal.net.routers[0].cal)) {
+					beyondReach++
+				}
+			}
+		}
+	}
+	if len(cal.events) != len(ref.events) {
+		t.Fatalf("%d events against the polling network's %d", len(cal.events), len(ref.events))
+	}
+	for i := range cal.events {
+		if cal.events[i] != ref.events[i] {
+			t.Fatalf("event %d: %s, the polling network %s", i, cal.events[i], ref.events[i])
+		}
+	}
+	c := cal.net.Counts()
+	t.Logf("%d events, %d cycles with a control head beyond reach; second run's counts %+v", len(cal.events), beyondReach, c)
+	if beyondReach == 0 || c.CtrlCorrupted == 0 || c.CorruptedFlits == 0 || c.CrcDetected == 0 || c.Delivered == 0 {
+		t.Fatalf("the script missed what it is for: %d cycles with a control head beyond reach, counts %+v", beyondReach, c)
+	}
+}
+
+// scriptedRun is one of the two networks TestDueCalendarMatchesPolling
+// drives, its traffic source and what it has reported.
+type scriptedRun struct {
+	net    *Network
+	src    *uniformSource
+	events []string
+}
+
+// hooks logs what the run's network reports, with the cycle.
+func (r *scriptedRun) hooks() *noc.Hooks {
+	log := func(what string) func(*noc.Packet, sim.Cycle) {
+		return func(p *noc.Packet, now sim.Cycle) {
+			r.events = append(r.events, fmt.Sprintf("%s %d @%d", what, p.ID, now))
+		}
+	}
+	return &noc.Hooks{PacketDelivered: log("delivered"), PacketLost: log("lost"),
+		PacketAbandoned: log("abandoned"), FlitDropped: log("dropped"), PacketUnreachable: log("unreachable")}
+}
+
+// polled is every bit of the router's calendar word that names something it
+// has: each wire into it or its interface, and each input's departure and
+// expiry.
+func (r *Router) polled() uint32 {
+	m := uint32(niBits)
+	for p := topology.Port(0); p < topology.NumPorts; p++ {
+		if !r.ctrlIn[p].exists {
+			continue
+		}
+		m |= wireBit(dataWire, p) | wireBit(ctrlWire, p) | r.inputs[p].departBit | r.inputs[p].expireBit
+		if p != topology.Local {
+			m |= wireBit(resvCreditWire, p) | wireBit(ctrlCreditWire, p)
+		}
+	}
+	return m
+}
+
+// fingerprint renders what a cycle leaves behind in a network: what every wire
+// carries and when its head is due, every router's queues, pools, tables and
+// random stream, every interface's and sink's schedule, and the ledger.
+func fingerprint(n *Network) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v\n", n.Counts())
+	wire := func(l int, at sim.Cycle, ok bool) { fmt.Fprintf(&b, " %d@%d/%v", l, at, ok) }
+	for i := range n.links {
+		l := &n.links[i]
+		at, ok := l.data.HeadAt()
+		wire(l.data.Len(), at, ok)
+		at, ok = l.resvCredit.HeadAt()
+		wire(l.resvCredit.Len(), at, ok)
+		at, ok = l.ctrl.HeadAt()
+		wire(l.ctrl.Len(), at, ok)
+		at, ok = l.ctrlCredit.HeadAt()
+		wire(l.ctrlCredit.Len(), at, ok)
+	}
+	for id := range n.routers {
+		r, ni, s := &n.routers[id], &n.nis[id], &n.sinks[id]
+		fmt.Fprintf(&b, "\nnode %d: rng %v/%v queued %d", id, r.rng, ni.rng, r.queued)
+		for p := range r.inputs {
+			in := &r.inputs[p]
+			fmt.Fprintf(&b, " in%d %d/%d/%d", p, in.occupied, in.expected.len(), len(in.parked))
+			if t := &r.outTables[p]; t.size > 0 && !t.infinite {
+				fmt.Fprintf(&b, " out%d %d", p, t.steady)
+			}
+		}
+		fmt.Fprintf(&b, " ni %d/%d/%d/%v sink %d", ni.queue.Len(), ni.sendAt.len(), ni.activeCount(), ni.ctrlCredits, s.expect.len())
+		for _, w := range []interface{ Len() int }{ni.dataOut, ni.ctrlOut, ni.resvCreditIn, ni.ctrlCreditIn, s.dataIn} {
+			fmt.Fprintf(&b, " %d", w.Len())
+		}
+	}
+	return b.String()
+}

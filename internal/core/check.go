@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"frfc/internal/noc"
 	"frfc/internal/sim"
@@ -26,41 +27,76 @@ func (n *Network) check(now sim.Cycle) {
 	}
 }
 
-// inbound reports how many items are in flight on the wires into port p.
-func (r *Router) inbound(p topology.Port) int {
-	total := 0
-	if in := r.inputs[p].dataIn; in != nil {
-		total += in.Len()
-	}
-	if in := r.ctrlIn[p].in; in != nil {
-		total += in.Len()
-	}
-	if in := r.dataCreditIn[p]; in != nil {
-		total += in.Len()
-	}
-	if in := r.ctrlOut[p].creditIn; in != nil {
-		total += in.Len()
-	}
-	return total
-}
-
-// inbound reports how many credits are in flight on the wires into the
-// interface.
-func (n *NI) inbound() int { return n.resvCreditIn.Len() + n.ctrlCreditIn.Len() }
-
-// checkSleep audits the bookkeeping that lets a node's router and interface
-// skip ticks. Every inbox cell must equal what its wires actually carry — a
-// cell that reads low hides a flit from its receiver, one that reads high
-// keeps it awake for nothing — and a component marked dormant must hold no
-// work of its own, so that an empty inbox really means nothing to do.
+// checkSleep audits the calendar that lets a node's router and interface act
+// only on what falls due, against the state it stands for. At the end of a
+// cycle every live node has ticked, so the word for now is clear and the
+// others hold cycles now+1 to now+len-1. Then, exactly:
+//
+//   - a wire into the router or its interface has a bit armed iff it carries
+//     something, and one between now+1 and its head's delivery cycle (the
+//     calendar's last cycle, for a head beyond its reach): a bit missing or
+//     late would leave an item unread on its cycle, one armed for an empty
+//     wire wakes the router for nothing — so a router whose wires carry
+//     nothing, as a dormant one's mostly do, has no wire bit armed;
+//   - an input's departure bit is armed at cycle c iff one of its pool flits
+//     is scheduled to depart at c;
+//   - an input's expiry bit is armed at cycle c iff it holds a reservation or
+//     a condemned arrival for c.
+//
+// A component marked dormant must hold no work of its own the calendar does
+// not name: a router no control flit queued and, under reclamation, no flit
+// parked; an interface nothing at all (idle).
 func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	r, ni := &n.routers[id], &n.nis[id]
-	for p := range r.inbox {
-		if want := r.inbound(topology.Port(p)); int(r.inbox[p]) != want {
-			n.fail(now, "node %d port %s: inbox counts %d in flight, the wires carry %d",
-				id, topology.Port(p), r.inbox[p], want)
+	cal, last := r.cal, now+sim.Cycle(len(r.cal))-1
+	if w := *cal.cell(now); w != 0 {
+		n.fail(now, "node %d: the calendar word for cycle %d still holds %#x after the tick", id, now, w)
+	}
+	// first[b] is the first cycle bit b is armed at, or Never.
+	var first [32]sim.Cycle
+	for b := range first {
+		first[b] = sim.Never
+	}
+	for c := last; c > now; c-- {
+		for w := *cal.cell(c); w != 0; w &= w - 1 {
+			first[bits.TrailingZeros32(w)] = c
 		}
 	}
+	r.eachWire(ni, func(bit uint32, at sim.Cycle, carries bool) {
+		k := uint(bits.TrailingZeros32(bit))
+		switch armed := first[k]; {
+		case !carries && armed != sim.Never:
+			n.fail(now, "node %d wire kind %d into %s: bit armed at cycle %d for a wire that carries nothing",
+				id, k/numPorts, topology.Port(k%numPorts), armed)
+		case carries && (armed == sim.Never || armed > min(at, last)):
+			n.fail(now, "node %d wire kind %d into %s: head due at cycle %d, bit armed first at %d",
+				id, k/numPorts, topology.Port(k%numPorts), at, armed)
+		}
+	})
+	// Everything the inputs hold that falls due is armed on its cycle...
+	r.eachDue(func(at sim.Cycle, bit uint32) {
+		if at <= now || at > last || *cal.cell(at)&bit == 0 {
+			n.fail(now, "node %d: input bit %#x due at cycle %d is not armed there", id, bit, at)
+		}
+	})
+	// ...and every one armed is called for.
+	for c := now + 1; c <= last; c++ {
+		w := *cal.cell(c)
+		for ins := w >> departShift & portMask; ins != 0; ins &= ins - 1 {
+			p := topology.Port(bits.TrailingZeros32(ins))
+			if r.inputs[p].departing(c, 0) < 0 {
+				n.fail(now, "node %d input %s: departure bit armed at cycle %d with no flit departing then", id, p, c)
+			}
+		}
+		for ins := w >> expireShift & portMask; ins != 0; ins &= ins - 1 {
+			p := topology.Port(bits.TrailingZeros32(ins))
+			in := &r.inputs[p]
+			if _, ok := in.expected.get(c); !ok && !in.condemned[c] {
+				n.fail(now, "node %d input %s: expiry bit armed at cycle %d with nothing due then", id, p, c)
+			}
+		}
+	}
+
 	queued := 0
 	for p := range r.ctrlIn {
 		for v := range r.ctrlIn[p].vcs {
@@ -74,11 +110,8 @@ func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	if r.queued != queued {
 		n.fail(now, "node %d: router counts %d control flits queued, its VCs hold %d", id, r.queued, queued)
 	}
-	if r.dormant && !r.quiet() {
-		n.fail(now, "node %d: router dormant with %d items of pending work", id, r.pendingWork())
-	}
-	if want := ni.inbound(); int(ni.inbox) != want {
-		n.fail(now, "NI %d: inbox counts %d credits in flight, the wires carry %d", id, ni.inbox, want)
+	if r.dormant && (r.queued > 0 || n.cfg.ReclaimCycles > 0 && r.parkedInputs() != 0) {
+		n.fail(now, "node %d: router dormant with %d control flits queued and parked flits on inputs %05b", id, r.queued, r.parkedInputs())
 	}
 	if ni.dormant && !ni.idle() {
 		n.fail(now, "NI %d: interface dormant with %d items of pending work", id, ni.pendingWork())

@@ -53,7 +53,9 @@ type inputPort struct {
 	// expected holds the reservation for each future arrival cycle. A
 	// reservation is installed only once its departure is found, and a
 	// departure is never earlier than the arrival nor later than
-	// now+Horizon, so the keys stay inside [now, now+Horizon].
+	// now+Horizon, so the keys stay inside [now, now+Horizon]. Each entry is
+	// taken on its own cycle — claimed by its flit or dropped by its expiry
+	// bit — so the window slides without visiting a cell.
 	expected cycleRing[reservation]
 	// parked is the schedule list in arrival order, with room for the whole
 	// pool. Its keys are past cycles with no bound on their age, so it is
@@ -82,23 +84,32 @@ type inputPort struct {
 
 	ledger *eagerLedger // non-nil when counting hypothetical eager-allocation transfers
 
+	// cal is the node's due calendar, in which the input arms departBit at
+	// every scheduled flit's departure and expireBit at every reservation's
+	// and condemned arrival's cycle.
+	cal *calendar
+
 	// faultTolerant permits a reservation for a past arrival with no
 	// parked flit — the flit was destroyed upstream and its late control
 	// flit doesn't know. Without fault injection that situation is a
 	// scheduling bug and panics.
-	faultTolerant bool
+	faultTolerant        bool
+	departBit, expireBit uint32
 }
 
-// init lays out, in place on the arena's memory, an input with the given pool
-// size whose reservation table covers arrivals up to horizon cycles ahead;
-// reset makes it usable.
-func (p *inputPort) init(a *arena, buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) {
+// init lays out, in place on the arena's memory, input port port with the
+// given pool size whose reservation table covers arrivals up to horizon
+// cycles ahead and which arms its bits in cal; reset makes it usable.
+func (p *inputPort) init(a *arena, port topology.Port, cal *calendar, buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) {
 	*p = inputPort{
 		pool:          carve(&a.pool, buffers),
 		occ:           carve(&a.words, occupancyWords(buffers)),
 		parked:        carve(&a.parked, buffers)[:0],
 		ledger:        ledger,
 		faultTolerant: faultTolerant,
+		cal:           cal,
+		departBit:     1 << (departShift + uint(port)),
+		expireBit:     1 << (expireShift + uint(port)),
 	}
 	p.expected.init(carve(&a.expected, int(horizon)+1))
 }
@@ -133,14 +144,16 @@ func (p *inputPort) unpark(i int) int {
 // collects it), and a future arrival gets a phantom table entry that
 // dissolves unclaimed — the arriving flit parks beside it instead.
 func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, phantom bool) {
-	p.expected.advance(now)
+	p.expected.slide(now)
 	if phantom {
 		p.phantoms++
 		if p.parkedIndex(ta) >= 0 || ta < now {
 			return
 		}
 		// put never overwrites a real reservation with a phantom one.
-		p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort), phantom: true})
+		if p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort), phantom: true}) {
+			p.cal.arm(ta, p.expireBit)
+		}
 		return
 	}
 	if i := p.parkedIndex(ta); i >= 0 {
@@ -150,6 +163,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 		}
 		s.departAt = departAt
 		s.outPort = outPort
+		p.cal.arm(departAt, p.departBit)
 		p.ledger.onScheduleParked(now, ta, departAt)
 		return
 	}
@@ -167,6 +181,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 	if !p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort)}) {
 		panic(fmt.Sprintf("core: duplicate reservation for arrival cycle %d", ta))
 	}
+	p.cal.arm(ta, p.expireBit)
 	p.ledger.onReserve(ta, departAt)
 }
 
@@ -193,7 +208,7 @@ const (
 // phantom reservation for this cycle is ignored: the flit parks beside it as
 // if unannounced.
 func (p *inputPort) arrive(now sim.Cycle, f *noc.DataFlit) (arrival, topology.Port) {
-	p.expected.advance(now)
+	p.expected.slide(now)
 	r, reserved := p.expected.get(now)
 	reserved = reserved && !r.phantom
 	if reserved && r.stay == 0 {
@@ -215,6 +230,7 @@ func (p *inputPort) arrive(now sim.Cycle, f *noc.DataFlit) (arrival, topology.Po
 		p.expected.take(now)
 		s.departAt = now + sim.Cycle(r.stay)
 		s.outPort = topology.Port(r.outPort)
+		p.cal.arm(s.departAt, p.departBit)
 		return buffered, 0
 	}
 	// Arrived before its control flit finished scheduling: park it on the
@@ -254,13 +270,15 @@ func (p *inputPort) release(slot int) (noc.DataFlit, topology.Port) {
 	return f, out
 }
 
-// expireExpected discards a reservation whose data flit failed to arrive at
-// its scheduled cycle (destroyed by a fault upstream): the channel slot the
-// departure reserved simply goes idle and no buffer was ever bound, so
-// accounting stays consistent. It must run after the cycle's arrivals. A
-// condemned cycle whose flit never showed up expires the same way.
-func (p *inputPort) expireExpected(now sim.Cycle) {
-	p.expected.advance(now + 1)
+// expire runs on the expiry bit for cycle now, after the cycle's arrivals. A
+// reservation still unclaimed means its data flit failed to arrive (destroyed
+// by a fault upstream): it is discarded, the channel slot the departure
+// reserved simply goes idle and no buffer was ever bound, so accounting stays
+// consistent. A condemned cycle whose flit never showed up expires the same
+// way.
+func (p *inputPort) expire(now sim.Cycle) {
+	p.expected.slide(now)
+	p.expected.take(now)
 	if len(p.condemned) > 0 {
 		delete(p.condemned, now)
 	}
@@ -274,6 +292,7 @@ func (p *inputPort) condemn(ta sim.Cycle) {
 		p.condemned = make(map[sim.Cycle]bool)
 	}
 	p.condemned[ta] = true
+	p.cal.arm(ta, p.expireBit)
 }
 
 // condemnedArrival reports (and consumes) whether the flit arriving at now

@@ -415,8 +415,9 @@ func corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 // wire connects routers, NIs and sinks: data links (one flit/cycle,
 // DataLinkLatency), control links (CtrlFlitsPerCycle flits/cycle,
 // CtrlLinkLatency), reservation-credit and control-credit wires
-// (CreditLatency), every pipe and its ring cut from the arena. Each sender is
-// also pointed at the inbox cell of the component its wires reach.
+// (CreditLatency), every pipe and its ring cut from the arena. Each router is
+// also pointed at the calendar of what each of its ports faces, and each
+// interface at its router's, in which it arms what it sends.
 func (n *Network) wire(a *arena) {
 	cfg := n.cfg
 	n.links = a.links
@@ -429,7 +430,7 @@ func (n *Network) wire(a *arena) {
 			}
 			far := &n.routers[nb]
 			op := p.Opposite()
-			r.peer[p] = &far.inbox[op]
+			r.peer[p], r.face[p] = &far.cal, wireBit(dataWire, op)
 
 			data := n.newDataLink(a)
 			r.dataOut[p] = data
@@ -454,8 +455,8 @@ func (n *Network) wire(a *arena) {
 		}
 
 		ni, sink := &n.nis[id], &n.sinks[id]
-		ni.peer = &r.inbox[topology.Local]
-		r.peer[topology.Local] = &ni.inbox
+		ni.cal = r.cal
+		r.peer[topology.Local], r.face[topology.Local] = &r.cal, wireBit(dataWire, topology.Local)
 
 		// Injection: NI data -> router Local input; reservation
 		// credits flow back from the router's input scheduler.

@@ -49,15 +49,14 @@ type NI struct {
 	dataOut      *sim.Pipe[noc.DataFlit]
 	resvCreditIn *sim.Pipe[noc.ReservationCredit]
 
-	// inbox counts the credits in flight on the two wires into the
-	// interface; the router counts them in as it sends, Tick counts them out.
-	// dormant records that the last tick left the interface idle (see idle),
-	// so until a credit, an offer or a retry wakes it a tick only makes its
-	// random draw. peer is the router's Local inbox cell, into which the
-	// interface's own sends are counted.
-	inbox   int32
+	// cal is the node's due calendar, shared with its router: the router
+	// arms the interface's two credit wires in it (niBits) and the interface
+	// arms the router's Local data and control wires. dormant records that
+	// the last tick left the interface idle (see idle), so until a credit
+	// falls due, an offer or a retry wakes it a tick only makes its random
+	// draw.
+	cal     calendar
 	dormant bool
-	peer    *int32
 
 	// sendAt holds scheduled data-flit injections keyed by departure
 	// cycle; the injection channel's busy bits make the key unique. The
@@ -167,7 +166,7 @@ func (n *NI) reset() {
 		n.ctrlCredits[v] = n.cfg.CtrlBufPerVC
 		n.ctrlOwned[v] = false
 	}
-	n.inbox, n.dormant, n.retried = 0, false, 0
+	n.dormant, n.retried = false, 0
 	n.sendAt.reset()
 	clear(n.awaiting)
 	clear(n.retryAt)
@@ -299,40 +298,48 @@ func (n *NI) idle() bool {
 		len(n.retryAt) == 0 && n.activeCount() == 0
 }
 
-// Tick advances the injection interface one cycle. A dormant interface with
-// an empty inbox only makes the arbitration draw an idle tick would make, so
-// the node's random stream is the same whether or not it slept; its tables
+// Tick advances the injection interface one cycle, reading a credit wire
+// only when the calendar says something on it falls due. A dormant interface
+// with no credit due only makes the arbitration draw an idle tick would make,
+// so the node's random stream is the same whether or not it slept; its tables
 // catch up over the gap when it wakes.
 func (n *NI) Tick(now sim.Cycle) {
-	if n.dormant {
-		if n.inbox == 0 {
-			if len(n.active) > 1 {
-				n.rng.Uint64() // the Intn below, minus the division
-			}
-			n.prof.ComponentTick(profile.CompNI, int(n.node), false)
-			return
+	cell := n.cal.cell(now)
+	due := *cell & niBits
+	if n.dormant && due == 0 {
+		if len(n.active) > 1 {
+			n.rng.Uint64() // the Intn below, minus the division
 		}
-		n.dormant = false
+		n.prof.ComponentTick(profile.CompNI, int(n.node), false)
+		return
 	}
 	// Self-profiling work counter: credits absorbed, packets started,
 	// control flits injected, data flits launched.
 	work := 0
 	n.injTable.advance(now)
 	n.sendAt.advance(now)
-	if n.inbox > 0 {
-		got := 0
-		for c, ok := n.resvCreditIn.Recv(now); ok; c, ok = n.resvCreditIn.Recv(now) {
-			n.injTable.creditFrom(c.FreeFrom, c.VC)
-			got++
-		}
-		for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
-			if n.ctrlCredits[c.VC]++; n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
-				panic("core: NI control credit overflow")
+	if due != 0 {
+		*cell &^= niBits
+		if due&niResv != 0 {
+			for c, ok := n.resvCreditIn.Recv(now); ok; c, ok = n.resvCreditIn.Recv(now) {
+				n.injTable.creditFrom(c.FreeFrom, c.VC)
+				work++
 			}
-			got++
+			if at, ok := n.resvCreditIn.HeadAt(); ok {
+				n.cal.rearm(now, at, niResv)
+			}
 		}
-		n.inbox -= int32(got)
-		work += got
+		if due&niCtrl != 0 {
+			for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
+				if n.ctrlCredits[c.VC]++; n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
+					panic("core: NI control credit overflow")
+				}
+				work++
+			}
+			if at, ok := n.ctrlCreditIn.HeadAt(); ok {
+				n.cal.rearm(now, at, niCtrl)
+			}
+		}
 	}
 
 	if n.cfg.RetryLimit > 0 {
@@ -387,12 +394,14 @@ func (n *NI) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
 		}
 		n.dataOut.Send(now, f)
-		posted(n.peer, n.dataOut.Severed())
+		if !n.dataOut.Severed() {
+			n.cal.arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
+		}
 		*n.progress++
 		work++
 	}
 	n.prof.ComponentTick(profile.CompNI, int(n.node), work+injected > 0)
-	n.dormant = n.inbox == 0 && n.idle()
+	n.dormant = n.idle()
 }
 
 // tryInject attempts to schedule and inject the next control flit of the
@@ -447,7 +456,9 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		}
 	}
 	n.ctrlOut.Send(now, cf)
-	posted(n.peer, n.ctrlOut.Severed())
+	if !n.ctrlOut.Severed() {
+		n.cal.arm(now+n.cfg.CtrlLinkLatency, wireBit(ctrlWire, topology.Local))
+	}
 	*n.progress++
 	n.ctrlCredits[v]--
 	ap.nextCtrl++

@@ -8,8 +8,9 @@ import (
 )
 
 // testNI builds an NI with test-owned pipes on both ends. A test that plays
-// the router's side follows each credit it sends with posted(&n.inbox, …),
-// as the router does, so the interface knows to look at its wires.
+// the router's side arms the credit's bit on the interface's calendar beside
+// each credit it sends (credit), as the router does, so the interface knows
+// to look at its wires.
 func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.ReservationCredit], *sim.Pipe[noc.VCCredit]) {
 	cfg = cfg.WithDefaults()
 	n := newNI(0, &cfg, sim.NewRNG(1), &noc.Hooks{})
@@ -21,7 +22,6 @@ func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit
 	n.dataOut = data
 	n.resvCreditIn = resv
 	n.ctrlCreditIn = ctrlCredit
-	n.peer = new(int32) // the absent router's inbox cell
 	return n, ctrl, data, resv, ctrlCredit
 }
 
@@ -31,8 +31,12 @@ func TestNIInjectsControlBeforeData(t *testing.T) {
 	var ctrlAt, dataAt []sim.Cycle
 	for now := sim.Cycle(0); now < 30; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) { ctrlAt = append(ctrlAt, now) })
-		data.RecvEach(now+1, func(noc.DataFlit) { dataAt = append(dataAt, now) })
+		for _, ok := ctrl.Recv(now + 1); ok; _, ok = ctrl.Recv(now + 1) {
+			ctrlAt = append(ctrlAt, now)
+		}
+		for _, ok := data.Recv(now + 1); ok; _, ok = data.Recv(now + 1) {
+			dataAt = append(dataAt, now)
+		}
 	}
 	if len(ctrlAt) != 3 || len(dataAt) != 3 {
 		t.Fatalf("injected %d control and %d data flits, want 3 and 3", len(ctrlAt), len(dataAt))
@@ -52,12 +56,14 @@ func TestNILeadCyclesHonored(t *testing.T) {
 	dataSent := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			for _, le := range cf.Leads {
 				ctrlSent[int(le.Seq)] = now
 			}
-		})
-		data.RecvEach(now+1, func(f noc.DataFlit) { dataSent[int(f.Seq)] = now })
+		}
+		for f, ok := data.Recv(now + 1); ok; f, ok = data.Recv(now + 1) {
+			dataSent[int(f.Seq)] = now
+		}
 	}
 	for seq, c := range ctrlSent {
 		d, ok := dataSent[seq]
@@ -78,12 +84,14 @@ func TestNIControlFlitCarriesAccurateArrivals(t *testing.T) {
 	arrived := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			for _, le := range cf.Leads {
 				announced[int(le.Seq)] = le.Arrival
 			}
-		})
-		data.RecvEach(now, func(f noc.DataFlit) { arrived[int(f.Seq)] = now })
+		}
+		for f, ok := data.Recv(now); ok; f, ok = data.Recv(now) {
+			arrived[int(f.Seq)] = now
+		}
 	}
 	if len(announced) != 2 || len(arrived) != 2 {
 		t.Fatalf("announced %d, arrived %d; want 2 and 2", len(announced), len(arrived))
@@ -107,17 +115,17 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	now := sim.Cycle(0)
 	step := func(returnCtrl bool) {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				posted(&n.inbox, resv.Severed())
+				n.cal.arm(now+1+n.cfg.CreditLatency, niResv)
 			}
 			if returnCtrl {
 				ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-				posted(&n.inbox, ctrlCredit.Severed())
+				n.cal.arm(now+1+n.cfg.CreditLatency, niCtrl)
 			}
-		})
+		}
 		now++
 	}
 	for now < 20 {
@@ -130,7 +138,7 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	// resumes injection all the way.
 	for i := 0; i < 3; i++ {
 		ctrlCredit.Send(now, noc.VCCredit{VC: 0})
-		posted(&n.inbox, ctrlCredit.Severed())
+		n.cal.arm(now+n.cfg.CreditLatency, niCtrl)
 		step(true)
 	}
 	for end := now + 25; now < end; {
@@ -149,16 +157,16 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 	var order []noc.PacketID
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-			posted(&n.inbox, ctrlCredit.Severed())
+			n.cal.arm(now+1+n.cfg.CreditLatency, niCtrl)
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				posted(&n.inbox, resv.Severed())
+				n.cal.arm(now+1+n.cfg.CreditLatency, niResv)
 			}
-		})
+		}
 	}
 	want := []noc.PacketID{1, 1, 2, 2}
 	if len(order) != len(want) {
@@ -181,14 +189,14 @@ func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 	lastOfOne := sim.Cycle(-1)
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		ctrl.RecvEach(now+1, func(cf noc.ControlFlit) {
+		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			if cf.Packet.ID == 2 && firstOfTwo < 0 {
 				firstOfTwo = now
 			}
 			if cf.Packet.ID == 1 {
 				lastOfOne = now
 			}
-		})
+		}
 	}
 	if firstOfTwo < 0 || lastOfOne < 0 {
 		t.Fatal("packets not injected")

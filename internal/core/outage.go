@@ -46,26 +46,37 @@ func (n *Network) applyFaults(now sim.Cycle) {
 		n.topoChanged(now)
 	}
 	if n.nextFault > first {
-		n.resync()
+		n.resync(now)
 	}
 }
 
-// resync squares the components' sleep bookkeeping with what the fault engine
-// just did behind their backs: severed wires lost their contents without the
-// receivers counting anything out, and queues, tables and buffers were
-// rewritten from outside. Every inbox is recounted from its wires and every
-// router and interface is woken to look at its state afresh. Events are rare,
-// so waking the whole mesh costs nothing that matters.
-func (n *Network) resync() {
+// resync squares the calendars with what the fault engine just did behind the
+// components' backs: severed wires lost their contents with their bits still
+// armed, and queues, tables and buffers were rewritten from outside. Every
+// calendar is cleared and armed again from the state the events left (rearm),
+// and every router and interface is woken to look at its state afresh. Events
+// are rare, so rebuilding and waking the whole mesh costs nothing that
+// matters.
+func (n *Network) resync(now sim.Cycle) {
 	for id := range n.routers {
-		r, ni := &n.routers[id], &n.nis[id]
-		for p := range r.inbox {
-			r.inbox[p] = int32(r.inbound(topology.Port(p)))
-		}
-		r.dormant = false
-		ni.inbox = int32(ni.inbound())
-		ni.dormant = false
+		n.routers[id].rearm(now, &n.nis[id])
+		n.routers[id].dormant = false
+		n.nis[id].dormant = false
 	}
+}
+
+// rearm rebuilds the node's calendar at the top of cycle now, before anything
+// ticks: a bit at its head's delivery cycle for every wire into the router or
+// its interface that carries something, and one on its cycle for everything
+// its inputs hold that falls due.
+func (r *Router) rearm(now sim.Cycle, ni *NI) {
+	clear(r.cal)
+	r.eachWire(ni, func(bit uint32, at sim.Cycle, carries bool) {
+		if carries {
+			r.cal.rearm(now, at, bit)
+		}
+	})
+	r.eachDue(r.cal.arm)
 }
 
 // corruptLink retunes the undirected link a—b's bit-error rate: both

@@ -50,18 +50,18 @@ func TestResetClearsRecoveryState(t *testing.T) {
 		t.Errorf("%d in flight, %d queued, %d recovery actions pending", net.InFlightPackets(), net.SourceQueueLen(), net.pendingRecovery())
 	}
 	for id, ni := range net.nis {
-		if len(ni.awaiting) != 0 || len(ni.retryAt) != 0 || len(ni.timeouts) != 0 || !ni.idle() || ni.inbox != 0 || ni.dormant {
-			t.Errorf("NI %d: awaiting=%d retryAt=%d timeouts=%d idle=%v inbox=%d dormant=%v",
-				id, len(ni.awaiting), len(ni.retryAt), len(ni.timeouts), ni.idle(), ni.inbox, ni.dormant)
+		if len(ni.awaiting) != 0 || len(ni.retryAt) != 0 || len(ni.timeouts) != 0 || !ni.idle() || ni.inFlight() != 0 || ni.dormant {
+			t.Errorf("NI %d: awaiting=%d retryAt=%d timeouts=%d idle=%v in flight=%d dormant=%v",
+				id, len(ni.awaiting), len(ni.retryAt), len(ni.timeouts), ni.idle(), ni.inFlight(), ni.dormant)
 		}
 		if s := net.sinks[id]; len(s.state) != 0 || s.expect.len() != 0 || !s.dataIn.Empty() {
 			t.Errorf("sink %d: state=%d expected=%d", id, len(s.state), s.expect.len())
 		}
-		if r := net.routers[id]; r.pendingWork() != 0 || !r.inboxEmpty() || r.dormant {
-			t.Errorf("router %d: pending=%d inbox=%v dormant=%v", id, r.pendingWork(), r.inbox, r.dormant)
+		if r := net.routers[id]; r.pendingWork() != 0 || r.cal.armed() != 0 || r.inFlight() != 0 || r.dormant {
+			t.Errorf("router %d: pending=%d armed=%d in flight=%d dormant=%v", id, r.pendingWork(), r.cal.armed(), r.inFlight(), r.dormant)
 		}
 	}
-	// The checker audits every inbox count, credit and table from the first
+	// The checker audits every calendar bit, credit and table from the first
 	// cycle of the next run.
 	delivered := 0
 	net.Reset(6, &noc.Hooks{PacketDelivered: func(*noc.Packet, sim.Cycle) { delivered++ }})

@@ -103,6 +103,23 @@ func (r *cycleRing[T]) advance(now sim.Cycle) {
 	}
 }
 
+// slide moves the window to start at cycle now without visiting a cell, for an
+// owner that takes every entry on its own cycle, so that the expired cycles
+// hold nothing to drop. Moving backwards is a no-op.
+func (r *cycleRing[T]) slide(now sim.Cycle) {
+	d := now - r.base
+	if d <= 0 {
+		return
+	}
+	r.base = now
+	if d >= sim.Cycle(len(r.cells)) {
+		d %= sim.Cycle(len(r.cells))
+	}
+	if r.baseIdx += int(d); r.baseIdx >= len(r.cells) {
+		r.baseIdx -= len(r.cells)
+	}
+}
+
 // clear empties the ring without moving its window.
 func (r *cycleRing[T]) clear() {
 	if r.live != 0 {

@@ -216,3 +216,37 @@ func TestCycleRingLateSlideMatchesEveryCycleSlide(t *testing.T) {
 		}
 	}
 }
+
+// TestCycleRingSlideMatchesAdvance: for an owner that takes every entry on its
+// own cycle, sliding the window (indices only) starts it where advance would,
+// over gaps from one cycle to several spans, and every cycle of it takes a
+// put and gives it back alike. (The cell a window starts at may differ: a jump
+// past the whole span restarts advance's at cell 0.)
+func TestCycleRingSlideMatchesAdvance(t *testing.T) {
+	slid, advanced := newCycleRing[int](7), newCycleRing[int](7)
+	now := sim.Cycle(0)
+	for i, gap := range []sim.Cycle{1, 1, 3, 6, 7, 8, 13, 1, 50, 2, 700, 5} {
+		now += gap
+		slid.slide(now)
+		advanced.advance(now)
+		if slid.base != advanced.base {
+			t.Fatalf("step %d: slide started the window at %d, advance at %d", i, slid.base, advanced.base)
+		}
+		for _, r := range []*cycleRing[int]{&slid, &advanced} {
+			for c := now; c < now+7; c++ {
+				if !r.put(c, int(c)) {
+					t.Fatalf("step %d: put at cycle %d refused", i, c)
+				}
+			}
+			for c := now; c < now+7; c++ {
+				if v, ok := r.take(c); !ok || v != int(c) {
+					t.Fatalf("step %d: take(%d) = %d, %v", i, c, v, ok)
+				}
+			}
+		}
+	}
+	slid.slide(now - 3) // backwards: no-op
+	if slid.base != now {
+		t.Fatalf("sliding backwards moved the window to %d", slid.base)
+	}
+}

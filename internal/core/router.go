@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
@@ -139,21 +140,26 @@ type Router struct {
 	cfg  *Config // the Network's one copy
 	rng  sim.RNG
 
-	// inbox[p] counts the items in flight on the wires into port p: its data
-	// and control links and the two credit wires returning to it. Senders
-	// count an item in when they put it on a wire (posted) and Tick counts out
-	// what it receives, so a port whose cell is zero has nothing to poll.
-	// dormant records that the last tick also left nothing queued, buffered
-	// or expected: until the inbox fills, a tick can change nothing, and
-	// Tick returns at its guard. The fault engine, which cuts wires and
-	// rewrites router state from outside, recounts and wakes (resync).
-	inbox   [topology.NumPorts]int32
+	// cal is the node's due calendar (calendar.go), shared with its
+	// interface: the wires into each port that deliver at a cycle, the inputs
+	// with a pool flit departing and those with a reservation falling due.
+	// Senders arm a wire's bit beside each Send, the inputs arm their own, and
+	// Tick acts on the bits of its cycle alone. dormant records that the last
+	// tick left nothing that needs a look every cycle — no control flit
+	// queued and, under reclamation, no flit parked — so that until a bit
+	// falls due a tick can change nothing, and Tick returns at its guard. The
+	// fault engine, which cuts wires and rewrites router state from outside,
+	// re-arms every calendar from the state it left and wakes (resync).
+	cal     calendar
 	dormant bool
-	// peer[p] is the inbox cell of whatever faces port p — the neighbour's
-	// opposite port, or the node's interface for Local — into which every
-	// send out of p is counted. Ejected data is the exception: the sink polls
-	// its one wire.
-	peer [topology.NumPorts]*int32
+	// peer[p] points at the calendar of whatever faces port p — the
+	// neighbour's, or for Local this node's own, read there by the
+	// interface — and face[p] is the data-wire bit, in it, of the port p's
+	// wires reach (the neighbour's opposite port, or Local); the wire of
+	// kind k is face[p] shifted by k ports. Ejected data is the exception:
+	// the sink polls its one wire.
+	peer [topology.NumPorts]*calendar
+	face [topology.NumPorts]uint32
 
 	ctrlIn  [topology.NumPorts]ctrlInput
 	ctrlOut [topology.NumPorts]ctrlOutput
@@ -215,6 +221,7 @@ type Router struct {
 // and control queues, every one at its full size — for reset to fill.
 func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Config) {
 	*r = Router{id: id, mesh: mesh, cfg: cfg,
+		cal:       carve(&a.cal, calendarCells(cfg.calendarReach())),
 		cands:     carve(&a.cands, int(topology.NumPorts)*cfg.CtrlVCs)[:0],
 		committed: carve(&a.undo, cfg.LeadsPerCtrl)[:0],
 	}
@@ -226,7 +233,7 @@ func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Con
 		if cfg.TrackEagerTransfers {
 			ledger = newEagerLedger(cfg.DataBuffers)
 		}
-		r.inputs[p].init(a, cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
+		r.inputs[p].init(a, p, &r.cal, cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
 		r.outTables[p].init(a, cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, r.dataLatencyFor(p), p == topology.Local)
 		ci := &r.ctrlIn[p]
 		*ci = ctrlInput{exists: true, vcs: carve(&a.vcs, cfg.CtrlVCs), occ: carve(&a.words, occupancyWords(cfg.CtrlVCs))}
@@ -243,13 +250,14 @@ func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Con
 }
 
 // reset returns the router to its just-built state: nothing in flight toward
-// it, awake, every control queue empty and unrouted, every downstream control
-// buffer credited and unowned, tables and input ports as built. The lead
+// it or its interface and so nothing on the calendar, awake, every control
+// queue empty and unrouted, every downstream control buffer credited and
+// unowned, tables and input ports as built. The lead
 // arrays of the flits the control queues held go back to the network's free
 // list; the random stream, the wires and the probe are the network's to
 // restart, reset and detach.
 func (r *Router) reset() {
-	r.inbox = [topology.NumPorts]int32{}
+	clear(r.cal)
 	r.dormant = false
 	r.queued = 0
 	r.crcDetected = 0
@@ -292,82 +300,71 @@ func (r *Router) dataLatencyFor(p topology.Port) sim.Cycle {
 	return r.cfg.DataLinkLatency
 }
 
-// posted counts an item just put on a wire into the receiver's inbox cell —
-// unless the wire is severed, which destroys whatever it is given.
-func posted(box *int32, severed bool) {
-	if !severed {
-		*box++
-	}
-}
-
-// inboxEmpty reports whether no wire into the router carries anything.
-func (r *Router) inboxEmpty() bool {
-	var inFlight int32
-	for p := range r.inbox {
-		inFlight |= r.inbox[p]
-	}
-	return inFlight == 0
-}
-
 // Tick advances the router one cycle, in the order that makes the
 // intra-cycle dataflow of Section 3 work out: credits bring the reservation
 // state current, control flits are processed (possibly reserving an arrival
 // happening this very cycle), then data flits depart and finally arrive.
 //
-// A dormant router with an empty inbox has no flit, credit, reservation or
-// buffered data to act on, draws no random number and so returns at once,
-// still reporting the (idle) tick to the profile. An awake one polls only
-// the ports whose inbox says something is in flight. The output tables are
-// not slid here but where they are next used (below for credits, in
-// scheduleLeads for reservations): advance catches up over any gap and what
-// it reveals depends only on state those same uses change, so a late slide
-// writes the cells an every-cycle slide would have.
+// It acts on the calendar's word for now: it reads the wires whose bits are
+// set, searches for departures the pools whose bits are set, and expires
+// reservations whose bits are set, port by port in ascending order as a tick
+// that polled everything would find them, so every receive, departure, random
+// draw and profile count lands on the cycle and in the order it would. A wire
+// read that leaves items on it arms its bit again at its head's delivery
+// cycle. A dormant router whose word is empty has nothing due and nothing
+// queued, draws no random number and so returns at once, still reporting the
+// (idle) tick to the profile. The output tables are not slid here but where
+// they are next used (below for credits, in scheduleLeads for reservations):
+// advance catches up over any gap and what it reveals depends only on state
+// those same uses change, so a late slide writes the cells an every-cycle
+// slide would have.
 func (r *Router) Tick(now sim.Cycle) {
-	if r.dormant {
-		if r.inboxEmpty() {
-			r.prof.RouterTick(int(r.id), 0, 0, 0, 0)
-			return
-		}
-		r.dormant = false
+	cell := r.cal.cell(now)
+	due := *cell &^ niBits
+	if due == 0 && r.dormant {
+		r.prof.RouterTick(int(r.id), 0, 0, 0, 0)
+		return
 	}
 	// Self-profiling work counters: credit messages absorbed, arbitration
 	// work units, data flits through the crossbar. Plain integer adds, so
 	// the disabled-profiling cost is negligible.
 	var arb, sw, cred int
-	for p := range r.inbox {
-		if r.inbox[p] == 0 {
-			continue
-		}
-		got := 0
-		if creditIn := r.dataCreditIn[p]; creditIn != nil {
-			table := &r.outTables[p]
+	ports := (due>>(uint(ctrlWire)*numPorts) | due>>(uint(resvCreditWire)*numPorts) | due>>(uint(ctrlCreditWire)*numPorts)) & portMask
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
+		if bit := wireBit(resvCreditWire, p); due&bit != 0 {
+			creditIn, table := r.dataCreditIn[p], &r.outTables[p]
 			table.advance(now)
 			for c, ok := creditIn.Recv(now); ok; c, ok = creditIn.Recv(now) {
 				table.creditFrom(c.FreeFrom, c.VC)
-				got++
+				cred++
+			}
+			if at, ok := creditIn.HeadAt(); ok {
+				r.cal.rearm(now, at, bit)
 			}
 		}
-		if co := &r.ctrlOut[p]; co.creditIn != nil {
+		if bit := wireBit(ctrlCreditWire, p); due&bit != 0 {
+			co := &r.ctrlOut[p]
 			for c, ok := co.creditIn.Recv(now); ok; c, ok = co.creditIn.Recv(now) {
 				if co.credits[c.VC]++; co.credits[c.VC] > r.cfg.CtrlBufPerVC {
 					panic("core: control credit overflow")
 				}
-				got++
+				cred++
+			}
+			if at, ok := co.creditIn.HeadAt(); ok {
+				r.cal.rearm(now, at, bit)
 			}
 		}
-		cred += got
-		if in := r.ctrlIn[p].in; in != nil {
-			for {
-				cf, ok := in.Recv(now)
-				if !ok {
-					break
-				}
-				r.enqueue(now, topology.Port(p), &cf)
+		if bit := wireBit(ctrlWire, p); due&bit != 0 {
+			in := r.ctrlIn[p].in
+			for cf, ok := in.Recv(now); ok; cf, ok = in.Recv(now) {
+				r.enqueue(now, p, &cf)
 				arb++
-				got++
+			}
+			if at, ok := in.HeadAt(); ok {
+				r.cal.rearm(now, at, bit)
 			}
 		}
-		r.inbox[p] -= int32(got)
 	}
 
 	var sched int
@@ -375,39 +372,41 @@ func (r *Router) Tick(now sim.Cycle) {
 		var walked int
 		walked, sched = r.processControl(now)
 		arb += walked
+		// Scheduling can file a reservation, or condemn an arrival, for this
+		// very cycle.
+		due = *cell &^ niBits
 	}
 
-	for p := range r.inputs {
-		in := &r.inputs[p]
-		if in.occupied == 0 {
-			continue
-		}
+	for ins := due >> departShift & portMask; ins != 0; ins &= ins - 1 {
+		in := &r.inputs[bits.TrailingZeros32(ins)]
 		for slot := in.departing(now, 0); slot >= 0; slot = in.departing(now, slot+1) {
 			f, out := in.release(slot)
 			sw++
 			r.sendData(now, &f, out)
 		}
 	}
-	for p := range r.inputs {
+	ins := (due | due>>expireShift) & portMask
+	if r.cfg.ReclaimCycles > 0 {
+		ins |= r.parkedInputs()
+	}
+	for ; ins != 0; ins &= ins - 1 {
+		p := topology.Port(bits.TrailingZeros32(ins))
 		in := &r.inputs[p]
-		if r.inbox[p] > 0 && in.dataIn != nil {
-			for {
-				f, ok := in.dataIn.Recv(now)
-				if !ok {
-					break
-				}
-				r.inbox[p]--
+		if bit := wireBit(dataWire, p); due&bit != 0 {
+			for f, ok := in.dataIn.Recv(now); ok; f, ok = in.dataIn.Recv(now) {
 				sw++
-				r.arrive(now, topology.Port(p), &f)
+				r.arrive(now, p, &f)
+			}
+			if at, ok := in.dataIn.HeadAt(); ok {
+				r.cal.rearm(now, at, bit)
 			}
 		}
-		// Any reservation for this cycle still unclaimed means the
-		// flit was destroyed en route — an idle pattern arrived in its
-		// place. Drop the reservation; every later table the control
-		// flit touched cleans itself up the same way. An empty table is
-		// left where it stands: whoever files the next entry slides it.
-		if in.expected.len() > 0 || len(in.condemned) > 0 {
-			in.expireExpected(now)
+		// Any reservation for this cycle still unclaimed means the flit was
+		// destroyed en route — an idle pattern arrived in its place. Drop
+		// the reservation; every later table the control flit touched
+		// cleans itself up the same way.
+		if due&in.expireBit != 0 {
+			in.expire(now)
 		}
 		if r.cfg.ReclaimCycles > 0 {
 			in.reclaim(now, r.cfg.ReclaimCycles, func(f noc.DataFlit) {
@@ -415,8 +414,21 @@ func (r *Router) Tick(now sim.Cycle) {
 			})
 		}
 	}
+	*cell = 0
 	r.prof.RouterTick(int(r.id), sched, arb, sw, cred)
-	r.dormant = r.inboxEmpty() && r.quiet()
+	r.dormant = r.queued == 0 && (r.cfg.ReclaimCycles == 0 || r.parkedInputs() == 0)
+}
+
+// parkedInputs has a bit set for each input holding a flit on its schedule
+// list; under reclamation those are looked at every cycle.
+func (r *Router) parkedInputs() uint32 {
+	var m uint32
+	for p := range r.inputs {
+		if len(r.inputs[p].parked) > 0 {
+			m |= 1 << p
+		}
+	}
+	return m
 }
 
 // enqueue files a control flit just received on port p at the back of its
@@ -525,9 +537,10 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), uint8(f.Attempt), now, true)
 	}
-	r.dataOut[out].Send(now, *f)
-	if out != topology.Local { // the sink polls its one wire instead
-		posted(r.peer[out], r.dataOut[out].Severed())
+	w := r.dataOut[out]
+	w.Send(now, *f)
+	if out != topology.Local && !w.Severed() { // the sink polls its one wire instead
+		r.peer[out].arm(now+r.cfg.DataLinkLatency, r.face[out])
 	}
 }
 
@@ -768,7 +781,9 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// flit arrived on, which is the upstream scheduler's VC for
 		// this link.
 		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: int(qc.flit.VC)})
-		posted(r.peer[inPort], in.creditOut.Severed())
+		if !in.creditOut.Severed() {
+			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
+		}
 	}
 	ld.scheduled = true
 	ld.departAt = td
@@ -823,7 +838,9 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 		nf.Leads = append(nf.Leads, noc.LeadEntry{Seq: ld.seq, Arrival: ld.departAt + r.cfg.DataLinkLatency})
 	}
 	co.out.Send(now, nf)
-	posted(r.peer[out], co.out.Severed())
+	if !co.out.Severed() {
+		r.peer[out].arm(now+r.cfg.CtrlLinkLatency, r.face[out]<<(uint(ctrlWire)*numPorts))
+	}
 	co.credits[vc.outVC]--
 	isTail := qc.flit.Type.IsTail()
 	r.popCtrl(now, inPort, vc, vcIdx)
@@ -866,7 +883,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topolo
 				freeFrom = ld.arrival
 			}
 			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: int(qc.flit.VC)})
-			posted(r.peer[inPort], in.creditOut.Severed())
+			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
@@ -928,7 +945,9 @@ func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	r.queued--
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
 		creditOut.Send(now, noc.VCCredit{VC: vcIdx})
-		posted(r.peer[inPort], creditOut.Severed())
+		if !creditOut.Severed() {
+			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
+		}
 	}
 }
 
@@ -939,21 +958,6 @@ func (r *Router) bufferUsage() (used, capacity int) {
 		capacity += len(r.inputs[p].pool)
 	}
 	return used, capacity
-}
-
-// quiet reports whether the router holds nothing a tick could act on without
-// new input: no control flit queued, no data flit buffered, no arrival
-// expected, and no condemned cycle whose mark a tick would still clear.
-func (r *Router) quiet() bool {
-	if r.queued > 0 {
-		return false
-	}
-	for p := range r.inputs {
-		if in := &r.inputs[p]; in.pending() > 0 || len(in.condemned) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // pendingWork reports whether any control or data state is still in flight

@@ -20,7 +20,8 @@ func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *out
 
 func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
 	p := new(inputPort)
-	p.init(&arena{}, buffers, horizon, ledger, faultTolerant)
+	cal := make(calendar, calendarCells(horizon+1))
+	p.init(&arena{}, topology.East, &cal, buffers, horizon, ledger, faultTolerant)
 	p.reset()
 	return p
 }
@@ -35,6 +36,7 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *N
 	n := new(NI)
 	n.init(&arena{}, node, cfg, hooks)
 	n.rng, n.progress = *rng, new(int64)
+	n.cal = make(calendar, calendarCells(cfg.calendarReach())) // its router's, which is absent
 	n.reset()
 	return n
 }
@@ -67,3 +69,37 @@ func (t *outResTable) busyAt(c sim.Cycle) bool {
 	k := t.idx(c)
 	return t.busy[k>>6]>>(k&63)&1 != 0
 }
+
+// armed counts the calendar's words with a bit set.
+func (c calendar) armed() int {
+	n := 0
+	for _, w := range c {
+		if w != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// inFlight counts the items on the wires into the router.
+func (r *Router) inFlight() int {
+	total := 0
+	for p := range r.inputs {
+		if w := r.inputs[p].dataIn; w != nil {
+			total += w.Len()
+		}
+		if w := r.ctrlIn[p].in; w != nil {
+			total += w.Len()
+		}
+		if w := r.dataCreditIn[p]; w != nil {
+			total += w.Len()
+		}
+		if w := r.ctrlOut[p].creditIn; w != nil {
+			total += w.Len()
+		}
+	}
+	return total
+}
+
+// inFlight counts the credits on the wires into the interface.
+func (n *NI) inFlight() int { return n.resvCreditIn.Len() + n.ctrlCreditIn.Len() }

@@ -25,7 +25,7 @@ func TestBitErrorsDeliverOnTimeAndMarked(t *testing.T) {
 	corrupted := 0
 	for i := 0; i < n; i++ {
 		p.Send(sent, berItem{n: i})
-		p.RecvEach(sent, func(it berItem) {
+		for it, ok := p.Recv(sent); ok; it, ok = p.Recv(sent) {
 			if it.n != got {
 				t.Fatalf("out of order: got item %d, want %d", it.n, got)
 			}
@@ -33,16 +33,16 @@ func TestBitErrorsDeliverOnTimeAndMarked(t *testing.T) {
 			if it.corrupt {
 				corrupted++
 			}
-		})
+		}
 		sent++
 	}
 	for !p.Empty() {
-		p.RecvEach(sent, func(it berItem) {
+		for it, ok := p.Recv(sent); ok; it, ok = p.Recv(sent) {
 			if it.corrupt {
 				corrupted++
 			}
 			got++
-		})
+		}
 		sent++
 	}
 	if sent != Cycle(n)+3 {
@@ -76,12 +76,12 @@ func TestBitErrorsComposeWithFaultyPipe(t *testing.T) {
 	}
 	got := 0
 	for !p.Empty() && now < 100000 {
-		p.RecvEach(now, func(it berItem) {
+		for it, ok := p.Recv(now); ok; it, ok = p.Recv(now) {
 			if it.n != got {
 				t.Fatalf("out of order: got %d, want %d", it.n, got)
 			}
 			got++
-		})
+		}
 		now++
 	}
 	if got != n {

@@ -338,19 +338,14 @@ func (p *Pipe[T]) Recv(now Cycle) (item T, ok bool) {
 	return item, true
 }
 
-// RecvEach pops every ready item in FIFO order, passes each to fn, and
-// returns how many were delivered. The count gives callers a free activity
-// signal for self-profiling; ignoring it is fine.
-func (p *Pipe[T]) RecvEach(now Cycle, fn func(T)) int {
-	delivered := 0
-	for {
-		item, ok := p.Recv(now)
-		if !ok {
-			return delivered
-		}
-		fn(item)
-		delivered++
+// HeadAt reports the cycle the oldest item in flight becomes receivable, and
+// false when nothing is in flight. A receiver that acts on a schedule of its
+// own rather than polling reads it to know when to look at the wire next.
+func (p *Pipe[T]) HeadAt() (at Cycle, ok bool) {
+	if p.n == 0 {
+		return 0, false
 	}
+	return p.ring[p.head].readyAt, true
 }
 
 // Len reports how many items are in flight (sent but not yet received).

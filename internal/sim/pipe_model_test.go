@@ -69,7 +69,7 @@ func (p *slicePipe) reset() {
 }
 
 // TestRingPipeMatchesSliceModel drives the ring pipe and the slice reference
-// with one random script of sends, receives (single and RecvEach), Each
+// with one random script of sends, receives (single and drained), Each
 // walks, severs with and without a drop callback, restores and one Reset
 // two thirds through — widths 1–4, latencies 1–8, clean, faulty and bit-error wires, and
 // wires armed at bit-error rate 0 and retuned by SetBitErrorRate every 400
@@ -155,7 +155,9 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 				got, want = got[:0], want[:0]
 				if now >= stalledUntil {
 					if script.Intn(2) == 0 {
-						ring.RecvEach(now, func(v int) { got = append(got, v) })
+						for v, ok := ring.Recv(now); ok; v, ok = ring.Recv(now) {
+							got = append(got, v)
+						}
 					} else if v, ok := ring.Recv(now); ok {
 						got = append(got, v)
 					}

@@ -28,7 +28,9 @@ func TestPipeFIFOWithinAndAcrossCycles(t *testing.T) {
 	p.Send(0, 2)
 	p.Send(1, 3)
 	var got []int
-	p.RecvEach(3, func(v int) { got = append(got, v) })
+	for v, ok := p.Recv(3); ok; v, ok = p.Recv(3) {
+		got = append(got, v)
+	}
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("received %v, want %v", got, want)
@@ -131,7 +133,7 @@ func TestPipeOrderProperty(t *testing.T) {
 		// Drain in order, checking delivery times.
 		idx := 0
 		for c := Cycle(0); c <= now+latency; c++ {
-			p.RecvEach(c, func(v int) {
+			for v, ok := p.Recv(c); ok; v, ok = p.Recv(c) {
 				if v != idx {
 					t.Errorf("out of order: got %d, want %d", v, idx)
 				}
@@ -139,7 +141,7 @@ func TestPipeOrderProperty(t *testing.T) {
 					t.Errorf("item %d delivered at %d, before %d", v, c, sendTimes[v]+latency)
 				}
 				idx++
-			})
+			}
 		}
 		return idx == len(sendTimes)
 	}
@@ -298,20 +300,42 @@ func TestEachVisitsWithoutConsuming(t *testing.T) {
 	}
 }
 
-// TestRecvEachReturnsCount: the delivery count matches what fn saw, and an
-// empty or not-yet-ready pipe reports zero.
-func TestRecvEachReturnsCount(t *testing.T) {
+// TestRecvLoopDrainsReadyItemsAndHeadAtNamesTheNext: a Recv loop takes every
+// ready item and nothing else, an empty or not-yet-ready pipe delivers none,
+// and HeadAt names the cycle the loop would next find something.
+func TestRecvLoopDrainsReadyItemsAndHeadAtNamesTheNext(t *testing.T) {
+	drain := func(p *Pipe[int], now Cycle) (seen []int) {
+		for v, ok := p.Recv(now); ok; v, ok = p.Recv(now) {
+			seen = append(seen, v)
+		}
+		return seen
+	}
 	p := NewPipe[int](5, 2)
-	if n := p.RecvEach(0, func(int) { t.Fatal("empty pipe delivered") }); n != 0 {
-		t.Fatalf("empty RecvEach = %d", n)
+	if seen := drain(p, 0); len(seen) != 0 {
+		t.Fatalf("empty pipe delivered %v", seen)
+	}
+	if at, ok := p.HeadAt(); ok {
+		t.Fatalf("empty pipe: HeadAt = %d, true", at)
 	}
 	p.Send(0, 1)
 	p.Send(0, 2)
-	if n := p.RecvEach(1, func(int) { t.Fatal("early delivery") }); n != 0 {
-		t.Fatalf("pre-latency RecvEach = %d", n)
+	p.Send(1, 3)
+	if seen := drain(p, 1); len(seen) != 0 {
+		t.Fatalf("pre-latency loop delivered %v", seen)
 	}
-	var seen []int
-	if n := p.RecvEach(5, func(v int) { seen = append(seen, v) }); n != 2 || len(seen) != 2 {
-		t.Fatalf("RecvEach = %d, saw %v", n, seen)
+	if at, ok := p.HeadAt(); !ok || at != 5 {
+		t.Fatalf("HeadAt = %d, %v; want 5, true", at, ok)
+	}
+	if seen := drain(p, 5); len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Fatalf("loop at the first delivery cycle saw %v, want [1 2]", seen)
+	}
+	if at, ok := p.HeadAt(); !ok || at != 6 {
+		t.Fatalf("HeadAt after draining = %d, %v; want 6, true", at, ok)
+	}
+	if seen := drain(p, 6); len(seen) != 1 || seen[0] != 3 {
+		t.Fatalf("loop at the second delivery cycle saw %v, want [3]", seen)
+	}
+	if _, ok := p.HeadAt(); ok {
+		t.Fatal("drained pipe still names a head")
 	}
 }

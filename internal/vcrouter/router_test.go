@@ -58,7 +58,9 @@ func TestRouterEjectsLocalTraffic(t *testing.T) {
 	var got []noc.DataFlit
 	for ; now < 20; now++ {
 		r.Tick(now)
-		ej.RecvEach(now+1, func(f noc.DataFlit) { got = append(got, f) })
+		for f, ok := ej.Recv(now + 1); ok; f, ok = ej.Recv(now + 1) {
+			got = append(got, f)
+		}
 	}
 	if len(got) != 3 {
 		t.Fatalf("ejected %d flits, want 3", len(got))
@@ -70,7 +72,9 @@ func TestRouterEjectsLocalTraffic(t *testing.T) {
 	}
 	// One credit per forwarded flit returned upstream.
 	credits := 0
-	inCredit.RecvEach(now+2, func(noc.VCCredit) { credits++ })
+	for _, ok := inCredit.Recv(now + 2); ok; _, ok = inCredit.Recv(now + 2) {
+		credits++
+	}
 	if credits != 3 {
 		t.Fatalf("returned %d credits, want 3", credits)
 	}
@@ -89,7 +93,9 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	myCredits := cfg.BufPerVC
 	i := 0
 	for ; now < 15; now++ {
-		inCredit.RecvEach(now, func(noc.VCCredit) { myCredits++ })
+		for _, ok := inCredit.Recv(now); ok; _, ok = inCredit.Recv(now) {
+			myCredits++
+		}
 		if i < len(flits) && myCredits > 0 {
 			f := flits[i]
 			f.VC = 0
@@ -100,7 +106,9 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 		r.Tick(now)
 	}
 	sent := 0
-	outData.RecvEach(now, func(noc.DataFlit) { sent++ })
+	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
+		sent++
+	}
 	if sent != cfg.BufPerVC {
 		t.Fatalf("router sent %d flits with %d downstream credits and no returns", sent, cfg.BufPerVC)
 	}
@@ -122,7 +130,9 @@ func TestRouterResumesOnCredit(t *testing.T) {
 		r.Tick(now)
 	}
 	drain := 0
-	outData.RecvEach(now, func(noc.DataFlit) { drain++ })
+	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
+		drain++
+	}
 	if drain != 2 {
 		t.Fatalf("pre-credit drain = %d, want 2", drain)
 	}
@@ -132,7 +142,9 @@ func TestRouterResumesOnCredit(t *testing.T) {
 	for end := now + 8; now < end; now++ {
 		r.Tick(now)
 	}
-	outData.RecvEach(now, func(noc.DataFlit) { drain++ })
+	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
+		drain++
+	}
 	if drain != 4 {
 		t.Fatalf("post-credit drain = %d, want 4", drain)
 	}
@@ -149,10 +161,10 @@ func TestVCAllocationReleasedByTail(t *testing.T) {
 	step := func() {
 		r.Tick(now)
 		now++
-		outData.RecvEach(now, func(noc.DataFlit) {
+		for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
 			sent++
 			feedCredit(r, now, 0)
-		})
+		}
 	}
 	for _, f := range mkPacket(1, 1, 2) {
 		f.VC = 0
