@@ -15,6 +15,7 @@ package circuit
 
 import (
 	"fmt"
+	"math/bits"
 
 	"frfc/internal/noc"
 	"frfc/internal/routing"
@@ -78,7 +79,10 @@ type ack struct {
 	id circuitID
 }
 
-// probeQueue is the control input of one router port.
+// probeQueue is the control input of one router port. upCal is the calendar
+// of the node upstream — the neighbour, or for Local this node, where the
+// interface reads — in which each probe credit sent arms creditBit and each
+// ack ackBit.
 type probeQueue struct {
 	exists    bool
 	q         []probe
@@ -86,7 +90,9 @@ type probeQueue struct {
 	in        *sim.Pipe[probe]
 	creditOut *sim.Pipe[noc.VCCredit]
 	// ackOut sends acks back toward the probe's origin.
-	ackOut *sim.Pipe[ack]
+	ackOut            *sim.Pipe[ack]
+	upCal             sim.Calendar
+	creditBit, ackBit uint32
 }
 
 // outputPort is the data-network side of one router output.
@@ -102,12 +108,41 @@ type outputPort struct {
 	probeCreditIn *sim.Pipe[noc.VCCredit]
 	ackIn         *sim.Pipe[ack]
 	data          *sim.Pipe[noc.DataFlit]
-	// ejected is the sink's count of flits in flight on data; nil on the
-	// outputs that lead to another router.
-	ejected *int32
+	// downCal is the calendar of the node downstream — the neighbour, or for
+	// Local this node, where the sink reads — in which each probe sent arms
+	// probeBit and each data flit dataBit, dataLatency cycles on.
+	downCal           sim.Calendar
+	probeBit, dataBit uint32
+	dataLatency       sim.Cycle
 	// probeCredits gates probe forwarding into the downstream queue.
 	probeCredits int
 }
+
+// A node's router, interface and sink share one due calendar (sim.Calendar):
+// wireBit(k, p) is the wire of kind k into port p. The Local output ejects data
+// only, so its ack and probe-credit slots name the interface's two wires
+// (niBits); noc.SinkBit is the ejection wire.
+type wireKind uint
+
+const (
+	dataWire        wireKind = iota // circuit data into the input
+	probeWire                       // probes into the input
+	ackWire                         // acks into the output
+	probeCreditWire                 // probe credits into the output
+	numWireKinds
+)
+
+const (
+	numPorts   = uint(topology.NumPorts)
+	portMask   = 1<<numPorts - 1
+	niAck      = 1 << (uint(ackWire)*numPorts + uint(topology.Local))
+	niCredit   = 1 << (uint(probeCreditWire)*numPorts + uint(topology.Local))
+	niBits     = niAck | niCredit
+	routerBits = (1<<(uint(numWireKinds)*numPorts) - 1) &^ niBits
+)
+
+// wireBit is the bit of the wire of kind k into port p.
+func wireBit(k wireKind, p topology.Port) uint32 { return 1 << (uint(k)*numPorts + uint(p)) }
 
 // Router is one circuit-switched router: probes arbitrate for exclusive
 // ownership of output channels; data flits pass through combinationally
@@ -126,6 +161,9 @@ type Router struct {
 	fwd map[circuitID]fwdEntry
 
 	dataIn [topology.NumPorts]*sim.Pipe[noc.DataFlit]
+	// cal is the node's due calendar: Tick reads only the wires whose bits
+	// (routerBits) its cycle's word has.
+	cal sim.Calendar
 
 	cands []int
 }
@@ -148,9 +186,11 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 }
 
 // reset returns the router to its just-built state: no probe queued, no
-// circuit through it, every downstream probe buffer credited. The random
-// stream and the wires are the network's to restart and reset.
+// circuit through it, every downstream probe buffer credited, its node's
+// calendar clear. The random stream and the wires are the network's to
+// restart and reset.
 func (r *Router) reset() {
+	clear(r.cal)
 	clear(r.fwd)
 	for p := range r.in {
 		in := &r.in[p]
@@ -166,53 +206,62 @@ func (r *Router) reset() {
 }
 
 // Tick advances the router one cycle: absorb acks and probe credits, route
-// and grant probes, then forward circuit data.
+// and grant probes, then forward circuit data, reading only the wires its
+// calendar says deliver.
 func (r *Router) Tick(now sim.Cycle) {
+	cell := r.cal.Cell(now)
+	due := *cell & routerBits
+	*cell &^= due
 	// Acks travel backwards: an ack arriving on an output port's ack wire
 	// belongs to the circuit using that output; relay it toward the
 	// circuit's input.
-	for p := range r.out {
+	for ports := due >> (uint(ackWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		if !o.exists || o.ackIn == nil {
-			continue
-		}
 		for a, ok := o.ackIn.Recv(now); ok; a, ok = o.ackIn.Recv(now) {
 			e, known := r.fwd[a.id]
 			if !known {
 				panic(fmt.Sprintf("circuit: node %d relaying ack for unknown circuit %d", r.id, a.id))
 			}
-			r.in[e.in].ackOut.Send(now, a)
+			in := &r.in[e.in]
+			in.ackOut.Send(now, a)
+			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.ackBit)
+		}
+		if at, ok := o.ackIn.HeadAt(); ok {
+			r.cal.Rearm(now, at, wireBit(ackWire, p))
 		}
 	}
 	// Probe credits.
-	for p := range r.out {
+	for ports := due >> (uint(probeCreditWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		if !o.exists || o.probeCreditIn == nil {
-			continue
-		}
 		for _, ok := o.probeCreditIn.Recv(now); ok; _, ok = o.probeCreditIn.Recv(now) {
 			o.probeCredits++
 			if o.probeCredits > r.cfg.ProbeBuffers {
 				panic("circuit: probe credit overflow")
 			}
 		}
+		if at, ok := o.probeCreditIn.HeadAt(); ok {
+			r.cal.Rearm(now, at, wireBit(probeCreditWire, p))
+		}
 	}
 	// Receive probes.
-	for p := range r.in {
+	for ports := due >> (uint(probeWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		if !in.exists || in.in == nil {
-			continue
-		}
 		for pr, ok := in.in.Recv(now); ok; pr, ok = in.in.Recv(now) {
 			in.q = append(in.q, pr)
 			in.arrivedAt = append(in.arrivedAt, now)
 			if len(in.q) > r.cfg.ProbeBuffers {
-				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, topology.Port(p)))
+				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, p))
 			}
+		}
+		if at, ok := in.in.HeadAt(); ok {
+			r.cal.Rearm(now, at, wireBit(probeWire, p))
 		}
 	}
 	r.grantProbes(now)
-	r.forwardData(now)
+	r.forwardData(now, due&portMask)
 }
 
 // grantProbes routes the probe at the head of each input queue and, when its
@@ -258,30 +307,32 @@ func (r *Router) grantProbes(now sim.Cycle) {
 		in.arrivedAt = in.arrivedAt[:len(in.arrivedAt)-1]
 		if in.creditOut != nil {
 			in.creditOut.Send(now, noc.VCCredit{})
+			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.creditBit)
 		}
 		if out == topology.Local {
 			// Destination: the circuit is complete; launch the ack
 			// back toward the source.
 			in.ackOut.Send(now, ack{id: pr.p.ID})
+			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.ackBit)
 			continue
 		}
 		o.probeCredits--
 		o.probeOut.Send(now, pr)
+		o.downCal.Arm(now+r.cfg.CtrlLinkLatency, o.probeBit)
 	}
 }
 
 // forwardData relays circuit data combinationally: a flit arriving on an
-// input follows its circuit's output the same cycle (the wires are switched
-// through; there is no buffering). Tails tear the circuit down.
-func (r *Router) forwardData(now sim.Cycle) {
-	for p := range r.dataIn {
+// input whose bit is set in ports follows its circuit's output the same cycle
+// (the wires are switched through; there is no buffering). Tails tear the
+// circuit down.
+func (r *Router) forwardData(now sim.Cycle, ports uint32) {
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		pipe := r.dataIn[p]
-		if pipe == nil {
-			continue
-		}
 		for f, ok := pipe.Recv(now); ok; f, ok = pipe.Recv(now) {
 			e, known := r.fwd[f.Packet.ID]
-			if !known || e.in != topology.Port(p) {
+			if !known || e.in != p {
 				panic(fmt.Sprintf("circuit: node %d: data flit %s with no circuit", r.id, f))
 			}
 			o := &r.out[e.out]
@@ -289,13 +340,14 @@ func (r *Router) forwardData(now sim.Cycle) {
 				panic(fmt.Sprintf("circuit: node %d: flit %s on a channel owned by circuit %d", r.id, f, o.owner))
 			}
 			o.data.Send(now, f)
-			if o.ejected != nil {
-				*o.ejected++
-			}
+			o.downCal.Arm(now+o.dataLatency, o.dataBit)
 			if f.Type.IsTail() {
 				o.owned = false
 				delete(r.fwd, f.Packet.ID)
 			}
+		}
+		if at, ok := pipe.HeadAt(); ok {
+			r.cal.Rearm(now, at, wireBit(dataWire, p))
 		}
 	}
 }

@@ -35,6 +35,10 @@ type ni struct {
 	probeCreditIn *sim.Pipe[noc.VCCredit]
 	ackIn         *sim.Pipe[ack]
 	dataOut       *sim.Pipe[noc.DataFlit]
+	// cal is the node's due calendar, shared with its router: the interface
+	// arms the router's Local probe and data wires in it and reads its own
+	// two wires on the cycles their bits (niBits) are set.
+	cal sim.Calendar
 }
 
 func newNI(cfg Config) *ni {
@@ -53,17 +57,30 @@ func (n *ni) reset() {
 }
 
 func (n *ni) Tick(now sim.Cycle) {
-	for _, ok := n.probeCreditIn.Recv(now); ok; _, ok = n.probeCreditIn.Recv(now) {
-		n.probeCredits++
-		if n.probeCredits > n.cfg.ProbeBuffers {
-			panic("circuit: NI probe credit overflow")
+	cell := n.cal.Cell(now)
+	due := *cell & niBits
+	*cell &^= due
+	if due&niCredit != 0 {
+		for _, ok := n.probeCreditIn.Recv(now); ok; _, ok = n.probeCreditIn.Recv(now) {
+			n.probeCredits++
+			if n.probeCredits > n.cfg.ProbeBuffers {
+				panic("circuit: NI probe credit overflow")
+			}
+		}
+		if at, ok := n.probeCreditIn.HeadAt(); ok {
+			n.cal.Rearm(now, at, niCredit)
 		}
 	}
-	for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
-		if n.current == nil || a.id != n.current.ID {
-			panic("circuit: ack for a packet the NI is not waiting on")
+	if due&niAck != 0 {
+		for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
+			if n.current == nil || a.id != n.current.ID {
+				panic("circuit: ack for a packet the NI is not waiting on")
+			}
+			n.acked = true
 		}
-		n.acked = true
+		if at, ok := n.ackIn.HeadAt(); ok {
+			n.cal.Rearm(now, at, niAck)
+		}
 	}
 	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
 		p := n.queue.Pop()
@@ -77,12 +94,14 @@ func (n *ni) Tick(now sim.Cycle) {
 		n.acked = false
 		n.probeCredits--
 		n.probeOut.Send(now, probe{p: p})
+		n.cal.Arm(now+n.cfg.CtrlLinkLatency, wireBit(probeWire, topology.Local))
 	}
 	if n.current != nil && n.acked && n.next < len(n.flits) {
 		if n.wf != nil && n.next == 0 && n.current.Sampled {
 			n.wf.HeadWire(uint64(n.current.ID), 0, now)
 		}
 		n.dataOut.Send(now, n.flits[n.next])
+		n.cal.Arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
 		n.next++
 		if n.next == len(n.flits) {
 			n.current = nil
@@ -139,10 +158,15 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
+	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CtrlLinkLatency, cfg.LocalLatency))
+	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
+		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg)
 		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
+		n.routers[id].cal, n.nis[id].cal = cal, cal
+		n.sinks[id].Cal = cal
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -195,25 +219,29 @@ func (n *Network) wire() {
 			far := n.routers[nb]
 			op := p.Opposite()
 
+			o, farIn := &r.out[p], &far.in[op]
+			o.downCal, o.probeBit, o.dataBit, o.dataLatency = far.cal, wireBit(probeWire, op), wireBit(dataWire, op), cfg.LinkLatency
+			farIn.upCal, farIn.ackBit, farIn.creditBit = r.cal, wireBit(ackWire, p), wireBit(probeCreditWire, p)
+
 			probes := sim.NewPipe[probe](cfg.CtrlLinkLatency, 1)
-			r.out[p].probeOut = probes
-			far.in[op].in = probes
+			o.probeOut = probes
+			farIn.in = probes
 
 			probeCredit := sim.NewPipe[noc.VCCredit](cfg.CtrlLinkLatency, 1)
-			r.out[p].probeCreditIn = probeCredit
-			far.in[op].creditOut = probeCredit
+			o.probeCreditIn = probeCredit
+			farIn.creditOut = probeCredit
 
 			acks := sim.NewPipe[ack](cfg.CtrlLinkLatency, cfg.ProbeBuffers)
-			r.out[p].ackIn = acks
-			far.in[op].ackOut = acks
+			o.ackIn = acks
+			farIn.ackOut = acks
 
 			data := sim.NewPipe[noc.DataFlit](cfg.LinkLatency, 1)
-			r.out[p].data = data
+			o.data = data
 			far.dataIn[op] = data
 		}
 
-		ni := n.nis[id]
-		sink := n.sinks[id]
+		ni, sink, local := n.nis[id], n.sinks[id], &r.in[topology.Local]
+		local.upCal, local.ackBit, local.creditBit = r.cal, niAck, niCredit
 
 		injProbe := sim.NewPipe[probe](cfg.CtrlLinkLatency, 1)
 		ni.probeOut = injProbe
@@ -232,7 +260,8 @@ func (n *Network) wire() {
 		r.dataIn[topology.Local] = injData
 
 		ejData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data, r.out[topology.Local].ejected = ejData, &sink.FlitsIn
+		o := &r.out[topology.Local]
+		o.data, o.downCal, o.dataBit, o.dataLatency = ejData, r.cal, noc.SinkBit, cfg.LocalLatency
 		sink.Data = ejData
 	}
 }

@@ -114,8 +114,8 @@ func TestDrainedMeshSleepsAndWakes(t *testing.T) {
 			net.Tick(now)
 		}
 		for id, r := range net.routers {
-			if !r.dormant || r.cal.armed() != 0 || r.inFlight() != 0 || r.pendingWork() != 0 {
-				t.Errorf("router %d: dormant=%v armed=%d in flight=%d pending=%d on a drained mesh", id, r.dormant, r.cal.armed(), r.inFlight(), r.pendingWork())
+			if !r.dormant || armed(r.cal) != 0 || r.inFlight() != 0 || r.pendingWork() != 0 {
+				t.Errorf("router %d: dormant=%v armed=%d in flight=%d pending=%d on a drained mesh", id, r.dormant, armed(r.cal), r.inFlight(), r.pendingWork())
 			}
 			if ni := net.nis[id]; !ni.dormant || ni.inFlight() != 0 || ni.pendingWork() != 0 {
 				t.Errorf("NI %d: dormant=%v in flight=%d pending=%d on a drained mesh", id, ni.dormant, ni.inFlight(), ni.pendingWork())

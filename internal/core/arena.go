@@ -86,7 +86,7 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 		cycles:   make([]sim.Cycle, nodes*d),
 		source:   make([]*noc.Packet, nodes*sourceRoom),
 		links:    make([]linkPipes, 0, links),
-		cal:      make([]uint32, nodes*calendarCells(cfg.calendarReach())),
+		cal:      make([]uint32, nodes*sim.CalendarCells(cfg.calendarReach())),
 
 		data:       sim.NewPipeSlab[noc.DataFlit](links+2*nodes, dataCells),
 		resvCredit: sim.NewPipeSlab[noc.ReservationCredit](ports, ports*sim.RingCells(cfg.CreditLatency, cfg.resvCreditWidth())),

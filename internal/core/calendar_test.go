@@ -14,14 +14,14 @@ import (
 // reference that polls every wire, pool and reservation table every cycle: a
 // twin network whose every live node has, before each tick, every bit of its
 // word for the cycle set, so each router reads each of its wires, searches
-// each pool for a departure and expires each input's cell, and each interface
-// reads both its credit wires, as the routers did before the calendar. (On a
-// cycle with a fault event the engine rebuilds the twin's calendar from the
-// wires themselves before anything ticks, which polls them too.) After every
-// cycle the two must hold the same wires, queues, pools, tables, random
-// streams and ledger, and by the end they must have reported the same events
-// on the same cycles: every item is taken on the same cycle and in the same
-// order.
+// each pool for a departure and expires each input's cell, each interface
+// reads both its credit wires and each sink its ejection wire, as they did
+// before the calendar. (On a cycle with a fault event the engine rebuilds the
+// twin's calendar from the wires themselves before anything ticks, which polls
+// them too.) After every cycle the two must hold the same wires, queues,
+// pools, tables, random streams and ledger, and by the end they must have
+// reported the same events on the same cycles: every item is taken on the same
+// cycle and in the same order.
 //
 // The script leaves the calendar no easy cycle: control links slow enough,
 // and faulty enough, that go-back-N replays push deliveries past the
@@ -59,7 +59,7 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 		for now := sim.Cycle(0); now < 600; now++ {
 			for id := range ref.net.routers {
 				r := &ref.net.routers[id]
-				*r.cal.cell(now) |= r.polled()
+				*r.cal.Cell(now) |= r.polled()
 			}
 			for _, r := range []*scriptedRun{cal, ref} {
 				r.src.offer(r.net, now)
@@ -109,11 +109,11 @@ func (r *scriptedRun) hooks() *noc.Hooks {
 		PacketAbandoned: log("abandoned"), FlitDropped: log("dropped"), PacketUnreachable: log("unreachable")}
 }
 
-// polled is every bit of the router's calendar word that names something it
-// has: each wire into it or its interface, and each input's departure and
-// expiry.
+// polled is every bit of the router's calendar word that names something its
+// node has: each wire into it, its interface or its sink, and each input's
+// departure and expiry.
 func (r *Router) polled() uint32 {
-	m := uint32(niBits)
+	m := uint32(niBits | sinkBit)
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if !r.ctrlIn[p].exists {
 			continue

@@ -27,17 +27,15 @@ func (n *Network) check(now sim.Cycle) {
 	}
 }
 
-// checkSleep audits the calendar that lets a node's router and interface act
-// only on what falls due, against the state it stands for. At the end of a
-// cycle every live node has ticked, so the word for now is clear and the
-// others hold cycles now+1 to now+len-1. Then, exactly:
+// checkSleep audits the calendar that lets a node's router, interface and
+// sink act only on what falls due, against the state it stands for. At the
+// end of a cycle every live node has ticked, so the word for now is clear and
+// the others hold cycles now+1 to now+len-1. Then, exactly:
 //
-//   - a wire into the router or its interface has a bit armed iff it carries
-//     something, and one between now+1 and its head's delivery cycle (the
-//     calendar's last cycle, for a head beyond its reach): a bit missing or
-//     late would leave an item unread on its cycle, one armed for an empty
-//     wire wakes the router for nothing — so a router whose wires carry
-//     nothing, as a dormant one's mostly do, has no wire bit armed;
+//   - every wire into the router, its interface or its sink passes the
+//     calendar's Audit: its bit is armed iff it carries something, first
+//     between now+1 and its head's delivery cycle — so a router whose wires
+//     carry nothing, as a dormant one's mostly do, has no wire bit armed;
 //   - an input's departure bit is armed at cycle c iff one of its pool flits
 //     is scheduled to depart at c;
 //   - an input's expiry bit is armed at cycle c iff it holds a reservation or
@@ -49,39 +47,18 @@ func (n *Network) check(now sim.Cycle) {
 func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	r, ni := &n.routers[id], &n.nis[id]
 	cal, last := r.cal, now+sim.Cycle(len(r.cal))-1
-	if w := *cal.cell(now); w != 0 {
-		n.fail(now, "node %d: the calendar word for cycle %d still holds %#x after the tick", id, now, w)
+	if err := cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { r.eachWire(ni, &n.sinks[id], wire) }); err != nil {
+		n.fail(now, "node %d: %v", id, err)
 	}
-	// first[b] is the first cycle bit b is armed at, or Never.
-	var first [32]sim.Cycle
-	for b := range first {
-		first[b] = sim.Never
-	}
-	for c := last; c > now; c-- {
-		for w := *cal.cell(c); w != 0; w &= w - 1 {
-			first[bits.TrailingZeros32(w)] = c
-		}
-	}
-	r.eachWire(ni, func(bit uint32, at sim.Cycle, carries bool) {
-		k := uint(bits.TrailingZeros32(bit))
-		switch armed := first[k]; {
-		case !carries && armed != sim.Never:
-			n.fail(now, "node %d wire kind %d into %s: bit armed at cycle %d for a wire that carries nothing",
-				id, k/numPorts, topology.Port(k%numPorts), armed)
-		case carries && (armed == sim.Never || armed > min(at, last)):
-			n.fail(now, "node %d wire kind %d into %s: head due at cycle %d, bit armed first at %d",
-				id, k/numPorts, topology.Port(k%numPorts), at, armed)
-		}
-	})
 	// Everything the inputs hold that falls due is armed on its cycle...
 	r.eachDue(func(at sim.Cycle, bit uint32) {
-		if at <= now || at > last || *cal.cell(at)&bit == 0 {
+		if at <= now || at > last || *cal.Cell(at)&bit == 0 {
 			n.fail(now, "node %d: input bit %#x due at cycle %d is not armed there", id, bit, at)
 		}
 	})
 	// ...and every one armed is called for.
 	for c := now + 1; c <= last; c++ {
-		w := *cal.cell(c)
+		w := *cal.Cell(c)
 		for ins := w >> departShift & portMask; ins != 0; ins &= ins - 1 {
 			p := topology.Port(bits.TrailingZeros32(ins))
 			if r.inputs[p].departing(c, 0) < 0 {

@@ -87,7 +87,7 @@ type inputPort struct {
 	// cal is the node's due calendar, in which the input arms departBit at
 	// every scheduled flit's departure and expireBit at every reservation's
 	// and condemned arrival's cycle.
-	cal *calendar
+	cal *sim.Calendar
 
 	// faultTolerant permits a reservation for a past arrival with no
 	// parked flit — the flit was destroyed upstream and its late control
@@ -100,7 +100,7 @@ type inputPort struct {
 // init lays out, in place on the arena's memory, input port port with the
 // given pool size whose reservation table covers arrivals up to horizon
 // cycles ahead and which arms its bits in cal; reset makes it usable.
-func (p *inputPort) init(a *arena, port topology.Port, cal *calendar, buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) {
+func (p *inputPort) init(a *arena, port topology.Port, cal *sim.Calendar, buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) {
 	*p = inputPort{
 		pool:          carve(&a.pool, buffers),
 		occ:           carve(&a.words, occupancyWords(buffers)),
@@ -152,7 +152,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 		}
 		// put never overwrites a real reservation with a phantom one.
 		if p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort), phantom: true}) {
-			p.cal.arm(ta, p.expireBit)
+			p.cal.Arm(ta, p.expireBit)
 		}
 		return
 	}
@@ -163,7 +163,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 		}
 		s.departAt = departAt
 		s.outPort = outPort
-		p.cal.arm(departAt, p.departBit)
+		p.cal.Arm(departAt, p.departBit)
 		p.ledger.onScheduleParked(now, ta, departAt)
 		return
 	}
@@ -181,7 +181,7 @@ func (p *inputPort) reserve(now, ta, departAt sim.Cycle, outPort topology.Port, 
 	if !p.expected.put(ta, reservation{stay: int32(departAt - ta), outPort: uint8(outPort)}) {
 		panic(fmt.Sprintf("core: duplicate reservation for arrival cycle %d", ta))
 	}
-	p.cal.arm(ta, p.expireBit)
+	p.cal.Arm(ta, p.expireBit)
 	p.ledger.onReserve(ta, departAt)
 }
 
@@ -230,7 +230,7 @@ func (p *inputPort) arrive(now sim.Cycle, f *noc.DataFlit) (arrival, topology.Po
 		p.expected.take(now)
 		s.departAt = now + sim.Cycle(r.stay)
 		s.outPort = topology.Port(r.outPort)
-		p.cal.arm(s.departAt, p.departBit)
+		p.cal.Arm(s.departAt, p.departBit)
 		return buffered, 0
 	}
 	// Arrived before its control flit finished scheduling: park it on the
@@ -292,7 +292,7 @@ func (p *inputPort) condemn(ta sim.Cycle) {
 		p.condemned = make(map[sim.Cycle]bool)
 	}
 	p.condemned[ta] = true
-	p.cal.arm(ta, p.expireBit)
+	p.cal.Arm(ta, p.expireBit)
 }
 
 // condemnedArrival reports (and consumes) whether the flit arriving at now

@@ -417,7 +417,8 @@ func corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 // CtrlLinkLatency), reservation-credit and control-credit wires
 // (CreditLatency), every pipe and its ring cut from the arena. Each router is
 // also pointed at the calendar of what each of its ports faces, and each
-// interface at its router's, in which it arms what it sends.
+// interface and sink at its router's: the interface arms what it sends in it,
+// and the sink reads what the router ejects.
 func (n *Network) wire(a *arena) {
 	cfg := n.cfg
 	n.links = a.links
@@ -455,7 +456,7 @@ func (n *Network) wire(a *arena) {
 		}
 
 		ni, sink := &n.nis[id], &n.sinks[id]
-		ni.cal = r.cal
+		ni.cal, sink.cal = r.cal, r.cal
 		r.peer[topology.Local], r.face[topology.Local] = &r.cal, wireBit(dataWire, topology.Local)
 
 		// Injection: NI data -> router Local input; reservation

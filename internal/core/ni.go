@@ -55,7 +55,7 @@ type NI struct {
 	// the last tick left the interface idle (see idle), so until a credit
 	// falls due, an offer or a retry wakes it a tick only makes its random
 	// draw.
-	cal     calendar
+	cal     sim.Calendar
 	dormant bool
 
 	// sendAt holds scheduled data-flit injections keyed by departure
@@ -304,7 +304,7 @@ func (n *NI) idle() bool {
 // so the node's random stream is the same whether or not it slept; its tables
 // catch up over the gap when it wakes.
 func (n *NI) Tick(now sim.Cycle) {
-	cell := n.cal.cell(now)
+	cell := n.cal.Cell(now)
 	due := *cell & niBits
 	if n.dormant && due == 0 {
 		if len(n.active) > 1 {
@@ -326,7 +326,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				work++
 			}
 			if at, ok := n.resvCreditIn.HeadAt(); ok {
-				n.cal.rearm(now, at, niResv)
+				n.cal.Rearm(now, at, niResv)
 			}
 		}
 		if due&niCtrl != 0 {
@@ -337,7 +337,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				work++
 			}
 			if at, ok := n.ctrlCreditIn.HeadAt(); ok {
-				n.cal.rearm(now, at, niCtrl)
+				n.cal.Rearm(now, at, niCtrl)
 			}
 		}
 	}
@@ -395,7 +395,7 @@ func (n *NI) Tick(now sim.Cycle) {
 		}
 		n.dataOut.Send(now, f)
 		if !n.dataOut.Severed() {
-			n.cal.arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
+			n.cal.Arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
 		}
 		*n.progress++
 		work++
@@ -457,7 +457,7 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 	}
 	n.ctrlOut.Send(now, cf)
 	if !n.ctrlOut.Severed() {
-		n.cal.arm(now+n.cfg.CtrlLinkLatency, wireBit(ctrlWire, topology.Local))
+		n.cal.Arm(now+n.cfg.CtrlLinkLatency, wireBit(ctrlWire, topology.Local))
 	}
 	*n.progress++
 	n.ctrlCredits[v]--
@@ -500,6 +500,9 @@ func (n *NI) pendingWork() int {
 type Sink struct {
 	node   topology.NodeID
 	dataIn *sim.Pipe[noc.DataFlit]
+	// cal is the node's due calendar, in which the router arms sinkBit beside
+	// each flit it ejects; the sink reads dataIn only on the cycles it is set.
+	cal sim.Calendar
 	// expect is the reassembly schedule keyed by ejection cycle. The
 	// router's ejection table grants departures in [now+1, now+Horizon] and
 	// the ejection link adds its latency, so the keys stay inside
@@ -586,18 +589,22 @@ func (s *Sink) stateFor(id noc.PacketID, attempt int32) sinkPkt {
 // current attempt is reported lost, once, and stragglers of lost or superseded
 // attempts are ignored.
 func (s *Sink) Tick(now sim.Cycle) {
-	if s.dormant() {
+	cell := s.cal.Cell(now)
+	due := *cell & sinkBit
+	if due == 0 && s.expect.len() == 0 {
 		s.prof.ComponentTick(profile.CompSink, int(s.node), false)
 		return
 	}
 	work := 0
-	for {
-		f, ok := s.dataIn.Recv(now)
-		if !ok {
-			break
+	if due != 0 {
+		*cell &^= sinkBit
+		for f, ok := s.dataIn.Recv(now); ok; f, ok = s.dataIn.Recv(now) {
+			s.eject(now, &f)
+			work++
 		}
-		s.eject(now, &f)
-		work++
+		if at, ok := s.dataIn.HeadAt(); ok {
+			s.cal.Rearm(now, at, sinkBit)
+		}
 	}
 	if e, ok := s.expect.take(now); ok {
 		work++
@@ -683,7 +690,7 @@ func (s *Sink) eject(now sim.Cycle, f *noc.DataFlit) {
 	}
 }
 
-// dormant reports whether a tick has nothing to do: no flit is scheduled to
+// dormant reports whether the sink has nothing to do: no flit is scheduled to
 // eject and none is on the ejection link. Only the router's Expect and its
 // ejected data end that, and both show here, so the sink keeps no flag.
 func (s *Sink) dormant() bool { return s.expect.len() == 0 && s.dataIn.Empty() }

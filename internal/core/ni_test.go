@@ -119,11 +119,11 @@ func TestNIRespectsControlCredits(t *testing.T) {
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				n.cal.arm(now+1+n.cfg.CreditLatency, niResv)
+				n.cal.Arm(now+1+n.cfg.CreditLatency, niResv)
 			}
 			if returnCtrl {
 				ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-				n.cal.arm(now+1+n.cfg.CreditLatency, niCtrl)
+				n.cal.Arm(now+1+n.cfg.CreditLatency, niCtrl)
 			}
 		}
 		now++
@@ -138,7 +138,7 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	// resumes injection all the way.
 	for i := 0; i < 3; i++ {
 		ctrlCredit.Send(now, noc.VCCredit{VC: 0})
-		n.cal.arm(now+n.cfg.CreditLatency, niCtrl)
+		n.cal.Arm(now+n.cfg.CreditLatency, niCtrl)
 		step(true)
 	}
 	for end := now + 25; now < end; {
@@ -161,10 +161,10 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-			n.cal.arm(now+1+n.cfg.CreditLatency, niCtrl)
+			n.cal.Arm(now+1+n.cfg.CreditLatency, niCtrl)
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				n.cal.arm(now+1+n.cfg.CreditLatency, niResv)
+				n.cal.Arm(now+1+n.cfg.CreditLatency, niResv)
 			}
 		}
 	}
@@ -211,7 +211,7 @@ func TestSinkExpectAndVerify(t *testing.T) {
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 1}
 	s.Expect(0, 5, p, 0, 0)
-	s.dataIn.Send(4, noc.DataFlit{Packet: p, Seq: 0})
+	s.send(4, noc.DataFlit{Packet: p, Seq: 0})
 	delivered := false
 	s.hooks = &noc.Hooks{PacketDelivered: func(q *noc.Packet, now sim.Cycle) {
 		delivered = q == p && now == 5
@@ -233,7 +233,7 @@ func TestSinkPanicsOnReassemblyMismatch(t *testing.T) {
 	p := &noc.Packet{ID: 9, Len: 2}
 	q := &noc.Packet{ID: 8, Len: 2}
 	s.Expect(0, 5, p, 0, 0)
-	s.dataIn.Send(4, noc.DataFlit{Packet: q, Seq: 0})
+	s.send(4, noc.DataFlit{Packet: q, Seq: 0})
 	s.Tick(5)
 }
 
@@ -245,7 +245,7 @@ func TestSinkPanicsOnUnscheduledFlit(t *testing.T) {
 	}()
 	s := newSink(0, 33, &noc.Hooks{})
 	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
-	s.dataIn.Send(4, noc.DataFlit{Packet: &noc.Packet{ID: 1, Len: 1}})
+	s.send(4, noc.DataFlit{Packet: &noc.Packet{ID: 1, Len: 1}})
 	s.Tick(5)
 }
 

@@ -59,24 +59,24 @@ func (n *Network) applyFaults(now sim.Cycle) {
 // matters.
 func (n *Network) resync(now sim.Cycle) {
 	for id := range n.routers {
-		n.routers[id].rearm(now, &n.nis[id])
+		n.routers[id].rearm(now, &n.nis[id], &n.sinks[id])
 		n.routers[id].dormant = false
 		n.nis[id].dormant = false
 	}
 }
 
 // rearm rebuilds the node's calendar at the top of cycle now, before anything
-// ticks: a bit at its head's delivery cycle for every wire into the router or
-// its interface that carries something, and one on its cycle for everything
-// its inputs hold that falls due.
-func (r *Router) rearm(now sim.Cycle, ni *NI) {
+// ticks: a bit at its head's delivery cycle for every wire into the router,
+// its interface or its sink that carries something, and one on its cycle for
+// everything its inputs hold that falls due.
+func (r *Router) rearm(now sim.Cycle, ni *NI, s *Sink) {
 	clear(r.cal)
-	r.eachWire(ni, func(bit uint32, at sim.Cycle, carries bool) {
+	r.eachWire(ni, s, func(bit uint32, at sim.Cycle, carries bool) {
 		if carries {
-			r.cal.rearm(now, at, bit)
+			r.cal.Rearm(now, at, bit)
 		}
 	})
-	r.eachDue(r.cal.arm)
+	r.eachDue(r.cal.Arm)
 }
 
 // corruptLink retunes the undirected link a—b's bit-error rate: both

@@ -57,8 +57,8 @@ func TestResetClearsRecoveryState(t *testing.T) {
 		if s := net.sinks[id]; len(s.state) != 0 || s.expect.len() != 0 || !s.dataIn.Empty() {
 			t.Errorf("sink %d: state=%d expected=%d", id, len(s.state), s.expect.len())
 		}
-		if r := net.routers[id]; r.pendingWork() != 0 || r.cal.armed() != 0 || r.inFlight() != 0 || r.dormant {
-			t.Errorf("router %d: pending=%d armed=%d in flight=%d dormant=%v", id, r.pendingWork(), r.cal.armed(), r.inFlight(), r.dormant)
+		if r := net.routers[id]; r.pendingWork() != 0 || armed(r.cal) != 0 || r.inFlight() != 0 || r.dormant {
+			t.Errorf("router %d: pending=%d armed=%d in flight=%d dormant=%v", id, r.pendingWork(), armed(r.cal), r.inFlight(), r.dormant)
 		}
 	}
 	// The checker audits every calendar bit, credit and table from the first

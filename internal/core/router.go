@@ -141,7 +141,7 @@ type Router struct {
 	rng  sim.RNG
 
 	// cal is the node's due calendar (calendar.go), shared with its
-	// interface: the wires into each port that deliver at a cycle, the inputs
+	// interface and sink: the wires into each port that deliver at a cycle, the inputs
 	// with a pool flit departing and those with a reservation falling due.
 	// Senders arm a wire's bit beside each Send, the inputs arm their own, and
 	// Tick acts on the bits of its cycle alone. dormant records that the last
@@ -150,15 +150,15 @@ type Router struct {
 	// falls due a tick can change nothing, and Tick returns at its guard. The
 	// fault engine, which cuts wires and rewrites router state from outside,
 	// re-arms every calendar from the state it left and wakes (resync).
-	cal     calendar
+	cal     sim.Calendar
 	dormant bool
 	// peer[p] points at the calendar of whatever faces port p — the
 	// neighbour's, or for Local this node's own, read there by the
 	// interface — and face[p] is the data-wire bit, in it, of the port p's
 	// wires reach (the neighbour's opposite port, or Local); the wire of
 	// kind k is face[p] shifted by k ports. Ejected data is the exception:
-	// the sink polls its one wire.
-	peer [topology.NumPorts]*calendar
+	// it arms the sink's bit in cal.
+	peer [topology.NumPorts]*sim.Calendar
 	face [topology.NumPorts]uint32
 
 	ctrlIn  [topology.NumPorts]ctrlInput
@@ -221,7 +221,7 @@ type Router struct {
 // and control queues, every one at its full size — for reset to fill.
 func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Config) {
 	*r = Router{id: id, mesh: mesh, cfg: cfg,
-		cal:       carve(&a.cal, calendarCells(cfg.calendarReach())),
+		cal:       carve(&a.cal, sim.CalendarCells(cfg.calendarReach())),
 		cands:     carve(&a.cands, int(topology.NumPorts)*cfg.CtrlVCs)[:0],
 		committed: carve(&a.undo, cfg.LeadsPerCtrl)[:0],
 	}
@@ -319,8 +319,8 @@ func (r *Router) dataLatencyFor(p topology.Port) sim.Cycle {
 // those same uses change, so a late slide writes the cells an every-cycle
 // slide would have.
 func (r *Router) Tick(now sim.Cycle) {
-	cell := r.cal.cell(now)
-	due := *cell &^ niBits
+	cell := r.cal.Cell(now)
+	due := *cell &^ (niBits | sinkBit)
 	if due == 0 && r.dormant {
 		r.prof.RouterTick(int(r.id), 0, 0, 0, 0)
 		return
@@ -340,7 +340,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				cred++
 			}
 			if at, ok := creditIn.HeadAt(); ok {
-				r.cal.rearm(now, at, bit)
+				r.cal.Rearm(now, at, bit)
 			}
 		}
 		if bit := wireBit(ctrlCreditWire, p); due&bit != 0 {
@@ -352,7 +352,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				cred++
 			}
 			if at, ok := co.creditIn.HeadAt(); ok {
-				r.cal.rearm(now, at, bit)
+				r.cal.Rearm(now, at, bit)
 			}
 		}
 		if bit := wireBit(ctrlWire, p); due&bit != 0 {
@@ -362,7 +362,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				arb++
 			}
 			if at, ok := in.HeadAt(); ok {
-				r.cal.rearm(now, at, bit)
+				r.cal.Rearm(now, at, bit)
 			}
 		}
 	}
@@ -374,7 +374,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		arb += walked
 		// Scheduling can file a reservation, or condemn an arrival, for this
 		// very cycle.
-		due = *cell &^ niBits
+		due = *cell &^ (niBits | sinkBit)
 	}
 
 	for ins := due >> departShift & portMask; ins != 0; ins &= ins - 1 {
@@ -398,7 +398,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				r.arrive(now, p, &f)
 			}
 			if at, ok := in.dataIn.HeadAt(); ok {
-				r.cal.rearm(now, at, bit)
+				r.cal.Rearm(now, at, bit)
 			}
 		}
 		// Any reservation for this cycle still unclaimed means the flit was
@@ -414,7 +414,7 @@ func (r *Router) Tick(now sim.Cycle) {
 			})
 		}
 	}
-	*cell = 0
+	*cell &= sinkBit
 	r.prof.RouterTick(int(r.id), sched, arb, sw, cred)
 	r.dormant = r.queued == 0 && (r.cfg.ReclaimCycles == 0 || r.parkedInputs() == 0)
 }
@@ -539,8 +539,12 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 	}
 	w := r.dataOut[out]
 	w.Send(now, *f)
-	if out != topology.Local && !w.Severed() { // the sink polls its one wire instead
-		r.peer[out].arm(now+r.cfg.DataLinkLatency, r.face[out])
+	switch {
+	case w.Severed():
+	case out == topology.Local:
+		r.cal.Arm(now+r.cfg.LocalLatency, sinkBit)
+	default:
+		r.peer[out].Arm(now+r.cfg.DataLinkLatency, r.face[out])
 	}
 }
 
@@ -782,7 +786,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// this link.
 		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: int(qc.flit.VC)})
 		if !in.creditOut.Severed() {
-			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
+			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
 		}
 	}
 	ld.scheduled = true
@@ -839,7 +843,7 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	}
 	co.out.Send(now, nf)
 	if !co.out.Severed() {
-		r.peer[out].arm(now+r.cfg.CtrlLinkLatency, r.face[out]<<(uint(ctrlWire)*numPorts))
+		r.peer[out].Arm(now+r.cfg.CtrlLinkLatency, r.face[out]<<(uint(ctrlWire)*numPorts))
 	}
 	co.credits[vc.outVC]--
 	isTail := qc.flit.Type.IsTail()
@@ -883,7 +887,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topolo
 				freeFrom = ld.arrival
 			}
 			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: int(qc.flit.VC)})
-			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
+			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
@@ -946,7 +950,7 @@ func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
 		creditOut.Send(now, noc.VCCredit{VC: vcIdx})
 		if !creditOut.Severed() {
-			r.peer[inPort].arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
+			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
 		}
 	}
 }

@@ -20,7 +20,7 @@ func newOutResTable(horizon sim.Cycle, buffers, ctrlVCs int, infinite bool) *out
 
 func newInputPort(buffers int, horizon sim.Cycle, ledger *eagerLedger, faultTolerant bool) *inputPort {
 	p := new(inputPort)
-	cal := make(calendar, calendarCells(horizon+1))
+	cal := make(sim.Calendar, sim.CalendarCells(horizon+1))
 	p.init(&arena{}, topology.East, &cal, buffers, horizon, ledger, faultTolerant)
 	p.reset()
 	return p
@@ -36,7 +36,7 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *N
 	n := new(NI)
 	n.init(&arena{}, node, cfg, hooks)
 	n.rng, n.progress = *rng, new(int64)
-	n.cal = make(calendar, calendarCells(cfg.calendarReach())) // its router's, which is absent
+	n.cal = make(sim.Calendar, sim.CalendarCells(cfg.calendarReach())) // its router's, which is absent
 	n.reset()
 	return n
 }
@@ -44,7 +44,15 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *N
 func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
 	s := new(Sink)
 	s.init(&arena{}, node, span, make(map[noc.PacketID]sinkPkt), hooks)
+	s.cal = make(sim.Calendar, sim.CalendarCells(span))
 	return s
+}
+
+// send puts f on the sink's ejection wire, which must be one cycle long, at
+// cycle now, and arms its bit the way the router does.
+func (s *Sink) send(now sim.Cycle, f noc.DataFlit) {
+	s.dataIn.Send(now, f)
+	s.cal.Arm(now+1, sinkBit)
 }
 
 // arriveFn and departures are the callback forms the input port's two entry
@@ -71,7 +79,7 @@ func (t *outResTable) busyAt(c sim.Cycle) bool {
 }
 
 // armed counts the calendar's words with a bit set.
-func (c calendar) armed() int {
+func armed(c sim.Calendar) int {
 	n := 0
 	for _, w := range c {
 		if w != 0 {

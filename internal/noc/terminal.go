@@ -81,10 +81,9 @@ func (q *SourceQueue) Filter(keep func(*Packet) bool) {
 // and that Seq, on a flit that skips ahead or comes again.
 type Sink struct {
 	Data *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
-	// FlitsIn counts the flits in flight on Data: the sender counts each in
-	// as it sends and Tick counts it out, so a sink whose count is zero does
-	// not read the wire.
-	FlitsIn int32
+	// Cal is the node's due calendar: the sender arms SinkBit in it beside
+	// each flit it ejects, and Tick reads Data only on the cycles it is set.
+	Cal sim.Calendar
 
 	// What a fabric may leave nil: the probe the sink reports each ejected
 	// flit to, the self-profile it reports its ticks to, and the
@@ -105,17 +104,21 @@ type Sink struct {
 	delivered, escapes int64
 }
 
+// SinkBit is the ejection wire's bit in a node's due calendar, the top one: a
+// fabric that ejects through Sink gives its other wires the bits below.
+const SinkBit = 1 << 31
+
 // NewSink returns node's sink, reporting through hooks.
 func NewSink(node topology.NodeID, hooks *Hooks) *Sink {
 	return &Sink{Node: node, hooks: hooks}
 }
 
-// Reset forgets every partly ejected packet, the flits counted in flight and
-// the tallies; the wire, the probe and the ledger are the network's to reset
-// and detach.
+// Reset forgets every partly ejected packet and the tallies; the wire, the
+// calendar, the probe and the ledger are the network's to reset, clear and
+// detach.
 func (s *Sink) Reset() {
 	clear(s.next)
-	s.FlitsIn, s.delivered, s.escapes = 0, 0, 0
+	s.delivered, s.escapes = 0, 0
 }
 
 // AddCounts adds the sink's tallies to c.
@@ -124,36 +127,38 @@ func (s *Sink) AddCounts(c *Counts) {
 	c.CorruptEscapes += s.escapes
 }
 
-// Tick receives the flits that arrived this cycle.
+// Tick receives the flits that arrived this cycle, if its calendar says any
+// did.
 func (s *Sink) Tick(now sim.Cycle) {
 	received := 0
-	for s.FlitsIn > 0 {
-		f, ok := s.Data.Recv(now)
-		if !ok {
-			break
+	if cell := s.Cal.Cell(now); *cell&SinkBit != 0 {
+		*cell &^= SinkBit
+		for f, ok := s.Data.Recv(now); ok; f, ok = s.Data.Recv(now) {
+			received++
+			if f.Corrupted {
+				s.escapes++
+			}
+			s.hooks.Ejected(now)
+			s.Probe.Eject(now, int(s.Node), uint64(f.Packet.ID), int(f.Seq))
+			if s.Ledger != nil && f.Seq == 0 && f.Packet.Sampled {
+				s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
+			}
+			vc := int(f.VC)
+			if vc >= len(s.next) {
+				s.next = append(s.next, make([]int32, vc+1-len(s.next))...)
+			}
+			if f.Seq != s.next[vc] {
+				panic(fmt.Sprintf("noc: node %d ejection vc %d: %s where seq %d was due", s.Node, vc, f, s.next[vc]))
+			}
+			s.next[vc]++
+			if f.Seq == f.Packet.Len-1 {
+				s.next[vc] = 0
+				s.delivered++
+				s.hooks.Delivered(f.Packet, now)
+			}
 		}
-		s.FlitsIn--
-		received++
-		if f.Corrupted {
-			s.escapes++
-		}
-		s.hooks.Ejected(now)
-		s.Probe.Eject(now, int(s.Node), uint64(f.Packet.ID), int(f.Seq))
-		if s.Ledger != nil && f.Seq == 0 && f.Packet.Sampled {
-			s.Ledger.Eject(uint64(f.Packet.ID), 0, now)
-		}
-		vc := int(f.VC)
-		if vc >= len(s.next) {
-			s.next = append(s.next, make([]int32, vc+1-len(s.next))...)
-		}
-		if f.Seq != s.next[vc] {
-			panic(fmt.Sprintf("noc: node %d ejection vc %d: %s where seq %d was due", s.Node, vc, f, s.next[vc]))
-		}
-		s.next[vc]++
-		if f.Seq == f.Packet.Len-1 {
-			s.next[vc] = 0
-			s.delivered++
-			s.hooks.Delivered(f.Packet, now)
+		if at, ok := s.Data.HeadAt(); ok {
+			s.Cal.Rearm(now, at, SinkBit)
 		}
 	}
 	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)

@@ -76,6 +76,7 @@ func newSinkRig() *sinkRig {
 	g := &sinkRig{}
 	g.s = NewSink(6, &Hooks{PacketDelivered: func(p *Packet, _ sim.Cycle) { g.delivered = append(g.delivered, p.ID) }})
 	g.s.Data = sim.NewPipe[DataFlit](1, 1)
+	g.s.Cal = make(sim.Calendar, sim.CalendarCells(1))
 	return g
 }
 
@@ -83,7 +84,7 @@ func newSinkRig() *sinkRig {
 func (g *sinkRig) eject(f DataFlit, vc int) {
 	f.VC = int32(vc)
 	g.s.Data.Send(g.now, f)
-	g.s.FlitsIn++
+	g.s.Cal.Arm(g.now+1, SinkBit)
 	g.now++
 	g.s.Tick(g.now)
 }

@@ -25,6 +25,10 @@ type ni struct {
 
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
+	// cal is the node's due calendar, shared with its router: the interface
+	// arms the router's Local data wire in it and reads creditIn on the
+	// cycles niBit is set.
+	cal sim.Calendar
 }
 
 func newNI(cfg Config) *ni {
@@ -43,10 +47,16 @@ func (n *ni) reset() {
 }
 
 func (n *ni) Tick(now sim.Cycle) {
-	for _, ok := n.creditIn.Recv(now); ok; _, ok = n.creditIn.Recv(now) {
-		n.credits++
-		if n.credits > n.cfg.PacketBuffers {
-			panic("packetswitch: NI credit overflow")
+	if cell := n.cal.Cell(now); *cell&niBit != 0 {
+		*cell &^= niBit
+		for _, ok := n.creditIn.Recv(now); ok; _, ok = n.creditIn.Recv(now) {
+			n.credits++
+			if n.credits > n.cfg.PacketBuffers {
+				panic("packetswitch: NI credit overflow")
+			}
+		}
+		if at, ok := n.creditIn.HeadAt(); ok {
+			n.cal.Rearm(now, at, niBit)
 		}
 	}
 	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
@@ -63,6 +73,7 @@ func (n *ni) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
 		n.data.Send(now, n.current[n.next])
+		n.cal.Arm(now+n.cfg.LocalLatency, dataBit(topology.Local))
 		n.next++
 	}
 }
@@ -111,10 +122,15 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
+	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency))
+	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
+		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg)
 		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
+		n.routers[id].cal, n.nis[id].cal = cal, cal
+		n.sinks[id].Cal = cal
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -151,6 +167,9 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	}
 }
 
+// wire connects routers, interfaces and sinks with pipes, and points each
+// sender at the calendar of the node its wire reaches and the wire's bit in
+// it.
 func (n *Network) wire() {
 	cfg := n.cfg
 	for id := 0; id < n.mesh.N(); id++ {
@@ -167,19 +186,22 @@ func (n *Network) wire() {
 			// same cycle (toward different outputs), so the credit
 			// wire carries up to PacketBuffers credits per cycle.
 			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.PacketBuffers)
-			r.out[p].data = data
-			r.out[p].creditIn = credit
-			far.in[op].data = data
-			far.in[op].creditOut = credit
+			o, farIn := &r.out[p], &far.in[op]
+			o.data, o.dataCal, o.dataBit, o.latency = data, far.cal, dataBit(op), cfg.LinkLatency
+			o.creditIn = credit
+			farIn.data = data
+			farIn.creditOut, farIn.creditCal, farIn.creditBit = credit, r.cal, creditBit(p)
 		}
 		inj := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		injCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.PacketBuffers)
 		n.nis[id].data = inj
 		n.nis[id].creditIn = injCredit
-		r.in[topology.Local].data = inj
-		r.in[topology.Local].creditOut = injCredit
+		local := &r.in[topology.Local]
+		local.data = inj
+		local.creditOut, local.creditCal, local.creditBit = injCredit, r.cal, niBit
 		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data, r.out[topology.Local].ejected = ej, &n.sinks[id].FlitsIn
+		o := &r.out[topology.Local]
+		o.data, o.dataCal, o.dataBit, o.latency = ej, r.cal, noc.SinkBit, cfg.LocalLatency
 		n.sinks[id].Data = ej
 	}
 }

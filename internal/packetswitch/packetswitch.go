@@ -14,6 +14,7 @@ package packetswitch
 
 import (
 	"fmt"
+	"math/bits"
 
 	"frfc/internal/noc"
 	"frfc/internal/routing"
@@ -113,14 +114,21 @@ type packetSlot struct {
 	granted  bool      // owns its output channel until the tail is sent
 }
 
+// inputState is one input port. creditCal is the calendar of the node its
+// credits go back to, in which each credit sent arms creditBit.
 type inputState struct {
 	exists    bool
 	slots     []packetSlot
 	assembly  int // slot currently receiving flits, -1 if none
 	data      *sim.Pipe[noc.DataFlit]
 	creditOut *sim.Pipe[noc.VCCredit]
+	creditCal sim.Calendar
+	creditBit uint32
 }
 
+// outputState is one output port. dataCal is the calendar of the node its
+// data reaches — the neighbour's, or for Local this node's own, where the
+// sink reads it — in which each flit sent arms dataBit, latency cycles on.
 type outputState struct {
 	exists   bool
 	infinite bool
@@ -128,10 +136,26 @@ type outputState struct {
 	busyWith int // index of the (input*slots+slot) currently holding the channel, -1 if free
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
-	// ejected is the sink's count of flits in flight on data; nil on the
-	// outputs that lead to another router.
-	ejected *int32
+	dataCal  sim.Calendar
+	dataBit  uint32
+	latency  sim.Cycle
 }
+
+// A node's router, interface and sink share one due calendar (sim.Calendar):
+// bit p is the data wire into input p, bit numPorts+p the credit wire into
+// output p — for Local the interface's credit wire (niBit), as the ejection
+// output takes no credits — and noc.SinkBit the ejection wire.
+const (
+	numPorts   = uint(topology.NumPorts)
+	portMask   = 1<<numPorts - 1
+	niBit      = 1 << (numPorts + uint(topology.Local))
+	routerBits = niBit - 1
+)
+
+// dataBit is the bit of the data wire into input p, creditBit that of the
+// credit wire into output p.
+func dataBit(p topology.Port) uint32   { return 1 << uint(p) }
+func creditBit(p topology.Port) uint32 { return 1 << (numPorts + uint(p)) }
 
 // Router is one store-and-forward or cut-through router.
 type Router struct {
@@ -142,6 +166,9 @@ type Router struct {
 
 	in  [topology.NumPorts]inputState
 	out [topology.NumPorts]outputState
+	// cal is the node's due calendar: Tick reads only the wires whose bits
+	// (routerBits) its cycle's word has.
+	cal sim.Calendar
 
 	// wf is the latency-stage ledger cached off the probe at attach time;
 	// nil when latency provenance is disabled. A buffered sampled head's
@@ -178,9 +205,10 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 
 // reset returns the router to its just-built state: every packet buffer
 // empty, nothing under assembly, every output channel free with all of the
-// downstream buffers credited. The random stream, the wires and the ledger
-// are the network's to restart, reset and detach.
+// downstream buffers credited, its node's calendar clear. The random stream,
+// the wires and the ledger are the network's to restart, reset and detach.
 func (r *Router) reset() {
+	clear(r.cal)
 	for p := range r.in {
 		in := &r.in[p]
 		if !in.exists {
@@ -197,35 +225,43 @@ func (r *Router) reset() {
 	}
 }
 
-// Tick advances the router one cycle.
+// Tick advances the router one cycle, reading the wires its calendar says
+// deliver.
 func (r *Router) Tick(now sim.Cycle) {
-	r.recvCredits(now)
-	r.recvFlits(now)
+	cell := r.cal.Cell(now)
+	if due := *cell & routerBits; due != 0 {
+		*cell &^= routerBits
+		r.recvCredits(now, due>>numPorts)
+		r.recvFlits(now, due&portMask)
+	}
 	r.allocate(now)
 	r.stream(now)
 }
 
-func (r *Router) recvCredits(now sim.Cycle) {
-	for p := range r.out {
+// recvCredits reads the credit wires into the outputs whose bits are set in
+// ports, lowest first.
+func (r *Router) recvCredits(now sim.Cycle, ports uint32) {
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		if !o.exists || o.creditIn == nil {
-			continue
-		}
 		for _, ok := o.creditIn.Recv(now); ok; _, ok = o.creditIn.Recv(now) {
 			o.credits++
 			if o.credits > r.cfg.PacketBuffers {
 				panic("packetswitch: packet credit overflow")
 			}
 		}
+		if at, ok := o.creditIn.HeadAt(); ok {
+			r.cal.Rearm(now, at, creditBit(p))
+		}
 	}
 }
 
-func (r *Router) recvFlits(now sim.Cycle) {
-	for p := range r.in {
+// recvFlits reads the data wires into the inputs whose bits are set in ports,
+// lowest first.
+func (r *Router) recvFlits(now sim.Cycle, ports uint32) {
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		if !in.exists || in.data == nil {
-			continue
-		}
 		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
@@ -239,7 +275,7 @@ func (r *Router) recvFlits(now sim.Cycle) {
 					}
 				}
 				if slot == -1 {
-					panic(fmt.Sprintf("packetswitch: node %d in %s: head with no free packet buffer", r.id, topology.Port(p)))
+					panic(fmt.Sprintf("packetswitch: node %d in %s: head with no free packet buffer", r.id, p))
 				}
 				if int(f.Packet.Len) > r.cfg.MaxPacketLen {
 					panic(fmt.Sprintf("packetswitch: packet of %d flits exceeds buffer capacity %d", f.Packet.Len, r.cfg.MaxPacketLen))
@@ -258,6 +294,9 @@ func (r *Router) recvFlits(now sim.Cycle) {
 			if f.Type.IsTail() {
 				in.assembly = -1
 			}
+		}
+		if at, ok := in.data.HeadAt(); ok {
+			r.cal.Rearm(now, at, dataBit(p))
 		}
 	}
 }
@@ -373,9 +412,7 @@ func (r *Router) stream(now sim.Cycle) {
 			r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 		}
 		o.data.Send(now, f)
-		if o.ejected != nil {
-			*o.ejected++
-		}
+		o.dataCal.Arm(now+o.latency, o.dataBit)
 		sl.sent++
 		if sl.sent == sl.total {
 			// Whole packet forwarded: free the buffer and channel,
@@ -383,6 +420,7 @@ func (r *Router) stream(now sim.Cycle) {
 			o.busyWith = -1
 			if in.creditOut != nil {
 				in.creditOut.Send(now, noc.VCCredit{})
+				in.creditCal.Arm(now+r.cfg.CreditLatency, in.creditBit)
 			}
 			*sl = packetSlot{flits: sl.flits[:0]}
 		}

@@ -11,14 +11,15 @@ import (
 
 // audit recomputes everything the data path maintains incrementally instead
 // of scanning — the occupancy and allocation words from the channels they
-// summarise, every in-flight count from the Len of the pipe it shadows, the
-// interfaces' active-slot counts from their slots — and reports the first
-// difference. It stands in for a Config.Check the package does not have yet.
-func (n *Network) audit() error {
+// summarise, the interfaces' active-slot counts from their slots — and holds
+// every node's calendar to the wires it names (sim.Calendar.Audit) at the end
+// of cycle now, reporting the first difference. It stands in for a
+// Config.Check the package does not have yet.
+func (n *Network) audit(now sim.Cycle) error {
 	for id, r := range n.routers {
 		occ, alloc := make([]uint64, len(r.occ)), make([]uint64, len(r.alloc))
 		for p := range r.in {
-			in, o := &r.in[p], &r.out[p]
+			in := &r.in[p]
 			buffered := 0
 			for v := range in.vcs {
 				vc := &in.vcs[v]
@@ -37,41 +38,51 @@ func (n *Network) audit() error {
 			if buffered != in.poolUsed {
 				return fmt.Errorf("router %d in %s: channels hold %d flits, poolUsed says %d", id, topology.Port(p), buffered, in.poolUsed)
 			}
-			flits, credits := 0, 0
-			if in.data != nil {
-				flits = in.data.Len()
-			}
-			if o.creditIn != nil {
-				credits = o.creditIn.Len()
-			}
-			if int(r.flitsIn[p]) != flits || int(r.creditsIn[p]) != credits {
-				return fmt.Errorf("router %d port %s: counts say %d flits and %d credits in flight, the wires hold %d and %d",
-					id, topology.Port(p), r.flitsIn[p], r.creditsIn[p], flits, credits)
-			}
 		}
 		for w := range occ {
 			if occ[w] != r.occ[w] || alloc[w] != r.alloc[w] {
 				return fmt.Errorf("router %d word %d: occ %b alloc %b, the channels say %b and %b", id, w, r.occ[w], r.alloc[w], occ[w], alloc[w])
 			}
 		}
-		ni, sink := n.nis[id], n.sinks[id]
+		ni := n.nis[id]
 		active := 0
 		for s := range ni.slots {
 			if ni.slots[s].active {
 				active++
 			}
 		}
-		if ni.active != active || int(ni.creditsIn) != ni.creditIn.Len() {
-			return fmt.Errorf("NI %d: active %d creditsIn %d, slots say %d and the wire holds %d", id, ni.active, ni.creditsIn, active, ni.creditIn.Len())
+		if ni.active != active {
+			return fmt.Errorf("NI %d: active %d, slots say %d", id, ni.active, active)
 		}
-		if int(sink.FlitsIn) != sink.Data.Len() {
-			return fmt.Errorf("sink %d: FlitsIn %d, the wire holds %d", id, sink.FlitsIn, sink.Data.Len())
+		if err := r.cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { n.eachWire(id, wire) }); err != nil {
+			return fmt.Errorf("node %d: %v", id, err)
 		}
 	}
 	return nil
 }
 
-// TestAuditWalk checks the masks and counts after every cycle of a loaded
+// eachWire calls wire with the bit, and the head's delivery cycle, of every
+// wire into node id's router, interface and sink; carries is false for an
+// empty wire.
+func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries bool)) {
+	r := n.routers[id]
+	for p := topology.Port(0); p < topology.NumPorts; p++ {
+		if w := r.in[p].data; w != nil {
+			at, ok := w.HeadAt()
+			wire(dataBit(p), at, ok)
+		}
+		if w := r.out[p].creditIn; w != nil {
+			at, ok := w.HeadAt()
+			wire(creditBit(p), at, ok)
+		}
+	}
+	at, ok := n.nis[id].creditIn.HeadAt()
+	wire(niBit, at, ok)
+	at, ok = n.sinks[id].Data.HeadAt()
+	wire(noc.SinkBit, at, ok)
+}
+
+// TestAuditWalk checks the masks and calendars after every cycle of a loaded
 // run, through warm-up, saturation-level bursts and the drain, for each way
 // the package is used: VC8, pooled channels with interleaved sources,
 // wormhole (one deep channel), and more channels than one mask word holds —
@@ -102,7 +113,7 @@ func TestAuditWalk(t *testing.T) {
 				for now = 0; now < 2500; now++ {
 					offered += src.offer(net, now)
 					net.Tick(now)
-					if err := net.audit(); err != nil {
+					if err := net.audit(now); err != nil {
 						t.Fatalf("cycle %d (reused %v): %v", now, reused, err)
 					}
 				}
@@ -110,7 +121,7 @@ func TestAuditWalk(t *testing.T) {
 					break
 				}
 				net.Reset(4, nil)
-				if err := net.audit(); err != nil {
+				if err := net.audit(now); err != nil {
 					t.Fatalf("after Reset: %v", err)
 				}
 				if net.InFlightPackets() != 0 || net.SourceQueueLen() != 0 || net.DumpState() != "" {
@@ -122,7 +133,7 @@ func TestAuditWalk(t *testing.T) {
 					t.Fatalf("%d of %d packets still in flight 20000 cycles after the sources stopped:\n%s", net.InFlightPackets(), offered, net.DumpState())
 				}
 				net.Tick(now)
-				if err := net.audit(); err != nil {
+				if err := net.audit(now); err != nil {
 					t.Fatalf("cycle %d (draining): %v", now, err)
 				}
 			}

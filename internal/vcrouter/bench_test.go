@@ -74,7 +74,7 @@ func warmedMesh(radix int, cfg Config, rate float64) (*Network, *uniformSource, 
 }
 
 // BenchmarkVCRouterTickIdle ticks the routers of an empty 8×8 network: every
-// wire count and occupancy word reads zero and the switch permutation is
+// calendar word and occupancy word reads zero and the switch permutation is
 // skipped over, the floor under a router's cycle.
 func BenchmarkVCRouterTickIdle(b *testing.B) {
 	mesh := topology.NewMesh(8)

@@ -49,10 +49,15 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
 	n.sinks = make([]*noc.Sink, mesh.N())
+	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency))
+	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
+		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG))
 		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, new(sim.RNG))
 		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
+		n.routers[id].cal, n.nis[id].cal = cal, cal
+		n.sinks[id].Cal = cal
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -122,7 +127,8 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 
 // wire connects routers, NIs and sinks with delay-line pipes: data links of
 // LinkLatency, credit wires of CreditLatency, and injection/ejection links of
-// LocalLatency.
+// LocalLatency. Each sender is pointed at the calendar of the node its wire
+// reaches and the wire's bit in it.
 func (n *Network) wire() {
 	cfg := n.cfg
 	for id := 0; id < n.mesh.N(); id++ {
@@ -139,24 +145,24 @@ func (n *Network) wire() {
 				data.WithBitErrors(cfg.BER, n.linkRNG, corruptFlit)
 			}
 			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
-			far := n.routers[nb]
-			farIn := &far.in[p.Opposite()]
-			r.out[p].data, r.out[p].dataPeer = data, &far.flitsIn[p.Opposite()]
-			r.out[p].creditIn = credit
+			far, op := n.routers[nb], p.Opposite()
+			o, farIn := &r.out[p], &far.in[op]
+			o.data, o.dataCal, o.dataBit, o.latency = data, far.cal, dataBit(op), cfg.LinkLatency
+			o.creditIn = credit
 			farIn.data = data
-			farIn.creditOut, farIn.creditPeer = credit, &r.creditsIn[p]
+			farIn.creditOut, farIn.creditCal, farIn.creditBit = credit, r.cal, creditBit(p)
 		}
 		// Injection: NI -> router Local input.
 		inj := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		injCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
 		ni, local := n.nis[id], &r.in[topology.Local]
-		ni.data, ni.dataPeer = inj, &r.flitsIn[topology.Local]
-		ni.creditIn = injCredit
+		ni.data, ni.creditIn = inj, injCredit
 		local.data = inj
-		local.creditOut, local.creditPeer = injCredit, &ni.creditsIn
+		local.creditOut, local.creditCal, local.creditBit = injCredit, r.cal, niBit
 		// Ejection: router Local output -> sink.
 		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &n.sinks[id].FlitsIn
+		o := &r.out[topology.Local]
+		o.data, o.dataCal, o.dataBit, o.latency = ej, r.cal, noc.SinkBit, cfg.LocalLatency
 		n.sinks[id].Data = ej
 	}
 }

@@ -35,10 +35,12 @@ type ni struct {
 	occ     []int // pooled buffers held per VC (SharedPool mode)
 	owned   []bool
 
-	data      *sim.Pipe[noc.DataFlit] // to the router's Local input
-	dataPeer  *int32                  // the router's count of flits in flight on it
-	creditIn  *sim.Pipe[noc.VCCredit] // credits back from the router
-	creditsIn int32                   // credits in flight on it, posted by the router
+	data     *sim.Pipe[noc.DataFlit] // to the router's Local input
+	creditIn *sim.Pipe[noc.VCCredit] // credits back from the router
+	// cal is the node's due calendar, shared with its router: the interface
+	// arms the router's Local data wire in it and reads creditIn on the
+	// cycles niBit is set.
+	cal sim.Calendar
 
 	ready []int // scratch
 }
@@ -66,8 +68,8 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG) *ni {
 
 // reset returns the interface to its just-built state: nothing queued or
 // mid-injection, every buffer of the router's Local input credited and
-// unowned, no credit in flight. The source queue and the slots' scratch keep
-// their room; the random stream, the wires and the probe are the network's.
+// unowned. The source queue and the slots' scratch keep their room; the random
+// stream, the wires, the calendar and the probe are the network's.
 func (n *ni) reset() {
 	n.queue.Reset()
 	for s := range n.slots {
@@ -78,7 +80,6 @@ func (n *ni) reset() {
 	}
 	n.active = 0
 	n.pool = n.cfg.BuffersPerInput()
-	n.creditsIn = 0
 }
 
 func (n *ni) hasCredit(vc int) bool {
@@ -99,7 +100,9 @@ func (n *ni) hasCredit(vc int) bool {
 // Tick absorbs returned credits, starts queued packets on free virtual
 // channels, and injects at most one flit (the injection channel's bandwidth).
 func (n *ni) Tick(now sim.Cycle) {
-	if n.creditsIn == 0 && n.active == 0 && n.queue.Len() == 0 {
+	cell := n.cal.Cell(now)
+	due := *cell & niBit
+	if due == 0 && n.active == 0 && n.queue.Len() == 0 {
 		// No credit to absorb, no packet to start, no flit to inject.
 		n.prof.ComponentTick(profile.CompNI, int(n.node), false)
 		return
@@ -107,26 +110,27 @@ func (n *ni) Tick(now sim.Cycle) {
 	// Self-profiling work counter: credits absorbed, packets started,
 	// flits injected.
 	work := 0
-	for n.creditsIn > 0 {
-		c, ok := n.creditIn.Recv(now)
-		if !ok {
-			break
-		}
-		n.creditsIn--
-		work++
-		// The same checks a router makes on its outputs: a credit the
-		// interface never spent is a leak in the model.
-		if n.cfg.SharedPool {
-			n.pool++
-			n.occ[c.VC]--
-			if n.pool > n.cfg.BuffersPerInput() || n.occ[c.VC] < 0 {
-				panic(fmt.Sprintf("vcrouter: node %d ni pooled credit overflow", n.node))
+	if due != 0 {
+		*cell &^= niBit
+		for c, ok := n.creditIn.Recv(now); ok; c, ok = n.creditIn.Recv(now) {
+			work++
+			// The same checks a router makes on its outputs: a credit the
+			// interface never spent is a leak in the model.
+			if n.cfg.SharedPool {
+				n.pool++
+				n.occ[c.VC]--
+				if n.pool > n.cfg.BuffersPerInput() || n.occ[c.VC] < 0 {
+					panic(fmt.Sprintf("vcrouter: node %d ni pooled credit overflow", n.node))
+				}
+				continue
 			}
-			continue
+			n.credits[c.VC]++
+			if n.credits[c.VC] > n.cfg.BufPerVC {
+				panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
+			}
 		}
-		n.credits[c.VC]++
-		if n.credits[c.VC] > n.cfg.BufPerVC {
-			panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
+		if at, ok := n.creditIn.HeadAt(); ok {
+			n.cal.Rearm(now, at, niBit)
 		}
 	}
 
@@ -184,7 +188,8 @@ func (n *ni) Tick(now sim.Cycle) {
 		if n.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
-		post(n.data, n.dataPeer, now, f)
+		n.data.Send(now, f)
+		n.cal.Arm(now+n.cfg.LocalLatency, dataBit(topology.Local))
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false

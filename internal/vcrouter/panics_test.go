@@ -35,7 +35,7 @@ func wantPanic(t *testing.T, want string, f func()) {
 
 // TestModelLeaksPanic: every way the credit protocol can be broken from
 // outside a router or an interface still stops the run where it is noticed,
-// with the message that names the port — through the counted rig, so a
+// with the message that names the port — through the calendar-armed rig, so a
 // router that stopped reading a wire would fail here rather than pass.
 func TestModelLeaksPanic(t *testing.T) {
 	// stalled is the rig with the East output unable to send: whatever is
@@ -130,7 +130,8 @@ func TestNIRejectsCreditItNeverSpent(t *testing.T) {
 			if prepare != nil {
 				prepare(x)
 			}
-			post(x.creditIn, &x.creditsIn, 0, noc.VCCredit{VC: vc})
+			x.creditIn.Send(0, noc.VCCredit{VC: vc})
+			x.cal.Arm(cfg.withDefaults().CreditLatency, niBit)
 			net.Tick(0)
 			net.Tick(1) // credit wires take one cycle
 		}

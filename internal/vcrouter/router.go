@@ -38,14 +38,16 @@ type vcState struct {
 
 // inputState is one input port: NumVCs virtual channels (its stretch of
 // Router.chans) plus the wires to the upstream node (incoming flits, outgoing
-// credits).
+// credits). creditCal is the upstream node's calendar, in which each credit
+// sent arms creditBit.
 type inputState struct {
-	exists     bool
-	vcs        []vcState
-	poolUsed   int // total buffered flits (enforced in SharedPool mode)
-	data       *sim.Pipe[noc.DataFlit]
-	creditOut  *sim.Pipe[noc.VCCredit]
-	creditPeer *int32 // the upstream node's count of credits in flight to it
+	exists    bool
+	vcs       []vcState
+	poolUsed  int // total buffered flits (enforced in SharedPool mode)
+	data      *sim.Pipe[noc.DataFlit]
+	creditOut *sim.Pipe[noc.VCCredit]
+	creditCal sim.Calendar
+	creditBit uint32
 }
 
 // outputState is one output port: per-downstream-VC credit counters and
@@ -63,8 +65,13 @@ type outputState struct {
 	occ      []int
 	owned    []bool
 	data     *sim.Pipe[noc.DataFlit]
-	dataPeer *int32 // the downstream node's count of flits in flight to it
 	creditIn *sim.Pipe[noc.VCCredit]
+	// dataCal is the calendar of the node data reaches — the neighbour's, or
+	// for Local this node's own, where the sink reads it — in which each flit
+	// sent arms dataBit, latency cycles on.
+	dataCal sim.Calendar
+	dataBit uint32
+	latency sim.Cycle
 }
 
 // Router is one virtual-channel router. It is assembled and ticked by
@@ -99,11 +106,11 @@ type Router struct {
 	// connected this cycle.
 	portBits, cand, granted []uint64
 
-	// flitsIn[p] counts the flits in flight on the data wire into input p,
-	// creditsIn[p] the credits in flight on the credit wire into output p.
-	// Whoever sends counts the item in (post) and Tick counts it out, so a
-	// wire whose cell is zero is not read.
-	flitsIn, creditsIn [topology.NumPorts]int32
+	// cal is the node's due calendar, shared with its interface and sink:
+	// the bits of the data wire into each input and the credit wire into each
+	// neighbour output (routerBits). Senders arm a wire's bit beside each
+	// Send, and Tick reads only the wires whose bits its cycle's word has.
+	cal sim.Calendar
 
 	// crcRepaired counts the corrupted flits the hop CRC caught (crcDetect).
 	crcRepaired int64
@@ -142,12 +149,21 @@ func (r *Router) chanPort(c int) (topology.Port, int) {
 	return p, c - int(p)*r.cfg.NumVCs
 }
 
-// post puts an item on a wire and counts it into the receiver's in-flight
-// cell; every send in the package goes through it.
-func post[T any](wire *sim.Pipe[T], inFlight *int32, now sim.Cycle, item T) {
-	wire.Send(now, item)
-	*inFlight++
-}
+// A node's router, interface and sink share one due calendar (sim.Calendar):
+// bit p is the data wire into input p, bit numPorts+p the credit wire into
+// output p — for Local the interface's credit wire (niBit), as the ejection
+// output takes no credits — and noc.SinkBit the ejection wire.
+const (
+	numPorts   = uint(topology.NumPorts)
+	portMask   = 1<<numPorts - 1
+	niBit      = 1 << (numPorts + uint(topology.Local))
+	routerBits = niBit - 1
+)
+
+// dataBit is the bit of the data wire into input p, creditBit that of the
+// credit wire into output p.
+func dataBit(p topology.Port) uint32   { return 1 << uint(p) }
+func creditBit(p topology.Port) uint32 { return 1 << (numPorts + uint(p)) }
 
 func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG) *Router {
 	nv, ports := cfg.NumVCs, int(topology.NumPorts)
@@ -180,14 +196,14 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG
 
 // reset returns the router to its just-built state: every channel empty,
 // unrouted and unallocated, every downstream buffer credited and unowned,
-// nothing in flight toward it. The channel rings keep the depth they were
-// made at; the random stream, the wires and the probe are the network's to
-// restart, reset and detach.
+// nothing in flight toward it and its node's calendar clear. The channel
+// rings keep the depth they were made at; the random stream, the wires and
+// the probe are the network's to restart, reset and detach.
 func (r *Router) reset() {
+	clear(r.cal)
 	clear(r.occ)
 	clear(r.alloc)
 	clear(r.cand)
-	r.flitsIn, r.creditsIn = [topology.NumPorts]int32{}, [topology.NumPorts]int32{}
 	r.crcRepaired = 0
 	for c := range r.chans {
 		ch := &r.chans[c]
@@ -210,59 +226,58 @@ func (r *Router) reset() {
 // Tick advances the router one cycle: absorb credits and flits, route and
 // allocate virtual channels, then perform switch allocation and traversal.
 // Each stage reports its work count so the self-profiler can tell ticks that
-// moved something from ticks that woke for nothing.
+// moved something from ticks that woke for nothing. Only the receive stages
+// act on the calendar: the allocators run every cycle and make every draw
+// they would make polling, so the random stream does not depend on it.
 func (r *Router) Tick(now sim.Cycle) {
-	work := r.recvCredits(now)
-	work += r.recvFlits(now)
+	work := 0
+	cell := r.cal.Cell(now)
+	if due := *cell & routerBits; due != 0 {
+		*cell &^= routerBits
+		work = r.recvCredits(now, due>>numPorts) + r.recvFlits(now, due&portMask)
+	}
 	work += r.allocateVCs(now)
 	work += r.switchAllocate(now)
 	r.prof.ComponentTick(profile.CompRouter, int(r.id), work > 0)
 }
 
-func (r *Router) recvCredits(now sim.Cycle) int {
+// recvCredits reads the credit wires into the outputs whose bits are set in
+// ports, lowest first.
+func (r *Router) recvCredits(now sim.Cycle, ports uint32) int {
 	received := 0
-	for p := range r.creditsIn {
-		if r.creditsIn[p] == 0 {
-			continue
-		}
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		for {
-			c, ok := o.creditIn.Recv(now)
-			if !ok {
-				break
-			}
-			r.creditsIn[p]--
+		for c, ok := o.creditIn.Recv(now); ok; c, ok = o.creditIn.Recv(now) {
 			received++
 			if r.cfg.SharedPool {
 				o.pool++
 				o.occ[c.VC]--
 				if o.pool > r.cfg.BuffersPerInput() || o.occ[c.VC] < 0 {
-					panic(fmt.Sprintf("vcrouter: node %d out %s pooled credit overflow", r.id, topology.Port(p)))
+					panic(fmt.Sprintf("vcrouter: node %d out %s pooled credit overflow", r.id, p))
 				}
 				continue
 			}
 			o.credits[c.VC]++
 			if o.credits[c.VC] > r.cfg.BufPerVC {
-				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, topology.Port(p), c.VC))
+				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, p, c.VC))
 			}
+		}
+		if at, ok := o.creditIn.HeadAt(); ok {
+			r.cal.Rearm(now, at, creditBit(p))
 		}
 	}
 	return received
 }
 
-func (r *Router) recvFlits(now sim.Cycle) int {
+// recvFlits reads the data wires into the inputs whose bits are set in ports,
+// lowest first.
+func (r *Router) recvFlits(now sim.Cycle, ports uint32) int {
 	received := 0
-	for p := range r.flitsIn {
-		if r.flitsIn[p] == 0 {
-			continue
-		}
+	for ; ports != 0; ports &= ports - 1 {
+		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		for {
-			f, ok := in.data.Recv(now)
-			if !ok {
-				break
-			}
-			r.flitsIn[p]--
+		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
 			received++
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
@@ -281,10 +296,10 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 			vc := &in.vcs[f.VC]
 			if r.cfg.SharedPool {
 				if in.poolUsed >= r.cfg.BuffersPerInput() {
-					panic(fmt.Sprintf("vcrouter: node %d in %s pooled buffer overflow", r.id, topology.Port(p)))
+					panic(fmt.Sprintf("vcrouter: node %d in %s pooled buffer overflow", r.id, p))
 				}
 			} else if int(vc.n) >= r.cfg.BufPerVC {
-				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d buffer overflow", r.id, topology.Port(p), f.VC))
+				panic(fmt.Sprintf("vcrouter: node %d in %s vc %d buffer overflow", r.id, p, f.VC))
 			}
 			if vc.q == nil {
 				// A pooled channel may come to hold the whole pool.
@@ -301,8 +316,11 @@ func (r *Router) recvFlits(now sim.Cycle) int {
 			vc.q[tail] = queuedFlit{flit: f, arrivedAt: now}
 			vc.n++
 			in.poolUsed++
-			w, bit := chanBit(p*r.cfg.NumVCs + int(f.VC))
+			w, bit := chanBit(int(p)*r.cfg.NumVCs + int(f.VC))
 			r.occ[w] |= bit
+		}
+		if at, ok := in.data.HeadAt(); ok {
+			r.cal.Rearm(now, at, dataBit(p))
 		}
 	}
 	return received
@@ -547,7 +565,8 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 	in.poolUsed--
 
 	if in.creditOut != nil {
-		post(in.creditOut, in.creditPeer, now, noc.VCCredit{VC: v})
+		in.creditOut.Send(now, noc.VCCredit{VC: v})
+		in.creditCal.Arm(now+r.cfg.CreditLatency, in.creditBit)
 	}
 
 	f.VC = int32(vc.outVC)
@@ -555,7 +574,8 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 	if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 	}
-	post(o.data, o.dataPeer, now, f)
+	o.data.Send(now, f)
+	o.dataCal.Arm(now+o.latency, o.dataBit)
 	if !o.infinite {
 		if r.cfg.SharedPool {
 			o.pool--

@@ -10,35 +10,39 @@ import (
 
 // testRouter builds node 0 of a 2x2 mesh with test-owned pipes on its East
 // input, East output and ejection port: the test plays the neighbor and the
-// sink. What the router sends is counted into cells nobody reads; what the
-// test sends must go through feedFlit and feedCredit, which post it the way a
-// wired sender does — a router does not read a wire its count says is empty.
+// sink. What the router sends arms bits in a calendar nobody reads; what the
+// test sends must go through feedFlit and feedCredit, which arm the router's
+// calendar the way a wired sender does — a router does not read a wire whose
+// bit is not set.
 func testRouter(cfg Config) (r *Router, inCredit *sim.Pipe[noc.VCCredit], ej *sim.Pipe[noc.DataFlit]) {
 	cfg = cfg.withDefaults()
 	mesh := topology.NewMesh(2)
 	r = newRouter(0, mesh, &cfg, sim.NewRNG(1))
-	var sent [3]int32
+	r.cal = make(sim.Calendar, sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency)))
+	elsewhere := make(sim.Calendar, len(r.cal))
 	// Feed the East input (from node 1 westward — we play the neighbor).
 	inCredit = sim.NewPipe[noc.VCCredit](1, 4)
 	r.in[topology.East].data = sim.NewPipe[noc.DataFlit](1, 1)
-	r.in[topology.East].creditOut, r.in[topology.East].creditPeer = inCredit, &sent[0]
+	r.in[topology.East].creditOut, r.in[topology.East].creditCal = inCredit, elsewhere
 	// Capture the East output.
-	r.out[topology.East].data, r.out[topology.East].dataPeer = sim.NewPipe[noc.DataFlit](1, 1), &sent[1]
+	r.out[topology.East].data, r.out[topology.East].dataCal = sim.NewPipe[noc.DataFlit](1, 1), elsewhere
 	r.out[topology.East].creditIn = sim.NewPipe[noc.VCCredit](1, 4)
 	// Local ejection path.
 	ej = sim.NewPipe[noc.DataFlit](1, 1)
-	r.out[topology.Local].data, r.out[topology.Local].dataPeer = ej, &sent[2]
+	r.out[topology.Local].data, r.out[topology.Local].dataCal = ej, elsewhere
 	return r, inCredit, ej
 }
 
 // feedFlit sends f into the rig's East input at cycle now.
 func feedFlit(r *Router, now sim.Cycle, f noc.DataFlit) {
-	post(r.in[topology.East].data, &r.flitsIn[topology.East], now, f)
+	r.in[topology.East].data.Send(now, f)
+	r.cal.Arm(now+1, dataBit(topology.East))
 }
 
 // feedCredit returns one credit for vc to the rig's East output at cycle now.
 func feedCredit(r *Router, now sim.Cycle, vc int) {
-	post(r.out[topology.East].creditIn, &r.creditsIn[topology.East], now, noc.VCCredit{VC: vc})
+	r.out[topology.East].creditIn.Send(now, noc.VCCredit{VC: vc})
+	r.cal.Arm(now+1, creditBit(topology.East))
 }
 
 func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {

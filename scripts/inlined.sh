@@ -6,15 +6,17 @@
 #   - The routers and interfaces of the flit-reservation, virtual-channel,
 #     packet-switched and circuit fabrics, the flit-reservation sink and the
 #     sink the others eject through receive with loops over sim.Pipe.Recv.
-#   - The flit-reservation router and interface arm their due calendar
-#     (internal/core/calendar.go) beside every send with calendar.arm, arm a
-#     wire again after reading it with calendar.rearm, and find when with
-#     sim.Pipe.HeadAt; the input ports arm departures and expiries with
-#     calendar.arm.
+#   - Every one of them acts on its node's due calendar (internal/sim
+#     calendar.go): it reads its word with sim.Calendar.Cell, a sender arms
+#     the receiver's bit beside every send with sim.Calendar.Arm, and a
+#     receiver finds when a wire's head falls due with sim.Pipe.HeadAt and
+#     arms the wire again with sim.Calendar.Rearm.
 #
 # Fail unless the compiler reports each helper inlined at every call of it —
 # as many times as the line makes the call — in the files that hold those
-# sites.
+# sites, or if one of the wake mechanisms the calendar replaced (the post
+# helper, the in-flight counts, the sinks' ejection pointers) is back in the
+# non-test code of those packages.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -43,10 +45,27 @@ check() {
     done
 }
 
-check '.Recv(now)' 'sim\.(\*Pipe\[.*\])\.Recv' internal/core/router.go internal/core/ni.go internal/vcrouter/router.go internal/vcrouter/ni.go internal/noc/terminal.go \
-    internal/packetswitch/packetswitch.go internal/packetswitch/network.go internal/circuit/circuit.go internal/circuit/network.go
-check '.arm(' 'calendar\.arm' internal/core/router.go internal/core/ni.go internal/core/inputport.go
-check '.rearm(' 'calendar\.rearm' internal/core/router.go internal/core/ni.go
-check '.HeadAt()' 'sim\.(\*Pipe\[.*\])\.HeadAt' internal/core/router.go internal/core/ni.go
-[ $status -eq 0 ] && echo "inlined.sh: Recv is inlined at every receive site of the four fabrics' routers and interfaces and of the sinks, and the calendar's arm, rearm and HeadAt at every site in internal/core"
+pkgs="internal/core internal/vcrouter internal/noc internal/packetswitch internal/circuit"
+
+# sites CALL: the non-test files of the packages that contain the text CALL.
+sites() {
+    for d in $pkgs; do
+        grep -lF "$1" "$d"/*.go | grep -v '_test\.go$' || true
+    done
+}
+
+check '.Recv(now)' 'sim\.(\*Pipe\[.*\])\.Recv' $(sites '.Recv(now)')
+check '.HeadAt()' 'sim\.(\*Pipe\[.*\])\.HeadAt' $(sites '.HeadAt()')
+check '.Cell(' 'sim\.Calendar\.Cell' $(sites '.Cell(')
+check '.Arm(' 'sim\.Calendar\.Arm' $(sites '.Arm(')
+check '.Rearm(' 'sim\.Calendar\.Rearm' $(sites '.Rearm(')
+
+gone=$(for d in $pkgs; do grep -nE '\bpost\(|FlitsIn|flitsIn|creditsIn|\.ejected\b|\bejected +\*' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+if [ -n "$gone" ]; then
+    echo "inlined.sh: a wake mechanism the due calendar replaced is back:" >&2
+    echo "$gone" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and no post, in-flight count or ejection pointer is left"
 exit $status
