@@ -210,6 +210,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	leadApplies := w == frfc.LeadingControl && (*custom && *fr || !*custom && *config == "FR6")
+	// A lead is reserved in the interface's injection table, which reaches
+	// one horizon ahead: -horizon's for -custom, FR6's otherwise.
+	maxLead := *horizon
+	if !*custom {
+		maxLead = int(frfc.FR6(w, shared.PktLen).FR.Horizon)
+	}
 	switch {
 	case opts.MetricsEpoch < 0:
 		return fail("-metrics-epoch must be >= 0 (got %d; 0 means the default epoch)", opts.MetricsEpoch)
@@ -231,6 +237,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-chaos-seed %d applies to -chaos runs only", shared.ChaosSeed)
 	case *lead != 1 && !leadApplies:
 		return fail("-lead %d applies to -config FR6 (or -custom -fr) under -wiring leading only", *lead)
+	case leadApplies && *lead > maxLead:
+		return fail("-lead must be at most the %d-cycle horizon (got %d)", maxLead, *lead)
 	case *buffers < 1 || *buffers > core.MaxDataBuffers:
 		return fail("-buffers must be in [1,%d] (got %d)", core.MaxDataBuffers, *buffers)
 	case *ctrlVCs < 1:

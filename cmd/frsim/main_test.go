@@ -303,6 +303,8 @@ func TestRejectsByName(t *testing.T) {
 		{"-retry", "-1"}, {"-retry", "3000000000"},
 		{"-lead", "3"}, {"-config", "VC8", "-wiring", "leading", "-lead", "3"},
 		{"-config", "FR6-lead2", "-wiring", "leading", "-lead", "3"}, {"-custom", "-fr=false", "-wiring", "leading", "-lead", "3"},
+		{"-wiring", "leading", "-lead", "33"}, {"-wiring", "leading", "-lead", "9223372036854775807"},
+		{"-custom", "-wiring", "leading", "-horizon", "8", "-lead", "9"},
 		{"-custom", "-buffers", "0"}, {"-custom", "-buffers", "-3"}, {"-custom", "-buffers", "127"},
 		{"-custom", "-ctrlvcs", "0"}, {"-custom", "-leads", "0"},
 		{"-custom", "-horizon", "0"}, {"-custom", "-horizon", "4"}, {"-custom", "-wiring", "leading", "-horizon", "1"},

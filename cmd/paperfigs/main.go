@@ -62,6 +62,9 @@ type figs struct {
 	pool   harness.Options
 }
 
+// satResolution is the load step every saturation search here stops at.
+const satResolution = 0.02
+
 // extras are the values of -extra, in the order -all prints them.
 var extras = []string{"occupancy", "ablations", "lineage", "waterfall", "activity"}
 
@@ -235,7 +238,6 @@ func (f figs) figure9() error {
 }
 
 func (f figs) table3() error {
-	o := experiment.SaturationOptions{Resolution: 0.02}
 	groups := []struct {
 		title string
 		specs []experiment.Spec
@@ -250,7 +252,7 @@ func (f figs) table3() error {
 		for i, s := range g.specs {
 			specs[i] = f.scaled(s)
 		}
-		rows, err := harness.SummarizeAll(context.Background(), specs, o, f.pool)
+		rows, err := harness.SummarizeAll(context.Background(), specs, satResolution, f.pool)
 		if err != nil {
 			return fmt.Errorf("table 3: %w", err)
 		}
@@ -293,7 +295,7 @@ func (f figs) ablations() error {
 	vp.Name = "VC8-pooled"
 	vp.VC.SharedPool = true
 	sat := func(s experiment.Spec) float64 {
-		return experiment.SaturationThroughput(f.scaled(s), experiment.SaturationOptions{Resolution: 0.02}) * 100
+		return experiment.SaturationThroughput(f.scaled(s), satResolution) * 100
 	}
 	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity\n", vq.Name, sat(vq))
 	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (paper: no improvement)\n", vp.Name, sat(vp))
@@ -332,7 +334,7 @@ func (f figs) lineage() error {
 	for i, s := range specs {
 		specs[i] = f.scaled(s)
 	}
-	rows, err := harness.SaturationSearch(context.Background(), specs, experiment.SaturationOptions{Resolution: 0.02}, f.pool)
+	rows, err := harness.SaturationSearch(context.Background(), specs, satResolution, f.pool)
 	if err != nil {
 		return fmt.Errorf("lineage: %w", err)
 	}

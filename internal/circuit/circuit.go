@@ -227,9 +227,7 @@ func (r *Router) Tick(now sim.Cycle) {
 			in.ackOut.Send(now, a)
 			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.ackBit)
 		}
-		if at, ok := o.ackIn.HeadAt(); ok {
-			r.cal.Rearm(now, at, wireBit(ackWire, p))
-		}
+		o.ackIn.Rearm(r.cal, now, wireBit(ackWire, p))
 	}
 	// Probe credits.
 	for ports := due >> (uint(probeCreditWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
@@ -241,9 +239,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				panic("circuit: probe credit overflow")
 			}
 		}
-		if at, ok := o.probeCreditIn.HeadAt(); ok {
-			r.cal.Rearm(now, at, wireBit(probeCreditWire, p))
-		}
+		o.probeCreditIn.Rearm(r.cal, now, wireBit(probeCreditWire, p))
 	}
 	// Receive probes.
 	for ports := due >> (uint(probeWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
@@ -256,9 +252,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, p))
 			}
 		}
-		if at, ok := in.in.HeadAt(); ok {
-			r.cal.Rearm(now, at, wireBit(probeWire, p))
-		}
+		in.in.Rearm(r.cal, now, wireBit(probeWire, p))
 	}
 	r.grantProbes(now)
 	r.forwardData(now, due&portMask)
@@ -277,10 +271,7 @@ func (r *Router) grantProbes(now sim.Cycle) {
 		}
 		r.cands = append(r.cands, p)
 	}
-	for i := len(r.cands) - 1; i > 0; i-- {
-		j := r.rng.Intn(i + 1)
-		r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
-	}
+	sim.Shuffle(r.rng, r.cands)
 	for _, p := range r.cands {
 		in := &r.in[p]
 		pr := in.q[0]
@@ -346,9 +337,7 @@ func (r *Router) forwardData(now sim.Cycle, ports uint32) {
 				delete(r.fwd, f.Packet.ID)
 			}
 		}
-		if at, ok := pipe.HeadAt(); ok {
-			r.cal.Rearm(now, at, wireBit(dataWire, p))
-		}
+		pipe.Rearm(r.cal, now, wireBit(dataWire, p))
 	}
 }
 

@@ -67,9 +67,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic("circuit: NI probe credit overflow")
 			}
 		}
-		if at, ok := n.probeCreditIn.HeadAt(); ok {
-			n.cal.Rearm(now, at, niCredit)
-		}
+		n.probeCreditIn.Rearm(n.cal, now, niCredit)
 	}
 	if due&niAck != 0 {
 		for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
@@ -78,9 +76,7 @@ func (n *ni) Tick(now sim.Cycle) {
 			}
 			n.acked = true
 		}
-		if at, ok := n.ackIn.HeadAt(); ok {
-			n.cal.Rearm(now, at, niAck)
-		}
+		n.ackIn.Rearm(n.cal, now, niAck)
 	}
 	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
 		p := n.queue.Pop()
@@ -309,14 +305,9 @@ func (n *Network) Counts() noc.Counts {
 	return c
 }
 
-// BufferUsage implements noc.Network. Circuit switching buffers no data
-// flits at routers; the only storage is the probe queues, which hold no
-// payload, so usage is always zero.
-func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
-	return 0, 0
-}
-
-// PoolUsage implements noc.Network.
+// PoolUsage implements noc.Network. Circuit switching buffers no data flits
+// at routers; the only storage is the probe queues, which hold no payload,
+// so usage is always zero.
 func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int) {
 	return 0, 0
 }

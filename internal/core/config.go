@@ -289,8 +289,10 @@ func (c Config) validate() {
 	if !c.AllOrNothing && c.DataBuffers < c.LeadsPerCtrl+c.CtrlVCs-1 {
 		panic("core: per-flit scheduling needs DataBuffers >= LeadsPerCtrl + CtrlVCs - 1 so a wide control flit can always be admitted downstream")
 	}
-	if c.LeadCycles < 0 {
-		panic("core: LeadCycles must be >= 0")
+	if c.LeadCycles < 0 || c.LeadCycles > c.Horizon {
+		// The interface reserves a data flit's injection cycle in a table
+		// that reaches Horizon cycles ahead: a longer lead finds no cycle.
+		panic(fmt.Sprintf("core: LeadCycles must be in [0, Horizon=%d], got %d", c.Horizon, c.LeadCycles))
 	}
 	validateRate("DataFaultRate", c.DataFaultRate)
 	validateRate("CtrlFaultRate", c.CtrlFaultRate)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"frfc/internal/noc"
@@ -136,6 +137,8 @@ func TestConfigValidation(t *testing.T) {
 		{"buffers-below-vcs", func(c *Config) { c.DataBuffers = 2; c.CtrlVCs = 4 }},
 		{"wide-ctrl-small-pool", func(c *Config) { c.DataBuffers = 4; c.LeadsPerCtrl = 4; c.CtrlVCs = 2 }},
 		{"negative-lead", func(c *Config) { c.LeadCycles = -1 }},
+		{"lead-past-horizon", func(c *Config) { c.Horizon = 32; c.LeadCycles = 33 }},
+		{"lead-overflows-cycle", func(c *Config) { c.LeadCycles = math.MaxInt64 }},
 		{"negative-data-fault", func(c *Config) { c.DataFaultRate = -0.1 }},
 		{"data-fault-above-one", func(c *Config) { c.DataFaultRate = 1.5 }},
 		{"nan-data-fault", func(c *Config) { c.DataFaultRate = nan() }},

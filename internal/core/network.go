@@ -725,11 +725,6 @@ func (n *Network) ParkedFlits() int64 {
 	return total
 }
 
-// BufferUsage implements noc.Network.
-func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
-	return n.routers[id].bufferUsage()
-}
-
 // PoolUsage implements noc.Network.
 func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int) {
 	in := &n.routers[id].inputs[port]

@@ -325,9 +325,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				n.injTable.creditFrom(c.FreeFrom, c.VC)
 				work++
 			}
-			if at, ok := n.resvCreditIn.HeadAt(); ok {
-				n.cal.Rearm(now, at, niResv)
-			}
+			n.resvCreditIn.Rearm(n.cal, now, niResv)
 		}
 		if due&niCtrl != 0 {
 			for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
@@ -336,9 +334,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				}
 				work++
 			}
-			if at, ok := n.ctrlCreditIn.HeadAt(); ok {
-				n.cal.Rearm(now, at, niCtrl)
-			}
+			n.ctrlCreditIn.Rearm(n.cal, now, niCtrl)
 		}
 	}
 
@@ -602,9 +598,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 			s.eject(now, &f)
 			work++
 		}
-		if at, ok := s.dataIn.HeadAt(); ok {
-			s.cal.Rearm(now, at, sinkBit)
-		}
+		s.dataIn.Rearm(s.cal, now, sinkBit)
 	}
 	if e, ok := s.expect.take(now); ok {
 		work++

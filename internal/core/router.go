@@ -339,9 +339,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				table.creditFrom(c.FreeFrom, c.VC)
 				cred++
 			}
-			if at, ok := creditIn.HeadAt(); ok {
-				r.cal.Rearm(now, at, bit)
-			}
+			creditIn.Rearm(r.cal, now, bit)
 		}
 		if bit := wireBit(ctrlCreditWire, p); due&bit != 0 {
 			co := &r.ctrlOut[p]
@@ -351,9 +349,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				}
 				cred++
 			}
-			if at, ok := co.creditIn.HeadAt(); ok {
-				r.cal.Rearm(now, at, bit)
-			}
+			co.creditIn.Rearm(r.cal, now, bit)
 		}
 		if bit := wireBit(ctrlWire, p); due&bit != 0 {
 			in := r.ctrlIn[p].in
@@ -361,9 +357,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				r.enqueue(now, p, &cf)
 				arb++
 			}
-			if at, ok := in.HeadAt(); ok {
-				r.cal.Rearm(now, at, bit)
-			}
+			in.Rearm(r.cal, now, bit)
 		}
 	}
 
@@ -397,9 +391,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				sw++
 				r.arrive(now, p, &f)
 			}
-			if at, ok := in.dataIn.HeadAt(); ok {
-				r.cal.Rearm(now, at, bit)
-			}
+			in.dataIn.Rearm(r.cal, now, bit)
 		}
 		// Any reservation for this cycle still unclaimed means the flit was
 		// destroyed en route — an idle pattern arrived in its place. Drop
@@ -557,10 +549,7 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 // invocations.
 func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 	r.candidates(now)
-	for i := len(r.cands) - 1; i > 0; i-- {
-		j := r.rng.Intn(i + 1)
-		r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
-	}
+	sim.Shuffle(&r.rng, r.cands)
 	var budget [topology.NumPorts]int
 	for p := range budget {
 		budget[p] = r.cfg.CtrlFlitsPerCycle
@@ -953,15 +942,6 @@ func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
 		}
 	}
-}
-
-// bufferUsage reports occupied and total data buffers across input ports.
-func (r *Router) bufferUsage() (used, capacity int) {
-	for p := range r.inputs {
-		used += r.inputs[p].occupied
-		capacity += len(r.inputs[p].pool)
-	}
-	return used, capacity
 }
 
 // pendingWork reports whether any control or data state is still in flight

@@ -37,7 +37,7 @@ var presets = []struct {
 
 // ConfigNames lists the names Named resolves, as flag help, error text and
 // docs/service.md print them: the presets, then FR6-leadN — FR6 under leading
-// control with a control lead of N >= 0 cycles.
+// control with a control lead of N cycles, 0 <= N <= its 32-cycle horizon.
 var ConfigNames = func() string {
 	var b strings.Builder
 	for _, p := range presets {
@@ -108,7 +108,11 @@ func Named(name string, w Wiring, pktLen int) (Spec, error) {
 		if err != nil || n < 0 || strconv.Itoa(n) != lead {
 			return Spec{}, gridErr("", "bad lead in %q (want FR6-leadN with an integer N >= 0)", name)
 		}
-		return FRLead(sim.Cycle(n), pktLen), nil
+		s := FRLead(sim.Cycle(n), pktLen)
+		if s.FR.LeadCycles > s.FR.Horizon {
+			return Spec{}, gridErr("", "lead in %q exceeds the %d-cycle reservation horizon (want FR6-leadN with 0 <= N <= %d)", name, s.FR.Horizon, s.FR.Horizon)
+		}
+		return s, nil
 	}
 	for _, p := range presets {
 		if p.name == name {

@@ -36,11 +36,30 @@ func TestNamedResolvesTheWholeVocabulary(t *testing.T) {
 			t.Errorf("ConfigNames %q lists a name this test does not cover", ConfigNames)
 		}
 	}
-	for _, bad := range []string{"", "fr6", "FR6-lead", "FR6-lead2x", "FR6-lead-3", "FR6-lead+1", "FR6-lead01", "FR6-lead 1"} {
+	for _, bad := range []string{"", "fr6", "FR6-lead", "FR6-lead2x", "FR6-lead-3", "FR6-lead+1", "FR6-lead01", "FR6-lead 1",
+		"FR6-lead33", "FR6-lead9223372036854775807"} {
 		var ge *GridError
 		if _, err := Named(bad, FastControl, 5); !errors.As(err, &ge) {
 			t.Errorf("Named(%q) = %v, want a *GridError", bad, err)
 		}
+	}
+}
+
+// TestLeadAtTheHorizonDelivers: FR6-lead32, the longest lead Named admits
+// (its horizon), still injects and delivers its whole sample; a lead of 33
+// found no injection cycle in the interface's table and delivered nothing.
+func TestLeadAtTheHorizonDelivers(t *testing.T) {
+	s, err := Named("FR6-lead32", LeadingControl, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.FR.LeadCycles != s.FR.Horizon {
+		t.Fatalf("FR6-lead32: lead %d, horizon %d; want the lead at the horizon", s.FR.LeadCycles, s.FR.Horizon)
+	}
+	s.MeshRadix = 4
+	s = s.Scaled(200, 500)
+	if r := Run(s, 0.10); r.Saturated || r.SampledDelivered != r.SampleSize {
+		t.Fatalf("FR6-lead32 at load 0.10 delivered %d of %d (saturated %v)", r.SampledDelivered, r.SampleSize, r.Saturated)
 	}
 }
 

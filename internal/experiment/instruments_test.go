@@ -9,17 +9,17 @@ import (
 )
 
 func TestRunInstrumentedMatchesRun(t *testing.T) {
-	s := tiny(FR6(FastControl, 5))
+	// Warm up for two publish periods, so Publish fires mid-run.
+	s := tiny(FR6(FastControl, 5)).Scaled(400, 2*DefaultPublishEvery)
 	plain := Run(s, 0.30)
 
 	probe := &metrics.Probe{Reg: metrics.NewRegistry(0)}
 	series := timeseries.New(0, 0)
 	published := 0
 	instr, err := RunInstrumented(context.Background(), s, 0.30, Instruments{
-		Probe:        probe,
-		Series:       series,
-		Publish:      func(Live) { published++ },
-		PublishEvery: 256,
+		Probe:   probe,
+		Series:  series,
+		Publish: func(Live) { published++ },
 	})
 	if err != nil {
 		t.Fatalf("RunInstrumented: %v", err)
@@ -27,8 +27,8 @@ func TestRunInstrumentedMatchesRun(t *testing.T) {
 	if instr != plain {
 		t.Fatalf("instrumented result differs from plain run:\nplain: %+v\ninstr: %+v", plain, instr)
 	}
-	if published < 2 {
-		t.Fatalf("Publish fired %d times over %d cycles at every 256", published, instr.Cycles)
+	if want := 1 + int(instr.Cycles)/DefaultPublishEvery; published != want {
+		t.Fatalf("Publish fired %d times over %d cycles at every %d, want %d", published, instr.Cycles, DefaultPublishEvery, want)
 	}
 	if series.Len() == 0 {
 		t.Fatal("series recorded no points")
@@ -103,19 +103,18 @@ func TestWarmupUnstableFlag(t *testing.T) {
 }
 
 func TestPublishSnapshots(t *testing.T) {
-	s := tiny(FR6(FastControl, 5))
+	s := tiny(FR6(FastControl, 5)).Scaled(400, 2*DefaultPublishEvery)
 	probe := metrics.NewProbe(0, true, true, false)
 	var snaps []Live
 	res, err := RunInstrumented(context.Background(), s, 0.30, Instruments{
-		Probe:        probe,
-		Publish:      func(lv Live) { snaps = append(snaps, lv) },
-		PublishEvery: 512,
+		Probe:   probe,
+		Publish: func(lv Live) { snaps = append(snaps, lv) },
 	})
 	if err != nil {
 		t.Fatalf("RunInstrumented: %v", err)
 	}
-	if len(snaps) < 2 {
-		t.Fatalf("got %d snapshots, want several", len(snaps))
+	if len(snaps) < 3 {
+		t.Fatalf("got %d snapshots over %d cycles, want one every %d and a final one", len(snaps), res.Cycles, DefaultPublishEvery)
 	}
 	for i, lv := range snaps {
 		if i > 0 && lv.Cycle <= snaps[i-1].Cycle {

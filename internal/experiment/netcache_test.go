@@ -164,9 +164,9 @@ func TestFailedRunLeavesNoNetwork(t *testing.T) {
 				t.Fatal("the run did not panic")
 			}
 		}()
-		RunInstrumented(context.Background(), s, 0.3, Instruments{ //nolint:errcheck // panics
-			PublishEvery: 300,
-			Publish:      func(Live) { panic("observer failed mid-run") },
+		// Warm up for two publish periods, so the observer fails mid-run.
+		RunInstrumented(context.Background(), s.Scaled(400, 2*DefaultPublishEvery), 0.3, Instruments{ //nolint:errcheck // panics
+			Publish: func(Live) { panic("observer failed mid-run") },
 		})
 	}()
 	if _, _, idle := cacheCounts(); idle != 0 {
@@ -175,9 +175,8 @@ func TestFailedRunLeavesNoNetwork(t *testing.T) {
 
 	// Long enough to reach a cycle at which the run polls its context.
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunInstrumented(ctx, s.Scaled(4000, 500), 0.3, Instruments{
-		PublishEvery: 300,
-		Publish:      func(Live) { cancel() },
+	_, err := RunInstrumented(ctx, s.Scaled(4000, 2*DefaultPublishEvery), 0.3, Instruments{
+		Publish: func(Live) { cancel() },
 	})
 	if err == nil {
 		t.Fatal("the cancelled run returned no error")

@@ -180,8 +180,7 @@ type Live struct {
 	Snapshot metrics.Snapshot `json:"-"`
 }
 
-// DefaultPublishEvery is the cycle period between Publish snapshots when
-// Instruments leaves PublishEvery unset.
+// DefaultPublishEvery is the cycle period between Publish snapshots.
 const DefaultPublishEvery = 4096
 
 // Instruments bundles the optional observers of one run. Everything here is
@@ -195,11 +194,10 @@ type Instruments struct {
 	// registry, so when the probe has no registry one is created (with the
 	// recorder's epoch) for the duration of the run.
 	Series *timeseries.Recorder
-	// Publish, when set, receives a Live snapshot every PublishEvery cycles
-	// (non-positive = DefaultPublishEvery) and once more when the run ends.
-	// It is called from the simulation goroutine; keep it fast.
-	Publish      func(Live)
-	PublishEvery sim.Cycle
+	// Publish, when set, receives a Live snapshot every DefaultPublishEvery
+	// cycles and once more when the run ends. It is called from the
+	// simulation goroutine; keep it fast.
+	Publish func(Live)
 }
 
 // RunInstrumented is the one implementation of the measurement protocol Run
@@ -234,10 +232,6 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		reg = probe.Reg
 	}
 	pub := ins.Publish
-	pubEvery := ins.PublishEvery
-	if pubEvery <= 0 {
-		pubEvery = DefaultPublishEvery
-	}
 	// The self-profiling registry, nil when profiling is off. Memory
 	// sampling happens on its epoch inside step(); everything else
 	// accumulates inside the fabric via the probe.
@@ -393,7 +387,7 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		if prof.Due(now) {
 			prof.SampleMem()
 		}
-		if pub != nil && now%pubEvery == 0 {
+		if pub != nil && now%DefaultPublishEvery == 0 {
 			pub(snapshot())
 		}
 	}
@@ -515,40 +509,29 @@ func BaseLatency(s Spec) float64 {
 	return Run(baseSpec(s.withDefaults()), baseLoad).AvgLatency
 }
 
-// SaturationOptions tunes the saturation-throughput search.
-type SaturationOptions struct {
-	// LatencyFactor: a load point counts as sustainable while its
-	// average latency stays below LatencyFactor × base latency and the
-	// whole sample is delivered. The default is 6.
-	LatencyFactor float64
-	// Resolution is the load-step at which the search stops (default
-	// 0.01, i.e. 1% of capacity).
-	Resolution float64
-	// Lo and Hi bound the search (defaults 0.10 and 1.0).
-	Lo, Hi float64
+// The saturation protocol: base latency is measured at baseLoad; a load point
+// counts as sustainable while the whole sample is delivered and its average
+// latency stays at or below satLatencyMultiple × base latency; Bisect searches
+// [satLo, satHi] until the bracket is narrower than the caller's resolution
+// (non-positive = defaultResolution, 1% of capacity).
+const (
+	baseLoad           = 0.02
+	satLatencyMultiple = 6
+	satLo, satHi       = 0.10, 1.0
+	defaultResolution  = 0.01
+)
+
+func orDefaultResolution(resolution float64) float64 {
+	if resolution <= 0 {
+		return defaultResolution
+	}
+	return resolution
 }
 
-func (o SaturationOptions) withDefaults() SaturationOptions {
-	if o.LatencyFactor == 0 {
-		o.LatencyFactor = 6
-	}
-	if o.Resolution == 0 {
-		o.Resolution = 0.01
-	}
-	if o.Hi == 0 {
-		o.Hi = 1.0
-	}
-	if o.Lo == 0 {
-		o.Lo = 0.10
-	}
-	return o
-}
-
-// MaxEvals bounds the runs one Bisect makes: the base-latency point, the two
-// endpoints, and the bisection chain.
-func (o SaturationOptions) MaxEvals() int {
-	o = o.withDefaults()
-	return 3 + int(math.Ceil(math.Log2((o.Hi-o.Lo)/o.Resolution)))
+// MaxEvals bounds the runs one Bisect at resolution makes: the base-latency
+// point, the two endpoints, and the bisection chain.
+func MaxEvals(resolution float64) int {
+	return 3 + int(math.Ceil(math.Log2((satHi-satLo)/orDefaultResolution(resolution))))
 }
 
 // baseSpec is the spec BaseLatency and Bisect measure contention-free latency
@@ -558,8 +541,6 @@ func baseSpec(s Spec) Spec {
 	return s
 }
 
-const baseLoad = 0.02
-
 // Bisect locates, by bisection, the highest offered load the configuration
 // sustains — the "saturates at X% capacity" numbers of the paper —
 // executing every point through run: Run itself for a plain search, the
@@ -567,9 +548,9 @@ const baseLoad = 0.02
 // raw load fraction (callers comparing flow-control methods apply the spec's
 // BandwidthPenalty as the paper does) and the base latency the sustainability
 // threshold was calibrated against. An error from run ends the search.
-func Bisect(s Spec, o SaturationOptions, run func(Spec, float64) (Result, error)) (sat, base float64, err error) {
+func Bisect(s Spec, resolution float64, run func(Spec, float64) (Result, error)) (sat, base float64, err error) {
 	s = s.withDefaults()
-	o = o.withDefaults()
+	resolution = orDefaultResolution(resolution)
 	r, err := run(baseSpec(s), baseLoad)
 	if err != nil {
 		return 0, 0, err
@@ -579,16 +560,16 @@ func Bisect(s Spec, o SaturationOptions, run func(Spec, float64) (Result, error)
 	}
 	sustainable := func(load float64) (bool, error) {
 		r, err := run(s, load)
-		return err == nil && !r.Saturated && r.AvgLatency <= o.LatencyFactor*base, err
+		return err == nil && !r.Saturated && r.AvgLatency <= satLatencyMultiple*base, err
 	}
-	lo, hi := o.Lo, o.Hi
+	lo, hi := satLo, satHi
 	if ok, err := sustainable(lo); err != nil || !ok {
 		return lo, base, err
 	}
 	if ok, err := sustainable(hi); err != nil || ok {
 		return hi, base, err
 	}
-	for hi-lo > o.Resolution {
+	for hi-lo > resolution {
 		mid := (lo + hi) / 2
 		ok, err := sustainable(mid)
 		if err != nil {
@@ -605,8 +586,8 @@ func Bisect(s Spec, o SaturationOptions, run func(Spec, float64) (Result, error)
 
 // saturation is Bisect over plain Runs; it panics when the spec delivers
 // nothing at base load.
-func saturation(s Spec, o SaturationOptions) (sat, base float64) {
-	sat, base, err := Bisect(s, o, func(s Spec, load float64) (Result, error) { return Run(s, load), nil })
+func saturation(s Spec, resolution float64) (sat, base float64) {
+	sat, base, err := Bisect(s, resolution, func(s Spec, load float64) (Result, error) { return Run(s, load), nil })
 	if err != nil {
 		panic("experiment: " + err.Error())
 	}
@@ -617,7 +598,7 @@ func saturation(s Spec, o SaturationOptions) (sat, base float64) {
 // sustains (see Bisect) by running each point directly. It returns the raw
 // load fraction; callers comparing flow-control methods apply the spec's
 // BandwidthPenalty as the paper does.
-func SaturationThroughput(s Spec, o SaturationOptions) float64 {
-	sat, _ := saturation(s, o)
+func SaturationThroughput(s Spec, resolution float64) float64 {
+	sat, _ := saturation(s, resolution)
 	return sat
 }

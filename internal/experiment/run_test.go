@@ -75,9 +75,8 @@ func TestSweepMonotoneLatency(t *testing.T) {
 func TestSaturationThroughputOrdering(t *testing.T) {
 	// Coarse resolution to keep the test fast; the ordering FR6 > VC8 is
 	// the paper's headline result and must hold even on a 4x4 mesh.
-	o := SaturationOptions{Resolution: 0.05}
-	fr := SaturationThroughput(tiny(FR6(FastControl, 5)), o)
-	vc := SaturationThroughput(tiny(VC8(FastControl, 5)), o)
+	fr := SaturationThroughput(tiny(FR6(FastControl, 5)), 0.05)
+	vc := SaturationThroughput(tiny(VC8(FastControl, 5)), 0.05)
 	if fr <= vc {
 		t.Errorf("FR6 saturation %.2f <= VC8 saturation %.2f; expected FR to win", fr, vc)
 	}
@@ -201,7 +200,7 @@ func TestComparisonHoldsAcrossTrafficPatterns(t *testing.T) {
 // not. (Figure 5, Table 3, the lineage, the eager ledger and Tables 1-2 have
 // tests of their own; DESIGN.md §4 indexes them.)
 func TestPaperShapesAtReducedScale(t *testing.T) {
-	sat := func(s Spec) float64 { return SaturationThroughput(tiny(s), SaturationOptions{Resolution: 0.05}) }
+	sat := func(s Spec) float64 { return SaturationThroughput(tiny(s), 0.05) }
 	for _, shape := range []struct {
 		name  string
 		check func(t *testing.T)

@@ -322,13 +322,17 @@ func WormholeSpec(name string, w Wiring, depth, pktLen int) Spec {
 // PacketSwitchSpec builds a store-and-forward or cut-through baseline spec
 // (Section 2 of the paper) with the given packet buffers per input.
 func PacketSwitchSpec(name string, flow Flow, w Wiring, buffers, pktLen int) Spec {
-	mode := packetswitch.StoreAndForward
-	if flow == CutThrough {
-		mode = packetswitch.CutThrough
-	}
-	c := packetswitch.Config{Mode: mode, PacketBuffers: buffers, MaxPacketLen: pktLen, LinkLatency: dataLinkLatency(w), CreditLatency: 1, LocalLatency: 1}
+	c := packetswitch.Config{Mode: psMode(flow), PacketBuffers: buffers, MaxPacketLen: pktLen, LinkLatency: dataLinkLatency(w), CreditLatency: 1, LocalLatency: 1}
 	s := Spec{Name: name, Flow: flow, PS: c, PacketLen: pktLen}
 	return s.withDefaults()
+}
+
+// psMode is the packet-switch forwarding rule a packet-switched flow names.
+func psMode(flow Flow) packetswitch.Mode {
+	if flow == CutThrough {
+		return packetswitch.CutThrough
+	}
+	return packetswitch.StoreAndForward
 }
 
 // CircuitSpec builds a circuit-switching baseline spec (the substrate of the
@@ -372,6 +376,10 @@ func NewNetwork(s Spec, hooks *noc.Hooks) (noc.Network, topology.Mesh) {
 		// Silently dropping a scenario would report a healthy run as a
 		// degraded one's result.
 		panic(fmt.Sprintf("experiment: routing/fault/chaos options are implemented for %s only, not %s", FlitReservation, s.Flow))
+	}
+	if (s.Flow == StoreForward || s.Flow == CutThrough) && s.PS.Mode != psMode(s.Flow) {
+		// The network would run the mode and report it under the flow's name.
+		panic(fmt.Sprintf("experiment: %s is a %s spec whose packet switch runs %s, not %s", s.Name, s.Flow, s.PS.Mode, psMode(s.Flow)))
 	}
 	// Check is meaningful on every substrate: it arms the latency ledger's
 	// strict conservation assertion for all flows, and additionally the

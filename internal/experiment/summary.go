@@ -17,9 +17,9 @@ type SummaryRow struct {
 
 // Summarize measures one spec's Table 3 row; the base latency is the one the
 // saturation search calibrated against.
-func Summarize(s Spec, o SaturationOptions) SummaryRow {
+func Summarize(s Spec, resolution float64) SummaryRow {
 	s = s.withDefaults()
-	sat, base := saturation(s, o)
+	sat, base := saturation(s, resolution)
 	return SummaryRow{
 		Spec:                s.Name,
 		BaseLatency:         base,

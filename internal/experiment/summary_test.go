@@ -8,7 +8,7 @@ import (
 )
 
 func TestSummarizeProducesSaneRow(t *testing.T) {
-	row := Summarize(tiny(FR6(FastControl, 5)), SaturationOptions{Resolution: 0.05})
+	row := Summarize(tiny(FR6(FastControl, 5)), 0.05)
 	if row.Spec != "FR6" {
 		t.Errorf("Spec = %q", row.Spec)
 	}
@@ -55,6 +55,27 @@ func TestNewNetworkRejectsUnknownFlow(t *testing.T) {
 	s := FR6(FastControl, 5)
 	s.Flow = "carrier-pigeon"
 	NewNetwork(s, nil)
+}
+
+// TestNewNetworkRejectsFlowModeMismatch: a packet-switched spec whose Flow
+// and PS.Mode disagree is refused by name, both ways round, instead of
+// running the mode under the flow's name (SAF2 relabelled cut-through
+// returned store-and-forward's latency).
+func TestNewNetworkRejectsFlowModeMismatch(t *testing.T) {
+	saf := PacketSwitchSpec("SAF2", StoreForward, FastControl, 2, 5)
+	vct := PacketSwitchSpec("VCT2", CutThrough, FastControl, 2, 5)
+	saf.Flow, vct.Flow = CutThrough, StoreForward
+	for _, s := range []Spec{saf, vct} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, s.Name) || !strings.Contains(msg, string(s.Flow)) || !strings.Contains(msg, s.PS.Mode.String()) {
+					t.Errorf("%s as %s running %s: panic %q, want one naming all three", s.Name, s.Flow, s.PS.Mode, msg)
+				}
+			}()
+			NewNetwork(s.WithMeshRadix(2), nil)
+		}()
+	}
 }
 
 // TestFRSpecBandwidthPenaltyScalesWithHorizon: wider time stamps (a larger

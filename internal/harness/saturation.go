@@ -33,13 +33,13 @@ type SatResult struct {
 // sequential); every individual run flows through the job executor, so the
 // result store caches and resumes searches exactly like grid sweeps. The
 // search is experiment.Bisect — the one experiment.SaturationThroughput walks
-// — and returns identical saturation points for identical options.
-func SaturationSearch(ctx context.Context, specs []experiment.Spec, so experiment.SaturationOptions, o Options) ([]SatResult, error) {
+// — and returns identical saturation points at the same resolution.
+func SaturationSearch(ctx context.Context, specs []experiment.Spec, resolution float64, o Options) ([]SatResult, error) {
 	// The worst-case evals per spec is a display-only estimate for progress.
-	tr := newTracker(len(specs)*so.MaxEvals(), o.workers(), o.Progress)
+	tr := newTracker(len(specs)*experiment.MaxEvals(resolution), o.workers(), o.Progress)
 
 	outs := mapPool(ctx, o.workers(), specs, func(ctx context.Context, _ int, s experiment.Spec) (SatResult, error) {
-		return searchOne(ctx, s, so, o, tr), nil
+		return searchOne(ctx, s, resolution, o, tr), nil
 	})
 	results := make([]SatResult, len(specs))
 	for i, out := range outs {
@@ -54,10 +54,10 @@ func SaturationSearch(ctx context.Context, specs []experiment.Spec, so experimen
 
 // searchOne bisects one spec's saturation load, routing every run through the
 // cached, panic-isolated job executor.
-func searchOne(ctx context.Context, s experiment.Spec, so experiment.SaturationOptions, o Options, tr *tracker) SatResult {
+func searchOne(ctx context.Context, s experiment.Spec, resolution float64, o Options, tr *tracker) SatResult {
 	s = s.Normalized()
 	sr := SatResult{Spec: s.Name}
-	sat, base, err := experiment.Bisect(s, so, func(spec experiment.Spec, load float64) (experiment.Result, error) {
+	sat, base, err := experiment.Bisect(s, resolution, func(spec experiment.Spec, load float64) (experiment.Result, error) {
 		jr := execJob(ctx, Job{Spec: spec, Load: load}, o, tr)
 		sr.Evals++
 		if !jr.Cached {
@@ -80,14 +80,14 @@ func searchOne(ctx context.Context, s experiment.Spec, so experiment.SaturationO
 
 // SummarizeAll measures one Table 3 row per spec — base latency, latency at
 // 50% capacity, and saturation throughput — with the specs fanned over the
-// worker pool. Row values equal experiment.Summarize's for the same options.
-func SummarizeAll(ctx context.Context, specs []experiment.Spec, so experiment.SaturationOptions, o Options) ([]experiment.SummaryRow, error) {
+// worker pool. Row values equal experiment.Summarize's at the same resolution.
+func SummarizeAll(ctx context.Context, specs []experiment.Spec, resolution float64, o Options) ([]experiment.SummaryRow, error) {
 	cells := make([]experiment.Cell[experiment.SummaryRow], len(specs))
 	for i, s := range specs {
 		cells[i] = experiment.Cell[experiment.SummaryRow]{
 			Name: "summarize " + s.Normalized().Name,
 			Run: func(context.Context) (experiment.SummaryRow, error) {
-				return experiment.Summarize(s, so), nil
+				return experiment.Summarize(s, resolution), nil
 			},
 		}
 	}

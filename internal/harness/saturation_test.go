@@ -14,10 +14,10 @@ import (
 // the identical load sequence through the identical sustainability predicate.
 func TestSaturationSearchMatchesSerial(t *testing.T) {
 	spec := tinySpec()
-	so := experiment.SaturationOptions{Resolution: 0.05, Lo: 0.2, Hi: 0.9}
-	want := experiment.SaturationThroughput(spec, so)
+	const resolution = 0.05
+	want := experiment.SaturationThroughput(spec, resolution)
 
-	got, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, so, Options{Workers: 2})
+	got, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, resolution, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,12 @@ func TestSaturationSearchMatchesSerial(t *testing.T) {
 	if sr.Evals == 0 || sr.Simulated != sr.Evals {
 		t.Errorf("eval accounting wrong on a cold run: evals=%d simulated=%d", sr.Evals, sr.Simulated)
 	}
-	// Bisection cost must stay logarithmic: base + endpoints + chain.
-	bound := 3 + int(math.Ceil(math.Log2((so.Hi-so.Lo)/so.Resolution)))
+	// Bisection cost must stay logarithmic: base + endpoints + the chain
+	// over the protocol's [0.10, 1.0] bracket.
+	bound := 3 + int(math.Ceil(math.Log2((1.0-0.10)/resolution)))
+	if got := experiment.MaxEvals(resolution); got != bound {
+		t.Errorf("MaxEvals(%.2f) = %d, want %d", resolution, got, bound)
+	}
 	if sr.Evals > bound {
 		t.Errorf("search took %d evals, bound is %d", sr.Evals, bound)
 	}
@@ -46,14 +50,14 @@ func TestSaturationSearchMatchesSerial(t *testing.T) {
 // nothing — every bisection step is a cache hit.
 func TestSaturationSearchResumes(t *testing.T) {
 	spec := tinySpec()
-	so := experiment.SaturationOptions{Resolution: 0.1, Lo: 0.2, Hi: 0.9}
+	const resolution = 0.1
 	path := filepath.Join(t.TempDir(), "sat.jsonl")
 
 	st, err := OpenStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, so, Options{Workers: 1, Store: st})
+	first, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, resolution, Options{Workers: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +68,7 @@ func TestSaturationSearchResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	second, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, so, Options{Workers: 1, Store: st})
+	second, err := SaturationSearch(context.Background(), []experiment.Spec{spec}, resolution, Options{Workers: 1, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

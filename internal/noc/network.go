@@ -166,10 +166,6 @@ type Network interface {
 	// InFlightPackets reports packets offered but not yet fully
 	// delivered (including those still queued at sources).
 	InFlightPackets() int
-	// BufferUsage reports the number of occupied data-flit buffers and
-	// the total data-flit buffer capacity across the given router's
-	// input ports.
-	BufferUsage(id topology.NodeID) (used, capacity int)
 	// PoolUsage reports the occupancy and capacity of one input port's
 	// buffer pool on the given router — the granularity at which
 	// Section 4.2 of the paper tracks occupancy ("a specific buffer

@@ -157,9 +157,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 				s.hooks.Delivered(f.Packet, now)
 			}
 		}
-		if at, ok := s.Data.HeadAt(); ok {
-			s.Cal.Rearm(now, at, SinkBit)
-		}
+		s.Data.Rearm(s.Cal, now, SinkBit)
 	}
 	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)
 }

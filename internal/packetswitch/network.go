@@ -55,9 +55,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic("packetswitch: NI credit overflow")
 			}
 		}
-		if at, ok := n.creditIn.HeadAt(); ok {
-			n.cal.Rearm(now, at, niBit)
-		}
+		n.creditIn.Rearm(n.cal, now, niBit)
 	}
 	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
 		p := n.queue.Pop()
@@ -247,11 +245,6 @@ func (n *Network) Counts() noc.Counts {
 		s.AddCounts(&c)
 	}
 	return c
-}
-
-// BufferUsage implements noc.Network.
-func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
-	return n.routers[id].bufferUsage()
 }
 
 // PoolUsage implements noc.Network.

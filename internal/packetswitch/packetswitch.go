@@ -250,9 +250,7 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) {
 				panic("packetswitch: packet credit overflow")
 			}
 		}
-		if at, ok := o.creditIn.HeadAt(); ok {
-			r.cal.Rearm(now, at, creditBit(p))
-		}
+		o.creditIn.Rearm(r.cal, now, creditBit(p))
 	}
 }
 
@@ -295,9 +293,7 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) {
 				in.assembly = -1
 			}
 		}
-		if at, ok := in.data.HeadAt(); ok {
-			r.cal.Rearm(now, at, dataBit(p))
-		}
+		in.data.Rearm(r.cal, now, dataBit(p))
 	}
 }
 
@@ -352,10 +348,7 @@ func (r *Router) allocate(now sim.Cycle) {
 			r.cands = append(r.cands, p*len(in.slots)+s)
 		}
 	}
-	for i := len(r.cands) - 1; i > 0; i-- {
-		j := r.rng.Intn(i + 1)
-		r.cands[i], r.cands[j] = r.cands[j], r.cands[i]
-	}
+	sim.Shuffle(r.rng, r.cands)
 	for p := range r.out {
 		r.freeAtStart[p] = r.out[p].busyWith == -1
 	}
@@ -434,21 +427,6 @@ func (r *Router) markSlot(sl *packetSlot, stage waterfall.Stage, now sim.Cycle) 
 	if f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Blocked(uint64(f.Packet.ID), stage, now)
 	}
-}
-
-func (r *Router) bufferUsage() (used, capacity int) {
-	for p := range r.in {
-		if !r.in[p].exists {
-			continue
-		}
-		for s := range r.in[p].slots {
-			if r.in[p].slots[s].occupied {
-				used += r.in[p].slots[s].received - r.in[p].slots[s].sent
-			}
-		}
-		capacity += r.cfg.PacketBuffers * r.cfg.MaxPacketLen
-	}
-	return used, capacity
 }
 
 func (r *Router) poolUsage(p topology.Port) (used, capacity int) {

@@ -196,9 +196,11 @@ func TestBufferUsageAccounting(t *testing.T) {
 		net.Tick(now)
 		now++
 		for id := 0; id < mesh.N(); id++ {
-			used, capacity := net.BufferUsage(topology.NodeID(id))
-			if used < 0 || used > capacity {
-				t.Fatalf("node %d usage %d outside [0, %d]", id, used, capacity)
+			for p := topology.Port(0); p < topology.NumPorts; p++ {
+				used, capacity := net.PoolUsage(topology.NodeID(id), p)
+				if used < 0 || used > capacity {
+					t.Fatalf("node %d port %s usage %d outside [0, %d]", id, p, used, capacity)
+				}
 			}
 		}
 	}

@@ -30,7 +30,12 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 			}
 			net.Tick(now)
 		}
-		if used, _ := net.BufferUsage(5); used == 0 || net.InFlightPackets() == 0 {
+		buffered := 0
+		for p := topology.Port(0); p < topology.NumPorts; p++ {
+			used, _ := net.PoolUsage(5, p)
+			buffered += used
+		}
+		if buffered == 0 || net.InFlightPackets() == 0 {
 			t.Fatalf("%s: the flood left nothing to reset", mode)
 		}
 
@@ -39,10 +44,10 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 			t.Fatalf("%s: %d packets in flight, %d queued", mode, net.InFlightPackets(), net.SourceQueueLen())
 		}
 		for id, r := range net.routers {
-			if used, _ := r.bufferUsage(); used != 0 {
-				t.Errorf("%s router %d: %d flits buffered", mode, id, used)
-			}
 			for p := range r.in {
+				if used, _ := r.poolUsage(topology.Port(p)); used != 0 {
+					t.Errorf("%s router %d in %s: %d flits buffered", mode, id, topology.Port(p), used)
+				}
 				in, o := &r.in[p], &r.out[p]
 				if !in.exists {
 					continue

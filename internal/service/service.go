@@ -31,11 +31,9 @@ type Options struct {
 	// StuckAfter arms the service-level no-progress watchdog: an active
 	// campaign with work outstanding but no job outcome recorded for this
 	// long is flagged stuck in /status and the stuck-campaigns gauge — the
-	// service analog of the simulator's PR-1 watchdog. 0 disables.
+	// service analog of the simulator's PR-1 watchdog. 0 disables. The
+	// watchdog scans every quarter of it, clamped to [100ms, 30s].
 	StuckAfter time.Duration
-	// WatchdogTick overrides the watchdog scan cadence; 0 derives it from
-	// StuckAfter (a quarter, clamped to [100ms, 30s]).
-	WatchdogTick time.Duration
 }
 
 // Service is the campaign daemon: it accepts sweep submissions, schedules
@@ -244,17 +242,7 @@ func (s *Service) loadLocked() (active, queued int) {
 // of a silently frozen queue. Recording any outcome clears the flag.
 func (s *Service) watchdog() {
 	defer s.wg.Done()
-	tick := s.opts.WatchdogTick
-	if tick <= 0 {
-		tick = s.opts.StuckAfter / 4
-	}
-	if tick < 100*time.Millisecond {
-		tick = 100 * time.Millisecond
-	}
-	if tick > 30*time.Second {
-		tick = 30 * time.Second
-	}
-	t := time.NewTicker(tick)
+	t := time.NewTicker(min(max(s.opts.StuckAfter/4, 100*time.Millisecond), 30*time.Second))
 	defer t.Stop()
 	for {
 		select {

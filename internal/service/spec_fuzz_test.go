@@ -15,9 +15,11 @@ import (
 // *experiment.GridError, is refused by the job cap before anything is
 // expanded, or normalises to a grid whose arithmetic count equals
 // len(configs) × len(loads), whose every load is in (0,2] and whose every
-// config resolved. It never panics, and a rejected from/to/step is never
+// config resolved to a spec experiment.NewNetwork builds, on a 2x2 mesh,
+// without a panic. It never panics, and a rejected from/to/step is never
 // accumulated. The seeds are TestEstimateJobsMatchesExpansion's requests and
-// the rows TestSubmitValidation rejects; they run under plain go test.
+// the rows TestSubmitValidation rejects, and the leads past FR6's horizon;
+// they run under plain go test.
 func FuzzSweepRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"configs":["FR6"],"loads":[0.1,0.2,0.3]}`,
@@ -34,6 +36,9 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"configs":["FR6"],"loads":[-1]}`,
 		`{"configs":["FR6-lead2x"],"loads":[0.2]}`,
 		`{"configs":["FR6-lead-3"],"loads":[0.2]}`,
+		`{"configs":["FR6-lead33"],"wiring":"leading","loads":[0.1]}`,
+		`{"configs":["FR6-lead9223372036854775807"],"wiring":"leading","loads":[0.1]}`,
+		`{"configs":["FR6-lead32"],"wiring":"leading","loads":[0.1]}`,
 		`{"configs":["FR6"],"loads":[0.2],"sample":100}`,
 		`{"configs":["FR6"],"loads":[0.2],"wiring":"bogus"}`,
 		`{"configs":["FR6"],"loads":[0.2],"pktlen":-1}`,
@@ -86,6 +91,16 @@ func FuzzSweepRequest(f *testing.F) {
 			if j.Spec.Name == "" {
 				t.Fatalf("%s: job %d has an unresolved spec", body, i)
 			}
+		}
+		for _, j := range jobs.specs {
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s: admitted %s, which does not build: %v", body, j.Spec.Name, p)
+					}
+				}()
+				experiment.NewNetwork(j.Spec.WithMeshRadix(2), nil)
+			}()
 		}
 	})
 }

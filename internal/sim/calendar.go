@@ -20,7 +20,8 @@ import (
 // ring always holds the cycles from now on. A bit may fire early but never
 // late: a wire whose head is not yet due when its bit fires, after a replay or
 // past the calendar's reach, is armed again at its head's delivery cycle
-// (Rearm), so a bit is a prompt to look, and what is found decides.
+// (Pipe.Rearm, over Rearm), so a bit is a prompt to look, and what is found
+// decides.
 //
 // The methods are small enough to inline, and must stay so: each is called per
 // wire per cycle on every fabric's hot path.

@@ -348,6 +348,15 @@ func (p *Pipe[T]) HeadAt() (at Cycle, ok bool) {
 	return p.ring[p.head].readyAt, true
 }
 
+// Rearm arms bit on the receiver's calendar c at its head's delivery cycle
+// (Calendar.Rearm), read at cycle now, when anything is left on the pipe: the
+// last step of a read that the calendar prompted.
+func (p *Pipe[T]) Rearm(c Calendar, now Cycle, bit uint32) {
+	if at, ok := p.HeadAt(); ok {
+		c.Rearm(now, at, bit)
+	}
+}
+
 // Len reports how many items are in flight (sent but not yet received).
 func (p *Pipe[T]) Len() int { return int(p.n) }
 

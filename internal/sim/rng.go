@@ -78,9 +78,17 @@ func (r *RNG) Perm(dst []int) {
 	for i := range dst {
 		dst[i] = i
 	}
-	for i := len(dst) - 1; i > 0; i-- {
+	Shuffle(r, dst)
+}
+
+// Shuffle permutes s uniformly at random in place by Fisher-Yates, drawing
+// r.Intn(i+1) for each i from len(s)-1 down to 1: the arbitration order of
+// every fabric's router, so the draws and their order are part of every
+// pinned result.
+func Shuffle[T any](r *RNG, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
+		s[i], s[j] = s[j], s[i]
 	}
 }
 

@@ -165,12 +165,11 @@ func TestLiveRunView(t *testing.T) {
 	// A scrape in the middle of a real run reads the cycle of the snapshot it
 	// is served from, on the counter registry as on the profile (frfc_cycles
 	// used to read 0 until the run was done).
-	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 300)
+	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 2*experiment.DefaultPublishEvery)
 	spec.MeshRadix = 4
 	var mid string
 	_, err = experiment.RunInstrumented(context.Background(), spec, 0.3, experiment.Instruments{
-		Probe:        metrics.NewProbe(0, true, true, false),
-		PublishEvery: 256,
+		Probe: metrics.NewProbe(0, true, true, false),
 		Publish: func(lv experiment.Live) {
 			s.OnLive(lv)
 			if mid == "" && lv.Phase != "done" {
@@ -181,8 +180,8 @@ func TestLiveRunView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(mid, "\nfrfc_cycles 256\n") || !strings.Contains(mid, "\nfrfc_profile_cycles 256\n") {
-		t.Fatalf("mid-run /metrics does not read cycle 256 on both registries:\n%s", mid)
+	if !strings.Contains(mid, "\nfrfc_cycles 4096\n") || !strings.Contains(mid, "\nfrfc_profile_cycles 4096\n") {
+		t.Fatalf("mid-run /metrics does not read cycle 4096 on both registries:\n%s", mid)
 	}
 }
 

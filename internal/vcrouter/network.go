@@ -233,11 +233,6 @@ func (n *Network) InFlightPackets() int {
 	return int(n.offered - n.Counts().Delivered)
 }
 
-// BufferUsage implements noc.Network.
-func (n *Network) BufferUsage(id topology.NodeID) (used, capacity int) {
-	return n.routers[id].bufferUsage()
-}
-
 // PoolUsage implements noc.Network.
 func (n *Network) PoolUsage(id topology.NodeID, port topology.Port) (used, capacity int) {
 	in := &n.routers[id].in[port]

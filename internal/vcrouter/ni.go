@@ -129,9 +129,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
 			}
 		}
-		if at, ok := n.creditIn.HeadAt(); ok {
-			n.cal.Rearm(now, at, niBit)
-		}
+		n.creditIn.Rearm(n.cal, now, niBit)
 	}
 
 	// Assign queued packets to free VC slots. By default the source is a

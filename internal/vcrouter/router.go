@@ -263,9 +263,7 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) int {
 				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, p, c.VC))
 			}
 		}
-		if at, ok := o.creditIn.HeadAt(); ok {
-			r.cal.Rearm(now, at, creditBit(p))
-		}
+		o.creditIn.Rearm(r.cal, now, creditBit(p))
 	}
 	return received
 }
@@ -319,9 +317,7 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) int {
 			w, bit := chanBit(int(p)*r.cfg.NumVCs + int(f.VC))
 			r.occ[w] |= bit
 		}
-		if at, ok := in.data.HeadAt(); ok {
-			r.cal.Rearm(now, at, dataBit(p))
-		}
+		in.data.Rearm(r.cal, now, dataBit(p))
 	}
 	return received
 }
@@ -374,10 +370,7 @@ func (r *Router) allocateVCs(now sim.Cycle) int {
 	}
 	// Random arbitration: shuffle request order, then give each request a
 	// random free downstream VC.
-	for i := len(r.vcReqs) - 1; i > 0; i-- {
-		j := r.rng.Intn(i + 1)
-		r.vcReqs[i], r.vcReqs[j] = r.vcReqs[j], r.vcReqs[i]
-	}
+	sim.Shuffle(r.rng, r.vcReqs)
 	for _, c := range r.vcReqs {
 		vc := &r.chans[c]
 		o := &r.out[vc.route]
@@ -618,17 +611,4 @@ func (r *Router) blockedHead(c int, stage waterfall.Stage, now sim.Cycle) {
 	if f.Type.IsHead() && f.Packet.Sampled {
 		r.wf.Blocked(uint64(f.Packet.ID), stage, now)
 	}
-}
-
-// bufferUsage reports occupied and total data-flit buffers across the
-// router's existing input ports.
-func (r *Router) bufferUsage() (used, capacity int) {
-	for p := range r.in {
-		if !r.in[p].exists {
-			continue
-		}
-		used += r.in[p].poolUsed
-		capacity += r.cfg.BuffersPerInput()
-	}
-	return used, capacity
 }

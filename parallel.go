@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"frfc/internal/experiment"
 	"frfc/internal/harness"
 	"frfc/internal/metrics"
 )
@@ -163,5 +162,5 @@ func SaturationSearch(ctx context.Context, specs []Spec, resolution float64, o P
 	if st != nil {
 		defer st.Close()
 	}
-	return harness.SaturationSearch(ctx, specs, experiment.SaturationOptions{Resolution: resolution}, ho)
+	return harness.SaturationSearch(ctx, specs, resolution, ho)
 }

@@ -56,7 +56,7 @@ func BaseLatency(s Spec) float64 {
 // bisection, as a fraction of capacity. resolution is the search step; 0
 // means 1% of capacity.
 func SaturationThroughput(s Spec, resolution float64) float64 {
-	return experiment.SaturationThroughput(s, experiment.SaturationOptions{Resolution: resolution})
+	return experiment.SaturationThroughput(s, resolution)
 }
 
 // SummaryRow is one configuration's row of the paper's Table 3: base latency,
@@ -67,5 +67,5 @@ type SummaryRow = experiment.SummaryRow
 // Summarize measures a spec's Table 3 row: base latency, latency at 50%
 // capacity, and saturation throughput (raw and bandwidth-debited).
 func Summarize(s Spec) SummaryRow {
-	return experiment.Summarize(s, experiment.SaturationOptions{})
+	return experiment.Summarize(s, 0)
 }

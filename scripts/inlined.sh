@@ -9,14 +9,19 @@
 #   - Every one of them acts on its node's due calendar (internal/sim
 #     calendar.go): it reads its word with sim.Calendar.Cell, a sender arms
 #     the receiver's bit beside every send with sim.Calendar.Arm, and a
-#     receiver finds when a wire's head falls due with sim.Pipe.HeadAt and
-#     arms the wire again with sim.Calendar.Rearm.
+#     receiver that has read a wire arms it again at its head's delivery
+#     cycle with sim.Pipe.Rearm (sim.Pipe.HeadAt and sim.Calendar.Rearm
+#     underneath; core rebuilds a calendar after an outage with
+#     sim.Calendar.Rearm itself).
+#   - Every router orders its arbitration candidates with sim.Shuffle.
 #
 # Fail unless the compiler reports each helper inlined at every call of it —
 # as many times as the line makes the call — in the files that hold those
-# sites, or if one of the wake mechanisms the calendar replaced (the post
+# sites; if one of the wake mechanisms the calendar replaced (the post
 # helper, the in-flight counts, the sinks' ejection pointers) is back in the
-# non-test code of those packages.
+# non-test code of those packages; or if the code those helpers replaced is
+# back there: a hand-written HeadAt-then-Rearm block, or a hand-written
+# Fisher-Yates loop over Intn(i + 1).
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -25,17 +30,17 @@ cd "$(dirname "$0")/.."
 report=$(go build -gcflags=-m ./internal/core ./internal/vcrouter ./internal/noc ./internal/packetswitch ./internal/circuit 2>&1) || { echo "$report" >&2; exit 1; }
 status=0
 
-# check CALL INLINED FILE...: every line of each FILE that contains the text
-# CALL must have as many "inlining call to INLINED" reports (a regular
-# expression) as it has calls.
+# check CALL INLINED FILE...: every line of each FILE that matches CALL (an
+# extended regular expression) must have as many "inlining call to INLINED"
+# reports (a regular expression) as it has matches.
 check() {
     call=$1 inlined=$2
     shift 2
     for f in "$@"; do
-        sites=$(grep -nF "$call" "$f" | cut -d: -f1)
+        sites=$(grep -nE "$call" "$f" | cut -d: -f1)
         [ -n "$sites" ] || { echo "inlined.sh: $f calls $call nowhere: the check is stale" >&2; exit 1; }
         for line in $sites; do
-            want=$(sed -n "${line}p" "$f" | grep -oF "$call" | wc -l)
+            want=$(sed -n "${line}p" "$f" | grep -oE "$call" | wc -l)
             got=$(echo "$report" | grep -c "^$f:$line:[0-9]*: inlining call to $inlined\$" || true)
             if [ "$got" -lt "$want" ]; then
                 echo "inlined.sh: $f:$line calls $call $want times, $got inlined" >&2
@@ -47,18 +52,24 @@ check() {
 
 pkgs="internal/core internal/vcrouter internal/noc internal/packetswitch internal/circuit"
 
-# sites CALL: the non-test files of the packages that contain the text CALL.
+# sites CALL: the non-test files of the packages that match CALL.
 sites() {
     for d in $pkgs; do
-        grep -lF "$1" "$d"/*.go | grep -v '_test\.go$' || true
+        grep -lE "$1" "$d"/*.go | grep -v '_test\.go$' || true
     done
 }
 
-check '.Recv(now)' 'sim\.(\*Pipe\[.*\])\.Recv' $(sites '.Recv(now)')
-check '.HeadAt()' 'sim\.(\*Pipe\[.*\])\.HeadAt' $(sites '.HeadAt()')
-check '.Cell(' 'sim\.Calendar\.Cell' $(sites '.Cell(')
-check '.Arm(' 'sim\.Calendar\.Arm' $(sites '.Arm(')
-check '.Rearm(' 'sim\.Calendar\.Rearm' $(sites '.Rearm(')
+# A calendar's own Rearm takes the cycle first; a pipe's takes the calendar.
+calRearm='\.Rearm\(now,'
+pipeRearm='\.Rearm\([A-Za-z_][A-Za-z0-9_.]*, now,'
+
+check '\.Recv\(now\)' 'sim\.(\*Pipe\[.*\])\.Recv' $(sites '\.Recv\(now\)')
+check '\.HeadAt\(\)' 'sim\.(\*Pipe\[.*\])\.HeadAt' $(sites '\.HeadAt\(\)')
+check '\.Cell\(' 'sim\.Calendar\.Cell' $(sites '\.Cell\(')
+check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
+check "$calRearm" 'sim\.Calendar\.Rearm' $(sites "$calRearm")
+check "$pipeRearm" 'sim\.(\*Pipe\[.*\])\.Rearm' $(sites "$pipeRearm")
+check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
 
 gone=$(for d in $pkgs; do grep -nE '\bpost\(|FlitsIn|flitsIn|creditsIn|\.ejected\b|\bejected +\*' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
 if [ -n "$gone" ]; then
@@ -67,5 +78,12 @@ if [ -n "$gone" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and no post, in-flight count or ejection pointer is left"
+replaced=$(for d in $pkgs; do grep -nE 'HeadAt\(\); ok|Intn\(i ?\+ ?1\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+if [ -n "$replaced" ]; then
+    echo "inlined.sh: a hand-written re-arm or shuffle is back (use sim.Pipe.Rearm or sim.Shuffle):" >&2
+    echo "$replaced" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks; no post, in-flight count or ejection pointer is left, and no hand-written re-arm or shuffle"
 exit $status
