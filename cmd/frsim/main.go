@@ -19,9 +19,8 @@
 //
 // Hard-fault scenarios (flit-reservation configurations):
 //
-//	frsim -config FR6 -radix 4 -load 0.3 -retry 8 -fail-link 5-6 -fail-at 2000 -recover-at 6000
-//	frsim -config FR6 -radix 4 -load 0.3 -retry 8 -fail-router 9 -fail-at 2000
 //	frsim -config FR6 -radix 4 -load 0.3 -retry 8 -scenario "down 5-6 @2000; up 5-6 @6000" -check
+//	frsim -config FR6 -radix 4 -load 0.3 -retry 8 -scenario "kill 9 @2000"
 //	frsim -config FR6 -routing yx -load 0.5
 //
 // Data integrity and chaos (bit errors are delivered, not lost; the hop CRC
@@ -168,16 +167,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vcs     = fs.Int("vcs", 2, "custom VC: virtual channels")
 		bufVC   = fs.Int("bufpervc", 4, "custom VC: buffers per virtual channel")
 
-		scenario   = fs.String("scenario", "", `hard-fault schedule, e.g. "down 5-6 @2000; up 5-6 @6000; kill 9 @8000"; FR configs only`)
-		failLink   = fs.String("fail-link", "", "shorthand: sever the link between these neighbor nodes (A-B) at -fail-at")
-		failRouter = fs.Int("fail-router", -1, "shorthand: permanently fail this node's router at -fail-at")
-		failAt     = fs.Int64("fail-at", 2000, "cycle at which -fail-link/-fail-router strikes")
-		recoverAt  = fs.Int64("recover-at", 0, "cycle at which the -fail-link link is restored (0 = never)")
-		retry      = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses); FR configs only")
-		ber        = fs.Float64("ber", 0, "per-flit bit-error probability on inter-router links (delivered corrupted, not lost); FR and VC configs only")
-		crcBits    = fs.Int("crc-bits", 0, "modeled per-hop CRC width: corruption detected with probability 1-2^-bits (0 = default 16 under -ber, negative = no hop detection); FR and VC configs only")
-		e2eCheck   = fs.Bool("e2e-check", false, "arm the end-to-end payload checksum: corrupted packets are retried instead of delivered; FR configs only")
-		chaos      = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
+		scenario = fs.String("scenario", "", `hard-fault schedule, e.g. "down 5-6 @2000; up 5-6 @6000; kill 9 @8000"; FR configs only`)
+		retry    = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses); FR configs only")
+		ber      = fs.Float64("ber", 0, "per-flit bit-error probability on inter-router links (delivered corrupted, not lost); FR and VC configs only")
+		crcBits  = fs.Int("crc-bits", 0, "modeled per-hop CRC width: corruption detected with probability 1-2^-bits (0 = default 16 under -ber, negative = no hop detection); FR and VC configs only")
+		e2eCheck = fs.Bool("e2e-check", false, "arm the end-to-end payload checksum: corrupted packets are retried instead of delivered; FR configs only")
+		chaos    = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
 
 		jsonOut = fs.Bool("json", false, "print one machine-readable JSON summary object instead of text")
 		opts    frfc.ObserverOptions
@@ -324,12 +319,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if stray != nil {
 		return fail("-%v", stray)
 	}
-	scn, err := scenarioOf(*scenario, *failLink, *failRouter, *failAt, *recoverAt)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if scn != "" {
-		if spec.Faults, err = frfc.ParseScenario(scn); err != nil {
+	if *scenario != "" {
+		if spec.Faults, err = frfc.ParseScenario(*scenario); err != nil {
 			return fail("%v", err)
 		}
 	}
@@ -344,8 +335,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec = spec.WithSampling(shared.Sample, shared.Warmup)
 	spec.Seed = shared.Seed
 	if *chaos > 0 {
-		if scn != "" {
-			return fail("-chaos and -scenario/-fail-* are mutually exclusive: the chaos plan generates its own fault schedule")
+		if *scenario != "" {
+			return fail("-chaos and -scenario are mutually exclusive: the chaos plan generates its own fault schedule")
 		}
 		spec.ChaosIntensity, spec.ChaosSeed = *chaos, shared.ChaosSeed
 	}
@@ -375,7 +366,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Seed:      shared.Seed,
 		Pattern:   *pattern,
 		Routing:   shared.Routing,
-		Scenario:  scn,
+		Scenario:  *scenario,
 		BER:       *ber,
 		Chaos:     *chaos,
 		ChaosSeed: shared.ChaosSeed,
@@ -438,8 +429,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "accepted      %.1f%% of capacity\n", r.AcceptedLoad*100)
 	fmt.Fprintf(stdout, "sample        %d/%d packets delivered over %d cycles\n", r.SampledDelivered, r.SampleSize, r.Cycles)
 	fmt.Fprintf(stdout, "pool full     %.1f%% of measured cycles (central router)\n", r.PoolFullFraction*100)
-	if scn != "" {
-		fmt.Fprintf(stdout, "scenario      %s\n", scn)
+	if *scenario != "" {
+		fmt.Fprintf(stdout, "scenario      %s\n", *scenario)
 		fmt.Fprintf(stdout, "degradation   %.1f%% of resolved packets delivered, %d unreachable, %d flits dropped, %d retried, %d abandoned\n",
 			r.DeliveredFraction*100, r.UnreachablePackets, r.DroppedFlits, r.RetriedPackets, r.AbandonedPackets)
 	}
@@ -500,25 +491,4 @@ func (s summary) MarshalJSON() ([]byte, error) {
 		b = slices.Concat(b[:len(b)-1], []byte(fmt.Sprintf(",%q:", f.key)), v, []byte("}"))
 	}
 	return b, err
-}
-
-// scenarioOf merges the -scenario grammar with the -fail-link/-fail-router
-// shorthands into one schedule string.
-func scenarioOf(scenario, failLink string, failRouter int, failAt, recoverAt int64) (string, error) {
-	var parts []string
-	if scenario != "" {
-		parts = append(parts, scenario)
-	}
-	if failLink != "" {
-		parts = append(parts, fmt.Sprintf("down %s @%d", failLink, failAt))
-		if recoverAt > 0 {
-			parts = append(parts, fmt.Sprintf("up %s @%d", failLink, recoverAt))
-		}
-	} else if recoverAt > 0 {
-		return "", fmt.Errorf("-recover-at needs -fail-link")
-	}
-	if failRouter >= 0 {
-		parts = append(parts, fmt.Sprintf("kill %d @%d", failRouter, failAt))
-	}
-	return strings.Join(parts, "; "), nil
 }

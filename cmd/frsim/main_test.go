@@ -311,7 +311,7 @@ func TestRejectsByName(t *testing.T) {
 		{"-custom", "-buffers", "4", "-leads", "4"},
 		{"-custom", "-fr=false", "-vcs", "0"}, {"-custom", "-fr=false", "-bufpervc", "0"},
 		{"-config", "VC8", "-chaos", "0.5"}, {"-config", "VC8", "-scenario", "down 5-6 @100"},
-		{"-config", "VC8", "-fail-router", "5"}, {"-config", "WH", "-fail-link", "5-6"},
+		{"-config", "VC8", "-scenario", "kill 5 @100"}, {"-config", "WH", "-scenario", "down 5-6 @100"},
 		{"-config", "VC8", "-retry", "8"}, {"-custom", "-fr=false", "-retry", "2"}, {"-config", "VC8", "-e2e-check=true"},
 		{"-config", "SAF", "-ber", "0.001"}, {"-config", "VCT", "-ber", "0.001"}, {"-config", "CS", "-crc-bits", "8"},
 		{"-config", "WH", "-ber", "0.001"},

@@ -121,7 +121,7 @@ func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries b
 	wire(niAck, at, ok)
 	at, ok = x.probeCreditIn.HeadAt()
 	wire(niCredit, at, ok)
-	at, ok = n.sinks[id].Data.HeadAt()
+	at, ok = n.Sinks[id].Data.HeadAt()
 	wire(noc.SinkBit, at, ok)
 }
 

@@ -186,11 +186,10 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 }
 
 // reset returns the router to its just-built state: no probe queued, no
-// circuit through it, every downstream probe buffer credited, its node's
-// calendar clear. The random stream and the wires are the network's to
-// restart and reset.
+// circuit through it, every downstream probe buffer credited. The random
+// stream, the wires and the calendar are the network's to restart, reset and
+// clear.
 func (r *Router) reset() {
-	clear(r.cal)
 	clear(r.fwd)
 	for p := range r.in {
 		in := &r.in[p]

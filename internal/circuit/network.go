@@ -47,10 +47,10 @@ func newNI(cfg Config) *ni {
 	return n
 }
 
-// reset returns the interface to its just-built state: nothing queued, no
-// circuit requested or open, every probe buffer of the router credited.
+// reset returns the interface to its just-built state: no circuit requested
+// or open, every probe buffer of the router credited. The source queue is the
+// network's.
 func (n *ni) reset() {
-	n.queue.Reset()
 	clear(n.flits[:cap(n.flits)])
 	n.current, n.flits, n.next, n.acked = nil, n.flits[:0], 0, false
 	n.probeCredits = n.cfg.ProbeBuffers
@@ -115,17 +115,12 @@ func (n *ni) pendingWork() int {
 
 // Network is a mesh of circuit-switched routers.
 type Network struct {
+	noc.Terminals
 	mesh topology.Mesh
 	cfg  Config
-	// hooks is what the sinks report through, one value for the network's
-	// life that Reset sets to the current run's.
-	hooks *noc.Hooks
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*noc.Sink
-
-	offered int64
 }
 
 var _ noc.Network = (*Network)(nil)
@@ -140,7 +135,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 	for _, x := range n.nis {
 		x.wf = wf
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Ledger = wf
 	}
 }
@@ -150,19 +145,14 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
+	n := &Network{Terminals: noc.NewTerminals(mesh.N(), max(cfg.LinkLatency, cfg.CtrlLinkLatency), cfg.LocalLatency), mesh: mesh, cfg: cfg}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*noc.Sink, mesh.N())
-	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CtrlLinkLatency, cfg.LocalLatency))
-	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
-		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg)
-		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
-		n.routers[id].cal, n.nis[id].cal = cal, cal
-		n.sinks[id].Cal = cal
+		n.routers[id].cal, n.nis[id].cal = n.Cal(id), n.Cal(id)
+		n.Queues[id] = &n.nis[id].queue
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -171,40 +161,23 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 
 // Reset implements noc.Network.
 func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
-	*n.hooks = noc.Hooks{}
-	if hooks != nil {
-		*n.hooks = *hooks
-	}
+	n.Terminals.Reset(hooks)
 	n.AttachProbe(nil)
-	n.offered = 0
 
 	var root sim.RNG
 	root.Seed(seed)
 	for id, r := range n.routers {
 		root.SplitInto(r.rng)
 		r.reset()
-		for p := range r.out {
-			if o := &r.out[p]; o.exists {
-				o.data.Reset()
-				if o.probeOut != nil { // an inter-router port: the Local one ejects data only
-					o.probeOut.Reset()
-					o.probeCreditIn.Reset()
-					o.ackIn.Reset()
-				}
-			}
-		}
-		x := n.nis[id]
-		x.reset()
-		x.probeOut.Reset()
-		x.probeCreditIn.Reset()
-		x.ackIn.Reset()
-		x.dataOut.Reset()
-		n.sinks[id].Reset()
+		n.nis[id].reset()
 	}
 }
 
+// wire connects routers, interfaces and sinks with pipes, and points each
+// sender at the calendar of the node its wire reaches and the wire's bit in
+// it.
 func (n *Network) wire() {
-	cfg := n.cfg
+	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
 		r := n.routers[id]
 		for p := topology.Port(0); p < topology.Local; p++ {
@@ -214,58 +187,27 @@ func (n *Network) wire() {
 			}
 			far := n.routers[nb]
 			op := p.Opposite()
-
 			o, farIn := &r.out[p], &far.in[op]
 			o.downCal, o.probeBit, o.dataBit, o.dataLatency = far.cal, wireBit(probeWire, op), wireBit(dataWire, op), cfg.LinkLatency
 			farIn.upCal, farIn.ackBit, farIn.creditBit = r.cal, wireBit(ackWire, p), wireBit(probeCreditWire, p)
-
-			probes := sim.NewPipe[probe](cfg.CtrlLinkLatency, 1)
-			o.probeOut = probes
-			farIn.in = probes
-
-			probeCredit := sim.NewPipe[noc.VCCredit](cfg.CtrlLinkLatency, 1)
-			o.probeCreditIn = probeCredit
-			farIn.creditOut = probeCredit
-
-			acks := sim.NewPipe[ack](cfg.CtrlLinkLatency, cfg.ProbeBuffers)
-			o.ackIn = acks
-			farIn.ackOut = acks
-
-			data := sim.NewPipe[noc.DataFlit](cfg.LinkLatency, 1)
-			o.data = data
-			far.dataIn[op] = data
+			o.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1)
+			o.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1)
+			o.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers)
+			o.data = noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
+			farIn.in, farIn.creditOut, farIn.ackOut, far.dataIn[op] = o.probeOut, o.probeCreditIn, o.ackIn, o.data
 		}
 
-		ni, sink, local := n.nis[id], n.sinks[id], &r.in[topology.Local]
+		ni, local := n.nis[id], &r.in[topology.Local]
 		local.upCal, local.ackBit, local.creditBit = r.cal, niAck, niCredit
+		ni.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1)
+		ni.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1)
+		ni.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers)
+		ni.dataOut = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
+		local.in, local.creditOut, local.ackOut, r.dataIn[topology.Local] = ni.probeOut, ni.probeCreditIn, ni.ackIn, ni.dataOut
 
-		injProbe := sim.NewPipe[probe](cfg.CtrlLinkLatency, 1)
-		ni.probeOut = injProbe
-		r.in[topology.Local].in = injProbe
-
-		injProbeCredit := sim.NewPipe[noc.VCCredit](cfg.CtrlLinkLatency, 1)
-		ni.probeCreditIn = injProbeCredit
-		r.in[topology.Local].creditOut = injProbeCredit
-
-		ackPipe := sim.NewPipe[ack](cfg.CtrlLinkLatency, cfg.ProbeBuffers)
-		ni.ackIn = ackPipe
-		r.in[topology.Local].ackOut = ackPipe
-
-		injData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		ni.dataOut = injData
-		r.dataIn[topology.Local] = injData
-
-		ejData := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		o := &r.out[topology.Local]
-		o.data, o.downCal, o.dataBit, o.dataLatency = ejData, r.cal, noc.SinkBit, cfg.LocalLatency
-		sink.Data = ejData
+		o.data, o.downCal, o.dataBit, o.dataLatency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
 	}
-}
-
-// Offer implements noc.Network.
-func (n *Network) Offer(p *noc.Packet) {
-	n.offered++
-	n.nis[p.Src].queue.Push(p)
 }
 
 // Tick implements noc.Network.
@@ -276,33 +218,9 @@ func (n *Network) Tick(now sim.Cycle) {
 	for _, r := range n.routers {
 		r.Tick(now)
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Tick(now)
 	}
-}
-
-// SourceQueueLen implements noc.Network.
-func (n *Network) SourceQueueLen() int {
-	total := 0
-	for _, x := range n.nis {
-		total += x.queue.Len()
-	}
-	return total
-}
-
-// InFlightPackets implements noc.Network.
-func (n *Network) InFlightPackets() int {
-	return int(n.offered - n.Counts().Delivered)
-}
-
-// Counts implements noc.Network: the packets offered and what the sinks
-// delivered.
-func (n *Network) Counts() noc.Counts {
-	c := noc.Counts{Offered: n.offered}
-	for _, s := range n.sinks {
-		s.AddCounts(&c)
-	}
-	return c
 }
 
 // PoolUsage implements noc.Network. Circuit switching buffers no data flits

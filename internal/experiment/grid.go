@@ -151,7 +151,7 @@ func CheckOption(name, value string, s Spec) error {
 			return nil
 		}
 		flows = fmt.Sprintf("%s and %s", FlitReservation, VirtualChannel)
-	case "scenario", "fail-link", "fail-router", "fail-at", "recover-at", "chaos", "retry", "e2e-check":
+	case "scenario", "chaos", "retry", "e2e-check":
 		if s.Flow == FlitReservation {
 			return nil
 		}

@@ -127,7 +127,7 @@ func (o ReliabilitySweepOptions) Cells() []Cell[ReliabilityPoint] {
 
 func (o ReliabilitySweepOptions) run(ctx context.Context, sc ReliabilityScenario) (ReliabilityPoint, error) {
 	if err := core.ValidateFaults(topology.NewMesh(o.Radix), sc.Events, o.RetryLimit > 0); err != nil {
-		return ReliabilityPoint{}, fmt.Errorf("experiment: scenario %q: %w", sc.Name, err)
+		return ReliabilityPoint{}, err // the cell's name names the scenario
 	}
 	// Phase boundaries: healthy operation ends at the first scheduled event;
 	// the post-recovery phase begins a settle margin after the last one.

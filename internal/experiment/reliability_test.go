@@ -78,7 +78,9 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 }
 
 // TestReliabilityCellRejectsInvalidScenario checks that a malformed schedule
-// is refused up front instead of corrupting a run.
+// is refused up front instead of corrupting a run, and that the scenario is
+// named by the cell alone: its error, which the harness wraps in the cell's
+// name, does not name it again.
 func TestReliabilityCellRejectsInvalidScenario(t *testing.T) {
 	bad := ReliabilityScenario{Name: "bad", Events: []core.FaultEvent{
 		{At: 100, Kind: core.LinkDown, A: 3, B: 9}, // not neighbors on a 4x4 mesh
@@ -86,8 +88,8 @@ func TestReliabilityCellRejectsInvalidScenario(t *testing.T) {
 	cells := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{bad}}.Cells()
 	if _, err := cells[0].Run(context.Background()); err == nil {
 		t.Fatal("expected an error for a non-adjacent link fault")
-	} else if !strings.Contains(err.Error(), `"bad"`) {
-		t.Errorf("error does not name the scenario: %v", err)
+	} else if !strings.Contains(cells[0].Name, `"bad"`) || strings.Contains(err.Error(), `"bad"`) {
+		t.Errorf("cell %s failed with %v: want the scenario named by the cell, not again by the error", cells[0].Name, err)
 	}
 }
 

@@ -74,7 +74,7 @@ func TestReliabilitySweepParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRunCellsNamesTheFailedCell: a cell's own error comes back wrapped in the
-// cell's name, alongside the points of the cells that completed.
+// cell's name, once, alongside the points of the cells that completed.
 func TestRunCellsNamesTheFailedCell(t *testing.T) {
 	o := experiment.ReliabilitySweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Packets: 30},
@@ -84,8 +84,8 @@ func TestRunCellsNamesTheFailedCell(t *testing.T) {
 		},
 	}
 	points, err := RunCells(context.Background(), o.Cells(), Options{Workers: 2})
-	if err == nil || !strings.Contains(err.Error(), `reliability scenario "bad"`) {
-		t.Fatalf("err = %v, want it to name the failed cell", err)
+	if err == nil || !strings.Contains(err.Error(), `reliability scenario "bad"`) || strings.Count(err.Error(), `"bad"`) != 1 {
+		t.Fatalf("err = %v, want it to name the failed cell exactly once", err)
 	}
 	if len(points) != 2 || points[0].Offered != 30 || points[1].Offered != 0 {
 		t.Fatalf("points = %+v, want the healthy row complete and the bad row zero", points)

@@ -80,7 +80,7 @@ func (q *SourceQueue) Filter(keep func(*Packet) bool) {
 // flit on each channel must carry and panics, naming the node, the channel
 // and that Seq, on a flit that skips ahead or comes again.
 type Sink struct {
-	Data *sim.Pipe[DataFlit] // the ejection wire, set when the network is wired
+	Data *sim.Pipe[DataFlit] // the ejection wire
 	// Cal is the node's due calendar: the sender arms SinkBit in it beside
 	// each flit it ejects, and Tick reads Data only on the cycles it is set.
 	Cal sim.Calendar
@@ -114,8 +114,8 @@ func NewSink(node topology.NodeID, hooks *Hooks) *Sink {
 }
 
 // Reset forgets every partly ejected packet and the tallies; the wire, the
-// calendar, the probe and the ledger are the network's to reset, clear and
-// detach.
+// calendar, the probe and the ledger are its Terminals' and network's to
+// reset, clear and detach.
 func (s *Sink) Reset() {
 	clear(s.next)
 	s.delivered, s.escapes = 0, 0
@@ -160,4 +160,110 @@ func (s *Sink) Tick(now sim.Cycle) {
 		s.Data.Rearm(s.Cal, now, SinkBit)
 	}
 	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)
+}
+
+// Terminals is the terminal model of every fabric that ejects through Sink —
+// a FIFO source queue at each interface, immediate ejection at each sink —
+// and the rest of what such a mesh holds once for all its nodes, which the
+// fabric's Network embeds: per node the sink with its ejection wire, the due
+// calendar the node's router, interface and sink share, and a pointer to the
+// interface's source queue; the one Hooks value the sinks report through;
+// the packets offered; and every wire the fabric builds, made with NewWire.
+// The fabric keeps its routers, interfaces, wiring and Tick.
+type Terminals struct {
+	// Sinks[id] is node id's sink; its Data is the ejection wire the
+	// router's Local output sends on.
+	Sinks []*Sink
+	// Queues[id] is node id's interface's source queue, set by the fabric
+	// as it builds the interface.
+	Queues []*SourceQueue
+
+	cals    []uint32 // the nodes' calendars, cells words each
+	cells   int
+	hooks   *Hooks
+	offered int64
+	wires   []interface{ Reset() }
+}
+
+// NewTerminals returns the terminals of nodes nodes with ejection wires of
+// the given latency, whose calendars reach as far ahead as the longest of
+// that and reach, the latency of the fabric's other wires.
+func NewTerminals(nodes int, reach, local sim.Cycle) Terminals {
+	t := Terminals{
+		Sinks:  make([]*Sink, nodes),
+		Queues: make([]*SourceQueue, nodes),
+		cells:  sim.CalendarCells(max(reach, local)),
+		hooks:  new(Hooks),
+	}
+	t.cals = make([]uint32, nodes*t.cells)
+	for id := range nodes {
+		s := NewSink(topology.NodeID(id), t.hooks)
+		s.Cal, s.Data = t.Cal(id), NewWire[DataFlit](&t, local, 1)
+		t.Sinks[id] = s
+	}
+	return t
+}
+
+// NewWire returns a wire of the given latency and width that t's Reset
+// empties, the one way a fabric that embeds Terminals makes a pipe.
+func NewWire[T any](t *Terminals, latency sim.Cycle, width int) *sim.Pipe[T] {
+	p := sim.NewPipe[T](latency, width)
+	t.wires = append(t.wires, p)
+	return p
+}
+
+// Cal returns node id's due calendar.
+func (t *Terminals) Cal(id int) sim.Calendar {
+	lo, hi := id*t.cells, (id+1)*t.cells
+	return sim.Calendar(t.cals[lo:hi:hi])
+}
+
+// Reset installs hooks (nil for none) as what the sinks report through,
+// forgets the packets offered, and empties every source queue, sink,
+// calendar and wire. It runs first in the fabric's Reset, before its own
+// components draw their random streams.
+func (t *Terminals) Reset(hooks *Hooks) {
+	*t.hooks = Hooks{}
+	if hooks != nil {
+		*t.hooks = *hooks
+	}
+	t.offered = 0
+	clear(t.cals)
+	for id, s := range t.Sinks {
+		t.Queues[id].Reset()
+		s.Reset()
+	}
+	for _, w := range t.wires {
+		w.Reset()
+	}
+}
+
+// Offer implements Network.Offer.
+func (t *Terminals) Offer(p *Packet) {
+	t.offered++
+	t.Queues[p.Src].Push(p)
+}
+
+// SourceQueueLen implements Network.SourceQueueLen.
+func (t *Terminals) SourceQueueLen() int {
+	total := 0
+	for _, q := range t.Queues {
+		total += q.Len()
+	}
+	return total
+}
+
+// InFlightPackets implements Network.InFlightPackets.
+func (t *Terminals) InFlightPackets() int {
+	return int(t.offered - t.Counts().Delivered)
+}
+
+// Counts reports the packets offered and what the sinks tallied: all of
+// Network.Counts for a fabric with no other counters.
+func (t *Terminals) Counts() Counts {
+	c := Counts{Offered: t.offered}
+	for _, s := range t.Sinks {
+		s.AddCounts(&c)
+	}
+	return c
 }

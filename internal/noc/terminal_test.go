@@ -179,3 +179,90 @@ func TestSinkResetForgetsPartPackets(t *testing.T) {
 		t.Fatalf("the sink holds %d channel cells after Reset, in a new array: want the 6 it had grown", len(g.s.next))
 	}
 }
+
+// TestTerminalsCountAndReset: on two nodes, Offer, SourceQueueLen,
+// InFlightPackets and Counts agree with the packets queued and delivered; and
+// after traffic, Reset with new hooks leaves every source queue, sink tally,
+// calendar word and wire made with NewWire empty, and only the new hooks hear
+// of what is delivered after it.
+func TestTerminalsCountAndReset(t *testing.T) {
+	terms := NewTerminals(2, 2, 1)
+	var queues [2]SourceQueue
+	terms.Queues[0], terms.Queues[1] = &queues[0], &queues[1]
+	credits := NewWire[VCCredit](&terms, 2, 1)
+	var heard [2][]PacketID
+	hooks := func(run int) *Hooks {
+		return &Hooks{PacketDelivered: func(p *Packet, _ sim.Cycle) { heard[run] = append(heard[run], p.ID) }}
+	}
+	now := sim.Cycle(0)
+	// eject sends f on node id's ejection wire, armed in its calendar, and
+	// ticks the sink the cycle it arrives unless f is to stay on the wire.
+	eject := func(id int, f DataFlit, tick bool) {
+		s := terms.Sinks[id]
+		s.Data.Send(now, f)
+		terms.Cal(id).Arm(now+1, SinkBit)
+		if now++; tick {
+			s.Tick(now)
+		}
+	}
+	check := func(when string, queued, inFlight int, want Counts) {
+		t.Helper()
+		if got := terms.SourceQueueLen(); got != queued {
+			t.Fatalf("%s: SourceQueueLen %d, want %d", when, got, queued)
+		}
+		if got := terms.InFlightPackets(); got != inFlight {
+			t.Fatalf("%s: InFlightPackets %d, want %d", when, got, inFlight)
+		}
+		if got := terms.Counts(); got != want {
+			t.Fatalf("%s: Counts %+v, want %+v", when, got, want)
+		}
+	}
+
+	terms.Reset(hooks(0))
+	long, short := &Packet{ID: 1, Src: 0, Dst: 1, Len: 2}, &Packet{ID: 2, Src: 1, Dst: 0, Len: 1}
+	terms.Offer(long)
+	terms.Offer(short)
+	terms.Offer(&Packet{ID: 3, Src: 0, Dst: 1, Len: 1})
+	check("three offered", 3, 3, Counts{Offered: 3})
+	if queues[0].Len() != 2 || queues[1].Len() != 1 {
+		t.Fatalf("queues hold %d and %d packets, want each at its source: 2 and 1", queues[0].Len(), queues[1].Len())
+	}
+
+	eject(0, DataFlits(queues[1].Pop())[0], true)
+	check("one delivered", 2, 2, Counts{Offered: 3, Delivered: 1})
+	flits := DataFlits(queues[0].Pop())
+	flits[0].Corrupted = true
+	eject(1, flits[0], true)
+	eject(1, flits[1], false)
+	credits.Send(now, VCCredit{})
+	terms.Cal(0).Arm(now+2, 1)
+	check("one delivered, one mid-ejection", 1, 2, Counts{Offered: 3, Delivered: 1, CorruptEscapes: 1})
+	if len(heard[0]) != 1 || heard[0][0] != short.ID {
+		t.Fatalf("the hooks heard of %v, want [%d]", heard[0], short.ID)
+	}
+
+	terms.Reset(hooks(1))
+	check("after Reset", 0, 0, Counts{})
+	for id, s := range terms.Sinks {
+		for c, w := range terms.Cal(id) {
+			if w != 0 {
+				t.Fatalf("after Reset node %d's calendar word %d holds %#x", id, c, w)
+			}
+		}
+		if !s.Data.Empty() {
+			t.Fatalf("after Reset node %d's ejection wire carries %d flits", id, s.Data.Len())
+		}
+	}
+	if !credits.Empty() {
+		t.Fatalf("after Reset a wire made with NewWire carries %d items", credits.Len())
+	}
+	// The packet cut off mid-ejection on node 1 is forgotten: a fresh one on
+	// the same channel ejects from its first flit, and only the new hooks
+	// hear of it.
+	for _, f := range DataFlits(&Packet{ID: 4, Src: 0, Dst: 1, Len: 2}) {
+		eject(1, f, true)
+	}
+	if len(heard[0]) != 1 || len(heard[1]) != 1 || heard[1][0] != 4 {
+		t.Fatalf("after Reset the old hooks heard of %v and the new of %v, want [%d] and [4]", heard[0], heard[1], short.ID)
+	}
+}

@@ -37,10 +37,10 @@ func newNI(cfg Config) *ni {
 	return n
 }
 
-// reset returns the interface to its just-built state: nothing queued or under
-// injection, every packet buffer of the router's Local input credited.
+// reset returns the interface to its just-built state: nothing under
+// injection, every packet buffer of the router's Local input credited. The
+// source queue is the network's.
 func (n *ni) reset() {
-	n.queue.Reset()
 	clear(n.current[:cap(n.current)])
 	n.current, n.next = n.current[:0], 0
 	n.credits = n.cfg.PacketBuffers
@@ -78,17 +78,12 @@ func (n *ni) Tick(now sim.Cycle) {
 
 // Network is a mesh of store-and-forward or cut-through routers.
 type Network struct {
+	noc.Terminals
 	mesh topology.Mesh
 	cfg  Config
-	// hooks is what the sinks report through, one value for the network's
-	// life that Reset sets to the current run's.
-	hooks *noc.Hooks
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*noc.Sink
-
-	offered int64
 }
 
 var _ noc.Network = (*Network)(nil)
@@ -106,7 +101,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 	for _, x := range n.nis {
 		x.wf = wf
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Ledger = wf
 	}
 }
@@ -116,19 +111,14 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
+	n := &Network{Terminals: noc.NewTerminals(mesh.N(), max(cfg.LinkLatency, cfg.CreditLatency), cfg.LocalLatency), mesh: mesh, cfg: cfg}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*noc.Sink, mesh.N())
-	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency))
-	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
-		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, cfg, new(sim.RNG))
 		n.nis[id] = newNI(cfg)
-		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
-		n.routers[id].cal, n.nis[id].cal = cal, cal
-		n.sinks[id].Cal = cal
+		n.routers[id].cal, n.nis[id].cal = n.Cal(id), n.Cal(id)
+		n.Queues[id] = &n.nis[id].queue
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -137,31 +127,15 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 
 // Reset implements noc.Network.
 func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
-	*n.hooks = noc.Hooks{}
-	if hooks != nil {
-		*n.hooks = *hooks
-	}
+	n.Terminals.Reset(hooks)
 	n.AttachProbe(nil)
-	n.offered = 0
 
 	var root sim.RNG
 	root.Seed(seed)
 	for id, r := range n.routers {
 		root.SplitInto(r.rng)
 		r.reset()
-		for p := range r.out {
-			if o := &r.out[p]; o.exists {
-				o.data.Reset()
-				if o.creditIn != nil {
-					o.creditIn.Reset()
-				}
-			}
-		}
-		x := n.nis[id]
-		x.reset()
-		x.data.Reset()
-		x.creditIn.Reset()
-		n.sinks[id].Reset()
+		n.nis[id].reset()
 	}
 }
 
@@ -169,7 +143,7 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 // sender at the calendar of the node its wire reaches and the wire's bit in
 // it.
 func (n *Network) wire() {
-	cfg := n.cfg
+	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
 		r := n.routers[id]
 		for p := topology.Port(0); p < topology.Local; p++ {
@@ -179,35 +153,22 @@ func (n *Network) wire() {
 			}
 			far := n.routers[nb]
 			op := p.Opposite()
-			data := sim.NewPipe[noc.DataFlit](cfg.LinkLatency, 1)
+			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
 			// Several packet buffers of one input can release in the
 			// same cycle (toward different outputs), so the credit
 			// wire carries up to PacketBuffers credits per cycle.
-			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.PacketBuffers)
+			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers)
 			o, farIn := &r.out[p], &far.in[op]
-			o.data, o.dataCal, o.dataBit, o.latency = data, far.cal, dataBit(op), cfg.LinkLatency
-			o.creditIn = credit
-			farIn.data = data
-			farIn.creditOut, farIn.creditCal, farIn.creditBit = credit, r.cal, creditBit(p)
+			o.data, o.dataCal, o.dataBit, o.latency, o.creditIn = data, far.cal, dataBit(op), cfg.LinkLatency, credit
+			farIn.data, farIn.creditOut, farIn.creditCal, farIn.creditBit = data, credit, r.cal, creditBit(p)
 		}
-		inj := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		injCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.PacketBuffers)
-		n.nis[id].data = inj
-		n.nis[id].creditIn = injCredit
-		local := &r.in[topology.Local]
-		local.data = inj
-		local.creditOut, local.creditCal, local.creditBit = injCredit, r.cal, niBit
-		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
+		x, local := n.nis[id], &r.in[topology.Local]
+		x.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
+		x.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers)
+		local.data, local.creditOut, local.creditCal, local.creditBit = x.data, x.creditIn, r.cal, niBit
 		o := &r.out[topology.Local]
-		o.data, o.dataCal, o.dataBit, o.latency = ej, r.cal, noc.SinkBit, cfg.LocalLatency
-		n.sinks[id].Data = ej
+		o.data, o.dataCal, o.dataBit, o.latency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
 	}
-}
-
-// Offer implements noc.Network.
-func (n *Network) Offer(p *noc.Packet) {
-	n.offered++
-	n.nis[p.Src].queue.Push(p)
 }
 
 // Tick implements noc.Network.
@@ -218,33 +179,9 @@ func (n *Network) Tick(now sim.Cycle) {
 	for _, r := range n.routers {
 		r.Tick(now)
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Tick(now)
 	}
-}
-
-// SourceQueueLen implements noc.Network.
-func (n *Network) SourceQueueLen() int {
-	total := 0
-	for _, x := range n.nis {
-		total += x.queue.Len()
-	}
-	return total
-}
-
-// InFlightPackets implements noc.Network.
-func (n *Network) InFlightPackets() int {
-	return int(n.offered - n.Counts().Delivered)
-}
-
-// Counts implements noc.Network: the packets offered and what the sinks
-// delivered.
-func (n *Network) Counts() noc.Counts {
-	c := noc.Counts{Offered: n.offered}
-	for _, s := range n.sinks {
-		s.AddCounts(&c)
-	}
-	return c
 }
 
 // PoolUsage implements noc.Network.

@@ -205,10 +205,9 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg Config, rng *sim.RNG)
 
 // reset returns the router to its just-built state: every packet buffer
 // empty, nothing under assembly, every output channel free with all of the
-// downstream buffers credited, its node's calendar clear. The random stream,
-// the wires and the ledger are the network's to restart, reset and detach.
+// downstream buffers credited. The random stream, the wires, the calendar and
+// the ledger are the network's to restart, reset, clear and detach.
 func (r *Router) reset() {
-	clear(r.cal)
 	for p := range r.in {
 		in := &r.in[p]
 		if !in.exists {

@@ -78,7 +78,7 @@ func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries b
 	}
 	at, ok := n.nis[id].creditIn.HeadAt()
 	wire(niBit, at, ok)
-	at, ok = n.sinks[id].Data.HeadAt()
+	at, ok = n.Sinks[id].Data.HeadAt()
 	wire(noc.SinkBit, at, ok)
 }
 

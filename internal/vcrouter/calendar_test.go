@@ -105,7 +105,7 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 // when its head is due.
 func (n *Network) fingerprint() []int64 {
 	c := n.Counts()
-	s := []int64{n.offered, c.Delivered, c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes}
+	s := []int64{c.Offered, c.Delivered, c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes}
 	draw := func(rng sim.RNG) int64 { return int64(rng.Uint64()) }
 	wire := func(w interface {
 		Len() int

@@ -13,15 +13,12 @@ import (
 // Network is a complete mesh of virtual-channel routers with per-node
 // network interfaces. It implements noc.Network.
 type Network struct {
+	noc.Terminals
 	mesh topology.Mesh
 	cfg  Config
-	// hooks is what the sinks report through, one value for the network's
-	// life that Reset sets to the current run's.
-	hooks *noc.Hooks
 
 	routers []*Router
 	nis     []*ni
-	sinks   []*noc.Sink
 
 	// probe is the attached observability sink; nil when disabled.
 	probe *metrics.Probe
@@ -29,8 +26,6 @@ type Network struct {
 	// linkRNG drives the bit-error draws on every inter-router data link;
 	// nil unless BER > 0.
 	linkRNG *sim.RNG
-
-	offered int64
 }
 
 var _ noc.Network = (*Network)(nil)
@@ -42,22 +37,17 @@ var _ noc.Network = (*Network)(nil)
 func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network {
 	cfg = cfg.withDefaults()
 	cfg.validate()
-	n := &Network{mesh: mesh, cfg: cfg, hooks: new(noc.Hooks)}
+	n := &Network{Terminals: noc.NewTerminals(mesh.N(), max(cfg.LinkLatency, cfg.CreditLatency), cfg.LocalLatency), mesh: mesh, cfg: cfg}
 	if cfg.BER > 0 {
 		n.linkRNG = new(sim.RNG)
 	}
 	n.routers = make([]*Router, mesh.N())
 	n.nis = make([]*ni, mesh.N())
-	n.sinks = make([]*noc.Sink, mesh.N())
-	cells := sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency))
-	calendars := make([]uint32, mesh.N()*cells) // a node's for its router, interface and sink
 	for id := 0; id < mesh.N(); id++ {
-		cal := sim.Calendar(calendars[id*cells : (id+1)*cells : (id+1)*cells])
 		n.routers[id] = newRouter(topology.NodeID(id), mesh, &n.cfg, new(sim.RNG))
 		n.nis[id] = newNI(topology.NodeID(id), &n.cfg, new(sim.RNG))
-		n.sinks[id] = noc.NewSink(topology.NodeID(id), n.hooks)
-		n.routers[id].cal, n.nis[id].cal = cal, cal
-		n.sinks[id].Cal = cal
+		n.routers[id].cal, n.nis[id].cal = n.Cal(id), n.Cal(id)
+		n.Queues[id] = &n.nis[id].queue
 	}
 	n.wire()
 	n.Reset(seed, hooks)
@@ -67,12 +57,8 @@ func New(mesh topology.Mesh, cfg Config, seed uint64, hooks *noc.Hooks) *Network
 // Reset implements noc.Network. Channel rings, wires and scratch keep the
 // size they had grown to; nothing else of an earlier run survives.
 func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
-	*n.hooks = noc.Hooks{}
-	if hooks != nil {
-		*n.hooks = *hooks
-	}
+	n.Terminals.Reset(hooks)
 	n.AttachProbe(nil)
-	n.offered = 0
 
 	// The link stream is split off the root seed only when BER > 0, so a
 	// zero-BER configuration keeps the split order — and the bit-identical
@@ -85,21 +71,10 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	for _, r := range n.routers {
 		root.SplitInto(r.rng)
 		r.reset()
-		for p := range r.out {
-			if o := &r.out[p]; o.exists {
-				o.data.Reset()
-				if o.creditIn != nil {
-					o.creditIn.Reset()
-				}
-			}
-		}
 	}
-	for id, x := range n.nis {
+	for _, x := range n.nis {
 		root.SplitInto(x.rng)
 		x.reset()
-		x.data.Reset()
-		x.creditIn.Reset()
-		n.sinks[id].Reset()
 	}
 }
 
@@ -118,7 +93,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 		x.prof = p.Profile()
 		x.wf = p.Waterfall()
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Probe = p
 		s.Prof = p.Profile()
 		s.Ledger = p.Waterfall()
@@ -130,7 +105,7 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 // LocalLatency. Each sender is pointed at the calendar of the node its wire
 // reaches and the wire's bit in it.
 func (n *Network) wire() {
-	cfg := n.cfg
+	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
 		r := n.routers[id]
 		// Inter-router links: create the pipe on the output side and
@@ -140,30 +115,24 @@ func (n *Network) wire() {
 			if !ok {
 				continue
 			}
-			data := sim.NewPipe[noc.DataFlit](cfg.LinkLatency, 1)
+			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
 			if cfg.BER > 0 {
 				data.WithBitErrors(cfg.BER, n.linkRNG, corruptFlit)
 			}
-			credit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
+			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1)
 			far, op := n.routers[nb], p.Opposite()
 			o, farIn := &r.out[p], &far.in[op]
-			o.data, o.dataCal, o.dataBit, o.latency = data, far.cal, dataBit(op), cfg.LinkLatency
-			o.creditIn = credit
-			farIn.data = data
-			farIn.creditOut, farIn.creditCal, farIn.creditBit = credit, r.cal, creditBit(p)
+			o.data, o.dataCal, o.dataBit, o.latency, o.creditIn = data, far.cal, dataBit(op), cfg.LinkLatency, credit
+			farIn.data, farIn.creditOut, farIn.creditCal, farIn.creditBit = data, credit, r.cal, creditBit(p)
 		}
 		// Injection: NI -> router Local input.
-		inj := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-		injCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, 1)
 		ni, local := n.nis[id], &r.in[topology.Local]
-		ni.data, ni.creditIn = inj, injCredit
-		local.data = inj
-		local.creditOut, local.creditCal, local.creditBit = injCredit, r.cal, niBit
+		ni.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
+		ni.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1)
+		local.data, local.creditOut, local.creditCal, local.creditBit = ni.data, ni.creditIn, r.cal, niBit
 		// Ejection: router Local output -> sink.
-		ej := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
 		o := &r.out[topology.Local]
-		o.data, o.dataCal, o.dataBit, o.latency = ej, r.cal, noc.SinkBit, cfg.LocalLatency
-		n.sinks[id].Data = ej
+		o.data, o.dataCal, o.dataBit, o.latency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
 	}
 }
 
@@ -178,9 +147,8 @@ func corruptFlit(f noc.DataFlit) noc.DataFlit {
 // Counts implements noc.Network: the packets offered, and what the sinks, the
 // routers' hop CRCs and the links' bit-error model tallied.
 func (n *Network) Counts() noc.Counts {
-	c := noc.Counts{Offered: n.offered}
-	for id, r := range n.routers {
-		n.sinks[id].AddCounts(&c)
+	c := n.Terminals.Counts()
+	for _, r := range n.routers {
 		c.CrcDetected += r.crcRepaired
 		for p := range r.out {
 			if o := &r.out[p]; o.exists {
@@ -191,12 +159,6 @@ func (n *Network) Counts() noc.Counts {
 	return c
 }
 
-// Offer implements noc.Network.
-func (n *Network) Offer(p *noc.Packet) {
-	n.offered++
-	n.nis[p.Src].queue.Push(p)
-}
-
 // Tick implements noc.Network: one cycle for every NI, router, and sink.
 func (n *Network) Tick(now sim.Cycle) {
 	for _, x := range n.nis {
@@ -205,7 +167,7 @@ func (n *Network) Tick(now sim.Cycle) {
 	for _, r := range n.routers {
 		r.Tick(now)
 	}
-	for _, s := range n.sinks {
+	for _, s := range n.Sinks {
 		s.Tick(now)
 	}
 	if n.probe.SampleDue(now) {
@@ -217,20 +179,6 @@ func (n *Network) Tick(now sim.Cycle) {
 			}
 		}
 	}
-}
-
-// SourceQueueLen implements noc.Network.
-func (n *Network) SourceQueueLen() int {
-	total := 0
-	for _, x := range n.nis {
-		total += x.queue.Len()
-	}
-	return total
-}
-
-// InFlightPackets implements noc.Network.
-func (n *Network) InFlightPackets() int {
-	return int(n.offered - n.Counts().Delivered)
 }
 
 // PoolUsage implements noc.Network.

@@ -66,12 +66,11 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG) *ni {
 	return n
 }
 
-// reset returns the interface to its just-built state: nothing queued or
+// reset returns the interface to its just-built state: nothing
 // mid-injection, every buffer of the router's Local input credited and
-// unowned. The source queue and the slots' scratch keep their room; the random
-// stream, the wires, the calendar and the probe are the network's.
+// unowned. The slots' scratch keeps its room; the random stream, the source
+// queue, the wires, the calendar and the probe are the network's.
 func (n *ni) reset() {
-	n.queue.Reset()
 	for s := range n.slots {
 		scratch := n.slots[s].flits
 		clear(scratch[:cap(scratch)])

@@ -196,11 +196,10 @@ func newRouter(id topology.NodeID, mesh topology.Mesh, cfg *Config, rng *sim.RNG
 
 // reset returns the router to its just-built state: every channel empty,
 // unrouted and unallocated, every downstream buffer credited and unowned,
-// nothing in flight toward it and its node's calendar clear. The channel
-// rings keep the depth they were made at; the random stream, the wires and
-// the probe are the network's to restart, reset and detach.
+// nothing in flight toward it. The channel rings keep the depth they were
+// made at; the random stream, the wires, the calendar and the probe are the
+// network's to restart, reset, clear and detach.
 func (r *Router) reset() {
-	clear(r.cal)
 	clear(r.occ)
 	clear(r.alloc)
 	clear(r.cand)

@@ -21,7 +21,10 @@
 # helper, the in-flight counts, the sinks' ejection pointers) is back in the
 # non-test code of those packages; or if the code those helpers replaced is
 # back there: a hand-written HeadAt-then-Rearm block, or a hand-written
-# Fisher-Yates loop over Intn(i + 1).
+# Fisher-Yates loop over Intn(i + 1); or if the virtual-channel,
+# packet-switched or circuit fabric makes a wire, carves a calendar or counts
+# the packets offered for itself (sim.NewPipe, sim.CalendarCells, an offered
+# field) instead of through the noc.Terminals it embeds.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -85,5 +88,12 @@ if [ -n "$replaced" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks; no post, in-flight count or ejection pointer is left, and no hand-written re-arm or shuffle"
+own=$(for d in internal/vcrouter internal/packetswitch internal/circuit; do grep -nE 'sim\.NewPipe|CalendarCells|\.offered\b|^\s*offered\s' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+if [ -n "$own" ]; then
+    echo "inlined.sh: a fabric that embeds noc.Terminals builds its own wire, calendar or offered count (use noc.NewWire, Terminals.Cal and Terminals.Offer):" >&2
+    echo "$own" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, and the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals"
 exit $status
