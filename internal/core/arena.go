@@ -21,16 +21,16 @@ type arena struct {
 	counts   []int                   // per-VC residencies, claims and control credits
 	future   []futureDelta           // table at-infinity deltas
 	pool     []poolSlot              // data buffers
-	words    []uint64                // occupancy words of pools and control inputs
+	words    []uint64                // occupancy words of pools, routers' channel vectors
 	expected []ringCell[reservation] // input reservation tables
 	refs     []ringCell[flitRef]     // injection and reassembly schedules
 	parked   []parkedFlit            // schedule lists
-	vcs      []ctrlVC
-	queued   []queuedCtrl    // control-VC queue cells
-	leads    []leadState     // their lead-state lists
-	entries  []noc.LeadEntry // the lead arrays control flits carry, one a cell
-	cands    []portVC        // routers' arbitration scratch
-	undo     []tentative     // routers' all-or-nothing scratch
+	vcs      []ctrlVC                // routers' control channels, every port's
+	queued   []queuedCtrl            // control-VC queue cells
+	leads    []leadState             // their lead-state lists
+	entries  []noc.LeadEntry         // the lead arrays control flits carry, one a cell
+	cands    []uint16                // routers' arbitration scratch
+	undo     []tentative             // routers' all-or-nothing scratch
 	active   []niPacket
 	cycles   []sim.Cycle   // interfaces' scheduling scratch
 	source   []*noc.Packet // source queues, sourceRoom packets each
@@ -64,7 +64,8 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 	window := int(cfg.Horizon) + 1
 	laneWords, busyWords := tableWords(window)
 	v, d, b := cfg.CtrlVCs, cfg.LeadsPerCtrl, cfg.DataBuffers
-	cells := ports * v * cfg.CtrlBufPerVC // control-queue cells, as many as control credits
+	chans := nodes * int(topology.NumPorts) * v // every router has a channel space of every port's VCs
+	cells := ports * v * cfg.CtrlBufPerVC       // control-queue cells, as many as control credits
 	dataCells := links*sim.RingCells(cfg.DataLinkLatency, 1) + 2*nodes*sim.RingCells(cfg.LocalLatency, 1)
 	return &arena{
 		flags:    make([]bool, ports*v),
@@ -72,15 +73,15 @@ func newArena(mesh topology.Mesh, cfg *Config) *arena {
 		counts:   make([]int, tables*2*v+ports*v),
 		future:   make([]futureDelta, links*int(cfg.DataLinkLatency)+nodes*int(cfg.LocalLatency)),
 		pool:     make([]poolSlot, ports*b),
-		words:    make([]uint64, ports*(occupancyWords(b)+occupancyWords(v))),
+		words:    make([]uint64, ports*occupancyWords(b)+nodes*2*occupancyWords(int(topology.NumPorts)*v)),
 		expected: make([]ringCell[reservation], ports*window),
 		refs:     make([]ringCell[flitRef], nodes*(2*window+int(cfg.LocalLatency))),
 		parked:   make([]parkedFlit, ports*b),
-		vcs:      make([]ctrlVC, ports*v),
+		vcs:      make([]ctrlVC, chans),
 		queued:   make([]queuedCtrl, cells),
 		leads:    make([]leadState, cells*d),
 		entries:  make([]noc.LeadEntry, cells*d),
-		cands:    make([]portVC, nodes*int(topology.NumPorts)*v),
+		cands:    make([]uint16, chans),
 		undo:     make([]tentative, nodes*d),
 		active:   make([]niPacket, nodes*v),
 		cycles:   make([]sim.Cycle, nodes*d),
@@ -118,7 +119,7 @@ func carve[T any](from *[]T, n int) []T {
 }
 
 // occupancy is one bit per slot of a small fixed table — a pool's buffers, a
-// control input's virtual channels — in as many words as the table needs, so
+// router's control channels — in as many words as the table needs, so
 // that finding the occupied slots, or the first free one, reads a word and
 // not the table. Slots come out in ascending order, the order the scans over
 // the tables ran in, so every random draw and hook call that follows one

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"frfc/internal/noc"
 	"frfc/internal/sim"
@@ -113,6 +114,44 @@ func BenchmarkRouterTickIdle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
+}
+
+// BenchmarkRouterTickLoaded ticks the routers of the fr-mid shape: the 8×8
+// mesh of BenchmarkNetworkTick8x8Mid, warmed the same 2 000 cycles, nearly
+// every router awake with control flits to arbitrate, route, schedule and
+// forward. Each op is one cycle of Network.Tick's fault-free, probe-free
+// loop — offers, interfaces, routers, sinks — and only the cycle's 64
+// Router.Tick calls are on the clock.
+func BenchmarkRouterTickLoaded(b *testing.B) {
+	mesh := topology.NewMesh(8)
+	net := New(mesh, fastControl(), 1, &noc.Hooks{})
+	src := &uniformSource{rng: sim.NewRNG(7), mesh: mesh, rate: 0.05}
+	now := sim.Cycle(0)
+	for ; now < 2000; now++ {
+		src.offer(net, now)
+		net.Tick(now)
+	}
+	var ticking time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.offer(net, now)
+		net.now = now
+		for id := range net.nis {
+			net.nis[id].Tick(now)
+		}
+		start := time.Now()
+		for id := range net.routers {
+			net.routers[id].Tick(now)
+		}
+		ticking += time.Since(start)
+		for id := range net.sinks {
+			net.sinks[id].Tick(now)
+		}
+		net.watch(now)
+		now++
+	}
+	b.ReportMetric(float64(ticking.Nanoseconds())/float64(b.N*mesh.N()), "ns/router-tick")
 }
 
 // benchNetworkTick is the full-network rung: one op is one cycle of a warmed

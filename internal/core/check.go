@@ -39,7 +39,10 @@ func (n *Network) check(now sim.Cycle) {
 //   - an input's departure bit is armed at cycle c iff one of its pool flits
 //     is scheduled to depart at c;
 //   - an input's expiry bit is armed at cycle c iff it holds a reservation or
-//     a condemned arrival for c.
+//     a condemned arrival for c;
+//   - a control channel's bit in the router's occ vector is set iff its
+//     queue holds a flit, and the fresh vector is zero, since every channel
+//     filled this cycle was read (and cleared) by candidates.
 //
 // A component marked dormant must hold no work of its own the calendar does
 // not name: a router no control flit queued and, under reclamation, no flit
@@ -75,14 +78,19 @@ func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	}
 
 	queued := 0
-	for p := range r.ctrlIn {
-		for v := range r.ctrlIn[p].vcs {
-			queued += r.ctrlIn[p].vcs[v].n
-			if has := r.ctrlIn[p].occ.next(v) == v; has != (r.ctrlIn[p].vcs[v].n > 0) {
-				n.fail(now, "node %d port %s vc %d: occupancy bit %v with %d control flits queued",
-					id, topology.Port(p), v, has, r.ctrlIn[p].vcs[v].n)
-			}
+	for ch := range r.chans {
+		vc := &r.chans[ch]
+		queued += int(vc.n)
+		if has := r.occ.next(ch) == ch; has != (vc.n > 0) {
+			n.fail(now, "node %d port %s vc %d: occupancy bit %v with %d control flits queued",
+				id, topology.Port(ch/n.cfg.CtrlVCs), ch%n.cfg.CtrlVCs, has, vc.n)
 		}
+	}
+	if ch := r.occ.next(len(r.chans)); ch >= 0 {
+		n.fail(now, "node %d: occupancy bit %d set past the router's %d control channels", id, ch, len(r.chans))
+	}
+	if ch := r.fresh.next(0); ch >= 0 {
+		n.fail(now, "node %d: channel %d still marked fresh between ticks", id, ch)
 	}
 	if r.queued != queued {
 		n.fail(now, "node %d: router counts %d control flits queued, its VCs hold %d", id, r.queued, queued)
@@ -119,7 +127,7 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 	co := &n.routers[l.a].ctrlOut[l.p]
 	ci := &n.routers[l.b].ctrlIn[l.p.Opposite()]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := co.credits[v] + ci.vcs[v].n
+		total := co.credits[v] + int(ci.vcs[v].n)
 		l.ctrlCredit.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++
@@ -143,7 +151,7 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 	ni := &n.nis[id]
 	ci := &n.routers[id].ctrlIn[topology.Local]
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
-		total := ni.ctrlCredits[v] + ci.vcs[v].n
+		total := ni.ctrlCredits[v] + int(ci.vcs[v].n)
 		ni.ctrlCreditIn.Each(func(c noc.VCCredit) {
 			if c.VC == v {
 				total++

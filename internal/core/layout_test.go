@@ -27,3 +27,12 @@ func TestHotStateLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestCtrlVCFitsOneLine: a control VC — its ring, lead states, position,
+// route and allocation — is read whole by every arbitration that picks it,
+// and a router's channels sit side by side, so each is one cache line.
+func TestCtrlVCFitsOneLine(t *testing.T) {
+	if size := unsafe.Sizeof(ctrlVC{}); size > 64 {
+		t.Errorf("ctrlVC is %d bytes, want at most 64: a router's channels are one line each", size)
+	}
+}

@@ -755,7 +755,7 @@ func (n *Network) DumpState() string {
 				}
 				qc := vc.front()
 				fmt.Fprintf(&b, "  ctrl in %s vc %d: qlen=%d head=%v routed=%v route=%v alloc=%v admitted=%v leads=%+v\n",
-					topology.Port(p), v, vc.n, qc.flit, vc.routed, vc.route, vc.allocated, qc.admitted, vc.leadsAt(vc.head))
+					topology.Port(p), v, vc.n, qc.flit, vc.routed, topology.Port(vc.route), vc.allocated, qc.admitted, vc.leadsAt(int(vc.head), r.cfg.LeadsPerCtrl))
 			}
 		}
 		for p := range r.inputs {

@@ -14,10 +14,13 @@ import (
 // hook call — depends on the order they enumerated in, so each word is held
 // here to the scan it replaced, over random states.
 
-// TestCandidateWordMatchesQueueScan: the candidates a router gathers off its
-// control inputs' occupancy words are exactly the (port, vc) sequence of the
+// TestCandidateWordMatchesQueueScan: the candidates a router reads off its
+// channel vectors, occ &^ fresh, are exactly the (port, vc) sequence of the
 // scan over every queue — port-major, VC-minor, a queue counting when its
-// front flit arrived before this cycle.
+// front flit arrived before this cycle — as channel indices port·CtrlVCs + vc.
+// Each cycle runs as a tick does: the cycle's arrivals, several to a cycle and
+// at times two into one empty VC, then the candidates, then arbitration
+// retiring some of them. At 70 VCs the 350 channels span six words.
 func TestCandidateWordMatchesQueueScan(t *testing.T) {
 	rng := sim.NewRNG(41)
 	for _, vcs := range []int{1, 2, 4, 13, 70} {
@@ -30,28 +33,37 @@ func TestCandidateWordMatchesQueueScan(t *testing.T) {
 		r.reset()
 		for step := 0; step < 400; step++ {
 			now := sim.Cycle(step)
-			p, v := topology.Port(rng.Intn(int(topology.NumPorts))), rng.Intn(vcs)
-			vc := &r.ctrlIn[p].vcs[v]
-			if rng.Bool(0.6) && vc.n < len(vc.q) {
-				r.enqueue(now, p, &noc.ControlFlit{Packet: &noc.Packet{}, VC: int32(v)})
-			} else if vc.n > 0 {
-				r.popCtrl(now, p, vc, v)
-			}
-			var want []portVC
-			for p := range r.ctrlIn {
-				for v := range r.ctrlIn[p].vcs {
-					if vc := &r.ctrlIn[p].vcs[v]; vc.n > 0 && vc.front().arrivedAt < now {
-						want = append(want, portVC{topology.Port(p), v})
+			for k := rng.Intn(5); k > 0; k-- {
+				p, v := topology.Port(rng.Intn(int(topology.NumPorts))), rng.Intn(vcs)
+				for copies := 1 + rng.Intn(2); copies > 0; copies-- {
+					if vc := &r.ctrlIn[p].vcs[v]; int(vc.n) < len(vc.q) {
+						r.enqueue(now, p, &noc.ControlFlit{Packet: &noc.Packet{}, VC: int32(v)})
 					}
 				}
 			}
-			r.candidates(now)
+			var want []uint16
+			for p := range r.ctrlIn {
+				for v := range r.ctrlIn[p].vcs {
+					if vc := &r.ctrlIn[p].vcs[v]; vc.n > 0 && vc.front().arrivedAt < now {
+						want = append(want, uint16(p*vcs+v))
+					}
+				}
+			}
+			r.candidates()
 			if len(r.cands) != len(want) {
-				t.Fatalf("%d VCs, step %d: word yields %v, the scan %v", vcs, step, r.cands, want)
+				t.Fatalf("%d VCs, step %d: words yield %v, the scan %v", vcs, step, r.cands, want)
 			}
 			for i := range want {
 				if r.cands[i] != want[i] {
-					t.Fatalf("%d VCs, step %d: word yields %v, the scan %v", vcs, step, r.cands, want)
+					t.Fatalf("%d VCs, step %d: words yield %v, the scan %v", vcs, step, r.cands, want)
+				}
+			}
+			if ch := r.fresh.next(0); ch >= 0 {
+				t.Fatalf("%d VCs, step %d: channel %d still fresh after the candidates were read", vcs, step, ch)
+			}
+			for _, ch := range r.cands {
+				if rng.Bool(0.5) {
+					r.popCtrl(now, &r.chans[ch])
 				}
 			}
 		}

@@ -143,7 +143,7 @@ func (n *Network) repairLink(a, b topology.NodeID) {
 		x.outTables[l.p].reset()
 		co := &x.ctrlOut[l.p]
 		for v := range co.credits {
-			co.credits[v] = cfg.CtrlBufPerVC - y.ctrlIn[q].vcs[v].n
+			co.credits[v] = cfg.CtrlBufPerVC - int(y.ctrlIn[q].vcs[v].n)
 			co.owned[v] = false
 		}
 		drop := func(f noc.DataFlit) { n.hooks.Dropped(f.Packet, n.now) }

@@ -33,11 +33,14 @@ type leadState struct {
 // queuedCtrl is a control flit buffered in a control VC queue. Its mutable
 // per-lead scheduling state is not in the cell but in the VC's lead-state
 // array (ctrlVC.leadsAt), one entry for each of flit.Leads, so that a cell is
-// 64 bytes. admitted records that the output reservation table has set aside
-// buffers for all of its leads (per-flit scheduling's strand-free admission).
-// routedHere marks the head that established the VC's current routing entry,
-// distinguishing a head still being scheduled from a fresh head following a
-// stream whose tail a hard fault destroyed.
+// 64 bytes. arrivedAt is the cycle the flit was queued: the tick reads
+// "arrived this cycle" off the router's fresh vector instead, and the tests
+// hold that vector to this record. admitted records that the output
+// reservation table has set aside buffers for all of its leads (per-flit
+// scheduling's strand-free admission). routedHere marks the head that
+// established the VC's current routing entry, distinguishing a head still
+// being scheduled from a fresh head following a stream whose tail a hard
+// fault destroyed.
 type queuedCtrl struct {
 	flit       noc.ControlFlit
 	arrivedAt  sim.Cycle
@@ -50,31 +53,36 @@ type queuedCtrl struct {
 	detectedCorrupt bool
 }
 
-// ctrlVC is one control virtual channel of one control input: a small FIFO
-// plus the routing-table entry (output port) and downstream-VC allocation of
-// the packet currently holding the channel. The FIFO is a ring of
-// CtrlBufPerVC cells, the n from head holding flits; leads holds d
-// (LeadsPerCtrl) lead states for each cell, for the network's life, so
-// queueing a flit allocates nothing and dequeueing one moves nothing. drain
-// marks a stream a hard fault destroyed mid-flight: followers are discarded
-// until the tail passes (or a fresh head shows the tail itself was
-// destroyed).
+// ctrlVC is one control virtual channel of one control input — channel
+// port·CtrlVCs + vc of its router, which it names — a small FIFO plus the
+// routing-table entry (output port) and downstream-VC allocation of the
+// packet currently holding the channel. The FIFO is a ring of CtrlBufPerVC
+// cells, the n from head holding flits; leads holds LeadsPerCtrl lead states
+// for each cell, for the network's life, so queueing a flit allocates nothing
+// and dequeueing one moves nothing. drain marks a stream a hard fault
+// destroyed mid-flight: followers are discarded until the tail passes (or a
+// fresh head shows the tail itself was destroyed).
+//
+// The whole channel is one 64-byte line. A port, a VC and an output VC fit a
+// byte each because Config.validate holds CtrlVCs to DataBuffers and those to
+// MaxDataBuffers. head and n fit 32 bits because they index one channel's
+// ring of 64-byte cells, and a ring of 2³¹ cells would be 128 GiB.
 type ctrlVC struct {
 	q         []queuedCtrl
 	leads     []leadState
-	d         int
-	head, n   int
+	head, n   int32
+	port, vc  uint8
+	route     uint8 // a topology.Port, meaningful while routed
+	outVC     uint8
 	routed    bool
-	route     topology.Port
 	allocated bool
-	outVC     int
 	drain     bool
 }
 
 // cell is the ring cell of the queued flit i places behind the front, which
 // is in cell head.
 func (vc *ctrlVC) cell(i int) int {
-	if i += vc.head; i >= len(vc.q) {
+	if i += int(vc.head); i >= len(vc.q) {
 		i -= len(vc.q)
 	}
 	return i
@@ -83,28 +91,29 @@ func (vc *ctrlVC) cell(i int) int {
 func (vc *ctrlVC) front() *queuedCtrl { return &vc.q[vc.head] }
 
 // leadsAt returns the lead states of the flit in ring cell c, one for each of
-// the leads it carries.
-func (vc *ctrlVC) leadsAt(c int) []leadState {
-	k := c * vc.d
+// the leads it carries; d is the stride, Config.LeadsPerCtrl.
+func (vc *ctrlVC) leadsAt(c, d int) []leadState {
+	k := c * d
 	return vc.leads[k : k+len(vc.q[c].flit.Leads)]
 }
 
-// pop drops the front flit; the lead states of its cell are rewritten by the
-// next flit queued there.
+// pop drops the front flit. The cell lets go of the flit's packet and lead
+// array; the rest of it, and its lead states, are rewritten by the next flit
+// queued there.
 func (vc *ctrlVC) pop() {
-	vc.q[vc.head] = queuedCtrl{}
-	if vc.head++; vc.head == len(vc.q) {
+	qc := &vc.q[vc.head]
+	qc.flit.Packet, qc.flit.Leads = nil, nil
+	if vc.head++; int(vc.head) == len(vc.q) {
 		vc.head = 0
 	}
 	vc.n--
 }
 
-// ctrlInput is the control-network side of one router input. occ has a bit
-// set for every VC whose queue holds a flit.
+// ctrlInput is the control-network side of one router input; vcs is its
+// port's stretch of the router's channels.
 type ctrlInput struct {
 	exists    bool
 	vcs       []ctrlVC
-	occ       occupancy
 	in        *sim.Pipe[noc.ControlFlit]
 	creditOut *sim.Pipe[noc.VCCredit]
 }
@@ -117,12 +126,6 @@ type ctrlOutput struct {
 	owned    []bool
 	out      *sim.Pipe[noc.ControlFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
-}
-
-// portVC names one virtual channel of one control input port.
-type portVC struct {
-	port topology.Port
-	vc   int
 }
 
 // tentative is one departure committed by all-or-nothing scheduling before
@@ -163,6 +166,14 @@ type Router struct {
 
 	ctrlIn  [topology.NumPorts]ctrlInput
 	ctrlOut [topology.NumPorts]ctrlOutput
+	// chans holds the router's control VCs, channel port·CtrlVCs + vc, a
+	// port's CtrlVCs of them side by side (the ports a border router lacks
+	// keep theirs, empty). occ has a bit set for every channel whose queue
+	// holds a flit, and fresh for every one whose front flit arrived this
+	// cycle: enqueue sets it on filling an empty channel and candidates
+	// clears it, so it is zero between ticks.
+	chans      []ctrlVC
+	occ, fresh occupancy
 	// queued counts the control flits held across all control VC queues;
 	// with none, there is nothing to arbitrate or schedule this cycle.
 	queued int
@@ -209,7 +220,7 @@ type Router struct {
 	// watchdog monitors; the router bumps it whenever a flit moves.
 	progress *int64
 
-	cands     []portVC    // scratch, room for every VC of every port
+	cands     []uint16    // scratch, room for every channel
 	committed []tentative // scratch of all-or-nothing scheduling, room for a flit's leads
 
 	// leadArrays is the network's free list of control-flit lead arrays, to
@@ -220,9 +231,13 @@ type Router struct {
 // init lays the router out in place on the arena's memory — its tables, pools
 // and control queues, every one at its full size — for reset to fill.
 func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Config) {
+	chans := int(topology.NumPorts) * cfg.CtrlVCs
 	*r = Router{id: id, mesh: mesh, cfg: cfg,
 		cal:       carve(&a.cal, sim.CalendarCells(cfg.calendarReach())),
-		cands:     carve(&a.cands, int(topology.NumPorts)*cfg.CtrlVCs)[:0],
+		chans:     carve(&a.vcs, chans),
+		occ:       carve(&a.words, occupancyWords(chans)),
+		fresh:     carve(&a.words, occupancyWords(chans)),
+		cands:     carve(&a.cands, chans)[:0],
 		committed: carve(&a.undo, cfg.LeadsPerCtrl)[:0],
 	}
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
@@ -236,10 +251,10 @@ func (r *Router) init(a *arena, id topology.NodeID, mesh topology.Mesh, cfg *Con
 		r.inputs[p].init(a, p, &r.cal, cfg.DataBuffers, cfg.Horizon, ledger, cfg.DataFaultRate > 0 || cfg.BER > 0 || len(cfg.Faults) > 0)
 		r.outTables[p].init(a, cfg.Horizon, cfg.DataBuffers, cfg.CtrlVCs, r.dataLatencyFor(p), p == topology.Local)
 		ci := &r.ctrlIn[p]
-		*ci = ctrlInput{exists: true, vcs: carve(&a.vcs, cfg.CtrlVCs), occ: carve(&a.words, occupancyWords(cfg.CtrlVCs))}
+		*ci = ctrlInput{exists: true, vcs: r.chans[int(p)*cfg.CtrlVCs : int(p+1)*cfg.CtrlVCs]}
 		for v := range ci.vcs {
 			ci.vcs[v] = ctrlVC{q: carve(&a.queued, cfg.CtrlBufPerVC),
-				leads: carve(&a.leads, cfg.CtrlBufPerVC*cfg.LeadsPerCtrl), d: cfg.LeadsPerCtrl}
+				leads: carve(&a.leads, cfg.CtrlBufPerVC*cfg.LeadsPerCtrl), port: uint8(p), vc: uint8(v)}
 		}
 		if p != topology.Local {
 			r.ctrlOut[p] = ctrlOutput{exists: true,
@@ -261,19 +276,19 @@ func (r *Router) reset() {
 	r.dormant = false
 	r.queued = 0
 	r.crcDetected = 0
-	for p := range r.ctrlIn {
-		ci := &r.ctrlIn[p]
-		if !ci.exists {
-			continue
+	clear(r.occ)
+	clear(r.fresh)
+	for ch := range r.chans {
+		vc := &r.chans[ch]
+		for vc.n > 0 {
+			r.leadArrays.Put(vc.front().flit.Leads)
+			vc.pop()
 		}
-		clear(ci.occ)
-		for v := range ci.vcs {
-			vc := &ci.vcs[v]
-			for vc.n > 0 {
-				r.leadArrays.Put(vc.front().flit.Leads)
-				vc.pop()
-			}
-			*vc = ctrlVC{q: vc.q, leads: vc.leads, d: vc.d}
+		*vc = ctrlVC{q: vc.q, leads: vc.leads, port: vc.port, vc: vc.vc}
+	}
+	for p := range r.ctrlIn {
+		if !r.ctrlIn[p].exists {
+			continue
 		}
 		co := &r.ctrlOut[p]
 		for v := range co.credits {
@@ -426,15 +441,14 @@ func (r *Router) parkedInputs() uint32 {
 // enqueue files a control flit just received on port p at the back of its
 // VC's queue, the flit's leads copied into the cell's own scheduling state.
 func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
-	ci := &r.ctrlIn[p]
-	vc := &ci.vcs[cf.VC]
-	if vc.n == len(vc.q) {
+	vc := &r.ctrlIn[p].vcs[cf.VC]
+	if int(vc.n) == len(vc.q) {
 		panic(fmt.Sprintf("core: node %d control buffer overflow on %s vc %d", r.id, p, cf.VC))
 	}
-	c := vc.cell(vc.n)
+	c := vc.cell(int(vc.n))
 	qc := &vc.q[c]
 	*qc = queuedCtrl{flit: *cf, arrivedAt: now}
-	leads := vc.leadsAt(c)
+	leads := vc.leadsAt(c, r.cfg.LeadsPerCtrl)
 	for i, le := range cf.Leads {
 		leads[i] = leadState{arrival: le.Arrival, departAt: sim.Never, seq: le.Seq}
 	}
@@ -446,8 +460,12 @@ func (r *Router) enqueue(now sim.Cycle, p topology.Port, cf *noc.ControlFlit) {
 			qc.detectedCorrupt = true
 		}
 	}
+	if vc.n == 0 {
+		ch := int(p)*r.cfg.CtrlVCs + int(cf.VC)
+		r.occ.set(ch)
+		r.fresh.set(ch)
+	}
 	vc.n++
-	ci.occ.set(int(cf.VC))
 	r.queued++
 }
 
@@ -548,15 +566,15 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 // arb candidates walked by the arbiter and sched output-scheduler
 // invocations.
 func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
-	r.candidates(now)
+	r.candidates()
 	sim.Shuffle(&r.rng, r.cands)
 	var budget [topology.NumPorts]int
 	for p := range budget {
 		budget[p] = r.cfg.CtrlFlitsPerCycle
 	}
 	arb = len(r.cands)
-	for _, cand := range r.cands {
-		vc := &r.ctrlIn[cand.port].vcs[cand.vc]
+	for _, ch := range r.cands {
+		vc := &r.chans[ch]
 		qc := vc.front()
 		if vc.drain {
 			if qc.flit.Type.IsHead() {
@@ -564,7 +582,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 				// tail was itself destroyed; the new stream is intact.
 				vc.drain = false
 			} else {
-				r.discardCtrl(now, vc, cand.vc, cand.port)
+				r.discardCtrl(now, vc)
 				continue
 			}
 		}
@@ -573,7 +591,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			// remainder exactly as a hard fault would — the leads'
 			// no-shows surface at the destination as losses and the
 			// end-to-end retry recovers the packet.
-			r.discardCtrl(now, vc, cand.vc, cand.port)
+			r.discardCtrl(now, vc)
 			continue
 		}
 		if vc.routed && !qc.routedHere && qc.flit.Type.IsHead() && r.ctrlLossy() {
@@ -591,7 +609,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 					// Mid-stream loss (a severed wire or a CRC-discarded
 					// flit) broke the wormhole framing; discard to the
 					// tail.
-					r.discardCtrl(now, vc, cand.vc, cand.port)
+					r.discardCtrl(now, vc)
 					continue
 				}
 				panic(fmt.Sprintf("core: node %d: %s at front of unrouted control VC", r.id, qc.flit))
@@ -601,17 +619,17 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 				// No surviving route to the destination. Destroy the
 				// stream here; the source resolves the packet through
 				// the unreachable fast path or its retry budget.
-				r.discardCtrl(now, vc, cand.vc, cand.port)
+				r.discardCtrl(now, vc)
 				continue
 			}
-			vc.route = route
+			vc.route = uint8(route)
 			vc.routed = true
 			qc.routedHere = true
 			if r.probe != nil {
-				r.probe.Route(now, int(r.id), int(vc.route), uint64(qc.flit.Packet.ID))
+				r.probe.Route(now, int(r.id), int(route), uint64(qc.flit.Packet.ID))
 			}
 		}
-		out := vc.route
+		out := topology.Port(vc.route)
 		if budget[out] <= 0 {
 			r.probe.ArbConflict(int(r.id), int(out))
 			continue
@@ -627,28 +645,28 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			continue
 		}
 		sched++
-		if !r.scheduleLeads(now, qc, vc, out, cand.port) {
+		if !r.scheduleLeads(now, qc, vc, out) {
 			continue
 		}
 		if out == topology.Local {
-			r.consume(now, cand.port, vc, cand.vc)
+			r.consume(now, vc)
 		} else {
-			r.forward(now, cand.port, vc, cand.vc, out)
+			r.forward(now, vc, out)
 		}
 	}
 	return arb, sched
 }
 
-// candidates gathers into r.cands the control VCs whose front flit arrived
-// before this cycle, port-major and VC-minor, off each input's occupancy word.
-func (r *Router) candidates(now sim.Cycle) {
+// candidates gathers into r.cands the control channels whose front flit
+// arrived before this cycle — the set bits of occ &^ fresh, in ascending
+// order, which is port-major and VC-minor — and clears fresh as it reads it.
+func (r *Router) candidates() {
 	r.cands = r.cands[:0]
-	for p := range r.ctrlIn {
-		ci := &r.ctrlIn[p]
-		for v := ci.occ.next(0); v >= 0; v = ci.occ.next(v + 1) {
-			if ci.vcs[v].front().arrivedAt < now {
-				r.cands = append(r.cands, portVC{topology.Port(p), v})
-			}
+	for w, m := range r.occ {
+		m &^= r.fresh[w]
+		r.fresh[w] = 0
+		for ; m != 0; m &= m - 1 {
+			r.cands = append(r.cands, uint16(w<<6+bits.TrailingZeros64(m)))
 		}
 	}
 }
@@ -672,7 +690,7 @@ func (r *Router) allocateCtrlVC(vc *ctrlVC, out topology.Port) bool {
 		return false
 	}
 	co.owned[free] = true
-	vc.outVC = free
+	vc.outVC = uint8(free)
 	vc.allocated = true
 	return true
 }
@@ -684,12 +702,12 @@ func (r *Router) allocateCtrlVC(vc *ctrlVC, out topology.Port) bool {
 // all-or-nothing mode the whole set commits or none does. Reservations are
 // attributed to the packet's downstream control VC (its input VC at the
 // destination, where no control VC is consumed).
-func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out, inPort topology.Port) bool {
-	leads := vc.leadsAt(vc.head)
+func (r *Router) scheduleLeads(now sim.Cycle, qc *queuedCtrl, vc *ctrlVC, out topology.Port) bool {
+	leads, inPort := vc.leadsAt(int(vc.head), r.cfg.LeadsPerCtrl), topology.Port(vc.port)
 	table := &r.outTables[out]
 	table.advance(now)
 	tp := r.dataLatencyFor(out)
-	attrVC := vc.outVC // meaningful only when out != Local; ejection ignores it
+	attrVC := int(vc.outVC) // meaningful only when out != Local; ejection ignores it
 	if out == topology.Local {
 		attrVC = 0
 	}
@@ -789,12 +807,12 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 // has been scheduled into the ejection channel, so the control flit's work is
 // done. Its buffer is freed (credit upstream) and on a tail the control VC's
 // routing entry is released.
-func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
+func (r *Router) consume(now sim.Cycle, vc *ctrlVC) {
 	isTail := vc.front().flit.Type.IsTail()
 	// Nothing downstream will read the flit's lead list: this router holds the
 	// only reference to it (noc.ControlFlit.Leads), and drops it here.
 	r.leadArrays.Put(vc.front().flit.Leads)
-	r.popCtrl(now, inPort, vc, vcIdx)
+	r.popCtrl(now, vc)
 	if isTail {
 		vc.routed = false
 		vc.allocated = false
@@ -806,7 +824,7 @@ func (r *Router) consume(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // (t_d + t_p). The downstream control VC was allocated before scheduling;
 // credits and link bandwidth gate the send, and a blocked flit simply
 // retries next cycle.
-func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int, out topology.Port) {
+func (r *Router) forward(now sim.Cycle, vc *ctrlVC, out topology.Port) {
 	co := &r.ctrlOut[out]
 	qc := vc.front()
 	if !vc.allocated {
@@ -820,7 +838,7 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	// The flit's lead list is this router's to rewrite (see
 	// noc.ControlFlit.Leads), and leads only ever drop out, so the rewritten
 	// list fits the array it arrived in.
-	leads := vc.leadsAt(vc.head)
+	leads := vc.leadsAt(int(vc.head), r.cfg.LeadsPerCtrl)
 	nf := qc.flit
 	nf.VC = int32(vc.outVC)
 	nf.Leads = nf.Leads[:0]
@@ -836,7 +854,7 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 	}
 	co.credits[vc.outVC]--
 	isTail := qc.flit.Type.IsTail()
-	r.popCtrl(now, inPort, vc, vcIdx)
+	r.popCtrl(now, vc)
 	if isTail {
 		co.owned[vc.outVC] = false
 		vc.allocated = false
@@ -857,8 +875,9 @@ func (r *Router) forward(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx 
 // finalizeLead's credit). The lead will never be finalized, so the residency
 // is released here — otherwise every discarded stream would leak upstream
 // buffers until its source wedges.
-func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topology.Port) {
-	qc, leads := vc.front(), vc.leadsAt(vc.head)
+func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC) {
+	qc, leads := vc.front(), vc.leadsAt(int(vc.head), r.cfg.LeadsPerCtrl)
+	inPort := topology.Port(vc.port)
 	in := &r.inputs[inPort]
 	for i := range leads {
 		ld := &leads[i]
@@ -880,7 +899,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topolo
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
-	r.popCtrl(now, inPort, vc, vcIdx)
+	r.popCtrl(now, vc)
 	vc.drain = !isTail
 }
 
@@ -891,35 +910,29 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC, vcIdx int, inPort topolo
 // already sent into the wire is destroyed).
 func (r *Router) severOutput(p topology.Port) {
 	co := &r.ctrlOut[p]
-	for ip := range r.ctrlIn {
-		ci := &r.ctrlIn[ip]
-		if !ci.exists {
+	for ch := range r.chans {
+		vc := &r.chans[ch]
+		if !vc.routed || topology.Port(vc.route) != p {
 			continue
 		}
-		for v := range ci.vcs {
-			vc := &ci.vcs[v]
-			if !vc.routed || vc.route != p {
-				continue
-			}
-			if vc.allocated && co.exists {
-				co.owned[vc.outVC] = false
-			}
-			vc.routed, vc.allocated = false, false
-			vc.drain = true
-			// Claims the queued flits held on the dying output's table die
-			// with the table; if a still-queued head survives to re-route,
-			// it must be re-admitted on the new output from scratch. Leads
-			// already scheduled into the dying output die with it too —
-			// their data is destroyed on the wire, so the re-routed stream
-			// must not announce them downstream.
-			for i := 0; i < vc.n; i++ {
-				c := vc.cell(i)
-				vc.q[c].admitted = false
-				leads := vc.leadsAt(c)
-				for j := range leads {
-					if leads[j].scheduled {
-						leads[j].dead = true
-					}
+		if vc.allocated && co.exists {
+			co.owned[vc.outVC] = false
+		}
+		vc.routed, vc.allocated = false, false
+		vc.drain = true
+		// Claims the queued flits held on the dying output's table die
+		// with the table; if a still-queued head survives to re-route,
+		// it must be re-admitted on the new output from scratch. Leads
+		// already scheduled into the dying output die with it too —
+		// their data is destroyed on the wire, so the re-routed stream
+		// must not announce them downstream.
+		for i := 0; i < int(vc.n); i++ {
+			c := vc.cell(i)
+			vc.q[c].admitted = false
+			leads := vc.leadsAt(c, r.cfg.LeadsPerCtrl)
+			for j := range leads {
+				if leads[j].scheduled {
+					leads[j].dead = true
 				}
 			}
 		}
@@ -927,17 +940,18 @@ func (r *Router) severOutput(p topology.Port) {
 }
 
 // popCtrl dequeues the front control flit of a VC and returns its buffer
-// credit upstream. The cell is cleared for the next flit to arrive, so callers
-// must be done with the front before they pop.
-func (r *Router) popCtrl(now sim.Cycle, inPort topology.Port, vc *ctrlVC, vcIdx int) {
+// credit upstream. The cell lets go of the flit for the next to arrive, so
+// callers must be done with the front before they pop.
+func (r *Router) popCtrl(now sim.Cycle, vc *ctrlVC) {
 	*r.progress++
 	vc.pop()
 	if vc.n == 0 {
-		r.ctrlIn[inPort].occ.clear(vcIdx)
+		r.occ.clear(int(vc.port)*r.cfg.CtrlVCs + int(vc.vc))
 	}
 	r.queued--
+	inPort := topology.Port(vc.port)
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
-		creditOut.Send(now, noc.VCCredit{VC: vcIdx})
+		creditOut.Send(now, noc.VCCredit{VC: int(vc.vc)})
 		if !creditOut.Severed() {
 			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
 		}

@@ -3,6 +3,8 @@ package frfc
 import (
 	"fmt"
 	"testing"
+
+	"frfc/internal/experiment"
 )
 
 // TestFRResultsPinned holds two flit-reservation runs to the Results the
@@ -12,20 +14,24 @@ import (
 // observed Result's sidecar carries the tick and active-tick totals, the router's
 // phase counters and the waterfall stages, so a dormant tick that forgot its
 // profile record, a skipped random draw or a late table slide that revealed
-// a different cell all move a pinned digit.
+// a different cell all move a pinned digit. The third run gives each router
+// 13 control VCs on five ports, 65 channels, so its candidate set spans two
+// words of the router's channel vectors where FR6's 10 fit in one.
 func TestFRResultsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name           string
+		spec           Spec
 		radix          int
 		load           float64
 		sample, warmup int
 		want           string
 	}{
-		{"16x16-load0.10", 16, 0.10, 1500, 800, pinnedSparse},
-		{"8x8-load0.50", 8, 0.50, 2000, 1000, pinnedMid},
+		{"16x16-load0.10", FR6(FastControl, 5), 16, 0.10, 1500, 800, pinnedSparse},
+		{"8x8-load0.50", FR6(FastControl, 5), 8, 0.50, 2000, 1000, pinnedMid},
+		{"fr20-v13-4x4-load0.30", experiment.FRSpec("FR20-v13", experiment.FastControl, 20, 13, 1, 5), 4, 0.30, 2000, 1000, pinnedTwoWords},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := FR6(FastControl, 5).WithMeshRadix(tc.radix).WithSampling(tc.sample, tc.warmup).WithSeed(1)
+			spec := tc.spec.WithMeshRadix(tc.radix).WithSampling(tc.sample, tc.warmup).WithSeed(1)
 			obs := NewObserver(ObserverOptions{Profile: true, Waterfall: true})
 			got := renderPinned(RunObserved(spec, tc.load, obs))
 			if got != tc.want {
@@ -47,8 +53,9 @@ func renderPinned(r Result) string {
 }
 
 const (
-	pinnedSparse = `{Spec:FR6 Load:0.1 EffectiveLoad:0.098046875 AvgLatency:50.91733333333337 AvgQueueDelay:0 CI95:1.048701695347935 BatchCI95:1.2919179082735894 Batches:30 Lag1Autocorr:0.011363840226416724 CISuspect:false MinLatency:12 MaxLatency:117 P50:49 P95:88 P99:104 AcceptedLoad:0.10025009904912836 Saturated:false WarmupUnstable:false SampledDelivered:1500 SampleSize:1500 Cycles:2062 PoolFullFraction:0 EagerTransfers:0 EagerResidencies:0 DroppedFlits:0 LostPackets:0 RetriedPackets:0 AbandonedPackets:0 DeliveredAfterRetry:0 CtrlCorrupted:0 AvgRetryLatency:0 UnreachablePackets:0 DeliveredFraction:1 CorruptedFlits:0 CrcDetected:0 CorruptEscapes:0 PhantomReservations:0 ReclaimedSlots:0 Observed:<nil>} Activity:{Ticks:1583616 ActiveTicks:306069 IdleFraction:0.8067277673375364 SchedWork:158407 ArbWork:310165 SwitchWork:164856 CreditWork:276493} Waterfall:{Packets:1500 Total:76376 Queue:0 Reserve:1500 Arb:0 Stall:0 Sched:2009 Link:66144 Drain:6723}`
-	pinnedMid    = `{Spec:FR6 Load:0.5 EffectiveLoad:0.490234375 AvgLatency:34.758999999999965 AvgQueueDelay:0 CI95:0.49312255813729755 BatchCI95:0.7163303676556722 Batches:30 Lag1Autocorr:0.018112039566722107 CISuspect:false MinLatency:12 MaxLatency:78 P50:35 P95:53 P99:60 AcceptedLoad:0.501406023222061 Saturated:false WarmupUnstable:false SampledDelivered:2000 SampleSize:2000 Cycles:1689 PoolFullFraction:0.00725689404934688 EagerTransfers:0 EagerResidencies:0 DroppedFlits:0 LostPackets:0 RetriedPackets:0 AbandonedPackets:0 DeliveredAfterRetry:0 CtrlCorrupted:0 AvgRetryLatency:0 UnreachablePackets:0 DeliveredFraction:1 CorruptedFlits:0 CrcDetected:0 CorruptEscapes:0 PhantomReservations:0 ReclaimedSlots:0 Observed:<nil>} Activity:{Ticks:324288 ActiveTicks:175421 IdleFraction:0.4590579978290902 SchedWork:173968 ArbWork:347724 SwitchWork:213216 CreditWork:285294} Waterfall:{Packets:2000 Total:69518 Queue:0 Reserve:2013 Arb:0 Stall:0 Sched:8015 Link:46576 Drain:12914}`
+	pinnedSparse   = `{Spec:FR6 Load:0.1 EffectiveLoad:0.098046875 AvgLatency:50.91733333333337 AvgQueueDelay:0 CI95:1.048701695347935 BatchCI95:1.2919179082735894 Batches:30 Lag1Autocorr:0.011363840226416724 CISuspect:false MinLatency:12 MaxLatency:117 P50:49 P95:88 P99:104 AcceptedLoad:0.10025009904912836 Saturated:false WarmupUnstable:false SampledDelivered:1500 SampleSize:1500 Cycles:2062 PoolFullFraction:0 EagerTransfers:0 EagerResidencies:0 DroppedFlits:0 LostPackets:0 RetriedPackets:0 AbandonedPackets:0 DeliveredAfterRetry:0 CtrlCorrupted:0 AvgRetryLatency:0 UnreachablePackets:0 DeliveredFraction:1 CorruptedFlits:0 CrcDetected:0 CorruptEscapes:0 PhantomReservations:0 ReclaimedSlots:0 Observed:<nil>} Activity:{Ticks:1583616 ActiveTicks:306069 IdleFraction:0.8067277673375364 SchedWork:158407 ArbWork:310165 SwitchWork:164856 CreditWork:276493} Waterfall:{Packets:1500 Total:76376 Queue:0 Reserve:1500 Arb:0 Stall:0 Sched:2009 Link:66144 Drain:6723}`
+	pinnedMid      = `{Spec:FR6 Load:0.5 EffectiveLoad:0.490234375 AvgLatency:34.758999999999965 AvgQueueDelay:0 CI95:0.49312255813729755 BatchCI95:0.7163303676556722 Batches:30 Lag1Autocorr:0.018112039566722107 CISuspect:false MinLatency:12 MaxLatency:78 P50:35 P95:53 P99:60 AcceptedLoad:0.501406023222061 Saturated:false WarmupUnstable:false SampledDelivered:2000 SampleSize:2000 Cycles:1689 PoolFullFraction:0.00725689404934688 EagerTransfers:0 EagerResidencies:0 DroppedFlits:0 LostPackets:0 RetriedPackets:0 AbandonedPackets:0 DeliveredAfterRetry:0 CtrlCorrupted:0 AvgRetryLatency:0 UnreachablePackets:0 DeliveredFraction:1 CorruptedFlits:0 CrcDetected:0 CorruptEscapes:0 PhantomReservations:0 ReclaimedSlots:0 Observed:<nil>} Activity:{Ticks:324288 ActiveTicks:175421 IdleFraction:0.4590579978290902 SchedWork:173968 ArbWork:347724 SwitchWork:213216 CreditWork:285294} Waterfall:{Packets:2000 Total:69518 Queue:0 Reserve:2013 Arb:0 Stall:0 Sched:8015 Link:46576 Drain:12914}`
+	pinnedTwoWords = `{Spec:FR20-v13 Load:0.3 EffectiveLoad:0.294140625 AvgLatency:20.605499999999953 AvgQueueDelay:0 CI95:0.23021727348812526 BatchCI95:0.25014921906289395 Batches:30 Lag1Autocorr:-0.022698430747873345 CISuspect:false MinLatency:12 MaxLatency:38 P50:20 P95:29 P99:33 AcceptedLoad:0.2999290108849976 Saturated:false WarmupUnstable:false SampledDelivered:2000 SampleSize:2000 Cycles:3113 PoolFullFraction:0 EagerTransfers:0 EagerResidencies:0 DroppedFlits:0 LostPackets:0 RetriedPackets:0 AbandonedPackets:0 DeliveredAfterRetry:0 CtrlCorrupted:0 AvgRetryLatency:0 UnreachablePackets:0 DeliveredFraction:1 CorruptedFlits:0 CrcDetected:0 CorruptEscapes:0 PhantomReservations:0 ReclaimedSlots:0 Observed:<nil>} Activity:{Ticks:149424 ActiveTicks:85334 IdleFraction:0.4289136952564514 SchedWork:54810 ArbWork:109860 SwitchWork:74103 CreditWork:79413} Waterfall:{Packets:2000 Total:41211 Queue:0 Reserve:2000 Arb:0 Stall:0 Sched:3322 Link:25176 Drain:10713}`
 )
 
 // TestVCLineageResultsPinned holds the fabrics that ride internal/vcrouter

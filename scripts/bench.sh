@@ -3,9 +3,9 @@
 # BENCHMARK.json, which is what measures speed end to end: bench/run.sh), five
 # runs each; prints only, records nothing:
 #
-#   internal/core      OutResTableFindCommitCredit, RouterTickDormant/Idle,
-#                      NetworkTick16x16Sparse/8x8Mid (the loaded router tick
-#                      is 8x8Mid's ns/router-tick), NetworkNew8x8/16x16 (49
+#   internal/core      OutResTableFindCommitCredit, RouterTickDormant/Idle/
+#                      Loaded (the loaded router tick: 8x8Mid's routers alone),
+#                      NetworkTick16x16Sparse/8x8Mid, NetworkNew8x8/16x16 (46
 #                      allocs/op at either radix), NetworkReset8x8 (what a job
 #                      pays instead of New once its configuration's network
 #                      exists; 0 allocs/op)

@@ -14,6 +14,9 @@
 #     underneath; core rebuilds a calendar after an outage with
 #     sim.Calendar.Rearm itself).
 #   - Every router orders its arbitration candidates with sim.Shuffle.
+#   - The flit-reservation router reports every tick, dormant or not, to the
+#     self-profile through profile.Registry.RouterTick, a nil test when
+#     profiling is off.
 #
 # Fail unless the compiler reports each helper inlined at every call of it —
 # as many times as the line makes the call — in the files that hold those
@@ -24,7 +27,11 @@
 # Fisher-Yates loop over Intn(i + 1); or if the virtual-channel,
 # packet-switched or circuit fabric makes a wire, carves a calendar or counts
 # the packets offered for itself (sim.NewPipe, sim.CalendarCells, an offered
-# field) instead of through the noc.Terminals it embeds.
+# field) instead of through the noc.Terminals it embeds; or if the
+# flit-reservation router's per-port control state is back where its channel
+# vectors replaced it: a portVC candidate, an occupancy field in ctrlInput, or
+# a candidates that tests each front flit's arrival instead of reading
+# occ &^ fresh.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -73,6 +80,7 @@ check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
 check "$calRearm" 'sim\.Calendar\.Rearm' $(sites "$calRearm")
 check "$pipeRearm" 'sim\.(\*Pipe\[.*\])\.Rearm' $(sites "$pipeRearm")
 check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
+check '\.RouterTick\(' 'profile\.(\*Registry)\.RouterTick' internal/core/router.go
 
 gone=$(for d in $pkgs; do grep -nE '\bpost\(|FlitsIn|flitsIn|creditsIn|\.ejected\b|\bejected +\*' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
 if [ -n "$gone" ]; then
@@ -95,5 +103,17 @@ if [ -n "$own" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, and the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals"
+chans=$(for f in internal/core/*.go; do
+    case $f in *_test.go) continue ;; esac
+    grep -nE '\bportVC\b' "$f" /dev/null || true
+    awk -v f="$f" '/^type ctrlInput struct/,/^}/ { if ($0 ~ /(^|[^.A-Za-z0-9_])occ([^A-Za-z0-9_]|$)/) print f ":" FNR ": ctrlInput: " $0 }' "$f"
+    awk -v f="$f" '/^func \(r \*Router\) candidates\(/,/^}/ { if ($0 ~ /arrivedAt/) print f ":" FNR ": candidates: " $0 }' "$f"
+done)
+if [ -n "$chans" ]; then
+    echo "inlined.sh: per-port control state the router's channel vectors replaced is back (candidates are occ &^ fresh, as channel indices):" >&2
+    echo "$chans" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word"
 exit $status
