@@ -23,20 +23,25 @@
 //	paperfigs -fig 5 -scale full         # one figure at paper scale
 //	paperfigs -table 3 -workers 8        # fan the summary over 8 workers
 //
-// The sweeps and Table 3 run on the internal/harness worker pool; -workers
-// sizes it (0 = NumCPU) and never changes the printed numbers — every point
-// has a network to itself for the run, reset from the point's seed to its
-// constructed state, and rows print in spec/load order.
+// Every simulated number is a job of the internal/harness executor on one
+// worker pool; -workers sizes it (0 = NumCPU) and never changes the printed
+// numbers — every point has a network to itself for the run, reset from the
+// point's seed to its constructed state, and rows print in spec/load order.
+// One in-memory result cache spans the invocation, so a point two parts share
+// simulates once; the observer tables bypass it (a cached result carries no
+// observation). A failed job ends the run: exit 1, one line on stderr.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
 	"strings"
+	"sync"
 
 	"frfc"
 	"frfc/internal/cli"
@@ -55,7 +60,7 @@ var scales = map[string]func(experiment.Spec) experiment.Spec{
 }
 
 // figs is one invocation: where the parts print, the scale they measure at
-// and the pool the sweeps and Table 3 fan out over.
+// and the pool, with its result cache, every simulated part runs on.
 type figs struct {
 	w      io.Writer
 	scaled func(experiment.Spec) experiment.Spec
@@ -77,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		scale   = fs.String("scale", "quick", "measurement effort: quick, standard, or full (paper protocol)")
-		workers = fs.Int("workers", 0, "worker pool size for the sweeps (0 = NumCPU); any count yields identical output")
+		workers = fs.Int("workers", 0, "worker pool size for every simulated part (0 = NumCPU); any count yields identical output")
 		fig     = fs.Int("fig", 0, "regenerate one figure (5-9)")
 		table   = fs.Int("table", 0, "regenerate one table (1-3)")
 		extra   = fs.String("extra", "", "extra experiment: "+strings.Join(extras, ", "))
@@ -87,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fail := cli.Refusal("paperfigs", stderr)
-	f := figs{w: stdout, scaled: scales[*scale], pool: harness.Options{Workers: *workers}}
+	f := figs{w: stdout, scaled: scales[*scale], pool: harness.Options{Workers: *workers, Store: &harness.Store{}}}
 	switch {
 	case f.scaled == nil:
 		return fail("-scale %q: want quick, standard or full", *scale)
@@ -116,7 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		if err := part.run(f); err != nil {
-			fmt.Fprintf(stderr, "paperfigs: %v\n", err)
+			// A panicked job's error carries its stack after the first line.
+			msg, _, _ := strings.Cut(err.Error(), "\n")
+			fmt.Fprintf(stderr, "paperfigs: %s\n", msg)
 			return 1
 		}
 	}
@@ -150,35 +157,62 @@ func (f figs) table2() error {
 func (f figs) sweepFig(title string, specs []experiment.Spec, loads []float64) error {
 	fmt.Fprintf(f.w, "== %s ==\n", title)
 	fmt.Fprintf(f.w, "%-8s", "load%")
+	var jobs []harness.Job
 	for _, s := range specs {
 		fmt.Fprintf(f.w, " %14s", s.Name)
+		jobs = harness.AppendJobs(jobs, f.scaled(s), loads)
 	}
 	fmt.Fprintln(f.w)
-	toRun := make([]experiment.Spec, len(specs))
-	for i, s := range specs {
-		toRun[i] = f.scaled(s)
-	}
-	rows, err := harness.SweepSpecs(context.Background(), toRun, loads, f.pool)
+	jrs, err := runJobs(f.pool, jobs)
 	if err != nil {
 		return fmt.Errorf("%s: %w", title, err)
 	}
 	for j, l := range loads {
 		fmt.Fprintf(f.w, "%-8.1f", l*100)
 		for i := range specs {
-			jr := rows[i][j]
-			switch {
-			case jr.Err != "":
-				fmt.Fprintf(f.w, " %14s", "failed")
-			case jr.Result.Saturated:
+			if r := jrs[i*len(loads)+j].Result; r.Saturated {
 				fmt.Fprintf(f.w, " %14s", "saturated")
-			default:
-				fmt.Fprintf(f.w, " %14.2f", jr.Result.AvgLatency)
+			} else {
+				fmt.Fprintf(f.w, " %14.2f", r.AvgLatency)
 			}
 		}
 		fmt.Fprintln(f.w)
 	}
 	fmt.Fprintln(f.w)
 	return nil
+}
+
+// scale returns the specs at the invocation's measurement effort.
+func (f figs) scale(specs []experiment.Spec) []experiment.Spec {
+	scaled := make([]experiment.Spec, len(specs))
+	for i, s := range specs {
+		scaled[i] = f.scaled(s)
+	}
+	return scaled
+}
+
+// runJobs resolves a part's jobs on o, in job order; the first failed job,
+// naming its spec and load, is the error.
+func runJobs(o harness.Options, jobs []harness.Job) ([]harness.JobResult, error) {
+	jrs, err := harness.RunJobs(context.Background(), jobs, o)
+	for _, jr := range jrs {
+		if err == nil {
+			err = jr.Failure()
+		}
+	}
+	return jrs, err
+}
+
+// saturations searches each spec's saturation throughput on the pool, at the
+// invocation's effort; the first failed search is the error.
+func (f figs) saturations(specs ...experiment.Spec) ([]harness.SatResult, error) {
+	rows, err := harness.SaturationSearch(context.Background(), f.scale(specs), satResolution, f.pool)
+	for _, r := range rows {
+		if err == nil && r.Err != "" {
+			err = errors.New(r.Err)
+		}
+	}
+	return rows, err
 }
 
 // loadsTo is the figures' load axis: 10% of capacity to hi in steps of 5%.
@@ -248,11 +282,7 @@ func (f figs) table3() error {
 	}
 	fmt.Fprintln(f.w, "== Table 3: summary ==")
 	for _, g := range groups {
-		specs := make([]experiment.Spec, len(g.specs))
-		for i, s := range g.specs {
-			specs[i] = f.scaled(s)
-		}
-		rows, err := harness.SummarizeAll(context.Background(), specs, satResolution, f.pool)
+		rows, err := harness.SummarizeAll(context.Background(), f.scale(g.specs), satResolution, f.pool)
 		if err != nil {
 			return fmt.Errorf("table 3: %w", err)
 		}
@@ -264,8 +294,14 @@ func (f figs) table3() error {
 
 func (f figs) occupancy() error {
 	fmt.Fprintln(f.w, "== Section 4.2: buffer-pool occupancy near saturation ==")
-	fr := experiment.Run(f.scaled(experiment.FR6(experiment.FastControl, 21)), 0.60)
-	vc := experiment.Run(f.scaled(experiment.VC8(experiment.FastControl, 21)), 0.52)
+	jrs, err := runJobs(f.pool, []harness.Job{
+		{Spec: f.scaled(experiment.FR6(experiment.FastControl, 21)), Load: 0.60},
+		{Spec: f.scaled(experiment.VC8(experiment.FastControl, 21)), Load: 0.52},
+	})
+	if err != nil {
+		return fmt.Errorf("occupancy: %w", err)
+	}
+	fr, vc := jrs[0].Result, jrs[1].Result
 	fmt.Fprintf(f.w, "FR6 central pool full %.1f%% of cycles at 60%% load, its saturation edge (paper: ~40%%)\n", fr.PoolFullFraction*100)
 	fmt.Fprintf(f.w, "VC8 central pool full %.1f%% of cycles at 52%% load, its saturation edge (paper: <5%%)\n\n", vc.PoolFullFraction*100)
 	return nil
@@ -283,10 +319,6 @@ func (f figs) ablations() error {
 	aon := perFlit
 	aon.Name = "FR6-d4-AoN"
 	aon.FR.AllOrNothing = true
-	for _, s := range []experiment.Spec{perFlit, aon} {
-		r := experiment.Run(f.scaled(s), 0.65)
-		fmt.Fprintf(f.w, "%-12s latency at 65%% load: %8.2f cycles (saturated=%v)\n", s.Name, r.AvgLatency, r.Saturated)
-	}
 
 	// Virtual channels with a shared buffer pool [TamFra92]: the paper
 	// saw no throughput improvement.
@@ -294,11 +326,6 @@ func (f figs) ablations() error {
 	vp := vq
 	vp.Name = "VC8-pooled"
 	vp.VC.SharedPool = true
-	sat := func(s experiment.Spec) float64 {
-		return experiment.SaturationThroughput(f.scaled(s), satResolution) * 100
-	}
-	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity\n", vq.Name, sat(vq))
-	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (paper: no improvement)\n", vp.Name, sat(vp))
 
 	// Eager vs deferred buffer allocation (Figure 10): a shadow ledger
 	// replays the executed schedule under allocate-at-reservation-time and
@@ -307,14 +334,32 @@ func (f figs) ablations() error {
 	eager := fr6
 	eager.Name = "FR6-eager"
 	eager.FR.TrackEagerTransfers = true
-	r := experiment.Run(f.scaled(eager), 0.70)
+
+	jrs, err := runJobs(f.pool, []harness.Job{
+		{Spec: f.scaled(perFlit), Load: 0.65}, {Spec: f.scaled(aon), Load: 0.65}, {Spec: f.scaled(eager), Load: 0.70},
+	})
+	if err != nil {
+		return fmt.Errorf("ablations: %w", err)
+	}
+	sats, err := f.saturations(vq, vp, fr6, perFlit)
+	if err != nil {
+		return fmt.Errorf("ablations: %w", err)
+	}
+	for i, s := range []experiment.Spec{perFlit, aon} {
+		r := jrs[i].Result
+		fmt.Fprintf(f.w, "%-12s latency at 65%% load: %8.2f cycles (saturated=%v)\n", s.Name, r.AvgLatency, r.Saturated)
+	}
+	sat := func(i int) float64 { return sats[i].Saturation * 100 }
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity\n", vq.Name, sat(0))
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (paper: no improvement)\n", vp.Name, sat(1))
+	r := jrs[2].Result
 	fmt.Fprintf(f.w, "%-12s transfers at 70%% load: %.2f per 1000 residencies (%d of %d; deferred: 0)\n",
 		eager.Name, 1000*float64(r.EagerTransfers)/float64(r.EagerResidencies), r.EagerTransfers, r.EagerResidencies)
 
 	// Wide control flits: one control flit leading d=4 data flits saves
 	// control bandwidth at the cost of coarser admission.
-	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=1)\n", fr6.Name, sat(fr6))
-	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=4)\n", perFlit.Name, sat(perFlit))
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=1)\n", fr6.Name, sat(2))
+	fmt.Fprintf(f.w, "%-12s saturation: %4.0f%% of capacity (d=4)\n", perFlit.Name, sat(3))
 	fmt.Fprintln(f.w)
 	return nil
 }
@@ -330,25 +375,29 @@ func (f figs) lineage() error {
 		"store-and-forward (2 pkt bufs)", "virtual cut-through (2 pkt bufs)", "wormhole (8 flit bufs)",
 		"virtual channels (2x4 flit bufs)", "circuit switching (no bufs)", "flit reservation (6 flit bufs)",
 	}
-	specs := configs("fast", 5, "SAF", "VCT", "WH", "VC8", "CS", "FR6")
-	for i, s := range specs {
-		specs[i] = f.scaled(s)
+	rows, err := f.saturations(configs("fast", 5, "SAF", "VCT", "WH", "VC8", "CS", "FR6")...)
+	if err != nil {
+		return fmt.Errorf("lineage: %w", err)
 	}
-	rows, err := harness.SaturationSearch(context.Background(), specs, satResolution, f.pool)
+	lengths := []int{5, 64}
+	var base []harness.Job
+	for _, flits := range lengths {
+		for _, s := range f.scale(configs("fast", flits, "CS", "FR6")) {
+			spec, load := experiment.BasePoint(s)
+			base = append(base, harness.Job{Spec: spec, Load: load})
+		}
+	}
+	jrs, err := runJobs(f.pool, base)
 	if err != nil {
 		return fmt.Errorf("lineage: %w", err)
 	}
 	fmt.Fprintf(f.w, "%-34s %12s %14s\n", "flow control", "base lat.", "saturation")
 	for i, r := range rows {
-		if r.Err != "" {
-			return fmt.Errorf("lineage: %s: %s", r.Spec, r.Err)
-		}
 		fmt.Fprintf(f.w, "%-34s %9.1f cy %13.0f%%\n", labels[i], r.BaseLatency, r.Saturation*100)
 	}
 	fmt.Fprintln(f.w, "circuit set-up against message length (base latency, circuit vs FR6):")
-	for _, flits := range []int{5, 64} {
-		pair := configs("fast", flits, "CS", "FR6")
-		cs, fr := experiment.BaseLatency(f.scaled(pair[0])), experiment.BaseLatency(f.scaled(pair[1]))
+	for i, flits := range lengths {
+		cs, fr := jrs[2*i].Result.AvgLatency, jrs[2*i+1].Result.AvgLatency
 		fmt.Fprintf(f.w, "%3d-flit messages %9.1f cy vs %6.1f cy (%+.0f%%)\n", flits, cs, fr, (cs-fr)/fr*100)
 	}
 	fmt.Fprintln(f.w)
@@ -363,31 +412,27 @@ var observedLoads = []float64{0.20, 0.40, 0.60}
 // being under Check), for flit reservation against virtual channels.
 func (f figs) waterfall() error {
 	fmt.Fprintln(f.w, "== Latency provenance: mean cycles per packet by lifecycle stage, 5-flit packets, fast control ==")
-	specs := configs("fast", 5, "FR6", "VC8")
-	for i, s := range specs {
+	var jobs []harness.Job
+	for _, s := range configs("fast", 5, "FR6", "VC8") {
 		s.Check = true
-		specs[i] = f.scaled(s)
+		jobs = harness.AppendJobs(jobs, f.scaled(s), observedLoads)
 	}
 	o := f.pool
+	o.Store = nil // a cached result carries no observation
 	o.Probe = func() *metrics.Probe { return metrics.NewProbe(0, false, false, true) }
-	rows, err := harness.SweepSpecs(context.Background(), specs, observedLoads, o)
+	jrs, err := runJobs(o, jobs)
 	if err != nil {
 		return fmt.Errorf("waterfall: %w", err)
 	}
 	fmt.Fprintf(f.w, "%-6s %5s  %7s %7s %7s %7s %7s %7s %7s  %8s\n",
 		"config", "load", "queue", "reserve", "arb", "stall", "sched", "link", "drain", "total")
-	for _, row := range rows {
-		for _, jr := range row {
-			if jr.Err != "" {
-				return fmt.Errorf("waterfall: %s at load %.2f: %s", jr.Job.Spec.Name, jr.Job.Load, jr.Err)
-			}
-			v := jr.Result.Observed.Waterfall.View()
-			fmt.Fprintf(f.w, "%-6s %4.0f%% ", jr.Result.Spec, jr.Result.Load*100)
-			for _, st := range v.Stages {
-				fmt.Fprintf(f.w, " %7.2f", st.Mean)
-			}
-			fmt.Fprintf(f.w, "  %8.2f\n", v.MeanLatency)
+	for _, jr := range jrs {
+		v := jr.Result.Observed.Waterfall.View()
+		fmt.Fprintf(f.w, "%-6s %4.0f%% ", jr.Result.Spec, jr.Result.Load*100)
+		for _, st := range v.Stages {
+			fmt.Fprintf(f.w, " %7.2f", st.Mean)
 		}
+		fmt.Fprintf(f.w, "  %8.2f\n", v.MeanLatency)
 	}
 	fmt.Fprintln(f.w)
 	return nil
@@ -402,18 +447,23 @@ func (f figs) activity() error {
 	fmt.Fprintln(f.w, "== Simulator self-profile: FR6 component ticks and the share that did no work, 5-flit packets, fast control ==")
 	fmt.Fprintf(f.w, "%-5s %10s %6s %7s %6s %6s  %6s %6s %7s %7s\n",
 		"load", "ticks", "idle%", "router%", "ni%", "sink%", "sched%", "arb%", "switch%", "credit%")
-	for _, load := range observedLoads {
-		probe := metrics.NewProbe(0, false, true, false)
-		r, err := experiment.RunInstrumented(context.Background(), f.scaled(experiment.FR6(experiment.FastControl, 5)), load, experiment.Instruments{Probe: probe})
-		if err != nil {
-			return fmt.Errorf("activity: %w", err)
-		}
-		ticks, active := probe.Prof.ComponentTotals()
+	o := f.pool
+	o.Store = nil // a cached result carries no observation
+	o.Probe = func() *metrics.Probe { return metrics.NewProbe(0, false, true, false) }
+	var probes sync.Map // load -> the probe its job ran with
+	o.Collect = func(j harness.Job, p *metrics.Probe) { probes.Store(j.Load, p) }
+	jrs, err := runJobs(o, harness.AppendJobs(nil, f.scaled(experiment.FR6(experiment.FastControl, 5)), observedLoads))
+	if err != nil {
+		return fmt.Errorf("activity: %w", err)
+	}
+	for _, jr := range jrs {
+		p, _ := probes.Load(jr.Job.Load)
+		ticks, active := p.(*metrics.Probe).Prof.ComponentTotals()
 		idle := func(c profile.Component) float64 { return 100 * (1 - float64(active[c])/float64(ticks[c])) }
-		a := r.Observed.Activity
+		a := jr.Result.Observed.Activity
 		work := float64(a.SchedWork+a.ArbWork+a.SwitchWork+a.CreditWork) / 100
 		fmt.Fprintf(f.w, "%4.0f%% %10d %6.1f %7.1f %6.1f %6.1f  %6.1f %6.1f %7.1f %7.1f\n",
-			load*100, a.Ticks, 100*a.IdleFraction, idle(profile.CompRouter), idle(profile.CompNI), idle(profile.CompSink),
+			jr.Job.Load*100, a.Ticks, 100*a.IdleFraction, idle(profile.CompRouter), idle(profile.CompNI), idle(profile.CompSink),
 			float64(a.SchedWork)/work, float64(a.ArbWork)/work, float64(a.SwitchWork)/work, float64(a.CreditWork)/work)
 	}
 	fmt.Fprintln(f.w)

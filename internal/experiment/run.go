@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -503,19 +502,18 @@ func Sweep(s Spec, loads []float64) []Result {
 	return results
 }
 
-// BaseLatency measures the zero-load (contention-free) latency of a spec by
-// running it at a very light load with a reduced sample.
+// BaseLatency measures the zero-load (contention-free) latency of a spec: one
+// Run at its BasePoint.
 func BaseLatency(s Spec) float64 {
-	return Run(baseSpec(s.withDefaults()), baseLoad).AvgLatency
+	return Run(BasePoint(s)).AvgLatency
 }
 
-// The saturation protocol: base latency is measured at baseLoad; a load point
-// counts as sustainable while the whole sample is delivered and its average
-// latency stays at or below satLatencyMultiple × base latency; Bisect searches
-// [satLo, satHi] until the bracket is narrower than the caller's resolution
-// (non-positive = defaultResolution, 1% of capacity).
+// The saturation protocol: base latency is measured at the BasePoint; a load
+// point counts as sustainable while the whole sample is delivered and its
+// average latency stays at or below satLatencyMultiple × base latency; Bisect
+// searches [satLo, satHi] until the bracket is narrower than the caller's
+// resolution (non-positive = defaultResolution, 1% of capacity).
 const (
-	baseLoad           = 0.02
 	satLatencyMultiple = 6
 	satLo, satHi       = 0.10, 1.0
 	defaultResolution  = 0.01
@@ -534,29 +532,31 @@ func MaxEvals(resolution float64) int {
 	return 3 + int(math.Ceil(math.Log2((satHi-satLo)/orDefaultResolution(resolution))))
 }
 
-// baseSpec is the spec BaseLatency and Bisect measure contention-free latency
-// with: s (defaults filled) at a reduced sample, run at baseLoad.
-func baseSpec(s Spec) Spec {
+// BasePoint is the point BaseLatency and Bisect measure contention-free
+// latency at: s (defaults filled) at a reduced sample, offered 2% of capacity.
+func BasePoint(s Spec) (Spec, float64) {
+	s = s.withDefaults()
 	s.SamplePackets = min(s.SamplePackets, 500)
-	return s
+	return s, 0.02
 }
 
 // Bisect locates, by bisection, the highest offered load the configuration
 // sustains — the "saturates at X% capacity" numbers of the paper —
-// executing every point through run: Run itself for a plain search, the
-// harness's cached, panic-isolated executor for a campaign. It returns the
-// raw load fraction (callers comparing flow-control methods apply the spec's
+// executing every point through run: the harness's cached, panic-isolated
+// executor, or Run itself in a test's reference. It returns the raw load
+// fraction (callers comparing flow-control methods apply the spec's
 // BandwidthPenalty as the paper does) and the base latency the sustainability
 // threshold was calibrated against. An error from run ends the search.
 func Bisect(s Spec, resolution float64, run func(Spec, float64) (Result, error)) (sat, base float64, err error) {
 	s = s.withDefaults()
 	resolution = orDefaultResolution(resolution)
-	r, err := run(baseSpec(s), baseLoad)
+	bs, baseLoad := BasePoint(s)
+	r, err := run(bs, baseLoad)
 	if err != nil {
 		return 0, 0, err
 	}
 	if base = r.AvgLatency; base <= 0 {
-		return 0, base, errors.New("zero base latency — spec cannot deliver packets")
+		return 0, base, fmt.Errorf("%s at load %.4f: zero base latency — spec cannot deliver packets", s.Name, baseLoad)
 	}
 	sustainable := func(load float64) (bool, error) {
 		r, err := run(s, load)
@@ -582,23 +582,4 @@ func Bisect(s Spec, resolution float64, run func(Spec, float64) (Result, error))
 		}
 	}
 	return lo, base, nil
-}
-
-// saturation is Bisect over plain Runs; it panics when the spec delivers
-// nothing at base load.
-func saturation(s Spec, resolution float64) (sat, base float64) {
-	sat, base, err := Bisect(s, resolution, func(s Spec, load float64) (Result, error) { return Run(s, load), nil })
-	if err != nil {
-		panic("experiment: " + err.Error())
-	}
-	return sat, base
-}
-
-// SaturationThroughput locates the highest offered load the configuration
-// sustains (see Bisect) by running each point directly. It returns the raw
-// load fraction; callers comparing flow-control methods apply the spec's
-// BandwidthPenalty as the paper does.
-func SaturationThroughput(s Spec, resolution float64) float64 {
-	sat, _ := saturation(s, resolution)
-	return sat
 }

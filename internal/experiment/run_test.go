@@ -14,6 +14,19 @@ func tiny(s Spec) Spec {
 	return s
 }
 
+// runPlain is Run as the run function Bisect and Summarize take.
+func runPlain(s Spec, load float64) (Result, error) { return Run(s, load), nil }
+
+// saturate is the reference saturation search: Bisect over plain Runs.
+func saturate(t *testing.T, s Spec, resolution float64) float64 {
+	t.Helper()
+	sat, _, err := Bisect(s, resolution, runPlain)
+	if err != nil {
+		t.Fatalf("%s: %v", s.Name, err)
+	}
+	return sat
+}
+
 func TestRunLowLoadDeliversWholeSample(t *testing.T) {
 	for _, s := range []Spec{FR6(FastControl, 5), VC8(FastControl, 5)} {
 		s = tiny(s)
@@ -75,8 +88,8 @@ func TestSweepMonotoneLatency(t *testing.T) {
 func TestSaturationThroughputOrdering(t *testing.T) {
 	// Coarse resolution to keep the test fast; the ordering FR6 > VC8 is
 	// the paper's headline result and must hold even on a 4x4 mesh.
-	fr := SaturationThroughput(tiny(FR6(FastControl, 5)), 0.05)
-	vc := SaturationThroughput(tiny(VC8(FastControl, 5)), 0.05)
+	fr := saturate(t, tiny(FR6(FastControl, 5)), 0.05)
+	vc := saturate(t, tiny(VC8(FastControl, 5)), 0.05)
 	if fr <= vc {
 		t.Errorf("FR6 saturation %.2f <= VC8 saturation %.2f; expected FR to win", fr, vc)
 	}
@@ -200,7 +213,7 @@ func TestComparisonHoldsAcrossTrafficPatterns(t *testing.T) {
 // not. (Figure 5, Table 3, the lineage, the eager ledger and Tables 1-2 have
 // tests of their own; DESIGN.md §4 indexes them.)
 func TestPaperShapesAtReducedScale(t *testing.T) {
-	sat := func(s Spec) float64 { return SaturationThroughput(tiny(s), 0.05) }
+	sat := func(t *testing.T, s Spec) float64 { return saturate(t, tiny(s), 0.05) }
 	for _, shape := range []struct {
 		name  string
 		check func(t *testing.T)
@@ -210,7 +223,7 @@ func TestPaperShapesAtReducedScale(t *testing.T) {
 			horizon := func(h sim.Cycle) float64 {
 				s := FR6(FastControl, 5)
 				s.FR.Horizon = h
-				return sat(s)
+				return sat(t, s)
 			}
 			if s16, s128 := horizon(16), horizon(128); s16 < 0.85*s128 {
 				t.Errorf("saturation %.3f at horizon 16, %.3f at horizon 128", s16, s128)
@@ -220,7 +233,7 @@ func TestPaperShapesAtReducedScale(t *testing.T) {
 		{"Figure8Lead", func(t *testing.T) {
 			lo, hi := 1.0, 0.0
 			for _, lead := range []sim.Cycle{1, 2, 4} {
-				s := sat(FRLead(lead, 5))
+				s := sat(t, FRLead(lead, 5))
 				lo, hi = min(lo, s), max(hi, s)
 			}
 			if hi-lo > 0.10 {

@@ -15,18 +15,26 @@ type SummaryRow struct {
 	EffectiveThroughput float64 // debited by the bandwidth penalty
 }
 
-// Summarize measures one spec's Table 3 row; the base latency is the one the
-// saturation search calibrated against.
-func Summarize(s Spec, resolution float64) SummaryRow {
+// Summarize measures one spec's Table 3 row, executing every point through run
+// as Bisect does; the base latency is the one the saturation search
+// calibrated against. An error from run ends the row.
+func Summarize(s Spec, resolution float64, run func(Spec, float64) (Result, error)) (SummaryRow, error) {
 	s = s.withDefaults()
-	sat, base := saturation(s, resolution)
+	sat, base, err := Bisect(s, resolution, run)
+	if err != nil {
+		return SummaryRow{}, err
+	}
+	at50, err := run(s, 0.50)
+	if err != nil {
+		return SummaryRow{}, err
+	}
 	return SummaryRow{
 		Spec:                s.Name,
 		BaseLatency:         base,
-		LatencyAt50:         Run(s, 0.50).AvgLatency,
+		LatencyAt50:         at50.AvgLatency,
 		Throughput:          sat,
 		EffectiveThroughput: sat * (1 - s.BandwidthPenalty),
-	}
+	}, nil
 }
 
 // FormatSummary renders rows as a text table in Table 3's layout.

@@ -8,7 +8,10 @@ import (
 )
 
 func TestSummarizeProducesSaneRow(t *testing.T) {
-	row := Summarize(tiny(FR6(FastControl, 5)), 0.05)
+	row, err := Summarize(tiny(FR6(FastControl, 5)), 0.05, runPlain)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if row.Spec != "FR6" {
 		t.Errorf("Spec = %q", row.Spec)
 	}

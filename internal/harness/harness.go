@@ -141,6 +141,14 @@ type JobResult struct {
 	Elapsed time.Duration
 }
 
+// Failure is the job's error, naming its spec and load; nil when it succeeded.
+func (jr JobResult) Failure() error {
+	if jr.Err == "" {
+		return nil
+	}
+	return fmt.Errorf("%s at load %.4f: %s", jr.Job.Spec.Name, jr.Job.Load, jr.Err)
+}
+
 // Options tunes a campaign. The zero value runs with NumCPU workers, no
 // per-job timeout, no store, and no progress reporting.
 type Options struct {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 
 	"frfc/internal/experiment"
 )
@@ -32,8 +31,7 @@ type SatResult struct {
 // grid. Specs search in parallel (each bisection chain is inherently
 // sequential); every individual run flows through the job executor, so the
 // result store caches and resumes searches exactly like grid sweeps. The
-// search is experiment.Bisect — the one experiment.SaturationThroughput walks
-// — and returns identical saturation points at the same resolution.
+// search is experiment.Bisect, the one bisection there is.
 func SaturationSearch(ctx context.Context, specs []experiment.Spec, resolution float64, o Options) ([]SatResult, error) {
 	// The worst-case evals per spec is a display-only estimate for progress.
 	tr := newTracker(len(specs)*experiment.MaxEvals(resolution), o.workers(), o.Progress)
@@ -57,17 +55,12 @@ func SaturationSearch(ctx context.Context, specs []experiment.Spec, resolution f
 func searchOne(ctx context.Context, s experiment.Spec, resolution float64, o Options, tr *tracker) SatResult {
 	s = s.Normalized()
 	sr := SatResult{Spec: s.Name}
-	sat, base, err := experiment.Bisect(s, resolution, func(spec experiment.Spec, load float64) (experiment.Result, error) {
-		jr := execJob(ctx, Job{Spec: spec, Load: load}, o, tr)
+	sat, base, err := experiment.Bisect(s, resolution, runner(ctx, o, tr, func(jr JobResult) {
 		sr.Evals++
 		if !jr.Cached {
 			sr.Simulated++
 		}
-		if jr.Err != "" {
-			return experiment.Result{}, fmt.Errorf("%s at load %.4f: %s", spec.Name, load, jr.Err)
-		}
-		return jr.Result, nil
-	})
+	}))
 	sr.BaseLatency = base
 	if err != nil {
 		sr.Err = err.Error()
@@ -80,16 +73,34 @@ func searchOne(ctx context.Context, s experiment.Spec, resolution float64, o Opt
 
 // SummarizeAll measures one Table 3 row per spec — base latency, latency at
 // 50% capacity, and saturation throughput — with the specs fanned over the
-// worker pool. Row values equal experiment.Summarize's at the same resolution.
+// worker pool and every point of every row run through the job executor, so
+// a row caches, resumes and is counted like any campaign's jobs. The first
+// failure, naming the spec and load it struck, is returned beside the rows.
 func SummarizeAll(ctx context.Context, specs []experiment.Spec, resolution float64, o Options) ([]experiment.SummaryRow, error) {
-	cells := make([]experiment.Cell[experiment.SummaryRow], len(specs))
-	for i, s := range specs {
-		cells[i] = experiment.Cell[experiment.SummaryRow]{
-			Name: "summarize " + s.Normalized().Name,
-			Run: func(context.Context) (experiment.SummaryRow, error) {
-				return experiment.Summarize(s, resolution), nil
-			},
+	tr := newTracker(len(specs)*(experiment.MaxEvals(resolution)+1), o.workers(), o.Progress)
+	outs := mapPool(ctx, o.workers(), specs, func(ctx context.Context, _ int, s experiment.Spec) (experiment.SummaryRow, error) {
+		return experiment.Summarize(s, resolution, runner(ctx, o, tr, nil))
+	})
+	rows := make([]experiment.SummaryRow, len(specs))
+	var err error
+	for i, out := range outs {
+		rows[i] = out.Value
+		if out.Err != nil && err == nil {
+			err = out.Err
 		}
 	}
-	return RunCells(ctx, cells, o)
+	return rows, err
+}
+
+// runner is the run function experiment.Bisect and experiment.Summarize take:
+// every point is a job resolved by execJob, and seen, when non-nil, is shown
+// each job's outcome. A failed job is its Failure.
+func runner(ctx context.Context, o Options, tr *tracker, seen func(JobResult)) func(experiment.Spec, float64) (experiment.Result, error) {
+	return func(spec experiment.Spec, load float64) (experiment.Result, error) {
+		jr := execJob(ctx, Job{Spec: spec, Load: load}, o, tr)
+		if seen != nil {
+			seen(jr)
+		}
+		return jr.Result, jr.Failure()
+	}
 }

@@ -72,7 +72,8 @@ func DecodeEntry(line []byte) (Entry, error) {
 // safe for concurrent use; every Put is flushed before it returns, so a
 // killed campaign loses at most the jobs in flight. Opening tolerates a
 // truncated final line (the footprint of a kill mid-write): complete lines
-// load, the partial line is ignored and simply re-run.
+// load, the partial line is ignored and simply re-run. The zero Store is its
+// file-less form: a cache for one process, held in memory only.
 type Store struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -127,20 +128,25 @@ func (s *Store) Get(hash string) (experiment.Result, bool) {
 	return r, ok
 }
 
-// Put records a completed job, appending one JSONL line and syncing it.
+// Put records a completed job, appending one JSONL line and syncing it when
+// the store has a file.
 func (s *Store) Put(j Job, hash string, r experiment.Result) error {
-	line, err := MarshalEntry(j, hash, r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := s.f.Write(line); err != nil {
-		return fmt.Errorf("harness: append result: %w", err)
+	if s.f != nil {
+		line, err := MarshalEntry(j, hash, r)
+		if err != nil {
+			return err
+		}
+		if _, err := s.f.Write(append(line, '\n')); err != nil {
+			return fmt.Errorf("harness: append result: %w", err)
+		}
+		if err := s.f.Sync(); err != nil {
+			return fmt.Errorf("harness: sync store: %w", err)
+		}
 	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("harness: sync store: %w", err)
+	if s.entries == nil {
+		s.entries = make(map[string]experiment.Result)
 	}
 	s.entries[hash] = r
 	return nil
@@ -164,5 +170,8 @@ func (s *Store) Skipped() int {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
 	return s.f.Close()
 }

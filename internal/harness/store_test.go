@@ -12,6 +12,26 @@ import (
 	"frfc/internal/experiment"
 )
 
+// TestZeroStoreIsAMemoryCache: the zero Store serves what Put recorded, writes
+// no file, and closes without error.
+func TestZeroStoreIsAMemoryCache(t *testing.T) {
+	var st Store
+	j := Job{Spec: tinySpec(), Load: 0.25}
+	if _, ok := st.Get(j.Hash()); ok || st.Len() != 0 {
+		t.Fatal("an empty zero Store served a result")
+	}
+	want := experiment.Result{Spec: "FR6", Load: 0.25, AvgLatency: 31.5}
+	if err := st.Put(j, j.Hash(), want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := st.Get(j.Hash()); !ok || got != want || st.Len() != 1 {
+		t.Errorf("Get = %+v, %v (len %d), want %+v", got, ok, st.Len(), want)
+	}
+	if err := st.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
 // TestStoreRoundTrip: results written by Put come back from a reopened store
 // bit-identical, unobserved and observed alike. An unobserved run's line has no
 // Observed key and its Result is comparable with == to a second run's; an

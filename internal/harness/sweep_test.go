@@ -10,22 +10,28 @@ import (
 	"frfc/internal/experiment"
 )
 
-// TestSweepSpecsMatchesSerialSweep: the grid sweep must reproduce
-// experiment.Sweep bit-for-bit, per spec, at any worker count.
-func TestSweepSpecsMatchesSerialSweep(t *testing.T) {
+// TestAppendJobsMatchesSerialSweep: a grid sweep — AppendJobs per spec, one
+// RunJobs — must reproduce experiment.Sweep bit-for-bit, per spec, at any
+// worker count.
+func TestAppendJobsMatchesSerialSweep(t *testing.T) {
 	specs := []experiment.Spec{tinySpec(), tinyVC()}
 	loads := []float64{0.2, 0.4}
-	rows, err := SweepSpecs(context.Background(), specs, loads, Options{Workers: 4})
+	var jobs []Job
+	for _, s := range specs {
+		jobs = AppendJobs(jobs, s, loads)
+	}
+	jrs, err := RunJobs(context.Background(), jobs, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range specs {
 		serial := experiment.Sweep(s, loads)
 		for j := range loads {
-			if rows[i][j].Err != "" {
-				t.Fatalf("spec %d load %d failed: %s", i, j, rows[i][j].Err)
+			jr := jrs[i*len(loads)+j]
+			if jr.Err != "" {
+				t.Fatalf("spec %d load %d failed: %s", i, j, jr.Err)
 			}
-			if !reflect.DeepEqual(rows[i][j].Result, serial[j]) {
+			if !reflect.DeepEqual(jr.Result, serial[j]) {
 				t.Errorf("spec %s load %.2f diverged from serial sweep", s.Name, loads[j])
 			}
 		}
@@ -45,7 +51,7 @@ func serialVsParallel[P any](t *testing.T, cells []experiment.Cell[P]) []P {
 		}
 		serial = append(serial, p)
 	}
-	parallel, err := RunCells(context.Background(), cells, Options{Workers: 4})
+	parallel, err := RunCells(context.Background(), cells, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +89,7 @@ func TestRunCellsNamesTheFailedCell(t *testing.T) {
 			{Name: "bad", Events: []core.FaultEvent{{At: 100, Kind: core.LinkDown, A: 3, B: 9}}},
 		},
 	}
-	points, err := RunCells(context.Background(), o.Cells(), Options{Workers: 2})
+	points, err := RunCells(context.Background(), o.Cells(), 2)
 	if err == nil || !strings.Contains(err.Error(), `reliability scenario "bad"`) || strings.Count(err.Error(), `"bad"`) != 1 {
 		t.Fatalf("err = %v, want it to name the failed cell exactly once", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"frfc"
+	"frfc/internal/experiment"
 )
 
 // TestSweepParallelMatchesSweep: the public parallel sweep must be
@@ -50,11 +51,19 @@ func TestSweepParallelMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestPublicSaturationSearch: the adaptive search agrees with the serial
-// bisection exposed as SaturationThroughput.
+// TestPublicSaturationSearch: the adaptive search, and SaturationThroughput
+// over it, agree with the serial bisection over plain runs.
 func TestPublicSaturationSearch(t *testing.T) {
 	s := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(150, 300)
-	want := frfc.SaturationThroughput(s, 0.05)
+	want, _, err := experiment.Bisect(s, 0.05, func(s experiment.Spec, load float64) (experiment.Result, error) {
+		return experiment.Run(s, load), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frfc.SaturationThroughput(s, 0.05); got != want {
+		t.Errorf("SaturationThroughput found %.4f, the serial bisection %.4f", got, want)
+	}
 	pts, err := frfc.SaturationSearch(context.Background(), []frfc.Spec{s}, 0.05, frfc.ParallelOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +72,7 @@ func TestPublicSaturationSearch(t *testing.T) {
 		t.Fatalf("search failed: %s", pts[0].Err)
 	}
 	if pts[0].Saturation != want {
-		t.Errorf("SaturationSearch found %.4f, SaturationThroughput %.4f", pts[0].Saturation, want)
+		t.Errorf("SaturationSearch found %.4f, the serial bisection %.4f", pts[0].Saturation, want)
 	}
 }
 

@@ -29,5 +29,5 @@ type Resolved = experiment.Resolved
 // sweepCells runs a resolved sweep's cells on a pool of workers; the error is
 // the first failed cell's, returned alongside the rows that completed.
 func sweepCells[P any](workers int, cells []experiment.Cell[P]) ([]P, error) {
-	return harness.RunCells(context.Background(), cells, harness.Options{Workers: workers})
+	return harness.RunCells(context.Background(), cells, workers)
 }

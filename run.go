@@ -1,7 +1,10 @@
 package frfc
 
 import (
+	"context"
+
 	"frfc/internal/experiment"
+	"frfc/internal/harness"
 	"frfc/internal/profile"
 	"frfc/internal/waterfall"
 )
@@ -53,19 +56,15 @@ func BaseLatency(s Spec) float64 {
 }
 
 // SaturationThroughput locates the highest sustainable offered load by
-// bisection, as a fraction of capacity. resolution is the search step; 0
-// means 1% of capacity.
+// bisection, as a fraction of capacity: SaturationSearch over the one spec on
+// one worker. resolution is the search step; 0 means 1% of capacity. A search
+// that fails — a spec that delivers nothing, a run that panics — panics with
+// the search's error.
 func SaturationThroughput(s Spec, resolution float64) float64 {
-	return experiment.SaturationThroughput(s, resolution)
-}
-
-// SummaryRow is one configuration's row of the paper's Table 3: base latency,
-// latency at 50% capacity, and the saturation Throughput as a raw load
-// fraction and, as EffectiveThroughput, debited by the bandwidth penalty.
-type SummaryRow = experiment.SummaryRow
-
-// Summarize measures a spec's Table 3 row: base latency, latency at 50%
-// capacity, and saturation throughput (raw and bandwidth-debited).
-func Summarize(s Spec) SummaryRow {
-	return experiment.Summarize(s, 0)
+	// Only a cancelled context makes the error non-nil, and this one never is.
+	rows, _ := harness.SaturationSearch(context.Background(), []Spec{s}, resolution, harness.Options{Workers: 1})
+	if rows[0].Err != "" {
+		panic("frfc: " + rows[0].Err)
+	}
+	return rows[0].Saturation
 }

@@ -31,7 +31,10 @@
 # flit-reservation router's per-port control state is back where its channel
 # vectors replaced it: a portVC candidate, an occupancy field in ctrlInput, or
 # a candidates that tests each front flit's arrival instead of reading
-# occ &^ fresh.
+# occ &^ fresh; or if a non-test file of cmd/paperfigs runs the simulator
+# itself (experiment.Run, RunInstrumented, Sweep, BaseLatency or Bisect, or
+# frfc's run entry points) instead of as jobs of the harness executor, whose
+# result cache and failure policy every number it prints goes through.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -115,5 +118,12 @@ if [ -n "$chans" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word"
+direct=$(grep -nE '\b(experiment|frfc)\.(Run|RunInstrumented|Sweep|BaseLatency|Bisect|SaturationThroughput)\b' cmd/paperfigs/*.go /dev/null | grep -v '_test\.go:' || true)
+if [ -n "$direct" ]; then
+    echo "inlined.sh: cmd/paperfigs runs the simulator outside the harness executor (use harness.RunJobs, SaturationSearch or SummarizeAll):" >&2
+    echo "$direct" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness"
 exit $status
