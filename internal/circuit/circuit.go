@@ -79,10 +79,7 @@ type ack struct {
 	id circuitID
 }
 
-// probeQueue is the control input of one router port. upCal is the calendar
-// of the node upstream — the neighbour, or for Local this node, where the
-// interface reads — in which each probe credit sent arms creditBit and each
-// ack ackBit.
+// probeQueue is the control input of one router port.
 type probeQueue struct {
 	exists    bool
 	q         []probe
@@ -90,9 +87,7 @@ type probeQueue struct {
 	in        *sim.Pipe[probe]
 	creditOut *sim.Pipe[noc.VCCredit]
 	// ackOut sends acks back toward the probe's origin.
-	ackOut            *sim.Pipe[ack]
-	upCal             sim.Calendar
-	creditBit, ackBit uint32
+	ackOut *sim.Pipe[ack]
 }
 
 // outputPort is the data-network side of one router output.
@@ -108,12 +103,6 @@ type outputPort struct {
 	probeCreditIn *sim.Pipe[noc.VCCredit]
 	ackIn         *sim.Pipe[ack]
 	data          *sim.Pipe[noc.DataFlit]
-	// downCal is the calendar of the node downstream — the neighbour, or for
-	// Local this node, where the sink reads — in which each probe sent arms
-	// probeBit and each data flit dataBit, dataLatency cycles on.
-	downCal           sim.Calendar
-	probeBit, dataBit uint32
-	dataLatency       sim.Cycle
 	// probeCredits gates probe forwarding into the downstream queue.
 	probeCredits int
 }
@@ -224,9 +213,8 @@ func (r *Router) Tick(now sim.Cycle) {
 			}
 			in := &r.in[e.in]
 			in.ackOut.Send(now, a)
-			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.ackBit)
 		}
-		o.ackIn.Rearm(r.cal, now, wireBit(ackWire, p))
+		o.ackIn.Rearm(now)
 	}
 	// Probe credits.
 	for ports := due >> (uint(probeCreditWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
@@ -238,7 +226,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				panic("circuit: probe credit overflow")
 			}
 		}
-		o.probeCreditIn.Rearm(r.cal, now, wireBit(probeCreditWire, p))
+		o.probeCreditIn.Rearm(now)
 	}
 	// Receive probes.
 	for ports := due >> (uint(probeWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
@@ -251,7 +239,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, p))
 			}
 		}
-		in.in.Rearm(r.cal, now, wireBit(probeWire, p))
+		in.in.Rearm(now)
 	}
 	r.grantProbes(now)
 	r.forwardData(now, due&portMask)
@@ -297,18 +285,15 @@ func (r *Router) grantProbes(now sim.Cycle) {
 		in.arrivedAt = in.arrivedAt[:len(in.arrivedAt)-1]
 		if in.creditOut != nil {
 			in.creditOut.Send(now, noc.VCCredit{})
-			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.creditBit)
 		}
 		if out == topology.Local {
 			// Destination: the circuit is complete; launch the ack
 			// back toward the source.
 			in.ackOut.Send(now, ack{id: pr.p.ID})
-			in.upCal.Arm(now+r.cfg.CtrlLinkLatency, in.ackBit)
 			continue
 		}
 		o.probeCredits--
 		o.probeOut.Send(now, pr)
-		o.downCal.Arm(now+r.cfg.CtrlLinkLatency, o.probeBit)
 	}
 }
 
@@ -330,13 +315,12 @@ func (r *Router) forwardData(now sim.Cycle, ports uint32) {
 				panic(fmt.Sprintf("circuit: node %d: flit %s on a channel owned by circuit %d", r.id, f, o.owner))
 			}
 			o.data.Send(now, f)
-			o.downCal.Arm(now+o.dataLatency, o.dataBit)
 			if f.Type.IsTail() {
 				o.owned = false
 				delete(r.fwd, f.Packet.ID)
 			}
 		}
-		pipe.Rearm(r.cal, now, wireBit(dataWire, p))
+		pipe.Rearm(now)
 	}
 }
 

@@ -36,8 +36,7 @@ type ni struct {
 	ackIn         *sim.Pipe[ack]
 	dataOut       *sim.Pipe[noc.DataFlit]
 	// cal is the node's due calendar, shared with its router: the interface
-	// arms the router's Local probe and data wires in it and reads its own
-	// two wires on the cycles their bits (niBits) are set.
+	// reads its own two wires on the cycles their bits (niBits) are set.
 	cal sim.Calendar
 }
 
@@ -67,7 +66,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic("circuit: NI probe credit overflow")
 			}
 		}
-		n.probeCreditIn.Rearm(n.cal, now, niCredit)
+		n.probeCreditIn.Rearm(now)
 	}
 	if due&niAck != 0 {
 		for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
@@ -76,7 +75,7 @@ func (n *ni) Tick(now sim.Cycle) {
 			}
 			n.acked = true
 		}
-		n.ackIn.Rearm(n.cal, now, niAck)
+		n.ackIn.Rearm(now)
 	}
 	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
 		p := n.queue.Pop()
@@ -90,14 +89,12 @@ func (n *ni) Tick(now sim.Cycle) {
 		n.acked = false
 		n.probeCredits--
 		n.probeOut.Send(now, probe{p: p})
-		n.cal.Arm(now+n.cfg.CtrlLinkLatency, wireBit(probeWire, topology.Local))
 	}
 	if n.current != nil && n.acked && n.next < len(n.flits) {
 		if n.wf != nil && n.next == 0 && n.current.Sampled {
 			n.wf.HeadWire(uint64(n.current.ID), 0, now)
 		}
 		n.dataOut.Send(now, n.flits[n.next])
-		n.cal.Arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
 		n.next++
 		if n.next == len(n.flits) {
 			n.current = nil
@@ -173,9 +170,8 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	}
 }
 
-// wire connects routers, interfaces and sinks with pipes, and points each
-// sender at the calendar of the node its wire reaches and the wire's bit in
-// it.
+// wire connects routers, interfaces and sinks with pipes, each waking its
+// receiver: the bit it names on the receiving node's calendar.
 func (n *Network) wire() {
 	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
@@ -188,25 +184,21 @@ func (n *Network) wire() {
 			far := n.routers[nb]
 			op := p.Opposite()
 			o, farIn := &r.out[p], &far.in[op]
-			o.downCal, o.probeBit, o.dataBit, o.dataLatency = far.cal, wireBit(probeWire, op), wireBit(dataWire, op), cfg.LinkLatency
-			farIn.upCal, farIn.ackBit, farIn.creditBit = r.cal, wireBit(ackWire, p), wireBit(probeCreditWire, p)
-			o.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1)
-			o.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1)
-			o.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers)
-			o.data = noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
+			o.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1, &far.cal, wireBit(probeWire, op))
+			o.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1, &r.cal, wireBit(probeCreditWire, p))
+			o.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers, &r.cal, wireBit(ackWire, p))
+			o.data = noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1, &far.cal, wireBit(dataWire, op))
 			farIn.in, farIn.creditOut, farIn.ackOut, far.dataIn[op] = o.probeOut, o.probeCreditIn, o.ackIn, o.data
 		}
 
 		ni, local := n.nis[id], &r.in[topology.Local]
-		local.upCal, local.ackBit, local.creditBit = r.cal, niAck, niCredit
-		ni.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1)
-		ni.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1)
-		ni.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers)
-		ni.dataOut = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
+		ni.probeOut = noc.NewWire[probe](t, cfg.CtrlLinkLatency, 1, &r.cal, wireBit(probeWire, topology.Local))
+		ni.probeCreditIn = noc.NewWire[noc.VCCredit](t, cfg.CtrlLinkLatency, 1, &ni.cal, niCredit)
+		ni.ackIn = noc.NewWire[ack](t, cfg.CtrlLinkLatency, cfg.ProbeBuffers, &ni.cal, niAck)
+		ni.dataOut = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1, &r.cal, wireBit(dataWire, topology.Local))
 		local.in, local.creditOut, local.ackOut, r.dataIn[topology.Local] = ni.probeOut, ni.probeCreditIn, ni.ackIn, ni.dataOut
 
-		o := &r.out[topology.Local]
-		o.data, o.downCal, o.dataBit, o.dataLatency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
+		r.out[topology.Local].data = n.Sinks[id].Data
 	}
 }
 

@@ -415,10 +415,9 @@ func corruptCtrl(f noc.ControlFlit) noc.ControlFlit {
 // wire connects routers, NIs and sinks: data links (one flit/cycle,
 // DataLinkLatency), control links (CtrlFlitsPerCycle flits/cycle,
 // CtrlLinkLatency), reservation-credit and control-credit wires
-// (CreditLatency), every pipe and its ring cut from the arena. Each router is
-// also pointed at the calendar of what each of its ports faces, and each
-// interface and sink at its router's: the interface arms what it sends in it,
-// and the sink reads what the router ejects.
+// (CreditLatency), every pipe and its ring cut from the arena. Each wire wakes
+// its receiver (sim.Pipe.Wakes): its bit on the calendar of the node it
+// reaches, which a node's interface and sink share with its router.
 func (n *Network) wire(a *arena) {
 	cfg := n.cfg
 	n.links = a.links
@@ -431,21 +430,20 @@ func (n *Network) wire(a *arena) {
 			}
 			far := &n.routers[nb]
 			op := p.Opposite()
-			r.peer[p], r.face[p] = &far.cal, wireBit(dataWire, op)
 
-			data := n.newDataLink(a)
+			data := n.newDataLink(a).Wakes(&far.cal, wireBit(dataWire, op))
 			r.dataOut[p] = data
 			far.inputs[op].dataIn = data
 
-			resvCredit := a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth())
+			resvCredit := a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth()).Wakes(&r.cal, wireBit(resvCreditWire, p))
 			r.dataCreditIn[p] = resvCredit
 			far.inputs[op].creditOut = resvCredit
 
-			ctrl := n.newCtrlLink(a)
+			ctrl := n.newCtrlLink(a).Wakes(&far.cal, wireBit(ctrlWire, op))
 			r.ctrlOut[p].out = ctrl
 			far.ctrlIn[op].in = ctrl
 
-			ctrlCredit := a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs)
+			ctrlCredit := a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs).Wakes(&r.cal, wireBit(ctrlCreditWire, p))
 			r.ctrlOut[p].creditIn = ctrlCredit
 			far.ctrlIn[op].creditOut = ctrlCredit
 
@@ -457,25 +455,24 @@ func (n *Network) wire(a *arena) {
 
 		ni, sink := &n.nis[id], &n.sinks[id]
 		ni.cal, sink.cal = r.cal, r.cal
-		r.peer[topology.Local], r.face[topology.Local] = &r.cal, wireBit(dataWire, topology.Local)
 
 		// Injection: NI data -> router Local input; reservation
 		// credits flow back from the router's input scheduler.
-		ni.dataOut = a.data.New(cfg.LocalLatency, 1)
+		ni.dataOut = a.data.New(cfg.LocalLatency, 1).Wakes(&r.cal, wireBit(dataWire, topology.Local))
 		r.inputs[topology.Local].dataIn = ni.dataOut
 
-		ni.resvCreditIn = a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth())
+		ni.resvCreditIn = a.resvCredit.New(cfg.CreditLatency, cfg.resvCreditWidth()).Wakes(&ni.cal, niResv)
 		r.inputs[topology.Local].creditOut = ni.resvCreditIn
 
-		ni.ctrlOut = a.ctrl.New(cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
+		ni.ctrlOut = a.ctrl.New(cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle).Wakes(&r.cal, wireBit(ctrlWire, topology.Local))
 		r.ctrlIn[topology.Local].in = ni.ctrlOut
 
-		ni.ctrlCreditIn = a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs)
+		ni.ctrlCreditIn = a.ctrlCredit.New(cfg.CreditLatency, cfg.CtrlVCs).Wakes(&ni.cal, niCtrl)
 		r.ctrlIn[topology.Local].creditOut = ni.ctrlCreditIn
 
 		// Ejection: router Local output -> sink, schedule set by
 		// destination control flits.
-		sink.dataIn = a.data.New(cfg.LocalLatency, 1)
+		sink.dataIn = a.data.New(cfg.LocalLatency, 1).Wakes(&sink.cal, sinkBit)
 		r.dataOut[topology.Local] = sink.dataIn
 	}
 }

@@ -49,12 +49,11 @@ type NI struct {
 	dataOut      *sim.Pipe[noc.DataFlit]
 	resvCreditIn *sim.Pipe[noc.ReservationCredit]
 
-	// cal is the node's due calendar, shared with its router: the router
-	// arms the interface's two credit wires in it (niBits) and the interface
-	// arms the router's Local data and control wires. dormant records that
-	// the last tick left the interface idle (see idle), so until a credit
-	// falls due, an offer or a retry wakes it a tick only makes its random
-	// draw.
+	// cal is the node's due calendar, shared with its router: the
+	// interface's two credit wires arm their bits in it (niBits). dormant
+	// records that the last tick left the interface idle (see idle), so
+	// until a credit falls due, an offer or a retry wakes it a tick only
+	// makes its random draw.
 	cal     sim.Calendar
 	dormant bool
 
@@ -325,7 +324,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				n.injTable.creditFrom(c.FreeFrom, c.VC)
 				work++
 			}
-			n.resvCreditIn.Rearm(n.cal, now, niResv)
+			n.resvCreditIn.Rearm(now)
 		}
 		if due&niCtrl != 0 {
 			for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
@@ -334,7 +333,7 @@ func (n *NI) Tick(now sim.Cycle) {
 				}
 				work++
 			}
-			n.ctrlCreditIn.Rearm(n.cal, now, niCtrl)
+			n.ctrlCreditIn.Rearm(now)
 		}
 	}
 
@@ -390,9 +389,6 @@ func (n *NI) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), uint8(f.Attempt), now)
 		}
 		n.dataOut.Send(now, f)
-		if !n.dataOut.Severed() {
-			n.cal.Arm(now+n.cfg.LocalLatency, wireBit(dataWire, topology.Local))
-		}
 		*n.progress++
 		work++
 	}
@@ -452,9 +448,6 @@ func (n *NI) tryInject(now sim.Cycle, v int) bool {
 		}
 	}
 	n.ctrlOut.Send(now, cf)
-	if !n.ctrlOut.Severed() {
-		n.cal.Arm(now+n.cfg.CtrlLinkLatency, wireBit(ctrlWire, topology.Local))
-	}
 	*n.progress++
 	n.ctrlCredits[v]--
 	ap.nextCtrl++
@@ -496,8 +489,8 @@ func (n *NI) pendingWork() int {
 type Sink struct {
 	node   topology.NodeID
 	dataIn *sim.Pipe[noc.DataFlit]
-	// cal is the node's due calendar, in which the router arms sinkBit beside
-	// each flit it ejects; the sink reads dataIn only on the cycles it is set.
+	// cal is the node's due calendar, in which dataIn arms sinkBit beside
+	// each flit it carries; the sink reads dataIn only on the cycles it is set.
 	cal sim.Calendar
 	// expect is the reassembly schedule keyed by ejection cycle. The
 	// router's ejection table grants departures in [now+1, now+Horizon] and
@@ -598,7 +591,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 			s.eject(now, &f)
 			work++
 		}
-		s.dataIn.Rearm(s.cal, now, sinkBit)
+		s.dataIn.Rearm(now)
 	}
 	if e, ok := s.expect.take(now); ok {
 		work++

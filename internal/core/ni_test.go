@@ -7,17 +7,16 @@ import (
 	"frfc/internal/sim"
 )
 
-// testNI builds an NI with test-owned pipes on both ends. A test that plays
-// the router's side arms the credit's bit on the interface's calendar beside
-// each credit it sends (credit), as the router does, so the interface knows
-// to look at its wires.
+// testNI builds an NI with test-owned pipes on both ends. The two credit
+// wires wake the interface on its calendar, as wired ones do, so a test that
+// plays the router's side only sends.
 func testNI(cfg Config) (*NI, *sim.Pipe[noc.ControlFlit], *sim.Pipe[noc.DataFlit], *sim.Pipe[noc.ReservationCredit], *sim.Pipe[noc.VCCredit]) {
 	cfg = cfg.WithDefaults()
 	n := newNI(0, &cfg, sim.NewRNG(1), &noc.Hooks{})
 	ctrl := sim.NewPipe[noc.ControlFlit](cfg.CtrlLinkLatency, cfg.CtrlFlitsPerCycle)
 	data := sim.NewPipe[noc.DataFlit](cfg.LocalLatency, 1)
-	resv := sim.NewPipe[noc.ReservationCredit](cfg.CreditLatency, cfg.resvCreditWidth())
-	ctrlCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.CtrlVCs)
+	resv := sim.NewPipe[noc.ReservationCredit](cfg.CreditLatency, cfg.resvCreditWidth()).Wakes(&n.cal, niResv)
+	ctrlCredit := sim.NewPipe[noc.VCCredit](cfg.CreditLatency, cfg.CtrlVCs).Wakes(&n.cal, niCtrl)
 	n.ctrlOut = ctrl
 	n.dataOut = data
 	n.resvCreditIn = resv
@@ -119,11 +118,9 @@ func TestNIRespectsControlCredits(t *testing.T) {
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				n.cal.Arm(now+1+n.cfg.CreditLatency, niResv)
 			}
 			if returnCtrl {
 				ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-				n.cal.Arm(now+1+n.cfg.CreditLatency, niCtrl)
 			}
 		}
 		now++
@@ -138,7 +135,6 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	// resumes injection all the way.
 	for i := 0; i < 3; i++ {
 		ctrlCredit.Send(now, noc.VCCredit{VC: 0})
-		n.cal.Arm(now+n.cfg.CreditLatency, niCtrl)
 		step(true)
 	}
 	for end := now + 25; now < end; {
@@ -161,10 +157,8 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
-			n.cal.Arm(now+1+n.cfg.CreditLatency, niCtrl)
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
-				n.cal.Arm(now+1+n.cfg.CreditLatency, niResv)
 			}
 		}
 	}
@@ -208,10 +202,9 @@ func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 
 func TestSinkExpectAndVerify(t *testing.T) {
 	s := newSink(0, 33, &noc.Hooks{})
-	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 1}
 	s.Expect(0, 5, p, 0, 0)
-	s.send(4, noc.DataFlit{Packet: p, Seq: 0})
+	s.dataIn.Send(4, noc.DataFlit{Packet: p, Seq: 0})
 	delivered := false
 	s.hooks = &noc.Hooks{PacketDelivered: func(q *noc.Packet, now sim.Cycle) {
 		delivered = q == p && now == 5
@@ -229,11 +222,10 @@ func TestSinkPanicsOnReassemblyMismatch(t *testing.T) {
 		}
 	}()
 	s := newSink(0, 33, &noc.Hooks{})
-	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 2}
 	q := &noc.Packet{ID: 8, Len: 2}
 	s.Expect(0, 5, p, 0, 0)
-	s.send(4, noc.DataFlit{Packet: q, Seq: 0})
+	s.dataIn.Send(4, noc.DataFlit{Packet: q, Seq: 0})
 	s.Tick(5)
 }
 
@@ -244,15 +236,13 @@ func TestSinkPanicsOnUnscheduledFlit(t *testing.T) {
 		}
 	}()
 	s := newSink(0, 33, &noc.Hooks{})
-	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
-	s.send(4, noc.DataFlit{Packet: &noc.Packet{ID: 1, Len: 1}})
+	s.dataIn.Send(4, noc.DataFlit{Packet: &noc.Packet{ID: 1, Len: 1}})
 	s.Tick(5)
 }
 
 func TestSinkDetectsLoss(t *testing.T) {
 	lost := false
 	s := newSink(0, 33, &noc.Hooks{})
-	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1)
 	p := &noc.Packet{ID: 9, Len: 2}
 	s.hooks = &noc.Hooks{PacketLost: func(q *noc.Packet, now sim.Cycle) { lost = q == p }}
 	s.Expect(0, 5, p, 0, 0)

@@ -146,23 +146,15 @@ type Router struct {
 	// cal is the node's due calendar (calendar.go), shared with its
 	// interface and sink: the wires into each port that deliver at a cycle, the inputs
 	// with a pool flit departing and those with a reservation falling due.
-	// Senders arm a wire's bit beside each Send, the inputs arm their own, and
-	// Tick acts on the bits of its cycle alone. dormant records that the last
-	// tick left nothing that needs a look every cycle — no control flit
+	// Each wire arms its bit as it carries an item, the inputs arm their own,
+	// and Tick acts on the bits of its cycle alone. dormant records that the
+	// last tick left nothing that needs a look every cycle — no control flit
 	// queued and, under reclamation, no flit parked — so that until a bit
 	// falls due a tick can change nothing, and Tick returns at its guard. The
 	// fault engine, which cuts wires and rewrites router state from outside,
 	// re-arms every calendar from the state it left and wakes (resync).
 	cal     sim.Calendar
 	dormant bool
-	// peer[p] points at the calendar of whatever faces port p — the
-	// neighbour's, or for Local this node's own, read there by the
-	// interface — and face[p] is the data-wire bit, in it, of the port p's
-	// wires reach (the neighbour's opposite port, or Local); the wire of
-	// kind k is face[p] shifted by k ports. Ejected data is the exception:
-	// it arms the sink's bit in cal.
-	peer [topology.NumPorts]*sim.Calendar
-	face [topology.NumPorts]uint32
 
 	ctrlIn  [topology.NumPorts]ctrlInput
 	ctrlOut [topology.NumPorts]ctrlOutput
@@ -354,7 +346,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				table.creditFrom(c.FreeFrom, c.VC)
 				cred++
 			}
-			creditIn.Rearm(r.cal, now, bit)
+			creditIn.Rearm(now)
 		}
 		if bit := wireBit(ctrlCreditWire, p); due&bit != 0 {
 			co := &r.ctrlOut[p]
@@ -364,7 +356,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				}
 				cred++
 			}
-			co.creditIn.Rearm(r.cal, now, bit)
+			co.creditIn.Rearm(now)
 		}
 		if bit := wireBit(ctrlWire, p); due&bit != 0 {
 			in := r.ctrlIn[p].in
@@ -372,7 +364,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				r.enqueue(now, p, &cf)
 				arb++
 			}
-			in.Rearm(r.cal, now, bit)
+			in.Rearm(now)
 		}
 	}
 
@@ -406,7 +398,7 @@ func (r *Router) Tick(now sim.Cycle) {
 				sw++
 				r.arrive(now, p, &f)
 			}
-			in.dataIn.Rearm(r.cal, now, bit)
+			in.dataIn.Rearm(now)
 		}
 		// Any reservation for this cycle still unclaimed means the flit was
 		// destroyed en route — an idle pattern arrived in its place. Drop
@@ -547,15 +539,7 @@ func (r *Router) sendData(now sim.Cycle, f *noc.DataFlit, out topology.Port) {
 	if r.wf != nil && f.Seq == 0 && f.Packet.Sampled {
 		r.wf.Depart(uint64(f.Packet.ID), uint8(f.Attempt), now, true)
 	}
-	w := r.dataOut[out]
-	w.Send(now, *f)
-	switch {
-	case w.Severed():
-	case out == topology.Local:
-		r.cal.Arm(now+r.cfg.LocalLatency, sinkBit)
-	default:
-		r.peer[out].Arm(now+r.cfg.DataLinkLatency, r.face[out])
-	}
+	r.dataOut[out].Send(now, *f)
 }
 
 // processControl walks the control flits at the front of every control VC in
@@ -792,9 +776,6 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// flit arrived on, which is the upstream scheduler's VC for
 		// this link.
 		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: int(qc.flit.VC)})
-		if !in.creditOut.Severed() {
-			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
-		}
 	}
 	ld.scheduled = true
 	ld.departAt = td
@@ -849,9 +830,6 @@ func (r *Router) forward(now sim.Cycle, vc *ctrlVC, out topology.Port) {
 		nf.Leads = append(nf.Leads, noc.LeadEntry{Seq: ld.seq, Arrival: ld.departAt + r.cfg.DataLinkLatency})
 	}
 	co.out.Send(now, nf)
-	if !co.out.Severed() {
-		r.peer[out].Arm(now+r.cfg.CtrlLinkLatency, r.face[out]<<(uint(ctrlWire)*numPorts))
-	}
 	co.credits[vc.outVC]--
 	isTail := qc.flit.Type.IsTail()
 	r.popCtrl(now, vc)
@@ -895,7 +873,6 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC) {
 				freeFrom = ld.arrival
 			}
 			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: int(qc.flit.VC)})
-			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(resvCreditWire)*numPorts))
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
@@ -952,9 +929,6 @@ func (r *Router) popCtrl(now sim.Cycle, vc *ctrlVC) {
 	inPort := topology.Port(vc.port)
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
 		creditOut.Send(now, noc.VCCredit{VC: int(vc.vc)})
-		if !creditOut.Severed() {
-			r.peer[inPort].Arm(now+r.cfg.CreditLatency, r.face[inPort]<<(uint(ctrlCreditWire)*numPorts))
-		}
 	}
 }
 

@@ -41,18 +41,14 @@ func newNI(node topology.NodeID, cfg *Config, rng *sim.RNG, hooks *noc.Hooks) *N
 	return n
 }
 
+// newSink's ejection wire is one cycle long and wakes the sink, as the
+// router's does.
 func newSink(node topology.NodeID, span sim.Cycle, hooks *noc.Hooks) *Sink {
 	s := new(Sink)
 	s.init(&arena{}, node, span, make(map[noc.PacketID]sinkPkt), hooks)
 	s.cal = make(sim.Calendar, sim.CalendarCells(span))
+	s.dataIn = sim.NewPipe[noc.DataFlit](1, 1).Wakes(&s.cal, sinkBit)
 	return s
-}
-
-// send puts f on the sink's ejection wire, which must be one cycle long, at
-// cycle now, and arms its bit the way the router does.
-func (s *Sink) send(now sim.Cycle, f noc.DataFlit) {
-	s.dataIn.Send(now, f)
-	s.cal.Arm(now+1, sinkBit)
 }
 
 // arriveFn and departures are the callback forms the input port's two entry

@@ -81,8 +81,8 @@ func (q *SourceQueue) Filter(keep func(*Packet) bool) {
 // and that Seq, on a flit that skips ahead or comes again.
 type Sink struct {
 	Data *sim.Pipe[DataFlit] // the ejection wire
-	// Cal is the node's due calendar: the sender arms SinkBit in it beside
-	// each flit it ejects, and Tick reads Data only on the cycles it is set.
+	// Cal is the node's due calendar: Data arms SinkBit in it beside each
+	// flit it carries, and Tick reads Data only on the cycles it is set.
 	Cal sim.Calendar
 
 	// What a fabric may leave nil: the probe the sink reports each ejected
@@ -157,7 +157,7 @@ func (s *Sink) Tick(now sim.Cycle) {
 				s.hooks.Delivered(f.Packet, now)
 			}
 		}
-		s.Data.Rearm(s.Cal, now, SinkBit)
+		s.Data.Rearm(now)
 	}
 	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)
 }
@@ -198,16 +198,18 @@ func NewTerminals(nodes int, reach, local sim.Cycle) Terminals {
 	t.cals = make([]uint32, nodes*t.cells)
 	for id := range nodes {
 		s := NewSink(topology.NodeID(id), t.hooks)
-		s.Cal, s.Data = t.Cal(id), NewWire[DataFlit](&t, local, 1)
+		s.Cal = t.Cal(id)
+		s.Data = NewWire[DataFlit](&t, local, 1, &s.Cal, SinkBit)
 		t.Sinks[id] = s
 	}
 	return t
 }
 
-// NewWire returns a wire of the given latency and width that t's Reset
+// NewWire returns a wire of the given latency and width that wakes its
+// receiver on bit of the calendar *cal (sim.Pipe.Wakes) and that t's Reset
 // empties, the one way a fabric that embeds Terminals makes a pipe.
-func NewWire[T any](t *Terminals, latency sim.Cycle, width int) *sim.Pipe[T] {
-	p := sim.NewPipe[T](latency, width)
+func NewWire[T any](t *Terminals, latency sim.Cycle, width int, cal *sim.Calendar, bit uint32) *sim.Pipe[T] {
+	p := sim.NewPipe[T](latency, width).Wakes(cal, bit)
 	t.wires = append(t.wires, p)
 	return p
 }

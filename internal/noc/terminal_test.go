@@ -64,7 +64,7 @@ func TestSourceQueueFilter(t *testing.T) {
 	}
 }
 
-// sinkRig is a sink on node 6 whose deliveries are counted, and send puts one
+// sinkRig is a sink on node 6 whose deliveries are counted, and eject puts one
 // flit on its ejection wire the way a router does, on virtual channel vc.
 type sinkRig struct {
 	s         *Sink
@@ -75,8 +75,8 @@ type sinkRig struct {
 func newSinkRig() *sinkRig {
 	g := &sinkRig{}
 	g.s = NewSink(6, &Hooks{PacketDelivered: func(p *Packet, _ sim.Cycle) { g.delivered = append(g.delivered, p.ID) }})
-	g.s.Data = sim.NewPipe[DataFlit](1, 1)
 	g.s.Cal = make(sim.Calendar, sim.CalendarCells(1))
+	g.s.Data = sim.NewPipe[DataFlit](1, 1).Wakes(&g.s.Cal, SinkBit)
 	return g
 }
 
@@ -84,7 +84,6 @@ func newSinkRig() *sinkRig {
 func (g *sinkRig) eject(f DataFlit, vc int) {
 	f.VC = int32(vc)
 	g.s.Data.Send(g.now, f)
-	g.s.Cal.Arm(g.now+1, SinkBit)
 	g.now++
 	g.s.Tick(g.now)
 }
@@ -189,18 +188,18 @@ func TestTerminalsCountAndReset(t *testing.T) {
 	terms := NewTerminals(2, 2, 1)
 	var queues [2]SourceQueue
 	terms.Queues[0], terms.Queues[1] = &queues[0], &queues[1]
-	credits := NewWire[VCCredit](&terms, 2, 1)
+	cal := terms.Cal(0)
+	credits := NewWire[VCCredit](&terms, 2, 1, &cal, 1)
 	var heard [2][]PacketID
 	hooks := func(run int) *Hooks {
 		return &Hooks{PacketDelivered: func(p *Packet, _ sim.Cycle) { heard[run] = append(heard[run], p.ID) }}
 	}
 	now := sim.Cycle(0)
-	// eject sends f on node id's ejection wire, armed in its calendar, and
+	// eject sends f on node id's ejection wire, which arms its calendar, and
 	// ticks the sink the cycle it arrives unless f is to stay on the wire.
 	eject := func(id int, f DataFlit, tick bool) {
 		s := terms.Sinks[id]
 		s.Data.Send(now, f)
-		terms.Cal(id).Arm(now+1, SinkBit)
 		if now++; tick {
 			s.Tick(now)
 		}
@@ -235,7 +234,6 @@ func TestTerminalsCountAndReset(t *testing.T) {
 	eject(1, flits[0], true)
 	eject(1, flits[1], false)
 	credits.Send(now, VCCredit{})
-	terms.Cal(0).Arm(now+2, 1)
 	check("one delivered, one mid-ejection", 1, 2, Counts{Offered: 3, Delivered: 1, CorruptEscapes: 1})
 	if len(heard[0]) != 1 || heard[0][0] != short.ID {
 		t.Fatalf("the hooks heard of %v, want [%d]", heard[0], short.ID)

@@ -26,8 +26,7 @@ type ni struct {
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
 	// cal is the node's due calendar, shared with its router: the interface
-	// arms the router's Local data wire in it and reads creditIn on the
-	// cycles niBit is set.
+	// reads creditIn on the cycles niBit is set.
 	cal sim.Calendar
 }
 
@@ -55,7 +54,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic("packetswitch: NI credit overflow")
 			}
 		}
-		n.creditIn.Rearm(n.cal, now, niBit)
+		n.creditIn.Rearm(now)
 	}
 	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
 		p := n.queue.Pop()
@@ -71,7 +70,6 @@ func (n *ni) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
 		n.data.Send(now, n.current[n.next])
-		n.cal.Arm(now+n.cfg.LocalLatency, dataBit(topology.Local))
 		n.next++
 	}
 }
@@ -139,9 +137,8 @@ func (n *Network) Reset(seed uint64, hooks *noc.Hooks) {
 	}
 }
 
-// wire connects routers, interfaces and sinks with pipes, and points each
-// sender at the calendar of the node its wire reaches and the wire's bit in
-// it.
+// wire connects routers, interfaces and sinks with pipes, each waking its
+// receiver: the bit it names on the receiving node's calendar.
 func (n *Network) wire() {
 	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
@@ -153,21 +150,19 @@ func (n *Network) wire() {
 			}
 			far := n.routers[nb]
 			op := p.Opposite()
-			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
+			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1, &far.cal, dataBit(op))
 			// Several packet buffers of one input can release in the
 			// same cycle (toward different outputs), so the credit
 			// wire carries up to PacketBuffers credits per cycle.
-			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers)
-			o, farIn := &r.out[p], &far.in[op]
-			o.data, o.dataCal, o.dataBit, o.latency, o.creditIn = data, far.cal, dataBit(op), cfg.LinkLatency, credit
-			farIn.data, farIn.creditOut, farIn.creditCal, farIn.creditBit = data, credit, r.cal, creditBit(p)
+			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers, &r.cal, creditBit(p))
+			r.out[p].data, r.out[p].creditIn = data, credit
+			far.in[op].data, far.in[op].creditOut = data, credit
 		}
 		x, local := n.nis[id], &r.in[topology.Local]
-		x.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
-		x.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers)
-		local.data, local.creditOut, local.creditCal, local.creditBit = x.data, x.creditIn, r.cal, niBit
-		o := &r.out[topology.Local]
-		o.data, o.dataCal, o.dataBit, o.latency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
+		x.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1, &r.cal, dataBit(topology.Local))
+		x.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, cfg.PacketBuffers, &x.cal, niBit)
+		local.data, local.creditOut = x.data, x.creditIn
+		r.out[topology.Local].data = n.Sinks[id].Data
 	}
 }
 

@@ -114,21 +114,16 @@ type packetSlot struct {
 	granted  bool      // owns its output channel until the tail is sent
 }
 
-// inputState is one input port. creditCal is the calendar of the node its
-// credits go back to, in which each credit sent arms creditBit.
+// inputState is one input port.
 type inputState struct {
 	exists    bool
 	slots     []packetSlot
 	assembly  int // slot currently receiving flits, -1 if none
 	data      *sim.Pipe[noc.DataFlit]
 	creditOut *sim.Pipe[noc.VCCredit]
-	creditCal sim.Calendar
-	creditBit uint32
 }
 
-// outputState is one output port. dataCal is the calendar of the node its
-// data reaches — the neighbour's, or for Local this node's own, where the
-// sink reads it — in which each flit sent arms dataBit, latency cycles on.
+// outputState is one output port.
 type outputState struct {
 	exists   bool
 	infinite bool
@@ -136,9 +131,6 @@ type outputState struct {
 	busyWith int // index of the (input*slots+slot) currently holding the channel, -1 if free
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
-	dataCal  sim.Calendar
-	dataBit  uint32
-	latency  sim.Cycle
 }
 
 // A node's router, interface and sink share one due calendar (sim.Calendar):
@@ -249,7 +241,7 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) {
 				panic("packetswitch: packet credit overflow")
 			}
 		}
-		o.creditIn.Rearm(r.cal, now, creditBit(p))
+		o.creditIn.Rearm(now)
 	}
 }
 
@@ -292,7 +284,7 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) {
 				in.assembly = -1
 			}
 		}
-		in.data.Rearm(r.cal, now, dataBit(p))
+		in.data.Rearm(now)
 	}
 }
 
@@ -404,7 +396,6 @@ func (r *Router) stream(now sim.Cycle) {
 			r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 		}
 		o.data.Send(now, f)
-		o.dataCal.Arm(now+o.latency, o.dataBit)
 		sl.sent++
 		if sl.sent == sl.total {
 			// Whole packet forwarded: free the buffer and channel,
@@ -412,7 +403,6 @@ func (r *Router) stream(now sim.Cycle) {
 			o.busyWith = -1
 			if in.creditOut != nil {
 				in.creditOut.Send(now, noc.VCCredit{})
-				in.creditCal.Arm(now+r.cfg.CreditLatency, in.creditBit)
 			}
 			*sl = packetSlot{flits: sl.flits[:0]}
 		}

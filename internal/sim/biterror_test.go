@@ -63,7 +63,7 @@ func TestBitErrorsDeliverOnTimeAndMarked(t *testing.T) {
 // loss/delay model — a corrupted item can also be delayed by link-level
 // retransmission, and neither model drops anything.
 func TestBitErrorsComposeWithFaultyPipe(t *testing.T) {
-	p := NewFaultyPipe[berItem](2, 1, 0.2, NewRNG(5)).
+	p := NewPipe[berItem](2, 1).WithFaults(0.2, NewRNG(5)).
 		WithBitErrors(0.2, NewRNG(6), func(it berItem) berItem {
 			it.corrupt = true
 			return it

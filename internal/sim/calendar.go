@@ -11,8 +11,8 @@ import (
 // and each component reads the word for its cycle, clears its own bits and
 // acts on them alone: a wire is read when something on it falls due, and not
 // otherwise. Which bit names what is the fabric's to say; a bit is typically
-// one wire, armed by its sender beside each Send at the cycle the item is
-// delivered.
+// one wire, bound to it when the fabric wires the node (Pipe.Wakes), and armed
+// by the wire's Send at the cycle the item is delivered.
 //
 // The words form a ring indexed by the cycle's low bits, a power of two long
 // and longer than anything is ever armed ahead (CalendarCells); the word for a

@@ -15,6 +15,11 @@ import (
 // A Pipe is single-producer single-consumer and not safe for concurrent use;
 // the simulation is single-threaded by design.
 //
+// A pipe bound to its receiver (Wakes) arms the receiver's bit on its due
+// calendar beside every item it enqueues, at the cycle the item is due; the
+// receiver, once it has read the wire, arms it again at the next item's
+// (Rearm).
+//
 // The header is one cache line (64 bytes): what every Send and Recv reads
 // comes first, and the state of the fault, sever-callback and bit-error
 // models — which a fault-free wire never touches — sits behind one pointer,
@@ -31,7 +36,11 @@ type Pipe[T any] struct {
 	lastSendCycle Cycle
 	head, n       uint32
 
-	latency, width, sentThisCycle int32
+	latency, width, sentThisCycle uint16
+
+	// bit is the index of the wire's bit on cal, the receiver's due calendar;
+	// cal is nil for a pipe bound to no receiver, which arms nothing.
+	bit uint8
 
 	// Hard-fault state (Sever/Restore). A severed pipe models a dead wire:
 	// items already in flight are destroyed at sever time and every
@@ -40,13 +49,14 @@ type Pipe[T any] struct {
 	// model bugs still surface while a link is down.
 	severed bool
 
-	x *pipeFaults[T]
+	x   *pipeFaults[T]
+	cal *Calendar
 }
 
 // pipeFaults is the cold state of a pipe: the models a fault-free wire never
 // arms.
 type pipeFaults[T any] struct {
-	// Fault-injection state (NewFaultyPipe). Each item sent is corrupted
+	// Fault-injection state (WithFaults). Each item sent is corrupted
 	// in flight with probability faultRate; the receiver detects the
 	// corruption, NACKs, and the sender — which holds every unacknowledged
 	// item in a retransmit buffer — replays it, adding one link round-trip
@@ -101,10 +111,10 @@ func (p *Pipe[T]) init(latency Cycle, width int, ring []pipeEntry[T]) {
 	if width < 1 {
 		panic("sim: pipe width must be at least 1 item per cycle")
 	}
-	if latency > math.MaxInt32 || width > math.MaxInt32 {
-		panic("sim: pipe latency and width must fit in 32 bits")
+	if latency > math.MaxUint16 || width > math.MaxUint16 {
+		panic("sim: pipe latency and width must fit in 16 bits")
 	}
-	*p = Pipe[T]{latency: int32(latency), width: int32(width), ring: ring}
+	*p = Pipe[T]{latency: uint16(latency), width: uint16(width), ring: ring}
 	p.Reset()
 }
 
@@ -157,21 +167,29 @@ func (p *Pipe[T]) Reset() {
 	}
 }
 
-// NewFaultyPipe returns a pipe that corrupts each item in flight with the
-// given probability and recovers it by link-level detection-and-
-// retransmission: the receiver detects the corrupted item, returns a NACK,
-// and the sender replays from its retransmit buffer, costing one link
-// round-trip (2×latency) per corruption. An item may be corrupted again on
-// replay, so its total delay is latency + 2·latency·k for a geometrically
-// distributed k. Delivery remains FIFO (go-back-N), so no item overtakes a
-// retransmitting predecessor; Retransmits counts the corruption events. rate
-// must lie in [0,1) and rng must be non-nil when rate > 0.
-func NewFaultyPipe[T any](latency Cycle, width int, rate float64, rng *RNG) *Pipe[T] {
-	return NewPipe[T](latency, width).WithFaults(rate, rng)
+// Wakes binds the pipe to its receiver: bit, which must be a single bit, on
+// the due calendar *cal. From then on every Send that enqueues arms bit at the
+// cycle the item would be due without a replay, and Rearm arms it at the
+// head's. cal is read at each arm, so it may point at a calendar field its
+// owner sets later. It returns the pipe.
+func (p *Pipe[T]) Wakes(cal *Calendar, bit uint32) *Pipe[T] {
+	if bits.OnesCount32(bit) != 1 {
+		panic("sim: a pipe wakes its receiver on exactly one calendar bit")
+	}
+	p.cal, p.bit = cal, uint8(bits.TrailingZeros32(bit))
+	return p
 }
 
-// WithFaults arms the corruption-and-replay model NewFaultyPipe describes on a
-// pipe already built, before it carries anything, and returns it.
+// WithFaults arms a corruption-and-replay model on a pipe already built,
+// before it carries anything, and returns it. Each item is corrupted in
+// flight with probability rate and recovered by link-level
+// detection-and-retransmission: the receiver detects the corrupted item,
+// returns a NACK, and the sender replays from its retransmit buffer, costing
+// one link round-trip (2×latency) per corruption. An item may be corrupted
+// again on replay, so its total delay is latency + 2·latency·k for a
+// geometrically distributed k. Delivery remains FIFO (go-back-N), so no item
+// overtakes a retransmitting predecessor; Retransmits counts the corruption
+// events. rate must lie in [0,1) and rng must be non-nil when rate > 0.
 func (p *Pipe[T]) WithFaults(rate float64, rng *RNG) *Pipe[T] {
 	if rate < 0 || rate >= 1 || rate != rate {
 		panic("sim: fault rate must lie in [0, 1)")
@@ -202,7 +220,7 @@ func (p *Pipe[T]) Retransmits() int64 {
 // still delivers, the payload is wrong, and it is the receiver's CRC or the
 // end-to-end check that must notice. ber must lie in [0,1); rng and corrupt
 // must be non-nil when ber > 0. It returns the pipe for chaining and composes
-// with the loss/delay fault model of NewFaultyPipe.
+// with the loss/delay fault model of WithFaults.
 func (p *Pipe[T]) WithBitErrors(ber float64, rng *RNG, corrupt func(T) T) *Pipe[T] {
 	if ber < 0 || ber >= 1 || ber != ber {
 		panic("sim: bit-error rate must lie in [0, 1)")
@@ -250,10 +268,10 @@ func (p *Pipe[T]) CanSend(now Cycle) bool {
 	return p.lastSendCycle != now || p.sentThisCycle < p.width
 }
 
-// Send enqueues an item at cycle now; it becomes receivable at now+latency.
-// It panics if the per-cycle bandwidth is exceeded or if time runs backwards,
-// both of which indicate a bug in the calling model rather than a recoverable
-// condition.
+// Send enqueues an item at cycle now; it becomes receivable at now+latency,
+// and a bound pipe arms its receiver's bit at that cycle. It panics if the
+// per-cycle bandwidth is exceeded or if time runs backwards, both of which
+// indicate a bug in the calling model rather than a recoverable condition.
 func (p *Pipe[T]) Send(now Cycle, item T) {
 	// The common case first: the first send this cycle on a whole wire with
 	// no fault or bit-error model ever armed and a free cell. With no replay
@@ -263,6 +281,7 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 		p.lastSendCycle, p.sentThisCycle = now, 1
 		*p.cell(p.n) = pipeEntry[T]{readyAt: now + Cycle(p.latency), item: item}
 		p.n++
+		p.wake(now)
 		return
 	}
 	if p.lastSendCycle == now {
@@ -310,6 +329,16 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 	}
 	*p.cell(p.n) = pipeEntry[T]{readyAt: readyAt, item: item}
 	p.n++
+	p.wake(now)
+}
+
+// wake arms the receiver's bit for an item sent at cycle now: at the cycle it
+// is due without a replay, a prompt to look that a replayed item's receiver
+// follows with Rearm.
+func (p *Pipe[T]) wake(now Cycle) {
+	if p.cal != nil {
+		p.cal.Arm(now+Cycle(p.latency), 1<<p.bit)
+	}
 }
 
 // grow doubles the ring (from nothing to 2 cells), unwrapping the items in
@@ -348,12 +377,12 @@ func (p *Pipe[T]) HeadAt() (at Cycle, ok bool) {
 	return p.ring[p.head].readyAt, true
 }
 
-// Rearm arms bit on the receiver's calendar c at its head's delivery cycle
-// (Calendar.Rearm), read at cycle now, when anything is left on the pipe: the
-// last step of a read that the calendar prompted.
-func (p *Pipe[T]) Rearm(c Calendar, now Cycle, bit uint32) {
-	if at, ok := p.HeadAt(); ok {
-		c.Rearm(now, at, bit)
+// Rearm arms the receiver's bit at its head's delivery cycle
+// (Calendar.Rearm), read at cycle now, when anything is left on a bound pipe:
+// the last step of a read that the calendar prompted.
+func (p *Pipe[T]) Rearm(now Cycle) {
+	if p.n > 0 && p.cal != nil {
+		p.cal.Rearm(now, p.ring[p.head].readyAt, 1<<p.bit)
 	}
 }
 

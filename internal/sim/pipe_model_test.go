@@ -91,7 +91,7 @@ func TestRingPipeMatchesSliceModel(t *testing.T) {
 			ring := NewPipe[int](latency, width)
 			ref := &slicePipe{latency: latency}
 			if faulty {
-				ring = NewFaultyPipe[int](latency, width, 0.15, NewRNG(7))
+				ring = NewPipe[int](latency, width).WithFaults(0.15, NewRNG(7))
 				ref.faultRate, ref.rng = 0.15, NewRNG(7)
 			}
 			if bitErrors {

@@ -155,7 +155,7 @@ func TestPipeOrderProperty(t *testing.T) {
 // adding one link round-trip to the item's delay.
 func TestFaultyPipeRecoversEveryItem(t *testing.T) {
 	const latency, n = 3, 500
-	p := NewFaultyPipe[int](latency, 1, 0.2, NewRNG(7))
+	p := NewPipe[int](latency, 1).WithFaults(0.2, NewRNG(7))
 	sentAt := make([]Cycle, n)
 	got := make([]int, 0, n)
 	now := Cycle(0)
@@ -195,7 +195,7 @@ func TestFaultyPipeRecoversEveryItem(t *testing.T) {
 func TestFaultyPipeDelayIsRoundTripMultiple(t *testing.T) {
 	const latency = 4
 	for seed := uint64(1); seed < 30; seed++ {
-		p := NewFaultyPipe[int](latency, 1, 0.5, NewRNG(seed))
+		p := NewPipe[int](latency, 1).WithFaults(0.5, NewRNG(seed))
 		before := p.Retransmits()
 		p.Send(0, 42)
 		k := p.Retransmits() - before
@@ -212,7 +212,7 @@ func TestFaultyPipeDelayIsRoundTripMultiple(t *testing.T) {
 // TestFaultyPipeZeroRateIsTransparent: a zero fault rate behaves exactly like
 // NewPipe and needs no RNG.
 func TestFaultyPipeZeroRateIsTransparent(t *testing.T) {
-	p := NewFaultyPipe[string](2, 1, 0, nil)
+	p := NewPipe[string](2, 1).WithFaults(0, nil)
 	p.Send(0, "x")
 	if _, ok := p.Recv(1); ok {
 		t.Fatal("item readable before latency elapsed")
@@ -234,7 +234,7 @@ func TestFaultyPipeRejectsBadRates(t *testing.T) {
 					t.Errorf("rate %v did not panic", rate)
 				}
 			}()
-			NewFaultyPipe[int](1, 1, rate, NewRNG(1))
+			NewPipe[int](1, 1).WithFaults(rate, NewRNG(1))
 		}()
 	}
 }

@@ -102,8 +102,8 @@ func (n *Network) AttachProbe(p *metrics.Probe) {
 
 // wire connects routers, NIs and sinks with delay-line pipes: data links of
 // LinkLatency, credit wires of CreditLatency, and injection/ejection links of
-// LocalLatency. Each sender is pointed at the calendar of the node its wire
-// reaches and the wire's bit in it.
+// LocalLatency. Each wire wakes its receiver: the bit it names on the
+// receiving node's calendar.
 func (n *Network) wire() {
 	cfg, t := n.cfg, &n.Terminals
 	for id := 0; id < n.mesh.N(); id++ {
@@ -115,24 +115,22 @@ func (n *Network) wire() {
 			if !ok {
 				continue
 			}
-			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1)
+			far, op := n.routers[nb], p.Opposite()
+			data := noc.NewWire[noc.DataFlit](t, cfg.LinkLatency, 1, &far.cal, dataBit(op))
 			if cfg.BER > 0 {
 				data.WithBitErrors(cfg.BER, n.linkRNG, corruptFlit)
 			}
-			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1)
-			far, op := n.routers[nb], p.Opposite()
-			o, farIn := &r.out[p], &far.in[op]
-			o.data, o.dataCal, o.dataBit, o.latency, o.creditIn = data, far.cal, dataBit(op), cfg.LinkLatency, credit
-			farIn.data, farIn.creditOut, farIn.creditCal, farIn.creditBit = data, credit, r.cal, creditBit(p)
+			credit := noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1, &r.cal, creditBit(p))
+			r.out[p].data, r.out[p].creditIn = data, credit
+			far.in[op].data, far.in[op].creditOut = data, credit
 		}
 		// Injection: NI -> router Local input.
 		ni, local := n.nis[id], &r.in[topology.Local]
-		ni.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1)
-		ni.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1)
-		local.data, local.creditOut, local.creditCal, local.creditBit = ni.data, ni.creditIn, r.cal, niBit
+		ni.data = noc.NewWire[noc.DataFlit](t, cfg.LocalLatency, 1, &r.cal, dataBit(topology.Local))
+		ni.creditIn = noc.NewWire[noc.VCCredit](t, cfg.CreditLatency, 1, &ni.cal, niBit)
+		local.data, local.creditOut = ni.data, ni.creditIn
 		// Ejection: router Local output -> sink.
-		o := &r.out[topology.Local]
-		o.data, o.dataCal, o.dataBit, o.latency = n.Sinks[id].Data, r.cal, noc.SinkBit, cfg.LocalLatency
+		r.out[topology.Local].data = n.Sinks[id].Data
 	}
 }
 

@@ -38,8 +38,7 @@ type ni struct {
 	data     *sim.Pipe[noc.DataFlit] // to the router's Local input
 	creditIn *sim.Pipe[noc.VCCredit] // credits back from the router
 	// cal is the node's due calendar, shared with its router: the interface
-	// arms the router's Local data wire in it and reads creditIn on the
-	// cycles niBit is set.
+	// reads creditIn on the cycles niBit is set.
 	cal sim.Calendar
 
 	ready []int // scratch
@@ -128,7 +127,7 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
 			}
 		}
-		n.creditIn.Rearm(n.cal, now, niBit)
+		n.creditIn.Rearm(now)
 	}
 
 	// Assign queued packets to free VC slots. By default the source is a
@@ -186,7 +185,6 @@ func (n *ni) Tick(now sim.Cycle) {
 			n.wf.HeadWire(uint64(f.Packet.ID), 0, now)
 		}
 		n.data.Send(now, f)
-		n.cal.Arm(now+n.cfg.LocalLatency, dataBit(topology.Local))
 		if sl.next == len(sl.flits) {
 			n.owned[sl.vc] = false
 			sl.active = false

@@ -152,7 +152,6 @@ func oracleRouter(nv int, seed uint64, observed bool, now sim.Cycle) *Router {
 		r.wf = waterfall.New()
 		r.probe = &metrics.Probe{Tracer: trace.New(1 << 12), WF: r.wf}
 	}
-	elsewhere := make(sim.Calendar, sim.CalendarCells(1))
 	var ports []topology.Port
 	for p := range r.in {
 		if !r.in[p].exists {
@@ -161,8 +160,8 @@ func oracleRouter(nv int, seed uint64, observed bool, now sim.Cycle) *Router {
 		ports = append(ports, topology.Port(p))
 		in, o := &r.in[p], &r.out[p]
 		in.data = sim.NewPipe[noc.DataFlit](1, 1)
-		in.creditOut, in.creditCal = sim.NewPipe[noc.VCCredit](1, 1), elsewhere
-		o.data, o.dataCal, o.latency = sim.NewPipe[noc.DataFlit](1, 1), elsewhere, 1
+		in.creditOut = sim.NewPipe[noc.VCCredit](1, 1)
+		o.data = sim.NewPipe[noc.DataFlit](1, 1)
 		o.creditIn = sim.NewPipe[noc.VCCredit](1, 1)
 		o.pool = rng.Intn(cfg.BuffersPerInput() + 1)
 		for v := range o.credits {

@@ -131,7 +131,6 @@ func TestNIRejectsCreditItNeverSpent(t *testing.T) {
 				prepare(x)
 			}
 			x.creditIn.Send(0, noc.VCCredit{VC: vc})
-			x.cal.Arm(cfg.withDefaults().CreditLatency, niBit)
 			net.Tick(0)
 			net.Tick(1) // credit wires take one cycle
 		}

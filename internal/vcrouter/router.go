@@ -38,16 +38,13 @@ type vcState struct {
 
 // inputState is one input port: NumVCs virtual channels (its stretch of
 // Router.chans) plus the wires to the upstream node (incoming flits, outgoing
-// credits). creditCal is the upstream node's calendar, in which each credit
-// sent arms creditBit.
+// credits).
 type inputState struct {
 	exists    bool
 	vcs       []vcState
 	poolUsed  int // total buffered flits (enforced in SharedPool mode)
 	data      *sim.Pipe[noc.DataFlit]
 	creditOut *sim.Pipe[noc.VCCredit]
-	creditCal sim.Calendar
-	creditBit uint32
 }
 
 // outputState is one output port: per-downstream-VC credit counters and
@@ -66,12 +63,6 @@ type outputState struct {
 	owned    []bool
 	data     *sim.Pipe[noc.DataFlit]
 	creditIn *sim.Pipe[noc.VCCredit]
-	// dataCal is the calendar of the node data reaches — the neighbour's, or
-	// for Local this node's own, where the sink reads it — in which each flit
-	// sent arms dataBit, latency cycles on.
-	dataCal sim.Calendar
-	dataBit uint32
-	latency sim.Cycle
 }
 
 // Router is one virtual-channel router. It is assembled and ticked by
@@ -108,8 +99,9 @@ type Router struct {
 
 	// cal is the node's due calendar, shared with its interface and sink:
 	// the bits of the data wire into each input and the credit wire into each
-	// neighbour output (routerBits). Senders arm a wire's bit beside each
-	// Send, and Tick reads only the wires whose bits its cycle's word has.
+	// neighbour output (routerBits). Each wire arms its bit as it carries a
+	// flit or credit, and Tick reads only the wires whose bits its cycle's
+	// word has.
 	cal sim.Calendar
 
 	// crcRepaired counts the corrupted flits the hop CRC caught (crcDetect).
@@ -262,7 +254,7 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) int {
 				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, p, c.VC))
 			}
 		}
-		o.creditIn.Rearm(r.cal, now, creditBit(p))
+		o.creditIn.Rearm(now)
 	}
 	return received
 }
@@ -316,7 +308,7 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) int {
 			w, bit := chanBit(int(p)*r.cfg.NumVCs + int(f.VC))
 			r.occ[w] |= bit
 		}
-		in.data.Rearm(r.cal, now, dataBit(p))
+		in.data.Rearm(now)
 	}
 	return received
 }
@@ -558,7 +550,6 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 
 	if in.creditOut != nil {
 		in.creditOut.Send(now, noc.VCCredit{VC: v})
-		in.creditCal.Arm(now+r.cfg.CreditLatency, in.creditBit)
 	}
 
 	f.VC = int32(vc.outVC)
@@ -567,7 +558,6 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 		r.wf.Depart(uint64(f.Packet.ID), 0, now, false)
 	}
 	o.data.Send(now, f)
-	o.dataCal.Arm(now+o.latency, o.dataBit)
 	if !o.infinite {
 		if r.cfg.SharedPool {
 			o.pool--

@@ -10,39 +10,35 @@ import (
 
 // testRouter builds node 0 of a 2x2 mesh with test-owned pipes on its East
 // input, East output and ejection port: the test plays the neighbor and the
-// sink. What the router sends arms bits in a calendar nobody reads; what the
-// test sends must go through feedFlit and feedCredit, which arm the router's
-// calendar the way a wired sender does — a router does not read a wire whose
-// bit is not set.
+// sink. The wires into the router wake it on its calendar as wired ones do —
+// a router does not read a wire whose bit is not set — and those out of it
+// wake nobody.
 func testRouter(cfg Config) (r *Router, inCredit *sim.Pipe[noc.VCCredit], ej *sim.Pipe[noc.DataFlit]) {
 	cfg = cfg.withDefaults()
 	mesh := topology.NewMesh(2)
 	r = newRouter(0, mesh, &cfg, sim.NewRNG(1))
 	r.cal = make(sim.Calendar, sim.CalendarCells(max(cfg.LinkLatency, cfg.CreditLatency, cfg.LocalLatency)))
-	elsewhere := make(sim.Calendar, len(r.cal))
 	// Feed the East input (from node 1 westward — we play the neighbor).
 	inCredit = sim.NewPipe[noc.VCCredit](1, 4)
-	r.in[topology.East].data = sim.NewPipe[noc.DataFlit](1, 1)
-	r.in[topology.East].creditOut, r.in[topology.East].creditCal = inCredit, elsewhere
+	r.in[topology.East].data = sim.NewPipe[noc.DataFlit](1, 1).Wakes(&r.cal, dataBit(topology.East))
+	r.in[topology.East].creditOut = inCredit
 	// Capture the East output.
-	r.out[topology.East].data, r.out[topology.East].dataCal = sim.NewPipe[noc.DataFlit](1, 1), elsewhere
-	r.out[topology.East].creditIn = sim.NewPipe[noc.VCCredit](1, 4)
+	r.out[topology.East].data = sim.NewPipe[noc.DataFlit](1, 1)
+	r.out[topology.East].creditIn = sim.NewPipe[noc.VCCredit](1, 4).Wakes(&r.cal, creditBit(topology.East))
 	// Local ejection path.
 	ej = sim.NewPipe[noc.DataFlit](1, 1)
-	r.out[topology.Local].data, r.out[topology.Local].dataCal = ej, elsewhere
+	r.out[topology.Local].data = ej
 	return r, inCredit, ej
 }
 
 // feedFlit sends f into the rig's East input at cycle now.
 func feedFlit(r *Router, now sim.Cycle, f noc.DataFlit) {
 	r.in[topology.East].data.Send(now, f)
-	r.cal.Arm(now+1, dataBit(topology.East))
 }
 
 // feedCredit returns one credit for vc to the rig's East output at cycle now.
 func feedCredit(r *Router, now sim.Cycle, vc int) {
 	r.out[topology.East].creditIn.Send(now, noc.VCCredit{VC: vc})
-	r.cal.Arm(now+1, creditBit(topology.East))
 }
 
 func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {

@@ -7,12 +7,13 @@
 #     packet-switched and circuit fabrics, the flit-reservation sink and the
 #     sink the others eject through receive with loops over sim.Pipe.Recv.
 #   - Every one of them acts on its node's due calendar (internal/sim
-#     calendar.go): it reads its word with sim.Calendar.Cell, a sender arms
-#     the receiver's bit beside every send with sim.Calendar.Arm, and a
-#     receiver that has read a wire arms it again at its head's delivery
-#     cycle with sim.Pipe.Rearm (sim.Pipe.HeadAt and sim.Calendar.Rearm
-#     underneath; core rebuilds a calendar after an outage with
-#     sim.Calendar.Rearm itself).
+#     calendar.go): it reads its word with sim.Calendar.Cell, each wire is
+#     bound to its receiver's bit when the fabric wires the node and arms it
+#     in its own Send, and a receiver that has read a wire arms it again at
+#     its head's delivery cycle with sim.Pipe.Rearm(now) (sim.Calendar.Rearm
+#     underneath; core's inputs arm their own bits with sim.Calendar.Arm, and
+#     core rebuilds a calendar after an outage with sim.Calendar.Rearm over
+#     sim.Pipe.HeadAt).
 #   - Every router orders its arbitration candidates with sim.Shuffle.
 #   - The flit-reservation router reports every tick, dormant or not, to the
 #     self-profile through profile.Registry.RouterTick, a nil test when
@@ -22,9 +23,11 @@
 # as many times as the line makes the call — in the files that hold those
 # sites; if one of the wake mechanisms the calendar replaced (the post
 # helper, the in-flight counts, the sinks' ejection pointers) is back in the
-# non-test code of those packages; or if the code those helpers replaced is
-# back there: a hand-written HeadAt-then-Rearm block, or a hand-written
-# Fisher-Yates loop over Intn(i + 1); or if the virtual-channel,
+# non-test code of those packages; or if the wake state the wires took over
+# is back on the sending side there: a field naming the receiver's calendar
+# (peer[, dataCal, creditCal, upCal, downCal) or a hand arm beside a send
+# (.Arm(now+...)); or if a hand-written Fisher-Yates loop over Intn(i + 1) is
+# back; or if the virtual-channel,
 # packet-switched or circuit fabric makes a wire, carves a calendar or counts
 # the packets offered for itself (sim.NewPipe, sim.CalendarCells, an offered
 # field) instead of through the noc.Terminals it embeds; or if the
@@ -72,16 +75,13 @@ sites() {
     done
 }
 
-# A calendar's own Rearm takes the cycle first; a pipe's takes the calendar.
-calRearm='\.Rearm\(now,'
-pipeRearm='\.Rearm\([A-Za-z_][A-Za-z0-9_.]*, now,'
-
 check '\.Recv\(now\)' 'sim\.(\*Pipe\[.*\])\.Recv' $(sites '\.Recv\(now\)')
 check '\.HeadAt\(\)' 'sim\.(\*Pipe\[.*\])\.HeadAt' $(sites '\.HeadAt\(\)')
 check '\.Cell\(' 'sim\.Calendar\.Cell' $(sites '\.Cell\(')
 check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
-check "$calRearm" 'sim\.Calendar\.Rearm' $(sites "$calRearm")
-check "$pipeRearm" 'sim\.(\*Pipe\[.*\])\.Rearm' $(sites "$pipeRearm")
+# A pipe's Rearm takes the cycle alone; a calendar's, the head's cycle too.
+check '\.Rearm\(now\)' 'sim\.(\*Pipe\[.*\])\.Rearm' $(sites '\.Rearm\(now\)')
+check '\.Rearm\(now,' 'sim\.Calendar\.Rearm' $(sites '\.Rearm\(now,')
 check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
 check '\.RouterTick\(' 'profile\.(\*Registry)\.RouterTick' internal/core/router.go
 
@@ -92,9 +92,16 @@ if [ -n "$gone" ]; then
     status=1
 fi
 
-replaced=$(for d in $pkgs; do grep -nE 'HeadAt\(\); ok|Intn\(i ?\+ ?1\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+senders=$(for d in $pkgs; do grep -nE '\bpeer\[|\b(dataCal|creditCal|upCal|downCal)\b|\.Arm\(now ?\+' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+if [ -n "$senders" ]; then
+    echo "inlined.sh: a sender arms its receiver's calendar by hand (bind the wire with sim.Pipe.Wakes; its Send arms):" >&2
+    echo "$senders" >&2
+    status=1
+fi
+
+replaced=$(for d in $pkgs; do grep -nE 'Intn\(i ?\+ ?1\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
 if [ -n "$replaced" ]; then
-    echo "inlined.sh: a hand-written re-arm or shuffle is back (use sim.Pipe.Rearm or sim.Shuffle):" >&2
+    echo "inlined.sh: a hand-written shuffle is back (use sim.Shuffle):" >&2
     echo "$replaced" >&2
     status=1
 fi
@@ -125,5 +132,5 @@ if [ -n "$direct" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no hand-written re-arm or shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness"
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness"
 exit $status
