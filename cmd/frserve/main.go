@@ -270,6 +270,9 @@ func run(args []string, stderr io.Writer) int {
 	if fs.NArg() > 0 {
 		return fail("unexpected arguments: %v", fs.Args())
 	}
+	if cfg.workers < 0 {
+		return fail("-workers must be >= 0 (got %d; 0 means NumCPU)", cfg.workers)
+	}
 	if cfg.compact {
 		return runCompact(cfg, stderr)
 	}

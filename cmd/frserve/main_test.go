@@ -235,9 +235,10 @@ func TestDaemonValidation(t *testing.T) {
 	}
 }
 
-// TestRefusesBadCommandLine: a flag frserve does not define, a stray argument
-// and an unknown fsync mode each exit 2 with a message naming the fault, before
-// a database directory or a listener exists.
+// TestRefusesBadCommandLine: a flag frserve does not define, a stray argument,
+// an unknown fsync mode and a negative worker count (which used to run on
+// NumCPU without a word) each exit 2 with a message naming the fault, before a
+// database directory or a listener exists.
 func TestRefusesBadCommandLine(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -246,6 +247,7 @@ func TestRefusesBadCommandLine(t *testing.T) {
 		{[]string{"-report", "x"}, "flag provided but not defined: -report"},
 		{[]string{"stray"}, "frserve: unexpected arguments: [stray]"},
 		{[]string{"-fsync", "sometimes"}, `frserve: service: unknown fsync mode "sometimes" (want always|batch|off)`},
+		{[]string{"-workers", "-3"}, "frserve: -workers must be >= 0 (got -3"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			db := filepath.Join(t.TempDir(), "db")

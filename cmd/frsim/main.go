@@ -5,7 +5,14 @@
 //
 //	frsim -config FR6 -wiring fast -load 0.5
 //	frsim -config VC16 -wiring leading -pktlen 21 -load 0.3 -sample 20000
-//	frsim -custom -fr -buffers 10 -ctrlvcs 2 -horizon 64 -load 0.6
+//	frsim -config FR6-lead2 -wiring leading -load 0.3
+//	frsim -config FR6 -buffers 10 -horizon 64 -load 0.6 -pattern transpose
+//
+// -config names every configuration, as sweep's -configs and the campaign
+// service's configs do; -buffers, -ctrlvcs, -horizon and -leads (FR configs)
+// and -vcs and -bufpervc (VC configs) override one field of it when given, and
+// the run is then labelled custom. The old spellings -custom, -fr and -lead are
+// refused with a pointer to these.
 //
 // Observability:
 //
@@ -146,6 +153,50 @@ func artefacts(filter *frfc.TraceFilter) []artefact {
 	}
 }
 
+// knobs are the structural overrides: each sets one router field of the config
+// -config names when its flag is given, and refuses a value below min (or above
+// max, when set). experiment.CheckOption refuses one on a flow without its
+// field.
+var knobs = []struct {
+	flag, help string
+	min, max   int
+	set        func(*frfc.Spec, int)
+}{
+	{"buffers", "FR configs: data buffers per input pool", 1, core.MaxDataBuffers, func(s *frfc.Spec, v int) { s.FR.DataBuffers = v }},
+	{"ctrlvcs", "FR configs: control virtual channels", 1, 0, func(s *frfc.Spec, v int) { s.FR.CtrlVCs = v }},
+	{"horizon", "FR configs: scheduling horizon in cycles", 2, 0, func(s *frfc.Spec, v int) { s.FR.Horizon = sim.Cycle(v) }},
+	{"leads", "FR configs: data flits led per control flit", 1, 0, func(s *frfc.Spec, v int) { s.FR.LeadsPerCtrl = v }},
+	{"vcs", "VC configs: virtual channels", 1, 0, func(s *frfc.Spec, v int) { s.VC.NumVCs = v }},
+	{"bufpervc", "VC configs: buffers per virtual channel", 1, 0, func(s *frfc.Spec, v int) { s.VC.BufPerVC = v }},
+}
+
+// goneFlag returns the refusal for the first flag in args that frsim no longer
+// has, naming what took its place, or "" if there is none. An old command line
+// is refused in one line, not with the whole usage text.
+func goneFlag(args []string) string {
+	for i, a := range args {
+		if a == "--" {
+			break
+		}
+		name, value, _ := strings.Cut(strings.TrimLeft(a, "-"), "=")
+		if !strings.HasPrefix(a, "-") {
+			continue
+		}
+		switch name {
+		case "custom":
+			return "-custom is gone: -buffers, -ctrlvcs, -horizon, -leads, -vcs and -bufpervc override the config -config names"
+		case "fr":
+			return "-fr is gone: name the flow with -config, as -config VC8"
+		case "lead":
+			if value == "" && i+1 < len(args) {
+				value = args[i+1]
+			}
+			return fmt.Sprintf("-lead %s is gone: name the lead in the config, as -config FR6-lead%s -wiring leading", value, value)
+		}
+	}
+	return ""
+}
+
 // run is main with its environment made explicit, so tests can drive the
 // whole command and assert on output and exit codes.
 func run(args []string, stdout, stderr io.Writer) int {
@@ -153,19 +204,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		config  = fs.String("config", "FR6", "named configuration: "+frfc.ConfigNames)
-		lead    = fs.Int("lead", 1, "control lead in cycles (leading wiring only; -config FR6 -lead N is FR6-leadN)")
 		load    = fs.Float64("load", 0.5, "offered traffic as a fraction of capacity")
 		radix   = fs.Int("radix", 8, "mesh radix k (k x k nodes)")
 		pattern = fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, tornado, neighbor, bitrev, shuffle")
-
-		custom  = fs.Bool("custom", false, "build a custom configuration from the knobs below instead of -config")
-		fr      = fs.Bool("fr", true, "custom: use flit-reservation flow control (false = virtual channels)")
-		buffers = fs.Int("buffers", 6, "custom FR: data buffers per input pool")
-		ctrlVCs = fs.Int("ctrlvcs", 2, "custom FR: control virtual channels")
-		horizon = fs.Int("horizon", 32, "custom FR: scheduling horizon in cycles")
-		leads   = fs.Int("leads", 1, "custom FR: data flits led per control flit")
-		vcs     = fs.Int("vcs", 2, "custom VC: virtual channels")
-		bufVC   = fs.Int("bufpervc", 4, "custom VC: buffers per virtual channel")
 
 		scenario = fs.String("scenario", "", `hard-fault schedule, e.g. "down 5-6 @2000; up 5-6 @6000; kill 9 @8000"; FR configs only`)
 		retry    = fs.Int("retry", 0, "end-to-end retry budget per packet (0 = off; fault scenarios need it to recover in-flight losses); FR configs only")
@@ -186,31 +227,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Uint64Var(&filter.Packet, "trace-packet", 0, "export only this packet's trace events (0 = all)")
 	fs.Int64Var(&filter.From, "trace-from", 0, "export only trace events at or after this cycle")
 	fs.Int64Var(&filter.To, "trace-to", 0, "export only trace events at or before this cycle (0 = unbounded)")
+	values := make([]*int, len(knobs))
+	for i, k := range knobs {
+		values[i] = fs.Int(k.flag, 0, k.help+" (default: the config's)")
+	}
 	table := artefacts(&filter)
 	for i, a := range table {
 		if a.flag != "" {
 			table[i].value = fs.String(a.flag, "", a.help)
 		}
 	}
+	fail := cli.Refusal("frsim", stderr)
+	if msg := goneFlag(args); msg != "" {
+		return fail("%s", msg)
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := cli.Refusal("frsim", stderr)
 
 	// Everything the run can be refused for is refused here, by name, before
 	// a network exists: a value out of range would otherwise fall back to a
-	// default in silence, be ignored, or panic deep inside the simulator.
-	w, err := frfc.ParseWiring(shared.Wiring)
-	if err != nil {
-		return fail("%v", err)
-	}
-	leadApplies := w == frfc.LeadingControl && (*custom && *fr || !*custom && *config == "FR6")
-	// A lead is reserved in the interface's injection table, which reaches
-	// one horizon ahead: -horizon's for -custom, FR6's otherwise.
-	maxLead := *horizon
-	if !*custom {
-		maxLead = int(frfc.FR6(w, shared.PktLen).FR.Horizon)
-	}
+	// default in silence, be ignored, or panic deep inside the simulator. A
+	// structural knob is checked only when given: unset, it is the config's.
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	switch {
 	case opts.MetricsEpoch < 0:
 		return fail("-metrics-epoch must be >= 0 (got %d; 0 means the default epoch)", opts.MetricsEpoch)
@@ -218,8 +258,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-trace-cap must be >= 0 (got %d; 0 means the default capacity)", opts.TraceCapacity)
 	case opts.TimeSeriesCapacity < 0:
 		return fail("-timeseries-cap must be >= 0 (got %d; 0 keeps every epoch)", opts.TimeSeriesCapacity)
-	case *load <= 0 || *load > 2:
-		return fail("-load must be in (0,2] (got %g)", *load)
 	case *radix < 2:
 		return fail("-radix must be >= 2 (got %d)", *radix)
 	case *retry < 0 || *retry > noc.MaxLen:
@@ -230,86 +268,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-chaos must be an intensity in (0,1] (got %g; 0 means no chaos)", *chaos)
 	case shared.ChaosSeed != 0 && *chaos == 0:
 		return fail("-chaos-seed %d applies to -chaos runs only", shared.ChaosSeed)
-	case *lead != 1 && !leadApplies:
-		return fail("-lead %d applies to -config FR6 (or -custom -fr) under -wiring leading only", *lead)
-	case leadApplies && *lead > maxLead:
-		return fail("-lead must be at most the %d-cycle horizon (got %d)", maxLead, *lead)
-	case *buffers < 1 || *buffers > core.MaxDataBuffers:
-		return fail("-buffers must be in [1,%d] (got %d)", core.MaxDataBuffers, *buffers)
-	case *ctrlVCs < 1:
-		return fail("-ctrlvcs must be >= 1 (got %d)", *ctrlVCs)
-	case *horizon < 2:
-		return fail("-horizon must be >= 2 (got %d)", *horizon)
-	case *leads < 1:
-		return fail("-leads must be >= 1 (got %d)", *leads)
-	case *vcs < 1:
-		return fail("-vcs must be >= 1 (got %d)", *vcs)
-	case *bufVC < 1:
-		return fail("-bufpervc must be >= 1 (got %d)", *bufVC)
+	}
+	for i, k := range knobs {
+		switch v := *values[i]; {
+		case !given[k.flag]:
+		case k.max > 0 && (v < k.min || v > k.max):
+			return fail("-%s must be in [%d,%d] (got %d)", k.flag, k.min, k.max, v)
+		case v < k.min:
+			return fail("-%s must be >= %d (got %d)", k.flag, k.min, v)
+		}
 	}
 	if err := shared.Validate(); err != nil {
 		return fail("%v", err)
 	}
 
-	var spec frfc.Spec
-	if *custom {
-		// A custom configuration is FR6 (FR6-leadN under leading control)
-		// or VC8 with the knobs' values set on its fields; at the knobs'
-		// defaults it is that preset.
-		if *fr {
-			spec = frfc.FR6(w, shared.PktLen)
-			if leadApplies {
-				spec = frfc.FRLead(*lead, shared.PktLen)
-			}
-			spec.FR.DataBuffers = *buffers
-			spec.FR.CtrlVCs = *ctrlVCs
-			spec.FR.Horizon = sim.Cycle(*horizon)
-			spec.FR.LeadsPerCtrl = *leads
-			if lat := spec.FR.DataLinkLatency; spec.FR.Horizon <= lat {
-				return fail("-horizon must exceed the %d-cycle data link latency of %s wiring (got %d)", lat, w, *horizon)
-			}
-			if need := *leads + *ctrlVCs - 1; *buffers < need {
-				return fail("-buffers %d cannot admit -leads %d beside -ctrlvcs %d: want at least leads + ctrlvcs - 1 = %d", *buffers, *leads, *ctrlVCs, need)
-			}
-		} else {
-			spec = frfc.VC8(w, shared.PktLen)
-			spec.VC.NumVCs = *vcs
-			spec.VC.BufPerVC = *bufVC
-		}
-		spec.Name = "custom"
-		spec.MeshRadix = *radix
-		if spec.Pattern, err = frfc.ParsePattern(*pattern); err != nil {
-			return fail("%v", err)
-		}
-		if err := experiment.CheckRouting(shared.Routing, spec); err != nil {
-			return fail("%v", err)
-		}
-		spec.Routing = shared.Routing
-	} else {
-		// A named config is a one-point grid, resolved and validated where
-		// sweep's and the campaign service's are; FR6 under leading control
-		// with a lead of N is that vocabulary's FR6-leadN.
-		name := *config
-		if leadApplies {
-			name = fmt.Sprintf("FR6-lead%d", *lead)
-		}
-		specs, _, err := frfc.Grid{
-			Configs: []string{name}, Wiring: shared.Wiring, PacketLen: shared.PktLen,
-			Loads: []float64{*load}, Routing: shared.Routing,
-		}.Expand()
-		if err != nil {
-			return fail("%v", err)
-		}
-		spec = specs[0]
-		spec.MeshRadix = *radix
-		if p := *pattern; p != "uniform" {
-			// Named presets keep uniform traffic, matching the paper;
-			// use -custom for other patterns.
-			return fail("named configs use uniform traffic; use -custom for pattern %q", p)
-		}
+	// The config is a one-point grid, resolved, refined and validated where
+	// sweep's and the campaign service's are.
+	specs, _, err := frfc.Grid{
+		Configs: []string{*config}, Wiring: shared.Wiring, PacketLen: shared.PktLen, Loads: []float64{*load},
+		Sample: shared.Sample, Warmup: shared.Warmup, Seed: shared.Seed, Routing: shared.Routing, Check: shared.Check,
+	}.Expand()
+	if err != nil {
+		return fail("%v", err)
 	}
-	// An option the spec's flow has no model of is refused by name, not run
-	// as if unset or left to panic in the simulator.
+	spec := specs[0]
+	spec.MeshRadix = *radix
+	if spec.Pattern, err = frfc.ParsePattern(*pattern); err != nil {
+		return fail("-%v", err)
+	}
+	// An option the spec's flow has no model of — a structural knob included
+	// — is refused by name, not run as if unset or left to panic in the
+	// simulator.
 	var stray error
 	fs.Visit(func(f *flag.Flag) {
 		if stray == nil {
@@ -318,6 +307,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if stray != nil {
 		return fail("-%v", stray)
+	}
+	// A given knob sets its field on the config, and the run is then custom.
+	// The flit-reservation fields must still fit together: the horizon past
+	// the data wire, a control lead (reserved in the interface's injection
+	// table, which reaches one horizon ahead) within the horizon, and the
+	// pool admitting a control flit's leads beside the other control VCs.
+	name := spec.Name
+	for i, k := range knobs {
+		if given[k.flag] {
+			k.set(&spec, *values[i])
+			spec.Name = "custom"
+		}
+	}
+	if fr := spec.FR; spec.Flow == experiment.FlitReservation {
+		switch need := fr.LeadsPerCtrl + fr.CtrlVCs - 1; {
+		case fr.Horizon <= fr.DataLinkLatency:
+			return fail("-horizon must exceed the %d-cycle data link latency of %s wiring (got %d)", fr.DataLinkLatency, shared.Wiring, fr.Horizon)
+		case fr.LeadCycles > fr.Horizon:
+			return fail("-horizon %d is shorter than the %d-cycle control lead of %s", fr.Horizon, fr.LeadCycles, name)
+		case fr.DataBuffers < need:
+			return fail("-buffers %d cannot admit -leads %d beside -ctrlvcs %d: want at least leads + ctrlvcs - 1 = %d", fr.DataBuffers, fr.LeadsPerCtrl, fr.CtrlVCs, need)
+		}
 	}
 	if *scenario != "" {
 		if spec.Faults, err = frfc.ParseScenario(*scenario); err != nil {
@@ -328,12 +339,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// bit-error knobs reach both flow-control families; retry and the
 	// end-to-end check exist under flit reservation only.
 	spec.FR.RetryLimit = *retry
-	spec.Check = shared.Check
 	spec.FR.BER, spec.VC.BER = *ber, *ber
 	spec.FR.CrcBits, spec.VC.CrcBits = *crcBits, *crcBits
 	spec.FR.E2ECheck = *e2eCheck
-	spec = spec.WithSampling(shared.Sample, shared.Warmup)
-	spec.Seed = shared.Seed
 	if *chaos > 0 {
 		if *scenario != "" {
 			return fail("-chaos and -scenario are mutually exclusive: the chaos plan generates its own fault schedule")

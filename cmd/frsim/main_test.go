@@ -41,7 +41,8 @@ func TestRejectsBadObservabilityFlags(t *testing.T) {
 
 // TestRejectsUnknownConfigAndWiring: what the one resolver refuses, frsim
 // refuses as sweep and the campaign service do — exit 2 and one line, where a
-// bad routing name or a negative lead used to be a goroutine dump.
+// bad routing name or a negative lead used to be a goroutine dump, and a lead
+// past the horizon found no injection cycle.
 func TestRejectsUnknownConfigAndWiring(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -50,11 +51,12 @@ func TestRejectsUnknownConfigAndWiring(t *testing.T) {
 		{[]string{"-config", "XYZ"}, `unknown config "XYZ" (FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, CS, FR6-leadN)`},
 		{[]string{"-wiring", "bogus"}, `unknown wiring "bogus"`},
 		{[]string{"-routing", "zz"}, `unknown routing "zz" (want xy, yx or table)`},
-		{[]string{"-custom", "-routing", "zz"}, `unknown routing "zz"`},
 		{[]string{"-config", "VC8", "-routing", "table"}, `routing "table" is implemented for flit-reservation configs only, not VC8`},
-		{[]string{"-custom", "-fr=false", "-routing", "yx"}, `routing "yx" is implemented for flit-reservation configs only`},
-		{[]string{"-wiring", "leading", "-lead", "-3"}, `bad lead in "FR6-lead-3"`},
+		{[]string{"-config", "VC16", "-routing", "yx"}, `routing "yx" is implemented for flit-reservation configs only, not VC16`},
+		{[]string{"-config", "FR6-lead-3", "-wiring", "leading"}, `bad lead in "FR6-lead-3"`},
 		{[]string{"-config", "FR6-lead2x"}, `bad lead in "FR6-lead2x"`},
+		{[]string{"-config", "FR6-lead33", "-wiring", "leading"}, `lead in "FR6-lead33" exceeds the 32-cycle reservation horizon`},
+		{[]string{"-config", "FR6-lead9223372036854775807", "-wiring", "leading"}, `lead in "FR6-lead9223372036854775807" exceeds the 32-cycle reservation horizon`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {
@@ -67,8 +69,9 @@ func TestRejectsUnknownConfigAndWiring(t *testing.T) {
 }
 
 // TestNamedConfigsResolveThroughTheGrid: frsim takes the whole sweep
-// vocabulary — the baselines of the lineage and FR6-leadN by name — and -lead
-// is FR6-leadN under leading control.
+// vocabulary — the baselines of the lineage and FR6-leadN by name, under
+// leading control — and keeps the config's name under -radix and -pattern;
+// a structural knob makes the run custom.
 func TestNamedConfigsResolveThroughTheGrid(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -76,9 +79,10 @@ func TestNamedConfigsResolveThroughTheGrid(t *testing.T) {
 	}{
 		{[]string{"-config", "WH"}, "WH8"},
 		{[]string{"-config", "CS"}, "CS"},
-		{[]string{"-config", "FR6-lead2"}, "FR6-lead2"},
-		{[]string{"-config", "FR6", "-wiring", "leading", "-lead", "4"}, "FR6-lead4"},
+		{[]string{"-config", "FR6-lead2", "-wiring", "leading"}, "FR6-lead2"},
 		{[]string{"-config", "FR6", "-wiring", "leading"}, "FR6-lead1"},
+		{[]string{"-config", "VC8", "-pattern", "transpose"}, "VC8"},
+		{[]string{"-config", "FR13", "-buffers", "10"}, "custom"},
 	} {
 		var stdout, stderr bytes.Buffer
 		args := append([]string{"-radix", "4", "-load", "0.2", "-sample", "60", "-warmup", "100", "-json"}, tc.args...)
@@ -284,57 +288,73 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 // value — where an out-of-range -chaos, -ber or -radix used to die with a
 // goroutine dump, a negative -ber or -retry and a -lead nothing reads were
 // ignored, and -pktlen 0 ran 5-flit packets under a banner that said 0. The
-// -custom knobs likewise: a zero ran the preset's value under the "custom"
+// structural knobs likewise: a zero ran the preset's value under the "custom"
 // label, a negative buffer count or a horizon the data link outruns died in
 // core.Config's checks, and a pool past what a reservation table's lanes count
 // is refused before it gets there, as are a packet length and a retry budget
 // past what a flit's 32-bit fields count, which would wrap. So are the fault,
-// chaos, retry and end-to-end options on a fabric without them, and the
-// bit-error options on one with no bit-error model, which used to die in a
-// goroutine dump or run as if unset (a bit error on SAF2 reported "0 flits
-// corrupted" as measured).
+// chaos, retry and end-to-end options and the structural knobs on a fabric
+// without them (a knob used to be dropped in silence), the bit-error options
+// on one with no bit-error model, which used to die in a goroutine dump or run
+// as if unset (a bit error on SAF2 reported "0 flits corrupted" as measured),
+// and a control lead under fast wiring, which ran leading wires under a fast
+// label.
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
 		{"-chaos", "1.5"}, {"-chaos", "-0.5"}, {"-chaos-seed", "9"}, {"-chaos", "0", "-chaos-seed", "9"},
 		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"},
-		{"-radix", "1"}, {"-radix", "-4"},
-		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-custom", "-pktlen", "0"},
-		{"-pktlen", "3000000000"}, {"-custom", "-pktlen", "3000000000"},
+		{"-radix", "1"}, {"-radix", "-4"}, {"-pattern", "zz"},
+		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-pktlen", "3000000000"},
 		{"-retry", "-1"}, {"-retry", "3000000000"},
-		{"-lead", "3"}, {"-config", "VC8", "-wiring", "leading", "-lead", "3"},
-		{"-config", "FR6-lead2", "-wiring", "leading", "-lead", "3"}, {"-custom", "-fr=false", "-wiring", "leading", "-lead", "3"},
-		{"-wiring", "leading", "-lead", "33"}, {"-wiring", "leading", "-lead", "9223372036854775807"},
-		{"-custom", "-wiring", "leading", "-horizon", "8", "-lead", "9"},
-		{"-custom", "-buffers", "0"}, {"-custom", "-buffers", "-3"}, {"-custom", "-buffers", "127"},
-		{"-custom", "-ctrlvcs", "0"}, {"-custom", "-leads", "0"},
-		{"-custom", "-horizon", "0"}, {"-custom", "-horizon", "4"}, {"-custom", "-wiring", "leading", "-horizon", "1"},
-		{"-custom", "-buffers", "4", "-leads", "4"},
-		{"-custom", "-fr=false", "-vcs", "0"}, {"-custom", "-fr=false", "-bufpervc", "0"},
+		{"-config", "FR6-lead2", "-wiring", "fast"}, {"-config", "FR6-lead9", "-wiring", "leading", "-horizon", "8"},
+		{"-buffers", "0"}, {"-buffers", "-3"}, {"-buffers", "127"},
+		{"-ctrlvcs", "0"}, {"-leads", "0"},
+		{"-horizon", "0"}, {"-horizon", "4"}, {"-wiring", "leading", "-horizon", "1"},
+		{"-buffers", "4", "-leads", "4"},
+		{"-config", "VC8", "-vcs", "0"}, {"-config", "VC8", "-bufpervc", "0"},
+		{"-config", "VC8", "-buffers", "8"}, {"-config", "FR6", "-vcs", "4"}, {"-config", "SAF", "-horizon", "16"},
 		{"-config", "VC8", "-chaos", "0.5"}, {"-config", "VC8", "-scenario", "down 5-6 @100"},
 		{"-config", "VC8", "-scenario", "kill 5 @100"}, {"-config", "WH", "-scenario", "down 5-6 @100"},
-		{"-config", "VC8", "-retry", "8"}, {"-custom", "-fr=false", "-retry", "2"}, {"-config", "VC8", "-e2e-check=true"},
+		{"-config", "VC8", "-retry", "8"}, {"-config", "VC16", "-retry", "2"}, {"-config", "VC8", "-e2e-check=true"},
 		{"-config", "SAF", "-ber", "0.001"}, {"-config", "VCT", "-ber", "0.001"}, {"-config", "CS", "-crc-bits", "8"},
 		{"-config", "WH", "-ber", "0.001"},
 	} {
-		t.Run(strings.Join(args, " "), func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			small := []string{"-load", "0.2", "-sample", "60", "-warmup", "100"}
-			if code := run(append(small, args...), &stdout, &stderr); code != 2 {
-				t.Errorf("exit %d, want 2", code)
-			}
-			if stdout.Len() != 0 {
-				t.Errorf("printed before refusing:\n%s", stdout.String())
-			}
-			msg, flag, value := stderr.String(), args[len(args)-2], args[len(args)-1]
-			if f, v, ok := strings.Cut(value, "="); ok && strings.HasPrefix(f, "-") {
-				flag, value = f, v // a boolean flag, set as -name=value
-			}
-			if !strings.HasPrefix(msg, "frsim: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
-				!strings.Contains(msg, flag+" ") || !strings.Contains(msg, value) {
-				t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)
-			}
-		})
+		flag, value := args[len(args)-2], args[len(args)-1]
+		if f, v, ok := strings.Cut(value, "="); ok && strings.HasPrefix(f, "-") {
+			flag, value = f, v // a boolean flag, set as -name=value
+		}
+		refusedByName(t, args, flag, value)
 	}
+	// The spellings frsim no longer has are refused the same way, naming the
+	// gone flag and what took its place, where they printed the usage text: a
+	// knob needs no -custom, and the lead is spelled FR6-leadN.
+	for _, args := range [][]string{{"-custom", "-pktlen", "0"}, {"-custom", "-pktlen", "3000000000"}} {
+		refusedByName(t, args, "-custom", "-buffers")
+	}
+	for _, lead := range []string{"33", "9223372036854775807"} {
+		refusedByName(t, []string{"-wiring", "leading", "-lead", lead}, "-lead", "-config FR6-lead"+lead)
+	}
+}
+
+// refusedByName runs frsim with args as a subtest named for them and wants it
+// refused: exit 2, nothing on stdout, and one stderr line naming flag and
+// value.
+func refusedByName(t *testing.T, args []string, flag, value string) {
+	t.Run(strings.Join(args, " "), func(t *testing.T) {
+		var stdout, stderr bytes.Buffer
+		small := []string{"-load", "0.2", "-sample", "60", "-warmup", "100"}
+		if code := run(append(small, args...), &stdout, &stderr); code != 2 {
+			t.Errorf("exit %d, want 2", code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("printed before refusing:\n%s", stdout.String())
+		}
+		msg := stderr.String()
+		if !strings.HasPrefix(msg, "frsim: ") || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine") ||
+			!strings.Contains(msg, flag+" ") || !strings.Contains(msg, value) {
+			t.Errorf("stderr = %q, want one line naming %s and %s", msg, flag, value)
+		}
+	})
 }
 
 // textReport runs frsim and returns its text report split after the config
@@ -349,19 +369,21 @@ func textReport(t *testing.T, args ...string) (config, rest string) {
 	return config, rest
 }
 
-// TestCustomIsAPresetWithFields: -custom is FR6 (FR6-leadN under leading
-// control) or VC8 with the knobs' values set on its fields, so at the knobs'
-// defaults it prints the preset's text report byte for byte; only the config
-// line, which names it, differs.
+// TestCustomIsAPresetWithFields: a structural knob sets its field on the
+// config -config names, so a preset with another preset's fields set prints
+// that preset's text report byte for byte, and a knob at the config's own
+// value prints the config's; only the config line, which says custom, differs.
 func TestCustomIsAPresetWithFields(t *testing.T) {
 	small := []string{"-radix", "4", "-load", "0.3", "-sample", "200", "-warmup", "300", "-seed", "7"}
 	for _, tc := range []struct {
 		name          string
 		named, custom []string
 	}{
-		{"FR6", []string{"-config", "FR6"}, []string{"-custom", "-fr"}},
-		{"VC8", []string{"-config", "VC8"}, []string{"-custom", "-fr=false"}},
-		{"FR6-lead2", []string{"-config", "FR6", "-wiring", "leading", "-lead", "2"}, []string{"-custom", "-wiring", "leading", "-lead", "2"}},
+		{"FR6", []string{"-config", "FR6"}, []string{"-config", "FR6", "-buffers", "6"}},
+		{"FR13", []string{"-config", "FR13"}, []string{"-config", "FR6", "-buffers", "13", "-ctrlvcs", "4"}},
+		{"VC8", []string{"-config", "VC8"}, []string{"-config", "VC16", "-vcs", "2"}},
+		{"VC32", []string{"-config", "VC32"}, []string{"-config", "VC16", "-vcs", "8"}},
+		{"FR6-lead2", []string{"-config", "FR6-lead2", "-wiring", "leading"}, []string{"-config", "FR6-lead2", "-wiring", "leading", "-horizon", "32"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			namedConfig, named := textReport(t, append(tc.named, small...)...)
@@ -370,18 +392,19 @@ func TestCustomIsAPresetWithFields(t *testing.T) {
 				t.Errorf("config lines %q and %q", namedConfig, customConfig)
 			}
 			if custom != named {
-				t.Errorf("-custom at the knobs' defaults differs from -config %s:\n--- custom\n%s--- named\n%s", tc.name, custom, named)
+				t.Errorf("%v differs from -config %s:\n--- custom\n%s--- named\n%s", tc.custom, tc.name, custom, named)
 			}
 		})
 	}
 }
 
-// TestCustomDebitsItsOwnHorizon: the effective load -custom reports is debited
-// by Table 2's penalty for the configuration that ran — 7 extra bits a flit at
-// a 128-cycle horizon (2.73 %), 3 at 8 (1.17 %) — not by FR6's 5 (1.95 %).
+// TestCustomDebitsItsOwnHorizon: the effective load a run with -horizon
+// reports is debited by Table 2's penalty for the configuration that ran — 7
+// extra bits a flit at a 128-cycle horizon (2.73 %), 3 at 8 (1.17 %) — not by
+// FR6's 5 (1.95 %).
 func TestCustomDebitsItsOwnHorizon(t *testing.T) {
 	for _, tc := range []struct{ horizon, effective string }{{"128", "77.8"}, {"32", "78.4"}, {"8", "79.1"}} {
-		_, rest := textReport(t, "-custom", "-fr", "-horizon", tc.horizon, "-radix", "4", "-load", "0.8", "-sample", "200", "-warmup", "300")
+		_, rest := textReport(t, "-config", "FR6", "-horizon", tc.horizon, "-radix", "4", "-load", "0.8", "-sample", "200", "-warmup", "300")
 		want := "offered load  80.0% of capacity (effective " + tc.effective + "% after bandwidth overhead)\n"
 		if !strings.HasPrefix(rest, want) {
 			t.Errorf("-horizon %s: report starts %q, want %q", tc.horizon, rest[:min(len(rest), len(want))], want)

@@ -96,6 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case f.scaled == nil:
 		return fail("-scale %q: want quick, standard or full", *scale)
+	case *workers < 0:
+		return fail("-workers %d: want >= 0 (0 = NumCPU)", *workers)
 	case *fig != 0 && (*fig < 5 || *fig > 9):
 		return fail("-fig %d: want 5-9", *fig)
 	case *table != 0 && (*table < 1 || *table > 3):

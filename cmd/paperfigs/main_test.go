@@ -10,9 +10,10 @@ import (
 	"frfc/internal/harness"
 )
 
-// TestRejectsBadSelectionsByName: a bad -scale, -fig, -table or -extra is exit
-// 2 with one stderr line naming the flag and the value, before anything
-// prints — -scale too on the analytic tables, which never measure at one.
+// TestRejectsBadSelectionsByName: a bad -scale, -fig, -table or -extra, or a
+// negative -workers (which used to run on NumCPU without a word), is exit 2
+// with one stderr line naming the flag and the value, before anything prints —
+// -scale too on the analytic tables, which never measure at one.
 func TestRejectsBadSelectionsByName(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -25,6 +26,7 @@ func TestRejectsBadSelectionsByName(t *testing.T) {
 		{[]string{"-table", "7"}, "-table 7"},
 		{[]string{"-table", "-1"}, "-table -1"},
 		{[]string{"-extra", "nonsense"}, `-extra "nonsense"`},
+		{[]string{"-table", "2", "-workers", "-3"}, "-workers -3"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

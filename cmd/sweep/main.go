@@ -25,7 +25,7 @@
 // With -adaptive it skips the fixed load grid and bisects each
 // configuration's saturation throughput in O(log 1/resolution) runs,
 // reporting one row per configuration (-step doubles as the bisection
-// resolution):
+// resolution; -from and -to, which the search does not read, are refused):
 //
 //	sweep -configs FR6,FR13,VC8 -adaptive -step 0.02
 //
@@ -161,6 +161,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			stray = fmt.Sprintf("-%s applies to %s only, not %s", f.Name, strings.Join(modes, ", "), mode)
 		} else if resolved && slices.Contains(gridFlags, f.Name) {
 			stray = fmt.Sprintf("-%s applies to grid sweeps only, not %s", f.Name, mode)
+		} else if *adaptive && (f.Name == "from" || f.Name == "to") {
+			stray = fmt.Sprintf("-%s applies to the load grid only, not -adaptive, whose bisection brackets its own search", f.Name)
 		}
 	})
 	if stray != "" {

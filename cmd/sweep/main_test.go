@@ -243,6 +243,7 @@ func TestFlagValidation(t *testing.T) {
 		{"step that never advances", []string{"-from", "2", "-to", "2", "-step", "1e-300"}, "-step (1e-300) expands to"},
 		{"lead with a suffix", []string{"-configs", "FR6-lead2x"}, `bad lead in "FR6-lead2x"`},
 		{"negative lead", []string{"-configs", "FR6-lead-3"}, `bad lead in "FR6-lead-3"`},
+		{"lead under fast wiring", []string{"-configs", "FR6,FR6-lead2"}, "-wiring must be leading to run FR6-lead2"},
 		{"adaptive bad routing", []string{"-adaptive", "-routing", "zz"}, `unknown routing "zz"`},
 	}
 	for _, tc := range cases {
@@ -676,7 +677,9 @@ func TestRejectsByName(t *testing.T) {
 // refused by name — exit 2, nothing on stdout, one stderr line naming it —
 // where it used to be ignored. The fault modes write no store, so -out with
 // one used to truncate the named file, print the table and exit 0, leaving an
-// empty store behind; now the store is not touched.
+// empty store behind; now the store is not touched. -adaptive brackets its
+// own search, so -from and -to beside it used to be ignored: -from 0.5 -to 0.6
+// reported a saturation of 55 %, the midpoint of the fixed bracket.
 func TestRefusesFlagsOutsideTheirMode(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "s.jsonl")
 	line := []byte(`{"hash":"kept"}` + "\n")
@@ -698,7 +701,8 @@ func TestRefusesFlagsOutsideTheirMode(t *testing.T) {
 		[]string{"-faults", "-intensities", "0.5"}, []string{"-reliability", "-no-e2e"}, []string{"-chaos", "-retrylimit", "3"},
 		[]string{"-chaos-seed", "7"}, []string{"-faults", "-chaos-seed", "7"}, []string{"-integrity", "-chaos-seed", "7"},
 		[]string{"-reliability", "-chaos-seed", "7"}, []string{"-scenario", "down 5-6 @400", "-chaos-seed", "7"},
-		[]string{"-faults", "-packets", "20", "-rates", "0", "-out", store})
+		[]string{"-faults", "-packets", "20", "-rates", "0", "-out", store},
+		[]string{"-adaptive", "-from", "0.5"}, []string{"-adaptive", "-configs", "VC8", "-to", "0.6", "-step", "0.2"})
 	// The store lives in a fresh temporary directory whose name changes from
 	// run to run; the subtest names show it as a fixed path so they do not.
 	label := "/tmp/" + t.Name() + "/s.jsonl"

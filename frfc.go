@@ -141,8 +141,9 @@ type Grid experiment.Grid
 
 // Expand validates the grid and returns one refined spec per config, in
 // Configs order, and the offered loads. Every rejection — an unknown name, a
-// malformed FR6-leadN, a load outside (0,2], a routing algorithm the flow does
-// not implement — is found by name, before anything is built. The fields are
+// malformed FR6-leadN or one under fast wiring, a load outside (0,2], a
+// routing algorithm the flow does not implement — is found by name, before
+// anything is built. The fields are
 // named as the command lines' flags, so a rejection that names one reads as
 // that flag: "-step must be > 0 (got 0)".
 func (g Grid) Expand() ([]Spec, []float64, error) {

@@ -37,7 +37,8 @@ var presets = []struct {
 
 // ConfigNames lists the names Named resolves, as flag help, error text and
 // docs/service.md print them: the presets, then FR6-leadN — FR6 under leading
-// control with a control lead of N cycles, 0 <= N <= its 32-cycle horizon.
+// control with a control lead of N cycles, 0 <= N <= its 32-cycle horizon,
+// resolved under leading wiring only.
 var ConfigNames = func() string {
 	var b strings.Builder
 	for _, p := range presets {
@@ -96,7 +97,7 @@ func ParsePattern(name string) (traffic.Pattern, error) {
 	case "shuffle":
 		return traffic.Shuffle{}, nil
 	}
-	return nil, fmt.Errorf("frfc: unknown traffic pattern %q", name)
+	return nil, gridErr("pattern", "%q is unknown (want uniform, transpose, bitcomp, tornado, neighbor, bitrev or shuffle)", name)
 }
 
 // Named resolves one name of the ConfigNames vocabulary to its spec under the
@@ -107,6 +108,9 @@ func Named(name string, w Wiring, pktLen int) (Spec, error) {
 		n, err := strconv.Atoi(lead)
 		if err != nil || n < 0 || strconv.Itoa(n) != lead {
 			return Spec{}, gridErr("", "bad lead in %q (want FR6-leadN with an integer N >= 0)", name)
+		}
+		if w != LeadingControl {
+			return Spec{}, gridErr("wiring", "must be leading to run %s, whose control flits lead their data (got %s)", name, w)
 		}
 		s := FRLead(sim.Cycle(n), pktLen)
 		if s.FR.LeadCycles > s.FR.Horizon {
@@ -140,9 +144,11 @@ func CheckRouting(name string, s Spec) error {
 
 // CheckOption reports whether the spec's flow has a model of the command-line
 // option name set to value, where NewNetwork would otherwise panic or the flow
-// ignore it: the fault, chaos, retry and end-to-end options exist under flit
-// reservation only, and the bit-error options under flit reservation and
-// virtual channels. Any other option passes.
+// ignore it: the fault, chaos, retry and end-to-end options and the
+// flit-reservation router's fields (buffers, ctrlvcs, horizon, leads) exist
+// under flit reservation only, the virtual-channel router's fields (vcs,
+// bufpervc) under virtual channels only, and the bit-error options under both.
+// Any other option passes.
 func CheckOption(name, value string, s Spec) error {
 	var flows string
 	switch name {
@@ -151,11 +157,16 @@ func CheckOption(name, value string, s Spec) error {
 			return nil
 		}
 		flows = fmt.Sprintf("%s and %s", FlitReservation, VirtualChannel)
-	case "scenario", "chaos", "retry", "e2e-check":
+	case "scenario", "chaos", "retry", "e2e-check", "buffers", "ctrlvcs", "horizon", "leads":
 		if s.Flow == FlitReservation {
 			return nil
 		}
 		flows = string(FlitReservation)
+	case "vcs", "bufpervc":
+		if s.Flow == VirtualChannel {
+			return nil
+		}
+		flows = string(VirtualChannel)
 	default:
 		return nil
 	}

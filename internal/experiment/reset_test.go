@@ -75,10 +75,11 @@ func resetCases(t *testing.T) []resetCase {
 	}
 	var cases []resetCase
 	for _, name := range strings.Split(ConfigNames, ", ") {
+		w := FastControl
 		if name == "FR6-leadN" {
-			name = "FR6-lead2"
+			name, w = "FR6-lead2", LeadingControl
 		}
-		s, err := Named(name, FastControl, 5)
+		s, err := Named(name, w, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func TestCallbacksAndCollect(t *testing.T) {
 	var ejected int64
 	got, err := RunJobs(context.Background(), jobs, Options{
 		Workers:    2,
-		JobStarted: func(Job) { mu.Lock(); started++; mu.Unlock() },
+		JobStarted: func(Job, string) { mu.Lock(); started++; mu.Unlock() },
 		JobFinished: func(jr JobResult) {
 			mu.Lock()
 			finished++
@@ -88,7 +88,7 @@ func TestCachedJobsSkipStartAndCollect(t *testing.T) {
 	got, err := RunJobs(context.Background(), jobs, Options{
 		Workers:    1,
 		Store:      store,
-		JobStarted: func(Job) { started++ },
+		JobStarted: func(Job, string) { started++ },
 		Probe:      func() *metrics.Probe { collected++; return nil },
 		Collect:    func(Job, *metrics.Probe) { collected++ },
 		JobFinished: func(jr JobResult) {

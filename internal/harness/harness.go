@@ -166,13 +166,14 @@ type Options struct {
 	// Progress, when non-nil, is called after every job completion (it
 	// must be fast; it runs under the campaign's bookkeeping lock).
 	Progress func(Progress)
-	// JobStarted, when non-nil, is called from the worker about to simulate
-	// a job — after the store lookup misses, before the run. JobFinished,
+	// JobStarted, when non-nil, is called with the job and its hash from
+	// the worker about to simulate it — after the store lookup misses,
+	// before the run. JobFinished,
 	// when non-nil, is called with every job's outcome (simulated, cached
 	// or failed). Both fire concurrently from worker goroutines and
 	// must be safe for that; neither may mutate the job. They exist to feed
 	// live status displays and never influence results.
-	JobStarted  func(Job)
+	JobStarted  func(Job, string)
 	JobFinished func(JobResult)
 	// Probe and Collect are the two ends of observing a campaign, and the
 	// only observer fields: Probe, when non-nil, builds the probe each

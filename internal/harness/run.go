@@ -74,7 +74,7 @@ func execJob(ctx context.Context, j Job, o Options, tr *tracker) JobResult {
 		defer cancel()
 	}
 	if o.JobStarted != nil {
-		o.JobStarted(j)
+		o.JobStarted(j, jr.Hash)
 	}
 	start := time.Now()
 	out := runIsolated(runCtx, 0, j, func(ctx context.Context, _ int, j Job) (experiment.Result, error) {

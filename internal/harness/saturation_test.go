@@ -111,7 +111,7 @@ func TestSummarizeAllResumes(t *testing.T) {
 
 	summarize := func(store ResultStore) ([]experiment.SummaryRow, int) {
 		started := 0
-		rows, err := SummarizeAll(ctx, specs, resolution, Options{Workers: 1, Store: store, JobStarted: func(Job) { started++ }})
+		rows, err := SummarizeAll(ctx, specs, resolution, Options{Workers: 1, Store: store, JobStarted: func(Job, string) { started++ }})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -247,6 +247,8 @@ func TestSubmitHTTPStatusCodes(t *testing.T) {
 		// job then failed with a captured panic.
 		`{"configs":["VC8"],"loads":[0.2],"routing":"table"}`,
 		`{"configs":["FR6-lead-3"],"loads":[0.2]}`,
+		// Ran FR6-lead2's leading wires under the default fast wiring.
+		`{"configs":["FR6-lead2"],"loads":[0.2]}`,
 	} {
 		if resp := post(body); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("validation error %s: status %d, want 400", body, resp.StatusCode)

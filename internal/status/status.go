@@ -14,11 +14,14 @@
 package status
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,8 +133,7 @@ type Server struct {
 	mu       sync.Mutex
 	campaign *CampaignView
 	run      *experiment.Live
-	running  map[string]time.Time // job key -> start time
-	jobs     map[string]JobView
+	running  map[string]inFlight // by job hash
 	// collected is what the probes fed so far add up to: every finished
 	// job's merged (campaign) or the latest published (single run).
 	collected metrics.Snapshot
@@ -182,8 +184,7 @@ func ServeOpts(addr string, o ServerOptions) (*Server, error) {
 	s := &Server{
 		ln:      ln,
 		start:   time.Now(),
-		running: map[string]time.Time{},
-		jobs:    map[string]JobView{},
+		running: map[string]inFlight{},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", s.handleStatus)
@@ -224,8 +225,12 @@ func (s *Server) Close() error { return s.srv.Close() }
 // in-flight requests get until ctx's deadline to finish before being cut.
 func (s *Server) Shutdown(ctx context.Context) error { return s.srv.Shutdown(ctx) }
 
-func jobKey(j harness.Job) string {
-	return fmt.Sprintf("%s|%.12g|%d", j.Spec.Name, j.Load, j.Seed)
+// inFlight is a simulating job: what /status shows of it, its hash and when
+// it started.
+type inFlight struct {
+	view    JobView
+	hash    string
+	started time.Time
 }
 
 // OnProgress feeds a harness progress snapshot; plug into Options.Progress.
@@ -242,12 +247,11 @@ func (s *Server) OnProgress(p harness.Progress) {
 	s.mu.Unlock()
 }
 
-// OnJobStarted records a job as in flight; plug into Options.JobStarted.
-func (s *Server) OnJobStarted(j harness.Job) {
-	k := jobKey(j)
+// OnJobStarted records a job as in flight under its hash, which tells apart
+// two jobs that share a name, load and seed; plug into Options.JobStarted.
+func (s *Server) OnJobStarted(j harness.Job, hash string) {
 	s.mu.Lock()
-	s.running[k] = time.Now()
-	s.jobs[k] = JobView{Spec: j.Spec.Name, Load: j.Load, Seed: j.Seed}
+	s.running[hash] = inFlight{JobView{Spec: j.Spec.Name, Load: j.Load, Seed: j.Seed}, hash, time.Now()}
 	s.mu.Unlock()
 }
 
@@ -258,10 +262,8 @@ func (s *Server) OnJobFinished(jr harness.JobResult) {
 	if jr.Cached {
 		return
 	}
-	k := jobKey(jr.Job)
 	s.mu.Lock()
-	delete(s.running, k)
-	delete(s.jobs, k)
+	delete(s.running, jr.Hash)
 	s.mu.Unlock()
 }
 
@@ -318,33 +320,25 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	snap.Run = s.run
 	snap.View = s.collected.View()
 	now := time.Now()
-	for k, started := range s.running {
-		jv := s.jobs[k]
-		jv.Since = now.Sub(started).Seconds()
-		snap.Running = append(snap.Running, jv)
+	running := make([]inFlight, 0, len(s.running))
+	for _, f := range s.running {
+		f.view.Since = now.Sub(f.started).Seconds()
+		running = append(running, f)
 	}
 	s.mu.Unlock()
 
-	// Stable ordering for humans and tests.
-	for i := 1; i < len(snap.Running); i++ {
-		for j := i; j > 0 && less(snap.Running[j], snap.Running[j-1]); j-- {
-			snap.Running[j], snap.Running[j-1] = snap.Running[j-1], snap.Running[j]
-		}
+	// Stable ordering for humans and tests; the hash breaks a tie.
+	slices.SortFunc(running, func(a, b inFlight) int {
+		return cmp.Or(strings.Compare(a.view.Spec, b.view.Spec), cmp.Compare(a.view.Load, b.view.Load),
+			cmp.Compare(a.view.Seed, b.view.Seed), strings.Compare(a.hash, b.hash))
+	})
+	for _, f := range running {
+		snap.Running = append(snap.Running, f.view)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(snap) //nolint:errcheck // client gone is not our problem
-}
-
-func less(a, b JobView) bool {
-	if a.Spec != b.Spec {
-		return a.Spec < b.Spec
-	}
-	if a.Load != b.Load {
-		return a.Load < b.Load
-	}
-	return a.Seed < b.Seed
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

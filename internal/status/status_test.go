@@ -44,8 +44,8 @@ func TestStatusSnapshot(t *testing.T) {
 	spec := experiment.FR6(experiment.FastControl, 5)
 	s.OnProgress(harness.Progress{Total: 10, Done: 3, Cached: 1, Failed: 1,
 		Elapsed: 2 * time.Second, ETA: 5 * time.Second})
-	s.OnJobStarted(harness.Job{Spec: spec, Load: 0.4})
-	s.OnJobStarted(harness.Job{Spec: spec, Load: 0.2})
+	s.OnJobStarted(harness.Job{Spec: spec, Load: 0.4}, "h4")
+	s.OnJobStarted(harness.Job{Spec: spec, Load: 0.2}, "h2")
 
 	code, body := get(t, "http://"+s.Addr()+"/status")
 	if code != http.StatusOK {
@@ -63,13 +63,41 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 
 	// Finishing a job retires it from the running set.
-	s.OnJobFinished(harness.JobResult{Job: harness.Job{Spec: spec, Load: 0.2}})
+	s.OnJobFinished(harness.JobResult{Job: harness.Job{Spec: spec, Load: 0.2}, Hash: "h2"})
 	_, body = get(t, "http://"+s.Addr()+"/status")
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)
 	}
 	if len(snap.Running) != 1 || snap.Running[0].Load != 0.4 {
 		t.Fatalf("finished job still listed: %+v", snap.Running)
+	}
+}
+
+// TestRunningJobsKeyedByHash: two jobs that share a name, load and seed but
+// differ in another field — the sample size, as when two campaigns submit FR6
+// at 0.2 with different samples — run as two jobs, and finishing one leaves
+// the other listed. Keyed by name, load and seed, the first to finish took
+// the other out of /status.
+func TestRunningJobsKeyedByHash(t *testing.T) {
+	s, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	a := harness.Job{Spec: experiment.FR6(experiment.FastControl, 5), Load: 0.2}
+	b := a
+	b.Spec.SamplePackets = 2 * a.Spec.SamplePackets
+	s.OnJobStarted(a, a.Hash())
+	s.OnJobStarted(b, b.Hash())
+	s.OnJobFinished(harness.JobResult{Job: a, Hash: a.Hash()})
+	_, body := get(t, "http://"+s.Addr()+"/status")
+	var snap Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Running) != 1 || snap.Running[0].Spec != "FR6" || snap.Running[0].Load != 0.2 {
+		t.Fatalf("running after one of two twins finished: %+v, want the other", snap.Running)
 	}
 }
 
@@ -327,7 +355,7 @@ func TestConcurrentFeedsAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				j := harness.Job{Spec: spec, Load: float64(g*iters+i+1) / 1000}
-				s.OnJobStarted(j)
+				s.OnJobStarted(j, fmt.Sprint(g, i))
 				s.OnProgress(harness.Progress{Total: 200, Done: i})
 				reg := metrics.NewRegistry(0)
 				reg.Init(2)
@@ -337,7 +365,7 @@ func TestConcurrentFeedsAndScrapes(t *testing.T) {
 				p.Init(2)
 				p.RouterTick(0, 1, 0, 1, 0)
 				s.OnCollect(j, &metrics.Probe{Prof: p})
-				s.OnJobFinished(harness.JobResult{Job: j})
+				s.OnJobFinished(harness.JobResult{Job: j, Hash: fmt.Sprint(g, i)})
 			}
 		}(g)
 	}
