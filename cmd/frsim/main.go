@@ -39,6 +39,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,12 +49,13 @@ import (
 	"slices"
 	"strings"
 
-	"frfc"
 	"frfc/internal/cli"
 	"frfc/internal/core"
 	"frfc/internal/experiment"
 	"frfc/internal/noc"
 	"frfc/internal/sim"
+	"frfc/internal/topology"
+	"frfc/internal/trace"
 )
 
 func main() {
@@ -65,29 +67,29 @@ func main() {
 // declared once: the flag and its help (a digest has none: it is reported
 // whenever its collector was armed), the collector the flag arms, the files it
 // writes, what the collector held, and the label and position of its line in
-// the text report. run walks the table to bind the flags, arm the observer,
+// the text report. run walks the table to bind the flags, arm the collectors,
 // write the files and assemble both reports; the -json summary lists the
 // table's fields in table order.
 type artefact struct {
 	flag, help string
 	value      *string // the flag's, once bound
-	arm        func(*frfc.ObserverOptions)
+	arm        func(*experiment.ObserverOptions)
 	outs       []out
 	// held, when set, reports what the collector held: more -json fields,
 	// and what follows the paths on the text line.
-	held  func(*frfc.Observer) ([]field, string)
+	held  func(experiment.Instruments) ([]field, string)
 	label string
 	line  int
 }
 
 // out is one file of an artefact: the -json key its path is reported under,
-// what the path adds to the flag's value, and the writer — alt instead, for a
-// path ending in ext, where the collector exports two formats.
+// what the path adds to the flag's value, and the collector's writer — alt
+// instead, for a path ending in ext, where the collector exports two formats.
 type out struct {
 	key, suffix string
-	write       func(*frfc.Observer, io.Writer) error
+	write       func(experiment.Instruments, io.Writer) error
 	ext         string
-	alt         func(*frfc.Observer, io.Writer) error
+	alt         func(experiment.Instruments, io.Writer) error
 }
 
 // field is one key of the -json summary after its fixed head; a zero value is
@@ -98,56 +100,72 @@ type field struct {
 }
 
 // artefacts is the table; filter narrows the trace export.
-func artefacts(filter *frfc.TraceFilter) []artefact {
-	metrics := func(o *frfc.ObserverOptions) { o.Metrics = true }
-	profile := func(o *frfc.ObserverOptions) { o.Profile = true }
+func artefacts(filter *trace.Filter) []artefact {
+	metrics := func(o *experiment.ObserverOptions) { o.Metrics = true }
+	profile := func(o *experiment.ObserverOptions) { o.Profile = true }
 	return []artefact{
 		{flag: "metrics", help: "write the per-router metrics registry as JSON to this file",
 			arm: metrics, label: "metrics", line: 3,
-			outs: []out{{key: "metricsPath", write: (*frfc.Observer).WriteMetricsJSON}}},
+			outs: []out{{key: "metricsPath", write: func(i experiment.Instruments, w io.Writer) error { return topology.WriteJSON(w, i.Probe.Reg) }}}},
 		{flag: "heatmap", help: "write PREFIX-occupancy.csv and PREFIX-utilization.csv heatmaps (implies metrics)",
 			arm: metrics, label: "heatmaps", line: 4,
 			outs: []out{
-				{key: "occupancyCsvPath", suffix: "-occupancy.csv", write: (*frfc.Observer).WriteOccupancyCSV},
-				{key: "utilizationCsvPath", suffix: "-utilization.csv", write: (*frfc.Observer).WriteUtilizationCSV},
+				{key: "occupancyCsvPath", suffix: "-occupancy.csv", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Reg.WriteOccupancyCSV(w) }},
+				{key: "utilizationCsvPath", suffix: "-utilization.csv", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Reg.WriteUtilizationCSV(w) }},
 			}},
 		{flag: "trace", help: "write a Perfetto-loadable Chrome trace-event JSON flit trace to this file",
-			arm: func(o *frfc.ObserverOptions) { o.Trace = true }, label: "trace", line: 7,
-			outs: []out{{key: "tracePath", write: func(o *frfc.Observer, w io.Writer) error { return o.WriteTrace(w, *filter) }}},
-			held: func(o *frfc.Observer) ([]field, string) {
-				n, dropped := o.TraceEventCount()
+			arm: func(o *experiment.ObserverOptions) { o.Trace = true }, label: "trace", line: 7,
+			outs: []out{{key: "tracePath", write: func(i experiment.Instruments, w io.Writer) error {
+				radix := 0
+				if i.Probe.Reg != nil {
+					radix = i.Probe.Reg.Radix
+				}
+				return i.Probe.Tracer.WriteChrome(w, radix, *filter)
+			}}},
+			held: func(i experiment.Instruments) ([]field, string) {
+				n, dropped := i.Probe.Tracer.Len(), i.Probe.Tracer.Dropped()
 				return []field{{"traceEvents", n}, {"traceDropped", dropped}},
 					fmt.Sprintf(" (%d events buffered, %d overwritten)", n, dropped)
 			}},
 		{flag: "timeseries", help: "write the per-epoch telemetry series to this file, one row per metrics epoch (.json extension = JSON, anything else = CSV; implies metrics)",
-			arm: func(o *frfc.ObserverOptions) { o.TimeSeries = true }, label: "timeseries", line: 8,
-			outs: []out{{key: "timeSeriesPath", write: (*frfc.Observer).WriteTimeSeriesCSV, ext: ".json", alt: (*frfc.Observer).WriteTimeSeriesJSON}},
-			held: func(o *frfc.Observer) ([]field, string) {
-				n, dropped := o.TimeSeriesLen()
+			arm: func(o *experiment.ObserverOptions) { o.TimeSeries = true }, label: "timeseries", line: 8,
+			outs: []out{{key: "timeSeriesPath",
+				write: func(i experiment.Instruments, w io.Writer) error { return i.Series.WriteCSV(w) },
+				ext:   ".json", alt: func(i experiment.Instruments, w io.Writer) error { return i.Series.WriteJSON(w) }}},
+			held: func(i experiment.Instruments) ([]field, string) {
+				n, dropped := i.Series.Len(), i.Series.Dropped()
 				return []field{{"timeSeriesPoints", n}, {"timeSeriesDropped", dropped}},
 					fmt.Sprintf(" (%d points, %d dropped)", n, dropped)
 			}},
 		{flag: "profile", help: "write the simulator self-profile (per-node activity accounting, phase attribution, memory epochs) as JSON to this file",
 			arm: profile, label: "profile json", line: 5,
-			outs: []out{{key: "profilePath", write: (*frfc.Observer).WriteProfileJSON}}},
+			outs: []out{{key: "profilePath", write: func(i experiment.Instruments, w io.Writer) error { return topology.WriteJSON(w, i.Probe.Prof) }}}},
 		{flag: "idle-csv", help: "write the k x k idle-router-tick-fraction heatmap as CSV to this file (implies -profile collection)",
 			arm: profile, label: "idle heatmap", line: 6,
-			outs: []out{{key: "idleCsvPath", write: (*frfc.Observer).WriteIdleCSV}}},
+			outs: []out{{key: "idleCsvPath", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Prof.WriteIdleCSV(w) }}}},
 		{label: "profile", line: 0,
-			held: func(o *frfc.Observer) ([]field, string) {
-				sum := o.ProfileSummary()
+			held: func(i experiment.Instruments) ([]field, string) {
+				if i.Probe.Prof == nil {
+					return nil, ""
+				}
+				sum := i.Probe.Prof.Summary()
 				text := sum
-				for _, h := range o.HottestRouters(3) {
+				for _, h := range i.Probe.Prof.Hottest(3) {
 					text += fmt.Sprintf("\nprofile hot   router %d at (%d,%d): %.1f%% of ticks active", h.Node, h.X, h.Y, h.ActiveFraction*100)
 				}
 				return []field{{"profileSummary", sum}}, text
 			}},
 		{flag: "waterfall", help: "collect per-packet latency provenance and write the stage waterfall to this file (.csv extension = CSV, anything else = JSON); also prints the per-stage breakdown",
-			arm: func(o *frfc.ObserverOptions) { o.Waterfall = true }, label: "waterfall out", line: 2,
-			outs: []out{{key: "waterfallPath", write: (*frfc.Observer).WriteWaterfallJSON, ext: ".csv", alt: (*frfc.Observer).WriteWaterfallCSV}}},
+			arm: func(o *experiment.ObserverOptions) { o.Waterfall = true }, label: "waterfall out", line: 2,
+			outs: []out{{key: "waterfallPath",
+				write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.WF.WriteJSON(w) },
+				ext:   ".csv", alt: func(i experiment.Instruments, w io.Writer) error { return i.Probe.WF.WriteCSV(w) }}}},
 		{label: "waterfall", line: 1,
-			held: func(o *frfc.Observer) ([]field, string) {
-				sum := o.WaterfallSummary()
+			held: func(i experiment.Instruments) ([]field, string) {
+				if i.Probe.WF == nil {
+					return nil, ""
+				}
+				sum := i.Probe.WF.Summary()
 				return []field{{"waterfallSummary", sum}}, sum
 			}},
 	}
@@ -160,14 +178,14 @@ func artefacts(filter *frfc.TraceFilter) []artefact {
 var knobs = []struct {
 	flag, help string
 	min, max   int
-	set        func(*frfc.Spec, int)
+	set        func(*experiment.Spec, int)
 }{
-	{"buffers", "FR configs: data buffers per input pool", 1, core.MaxDataBuffers, func(s *frfc.Spec, v int) { s.FR.DataBuffers = v }},
-	{"ctrlvcs", "FR configs: control virtual channels", 1, 0, func(s *frfc.Spec, v int) { s.FR.CtrlVCs = v }},
-	{"horizon", "FR configs: scheduling horizon in cycles", 2, 0, func(s *frfc.Spec, v int) { s.FR.Horizon = sim.Cycle(v) }},
-	{"leads", "FR configs: data flits led per control flit", 1, 0, func(s *frfc.Spec, v int) { s.FR.LeadsPerCtrl = v }},
-	{"vcs", "VC configs: virtual channels", 1, 0, func(s *frfc.Spec, v int) { s.VC.NumVCs = v }},
-	{"bufpervc", "VC configs: buffers per virtual channel", 1, 0, func(s *frfc.Spec, v int) { s.VC.BufPerVC = v }},
+	{"buffers", "FR configs: data buffers per input pool", 1, core.MaxDataBuffers, func(s *experiment.Spec, v int) { s.FR.DataBuffers = v }},
+	{"ctrlvcs", "FR configs: control virtual channels", 1, 0, func(s *experiment.Spec, v int) { s.FR.CtrlVCs = v }},
+	{"horizon", "FR configs: scheduling horizon in cycles", 2, 0, func(s *experiment.Spec, v int) { s.FR.Horizon = sim.Cycle(v) }},
+	{"leads", "FR configs: data flits led per control flit", 1, 0, func(s *experiment.Spec, v int) { s.FR.LeadsPerCtrl = v }},
+	{"vcs", "VC configs: virtual channels", 1, 0, func(s *experiment.Spec, v int) { s.VC.NumVCs = v }},
+	{"bufpervc", "VC configs: buffers per virtual channel", 1, 0, func(s *experiment.Spec, v int) { s.VC.BufPerVC = v }},
 }
 
 // goneFlag returns the refusal for the first flag in args that frsim no longer
@@ -203,7 +221,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("frsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		config  = fs.String("config", "FR6", "named configuration: "+frfc.ConfigNames)
+		config  = fs.String("config", "FR6", "named configuration: "+experiment.ConfigNames)
 		load    = fs.Float64("load", 0.5, "offered traffic as a fraction of capacity")
 		radix   = fs.Int("radix", 8, "mesh radix k (k x k nodes)")
 		pattern = fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bitcomp, tornado, neighbor, bitrev, shuffle")
@@ -216,17 +234,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos    = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
 
 		jsonOut = fs.Bool("json", false, "print one machine-readable JSON summary object instead of text")
-		opts    frfc.ObserverOptions
-		filter  frfc.TraceFilter
+		opts    experiment.ObserverOptions
+		filter  trace.Filter
+		node    int
 	)
 	shared := cli.Bind(fs)
 	fs.IntVar(&opts.MetricsEpoch, "metrics-epoch", 0, "gauge and memory sampling period in cycles (0 = default)")
 	fs.IntVar(&opts.TraceCapacity, "trace-cap", 0, "trace ring capacity in events, newest kept on overflow (0 = default)")
 	fs.IntVar(&opts.TimeSeriesCapacity, "timeseries-cap", 0, "retained time-series points, oldest dropped on overflow (0 = keep every epoch)")
-	fs.IntVar(&filter.Node, "trace-node", -1, "export only trace events at this router (-1 = all)")
+	fs.IntVar(&node, "trace-node", -1, "export only trace events at this router (-1 = all)")
 	fs.Uint64Var(&filter.Packet, "trace-packet", 0, "export only this packet's trace events (0 = all)")
-	fs.Int64Var(&filter.From, "trace-from", 0, "export only trace events at or after this cycle")
-	fs.Int64Var(&filter.To, "trace-to", 0, "export only trace events at or before this cycle (0 = unbounded)")
+	fs.Int64Var((*int64)(&filter.From), "trace-from", 0, "export only trace events at or after this cycle")
+	fs.Int64Var((*int64)(&filter.To), "trace-to", 0, "export only trace events at or before this cycle (0 = unbounded)")
 	values := make([]*int, len(knobs))
 	for i, k := range knobs {
 		values[i] = fs.Int(k.flag, 0, k.help+" (default: the config's)")
@@ -244,6 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	filter.Node = int32(node)
 
 	// Everything the run can be refused for is refused here, by name, before
 	// a network exists: a value out of range would otherwise fall back to a
@@ -284,16 +304,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The config is a one-point grid, resolved, refined and validated where
 	// sweep's and the campaign service's are.
-	specs, _, err := frfc.Grid{
+	specs, _, err := cli.Expand(experiment.Grid{
 		Configs: []string{*config}, Wiring: shared.Wiring, PacketLen: shared.PktLen, Loads: []float64{*load},
 		Sample: shared.Sample, Warmup: shared.Warmup, Seed: shared.Seed, Routing: shared.Routing, Check: shared.Check,
-	}.Expand()
+	})
 	if err != nil {
 		return fail("%v", err)
 	}
 	spec := specs[0]
 	spec.MeshRadix = *radix
-	if spec.Pattern, err = frfc.ParsePattern(*pattern); err != nil {
+	if spec.Pattern, err = experiment.ParsePattern(*pattern); err != nil {
 		return fail("-%v", err)
 	}
 	// An option the spec's flow has no model of — a structural knob included
@@ -331,7 +351,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *scenario != "" {
-		if spec.Faults, err = frfc.ParseScenario(*scenario); err != nil {
+		if spec.Faults, err = core.ParseScenario(*scenario); err != nil {
 			return fail("%v", err)
 		}
 	}
@@ -354,17 +374,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	defer stop()
-	// The live status server reads the counter registry; otherwise the run
-	// is observed only as far as an artefact flag asks (an observer with
-	// nothing armed collects nothing).
+	// The live status server reads the counter registry and receives the
+	// run's snapshots; otherwise the run is observed only as far as an
+	// artefact flag asks (a probe with nothing armed collects nothing).
 	opts.Metrics = st != nil
 	for _, a := range table {
 		if a.flag != "" && *a.value != "" {
 			a.arm(&opts)
 		}
 	}
-	obs := frfc.NewObserver(opts)
-	r := frfc.RunLive(spec, *load, obs, st)
+	obs := experiment.NewInstruments(opts)
+	if st != nil {
+		obs.Publish = st.OnLive
+	}
+	r, _ := experiment.RunInstrumented(context.Background(), spec, *load, obs)
 
 	sum := summary{
 		Config:    spec.Name,
@@ -468,18 +491,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the result and then, in the artefact table's order, the path of every file
 // the run wrote and what its collectors held.
 type summary struct {
-	Config    string      `json:"config"`
-	Wiring    string      `json:"wiring"`
-	PktLen    int         `json:"pktLen"`
-	Radix     int         `json:"radix"`
-	Seed      uint64      `json:"seed,omitempty"`
-	Pattern   string      `json:"pattern"`
-	Routing   string      `json:"routing,omitempty"`
-	Scenario  string      `json:"scenario,omitempty"`
-	BER       float64     `json:"ber,omitempty"`
-	Chaos     float64     `json:"chaos,omitempty"`
-	ChaosSeed uint64      `json:"chaosSeed,omitempty"`
-	Result    frfc.Result `json:"result"`
+	Config    string            `json:"config"`
+	Wiring    string            `json:"wiring"`
+	PktLen    int               `json:"pktLen"`
+	Radix     int               `json:"radix"`
+	Seed      uint64            `json:"seed,omitempty"`
+	Pattern   string            `json:"pattern"`
+	Routing   string            `json:"routing,omitempty"`
+	Scenario  string            `json:"scenario,omitempty"`
+	BER       float64           `json:"ber,omitempty"`
+	Chaos     float64           `json:"chaos,omitempty"`
+	ChaosSeed uint64            `json:"chaosSeed,omitempty"`
+	Result    experiment.Result `json:"result"`
 	artefacts []field
 }
 

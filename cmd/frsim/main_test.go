@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"frfc"
+	"frfc/internal/experiment"
 )
 
 // TestRejectsBadObservabilityFlags: negative epochs and capacities used to
@@ -115,10 +115,10 @@ func TestProfileArtifacts(t *testing.T) {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
 	}
 	var sum struct {
-		Result         frfc.Result `json:"result"`
-		ProfilePath    string      `json:"profilePath"`
-		IdleCSVPath    string      `json:"idleCsvPath"`
-		ProfileSummary string      `json:"profileSummary"`
+		Result         experiment.Result `json:"result"`
+		ProfilePath    string            `json:"profilePath"`
+		IdleCSVPath    string            `json:"idleCsvPath"`
+		ProfileSummary string            `json:"profileSummary"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
 		t.Fatalf("summary JSON: %v\n%s", err, stdout.String())
@@ -190,9 +190,9 @@ func TestWaterfallArtifacts(t *testing.T) {
 		t.Fatalf("exit = %d; stderr:\n%s", code, stderr.String())
 	}
 	var sum struct {
-		Result           frfc.Result `json:"result"`
-		WaterfallPath    string      `json:"waterfallPath"`
-		WaterfallSummary string      `json:"waterfallSummary"`
+		Result           experiment.Result `json:"result"`
+		WaterfallPath    string            `json:"waterfallPath"`
+		WaterfallSummary string            `json:"waterfallSummary"`
 	}
 	if err := json.Unmarshal(stdout.Bytes(), &sum); err != nil {
 		t.Fatalf("summary JSON: %v\n%s", err, stdout.String())

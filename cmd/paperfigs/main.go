@@ -43,11 +43,11 @@ import (
 	"strings"
 	"sync"
 
-	"frfc"
 	"frfc/internal/cli"
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
 	"frfc/internal/metrics"
+	"frfc/internal/overhead"
 	"frfc/internal/profile"
 	"frfc/internal/sim"
 )
@@ -136,7 +136,7 @@ func (f figs) table1() error {
 	fmt.Fprintln(f.w, "== Table 1: storage overhead (bits per node) ==")
 	fmt.Fprintf(f.w, "%-8s %10s %8s %8s %8s %8s %10s %8s\n",
 		"config", "data", "ctrl", "queueptr", "out-res", "in-res", "bits/node", "flits/ch")
-	for _, r := range frfc.StorageTable() {
+	for _, r := range overhead.StorageTable() {
 		fmt.Fprintf(f.w, "%-8s %10d %8d %8d %8d %8d %10d %8.2f\n",
 			r.Name, r.DataBuffers, r.CtrlBuffers, r.QueuePointers,
 			r.OutputResTable, r.InputResTable, r.BitsPerNode, r.FlitsPerChannel)
@@ -147,7 +147,7 @@ func (f figs) table1() error {
 
 func (f figs) table2() error {
 	fmt.Fprintln(f.w, "== Table 2: bandwidth overhead per data flit (bits) ==")
-	rows, penalty := frfc.BandwidthTable()
+	rows, penalty := overhead.BandwidthTable()
 	labels := map[string]string{"VC": "virtual channel", "FR": "flit reservation"}
 	for _, r := range rows {
 		fmt.Fprintf(f.w, "%-16s: %.2f\n", labels[r.Name], r.BitsPerFlit)

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"frfc"
+	"frfc/internal/experiment"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ from the current output")
@@ -69,8 +69,8 @@ func TestFaultModesGolden(t *testing.T) {
 // point per mode. Text or CSV, the row is named on stderr and the exit code is
 // 1 (-faults used to print WEDGED and exit 0); the text form marks the row.
 func TestWedgedRowExitsOneInEveryMode(t *testing.T) {
-	ledger := func(wedged bool) frfc.Resolved {
-		l := frfc.Resolved{Wedged: wedged}
+	ledger := func(wedged bool) experiment.Resolved {
+		l := experiment.Resolved{Wedged: wedged}
 		l.Offered, l.Delivered = 10, 9
 		return l
 	}
@@ -80,16 +80,16 @@ func TestWedgedRowExitsOneInEveryMode(t *testing.T) {
 		name  string
 	}{
 		{"faults", func(w bool) table {
-			return faultTable([]frfc.FaultPoint{{DataFaultRate: 0.05, RetryLimit: 8, Resolved: ledger(w)}}, 5)
+			return faultTable([]experiment.FaultPoint{{DataFaultRate: 0.05, RetryLimit: 8, Resolved: ledger(w)}}, 5)
 		}, "fault cell loss=0.05 retry=8"},
 		{"reliability", func(w bool) table {
-			return reliabilityTable([]frfc.ReliabilityPoint{{Scenario: "link-flap", RetryLimit: 8, Resolved: ledger(w)}})
+			return reliabilityTable([]experiment.ReliabilityPoint{{Scenario: "link-flap", RetryLimit: 8, Resolved: ledger(w)}})
 		}, "scenario link-flap"},
 		{"integrity", func(w bool) table {
-			return integrityTable([]frfc.IntegrityPoint{{BER: 0.001, CrcBits: 4, E2ECheck: true, Resolved: ledger(w)}})
+			return integrityTable([]experiment.IntegrityPoint{{BER: 0.001, CrcBits: 4, E2ECheck: true, Resolved: ledger(w)}})
 		}, "integrity cell ber=0.001 e2e=true"},
 		{"chaos", func(w bool) table {
-			return chaosTable([]frfc.ChaosPoint{{Intensity: 0.5, Seed: 7, Events: 3, Resolved: ledger(w)}})
+			return chaosTable([]experiment.ChaosPoint{{Intensity: 0.5, Seed: 7, Events: 3, Resolved: ledger(w)}})
 		}, "chaos campaign intensity=0.5"},
 	} {
 		for _, csv := range []bool{false, true} {

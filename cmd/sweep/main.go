@@ -73,9 +73,15 @@ import (
 	"strconv"
 	"strings"
 
-	"frfc"
 	"frfc/internal/cli"
+	"frfc/internal/core"
+	"frfc/internal/experiment"
+	"frfc/internal/harness"
+	"frfc/internal/metrics"
 	"frfc/internal/noc"
+	"frfc/internal/profile"
+	"frfc/internal/status"
+	"frfc/internal/waterfall"
 )
 
 func main() {
@@ -88,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		configs = fs.String("configs", "FR6,VC8", "comma-separated configs: "+frfc.ConfigNames)
+		configs = fs.String("configs", "FR6,VC8", "comma-separated configs: "+experiment.ConfigNames)
 		from    = fs.Float64("from", 0.10, "first offered load (fraction of capacity)")
 		to      = fs.Float64("to", 0.90, "last offered load")
 		step    = fs.Float64("step", 0.10, "load step (with -adaptive: bisection resolution)")
@@ -168,7 +174,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if stray != "" {
 		return fail("%s", stray)
 	}
-	events, err := frfc.ParseScenario(*scenario)
+	events, err := core.ParseScenario(*scenario)
 	if err != nil {
 		return fail("-%v", err)
 	}
@@ -176,14 +182,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	var specs []frfc.Spec
+	var specs []experiment.Spec
 	var loads []float64
 	if !resolved {
-		specs, loads, err = frfc.Grid{
+		specs, loads, err = cli.Expand(experiment.Grid{
 			Configs: names, Wiring: shared.Wiring, PacketLen: shared.PktLen,
 			From: *from, To: *to, Step: *step,
 			Sample: shared.Sample, Warmup: shared.Warmup, Seed: shared.Seed, Routing: shared.Routing, Check: shared.Check,
-		}.Expand()
+		})
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -214,14 +220,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	ro := frfc.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed, Workers: *workers}
+	// Each fault mode is its sweep's cells run on the pool.
+	ctx := context.Background()
+	ro := experiment.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed}
 	switch mode {
 	case "-faults":
 		list, err := parseList(*rates, "loss rate", "a probability in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list})
+		points, err := harness.RunCells(ctx, experiment.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list}.Cells(), *workers)
 		if err != nil {
 			// No flag value reaches here unrefused, so a cell that
 			// failed did so running: name it, and print no row of zeros.
@@ -234,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := frfc.IntegritySweep(frfc.IntegritySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, CrcBits: *crcBits, BERs: list})
+		points, err := harness.RunCells(ctx, experiment.IntegritySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, CrcBits: *crcBits, BERs: list}.Cells(), *workers)
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -244,50 +252,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := frfc.ChaosSweep(frfc.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: shared.ChaosSeed, DisableE2E: *noE2E})
+		points, err := harness.RunCells(ctx, experiment.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: shared.ChaosSeed, DisableE2E: *noE2E}.Cells(), *workers)
 		if err != nil {
 			return fail("%v", err)
 		}
 		return printTable(stdout, stderr, chaosTable(points), *csv)
 	case "-reliability":
-		o := frfc.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit}
+		o := experiment.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit}
 		if *scenario != "" {
-			o.Scenarios = []frfc.ReliabilityScenario{{Name: "custom", Events: events}}
+			o.Scenarios = []experiment.ReliabilityScenario{{Name: "custom", Events: events}}
 		}
-		points, err := frfc.ReliabilitySweep(o)
+		points, err := harness.RunCells(ctx, o.Cells(), *workers)
 		if err != nil {
 			return fail("%v", err)
 		}
 		return printTable(stdout, stderr, reliabilityTable(points), *csv)
 	}
 
-	popts := frfc.ParallelOptions{
-		Workers:    *workers,
-		Timeout:    *timeout,
-		ResultPath: *out,
-		Profile:    *profileOut != "",
-		Waterfall:  *wfOut != "",
-		Status:     st,
-	}
+	ho := harness.Options{Workers: *workers, Timeout: *timeout}
 	if *progress {
-		popts.Progress = func(p frfc.Progress) { fmt.Fprintf(stderr, "sweep: %s\n", p) }
+		ho.Progress = func(p harness.Progress) { fmt.Fprintf(stderr, "sweep: %s\n", p) }
+	}
+	ho = instrument(ho, st, *profileOut != "", *wfOut != "")
+	if *out != "" {
+		store, err := harness.OpenStore(*out)
+		if err != nil {
+			return fail("%v", err)
+		}
+		defer store.Close()
+		ho.Store = store
 	}
 
 	if *adaptive {
-		return runAdaptive(stdout, stderr, names, specs, *step, shared.Wiring, shared.PktLen, popts, *csv)
+		return runAdaptive(stdout, stderr, names, specs, *step, shared.Wiring, shared.PktLen, ho, *csv)
 	}
 
-	jobs := make([]frfc.Job, 0, len(specs)*len(loads))
+	var jobs []harness.Job
 	for _, s := range specs {
-		for _, l := range loads {
-			jobs = append(jobs, frfc.Job{Spec: s, Load: l})
-		}
+		jobs = harness.AppendJobs(jobs, s, loads)
 	}
-	results, err := frfc.RunJobs(context.Background(), jobs, popts)
+	results, err := harness.RunJobs(ctx, jobs, ho)
 	if err != nil {
 		return fail("%v", err)
 	}
-	series := make(map[string][]frfc.JobResult, len(names))
+	series := make(map[string][]harness.JobResult, len(names))
 	for i, name := range names {
 		series[name] = results[i*len(loads) : (i+1)*len(loads)]
 	}
@@ -299,7 +307,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "sweep: campaign profile written to %s\n", *profileOut)
-		warnUnobserved(stderr, "-profile", results, func(o frfc.Observed) bool { return o.Activity != nil })
+		warnUnobserved(stderr, "-profile", results, func(o experiment.Observed) bool { return o.Activity != nil })
 	}
 
 	if *wfOut != "" {
@@ -307,7 +315,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		fmt.Fprintf(stderr, "sweep: campaign waterfall written to %s\n", *wfOut)
-		warnUnobserved(stderr, "-waterfall", results, func(o frfc.Observed) bool { return o.Waterfall != nil })
+		warnUnobserved(stderr, "-waterfall", results, func(o experiment.Observed) bool { return o.Waterfall != nil })
 		if !*csv {
 			printWaterfallBreakdown(stdout, names, series)
 		}
@@ -364,11 +372,34 @@ var modeFlags = map[string][]string{
 var gridFlags = []string{"out", "resume", "timeout", "progress", "adaptive",
 	"configs", "from", "to", "step", "wiring", "sample", "warmup", "routing"}
 
+// instrument returns ho with what a grid sweep's jobs report beyond their
+// results: a status server, fed the campaign's progress, each job's start and
+// finish, and each simulated job's counters; and the collectors -profile and
+// -waterfall arm on every simulated job. Serving and collecting are
+// observation-only: results are bit-identical with or without them.
+func instrument(ho harness.Options, st *status.Server, prof, wf bool) harness.Options {
+	if st != nil {
+		ho = st.Feed(ho)
+		if cb := ho.Progress; cb != nil {
+			ho.Progress = func(p harness.Progress) {
+				st.OnProgress(p)
+				cb(p)
+			}
+		} else {
+			ho.Progress = st.OnProgress
+		}
+	}
+	if st != nil || prof || wf {
+		ho.Probe = func() *metrics.Probe { return metrics.NewProbe(0, st != nil, prof, wf) }
+	}
+	return ho
+}
+
 // observed is the point's sidecar: empty for a failed point and for a cached
 // one whose stored row was written by a run that armed no observer.
-func observed(jr frfc.JobResult) frfc.Observed {
+func observed(jr harness.JobResult) experiment.Observed {
 	if jr.Err != "" || jr.Result.Observed == nil {
-		return frfc.Observed{}
+		return experiment.Observed{}
 	}
 	return *jr.Result.Observed
 }
@@ -377,7 +408,7 @@ func observed(jr frfc.JobResult) frfc.Observed {
 // has nothing for: -resume served their stored rows, and the run that stored
 // them had not armed it. They are left out of the artefact, as a failed point
 // is; without the line an all-cached campaign wrote an empty one in silence.
-func warnUnobserved(stderr io.Writer, flag string, results []frfc.JobResult, has func(frfc.Observed) bool) {
+func warnUnobserved(stderr io.Writer, flag string, results []harness.JobResult, has func(experiment.Observed) bool) {
 	n := 0
 	for _, jr := range results {
 		if jr.Cached && jr.Err == "" && !has(observed(jr)) {
@@ -394,7 +425,7 @@ func warnUnobserved(stderr io.Writer, flag string, results []frfc.JobResult, has
 type profilePoint struct {
 	Spec string  `json:"spec"`
 	Load float64 `json:"load"`
-	frfc.Activity
+	profile.Activity
 }
 
 // campaignProfile is the -profile output: the aggregate activity accounting
@@ -404,11 +435,11 @@ type profilePoint struct {
 type campaignProfile struct {
 	Points    int `json:"points"`
 	Simulated int `json:"simulated"`
-	frfc.Activity
+	profile.Activity
 	PerPoint []profilePoint `json:"perPoint"`
 }
 
-func writeCampaignProfile(path string, results []frfc.JobResult) error {
+func writeCampaignProfile(path string, results []harness.JobResult) error {
 	cp := campaignProfile{Points: len(results)}
 	for _, jr := range results {
 		a := observed(jr).Activity
@@ -428,7 +459,7 @@ func writeCampaignProfile(path string, results []frfc.JobResult) error {
 type waterfallPoint struct {
 	Spec string  `json:"spec"`
 	Load float64 `json:"load"`
-	frfc.StageTotals
+	waterfall.Totals
 }
 
 // campaignWaterfall is the -waterfall output: the aggregate stage totals over
@@ -438,11 +469,11 @@ type waterfallPoint struct {
 type campaignWaterfall struct {
 	Points    int `json:"points"`
 	Simulated int `json:"simulated"`
-	frfc.StageTotals
+	waterfall.Totals
 	PerPoint []waterfallPoint `json:"perPoint"`
 }
 
-func writeCampaignWaterfall(path string, results []frfc.JobResult) error {
+func writeCampaignWaterfall(path string, results []harness.JobResult) error {
 	cw := campaignWaterfall{Points: len(results)}
 	for _, jr := range results {
 		t := observed(jr).Waterfall
@@ -470,10 +501,10 @@ func writeJSON(path string, v any) error {
 // printWaterfallBreakdown renders one "where the cycles go" comment line per
 // configuration: mean cycles per stage over every decomposed point of that
 // config's series.
-func printWaterfallBreakdown(stdout io.Writer, names []string, series map[string][]frfc.JobResult) {
+func printWaterfallBreakdown(stdout io.Writer, names []string, series map[string][]harness.JobResult) {
 	fmt.Fprintln(stdout, "# latency waterfall: mean cycles per stage (queue + reserve + arb + stall + sched + link + drain)")
 	for _, name := range names {
-		var s frfc.StageTotals
+		var s waterfall.Totals
 		for _, jr := range series[name] {
 			if t := observed(jr).Waterfall; t != nil {
 				s.Add(*t)
@@ -493,7 +524,7 @@ func printWaterfallBreakdown(stdout io.Writer, names []string, series map[string
 
 // summarize prints the campaign accounting line to stderr — the signal a
 // resumed sweep ran zero new simulations — and reports failures.
-func summarize(stderr io.Writer, results []frfc.JobResult) int {
+func summarize(stderr io.Writer, results []harness.JobResult) int {
 	simulated, cached, failed := 0, 0, 0
 	for _, jr := range results {
 		switch {
@@ -522,8 +553,8 @@ func summarize(stderr io.Writer, results []frfc.JobResult) int {
 
 // runAdaptive is the -adaptive mode: one bisection search per configuration
 // instead of the fixed load grid.
-func runAdaptive(stdout, stderr io.Writer, names []string, specs []frfc.Spec, resolution float64, wiring string, pktLen int, popts frfc.ParallelOptions, csv bool) int {
-	pts, err := frfc.SaturationSearch(context.Background(), specs, resolution, popts)
+func runAdaptive(stdout, stderr io.Writer, names []string, specs []experiment.Spec, resolution float64, wiring string, pktLen int, ho harness.Options, csv bool) int {
+	pts, err := harness.SaturationSearch(context.Background(), specs, resolution, ho)
 	if err != nil {
 		fmt.Fprintf(stderr, "sweep: %v\n", err)
 		return 2
@@ -623,7 +654,7 @@ func printTable(stdout, stderr io.Writer, t table, csv bool) int {
 
 // faultTable is the -faults mode: delivery probability versus loss rate,
 // detection-only versus end-to-end retry.
-func faultTable(points []frfc.FaultPoint, pktLen int) table {
+func faultTable(points []experiment.FaultPoint, pktLen int) table {
 	t := table{
 		title:  fmt.Sprintf("# end-to-end delivery vs data-flit loss; FR6, %d-flit packets, %d packets per row", pktLen, points[0].Offered),
 		header: "loss,retrylimit,offered,delivered,abandoned,retried,avglatency",
@@ -638,7 +669,7 @@ func faultTable(points []frfc.FaultPoint, pktLen int) table {
 
 // reliabilityTable is the -reliability / -scenario mode: graceful degradation
 // under scheduled hard faults.
-func reliabilityTable(points []frfc.ReliabilityPoint) table {
+func reliabilityTable(points []experiment.ReliabilityPoint) table {
 	t := table{
 		title: fmt.Sprintf("# graceful degradation under hard faults; FR6, table routing, retry<=%d, %d packets per row",
 			points[0].RetryLimit, points[0].Offered),
@@ -656,7 +687,7 @@ func reliabilityTable(points []frfc.ReliabilityPoint) table {
 
 // integrityTable is the -integrity mode: silent-corruption tolerance versus
 // link bit-error rate, end-to-end check on versus off.
-func integrityTable(points []frfc.IntegrityPoint) table {
+func integrityTable(points []experiment.IntegrityPoint) table {
 	t := table{
 		title: fmt.Sprintf("# silent-corruption tolerance vs link bit-error rate; FR6, %d-bit hop CRC, %d packets per row",
 			points[0].CrcBits, points[0].Offered),
@@ -674,7 +705,7 @@ func integrityTable(points []frfc.IntegrityPoint) table {
 
 // chaosTable is the -chaos mode: one deterministic chaos campaign per
 // intensity.
-func chaosTable(points []frfc.ChaosPoint) table {
+func chaosTable(points []experiment.ChaosPoint) table {
 	t := table{
 		title: fmt.Sprintf("# surviving traffic under deterministic chaos campaigns; FR6, seed %d, %d packets per row",
 			points[0].Seed, points[0].Offered),

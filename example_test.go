@@ -87,7 +87,7 @@ func ExampleSweep() {
 }
 
 // An Observer arms collectors on one run without changing its measurement;
-// what they saw rides in Result.Observed and exports through the Write methods.
+// what they saw rides in Result.Observed, and cmd/frsim's flags write it out.
 // Here the latency waterfall: seven stages that sum to each packet's latency.
 func ExampleObserver() {
 	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(300, 600)

@@ -1,17 +1,32 @@
 package frfc
 
-import "frfc/internal/experiment"
+import (
+	"context"
+
+	"frfc/internal/experiment"
+	"frfc/internal/harness"
+)
+
+// ResolveOptions are the options every resolved sweep shares: Radix, Packets,
+// PacketLen, Check (every row under the per-cycle invariant checker), Seed,
+// and Workers, the pool the rows fan out over (0 means runtime.NumCPU(); any
+// worker count produces identical points in identical order). Zero fields
+// take defaults: a 4×4 mesh and 5-flit packets, 400 of them per row of a
+// FaultSweep.
+type ResolveOptions = experiment.ResolveOptions
 
 // FaultPoint is one row of a FaultSweep: a flit-reservation network run at
 // one data-flit loss rate (DataFaultRate, per flit per link) under one retry
 // policy (RetryLimit; 0 is the detection-only arm) until every offered
-// packet's fate was resolved.
+// packet's fate was resolved. Its ledger — Offered, Delivered, Abandoned,
+// LostDetected, Retried and the rest of the network's counts, AvgLatency over
+// the packets that made it, Cycles, Wedged if the no-progress watchdog fired
+// — and DeliveredFraction() come from the embedded Resolved.
 type FaultPoint = experiment.FaultPoint
 
 // FaultSweepOptions parameterizes a FaultSweep: the ResolveOptions, the
 // RetryLimit of the retry arm and the loss Rates swept. Zero fields take
-// defaults: the ResolveOptions defaults (400 packets per row), retry budget 8,
-// and loss rates 0–20%.
+// defaults: the ResolveOptions defaults, retry budget 8, and loss rates 0–20%.
 type FaultSweepOptions = experiment.FaultSweepOptions
 
 // FaultSweep measures end-to-end delivery under data-flit loss: each loss
@@ -19,9 +34,9 @@ type FaultSweepOptions = experiment.FaultSweepOptions
 // resolving every offered packet. With retries the delivered fraction stays
 // at 100% through percent-level loss rates, at a latency cost the AvgLatency
 // column exposes. The cells execute concurrently on the harness worker pool
-// (Options.Workers); the points are identical to a serial sweep. A cell that
-// cannot run (a negative RetryLimit, say) is the returned error, which names
-// it.
+// (Workers); the points are identical to a serial sweep. A cell that cannot
+// run (a negative RetryLimit, say) is the returned error, which names it,
+// alongside the rows that completed.
 func FaultSweep(o FaultSweepOptions) ([]FaultPoint, error) {
-	return sweepCells(o.Workers, o.Cells())
+	return harness.RunCells(context.Background(), o.Cells(), o.Workers)
 }

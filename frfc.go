@@ -25,10 +25,8 @@
 package frfc
 
 import (
-	"errors"
 	"fmt"
 
-	"frfc/internal/core"
 	"frfc/internal/experiment"
 	"frfc/internal/sim"
 	"frfc/internal/traffic"
@@ -109,55 +107,18 @@ func CircuitSpec(w Wiring, packetLen int) Spec {
 	return experiment.CircuitSpec("CS", w, packetLen)
 }
 
-// ConfigNames lists the named configurations a Grid resolves, as flag help
-// prints them.
-var ConfigNames = experiment.ConfigNames
-
-// ParseWiring resolves the wiring vocabulary of the command lines and the
-// campaign service: "fast" (or empty) and "leading".
-func ParseWiring(name string) (Wiring, error) { return experiment.ParseWiring(name) }
-
 // ParsePattern resolves a traffic-pattern name for Spec.Pattern: "uniform"
 // (or empty, the paper's), "transpose", "bitcomp", "tornado", "neighbor",
 // "bitrev" or "shuffle".
 func ParsePattern(name string) (traffic.Pattern, error) { return experiment.ParsePattern(name) }
 
-// ParseScenario parses a hard-fault schedule for Spec.Faults, in the scenario
-// grammar: semicolon-separated events "down A-B @C" (sever the link between
-// neighbor nodes A and B at cycle C), "up A-B @C" (restore it) and "kill N @C"
-// (permanently fail node N's router), applied deterministically mid-run. The
-// schedule rides the spec, so harness campaigns replay it bit-identically on
-// any worker count. Flit-reservation specs only; Run panics otherwise.
-func ParseScenario(scenario string) ([]core.FaultEvent, error) { return core.ParseScenario(scenario) }
-
 // Grid is a load grid over named configurations — what one cmd/sweep
 // invocation, one campaign request or one cmd/frsim run describes: Configs
-// from the ConfigNames vocabulary under a Wiring ("fast", "leading") and
-// PacketLen; offered Loads, or the From/To/Step that expand to them; and the
-// Sample/Warmup/Seed/Routing/Check refinements every spec receives. It is the
-// one place names become specs and from/to/step becomes loads, so whichever
-// front end built a grid, it expands to the same job hashes.
-type Grid experiment.Grid
-
-// Expand validates the grid and returns one refined spec per config, in
-// Configs order, and the offered loads. Every rejection — an unknown name, a
-// malformed FR6-leadN or one under fast wiring, a load outside (0,2], a
-// routing algorithm the flow does not implement — is found by name, before
-// anything is built. The fields are
-// named as the command lines' flags, so a rejection that names one reads as
-// that flag: "-step must be > 0 (got 0)".
-func (g Grid) Expand() ([]Spec, []float64, error) {
-	loads, err := experiment.Grid(g).LoadPoints()
-	var specs []Spec
-	if err == nil {
-		specs, err = experiment.Grid(g).Specs()
-	}
-	if err != nil {
-		var ge *experiment.GridError
-		if errors.As(err, &ge) && ge.Field != "" {
-			err = fmt.Errorf("-%w", err)
-		}
-		return nil, nil, err
-	}
-	return specs, loads, nil
-}
+// (FR6, FR13, VC8, VC16, VC32, WH, SAF, VCT, CS or FR6-leadN) under a Wiring
+// ("fast", "leading") and PacketLen; offered Loads, or the From/To/Step that
+// expand to them; and the Sample/Warmup/Seed/Routing/Check refinements every
+// spec receives. Specs and LoadPoints expand it, refusing an unknown name, a
+// load outside (0,2] or a routing algorithm the flow does not implement by
+// name, before anything is built. It is the one place names become specs, so
+// whichever front end built a grid, it expands to the same job hashes.
+type Grid = experiment.Grid

@@ -1,12 +1,16 @@
 package frfc_test
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"frfc"
+	"frfc/internal/experiment"
 )
 
 func TestPresetNames(t *testing.T) {
@@ -193,22 +197,6 @@ func TestRelatedWorkBaselinesDeliver(t *testing.T) {
 	}
 }
 
-func TestLineageBaseLatencyOrdering(t *testing.T) {
-	// The Section 2 story in one assertion: store-and-forward pays packet
-	// serialization per hop; cut-through, wormhole and VC pay link+router
-	// per hop; flit reservation hides the router cycle.
-	at := func(s frfc.Spec) float64 {
-		return frfc.BaseLatency(s.WithMeshRadix(4).WithSampling(200, 400))
-	}
-	saf := at(frfc.StoreAndForwardSpec(frfc.FastControl, 2, 5))
-	vct := at(frfc.CutThroughSpec(frfc.FastControl, 2, 5))
-	wh := at(frfc.WormholeSpec(frfc.FastControl, 8, 5))
-	fr := at(frfc.FR6(frfc.FastControl, 5))
-	if !(saf > vct && vct >= wh-1 && fr < wh) {
-		t.Errorf("lineage ordering broken: SAF %.1f, VCT %.1f, WH %.1f, FR %.1f", saf, vct, wh, fr)
-	}
-}
-
 func TestCircuitSwitchingDelivers(t *testing.T) {
 	s := frfc.CircuitSpec(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(200, 400)
 	r := frfc.Run(s, 0.10)
@@ -288,5 +276,138 @@ func TestPublicFaultSweep(t *testing.T) {
 	_, err = frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 10}, Rates: []float64{0.02}, RetryLimit: -1})
 	if err == nil || !strings.Contains(err.Error(), "fault cell (rate=0.02, retry=-1)") {
 		t.Errorf("negative retry budget: err = %v, want the failed cell named", err)
+	}
+}
+
+func TestFaultSweepWorkers(t *testing.T) {
+	base := frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 60}, Rates: []float64{0, 0.05}, RetryLimit: 4}
+	serialOpts := base
+	serialOpts.Workers = 1
+	parallelOpts := base
+	parallelOpts.Workers = 4
+	serial, err := frfc.FaultSweep(serialOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := frfc.FaultSweep(parallelOpts)
+	if err != nil || !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("fault sweep diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+}
+
+// TestRunObservedMatchesRun: observation never moves the measurement, and a
+// nil observer is a bare run.
+func TestRunObservedMatchesRun(t *testing.T) {
+	spec := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(150, 400)
+	base := frfc.Run(spec, 0.3)
+	obs := frfc.NewObserver(frfc.ObserverOptions{Metrics: true, Trace: true})
+	observed := frfc.RunObserved(spec, 0.3, obs)
+	if base != observed {
+		t.Fatalf("observation changed the simulation:\nbase:     %+v\nobserved: %+v", base, observed)
+	}
+	nilObs := frfc.RunObserved(spec, 0.3, nil)
+	if base != nilObs {
+		t.Fatalf("nil observer changed the simulation:\nbase: %+v\nnil:  %+v", base, nilObs)
+	}
+}
+
+// TestSweepParallelMatchesSweep: a sweep's loads run as RunJobs jobs must be
+// bit-identical to the serial Sweep at any worker count, and a re-run over the
+// same ResultPath must be served entirely from cache.
+func TestSweepParallelMatchesSweep(t *testing.T) {
+	s := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(150, 300)
+	loads := []float64{0.2, 0.4}
+	serial := frfc.Sweep(s, loads)
+	jobs := make([]frfc.Job, len(loads))
+	for i, l := range loads {
+		jobs[i] = frfc.Job{Spec: s, Load: l}
+	}
+
+	for _, workers := range []int{1, 4} {
+		jrs, err := frfc.RunJobs(context.Background(), jobs, frfc.ParallelOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		got := make([]frfc.Result, len(jrs))
+		for i, jr := range jrs {
+			got[i] = jr.Result
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("workers=%d parallel sweep diverged from serial", workers)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	first, err := frfc.RunJobs(context.Background(), jobs, frfc.ParallelOptions{Workers: 2, ResultPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := frfc.RunJobs(context.Background(), jobs, frfc.ParallelOptions{Workers: 2, ResultPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range second {
+		if !second[i].Cached {
+			t.Errorf("job %d re-simulated despite the result store", i)
+		}
+		if !reflect.DeepEqual(second[i].Result, first[i].Result) {
+			t.Errorf("job %d cached result differs", i)
+		}
+	}
+}
+
+// TestPublicSaturationSearch: SaturationThroughput agrees with the serial
+// bisection over plain runs.
+func TestPublicSaturationSearch(t *testing.T) {
+	s := frfc.FR6(frfc.FastControl, 5).WithMeshRadix(4).WithSampling(150, 300)
+	want, _, err := experiment.Bisect(s, 0.05, func(s experiment.Spec, load float64) (experiment.Result, error) {
+		return experiment.Run(s, load), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frfc.SaturationThroughput(s, 0.05); got != want {
+		t.Errorf("SaturationThroughput found %.4f, the serial bisection %.4f", got, want)
+	}
+}
+
+// TestSpecBitErrorRun: the corruption fields of a spec reach a measured run
+// for both network families — the FR run reports the full corruption ledger,
+// the VC baseline reports detection counters only.
+func TestSpecBitErrorRun(t *testing.T) {
+	fr := frfc.FR6(frfc.FastControl, 5).WithSampling(200, 300)
+	fr.FR.BER, fr.FR.CrcBits, fr.FR.E2ECheck, fr.FR.RetryLimit = 5e-3, 4, true, 8
+	r := frfc.Run(fr, 0.3)
+	if r.SampledDelivered != r.SampleSize {
+		t.Fatalf("FR run under BER lost sampled packets: %d of %d", r.SampledDelivered, r.SampleSize)
+	}
+	if r.CorruptedFlits == 0 || r.CrcDetected == 0 {
+		t.Fatalf("FR corruption ledger empty: %+v", r)
+	}
+
+	vc := frfc.VC8(frfc.FastControl, 5).WithSampling(200, 300)
+	vc.VC.BER = 5e-3
+	rv := frfc.Run(vc, 0.3)
+	if rv.SampledDelivered != rv.SampleSize {
+		t.Fatalf("VC run under BER lost sampled packets: %d of %d", rv.SampledDelivered, rv.SampleSize)
+	}
+	if rv.CorruptedFlits == 0 || rv.CrcDetected == 0 {
+		t.Fatalf("VC corruption ledger empty: %+v", rv)
+	}
+}
+
+// TestSpecChaosRun: a chaos campaign set on a spec expands deterministically —
+// two runs of the same spec agree exactly, and the campaign actually injects
+// faults.
+func TestSpecChaosRun(t *testing.T) {
+	s := frfc.FR6(frfc.FastControl, 5).WithSampling(150, 300)
+	s.ChaosIntensity, s.ChaosSeed = 0.4, 11
+	a := frfc.Run(s, 0.3)
+	b := frfc.Run(s, 0.3)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("chaos runs diverged:\nfirst:  %+v\nsecond: %+v", a, b)
+	}
+	if a.DroppedFlits == 0 && a.CorruptedFlits == 0 {
+		t.Fatalf("chaos campaign injected nothing: %+v", a)
 	}
 }

@@ -7,6 +7,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -14,12 +15,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"frfc"
+	"frfc/internal/experiment"
 	"frfc/internal/noc"
+	"frfc/internal/status"
 )
 
 // Flags holds the shared flags' values after Parse: the measurement group, as
-// frfc.Grid names its fields, and the host group, which only Start reads.
+// experiment.Grid names its fields, and the host group, which only Start reads.
 type Flags struct {
 	Wiring, Routing        string
 	PktLen, Sample, Warmup int
@@ -49,7 +51,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 // Validate refuses, by name, what no measurement can run: the protocol needs a
 // positive sample and warm-up, and a packet at least one flit and no longer
 // than a flit's 32-bit sequence number counts. (Wiring and
-// Routing are vocabulary; frfc.Grid refuses a word it does not know.)
+// Routing are vocabulary; Expand refuses a word the grid does not know.)
 func (f *Flags) Validate() error {
 	switch {
 	case f.PktLen < 1 || f.PktLen > noc.MaxLen:
@@ -65,23 +67,25 @@ func (f *Flags) Validate() error {
 // Start begins what the host flags ask for — the status server, announced on
 // stderr under the command's name, then the CPU profile — and returns the
 // server (nil without -status-addr) and the stop the command defers: it ends
-// the CPU profile, writes the heap profile (a failure there is one stderr
-// line; the command's work is already done) and closes the server. On error
-// nothing is left running.
-func (f *Flags) Start(cmd string, stderr io.Writer) (*frfc.StatusServer, func(), error) {
-	var st *frfc.StatusServer
+// the CPU profile and closes its file, writes the heap profile (a failure
+// closing or writing either is one stderr line; the command's work is already
+// done) and closes the server. On error nothing is left running or open.
+func (f *Flags) Start(cmd string, stderr io.Writer) (*status.Server, func(), error) {
+	var st *status.Server
 	if f.statusAddr != "" {
-		var bound string
 		var err error
-		if st, bound, err = frfc.ServeStatus(f.statusAddr); err != nil {
+		if st, err = status.Serve(f.statusAddr); err != nil {
 			return nil, nil, fmt.Errorf("status server: %w", err)
 		}
-		fmt.Fprintf(stderr, "%s: status on http://%s/status, metrics on http://%s/metrics\n", cmd, bound, bound)
+		fmt.Fprintf(stderr, "%s: status on http://%s/status, metrics on http://%s/metrics\n", cmd, st.Addr(), st.Addr())
 	}
+	var cpu *os.File
 	if f.cpuProfile != "" {
-		cpu, err := os.Create(f.cpuProfile)
-		if err == nil {
-			err = pprof.StartCPUProfile(cpu)
+		var err error
+		if cpu, err = os.Create(f.cpuProfile); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				cpu.Close()
+			}
 		}
 		if err != nil {
 			if st != nil {
@@ -91,8 +95,11 @@ func (f *Flags) Start(cmd string, stderr io.Writer) (*frfc.StatusServer, func(),
 		}
 	}
 	return st, func() {
-		if f.cpuProfile != "" {
+		if cpu != nil {
 			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintf(stderr, "%s: %v\n", cmd, err)
+			}
 		}
 		if f.memProfile != "" {
 			runtime.GC()
@@ -104,6 +111,25 @@ func (f *Flags) Start(cmd string, stderr io.Writer) (*frfc.StatusServer, func(),
 			st.Close()
 		}
 	}, nil
+}
+
+// Expand is g's specs and loads, every rejection worded as the command lines'
+// flags: the grid's fields are named as those flags, so a rejection that
+// names one reads as that flag ("-step must be > 0 (got 0)").
+func Expand(g experiment.Grid) ([]experiment.Spec, []float64, error) {
+	loads, err := g.LoadPoints()
+	var specs []experiment.Spec
+	if err == nil {
+		specs, err = g.Specs()
+	}
+	if err != nil {
+		var ge *experiment.GridError
+		if errors.As(err, &ge) && ge.Field != "" {
+			err = fmt.Errorf("-%w", err)
+		}
+		return nil, nil, err
+	}
+	return specs, loads, nil
 }
 
 // WriteFile creates path, hands it to write and closes it, reporting the first

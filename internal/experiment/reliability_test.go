@@ -122,3 +122,31 @@ func TestDefaultReliabilityScenariosCoverEveryKind(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecScenarioRun drives a hard-fault scenario through the measured Run
+// path: a schedule parsed onto Spec.Faults under table routing and retry, the
+// checker-on run must deliver its sample, and the scenario columns must be
+// populated.
+func TestSpecScenarioRun(t *testing.T) {
+	spec := FR6(FastControl, 5).WithMeshRadix(4).WithSampling(300, 2000)
+	spec.Name = "FR6-outage"
+	spec.FR.RetryLimit = 8
+	spec.Routing = "table"
+	spec.Check = true
+	faults, err := core.ParseScenario("down 5-6 @2500; up 5-6 @4000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Faults = faults
+	res := Run(spec, 0.3)
+	if res.SampledDelivered != res.SampleSize {
+		t.Fatalf("sample not fully delivered across the outage: %d/%d", res.SampledDelivered, res.SampleSize)
+	}
+	if res.DeliveredFraction != 1 {
+		t.Errorf("DeliveredFraction = %v, want 1 (mesh stays connected)", res.DeliveredFraction)
+	}
+
+	if _, err := core.ParseScenario("down 5 @2500"); err == nil {
+		t.Error("expected a parse error for a scenario without a link pair")
+	}
+}

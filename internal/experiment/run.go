@@ -11,6 +11,7 @@ import (
 	"frfc/internal/stats"
 	"frfc/internal/timeseries"
 	"frfc/internal/topology"
+	"frfc/internal/trace"
 	"frfc/internal/traffic"
 )
 
@@ -197,6 +198,61 @@ type Instruments struct {
 	// cycles and once more when the run ends. It is called from the
 	// simulation goroutine; keep it fast.
 	Publish func(Live)
+}
+
+// ObserverOptions selects what NewInstruments arms.
+type ObserverOptions struct {
+	// Metrics enables the per-router counter registry and occupancy
+	// gauges; MetricsEpoch is the gauge sampling period in cycles (0 = a
+	// sensible default).
+	Metrics      bool
+	MetricsEpoch int
+	// Trace enables the flit-level event tracer; TraceCapacity bounds the
+	// ring buffer in events (0 = a default of ~256k events), keeping the
+	// newest when it overflows.
+	Trace         bool
+	TraceCapacity int
+	// TimeSeries enables the per-epoch telemetry recorder: injected and
+	// accepted flit rates, running mean latency, reservation hit/miss
+	// counts, retries and aggregate buffer occupancy, one point per
+	// MetricsEpoch. It implies Metrics (the recorder reads the registry).
+	// TimeSeriesCapacity bounds the retained points, dropping the oldest
+	// when exceeded; 0 keeps every epoch of the run.
+	TimeSeries         bool
+	TimeSeriesCapacity int
+	// Profile enables simulator self-profiling: per-component activity
+	// accounting (total vs. active ticks per router, interface and sink),
+	// per-phase work attribution inside the flit-reservation router
+	// (reservation scheduling, arbitration, switch traversal, credit
+	// handling), and per-epoch host allocation/GC deltas sampled every
+	// MetricsEpoch cycles. Observation-only: the Result's measurement is
+	// bit-identical with profiling on or off; the deterministic summary
+	// lands in Result.Observed.Activity.
+	Profile bool
+	// Waterfall enables latency provenance: a per-packet stage ledger
+	// decomposes every sampled packet's latency into source queueing,
+	// reservation/setup, arbitration, stalls, scheduled residence, wire
+	// time and drain, with the components summing exactly to the measured
+	// latency. Observation-only: the Result's measurement is bit-identical
+	// with the ledger on or off; the deterministic summary lands in
+	// Result.Observed.Waterfall.
+	Waterfall bool
+}
+
+// NewInstruments builds the collectors the options arm: a probe, always —
+// with nothing armed it is empty and collects nothing, at one nil check per
+// event site — and a series recorder when TimeSeries is set. The caller reads
+// each collector off the probe and the series after the run.
+func NewInstruments(o ObserverOptions) Instruments {
+	p := metrics.NewProbe(sim.Cycle(o.MetricsEpoch), o.Metrics || o.TimeSeries, o.Profile, o.Waterfall)
+	if o.Trace {
+		p.Tracer = trace.New(o.TraceCapacity)
+	}
+	ins := Instruments{Probe: p}
+	if o.TimeSeries {
+		ins.Series = timeseries.New(p.Reg.Epoch, o.TimeSeriesCapacity)
+	}
+	return ins
 }
 
 // RunInstrumented is the one implementation of the measurement protocol Run

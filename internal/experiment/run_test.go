@@ -264,3 +264,19 @@ func TestPaperShapesAtReducedScale(t *testing.T) {
 		t.Run(shape.name, shape.check)
 	}
 }
+
+func TestLineageBaseLatencyOrdering(t *testing.T) {
+	// The Section 2 story in one assertion: store-and-forward pays packet
+	// serialization per hop; cut-through, wormhole and VC pay link+router
+	// per hop; flit reservation hides the router cycle.
+	at := func(s Spec) float64 {
+		return BaseLatency(s.WithMeshRadix(4).WithSampling(200, 400))
+	}
+	saf := at(PacketSwitchSpec("SAF2", StoreForward, FastControl, 2, 5))
+	vct := at(PacketSwitchSpec("VCT2", CutThrough, FastControl, 2, 5))
+	wh := at(WormholeSpec("WH8", FastControl, 8, 5))
+	fr := at(FR6(FastControl, 5))
+	if !(saf > vct && vct >= wh-1 && fr < wh) {
+		t.Errorf("lineage ordering broken: SAF %.1f, VCT %.1f, WH %.1f, FR %.1f", saf, vct, wh, fr)
+	}
+}

@@ -140,3 +140,66 @@ func FRBandwidthPenalty(fr, vc BandwidthParams, flitBits int) float64 {
 	}
 	return extra / float64(flitBits)
 }
+
+// StorageRow is one column of the paper's Table 1: the per-node storage
+// breakdown of a flow-control configuration, in bits.
+type StorageRow struct {
+	Name            string
+	DataBuffers     int
+	CtrlBuffers     int
+	QueuePointers   int
+	OutputResTable  int
+	InputResTable   int
+	BitsPerNode     int
+	FlitsPerChannel float64
+}
+
+// StorageTable evaluates Table 1 for the paper's five configurations with
+// 256-bit data flits, 2-bit type tags, d=1 and a 32-cycle horizon.
+func StorageTable() []StorageRow {
+	const f, t, ports = 256, 2, 5
+	rows := []StorageRow{}
+	vc := func(name string, bd, vd int) {
+		b := VCStorage(VCParams{FlitBits: f, TypeBits: t, DataBuffers: bd, VCs: vd, Ports: ports})
+		rows = append(rows, StorageRow{
+			Name: name, DataBuffers: b.DataBuffers, QueuePointers: b.QueuePointers,
+			OutputResTable: b.OutputResTable, BitsPerNode: b.BitsPerNode(),
+			FlitsPerChannel: b.FlitsPerInput(f, ports),
+		})
+	}
+	fr := func(name string, bd, bc, vc int) {
+		b := FRStorage(FRParams{FlitBits: f, TypeBits: t, DataBuffers: bd, CtrlBuffers: bc, CtrlVCs: vc, Leads: 1, Horizon: 32, Ports: ports})
+		rows = append(rows, StorageRow{
+			Name: name, DataBuffers: b.DataBuffers, CtrlBuffers: b.CtrlBuffers,
+			QueuePointers: b.QueuePointers, OutputResTable: b.OutputResTable,
+			InputResTable: b.InputResTable, BitsPerNode: b.BitsPerNode(),
+			FlitsPerChannel: b.FlitsPerInput(f, ports),
+		})
+	}
+	vc("VC8", 8, 2)
+	vc("VC16", 16, 4)
+	vc("VC32", 32, 8)
+	fr("FR6", 6, 6, 2)
+	fr("FR13", 13, 12, 4)
+	return rows
+}
+
+// BandwidthRow is one column of the paper's Table 2: per-data-flit control
+// bandwidth in bits.
+type BandwidthRow struct {
+	Name        string
+	BitsPerFlit float64
+}
+
+// BandwidthTable evaluates Table 2 for the paper's configuration (64 nodes,
+// 5-flit packets, 2 VCs, d=1, horizon 32), plus the flit-reservation penalty
+// as a fraction of a 256-bit flit.
+func BandwidthTable() (rows []BandwidthRow, frPenalty float64) {
+	vcp := BandwidthParams{DestBits: 6, PacketLen: 5, VCs: 2}
+	frp := BandwidthParams{DestBits: 6, PacketLen: 5, VCs: 2, Leads: 1, Horizon: 32}
+	rows = []BandwidthRow{
+		{Name: "VC", BitsPerFlit: VCBandwidthPerFlit(vcp)},
+		{Name: "FR", BitsPerFlit: FRBandwidthPerFlit(frp)},
+	}
+	return rows, FRBandwidthPenalty(frp, vcp, 256)
+}

@@ -347,23 +347,22 @@ func (s *Service) worker() {
 	// them, the stage ledger when the job's campaign asked for one. Built
 	// here, once, so the per-job path — warm jobs above all — makes nothing.
 	st := s.opts.Status
-	counting := func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) }
-	decomposing := func() *metrics.Probe { return metrics.NewProbe(0, st != nil, false, true) }
+	base := harness.Options{Store: s.db, Timeout: s.opts.Timeout}
+	if st != nil {
+		base = st.Feed(base)
+		base.Probe = func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) }
+	}
+	decomposing := base
+	decomposing.Probe = func() *metrics.Probe { return metrics.NewProbe(0, st != nil, false, true) }
 	for {
 		c, idx, ok := s.sched.next()
 		if !ok {
 			return
 		}
 		j := c.jobs.at(idx)
-		ho := harness.Options{Store: s.db, Timeout: s.opts.Timeout}
-		if st != nil {
-			ho.JobStarted = st.OnJobStarted
-			ho.JobFinished = st.OnJobFinished
-			ho.Collect = st.OnCollect
-			ho.Probe = counting
-		}
+		ho := base
 		if c.req.Waterfall {
-			ho.Probe = decomposing
+			ho = decomposing
 		}
 		jr := harness.ExecOne(c.ctx, j, ho)
 		completed := c.record(idx, outcome{

@@ -277,6 +277,16 @@ func (s *Server) OnCollect(_ harness.Job, p *metrics.Probe) {
 	s.mu.Unlock()
 }
 
+// Feed returns o with the server plugged into its per-job hooks: a job is in
+// flight on /status while it simulates (OnJobStarted, OnJobFinished) and its
+// probe is merged into the aggregate when it finishes (OnCollect). Progress
+// and Probe stay the caller's: what each job collects, and whether the
+// campaign's progress (OnProgress) is fed too, differ between callers.
+func (s *Server) Feed(o harness.Options) harness.Options {
+	o.JobStarted, o.JobFinished, o.Collect = s.OnJobStarted, s.OnJobFinished, s.OnCollect
+	return o
+}
+
 // ServiceSource registers the function that computes the campaign-service
 // view. The server calls it once per /status or /metrics request and keeps no
 // copy, so what it serves is never older than the service's own state; the

@@ -213,6 +213,47 @@ func TestLiveRunView(t *testing.T) {
 	}
 }
 
+// TestRunLiveMatchesRunAndServes: a run publishing to the server, as frsim
+// -status-addr wires it, measures what a bare run does, and leaves its final
+// run view on /status and its counters on /metrics.
+func TestRunLiveMatchesRunAndServes(t *testing.T) {
+	s, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	spec := experiment.FR6(experiment.FastControl, 5).WithMeshRadix(4).WithSampling(150, 400)
+	base := experiment.Run(spec, 0.3)
+	ins := experiment.NewInstruments(experiment.ObserverOptions{Metrics: true})
+	ins.Publish = s.OnLive
+	live, err := experiment.RunInstrumented(context.Background(), spec, 0.3, ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != live {
+		t.Fatalf("live publishing changed the simulation:\nbase: %+v\nlive: %+v", base, live)
+	}
+
+	_, body := get(t, "http://"+s.Addr()+"/status")
+	var snap struct {
+		Run *struct {
+			Phase     string `json:"phase"`
+			Delivered int    `json:"delivered"`
+		} `json:"run"`
+	}
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("/status not JSON: %v\n%s", err, body)
+	}
+	if snap.Run == nil || snap.Run.Phase != "done" || snap.Run.Delivered != base.SampledDelivered {
+		t.Fatalf("run view wrong: %s", body)
+	}
+	_, mbody := get(t, "http://"+s.Addr()+"/metrics")
+	if !strings.Contains(mbody, "frfc_ejected_flits_total") {
+		t.Fatalf("/metrics missing counters:\n%s", mbody[:min(len(mbody), 400)])
+	}
+}
+
 // expositionLine matches one Prometheus 0.0.4 sample line: a metric name, an
 // optional label set whose values contain no unescaped quote, backslash or
 // newline, and a value. Anything outside it would need escaping we don't do.

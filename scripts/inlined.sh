@@ -35,9 +35,11 @@
 # vectors replaced it: a portVC candidate, an occupancy field in ctrlInput, or
 # a candidates that tests each front flit's arrival instead of reading
 # occ &^ fresh; or if a non-test file of cmd/paperfigs runs the simulator
-# itself (experiment.Run, RunInstrumented, Sweep, BaseLatency or Bisect, or
-# frfc's run entry points) instead of as jobs of the harness executor, whose
-# result cache and failure policy every number it prints goes through.
+# itself (experiment.Run, RunInstrumented, Sweep, BaseLatency or Bisect)
+# instead of as jobs of the harness executor, whose result cache and failure
+# policy every number it prints goes through; or if a non-test file under cmd/
+# or internal/ imports the root package frfc, the library built on top of
+# them, so that a command names each type one way.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -125,12 +127,19 @@ if [ -n "$chans" ]; then
     status=1
 fi
 
-direct=$(grep -nE '\b(experiment|frfc)\.(Run|RunInstrumented|Sweep|BaseLatency|Bisect|SaturationThroughput)\b' cmd/paperfigs/*.go /dev/null | grep -v '_test\.go:' || true)
+direct=$(grep -nE '\bexperiment\.(Run|RunInstrumented|Sweep|BaseLatency|Bisect)\b' cmd/paperfigs/*.go /dev/null | grep -v '_test\.go:' || true)
 if [ -n "$direct" ]; then
     echo "inlined.sh: cmd/paperfigs runs the simulator outside the harness executor (use harness.RunJobs, SaturationSearch or SummarizeAll):" >&2
     echo "$direct" >&2
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness"
+root=$(find cmd internal -name '*.go' ! -name '*_test.go' -exec grep -nE '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"frfc"' {} + || true)
+if [ -n "$root" ]; then
+    echo "inlined.sh: a command or internal package imports the root package frfc (import the internal package it aliases):" >&2
+    echo "$root" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package"
 exit $status
