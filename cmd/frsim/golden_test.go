@@ -180,6 +180,21 @@ func TestSmokeArtifactsAgree(t *testing.T) {
 // (bytes allocated per epoch, GC count), which both reports quote.
 var summaryMem = regexp.MustCompile(`mem \d+ B/epoch over \d+ epochs \(\d+ GCs\)`)
 
+// TestTraceNamesRoutersByCoordinate: a trace armed alone names each router by
+// its mesh coordinates, as one written beside -metrics does. The radix is the
+// run's, not the counter registry's, which only -metrics arms.
+func TestTraceNamesRoutersByCoordinate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	smokeRun(t, "-trace", path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"name":"router 1 (1,0)"`; !bytes.Contains(raw, []byte(want)) {
+		t.Fatalf("the trace of a -radix %s run names no %s", smokeArgs[3], want)
+	}
+}
+
 // TestReportsGolden pins what frsim prints about the traced-smoke run with
 // every artefact flag set, in both forms: the text report and the -json
 // summary, paths relative to the directory written to (the two capacities are

@@ -52,6 +52,7 @@ import (
 	"frfc/internal/cli"
 	"frfc/internal/core"
 	"frfc/internal/experiment"
+	"frfc/internal/metrics"
 	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/topology"
@@ -73,11 +74,11 @@ func main() {
 type artefact struct {
 	flag, help string
 	value      *string // the flag's, once bound
-	arm        func(*experiment.ObserverOptions)
+	arm        func(*metrics.Options)
 	outs       []out
 	// held, when set, reports what the collector held: more -json fields,
 	// and what follows the paths on the text line.
-	held  func(experiment.Instruments) ([]field, string)
+	held  func(*metrics.Probe) ([]field, string)
 	label string
 	line  int
 }
@@ -87,9 +88,9 @@ type artefact struct {
 // instead, for a path ending in ext, where the collector exports two formats.
 type out struct {
 	key, suffix string
-	write       func(experiment.Instruments, io.Writer) error
+	write       func(*metrics.Probe, io.Writer) error
 	ext         string
-	alt         func(experiment.Instruments, io.Writer) error
+	alt         func(*metrics.Probe, io.Writer) error
 }
 
 // field is one key of the -json summary after its fixed head; a zero value is
@@ -99,73 +100,68 @@ type field struct {
 	val any
 }
 
-// artefacts is the table; filter narrows the trace export.
-func artefacts(filter *trace.Filter) []artefact {
-	metrics := func(o *experiment.ObserverOptions) { o.Metrics = true }
-	profile := func(o *experiment.ObserverOptions) { o.Profile = true }
+// artefacts is the table; filter narrows the trace export, and radix is the
+// run's mesh radix, which names each router of the trace by its coordinates.
+func artefacts(filter *trace.Filter, radix *int) []artefact {
+	counters := func(o *metrics.Options) { o.Metrics = true }
+	profile := func(o *metrics.Options) { o.Profile = true }
 	return []artefact{
 		{flag: "metrics", help: "write the per-router metrics registry as JSON to this file",
-			arm: metrics, label: "metrics", line: 3,
-			outs: []out{{key: "metricsPath", write: func(i experiment.Instruments, w io.Writer) error { return topology.WriteJSON(w, i.Probe.Reg) }}}},
+			arm: counters, label: "metrics", line: 3,
+			outs: []out{{key: "metricsPath", write: func(p *metrics.Probe, w io.Writer) error { return topology.WriteJSON(w, p.Reg) }}}},
 		{flag: "heatmap", help: "write PREFIX-occupancy.csv and PREFIX-utilization.csv heatmaps (implies metrics)",
-			arm: metrics, label: "heatmaps", line: 4,
+			arm: counters, label: "heatmaps", line: 4,
 			outs: []out{
-				{key: "occupancyCsvPath", suffix: "-occupancy.csv", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Reg.WriteOccupancyCSV(w) }},
-				{key: "utilizationCsvPath", suffix: "-utilization.csv", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Reg.WriteUtilizationCSV(w) }},
+				{key: "occupancyCsvPath", suffix: "-occupancy.csv", write: func(p *metrics.Probe, w io.Writer) error { return p.Reg.WriteOccupancyCSV(w) }},
+				{key: "utilizationCsvPath", suffix: "-utilization.csv", write: func(p *metrics.Probe, w io.Writer) error { return p.Reg.WriteUtilizationCSV(w) }},
 			}},
 		{flag: "trace", help: "write a Perfetto-loadable Chrome trace-event JSON flit trace to this file",
-			arm: func(o *experiment.ObserverOptions) { o.Trace = true }, label: "trace", line: 7,
-			outs: []out{{key: "tracePath", write: func(i experiment.Instruments, w io.Writer) error {
-				radix := 0
-				if i.Probe.Reg != nil {
-					radix = i.Probe.Reg.Radix
-				}
-				return i.Probe.Tracer.WriteChrome(w, radix, *filter)
-			}}},
-			held: func(i experiment.Instruments) ([]field, string) {
-				n, dropped := i.Probe.Tracer.Len(), i.Probe.Tracer.Dropped()
+			arm: func(o *metrics.Options) { o.Trace = true }, label: "trace", line: 7,
+			outs: []out{{key: "tracePath", write: func(p *metrics.Probe, w io.Writer) error { return p.Tracer.WriteChrome(w, *radix, *filter) }}},
+			held: func(p *metrics.Probe) ([]field, string) {
+				n, dropped := p.Tracer.Len(), p.Tracer.Dropped()
 				return []field{{"traceEvents", n}, {"traceDropped", dropped}},
 					fmt.Sprintf(" (%d events buffered, %d overwritten)", n, dropped)
 			}},
 		{flag: "timeseries", help: "write the per-epoch telemetry series to this file, one row per metrics epoch (.json extension = JSON, anything else = CSV; implies metrics)",
-			arm: func(o *experiment.ObserverOptions) { o.TimeSeries = true }, label: "timeseries", line: 8,
+			arm: func(o *metrics.Options) { o.TimeSeries = true }, label: "timeseries", line: 8,
 			outs: []out{{key: "timeSeriesPath",
-				write: func(i experiment.Instruments, w io.Writer) error { return i.Series.WriteCSV(w) },
-				ext:   ".json", alt: func(i experiment.Instruments, w io.Writer) error { return i.Series.WriteJSON(w) }}},
-			held: func(i experiment.Instruments) ([]field, string) {
-				n, dropped := i.Series.Len(), i.Series.Dropped()
+				write: func(p *metrics.Probe, w io.Writer) error { return p.Series.WriteCSV(w) },
+				ext:   ".json", alt: func(p *metrics.Probe, w io.Writer) error { return p.Series.WriteJSON(w) }}},
+			held: func(p *metrics.Probe) ([]field, string) {
+				n, dropped := p.Series.Len(), p.Series.Dropped()
 				return []field{{"timeSeriesPoints", n}, {"timeSeriesDropped", dropped}},
 					fmt.Sprintf(" (%d points, %d dropped)", n, dropped)
 			}},
 		{flag: "profile", help: "write the simulator self-profile (per-node activity accounting, phase attribution, memory epochs) as JSON to this file",
 			arm: profile, label: "profile json", line: 5,
-			outs: []out{{key: "profilePath", write: func(i experiment.Instruments, w io.Writer) error { return topology.WriteJSON(w, i.Probe.Prof) }}}},
+			outs: []out{{key: "profilePath", write: func(p *metrics.Probe, w io.Writer) error { return topology.WriteJSON(w, p.Prof) }}}},
 		{flag: "idle-csv", help: "write the k x k idle-router-tick-fraction heatmap as CSV to this file (implies -profile collection)",
 			arm: profile, label: "idle heatmap", line: 6,
-			outs: []out{{key: "idleCsvPath", write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.Prof.WriteIdleCSV(w) }}}},
+			outs: []out{{key: "idleCsvPath", write: func(p *metrics.Probe, w io.Writer) error { return p.Prof.WriteIdleCSV(w) }}}},
 		{label: "profile", line: 0,
-			held: func(i experiment.Instruments) ([]field, string) {
-				if i.Probe.Prof == nil {
+			held: func(p *metrics.Probe) ([]field, string) {
+				if p.Prof == nil {
 					return nil, ""
 				}
-				sum := i.Probe.Prof.Summary()
+				sum := p.Prof.Summary()
 				text := sum
-				for _, h := range i.Probe.Prof.Hottest(3) {
+				for _, h := range p.Prof.Hottest(3) {
 					text += fmt.Sprintf("\nprofile hot   router %d at (%d,%d): %.1f%% of ticks active", h.Node, h.X, h.Y, h.ActiveFraction*100)
 				}
 				return []field{{"profileSummary", sum}}, text
 			}},
 		{flag: "waterfall", help: "collect per-packet latency provenance and write the stage waterfall to this file (.csv extension = CSV, anything else = JSON); also prints the per-stage breakdown",
-			arm: func(o *experiment.ObserverOptions) { o.Waterfall = true }, label: "waterfall out", line: 2,
+			arm: func(o *metrics.Options) { o.Waterfall = true }, label: "waterfall out", line: 2,
 			outs: []out{{key: "waterfallPath",
-				write: func(i experiment.Instruments, w io.Writer) error { return i.Probe.WF.WriteJSON(w) },
-				ext:   ".csv", alt: func(i experiment.Instruments, w io.Writer) error { return i.Probe.WF.WriteCSV(w) }}}},
+				write: func(p *metrics.Probe, w io.Writer) error { return p.WF.WriteJSON(w) },
+				ext:   ".csv", alt: func(p *metrics.Probe, w io.Writer) error { return p.WF.WriteCSV(w) }}}},
 		{label: "waterfall", line: 1,
-			held: func(i experiment.Instruments) ([]field, string) {
-				if i.Probe.WF == nil {
+			held: func(p *metrics.Probe) ([]field, string) {
+				if p.WF == nil {
 					return nil, ""
 				}
-				sum := i.Probe.WF.Summary()
+				sum := p.WF.Summary()
 				return []field{{"waterfallSummary", sum}}, sum
 			}},
 	}
@@ -234,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos    = fs.Float64("chaos", 0, "chaos campaign intensity in (0,1]: composed loss, bit errors, link flaps, corruption spikes and (>=0.75) router kills; FR configs only")
 
 		jsonOut = fs.Bool("json", false, "print one machine-readable JSON summary object instead of text")
-		opts    experiment.ObserverOptions
+		opts    metrics.Options
 		filter  trace.Filter
 		node    int
 	)
@@ -250,7 +246,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, k := range knobs {
 		values[i] = fs.Int(k.flag, 0, k.help+" (default: the config's)")
 	}
-	table := artefacts(&filter)
+	table := artefacts(&filter, radix)
 	for i, a := range table {
 		if a.flag != "" {
 			table[i].value = fs.String(a.flag, "", a.help)
@@ -383,11 +379,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			a.arm(&opts)
 		}
 	}
-	obs := experiment.NewInstruments(opts)
+	probe := metrics.NewProbe(opts)
+	var publish func(experiment.Live)
 	if st != nil {
-		obs.Publish = st.OnLive
+		publish = st.OnLive
 	}
-	r, _ := experiment.RunInstrumented(context.Background(), spec, *load, obs)
+	r, _ := experiment.RunInstrumented(context.Background(), spec, *load, probe, publish)
 
 	sum := summary{
 		Config:    spec.Name,
@@ -417,7 +414,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if f.ext != "" && strings.HasSuffix(path, f.ext) {
 					write = f.alt
 				}
-				if err := cli.WriteFile(path, func(w io.Writer) error { return write(obs, w) }); err != nil {
+				if err := cli.WriteFile(path, func(w io.Writer) error { return write(probe, w) }); err != nil {
 					return fail("%v", err)
 				}
 				paths = append(paths, path)
@@ -427,7 +424,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		note := ""
 		if a.held != nil {
 			var fields []field
-			if fields, note = a.held(obs); a.flag == "" && note == "" {
+			if fields, note = a.held(probe); a.flag == "" && note == "" {
 				continue
 			}
 			sum.artefacts = append(sum.artefacts, fields...)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"frfc/internal/experiment"
+	"frfc/internal/metrics"
 	"frfc/internal/trace"
 )
 
@@ -42,26 +43,29 @@ var fabrics = []struct {
 	{"WH", experiment.WormholeSpec("WH8", experiment.FastControl, 8, 5)},
 }
 
+// smallRadix is the mesh radix of smallSpec's runs.
+var smallRadix = 4
+
 func smallSpec(s experiment.Spec) experiment.Spec {
-	return s.WithMeshRadix(4).WithSampling(150, 400)
+	return s.WithMeshRadix(smallRadix).WithSampling(150, 400)
 }
 
 // observe runs spec at load with the collectors o arms.
-func observe(t *testing.T, spec experiment.Spec, load float64, o experiment.ObserverOptions) (experiment.Result, experiment.Instruments) {
+func observe(t *testing.T, spec experiment.Spec, load float64, o metrics.Options) (experiment.Result, *metrics.Probe) {
 	t.Helper()
-	obs := experiment.NewInstruments(o)
-	r, err := experiment.RunInstrumented(context.Background(), spec, load, obs)
+	probe := metrics.NewProbe(o)
+	r, err := experiment.RunInstrumented(context.Background(), spec, load, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, obs
+	return r, probe
 }
 
 // export writes the file the table reports under key — its alt format when
 // alt is set — through the table's writer, with filter narrowing a trace.
-func export(t *testing.T, obs experiment.Instruments, key string, alt bool, filter trace.Filter) []byte {
+func export(t *testing.T, obs *metrics.Probe, key string, alt bool, filter trace.Filter) []byte {
 	t.Helper()
-	for _, a := range artefacts(&filter) {
+	for _, a := range artefacts(&filter, &smallRadix) {
 		for _, o := range a.outs {
 			if o.key != key {
 				continue
@@ -82,9 +86,9 @@ func export(t *testing.T, obs experiment.Instruments, key string, alt bool, filt
 }
 
 // held is what the table's row labelled label reports of its collector.
-func held(t *testing.T, obs experiment.Instruments, label string) ([]field, string) {
+func held(t *testing.T, obs *metrics.Probe, label string) ([]field, string) {
 	t.Helper()
-	for _, a := range artefacts(&allEvents) {
+	for _, a := range artefacts(&allEvents, &smallRadix) {
 		if a.label == label && a.held != nil {
 			return a.held(obs)
 		}
@@ -96,7 +100,7 @@ func held(t *testing.T, obs experiment.Instruments, label string) ([]field, stri
 func TestRunObservedCollectsMetricsAndTrace(t *testing.T) {
 	for _, tc := range fabrics {
 		t.Run(tc.name, func(t *testing.T) {
-			r, obs := observe(t, smallSpec(tc.spec), 0.3, experiment.ObserverOptions{Metrics: true, MetricsEpoch: 16, Trace: true, TraceCapacity: 1 << 16})
+			r, obs := observe(t, smallSpec(tc.spec), 0.3, metrics.Options{Metrics: true, MetricsEpoch: 16, Trace: true, TraceCapacity: 1 << 16})
 			if r.Saturated {
 				t.Fatalf("light load saturated: %+v", r)
 			}
@@ -171,7 +175,7 @@ func TestRunObservedCollectsMetricsAndTrace(t *testing.T) {
 }
 
 func TestTraceFilterByWindow(t *testing.T) {
-	_, obs := observe(t, smallSpec(experiment.FR6(experiment.FastControl, 5)), 0.3, experiment.ObserverOptions{Trace: true, TraceCapacity: 1 << 16})
+	_, obs := observe(t, smallSpec(experiment.FR6(experiment.FastControl, 5)), 0.3, metrics.Options{Trace: true, TraceCapacity: 1 << 16})
 	var ctAll, ctWin chromeTrace
 	if err := json.Unmarshal(export(t, obs, "tracePath", false, allEvents), &ctAll); err != nil {
 		t.Fatal(err)
@@ -196,7 +200,7 @@ func TestProfiledRunObserved(t *testing.T) {
 	for _, tc := range fabrics {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := smallSpec(tc.spec)
-			r, obs := observe(t, spec, 0.3, experiment.ObserverOptions{Profile: true, MetricsEpoch: 16})
+			r, obs := observe(t, spec, 0.3, metrics.Options{Profile: true, MetricsEpoch: 16})
 			if r.Observed == nil || r.Observed.Activity == nil || r.Observed.Waterfall != nil {
 				t.Fatalf("sidecar of a profiled-only run: %+v", r.Observed)
 			}
@@ -250,7 +254,7 @@ func TestProfiledRunObserved(t *testing.T) {
 				t.Fatalf("idle CSV is not # + 4 rows:\n%s", csv)
 			}
 
-			hot := obs.Probe.Prof.Hottest(3)
+			hot := obs.Prof.Hottest(3)
 			if len(hot) != 3 {
 				t.Fatalf("Hottest(3) returned %d entries", len(hot))
 			}
@@ -271,7 +275,7 @@ func TestProfiledRunObserved(t *testing.T) {
 }
 
 func TestTimeSeriesExport(t *testing.T) {
-	r, obs := observe(t, smallSpec(experiment.FR6(experiment.FastControl, 5)), 0.3, experiment.ObserverOptions{TimeSeries: true})
+	r, obs := observe(t, smallSpec(experiment.FR6(experiment.FastControl, 5)), 0.3, metrics.Options{TimeSeries: true})
 
 	// TimeSeries implies Metrics; read the registry total for the invariant.
 	var reg struct {
@@ -344,7 +348,7 @@ func TestWaterfallRunObserved(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := smallSpec(tc.spec)
 			spec.Check = true
-			r, obs := observe(t, spec, 0.3, experiment.ObserverOptions{Waterfall: true})
+			r, obs := observe(t, spec, 0.3, metrics.Options{Waterfall: true})
 			if r.Observed == nil || r.Observed.Waterfall == nil || r.Observed.Activity != nil {
 				t.Fatalf("sidecar of a waterfall-only run: %+v", r.Observed)
 			}
@@ -398,7 +402,7 @@ func TestWaterfallRunObserved(t *testing.T) {
 // artefact's text line, followed by what the collector held when the row
 // reports that. A flag whose arm sets the wrong collector fails here.
 func TestEveryArtefactWritesWhatItsFlagArms(t *testing.T) {
-	for _, a := range artefacts(&allEvents) {
+	for _, a := range artefacts(&allEvents, &smallRadix) {
 		if a.flag == "" {
 			continue
 		}

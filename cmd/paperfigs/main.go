@@ -428,7 +428,7 @@ func (f figs) waterfall() error {
 	}
 	o := f.pool
 	o.Store = nil // a cached result carries no observation
-	o.Probe = func() *metrics.Probe { return metrics.NewProbe(0, false, false, true) }
+	o.Observe = metrics.Options{Waterfall: true}
 	jrs, err := runJobs(o, jobs)
 	if err != nil {
 		return fmt.Errorf("waterfall: %w", err)
@@ -458,7 +458,7 @@ func (f figs) activity() error {
 		"load", "ticks", "idle%", "router%", "ni%", "sink%", "sched%", "arb%", "switch%", "credit%")
 	o := f.pool
 	o.Store = nil // a cached result carries no observation
-	o.Probe = func() *metrics.Probe { return metrics.NewProbe(0, false, true, false) }
+	o.Observe = metrics.Options{Profile: true}
 	var probes sync.Map // load -> the probe its job ran with
 	o.Collect = func(j harness.Job, p *metrics.Probe) { probes.Store(j.Load, p) }
 	jrs, err := runJobs(o, harness.AppendJobs(nil, f.scaled(experiment.FR6(experiment.FastControl, 5)), observedLoads))

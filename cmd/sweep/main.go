@@ -389,9 +389,7 @@ func instrument(ho harness.Options, st *status.Server, prof, wf bool) harness.Op
 			ho.Progress = st.OnProgress
 		}
 	}
-	if st != nil || prof || wf {
-		ho.Probe = func() *metrics.Probe { return metrics.NewProbe(0, st != nil, prof, wf) }
-	}
+	ho.Observe = metrics.Options{Metrics: st != nil, Profile: prof, Waterfall: wf}
 	return ho
 }
 

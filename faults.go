@@ -8,11 +8,9 @@ import (
 )
 
 // ResolveOptions are the options every resolved sweep shares: Radix, Packets,
-// PacketLen, Check (every row under the per-cycle invariant checker), Seed,
-// and Workers, the pool the rows fan out over (0 means runtime.NumCPU(); any
-// worker count produces identical points in identical order). Zero fields
-// take defaults: a 4×4 mesh and 5-flit packets, 400 of them per row of a
-// FaultSweep.
+// PacketLen, Check (every row under the per-cycle invariant checker) and
+// Seed. Zero fields take defaults: a 4×4 mesh and 5-flit packets, 400 of them
+// per row of a FaultSweep.
 type ResolveOptions = experiment.ResolveOptions
 
 // FaultPoint is one row of a FaultSweep: a flit-reservation network run at
@@ -33,10 +31,10 @@ type FaultSweepOptions = experiment.FaultSweepOptions
 // rate is run twice — detection only, and with the end-to-end retry layer —
 // resolving every offered packet. With retries the delivered fraction stays
 // at 100% through percent-level loss rates, at a latency cost the AvgLatency
-// column exposes. The cells execute concurrently on the harness worker pool
-// (Workers); the points are identical to a serial sweep. A cell that cannot
-// run (a negative RetryLimit, say) is the returned error, which names it,
-// alongside the rows that completed.
+// column exposes. The cells execute concurrently on the harness worker pool,
+// one worker per CPU; the points are identical to a serial sweep. A cell that
+// cannot run (a negative RetryLimit, say) is the returned error, which names
+// it, alongside the rows that completed.
 func FaultSweep(o FaultSweepOptions) ([]FaultPoint, error) {
-	return harness.RunCells(context.Background(), o.Cells(), o.Workers)
+	return harness.RunCells(context.Background(), o.Cells(), 0)
 }

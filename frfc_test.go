@@ -279,22 +279,6 @@ func TestPublicFaultSweep(t *testing.T) {
 	}
 }
 
-func TestFaultSweepWorkers(t *testing.T) {
-	base := frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 60}, Rates: []float64{0, 0.05}, RetryLimit: 4}
-	serialOpts := base
-	serialOpts.Workers = 1
-	parallelOpts := base
-	parallelOpts.Workers = 4
-	serial, err := frfc.FaultSweep(serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := frfc.FaultSweep(parallelOpts)
-	if err != nil || !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("fault sweep diverged across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
-}
-
 // TestRunObservedMatchesRun: observation never moves the measurement, and a
 // nil observer is a bare run.
 func TestRunObservedMatchesRun(t *testing.T) {

@@ -702,7 +702,7 @@ func (n *Network) snapshot(now sim.Cycle) string {
 func (n *Network) snapshotRegistry() *metrics.Registry {
 	probe := n.probe
 	if probe == nil || probe.Reg == nil {
-		probe = &metrics.Probe{Reg: metrics.NewRegistry(0)}
+		probe = metrics.NewProbe(metrics.Options{Metrics: true})
 		probe.Init(n.mesh.Radix())
 	}
 	n.sampleOccupancy(probe)

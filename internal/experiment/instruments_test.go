@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"frfc/internal/metrics"
-	"frfc/internal/timeseries"
 )
 
 func TestRunInstrumentedMatchesRun(t *testing.T) {
@@ -13,14 +12,9 @@ func TestRunInstrumentedMatchesRun(t *testing.T) {
 	s := tiny(FR6(FastControl, 5)).Scaled(400, 2*DefaultPublishEvery)
 	plain := Run(s, 0.30)
 
-	probe := &metrics.Probe{Reg: metrics.NewRegistry(0)}
-	series := timeseries.New(0, 0)
+	probe := metrics.NewProbe(metrics.Options{TimeSeries: true})
 	published := 0
-	instr, err := RunInstrumented(context.Background(), s, 0.30, Instruments{
-		Probe:   probe,
-		Series:  series,
-		Publish: func(Live) { published++ },
-	})
+	instr, err := RunInstrumented(context.Background(), s, 0.30, probe, func(Live) { published++ })
 	if err != nil {
 		t.Fatalf("RunInstrumented: %v", err)
 	}
@@ -30,16 +24,16 @@ func TestRunInstrumentedMatchesRun(t *testing.T) {
 	if want := 1 + int(instr.Cycles)/DefaultPublishEvery; published != want {
 		t.Fatalf("Publish fired %d times over %d cycles at every %d, want %d", published, instr.Cycles, DefaultPublishEvery, want)
 	}
-	if series.Len() == 0 {
+	if probe.Series.Len() == 0 {
 		t.Fatal("series recorded no points")
 	}
 }
 
 func TestTimeSeriesAcceptedSumsToEjectedTotal(t *testing.T) {
 	s := tiny(FR6(FastControl, 5))
-	probe := &metrics.Probe{Reg: metrics.NewRegistry(0)}
-	series := timeseries.New(metrics.DefaultEpoch, 0)
-	res, err := RunInstrumented(context.Background(), s, 0.30, Instruments{Probe: probe, Series: series})
+	probe := metrics.NewProbe(metrics.Options{TimeSeries: true})
+	series := probe.Series
+	res, err := RunInstrumented(context.Background(), s, 0.30, probe, nil)
 	if err != nil {
 		t.Fatalf("RunInstrumented: %v", err)
 	}
@@ -104,12 +98,9 @@ func TestWarmupUnstableFlag(t *testing.T) {
 
 func TestPublishSnapshots(t *testing.T) {
 	s := tiny(FR6(FastControl, 5)).Scaled(400, 2*DefaultPublishEvery)
-	probe := metrics.NewProbe(0, true, true, false)
+	probe := metrics.NewProbe(metrics.Options{Metrics: true, Profile: true})
 	var snaps []Live
-	res, err := RunInstrumented(context.Background(), s, 0.30, Instruments{
-		Probe:   probe,
-		Publish: func(lv Live) { snaps = append(snaps, lv) },
-	})
+	res, err := RunInstrumented(context.Background(), s, 0.30, probe, func(lv Live) { snaps = append(snaps, lv) })
 	if err != nil {
 		t.Fatalf("RunInstrumented: %v", err)
 	}

@@ -58,7 +58,7 @@ func runPool(t *testing.T, jobs []reuseJob, workers int) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				r, err := RunInstrumented(context.Background(), jobs[i].spec, jobs[i].load, Instruments{})
+				r, err := RunInstrumented(context.Background(), jobs[i].spec, jobs[i].load, nil, nil)
 				if err != nil {
 					t.Errorf("job %d: %v", i, err)
 				}
@@ -165,9 +165,8 @@ func TestFailedRunLeavesNoNetwork(t *testing.T) {
 			}
 		}()
 		// Warm up for two publish periods, so the observer fails mid-run.
-		RunInstrumented(context.Background(), s.Scaled(400, 2*DefaultPublishEvery), 0.3, Instruments{ //nolint:errcheck // panics
-			Publish: func(Live) { panic("observer failed mid-run") },
-		})
+		RunInstrumented(context.Background(), s.Scaled(400, 2*DefaultPublishEvery), 0.3, nil, //nolint:errcheck // panics
+			func(Live) { panic("observer failed mid-run") })
 	}()
 	if _, _, idle := cacheCounts(); idle != 0 {
 		t.Fatalf("a panicking run left %d networks behind", idle)
@@ -175,9 +174,7 @@ func TestFailedRunLeavesNoNetwork(t *testing.T) {
 
 	// Long enough to reach a cycle at which the run polls its context.
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunInstrumented(ctx, s.Scaled(4000, 2*DefaultPublishEvery), 0.3, Instruments{
-		Publish: func(Live) { cancel() },
-	})
+	_, err := RunInstrumented(ctx, s.Scaled(4000, 2*DefaultPublishEvery), 0.3, nil, func(Live) { cancel() })
 	if err == nil {
 		t.Fatal("the cancelled run returned no error")
 	}

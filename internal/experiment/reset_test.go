@@ -150,9 +150,13 @@ func resetCases(t *testing.T) []resetCase {
 
 	observed := small(FR6(FastControl, 5))
 	cases = append(cases, resetCase{name: "probe-FR6", spec: observed, load: 0.30, heavy: 1.2,
-		probe: func() *metrics.Probe { return metrics.NewProbe(64, true, true, true) }})
+		probe: func() *metrics.Probe {
+			return metrics.NewProbe(metrics.Options{Metrics: true, MetricsEpoch: 64, Profile: true, Waterfall: true})
+		}})
 	cases = append(cases, resetCase{name: "probe-VC8", spec: small(VC8(FastControl, 5)), load: 0.30, heavy: 1.2,
-		probe: func() *metrics.Probe { return metrics.NewProbe(64, true, true, true) }})
+		probe: func() *metrics.Probe {
+			return metrics.NewProbe(metrics.Options{Metrics: true, MetricsEpoch: 64, Profile: true, Waterfall: true})
+		}})
 	return cases
 }
 
@@ -171,11 +175,11 @@ func TestResetEqualsNew(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(s Spec, load float64) Result {
 				t.Helper()
-				ins := Instruments{}
+				var probe *metrics.Probe
 				if c.probe != nil {
-					ins.Probe = c.probe()
+					probe = c.probe()
 				}
-				r, err := RunInstrumented(context.Background(), s, load, ins)
+				r, err := RunInstrumented(context.Background(), s, load, probe, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +221,7 @@ func TestResetEqualsNew(t *testing.T) {
 			}
 			net.Reset(99, nil)
 			if a, ok := net.(metrics.Attachable); ok {
-				a.AttachProbe(metrics.NewProbe(16, true, true, true))
+				a.AttachProbe(metrics.NewProbe(metrics.Options{Metrics: true, MetricsEpoch: 16, Profile: true, Waterfall: true}))
 			}
 			abandon(net, spec, 17, min(c.heavy, 0.6), 260)
 			if net.InFlightPackets() == 0 {

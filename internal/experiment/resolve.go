@@ -25,10 +25,6 @@ type ResolveOptions struct {
 	Check bool
 	// Seed drives the network and workload RNGs (default fixed per sweep).
 	Seed uint64
-	// Workers sizes the pool the sweep's rows fan out over; 0 means
-	// runtime.NumCPU(). Each row owns its own network and RNG, so any worker
-	// count produces identical points in identical order.
-	Workers int
 }
 
 // withDefaults fills the zero fields; packets and seed are the calling

@@ -9,9 +9,7 @@ import (
 	"frfc/internal/noc"
 	"frfc/internal/sim"
 	"frfc/internal/stats"
-	"frfc/internal/timeseries"
 	"frfc/internal/topology"
-	"frfc/internal/trace"
 	"frfc/internal/traffic"
 )
 
@@ -156,12 +154,13 @@ func (r Result) String() string {
 // drain bound trips. It is RunInstrumented with nothing attached and no
 // cancellation.
 func Run(s Spec, load float64) Result {
-	r, _ := RunInstrumented(context.Background(), s, load, Instruments{})
+	r, _ := RunInstrumented(context.Background(), s, load, nil, nil)
 	return r
 }
 
-// Live is a point-in-time view of a run in flight, delivered to an
-// Instruments.Publish hook. Its JSON form is the "run" block /status serves.
+// Live is a point-in-time view of a run in flight, delivered to
+// RunInstrumented's publish hook. Its JSON form is the "run" block /status
+// serves.
 type Live struct {
 	// Cycle is the simulation time of the snapshot; Phase names the run
 	// phase it was taken in: "warmup", "measure", "drain" or "done".
@@ -180,113 +179,29 @@ type Live struct {
 	Snapshot metrics.Snapshot `json:"-"`
 }
 
-// DefaultPublishEvery is the cycle period between Publish snapshots.
+// DefaultPublishEvery is the cycle period between published snapshots.
 const DefaultPublishEvery = 4096
 
-// Instruments bundles the optional observers of one run. Everything here is
-// observation-only: enabling any combination never perturbs simulation state,
-// so the Result stays bit-identical to an uninstrumented run.
-type Instruments struct {
-	// Probe collects per-router counters, occupancy gauges and flit traces
-	// for the whole run.
-	Probe *metrics.Probe
-	// Series records a per-epoch time series. It samples the probe's
-	// registry, so when the probe has no registry one is created (with the
-	// recorder's epoch) for the duration of the run.
-	Series *timeseries.Recorder
-	// Publish, when set, receives a Live snapshot every DefaultPublishEvery
-	// cycles and once more when the run ends. It is called from the
-	// simulation goroutine; keep it fast.
-	Publish func(Live)
-}
-
-// ObserverOptions selects what NewInstruments arms.
-type ObserverOptions struct {
-	// Metrics enables the per-router counter registry and occupancy
-	// gauges; MetricsEpoch is the gauge sampling period in cycles (0 = a
-	// sensible default).
-	Metrics      bool
-	MetricsEpoch int
-	// Trace enables the flit-level event tracer; TraceCapacity bounds the
-	// ring buffer in events (0 = a default of ~256k events), keeping the
-	// newest when it overflows.
-	Trace         bool
-	TraceCapacity int
-	// TimeSeries enables the per-epoch telemetry recorder: injected and
-	// accepted flit rates, running mean latency, reservation hit/miss
-	// counts, retries and aggregate buffer occupancy, one point per
-	// MetricsEpoch. It implies Metrics (the recorder reads the registry).
-	// TimeSeriesCapacity bounds the retained points, dropping the oldest
-	// when exceeded; 0 keeps every epoch of the run.
-	TimeSeries         bool
-	TimeSeriesCapacity int
-	// Profile enables simulator self-profiling: per-component activity
-	// accounting (total vs. active ticks per router, interface and sink),
-	// per-phase work attribution inside the flit-reservation router
-	// (reservation scheduling, arbitration, switch traversal, credit
-	// handling), and per-epoch host allocation/GC deltas sampled every
-	// MetricsEpoch cycles. Observation-only: the Result's measurement is
-	// bit-identical with profiling on or off; the deterministic summary
-	// lands in Result.Observed.Activity.
-	Profile bool
-	// Waterfall enables latency provenance: a per-packet stage ledger
-	// decomposes every sampled packet's latency into source queueing,
-	// reservation/setup, arbitration, stalls, scheduled residence, wire
-	// time and drain, with the components summing exactly to the measured
-	// latency. Observation-only: the Result's measurement is bit-identical
-	// with the ledger on or off; the deterministic summary lands in
-	// Result.Observed.Waterfall.
-	Waterfall bool
-}
-
-// NewInstruments builds the collectors the options arm: a probe, always —
-// with nothing armed it is empty and collects nothing, at one nil check per
-// event site — and a series recorder when TimeSeries is set. The caller reads
-// each collector off the probe and the series after the run.
-func NewInstruments(o ObserverOptions) Instruments {
-	p := metrics.NewProbe(sim.Cycle(o.MetricsEpoch), o.Metrics || o.TimeSeries, o.Profile, o.Waterfall)
-	if o.Trace {
-		p.Tracer = trace.New(o.TraceCapacity)
-	}
-	ins := Instruments{Probe: p}
-	if o.TimeSeries {
-		ins.Series = timeseries.New(p.Reg.Epoch, o.TimeSeriesCapacity)
-	}
-	return ins
-}
-
 // RunInstrumented is the one implementation of the measurement protocol Run
-// describes, with the optional observers of ins attached to the network for
-// the whole run: the probe's counters, occupancy gauges and flit traces
-// accumulate (its registry is stamped with the run length at the end), the
-// series records one point per epoch, and Publish receives live snapshots.
-// Zero Instruments make it identical to Run. Cancellation is cooperative: the
-// simulation polls ctx every 1024 cycles and returns ctx.Err() if it fired,
-// and never perturbs a completed run — a nil error means the Result is
-// bit-identical to what Run would have produced.
-func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments) (Result, error) {
+// describes, with probe attached to the network for the whole run: its
+// counters, occupancy gauges, flit trace and series accumulate, and it is
+// stamped with the run length at the end. Observation never perturbs the
+// simulation, so the Result stays bit-identical to an unobserved run's. When
+// publish is set it receives a Live snapshot every DefaultPublishEvery cycles
+// and once more when the run ends, from the simulation goroutine; keep it
+// fast. A nil probe and a nil publish make it identical to Run. Cancellation
+// is cooperative: the simulation polls ctx every 1024 cycles and returns
+// ctx.Err() if it fired, and never perturbs a completed run — a nil error
+// means the Result is bit-identical to what Run would have produced.
+func RunInstrumented(ctx context.Context, s Spec, load float64, probe *metrics.Probe, publish func(Live)) (Result, error) {
 	s = s.withDefaults()
 	if load < 0 || load > 2 {
 		panic(fmt.Sprintf("experiment: offered load %.3f out of range", load))
 	}
 
-	probe := ins.Probe
-	series := ins.Series
-	// The recorder reads counter totals out of a registry: the probe's, or one
-	// made for the duration of the run when the caller gave none.
-	var reg *metrics.Registry
-	if series != nil {
-		if probe == nil {
-			probe = &metrics.Probe{}
-		}
-		if probe.Reg == nil {
-			p := *probe // the caller's probe is not ours to change
-			p.Reg = metrics.NewRegistry(series.Epoch())
-			probe = &p
-		}
-		reg = probe.Reg
-	}
-	pub := ins.Publish
+	// The time series, nil when it is off; it samples the probe's registry
+	// on its epoch inside step().
+	series := probe.TimeSeries()
 	// The self-profiling registry, nil when profiling is off. Memory
 	// sampling happens on its epoch inside step(); everything else
 	// accumulates inside the fabric via the probe.
@@ -307,11 +222,18 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 	var tput stats.Throughput
 	sampledDelivered := 0
 
-	// With end-to-end retry enabled, a loss event does not resolve a
-	// packet's fate — the source will re-offer it, and the run must keep
-	// waiting for the eventual delivery (or abandonment).
-	retryOn := s.Flow == FlitReservation && s.FR.RetryLimit > 0
-
+	// resolved closes the account of a sampled packet that will never be
+	// delivered: one abandoned after its retry budget, or one a hard fault cut
+	// off from its destination — without it a scenario run would wait out the
+	// drain bound for deliveries that cannot happen.
+	resolved := func(p *noc.Packet, now sim.Cycle) {
+		if p.Sampled {
+			sampledDelivered++
+			if wf != nil {
+				wf.Drop(uint64(p.ID))
+			}
+		}
+	}
 	hooks := &noc.Hooks{
 		PacketDelivered: func(p *noc.Packet, now sim.Cycle) {
 			if p.Sampled {
@@ -325,38 +247,17 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 				}
 			}
 		},
-		FlitEjected: func(now sim.Cycle) { tput.CountEjected(1) },
-		// Without retry, a lost packet's fate is resolved even though it
-		// never arrives; without this, any fault would wedge the run
-		// waiting for a sample that cannot complete.
-		PacketLost: func(p *noc.Packet, now sim.Cycle) {
-			if p.Sampled && !retryOn {
-				sampledDelivered++
-				if wf != nil {
-					wf.Drop(uint64(p.ID))
-				}
-			}
-		},
-		// With retry, abandonment is the resolution of last resort.
-		PacketAbandoned: func(p *noc.Packet, now sim.Cycle) {
-			if p.Sampled {
-				sampledDelivered++
-				if wf != nil {
-					wf.Drop(uint64(p.ID))
-				}
-			}
-		},
-		// A hard fault disconnecting a sampled packet's destination
-		// resolves its fate too; without this a scenario run would wait
-		// out the drain bound for deliveries that cannot happen.
-		PacketUnreachable: func(p *noc.Packet, now sim.Cycle) {
-			if p.Sampled {
-				sampledDelivered++
-				if wf != nil {
-					wf.Drop(uint64(p.ID))
-				}
-			}
-		},
+		FlitEjected:       func(now sim.Cycle) { tput.CountEjected(1) },
+		PacketAbandoned:   resolved,
+		PacketUnreachable: resolved,
+	}
+	// Without end-to-end retry a lost packet's fate is resolved even though it
+	// never arrives; without this, any fault would wedge the run waiting for
+	// a sample that cannot complete. With retry, a loss event resolves
+	// nothing: the source re-offers the packet, and the run waits for its
+	// delivery or abandonment.
+	if s.Flow != FlitReservation || s.FR.RetryLimit <= 0 {
+		hooks.PacketLost = resolved
 	}
 	net, key := networks.acquire(s, hooks)
 	mesh := topology.NewMesh(s.MeshRadix)
@@ -437,13 +338,13 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		// already landed in the registry, so the closing window covers
 		// exactly one occupancy sample.
 		if series.Due(now) {
-			series.Observe(now, reg, lat.N(), lat.Mean())
+			series.Observe(now, probe.Reg, lat.N(), lat.Mean())
 		}
 		if prof.Due(now) {
 			prof.SampleMem()
 		}
-		if pub != nil && now%DefaultPublishEvery == 0 {
-			pub(snapshot())
+		if publish != nil && now%DefaultPublishEvery == 0 {
+			publish(snapshot())
 		}
 	}
 
@@ -495,13 +396,10 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, ins Instruments)
 		step(false, true)
 	}
 	tput.Close(now)
-	probe.Stamp(now)
-	// The final window is usually partial; flush it so the series' ejected
-	// counts sum to the run's total ejected flits.
-	series.Flush(now, reg, lat.N(), lat.Mean())
+	probe.Stamp(now, lat.N(), lat.Mean())
 	phase = "done"
-	if pub != nil {
-		pub(snapshot())
+	if publish != nil {
+		publish(snapshot())
 	}
 
 	res := Result{

@@ -36,7 +36,7 @@ func allSubstrateSpecs(t *testing.T) []Spec {
 func runWaterfall(t *testing.T, s Spec, load float64) (Result, *waterfall.Ledger) {
 	t.Helper()
 	wf := waterfall.New()
-	r, _ := RunInstrumented(context.Background(), s, load, Instruments{Probe: &metrics.Probe{WF: wf}})
+	r, _ := RunInstrumented(context.Background(), s, load, &metrics.Probe{WF: wf}, nil)
 	return r, wf
 }
 

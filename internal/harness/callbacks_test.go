@@ -38,7 +38,7 @@ func TestCallbacksAndCollect(t *testing.T) {
 				t.Errorf("job failed: %s", jr.Err)
 			}
 		},
-		Probe: func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) },
+		Observe: metrics.Options{Metrics: true},
 		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -71,7 +71,7 @@ func TestCallbacksAndCollect(t *testing.T) {
 }
 
 // TestCachedJobsSkipStartAndCollect: store hits resolve without simulating, so
-// they must not fire JobStarted, Probe or Collect — but JobFinished still reports
+// they must not fire JobStarted or Collect — but JobFinished still reports
 // them, flagged Cached, so status displays count them.
 func TestCachedJobsSkipStartAndCollect(t *testing.T) {
 	store, err := OpenStore(filepath.Join(t.TempDir(), "results.jsonl"))
@@ -89,7 +89,7 @@ func TestCachedJobsSkipStartAndCollect(t *testing.T) {
 		Workers:    1,
 		Store:      store,
 		JobStarted: func(Job, string) { started++ },
-		Probe:      func() *metrics.Probe { collected++; return nil },
+		Observe:    metrics.Options{Metrics: true},
 		Collect:    func(Job, *metrics.Probe) { collected++ },
 		JobFinished: func(jr JobResult) {
 			if jr.Cached {

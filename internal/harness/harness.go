@@ -175,18 +175,18 @@ type Options struct {
 	// live status displays and never influence results.
 	JobStarted  func(Job, string)
 	JobFinished func(JobResult)
-	// Probe and Collect are the two ends of observing a campaign, and the
-	// only observer fields: Probe, when non-nil, builds the probe each
-	// simulated job carries (metrics.NewProbe chooses its collectors), and
-	// Collect, when non-nil, is handed that probe from the worker goroutine
-	// once the run has succeeded. What a probe's profile registry and stage
-	// ledger saw lands in the Result's Observed sidecar whether or not
-	// anything collects. Observation only: the measurement fields of an
+	// Observe and Collect are the two ends of observing a campaign, and the
+	// only observer fields: Observe names the collectors each simulated job
+	// carries (metrics.NewProbe builds them; zero options build no probe),
+	// and Collect, when non-nil, is handed that probe from the worker
+	// goroutine once the run has succeeded. What a probe's profile registry
+	// and stage ledger saw lands in the Result's Observed sidecar whether or
+	// not anything collects. Observation only: the measurement fields of an
 	// observed Result are bit-identical to a bare run's (the contract
 	// TestRunObservedMatchesRun enforces), and observed campaigns are
-	// bit-identical across worker counts. Cached jobs simulate nothing, so they
-	// build no probe and are not collected.
-	Probe   func() *metrics.Probe
+	// bit-identical across worker counts. Cached jobs simulate nothing, so
+	// they build no probe and are not collected.
+	Observe metrics.Options
 	Collect func(Job, *metrics.Probe)
 }
 

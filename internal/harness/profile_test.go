@@ -10,14 +10,14 @@ import (
 	"frfc/internal/metrics"
 )
 
-// observing is the Options.Probe of a campaign that arms the self-profiler,
+// observing is the Options.Observe of a campaign that arms the self-profiler,
 // the stage ledger or both on every job.
-func observing(prof, wf bool) func() *metrics.Probe {
-	return func() *metrics.Probe { return metrics.NewProbe(0, false, prof, wf) }
+func observing(prof, wf bool) metrics.Options {
+	return metrics.Options{Profile: prof, Waterfall: wf}
 }
 
 // TestProfiledParallelEqualsSerial extends the determinism contract to
-// profiled campaigns: with a profiling Options.Probe, every worker count must
+// profiled campaigns: with a profiling Options.Observe, every worker count must
 // produce bit-identical Results — including the Observed.Activity summary —
 // and the measurement must match an unprofiled run exactly.
 func TestProfiledParallelEqualsSerial(t *testing.T) {
@@ -30,7 +30,7 @@ func TestProfiledParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Probe: observing(true, false)})
+	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Observe: observing(true, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestProfiledParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Probe: observing(true, false)})
+	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Observe: observing(true, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCollectProfileHandover(t *testing.T) {
 	got := map[string]*metrics.Probe{}
 	o := Options{
 		Workers: 2,
-		Probe:   observing(true, false),
+		Observe: observing(true, false),
 		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
 			got[j.Hash()] = p

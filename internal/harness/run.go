@@ -102,14 +102,14 @@ func execJob(ctx context.Context, j Job, o Options, tr *tracker) JobResult {
 
 // runJob runs the simulation; execJob calls it under the pool's panic capture,
 // so a bug tripped by one parameter point becomes that point's failure rather
-// than a crashed campaign. The run carries the probe o.Probe builds (none when
-// it is nil) and hands it to o.Collect on success.
+// than a crashed campaign. The run carries the probe o.Observe arms (none when
+// it arms nothing) and hands it to o.Collect on success.
 func runJob(ctx context.Context, j Job, o Options) (experiment.Result, error) {
 	var probe *metrics.Probe
-	if o.Probe != nil {
-		probe = o.Probe()
+	if o.Observe != (metrics.Options{}) {
+		probe = metrics.NewProbe(o.Observe)
 	}
-	res, err := experiment.RunInstrumented(ctx, j.EffectiveSpec(), j.Load, experiment.Instruments{Probe: probe})
+	res, err := experiment.RunInstrumented(ctx, j.EffectiveSpec(), j.Load, probe, nil)
 	if err == nil && o.Collect != nil {
 		o.Collect(j, probe)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"frfc/internal/experiment"
+	"frfc/internal/metrics"
 )
 
 // TestZeroStoreIsAMemoryCache: the zero Store serves what Put recorded, writes
@@ -52,7 +53,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	observed := Job{Spec: tinyVC(), Load: 0.25}
 	obs, err := experiment.RunInstrumented(context.Background(), observed.Spec, observed.Load,
-		experiment.Instruments{Probe: observing(true, true)()})
+		metrics.NewProbe(observing(true, true)), nil)
 	if err != nil || obs.Observed == nil || obs.Observed.Activity == nil || obs.Observed.Waterfall == nil {
 		t.Fatalf("observed run: %v, sidecar %+v", err, obs.Observed)
 	}

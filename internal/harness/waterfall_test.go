@@ -25,7 +25,7 @@ func TestWaterfallParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Probe: observing(false, true)})
+	serial, err := RunJobs(context.Background(), jobs, Options{Workers: 1, Observe: observing(false, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestWaterfallParallelEqualsSerial(t *testing.T) {
 		}
 	}
 
-	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Probe: observing(false, true)})
+	parallel, err := RunJobs(context.Background(), jobs, Options{Workers: 4, Observe: observing(false, true)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCollectWaterfallHandover(t *testing.T) {
 	got := map[string]*metrics.Probe{}
 	o := Options{
 		Workers: 2,
-		Probe:   observing(false, true),
+		Observe: observing(false, true),
 		Collect: func(j Job, p *metrics.Probe) {
 			mu.Lock()
 			got[j.Hash()] = p

@@ -8,35 +8,82 @@ import (
 	"frfc/internal/waterfall"
 )
 
-// Probe is the instrumentation point handed to a fabric. Any part may be
-// absent: Reg collects counters and gauges, Tracer records flit-level
-// events, Prof accounts the simulator's own activity (ticks, idle fractions,
-// phase attribution), WF attributes per-packet latency to lifecycle stages.
-// All methods are no-ops on a nil *Probe — fabrics hold a concrete *Probe
-// (not an interface), so the disabled path is one nil test with no dynamic
-// dispatch and no allocation.
+// Probe is the instrumentation point handed to a fabric, and the one set of
+// observers a run carries. Any part may be absent: Reg collects counters and
+// gauges, Tracer records flit-level events, Series records a per-epoch time
+// series off Reg, Prof accounts the simulator's own activity (ticks, idle
+// fractions, phase attribution), WF attributes per-packet latency to
+// lifecycle stages. All methods are no-ops on a nil *Probe — fabrics hold a
+// concrete *Probe (not an interface), so the disabled path is one nil test
+// with no dynamic dispatch and no allocation.
 type Probe struct {
 	Reg    *Registry
 	Tracer *trace.Tracer
+	Series *Series
 	Prof   *profile.Registry
 	WF     *waterfall.Ledger
 }
 
-// NewProbe builds the probe one run carries: a counter registry when counters
-// is set, a self-profiling registry when prof, a stage ledger when wf, the two
-// registries sampling every epoch cycles (non-positive = their default). It is
-// the one place a run's collectors are assembled from the switches callers
-// hold; a tracer, which only a single observed run wants, is the caller's to
-// attach. With every switch off the probe is empty and costs a run nothing.
-func NewProbe(epoch sim.Cycle, counters, prof, wf bool) *Probe {
+// Options selects what NewProbe arms.
+type Options struct {
+	// Metrics enables the per-router counter registry and occupancy
+	// gauges; MetricsEpoch is the gauge sampling period in cycles (0 = a
+	// sensible default).
+	Metrics      bool
+	MetricsEpoch int
+	// Trace enables the flit-level event tracer; TraceCapacity bounds the
+	// ring buffer in events (0 = a default of ~256k events), keeping the
+	// newest when it overflows.
+	Trace         bool
+	TraceCapacity int
+	// TimeSeries enables the per-epoch telemetry recorder: injected and
+	// accepted flit rates, running mean latency, reservation hit/miss
+	// counts, retries and aggregate buffer occupancy, one point per
+	// MetricsEpoch. It implies Metrics (the recorder reads the registry).
+	// TimeSeriesCapacity bounds the retained points, dropping the oldest
+	// when exceeded; 0 keeps every epoch of the run.
+	TimeSeries         bool
+	TimeSeriesCapacity int
+	// Profile enables simulator self-profiling: per-component activity
+	// accounting (total vs. active ticks per router, interface and sink),
+	// per-phase work attribution inside the flit-reservation router
+	// (reservation scheduling, arbitration, switch traversal, credit
+	// handling), and per-epoch host allocation/GC deltas sampled every
+	// MetricsEpoch cycles. Observation-only: the Result's measurement is
+	// bit-identical with profiling on or off; the deterministic summary
+	// lands in Observed.Activity.
+	Profile bool
+	// Waterfall enables latency provenance: a per-packet stage ledger
+	// decomposes every sampled packet's latency into source queueing,
+	// reservation/setup, arbitration, stalls, scheduled residence, wire
+	// time and drain, with the components summing exactly to the measured
+	// latency. Observation-only: the Result's measurement is bit-identical
+	// with the ledger on or off; the deterministic summary lands in
+	// Observed.Waterfall.
+	Waterfall bool
+}
+
+// NewProbe builds the probe one run carries, with the collectors the options
+// arm; it is the one place a probe is assembled. The series samples the
+// registry at the registry's epoch, so arming it arms the registry too. With
+// every option off the probe is empty, not nil, and costs a run one nil test
+// per event site.
+func NewProbe(o Options) *Probe {
+	epoch := sim.Cycle(o.MetricsEpoch)
 	p := &Probe{}
-	if counters {
+	if o.Metrics || o.TimeSeries {
 		p.Reg = NewRegistry(epoch)
 	}
-	if prof {
+	if o.Trace {
+		p.Tracer = trace.New(o.TraceCapacity)
+	}
+	if o.TimeSeries {
+		p.Series = NewSeries(p.Reg.Epoch, o.TimeSeriesCapacity)
+	}
+	if o.Profile {
 		p.Prof = profile.NewRegistry(epoch)
 	}
-	if wf {
+	if o.Waterfall {
 		p.WF = waterfall.New()
 	}
 	return p
@@ -44,7 +91,7 @@ func NewProbe(epoch sim.Cycle, counters, prof, wf bool) *Probe {
 
 // Enabled reports whether the probe collects anything at all.
 func (p *Probe) Enabled() bool {
-	return p != nil && (p.Reg != nil || p.Tracer != nil || p.Prof != nil || p.WF != nil)
+	return p != nil && (p.Reg != nil || p.Tracer != nil || p.Series != nil || p.Prof != nil || p.WF != nil)
 }
 
 // Init sizes the registries for a k×k mesh; safe to call on any probe.
@@ -68,6 +115,16 @@ func (p *Probe) Profile() *profile.Registry {
 		return nil
 	}
 	return p.Prof
+}
+
+// TimeSeries returns the time-series recorder, nil when the series is off.
+// The run loop caches it, so its per-cycle epoch test is Series.Due's nil
+// test.
+func (p *Probe) TimeSeries() *Series {
+	if p == nil {
+		return nil
+	}
+	return p.Series
 }
 
 // Waterfall returns the latency-stage ledger, nil when latency provenance is

@@ -57,8 +57,8 @@ func TestWritePrometheus(t *testing.T) {
 	spec := experiment.VC8(experiment.FastControl, 5).Scaled(150, 300)
 	spec.MeshRadix = 4
 	spec.VC.BER = 5e-3
-	probe := metrics.NewProbe(0, true, false, false)
-	if _, err := experiment.RunInstrumented(context.Background(), spec, 0.3, experiment.Instruments{Probe: probe}); err != nil {
+	probe := metrics.NewProbe(metrics.Options{Metrics: true})
+	if _, err := experiment.RunInstrumented(context.Background(), spec, 0.3, probe, nil); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()

@@ -1,21 +1,10 @@
-// Package timeseries records per-epoch snapshots of a running simulation:
-// flit injection and acceptance rates, reservation hit/miss counts, retries,
-// the running mean packet latency, and aggregate buffer occupancy. The
-// recorder is driven off the same epoch tick as the metrics registry's gauge
-// sampling, so each point covers exactly one gauge sample, and it reads only
-// counter totals the fabric already maintains — enabling it does not add
-// per-cycle work to the hot path, only an O(nodes) sweep once per epoch.
-//
-// Like metrics.Probe, every method is safe on a nil receiver, so call sites
-// pay one pointer test when recording is disabled.
-package timeseries
+package metrics
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 
-	"frfc/internal/metrics"
 	"frfc/internal/sim"
 )
 
@@ -80,11 +69,11 @@ func (p *Point) HitRate() float64 {
 // totals is a snapshot of the registry's cumulative counters, used to turn
 // running totals into per-window deltas.
 type totals struct {
-	metrics.NodeMetrics        // every node's counters, summed
+	NodeMetrics                // every node's counters, summed
 	occSum, occCapCycles int64 // Σ gauge sums; Σ samples×capacity (bounded pools)
 }
 
-func snapshot(reg *metrics.Registry) totals {
+func totalsOf(reg *Registry) totals {
 	var t totals
 	for i := range reg.Nodes {
 		n := &reg.Nodes[i]
@@ -99,10 +88,18 @@ func snapshot(reg *metrics.Registry) totals {
 	return t
 }
 
-// Recorder accumulates Points at a fixed epoch. With a positive bound it
+// Series records per-epoch snapshots of a running simulation as Points: flit
+// injection and acceptance rates, reservation hit/miss counts, retries, the
+// running mean packet latency, and aggregate buffer occupancy. It is driven
+// off the same epoch tick as the registry's gauge sampling, so each point
+// covers exactly one gauge sample, and it reads only counter totals the
+// fabric already maintains — enabling it does not add per-cycle work to the
+// hot path, only an O(nodes) sweep once per epoch. With a positive bound it
 // behaves as a ring, discarding the oldest points once full (Dropped reports
-// how many); unbounded it appends for the life of the run.
-type Recorder struct {
+// how many); unbounded it appends for the life of the run. Like Probe, every
+// method is safe on a nil receiver, so call sites pay one pointer test when
+// recording is disabled.
+type Series struct {
 	epoch sim.Cycle
 	max   int
 
@@ -115,51 +112,37 @@ type Recorder struct {
 	dropped int64
 }
 
-// New returns a recorder sampling every epoch cycles (non-positive =
-// metrics.DefaultEpoch) and retaining at most maxPoints points (non-positive
-// = unbounded). The epoch should match the metrics registry's so each window
+// NewSeries returns a series sampling every epoch cycles (non-positive =
+// DefaultEpoch) and retaining at most maxPoints points (non-positive
+// = unbounded). The epoch should match the registry's so each window
 // covers exactly one occupancy gauge sample.
-func New(epoch sim.Cycle, maxPoints int) *Recorder {
+func NewSeries(epoch sim.Cycle, maxPoints int) *Series {
 	if epoch <= 0 {
-		epoch = metrics.DefaultEpoch
+		epoch = DefaultEpoch
 	}
-	return &Recorder{epoch: epoch, max: maxPoints}
-}
-
-// Epoch reports the sampling period in cycles (0 on a nil recorder).
-func (r *Recorder) Epoch() sim.Cycle {
-	if r == nil {
-		return 0
-	}
-	return r.epoch
+	return &Series{epoch: epoch, max: maxPoints}
 }
 
 // Due reports whether cycle now closes an epoch window. Call with the
 // post-increment cycle count, mirroring Probe.SampleDue.
-func (r *Recorder) Due(now sim.Cycle) bool {
+func (r *Series) Due(now sim.Cycle) bool {
 	return r != nil && now > 0 && now%r.epoch == 0
 }
 
 // Observe closes the window ending at cycle now, reading cumulative counters
 // from reg and the delivered-packet count and running mean latency from the
 // caller's latency accumulator. Calls with now not beyond the previous
-// observation are ignored, as are nil receivers and registries.
-func (r *Recorder) Observe(now sim.Cycle, reg *metrics.Registry, packets int64, meanLatency float64) {
+// observation are ignored, as are nil receivers and registries. The run's
+// last window is usually partial: Probe.Stamp closes it after the last cycle,
+// so that per-window ejected counts sum to the run's total ejected flits.
+func (r *Series) Observe(now sim.Cycle, reg *Registry, packets int64, meanLatency float64) {
 	if r == nil || reg == nil || now <= r.lastCycle {
 		return
 	}
-	r.record(now, snapshot(reg), packets, meanLatency)
+	r.record(now, totalsOf(reg), packets, meanLatency)
 }
 
-// Flush records the final, possibly partial, window ending at cycle now.
-// Call once after the run's last cycle (drain included) so that per-window
-// ejected counts sum to the run's total ejected flits. A no-op when the
-// window would be empty.
-func (r *Recorder) Flush(now sim.Cycle, reg *metrics.Registry, packets int64, meanLatency float64) {
-	r.Observe(now, reg, packets, meanLatency)
-}
-
-func (r *Recorder) record(now sim.Cycle, t totals, packets int64, meanLatency float64) {
+func (r *Series) record(now sim.Cycle, t totals, packets int64, meanLatency float64) {
 	p := Point{
 		Epoch:       r.idx,
 		Start:       r.lastCycle,
@@ -190,15 +173,15 @@ func (r *Recorder) record(now sim.Cycle, t totals, packets int64, meanLatency fl
 }
 
 // Len reports the number of retained points.
-func (r *Recorder) Len() int {
+func (r *Series) Len() int {
 	if r == nil {
 		return 0
 	}
 	return len(r.pts)
 }
 
-// Dropped reports how many points a bounded recorder has discarded.
-func (r *Recorder) Dropped() int64 {
+// Dropped reports how many points a bounded series has discarded.
+func (r *Series) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
@@ -206,8 +189,8 @@ func (r *Recorder) Dropped() int64 {
 }
 
 // Points returns the retained points in chronological order. The slice is a
-// copy; mutating it does not affect the recorder.
-func (r *Recorder) Points() []Point {
+// copy; mutating it does not affect the series.
+func (r *Series) Points() []Point {
 	if r == nil || len(r.pts) == 0 {
 		return nil
 	}
@@ -223,10 +206,10 @@ const csvHeader = "epoch,start,cycles,injected,ejected,injected_per_cycle,accept
 
 // WriteCSV exports the series as CSV, one row per epoch window. The ejected
 // column is the accepted-flit count per window; its sum equals the run's
-// total ejected flits when the recorder was flushed and unbounded.
-func (r *Recorder) WriteCSV(w io.Writer) error {
+// total ejected flits when the run was stamped and the series unbounded.
+func (r *Series) WriteCSV(w io.Writer) error {
 	if r == nil {
-		return fmt.Errorf("timeseries: nil recorder")
+		return fmt.Errorf("metrics: nil series")
 	}
 	if _, err := fmt.Fprintln(w, csvHeader); err != nil {
 		return err
@@ -243,19 +226,19 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// series is the JSON export shape.
-type series struct {
+// seriesJSON is the JSON export shape.
+type seriesJSON struct {
 	Epoch   sim.Cycle `json:"epoch"`
 	Dropped int64     `json:"dropped,omitempty"`
 	Points  []Point   `json:"points"`
 }
 
 // WriteJSON exports the series as one indented JSON object holding the epoch
-// length, the dropped-point count (bounded recorders), and the points in
+// length, the dropped-point count (bounded series), and the points in
 // chronological order.
-func (r *Recorder) WriteJSON(w io.Writer) error {
+func (r *Series) WriteJSON(w io.Writer) error {
 	if r == nil {
-		return fmt.Errorf("timeseries: nil recorder")
+		return fmt.Errorf("metrics: nil series")
 	}
 	pts := r.Points()
 	if pts == nil {
@@ -263,5 +246,5 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(series{Epoch: r.epoch, Dropped: r.dropped, Points: pts})
+	return enc.Encode(seriesJSON{Epoch: r.epoch, Dropped: r.dropped, Points: pts})
 }

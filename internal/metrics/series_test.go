@@ -1,4 +1,4 @@
-package timeseries
+package metrics
 
 import (
 	"bytes"
@@ -7,25 +7,23 @@ import (
 	"strings"
 	"testing"
 
-	"frfc/internal/metrics"
 	"frfc/internal/sim"
 	"frfc/internal/topology"
 )
 
-func TestNilRecorderIsSafe(t *testing.T) {
-	var r *Recorder
+func TestNilSeriesIsSafe(t *testing.T) {
+	var r *Series
 	if r.Due(64) {
-		t.Fatal("nil recorder claims a sample is due")
+		t.Fatal("nil series claims a sample is due")
 	}
-	r.Observe(64, metrics.NewRegistry(0), 0, 0)
-	r.Flush(100, metrics.NewRegistry(0), 0, 0)
-	if r.Len() != 0 || r.Dropped() != 0 || r.Points() != nil || r.Epoch() != 0 {
-		t.Fatal("nil recorder reports state")
+	r.Observe(64, NewRegistry(0), 0, 0)
+	if r.Len() != 0 || r.Dropped() != 0 || r.Points() != nil {
+		t.Fatal("nil series reports state")
 	}
 }
 
-func TestDueCadence(t *testing.T) {
-	r := New(50, 0)
+func TestSeriesDueCadence(t *testing.T) {
+	r := NewSeries(50, 0)
 	due := 0
 	for now := sim.Cycle(0); now <= 200; now++ {
 		if r.Due(now) {
@@ -35,15 +33,15 @@ func TestDueCadence(t *testing.T) {
 	if due != 4 {
 		t.Fatalf("Due fired %d times in (0,200] with epoch 50, want 4", due)
 	}
-	if New(0, 0).Epoch() != metrics.DefaultEpoch {
+	if NewSeries(0, 0).epoch != DefaultEpoch {
 		t.Fatal("non-positive epoch did not default")
 	}
 }
 
-func TestDeltasAndFlush(t *testing.T) {
-	reg := metrics.NewRegistry(64)
+func TestSeriesDeltasAndFlush(t *testing.T) {
+	reg := NewRegistry(64)
 	reg.Init(2)
-	r := New(64, 0)
+	r := NewSeries(64, 0)
 
 	// Window 0: 10 injected, 7 ejected, 3 hits, 1 miss.
 	n := &reg.Nodes[0]
@@ -58,7 +56,7 @@ func TestDeltasAndFlush(t *testing.T) {
 
 	// Partial final window: 2 more ejected during drain.
 	n.Ejected = 15
-	r.Flush(150, reg, 5, 33)
+	r.Observe(150, reg, 5, 33)
 
 	pts := r.Points()
 	if len(pts) != 3 {
@@ -91,17 +89,18 @@ func TestDeltasAndFlush(t *testing.T) {
 		t.Fatalf("ejected column sums to %d, want total %d", sum, n.Ejected)
 	}
 
-	// Flush with no new cycles must not add an empty window.
-	r.Flush(150, reg, 5, 33)
+	// Closing the final window again, with no new cycles, must not add an
+	// empty window.
+	r.Observe(150, reg, 5, 33)
 	if r.Len() != 3 {
-		t.Fatal("empty flush appended a point")
+		t.Fatal("an empty window was appended")
 	}
 }
 
-func TestBoundedRecorderDropsOldest(t *testing.T) {
-	reg := metrics.NewRegistry(64)
+func TestBoundedSeriesDropsOldest(t *testing.T) {
+	reg := NewRegistry(64)
 	reg.Init(2)
-	r := New(64, 3)
+	r := NewSeries(64, 3)
 	for i := 1; i <= 5; i++ {
 		reg.Nodes[0].Injected = int64(10 * i)
 		r.Observe(sim.Cycle(64*i), reg, 0, 0)
@@ -121,10 +120,10 @@ func TestBoundedRecorderDropsOldest(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	reg := metrics.NewRegistry(64)
+func TestSeriesWriteCSV(t *testing.T) {
+	reg := NewRegistry(64)
 	reg.Init(2)
-	r := New(64, 0)
+	r := NewSeries(64, 0)
 	reg.Nodes[0].Injected, reg.Nodes[0].Ejected = 32, 16
 	reg.Nodes[0].ResHits, reg.Nodes[0].ResMisses = 3, 1
 	r.Observe(64, reg, 4, 25.5)
@@ -165,10 +164,10 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteJSONRoundTrips(t *testing.T) {
-	reg := metrics.NewRegistry(64)
+func TestSeriesWriteJSONRoundTrips(t *testing.T) {
+	reg := NewRegistry(64)
 	reg.Init(2)
-	r := New(64, 0)
+	r := NewSeries(64, 0)
 	reg.Nodes[0].Ejected = 9
 	r.Observe(64, reg, 1, 12)
 
@@ -187,12 +186,12 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 		t.Fatalf("round-trip lost data: %+v", back)
 	}
 
-	// An empty recorder still emits a valid document with an empty array.
+	// An empty series still emits a valid document with an empty array.
 	buf.Reset()
-	if err := New(64, 0).WriteJSON(&buf); err != nil {
+	if err := NewSeries(64, 0).WriteJSON(&buf); err != nil {
 		t.Fatalf("empty WriteJSON: %v", err)
 	}
 	if !strings.Contains(buf.String(), `"points": []`) {
-		t.Fatalf("empty recorder JSON lacks points array:\n%s", buf.String())
+		t.Fatalf("empty series JSON lacks points array:\n%s", buf.String())
 	}
 }

@@ -11,9 +11,12 @@ import (
 // What a holder of a probe does with it — the run loop that stamps and
 // publishes it, the status server that merges and serves it, the Result that
 // carries its summary — is in this file, each operation walking the probe's
-// members once, so that no holder names a member. A new collector is a member
-// of Probe, a line in each function below that applies to it, and, when it has
-// a deterministic summary, a member of Observed.
+// members once, so that no holder names a member. A new collector is an
+// option of NewProbe, a member of Probe, a line in each function below that
+// applies to it, and, when it has a deterministic summary, a member of
+// Observed. The tracer and the series are one run's record, written out by
+// the command that armed them: no campaign merges them and no live view
+// serves them, so neither has a line in Snapshot or Merge.
 
 // Observed is the sidecar of deterministic observer summaries a Result carries,
 // one optional member per observer: Activity when the run carried a profile
@@ -47,15 +50,19 @@ func (p *Probe) Observed() *Observed {
 	return o
 }
 
-// Stamp records the run length on the probe's registries, once the last cycle
-// has run.
-func (p *Probe) Stamp(now sim.Cycle) {
+// Stamp records the end of the run on the probe's collectors, once the last
+// cycle has run: the run length on the registries, and the final, usually
+// partial, window on the series — packets and meanLatency are the run's
+// delivered-sample count and running mean latency — so that the series'
+// ejected counts sum to the run's total ejected flits.
+func (p *Probe) Stamp(now sim.Cycle, packets int64, meanLatency float64) {
 	if p == nil {
 		return
 	}
 	if p.Reg != nil {
 		p.Reg.Cycles = now
 	}
+	p.Series.Observe(now, p.Reg, packets, meanLatency)
 	if p.Prof != nil {
 		p.Prof.Cycles = now
 	}

@@ -350,10 +350,10 @@ func (s *Service) worker() {
 	base := harness.Options{Store: s.db, Timeout: s.opts.Timeout}
 	if st != nil {
 		base = st.Feed(base)
-		base.Probe = func() *metrics.Probe { return metrics.NewProbe(0, true, false, false) }
+		base.Observe = metrics.Options{Metrics: true}
 	}
 	decomposing := base
-	decomposing.Probe = func() *metrics.Probe { return metrics.NewProbe(0, st != nil, false, true) }
+	decomposing.Observe.Waterfall = true
 	for {
 		c, idx, ok := s.sched.next()
 		if !ok {

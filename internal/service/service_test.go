@@ -505,7 +505,7 @@ func TestWaterfallCampaign(t *testing.T) {
 	}
 	if _, err := harness.RunJobs(context.Background(), jobs, harness.Options{
 		Workers: 1, Store: st,
-		Probe: func() *metrics.Probe { return metrics.NewProbe(0, false, false, true) },
+		Observe: metrics.Options{Waterfall: true},
 	}); err != nil {
 		t.Fatal(err)
 	}

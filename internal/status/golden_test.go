@@ -54,7 +54,7 @@ func TestCampaignBodiesGolden(t *testing.T) {
 			JobStarted:  s.OnJobStarted,
 			JobFinished: s.OnJobFinished,
 			Collect:     s.OnCollect,
-			Probe:       func() *metrics.Probe { return metrics.NewProbe(0, true, true, true) },
+			Observe:     metrics.Options{Metrics: true, Profile: true, Waterfall: true},
 		})
 		if err != nil {
 			t.Fatal(err)

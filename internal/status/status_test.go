@@ -196,14 +196,12 @@ func TestLiveRunView(t *testing.T) {
 	spec := experiment.FR6(experiment.FastControl, 5).Scaled(150, 2*experiment.DefaultPublishEvery)
 	spec.MeshRadix = 4
 	var mid string
-	_, err = experiment.RunInstrumented(context.Background(), spec, 0.3, experiment.Instruments{
-		Probe: metrics.NewProbe(0, true, true, false),
-		Publish: func(lv experiment.Live) {
-			s.OnLive(lv)
-			if mid == "" && lv.Phase != "done" {
-				_, mid = get(t, "http://"+s.Addr()+"/metrics")
-			}
-		},
+	probe := metrics.NewProbe(metrics.Options{Metrics: true, Profile: true})
+	_, err = experiment.RunInstrumented(context.Background(), spec, 0.3, probe, func(lv experiment.Live) {
+		s.OnLive(lv)
+		if mid == "" && lv.Phase != "done" {
+			_, mid = get(t, "http://"+s.Addr()+"/metrics")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +223,7 @@ func TestRunLiveMatchesRunAndServes(t *testing.T) {
 
 	spec := experiment.FR6(experiment.FastControl, 5).WithMeshRadix(4).WithSampling(150, 400)
 	base := experiment.Run(spec, 0.3)
-	ins := experiment.NewInstruments(experiment.ObserverOptions{Metrics: true})
-	ins.Publish = s.OnLive
-	live, err := experiment.RunInstrumented(context.Background(), spec, 0.3, ins)
+	live, err := experiment.RunInstrumented(context.Background(), spec, 0.3, metrics.NewProbe(metrics.Options{Metrics: true}), s.OnLive)
 	if err != nil {
 		t.Fatal(err)
 	}

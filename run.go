@@ -5,6 +5,7 @@ import (
 
 	"frfc/internal/experiment"
 	"frfc/internal/harness"
+	"frfc/internal/metrics"
 )
 
 // Result reports one simulated (configuration, load) point: the measurement
@@ -46,31 +47,25 @@ func SaturationThroughput(s Spec, resolution float64) float64 {
 // ObserverOptions selects what an Observer collects: per-router metrics, a
 // flit trace, a per-epoch time series, the simulator's self-profile and the
 // latency waterfall.
-type ObserverOptions = experiment.ObserverOptions
+type ObserverOptions = metrics.Options
 
-// Observer is the set of collectors one run carries: its Probe (counters,
-// trace, self-profile, stage ledger) and its Series recorder. Create one with
-// NewObserver and pass it to RunObserved; the profile and waterfall summaries
-// then ride in Result.Observed, and cmd/frsim's flags write every collector to
-// a file.
-type Observer = experiment.Instruments
+// Observer is the set of collectors one run carries: counters, trace, time
+// series, self-profile and stage ledger. Create one with NewObserver and pass
+// it to RunObserved; the profile and waterfall summaries then ride in
+// Result.Observed, and cmd/frsim's flags write every collector to a file.
+type Observer = metrics.Probe
 
 // NewObserver builds an observer per the options. With every option off it
 // returns a valid observer that collects nothing and costs the simulation hot
 // path one nil check per event site.
 func NewObserver(o ObserverOptions) *Observer {
-	obs := experiment.NewInstruments(o)
-	return &obs
+	return metrics.NewProbe(o)
 }
 
 // RunObserved is Run with the observer attached to the network for the whole
 // simulation. A nil observer makes it identical to Run; instrumentation is
 // observation-only, so the Result's measurement is bit-identical either way.
 func RunObserved(s Spec, load float64, obs *Observer) Result {
-	var ins Observer
-	if obs != nil {
-		ins = *obs
-	}
-	r, _ := experiment.RunInstrumented(context.Background(), s, load, ins)
+	r, _ := experiment.RunInstrumented(context.Background(), s, load, obs, nil)
 	return r
 }

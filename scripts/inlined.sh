@@ -39,7 +39,10 @@
 # instead of as jobs of the harness executor, whose result cache and failure
 # policy every number it prints goes through; or if a non-test file under cmd/
 # or internal/ imports the root package frfc, the library built on top of
-# them, so that a command names each type one way.
+# them, so that a command names each type one way; or if a non-test file under
+# cmd/ or internal/ outside internal/metrics builds a probe as a composite
+# literal (metrics.Probe{) instead of with metrics.NewProbe, the one
+# constructor, which arms the collectors an option implies together.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -141,5 +144,12 @@ if [ -n "$root" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package"
+literal=$(find cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/metrics/*' -exec grep -nE '\bmetrics\.Probe\{' {} + || true)
+if [ -n "$literal" ]; then
+    echo "inlined.sh: a probe is built as a composite literal (use metrics.NewProbe):" >&2
+    echo "$literal" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
 exit $status
