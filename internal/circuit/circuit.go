@@ -206,7 +206,9 @@ func (r *Router) Tick(now sim.Cycle) {
 	for ports := due >> (uint(ackWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		for a, ok := o.ackIn.Recv(now); ok; a, ok = o.ackIn.Recv(now) {
+		acks := o.ackIn.Take(now)
+		for i := range acks {
+			a := acks[i].Item
 			e, known := r.fwd[a.id]
 			if !known {
 				panic(fmt.Sprintf("circuit: node %d relaying ack for unknown circuit %d", r.id, a.id))
@@ -214,32 +216,27 @@ func (r *Router) Tick(now sim.Cycle) {
 			in := &r.in[e.in]
 			in.ackOut.Send(now, a)
 		}
-		o.ackIn.Rearm(now)
 	}
 	// Probe credits.
 	for ports := due >> (uint(probeCreditWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		for _, ok := o.probeCreditIn.Recv(now); ok; _, ok = o.probeCreditIn.Recv(now) {
-			o.probeCredits++
-			if o.probeCredits > r.cfg.ProbeBuffers {
-				panic("circuit: probe credit overflow")
-			}
+		if o.probeCredits += len(o.probeCreditIn.Take(now)); o.probeCredits > r.cfg.ProbeBuffers {
+			panic("circuit: probe credit overflow")
 		}
-		o.probeCreditIn.Rearm(now)
 	}
 	// Receive probes.
 	for ports := due >> (uint(probeWire) * numPorts) & portMask; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		for pr, ok := in.in.Recv(now); ok; pr, ok = in.in.Recv(now) {
-			in.q = append(in.q, pr)
+		probes := in.in.Take(now)
+		for i := range probes {
+			in.q = append(in.q, probes[i].Item)
 			in.arrivedAt = append(in.arrivedAt, now)
 			if len(in.q) > r.cfg.ProbeBuffers {
 				panic(fmt.Sprintf("circuit: node %d probe buffer overflow on %s", r.id, p))
 			}
 		}
-		in.in.Rearm(now)
 	}
 	r.grantProbes(now)
 	r.forwardData(now, due&portMask)
@@ -304,8 +301,9 @@ func (r *Router) grantProbes(now sim.Cycle) {
 func (r *Router) forwardData(now sim.Cycle, ports uint32) {
 	for ; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
-		pipe := r.dataIn[p]
-		for f, ok := pipe.Recv(now); ok; f, ok = pipe.Recv(now) {
+		flits := r.dataIn[p].Take(now)
+		for i := range flits {
+			f := flits[i].Item
 			e, known := r.fwd[f.Packet.ID]
 			if !known || e.in != p {
 				panic(fmt.Sprintf("circuit: node %d: data flit %s with no circuit", r.id, f))
@@ -320,7 +318,6 @@ func (r *Router) forwardData(now sim.Cycle, ports uint32) {
 				delete(r.fwd, f.Packet.ID)
 			}
 		}
-		pipe.Rearm(now)
 	}
 }
 

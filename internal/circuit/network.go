@@ -60,22 +60,18 @@ func (n *ni) Tick(now sim.Cycle) {
 	due := *cell & niBits
 	*cell &^= due
 	if due&niCredit != 0 {
-		for _, ok := n.probeCreditIn.Recv(now); ok; _, ok = n.probeCreditIn.Recv(now) {
-			n.probeCredits++
-			if n.probeCredits > n.cfg.ProbeBuffers {
-				panic("circuit: NI probe credit overflow")
-			}
+		if n.probeCredits += len(n.probeCreditIn.Take(now)); n.probeCredits > n.cfg.ProbeBuffers {
+			panic("circuit: NI probe credit overflow")
 		}
-		n.probeCreditIn.Rearm(now)
 	}
 	if due&niAck != 0 {
-		for a, ok := n.ackIn.Recv(now); ok; a, ok = n.ackIn.Recv(now) {
-			if n.current == nil || a.id != n.current.ID {
+		acks := n.ackIn.Take(now)
+		for i := range acks {
+			if n.current == nil || acks[i].Item.id != n.current.ID {
 				panic("circuit: ack for a packet the NI is not waiting on")
 			}
 			n.acked = true
 		}
-		n.ackIn.Rearm(now)
 	}
 	if n.current == nil && n.queue.Len() > 0 && n.probeCredits > 0 {
 		p := n.queue.Pop()

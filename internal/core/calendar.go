@@ -60,34 +60,37 @@ func (c Config) calendarReach() sim.Cycle {
 	return c.Horizon + max(c.DataLinkLatency, c.CtrlLinkLatency, c.CreditLatency, c.LocalLatency)
 }
 
-// eachWire calls fn with the bit, and the head's delivery cycle, of every wire
-// into the router, its interface and its sink; carries is false for an empty
+// eachWire calls fn with the bit of every wire into the router, its interface
+// and its sink, and a cycle the wire delivers at: once for each such cycle,
+// earliest first (sim.Pipe.Arrivals), or once with carries false for an empty
 // wire.
 func (r *Router) eachWire(ni *NI, s *Sink, fn func(bit uint32, at sim.Cycle, carries bool)) {
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if w := r.inputs[p].dataIn; w != nil {
-			at, ok := w.HeadAt()
-			fn(wireBit(dataWire, p), at, ok)
+			arrivals(w, wireBit(dataWire, p), fn)
 		}
 		if w := r.ctrlIn[p].in; w != nil {
-			at, ok := w.HeadAt()
-			fn(wireBit(ctrlWire, p), at, ok)
+			arrivals(w, wireBit(ctrlWire, p), fn)
 		}
 		if w := r.dataCreditIn[p]; w != nil {
-			at, ok := w.HeadAt()
-			fn(wireBit(resvCreditWire, p), at, ok)
+			arrivals(w, wireBit(resvCreditWire, p), fn)
 		}
 		if w := r.ctrlOut[p].creditIn; w != nil {
-			at, ok := w.HeadAt()
-			fn(wireBit(ctrlCreditWire, p), at, ok)
+			arrivals(w, wireBit(ctrlCreditWire, p), fn)
 		}
 	}
-	at, ok := ni.resvCreditIn.HeadAt()
-	fn(niResv, at, ok)
-	at, ok = ni.ctrlCreditIn.HeadAt()
-	fn(niCtrl, at, ok)
-	at, ok = s.dataIn.HeadAt()
-	fn(sinkBit, at, ok)
+	arrivals(ni.resvCreditIn, niResv, fn)
+	arrivals(ni.ctrlCreditIn, niCtrl, fn)
+	arrivals(s.dataIn, sinkBit, fn)
+}
+
+// arrivals calls fn for wire w of bit bit as eachWire does.
+func arrivals[T any](w *sim.Pipe[T], bit uint32, fn func(bit uint32, at sim.Cycle, carries bool)) {
+	if w.Empty() {
+		fn(bit, 0, false)
+		return
+	}
+	w.Arrivals(func(at sim.Cycle) { fn(bit, at, true) })
 }
 
 // eachDue calls fn with the cycle, and the input bit, of everything the

@@ -161,3 +161,51 @@ func fingerprint(n *Network) string {
 	}
 	return b.String()
 }
+
+// TestRearmArmsEveryArrival: the rebuild after a batch of fault events
+// (Network.resync, Router.rearm) arms each wire's bit at every cycle the wire
+// delivers at, not only at its head's: a fault-free wire is read only on the
+// cycles its sends armed, so an arrival left unarmed would never be taken.
+// Control links four cycles long and two flits wide carry several arrival
+// cycles at once; before each rebuild every router's control-wire bits are
+// recorded, and the rebuild must arm exactly those cycles again.
+func TestRearmArmsEveryArrival(t *testing.T) {
+	cfg := fastControl()
+	cfg.CtrlLinkLatency = 4
+	mesh := topology.NewMesh(3)
+	net := New(mesh, cfg, 1, nil)
+	src := &uniformSource{rng: sim.NewRNG(1), mesh: mesh, rate: 0.25}
+	several := 0
+	for now := sim.Cycle(0); now < 400; now++ {
+		src.offer(net, now)
+		armed := func() (at [][]sim.Cycle) {
+			for id := range net.routers {
+				r := &net.routers[id]
+				for p := topology.Port(0); p < topology.NumPorts; p++ {
+					var cycles []sim.Cycle
+					for c := now; c < now+sim.Cycle(len(r.cal)); c++ {
+						if *r.cal.Cell(c)&wireBit(ctrlWire, p) != 0 {
+							cycles = append(cycles, c)
+						}
+					}
+					if len(cycles) > 1 {
+						several++
+					}
+					at = append(at, cycles)
+				}
+			}
+			return at
+		}
+		if now%7 == 0 {
+			before := armed()
+			net.resync(now)
+			if after := armed(); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("cycle %d: the sends armed the control wires at %v, the rebuild at %v", now, before, after)
+			}
+		}
+		net.Tick(now)
+	}
+	if several == 0 {
+		t.Fatal("no control wire carried more than one arrival cycle at a rebuild")
+	}
+}

@@ -129,7 +129,7 @@ func (n *Network) checkLink(now sim.Cycle, l *linkPipes) {
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
 		total := co.credits[v] + int(ci.vcs[v].n)
 		l.ctrlCredit.Each(func(c noc.VCCredit) {
-			if c.VC == v {
+			if int(c.VC) == v {
 				total++
 			}
 		})
@@ -153,7 +153,7 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 	for v := 0; v < n.cfg.CtrlVCs; v++ {
 		total := ni.ctrlCredits[v] + int(ci.vcs[v].n)
 		ni.ctrlCreditIn.Each(func(c noc.VCCredit) {
-			if c.VC == v {
+			if int(c.VC) == v {
 				total++
 			}
 		})

@@ -526,6 +526,11 @@ func (n *Network) Tick(now sim.Cycle) {
 	if n.nextFault < len(n.cfg.Faults) {
 		n.applyFaults(now)
 	}
+	if n.cfg.CtrlFaultRate > 0 {
+		for i := range n.links {
+			n.links[i].ctrl.Replay(now)
+		}
+	}
 	if n.notifs != nil {
 		if due, ok := n.notifs[now]; ok {
 			delete(n.notifs, now)

@@ -320,20 +320,21 @@ func (n *NI) Tick(now sim.Cycle) {
 	if due != 0 {
 		*cell &^= niBits
 		if due&niResv != 0 {
-			for c, ok := n.resvCreditIn.Recv(now); ok; c, ok = n.resvCreditIn.Recv(now) {
-				n.injTable.creditFrom(c.FreeFrom, c.VC)
-				work++
+			credits := n.resvCreditIn.Take(now)
+			for i := range credits {
+				n.injTable.creditFrom(credits[i].Item.FreeFrom, int(credits[i].Item.VC))
 			}
-			n.resvCreditIn.Rearm(now)
+			work += len(credits)
 		}
 		if due&niCtrl != 0 {
-			for c, ok := n.ctrlCreditIn.Recv(now); ok; c, ok = n.ctrlCreditIn.Recv(now) {
-				if n.ctrlCredits[c.VC]++; n.ctrlCredits[c.VC] > n.cfg.CtrlBufPerVC {
+			credits := n.ctrlCreditIn.Take(now)
+			for i := range credits {
+				vc := credits[i].Item.VC
+				if n.ctrlCredits[vc]++; n.ctrlCredits[vc] > n.cfg.CtrlBufPerVC {
 					panic("core: NI control credit overflow")
 				}
-				work++
 			}
-			n.ctrlCreditIn.Rearm(now)
+			work += len(credits)
 		}
 	}
 
@@ -587,11 +588,11 @@ func (s *Sink) Tick(now sim.Cycle) {
 	work := 0
 	if due != 0 {
 		*cell &^= sinkBit
-		for f, ok := s.dataIn.Recv(now); ok; f, ok = s.dataIn.Recv(now) {
-			s.eject(now, &f)
-			work++
+		flits := s.dataIn.Take(now)
+		for i := range flits {
+			s.eject(now, &flits[i].Item)
 		}
-		s.dataIn.Rearm(now)
+		work += len(flits)
 	}
 	if e, ok := s.expect.take(now); ok {
 		work++

@@ -104,23 +104,25 @@ func TestNIControlFlitCarriesAccurateArrivals(t *testing.T) {
 
 func TestNIRespectsControlCredits(t *testing.T) {
 	cfg := fastControl() // CtrlBufPerVC = 3
-	n, ctrl, _, resv, ctrlCredit := testNI(cfg)
+	n, ctrl, data, resv, ctrlCredit := testNI(cfg)
 	// One long packet: 8 control flits, but only 3 control credits. The
 	// test plays the router's input scheduler for the reservation
 	// credits (scheduling each injected flit's buffer release promptly)
-	// so that only the control-credit limit binds.
+	// so that only the control-credit limit binds. It takes the data flits
+	// off their wire on the cycle they arrive, as the router would.
 	n.offer(&noc.Packet{ID: 1, Src: 0, Dst: 5, Len: 8, CreatedAt: 0})
 	sent := 0
 	now := sim.Cycle(0)
 	step := func(returnCtrl bool) {
 		n.Tick(now)
+		data.Take(now + 1)
 		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			sent++
 			for _, le := range cf.Leads {
-				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
+				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
 			}
 			if returnCtrl {
-				ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
+				ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
 			}
 		}
 		now++
@@ -147,18 +149,19 @@ func TestNIRespectsControlCredits(t *testing.T) {
 
 func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 	cfg := fastControl()
-	n, ctrl, _, resv, ctrlCredit := testNI(cfg)
+	n, ctrl, data, resv, ctrlCredit := testNI(cfg)
 	n.offer(&noc.Packet{ID: 1, Src: 0, Dst: 5, Len: 2, CreatedAt: 0})
 	n.offer(&noc.Packet{ID: 2, Src: 0, Dst: 6, Len: 2, CreatedAt: 0})
 	var order []noc.PacketID
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
+		data.Take(now + 1)
 		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
-			ctrlCredit.Send(now+1, noc.VCCredit{VC: int(cf.VC)})
+			ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
 			for _, le := range cf.Leads {
-				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: int(cf.VC)})
+				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
 			}
 		}
 	}
@@ -176,13 +179,14 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 	cfg := fastControl()
 	cfg.SourceInterleave = true
-	n, ctrl, _, _, _ := testNI(cfg)
+	n, ctrl, data, _, _ := testNI(cfg)
 	n.offer(&noc.Packet{ID: 1, Src: 0, Dst: 5, Len: 3, CreatedAt: 0})
 	n.offer(&noc.Packet{ID: 2, Src: 0, Dst: 6, Len: 3, CreatedAt: 0})
 	firstOfTwo := sim.Cycle(-1)
 	lastOfOne := sim.Cycle(-1)
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
+		data.Take(now + 1)
 		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
 			if cf.Packet.ID == 2 && firstOfTwo < 0 {
 				firstOfTwo = now

@@ -66,9 +66,10 @@ func (n *Network) resync(now sim.Cycle) {
 }
 
 // rearm rebuilds the node's calendar at the top of cycle now, before anything
-// ticks: a bit at its head's delivery cycle for every wire into the router,
-// its interface or its sink that carries something, and one on its cycle for
-// everything its inputs hold that falls due.
+// ticks: a wire's bit at every cycle it delivers at — a replaying wire's at
+// its oldest item's, from which its Replay arms the next — for every wire into
+// the router, its interface or its sink that carries something, and an input
+// bit on its cycle for everything the inputs hold that falls due.
 func (r *Router) rearm(now sim.Cycle, ni *NI, s *Sink) {
 	clear(r.cal)
 	r.eachWire(ni, s, func(bit uint32, at sim.Cycle, carries bool) {

@@ -317,10 +317,10 @@ func (r *Router) dataLatencyFor(p topology.Port) sim.Cycle {
 // reservations whose bits are set, port by port in ascending order as a tick
 // that polled everything would find them, so every receive, departure, random
 // draw and profile count lands on the cycle and in the order it would. A wire
-// read that leaves items on it arms its bit again at its head's delivery
-// cycle. A dormant router whose word is empty has nothing due and nothing
-// queued, draws no random number and so returns at once, still reporting the
-// (idle) tick to the profile. The output tables are not slid here but where
+// is read with one Take of the cycle's arrival slot: its sends armed every
+// cycle it delivers at, so no read arms it again. A dormant router whose word
+// is empty has nothing due and nothing queued, draws no random number and so
+// returns at once, still reporting the (idle) tick to the profile. The output tables are not slid here but where
 // they are next used (below for credits, in scheduleLeads for reservations):
 // advance catches up over any gap and what it reveals depends only on state
 // those same uses change, so a late slide writes the cells an every-cycle
@@ -342,29 +342,29 @@ func (r *Router) Tick(now sim.Cycle) {
 		if bit := wireBit(resvCreditWire, p); due&bit != 0 {
 			creditIn, table := r.dataCreditIn[p], &r.outTables[p]
 			table.advance(now)
-			for c, ok := creditIn.Recv(now); ok; c, ok = creditIn.Recv(now) {
-				table.creditFrom(c.FreeFrom, c.VC)
-				cred++
+			credits := creditIn.Take(now)
+			for i := range credits {
+				table.creditFrom(credits[i].Item.FreeFrom, int(credits[i].Item.VC))
 			}
-			creditIn.Rearm(now)
+			cred += len(credits)
 		}
 		if bit := wireBit(ctrlCreditWire, p); due&bit != 0 {
 			co := &r.ctrlOut[p]
-			for c, ok := co.creditIn.Recv(now); ok; c, ok = co.creditIn.Recv(now) {
-				if co.credits[c.VC]++; co.credits[c.VC] > r.cfg.CtrlBufPerVC {
+			credits := co.creditIn.Take(now)
+			for i := range credits {
+				vc := credits[i].Item.VC
+				if co.credits[vc]++; co.credits[vc] > r.cfg.CtrlBufPerVC {
 					panic("core: control credit overflow")
 				}
-				cred++
 			}
-			co.creditIn.Rearm(now)
+			cred += len(credits)
 		}
 		if bit := wireBit(ctrlWire, p); due&bit != 0 {
-			in := r.ctrlIn[p].in
-			for cf, ok := in.Recv(now); ok; cf, ok = in.Recv(now) {
-				r.enqueue(now, p, &cf)
-				arb++
+			flits := r.ctrlIn[p].in.Take(now)
+			for i := range flits {
+				r.enqueue(now, p, &flits[i].Item)
 			}
-			in.Rearm(now)
+			arb += len(flits)
 		}
 	}
 
@@ -394,11 +394,11 @@ func (r *Router) Tick(now sim.Cycle) {
 		p := topology.Port(bits.TrailingZeros32(ins))
 		in := &r.inputs[p]
 		if bit := wireBit(dataWire, p); due&bit != 0 {
-			for f, ok := in.dataIn.Recv(now); ok; f, ok = in.dataIn.Recv(now) {
-				sw++
-				r.arrive(now, p, &f)
+			flits := in.dataIn.Take(now)
+			for i := range flits {
+				r.arrive(now, p, &flits[i].Item)
 			}
-			in.dataIn.Rearm(now)
+			sw += len(flits)
 		}
 		// Any reservation for this cycle still unclaimed means the flit was
 		// destroyed en route — an idle pattern arrived in its place. Drop
@@ -775,7 +775,7 @@ func (r *Router) finalizeLead(now sim.Cycle, qc *queuedCtrl, ld *leadState, td s
 		// The freed residency is attributed to the control VC this
 		// flit arrived on, which is the upstream scheduler's VC for
 		// this link.
-		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: int(qc.flit.VC)})
+		in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: td, VC: qc.flit.VC})
 	}
 	ld.scheduled = true
 	ld.departAt = td
@@ -872,7 +872,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC) {
 			if ld.arrival > freeFrom {
 				freeFrom = ld.arrival
 			}
-			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: int(qc.flit.VC)})
+			in.creditOut.Send(now, noc.ReservationCredit{FreeFrom: freeFrom, VC: qc.flit.VC})
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
@@ -928,7 +928,7 @@ func (r *Router) popCtrl(now sim.Cycle, vc *ctrlVC) {
 	r.queued--
 	inPort := topology.Port(vc.port)
 	if creditOut := r.ctrlIn[inPort].creditOut; creditOut != nil {
-		creditOut.Send(now, noc.VCCredit{VC: int(vc.vc)})
+		creditOut.Send(now, noc.VCCredit{VC: int32(vc.vc)})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"frfc/internal/metrics"
 	"frfc/internal/noc"
+	"frfc/internal/profile"
 	"frfc/internal/sim"
 	"frfc/internal/stats"
 	"frfc/internal/topology"
@@ -204,8 +205,11 @@ func RunInstrumented(ctx context.Context, s Spec, load float64, probe *metrics.P
 	series := probe.TimeSeries()
 	// The self-profiling registry, nil when profiling is off. Memory
 	// sampling happens on its epoch inside step(); everything else
-	// accumulates inside the fabric via the probe.
-	prof := probe.Profile()
+	// accumulates inside the fabric via the probe. The declared type imports
+	// package profile, which is what lets step() inline Due: the compiler
+	// reads inline bodies from the packages this one imports, and profile
+	// would otherwise reach it only through metrics' signatures.
+	var prof *profile.Registry = probe.Profile()
 	// The latency-stage ledger, nil when latency provenance is off. The
 	// fabric timestamps lifecycle transitions into it; delivery and drop
 	// hooks below close each packet's account. Spec.Check arms the strict

@@ -188,7 +188,7 @@ func (c ControlFlit) String() string {
 // enabled — the VC field then identifies the queue the flit left for
 // accounting only).
 type VCCredit struct {
-	VC int
+	VC int32
 }
 
 // ReservationCredit is the credit returned upstream by a flit-reservation
@@ -204,5 +204,5 @@ type VCCredit struct {
 // deadlocking the control network (see core's deadlock note).
 type ReservationCredit struct {
 	FreeFrom sim.Cycle
-	VC       int
+	VC       int32
 }

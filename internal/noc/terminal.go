@@ -133,7 +133,9 @@ func (s *Sink) Tick(now sim.Cycle) {
 	received := 0
 	if cell := s.Cal.Cell(now); *cell&SinkBit != 0 {
 		*cell &^= SinkBit
-		for f, ok := s.Data.Recv(now); ok; f, ok = s.Data.Recv(now) {
+		arrived := s.Data.Take(now)
+		for i := range arrived {
+			f := &arrived[i].Item
 			received++
 			if f.Corrupted {
 				s.escapes++
@@ -157,7 +159,6 @@ func (s *Sink) Tick(now sim.Cycle) {
 				s.hooks.Delivered(f.Packet, now)
 			}
 		}
-		s.Data.Rearm(now)
 	}
 	s.Prof.ComponentTick(profile.CompSink, int(s.Node), received > 0)
 }

@@ -48,13 +48,9 @@ func (n *ni) reset() {
 func (n *ni) Tick(now sim.Cycle) {
 	if cell := n.cal.Cell(now); *cell&niBit != 0 {
 		*cell &^= niBit
-		for _, ok := n.creditIn.Recv(now); ok; _, ok = n.creditIn.Recv(now) {
-			n.credits++
-			if n.credits > n.cfg.PacketBuffers {
-				panic("packetswitch: NI credit overflow")
-			}
+		if n.credits += len(n.creditIn.Take(now)); n.credits > n.cfg.PacketBuffers {
+			panic("packetswitch: NI credit overflow")
 		}
-		n.creditIn.Rearm(now)
 	}
 	if n.next == len(n.current) && n.queue.Len() > 0 && n.credits > 0 {
 		p := n.queue.Pop()

@@ -235,13 +235,9 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) {
 	for ; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		for _, ok := o.creditIn.Recv(now); ok; _, ok = o.creditIn.Recv(now) {
-			o.credits++
-			if o.credits > r.cfg.PacketBuffers {
-				panic("packetswitch: packet credit overflow")
-			}
+		if o.credits += len(o.creditIn.Take(now)); o.credits > r.cfg.PacketBuffers {
+			panic("packetswitch: packet credit overflow")
 		}
-		o.creditIn.Rearm(now)
 	}
 }
 
@@ -251,7 +247,9 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) {
 	for ; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
+		flits := in.data.Take(now)
+		for i := range flits {
+			f := &flits[i].Item
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -277,14 +275,13 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) {
 				panic("packetswitch: body flit with no packet under assembly")
 			}
 			sl := &in.slots[in.assembly]
-			sl.flits = append(sl.flits, f)
+			sl.flits = append(sl.flits, *f)
 			sl.received++
 			sl.lastAt = now
 			if f.Type.IsTail() {
 				in.assembly = -1
 			}
 		}
-		in.data.Rearm(now)
 	}
 }
 

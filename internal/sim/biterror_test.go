@@ -93,7 +93,8 @@ func TestBitErrorsComposeWithFaultyPipe(t *testing.T) {
 }
 
 // TestSetBitErrorRateRetunes: scenario "corrupt" events retune the rate
-// mid-run; rate 0 heals the link and an unarmed pipe rejects retuning.
+// mid-run; rate 0 heals the link and an unarmed pipe rejects retuning. The
+// receiver takes each item on the cycle it arrives.
 func TestSetBitErrorRateRetunes(t *testing.T) {
 	p := NewPipe[berItem](1, 1).WithBitErrors(0.9, NewRNG(1), func(it berItem) berItem {
 		it.corrupt = true
@@ -103,6 +104,7 @@ func TestSetBitErrorRateRetunes(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Send(now, berItem{})
 		now++
+		p.Take(now)
 	}
 	if p.Corrupted() == 0 {
 		t.Fatal("armed pipe corrupted nothing at rate 0.9")
@@ -112,6 +114,7 @@ func TestSetBitErrorRateRetunes(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Send(now, berItem{})
 		now++
+		p.Take(now)
 	}
 	if p.Corrupted() != healed {
 		t.Fatalf("healed pipe kept corrupting: %d -> %d", healed, p.Corrupted())

@@ -17,11 +17,13 @@ import (
 // The words form a ring indexed by the cycle's low bits, a power of two long
 // and longer than anything is ever armed ahead (CalendarCells); the word for a
 // cycle is clear once every component of the node has ticked at it, so the
-// ring always holds the cycles from now on. A bit may fire early but never
-// late: a wire whose head is not yet due when its bit fires, after a replay or
-// past the calendar's reach, is armed again at its head's delivery cycle
-// (Pipe.Rearm, over Rearm), so a bit is a prompt to look, and what is found
-// decides.
+// ring always holds the cycles from now on. A wire's bit fires on each cycle
+// something on it falls due, since its Send armed that cycle, and its receiver
+// takes that cycle's slot (Pipe.Take). Only a replaying wire's bit may fire
+// early, never late: an item a replay delayed, perhaps past the calendar's
+// reach, is armed again at its delivery cycle by the wire's own link layer
+// (Pipe.Replay, over Rearm), so there a bit is a prompt to look, and what is
+// found decides.
 //
 // The methods are small enough to inline, and must stay so: each is called per
 // wire per cycle on every fabric's hot path.

@@ -1,42 +1,72 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
 
+// MaxPipeLatency is the longest latency a pipe may have: its slots, one a
+// cycle, must fit the word that says which of them hold something.
+const MaxPipeLatency = 63
+
 // Pipe is a bandwidth-limited delay line modeling a pipelined wire between
-// two components. Items sent at cycle t become receivable at cycle t+latency.
-// At most width items may be sent per cycle, which models the per-cycle
-// bandwidth of the physical channel (one wide data flit per cycle on a data
-// link; two narrow control flits per cycle on a control link in the paper's
+// two components. Items sent at cycle t fall due at cycle t+latency. At most
+// width items may be sent per cycle, which models the per-cycle bandwidth of
+// the physical channel (one wide data flit per cycle on a data link; two
+// narrow control flits per cycle on a control link in the paper's
 // configuration).
+//
+// A wire knows when each item it carries arrives, as the paper's router knows
+// each data flit's arrival cycle, and keeps its items by that cycle: its ring
+// is a row of arrival slots, one a cycle, indexed by the cycle's low bits, and
+// each slot has width cells. Send writes into the slot for now+latency; the
+// receiver reads a wire on each cycle its items fall due, and Take(now) hands
+// it that cycle's slot, the items in send order. A wire's receiver must read
+// it on every such cycle: a Send into a slot whose items were never taken
+// panics.
 //
 // A Pipe is single-producer single-consumer and not safe for concurrent use;
 // the simulation is single-threaded by design.
 //
 // A pipe bound to its receiver (Wakes) arms the receiver's bit on its due
-// calendar beside every item it enqueues, at the cycle the item is due; the
-// receiver, once it has read the wire, arms it again at the next item's
-// (Rearm).
+// calendar beside every item it sends, at the cycle the item is due, so the
+// receiver reads the wire when its bit fires and on no other cycle.
 //
-// The header is one cache line (64 bytes): what every Send and Recv reads
+// A wire with a fault model armed (WithFaults) replays corrupted items,
+// delaying them by whole round trips past anything a slot ring reaches, and
+// any number of items may pile up behind one. It keeps its items in an
+// ordered retransmit buffer instead of slots, and its owner runs its link
+// layer once a cycle (Replay), which moves what falls due into the one slot
+// Take reads and arms the receiver's bit again at the next item's cycle; its
+// receiver takes it like any other wire.
+//
+// The header is one cache line (64 bytes): what every Send and Take reads
 // comes first, and the state of the fault, sever-callback and bit-error
 // models — which a fault-free wire never touches — sits behind one pointer,
 // nil until a model is armed or the wire is first severed with a drop
 // callback.
 type Pipe[T any] struct {
-	// The items in flight, oldest first, in a ring: n cells starting at head,
-	// wrapping by mask (cell). len(ring) is a power of two — for NewPipe's
-	// pipe nothing until the first Send, then 2 cells, doubled whenever a
-	// Send finds it full, so a wire that never holds more than two items
-	// never pays for more; for one cut from a PipeSlab what its wire can
-	// hold, from the start — and a dequeue moves no other item.
-	ring          []pipeEntry[T]
+	// The arrival slots: mask+1 of them, a power of two above the latency
+	// so that the slot a sender fills is never the one its receiver reads
+	// this cycle, and the slot for cycle t the width cells from (t&mask)·width.
+	// A slot's items run from its first cell to the first whose due cycle is
+	// another's: a cell left from an earlier round of the ring is due a whole
+	// ring earlier, and Reset clears a ring that carried anything, so no cell
+	// outlives a reset. A NewPipe pipe has no slots until its first Send; one
+	// cut from a PipeSlab has them from the start. A replaying wire has one
+	// slot (mask 0), the whole ring, rewritten by Replay with what falls due,
+	// however many.
+	ring          []Arrival[T]
 	lastSendCycle Cycle
-	head, n       uint32
+	// live has the bit of every slot holding items not yet taken: what a
+	// send checks its slot against, and what Take reads first. A taken
+	// slot's cells keep their items, which Take handed out, until a send
+	// fills the slot again or the pipe is reset.
+	live uint64
 
-	latency, width, sentThisCycle uint16
+	width, sentThisCycle uint16
+	latency, mask        uint8
 
 	// bit is the index of the wire's bit on cal, the receiver's due calendar;
 	// cal is nil for a pipe bound to no receiver, which arms nothing.
@@ -45,12 +75,19 @@ type Pipe[T any] struct {
 	// Hard-fault state (Sever/Restore). A severed pipe models a dead wire:
 	// items already in flight are destroyed at sever time and every
 	// subsequent Send is discarded (through the drop callback when set)
-	// instead of enqueued. Senders keep their normal bandwidth accounting so
+	// instead of sent. Senders keep their normal bandwidth accounting so
 	// model bugs still surface while a link is down.
 	severed bool
 
 	x   *pipeFaults[T]
 	cal *Calendar
+}
+
+// Arrival is one cell of a wire: an item and the cycle it falls due. Take
+// returns the cells of a slot; the receiver reads their Item.
+type Arrival[T any] struct {
+	Item T
+	due  Cycle
 }
 
 // pipeFaults is the cold state of a pipe: the models a fault-free wire never
@@ -66,6 +103,10 @@ type pipeFaults[T any] struct {
 	faultRate   float64
 	rng         *RNG
 	retransmits int64
+	// backlog is a replaying wire's retransmit buffer: the items in flight
+	// that Replay has not yet moved to the slot, oldest first, each with the
+	// cycle it falls due.
+	backlog []Arrival[T]
 
 	// onDrop is told of every item a severed wire destroys.
 	onDrop func(T)
@@ -89,14 +130,13 @@ func (p *Pipe[T]) faults() *pipeFaults[T] {
 	return p.x
 }
 
-type pipeEntry[T any] struct {
-	readyAt Cycle
-	item    T
-}
+// replays reports whether the pipe keeps its items in a retransmit buffer.
+func (p *Pipe[T]) replays() bool { return p.x != nil && p.x.faultRate > 0 }
 
-// NewPipe returns a pipe with the given latency (cycles, must be >= 1 so
-// that same-cycle delivery — which would make component tick order matter —
-// is impossible) and width (items per cycle, must be >= 1).
+// NewPipe returns a pipe with the given latency (cycles, from 1 — so that
+// same-cycle delivery, which would make component tick order matter, is
+// impossible — to MaxPipeLatency) and width (items per cycle, must be >= 1).
+// Its slots are made at its first Send.
 func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
 	p := new(Pipe[T])
 	p.init(latency, width, nil)
@@ -104,18 +144,14 @@ func NewPipe[T any](latency Cycle, width int) *Pipe[T] {
 }
 
 // init builds a pipe in place around the ring its caller found for it.
-func (p *Pipe[T]) init(latency Cycle, width int, ring []pipeEntry[T]) {
-	if latency < 1 {
-		panic("sim: pipe latency must be at least 1 cycle")
+func (p *Pipe[T]) init(latency Cycle, width int, ring []Arrival[T]) {
+	if latency < 1 || latency > MaxPipeLatency {
+		panic(fmt.Sprintf("sim: pipe latency must lie in [1, %d] cycles", MaxPipeLatency))
 	}
-	if width < 1 {
-		panic("sim: pipe width must be at least 1 item per cycle")
+	if width < 1 || width > math.MaxUint16 {
+		panic("sim: pipe width must lie in [1, 65535] items per cycle")
 	}
-	if latency > math.MaxUint16 || width > math.MaxUint16 {
-		panic("sim: pipe latency and width must fit in 16 bits")
-	}
-	*p = Pipe[T]{latency: uint16(latency), width: uint16(width), ring: ring}
-	p.Reset()
+	*p = Pipe[T]{ring: ring, lastSendCycle: Never, width: uint16(width), latency: uint8(latency), mask: uint8(1<<bits.Len(uint(latency)) - 1)}
 }
 
 // PipeSlab is the memory of every pipe of one item type that a network
@@ -124,24 +160,21 @@ func (p *Pipe[T]) init(latency Cycle, width int, ring []pipeEntry[T]) {
 // it in the order they are asked for.
 type PipeSlab[T any] struct {
 	pipes []Pipe[T]
-	cells []pipeEntry[T]
+	cells []Arrival[T]
 }
 
 // NewPipeSlab returns room for the given number of pipes whose rings, each
 // RingCells long, come to cells cells in all.
 func NewPipeSlab[T any](pipes, cells int) PipeSlab[T] {
-	return PipeSlab[T]{pipes: make([]Pipe[T], pipes), cells: make([]pipeEntry[T], cells)}
+	return PipeSlab[T]{pipes: make([]Pipe[T], pipes), cells: make([]Arrival[T], cells)}
 }
 
-// RingCells is the ring a slab's pipe starts with: room for what its wire can
-// hold at once — a sender that ticks before its receiver has put a cycle's
-// width on the wire before the items sent latency cycles ago come off it —
-// rounded up to the power of two the ring's mask needs.
-func RingCells(latency Cycle, width int) int {
-	return 1 << bits.Len(uint((int(latency)+1)*width-1))
-}
+// RingCells is the ring of a wire of the given latency and width: width cells
+// for each of its arrival slots, one for each cycle from the one its receiver
+// reads to the one a send fills, rounded up to a power of two.
+func RingCells(latency Cycle, width int) int { return 1 << bits.Len(uint(latency)) * width }
 
-// New is NewPipe on the slab's memory, the ring at RingCells from the start.
+// New is NewPipe on the slab's memory, its slots there from the start.
 func (s *PipeSlab[T]) New(latency Cycle, width int) *Pipe[T] {
 	p, n := &s.pipes[0], RingCells(latency, width)
 	p.init(latency, width, s.cells[:n:n])
@@ -155,23 +188,27 @@ func (s *PipeSlab[T]) Left() int { return len(s.pipes) + len(s.cells) }
 // Reset returns the pipe to its just-built state: nothing in flight, no send
 // recorded this cycle or any other, the wire whole, and the fault counters at
 // zero. What the pipe was built and armed with — latency, width, fault and
-// bit-error rates with their generators and callbacks — stays, and so does
-// the ring at whatever size the traffic grew it to.
+// bit-error rates with their generators and callbacks — stays, and so do its
+// slots, cleared of what they held if the pipe has carried anything since it
+// was last reset, so that an idle wire keeps no item alive.
 func (p *Pipe[T]) Reset() {
-	p.destroy(nil)
-	p.sentThisCycle, p.lastSendCycle = 0, Never
+	if p.lastSendCycle != Never {
+		clear(p.ring)
+	}
+	p.live, p.sentThisCycle, p.lastSendCycle = 0, 0, Never
 	p.severed = false
 	if x := p.x; x != nil {
+		clear(x.backlog)
+		x.backlog = x.backlog[:0]
 		x.onDrop = nil
 		x.retransmits, x.corrupted = 0, 0
 	}
 }
 
 // Wakes binds the pipe to its receiver: bit, which must be a single bit, on
-// the due calendar *cal. From then on every Send that enqueues arms bit at the
-// cycle the item would be due without a replay, and Rearm arms it at the
-// head's. cal is read at each arm, so it may point at a calendar field its
-// owner sets later. It returns the pipe.
+// the due calendar *cal. From then on every Send arms bit at the cycle the
+// item would be due without a replay. cal is read at each arm, so it may
+// point at a calendar field its owner sets later. It returns the pipe.
 func (p *Pipe[T]) Wakes(cal *Calendar, bit uint32) *Pipe[T] {
 	if bits.OnesCount32(bit) != 1 {
 		panic("sim: a pipe wakes its receiver on exactly one calendar bit")
@@ -197,11 +234,15 @@ func (p *Pipe[T]) WithFaults(rate float64, rng *RNG) *Pipe[T] {
 	if rate > 0 && rng == nil {
 		panic("sim: faulty pipe needs an RNG")
 	}
-	if p.n > 0 {
+	if !p.Empty() {
 		panic("sim: fault model armed on a pipe with items in flight")
 	}
 	x := p.faults()
 	x.faultRate, x.rng = rate, rng
+	if rate > 0 {
+		p.mask = 0
+		p.ring = p.ring[:0]
+	}
 	return p
 }
 
@@ -257,9 +298,20 @@ func (p *Pipe[T]) Corrupted() int64 {
 	return p.x.corrupted
 }
 
-// cell is the ring cell i places behind the oldest item in flight.
-func (p *Pipe[T]) cell(i uint32) *pipeEntry[T] {
-	return &p.ring[(p.head+i)&uint32(len(p.ring)-1)]
+// slot returns the index of cycle t's arrival slot and the slot's bit in
+// live.
+func (p *Pipe[T]) slot(t Cycle) (uint, uint64) {
+	i := uint(t) & uint(p.mask) & 63
+	return i, 1 << i
+}
+
+// cells returns the cells from the first of slot i to the end of the ring.
+func (p *Pipe[T]) cells(i uint) []Arrival[T] { return p.ring[i*uint(p.width):] }
+
+// untaken panics for a send at cycle now into the slot still holding the
+// items due at cycle at.
+func untaken(now, at Cycle) {
+	panic(fmt.Sprintf("sim: send at cycle %d into the arrival slot still holding the items due at cycle %d: the wire's receiver did not take them", now, at))
 }
 
 // CanSend reports whether another item may be sent during cycle now without
@@ -268,22 +320,42 @@ func (p *Pipe[T]) CanSend(now Cycle) bool {
 	return p.lastSendCycle != now || p.sentThisCycle < p.width
 }
 
-// Send enqueues an item at cycle now; it becomes receivable at now+latency,
-// and a bound pipe arms its receiver's bit at that cycle. It panics if the
-// per-cycle bandwidth is exceeded or if time runs backwards, both of which
-// indicate a bug in the calling model rather than a recoverable condition.
+// Send sends an item at cycle now into the slot of cycle now+latency, and a
+// bound pipe arms its receiver's bit at that cycle. It panics if the
+// per-cycle bandwidth is exceeded, if time runs backwards, or if the slot
+// still holds items its receiver never took, all of which indicate a bug in
+// the calling model rather than a recoverable condition.
 func (p *Pipe[T]) Send(now Cycle, item T) {
-	// The common case first: the first send this cycle on a whole wire with
-	// no fault or bit-error model ever armed and a free cell. With no replay
-	// delay ever added (faultRate is armed before the first send), every
-	// item in flight is due no later than this one.
-	if p.lastSendCycle < now && int(p.n) < len(p.ring) && p.x == nil && !p.severed {
-		p.lastSendCycle, p.sentThisCycle = now, 1
-		*p.cell(p.n) = pipeEntry[T]{readyAt: now + Cycle(p.latency), item: item}
-		p.n++
-		p.wake(now)
+	// The common case first: a whole wire with its slots made, no fault or
+	// bit-error model ever armed, and room left in this cycle's bandwidth.
+	// The first send of a cycle checks and claims its slot and wakes the
+	// receiver; a later one writes the next cell.
+	if p.x != nil || p.severed || p.ring == nil || now < p.lastSendCycle || now == p.lastSendCycle && p.sentThisCycle >= p.width {
+		p.send(now, now+Cycle(p.latency), item)
 		return
 	}
+	due := now + Cycle(p.latency)
+	i := uint(due) & uint(p.mask) & 63
+	w, k := uint(p.width), uint(0)
+	if now == p.lastSendCycle {
+		k = uint(p.sentThisCycle)
+	} else {
+		if p.live>>i&1 != 0 {
+			untaken(now, due-Cycle(p.mask)-1)
+		}
+		p.live |= 1 << i
+		p.lastSendCycle = now
+		p.wake(due)
+	}
+	p.sentThisCycle = uint16(k + 1)
+	c := &p.ring[i*w+k]
+	c.Item, c.due = item, due
+}
+
+// send is Send off its common case: a send past the cycle's bandwidth or back
+// in time, a severed wire, a fault or bit-error model armed, or slots not yet
+// made.
+func (p *Pipe[T]) send(now, due Cycle, item T) {
 	if p.lastSendCycle == now {
 		if p.sentThisCycle >= p.width {
 			panic("sim: pipe bandwidth exceeded")
@@ -303,100 +375,220 @@ func (p *Pipe[T]) Send(now Cycle, item T) {
 		}
 		return
 	}
-	readyAt := now + Cycle(p.latency)
-	if x != nil {
-		if x.ber > 0 && x.berRNG.Bool(x.ber) {
-			item = x.corruptFn(item)
-			x.corrupted++
+	if x != nil && x.ber > 0 && x.berRNG.Bool(x.ber) {
+		item = x.corruptFn(item)
+		x.corrupted++
+	}
+	p.wake(due)
+	if x == nil || x.faultRate == 0 {
+		if p.ring == nil {
+			p.ring = make([]Arrival[T], RingCells(Cycle(p.latency), int(p.width)))
 		}
-		if x.faultRate > 0 {
-			for x.rng.Bool(x.faultRate) {
-				readyAt += 2 * Cycle(p.latency)
-				x.retransmits++
-			}
-		}
+		p.fill(due, item)
+		return
+	}
+	for x.rng.Bool(x.faultRate) {
+		due += 2 * Cycle(p.latency)
+		x.retransmits++
 	}
 	// Go-back-N: an item sent behind a retransmitting predecessor is held in
 	// the sender's retransmit buffer and replayed after it, so delivery stays
 	// FIFO.
-	if p.n > 0 {
-		if last := p.cell(p.n - 1).readyAt; last > readyAt {
-			readyAt = last
+	if k := len(x.backlog); k > 0 && x.backlog[k-1].due > due {
+		due = x.backlog[k-1].due
+	}
+	x.backlog = append(x.backlog, Arrival[T]{item, due})
+}
+
+// fill writes item, due at cycle due, into its slot behind what this cycle's
+// sends have put there.
+func (p *Pipe[T]) fill(due Cycle, item T) {
+	i, bit := p.slot(due)
+	s, k := p.cells(i), int(p.sentThisCycle)-1
+	if k == 0 {
+		if p.live&bit != 0 {
+			untaken(p.lastSendCycle, due-Cycle(p.mask)-1)
 		}
+		p.live |= bit
 	}
-	if int(p.n) == len(p.ring) {
-		p.grow()
-	}
-	*p.cell(p.n) = pipeEntry[T]{readyAt: readyAt, item: item}
-	p.n++
-	p.wake(now)
+	s[k] = Arrival[T]{item, due}
 }
 
-// wake arms the receiver's bit for an item sent at cycle now: at the cycle it
-// is due without a replay, a prompt to look that a replayed item's receiver
-// follows with Rearm.
-func (p *Pipe[T]) wake(now Cycle) {
+// wake arms the receiver's bit at cycle t.
+func (p *Pipe[T]) wake(t Cycle) {
 	if p.cal != nil {
-		p.cal.Arm(now+Cycle(p.latency), 1<<p.bit)
+		p.cal.Arm(t, 1<<(p.bit&31))
 	}
 }
 
-// grow doubles the ring (from nothing to 2 cells), unwrapping the items in
-// flight to the front of the new one.
-func (p *Pipe[T]) grow() {
-	ring := make([]pipeEntry[T], max(2, 2*len(p.ring)))
-	k := copy(ring, p.ring[p.head:])
-	copy(ring[k:], p.ring[:p.head])
-	p.ring, p.head = ring, 0
+// Take returns the items that fall due at cycle now, in send order, and frees
+// their slot: a receiver calls it on each cycle its wire's bit fires, and
+// reads each cell's Item before the cycle ends.
+func (p *Pipe[T]) Take(now Cycle) []Arrival[T] {
+	i := uint(now) & uint(p.mask) & 63
+	if p.live>>i&1 == 0 {
+		return nil
+	}
+	p.live ^= 1 << i
+	w := uint(p.width)
+	if p.mask == 0 { // a replaying wire's one slot is the whole ring
+		w = uint(len(p.ring))
+	}
+	s, k := p.ring[i*w:], uint(1)
+	for k < w && s[k].due == now {
+		k++
+	}
+	return s[:k]
 }
 
-// Recv pops the oldest item whose delivery time has arrived (readyAt <= now).
-// The second result is false when nothing is ready.
+// Replay runs a replaying wire's link layer for cycle now: it moves the items
+// that fall due out of the retransmit buffer into the slot Take reads, and —
+// when the receiver's bit fires at now, so that it reads the wire — arms the
+// bit again at the next item's cycle (Calendar.Rearm: past the calendar's
+// reach, at its last cycle). The owner of a replaying wire calls it once a
+// cycle before the wire's receiver ticks; on any other wire it does nothing.
+func (p *Pipe[T]) Replay(now Cycle) {
+	if !p.replays() {
+		return
+	}
+	if p.live != 0 {
+		panic(fmt.Sprintf("sim: replay at cycle %d over items the wire's receiver never took", now))
+	}
+	x := p.x
+	k := 0
+	for k < len(x.backlog) && x.backlog[k].due <= now {
+		x.backlog[k].due = now
+		k++
+	}
+	clear(p.ring)
+	p.ring, p.live = append(p.ring[:0], x.backlog[:k]...), 0
+	if k > 0 {
+		p.live = 1
+	}
+	left := copy(x.backlog, x.backlog[k:])
+	clear(x.backlog[left:])
+	x.backlog = x.backlog[:left]
+	if bit := uint32(1) << p.bit; left > 0 && p.cal != nil && *p.cal.Cell(now)&bit != 0 {
+		p.cal.Rearm(now, x.backlog[0].due, bit)
+	}
+}
+
+// Recv takes one item due at cycle now, the first Take would return; the
+// second result is false when there is none. It neither needs nor runs a
+// replaying wire's Replay, and arms no bit. A receiver reads a cycle's items
+// with Take or with Recv, not both.
 func (p *Pipe[T]) Recv(now Cycle) (item T, ok bool) {
-	if p.n == 0 {
+	if p.replays() {
+		x := p.x
+		if len(x.backlog) == 0 || x.backlog[0].due > now {
+			return item, false
+		}
+		item = x.backlog[0].Item
+		left := copy(x.backlog, x.backlog[1:])
+		x.backlog[left] = Arrival[T]{}
+		x.backlog = x.backlog[:left]
+		return item, true
+	}
+	i, bit := p.slot(now)
+	if p.live&bit == 0 {
 		return item, false
 	}
-	e := &p.ring[p.head]
-	if e.readyAt > now {
-		return item, false
+	s, k := p.cells(i), len(p.Take(now))
+	item = s[0].Item
+	if k > 1 {
+		copy(s, s[1:k])
+		s[k-1].due = Never
+		p.live |= bit
 	}
-	item = e.item
-	*e = pipeEntry[T]{} // drop the cell's references
-	p.head = (p.head + 1) & uint32(len(p.ring)-1)
-	p.n--
 	return item, true
 }
 
-// HeadAt reports the cycle the oldest item in flight becomes receivable, and
-// false when nothing is in flight. A receiver that acts on a schedule of its
-// own rather than polling reads it to know when to look at the wire next.
+// HeadAt reports the cycle the oldest item in flight falls due, and false
+// when nothing is in flight.
 func (p *Pipe[T]) HeadAt() (at Cycle, ok bool) {
-	if p.n == 0 {
-		return 0, false
-	}
-	return p.ring[p.head].readyAt, true
+	p.each(func(c *Arrival[T]) bool {
+		at, ok = c.due, true
+		return false
+	})
+	return at, ok
 }
 
 // Rearm arms the receiver's bit at its head's delivery cycle
-// (Calendar.Rearm), read at cycle now, when anything is left on a bound pipe:
-// the last step of a read that the calendar prompted.
+// (Calendar.Rearm), read at cycle now, when anything is left on a bound pipe.
+// A receiver needs none: a wire's sends arm each cycle it delivers at, and a
+// replaying wire's Replay arms the next.
 func (p *Pipe[T]) Rearm(now Cycle) {
-	if p.n > 0 && p.cal != nil {
-		p.cal.Rearm(now, p.ring[p.head].readyAt, 1<<p.bit)
+	if at, ok := p.HeadAt(); ok && p.cal != nil {
+		p.cal.Rearm(now, at, 1<<p.bit)
 	}
 }
 
-// Len reports how many items are in flight (sent but not yet received).
-func (p *Pipe[T]) Len() int { return int(p.n) }
+// Arrivals calls fn with each cycle something on the wire falls due, earliest
+// first — for a replaying wire, its oldest item's alone, the one its Replay
+// arms the next from. Arming the receiver's bit at each (Calendar.Rearm)
+// rebuilds what the sends armed.
+func (p *Pipe[T]) Arrivals(fn func(at Cycle)) {
+	last, replays := Never, p.replays()
+	p.each(func(c *Arrival[T]) bool {
+		if c.due != last {
+			last = c.due
+			fn(last)
+		}
+		return !replays
+	})
+}
+
+// Len reports how many items are in flight (sent but not yet taken).
+func (p *Pipe[T]) Len() int {
+	n := 0
+	p.each(func(*Arrival[T]) bool {
+		n++
+		return true
+	})
+	return n
+}
 
 // Empty reports whether nothing is in flight.
-func (p *Pipe[T]) Empty() bool { return p.n == 0 }
+func (p *Pipe[T]) Empty() bool { return p.live == 0 && (p.x == nil || len(p.x.backlog) == 0) }
 
 // Each visits every in-flight item in FIFO order without consuming it; it
 // exists for invariant checkers that audit conservation across a link.
 func (p *Pipe[T]) Each(fn func(T)) {
-	for i := uint32(0); i < p.n; i++ {
-		fn(p.cell(i).item)
+	p.each(func(c *Arrival[T]) bool {
+		fn(c.Item)
+		return true
+	})
+}
+
+// each visits the cells of the items in flight in the order Take would return
+// them, until fn returns false: the slots holding items, from the oldest a
+// send can still be waiting in to the one the last send filled — a replaying
+// wire's one slot — then the retransmit buffer.
+func (p *Pipe[T]) each(fn func(*Arrival[T]) bool) {
+	if p.live != 0 {
+		newest := p.lastSendCycle + Cycle(p.latency)
+		if p.replays() {
+			newest = p.ring[0].due
+		}
+		for t := newest - Cycle(p.mask); t <= newest; t++ {
+			i, bit := p.slot(t)
+			if p.live&bit == 0 {
+				continue
+			}
+			s := p.cells(i)
+			for j := 0; j < len(s) && (j == 0 || s[j].due == t); j++ {
+				if !fn(&s[j]) {
+					return
+				}
+			}
+		}
+	}
+	if p.x != nil {
+		for i := range p.x.backlog {
+			if !fn(&p.x.backlog[i]) {
+				return
+			}
+		}
 	}
 }
 
@@ -412,20 +604,17 @@ func (p *Pipe[T]) Sever(onDrop func(T)) {
 		return
 	}
 	p.severed = true
-	p.destroy(onDrop)
-}
-
-// destroy empties the pipe, reporting each item that was in flight to onDrop
-// when non-nil.
-func (p *Pipe[T]) destroy(onDrop func(T)) {
-	for i := uint32(0); i < p.n; i++ {
-		e := p.cell(i)
+	p.each(func(c *Arrival[T]) bool {
 		if onDrop != nil {
-			onDrop(e.item)
+			onDrop(c.Item)
 		}
-		*e = pipeEntry[T]{}
+		*c = Arrival[T]{due: Never}
+		return true
+	})
+	p.live = 0
+	if p.x != nil {
+		p.x.backlog = p.x.backlog[:0]
 	}
-	p.head, p.n = 0, 0
 }
 
 // Restore repairs a severed wire; the pipe resumes carrying items. Items

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,8 +31,10 @@ func TestPipeFIFOWithinAndAcrossCycles(t *testing.T) {
 	p.Send(0, 2)
 	p.Send(1, 3)
 	var got []int
-	for v, ok := p.Recv(3); ok; v, ok = p.Recv(3) {
-		got = append(got, v)
+	for now := Cycle(2); now <= 3; now++ {
+		for _, a := range p.Take(now) {
+			got = append(got, a.Item)
+		}
 	}
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
@@ -112,7 +117,8 @@ func TestPipeLenAndEmpty(t *testing.T) {
 }
 
 // TestPipeOrderProperty: whatever the (latency, send schedule), items come
-// out in send order with exactly the configured delay.
+// out in send order with exactly the configured delay to a receiver that
+// takes the wire every cycle.
 func TestPipeOrderProperty(t *testing.T) {
 	f := func(latencySeed uint8, gaps []uint8) bool {
 		latency := Cycle(latencySeed%7) + 1
@@ -124,21 +130,22 @@ func TestPipeOrderProperty(t *testing.T) {
 				break
 			}
 			now += Cycle(g % 5)
-			if !p.CanSend(now) {
+			if i > 0 && now == sendTimes[i-1] {
 				now++
 			}
-			p.Send(now, i)
 			sendTimes = append(sendTimes, now)
 		}
-		// Drain in order, checking delivery times.
-		idx := 0
+		idx, next := 0, 0
 		for c := Cycle(0); c <= now+latency; c++ {
-			for v, ok := p.Recv(c); ok; v, ok = p.Recv(c) {
-				if v != idx {
+			if next < len(sendTimes) && sendTimes[next] == c {
+				p.Send(c, next)
+				next++
+			}
+			for _, a := range p.Take(c) {
+				if v := a.Item; v != idx {
 					t.Errorf("out of order: got %d, want %d", v, idx)
-				}
-				if c < sendTimes[v]+latency {
-					t.Errorf("item %d delivered at %d, before %d", v, c, sendTimes[v]+latency)
+				} else if c != sendTimes[v]+latency {
+					t.Errorf("item %d delivered at %d, want %d", v, c, sendTimes[v]+latency)
 				}
 				idx++
 			}
@@ -337,5 +344,102 @@ func TestRecvLoopDrainsReadyItemsAndHeadAtNamesTheNext(t *testing.T) {
 	}
 	if _, ok := p.HeadAt(); ok {
 		t.Fatal("drained pipe still names a head")
+	}
+}
+
+// TestSendIntoUntakenSlotPanics: a wire's receiver reads it on the cycle its
+// items fall due, so a send that comes round to a slot still holding an item
+// nobody took is a model bug and panics, naming both cycles; once the slot is
+// taken the same send goes through.
+func TestSendIntoUntakenSlotPanics(t *testing.T) {
+	p := NewPipe[int](2, 1) // four slots: cycle 6 reuses cycle 2's
+	p.Send(0, 1)
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "due at cycle 2") {
+				t.Fatalf("send into the untaken slot of cycle 2: recovered %v", r)
+			}
+		}()
+		p.Send(4, 2)
+	}()
+
+	q := NewPipe[int](2, 1)
+	q.Send(0, 1)
+	if got := q.Take(2); len(got) != 1 || got[0].Item != 1 {
+		t.Fatalf("Take(2) = %v, want the item sent at 0", got)
+	}
+	q.Send(4, 2)
+	if got := q.Take(6); len(got) != 1 || got[0].Item != 2 {
+		t.Fatalf("Take(6) = %v, want the item sent at 4", got)
+	}
+}
+
+// TestReplayWakesItsReceiver: a faulty wire whose link layer runs every cycle
+// (Replay) and whose receiver takes it only when its calendar bit fires
+// delivers every item on the cycle the slice reference does — piles of more
+// than a cycle's width included — and keeps the calendar exact (Audit) though
+// replays push heads past the calendar's reach.
+func TestReplayWakesItsReceiver(t *testing.T) {
+	const bit = 1 << 3
+	piled, beyond := false, false
+	for seed := uint64(1); seed <= 20; seed++ {
+		cal := make(Calendar, CalendarCells(4))
+		p := NewPipe[int](2, 2).WithFaults(0.4, NewRNG(seed)).Wakes(&cal, bit)
+		ref := &slicePipe{latency: 2, faultRate: 0.4, rng: NewRNG(seed)}
+		script, next := NewRNG(seed+100), 1
+		for now := Cycle(0); now < 400 || len(ref.q) > 0; now++ {
+			p.Replay(now)
+			for s := script.Intn(3); now < 300 && s > 0; s-- {
+				p.Send(now, next)
+				ref.Send(now, next)
+				next++
+			}
+			var got, want []int
+			if c := cal.Cell(now); *c&bit != 0 {
+				*c &^= bit
+				for _, a := range p.Take(now) {
+					got = append(got, a.Item)
+				}
+			}
+			for v, ok := ref.Recv(now); ok; v, ok = ref.Recv(now) {
+				want = append(want, v)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d cycle %d: took %v, the slice model delivers %v", seed, now, got, want)
+			}
+			piled = piled || len(got) > 2
+			if at, ok := p.HeadAt(); ok && at >= now+Cycle(len(cal)) {
+				beyond = true
+			}
+			if err := cal.Audit(now, func(wire func(uint32, Cycle, bool)) {
+				at, ok := p.HeadAt()
+				wire(bit, at, ok)
+			}); err != nil {
+				t.Fatalf("seed %d cycle %d: %v", seed, now, err)
+			}
+		}
+	}
+	if !piled || !beyond {
+		t.Fatalf("the script missed what it is for: a pile wider than the wire %v, a head beyond the calendar's reach %v", piled, beyond)
+	}
+}
+
+// TestResetLeavesNoStaleItems: a slot's items end at the first cell due
+// another cycle, so a wide wire reset and run again from cycle 0 must not
+// find, in a cell its new sends have not reached, an item left from before
+// the reset and due the same cycle.
+func TestResetLeavesNoStaleItems(t *testing.T) {
+	p := NewPipe[int](1, 2)
+	for now := Cycle(0); now < 10; now++ {
+		p.Send(now, 1)
+		p.Send(now, 2)
+		p.Take(now)
+	}
+	p.Reset()
+	for now := Cycle(0); now < 10; now++ {
+		p.Send(now, 3)
+		if got := p.Take(now); now > 0 && (len(got) != 1 || got[0].Item != 3) {
+			t.Fatalf("cycle %d after the reset: took %v, want the one item sent at %d", now, got, now-1)
+		}
 	}
 }

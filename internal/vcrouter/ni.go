@@ -110,8 +110,10 @@ func (n *ni) Tick(now sim.Cycle) {
 	work := 0
 	if due != 0 {
 		*cell &^= niBit
-		for c, ok := n.creditIn.Recv(now); ok; c, ok = n.creditIn.Recv(now) {
-			work++
+		credits := n.creditIn.Take(now)
+		work += len(credits)
+		for i := range credits {
+			c := &credits[i].Item
 			// The same checks a router makes on its outputs: a credit the
 			// interface never spent is a leak in the model.
 			if n.cfg.SharedPool {
@@ -127,7 +129,6 @@ func (n *ni) Tick(now sim.Cycle) {
 				panic(fmt.Sprintf("vcrouter: node %d ni vc %d credit overflow", n.node, c.VC))
 			}
 		}
-		n.creditIn.Rearm(now)
 	}
 
 	// Assign queued packets to free VC slots. By default the source is a

@@ -241,6 +241,17 @@ func wireItems(r *Router) (flits [][]noc.DataFlit, credits [][]noc.VCCredit) {
 	return flits, credits
 }
 
+// takeWires takes what falls due at cycle now off every wire out of the
+// router, as its neighbours would.
+func takeWires(r *Router, now sim.Cycle) {
+	for p := range r.in {
+		if r.in[p].exists {
+			r.out[p].data.Take(now)
+			r.in[p].creditOut.Take(now)
+		}
+	}
+}
+
 // sameState reports the first difference between the mask allocators'
 // router and the scans'.
 func sameState(a, b *Router) error {
@@ -289,6 +300,8 @@ func TestAllocatorsMatchTheScans(t *testing.T) {
 			a, b := oracleRouter(nv, seed, observed, now), oracleRouter(nv, seed, observed, now)
 			*b.rng = *a.rng
 			for ; now < 14; now++ {
+				takeWires(a, now)
+				takeWires(b, now)
 				reqs, wantReqs := a.allocateVCs(now), refAllocateVCs(b, now)
 				got := a.switchAllocate(now)
 				want, l := refSwitchAllocate(b, now)

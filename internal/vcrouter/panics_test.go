@@ -130,7 +130,7 @@ func TestNIRejectsCreditItNeverSpent(t *testing.T) {
 			if prepare != nil {
 				prepare(x)
 			}
-			x.creditIn.Send(0, noc.VCCredit{VC: vc})
+			x.creditIn.Send(0, noc.VCCredit{VC: int32(vc)})
 			net.Tick(0)
 			net.Tick(1) // credit wires take one cycle
 		}

@@ -239,8 +239,10 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) int {
 	for ; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		o := &r.out[p]
-		for c, ok := o.creditIn.Recv(now); ok; c, ok = o.creditIn.Recv(now) {
-			received++
+		credits := o.creditIn.Take(now)
+		received += len(credits)
+		for i := range credits {
+			c := &credits[i].Item
 			if r.cfg.SharedPool {
 				o.pool++
 				o.occ[c.VC]--
@@ -254,7 +256,6 @@ func (r *Router) recvCredits(now sim.Cycle, ports uint32) int {
 				panic(fmt.Sprintf("vcrouter: node %d out %s vc %d credit overflow", r.id, p, c.VC))
 			}
 		}
-		o.creditIn.Rearm(now)
 	}
 	return received
 }
@@ -266,8 +267,10 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) int {
 	for ; ports != 0; ports &= ports - 1 {
 		p := topology.Port(bits.TrailingZeros32(ports))
 		in := &r.in[p]
-		for f, ok := in.data.Recv(now); ok; f, ok = in.data.Recv(now) {
-			received++
+		flits := in.data.Take(now)
+		received += len(flits)
+		for i := range flits {
+			f := &flits[i].Item
 			if r.wf != nil && f.Type.IsHead() && f.Packet.Sampled {
 				r.wf.Arrive(uint64(f.Packet.ID), 0, now)
 			}
@@ -302,13 +305,12 @@ func (r *Router) recvFlits(now sim.Cycle, ports uint32) int {
 			if tail >= len(vc.q) {
 				tail -= len(vc.q)
 			}
-			vc.q[tail] = queuedFlit{flit: f, arrivedAt: now}
+			vc.q[tail] = queuedFlit{flit: *f, arrivedAt: now}
 			vc.n++
 			in.poolUsed++
 			w, bit := chanBit(int(p)*r.cfg.NumVCs + int(f.VC))
 			r.occ[w] |= bit
 		}
-		in.data.Rearm(now)
 	}
 	return received
 }
@@ -549,7 +551,7 @@ func (r *Router) traverse(now sim.Cycle, c int) {
 	in.poolUsed--
 
 	if in.creditOut != nil {
-		in.creditOut.Send(now, noc.VCCredit{VC: v})
+		in.creditOut.Send(now, noc.VCCredit{VC: int32(v)})
 	}
 
 	f.VC = int32(vc.outVC)

@@ -31,6 +31,20 @@ func testRouter(cfg Config) (r *Router, inCredit *sim.Pipe[noc.VCCredit], ej *si
 	return r, inCredit, ej
 }
 
+// tick ticks the rig's router at cycle now and, playing the far ends of its
+// wires out, takes what it sent then on the cycle it arrives: the flits out
+// of East and Local, and the credits returned upstream on East.
+func tick(r *Router, now sim.Cycle) (east, ejected []noc.DataFlit, credits int) {
+	r.Tick(now)
+	for _, a := range r.out[topology.East].data.Take(now + 1) {
+		east = append(east, a.Item)
+	}
+	for _, a := range r.out[topology.Local].data.Take(now + 1) {
+		ejected = append(ejected, a.Item)
+	}
+	return east, ejected, len(r.in[topology.East].creditOut.Take(now + 1))
+}
+
 // feedFlit sends f into the rig's East input at cycle now.
 func feedFlit(r *Router, now sim.Cycle, f noc.DataFlit) {
 	r.in[topology.East].data.Send(now, f)
@@ -38,7 +52,7 @@ func feedFlit(r *Router, now sim.Cycle, f noc.DataFlit) {
 
 // feedCredit returns one credit for vc to the rig's East output at cycle now.
 func feedCredit(r *Router, now sim.Cycle, vc int) {
-	r.out[topology.East].creditIn.Send(now, noc.VCCredit{VC: vc})
+	r.out[topology.East].creditIn.Send(now, noc.VCCredit{VC: int32(vc)})
 }
 
 func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {
@@ -46,21 +60,21 @@ func mkPacket(id noc.PacketID, dst topology.NodeID, n int) []noc.DataFlit {
 }
 
 func TestRouterEjectsLocalTraffic(t *testing.T) {
-	r, inCredit, ej := testRouter(Config{NumVCs: 2, BufPerVC: 4, LinkLatency: 1})
+	r, _, _ := testRouter(Config{NumVCs: 2, BufPerVC: 4, LinkLatency: 1})
 	flits := mkPacket(1, 0, 3) // destination == router id: ejects
 	now := sim.Cycle(0)
+	var got []noc.DataFlit
+	credits := 0
 	for _, f := range flits {
 		f.VC = 0
 		feedFlit(r, now, f)
-		r.Tick(now)
+		_, ejected, c := tick(r, now)
+		got, credits = append(got, ejected...), credits+c
 		now++
 	}
-	var got []noc.DataFlit
 	for ; now < 20; now++ {
-		r.Tick(now)
-		for f, ok := ej.Recv(now + 1); ok; f, ok = ej.Recv(now + 1) {
-			got = append(got, f)
-		}
+		_, ejected, c := tick(r, now)
+		got, credits = append(got, ejected...), credits+c
 	}
 	if len(got) != 3 {
 		t.Fatalf("ejected %d flits, want 3", len(got))
@@ -71,10 +85,6 @@ func TestRouterEjectsLocalTraffic(t *testing.T) {
 		}
 	}
 	// One credit per forwarded flit returned upstream.
-	credits := 0
-	for _, ok := inCredit.Recv(now + 2); ok; _, ok = inCredit.Recv(now + 2) {
-		credits++
-	}
 	if credits != 3 {
 		t.Fatalf("returned %d credits, want 3", credits)
 	}
@@ -85,17 +95,13 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 	// many flits may leave. The test sender obeys the upstream credit
 	// protocol itself (that is the contract recvFlits enforces).
 	cfg := Config{NumVCs: 1, BufPerVC: 2, LinkLatency: 1}
-	r, inCredit, _ := testRouter(cfg)
-	outData := r.out[topology.East].data
+	r, _, _ := testRouter(cfg)
 	// Destination node 1 is east of node 0 on a 2x2 mesh.
 	flits := mkPacket(1, 1, 5)
 	now := sim.Cycle(0)
 	myCredits := cfg.BufPerVC
-	i := 0
+	i, sent := 0, 0
 	for ; now < 15; now++ {
-		for _, ok := inCredit.Recv(now); ok; _, ok = inCredit.Recv(now) {
-			myCredits++
-		}
 		if i < len(flits) && myCredits > 0 {
 			f := flits[i]
 			f.VC = 0
@@ -103,11 +109,8 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 			myCredits--
 			i++
 		}
-		r.Tick(now)
-	}
-	sent := 0
-	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
-		sent++
+		east, _, credits := tick(r, now)
+		sent, myCredits = sent+len(east), myCredits+credits
 	}
 	if sent != cfg.BufPerVC {
 		t.Fatalf("router sent %d flits with %d downstream credits and no returns", sent, cfg.BufPerVC)
@@ -117,21 +120,19 @@ func TestRouterBlocksWithoutCredits(t *testing.T) {
 func TestRouterResumesOnCredit(t *testing.T) {
 	cfg := Config{NumVCs: 1, BufPerVC: 2, LinkLatency: 1}
 	r, _, _ := testRouter(cfg)
-	outData := r.out[topology.East].data
 	flits := mkPacket(1, 1, 4)
 	now := sim.Cycle(0)
+	drain := 0
 	for _, f := range flits {
 		f.VC = 0
 		feedFlit(r, now, f)
-		r.Tick(now)
+		east, _, _ := tick(r, now)
+		drain += len(east)
 		now++
 	}
 	for ; now < 10; now++ {
-		r.Tick(now)
-	}
-	drain := 0
-	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
-		drain++
+		east, _, _ := tick(r, now)
+		drain += len(east)
 	}
 	if drain != 2 {
 		t.Fatalf("pre-credit drain = %d, want 2", drain)
@@ -140,10 +141,8 @@ func TestRouterResumesOnCredit(t *testing.T) {
 	feedCredit(r, now, 0)
 	feedCredit(r, now, 0)
 	for end := now + 8; now < end; now++ {
-		r.Tick(now)
-	}
-	for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
-		drain++
+		east, _, _ := tick(r, now)
+		drain += len(east)
 	}
 	if drain != 4 {
 		t.Fatalf("post-credit drain = %d, want 4", drain)
@@ -153,15 +152,14 @@ func TestRouterResumesOnCredit(t *testing.T) {
 func TestVCAllocationReleasedByTail(t *testing.T) {
 	cfg := Config{NumVCs: 1, BufPerVC: 4, LinkLatency: 1}
 	r, _, _ := testRouter(cfg)
-	outData := r.out[topology.East].data
 	now := sim.Cycle(0)
 	sent := 0
 	// step plays a well-behaved downstream: consume whatever comes out
 	// and return one credit per consumed flit.
 	step := func() {
-		r.Tick(now)
+		east, _, _ := tick(r, now)
 		now++
-		for _, ok := outData.Recv(now); ok; _, ok = outData.Recv(now) {
+		for range east {
 			sent++
 			feedCredit(r, now, 0)
 		}

@@ -5,25 +5,30 @@
 #
 #   - The routers and interfaces of the flit-reservation, virtual-channel,
 #     packet-switched and circuit fabrics, the flit-reservation sink and the
-#     sink the others eject through receive with loops over sim.Pipe.Recv.
+#     sink the others eject through read a wire with one sim.Pipe.Take(now),
+#     which hands them the wire's arrival slot for the cycle: its fast path
+#     fits the inliner's budget of 80 because a replaying wire's link layer
+#     is a call of its own (sim.Pipe.Replay, run by the network).
 #   - Every one of them acts on its node's due calendar (internal/sim
-#     calendar.go): it reads its word with sim.Calendar.Cell, each wire is
+#     calendar.go): it reads its word with sim.Calendar.Cell, and each wire is
 #     bound to its receiver's bit when the fabric wires the node and arms it
-#     in its own Send, and a receiver that has read a wire arms it again at
-#     its head's delivery cycle with sim.Pipe.Rearm(now) (sim.Calendar.Rearm
-#     underneath; core's inputs arm their own bits with sim.Calendar.Arm, and
+#     in its own Send at every cycle it delivers at, so no receiver arms a
+#     wire again (core's inputs arm their own bits with sim.Calendar.Arm, and
 #     core rebuilds a calendar after an outage with sim.Calendar.Rearm over
-#     sim.Pipe.HeadAt).
+#     sim.Pipe.Arrivals).
 #   - Every router orders its arbitration candidates with sim.Shuffle.
 #   - The flit-reservation router reports every tick, dormant or not, to the
 #     self-profile through profile.Registry.RouterTick, a nil test when
-#     profiling is off.
+#     profiling is off, and experiment.RunInstrumented asks
+#     profile.Registry.Due every cycle whether memory is due a sample.
 #
 # Fail unless the compiler reports each helper inlined at every call of it —
 # as many times as the line makes the call — in the files that hold those
-# sites; if one of the wake mechanisms the calendar replaced (the post
-# helper, the in-flight counts, the sinks' ejection pointers) is back in the
-# non-test code of those packages; or if the wake state the wires took over
+# sites; if a receive the arrival slots replaced (sim.Pipe.Recv(now),
+# HeadAt() or Rearm(now), a read of one item, of the head's cycle, or a
+# receiver's re-arm) or one of the wake mechanisms the calendar replaced (the
+# post helper, the in-flight counts, the sinks' ejection pointers) is back in
+# the non-test code of those packages; or if the wake state the wires took over
 # is back on the sending side there: a field naming the receiver's calendar
 # (peer[, dataCal, creditCal, upCal, downCal) or a hand arm beside a send
 # (.Arm(now+...)); or if a hand-written Fisher-Yates loop over Intn(i + 1) is
@@ -48,7 +53,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-report=$(go build -gcflags=-m ./internal/core ./internal/vcrouter ./internal/noc ./internal/packetswitch ./internal/circuit 2>&1) || { echo "$report" >&2; exit 1; }
+report=$(go build -gcflags=-m ./internal/core ./internal/vcrouter ./internal/noc ./internal/packetswitch ./internal/circuit ./internal/experiment 2>&1) || { echo "$report" >&2; exit 1; }
 status=0
 
 # check CALL INLINED FILE...: every line of each FILE that matches CALL (an
@@ -80,15 +85,21 @@ sites() {
     done
 }
 
-check '\.Recv\(now\)' 'sim\.(\*Pipe\[.*\])\.Recv' $(sites '\.Recv\(now\)')
-check '\.HeadAt\(\)' 'sim\.(\*Pipe\[.*\])\.HeadAt' $(sites '\.HeadAt\(\)')
+check '\.Take\(now\)' 'sim\.(\*Pipe\[.*\])\.Take' $(sites '\.Take\(now\)')
 check '\.Cell\(' 'sim\.Calendar\.Cell' $(sites '\.Cell\(')
 check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
-# A pipe's Rearm takes the cycle alone; a calendar's, the head's cycle too.
-check '\.Rearm\(now\)' 'sim\.(\*Pipe\[.*\])\.Rearm' $(sites '\.Rearm\(now\)')
 check '\.Rearm\(now,' 'sim\.Calendar\.Rearm' $(sites '\.Rearm\(now,')
 check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
 check '\.RouterTick\(' 'profile\.(\*Registry)\.RouterTick' internal/core/router.go
+check 'prof\.Due\(' 'profile\.(\*Registry)\.Due' internal/experiment/run.go
+
+# A pipe's Rearm takes the cycle alone; a calendar's, the head's cycle too.
+receives=$(for d in $pkgs; do grep -nE '\.Recv\(now\)|\.HeadAt\(\)|\.Rearm\(now\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+if [ -n "$receives" ]; then
+    echo "inlined.sh: a receive the arrival slots replaced is back (read the cycle's slot with sim.Pipe.Take; the sends arm every arrival):" >&2
+    echo "$receives" >&2
+    status=1
+fi
 
 gone=$(for d in $pkgs; do grep -nE '\bpost\(|FlitsIn|flitsIn|creditsIn|\.ejected\b|\bejected +\*' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
 if [ -n "$gone" ]; then
@@ -151,5 +162,5 @@ if [ -n "$literal" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Recv, HeadAt, Pipe.Rearm, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, and RouterTick at both of the flit-reservation router's; no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
+[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now), HeadAt() or Pipe.Rearm(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
 exit $status
