@@ -36,12 +36,12 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 	tick := func(now sim.Cycle) {
 		for id, r := range ref.routers {
 			cell := r.cal.Cell(now)
-			ref.eachWire(id, func(bit uint32, _ sim.Cycle, _ bool) { *cell |= bit })
+			ref.eachWire(id, func(bit uint32, _ sim.Cycle) { *cell |= bit })
 		}
 		cal.Tick(now)
 		ref.Tick(now)
 		for id, r := range cal.routers {
-			if err := r.cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { cal.eachWire(id, wire) }); err != nil {
+			if err := r.cal.Audit(now, func(due func(uint32, sim.Cycle)) { cal.eachWire(id, due) }); err != nil {
 				t.Fatalf("cycle %d node %d: %v", now, id, err)
 			}
 		}
@@ -93,42 +93,34 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 	}
 }
 
-// eachWire calls wire with the bit, and the head's delivery cycle, of every
-// wire into node id's router, interface and sink; carries is false for an
-// empty wire.
-func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries bool)) {
+// eachWire calls due with the bit of every wire into node id's router,
+// interface and sink, and each cycle the wire delivers at (sim.Pipe.Arrivals).
+func (n *Network) eachWire(id int, due func(bit uint32, at sim.Cycle)) {
 	r := n.routers[id]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if w := r.dataIn[p]; w != nil {
-			at, ok := w.HeadAt()
-			wire(wireBit(dataWire, p), at, ok)
+			w.Arrivals(wireBit(dataWire, p), due)
 		}
 		if w := r.in[p].in; w != nil {
-			at, ok := w.HeadAt()
-			wire(wireBit(probeWire, p), at, ok)
+			w.Arrivals(wireBit(probeWire, p), due)
 		}
 		if w := r.out[p].ackIn; w != nil {
-			at, ok := w.HeadAt()
-			wire(wireBit(ackWire, p), at, ok)
+			w.Arrivals(wireBit(ackWire, p), due)
 		}
 		if w := r.out[p].probeCreditIn; w != nil {
-			at, ok := w.HeadAt()
-			wire(wireBit(probeCreditWire, p), at, ok)
+			w.Arrivals(wireBit(probeCreditWire, p), due)
 		}
 	}
 	x := n.nis[id]
-	at, ok := x.ackIn.HeadAt()
-	wire(niAck, at, ok)
-	at, ok = x.probeCreditIn.HeadAt()
-	wire(niCredit, at, ok)
-	at, ok = n.Sinks[id].Data.HeadAt()
-	wire(noc.SinkBit, at, ok)
+	x.ackIn.Arrivals(niAck, due)
+	x.probeCreditIn.Arrivals(niCredit, due)
+	n.Sinks[id].Data.Arrivals(noc.SinkBit, due)
 }
 
 // fingerprint lists what a cycle leaves behind in the network: the counts,
 // every router's random stream (as the next draw a copy of it makes), probe
-// queues, circuits and probe credits, every interface's progress, and when the
-// head of every wire is due.
+// queues, circuits and probe credits, every interface's progress, and every
+// cycle each wire delivers at.
 func (n *Network) fingerprint() []int64 {
 	c := n.Counts()
 	s := []int64{c.Offered, c.Delivered}
@@ -145,8 +137,8 @@ func (n *Network) fingerprint() []int64 {
 				s = append(s, int64(at))
 			}
 		}
-		n.eachWire(id, func(bit uint32, at sim.Cycle, carries bool) {
-			if carries {
+		n.eachWire(id, func(bit uint32, at sim.Cycle) {
+			if at != sim.Never {
 				s = append(s, int64(bit), int64(at))
 			}
 		})

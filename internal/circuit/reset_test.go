@@ -52,7 +52,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 				continue
 			}
 			if o.owned || o.probeCredits != r.cfg.ProbeBuffers || !o.data.Empty() {
-				t.Errorf("router %d out %s: owned=%v credits=%d data in flight=%d", id, topology.Port(p), o.owned, o.probeCredits, o.data.Len())
+				t.Errorf("router %d out %s: owned=%v credits=%d data in flight=%v", id, topology.Port(p), o.owned, o.probeCredits, !o.data.Empty())
 			}
 			if o.probeOut != nil && !(o.probeOut.Empty() && o.probeCreditIn.Empty() && o.ackIn.Empty()) {
 				t.Errorf("router %d out %s: control wires not empty", id, topology.Port(p))

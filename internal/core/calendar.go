@@ -60,53 +60,42 @@ func (c Config) calendarReach() sim.Cycle {
 	return c.Horizon + max(c.DataLinkLatency, c.CtrlLinkLatency, c.CreditLatency, c.LocalLatency)
 }
 
-// eachWire calls fn with the bit of every wire into the router, its interface
-// and its sink, and a cycle the wire delivers at: once for each such cycle,
-// earliest first (sim.Pipe.Arrivals), or once with carries false for an empty
-// wire.
-func (r *Router) eachWire(ni *NI, s *Sink, fn func(bit uint32, at sim.Cycle, carries bool)) {
+// eachDue calls fn with every bit of the node's calendar and each cycle
+// something it stands for falls due at, or once with sim.Never when nothing
+// does: each wire into the router, its interface or its sink at each cycle it
+// delivers at (sim.Pipe.Arrivals), each input's departure bit at each
+// scheduled pool flit's departure and its expiry bit at each pending
+// reservation and condemned arrival. These are the cycles the bits are armed
+// at, no more and no fewer.
+func (r *Router) eachDue(ni *NI, s *Sink, fn func(bit uint32, at sim.Cycle)) {
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if w := r.inputs[p].dataIn; w != nil {
-			arrivals(w, wireBit(dataWire, p), fn)
+			w.Arrivals(wireBit(dataWire, p), fn)
 		}
 		if w := r.ctrlIn[p].in; w != nil {
-			arrivals(w, wireBit(ctrlWire, p), fn)
+			w.Arrivals(wireBit(ctrlWire, p), fn)
 		}
 		if w := r.dataCreditIn[p]; w != nil {
-			arrivals(w, wireBit(resvCreditWire, p), fn)
+			w.Arrivals(wireBit(resvCreditWire, p), fn)
 		}
 		if w := r.ctrlOut[p].creditIn; w != nil {
-			arrivals(w, wireBit(ctrlCreditWire, p), fn)
+			w.Arrivals(wireBit(ctrlCreditWire, p), fn)
 		}
 	}
-	arrivals(ni.resvCreditIn, niResv, fn)
-	arrivals(ni.ctrlCreditIn, niCtrl, fn)
-	arrivals(s.dataIn, sinkBit, fn)
-}
-
-// arrivals calls fn for wire w of bit bit as eachWire does.
-func arrivals[T any](w *sim.Pipe[T], bit uint32, fn func(bit uint32, at sim.Cycle, carries bool)) {
-	if w.Empty() {
-		fn(bit, 0, false)
-		return
-	}
-	w.Arrivals(func(at sim.Cycle) { fn(bit, at, true) })
-}
-
-// eachDue calls fn with the cycle, and the input bit, of everything the
-// router's inputs hold that falls due: every scheduled pool flit's departure,
-// every pending reservation and every condemned arrival.
-func (r *Router) eachDue(fn func(at sim.Cycle, bit uint32)) {
+	ni.resvCreditIn.Arrivals(niResv, fn)
+	ni.ctrlCreditIn.Arrivals(niCtrl, fn)
+	s.dataIn.Arrivals(sinkBit, fn)
 	for p := range r.inputs {
 		in := &r.inputs[p]
+		fn(in.departBit|in.expireBit, sim.Never)
 		for i := in.occ.next(0); i >= 0; i = in.occ.next(i + 1) {
 			if at := in.pool[i].departAt; at != sim.Never {
-				fn(at, in.departBit)
+				fn(in.departBit, at)
 			}
 		}
-		in.expected.each(func(ta sim.Cycle, _ reservation) { fn(ta, in.expireBit) })
+		in.expected.each(func(ta sim.Cycle, _ reservation) { fn(in.expireBit, ta) })
 		for ta := range in.condemned {
-			fn(ta, in.expireBit)
+			fn(in.expireBit, ta)
 		}
 	}
 }

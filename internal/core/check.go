@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"frfc/internal/noc"
 	"frfc/internal/sim"
@@ -29,52 +28,23 @@ func (n *Network) check(now sim.Cycle) {
 
 // checkSleep audits the calendar that lets a node's router, interface and
 // sink act only on what falls due, against the state it stands for. At the
-// end of a cycle every live node has ticked, so the word for now is clear and
-// the others hold cycles now+1 to now+len-1. Then, exactly:
-//
-//   - every wire into the router, its interface or its sink passes the
-//     calendar's Audit: its bit is armed iff it carries something, first
-//     between now+1 and its head's delivery cycle — so a router whose wires
-//     carry nothing, as a dormant one's mostly do, has no wire bit armed;
-//   - an input's departure bit is armed at cycle c iff one of its pool flits
-//     is scheduled to depart at c;
-//   - an input's expiry bit is armed at cycle c iff it holds a reservation or
-//     a condemned arrival for c;
-//   - a control channel's bit in the router's occ vector is set iff its
-//     queue holds a flit, and the fresh vector is zero, since every channel
-//     filled this cycle was read (and cleared) by candidates.
+// end of a cycle every live node has ticked, so the word for now is clear,
+// and every bit is armed at exactly the cycles something it stands for falls
+// due (eachDue, through the calendar's Audit): a wire's at each cycle it
+// delivers at, an input's departure bit at each of its pool flits' scheduled
+// departures, its expiry bit at each reservation and condemned arrival it
+// holds — so a router whose wires and inputs hold nothing, as a dormant one's
+// mostly do, has nothing armed. Then a control channel's bit in the router's
+// occ vector is set iff its queue holds a flit, and the fresh vector is zero,
+// since every channel filled this cycle was read (and cleared) by candidates.
 //
 // A component marked dormant must hold no work of its own the calendar does
 // not name: a router no control flit queued and, under reclamation, no flit
 // parked; an interface nothing at all (idle).
 func (n *Network) checkSleep(now sim.Cycle, id topology.NodeID) {
 	r, ni := &n.routers[id], &n.nis[id]
-	cal, last := r.cal, now+sim.Cycle(len(r.cal))-1
-	if err := cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { r.eachWire(ni, &n.sinks[id], wire) }); err != nil {
+	if err := r.cal.Audit(now, func(due func(uint32, sim.Cycle)) { r.eachDue(ni, &n.sinks[id], due) }); err != nil {
 		n.fail(now, "node %d: %v", id, err)
-	}
-	// Everything the inputs hold that falls due is armed on its cycle...
-	r.eachDue(func(at sim.Cycle, bit uint32) {
-		if at <= now || at > last || *cal.Cell(at)&bit == 0 {
-			n.fail(now, "node %d: input bit %#x due at cycle %d is not armed there", id, bit, at)
-		}
-	})
-	// ...and every one armed is called for.
-	for c := now + 1; c <= last; c++ {
-		w := *cal.Cell(c)
-		for ins := w >> departShift & portMask; ins != 0; ins &= ins - 1 {
-			p := topology.Port(bits.TrailingZeros32(ins))
-			if r.inputs[p].departing(c, 0) < 0 {
-				n.fail(now, "node %d input %s: departure bit armed at cycle %d with no flit departing then", id, p, c)
-			}
-		}
-		for ins := w >> expireShift & portMask; ins != 0; ins &= ins - 1 {
-			p := topology.Port(bits.TrailingZeros32(ins))
-			in := &r.inputs[p]
-			if _, ok := in.expected.get(c); !ok && !in.condemned[c] {
-				n.fail(now, "node %d input %s: expiry bit armed at cycle %d with nothing due then", id, p, c)
-			}
-		}
 	}
 
 	queued := 0

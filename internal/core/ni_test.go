@@ -30,10 +30,10 @@ func TestNIInjectsControlBeforeData(t *testing.T) {
 	var ctrlAt, dataAt []sim.Cycle
 	for now := sim.Cycle(0); now < 30; now++ {
 		n.Tick(now)
-		for _, ok := ctrl.Recv(now + 1); ok; _, ok = ctrl.Recv(now + 1) {
+		for range ctrl.Take(now + 1) {
 			ctrlAt = append(ctrlAt, now)
 		}
-		for _, ok := data.Recv(now + 1); ok; _, ok = data.Recv(now + 1) {
+		for range data.Take(now + 1) {
 			dataAt = append(dataAt, now)
 		}
 	}
@@ -55,12 +55,14 @@ func TestNILeadCyclesHonored(t *testing.T) {
 	dataSent := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
+		for _, a := range ctrl.Take(now + 1) {
+			cf := a.Item
 			for _, le := range cf.Leads {
 				ctrlSent[int(le.Seq)] = now
 			}
 		}
-		for f, ok := data.Recv(now + 1); ok; f, ok = data.Recv(now + 1) {
+		for _, a := range data.Take(now + 1) {
+			f := a.Item
 			dataSent[int(f.Seq)] = now
 		}
 	}
@@ -83,12 +85,14 @@ func TestNIControlFlitCarriesAccurateArrivals(t *testing.T) {
 	arrived := map[int]sim.Cycle{}
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
-		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
+		for _, a := range ctrl.Take(now + 1) {
+			cf := a.Item
 			for _, le := range cf.Leads {
 				announced[int(le.Seq)] = le.Arrival
 			}
 		}
-		for f, ok := data.Recv(now); ok; f, ok = data.Recv(now) {
+		for _, a := range data.Take(now) {
+			f := a.Item
 			arrived[int(f.Seq)] = now
 		}
 	}
@@ -116,7 +120,8 @@ func TestNIRespectsControlCredits(t *testing.T) {
 	step := func(returnCtrl bool) {
 		n.Tick(now)
 		data.Take(now + 1)
-		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
+		for _, a := range ctrl.Take(now + 1) {
+			cf := a.Item
 			sent++
 			for _, le := range cf.Leads {
 				resv.Send(now+1, noc.ReservationCredit{FreeFrom: le.Arrival, VC: cf.VC})
@@ -156,7 +161,8 @@ func TestNIFIFOSourceSerializesPackets(t *testing.T) {
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
 		data.Take(now + 1)
-		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
+		for _, a := range ctrl.Take(now + 1) {
+			cf := a.Item
 			order = append(order, cf.Packet.ID)
 			// Play a healthy downstream: return both credit kinds.
 			ctrlCredit.Send(now+1, noc.VCCredit{VC: cf.VC})
@@ -187,7 +193,8 @@ func TestNIInterleaveAllowsConcurrentPackets(t *testing.T) {
 	for now := sim.Cycle(0); now < 40; now++ {
 		n.Tick(now)
 		data.Take(now + 1)
-		for cf, ok := ctrl.Recv(now + 1); ok; cf, ok = ctrl.Recv(now + 1) {
+		for _, a := range ctrl.Take(now + 1) {
+			cf := a.Item
 			if cf.Packet.ID == 2 && firstOfTwo < 0 {
 				firstOfTwo = now
 			}

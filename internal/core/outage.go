@@ -46,7 +46,7 @@ func (n *Network) applyFaults(now sim.Cycle) {
 		n.topoChanged(now)
 	}
 	if n.nextFault > first {
-		n.resync(now)
+		n.resync()
 	}
 }
 
@@ -57,27 +57,26 @@ func (n *Network) applyFaults(now sim.Cycle) {
 // and every router and interface is woken to look at its state afresh. Events
 // are rare, so rebuilding and waking the whole mesh costs nothing that
 // matters.
-func (n *Network) resync(now sim.Cycle) {
+func (n *Network) resync() {
 	for id := range n.routers {
-		n.routers[id].rearm(now, &n.nis[id], &n.sinks[id])
+		n.routers[id].rearm(&n.nis[id], &n.sinks[id])
 		n.routers[id].dormant = false
 		n.nis[id].dormant = false
 	}
 }
 
-// rearm rebuilds the node's calendar at the top of cycle now, before anything
-// ticks: a wire's bit at every cycle it delivers at — a replaying wire's at
-// its oldest item's, from which its Replay arms the next — for every wire into
-// the router, its interface or its sink that carries something, and an input
-// bit on its cycle for everything the inputs hold that falls due.
-func (r *Router) rearm(now sim.Cycle, ni *NI, s *Sink) {
+// rearm rebuilds the node's calendar at the top of a cycle, before anything
+// ticks: every bit at each cycle something it stands for falls due (eachDue),
+// all of them within the calendar's reach. A replaying wire's slot is empty
+// then — its receiver took the last one — and its Replay arms what it moves
+// there.
+func (r *Router) rearm(ni *NI, s *Sink) {
 	clear(r.cal)
-	r.eachWire(ni, s, func(bit uint32, at sim.Cycle, carries bool) {
-		if carries {
-			r.cal.Rearm(now, at, bit)
+	r.eachDue(ni, s, func(bit uint32, at sim.Cycle) {
+		if at != sim.Never {
+			r.cal.Arm(at, bit)
 		}
 	})
-	r.eachDue(r.cal.Arm)
 }
 
 // corruptLink retunes the undirected link a—b's bit-error rate: both

@@ -85,25 +85,22 @@ func armed(c sim.Calendar) int {
 	return n
 }
 
-// inFlight counts the items on the wires into the router.
+// inFlight counts the wires into the router that carry anything.
 func (r *Router) inFlight() int {
 	total := 0
 	for p := range r.inputs {
-		if w := r.inputs[p].dataIn; w != nil {
-			total += w.Len()
-		}
-		if w := r.ctrlIn[p].in; w != nil {
-			total += w.Len()
-		}
-		if w := r.dataCreditIn[p]; w != nil {
-			total += w.Len()
-		}
-		if w := r.ctrlOut[p].creditIn; w != nil {
-			total += w.Len()
-		}
+		total += carries(r.inputs[p].dataIn) + carries(r.ctrlIn[p].in) + carries(r.dataCreditIn[p]) + carries(r.ctrlOut[p].creditIn)
 	}
 	return total
 }
 
-// inFlight counts the credits on the wires into the interface.
-func (n *NI) inFlight() int { return n.resvCreditIn.Len() + n.ctrlCreditIn.Len() }
+// inFlight counts the credit wires into the interface that carry anything.
+func (n *NI) inFlight() int { return carries(n.resvCreditIn) + carries(n.ctrlCreditIn) }
+
+// carries is 1 for a wire that carries anything, 0 for an empty or absent one.
+func carries[T any](w *sim.Pipe[T]) int {
+	if w == nil || w.Empty() {
+		return 0
+	}
+	return 1
+}

@@ -248,11 +248,11 @@ func TestTerminalsCountAndReset(t *testing.T) {
 			}
 		}
 		if !s.Data.Empty() {
-			t.Fatalf("after Reset node %d's ejection wire carries %d flits", id, s.Data.Len())
+			t.Fatalf("after Reset node %d's ejection wire still carries flits", id)
 		}
 	}
 	if !credits.Empty() {
-		t.Fatalf("after Reset a wire made with NewWire carries %d items", credits.Len())
+		t.Fatal("after Reset a wire made with NewWire still carries items")
 	}
 	// The packet cut off mid-ejection on node 1 is forgotten: a fresh one on
 	// the same channel ejects from its first flit, and only the new hooks

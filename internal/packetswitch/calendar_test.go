@@ -38,12 +38,12 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 			tick := func(now sim.Cycle) {
 				for id, r := range ref.routers {
 					cell := r.cal.Cell(now)
-					ref.eachWire(id, func(bit uint32, _ sim.Cycle, _ bool) { *cell |= bit })
+					ref.eachWire(id, func(bit uint32, _ sim.Cycle) { *cell |= bit })
 				}
 				cal.Tick(now)
 				ref.Tick(now)
 				for id, r := range cal.routers {
-					if err := r.cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { cal.eachWire(id, wire) }); err != nil {
+					if err := r.cal.Audit(now, func(due func(uint32, sim.Cycle)) { cal.eachWire(id, due) }); err != nil {
 						t.Fatalf("cycle %d node %d: %v", now, id, err)
 					}
 				}
@@ -97,31 +97,26 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 	}
 }
 
-// eachWire calls wire with the bit, and the head's delivery cycle, of every
-// wire into node id's router, interface and sink; carries is false for an
-// empty wire.
-func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries bool)) {
+// eachWire calls due with the bit of every wire into node id's router,
+// interface and sink, and each cycle the wire delivers at (sim.Pipe.Arrivals).
+func (n *Network) eachWire(id int, due func(bit uint32, at sim.Cycle)) {
 	r := n.routers[id]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if w := r.in[p].data; w != nil {
-			at, ok := w.HeadAt()
-			wire(dataBit(p), at, ok)
+			w.Arrivals(dataBit(p), due)
 		}
 		if w := r.out[p].creditIn; w != nil {
-			at, ok := w.HeadAt()
-			wire(creditBit(p), at, ok)
+			w.Arrivals(creditBit(p), due)
 		}
 	}
-	at, ok := n.nis[id].creditIn.HeadAt()
-	wire(niBit, at, ok)
-	at, ok = n.Sinks[id].Data.HeadAt()
-	wire(noc.SinkBit, at, ok)
+	n.nis[id].creditIn.Arrivals(niBit, due)
+	n.Sinks[id].Data.Arrivals(noc.SinkBit, due)
 }
 
 // fingerprint lists what a cycle leaves behind in the network: the counts,
 // every router's random stream (as the next draw a copy of it makes), packet
-// buffers and output channels, every interface's progress, and when the head
-// of every wire is due.
+// buffers and output channels, every interface's progress, and every cycle
+// each wire delivers at.
 func (n *Network) fingerprint() []int64 {
 	c := n.Counts()
 	s := []int64{c.Offered, c.Delivered}
@@ -139,8 +134,8 @@ func (n *Network) fingerprint() []int64 {
 				s = append(s, int64(sl.received), int64(sl.sent), int64(sl.route), int64(sl.headAt), int64(sl.lastAt), b2i(sl.occupied), b2i(sl.granted))
 			}
 		}
-		n.eachWire(id, func(bit uint32, at sim.Cycle, carries bool) {
-			if carries {
+		n.eachWire(id, func(bit uint32, at sim.Cycle) {
+			if at != sim.Never {
 				s = append(s, int64(bit), int64(at))
 			}
 		})

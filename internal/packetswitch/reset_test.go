@@ -58,8 +58,8 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 					}
 				}
 				if in.assembly != -1 || o.busyWith != -1 || o.credits != r.cfg.PacketBuffers || !o.data.Empty() {
-					t.Errorf("%s router %d port %s: assembly=%d busyWith=%d credits=%d data in flight=%d",
-						mode, id, topology.Port(p), in.assembly, o.busyWith, o.credits, o.data.Len())
+					t.Errorf("%s router %d port %s: assembly=%d busyWith=%d credits=%d data in flight=%v",
+						mode, id, topology.Port(p), in.assembly, o.busyWith, o.credits, !o.data.Empty())
 				}
 				if o.creditIn != nil && !o.creditIn.Empty() {
 					t.Errorf("%s router %d out %s: credits in flight", mode, id, topology.Port(p))

@@ -76,9 +76,10 @@ func TestBitErrorsComposeWithFaultyPipe(t *testing.T) {
 	}
 	got := 0
 	for !p.Empty() && now < 100000 {
-		for it, ok := p.Recv(now); ok; it, ok = p.Recv(now) {
-			if it.n != got {
-				t.Fatalf("out of order: got %d, want %d", it.n, got)
+		p.Replay(now)
+		for _, a := range p.Take(now) {
+			if a.Item.n != got {
+				t.Fatalf("out of order: got %d, want %d", a.Item.n, got)
 			}
 			got++
 		}

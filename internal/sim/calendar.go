@@ -17,16 +17,16 @@ import (
 // The words form a ring indexed by the cycle's low bits, a power of two long
 // and longer than anything is ever armed ahead (CalendarCells); the word for a
 // cycle is clear once every component of the node has ticked at it, so the
-// ring always holds the cycles from now on. A wire's bit fires on each cycle
-// something on it falls due, since its Send armed that cycle, and its receiver
-// takes that cycle's slot (Pipe.Take). Only a replaying wire's bit may fire
-// early, never late: an item a replay delayed, perhaps past the calendar's
-// reach, is armed again at its delivery cycle by the wire's own link layer
-// (Pipe.Replay, over Rearm), so there a bit is a prompt to look, and what is
-// found decides.
+// ring always holds the cycles from now on. A bit is armed at cycle t exactly
+// when its wire or input has something due at t, and at no other cycle: a
+// wire's Send arms the cycle its item falls due, and its receiver takes that
+// cycle's slot (Pipe.Take) when the bit fires. A replaying wire is no
+// exception: its Send arms nothing, since an item a replay delays may fall due
+// past the calendar's reach, and its link layer (Pipe.Replay) arms the cycle
+// it moves items into the slot, before the receiver ticks.
 //
-// The methods are small enough to inline, and must stay so: each is called per
-// wire per cycle on every fabric's hot path.
+// Cell and Arm are small enough to inline, and must stay so: each is called
+// per wire per cycle on every fabric's hot path.
 type Calendar []uint32
 
 // CalendarCells is the length of a calendar that must reach reach cycles
@@ -40,52 +40,43 @@ func (c Calendar) Cell(t Cycle) *uint32 { return &c[int(t)&(len(c)-1)] }
 // reach of the current cycle.
 func (c Calendar) Arm(t Cycle, bits uint32) { *c.Cell(t) |= bits }
 
-// Rearm arms bits for a wire whose head falls due at cycle t, read at cycle
-// now; a head beyond the calendar's reach is armed at its last cycle, to be
-// armed again from there.
-func (c Calendar) Rearm(now, t Cycle, bits uint32) {
-	if last := now + Cycle(len(c)) - 1; t > last {
-		t = last
-	}
-	c.Arm(t, bits)
-}
-
 // Audit checks the calendar at the end of cycle now, once every component
-// that reads it has ticked, against the wires it names. wires calls its
-// argument once a wire: the wire's bit, and — when it carries something —
-// its head's delivery cycle. The word for now must be clear, and a wire's bit
-// must be armed iff the wire carries something, first between now+1 and its
-// head's delivery cycle (the calendar's last cycle, for a head beyond its
-// reach): a bit missing or late would leave an item unread on its cycle, one
-// armed for an empty wire wakes its receiver for nothing. Bits no wire names
-// are not looked at. It reports the first breach, nil if there is none.
-func (c Calendar) Audit(now Cycle, wires func(wire func(bit uint32, at Cycle, carries bool))) error {
+// that reads it has ticked, against what falls due. walk calls due with a bit
+// and each cycle something the bit stands for falls due at, and once with
+// Never for a bit with nothing due (Pipe.Arrivals walks a wire so). The word
+// for now must be clear, and every bit walk names must be armed at exactly
+// the cycles it reports, all between now+1 and the calendar's last cycle: a
+// bit missing would leave an item unread on its cycle, one armed with nothing
+// due wakes its receiver for nothing. Bits walk never names are not looked
+// at. It reports the first breach, nil if there is none.
+func (c Calendar) Audit(now Cycle, walk func(due func(bit uint32, at Cycle))) error {
 	if w := *c.Cell(now); w != 0 {
 		return fmt.Errorf("the calendar word for cycle %d still holds %#x after the tick", now, w)
 	}
-	// first[b] is the first cycle bit b is armed at, or Never.
-	var first [32]Cycle
-	for b := range first {
-		first[b] = Never
-	}
 	last := now + Cycle(len(c)) - 1
-	for t := last; t > now; t-- {
-		for w := *c.Cell(t); w != 0; w &= w - 1 {
-			first[bits.TrailingZeros32(w)] = t
-		}
-	}
+	want, named := make(Calendar, len(c)), uint32(0)
 	var err error
-	wires(func(bit uint32, at Cycle, carries bool) {
-		k := bits.TrailingZeros32(bit)
-		switch armed := first[k]; {
-		case err != nil:
-		case !carries && armed != Never:
-			err = fmt.Errorf("bit %d armed at cycle %d for a wire that carries nothing", k, armed)
-		case carries && armed == Never:
-			err = fmt.Errorf("bit %d: head due at cycle %d, bit not armed", k, at)
-		case carries && armed > min(at, last):
-			err = fmt.Errorf("bit %d: head due at cycle %d, bit armed first at %d", k, at, armed)
+	walk(func(bit uint32, at Cycle) {
+		named |= bit
+		switch {
+		case at == Never || err != nil:
+		case at <= now || at > last:
+			err = fmt.Errorf("bit %d: an item falls due at cycle %d, outside cycles %d to %d", bits.TrailingZeros32(bit), at, now+1, last)
+		default:
+			want.Arm(at, bit)
 		}
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	for t := now + 1; t <= last; t++ {
+		got, due := *c.Cell(t)&named, *want.Cell(t)
+		if miss := due &^ got; miss != 0 {
+			return fmt.Errorf("bit %d: an item falls due at cycle %d, bit not armed there", bits.TrailingZeros32(miss), t)
+		}
+		if stale := got &^ due; stale != 0 {
+			return fmt.Errorf("bit %d armed at cycle %d with nothing due then", bits.TrailingZeros32(stale), t)
+		}
+	}
+	return nil
 }

@@ -38,8 +38,8 @@ const MaxPipeLatency = 63
 // any number of items may pile up behind one. It keeps its items in an
 // ordered retransmit buffer instead of slots, and its owner runs its link
 // layer once a cycle (Replay), which moves what falls due into the one slot
-// Take reads and arms the receiver's bit again at the next item's cycle; its
-// receiver takes it like any other wire.
+// Take reads and arms the receiver's bit at that cycle; its Send arms
+// nothing. Its receiver takes it like any other wire.
 //
 // The header is one cache line (64 bytes): what every Send and Take reads
 // comes first, and the state of the fault, sever-callback and bit-error
@@ -207,8 +207,9 @@ func (p *Pipe[T]) Reset() {
 
 // Wakes binds the pipe to its receiver: bit, which must be a single bit, on
 // the due calendar *cal. From then on every Send arms bit at the cycle the
-// item would be due without a replay. cal is read at each arm, so it may
-// point at a calendar field its owner sets later. It returns the pipe.
+// item falls due — on a replaying wire, Replay at the cycle it moves items
+// into the slot. cal is read at each arm, so it may point at a calendar field
+// its owner sets later. It returns the pipe.
 func (p *Pipe[T]) Wakes(cal *Calendar, bit uint32) *Pipe[T] {
 	if bits.OnesCount32(bit) != 1 {
 		panic("sim: a pipe wakes its receiver on exactly one calendar bit")
@@ -321,10 +322,11 @@ func (p *Pipe[T]) CanSend(now Cycle) bool {
 }
 
 // Send sends an item at cycle now into the slot of cycle now+latency, and a
-// bound pipe arms its receiver's bit at that cycle. It panics if the
-// per-cycle bandwidth is exceeded, if time runs backwards, or if the slot
-// still holds items its receiver never took, all of which indicate a bug in
-// the calling model rather than a recoverable condition.
+// bound pipe arms its receiver's bit at that cycle; a replaying wire holds the
+// item back for its Replay instead. It panics if the per-cycle bandwidth is
+// exceeded, if time runs backwards, or if the slot still holds items its
+// receiver never took, all of which indicate a bug in the calling model
+// rather than a recoverable condition.
 func (p *Pipe[T]) Send(now Cycle, item T) {
 	// The common case first: a whole wire with its slots made, no fault or
 	// bit-error model ever armed, and room left in this cycle's bandwidth.
@@ -379,8 +381,8 @@ func (p *Pipe[T]) send(now, due Cycle, item T) {
 		item = x.corruptFn(item)
 		x.corrupted++
 	}
-	p.wake(due)
 	if x == nil || x.faultRate == 0 {
+		p.wake(due)
 		if p.ring == nil {
 			p.ring = make([]Arrival[T], RingCells(Cycle(p.latency), int(p.width)))
 		}
@@ -442,11 +444,10 @@ func (p *Pipe[T]) Take(now Cycle) []Arrival[T] {
 }
 
 // Replay runs a replaying wire's link layer for cycle now: it moves the items
-// that fall due out of the retransmit buffer into the slot Take reads, and —
-// when the receiver's bit fires at now, so that it reads the wire — arms the
-// bit again at the next item's cycle (Calendar.Rearm: past the calendar's
-// reach, at its last cycle). The owner of a replaying wire calls it once a
-// cycle before the wire's receiver ticks; on any other wire it does nothing.
+// that fall due out of the retransmit buffer into the slot Take reads and
+// arms the receiver's bit at now. The owner of a replaying wire calls it once
+// a cycle before the wire's receiver ticks; on any other wire it does
+// nothing.
 func (p *Pipe[T]) Replay(now Cycle) {
 	if !p.replays() {
 		return
@@ -460,92 +461,55 @@ func (p *Pipe[T]) Replay(now Cycle) {
 		x.backlog[k].due = now
 		k++
 	}
-	clear(p.ring)
-	p.ring, p.live = append(p.ring[:0], x.backlog[:k]...), 0
-	if k > 0 {
-		p.live = 1
+	if k == 0 {
+		return
 	}
+	clear(p.ring)
+	p.ring, p.live = append(p.ring[:0], x.backlog[:k]...), 1
 	left := copy(x.backlog, x.backlog[k:])
 	clear(x.backlog[left:])
 	x.backlog = x.backlog[:left]
-	if bit := uint32(1) << p.bit; left > 0 && p.cal != nil && *p.cal.Cell(now)&bit != 0 {
-		p.cal.Rearm(now, x.backlog[0].due, bit)
-	}
+	p.wake(now)
 }
 
-// Recv takes one item due at cycle now, the first Take would return; the
-// second result is false when there is none. It neither needs nor runs a
-// replaying wire's Replay, and arms no bit. A receiver reads a cycle's items
-// with Take or with Recv, not both.
+// Recv takes the one item due at cycle now on a wire one item wide that does
+// not replay; ok is false when there is none. It is Take for a wire whose
+// slots hold one item, and panics on any other.
 func (p *Pipe[T]) Recv(now Cycle) (item T, ok bool) {
+	if p.width != 1 || p.replays() {
+		panic("sim: Recv reads a wire one item wide that does not replay; take the slot with Take")
+	}
+	if s := p.Take(now); len(s) > 0 {
+		return s[0].Item, true
+	}
+	return item, false
+}
+
+// Arrivals calls fn with bit and each cycle something in the wire's arrival
+// slots falls due, earliest first, or once with Never when they hold nothing:
+// the cycles a bound wire arms its bit at, as Calendar.Audit walks them. What
+// a replaying wire holds back in its retransmit buffer is in no slot until its
+// Replay moves it there, and armed at no cycle before then.
+func (p *Pipe[T]) Arrivals(bit uint32, fn func(bit uint32, at Cycle)) {
+	if p.live == 0 {
+		fn(bit, Never)
+		return
+	}
+	newest := p.newest()
+	for t := newest - Cycle(p.mask); t <= newest; t++ {
+		if _, b := p.slot(t); p.live&b != 0 {
+			fn(bit, t)
+		}
+	}
+}
+
+// newest is the cycle of the latest slot that holds items, when any does: the
+// one the last send filled, or a replaying wire's one slot.
+func (p *Pipe[T]) newest() Cycle {
 	if p.replays() {
-		x := p.x
-		if len(x.backlog) == 0 || x.backlog[0].due > now {
-			return item, false
-		}
-		item = x.backlog[0].Item
-		left := copy(x.backlog, x.backlog[1:])
-		x.backlog[left] = Arrival[T]{}
-		x.backlog = x.backlog[:left]
-		return item, true
+		return p.ring[0].due
 	}
-	i, bit := p.slot(now)
-	if p.live&bit == 0 {
-		return item, false
-	}
-	s, k := p.cells(i), len(p.Take(now))
-	item = s[0].Item
-	if k > 1 {
-		copy(s, s[1:k])
-		s[k-1].due = Never
-		p.live |= bit
-	}
-	return item, true
-}
-
-// HeadAt reports the cycle the oldest item in flight falls due, and false
-// when nothing is in flight.
-func (p *Pipe[T]) HeadAt() (at Cycle, ok bool) {
-	p.each(func(c *Arrival[T]) bool {
-		at, ok = c.due, true
-		return false
-	})
-	return at, ok
-}
-
-// Rearm arms the receiver's bit at its head's delivery cycle
-// (Calendar.Rearm), read at cycle now, when anything is left on a bound pipe.
-// A receiver needs none: a wire's sends arm each cycle it delivers at, and a
-// replaying wire's Replay arms the next.
-func (p *Pipe[T]) Rearm(now Cycle) {
-	if at, ok := p.HeadAt(); ok && p.cal != nil {
-		p.cal.Rearm(now, at, 1<<p.bit)
-	}
-}
-
-// Arrivals calls fn with each cycle something on the wire falls due, earliest
-// first — for a replaying wire, its oldest item's alone, the one its Replay
-// arms the next from. Arming the receiver's bit at each (Calendar.Rearm)
-// rebuilds what the sends armed.
-func (p *Pipe[T]) Arrivals(fn func(at Cycle)) {
-	last, replays := Never, p.replays()
-	p.each(func(c *Arrival[T]) bool {
-		if c.due != last {
-			last = c.due
-			fn(last)
-		}
-		return !replays
-	})
-}
-
-// Len reports how many items are in flight (sent but not yet taken).
-func (p *Pipe[T]) Len() int {
-	n := 0
-	p.each(func(*Arrival[T]) bool {
-		n++
-		return true
-	})
-	return n
+	return p.lastSendCycle + Cycle(p.latency)
 }
 
 // Empty reports whether nothing is in flight.
@@ -554,22 +518,16 @@ func (p *Pipe[T]) Empty() bool { return p.live == 0 && (p.x == nil || len(p.x.ba
 // Each visits every in-flight item in FIFO order without consuming it; it
 // exists for invariant checkers that audit conservation across a link.
 func (p *Pipe[T]) Each(fn func(T)) {
-	p.each(func(c *Arrival[T]) bool {
-		fn(c.Item)
-		return true
-	})
+	p.each(func(c *Arrival[T]) { fn(c.Item) })
 }
 
 // each visits the cells of the items in flight in the order Take would return
-// them, until fn returns false: the slots holding items, from the oldest a
-// send can still be waiting in to the one the last send filled — a replaying
-// wire's one slot — then the retransmit buffer.
-func (p *Pipe[T]) each(fn func(*Arrival[T]) bool) {
+// them: the slots holding items, from the oldest a send can still be waiting
+// in to the one the last send filled — a replaying wire's one slot — then the
+// retransmit buffer.
+func (p *Pipe[T]) each(fn func(*Arrival[T])) {
 	if p.live != 0 {
-		newest := p.lastSendCycle + Cycle(p.latency)
-		if p.replays() {
-			newest = p.ring[0].due
-		}
+		newest := p.newest()
 		for t := newest - Cycle(p.mask); t <= newest; t++ {
 			i, bit := p.slot(t)
 			if p.live&bit == 0 {
@@ -577,17 +535,13 @@ func (p *Pipe[T]) each(fn func(*Arrival[T]) bool) {
 			}
 			s := p.cells(i)
 			for j := 0; j < len(s) && (j == 0 || s[j].due == t); j++ {
-				if !fn(&s[j]) {
-					return
-				}
+				fn(&s[j])
 			}
 		}
 	}
 	if p.x != nil {
 		for i := range p.x.backlog {
-			if !fn(&p.x.backlog[i]) {
-				return
-			}
+			fn(&p.x.backlog[i])
 		}
 	}
 }
@@ -604,12 +558,11 @@ func (p *Pipe[T]) Sever(onDrop func(T)) {
 		return
 	}
 	p.severed = true
-	p.each(func(c *Arrival[T]) bool {
+	p.each(func(c *Arrival[T]) {
 		if onDrop != nil {
 			onDrop(c.Item)
 		}
 		*c = Arrival[T]{due: Never}
-		return true
 	})
 	p.live = 0
 	if p.x != nil {

@@ -101,13 +101,13 @@ func TestPipeTimeBackwardsPanics(t *testing.T) {
 	p.Send(4, 2)
 }
 
-func TestPipeLenAndEmpty(t *testing.T) {
+func TestPipeEmpty(t *testing.T) {
 	p := NewPipe[int](3, 1)
-	if !p.Empty() || p.Len() != 0 {
+	if !p.Empty() {
 		t.Fatal("new pipe not empty")
 	}
 	p.Send(0, 7)
-	if p.Empty() || p.Len() != 1 {
+	if p.Empty() {
 		t.Fatal("pipe empty after send")
 	}
 	p.Recv(3)
@@ -163,25 +163,14 @@ func TestPipeOrderProperty(t *testing.T) {
 func TestFaultyPipeRecoversEveryItem(t *testing.T) {
 	const latency, n = 3, 500
 	p := NewPipe[int](latency, 1).WithFaults(0.2, NewRNG(7))
-	sentAt := make([]Cycle, n)
 	got := make([]int, 0, n)
-	now := Cycle(0)
-	for i := 0; i < n; i++ {
-		sentAt[i] = now
-		p.Send(now, i)
-		now++
-		if v, ok := p.Recv(now); ok {
-			got = append(got, v)
+	for now := Cycle(0); now < n || !p.Empty(); now++ {
+		p.Replay(now)
+		for _, a := range p.Take(now) {
+			got = append(got, a.Item)
 		}
-	}
-	for !p.Empty() {
-		now++
-		for {
-			v, ok := p.Recv(now)
-			if !ok {
-				break
-			}
-			got = append(got, v)
+		if now < n {
+			p.Send(now, int(now))
 		}
 	}
 	if len(got) != n {
@@ -207,11 +196,13 @@ func TestFaultyPipeDelayIsRoundTripMultiple(t *testing.T) {
 		p.Send(0, 42)
 		k := p.Retransmits() - before
 		want := Cycle(latency + 2*latency*k)
-		if _, ok := p.Recv(want - 1); ok {
-			t.Fatalf("seed %d: item readable before cycle %d (k=%d)", seed, want, k)
+		for now := Cycle(0); now < want; now++ {
+			if p.Replay(now); len(p.Take(now)) != 0 {
+				t.Fatalf("seed %d: item delivered at cycle %d, before %d (k=%d)", seed, now, want, k)
+			}
 		}
-		if _, ok := p.Recv(want); !ok {
-			t.Fatalf("seed %d: item not readable at cycle %d (k=%d)", seed, want, k)
+		if p.Replay(want); len(p.Take(want)) != 1 {
+			t.Fatalf("seed %d: item not delivered at cycle %d (k=%d)", seed, want, k)
 		}
 	}
 }
@@ -258,22 +249,22 @@ func TestSeverDestroysInFlightAndBlocksSends(t *testing.T) {
 	var dropped []string
 	p.Sever(func(s string) { dropped = append(dropped, s) })
 	if !p.Severed() || !p.Empty() {
-		t.Fatalf("after Sever: severed=%v len=%d", p.Severed(), p.Len())
+		t.Fatalf("after Sever: severed=%v empty=%v", p.Severed(), p.Empty())
 	}
 	p.Send(1, "c")
 	if got := len(dropped); got != 3 {
 		t.Fatalf("dropped %v, want [a b c]", dropped)
 	}
-	if _, ok := p.Recv(10); ok {
-		t.Fatal("severed pipe delivered an item")
+	if got := p.Take(4); len(got) != 0 {
+		t.Fatalf("severed pipe delivered %v", got)
 	}
 	p.Restore()
 	if p.Severed() {
 		t.Fatal("Restore left the pipe severed")
 	}
 	p.Send(2, "d")
-	if v, ok := p.Recv(5); !ok || v != "d" {
-		t.Fatalf("Recv after restore = %q, %v", v, ok)
+	if got := p.Take(5); len(got) != 1 || got[0].Item != "d" {
+		t.Fatalf("Take after restore = %v", got)
 	}
 	if len(dropped) != 3 {
 		t.Fatalf("restore resurrected drops: %v", dropped)
@@ -302,48 +293,57 @@ func TestEachVisitsWithoutConsuming(t *testing.T) {
 	p.Send(0, 2)
 	var seen []int
 	p.Each(func(v int) { seen = append(seen, v) })
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 || p.Len() != 2 {
-		t.Fatalf("Each saw %v, len=%d", seen, p.Len())
+	if !slices.Equal(seen, []int{1, 2}) || p.Empty() {
+		t.Fatalf("Each saw %v, empty=%v", seen, p.Empty())
 	}
 }
 
-// TestRecvLoopDrainsReadyItemsAndHeadAtNamesTheNext: a Recv loop takes every
-// ready item and nothing else, an empty or not-yet-ready pipe delivers none,
-// and HeadAt names the cycle the loop would next find something.
-func TestRecvLoopDrainsReadyItemsAndHeadAtNamesTheNext(t *testing.T) {
-	drain := func(p *Pipe[int], now Cycle) (seen []int) {
-		for v, ok := p.Recv(now); ok; v, ok = p.Recv(now) {
-			seen = append(seen, v)
-		}
-		return seen
+// TestArrivalsNameEverySlot: Arrivals reports each cycle something in the
+// wire's slots falls due, earliest first, or Never for a wire that holds
+// nothing, and a Take at each of those cycles drains the wire.
+func TestArrivalsNameEverySlot(t *testing.T) {
+	arrivals := func(p *Pipe[int]) (at []Cycle) {
+		p.Arrivals(4, func(bit uint32, c Cycle) {
+			if bit != 4 {
+				t.Fatalf("Arrivals reported bit %d, want 4", bit)
+			}
+			at = append(at, c)
+		})
+		return at
 	}
 	p := NewPipe[int](5, 2)
-	if seen := drain(p, 0); len(seen) != 0 {
-		t.Fatalf("empty pipe delivered %v", seen)
-	}
-	if at, ok := p.HeadAt(); ok {
-		t.Fatalf("empty pipe: HeadAt = %d, true", at)
+	if got := arrivals(p); !slices.Equal(got, []Cycle{Never}) {
+		t.Fatalf("empty pipe: arrivals %v, want [Never]", got)
 	}
 	p.Send(0, 1)
 	p.Send(0, 2)
-	p.Send(1, 3)
-	if seen := drain(p, 1); len(seen) != 0 {
-		t.Fatalf("pre-latency loop delivered %v", seen)
+	p.Send(3, 3)
+	if got := arrivals(p); !slices.Equal(got, []Cycle{5, 8}) {
+		t.Fatalf("arrivals %v, want [5 8]", got)
 	}
-	if at, ok := p.HeadAt(); !ok || at != 5 {
-		t.Fatalf("HeadAt = %d, %v; want 5, true", at, ok)
+	if got := p.Take(5); len(got) != 2 || got[0].Item != 1 || got[1].Item != 2 {
+		t.Fatalf("Take(5) = %v, want [1 2]", got)
 	}
-	if seen := drain(p, 5); len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("loop at the first delivery cycle saw %v, want [1 2]", seen)
+	if got := arrivals(p); !slices.Equal(got, []Cycle{8}) {
+		t.Fatalf("arrivals after the first take %v, want [8]", got)
 	}
-	if at, ok := p.HeadAt(); !ok || at != 6 {
-		t.Fatalf("HeadAt after draining = %d, %v; want 6, true", at, ok)
+	if got := p.Take(8); len(got) != 1 || got[0].Item != 3 || !p.Empty() {
+		t.Fatalf("Take(8) = %v (empty %v), want [3] and an empty wire", got, p.Empty())
 	}
-	if seen := drain(p, 6); len(seen) != 1 || seen[0] != 3 {
-		t.Fatalf("loop at the second delivery cycle saw %v, want [3]", seen)
-	}
-	if _, ok := p.HeadAt(); ok {
-		t.Fatal("drained pipe still names a head")
+}
+
+// TestRecvReadsOneItemWires: Recv reads a wire one item wide that does not
+// replay, and panics on a wider or a replaying one, whose slot may hold more.
+func TestRecvReadsOneItemWires(t *testing.T) {
+	for _, p := range []*Pipe[int]{NewPipe[int](1, 2), NewPipe[int](1, 1).WithFaults(0.5, NewRNG(1))} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Recv reads a wire one item wide") {
+					t.Fatalf("Recv on a wire whose slot may hold more: recovered %v", r)
+				}
+			}()
+			p.Recv(1)
+		}()
 	}
 }
 
@@ -371,56 +371,6 @@ func TestSendIntoUntakenSlotPanics(t *testing.T) {
 	q.Send(4, 2)
 	if got := q.Take(6); len(got) != 1 || got[0].Item != 2 {
 		t.Fatalf("Take(6) = %v, want the item sent at 4", got)
-	}
-}
-
-// TestReplayWakesItsReceiver: a faulty wire whose link layer runs every cycle
-// (Replay) and whose receiver takes it only when its calendar bit fires
-// delivers every item on the cycle the slice reference does — piles of more
-// than a cycle's width included — and keeps the calendar exact (Audit) though
-// replays push heads past the calendar's reach.
-func TestReplayWakesItsReceiver(t *testing.T) {
-	const bit = 1 << 3
-	piled, beyond := false, false
-	for seed := uint64(1); seed <= 20; seed++ {
-		cal := make(Calendar, CalendarCells(4))
-		p := NewPipe[int](2, 2).WithFaults(0.4, NewRNG(seed)).Wakes(&cal, bit)
-		ref := &slicePipe{latency: 2, faultRate: 0.4, rng: NewRNG(seed)}
-		script, next := NewRNG(seed+100), 1
-		for now := Cycle(0); now < 400 || len(ref.q) > 0; now++ {
-			p.Replay(now)
-			for s := script.Intn(3); now < 300 && s > 0; s-- {
-				p.Send(now, next)
-				ref.Send(now, next)
-				next++
-			}
-			var got, want []int
-			if c := cal.Cell(now); *c&bit != 0 {
-				*c &^= bit
-				for _, a := range p.Take(now) {
-					got = append(got, a.Item)
-				}
-			}
-			for v, ok := ref.Recv(now); ok; v, ok = ref.Recv(now) {
-				want = append(want, v)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("seed %d cycle %d: took %v, the slice model delivers %v", seed, now, got, want)
-			}
-			piled = piled || len(got) > 2
-			if at, ok := p.HeadAt(); ok && at >= now+Cycle(len(cal)) {
-				beyond = true
-			}
-			if err := cal.Audit(now, func(wire func(uint32, Cycle, bool)) {
-				at, ok := p.HeadAt()
-				wire(bit, at, ok)
-			}); err != nil {
-				t.Fatalf("seed %d cycle %d: %v", seed, now, err)
-			}
-		}
-	}
-	if !piled || !beyond {
-		t.Fatalf("the script missed what it is for: a pile wider than the wire %v, a head beyond the calendar's reach %v", piled, beyond)
 	}
 }
 

@@ -54,32 +54,27 @@ func (n *Network) audit(now sim.Cycle) error {
 		if ni.active != active {
 			return fmt.Errorf("NI %d: active %d, slots say %d", id, ni.active, active)
 		}
-		if err := r.cal.Audit(now, func(wire func(uint32, sim.Cycle, bool)) { n.eachWire(id, wire) }); err != nil {
+		if err := r.cal.Audit(now, func(due func(uint32, sim.Cycle)) { n.eachWire(id, due) }); err != nil {
 			return fmt.Errorf("node %d: %v", id, err)
 		}
 	}
 	return nil
 }
 
-// eachWire calls wire with the bit, and the head's delivery cycle, of every
-// wire into node id's router, interface and sink; carries is false for an
-// empty wire.
-func (n *Network) eachWire(id int, wire func(bit uint32, at sim.Cycle, carries bool)) {
+// eachWire calls due with the bit of every wire into node id's router,
+// interface and sink, and each cycle the wire delivers at (sim.Pipe.Arrivals).
+func (n *Network) eachWire(id int, due func(bit uint32, at sim.Cycle)) {
 	r := n.routers[id]
 	for p := topology.Port(0); p < topology.NumPorts; p++ {
 		if w := r.in[p].data; w != nil {
-			at, ok := w.HeadAt()
-			wire(dataBit(p), at, ok)
+			w.Arrivals(dataBit(p), due)
 		}
 		if w := r.out[p].creditIn; w != nil {
-			at, ok := w.HeadAt()
-			wire(creditBit(p), at, ok)
+			w.Arrivals(creditBit(p), due)
 		}
 	}
-	at, ok := n.nis[id].creditIn.HeadAt()
-	wire(niBit, at, ok)
-	at, ok = n.Sinks[id].Data.HeadAt()
-	wire(noc.SinkBit, at, ok)
+	n.nis[id].creditIn.Arrivals(niBit, due)
+	n.Sinks[id].Data.Arrivals(noc.SinkBit, due)
 }
 
 // TestAuditWalk checks the masks and calendars after every cycle of a loaded

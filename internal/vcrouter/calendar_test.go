@@ -51,7 +51,7 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 			tick := func(now sim.Cycle) {
 				for id, r := range ref.routers {
 					cell := r.cal.Cell(now)
-					ref.eachWire(id, func(bit uint32, _ sim.Cycle, _ bool) { *cell |= bit })
+					ref.eachWire(id, func(bit uint32, _ sim.Cycle) { *cell |= bit })
 				}
 				cal.Tick(now)
 				ref.Tick(now)
@@ -102,18 +102,11 @@ func TestDueCalendarMatchesPolling(t *testing.T) {
 // fingerprint lists what a cycle leaves behind in the network: the counts,
 // every router's and interface's random stream (as the next draw a copy of it
 // makes), channels, credits and ownership, and what every wire carries and
-// when its head is due.
+// when its slots fall due.
 func (n *Network) fingerprint() []int64 {
 	c := n.Counts()
 	s := []int64{c.Offered, c.Delivered, c.CorruptedFlits, c.CrcDetected, c.CorruptEscapes}
 	draw := func(rng sim.RNG) int64 { return int64(rng.Uint64()) }
-	wire := func(w interface {
-		Len() int
-		HeadAt() (sim.Cycle, bool)
-	}) {
-		at, _ := w.HeadAt()
-		s = append(s, int64(w.Len()), int64(at))
-	}
 	for id, r := range n.routers {
 		x := n.nis[id]
 		s = append(s, draw(*r.rng), draw(*x.rng), int64(x.queue.Len()), int64(x.active), int64(x.pool))
@@ -133,14 +126,24 @@ func (n *Network) fingerprint() []int64 {
 			for v := range o.credits {
 				s = append(s, int64(o.credits[v]), int64(o.occ[v]), b2i(o.owned[v]))
 			}
-			wire(in.data)
-			wire(o.data)
+			s = carried(s, in.data)
+			s = carried(s, o.data)
 			if o.creditIn != nil {
-				wire(o.creditIn)
+				s = carried(s, o.creditIn)
 			}
 		}
-		wire(x.creditIn)
+		s = carried(s, x.creditIn)
 	}
+	return s
+}
+
+// carried appends what wire w carries to s: how many items, and the cycles
+// its slots fall due at.
+func carried[T any](s []int64, w *sim.Pipe[T]) []int64 {
+	n := 0
+	w.Each(func(T) { n++ })
+	s = append(s, int64(n))
+	w.Arrivals(0, func(_ uint32, at sim.Cycle) { s = append(s, int64(at)) })
 	return s
 }
 

@@ -189,26 +189,37 @@ func TestVCAllocationReleasedByTail(t *testing.T) {
 	}
 }
 
+// TestBufferOverflowPanics: a flit fed into a full channel stops the run with
+// the router's own overflow message. A local packet and the first half of an
+// eastbound one pass first, one flit every third cycle, so that every wire out
+// of the rig carries items on cycles that share a slot: the rig must take each
+// on its cycle, or a send into an untaken slot panics before the overflow.
 func TestBufferOverflowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("buffer overflow did not panic")
+	r, _, _ := testRouter(Config{NumVCs: 1, BufPerVC: 1, LinkLatency: 1})
+	now := sim.Cycle(0)
+	// feed sends f at cycle now and ticks the rig for gap cycles.
+	feed := func(f noc.DataFlit, gap int) {
+		f.VC = 0
+		feedFlit(r, now, f)
+		for end := now + sim.Cycle(gap); now < end; now++ {
+			tick(r, now)
 		}
-	}()
-	cfg := Config{NumVCs: 1, BufPerVC: 1, LinkLatency: 1}
-	r, _, _ := testRouter(cfg)
-	// Two flits into a 1-deep queue with no drain possible in time.
-	f := mkPacket(1, 1, 3)
-	f[0].VC = 0
-	f[1].VC = 0
-	feedFlit(r, 0, f[0])
-	r.Tick(0) // receives flit 0
-	feedFlit(r, 1, f[1])
-	r.Tick(1) // flit 0 can't have left (arrivedAt==0 eligible at 1; it MAY leave)
-	feedFlit(r, 2, f[2])
-	r.Tick(2)
-	feedFlit(r, 3, noc.DataFlit{Packet: f[0].Packet, Seq: 9, Type: noc.BodyFlit})
-	r.Tick(3)
+	}
+	wantPanic(t, "in E vc 0 buffer overflow", func() {
+		for _, f := range mkPacket(1, 0, 6) {
+			feed(f, 3)
+		}
+		// The neighbour has room for four flits and returns no credit: the
+		// eastbound packet's first four leave, the fifth waits and the
+		// sixth, fed the next cycle, overflows as it lands.
+		r.out[topology.East].credits[0] = 4
+		flits := mkPacket(2, 1, 6)
+		for _, f := range flits[:4] {
+			feed(f, 3)
+		}
+		feed(flits[4], 1)
+		feed(flits[5], 2)
+	})
 }
 
 func TestConfigValidation(t *testing.T) {

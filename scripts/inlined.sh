@@ -14,8 +14,8 @@
 #     bound to its receiver's bit when the fabric wires the node and arms it
 #     in its own Send at every cycle it delivers at, so no receiver arms a
 #     wire again (core's inputs arm their own bits with sim.Calendar.Arm, and
-#     core rebuilds a calendar after an outage with sim.Calendar.Rearm over
-#     sim.Pipe.Arrivals).
+#     core rebuilds a calendar after an outage with sim.Calendar.Arm at every
+#     cycle sim.Pipe.Arrivals reports).
 #   - Every router orders its arbitration candidates with sim.Shuffle.
 #   - The flit-reservation router reports every tick, dormant or not, to the
 #     self-profile through profile.Registry.RouterTick, a nil test when
@@ -24,9 +24,8 @@
 #
 # Fail unless the compiler reports each helper inlined at every call of it —
 # as many times as the line makes the call — in the files that hold those
-# sites; if a receive the arrival slots replaced (sim.Pipe.Recv(now),
-# HeadAt() or Rearm(now), a read of one item, of the head's cycle, or a
-# receiver's re-arm) or one of the wake mechanisms the calendar replaced (the
+# sites; if a receive the arrival slots replaced (sim.Pipe.Recv(now), a read
+# of one item) or one of the wake mechanisms the calendar replaced (the
 # post helper, the in-flight counts, the sinks' ejection pointers) is back in
 # the non-test code of those packages; or if the wake state the wires took over
 # is back on the sending side there: a field naming the receiver's calendar
@@ -88,13 +87,11 @@ sites() {
 check '\.Take\(now\)' 'sim\.(\*Pipe\[.*\])\.Take' $(sites '\.Take\(now\)')
 check '\.Cell\(' 'sim\.Calendar\.Cell' $(sites '\.Cell\(')
 check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
-check '\.Rearm\(now,' 'sim\.Calendar\.Rearm' $(sites '\.Rearm\(now,')
 check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
 check '\.RouterTick\(' 'profile\.(\*Registry)\.RouterTick' internal/core/router.go
 check 'prof\.Due\(' 'profile\.(\*Registry)\.Due' internal/experiment/run.go
 
-# A pipe's Rearm takes the cycle alone; a calendar's, the head's cycle too.
-receives=$(for d in $pkgs; do grep -nE '\.Recv\(now\)|\.HeadAt\(\)|\.Rearm\(now\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
+receives=$(for d in $pkgs; do grep -nE '\.Recv\(now\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
 if [ -n "$receives" ]; then
     echo "inlined.sh: a receive the arrival slots replaced is back (read the cycle's slot with sim.Pipe.Take; the sends arm every arrival):" >&2
     echo "$receives" >&2
@@ -162,5 +159,5 @@ if [ -n "$literal" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell, Arm and Rearm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now), HeadAt() or Pipe.Rearm(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
+[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell and Arm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
 exit $status
