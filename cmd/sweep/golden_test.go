@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"frfc/internal/core"
 	"frfc/internal/experiment"
 )
 
@@ -66,41 +67,43 @@ func TestFaultModesGolden(t *testing.T) {
 
 // TestWedgedRowExitsOneInEveryMode: the no-progress watchdog cannot be tripped
 // from a command line, so the one printer is driven with a hand-built wedged
-// point per mode. Text or CSV, the row is named on stderr and the exit code is
+// point per mode. Text or CSV, the row is named (its Spec.Name) on stderr and the exit code is
 // 1 (-faults used to print WEDGED and exit 0); the text form marks the row.
 func TestWedgedRowExitsOneInEveryMode(t *testing.T) {
-	ledger := func(wedged bool) experiment.Resolved {
-		l := experiment.Resolved{Wedged: wedged}
-		l.Offered, l.Delivered = 10, 9
-		return l
-	}
 	for _, tc := range []struct {
-		mode  string
-		table func(wedged bool) table
-		name  string
+		mode, name string
+		table      func([]experiment.Resolved) table
+		row        func(p *experiment.Resolved)
 	}{
-		{"faults", func(w bool) table {
-			return faultTable([]experiment.FaultPoint{{DataFaultRate: 0.05, RetryLimit: 8, Resolved: ledger(w)}}, 5)
-		}, "fault cell loss=0.05 retry=8"},
-		{"reliability", func(w bool) table {
-			return reliabilityTable([]experiment.ReliabilityPoint{{Scenario: "link-flap", RetryLimit: 8, Resolved: ledger(w)}})
-		}, "scenario link-flap"},
-		{"integrity", func(w bool) table {
-			return integrityTable([]experiment.IntegrityPoint{{BER: 0.001, CrcBits: 4, E2ECheck: true, Resolved: ledger(w)}})
-		}, "integrity cell ber=0.001 e2e=true"},
-		{"chaos", func(w bool) table {
-			return chaosTable([]experiment.ChaosPoint{{Intensity: 0.5, Seed: 7, Events: 3, Resolved: ledger(w)}})
-		}, "chaos campaign intensity=0.5"},
+		{"faults", "loss=0.05 retry=8", faultTable, func(p *experiment.Resolved) {
+			p.Spec.PacketLen, p.Spec.FR.DataFaultRate, p.Spec.FR.RetryLimit = 5, 0.05, 8
+		}},
+		{"reliability", "link-flap", reliabilityTable, func(p *experiment.Resolved) {
+			p.Spec.FR.RetryLimit = 8
+		}},
+		{"integrity", "ber=0.001 e2e=true", integrityTable, func(p *experiment.Resolved) {
+			p.Spec.FR.BER, p.Spec.FR.CrcBits, p.Spec.FR.E2ECheck = 0.001, 4, true
+		}},
+		{"chaos", "intensity=0.5", chaosTable, func(p *experiment.Resolved) {
+			p.Spec.ChaosIntensity, p.Spec.ChaosSeed = 0.5, 7
+			p.Events = make([]core.FaultEvent, 3)
+		}},
 	} {
+		point := func(wedged bool) table {
+			p := experiment.Resolved{Spec: experiment.Spec{Name: tc.name}, Wedged: wedged}
+			p.Offered, p.Delivered = 10, 9
+			tc.row(&p)
+			return tc.table([]experiment.Resolved{p})
+		}
 		for _, csv := range []bool{false, true} {
 			var healthy, healthyErr, stdout, stderr bytes.Buffer
-			if code := printTable(&healthy, &healthyErr, tc.table(false), csv); code != 0 || healthyErr.Len() != 0 {
+			if code := printTable(&healthy, &healthyErr, point(false), csv); code != 0 || healthyErr.Len() != 0 {
 				t.Errorf("%s csv=%v: healthy row exit %d, stderr %q", tc.mode, csv, code, healthyErr.String())
 			}
-			if code := printTable(&stdout, &stderr, tc.table(true), csv); code != 1 {
+			if code := printTable(&stdout, &stderr, point(true), csv); code != 1 {
 				t.Errorf("%s csv=%v: wedged row exit %d, want 1", tc.mode, csv, code)
 			}
-			if want := "sweep: " + tc.name + " wedged (no-progress watchdog fired)\n"; stderr.String() != want {
+			if want := `sweep: row "` + tc.name + `" wedged (no-progress watchdog fired)` + "\n"; stderr.String() != want {
 				t.Errorf("%s csv=%v: stderr %q, want %q", tc.mode, csv, stderr.String(), want)
 			}
 			want := healthy.String()

@@ -220,53 +220,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	// Each fault mode is its sweep's cells run on the pool.
-	ctx := context.Background()
+	// Each fault mode is its sweep's rows resolved on the pool.
 	ro := experiment.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed}
+	var rows []experiment.Spec
+	var tabulate func([]experiment.Resolved) table
 	switch mode {
 	case "-faults":
 		list, err := parseList(*rates, "loss rate", "a probability in [0,1]", func(v float64) bool { return v >= 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := harness.RunCells(ctx, experiment.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list}.Cells(), *workers)
-		if err != nil {
-			// No flag value reaches here unrefused, so a cell that
-			// failed did so running: name it, and print no row of zeros.
-			fmt.Fprintf(stderr, "sweep: %v\n", err)
-			return 1
-		}
-		return printTable(stdout, stderr, faultTable(points, shared.PktLen), *csv)
+		rows, tabulate = experiment.FaultSweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, Rates: list}.Rows(), faultTable
 	case "-integrity":
 		list, err := parseList(*bers, "bit-error rate", "a probability in [0,1)", func(v float64) bool { return v >= 0 && v < 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := harness.RunCells(ctx, experiment.IntegritySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, CrcBits: *crcBits, BERs: list}.Cells(), *workers)
-		if err != nil {
-			return fail("%v", err)
-		}
-		return printTable(stdout, stderr, integrityTable(points), *csv)
+		rows, tabulate = experiment.IntegritySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit, CrcBits: *crcBits, BERs: list}.Rows(), integrityTable
 	case "-chaos":
 		list, err := parseList(*intensities, "chaos intensity", "a value in (0,1]", func(v float64) bool { return v > 0 && v <= 1 })
 		if err != nil {
 			return fail("%v", err)
 		}
-		points, err := harness.RunCells(ctx, experiment.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: shared.ChaosSeed, DisableE2E: *noE2E}.Cells(), *workers)
-		if err != nil {
-			return fail("%v", err)
-		}
-		return printTable(stdout, stderr, chaosTable(points), *csv)
+		rows, tabulate = experiment.ChaosSweepOptions{ResolveOptions: ro, Intensities: list, ChaosSeed: shared.ChaosSeed, DisableE2E: *noE2E}.Rows(), chaosTable
 	case "-reliability":
 		o := experiment.ReliabilitySweepOptions{ResolveOptions: ro, RetryLimit: *retryLimit}
 		if *scenario != "" {
 			o.Scenarios = []experiment.ReliabilityScenario{{Name: "custom", Events: events}}
 		}
-		points, err := harness.RunCells(ctx, o.Cells(), *workers)
+		rows, tabulate = o.Rows(), reliabilityTable
+	}
+	if resolved {
+		points, err := harness.ResolveRows(context.Background(), rows, *workers)
 		if err != nil {
+			// A -faults row takes no flag value unrefused, so one that
+			// failed did so running (exit 1); the other modes report a
+			// failed row as they report a refusal. Either way the row is
+			// named, and no row of zeros is printed.
+			if mode == "-faults" {
+				fmt.Fprintf(stderr, "sweep: %v\n", err)
+				return 1
+			}
 			return fail("%v", err)
 		}
-		return printTable(stdout, stderr, reliabilityTable(points), *csv)
+		return printTable(stdout, stderr, tabulate(points), *csv)
 	}
 
 	ho := harness.Options{Workers: *workers, Timeout: *timeout}
@@ -291,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, s := range specs {
 		jobs = harness.AppendJobs(jobs, s, loads)
 	}
-	results, err := harness.RunJobs(ctx, jobs, ho)
+	results, err := harness.RunJobs(context.Background(), jobs, ho)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -606,19 +603,20 @@ func parseList(list, what, want string, ok func(float64) bool) ([]float64, error
 }
 
 // table is one fault mode's output: the text title, the CSV header, and per
-// point its text and CSV rows plus the name a wedged row is reported under.
+// point its text and CSV rows plus the point itself, whose Spec.Name a wedged
+// row is reported under.
 type table struct {
 	title, header string
 	rows          []tableRow
 }
 
 type tableRow struct {
-	text, csv, name string
-	wedged          bool
+	text, csv string
+	p         experiment.Resolved
 }
 
-func (t *table) add(p fmt.Stringer, wedged bool, name, csv string) {
-	t.rows = append(t.rows, tableRow{text: p.String(), csv: csv, name: name, wedged: wedged})
+func (t *table) add(p experiment.Resolved, text, csv string) {
+	t.rows = append(t.rows, tableRow{text, csv, p})
 }
 
 // printTable prints a fault mode's table as text or CSV. A row whose
@@ -627,8 +625,8 @@ func (t *table) add(p fmt.Stringer, wedged bool, name, csv string) {
 func printTable(stdout, stderr io.Writer, t table, csv bool) int {
 	exit := 0
 	for _, r := range t.rows {
-		if r.wedged {
-			fmt.Fprintf(stderr, "sweep: %s wedged (no-progress watchdog fired)\n", r.name)
+		if r.p.Wedged {
+			fmt.Fprintf(stderr, "sweep: row %q wedged (no-progress watchdog fired)\n", r.p.Spec.Name)
 			exit = 1
 		}
 	}
@@ -642,7 +640,7 @@ func printTable(stdout, stderr io.Writer, t table, csv bool) int {
 	fmt.Fprintln(stdout, t.title)
 	for _, r := range t.rows {
 		wedged := ""
-		if r.wedged {
+		if r.p.Wedged {
 			wedged = "  WEDGED"
 		}
 		fmt.Fprintf(stdout, "%s%s\n", r.text, wedged)
@@ -652,31 +650,45 @@ func printTable(stdout, stderr io.Writer, t table, csv bool) int {
 
 // faultTable is the -faults mode: delivery probability versus loss rate,
 // detection-only versus end-to-end retry.
-func faultTable(points []experiment.FaultPoint, pktLen int) table {
+func faultTable(points []experiment.Resolved) table {
 	t := table{
-		title:  fmt.Sprintf("# end-to-end delivery vs data-flit loss; FR6, %d-flit packets, %d packets per row", pktLen, points[0].Offered),
+		title: fmt.Sprintf("# end-to-end delivery vs data-flit loss; FR6, %d-flit packets, %d packets per row",
+			points[0].Spec.PacketLen, points[0].Offered),
 		header: "loss,retrylimit,offered,delivered,abandoned,retried,avglatency",
 	}
 	for _, p := range points {
-		t.add(p, p.Wedged, fmt.Sprintf("fault cell loss=%g retry=%d", p.DataFaultRate, p.RetryLimit),
+		fr := p.Spec.FR
+		policy := "detect-only"
+		if fr.RetryLimit > 0 {
+			policy = fmt.Sprintf("retry<=%d", fr.RetryLimit)
+		}
+		t.add(p,
+			fmt.Sprintf("loss=%5.1f%%  %-11s delivered=%5.1f%%  retried=%4d  abandoned=%3d  latency=%8.2f",
+				fr.DataFaultRate*100, policy, p.DeliveredFraction()*100, p.Retried, p.Abandoned, p.AvgLatency),
 			fmt.Sprintf("%.3f,%d,%d,%d,%d,%d,%.2f",
-				p.DataFaultRate, p.RetryLimit, p.Offered, p.Delivered, p.Abandoned, p.Retried, p.AvgLatency))
+				fr.DataFaultRate, fr.RetryLimit, p.Offered, p.Delivered, p.Abandoned, p.Retried, p.AvgLatency))
 	}
 	return t
 }
 
 // reliabilityTable is the -reliability / -scenario mode: graceful degradation
-// under scheduled hard faults.
-func reliabilityTable(points []experiment.ReliabilityPoint) table {
+// under scheduled hard faults, one row per scenario (the row's name).
+func reliabilityTable(points []experiment.Resolved) table {
 	t := table{
 		title: fmt.Sprintf("# graceful degradation under hard faults; FR6, table routing, retry<=%d, %d packets per row",
-			points[0].RetryLimit, points[0].Offered),
+			points[0].Spec.FR.RetryLimit, points[0].Offered),
 		header: "scenario,retrylimit,offered,delivered,unreachable,abandoned,dropped,retried,avglatency,prefault,outage,postrecovery,recovery",
 	}
 	for _, p := range points {
-		t.add(p, p.Wedged, "scenario "+p.Scenario,
+		rec := "-"
+		if p.LatencyRecovery > 0 {
+			rec = fmt.Sprintf("%.2f", p.LatencyRecovery)
+		}
+		t.add(p,
+			fmt.Sprintf("%-12s delivered=%5.1f%%  unreachable=%3d  dropped=%4d  retried=%4d  latency=%8.2f  recovery=%s",
+				p.Spec.Name, p.DeliveredFraction()*100, p.Unreachable, p.DroppedFlits, p.Retried, p.AvgLatency, rec),
 			fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f,%.3f",
-				p.Scenario, p.RetryLimit, p.Offered, p.Delivered, p.Unreachable, p.Abandoned,
+				p.Spec.Name, p.Spec.FR.RetryLimit, p.Offered, p.Delivered, p.Unreachable, p.Abandoned,
 				p.DroppedFlits, p.Retried, p.AvgLatency,
 				p.PreFaultLatency, p.OutageLatency, p.PostRecoveryLatency, p.LatencyRecovery))
 	}
@@ -685,16 +697,23 @@ func reliabilityTable(points []experiment.ReliabilityPoint) table {
 
 // integrityTable is the -integrity mode: silent-corruption tolerance versus
 // link bit-error rate, end-to-end check on versus off.
-func integrityTable(points []experiment.IntegrityPoint) table {
+func integrityTable(points []experiment.Resolved) table {
 	t := table{
 		title: fmt.Sprintf("# silent-corruption tolerance vs link bit-error rate; FR6, %d-bit hop CRC, %d packets per row",
-			points[0].CrcBits, points[0].Offered),
+			points[0].Spec.FR.CrcBits, points[0].Offered),
 		header: "ber,crcbits,e2e,offered,delivered,abandoned,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency",
 	}
 	for _, p := range points {
-		t.add(p, p.Wedged, fmt.Sprintf("integrity cell ber=%g e2e=%v", p.BER, p.E2ECheck),
+		fr := p.Spec.FR
+		e2e := "off"
+		if fr.E2ECheck {
+			e2e = "on"
+		}
+		t.add(p,
+			fmt.Sprintf("ber=%-7.0e e2e=%-3s delivered=%6.2f%%  corrupted=%5d  crc=%5d  escapes=%4d  retried=%4d",
+				fr.BER, e2e, p.DeliveredFraction()*100, p.CorruptedFlits, p.CrcDetected, p.CorruptEscapes, p.Retried),
 			fmt.Sprintf("%g,%d,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
-				p.BER, p.CrcBits, p.E2ECheck, p.Offered, p.Delivered, p.Abandoned,
+				fr.BER, fr.CrcBits, fr.E2ECheck, p.Offered, p.Delivered, p.Abandoned,
 				p.CorruptedFlits, p.CrcDetected, p.CorruptEscapes,
 				p.PhantomReservations, p.ReclaimedSlots, p.Retried, p.AvgLatency))
 	}
@@ -703,16 +722,20 @@ func integrityTable(points []experiment.IntegrityPoint) table {
 
 // chaosTable is the -chaos mode: one deterministic chaos campaign per
 // intensity.
-func chaosTable(points []experiment.ChaosPoint) table {
+func chaosTable(points []experiment.Resolved) table {
 	t := table{
 		title: fmt.Sprintf("# surviving traffic under deterministic chaos campaigns; FR6, seed %d, %d packets per row",
-			points[0].Seed, points[0].Offered),
+			points[0].Spec.ChaosSeed, points[0].Offered),
 		header: "intensity,seed,events,offered,delivered,abandoned,unreachable,dropped,corrupted,crcdetected,escapes,phantom,reclaimed,retried,avglatency",
 	}
 	for _, p := range points {
-		t.add(p, p.Wedged, fmt.Sprintf("chaos campaign intensity=%g", p.Intensity),
+		s := p.Spec
+		t.add(p,
+			fmt.Sprintf("intensity=%.2f events=%2d delivered=%6.2f%%  unreachable=%3d  dropped=%4d  corrupted=%5d  escapes=%3d  retried=%4d",
+				s.ChaosIntensity, len(p.Events), p.DeliveredFraction()*100, p.Unreachable,
+				p.DroppedFlits, p.CorruptedFlits, p.CorruptEscapes, p.Retried),
 			fmt.Sprintf("%g,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.2f",
-				p.Intensity, p.Seed, p.Events, p.Offered, p.Delivered, p.Abandoned,
+				s.ChaosIntensity, s.ChaosSeed, len(p.Events), p.Offered, p.Delivered, p.Abandoned,
 				p.Unreachable, p.DroppedFlits, p.CorruptedFlits, p.CrcDetected,
 				p.CorruptEscapes, p.PhantomReservations, p.ReclaimedSlots,
 				p.Retried, p.AvgLatency))

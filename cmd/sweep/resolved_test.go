@@ -11,30 +11,30 @@ import (
 	"frfc/internal/harness"
 )
 
-// The fault modes' sweeps as the modes run them: each sweep's cells on the
-// harness pool.
+// The fault modes' sweeps as the modes run them: each sweep's rows resolved
+// on the harness pool.
 
-// TestIntegritySweep: the -integrity cells deliver the acceptance criterion —
+// TestIntegritySweep: the -integrity rows deliver the acceptance criterion —
 // 100% delivery with the end-to-end check on at BER 1e-3 and above — and are
 // bit-identical at any worker count.
 func TestIntegritySweep(t *testing.T) {
-	cells := experiment.IntegritySweepOptions{ResolveOptions: experiment.ResolveOptions{Packets: 120, Check: true}, BERs: []float64{1e-3, 5e-3}}.Cells()
-	ref, err := harness.RunCells(context.Background(), cells, 0)
+	rows := experiment.IntegritySweepOptions{ResolveOptions: experiment.ResolveOptions{Packets: 120, Check: true}, BERs: []float64{1e-3, 5e-3}}.Rows()
+	ref, err := harness.ResolveRows(context.Background(), rows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range ref {
 		if p.Wedged {
-			t.Fatalf("ber=%g e2e=%v wedged", p.BER, p.E2ECheck)
+			t.Fatalf("%s wedged", p.Spec.Name)
 		}
-		if p.E2ECheck && (p.Delivered != p.Offered || p.Abandoned != 0) {
-			t.Fatalf("ber=%g with e2e check delivered %d of %d", p.BER, p.Delivered, p.Offered)
+		if p.Spec.FR.E2ECheck && (p.Delivered != p.Offered || p.Abandoned != 0) {
+			t.Fatalf("%s delivered %d of %d", p.Spec.Name, p.Delivered, p.Offered)
 		}
 		if p.CorruptedFlits == 0 {
-			t.Fatalf("ber=%g corrupted nothing", p.BER)
+			t.Fatalf("%s corrupted nothing", p.Spec.Name)
 		}
 	}
-	got, err := harness.RunCells(context.Background(), cells, 4)
+	got, err := harness.ResolveRows(context.Background(), rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestIntegritySweep(t *testing.T) {
 // least 99% — in practice 100% — and the sweep is bit-identical at any worker
 // count.
 func TestChaosSweep(t *testing.T) {
-	cells := experiment.ChaosSweepOptions{ResolveOptions: experiment.ResolveOptions{Packets: 200, Check: true}, Intensities: []float64{0.5}}.Cells()
-	ref, err := harness.RunCells(context.Background(), cells, 0)
+	rows := experiment.ChaosSweepOptions{ResolveOptions: experiment.ResolveOptions{Packets: 200, Check: true}, Intensities: []float64{0.5}}.Rows()
+	ref, err := harness.ResolveRows(context.Background(), rows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,10 @@ func TestChaosSweep(t *testing.T) {
 	if p.DeliveredFraction() < 0.99 {
 		t.Fatalf("moderate chaos delivered only %.2f%%", p.DeliveredFraction()*100)
 	}
-	if p.Events == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
+	if len(p.Events) == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
 		t.Fatalf("campaign exercised nothing: %+v", p)
 	}
-	got, err := harness.RunCells(context.Background(), cells, 4)
+	got, err := harness.ResolveRows(context.Background(), rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func TestChaosSweep(t *testing.T) {
 	}
 }
 
-// reliability runs the -reliability cells of o.
-func reliability(o experiment.ReliabilitySweepOptions) ([]experiment.ReliabilityPoint, error) {
-	return harness.RunCells(context.Background(), o.Cells(), 0)
+// reliability resolves the -reliability rows of o.
+func reliability(o experiment.ReliabilitySweepOptions) ([]experiment.Resolved, error) {
+	return harness.ResolveRows(context.Background(), o.Rows(), 0)
 }
 
 func TestReliabilitySweep(t *testing.T) {
@@ -86,20 +86,17 @@ func TestReliabilitySweep(t *testing.T) {
 	}
 	for _, p := range pts {
 		if p.Wedged {
-			t.Errorf("%s: watchdog fired", p.Scenario)
+			t.Errorf("%s: watchdog fired", p.Spec.Name)
 		}
 		if p.Delivered+p.Abandoned+p.Unreachable != p.Offered {
-			t.Errorf("%s: packet fates don't conserve: %+v", p.Scenario, p)
+			t.Errorf("%s: packet fates don't conserve: %+v", p.Spec.Name, p)
 		}
 		if p.Abandoned != 0 {
-			t.Errorf("%s: %d packets abandoned under hard faults", p.Scenario, p.Abandoned)
+			t.Errorf("%s: %d packets abandoned under hard faults", p.Spec.Name, p.Abandoned)
 		}
 	}
-	if pts[0].Scenario != "healthy" || pts[0].DeliveredFraction() != 1 {
+	if pts[0].Spec.Name != "healthy" || pts[0].DeliveredFraction() != 1 {
 		t.Errorf("healthy baseline degraded: %+v", pts[0])
-	}
-	if !strings.Contains(pts[0].String(), "delivered=100.0%") {
-		t.Errorf("String() = %q", pts[0].String())
 	}
 }
 
@@ -115,7 +112,7 @@ func TestReliabilitySweepCustomScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 1 || pts[0].Scenario != "flap" {
+	if len(pts) != 1 || pts[0].Spec.Name != "flap" {
 		t.Fatalf("unexpected rows: %+v", pts)
 	}
 	if pts[0].Delivered != pts[0].Offered {
@@ -131,7 +128,7 @@ func TestReliabilitySweepCustomScenario(t *testing.T) {
 	}
 	if _, err := reliability(experiment.ReliabilitySweepOptions{
 		Scenarios: []experiment.ReliabilityScenario{{Name: "bad", Events: apart}},
-	}); err == nil || !strings.Contains(err.Error(), `"bad"`) {
-		t.Fatalf("a link between non-neighbors: err = %v, want one naming the scenario", err)
+	}); err == nil || !strings.Contains(err.Error(), `row "bad": `) || strings.Count(err.Error(), `"bad"`) != 1 {
+		t.Fatalf("a link between non-neighbors: err = %v, want one naming the scenario's row once", err)
 	}
 }

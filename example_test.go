@@ -138,7 +138,7 @@ func ExampleFaultSweep() {
 		return
 	}
 	for _, p := range pts {
-		fmt.Printf("retry budget %d: every packet delivered: %v\n", p.RetryLimit, p.DeliveredFraction() == 1)
+		fmt.Printf("retry budget %d: every packet delivered: %v\n", p.Spec.FR.RetryLimit, p.DeliveredFraction() == 1)
 	}
 	// Output:
 	// retry budget 0: every packet delivered: false

@@ -14,13 +14,14 @@ import (
 type ResolveOptions = experiment.ResolveOptions
 
 // FaultPoint is one row of a FaultSweep: a flit-reservation network run at
-// one data-flit loss rate (DataFaultRate, per flit per link) under one retry
-// policy (RetryLimit; 0 is the detection-only arm) until every offered
-// packet's fate was resolved. Its ledger — Offered, Delivered, Abandoned,
-// LostDetected, Retried and the rest of the network's counts, AvgLatency over
-// the packets that made it, Cycles, Wedged if the no-progress watchdog fired
-// — and DeliveredFraction() come from the embedded Resolved.
-type FaultPoint = experiment.FaultPoint
+// one data-flit loss rate (Spec.FR.DataFaultRate, per flit per link) under
+// one retry policy (Spec.FR.RetryLimit; 0 is the detection-only arm) until
+// every offered packet's fate was resolved. Its ledger — Offered, Delivered,
+// Abandoned, LostDetected (loss events at destinations, per attempt under
+// retry), Retried and the rest of the network's counts, AvgLatency over the
+// packets that made it, Cycles, Wedged if the no-progress watchdog fired — and
+// DeliveredFraction() are experiment.Resolved's.
+type FaultPoint = experiment.Resolved
 
 // FaultSweepOptions parameterizes a FaultSweep: the ResolveOptions, the
 // RetryLimit of the retry arm and the loss Rates swept. Zero fields take
@@ -31,10 +32,10 @@ type FaultSweepOptions = experiment.FaultSweepOptions
 // rate is run twice — detection only, and with the end-to-end retry layer —
 // resolving every offered packet. With retries the delivered fraction stays
 // at 100% through percent-level loss rates, at a latency cost the AvgLatency
-// column exposes. The cells execute concurrently on the harness worker pool,
-// one worker per CPU; the points are identical to a serial sweep. A cell that
+// column exposes. The rows execute concurrently on the harness worker pool,
+// one worker per CPU; the points are identical to a serial sweep. A row that
 // cannot run (a negative RetryLimit, say) is the returned error, which names
 // it, alongside the rows that completed.
 func FaultSweep(o FaultSweepOptions) ([]FaultPoint, error) {
-	return harness.RunCells(context.Background(), o.Cells(), 0)
+	return harness.ResolveRows(context.Background(), o.Rows(), 0)
 }

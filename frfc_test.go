@@ -255,7 +255,7 @@ func TestPublicFaultSweep(t *testing.T) {
 		t.Fatalf("got %d points (%v), want 2", len(pts), err)
 	}
 	detect, retry := pts[0], pts[1]
-	if detect.RetryLimit != 0 || retry.RetryLimit != 10 {
+	if detect.Spec.FR.RetryLimit != 0 || retry.Spec.FR.RetryLimit != 10 {
 		t.Fatalf("unexpected policy order: %+v", pts)
 	}
 	if retry.DeliveredFraction() != 1.0 {
@@ -264,18 +264,15 @@ func TestPublicFaultSweep(t *testing.T) {
 	if detect.Delivered+detect.LostDetected != detect.Offered {
 		t.Errorf("detect-only conservation broken: %+v", detect)
 	}
-	if !strings.Contains(retry.String(), "retry<=10") {
-		t.Errorf("String() = %q", retry.String())
-	}
 	if detect.Wedged || retry.Wedged {
 		t.Errorf("watchdog fired during sweep")
 	}
 
-	// A cell that cannot run is an error naming it, as in the three sibling
+	// A row that cannot run is an error naming it, as in the three sibling
 	// sweeps; it used to be a row of zeros.
 	_, err = frfc.FaultSweep(frfc.FaultSweepOptions{ResolveOptions: frfc.ResolveOptions{Packets: 10}, Rates: []float64{0.02}, RetryLimit: -1})
-	if err == nil || !strings.Contains(err.Error(), "fault cell (rate=0.02, retry=-1)") {
-		t.Errorf("negative retry budget: err = %v, want the failed cell named", err)
+	if err == nil || !strings.HasPrefix(err.Error(), `row "loss=0.02 retry=-1": `) {
+		t.Errorf("negative retry budget: err = %v, want the failed row named", err)
 	}
 }
 

@@ -9,15 +9,34 @@ import (
 	"testing"
 )
 
-// openFiles counts the process's open file descriptors, or skips the test
-// where /proc does not list them.
-func openFiles(t *testing.T) int {
+// isOpen reports whether any of the process's file descriptors resolves to
+// path, or skips the test where /proc does not list them. It looks for the one
+// file rather than counting descriptors, because the runtime opens files of
+// its own while a CPU profile runs (the profile writer reads /proc/self/maps
+// and the test binary).
+func isOpen(t *testing.T, path string) bool {
 	t.Helper()
 	fds, err := os.ReadDir("/proc/self/fd")
 	if err != nil {
-		t.Skipf("cannot count open files: %v", err)
+		t.Skipf("cannot list open files: %v", err)
 	}
-	return len(fds)
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			return true
+		}
+	}
+	return false
+}
+
+// profilePath is where a test's -cpuprofile goes: in a fresh directory, with
+// symbolic links resolved so that it reads as /proc/self/fd reports it.
+func profilePath(t *testing.T) string {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, "cpu.pprof")
 }
 
 func bound(t *testing.T, args ...string) *Flags {
@@ -34,8 +53,8 @@ func bound(t *testing.T, args ...string) *Flags {
 // error Start returns, with no server and no stop, and the file it created
 // for the profile is closed again.
 func TestStartFailsWhileACPUProfileRuns(t *testing.T) {
-	dir := t.TempDir()
-	busy, err := os.Create(filepath.Join(dir, "busy.pprof"))
+	path := profilePath(t)
+	busy, err := os.Create(filepath.Join(filepath.Dir(path), "busy.pprof"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,30 +66,31 @@ func TestStartFailsWhileACPUProfileRuns(t *testing.T) {
 		busy.Close()
 	}()
 
-	f := bound(t, "-cpuprofile", filepath.Join(dir, "cpu.pprof"))
-	before := openFiles(t)
+	f := bound(t, "-cpuprofile", path)
 	st, stop, err := f.Start("cli", io.Discard)
 	if err == nil || st != nil || stop != nil {
 		t.Fatalf("Start under a running CPU profile: server %v, stop %v, err %v; want only the error", st, stop != nil, err)
 	}
-	if after := openFiles(t); after != before {
-		t.Errorf("%d files open before Start, %d after its failure", before, after)
+	if isOpen(t, path) {
+		t.Errorf("%s still open after Start failed", path)
 	}
 }
 
 // TestStopWritesAndClosesTheCPUProfile: the stop Start returns ends the CPU
 // profile and closes its file, which then holds the profile.
 func TestStopWritesAndClosesTheCPUProfile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	path := profilePath(t)
 	f := bound(t, "-cpuprofile", path)
-	before := openFiles(t)
 	_, stop, err := f.Start("cli", io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !isOpen(t, path) {
+		t.Fatalf("%s not open while the profile runs; the descriptor scan cannot see it", path)
+	}
 	stop()
-	if after := openFiles(t); after != before {
-		t.Errorf("%d files open before Start, %d after stop", before, after)
+	if isOpen(t, path) {
+		t.Errorf("%s still open after stop", path)
 	}
 	if info, err := os.Stat(path); err != nil || info.Size() == 0 {
 		t.Errorf("CPU profile after stop: %v, %v", info, err)

@@ -1,48 +1,6 @@
 package experiment
 
-import (
-	"context"
-	"fmt"
-
-	"frfc/internal/stats"
-)
-
-// IntegrityPoint is one row of an integrity sweep: a flit-reservation network
-// run under a given link bit-error rate, with or without the end-to-end
-// payload check, until every offered packet's fate is resolved. The ledger's
-// bit-error-model activity is what the row is about: flits delivered
-// corrupted, corrupted flits the hop CRC caught, corrupted payload that
-// escaped every hop CRC to its destination, phantom reservations installed by
-// escaped-corrupt control flits, and orphaned parked flits the reclamation
-// timeout freed.
-type IntegrityPoint struct {
-	BER      float64
-	CrcBits  int
-	E2ECheck bool
-	Resolved
-}
-
-// EscapeRateCI is the 95% Wilson interval around the escape rate —
-// corrupted-payload escapes per offered packet, the silent-corruption
-// exposure. With the end-to-end check on, an escape is caught and retried, so
-// exposure does not imply wrong data was accepted; with it off, every escape
-// is accepted as-is. Escape counts are single digits out of a few hundred
-// offered packets, so the interval — not the point estimate — is the honest
-// statement of exposure; at zero observed escapes it still has positive width
-// (the rule of three).
-func (p IntegrityPoint) EscapeRateCI() (lo, hi float64) {
-	return stats.WilsonCI95(p.CorruptEscapes, p.Offered)
-}
-
-// String renders the point as one sweep row.
-func (p IntegrityPoint) String() string {
-	e2e := "off"
-	if p.E2ECheck {
-		e2e = "on"
-	}
-	return fmt.Sprintf("ber=%-7.0e e2e=%-3s delivered=%6.2f%%  corrupted=%5d  crc=%5d  escapes=%4d  retried=%4d",
-		p.BER, e2e, p.DeliveredFraction()*100, p.CorruptedFlits, p.CrcDetected, p.CorruptEscapes, p.Retried)
-}
+import "fmt"
 
 // IntegritySweepOptions parameterizes an integrity sweep (400 packets per row
 // by default).
@@ -77,31 +35,26 @@ func (o IntegritySweepOptions) withDefaults() IntegritySweepOptions {
 	return o
 }
 
-// Cells enumerates the integrity sweep, which measures silent-corruption
+// Rows enumerates the integrity sweep, which measures silent-corruption
 // tolerance: each bit-error rate runs the FR6 network twice — end-to-end check
-// on, then off — until every offered packet resolves, and reports delivered
-// fraction alongside the corruption ledger. It is the experiment behind the
-// integrity claim: with the check on, every escape is caught and retried so
-// delivery stays total; with it off, the escape rate is exactly the silently
-// accepted corruption.
-func (o IntegritySweepOptions) Cells() []Cell[IntegrityPoint] {
+// on, then off — until every offered packet resolves. The ledger's
+// bit-error-model activity is what a row is about: flits delivered corrupted,
+// corrupted flits the hop CRC caught, corrupted payload that escaped every hop
+// CRC to its destination, phantom reservations installed by escaped-corrupt
+// control flits, and orphaned parked flits the reclamation timeout freed. It
+// is the experiment behind the integrity claim: with the check on, every
+// escape is caught and retried so delivery stays total; with it off, the
+// escapes are exactly the silently accepted corruption.
+func (o IntegritySweepOptions) Rows() []Spec {
 	o = o.withDefaults()
-	cells := make([]Cell[IntegrityPoint], 0, 2*len(o.BERs))
+	rows := make([]Spec, 0, 2*len(o.BERs))
 	for _, ber := range o.BERs {
 		for _, e2e := range []bool{true, false} {
 			s := o.spec()
+			s.Name = fmt.Sprintf("ber=%g e2e=%v", ber, e2e)
 			s.FR.BER, s.FR.CrcBits, s.FR.E2ECheck, s.FR.RetryLimit = ber, o.CrcBits, e2e, o.RetryLimit
-			cells = append(cells, Cell[IntegrityPoint]{
-				Name: fmt.Sprintf("integrity cell (ber=%g, e2e=%v)", ber, e2e),
-				Run: func(ctx context.Context) (IntegrityPoint, error) {
-					res, err := resolve(ctx, o.ResolveOptions, s, nil)
-					if err != nil {
-						return IntegrityPoint{}, err
-					}
-					return IntegrityPoint{BER: ber, CrcBits: o.CrcBits, E2ECheck: e2e, Resolved: res}, nil
-				},
-			})
+			rows = append(rows, s)
 		}
 	}
-	return cells
+	return rows
 }

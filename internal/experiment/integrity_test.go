@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,24 +16,24 @@ import (
 // is armed, so a leaked reservation slot panics the run.
 func TestIntegritySweepDeliversEverythingWithE2E(t *testing.T) {
 	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 200, Check: true}, BERs: []float64{1e-3, 5e-3, 1e-2}}
-	points := runSerial(t, o.Cells())
+	points := runSerial(t, o.Rows())
 	sawEscape := false
 	for _, p := range points {
 		if p.Wedged {
-			t.Fatalf("ber=%g e2e=%v wedged", p.BER, p.E2ECheck)
+			t.Fatalf("%s wedged", p.Spec.Name)
 		}
 		if p.CorruptedFlits == 0 {
-			t.Fatalf("ber=%g e2e=%v corrupted nothing", p.BER, p.E2ECheck)
+			t.Fatalf("%s corrupted nothing", p.Spec.Name)
 		}
 		if p.CorruptEscapes > 0 {
 			sawEscape = true
 		}
-		if !p.E2ECheck {
+		if !p.Spec.FR.E2ECheck {
 			continue
 		}
 		if p.Delivered != p.Offered || p.Abandoned != 0 {
-			t.Fatalf("ber=%g with e2e check: delivered %d of %d (abandoned %d)",
-				p.BER, p.Delivered, p.Offered, p.Abandoned)
+			t.Fatalf("%s: delivered %d of %d (abandoned %d)",
+				p.Spec.Name, p.Delivered, p.Offered, p.Abandoned)
 		}
 	}
 	if !sawEscape {
@@ -44,8 +45,8 @@ func TestIntegritySweepDeliversEverythingWithE2E(t *testing.T) {
 // options — two serial runs agree on every field of every point.
 func TestIntegritySweepDeterministic(t *testing.T) {
 	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 80}, BERs: []float64{0, 5e-3}}
-	a := runSerial(t, o.Cells())
-	b := runSerial(t, o.Cells())
+	a := runSerial(t, o.Rows())
+	b := runSerial(t, o.Rows())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical options diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
@@ -56,16 +57,16 @@ func TestIntegritySweepDeterministic(t *testing.T) {
 // stays quiet, and moderate intensity (no router kills) loses nothing.
 func TestChaosSweepResolvesEverything(t *testing.T) {
 	o := ChaosSweepOptions{ResolveOptions: ResolveOptions{Packets: 200, Check: true}, Intensities: []float64{0.3, 1.0}}
-	points := runSerial(t, o.Cells())
+	points := runSerial(t, o.Rows())
 	for _, p := range points {
 		if p.Wedged {
-			t.Fatalf("intensity=%g wedged", p.Intensity)
+			t.Fatalf("%s wedged", p.Spec.Name)
 		}
 		if p.Delivered+p.Abandoned+p.Unreachable != p.Offered {
-			t.Fatalf("intensity=%g conservation broken: %+v", p.Intensity, p)
+			t.Fatalf("%s conservation broken: %+v", p.Spec.Name, p)
 		}
-		if p.Events == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
-			t.Fatalf("intensity=%g campaign exercised nothing: %+v", p.Intensity, p)
+		if len(p.Events) == 0 || p.DroppedFlits == 0 || p.CorruptedFlits == 0 {
+			t.Fatalf("%s campaign exercised nothing: %+v", p.Spec.Name, p)
 		}
 	}
 	if points[0].Delivered != points[0].Offered {
@@ -111,12 +112,11 @@ func TestChaosRejectedOffFR(t *testing.T) {
 	NewNetwork(s, nil)
 }
 
-// TestIntegritySweepHarnessParity is exercised at the harness layer; here we
-// pin the cell grid shape: one point per (BER, e2e) pair in declaration
-// order, e2e-on first.
+// TestIntegritySweepGridShape pins the row grid's shape: one point per (BER,
+// e2e) pair in declaration order, e2e-on first, each named by its labels.
 func TestIntegritySweepGridShape(t *testing.T) {
 	o := IntegritySweepOptions{ResolveOptions: ResolveOptions{Packets: 40}, BERs: []float64{0, 1e-3}}
-	points := runSerial(t, o.Cells())
+	points := runSerial(t, o.Rows())
 	if len(points) != 4 {
 		t.Fatalf("got %d points, want 4", len(points))
 	}
@@ -125,9 +125,10 @@ func TestIntegritySweepGridShape(t *testing.T) {
 		e2e bool
 	}{{0, true}, {0, false}, {1e-3, true}, {1e-3, false}}
 	for i, w := range want {
-		if points[i].BER != w.ber || points[i].E2ECheck != w.e2e {
-			t.Fatalf("point %d = (ber=%g, e2e=%v), want (ber=%g, e2e=%v)",
-				i, points[i].BER, points[i].E2ECheck, w.ber, w.e2e)
+		s := points[i].Spec
+		if s.FR.BER != w.ber || s.FR.E2ECheck != w.e2e || s.Name != fmt.Sprintf("ber=%g e2e=%v", w.ber, w.e2e) {
+			t.Fatalf("point %d = %s (ber=%g, e2e=%v), want (ber=%g, e2e=%v)",
+				i, s.Name, s.FR.BER, s.FR.E2ECheck, w.ber, w.e2e)
 		}
 	}
 }

@@ -129,11 +129,11 @@ func TestResolvedRowsReuseNetworks(t *testing.T) {
 	o := ResolveOptions{Packets: 200, Check: true}
 	for name, sweep := range map[string]func() (any, int){
 		"reliability": func() (any, int) {
-			p := runSerial(t, ReliabilitySweepOptions{ResolveOptions: o}.Cells())
+			p := runSerial(t, ReliabilitySweepOptions{ResolveOptions: o}.Rows())
 			return p, len(p)
 		},
 		"chaos": func() (any, int) {
-			p := runSerial(t, ChaosSweepOptions{ResolveOptions: o, Intensities: []float64{1.0}}.Cells())
+			p := runSerial(t, ChaosSweepOptions{ResolveOptions: o, Intensities: []float64{1.0}}.Rows())
 			return p, len(p)
 		},
 	} {

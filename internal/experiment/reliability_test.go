@@ -19,25 +19,25 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reliability sweep is a full-resolution experiment; skipped in -short")
 	}
-	points := runSerial(t, ReliabilitySweepOptions{ResolveOptions: ResolveOptions{Check: true}}.Cells())
+	points := runSerial(t, ReliabilitySweepOptions{ResolveOptions: ResolveOptions{Check: true}}.Rows())
 	if len(points) != 4 {
 		t.Fatalf("expected 4 default scenarios, got %d", len(points))
 	}
-	byName := map[string]ReliabilityPoint{}
+	byName := map[string]Resolved{}
 	for _, p := range points {
 		t.Logf("%+v", p)
-		byName[p.Scenario] = p
+		byName[p.Spec.Name] = p
 		if p.Wedged {
-			t.Errorf("%s: watchdog fired", p.Scenario)
+			t.Errorf("%s: watchdog fired", p.Spec.Name)
 		}
 		if p.Offered == 0 {
-			t.Fatalf("%s: offered nothing", p.Scenario)
+			t.Fatalf("%s: offered nothing", p.Spec.Name)
 		}
 		if p.Delivered+p.Abandoned+p.Unreachable != p.Offered {
-			t.Errorf("%s: packet fates don't conserve: %+v", p.Scenario, p)
+			t.Errorf("%s: packet fates don't conserve: %+v", p.Spec.Name, p)
 		}
 		if p.Abandoned != 0 {
-			t.Errorf("%s: %d packets abandoned; hard-fault losses must resolve as delivered or unreachable", p.Scenario, p.Abandoned)
+			t.Errorf("%s: %d packets abandoned; hard-fault losses must resolve as delivered or unreachable", p.Spec.Name, p.Abandoned)
 		}
 	}
 
@@ -79,27 +79,27 @@ func TestReliabilitySweepGracefulDegradation(t *testing.T) {
 
 // TestReliabilityCellRejectsInvalidScenario checks that a malformed schedule
 // is refused up front instead of corrupting a run, and that the scenario is
-// named by the cell alone: its error, which the harness wraps in the cell's
-// name, does not name it again.
+// named by its row alone: Resolve's error, which the harness wraps in the
+// row's name, does not name it again.
 func TestReliabilityCellRejectsInvalidScenario(t *testing.T) {
 	bad := ReliabilityScenario{Name: "bad", Events: []core.FaultEvent{
 		{At: 100, Kind: core.LinkDown, A: 3, B: 9}, // not neighbors on a 4x4 mesh
 	}}
-	cells := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{bad}}.Cells()
-	if _, err := cells[0].Run(context.Background()); err == nil {
+	rows := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{bad}}.Rows()
+	if _, err := Resolve(context.Background(), rows[0]); err == nil {
 		t.Fatal("expected an error for a non-adjacent link fault")
-	} else if !strings.Contains(cells[0].Name, `"bad"`) || strings.Contains(err.Error(), `"bad"`) {
-		t.Errorf("cell %s failed with %v: want the scenario named by the cell, not again by the error", cells[0].Name, err)
+	} else if rows[0].Name != "bad" || strings.Contains(err.Error(), `"bad"`) {
+		t.Errorf("row %q failed with %v: want the scenario named by the row, not again by the error", rows[0].Name, err)
 	}
 }
 
-// TestReliabilityCellCancellation checks ctx cancellation aborts a cell.
+// TestReliabilityCellCancellation checks ctx cancellation aborts a row.
 func TestReliabilityCellCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cells := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{{Name: "healthy"}}}.Cells()
-	if _, err := cells[0].Run(ctx); err == nil {
-		t.Fatal("expected ctx.Err() from a cancelled cell")
+	rows := ReliabilitySweepOptions{Scenarios: []ReliabilityScenario{{Name: "healthy"}}}.Rows()
+	if _, err := Resolve(ctx, rows[0]); err == nil {
+		t.Fatal("expected ctx.Err() from a cancelled row")
 	}
 }
 

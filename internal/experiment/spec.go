@@ -76,7 +76,8 @@ type Spec struct {
 	// source-queue lengths stabilize, up to MaxWarmupCycles.
 	WarmupCycles    sim.Cycle
 	MaxWarmupCycles sim.Cycle
-	// SamplePackets is how many packets are tagged and measured.
+	// SamplePackets is how many packets are tagged and measured; a row of
+	// a resolved sweep (Resolve) offers exactly that many packets.
 	SamplePackets int
 	// DrainFactor bounds how long the run waits for tagged packets, as a
 	// multiple of the cycles the sample took to create; a run exceeding

@@ -9,42 +9,43 @@ import (
 // TestChaosSoakSerialVsParallel is the chaos soak: seeded campaigns over a
 // short horizon with the per-cycle invariant checker armed — credit
 // conservation and reservation-table consistency panic the run if violated,
-// and each cell drains to zero in-flight packets before reporting, so a
+// and each row drains to zero in-flight packets before reporting, so a
 // leaked reservation slot cannot hide. The parallel sweep must reproduce the
 // serial one bit for bit, and moderate intensity must lose nothing.
 func TestChaosSoakSerialVsParallel(t *testing.T) {
 	serial := serialVsParallel(t, experiment.ChaosSweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Packets: 250, Check: true},
 		Intensities:    []float64{0.25, 0.6, 1.0},
-	}.Cells())
+	}.Rows())
 	for _, p := range serial {
+		intensity := p.Spec.ChaosIntensity
 		if p.Wedged {
-			t.Errorf("intensity=%g: watchdog fired", p.Intensity)
+			t.Errorf("intensity=%g: watchdog fired", intensity)
 		}
 		if p.Delivered+p.Abandoned+p.Unreachable != p.Offered {
-			t.Errorf("intensity=%g: packet fates don't conserve: %+v", p.Intensity, p)
+			t.Errorf("intensity=%g: packet fates don't conserve: %+v", intensity, p)
 		}
 		if p.Abandoned != 0 {
-			t.Errorf("intensity=%g: %d packets abandoned under the default retry budget", p.Intensity, p.Abandoned)
+			t.Errorf("intensity=%g: %d packets abandoned under the default retry budget", intensity, p.Abandoned)
 		}
-		if p.Intensity < 0.75 {
+		if intensity < 0.75 {
 			if p.Delivered != p.Offered {
 				t.Errorf("intensity=%g (no router kills) lost traffic: delivered %d of %d",
-					p.Intensity, p.Delivered, p.Offered)
+					intensity, p.Delivered, p.Offered)
 			}
 		} else if float64(p.Delivered) < 0.95*float64(p.Offered) {
-			t.Errorf("intensity=%g delivered only %d of %d", p.Intensity, p.Delivered, p.Offered)
+			t.Errorf("intensity=%g delivered only %d of %d", intensity, p.Delivered, p.Offered)
 		}
 	}
 }
 
 // TestIntegritySweepParallelMatchesSerial: the bit-error grid fanned over
-// workers must reproduce the serial sweep exactly, in the same cell order.
+// workers must reproduce the serial sweep exactly, in the same row order.
 func TestIntegritySweepParallelMatchesSerial(t *testing.T) {
 	serialVsParallel(t, experiment.IntegritySweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Packets: 80, Check: true},
 		BERs:           []float64{0, 5e-3},
-	}.Cells())
+	}.Rows())
 }
 
 // TestChaosJobsHashStably: chaos fields ride the spec, so identical chaos

@@ -7,23 +7,22 @@ import (
 	"frfc/internal/experiment"
 )
 
-// RunCells fans the cells of a resolved sweep (or any other enumeration of
-// independent rows) over a pool of workers (0 means runtime.NumCPU()) and
-// returns their points in cell order. Each cell owns its own network and RNG,
-// so the points are bit-identical to running the cells one after another. The
-// first cell failure — a cell's own error, cancellation, or a panic, captured
-// per cell — is returned, wrapped in that cell's name, alongside whatever
-// completed.
-func RunCells[P any](ctx context.Context, cells []experiment.Cell[P], workers int) ([]P, error) {
-	outs := mapPool(ctx, Options{Workers: workers}.workers(), cells, func(ctx context.Context, _ int, c experiment.Cell[P]) (P, error) {
-		return c.Run(ctx)
+// ResolveRows resolves the rows of a resolved sweep (experiment.Resolve) on a
+// pool of workers (0 means runtime.NumCPU()) and returns their points in row
+// order. Each row owns its own network and RNG, so the points are
+// bit-identical to resolving the rows one after another. The first failure —
+// a row's own error, cancellation, or a panic, captured per row — is
+// returned, wrapped in that row's name, alongside whatever completed.
+func ResolveRows(ctx context.Context, rows []experiment.Spec, workers int) ([]experiment.Resolved, error) {
+	outs := mapPool(ctx, Options{Workers: workers}.workers(), rows, func(ctx context.Context, _ int, s experiment.Spec) (experiment.Resolved, error) {
+		return experiment.Resolve(ctx, s)
 	})
-	points := make([]P, len(cells))
+	points := make([]experiment.Resolved, len(rows))
 	var err error
 	for i, out := range outs {
 		points[i] = out.Value
 		if out.Err != nil && err == nil {
-			err = fmt.Errorf("%s: %w", cells[i].Name, out.Err)
+			err = fmt.Errorf("row %q: %w", rows[i].Name, out.Err)
 		}
 	}
 	return points, err

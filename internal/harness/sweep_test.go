@@ -38,20 +38,20 @@ func TestAppendJobsMatchesSerialSweep(t *testing.T) {
 	}
 }
 
-// serialVsParallel runs a sweep's cells one after another — the reference —
-// and fanned over four workers, and requires the same points in the same cell
+// serialVsParallel resolves a sweep's rows one after another — the reference —
+// and fanned over four workers, and requires the same points in the same row
 // order.
-func serialVsParallel[P any](t *testing.T, cells []experiment.Cell[P]) []P {
+func serialVsParallel(t *testing.T, rows []experiment.Spec) []experiment.Resolved {
 	t.Helper()
-	serial := make([]P, 0, len(cells))
-	for _, c := range cells {
-		p, err := c.Run(context.Background())
+	serial := make([]experiment.Resolved, 0, len(rows))
+	for _, s := range rows {
+		p, err := experiment.Resolve(context.Background(), s)
 		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
+			t.Fatalf("%s: %v", s.Name, err)
 		}
 		serial = append(serial, p)
 	}
-	parallel, err := RunCells(context.Background(), cells, 4)
+	parallel, err := ResolveRows(context.Background(), rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func serialVsParallel[P any](t *testing.T, cells []experiment.Cell[P]) []P {
 }
 
 // TestFaultSweepParallelMatchesSerial: the fault sweep fanned over workers
-// must reproduce the serial sweep exactly, in the same cell order.
+// must reproduce the serial sweep exactly, in the same row order.
 func TestFaultSweepParallelMatchesSerial(t *testing.T) {
 	serialVsParallel(t, experiment.FaultSweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Radix: 4, Packets: 60},
 		RetryLimit:     4, Rates: []float64{0, 0.05},
-	}.Cells())
+	}.Rows())
 }
 
 // TestReliabilitySweepParallelMatchesSerial: the hard-fault scenario sweep
@@ -76,12 +76,12 @@ func TestFaultSweepParallelMatchesSerial(t *testing.T) {
 func TestReliabilitySweepParallelMatchesSerial(t *testing.T) {
 	serialVsParallel(t, experiment.ReliabilitySweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Packets: 200, Check: true},
-	}.Cells())
+	}.Rows())
 }
 
-// TestRunCellsNamesTheFailedCell: a cell's own error comes back wrapped in the
-// cell's name, once, alongside the points of the cells that completed.
-func TestRunCellsNamesTheFailedCell(t *testing.T) {
+// TestResolveRowsNamesTheFailedRow: a row's own error comes back wrapped in the
+// row's name, once, alongside the points of the rows that completed.
+func TestResolveRowsNamesTheFailedRow(t *testing.T) {
 	o := experiment.ReliabilitySweepOptions{
 		ResolveOptions: experiment.ResolveOptions{Packets: 30},
 		Scenarios: []experiment.ReliabilityScenario{
@@ -89,9 +89,9 @@ func TestRunCellsNamesTheFailedCell(t *testing.T) {
 			{Name: "bad", Events: []core.FaultEvent{{At: 100, Kind: core.LinkDown, A: 3, B: 9}}},
 		},
 	}
-	points, err := RunCells(context.Background(), o.Cells(), 2)
-	if err == nil || !strings.Contains(err.Error(), `reliability scenario "bad"`) || strings.Count(err.Error(), `"bad"`) != 1 {
-		t.Fatalf("err = %v, want it to name the failed cell exactly once", err)
+	points, err := ResolveRows(context.Background(), o.Rows(), 2)
+	if err == nil || !strings.HasPrefix(err.Error(), `row "bad": `) || strings.Count(err.Error(), `"bad"`) != 1 {
+		t.Fatalf("err = %v, want it to name the failed row exactly once", err)
 	}
 	if len(points) != 2 || points[0].Offered != 30 || points[1].Offered != 0 {
 		t.Fatalf("points = %+v, want the healthy row complete and the bad row zero", points)

@@ -46,7 +46,12 @@
 # them, so that a command names each type one way; or if a non-test file under
 # cmd/ or internal/ outside internal/metrics builds a probe as a composite
 # literal (metrics.Probe{) instead of with metrics.NewProbe, the one
-# constructor, which arms the collectors an option implies together.
+# constructor, which arms the collectors an option implies together; or if a
+# resolved sweep forks its rows again: a non-test Cells() method or a use of
+# experiment.Cell under cmd/ or internal/, a Cell type in internal/experiment,
+# or a String() there on a resolved-sweep point (Resolved or a ...Point type)
+# — a row is one Spec resolved by experiment.Resolve into one
+# experiment.Resolved, and cmd/sweep's tables print it.
 #
 # Usage: scripts/inlined.sh   (no arguments)
 set -eu
@@ -159,5 +164,13 @@ if [ -n "$literal" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell and Arm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe"
+fork=$( (find cmd internal -name '*.go' ! -name '*_test.go' -exec grep -nE '^func \([^)]*\) Cells\(|\bexperiment\.Cell\b' {} +
+    grep -nE '^type Cell\b|^func \([A-Za-z_]+ \*?(Resolved|[A-Za-z]*Point)\) String\(' internal/experiment/*.go /dev/null | grep -v '_test\.go:') || true)
+if [ -n "$fork" ]; then
+    echo "inlined.sh: a resolved sweep forks its rows again (enumerate them as Rows() []Spec, resolve them with harness.ResolveRows, print them in cmd/sweep's tables):" >&2
+    echo "$fork" >&2
+    status=1
+fi
+
+[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell and Arm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe; every resolved sweep is Rows() of one Spec type, with no Cells(), Cell or point String()"
 exit $status
