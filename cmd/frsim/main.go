@@ -280,6 +280,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-retry must be in [0,%d] (got %d; 0 means no retry)", noc.MaxLen, *retry)
 	case *ber < 0 || *ber >= 1:
 		return fail("-ber must be a probability in [0,1) (got %g)", *ber)
+	case *crcBits > noc.MaxCrcBits:
+		return fail("-crc-bits must be <= %d (got %d; 0 means the default, negative disables the hop CRC)", noc.MaxCrcBits, *crcBits)
 	case *chaos < 0 || *chaos > 1:
 		return fail("-chaos must be an intensity in (0,1] (got %g; 0 means no chaos)", *chaos)
 	case shared.ChaosSeed != 0 && *chaos == 0:

@@ -302,7 +302,7 @@ func TestScenarioRunDeliversWholeSample(t *testing.T) {
 func TestRejectsByName(t *testing.T) {
 	for _, args := range [][]string{
 		{"-chaos", "1.5"}, {"-chaos", "-0.5"}, {"-chaos-seed", "9"}, {"-chaos", "0", "-chaos-seed", "9"},
-		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"},
+		{"-ber", "2"}, {"-ber", "1"}, {"-ber", "-0.1"}, {"-crc-bits", "100"},
 		{"-radix", "1"}, {"-radix", "-4"}, {"-pattern", "zz"},
 		{"-pktlen", "0"}, {"-pktlen", "-2"}, {"-pktlen", "3000000000"},
 		{"-retry", "-1"}, {"-retry", "3000000000"},

@@ -81,6 +81,7 @@ import (
 	"frfc/internal/noc"
 	"frfc/internal/profile"
 	"frfc/internal/status"
+	"frfc/internal/topology"
 	"frfc/internal/waterfall"
 )
 
@@ -142,6 +143,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("-packets must be >= 0 (got %d; 0 means the mode's default)", *packets)
 	case *retryLimit < 0 || *retryLimit > noc.MaxLen:
 		return fail("-retrylimit must be in [0,%d] (got %d; 0 means the default of 8)", noc.MaxLen, *retryLimit)
+	case *crcBits > noc.MaxCrcBits:
+		return fail("-crc-bits must be <= %d (got %d; 0 means the default of 4, negative disables hop detection)", noc.MaxCrcBits, *crcBits)
 	}
 	// A flag the running mode does not read is refused by name, not ignored:
 	// the fault modes write no store and run no campaign, and each mode's own
@@ -206,21 +209,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *wfOut != "" && (*adaptive || resolved) {
 		return fail("-waterfall applies to grid sweeps only (not -adaptive or the fault/integrity/chaos modes)")
 	}
-	if *out != "" && !*resume {
-		// A fresh campaign: an existing store would otherwise silently
-		// serve stale points.
-		if err := os.Truncate(*out, 0); err != nil && !os.IsNotExist(err) {
-			return fail("truncate %s: %v", *out, err)
-		}
-	}
-
-	st, stop, err := shared.Start("sweep", stderr)
-	if err != nil {
-		return fail("%v", err)
-	}
-	defer stop()
-
-	// Each fault mode is its sweep's rows resolved on the pool.
+	// Each fault mode is its sweep's rows, resolved on the pool below; a
+	// scenario that cannot run on the rows' mesh is refused here.
 	ro := experiment.ResolveOptions{Packets: *packets, PacketLen: shared.PktLen, Check: shared.Check, Seed: shared.Seed}
 	var rows []experiment.Spec
 	var tabulate func([]experiment.Resolved) table
@@ -249,19 +239,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.Scenarios = []experiment.ReliabilityScenario{{Name: "custom", Events: events}}
 		}
 		rows, tabulate = o.Rows(), reliabilityTable
+		for _, s := range rows {
+			if err := core.ValidateFaults(topology.NewMesh(s.MeshRadix), s.Faults, s.FR.RetryLimit > 0); err != nil {
+				return fail("-scenario: %v", err)
+			}
+		}
 	}
+	if *out != "" && !*resume {
+		// A fresh campaign: an existing store would otherwise silently
+		// serve stale points.
+		if err := os.Truncate(*out, 0); err != nil && !os.IsNotExist(err) {
+			return fail("truncate %s: %v", *out, err)
+		}
+	}
+
+	st, stop, err := shared.Start("sweep", stderr)
+	if err != nil {
+		return fail("%v", err)
+	}
+	defer stop()
+
 	if resolved {
 		points, err := harness.ResolveRows(context.Background(), rows, *workers)
 		if err != nil {
-			// A -faults row takes no flag value unrefused, so one that
-			// failed did so running (exit 1); the other modes report a
-			// failed row as they report a refusal. Either way the row is
-			// named, and no row of zeros is printed.
-			if mode == "-faults" {
-				fmt.Fprintf(stderr, "sweep: %v\n", err)
-				return 1
-			}
-			return fail("%v", err)
+			// Every flag value was refused above, so a row that failed did
+			// so running: exit 1, the row named, no row of zeros printed.
+			fmt.Fprintf(stderr, "sweep: %v\n", err)
+			return 1
 		}
 		return printTable(stdout, stderr, tabulate(points), *csv)
 	}

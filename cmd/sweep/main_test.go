@@ -245,6 +245,8 @@ func TestFlagValidation(t *testing.T) {
 		{"negative lead", []string{"-configs", "FR6-lead-3"}, `bad lead in "FR6-lead-3"`},
 		{"lead under fast wiring", []string{"-configs", "FR6,FR6-lead2"}, "-wiring must be leading to run FR6-lead2"},
 		{"adaptive bad routing", []string{"-adaptive", "-routing", "zz"}, `unknown routing "zz"`},
+		{"crc-bits past the modeled width", []string{"-integrity", "-crc-bits", "100"}, "-crc-bits must be <= 62 (got 100"},
+		{"scenario off the mesh", []string{"-scenario", "down 0-5 @100"}, "-scenario: fault 0 (down 0-5 @100): nodes 0 and 5 are not adjacent"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

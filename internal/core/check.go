@@ -140,9 +140,32 @@ func (n *Network) checkLocal(now sim.Cycle, id topology.NodeID) {
 	n.checkTable(now, fmt.Sprintf("NI %d injection table", id), &ni.injTable)
 }
 
-// checkRouter audits one router's reservation tables and buffer pools.
+// checkRouter audits one router's control-VC ownership, reservation tables
+// and buffer pools.
 func (n *Network) checkRouter(now sim.Cycle, id topology.NodeID) {
 	r := &n.routers[id]
+	// A stream holds its downstream control VC from head to tail (endStream
+	// lets it go): every allocated channel is routed and not draining, and
+	// an output control VC is owned iff exactly one allocated channel holds
+	// it.
+	held := make([]int, int(topology.NumPorts)*n.cfg.CtrlVCs)
+	for ch := range r.chans {
+		vc := &r.chans[ch]
+		if !vc.allocated {
+			continue
+		}
+		if !vc.routed || vc.drain {
+			n.fail(now, "node %d ch %d: allocated output VC %d while routed=%v drain=%v", id, ch, vc.outVC, vc.routed, vc.drain)
+		}
+		held[int(vc.route)*n.cfg.CtrlVCs+int(vc.outVC)]++
+	}
+	for p := range r.ctrlOut {
+		for v, owned := range r.ctrlOut[p].owned {
+			if k := held[p*n.cfg.CtrlVCs+v]; owned != (k == 1) || k > 1 {
+				n.fail(now, "node %d out %s vc %d: owned=%v, held by %d allocated channels", id, topology.Port(p), v, owned, k)
+			}
+		}
+	}
 	for p := range r.inputs {
 		if !r.ctrlIn[p].exists {
 			continue

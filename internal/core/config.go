@@ -303,8 +303,8 @@ func (c Config) validate() {
 	if c.BER == 1 {
 		panic("core: BER must be < 1 — a link that corrupts every transmission carries no information")
 	}
-	if c.CrcBits > 62 {
-		panic(fmt.Sprintf("core: CrcBits must be <= 62, got %d", c.CrcBits))
+	if c.CrcBits > noc.MaxCrcBits {
+		panic(fmt.Sprintf("core: CrcBits must be <= %d, got %d", noc.MaxCrcBits, c.CrcBits))
 	}
 	if c.ReclaimCycles < 0 {
 		panic("core: ReclaimCycles must be >= 0")

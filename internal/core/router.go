@@ -582,10 +582,7 @@ func (r *Router) processControl(now sim.Cycle) (arb, sched int) {
 			// The previous stream's tail died on a severed wire before it
 			// could close the channel; a new head can only follow a
 			// complete (or destroyed) stream, so close the old one out.
-			if vc.allocated {
-				r.ctrlOut[vc.route].owned[vc.outVC] = false
-			}
-			vc.routed, vc.allocated = false, false
+			r.endStream(vc)
 		}
 		if !vc.routed {
 			if !qc.flit.Type.IsHead() {
@@ -795,8 +792,7 @@ func (r *Router) consume(now sim.Cycle, vc *ctrlVC) {
 	r.leadArrays.Put(vc.front().flit.Leads)
 	r.popCtrl(now, vc)
 	if isTail {
-		vc.routed = false
-		vc.allocated = false
+		r.endStream(vc)
 	}
 }
 
@@ -834,9 +830,7 @@ func (r *Router) forward(now sim.Cycle, vc *ctrlVC, out topology.Port) {
 	isTail := qc.flit.Type.IsTail()
 	r.popCtrl(now, vc)
 	if isTail {
-		co.owned[vc.outVC] = false
-		vc.allocated = false
-		vc.routed = false
+		r.endStream(vc)
 	}
 }
 
@@ -846,7 +840,9 @@ func (r *Router) forward(now sim.Cycle, vc *ctrlVC, out topology.Port) {
 // are condemned so they are dropped on sight. Scheduled leads keep their
 // reservations — that data is real and departs normally (dying on the
 // severed wire if its route is gone). The flit's buffer credit flows
-// upstream as usual, and the VC drains until the stream's tail passes.
+// upstream as usual, the stream ends here — its downstream control VC is
+// released, since no later flit of it will be forwarded — and the VC drains
+// until the stream's tail passes.
 //
 // Each destroyed unscheduled lead still holds a buffer residency in the
 // upstream scheduler's table (debited at commit, normally released by
@@ -876,6 +872,7 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC) {
 		}
 	}
 	isTail := qc.flit.Type.IsTail()
+	r.endStream(vc)
 	r.popCtrl(now, vc)
 	vc.drain = !isTail
 }
@@ -886,16 +883,12 @@ func (r *Router) discardCtrl(now sim.Cycle, vc *ctrlVC) {
 // again (routes computed after the fault avoid p, and everything the stream
 // already sent into the wire is destroyed).
 func (r *Router) severOutput(p topology.Port) {
-	co := &r.ctrlOut[p]
 	for ch := range r.chans {
 		vc := &r.chans[ch]
 		if !vc.routed || topology.Port(vc.route) != p {
 			continue
 		}
-		if vc.allocated && co.exists {
-			co.owned[vc.outVC] = false
-		}
-		vc.routed, vc.allocated = false, false
+		r.endStream(vc)
 		vc.drain = true
 		// Claims the queued flits held on the dying output's table die
 		// with the table; if a still-queued head survives to re-route,
@@ -914,6 +907,17 @@ func (r *Router) severOutput(p topology.Port) {
 			}
 		}
 	}
+}
+
+// endStream closes the stream vc carries: the downstream control VC it holds
+// from head to tail, if it holds one, is released, and the channel unrouted.
+// Every way a stream ends — its tail leaving or consumed, its flits discarded,
+// its output severed, a fresh head finding it never closed — ends it here.
+func (r *Router) endStream(vc *ctrlVC) {
+	if vc.allocated {
+		r.ctrlOut[vc.route].owned[vc.outVC] = false
+	}
+	vc.routed, vc.allocated = false, false
 }
 
 // popCtrl dequeues the front control flit of a VC and returns its buffer

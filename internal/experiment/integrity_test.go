@@ -41,6 +41,29 @@ func TestIntegritySweepDeliversEverythingWithE2E(t *testing.T) {
 	}
 }
 
+// TestDiscardedStreamReleasesItsControlVC: a control flit the hop CRC catches
+// mid-stream is discarded, and its stream ends there, releasing the
+// downstream control VC it held. These rows wedged while the discard left
+// that VC owned with no stream left to close it: the source ran out of
+// control credits with its retry timer never armed. Under the invariant
+// checker every row now resolves every offered packet.
+func TestDiscardedStreamReleasesItsControlVC(t *testing.T) {
+	for _, o := range []IntegritySweepOptions{
+		{ResolveOptions: ResolveOptions{Packets: 2, Check: true}, CrcBits: 62, BERs: []float64{0.5}},
+		{ResolveOptions: ResolveOptions{Packets: 4, Check: true, Seed: 5}, BERs: []float64{0.05, 0.2, 0.5}},
+		{ResolveOptions: ResolveOptions{Packets: 4, Check: true, Seed: 6}, BERs: []float64{0.05, 0.2, 0.5}},
+	} {
+		for _, p := range runSerial(t, o.Rows()) {
+			row := fmt.Sprintf("%s crc=%d seed=%d", p.Spec.Name, p.Spec.FR.CrcBits, p.Spec.Seed)
+			if p.Wedged {
+				t.Errorf("%s wedged: delivered %d, abandoned %d of %d", row, p.Delivered, p.Abandoned, p.Offered)
+			} else if p.Delivered+p.Abandoned != p.Offered {
+				t.Errorf("%s: delivered %d + abandoned %d != offered %d", row, p.Delivered, p.Abandoned, p.Offered)
+			}
+		}
+	}
+}
+
 // TestIntegritySweepDeterministic: the sweep is a pure function of its
 // options — two serial runs agree on every field of every point.
 func TestIntegritySweepDeterministic(t *testing.T) {

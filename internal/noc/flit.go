@@ -85,6 +85,11 @@ type Packet struct {
 // refused by name, never wrapped.
 const MaxLen = math.MaxInt32
 
+// MaxCrcBits is the widest hop CRC the flit-reservation and virtual-channel
+// fabrics model (core.Config.CrcBits, vcrouter.Config.CrcBits): a wider one is
+// refused by name.
+const MaxCrcBits = 62
+
 // DataFlit is one flit of packet payload on the data network.
 //
 // Under flit-reservation flow control the router "never examines" a data

@@ -14,6 +14,7 @@ package vcrouter
 import (
 	"fmt"
 
+	"frfc/internal/noc"
 	"frfc/internal/routing"
 	"frfc/internal/sim"
 )
@@ -109,8 +110,8 @@ func (c Config) validate() {
 	if c.BER < 0 || c.BER >= 1 || c.BER != c.BER {
 		panic(fmt.Sprintf("vcrouter: BER must lie in [0, 1), got %v", c.BER))
 	}
-	if c.CrcBits > 62 {
-		panic(fmt.Sprintf("vcrouter: CrcBits %d exceeds the modeled maximum of 62", c.CrcBits))
+	if c.CrcBits > noc.MaxCrcBits {
+		panic(fmt.Sprintf("vcrouter: CrcBits %d exceeds the modeled maximum of %d", c.CrcBits, noc.MaxCrcBits))
 	}
 }
 

@@ -17,6 +17,10 @@
 #     core rebuilds a calendar after an outage with sim.Calendar.Arm at every
 #     cycle sim.Pipe.Arrivals reports).
 #   - Every router orders its arbitration candidates with sim.Shuffle.
+#   - The flit-reservation router ends every control stream with
+#     Router.endStream, which releases the downstream control VC the stream
+#     held and unroutes its channel; forward calls it on each tail, once per
+#     packet per hop.
 #   - The flit-reservation router reports every tick, dormant or not, to the
 #     self-profile through profile.Registry.RouterTick, a nil test when
 #     profiling is off, and experiment.RunInstrumented asks
@@ -31,7 +35,10 @@
 # is back on the sending side there: a field naming the receiver's calendar
 # (peer[, dataCal, creditCal, upCal, downCal) or a hand arm beside a send
 # (.Arm(now+...)); or if a hand-written Fisher-Yates loop over Intn(i + 1) is
-# back; or if the virtual-channel,
+# back; or if a non-test file of internal/core releases a downstream control
+# VC by hand (owned[...] = false, or a clear of owned) anywhere but in
+# endStream, which ends one stream, and in Router.reset and
+# Network.repairLink, which clear a whole port; or if the virtual-channel,
 # packet-switched or circuit fabric makes a wire, carves a calendar or counts
 # the packets offered for itself (sim.NewPipe, sim.CalendarCells, an offered
 # field) instead of through the noc.Terminals it embeds; or if the
@@ -94,6 +101,7 @@ check '\.Cell\(' 'sim\.Calendar\.Cell' $(sites '\.Cell\(')
 check '\.Arm\(' 'sim\.Calendar\.Arm' $(sites '\.Arm\(')
 check 'sim\.Shuffle\(' 'sim\.Shuffle\[.*\]' $(sites 'sim\.Shuffle\(')
 check '\.RouterTick\(' 'profile\.(\*Registry)\.RouterTick' internal/core/router.go
+check '\.endStream\(' '(\*Router)\.endStream' internal/core/router.go
 check 'prof\.Due\(' 'profile\.(\*Registry)\.Due' internal/experiment/run.go
 
 receives=$(for d in $pkgs; do grep -nE '\.Recv\(now\)' "$d"/*.go /dev/null | grep -v '_test\.go:' || true; done)
@@ -121,6 +129,16 @@ replaced=$(for d in $pkgs; do grep -nE 'Intn\(i ?\+ ?1\)' "$d"/*.go /dev/null | 
 if [ -n "$replaced" ]; then
     echo "inlined.sh: a hand-written shuffle is back (use sim.Shuffle):" >&2
     echo "$replaced" >&2
+    status=1
+fi
+
+release=$(for f in internal/core/*.go; do
+    case $f in *_test.go) continue ;; esac
+    awk -v f="$f" '/^func / { fn = $0 } /owned\[[^]]*\] *= *false|clear\([^)]*owned\)/ && fn !~ /\) (endStream|reset|repairLink)\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$release" ]; then
+    echo "inlined.sh: a control stream releases its downstream control VC by hand (end it with Router.endStream):" >&2
+    echo "$release" >&2
     status=1
 fi
 
@@ -172,5 +190,5 @@ if [ -n "$fork" ]; then
     status=1
 fi
 
-[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell and Arm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's and Registry.Due in RunInstrumented's step; no Recv(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe; every resolved sweep is Rows() of one Spec type, with no Cells(), Cell or point String()"
+[ $status -eq 0 ] && echo "inlined.sh: Take, Shuffle and the due calendar's Cell and Arm are inlined at every site of the four fabrics' routers, interfaces and sinks, RouterTick at both of the flit-reservation router's, endStream at each of its calls and Registry.Due in RunInstrumented's step; no Recv(now) receive, no post, in-flight count or ejection pointer is left, no sender-side wake field or hand arm beside a send, no hand-written shuffle, no hand release of a control VC outside endStream, reset and repairLink, the virtual-channel, packet-switched and circuit fabrics take every wire, calendar and offered count from noc.Terminals, and the flit-reservation router reads its candidates off occ &^ fresh with no portVC or per-port occupancy word; cmd/paperfigs runs every job through the harness; no command or internal package imports the root package; every probe outside internal/metrics comes from metrics.NewProbe; every resolved sweep is Rows() of one Spec type, with no Cells(), Cell or point String()"
 exit $status
